@@ -2,35 +2,15 @@ GO ?= go
 
 # The likelihood-engine micro-benchmarks (incremental re-evaluation
 # and parallel population scoring); see EXPERIMENTS.md "Performance".
-# Baselined in BENCH_PR2.json, re-baselined after the PR7 kernel
-# rebuild in BENCH_PR7.json.
+# The committed BENCH_PR*.json files are frozen per-PR artifacts; the
+# live figures come from `make ledger`.
 BENCH_PATTERN = SearchEval50|Search50|ParallelScore
-
-# The PR4 fault-injection overhead benchmarks (fault-off vs fault-on);
-# see EXPERIMENTS.md "Fault injection".
-FAULT_BENCH_PATTERN = FaultScenario
-
-# The PR5 write-ahead-log overhead benchmarks (wal-off vs wal-on); see
-# EXPERIMENTS.md "Crash recovery".
-WAL_BENCH_PATTERN = WALScenario
-
-# The PR8 workflow-engine benchmarks (flat manual chaining vs one
-# typed DAG); see EXPERIMENTS.md "Workflow engine".
-DAG_BENCH_PATTERN = DagWorkflow
-
-# The PR9 coordinator-sharding benchmarks (10^5 users through 1/2/4/8
-# shards); see EXPERIMENTS.md "Scale-out".
-SCALE_BENCH_PATTERN = ScaleOut
-
-# The PR10 overload-protection benchmarks (10× demand spike, protected
-# vs unprotected); see EXPERIMENTS.md "Overload".
-OVERLOAD_BENCH_PATTERN = OverloadScenario
 
 # Machine-readable analyzer report: every finding, suppressed ones
 # included and marked, for dashboards and suppression audits.
 LINT_ARTIFACT = latticelint.json
 
-.PHONY: all build vet lint lint-fixtures test race smoke faults crash dag scale overload check bench bench-smoke bench-json bench-json-engine bench-json-faults bench-json-wal bench-json-dag bench-json-scale bench-json-overload
+.PHONY: all build vet lint lint-fixtures test race smoke faults crash dag scale overload check bench bench-smoke ledger ledger-trace
 
 all: check
 
@@ -78,43 +58,15 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1x .
 
-# bench-json regenerates the committed benchmark artifact.
-bench-json:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem . | $(GO) run ./cmd/benchjson > BENCH_PR2.json
+# ledger runs the repository's benchmark (bench/README.md): six
+# workloads, the gated end-to-end metrics, every correctness check, and
+# a comparison against bench/baseline.json. ledger-trace adds the
+# traced pass: layer probes, the per-layer table, bench/out/trace.json.
+ledger:
+	$(GO) run ./bench -seed 1
 
-# bench-json-engine regenerates the committed post-kernel-rebuild
-# engine artifact (tip-specialized fused kernels, per-tree partials
-# banks, warm-started pools).
-bench-json-engine:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem . | $(GO) run ./cmd/benchjson > BENCH_PR7.json
-
-# bench-json-faults regenerates the committed fault-injection
-# overhead artifact (fault-off vs fault-on grid runs).
-bench-json-faults:
-	$(GO) test -run '^$$' -bench '$(FAULT_BENCH_PATTERN)' -benchmem . | $(GO) run ./cmd/benchjson > BENCH_PR4.json
-
-# bench-json-wal regenerates the committed durability overhead
-# artifact (wal-off vs wal-on grid runs).
-bench-json-wal:
-	$(GO) test -run '^$$' -bench '$(WAL_BENCH_PATTERN)' -benchmem . | $(GO) run ./cmd/benchjson > BENCH_PR5.json
-
-# bench-json-dag regenerates the committed workflow-engine artifact
-# (flat manual chaining vs one typed DAG: wall time and mean
-# stage-queue wait).
-bench-json-dag:
-	$(GO) test -run '^$$' -bench '$(DAG_BENCH_PATTERN)' -benchmem . | $(GO) run ./cmd/benchjson > BENCH_PR8.json
-
-# bench-json-scale regenerates the committed coordinator-sharding
-# artifact (virtual makespan, throughput, front-door wait and queue
-# depth at 1/2/4/8 shards).
-bench-json-scale:
-	$(GO) test -run '^$$' -bench '$(SCALE_BENCH_PATTERN)' -benchmem . | $(GO) run ./cmd/benchjson > BENCH_PR9.json
-
-# bench-json-overload regenerates the committed overload-protection
-# artifact (goodput ratio, shed counts, p99 front-door wait: protected
-# vs unprotected under the 10× spike).
-bench-json-overload:
-	$(GO) test -run '^$$' -bench '$(OVERLOAD_BENCH_PATTERN)' -benchmem . | $(GO) run ./cmd/benchjson > BENCH_PR10.json
+ledger-trace:
+	$(GO) run ./bench -seed 1 -trace
 
 # faults runs the fault-injection scenario under the race detector:
 # conservation (every job exactly one terminal state) and same-seed

@@ -174,7 +174,7 @@ func BenchmarkE10PortalScale(b *testing.B) {
 // BenchmarkFaultScenario prices the fault-injection layer: the same
 // 200-replicate batch with no injector wired ("fault-off") and under
 // the default hostile schedule ("fault-on"). The pair is the PR4
-// overhead artifact (BENCH_PR4.json, `make bench-json-faults`).
+// overhead artifact (BENCH_PR4.json, frozen).
 func BenchmarkFaultScenario(b *testing.B) {
 	for _, c := range []struct {
 		name    string
@@ -361,8 +361,8 @@ func BenchmarkForestPredict(b *testing.B) {
 }
 
 // --- PR2 engine benchmarks: incremental re-evaluation + parallel scoring ---
-// Regenerate BENCH_PR2.json with:
-//   make bench   (or: go test -run '^$' -bench 'SearchEval50|Search50|ParallelScore' -benchmem | go run ./cmd/benchjson > BENCH_PR2.json)
+// BENCH_PR2.json is the frozen PR2 artifact; `make bench` runs these
+// at measurement quality, and `make ledger` is the live suite.
 
 // bench50 builds a 50-taxon GTR+Γ4 nucleotide fixture for the PR2
 // benchmarks.
@@ -587,7 +587,7 @@ func BenchmarkSimEngine(b *testing.B) {
 // 200-replicate hostile-schedule batch with durability off ("wal-off")
 // and with every coordinator transition logged to a write-ahead log
 // ("wal-on"). The pair is the PR5 overhead artifact (BENCH_PR5.json,
-// `make bench-json-wal`).
+// frozen).
 func BenchmarkWALScenario(b *testing.B) {
 	for _, c := range []struct {
 		name    string
@@ -615,7 +615,7 @@ func BenchmarkWALScenario(b *testing.B) {
 // independent batch, the way the paper's users chained submissions by
 // hand) versus as one typed DAG. Reports wall time and mean
 // stage-queue wait (job place wait). The pair is the PR8 artifact
-// (BENCH_PR8.json, `make bench-json-dag`).
+// (BENCH_PR8.json, frozen).
 func BenchmarkDagWorkflow(b *testing.B) {
 	for _, c := range []struct {
 		name   string
@@ -646,14 +646,13 @@ func BenchmarkDagWorkflow(b *testing.B) {
 // pushed through 1, 2, 4 and 8 coordinator shards behind the
 // deterministic router. Reports virtual makespan, throughput, mean
 // front-door wait and peak front-door queue depth per shard count.
-// The sweep is the PR9 artifact (BENCH_PR9.json,
-// `make bench-json-scale`).
+// The sweep is the PR9 artifact (BENCH_PR9.json, frozen).
 // BenchmarkOverloadScenario prices overload protection: a 10× demand
 // spike pushed through protected 1- and 4-shard clusters (admission
 // control, fair-share shedding, circuit breakers) and the unprotected
 // 1-shard baseline. Reports goodput ratio, shed counts and p99
 // front-door wait per configuration. The sweep is the PR10 artifact
-// (BENCH_PR10.json, `make bench-json-overload`).
+// (BENCH_PR10.json, frozen).
 func BenchmarkOverloadScenario(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.OverloadScenario(1)

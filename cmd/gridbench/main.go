@@ -8,12 +8,19 @@
 //	gridbench -run fig2,e4,e5
 //	gridbench -run all -seed 42
 //	gridbench -run e4 -obs        # append /metrics snapshots per config
+//	gridbench -run scale -cpuprofile cpu.pb -memprofile mem.pb
+//
+// The two profile flags write pprof files covering the selected
+// experiments (`go tool pprof -sample_index=alloc_objects -top mem.pb`
+// ranks allocation sites); the heap profile samples every allocation.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 
 	"lattice/internal/experiments"
@@ -32,6 +39,8 @@ func run() error {
 		sel     = flag.String("run", "all", "comma-separated experiment IDs or 'all'")
 		seed    = flag.Int64("seed", 1, "random seed")
 		withObs = flag.Bool("obs", false, "print each configuration's final /metrics snapshot after its table")
+		cpuProf = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
+		memProf = flag.String("memprofile", "", "write an every-allocation heap profile of the selected experiments to this file")
 	)
 	flag.Parse()
 	if *list {
@@ -40,9 +49,32 @@ func run() error {
 		}
 		return nil
 	}
+	if *memProf != "" {
+		runtime.MemProfileRate = 1
+	}
+	stopCPU := func() error { return nil }
+	if *cpuProf != "" {
+		var err error
+		if stopCPU, err = startCPUProfile(*cpuProf); err != nil {
+			return err
+		}
+	}
+	err := runSelected(*sel, *seed, *withObs)
+	if cerr := stopCPU(); err == nil {
+		err = cerr
+	}
+	if err == nil && *memProf != "" {
+		err = writeHeapProfile(*memProf)
+	}
+	return err
+}
+
+// runSelected runs the experiments the -run selector names, printing
+// each one's table.
+func runSelected(sel string, seed int64, withObs bool) error {
 	want := map[string]bool{}
-	all := strings.EqualFold(*sel, "all")
-	for _, s := range strings.Split(*sel, ",") {
+	all := strings.EqualFold(sel, "all")
+	for _, s := range strings.Split(sel, ",") {
 		want[strings.ToLower(strings.TrimSpace(s))] = true
 	}
 	ran := 0
@@ -51,12 +83,12 @@ func run() error {
 			continue
 		}
 		fmt.Printf("=== %s: %s ===\n", e.id, e.title)
-		out, err := e.fn(*seed)
+		out, err := e.fn(seed)
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.id, err)
 		}
 		fmt.Println(out)
-		if *withObs {
+		if withObs {
 			for _, ne := range experiments.ObsExpositions(out) {
 				fmt.Printf("--- metrics snapshot: %s ---\n%s\n", ne.Name, ne.Exposition)
 			}
@@ -64,7 +96,37 @@ func run() error {
 		ran++
 	}
 	if ran == 0 {
-		return fmt.Errorf("no experiment matched %q; try -list", *sel)
+		return fmt.Errorf("no experiment matched %q; try -list", sel)
 	}
 	return nil
+}
+
+// startCPUProfile begins profiling into path; the returned function
+// stops the profiler and closes the file.
+func startCPUProfile(path string) (stop func() error, err error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close() //lint:allow errdrop -- best-effort cleanup; the profiler's error is the one reported
+		return nil, err
+	}
+	return func() error {
+		pprof.StopCPUProfile()
+		return f.Close()
+	}, nil
+}
+
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC() // fold the last cycle's allocations into the profile
+	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+		f.Close() //lint:allow errdrop -- best-effort cleanup; the write error is the one reported
+		return err
+	}
+	return f.Close()
 }

@@ -34,6 +34,7 @@ type recorder struct {
 	count      uint64
 	journalLen int
 	jhash      hash.Hash
+	jscratch   []byte // obs.HashEvent framing buffer, reused per stage record
 	stability  map[string]float64
 	boincState map[string]int
 	users      map[string]string
@@ -91,7 +92,7 @@ func (rec *recorder) emit(r wal.Record) {
 	switch r.Kind {
 	case wal.KindStage:
 		rec.journalLen++
-		obs.HashEvent(rec.jhash, obs.Event{
+		rec.jscratch = obs.HashEvent(rec.jhash, rec.jscratch, obs.Event{
 			At: r.At, Batch: r.Batch, Job: r.Job,
 			Stage: obs.Stage(r.Stage), Resource: r.Resource, Detail: r.Detail,
 		})

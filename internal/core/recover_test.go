@@ -426,3 +426,28 @@ func TestJournalObserverSeesEveryEvent(t *testing.T) {
 		t.Error("DigestAt past the end did not error")
 	}
 }
+
+// TestRecorderDigestTracksJournal feeds one event stream to the
+// journal and, through the observer hook, to a recorder: the
+// snapshot's journal fingerprint must equal the journal's own digest
+// and DigestAt at every prefix, since recovery compares exactly these.
+func TestRecorderDigestTracksJournal(t *testing.T) {
+	eng := sim.NewEngine()
+	j := obs.NewJournal(eng)
+	rec := newRecorder(eng, 1)
+	j.SetObserver(rec.Stage)
+	details := []string{"", "policy=full attempt=1", "a\x1fb\nc", strings.Repeat("long detail ", 100)}
+	for i, d := range details {
+		eng.Schedule(sim.Duration(i)*0.1, func() { j.Record("batch", "job", obs.StagePlace, "pbs-01", d) })
+		eng.Run()
+		snap := rec.snapshot()
+		at, err := j.DigestAt(snap.JournalLen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.JournalLen != i+1 || snap.JournalDigest != j.Digest() || at != j.Digest() {
+			t.Fatalf("after %d events: recorder (%d, %s), journal %s, DigestAt %s",
+				i+1, snap.JournalLen, snap.JournalDigest, j.Digest(), at)
+		}
+	}
+}

@@ -258,10 +258,21 @@ func TestSinkDropAndStale(t *testing.T) {
 			t.Errorf("post-burst entry: %+v ok=%v", e, ok)
 		}
 	})
-	// During the drop window publications vanish and the entry ages out.
+	// During the drop window publications vanish — the cached view is
+	// not refreshed by them — and the entry ages out.
+	var dropVersion uint64
+	eng.Schedule(32*sim.Minute, func() { _, dropVersion = idx.View() })
+	eng.Schedule(34*sim.Minute, func() {
+		if view, version := idx.View(); version != dropVersion || len(view) != 1 {
+			t.Errorf("swallowed publications refreshed the view: version %d→%d, %d entries", dropVersion, version, len(view))
+		}
+	})
 	eng.Schedule(45*sim.Minute, func() {
 		if _, ok := idx.Lookup("res-a"); ok {
 			t.Error("entry still fresh mid-drop; publications not dropped")
+		}
+		if view, _ := idx.View(); len(view) != 0 {
+			t.Errorf("aged-out entry still in the view: %+v", view)
 		}
 	})
 	eng.Schedule(55*sim.Minute, func() { // publications restored

@@ -26,6 +26,14 @@ type Index struct {
 	eng     *sim.Engine
 	ttl     sim.Duration
 	entries map[string]Entry
+
+	// view caches the fresh entries sorted by name. It is replaced —
+	// never mutated — when a Publish or the expiry of its oldest entry
+	// invalidates it, so a slice handed out by View stays as it was.
+	view        []Entry
+	viewVersion uint64   // counts rebuilds, so View never reports 0
+	viewDirty   bool     // a Publish happened since the last rebuild
+	viewOldest  sim.Time // smallest UpdatedAt in view: the first to expire
 }
 
 // NewIndex creates an index whose entries expire after ttl.
@@ -33,12 +41,13 @@ func NewIndex(eng *sim.Engine, ttl sim.Duration) (*Index, error) {
 	if ttl <= 0 {
 		return nil, fmt.Errorf("mds: TTL must be positive")
 	}
-	return &Index{eng: eng, ttl: ttl, entries: make(map[string]Entry)}, nil
+	return &Index{eng: eng, ttl: ttl, entries: make(map[string]Entry), viewDirty: true}, nil
 }
 
 // Publish inserts or refreshes a resource entry.
 func (x *Index) Publish(info lrm.Info) {
 	x.entries[info.Name] = Entry{Info: info, UpdatedAt: x.eng.Now()}
+	x.viewDirty = true
 }
 
 // fresh reports whether the entry is within its TTL.
@@ -57,17 +66,43 @@ func (x *Index) Lookup(name string) (Entry, bool) {
 	return e, true
 }
 
-// Snapshot returns all fresh entries sorted by resource name —
-// the scheduler's view of which resources are reporting.
+// Snapshot returns all fresh entries sorted by resource name, in a
+// slice the caller owns. It reads the index without touching the
+// cached view, so status readers never write to scheduler state.
 func (x *Index) Snapshot() []Entry {
-	out := make([]Entry, 0, len(x.entries))
+	out, _ := x.collect()
+	return out
+}
+
+// collect gathers the fresh entries sorted by name, and the smallest
+// UpdatedAt among them (the first to expire).
+func (x *Index) collect() (out []Entry, oldest sim.Time) {
+	out = make([]Entry, 0, len(x.entries))
 	for _, e := range x.entries {
 		if x.fresh(e) {
+			if len(out) == 0 || e.UpdatedAt < oldest {
+				oldest = e.UpdatedAt
+			}
 			out = append(out, e)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Info.Name < out[j].Info.Name })
-	return out
+	return out, oldest
+}
+
+// View returns what Snapshot returns, from a cache, with a version
+// (never 0) that changes whenever the contents may have. The slice is shared and
+// immutable: callers may keep it and must not modify it. It is rebuilt
+// only after a Publish or once its oldest entry has outlived the TTL;
+// an entry stale at a rebuild stays stale until republished, so nothing
+// else can change the answer.
+func (x *Index) View() ([]Entry, uint64) {
+	if x.viewDirty || (len(x.view) > 0 && !x.fresh(Entry{UpdatedAt: x.viewOldest})) {
+		x.view, x.viewOldest = x.collect()
+		x.viewVersion++
+		x.viewDirty = false
+	}
+	return x.view, x.viewVersion
 }
 
 // Offline returns the names of resources whose entries have gone

@@ -180,18 +180,78 @@ func TestSnapshotDeterministicUnderExpiry(t *testing.T) {
 				t.Errorf("t=%v: snapshot has %d entries, want %v", at, len(snap), want)
 				return
 			}
+			view, _ := idx.View()
+			if len(view) != len(want) {
+				t.Errorf("t=%v: view has %d entries, want %v", at, len(view), want)
+				return
+			}
 			for i, e := range snap {
-				if e.Info.Name != want[i] {
-					t.Errorf("t=%v: snapshot[%d] = %s, want %s", at, i, e.Info.Name, want[i])
+				if e.Info.Name != want[i] || view[i].Info.Name != want[i] || view[i].UpdatedAt != e.UpdatedAt {
+					t.Errorf("t=%v: snapshot[%d] = %s, view[%d] = %s, want %s", at, i, e.Info.Name, i, view[i].Info.Name, want[i])
 				}
 			}
 		})
 	}
-	check(7*sim.Minute, []string{"alpha", "mid", "zeta"})  // all fresh, sorted
-	check(11*sim.Minute, []string{"alpha", "mid"})         // zeta (t=0) expired
-	check(14*sim.Minute, []string{"alpha"})                // mid (t=3m) expired
-	check(17*sim.Minute, []string{})                       // all aged out
+	check(7*sim.Minute, []string{"alpha", "mid", "zeta"}) // all fresh, sorted
+	check(11*sim.Minute, []string{"alpha", "mid"})        // zeta (t=0) expired
+	check(14*sim.Minute, []string{"alpha"})               // mid (t=3m) expired
+	check(17*sim.Minute, []string{})                      // all aged out
 	eng.RunUntil(sim.Time(20 * sim.Minute))
+}
+
+// TestViewCachedUntilInvalidated pins the view's contract: the same
+// shared slice and version while nothing changed (no allocation), a new
+// slice after a Publish or a TTL expiry with the old one left exactly
+// as it was, and Snapshot always a private copy.
+func TestViewCachedUntilInvalidated(t *testing.T) {
+	eng := sim.NewEngine()
+	idx, _ := NewIndex(eng, 5*sim.Minute)
+	idx.Publish(lrm.Info{Name: "b", FreeCPUs: 1})
+	idx.Publish(lrm.Info{Name: "a", FreeCPUs: 2})
+	v1, ver1 := idx.View()
+	if len(v1) != 2 || v1[0].Info.Name != "a" || v1[1].Info.Name != "b" {
+		t.Fatalf("view = %+v", v1)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if v, ver := idx.View(); ver != ver1 || &v[0] != &v1[0] {
+			t.Fatal("unchanged index rebuilt its view")
+		}
+	}); n != 0 {
+		t.Errorf("View on an unchanged index allocates %v", n)
+	}
+
+	snap := idx.Snapshot()
+	if &snap[0] == &v1[0] {
+		t.Fatal("Snapshot returned the shared view")
+	}
+	snap[0].Info.Name = "scribbled"
+	if v, ver := idx.View(); ver != ver1 || v[0].Info.Name != "a" || len(idx.Snapshot()) != 2 {
+		t.Fatal("writing to a Snapshot reached the index")
+	}
+
+	idx.Publish(lrm.Info{Name: "a", FreeCPUs: 7})
+	v2, ver2 := idx.View()
+	if ver2 == ver1 || &v2[0] == &v1[0] || v2[0].Info.FreeCPUs != 7 {
+		t.Fatalf("Publish did not replace the view: version %d→%d, %+v", ver1, ver2, v2[0].Info)
+	}
+	if v1[0].Info.FreeCPUs != 2 {
+		t.Error("the replaced view was edited in place")
+	}
+
+	// No Publish from here on: expiry alone must invalidate.
+	eng.Schedule(6*sim.Minute, func() {
+		v3, ver3 := idx.View()
+		if len(v3) != 0 || ver3 == ver2 {
+			t.Errorf("after the TTL: view %+v, version %d→%d", v3, ver2, ver3)
+		}
+		if len(v2) != 2 {
+			t.Error("the expired view was truncated in place")
+		}
+		if _, again := idx.View(); again != ver3 {
+			t.Error("an empty view is rebuilt on every call")
+		}
+	})
+	eng.RunUntil(sim.Time(7 * sim.Minute))
 }
 
 func TestValidation(t *testing.T) {

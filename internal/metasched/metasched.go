@@ -253,6 +253,11 @@ type resource struct {
 	breakerOpen  bool     // circuit tripped
 	breakerUntil sim.Time // end of the open cooldown
 	breakerProbe bool     // half-open probe in flight
+	// placements is this resource's lattice_sched_placements_total
+	// series, resolved on first placement (nil until then, and again
+	// after SetObs) so the series exists only for resources that were
+	// actually chosen.
+	placements *obs.Counter
 }
 
 // Scheduler is the grid-level scheduler.
@@ -274,6 +279,13 @@ type Scheduler struct {
 	obs      *obs.Obs
 	ins      schedInstruments
 	durable  Durability
+
+	// cands is the cached matchmaking view (see candidates), built
+	// from the MDS view at candsVersion. 0 — never an MDS version —
+	// marks it invalid: nothing built yet, or a resource registered
+	// since.
+	cands        []candidate
+	candsVersion uint64
 }
 
 // Durability is the write-ahead-log hook for the scheduler's learned
@@ -309,6 +321,9 @@ type schedInstruments struct {
 // lifecycle transition is journaled and traced.
 func (s *Scheduler) SetObs(o *obs.Obs) {
 	s.obs = o
+	for _, r := range s.resources {
+		r.placements = nil
+	}
 	s.ins = schedInstruments{
 		submitted: o.Counter("lattice_sched_jobs_submitted_total", "Grid jobs accepted by the meta-scheduler"),
 		completed: o.Counter("lattice_sched_jobs_completed_total", "Grid jobs that reached completed"),
@@ -360,6 +375,7 @@ func (s *Scheduler) Register(target lrm.LRM, speed float64) error {
 	}
 	s.resources[target.Name()] = &resource{lrm: target, adapter: ad, speed: speed, stability: 1}
 	s.order = append(s.order, target.Name())
+	s.candsVersion = 0
 	return nil
 }
 

@@ -170,6 +170,9 @@ type refusingLRM struct {
 	runFor  sim.Duration
 	jobs    map[string]*lrm.Job
 	submits int
+	// onRefuse, when set, runs inside each refused Submit — i.e.
+	// synchronously inside the scheduler's dispatch.
+	onRefuse func()
 }
 
 func (f *refusingLRM) Name() string     { return f.name }
@@ -182,6 +185,9 @@ func (f *refusingLRM) Info() lrm.Info {
 func (f *refusingLRM) Submit(j *lrm.Job) error {
 	f.submits++
 	if f.submits <= f.failN {
+		if f.onRefuse != nil {
+			f.onRefuse()
+		}
 		return fmt.Errorf("gatekeeper: submission refused")
 	}
 	f.jobs[j.ID] = j

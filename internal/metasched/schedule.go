@@ -132,8 +132,8 @@ func sanitizeID(email string) string {
 	return string(out)
 }
 
-// scanPending retries placement of queued jobs against one shared MDS
-// snapshot (the snapshot is the expensive part at large backlogs).
+// scanPending retries placement of queued jobs against one candidate
+// view, held for the whole scan.
 func (s *Scheduler) scanPending() {
 	if s.scanning || len(s.pending) == 0 {
 		return
@@ -153,14 +153,22 @@ func (s *Scheduler) scanPending() {
 	s.ins.pending.Set(float64(len(s.pending)))
 }
 
-// candidates pairs the current MDS snapshot with registered resources.
+// candidates pairs the current MDS view with registered resources. The
+// result is cached and immutable — replaced, never edited, when the
+// index view changes or Register adds a resource — so a caller may
+// keep iterating its slice across a re-entrant placement.
 func (s *Scheduler) candidates() []candidate {
-	var out []candidate
-	for _, e := range s.idx.Snapshot() {
+	view, version := s.idx.View()
+	if version == s.candsVersion {
+		return s.cands
+	}
+	out := make([]candidate, 0, len(view))
+	for _, e := range view {
 		if r, ok := s.resources[e.Info.Name]; ok {
 			out = append(out, candidate{res: r, info: e.Info})
 		}
 	}
+	s.cands, s.candsVersion = out, version
 	return out
 }
 
@@ -171,7 +179,7 @@ type candidate struct {
 }
 
 // eligible applies the paper's matchmaking filters.
-func (s *Scheduler) eligible(j *GridJob, c candidate) bool {
+func (s *Scheduler) eligible(j *GridJob, c *candidate) bool {
 	d := j.Desc
 	// Backlog cap: keep the grid-level queue in charge of batching
 	// rather than flooding one resource's local queue.
@@ -237,7 +245,7 @@ func (s *Scheduler) eligible(j *GridJob, c candidate) bool {
 // completion wins. The load term takes the larger of the MDS-reported
 // backlog and the scheduler's own in-flight count, so a burst of
 // submissions spreads instead of piling onto one stale snapshot.
-func (s *Scheduler) score(c candidate, j *GridJob) float64 {
+func (s *Scheduler) score(c *candidate, j *GridJob) float64 {
 	total := float64(c.info.TotalCPUs)
 	if total == 0 {
 		return math.Inf(-1)
@@ -277,10 +285,10 @@ func (s *Scheduler) tryPlace(j *GridJob) bool {
 
 // place schedules j against a prepared candidate set.
 func (s *Scheduler) place(j *GridJob, cands []candidate) bool {
-	var best *candidate
+	best := -1
 	var bestScore float64
 	for i := range cands {
-		c := cands[i]
+		c := &cands[i]
 		if !s.eligible(j, c) {
 			continue
 		}
@@ -288,16 +296,14 @@ func (s *Scheduler) place(j *GridJob, cands []candidate) bool {
 		if math.IsInf(sc, -1) {
 			continue
 		}
-		if best == nil || sc > bestScore {
-			cc := c
-			best = &cc
-			bestScore = sc
+		if best < 0 || sc > bestScore {
+			best, bestScore = i, sc
 		}
 	}
-	if best == nil {
+	if best < 0 {
 		return false
 	}
-	s.dispatch(j, best)
+	s.dispatch(j, &cands[best])
 	return true
 }
 
@@ -326,9 +332,12 @@ func (s *Scheduler) dispatch(j *GridJob, c *candidate) {
 	j.Attempts++
 	s.obs.Record(j.Batch, d.JobID, obs.StagePlace, c.info.Name,
 		fmt.Sprintf("policy=%s attempt=%d", s.cfg.Policy, j.Attempts))
-	s.obs.Counter("lattice_sched_placements_total",
-		"Placement decisions by resource and ranking policy",
-		obs.L("resource", c.info.Name), obs.L("policy", s.cfg.Policy.String())).Inc()
+	if c.res.placements == nil {
+		c.res.placements = s.obs.Counter("lattice_sched_placements_total",
+			"Placement decisions by resource and ranking policy",
+			obs.L("resource", c.info.Name), obs.L("policy", s.cfg.Policy.String()))
+	}
+	c.res.placements.Inc()
 	s.ins.placeWait.Observe(float64(s.eng.Now().Sub(j.SubmittedAt)))
 	j.span.Annotate("resource", c.info.Name)
 	name := c.info.Name

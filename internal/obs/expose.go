@@ -91,13 +91,19 @@ func writeLabel(b *strings.Builder, l Label) {
 // formatFloat renders a sample value: shortest round-trip form, with
 // the infinities spelled the way the exposition format expects.
 func formatFloat(v float64) string {
+	return string(appendFloat(make([]byte, 0, 24), v))
+}
+
+// appendFloat is formatFloat appending to dst — the one spelling of a
+// float shared by the exposition and the journal framing.
+func appendFloat(dst []byte, v float64) []byte {
 	switch {
 	case math.IsInf(v, 1):
-		return "+Inf"
+		return append(dst, "+Inf"...)
 	case math.IsInf(v, -1):
-		return "-Inf"
+		return append(dst, "-Inf"...)
 	default:
-		return strconv.FormatFloat(v, 'g', -1, 64)
+		return strconv.AppendFloat(dst, v, 'g', -1, 64)
 	}
 }
 

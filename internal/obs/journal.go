@@ -103,13 +103,14 @@ type Journal struct {
 	mu       sync.Mutex
 	clock    sim.Clock
 	hash     hash.Hash
+	scratch  []byte // framing buffer reused by every Record
 	events   []Event
 	observer func(Event)
 }
 
 // NewJournal creates an empty journal on the given virtual clock.
 func NewJournal(clock sim.Clock) *Journal {
-	return &Journal{clock: clock, hash: sha256.New()}
+	return &Journal{clock: clock, hash: sha256.New(), scratch: make([]byte, 0, eventScratchCap)}
 }
 
 // SetObserver installs a callback invoked synchronously for every
@@ -135,28 +136,39 @@ func (j *Journal) Record(batch, job string, stage Stage, resource, detail string
 	defer j.mu.Unlock()
 	ev := Event{At: j.clock.Now(), Batch: batch, Job: job, Stage: stage, Resource: resource, Detail: detail}
 	j.events = append(j.events, ev)
-	HashEvent(j.hash, ev)
+	j.scratch = HashEvent(j.hash, j.scratch, ev)
 	if j.observer != nil {
 		j.observer(ev) //lint:allow lockorder -- the observer is the WAL feed: it must see events in digest order, which only mu guarantees
 	}
 }
 
-// HashEvent streams one event into h in the journal's canonical
-// framing: fields separated by unit separators, events by newlines,
-// the timestamp in shortest round-trip float form. Exported so the
-// durability layer can maintain an identical running digest from its
-// own record stream.
-func HashEvent(h hash.Hash, ev Event) {
-	//lint:allow errdrop -- hash.Hash documents that Write never errors
-	h.Write([]byte(formatFloat(float64(ev.At))))
-	for _, f := range []string{ev.Batch, ev.Job, string(ev.Stage), ev.Resource, ev.Detail} {
-		//lint:allow errdrop -- hash.Hash documents that Write never errors
-		h.Write([]byte{0x1f})
-		//lint:allow errdrop -- hash.Hash documents that Write never errors
-		h.Write([]byte(f))
-	}
-	//lint:allow errdrop -- hash.Hash documents that Write never errors
-	h.Write([]byte{'\n'})
+// eventScratchCap is the framing buffer's starting capacity: a typical
+// event frames to under 100 bytes, and AppendEvent grows the buffer
+// once for the rare long Detail.
+const eventScratchCap = 256
+
+// AppendEvent appends one event to dst in the journal's canonical
+// framing — fields separated by unit separators, events by newlines,
+// the timestamp in shortest round-trip float form — and returns the
+// extended slice. Every journal digest is SHA-256 over this framing.
+func AppendEvent(dst []byte, ev Event) []byte {
+	dst = appendFloat(dst, float64(ev.At))
+	dst = append(append(dst, 0x1f), ev.Batch...)
+	dst = append(append(dst, 0x1f), ev.Job...)
+	dst = append(append(dst, 0x1f), ev.Stage...)
+	dst = append(append(dst, 0x1f), ev.Resource...)
+	dst = append(append(dst, 0x1f), ev.Detail...)
+	return append(dst, '\n')
+}
+
+// HashEvent streams one framed event into h with a single Write,
+// framing it in scratch (overwritten; pass the returned slice back in
+// to reuse its capacity). Exported so the durability layer can
+// maintain an identical running digest from its own record stream.
+func HashEvent(h hash.Hash, scratch []byte, ev Event) []byte {
+	scratch = AppendEvent(scratch[:0], ev)
+	h.Write(scratch) //lint:allow errdrop -- hash.Hash documents that Write never errors
+	return scratch
 }
 
 // Len reports the number of recorded events.
@@ -206,8 +218,9 @@ func (j *Journal) DigestAt(n int) (string, error) {
 		return "", fmt.Errorf("obs: DigestAt(%d) outside journal of %d events", n, len(j.events))
 	}
 	h := sha256.New()
+	scratch := make([]byte, 0, eventScratchCap)
 	for _, ev := range j.events[:n] {
-		HashEvent(h, ev)
+		scratch = HashEvent(h, scratch, ev)
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
 }

@@ -104,6 +104,7 @@ func TestExpositionRoundTrip(t *testing.T) {
 	r.Counter("lattice_jobs_total", "jobs accepted", L("policy", "full")).Add(12)
 	r.Gauge("lattice_pending", "").Set(3.25)
 	r.Histogram("lattice_wait_seconds", "queue wait", []float64{60, 3600}).Observe(90)
+	r.Counter("lattice_faults_total", "", L("reason", "quote\" slash\\ newline\n")).Add(2)
 	text := r.Exposition()
 	m, err := ParseExposition(text)
 	if err != nil {
@@ -117,6 +118,9 @@ func TestExpositionRoundTrip(t *testing.T) {
 	}
 	if m[`lattice_wait_seconds_bucket{le="3600"}`] != 1 || m["lattice_wait_seconds_count"] != 1 {
 		t.Fatalf("histogram lost in round trip: %v", m)
+	}
+	if m[`lattice_faults_total{reason="quote\" slash\\ newline\n"}`] != 2 {
+		t.Fatalf("escaped label value lost in round trip:\n%s", text)
 	}
 	if _, err := ParseExposition("garbage line with no value x"); err == nil {
 		t.Fatal("malformed exposition accepted")

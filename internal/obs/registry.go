@@ -248,7 +248,7 @@ func (f *family) series(labels []Label, mk func() any) any {
 	i := sort.Search(len(f.ordered), func(i int) bool { return f.ordered[i].key >= key })
 	f.ordered = append(f.ordered, seriesEntry{})
 	copy(f.ordered[i+1:], f.ordered[i:])
-	f.ordered[i] = seriesEntry{key: key, labels: sorted, metric: m}
+	f.ordered[i] = seriesEntry{key: key, labels: append([]Label(nil), sorted...), metric: m}
 	return m
 }
 
@@ -317,14 +317,22 @@ func (r *Registry) Snapshot() []SeriesSnapshot {
 	return out
 }
 
-// canonLabels returns the canonical series key and the sorted label
-// slice (a copy — the caller's slice is not retained).
+// canonLabels returns the canonical series key and the key-sorted
+// labels. Call sites list labels in key order almost always, so the
+// copy and sort happen only when they do not; otherwise the returned
+// slice is the caller's own, which a retainer must copy.
 func canonLabels(labels []Label) (string, []Label) {
 	if len(labels) == 0 {
 		return "", nil
 	}
-	sorted := append([]Label(nil), labels...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
+	sorted := labels
+	for i := 1; i < len(labels); i++ {
+		if labels[i].Key < labels[i-1].Key {
+			sorted = append([]Label(nil), labels...)
+			sort.Slice(sorted, func(i, j int) bool { return sorted[i].Key < sorted[j].Key })
+			break
+		}
+	}
 	var b strings.Builder
 	for i, l := range sorted {
 		if i > 0 {
@@ -338,11 +346,12 @@ func canonLabels(labels []Label) (string, []Label) {
 	return b.String(), sorted
 }
 
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
 // escapeLabel escapes a label value for the exposition format.
 func escapeLabel(v string) string {
 	if !strings.ContainsAny(v, "\\\"\n") {
 		return v
 	}
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
+	return labelEscaper.Replace(v)
 }

@@ -93,16 +93,37 @@ type AAModelSpec struct {
 	Name string // "poisson" or "empirical"
 }
 
-// Build constructs the amino acid model described by the spec.
-func (s AAModelSpec) Build() (*Model, error) {
-	switch s.Name {
+// aaModelByName is the one table of accepted amino acid model names,
+// shared by CheckName and Build; it reports whether the name selects
+// the empirical model (otherwise Poisson).
+func aaModelByName(name string) (empirical bool, err error) {
+	switch name {
 	case "poisson", "Poisson", "":
-		return NewPoissonAA()
+		return false, nil
 	case "empirical", "Empirical", "dayhoff", "jtt", "wag":
 		// All empirical-matrix choices map onto our synthetic
 		// empirical model; see package comment.
-		return NewEmpiricalAA()
+		return true, nil
 	default:
-		return nil, fmt.Errorf("phylo: unknown amino acid model %q", s.Name)
+		return false, fmt.Errorf("phylo: unknown amino acid model %q", name)
 	}
+}
+
+// CheckName reports the error Build would return for an unrecognised
+// model name, without constructing a model.
+func (s AAModelSpec) CheckName() error {
+	_, err := aaModelByName(s.Name)
+	return err
+}
+
+// Build constructs the amino acid model described by the spec.
+func (s AAModelSpec) Build() (*Model, error) {
+	empirical, err := aaModelByName(s.Name)
+	if err != nil {
+		return nil, err
+	}
+	if empirical {
+		return NewEmpiricalAA()
+	}
+	return NewPoissonAA()
 }

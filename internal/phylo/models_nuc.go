@@ -101,22 +101,58 @@ type NucModelSpec struct {
 	Freqs []float64  // empirical or estimated frequencies; nil = equal
 }
 
+// nucModel identifies one of the nucleotide model families.
+type nucModel int
+
+const (
+	nucJC69 nucModel = iota
+	nucK80
+	nucHKY85
+	nucGTR
+)
+
+// nucModelByName is the one table of accepted nucleotide model names
+// (case-insensitive), shared by CheckName and Build.
+func nucModelByName(name string) (nucModel, error) {
+	switch strings.ToUpper(name) {
+	case "JC", "JC69":
+		return nucJC69, nil
+	case "K80", "K2P":
+		return nucK80, nil
+	case "HKY", "HKY85":
+		return nucHKY85, nil
+	case "GTR":
+		return nucGTR, nil
+	default:
+		return 0, fmt.Errorf("phylo: unknown nucleotide model %q", name)
+	}
+}
+
+// CheckName reports the error Build would return for an unrecognised
+// model name, without constructing a model.
+func (s NucModelSpec) CheckName() error {
+	_, err := nucModelByName(s.Name)
+	return err
+}
+
 // Build constructs the model described by the spec.
 func (s NucModelSpec) Build() (*Model, error) {
+	kind, err := nucModelByName(s.Name)
+	if err != nil {
+		return nil, err
+	}
 	freqs := s.Freqs
 	if freqs == nil {
 		freqs = uniformFreqs(4)
 	}
-	switch strings.ToUpper(s.Name) {
-	case "JC", "JC69":
+	switch kind {
+	case nucJC69:
 		return NewJC69()
-	case "K80", "K2P":
+	case nucK80:
 		return NewK80(s.Kappa)
-	case "HKY", "HKY85":
+	case nucHKY85:
 		return NewHKY85(s.Kappa, freqs)
-	case "GTR":
-		return NewGTR(s.Rates, freqs)
 	default:
-		return nil, fmt.Errorf("phylo: unknown nucleotide model %q", s.Name)
+		return NewGTR(s.Rates, freqs)
 	}
 }

@@ -80,14 +80,31 @@ func (s *JobSpec) Validate() error {
 	if s.StartingTree == phylo.StartStepwise && s.AttachmentsPerTaxon < 1 {
 		return fmt.Errorf("workload: AttachmentsPerTaxon = %d with stepwise starting tree", s.AttachmentsPerTaxon)
 	}
-	if _, err := s.BuildModel(); err != nil {
-		return err
+	return s.checkModel()
+}
+
+// checkModel reports the error BuildModel would return, from the data
+// type and the model name alone: BuildModel's free parameters are
+// constants that every model constructor accepts, so the name is the
+// only thing that can be wrong — and checking it builds nothing.
+func (s *JobSpec) checkModel() error {
+	switch s.DataType {
+	case phylo.Nucleotide:
+		return phylo.NucModelSpec{Name: s.SubstModel}.CheckName()
+	case phylo.AminoAcid:
+		return phylo.AAModelSpec{Name: s.SubstModel}.CheckName()
+	case phylo.Codon:
+		return nil // the codon model is not selected by name
+	default:
+		return fmt.Errorf("workload: unknown data type %v", s.DataType)
 	}
-	return nil
 }
 
 // BuildModel constructs the substitution model the spec names.
 func (s *JobSpec) BuildModel() (*phylo.Model, error) {
+	if err := s.checkModel(); err != nil {
+		return nil, err
+	}
 	switch s.DataType {
 	case phylo.Nucleotide:
 		return phylo.NucModelSpec{
@@ -98,10 +115,8 @@ func (s *JobSpec) BuildModel() (*phylo.Model, error) {
 		}.Build()
 	case phylo.AminoAcid:
 		return phylo.AAModelSpec{Name: s.SubstModel}.Build()
-	case phylo.Codon:
+	default: // Codon: checkModel rejected every other data type
 		return phylo.CodonModelSpec{Kappa: 2.0, Omega: 0.4}.Build()
-	default:
-		return nil, fmt.Errorf("workload: unknown data type %v", s.DataType)
 	}
 }
 

@@ -79,6 +79,75 @@ func TestBuildModelAllTypes(t *testing.T) {
 	}
 }
 
+// TestValidateAgreesWithBuildModel pins the model-free validation to
+// the constructors it no longer runs: for every (data type, name),
+// Validate accepts exactly when BuildModel builds a model and when the
+// phylo spec's own Build does, with the same error text.
+func TestValidateAgreesWithBuildModel(t *testing.T) {
+	names := []string{
+		"JC", "JC69", "jc69", "K80", "K2P", "k2p", "HKY", "HKY85", "hky85", "GTR", "Gtr", "gtr",
+		"poisson", "Poisson", "POISSON", "", "empirical", "Empirical", "dayhoff", "jtt", "wag", "WAG",
+		"GY94", "NOTAMODEL", " GTR", "GTR ", "\u212a80",
+	}
+	for _, dt := range []phylo.DataType{phylo.Nucleotide, phylo.AminoAcid, phylo.Codon, phylo.DataType(99)} {
+		for _, name := range names {
+			s := baseSpec()
+			s.DataType, s.SubstModel = dt, name
+			vErr := s.Validate()
+			m, bErr := s.BuildModel()
+			if (vErr == nil) != (bErr == nil) || (vErr != nil && vErr.Error() != bErr.Error()) {
+				t.Errorf("%v/%q: Validate = %v, BuildModel = %v", dt, name, vErr, bErr)
+			}
+			if (m != nil) != (bErr == nil) {
+				t.Errorf("%v/%q: BuildModel returned model %v with error %v", dt, name, m != nil, bErr)
+			}
+			var direct error
+			switch dt {
+			case phylo.Nucleotide:
+				_, direct = phylo.NucModelSpec{Name: name, Kappa: 2.5,
+					Rates: [6]float64{1.2, 3.5, 0.9, 1.1, 4.2, 1}, Freqs: []float64{0.3, 0.2, 0.2, 0.3}}.Build()
+			case phylo.AminoAcid:
+				_, direct = phylo.AAModelSpec{Name: name}.Build()
+			case phylo.Codon:
+				_, direct = phylo.CodonModelSpec{Kappa: 2.0, Omega: 0.4}.Build()
+			default:
+				if vErr == nil {
+					t.Errorf("unknown data type %v accepted", dt)
+				}
+				continue
+			}
+			if (vErr == nil) != (direct == nil) || (vErr != nil && vErr.Error() != direct.Error()) {
+				t.Errorf("%v/%q: Validate = %v, phylo Build = %v", dt, name, vErr, direct)
+			}
+		}
+	}
+}
+
+func TestValidateDoesNotAllocate(t *testing.T) {
+	for _, tc := range []struct {
+		dt    phylo.DataType
+		model string
+	}{
+		{phylo.Nucleotide, "HKY85"},
+		{phylo.Nucleotide, "GTR"},
+		{phylo.AminoAcid, "empirical"},
+		{phylo.Codon, "GY94"},
+	} {
+		s := baseSpec()
+		s.DataType, s.SubstModel = tc.dt, tc.model
+		sub := Submission{UserEmail: "u@example.edu", Spec: s, Replicates: 1}
+		if err := sub.Validate(); err != nil {
+			t.Fatalf("%v/%s: %v", tc.dt, tc.model, err)
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = s.Validate() }); n != 0 {
+			t.Errorf("%v/%s: JobSpec.Validate allocates %v", tc.dt, tc.model, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = sub.Validate() }); n != 0 {
+			t.Errorf("%v/%s: Submission.Validate allocates %v", tc.dt, tc.model, n)
+		}
+	}
+}
+
 func TestGenerateAlignmentMatchesSpec(t *testing.T) {
 	s := baseSpec()
 	al, truth, err := s.GenerateAlignment()
