@@ -10,7 +10,7 @@ BENCH_PATTERN = SearchEval50|Search50|ParallelScore
 # included and marked, for dashboards and suppression audits.
 LINT_ARTIFACT = latticelint.json
 
-.PHONY: all build vet lint lint-fixtures test race smoke faults crash dag scale overload check bench bench-smoke ledger ledger-trace
+.PHONY: all build vet lint lint-fixtures fuzz test race smoke faults crash dag scale overload check bench bench-smoke ledger ledger-trace
 
 all: check
 
@@ -36,6 +36,15 @@ lint:
 # error).
 lint-fixtures:
 	$(GO) test -race -run 'TestAnalyzerFixtures|TestFaultsInjectorFixture|TestWALFixture|TestGoodFixturesClean|TestSuppressionMarked|TestLoader' ./internal/lint/
+
+# fuzz gives wal.Load ten seconds of arbitrary bytes in each of a
+# durable directory's three files (log, input segment, snapshot): it
+# must return an error or a state with a dense tail and an ordered
+# input history — never panic, never size an allocation from a length
+# field. A failing input lands in internal/wal/testdata/fuzz/ and
+# then fails plain `go test` until fixed.
+fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 10s ./internal/wal/
 
 test:
 	$(GO) test ./...
@@ -109,10 +118,11 @@ overload:
 
 # check is the full correctness gate: compile, go vet, the project
 # analyzers (failing on any unsuppressed finding), the analyzer
-# fixture self-tests under -race, the test suite under the race
-# detector (which includes the forest/BOINC concurrency stress tests),
-# the fault-injection, crash-recovery, workflow, coordinator sharding
-# and overload-protection scenarios under -race, the grid boot smoke
-# that scrapes /metrics over real HTTP, and one execution of every
-# engine benchmark body so benchmark code cannot rot.
-check: build vet lint lint-fixtures race faults crash dag scale overload smoke bench-smoke
+# fixture self-tests under -race, ten seconds of fuzzing wal.Load, the
+# test suite under the race detector (which includes the forest/BOINC
+# concurrency stress tests), the fault-injection, crash-recovery,
+# workflow, coordinator sharding and overload-protection scenarios
+# under -race, the grid boot smoke that scrapes /metrics over real
+# HTTP, and one execution of every engine benchmark body so benchmark
+# code cannot rot.
+check: build vet lint lint-fixtures fuzz race faults crash dag scale overload smoke bench-smoke

@@ -3,6 +3,7 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"hash"
 	"sync"
 
@@ -21,9 +22,10 @@ import (
 // component locks, so re-entry would deadlock).
 //
 // The same type serves both modes: live (log attached, every record
-// appended) and rebuild (during Recover: records kept in memory for
-// verification against the log, with the engine stopped once the
-// durable frontier is regenerated).
+// appended) and rebuild (during Recover: every regenerated record
+// checked against the durable history as it is emitted, nothing
+// retained per record, with the engine stopped once the durable
+// frontier is regenerated or the first record diverges).
 type recorder struct {
 	mu   sync.Mutex
 	eng  *sim.Engine
@@ -38,20 +40,37 @@ type recorder struct {
 	stability  map[string]float64
 	boincState map[string]int
 	users      map[string]string
-	inputs     []wal.Record
 
-	// Rebuild support.
-	keep      bool         // retain every record in memory
-	memory    []wal.Record // the regenerated stream, when keep
-	captureAt uint64       // seq at which to capture a snapshot for verification
-	captured  *wal.Snapshot
-	stopAt    uint64 // stop the engine once count reaches this (0: never)
+	rb *rebuild // nil when live
 	// notPre marks the post-pre phase of replay: the inputs being
 	// re-applied were originally recorded after the engine had
 	// stepped, but replay applies them between engine runs — possibly
 	// before the rebuilt engine's first step — so Steps()==0 must not
 	// re-flag them as pre-run inputs.
 	notPre bool
+}
+
+// rebuild is what a recovering recorder verifies against: the durable
+// history wal.Load returned, consumed in step with the regenerated
+// stream.
+type rebuild struct {
+	// inputs is the loaded input history in sequence order; next
+	// indexes the one the rebuild must regenerate next. Comparing each
+	// regenerated input against it field for field — Seq, At, Pre and
+	// Queued included — is what catches an input replay mis-positioned.
+	// An input regenerated past the durable frontier was never durable
+	// and is appended, so inputs ends as the history Reset publishes.
+	inputs []wal.Record
+	next   int
+	// tail holds the durable records past snapSeq, dense up to lastSeq;
+	// the rebuild stops once it has regenerated lastSeq.
+	tail             []wal.Record
+	snapSeq, lastSeq uint64
+	cmp              wal.Comparer
+	// captured is the aggregate state at snapSeq, for snapshotsEqual.
+	captured *wal.Snapshot
+	// err is the first divergence; it stops the engine.
+	err error
 }
 
 func newRecorder(eng *sim.Engine, seed int64) *recorder {
@@ -84,8 +103,8 @@ func (rec *recorder) begin() {
 }
 
 // emit assigns the next sequence number, folds the record into the
-// shadow aggregates, and forwards it to the log (live) or memory
-// (rebuild). Callers hold rec.mu.
+// shadow aggregates, and forwards it to the log (live) or checks it
+// against the durable history (rebuild). Callers hold rec.mu.
 func (rec *recorder) emit(r wal.Record) {
 	rec.count++
 	r.Seq = rec.count
@@ -103,26 +122,64 @@ func (rec *recorder) emit(r wal.Record) {
 	case wal.KindUser:
 		rec.users[r.Token] = r.Email
 	}
-	if r.IsInput() {
-		rec.inputs = append(rec.inputs, r)
-	}
-	if rec.keep {
-		rec.memory = append(rec.memory, r)
-	}
-	if rec.captureAt != 0 && rec.count == rec.captureAt {
-		s := rec.snapshotLocked()
-		rec.captured = &s
-	}
 	if rec.log != nil {
 		rec.log.Append(r)
 	}
-	if rec.stopAt != 0 && rec.count >= rec.stopAt {
-		// The durable frontier is regenerated; halt the rebuild at the
-		// next handler boundary. Records emitted between here and the
-		// actual stop were never durable, but the fresh post-recovery
-		// snapshot captures them, so nothing is lost or doubled.
-		rec.eng.Stop()
+	if rb := rec.rb; rb != nil {
+		rb.verify(&r)
+		if rec.count == rb.snapSeq {
+			s := rec.snapshotLocked()
+			s.InputsLen = rb.next
+			rb.captured = &s
+		}
+		if rb.err != nil || rec.count >= rb.lastSeq {
+			// The durable frontier is regenerated (or can no longer
+			// be); halt the rebuild at the next handler boundary.
+			// Records emitted between here and the actual stop were
+			// never durable, but the fresh post-recovery snapshot
+			// captures them, so nothing is lost or doubled.
+			rec.eng.Stop()
+		}
 	}
+}
+
+// verify checks one regenerated record against the durable history:
+// an input against the next input the log holds, any record past the
+// snapshot against the tail entry of its Seq. The first mismatch is
+// kept and every later record ignored.
+func (rb *rebuild) verify(r *wal.Record) {
+	if rb.err != nil {
+		return
+	}
+	if r.IsInput() {
+		switch {
+		case rb.next < len(rb.inputs):
+			rb.compare(r, &rb.inputs[rb.next])
+			rb.next++
+		case r.Seq > rb.lastSeq:
+			rb.inputs = append(rb.inputs, *r)
+			rb.next++
+		default:
+			got := *r
+			rb.err = fmt.Errorf("core: recovery diverged at record %d: regenerated input %s, the log holds no further input",
+				r.Seq, mustJSON(got))
+		}
+	}
+	if r.Seq > rb.snapSeq && r.Seq <= rb.lastSeq {
+		rb.compare(r, &rb.tail[r.Seq-rb.snapSeq-1])
+	}
+}
+
+// compare records a divergence unless got and want are equal field
+// for field. Rendering copies got so that the caller's record stays
+// off the heap on the path where nothing diverges.
+func (rb *rebuild) compare(got, want *wal.Record) {
+	if rb.err != nil || rb.cmp.Equal(got, want) {
+		return
+	}
+	g := *got
+	rb.err = fmt.Errorf("core: recovery diverged at record %d: regenerated %s, log holds %s",
+		got.Seq, mustJSON(g), mustJSON(want))
 }
 
 // snapshotLocked captures the aggregate state as a wal.Snapshot.
@@ -137,7 +194,6 @@ func (rec *recorder) snapshotLocked() wal.Snapshot {
 		Stability:     copyMap(rec.stability),
 		Boinc:         copyMap(rec.boincState),
 		Users:         copyMap(rec.users),
-		Inputs:        append([]wal.Record(nil), rec.inputs...),
 	}
 }
 
@@ -146,6 +202,14 @@ func (rec *recorder) snapshot() wal.Snapshot {
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
 	return rec.snapshotLocked()
+}
+
+// diverged returns the rebuild's first divergence, nil while the
+// regenerated stream still matches the durable history.
+func (rec *recorder) diverged() error {
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	return rec.rb.err
 }
 
 // setNotPre toggles the replay marker (see the field comment).
@@ -162,15 +226,14 @@ func (rec *recorder) isPre() bool {
 	return rec.eng.Steps() == 0 && !rec.notPre
 }
 
-// endRebuild drops rebuild bookkeeping after verification.
-func (rec *recorder) endRebuild() {
+// endRebuild hands over the verified input history and returns the
+// recorder to live mode.
+func (rec *recorder) endRebuild() []wal.Record {
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	rec.keep = false
-	rec.memory = nil
-	rec.captured = nil
-	rec.captureAt = 0
-	rec.stopAt = 0
+	inputs := rec.rb.inputs
+	rec.rb = nil
+	return inputs
 }
 
 func copyMap[V any](m map[string]V) map[string]V {

@@ -212,9 +212,7 @@ func New(cfg Config) (*Lattice, error) {
 		l.wireDurable(rec)
 		rec.attachLog(lg)
 		rec.begin()
-		if err := l.Portal.SetArtifactDir(filepath.Join(cfg.Durable, "artifacts")); err != nil {
-			return nil, err
-		}
+		l.Portal.SetArtifactDir(filepath.Join(cfg.Durable, "artifacts"))
 	}
 	return l, nil
 }

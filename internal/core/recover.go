@@ -34,11 +34,13 @@ type RecoveryReport struct {
 // faithfully; what recovery relies on instead is that the whole
 // coordinator is deterministic per seed. It rebuilds the deployment
 // from cfg, re-injects every logged input at its recorded virtual
-// time, and re-executes up to the durable frontier. The regenerated
-// record stream is verified against the log record-for-record (and
-// against the snapshot's aggregates at the snapshot point), so any
-// divergence — config drift, code drift, corruption — fails loudly
-// instead of silently forking history. On success the directory is
+// time, and re-executes up to the durable frontier. Each regenerated
+// record is verified against the durable history as it is emitted —
+// inputs against the logged inputs, everything past the snapshot
+// against the log tail, the aggregates at the snapshot point against
+// the snapshot — so any divergence — config drift, code drift,
+// corruption — stops the rebuild at the offending record and fails
+// loudly instead of silently forking history. On success the directory is
 // reset to a fresh snapshot at the frontier and the deployment
 // continues live, mid-batch, with crashes re-armed.
 //
@@ -61,32 +63,32 @@ func Recover(dir string, cfg Config) (*Lattice, error) {
 	if err != nil {
 		return nil, err
 	}
+	inputs := st.Inputs()
 	rec := newRecorder(l.Engine, cfg.Seed)
-	rec.keep = true
-	rec.stopAt = st.LastSeq
+	rec.rb = &rebuild{inputs: inputs, tail: st.Tail, lastSeq: st.LastSeq}
 	if st.Snap != nil {
-		rec.captureAt = st.Snap.Seq
+		rec.rb.snapSeq = st.Snap.Seq
 	}
 	l.wireDurable(rec)
 	rec.begin()
-	if err := l.Portal.SetArtifactDir(filepath.Join(dir, "artifacts")); err != nil {
-		return nil, err
-	}
+	l.Portal.SetArtifactDir(filepath.Join(dir, "artifacts"))
 
-	if err := l.replay(st); err != nil {
+	if err := l.replay(inputs, st.Watermark); err != nil {
 		return nil, err
 	}
-	if err := l.verifyRebuild(st); err != nil {
+	if err := l.verifyRebuild(st, len(inputs)); err != nil {
 		return nil, err
 	}
 
 	// The rebuilt state becomes the new durable baseline: fresh
-	// snapshot at the frontier, empty log, crashes re-armed.
-	lg, err := wal.Reset(dir, rec.snapshot(), cfg.WAL)
+	// snapshot at the frontier over the verified input history, empty
+	// log, crashes re-armed.
+	snap := rec.snapshot()
+	snap.Inputs = rec.endRebuild()
+	lg, err := wal.Reset(dir, snap, cfg.WAL)
 	if err != nil {
 		return nil, err
 	}
-	rec.endRebuild()
 	rec.attachLog(lg)
 	if l.Faults != nil {
 		l.Faults.SetCrashStops(true)
@@ -95,7 +97,7 @@ func Recover(dir string, cfg Config) (*Lattice, error) {
 		TailRecords: len(st.Tail),
 		TornTail:    st.Torn,
 		Watermark:   st.Watermark,
-		Inputs:      len(st.Inputs()),
+		Inputs:      len(inputs),
 		Records:     rec.count,
 	}
 	if st.Snap != nil {
@@ -112,9 +114,8 @@ func Recover(dir string, cfg Config) (*Lattice, error) {
 // at the same instant are re-applied back-to-back without running the
 // engine between them. The final drain runs to the durable watermark;
 // the recorder halts the engine once the last durable record has been
-// regenerated.
-func (l *Lattice) replay(st *wal.State) error {
-	inputs := st.Inputs()
+// regenerated. A divergence halts it too, and ends the replay there.
+func (l *Lattice) replay(inputs []wal.Record, watermark sim.Time) error {
 	i := 0
 	for ; i < len(inputs) && inputs[i].Pre; i++ {
 		if err := l.applyInput(inputs[i]); err != nil {
@@ -132,14 +133,17 @@ func (l *Lattice) replay(st *wal.State) error {
 		if r.At != prevAt {
 			l.Engine.RunUntil(r.At)
 		}
+		if err := l.rec.diverged(); err != nil {
+			return err
+		}
 		if err := l.applyInput(r); err != nil {
 			return err
 		}
 		prevAt = r.At
 	}
 	l.rec.setNotPre(false)
-	l.Engine.RunUntil(st.Watermark)
-	return nil
+	l.Engine.RunUntil(watermark)
+	return l.rec.diverged()
 }
 
 // applyInput re-injects one logged input through the path it
@@ -191,24 +195,29 @@ func (l *Lattice) applyInput(r wal.Record) error {
 	return fmt.Errorf("core: cannot replay record %d of kind %q", r.Seq, r.Kind)
 }
 
-// verifyRebuild checks the regenerated record stream against the
-// durable history: every logged record must have been re-emitted
-// field-for-field at the same sequence number, and the snapshot's
-// aggregates must match the rebuild's state at the snapshot point.
-// This is what turns "deterministic re-execution" from an assumption
-// into an invariant.
-func (l *Lattice) verifyRebuild(st *wal.State) error {
+// verifyRebuild closes the verification the recorder did record by
+// record during the replay: the whole durable history must have been
+// regenerated — every record up to the frontier, every input — and
+// the snapshot's aggregates must match the rebuild's state at the
+// snapshot point. This is what turns "deterministic re-execution" from
+// an assumption into an invariant.
+func (l *Lattice) verifyRebuild(st *wal.State, inputs int) error {
 	rec := l.rec
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	if rec.count < st.LastSeq {
-		return fmt.Errorf("core: recovery diverged: regenerated %d of %d durable records", rec.count, st.LastSeq)
+	rb := rec.rb
+	if rb.err != nil {
+		return rb.err
+	}
+	if rec.count < st.LastSeq || rb.next < inputs {
+		return fmt.Errorf("core: recovery diverged: regenerated %d of %d durable records, %d of %d inputs",
+			rec.count, st.LastSeq, rb.next, inputs)
 	}
 	if st.Snap != nil {
-		if rec.captured == nil {
+		if rb.captured == nil {
 			return fmt.Errorf("core: recovery never reached snapshot seq %d", st.Snap.Seq)
 		}
-		if err := snapshotsEqual(rec.captured, st.Snap); err != nil {
+		if err := snapshotsEqual(rb.captured, st.Snap); err != nil {
 			return fmt.Errorf("core: recovery diverged from snapshot at seq %d: %w", st.Snap.Seq, err)
 		}
 		// Cross-check the rebuilt journal itself against the
@@ -221,16 +230,6 @@ func (l *Lattice) verifyRebuild(st *wal.State) error {
 			return fmt.Errorf("core: rebuilt journal prefix digest %s != snapshot %s", d, st.Snap.JournalDigest)
 		}
 	}
-	for _, want := range st.Tail {
-		if want.Seq == 0 || want.Seq > uint64(len(rec.memory)) {
-			return fmt.Errorf("core: recovery diverged: log record %d was never regenerated", want.Seq)
-		}
-		got := rec.memory[want.Seq-1]
-		if !recordsEqual(got, want) {
-			return fmt.Errorf("core: recovery diverged at record %d: regenerated %s, log holds %s",
-				want.Seq, mustJSON(got), mustJSON(want))
-		}
-	}
 	return nil
 }
 
@@ -239,17 +238,15 @@ func (l *Lattice) verifyRebuild(st *wal.State) error {
 func snapshotsEqual(a, b *wal.Snapshot) error {
 	x := *a
 	y := *b
-	// Version is stamped at write time; the captured twin never was.
-	x.Version = 0
-	y.Version = 0
+	// Version and InputsBytes are stamped at write time; the captured
+	// twin never was. (InputsLen it does carry: the inputs regenerated
+	// up to the snapshot point.)
+	x.Version, y.Version = 0, 0
+	x.InputsBytes, y.InputsBytes = 0, 0
 	if mustJSON(x) != mustJSON(y) {
 		return fmt.Errorf("rebuilt state %s != durable %s", mustJSON(x), mustJSON(y))
 	}
 	return nil
-}
-
-func recordsEqual(a, b wal.Record) bool {
-	return mustJSON(a) == mustJSON(b)
 }
 
 func mustJSON(v any) string {

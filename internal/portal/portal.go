@@ -68,14 +68,12 @@ func (p *Portal) SetDurable(d Durability) {
 }
 
 // SetArtifactDir enables the on-disk result-archive cache under dir.
-func (p *Portal) SetArtifactDir(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("portal: artifact dir: %w", err)
-	}
+// The directory is created by the first archive published there, so a
+// deployment nobody downloads from never touches the filesystem for it.
+func (p *Portal) SetArtifactDir(dir string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.artifactDir = dir
-	return nil
 }
 
 // RestoreUser re-creates a registered account from the durable log,
@@ -561,7 +559,11 @@ func (p *Portal) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if dir != "" {
 			// Publish the archive atomically: readers (and recovery)
 			// only ever see a complete zip at this path.
-			if err := wal.WriteFileAtomic(filepath.Join(dir, id+".zip"), data); err != nil {
+			err := os.MkdirAll(dir, 0o755)
+			if err == nil {
+				err = wal.WriteFileAtomic(filepath.Join(dir, id+".zip"), data)
+			}
+			if err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
 				return
 			}

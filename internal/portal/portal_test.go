@@ -395,10 +395,8 @@ func TestGridStatusEndpoint(t *testing.T) {
 // interrupted rewrite never clobbers the published archive.
 func TestArtifactCacheAtomic(t *testing.T) {
 	p, ts, _ := fixture(t)
-	dir := t.TempDir()
-	if err := p.SetArtifactDir(dir); err != nil {
-		t.Fatal(err)
-	}
+	dir := filepath.Join(t.TempDir(), "artifacts") // created by the first download
+	p.SetArtifactDir(dir)
 	batch := submitBatch(t, ts, map[string]string{
 		"email":        "durable@example.org",
 		"datatype":     "nucleotide",

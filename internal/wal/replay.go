@@ -1,14 +1,22 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"hash/crc32"
+	"io"
 	"os"
 
 	"lattice/internal/sim"
 )
+
+// ErrCorruptSegment is wrapped by every Load failure caused by the
+// input segment not holding exactly the prefix the snapshot names.
+// That prefix was fsynced before the snapshot was published, so no
+// crash explains it — and loading a shorter input history would
+// silently fork the run.
+var ErrCorruptSegment = errors.New("wal: corrupt input segment")
 
 // State is everything Load could recover from a durable directory:
 // the latest valid snapshot (if any), the verified log tail past it,
@@ -32,27 +40,51 @@ type State struct {
 }
 
 // Inputs returns the full input history in sequence order: the
-// snapshot's accumulated inputs followed by any in the tail.
+// snapshot's accumulated inputs followed by any in the tail. Every
+// call builds a new slice, sized exactly (the history is the largest
+// thing recovery holds).
 func (st *State) Inputs() []Record {
-	var in []Record
+	n := 0
+	for i := range st.Tail {
+		if st.Tail[i].IsInput() {
+			n++
+		}
+	}
+	if st.Snap != nil {
+		n += len(st.Snap.Inputs)
+	}
+	in := make([]Record, 0, n)
 	if st.Snap != nil {
 		in = append(in, st.Snap.Inputs...)
 	}
-	for _, r := range st.Tail {
-		if r.IsInput() {
-			in = append(in, r)
+	for i := range st.Tail {
+		if st.Tail[i].IsInput() {
+			in = append(in, st.Tail[i])
 		}
 	}
 	return in
 }
 
-// Load reads dir's durable state: the snapshot, then every complete
-// log frame after it. A torn final frame — truncated header, payload
-// short of its declared length, or checksum/decode failure that runs
-// into EOF — is dropped and flagged Torn; corruption followed by more
-// data is fatal, because everything after an undecodable frame is
-// unframed garbage. Load returns (nil, nil) when dir holds no state.
+// Load reads dir's durable state: the snapshot, the input-segment
+// prefix it covers, then every complete log frame after it. A torn
+// final log frame — truncated header, payload short of its declared
+// length, or checksum/decode failure that runs into EOF — is dropped
+// and flagged Torn; corruption followed by more data is fatal, because
+// everything after an undecodable frame is unframed garbage. Segment
+// bytes past the snapshot's prefix are ignored (the inputs they hold
+// are in the log tail; a torn or orphaned frame there is the crash
+// window), but the prefix itself must be intact (ErrCorruptSegment).
+// Load returns (nil, nil) when dir holds no state.
 func Load(dir string) (*State, error) {
+	data, err := os.ReadFile(LogPath(dir))
+	if os.IsNotExist(err) {
+		data = nil
+	} else if err != nil {
+		return nil, fmt.Errorf("wal: reading log: %w", err)
+	}
+	if len(data) >= len(magic) && !bytes.Equal(data[:len(magic)], magic) {
+		return nil, fmt.Errorf("wal: log header is %q, this build reads only %q; a durable directory cannot move between format versions — remove it", data[:len(magic)], magic)
+	}
 	snap, err := readSnapshot(dir)
 	if err != nil {
 		return nil, err
@@ -60,17 +92,13 @@ func Load(dir string) (*State, error) {
 	st := &State{Snap: snap}
 	var sinceSeq uint64 // skip log records the snapshot already covers
 	if snap != nil {
+		if snap.Inputs, err = readSegment(dir, snap); err != nil {
+			return nil, err
+		}
 		st.Seed = snap.Seed
 		st.LastSeq = snap.Seq
 		st.Watermark = snap.At
 		sinceSeq = snap.Seq
-	}
-
-	data, err := os.ReadFile(LogPath(dir))
-	if os.IsNotExist(err) {
-		data = nil
-	} else if err != nil {
-		return nil, fmt.Errorf("wal: reading log: %w", err)
 	}
 	if len(data) < len(magic) {
 		// A missing or header-torn log (crash between snapshot rename
@@ -83,9 +111,6 @@ func Load(dir string) (*State, error) {
 		}
 		st.Torn = st.Torn || len(data) > 0
 		return st, nil
-	}
-	if string(data[:len(magic)]) != string(magic) {
-		return nil, fmt.Errorf("wal: bad log header (not a %s file)", magic)
 	}
 
 	off := len(magic)
@@ -102,6 +127,12 @@ func Load(dir string) (*State, error) {
 		}
 		frameOff := off
 		off = next
+		if r.Kind == KindGenesis && snap != nil && r.Seed != snap.Seed {
+			// Checked on sight, covered or not: a genesis frame is only
+			// ever under a snapshot in the rename-before-truncate
+			// window, and there it must be this run's.
+			return nil, fmt.Errorf("wal: snapshot seed %d disagrees with genesis seed %d", snap.Seed, r.Seed)
+		}
 		if r.Seq <= sinceSeq {
 			// Covered by the snapshot — a crash landed between the
 			// snapshot rename and the log truncate.
@@ -120,39 +151,63 @@ func Load(dir string) (*State, error) {
 		st.LastSeq = r.Seq
 		st.Watermark = r.At
 	}
-	if snap != nil && snap.Seed != st.Seed && len(st.Tail) > 0 && st.Tail[0].Kind == KindGenesis {
-		return nil, fmt.Errorf("wal: snapshot seed %d disagrees with genesis seed %d", snap.Seed, st.Tail[0].Seed)
-	}
 	if snap == nil && len(st.Tail) == 0 {
 		return nil, nil
 	}
 	return st, nil
 }
 
-// decodeFrame parses one frame at off, returning the record and the
-// next offset.
-func decodeFrame(data []byte, off int) (Record, int, error) {
-	var r Record
-	if len(data)-off < frameHeaderSize {
-		return r, 0, fmt.Errorf("truncated frame header")
+// readSegment returns the inputs in the segment prefix snap covers:
+// exactly snap.InputsLen intact input frames in exactly
+// snap.InputsBytes bytes, with increasing Seq no newer than snap.Seq.
+func readSegment(dir string, snap *Snapshot) ([]Record, error) {
+	corrupt := func(format string, args ...any) ([]Record, error) {
+		return nil, fmt.Errorf("%w: %s", ErrCorruptSegment, fmt.Sprintf(format, args...))
 	}
-	n := int(binary.LittleEndian.Uint32(data[off : off+4]))
-	sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
-	if n > maxFrame {
-		return r, 0, fmt.Errorf("frame length %d exceeds limit", n)
+	if snap.InputsLen == 0 && snap.InputsBytes == 0 {
+		return nil, nil
 	}
-	body := off + frameHeaderSize
-	if len(data)-body < n {
-		return r, 0, fmt.Errorf("truncated frame payload (%d of %d bytes)", len(data)-body, n)
+	if snap.InputsLen < 0 || snap.InputsBytes < 0 {
+		return corrupt("snapshot names a prefix of %d frames in %d bytes", snap.InputsLen, snap.InputsBytes)
 	}
-	payload := data[body : body+n]
-	if crc32.ChecksumIEEE(payload) != sum {
-		return r, 0, fmt.Errorf("checksum mismatch")
+	f, err := os.Open(SegmentPath(dir))
+	if err != nil {
+		return corrupt("%v", err)
 	}
-	if err := json.Unmarshal(payload, &r); err != nil {
-		return r, 0, fmt.Errorf("decoding payload: %w", err)
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return corrupt("%v", err)
 	}
-	return r, body + n, nil
+	// Checked before reading so the prefix length, which comes from a
+	// file, never sizes an allocation the segment cannot back.
+	if fi.Size() < snap.InputsBytes || snap.InputsBytes/frameHeaderSize < int64(snap.InputsLen) {
+		return corrupt("segment holds %d bytes, snapshot at seq %d covers %d frames in %d bytes",
+			fi.Size(), snap.Seq, snap.InputsLen, snap.InputsBytes)
+	}
+	data := make([]byte, snap.InputsBytes)
+	if _, err := io.ReadFull(f, data); err != nil {
+		return corrupt("%v", err)
+	}
+	inputs := make([]Record, 0, snap.InputsLen)
+	off, last := 0, uint64(0)
+	for i := 0; i < snap.InputsLen; i++ {
+		r, next, err := decodeFrame(data, off)
+		switch {
+		case err != nil:
+			return corrupt("frame %d at offset %d: %v", i, off, err)
+		case !r.IsInput():
+			return corrupt("frame %d at offset %d is a %q record, not an input", i, off, r.Kind)
+		case r.Seq <= last || r.Seq > snap.Seq:
+			return corrupt("frame %d at offset %d has seq %d after %d under a snapshot at seq %d", i, off, r.Seq, last, snap.Seq)
+		}
+		inputs = append(inputs, r)
+		off, last = next, r.Seq
+	}
+	if off != len(data) {
+		return corrupt("%d frames end at byte %d, snapshot covers %d", snap.InputsLen, off, len(data))
+	}
+	return inputs, nil
 }
 
 // frameReachesEOF reports whether the (possibly invalid) frame at off

@@ -13,8 +13,11 @@ import (
 // a recovery re-execution reproduced the original run exactly. It
 // deliberately does not try to serialize live machine state — event
 // closures, heaps, open batches — because the simulation is
-// deterministic: Seed plus Inputs regenerate all of that, and the
-// aggregates here are the cross-check.
+// deterministic: Seed plus the inputs regenerate all of that, and the
+// aggregates here are the cross-check. The inputs are not in the
+// snapshot file: they live, once, in the input segment, and the
+// snapshot names the prefix of it that it covers — so a snapshot is a
+// few hundred bytes however long the run.
 type Snapshot struct {
 	Version int      `json:"version"`
 	Seq     uint64   `json:"seq"`
@@ -34,22 +37,31 @@ type Snapshot struct {
 	// Users maps portal tokens to registered email addresses.
 	Users map[string]string `json:"users,omitempty"`
 
-	// Inputs is the full input history from genesis — every
-	// submission and registration record, in sequence order. Recovery
+	// InputsLen and InputsBytes delimit the input-segment prefix this
+	// snapshot covers: the frames of every input with Seq <= Seq. The
+	// Log stamps them when it writes the snapshot.
+	InputsLen   int   `json:"inputs_len"`
+	InputsBytes int64 `json:"inputs_bytes"`
+
+	// Inputs is the input history from genesis — every submission,
+	// workflow and registration record with Seq <= Seq, in sequence
+	// order — as an in-memory carrier only: Load fills it from the
+	// segment prefix, Reset writes the segment from it. Recovery
 	// re-injects these; the log tail only adds inputs newer than the
 	// snapshot.
-	Inputs []Record `json:"inputs,omitempty"`
+	Inputs []Record `json:"-"`
 }
 
-// snapshotVersion is the current Snapshot schema version.
-const snapshotVersion = 1
+// snapshotVersion is the current Snapshot schema version: 2 moved the
+// inputs out of the snapshot into the segment.
+const snapshotVersion = 2
 
 // writeSnapshot persists snap atomically (temp file + rename, fsync
 // before rename) so a crash mid-write always leaves either the old or
 // the new snapshot intact, never a torn one.
 func writeSnapshot(dir string, snap Snapshot) error {
 	snap.Version = snapshotVersion
-	data, err := json.MarshalIndent(&snap, "", " ")
+	data, err := json.Marshal(&snap)
 	if err != nil {
 		return fmt.Errorf("wal: encoding snapshot: %w", err)
 	}
@@ -74,7 +86,7 @@ func readSnapshot(dir string) (*Snapshot, error) {
 		return nil, fmt.Errorf("wal: corrupt snapshot: %w", err)
 	}
 	if snap.Version != snapshotVersion {
-		return nil, fmt.Errorf("wal: unsupported snapshot version %d", snap.Version)
+		return nil, fmt.Errorf("wal: snapshot is version %d, this build reads version %d", snap.Version, snapshotVersion)
 	}
 	return &snap, nil
 }

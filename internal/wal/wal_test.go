@@ -1,12 +1,14 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -16,7 +18,7 @@ import (
 
 // appendN writes a genesis record plus n-1 synthetic records to a
 // fresh log in dir and closes it.
-func appendN(t *testing.T, dir string, n int, opts Options) {
+func appendN(t testing.TB, dir string, n int, opts Options) {
 	t.Helper()
 	lg, err := Create(dir, opts)
 	if err != nil {
@@ -28,6 +30,67 @@ func appendN(t *testing.T, dir string, n int, opts Options) {
 	if err := lg.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
+}
+
+// recordJSON renders a record for a failure message.
+func recordJSON(t testing.TB, r Record) string {
+	t.Helper()
+	data, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// appendRotating writes recs to a fresh log in dir that snapshots
+// every `every` records from a source tracking the last Seq appended,
+// and closes it.
+func appendRotating(t testing.TB, dir string, recs []Record, every int) {
+	t.Helper()
+	lg, err := Create(dir, Options{SnapshotEvery: every})
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	var last Record
+	lg.SetSnapshotSource(func() Snapshot { return Snapshot{Seq: last.Seq, At: last.At, Seed: 42} })
+	for _, r := range recs {
+		last = r
+		lg.Append(r)
+	}
+	if err := lg.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}
+
+// mustLoad loads dir, failing the test on error or empty state.
+func mustLoad(t testing.TB, dir string) *State {
+	t.Helper()
+	st, err := Load(dir)
+	if err != nil || st == nil {
+		t.Fatalf("Load: %v, %v", st, err)
+	}
+	return st
+}
+
+// copyFile copies one file of a durable directory into another.
+func copyFile(t testing.TB, dst, src string) {
+	t.Helper()
+	data, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dst, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// seqs lists the sequence numbers of recs.
+func seqs(recs []Record) []uint64 {
+	out := make([]uint64, len(recs))
+	for i, r := range recs {
+		out[i] = r.Seq
+	}
+	return out
 }
 
 // makeRecords builds a deterministic mixed-kind record stream of
@@ -75,10 +138,8 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("tail length %d, want %d", len(st.Tail), len(want))
 	}
 	for i, r := range st.Tail {
-		got, err1 := json.Marshal(r)
-		exp, err2 := json.Marshal(want[i])
-		if err1 != nil || err2 != nil || string(got) != string(exp) {
-			t.Errorf("record %d: got %s want %s", i, got, exp)
+		if !reflect.DeepEqual(r, want[i]) {
+			t.Errorf("record %d: got %s want %s", i, recordJSON(t, r), recordJSON(t, want[i]))
 		}
 	}
 	inputs := st.Inputs()
@@ -221,94 +282,308 @@ func TestSequenceGapFatal(t *testing.T) {
 	}
 }
 
-// TestAutoSnapshot drives the record-count snapshot trigger: the log
-// truncates, the snapshot captures the source state, and Load stitches
-// snapshot plus tail back together.
-func TestAutoSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	lg, err := Create(dir, Options{SnapshotEvery: 4})
+// TestSegmentTruncatedEveryOffset extends the torn-tail guarantee to
+// the input segment: bytes past the prefix the snapshot covers are the
+// crash window and change nothing, while the prefix itself was
+// fsynced before the snapshot was published — losing any byte of it
+// is corruption, reported as such and never as a shorter history.
+func TestSegmentTruncatedEveryOffset(t *testing.T) {
+	src := t.TempDir()
+	appendRotating(t, src, makeRecords(14), 4) // snapshot at 12; inputs 2, 6, 10 under it, 14 past it
+	want := mustLoad(t, src)
+	if want.Snap == nil || want.Snap.Seq != 12 || !reflect.DeepEqual(seqs(want.Inputs()), []uint64{2, 6, 10, 14}) {
+		t.Fatalf("fixture: snapshot %+v, inputs %v", want.Snap, seqs(want.Inputs()))
+	}
+	seg, err := os.ReadFile(SegmentPath(src))
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := makeRecords(10)
-	var count uint64
-	var inputs []Record
-	lg.SetSnapshotSource(func() Snapshot {
-		return Snapshot{
-			Seq: count, At: sim.Time(float64(count)), Seed: 42,
-			Inputs: append([]Record(nil), inputs...),
+	prefix := int(want.Snap.InputsBytes)
+	if prefix <= 0 || prefix >= len(seg) {
+		t.Fatalf("fixture: prefix %d of a %d-byte segment", prefix, len(seg))
+	}
+	dir := t.TempDir()
+	copyFile(t, LogPath(dir), LogPath(src))
+	copyFile(t, SnapshotPath(dir), SnapshotPath(src))
+	for cut := 0; cut <= len(seg); cut++ {
+		if err := os.WriteFile(SegmentPath(dir), seg[:cut], 0o644); err != nil {
+			t.Fatal(err)
 		}
+		got, err := Load(dir)
+		if cut < prefix {
+			if !errors.Is(err, ErrCorruptSegment) {
+				t.Fatalf("cut at %d of a %d-byte prefix: got %v, %v; want ErrCorruptSegment", cut, prefix, got, err)
+			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("cut at %d (prefix %d): state changed: %+v, %v", cut, prefix, got, err)
+		}
+	}
+	if err := os.Remove(SegmentPath(dir)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(dir); !errors.Is(err, ErrCorruptSegment) {
+		t.Fatalf("missing segment: got %v, want ErrCorruptSegment", err)
+	}
+}
+
+// TestSegmentPrefixChecked: an intact-looking prefix that is not the
+// input history — a flipped byte, a non-input frame, a sequence number
+// out of order or newer than the snapshot, a frame too few — is
+// corruption too.
+func TestSegmentPrefixChecked(t *testing.T) {
+	src := t.TempDir()
+	appendRotating(t, src, makeRecords(12), 4)
+	snap := *mustLoad(t, src).Snap
+	frames := func(recs ...Record) []byte {
+		var out []byte
+		for i := range recs {
+			out = appendFrame(out, &recs[i])
+		}
+		return out
+	}
+	in := snap.Inputs
+	stage := Record{Seq: 7, At: 1, Kind: KindStage}
+	newer := in[2]
+	newer.Seq = snap.Seq + 1
+	flipped := frames(in...)
+	flipped[len(flipped)/2] ^= 0x01
+	cases := map[string][]byte{
+		"flipped byte":      flipped,
+		"non-input frame":   frames(in[0], stage, in[2]),
+		"seq out of order":  frames(in[1], in[0], in[2]),
+		"seq past snapshot": frames(in[0], in[1], newer),
+		"one frame short":   append(frames(in[0], in[1]), make([]byte, len(frames(in[2])))...),
+	}
+	for name, seg := range cases {
+		dir := t.TempDir()
+		copyFile(t, LogPath(dir), LogPath(src))
+		if err := os.WriteFile(SegmentPath(dir), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s := snap
+		s.InputsBytes = int64(len(seg))
+		if err := writeSnapshot(dir, s); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(dir); !errors.Is(err, ErrCorruptSegment) {
+			t.Errorf("%s: got %v, want ErrCorruptSegment", name, err)
+		}
+	}
+}
+
+// TestAutoSnapshot drives the record-count snapshot trigger and pins
+// the linear-cost property: the snapshot file stays a few hundred
+// bytes however many inputs the run has taken, and each rotation
+// extends the covered segment prefix by exactly the input frames
+// appended since the previous one. Load stitches snapshot, segment
+// prefix and tail back together.
+func TestAutoSnapshot(t *testing.T) {
+	const inputs, every = 10000, 1500
+	dir := t.TempDir()
+	lg, err := Create(dir, Options{SnapshotEvery: every})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var last Record
+	lg.SetSnapshotSource(func() Snapshot {
+		return Snapshot{Seq: last.Seq, At: last.At, Seed: 42, JournalLen: int(last.Seq), JournalDigest: strings.Repeat("f", 64),
+			Stability: map[string]float64{"cluster-a": 0.75}}
 	})
-	for _, r := range recs {
-		count = r.Seq
+	var sinceRotation, covered int64
+	rotations := 0
+	appendOne := func(r Record) {
+		r.Seq = last.Seq + 1
+		last = r
 		if r.IsInput() {
-			inputs = append(inputs, r)
+			sinceRotation += int64(len(appendFrame(nil, &r)))
+		}
+		lg.Append(r)
+		if lg.sinceSnap != 0 {
+			return
+		}
+		rotations++
+		snap, err := readSnapshot(dir)
+		if err != nil || snap == nil {
+			t.Fatalf("rotation %d: %v, %v", rotations, snap, err)
+		}
+		if snap.InputsBytes-covered != sinceRotation {
+			t.Fatalf("rotation %d at seq %d: prefix grew %d bytes, inputs appended since the last one frame to %d",
+				rotations, r.Seq, snap.InputsBytes-covered, sinceRotation)
+		}
+		if fi, err := os.Stat(SegmentPath(dir)); err != nil || fi.Size() != snap.InputsBytes {
+			t.Fatalf("rotation %d: segment is %v bytes (%v), snapshot covers %d", rotations, fi.Size(), err, snap.InputsBytes)
+		}
+		if fi, err := os.Stat(LogPath(dir)); err != nil || fi.Size() != int64(len(magic)) {
+			t.Fatalf("rotation %d: log not truncated to its header: %v bytes (%v)", rotations, fi.Size(), err)
+		}
+		covered, sinceRotation = snap.InputsBytes, 0
+	}
+	appendOne(Record{Kind: KindGenesis, Seed: 42})
+	for i := 0; i < inputs; i++ {
+		at := sim.Time(float64(i) * 0.5)
+		appendOne(Record{At: at, Kind: KindSubmission, Origin: "service", Queued: i%2 == 0,
+			Sub: &workload.Submission{Replicates: 1 + i%2000, UserEmail: fmt.Sprintf("u%05d@example.edu", i)}})
+		appendOne(Record{At: at, Kind: KindStage, Batch: "b", Job: fmt.Sprintf("j-%05d", i), Stage: "submit"})
+	}
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if want := (2*inputs + 1) / every; rotations != want {
+		t.Fatalf("%d rotations, want %d", rotations, want)
+	}
+	fi, err := os.Stat(SnapshotPath(dir))
+	if err != nil || fi.Size() >= 1024 {
+		t.Fatalf("snapshot.json is %d bytes after %d inputs (%v); want < 1 KiB", fi.Size(), inputs, err)
+	}
+	st := mustLoad(t, dir)
+	wantSeq := uint64(rotations * every)
+	if st.Snap.Seq != wantSeq || st.LastSeq != last.Seq || len(st.Tail) != int(last.Seq-wantSeq) || st.Tail[0].Seq != wantSeq+1 {
+		t.Fatalf("snapshot at %d, %d tail records up to %d; want snapshot at %d, tail up to %d",
+			st.Snap.Seq, len(st.Tail), st.LastSeq, wantSeq, last.Seq)
+	}
+	if st.Seed != 42 || st.Snap.Stability["cluster-a"] != 0.75 {
+		t.Fatalf("seed %d, snapshot %+v", st.Seed, st.Snap)
+	}
+	all := st.Inputs()
+	if len(all) != inputs || len(st.Snap.Inputs) != st.Snap.InputsLen {
+		t.Fatalf("%d inputs (%d of %d under the snapshot), want %d", len(all), len(st.Snap.Inputs), st.Snap.InputsLen, inputs)
+	}
+	for i, r := range all {
+		if r.Seq != uint64(2*i+2) || r.Sub.UserEmail != fmt.Sprintf("u%05d@example.edu", i) || r.Queued != (i%2 == 0) {
+			t.Fatalf("input %d came back as %s", i, recordJSON(t, r))
+		}
+	}
+}
+
+// TestSnapshotCrashWindow kills the writer at the two points inside a
+// rotation. Before the snapshot rename the directory holds the new
+// segment bytes under the old snapshot; after it, the new snapshot
+// over a log whose frames it already covers. Both must load to the
+// input history and frontier of the rotation that completed.
+func TestSnapshotCrashWindow(t *testing.T) {
+	recs := makeRecords(12)
+	done := t.TempDir()
+	appendRotating(t, done, recs, 4) // third rotation at seq 12 completes
+	want := mustLoad(t, done)
+	if want.Snap.Seq != 12 || len(want.Tail) != 0 || !reflect.DeepEqual(seqs(want.Inputs()), []uint64{2, 6, 10}) {
+		t.Fatalf("fixture: snapshot at %d, tail %v, inputs %v", want.Snap.Seq, seqs(want.Tail), seqs(want.Inputs()))
+	}
+
+	// Killed after the segment fsync, before the rename: snapshot at 8,
+	// log holding 9-12, segment already holding input 10.
+	before := t.TempDir()
+	appendRotating(t, before, recs[:11], 4)
+	f, err := os.OpenFile(LogPath(before), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(appendFrame(nil, &recs[11])); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := mustLoad(t, before)
+	if got.Snap.Seq != 8 || !reflect.DeepEqual(seqs(got.Tail), []uint64{9, 10, 11, 12}) {
+		t.Fatalf("before rename: snapshot at %d, tail %v", got.Snap.Seq, seqs(got.Tail))
+	}
+	if !reflect.DeepEqual(got.Inputs(), want.Inputs()) || got.LastSeq != want.LastSeq || got.Watermark != want.Watermark || got.Torn {
+		t.Fatalf("before rename: inputs %v up to seq %d (torn %v), want %v up to %d",
+			seqs(got.Inputs()), got.LastSeq, got.Torn, seqs(want.Inputs()), want.LastSeq)
+	}
+
+	// Killed after the rename, before the truncate: the new snapshot
+	// and segment over the log that still holds 9-12.
+	after := t.TempDir()
+	copyFile(t, SnapshotPath(after), SnapshotPath(done))
+	copyFile(t, SegmentPath(after), SegmentPath(done))
+	copyFile(t, LogPath(after), LogPath(before))
+	if got := mustLoad(t, after); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after rename: %+v, want %+v", got, want)
+	}
+}
+
+// TestSplicedSnapshotRefused is the check the old seed guard never
+// made: in the rename-before-truncate window the genesis frame sits
+// under the snapshot, and a snapshot from another run (seed 42) over
+// this run's log (seed 7) must not load.
+func TestSplicedSnapshotRefused(t *testing.T) {
+	dir := t.TempDir()
+	lg, err := Create(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range makeRecords(6) {
+		if r.Kind == KindGenesis {
+			r.Seed = 7
 		}
 		lg.Append(r)
 	}
 	if err := lg.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Load(dir)
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	if st.Snap == nil || st.Snap.Seq != 8 {
-		t.Fatalf("want snapshot at seq 8, got %+v", st.Snap)
-	}
-	if len(st.Tail) != 2 || st.Tail[0].Seq != 9 || st.LastSeq != 10 {
-		t.Fatalf("tail %+v lastSeq %d, want records 9-10", st.Tail, st.LastSeq)
-	}
-	if got := len(st.Inputs()); got != 3 { // seqs 2, 6, 10 are submissions
-		t.Fatalf("got %d inputs, want 3", got)
-	}
-	if st.Seed != 42 {
-		t.Fatalf("seed %d, want 42", st.Seed)
-	}
-}
-
-// TestSnapshotCrashWindow simulates a crash between the snapshot
-// rename and the log truncate: the log still holds frames the snapshot
-// covers, which Load must skip without complaint.
-func TestSnapshotCrashWindow(t *testing.T) {
-	dir := t.TempDir()
-	appendN(t, dir, 6, Options{})
 	if err := writeSnapshot(dir, Snapshot{Seq: 4, At: 6, Seed: 42}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Load(dir)
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	if st.Snap == nil || st.Snap.Seq != 4 {
-		t.Fatalf("snapshot not loaded: %+v", st.Snap)
-	}
-	if len(st.Tail) != 2 || st.Tail[0].Seq != 5 || st.LastSeq != 6 {
-		t.Fatalf("tail %+v, want records 5-6", st.Tail)
+	_, err = Load(dir)
+	if err == nil || !strings.Contains(err.Error(), "snapshot seed 42 disagrees with genesis seed 7") {
+		t.Fatalf("got %v, want the seed disagreement", err)
 	}
 }
 
+// TestOlderFormatRefused: a directory written by the JSON-frame build
+// fails to load with an error naming both versions.
+func TestOlderFormatRefused(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(LogPath(dir), []byte("LATWAL01\x10\x00\x00\x00"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Load(dir)
+	if err == nil || !strings.Contains(err.Error(), "LATWAL01") || !strings.Contains(err.Error(), "LATWAL02") {
+		t.Fatalf("got %v, want an error naming LATWAL01 and LATWAL02", err)
+	}
+}
+
+// TestResetReplacesState: Reset publishes the snapshot, an empty log
+// and a segment rebuilt from the snapshot's in-memory input history —
+// whatever a dead run left in the old one — and the returned log
+// extends that segment.
 func TestResetReplacesState(t *testing.T) {
 	dir := t.TempDir()
-	appendN(t, dir, 6, Options{})
-	snap := Snapshot{Seq: 6, At: 9, Seed: 42, Stability: map[string]float64{"a": 0.5}}
+	appendRotating(t, dir, makeRecords(15), 4) // segment now holds inputs 2, 6, 10, 14
+	history := mustLoad(t, dir).Inputs()[:3]   // recovery verified up to seq 12, say
+	snap := Snapshot{Seq: 12, At: 18, Seed: 42, Stability: map[string]float64{"a": 0.5}, Inputs: history}
 	lg, err := Reset(dir, snap, Options{})
 	if err != nil {
 		t.Fatalf("Reset: %v", err)
 	}
-	lg.Append(Record{Seq: 7, At: 10, Kind: KindEWMA, Resource: "a", Value: 0.6})
+	var want []byte
+	for i := range history {
+		want = appendFrame(want, &history[i])
+	}
+	if got, err := os.ReadFile(SegmentPath(dir)); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("republished segment is %d bytes (%v), want the %d bytes of inputs 2, 6, 10", len(got), err, len(want))
+	}
+	lg.Append(Record{Seq: 13, At: 19, Kind: KindEWMA, Resource: "a", Value: 0.6})
+	next := Record{Seq: 14, At: 20, Kind: KindUser, Token: "tok", Email: "n@example.edu"}
+	lg.Append(next)
 	if err := lg.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Load(dir)
-	if err != nil {
-		t.Fatalf("Load: %v", err)
+	if got, err := os.ReadFile(SegmentPath(dir)); err != nil || !bytes.Equal(got, appendFrame(want, &next)) {
+		t.Fatalf("segment after the reset log took an input: %d bytes (%v)", len(got), err)
 	}
-	if st.Snap == nil || st.Snap.Seq != 6 || st.Snap.Stability["a"] != 0.5 {
-		t.Fatalf("snapshot %+v, want seq 6 stability preserved", st.Snap)
+	st := mustLoad(t, dir)
+	if st.Snap.Seq != 12 || st.Snap.Stability["a"] != 0.5 || st.Snap.InputsLen != 3 || st.Snap.InputsBytes != int64(len(want)) {
+		t.Fatalf("snapshot %+v, want seq 12 over 3 inputs, stability preserved", st.Snap)
 	}
-	if len(st.Tail) != 1 || st.Tail[0].Seq != 7 {
-		t.Fatalf("tail %+v, want just record 7", st.Tail)
+	if !reflect.DeepEqual(st.Snap.Inputs, history) {
+		t.Fatalf("snapshot inputs %v, want %v", seqs(st.Snap.Inputs), seqs(history))
+	}
+	if !reflect.DeepEqual(seqs(st.Tail), []uint64{13, 14}) || !reflect.DeepEqual(seqs(st.Inputs()), []uint64{2, 6, 10, 14}) {
+		t.Fatalf("tail %v, inputs %v", seqs(st.Tail), seqs(st.Inputs()))
 	}
 }
 
@@ -387,5 +662,44 @@ func TestStickyError(t *testing.T) {
 	lg.f = nil // already closed
 	if lg.Close() == nil {
 		t.Fatal("Close lost the sticky error")
+	}
+}
+
+// TestStickySegmentError: the input segment failing is as sticky as
+// the log failing — the log never runs ahead of the segment it relies
+// on at the next snapshot.
+func TestStickySegmentError(t *testing.T) {
+	dir := t.TempDir()
+	lg, err := Create(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lg.Append(Record{Seq: 1, Kind: KindGenesis, Seed: 1})
+	lg.Append(Record{Seq: 2, At: 1, Kind: KindUser, Token: "s", Email: "d@example.edu"})
+	if err := lg.seg.Close(); err != nil { // yank the segment out from under the log
+		t.Fatal(err)
+	}
+	lg.Append(Record{Seq: 3, At: 1, Kind: KindEWMA, Resource: "r", Value: 0.1})
+	if err := lg.Err(); err != nil {
+		t.Fatalf("a transition record touched the segment: %v", err)
+	}
+	lg.Append(Record{Seq: 4, At: 2, Kind: KindUser, Token: "t", Email: "e@example.edu"})
+	if err := lg.Err(); err == nil || !strings.Contains(err.Error(), "segment") {
+		t.Fatalf("got %v, want a sticky segment error", err)
+	}
+	size := func() int64 {
+		fi, err := os.Stat(LogPath(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	before := size()
+	lg.Append(Record{Seq: 5, At: 3, Kind: KindEWMA, Resource: "r", Value: 0.2})
+	if size() != before {
+		t.Fatal("Append wrote after the error stuck")
+	}
+	if err := lg.Close(); err == nil || !strings.Contains(err.Error(), "segment") {
+		t.Fatalf("Close returned %v, want the first error", err)
 	}
 }
