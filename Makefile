@@ -49,8 +49,11 @@ fuzz:
 test:
 	$(GO) test ./...
 
+# race is the whole suite under the race detector. It is where the
+# five scenario shape tests below run in `make check`; the timeout is
+# the one the 10^5-user scale test needs under -race.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -timeout 30m ./...
 
 # smoke boots the full grid binary on a loopback port, runs a fixed
 # workload, scrapes /metrics and /trace over real HTTP, and fails if
@@ -76,6 +79,10 @@ ledger:
 
 ledger-trace:
 	$(GO) run ./bench -seed 1 -trace
+
+# The five scenario targets below are focused entry points for one
+# scenario under the race detector. `make check` does not depend on
+# them: `race` already runs every one of these tests under -race.
 
 # faults runs the fault-injection scenario under the race detector:
 # conservation (every job exactly one terminal state) and same-seed
@@ -120,9 +127,9 @@ overload:
 # analyzers (failing on any unsuppressed finding), the analyzer
 # fixture self-tests under -race, ten seconds of fuzzing wal.Load, the
 # test suite under the race detector (which includes the forest/BOINC
-# concurrency stress tests), the fault-injection, crash-recovery,
-# workflow, coordinator sharding and overload-protection scenarios
-# under -race, the grid boot smoke that scrapes /metrics over real
-# HTTP, and one execution of every engine benchmark body so benchmark
-# code cannot rot.
-check: build vet lint lint-fixtures fuzz race faults crash dag scale overload smoke bench-smoke
+# concurrency stress tests and — once each — the fault-injection,
+# crash-recovery, workflow, coordinator sharding and
+# overload-protection scenarios), the grid boot smoke that scrapes
+# /metrics over real HTTP, and one execution of every engine benchmark
+# body so benchmark code cannot rot.
+check: build vet lint lint-fixtures fuzz race smoke bench-smoke

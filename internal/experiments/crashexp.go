@@ -2,16 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"os"
 
-	"lattice/internal/boinc"
 	"lattice/internal/core"
 	"lattice/internal/faults"
 	"lattice/internal/metasched"
-	"lattice/internal/phylo"
 	"lattice/internal/sim"
-	"lattice/internal/wal"
-	"lattice/internal/workload"
 )
 
 // CrashResult is the crash-recovery experiment: the fault experiment's
@@ -48,241 +43,63 @@ type CrashResult struct {
 	Rows    [][]string
 }
 
-// crashConfig is the fault experiment's federation.
+// crashConfig is the fault, crash and workflow experiments' federation:
+// the standard one, scheduling one grid job per replicate and learning
+// resource stability from observed failures.
 func crashConfig(seed int64) core.Config {
-	cfg := core.DefaultConfig(seed)
-	cfg.TrainingJobs = 60
-	cfg.Scheduler.BundleTargetSeconds = 0 // one grid job per replicate
-	cfg.Scheduler.StabilityAlpha = 0.2    // learn stability from observed failures
-	for i := range cfg.Resources {
-		if cfg.Resources[i].Kind == "boinc" {
-			pop := boinc.DefaultPopulation(150)
-			cfg.Resources[i].Population = &pop
-		}
-	}
-	return cfg
+	sched := metasched.DefaultConfig()
+	sched.BundleTargetSeconds = 0
+	sched.StabilityAlpha = 0.2
+	return standardFederation(sched, 60, 150)(seed)
 }
 
-// crashSubmission is the fault experiment's 200-replicate workload:
-// hour-scale jobs keep the batch in flight long enough for every
-// scheduled kill to land on running work.
-func crashSubmission() workload.Submission {
-	return workload.Submission{
-		Spec: workload.JobSpec{
-			DataType: phylo.Nucleotide, SubstModel: "GTR",
-			RateHet: phylo.RateGamma, NumRateCats: 4, GammaShape: 0.5,
-			NumTaxa: 48, SeqLength: 2500, SearchReps: 24,
-			StartingTree: phylo.StartStepwise, AttachmentsPerTaxon: 30, Seed: 9,
-		},
-		Replicates: 200,
-		Bootstrap:  true,
-		UserEmail:  "crash@example.edu",
+// killSchedule is the default hostile schedule plus a coordinator kill
+// at each of the given virtual hours.
+func killSchedule(at ...sim.Duration) *faults.Schedule {
+	sch := core.DefaultFaultSchedule()
+	for _, h := range at {
+		sch.CrashAt = append(sch.CrashAt, sim.Time(h*sim.Hour))
 	}
+	return sch
 }
 
 // CrashSchedule is the default hostile schedule plus three coordinator
 // kills, all inside the 200-replicate batch's ~21h makespan so each
 // one lands on running work.
-func CrashSchedule() *faults.Schedule {
-	sch := core.DefaultFaultSchedule()
-	sch.CrashAt = []sim.Time{
-		sim.Time(5 * sim.Hour),
-		sim.Time(11 * sim.Hour),
-		sim.Time(16 * sim.Hour),
-	}
-	return sch
-}
-
-// crashOutcome is one run's collected evidence.
-type crashOutcome struct {
-	m          BatchMetrics
-	digest     string
-	terminal   map[string]int
-	jobs       int
-	sched      metasched.Stats
-	recoveries int
-	torn       bool
-}
-
-// crashBoundary advances the lattice to the next absolute 6-hour
-// boundary. Absolute boundaries (rather than now+6h) keep a recovered
-// run — which resumes mid-interval at the kill time — on the same
-// observation grid as the uninterrupted baseline, so both runs stop
-// pumping at the same instant and their journals stay comparable.
-func crashBoundary(lat *core.Lattice) {
-	const step = 6 * sim.Hour
-	k := int(float64(lat.Engine.Now()) / float64(step))
-	lat.Engine.RunUntil(sim.Time(sim.Duration(k+1) * step))
-}
-
-// crashRun pushes the submission through the federation under sch.
-// With dir empty it is the uninterrupted baseline: kills are journaled
-// but do not stop the engine. With dir set the run is durable; every
-// kill stops the engine, the log tail is deliberately torn before the
-// first recovery, and core.Recover resumes the deployment from disk.
-func crashRun(seed int64, sch *faults.Schedule, dir string) (*crashOutcome, error) {
-	cfg := crashConfig(seed)
-	cfg.Faults = sch
-	cfg.Durable = dir
-	lat, err := core.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if dir == "" && lat.Faults != nil {
-		lat.Faults.SetCrashStops(false)
-	}
-	batch, err := lat.SubmitSubmission(crashSubmission())
-	if err != nil {
-		return nil, err
-	}
-	batchID := batch.ID
-	out := &crashOutcome{}
-	start := lat.Engine.Now()
-	deadline := start.Add(90 * sim.Day)
-	for lat.Engine.Now() < deadline {
-		crashBoundary(lat)
-		if lat.Faults != nil && lat.Faults.Crashed() {
-			if !out.torn {
-				// Model the torn final frame of a real crash: rip bytes
-				// off the last appended record before recovering.
-				fi, err := os.Stat(wal.LogPath(dir))
-				if err != nil {
-					return nil, err
-				}
-				if err := os.Truncate(wal.LogPath(dir), fi.Size()-3); err != nil {
-					return nil, err
-				}
-			}
-			lat, err = core.Recover(dir, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: recovery %d: %w", out.recoveries+1, err)
-			}
-			out.recoveries++
-			if lat.Recovery != nil && lat.Recovery.TornTail {
-				out.torn = true
-			}
-			continue
-		}
-		if st, err := lat.Service.Status(batchID); err == nil && st.Done {
-			break
-		}
-	}
-	st, err := lat.Service.Status(batchID)
-	if err != nil {
-		return nil, err
-	}
-	if !st.Done {
-		return nil, fmt.Errorf("experiments: batch not terminal after 90 days (%d/%d done)",
-			st.Completed+st.Failed, st.Total)
-	}
-	if err := lat.DurableErr(); err != nil {
-		return nil, err
-	}
-	live, ok := lat.Service.Batch(batchID)
-	if !ok {
-		return nil, fmt.Errorf("experiments: batch %s lost across recovery", batchID)
-	}
-	out.digest = lat.Obs.Journal.Digest()
-	out.terminal = lat.Obs.Journal.TerminalCounts()
-	out.jobs = len(live.Jobs)
-	out.sched = lat.Scheduler.Stats()
-	var lastDone sim.Time
-	var turnSum sim.Duration
-	for _, j := range live.Jobs {
-		if j.Status == metasched.StatusCompleted {
-			if j.CompletedAt > lastDone {
-				lastDone = j.CompletedAt
-			}
-			turnSum += j.CompletedAt.Sub(j.SubmittedAt)
-		}
-	}
-	out.m = BatchMetrics{
-		Jobs:      st.Total,
-		Completed: st.Completed,
-		Failed:    st.Failed,
-	}
-	if st.Completed > 0 {
-		out.m.Makespan = lastDone.Sub(start)
-		out.m.MeanTurnround = turnSum / sim.Duration(st.Completed)
-	}
-	out.m.Exposition = lat.Obs.Exposition()
-	return out, nil
-}
+func CrashSchedule() *faults.Schedule { return killSchedule(5, 11, 16) }
 
 // WALOverheadRun executes one hostile-schedule run — durability off
 // when durable is false, on (with a scratch directory) when true — so
 // the benchmark suite can price the write-ahead log.
 func WALOverheadRun(seed int64, durable bool) (BatchMetrics, error) {
-	dir := ""
-	if durable {
-		d, err := os.MkdirTemp("", "lattice-wal-bench-*")
-		if err != nil {
-			return BatchMetrics{}, err
-		}
-		//lint:allow errdrop -- scratch cleanup; the metrics are already collected
-		defer os.RemoveAll(d)
-		dir = d
-	}
-	o, err := crashRun(seed, core.DefaultFaultSchedule(), dir)
-	if err != nil {
-		return BatchMetrics{}, err
-	}
-	return o.m, nil
+	return measure(batchScenario("crash@example.edu", core.DefaultFaultSchedule, durable), seed)
 }
 
-// CrashScenario runs the crash-recovery experiment: the uninterrupted
-// baseline, then the same seed killed at every scheduled crash point
-// and recovered from the write-ahead log.
+// CrashScenario runs the crash-recovery experiment: the same seed
+// killed at every scheduled crash point and recovered from the
+// write-ahead log, beside its uninterrupted twin.
 func CrashScenario(seed int64) (*CrashResult, error) {
-	sch := CrashSchedule()
-	base, err := crashRun(seed, sch, "")
+	crashed, base, err := twin(batchScenario("crash@example.edu", CrashSchedule, true), seed)
 	if err != nil {
 		return nil, err
 	}
-	dir, err := os.MkdirTemp("", "lattice-crash-*")
-	if err != nil {
-		return nil, err
-	}
-	//lint:allow errdrop -- scratch cleanup; the evidence is already collected
-	defer os.RemoveAll(dir)
-	crashed, err := crashRun(seed, sch, dir+"/wal")
-	if err != nil {
-		return nil, err
-	}
-	r := &CrashResult{
-		Jobs:          crashed.jobs,
-		Kills:         len(sch.CrashAt),
+	return &CrashResult{
+		Jobs:          crashed.m.Jobs,
+		Kills:         len(CrashSchedule().CrashAt),
 		Recoveries:    crashed.recoveries,
 		TornRecovered: crashed.torn,
+		Conserved:     crashed.conserved,
+		DigestsEqual:  crashed.same(base),
 		Digest:        crashed.digest,
 		Results: map[string]BatchMetrics{
 			"uninterrupted": base.m,
 			"crashed":       crashed.m,
 		},
-	}
-	r.Conserved = len(crashed.terminal) >= crashed.jobs
-	for _, n := range crashed.terminal {
-		if n != 1 {
-			r.Conserved = false
-			break
-		}
-	}
-	r.DigestsEqual = crashed.digest == base.digest &&
-		crashed.m.Exposition == base.m.Exposition
-	row := func(name string, o *crashOutcome) []string {
-		return []string{
-			name,
-			fmt.Sprintf("%d", o.m.Jobs),
-			fmt.Sprintf("%d", o.m.Completed),
-			fmt.Sprintf("%d", o.m.Failed),
-			hours(o.m.Makespan),
-			fmt.Sprintf("%d", o.recoveries),
-			fmt.Sprintf("%d", o.sched.Requeued),
-			fmt.Sprintf("%d", o.sched.SubmitRetries),
-		}
-	}
-	r.Rows = [][]string{row("uninterrupted", base), row("crashed", crashed)}
-	return r, nil
+		Rows: [][]string{
+			base.row("uninterrupted", base.recoveries, base.sched.Requeued, base.sched.SubmitRetries),
+			crashed.row("crashed", crashed.recoveries, crashed.sched.Requeued, crashed.sched.SubmitRetries),
+		},
+	}, nil
 }
 
 func (r *CrashResult) String() string {

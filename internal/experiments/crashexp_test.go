@@ -6,11 +6,13 @@ func TestCrashScenarioShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid simulation experiment")
 	}
+	t.Parallel()
 	r, err := CrashScenario(11)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("\n%s", r)
+	golden(t, "crash", r.String())
 	if r.Kills < 3 {
 		t.Errorf("schedule holds %d kills, want >= 3", r.Kills)
 	}

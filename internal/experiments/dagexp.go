@@ -2,16 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"os"
 
-	"lattice/internal/core"
 	"lattice/internal/dag"
 	"lattice/internal/faults"
-	"lattice/internal/metasched"
 	"lattice/internal/obs"
 	"lattice/internal/phylo"
 	"lattice/internal/sim"
-	"lattice/internal/wal"
 	"lattice/internal/workload"
 )
 
@@ -47,9 +43,9 @@ type DagResult struct {
 	Rows   [][]string
 }
 
-// dagSubmissionSpec is the per-stage job spec: hour-scale searches so
-// the graph stays in flight long enough for scheduling (and, in the
-// crash variant, every kill) to land on running work.
+// dagSubmissionSpec is the fault, crash and workflow experiments' job
+// spec: hour-scale searches keep the work in flight long enough for
+// every fault window and every kill to land on running jobs.
 func dagSubmissionSpec() workload.JobSpec {
 	return workload.JobSpec{
 		DataType: phylo.Nucleotide, SubstModel: "GTR",
@@ -67,117 +63,31 @@ func dagWorkflow(seed int64) workload.Workflow {
 		dagSubmissionSpec(), 16, 150)
 }
 
-// dagOutcome is one workflow run's collected evidence.
-type dagOutcome struct {
-	m        BatchMetrics
-	digest   string
-	terminal map[string]int
-	status   dag.RunStatus
-	events   []obs.Event // full journal
-	sched    metasched.Stats
-	// meanWait is the mean stage-queue wait: how long a stage sat
-	// between becoming logically ready (all dependencies done) and its
-	// batch being submitted.
-	meanWait   sim.Duration
-	recoveries int
-	torn       bool
+// dagScenario submits the four-stage workflow to the crashConfig
+// federation and runs until the workflow is terminal. Only the
+// workflow itself is a durable input: a recovered run regenerates
+// every stage batch by re-execution.
+func dagScenario(sch func() *faults.Schedule, durable bool) scenario {
+	sc := gridScenario(crashConfig, func(r *run) error {
+		_, err := r.lats[0].SubmitWorkflow(dagWorkflow(r.seed))
+		return err
+	}, 90*sim.Day)
+	sc.done = func(r *run) bool {
+		wfs := r.lats[0].Workflows
+		for _, id := range wfs.Runs() {
+			if st, err := wfs.Status(id); err != nil || st.State == dag.RunRunning {
+				return false
+			}
+		}
+		return true
+	}
+	return under(sc, sch, durable)
 }
 
-// dagRun submits the four-stage workflow to a crashConfig federation
-// and pumps the engine until the run is terminal. With dir empty the
-// run is in-memory (kills, if scheduled, are journaled but do not stop
-// the engine); with dir set the run is durable, every kill stops the
-// engine, the log tail is torn before the first recovery, and
-// core.Recover resumes the deployment — workflow graph included — from
-// the WAL.
-func dagRun(seed int64, sch *faults.Schedule, dir string) (*dagOutcome, error) {
-	cfg := crashConfig(seed)
-	cfg.Faults = sch
-	cfg.Durable = dir
-	lat, err := core.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if dir == "" && lat.Faults != nil {
-		lat.Faults.SetCrashStops(false)
-	}
-	run, err := lat.SubmitWorkflow(dagWorkflow(seed))
-	if err != nil {
-		return nil, err
-	}
-	runID := run.ID
-	out := &dagOutcome{}
-	start := lat.Engine.Now()
-	deadline := start.Add(90 * sim.Day)
-	for lat.Engine.Now() < deadline {
-		crashBoundary(lat)
-		if lat.Faults != nil && lat.Faults.Crashed() {
-			if !out.torn {
-				fi, err := os.Stat(wal.LogPath(dir))
-				if err != nil {
-					return nil, err
-				}
-				if err := os.Truncate(wal.LogPath(dir), fi.Size()-3); err != nil {
-					return nil, err
-				}
-			}
-			lat, err = core.Recover(dir, cfg)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: workflow recovery %d: %w", out.recoveries+1, err)
-			}
-			out.recoveries++
-			if lat.Recovery != nil && lat.Recovery.TornTail {
-				out.torn = true
-			}
-			continue
-		}
-		if st, err := lat.Workflows.Status(runID); err == nil && st.State != dag.RunRunning {
-			break
-		}
-	}
-	st, err := lat.Workflows.Status(runID)
-	if err != nil {
-		return nil, err
-	}
-	if st.State == dag.RunRunning {
-		return nil, fmt.Errorf("experiments: workflow not terminal after 90 days: %+v", st)
-	}
-	if err := lat.DurableErr(); err != nil {
-		return nil, err
-	}
-	out.status = st
-	out.digest = lat.Obs.Journal.Digest()
-	out.terminal = lat.Obs.Journal.TerminalCounts()
-	out.events = lat.Obs.Journal.Events()
-	out.sched = lat.Scheduler.Stats()
-
-	var completed, failed int
-	var turnSum sim.Duration
-	for _, ss := range st.Stages {
-		b, ok := lat.Service.Batch(ss.BatchID)
-		if !ok {
-			continue
-		}
-		out.m.Jobs += len(b.Jobs)
-		for _, j := range b.Jobs {
-			if j.Status != metasched.StatusCompleted {
-				if j.Status == metasched.StatusFailed {
-					failed++
-				}
-				continue
-			}
-			completed++
-			turnSum += j.CompletedAt.Sub(j.SubmittedAt)
-		}
-	}
-	out.m.Completed, out.m.Failed = completed, failed
-	if completed > 0 {
-		out.m.Makespan = st.DoneAt.Sub(start)
-		out.m.MeanTurnround = turnSum / sim.Duration(completed)
-	}
-	out.meanWait = stageQueueWait(st, dagWorkflow(seed))
-	out.m.Exposition = lat.Obs.Exposition()
-	return out, nil
+// dagStatus is the finished workflow's status.
+func dagStatus(o *outcome) (dag.RunStatus, error) {
+	wfs := o.lats[0].Workflows
+	return wfs.Status(wfs.Runs()[0])
 }
 
 // stageQueueWait averages, over the workflow's stages, the time
@@ -197,9 +107,7 @@ func stageQueueWait(st dag.RunStatus, wf workload.Workflow) sim.Duration {
 	for _, stage := range wf.Stages {
 		ready := st.SubmittedAt
 		for _, dep := range stage.After {
-			if doneAt[dep] > ready {
-				ready = doneAt[dep]
-			}
+			ready = max(ready, doneAt[dep])
 		}
 		sum += startAt[stage.ID].Sub(ready)
 	}
@@ -209,11 +117,11 @@ func stageQueueWait(st dag.RunStatus, wf workload.Workflow) sim.Duration {
 // dagOrderOK checks readiness against the journal: a stage's
 // wf-dispatch event must come after the wf-stage-done events of every
 // dependency.
-func dagOrderOK(o *dagOutcome, wf workload.Workflow) bool {
+func dagOrderOK(events []obs.Event, st dag.RunStatus, wf workload.Workflow) bool {
 	dispatch := make(map[string]int)
 	done := make(map[string]int)
-	for i, ev := range o.events {
-		if ev.Batch != o.status.ID {
+	for i, ev := range events {
+		if ev.Batch != st.ID {
 			continue
 		}
 		switch ev.Stage {
@@ -242,13 +150,13 @@ func dagOrderOK(o *dagOutcome, wf workload.Workflow) bool {
 
 // dagShortOnService checks placement policy against the journal: no
 // place event of a Short stage's batch may name a BOINC resource.
-func dagShortOnService(o *dagOutcome, wf workload.Workflow, boincNames map[string]bool) bool {
+func dagShortOnService(events []obs.Event, status dag.RunStatus, wf workload.Workflow, boincNames map[string]bool) bool {
 	shortBatch := make(map[string]bool)
 	for _, st := range wf.Stages {
 		if !st.Short {
 			continue
 		}
-		for _, ss := range o.status.Stages {
+		for _, ss := range status.Stages {
 			if ss.ID == st.ID && ss.BatchID != "" {
 				shortBatch[ss.BatchID] = true
 			}
@@ -257,23 +165,8 @@ func dagShortOnService(o *dagOutcome, wf workload.Workflow, boincNames map[strin
 	if len(shortBatch) == 0 {
 		return false
 	}
-	for _, ev := range o.events {
+	for _, ev := range events {
 		if ev.Stage == obs.StagePlace && shortBatch[ev.Batch] && boincNames[ev.Resource] {
-			return false
-		}
-	}
-	return true
-}
-
-// dagConserved checks job conservation: every journaled grid job
-// reached exactly one terminal state, and every expanded stage job was
-// journaled.
-func dagConserved(o *dagOutcome) bool {
-	if len(o.terminal) < o.m.Jobs {
-		return false
-	}
-	for _, n := range o.terminal {
-		if n != 1 {
 			return false
 		}
 	}
@@ -283,15 +176,16 @@ func dagConserved(o *dagOutcome) bool {
 // DagScenario runs the workflow experiment: the four-stage analysis
 // twice with the same seed on a calm grid.
 func DagScenario(seed int64) (*DagResult, error) {
-	first, err := dagRun(seed, nil, "")
+	first, again, err := twin(dagScenario(nil, false), seed)
 	if err != nil {
 		return nil, err
 	}
-	again, err := dagRun(seed, nil, "")
+	st, err := dagStatus(first)
 	if err != nil {
 		return nil, err
 	}
 	wf := dagWorkflow(seed)
+	events := first.lats[0].Obs.Journal.Events()
 	boincNames := make(map[string]bool)
 	for _, rs := range crashConfig(seed).Resources {
 		if rs.Kind == "boinc" {
@@ -299,17 +193,16 @@ func DagScenario(seed int64) (*DagResult, error) {
 		}
 	}
 	r := &DagResult{
-		Stages:         len(first.status.Stages),
+		Stages:         len(st.Stages),
 		Jobs:           first.m.Jobs,
-		RunState:       first.status.State,
-		OrderOK:        dagOrderOK(first, wf),
-		ShortOnService: dagShortOnService(first, wf, boincNames),
-		Conserved:      dagConserved(first),
+		RunState:       st.State,
+		OrderOK:        dagOrderOK(events, st, wf),
+		ShortOnService: dagShortOnService(events, st, wf, boincNames),
+		Conserved:      first.conserved,
 		Digest:         first.digest,
-		DigestsEqual: first.digest == again.digest &&
-			first.m.Exposition == again.m.Exposition,
+		DigestsEqual:   first.same(again),
 	}
-	for _, ss := range first.status.Stages {
+	for _, ss := range st.Stages {
 		r.Rows = append(r.Rows, []string{
 			ss.ID, string(ss.State),
 			fmt.Sprintf("%d", ss.Attempts),
@@ -368,60 +261,35 @@ type DagCrashResult struct {
 // coordinator kills placed inside the workflow's makespan: one during
 // the root stage's fan-out, two while the search and bootstrap
 // branches are in flight.
-func DagCrashSchedule() *faults.Schedule {
-	sch := core.DefaultFaultSchedule()
-	sch.CrashAt = []sim.Time{
-		sim.Time(4 * sim.Hour),
-		sim.Time(9 * sim.Hour),
-		sim.Time(14 * sim.Hour),
-	}
-	return sch
-}
+func DagCrashSchedule() *faults.Schedule { return killSchedule(4, 9, 14) }
 
 // DagCrashScenario runs the workflow crash experiment: the
 // uninterrupted baseline, then the same seed killed at every scheduled
 // crash point and recovered from the write-ahead log.
 func DagCrashScenario(seed int64) (*DagCrashResult, error) {
-	sch := DagCrashSchedule()
-	base, err := dagRun(seed, sch, "")
+	crashed, base, err := twin(dagScenario(DagCrashSchedule, true), seed)
 	if err != nil {
 		return nil, err
 	}
-	dir, err := os.MkdirTemp("", "lattice-dagcrash-*")
+	st, err := dagStatus(crashed)
 	if err != nil {
 		return nil, err
 	}
-	//lint:allow errdrop -- scratch cleanup; the evidence is already collected
-	defer os.RemoveAll(dir)
-	crashed, err := dagRun(seed, sch, dir+"/wal")
-	if err != nil {
-		return nil, err
-	}
-	r := &DagCrashResult{
-		Stages:        len(crashed.status.Stages),
+	return &DagCrashResult{
+		Stages:        len(st.Stages),
 		Jobs:          crashed.m.Jobs,
-		Kills:         len(sch.CrashAt),
+		Kills:         len(DagCrashSchedule().CrashAt),
 		Recoveries:    crashed.recoveries,
 		TornRecovered: crashed.torn,
-		RunState:      crashed.status.State,
-		Conserved:     dagConserved(crashed),
+		RunState:      st.State,
+		Conserved:     crashed.conserved,
 		Digest:        crashed.digest,
-		DigestsEqual: crashed.digest == base.digest &&
-			crashed.m.Exposition == base.m.Exposition,
-	}
-	row := func(name string, o *dagOutcome) []string {
-		return []string{
-			name,
-			fmt.Sprintf("%d", o.m.Jobs),
-			fmt.Sprintf("%d", o.m.Completed),
-			fmt.Sprintf("%d", o.m.Failed),
-			hours(o.m.Makespan),
-			fmt.Sprintf("%d", o.recoveries),
-			fmt.Sprintf("%d", o.sched.Requeued),
-		}
-	}
-	r.Rows = [][]string{row("uninterrupted", base), row("crashed", crashed)}
-	return r, nil
+		DigestsEqual:  crashed.same(base),
+		Rows: [][]string{
+			base.row("uninterrupted", base.recoveries, base.sched.Requeued),
+			crashed.row("crashed", crashed.recoveries, crashed.sched.Requeued),
+		},
+	}, nil
 }
 
 func (r *DagCrashResult) String() string {
@@ -448,47 +316,43 @@ const flatPollInterval = 6 * sim.Hour
 // mean stage-queue wait (dependency-done → stage-submitted).
 func WorkflowOverheadRun(seed int64, useDag bool) (BatchMetrics, sim.Duration, error) {
 	if useDag {
-		o, err := dagRun(seed, nil, "")
+		o, err := execute(dagScenario(nil, false), seed)
 		if err != nil {
 			return BatchMetrics{}, 0, err
 		}
-		return o.m, o.meanWait, nil
-	}
-	cfg := crashConfig(seed)
-	lat, err := core.New(cfg)
-	if err != nil {
-		return BatchMetrics{}, 0, err
+		st, err := dagStatus(o)
+		if err != nil {
+			return BatchMetrics{}, 0, err
+		}
+		return o.m, stageQueueWait(st, dagWorkflow(seed)), nil
 	}
 	wf := dagWorkflow(seed)
-	start := lat.Engine.Now()
 	batchOf := make(map[string]string, len(wf.Stages))
 	var waitSum sim.Duration
-	// submitReady submits every unsubmitted stage whose dependencies'
-	// batches are done, charging the gap since the last dependency
-	// finished as the stage's queue wait. Stages are declared in
-	// topological order, so one sweep per poll suffices.
-	submitReady := func() error {
+	var chainErr error
+	// submitReady is the user at the keyboard: it submits every
+	// unsubmitted stage whose dependencies' batches are done, charging
+	// the gap since the last dependency finished as the stage's queue
+	// wait. Stages are declared in topological order, so one sweep per
+	// poll suffices. The chain's state lives in this function because
+	// the run is never twinned.
+	submitReady := func(r *run) error {
+		lat := r.lats[0]
 		for i := range wf.Stages {
 			st := wf.Stages[i]
 			if _, ok := batchOf[st.ID]; ok {
 				continue
 			}
-			ready := start
+			var ready sim.Time
 			blocked := false
 			for _, dep := range st.After {
-				id, ok := batchOf[dep]
-				if !ok {
-					blocked = true
-					break
-				}
-				bst, err := lat.Service.Status(id)
+				// An unsubmitted dependency has no batch ID: Status errs.
+				bst, err := lat.Service.Status(batchOf[dep])
 				if err != nil || !bst.Done {
 					blocked = true
 					break
 				}
-				if bst.DoneAt > ready {
-					ready = bst.DoneAt
-				}
+				ready = max(ready, bst.DoneAt)
 			}
 			if blocked {
 				continue
@@ -510,60 +374,18 @@ func WorkflowOverheadRun(seed int64, useDag bool) (BatchMetrics, sim.Duration, e
 		}
 		return nil
 	}
-	if err := submitReady(); err != nil {
+	sc := gridScenario(crashConfig, submitReady, 90*sim.Day)
+	sc.step = flatPollInterval
+	sc.done = func(r *run) bool {
+		chainErr = submitReady(r)
+		return chainErr != nil || len(batchOf) == len(wf.Stages) && batchesDone(r)
+	}
+	o, err := execute(sc, seed)
+	if err == nil {
+		err = chainErr
+	}
+	if err != nil {
 		return BatchMetrics{}, 0, err
 	}
-	deadline := start.Add(90 * sim.Day)
-	for lat.Engine.Now() < deadline {
-		lat.Run(flatPollInterval)
-		if err := submitReady(); err != nil {
-			return BatchMetrics{}, 0, err
-		}
-		if len(batchOf) == len(wf.Stages) {
-			done := true
-			for _, id := range batchOf {
-				if st, err := lat.Service.Status(id); err != nil || !st.Done {
-					done = false
-					break
-				}
-			}
-			if done {
-				break
-			}
-		}
-	}
-	if len(batchOf) != len(wf.Stages) {
-		return BatchMetrics{}, 0, fmt.Errorf("experiments: flat chain stalled: %d of %d stages submitted",
-			len(batchOf), len(wf.Stages))
-	}
-	m := BatchMetrics{}
-	var turnSum sim.Duration
-	var lastDone sim.Time
-	for _, id := range batchOf {
-		b, ok := lat.Service.Batch(id)
-		if !ok {
-			return BatchMetrics{}, 0, fmt.Errorf("experiments: flat batch %s lost", id)
-		}
-		m.Jobs += len(b.Jobs)
-		for _, j := range b.Jobs {
-			switch j.Status {
-			case metasched.StatusCompleted:
-				m.Completed++
-				turnSum += j.CompletedAt.Sub(j.SubmittedAt)
-				if j.CompletedAt > lastDone {
-					lastDone = j.CompletedAt
-				}
-			case metasched.StatusFailed:
-				m.Failed++
-			default:
-				return BatchMetrics{}, 0, fmt.Errorf("experiments: flat job %s not terminal", j.Desc.JobID)
-			}
-		}
-	}
-	if m.Completed > 0 {
-		m.Makespan = lastDone.Sub(start)
-		m.MeanTurnround = turnSum / sim.Duration(m.Completed)
-	}
-	m.Exposition = lat.Obs.Exposition()
-	return m, waitSum / sim.Duration(len(wf.Stages)), nil
+	return o.m, waitSum / sim.Duration(len(wf.Stages)), nil
 }

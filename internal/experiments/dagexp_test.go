@@ -6,11 +6,13 @@ func TestDagScenarioShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid simulation experiment")
 	}
+	t.Parallel()
 	r, err := DagScenario(11)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("\n%s", r)
+	golden(t, "dag", r.String())
 	if r.Stages != 4 {
 		t.Errorf("workflow has %d stages, want 4", r.Stages)
 	}
@@ -41,11 +43,13 @@ func TestDagCrashScenarioShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid simulation experiment")
 	}
+	t.Parallel()
 	r, err := DagCrashScenario(11)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("\n%s", r)
+	golden(t, "dagcrash", r.String())
 	if r.Kills < 3 {
 		t.Errorf("schedule holds %d kills, want >= 3", r.Kills)
 	}

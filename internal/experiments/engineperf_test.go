@@ -11,6 +11,7 @@ import (
 // deterministic across worker counts. (The committed BENCH_PR2.json
 // regenerates the full-size numbers; see EXPERIMENTS.md.)
 func TestEnginePerfShape(t *testing.T) {
+	t.Parallel()
 	r, err := EnginePerf(1, 12, 200, 40)
 	if err != nil {
 		t.Fatal(err)

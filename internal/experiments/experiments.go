@@ -12,13 +12,11 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"lattice/internal/boinc"
 	"lattice/internal/core"
 	"lattice/internal/estimate"
-	"lattice/internal/gsbl"
 	"lattice/internal/metasched"
 	"lattice/internal/sim"
 	"lattice/internal/workload"
@@ -87,121 +85,44 @@ type BatchMetrics struct {
 	Exposition string
 }
 
-// gridRun owns one configured Lattice and runs workloads through it.
-type gridRun struct {
-	lat  *core.Lattice
-	seed int64
-}
-
-// newGridRun builds a Lattice with the given scheduler config on the
-// standard test federation.
-func newGridRun(seed int64, sched metasched.Config, trainJobs int, boincHosts int) (*gridRun, error) {
-	cfg := core.DefaultConfig(seed)
-	cfg.Scheduler = sched
-	cfg.TrainingJobs = trainJobs
-	for i := range cfg.Resources {
-		if cfg.Resources[i].Kind == "boinc" {
-			pop := boinc.DefaultPopulation(boincHosts)
-			cfg.Resources[i].Population = &pop
-		}
-	}
-	lat, err := core.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &gridRun{lat: lat, seed: seed}, nil
-}
-
-// runSubmissions pushes the submissions through the grid and collects
-// metrics once all jobs are terminal (or the deadline passes).
-func (g *gridRun) runSubmissions(subs []workload.Submission, deadline sim.Duration) (BatchMetrics, error) {
-	return g.runSubmissionsPaced(subs, 0, deadline)
-}
-
-// runSubmissionsPaced spaces submissions by interarrival so the
-// scheduler reacts to evolving load instead of one stale MDS snapshot.
-func (g *gridRun) runSubmissionsPaced(subs []workload.Submission, interarrival, deadline sim.Duration) (BatchMetrics, error) {
-	var batches []*gsbl.Batch
-	var submitErr error
-	for i, sub := range subs {
-		sub := sub
-		g.lat.Engine.Schedule(sim.Duration(i)*interarrival, func() {
-			b, err := g.lat.SubmitSubmission(sub)
-			if err != nil {
-				submitErr = err
-				return
-			}
-			batches = append(batches, b)
-		})
-	}
-	g.lat.Engine.RunUntil(g.lat.Engine.Now().Add(sim.Duration(len(subs)) * interarrival))
-	if submitErr != nil {
-		return BatchMetrics{}, submitErr
-	}
-	start := g.lat.Engine.Now()
-	end := start.Add(deadline)
-	for g.lat.Engine.Now() < end {
-		g.lat.Engine.RunUntil(g.lat.Engine.Now().Add(6 * sim.Hour))
-		if allDone(g.lat, batches) {
-			break
-		}
-	}
-	m := BatchMetrics{}
-	var lastDone sim.Time
-	var turnSum sim.Duration
-	var doneTimes []sim.Time
-	for _, b := range batches {
-		st, err := g.lat.Service.Status(b.ID)
-		if err != nil {
-			return m, err
-		}
-		m.Jobs += st.Total
-		m.Completed += st.Completed
-		m.Failed += st.Failed
-		for _, j := range b.Jobs {
-			if j.Status == metasched.StatusCompleted {
-				if j.CompletedAt > lastDone {
-					lastDone = j.CompletedAt
-				}
-				turnSum += j.CompletedAt.Sub(j.SubmittedAt)
-				doneTimes = append(doneTimes, j.CompletedAt)
+// standardFederation is the paper's default federation with the given
+// scheduler policy, estimator training-matrix size and volunteer-pool
+// population.
+func standardFederation(sched metasched.Config, trainJobs, boincHosts int) func(seed int64) core.Config {
+	return func(seed int64) core.Config {
+		cfg := core.DefaultConfig(seed)
+		cfg.Scheduler = sched
+		cfg.TrainingJobs = trainJobs
+		for i := range cfg.Resources {
+			if cfg.Resources[i].Kind == "boinc" {
+				pop := boinc.DefaultPopulation(boincHosts)
+				cfg.Resources[i].Population = &pop
 			}
 		}
+		return cfg
 	}
-	if m.Completed > 0 {
-		m.Makespan = lastDone.Sub(start)
-		m.MeanTurnround = turnSum / sim.Duration(m.Completed)
-		sort.Slice(doneTimes, func(i, j int) bool { return doneTimes[i] < doneTimes[j] })
-		idx := int(float64(m.Jobs)*0.95) - 1
-		if idx >= len(doneTimes) {
-			idx = len(doneTimes) - 1
-		}
-		if idx >= 0 {
-			m.P95Completion = doneTimes[idx].Sub(start)
-		}
-	} else {
-		m.Makespan = deadline
-		m.P95Completion = deadline
-	}
-	for _, name := range g.lat.ResourceNames() {
-		r, _ := g.lat.Resource(name)
-		st := r.Stats()
-		m.UsefulCPUHours += st.CPUSeconds / 3600
-		m.WastedCPUHours += st.WastedCPU / 3600
-		m.Preemptions += st.Preemptions
-	}
-	m.Exposition = g.lat.Obs.Exposition()
-	return m, nil
 }
 
-func allDone(lat *core.Lattice, batches []*gsbl.Batch) bool {
-	for _, b := range batches {
-		st, err := lat.Service.Status(b.ID)
-		if err != nil || !st.Done {
-			return false
-		}
+// gridScenario is the shape every flat grid experiment shares: one
+// coordinator, a batch workload, observed every six hours until every
+// batch is terminal.
+func gridScenario(federation func(seed int64) core.Config, load func(*run) error, deadline sim.Duration) scenario {
+	return scenario{
+		federation: federation,
+		step:       6 * sim.Hour,
+		deadline:   deadline,
+		load:       load,
+		done:       batchesDone,
 	}
-	return true
+}
+
+// predicting wraps a load so the scheduler plans with p instead of the
+// coordinator's trained model.
+func predicting(p metasched.Predictor, load func(*run) error) func(*run) error {
+	return func(r *run) error {
+		r.lats[0].Scheduler.SetPredictor(p)
+		return load(r)
+	}
 }
 
 // standardWorkload draws n submissions from the portal population with

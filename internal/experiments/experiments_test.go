@@ -12,6 +12,7 @@ import (
 // are the executable form of EXPERIMENTS.md.
 
 func TestFig2Shape(t *testing.T) {
+	t.Parallel()
 	r, err := Fig2(1, 150, 1000)
 	if err != nil {
 		t.Fatal(err)
@@ -41,11 +42,13 @@ func TestFig2Shape(t *testing.T) {
 }
 
 func TestCrossValidationQuality(t *testing.T) {
+	t.Parallel()
 	r, err := CrossValidation(2, 150, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("\n%s", r)
+	golden(t, "e3cv", r.String())
 	if r.Metrics.Correlation < 0.8 {
 		t.Errorf("CV correlation %.3f too weak to 'greatly improve scheduling effectiveness'", r.Metrics.Correlation)
 	}
@@ -58,11 +61,13 @@ func TestSchedulerRankingShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid simulation experiment")
 	}
+	t.Parallel()
 	r, err := SchedulerRanking(3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("\n%s", r)
+	golden(t, "e4", r.String())
 	naive := r.Results["naive"]
 	full := r.Results["full"]
 	if full.MeanTurnround >= naive.MeanTurnround {
@@ -78,11 +83,13 @@ func TestStabilityGatingShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid simulation experiment")
 	}
+	t.Parallel()
 	r, err := StabilityGating(4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("\n%s", r)
+	golden(t, "e5", r.String())
 	ungated := r.Results["no gating (speed-aware)"]
 	gated := r.Results["estimate gating (full)"]
 	if gated.WastedCPUHours >= ungated.WastedCPUHours {
@@ -98,11 +105,13 @@ func TestSchedulingEffectShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid simulation experiment")
 	}
+	t.Parallel()
 	r, err := SchedulingEffect(5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("\n%s", r)
+	golden(t, "e3", r.String())
 	blind := r.Results["no estimates"]
 	informed := r.Results["random-forest estimates"]
 	if informed.WastedCPUHours > blind.WastedCPUHours {
@@ -112,11 +121,13 @@ func TestSchedulingEffectShape(t *testing.T) {
 }
 
 func TestSpeedCalibrationShape(t *testing.T) {
+	t.Parallel()
 	r, err := SpeedCalibration(6)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("\n%s", r)
+	golden(t, "e6", r.String())
 	// Homogeneous clusters must calibrate within a few percent; the
 	// heterogeneous pool within ~20%.
 	if r.MaxRelError > 0.25 {
@@ -128,11 +139,13 @@ func TestBoincDeadlinesShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("desktop-grid simulation experiment")
 	}
+	t.Parallel()
 	r, err := BoincDeadlines(7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("\n%s", r)
+	golden(t, "e7", r.String())
 	if r.EstimateDriven >= r.Fixed {
 		t.Errorf("estimate-driven deadlines did not cut batch latency: %.0f h vs %.0f h",
 			r.EstimateDriven.Hours(), r.Fixed.Hours())
@@ -143,11 +156,13 @@ func TestWorkFetchShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("desktop-grid simulation experiment")
 	}
+	t.Parallel()
 	r, err := WorkFetch(8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("\n%s", r)
+	golden(t, "e8", r.String())
 	if r.Informed >= r.Blind {
 		t.Errorf("estimates did not reduce scheduler RPCs per result: %.2f vs %.2f",
 			r.Informed, r.Blind)
@@ -158,11 +173,13 @@ func TestReplicateBundlingShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid simulation experiment")
 	}
+	t.Parallel()
 	r, err := ReplicateBundling(9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("\n%s", r)
+	golden(t, "e9", r.String())
 	if r.On >= r.Off {
 		t.Errorf("bundling did not cut overhead fraction: %.2f vs %.2f", r.On, r.Off)
 	}
@@ -175,11 +192,13 @@ func TestPortalScaleShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid simulation experiment")
 	}
+	t.Parallel()
 	r, err := PortalScale(10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("\n%s", r)
+	golden(t, "e10", r.String())
 	if !(r.Grid < r.Cluster && r.Cluster < r.Single) {
 		t.Errorf("scale ordering wrong: grid %.0f h, cluster %.0f h, single %.0f h",
 			r.Grid.Hours(), r.Cluster.Hours(), r.Single.Hours())
@@ -193,11 +212,13 @@ func TestContinuousRetrainingShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("model retraining experiment")
 	}
+	t.Parallel()
 	r, err := ContinuousRetraining(11)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("\n%s", r)
+	golden(t, "e13", r.String())
 	if r.Retrained >= r.Frozen {
 		t.Errorf("retraining did not reduce drift error: %.3f vs %.3f", r.Retrained, r.Frozen)
 	}
@@ -207,11 +228,13 @@ func TestCheckpointAlternativeShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid simulation experiment")
 	}
+	t.Parallel()
 	r, err := CheckpointAlternative(12)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("\n%s", r)
+	golden(t, "e14", r.String())
 	if r.CyclingOverhead <= r.GatingWaste {
 		t.Errorf("checkpoint cycling shows no extra overhead: %.1f vs %.1f CPU-h",
 			r.CyclingOverhead, r.GatingWaste)
@@ -222,11 +245,13 @@ func TestAblations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablation sweeps")
 	}
+	t.Parallel()
 	mtry, err := AblationMtry(13, 150)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("\n%s", mtry)
+	golden(t, "abl-mtry", mtry.String())
 	size, err := AblationForestSize(14, 150)
 	if err != nil {
 		t.Fatal(err)
@@ -237,6 +262,7 @@ func TestAblations(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("\n%s", imp)
+	golden(t, "abl-imp", imp.String())
 	if len(imp.Rows) != 9 {
 		t.Errorf("importance ablation has %d rows", len(imp.Rows))
 	}
@@ -246,11 +272,13 @@ func TestSystemScaleShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-scale federation simulation")
 	}
+	t.Parallel()
 	r, err := SystemScale(16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("\n%s", r)
+	golden(t, "e11", r.String())
 	if r.BoincHosts+serviceCores(r) < 5000 {
 		t.Errorf("nominal federation size %d below the paper's >5000 cores", r.BoincHosts+serviceCores(r))
 	}

@@ -3,11 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"lattice/internal/boinc"
 	"lattice/internal/core"
 	"lattice/internal/faults"
-	"lattice/internal/metasched"
-	"lattice/internal/phylo"
 	"lattice/internal/sim"
 	"lattice/internal/workload"
 )
@@ -37,162 +34,66 @@ type FaultResult struct {
 	Rows    [][]string
 }
 
-// faultOutcome is one grid run's collected evidence.
-type faultOutcome struct {
-	m        BatchMetrics
-	digest   string
-	terminal map[string]int
-	jobs     int
-	sched    metasched.Stats
-	injected map[faults.Kind]int
+// under puts a flat scenario under sch (nil: a calm grid). A durable
+// run dies at every kill sch schedules and resumes from its log, the
+// first time over a torn tail.
+func under(sc scenario, sch func() *faults.Schedule, durable bool) scenario {
+	if sch != nil {
+		sc.faults = func(int) *faults.Schedule { return sch() }
+	}
+	sc.durable, sc.tear = durable, durable
+	return sc
 }
 
-// faultRun pushes the fixed 200-replicate submission through a
-// DefaultConfig federation, optionally under a fault schedule, and
-// runs until the batch is terminal.
-func faultRun(seed int64, sch *faults.Schedule) (*faultOutcome, error) {
-	cfg := core.DefaultConfig(seed)
-	cfg.TrainingJobs = 60
-	cfg.Scheduler.BundleTargetSeconds = 0 // one grid job per replicate
-	cfg.Scheduler.StabilityAlpha = 0.2    // learn stability from observed failures
-	cfg.Faults = sch
-	for i := range cfg.Resources {
-		if cfg.Resources[i].Kind == "boinc" {
-			pop := boinc.DefaultPopulation(150)
-			cfg.Resources[i].Population = &pop
-		}
+// batchScenario pushes the fault experiments' workload — 200
+// replicates from user, hour-scale jobs that keep the batch in flight
+// for days, so every window of a hostile schedule and every kill lands
+// on running work — through the crashConfig federation until the batch
+// is terminal.
+func batchScenario(user string, sch func() *faults.Schedule, durable bool) scenario {
+	load := func(r *run) error {
+		return r.submit(workload.Submission{Spec: dagSubmissionSpec(), Replicates: 200, Bootstrap: true, UserEmail: user})
 	}
-	lat, err := core.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	// Hour-scale jobs: the batch stays in flight for days, so every
-	// window of the hostile schedule lands on running work.
-	sub := workload.Submission{
-		Spec: workload.JobSpec{
-			DataType: phylo.Nucleotide, SubstModel: "GTR",
-			RateHet: phylo.RateGamma, NumRateCats: 4, GammaShape: 0.5,
-			NumTaxa: 48, SeqLength: 2500, SearchReps: 24,
-			StartingTree: phylo.StartStepwise, AttachmentsPerTaxon: 30, Seed: 9,
-		},
-		Replicates: 200,
-		Bootstrap:  true,
-		UserEmail:  "faults@example.edu",
-	}
-	batch, err := lat.SubmitSubmission(sub)
-	if err != nil {
-		return nil, err
-	}
-	start := lat.Engine.Now()
-	deadline := start.Add(90 * sim.Day)
-	for lat.Engine.Now() < deadline {
-		lat.Run(6 * sim.Hour)
-		if st, err := lat.Service.Status(batch.ID); err == nil && st.Done {
-			break
-		}
-	}
-	st, err := lat.Service.Status(batch.ID)
-	if err != nil {
-		return nil, err
-	}
-	if !st.Done {
-		return nil, fmt.Errorf("faults: batch not terminal after 90 days (%d/%d done)",
-			st.Completed+st.Failed, st.Total)
-	}
-	out := &faultOutcome{
-		digest:   lat.Obs.Journal.Digest(),
-		terminal: lat.Obs.Journal.TerminalCounts(),
-		jobs:     len(batch.Jobs),
-		sched:    lat.Scheduler.Stats(),
-	}
-	if lat.Faults != nil {
-		out.injected = lat.Faults.Injected()
-	}
-	var lastDone sim.Time
-	var turnSum sim.Duration
-	for _, j := range batch.Jobs {
-		if j.Status == metasched.StatusCompleted {
-			if j.CompletedAt > lastDone {
-				lastDone = j.CompletedAt
-			}
-			turnSum += j.CompletedAt.Sub(j.SubmittedAt)
-		}
-	}
-	out.m = BatchMetrics{
-		Jobs:      st.Total,
-		Completed: st.Completed,
-		Failed:    st.Failed,
-	}
-	if st.Completed > 0 {
-		out.m.Makespan = lastDone.Sub(start)
-		out.m.MeanTurnround = turnSum / sim.Duration(st.Completed)
-	}
-	out.m.Exposition = lat.Obs.Exposition()
-	return out, nil
+	return under(gridScenario(crashConfig, load, 90*sim.Day), sch, durable)
 }
 
 // FaultOverheadRun executes one scenario grid run — calm when hostile
 // is false, under the default schedule when true — so the benchmark
 // suite can price the injector (the fault-off vs fault-on artifact).
 func FaultOverheadRun(seed int64, hostile bool) (BatchMetrics, error) {
-	var sch *faults.Schedule
+	var sch func() *faults.Schedule
 	if hostile {
-		sch = core.DefaultFaultSchedule()
+		sch = core.DefaultFaultSchedule
 	}
-	o, err := faultRun(seed, sch)
-	if err != nil {
-		return BatchMetrics{}, err
-	}
-	return o.m, nil
+	return measure(batchScenario("faults@example.edu", sch, false), seed)
 }
 
 // FaultScenario runs the fault-injection experiment: a calm baseline,
 // then the default hostile schedule twice with the same seed.
 func FaultScenario(seed int64) (*FaultResult, error) {
-	base, err := faultRun(seed, nil)
+	base, err := execute(batchScenario("faults@example.edu", nil, false), seed)
 	if err != nil {
 		return nil, err
 	}
-	hostile, err := faultRun(seed, core.DefaultFaultSchedule())
+	hostile, again, err := twin(batchScenario("faults@example.edu", core.DefaultFaultSchedule, false), seed)
 	if err != nil {
 		return nil, err
 	}
-	again, err := faultRun(seed, core.DefaultFaultSchedule())
-	if err != nil {
-		return nil, err
-	}
-	r := &FaultResult{
-		Jobs:     hostile.jobs,
-		Digest:   hostile.digest,
-		Injected: hostile.injected,
+	return &FaultResult{
+		Jobs:         hostile.m.Jobs,
+		Conserved:    hostile.conserved,
+		DigestsEqual: hostile.same(again),
+		Digest:       hostile.digest,
+		Injected:     hostile.injected,
 		Results: map[string]BatchMetrics{
 			"baseline": base.m,
 			"faulted":  hostile.m,
 		},
-	}
-	r.Conserved = len(hostile.terminal) >= hostile.jobs
-	for _, n := range hostile.terminal {
-		if n != 1 {
-			r.Conserved = false
-			break
-		}
-	}
-	r.DigestsEqual = hostile.digest == again.digest &&
-		hostile.m.Exposition == again.m.Exposition
-	row := func(name string, o *faultOutcome) []string {
-		return []string{
-			name,
-			fmt.Sprintf("%d", o.m.Jobs),
-			fmt.Sprintf("%d", o.m.Completed),
-			fmt.Sprintf("%d", o.m.Failed),
-			hours(o.m.Makespan),
-			fmt.Sprintf("%d", o.sched.Requeued),
-			fmt.Sprintf("%d", o.sched.SubmitRetries),
-			fmt.Sprintf("%d", o.sched.Retries),
-		}
-	}
-	r.Rows = [][]string{row("baseline", base), row("faulted", hostile)}
-	return r, nil
+		Rows: [][]string{
+			base.row("baseline", base.sched.Requeued, base.sched.SubmitRetries, base.sched.Retries),
+			hostile.row("faulted", hostile.sched.Requeued, hostile.sched.SubmitRetries, hostile.sched.Retries),
+		},
+	}, nil
 }
 
 func (r *FaultResult) String() string {

@@ -6,11 +6,13 @@ func TestFaultScenarioShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("grid simulation experiment")
 	}
+	t.Parallel()
 	r, err := FaultScenario(11)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("\n%s", r)
+	golden(t, "faults", r.String())
 	if !r.Conserved {
 		t.Error("conservation violated: a job missed or repeated its terminal state under faults")
 	}

@@ -11,10 +11,15 @@ import "testing"
 // brownout, and the unprotected baseline's p99 front-door wait blows
 // up by ≥ 10× while shedding nothing.
 func TestOverloadScenarioShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("grid simulation experiment")
+	}
+	t.Parallel()
 	r, err := OverloadScenario(1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	golden(t, "overload", r.String())
 	want := []int{1, 4}
 	if len(r.Points) != len(want) {
 		t.Fatalf("got %d protected points, want %d", len(r.Points), len(want))

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"lattice/internal/boinc"
 	"lattice/internal/core"
 	"lattice/internal/estimate"
 	"lattice/internal/lrm"
@@ -43,15 +42,11 @@ func ReplicateBundling(seed int64) (*BundlingResult, error) {
 		if !bundling {
 			sched.BundleTargetSeconds = 0
 		}
-		g, err := newGridRun(seed, sched, 100, 120)
-		if err != nil {
-			return nil, err
-		}
+		sub := workload.Submission{Spec: shortSpec, Replicates: 600, UserEmail: "boot@lab.edu", Bootstrap: true}
 		// Exact estimates isolate the bundling mechanism from model
 		// extrapolation error on jobs smaller than the training range.
-		g.lat.Scheduler.SetPredictor(oraclePredictor{})
-		sub := workload.Submission{Spec: shortSpec, Replicates: 600, UserEmail: "boot@lab.edu", Bootstrap: true}
-		m, err := g.runSubmissions([]workload.Submission{sub}, 60*sim.Day)
+		load := predicting(oraclePredictor{}, paced([]workload.Submission{sub}, 0))
+		m, err := measure(gridScenario(standardFederation(sched, 100, 120), load, 60*sim.Day), seed)
 		if err != nil {
 			return nil, err
 		}
@@ -105,31 +100,26 @@ func PortalScale(seed int64) (*PortalScaleResult, error) {
 	}
 	sub := workload.Submission{Spec: spec, Replicates: 2000, UserEmail: "atol@lab.edu", Bootstrap: true}
 
+	load := paced([]workload.Submission{sub}, 0)
+
 	// Full federation.
-	g, err := newGridRun(seed, metasched.DefaultConfig(), 100, 400)
+	o, err := execute(gridScenario(standardFederation(metasched.DefaultConfig(), 100, 400), load, 365*sim.Day), seed)
 	if err != nil {
 		return nil, err
 	}
-	m, err := g.runSubmissions([]workload.Submission{sub}, 365*sim.Day)
-	if err != nil {
-		return nil, err
-	}
+	m := o.m
 	res.Grid = m.P95Completion
-	res.Rows = append(res.Rows, []string{"The Lattice Project (full grid)", fmt.Sprintf("%d", g.lat.TotalCores()), hours(m.P95Completion), hours(m.Makespan)})
+	res.Rows = append(res.Rows, []string{"The Lattice Project (full grid)", fmt.Sprintf("%d", o.lats[0].TotalCores()), hours(m.P95Completion), hours(m.Makespan)})
 
 	// Single 64-core cluster.
-	single := core.Config{
-		Seed: seed, MDSTTL: 5 * sim.Minute, ProviderPeriod: sim.Minute,
-		Scheduler: metasched.DefaultConfig(), Estimator: estimate.DefaultConfig(), TrainingJobs: 100,
-		Resources: []core.ResourceSpec{{Kind: "pbs", Name: "one-cluster", Nodes: 64, Speed: 2.0, MemMB: 8192, Platform: lrm.LinuxX86}},
+	single := func(seed int64) core.Config {
+		return core.Config{
+			Seed: seed, MDSTTL: 5 * sim.Minute, ProviderPeriod: sim.Minute,
+			Scheduler: metasched.DefaultConfig(), Estimator: estimate.DefaultConfig(), TrainingJobs: 100,
+			Resources: []core.ResourceSpec{{Kind: "pbs", Name: "one-cluster", Nodes: 64, Speed: 2.0, MemMB: 8192, Platform: lrm.LinuxX86}},
+		}
 	}
-	lat, err := core.New(single)
-	if err != nil {
-		return nil, err
-	}
-	gr := &gridRun{lat: lat, seed: seed}
-	m, err = gr.runSubmissions([]workload.Submission{sub}, 3*365*sim.Day)
-	if err != nil {
+	if m, err = measure(gridScenario(single, load, 3*365*sim.Day), seed); err != nil {
 		return nil, err
 	}
 	res.Cluster = m.P95Completion
@@ -165,31 +155,28 @@ type SystemScaleResult struct {
 // (>5000 CPU cores, thousands of volunteer hosts) and verifies the
 // aggregate claims, then times a 15-CPU-year batch.
 func SystemScale(seed int64) (*SystemScaleResult, error) {
-	pop := boinc.DefaultPopulation(4600)
-	cfg := core.DefaultConfig(seed)
-	cfg.TrainingJobs = 100
-	for i := range cfg.Resources {
-		switch cfg.Resources[i].Kind {
-		case "boinc":
-			cfg.Resources[i].Population = &pop
-		case "condor":
-			cfg.Resources[i].Nodes *= 2
-		case "pbs", "sge":
-			cfg.Resources[i].Nodes *= 2
+	federation := func(seed int64) core.Config {
+		cfg := standardFederation(metasched.DefaultConfig(), 100, 4600)(seed)
+		for i := range cfg.Resources {
+			if cfg.Resources[i].Kind != "boinc" {
+				cfg.Resources[i].Nodes *= 2
+			}
 		}
+		return cfg
 	}
-	lat, err := core.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	res := &SystemScaleResult{TotalCores: lat.TotalCores(), BoincHosts: lat.Boinc.NumHosts()}
-	plats := map[lrm.Platform]bool{}
-	for _, e := range lat.Index.Snapshot() {
-		for _, p := range e.Info.Platforms {
-			plats[p] = true
+	res := &SystemScaleResult{}
+	// census reads the aggregate claims off the federation as built,
+	// before the batch perturbs it.
+	census := func(lat *core.Lattice) {
+		res.TotalCores, res.BoincHosts = lat.TotalCores(), lat.Boinc.NumHosts()
+		plats := map[lrm.Platform]bool{}
+		for _, e := range lat.Index.Snapshot() {
+			for _, p := range e.Info.Platforms {
+				plats[p] = true
+			}
 		}
+		res.Platforms = len(plats)
 	}
-	res.Platforms = len(plats)
 
 	// A 15-CPU-year batch of AToL-scale analyses (~20 reference-hours
 	// per job, the simulation-study scale of the paper's first grid).
@@ -211,8 +198,11 @@ func SystemScale(seed int64) (*SystemScaleResult, error) {
 		subs = append(subs, workload.Submission{Spec: spec, Replicates: n, UserEmail: "sim@lab.edu", Bootstrap: true})
 		remaining -= n
 	}
-	g := &gridRun{lat: lat, seed: seed}
-	m, err := g.runSubmissions(subs, 360*sim.Day)
+	load := func(r *run) error {
+		census(r.lats[0])
+		return paced(subs, 0)(r)
+	}
+	m, err := measure(gridScenario(federation, load, 360*sim.Day), seed)
 	if err != nil {
 		return nil, err
 	}

@@ -2,14 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"os"
+	"slices"
 
 	"lattice/internal/core"
 	"lattice/internal/faults"
 	"lattice/internal/gsbl"
 	"lattice/internal/metasched"
 	"lattice/internal/phylo"
-	"lattice/internal/shard"
 	"lattice/internal/sim"
 	"lattice/internal/workload"
 )
@@ -34,25 +33,24 @@ const scaleCrashShard = 2
 // so shard counts differ only in how the same offered load is split.
 const scaleArrivalWindow = 6 * sim.Hour
 
-// scaleFederation is the scale experiment's grid: sixteen identical
-// PBS clusters, so every partition of the federation has the same
-// aggregate capacity per shard and the measured effect is pure
-// front-door serialization, not resource luck. The estimator is off
-// (TrainingJobs 0): replicate-exact scheduling keeps jobs==users and
-// the runs cheap at 10^5 submissions.
-func scaleFederation(seed int64) core.Config {
+// doorFederation is the grid of the experiments that load the
+// coordinator rather than the federation: n identical PBS clusters, so
+// every partition has the same aggregate capacity per shard and the
+// measured effect is pure front-door serialization, not resource
+// luck. The estimator is off (TrainingJobs 0) and replicates are not
+// bundled: one replicate is one grid job, so conservation counts are
+// exact and the runs stay cheap at 10^5 submissions.
+func doorFederation(seed int64, clusters int) core.Config {
 	var res []core.ResourceSpec
-	for i := 0; i < 16; i++ {
+	for i := 0; i < clusters; i++ {
 		res = append(res, core.ResourceSpec{
 			Kind: "pbs", Name: fmt.Sprintf("pbs%02d", i),
 			Nodes: 32, Speed: 2.0, MemMB: 8192,
 		})
 	}
 	sched := metasched.DefaultConfig()
-	// No replicate bundling: one user is one grid job, so conservation
-	// counts are exact.
 	sched.BundleTargetSeconds = 0
-	cfg := core.Config{
+	return core.Config{
 		Seed:      seed,
 		Scheduler: sched,
 		Resources: res,
@@ -63,13 +61,15 @@ func scaleFederation(seed int64) core.Config {
 		// the bottleneck sharding exists to divide.
 		Ingest: gsbl.IngestConfig{PerSubmissionSeconds: 1.0, PerReplicateSeconds: 0.25},
 	}
-	return cfg
 }
 
-// scaleSubmission is user i's workload: a single small GARLI
-// replicate, cheap enough that the grid itself never saturates and
-// the front door stays the measured bottleneck.
-func scaleSubmission(i int, seed int64) workload.Submission {
+// scaleFederation is the scale experiment's grid: sixteen clusters.
+func scaleFederation(seed int64) core.Config { return doorFederation(seed, 16) }
+
+// smallSubmission is one user's workload in the same experiments: a
+// single small GARLI replicate, cheap enough that the grid itself
+// never saturates and the front door stays the measured bottleneck.
+func smallSubmission(user string, seed int64) workload.Submission {
 	return workload.Submission{
 		Spec: workload.JobSpec{
 			DataType: phylo.Nucleotide, SubstModel: "HKY85",
@@ -78,7 +78,7 @@ func scaleSubmission(i int, seed int64) workload.Submission {
 			StartingTree: phylo.StartStepwise, AttachmentsPerTaxon: 8, Seed: seed,
 		},
 		Replicates: 1,
-		UserEmail:  fmt.Sprintf("u%06d@scale.example.edu", i),
+		UserEmail:  user,
 	}
 }
 
@@ -143,184 +143,26 @@ type ScaleOutResult struct {
 	Rows [][]string
 }
 
-// scaleOutcome is one cluster run's collected evidence.
-type scaleOutcome struct {
-	jobs, completed, failed int
-	makespan                sim.Duration
-	ingestWaitMean          float64
-	placeWaitMean           float64
-	peakDepth               int
-	conserved               bool
-	digest                  string
-	shardDigests            []string
-	crashed                 map[int]bool
-	recoveries              int
-	recoveredInputs         int
-}
-
-// scaleStep advances every live shard to the next absolute one-hour
-// boundary past the furthest shard clock. Absolute boundaries keep a
-// recovered shard — which resumes mid-interval at its kill time — on
-// the same observation grid as an uninterrupted twin.
-func scaleStep(c *core.Cluster) {
-	const step = sim.Hour
-	var maxNow sim.Time
-	for _, l := range c.Shards {
-		if now := l.Engine.Now(); now > maxNow {
-			maxNow = now
-		}
-	}
-	k := int(float64(maxNow) / float64(step))
-	c.RunUntil(sim.Time(sim.Duration(k+1) * step))
-}
-
-// scaleDone reports whether the cluster has delivered every scheduled
-// arrival, drained every front-door queue, and finished every grid
-// job.
-func scaleDone(c *core.Cluster) bool {
-	if c.PendingArrivals() != 0 {
-		return false
-	}
-	for _, l := range c.Shards {
-		if l.Service.IngestDepth() != 0 {
-			return false
-		}
-		st := l.Scheduler.Stats()
-		if st.Completed+st.Failed < st.Submitted {
-			return false
-		}
-	}
-	return true
-}
-
-// scaleRun pushes users through a cluster of the given shard count
-// and collects the outcome. sch supplies per-shard fault schedules
-// (nil: fault-free); with durableRoot set each shard writes its own
-// WAL and a crashed shard is recovered in place; with disarm set,
-// scheduled crashes are journaled but do not stop engines — the
-// uninterrupted twin of a crash run.
-func scaleRun(seed int64, users, shards int, sch func(k int) *faults.Schedule, durableRoot string, disarm bool) (*scaleOutcome, error) {
-	c, err := core.NewCluster(core.ClusterConfig{
-		Shards:      shards,
-		Share:       shard.SharePartition,
-		Base:        scaleFederation(seed),
-		DurableRoot: durableRoot,
-		ShardFaults: sch,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if disarm {
-		for _, l := range c.Shards {
-			if l.Faults != nil {
-				l.Faults.SetCrashStops(false)
+// scaleScenario pushes users through a cluster of the given shard
+// count, observed hourly until every arrival is in and every job
+// terminal. sch supplies per-shard fault schedules (nil: fault-free).
+func scaleScenario(users, shards int, sch func(k int) *faults.Schedule, durable bool) scenario {
+	return scenario{
+		federation: scaleFederation,
+		shards:     shards,
+		faults:     sch,
+		durable:    durable,
+		step:       sim.Hour,
+		deadline:   40 * sim.Day,
+		load: func(r *run) error {
+			for i := 0; i < users; i++ {
+				at := sim.Time(sim.Duration(i) * scaleArrivalWindow / sim.Duration(users))
+				r.arrive(at, smallSubmission(fmt.Sprintf("u%06d@scale.example.edu", i), r.seed))
 			}
-		}
+			return nil
+		},
+		done: drained,
 	}
-	for i := 0; i < users; i++ {
-		at := sim.Time(sim.Duration(i) * scaleArrivalWindow / sim.Duration(users))
-		c.ScheduleSubmission(at, scaleSubmission(i, seed))
-	}
-	out := &scaleOutcome{crashed: map[int]bool{}}
-	deadline := sim.Time(40 * sim.Day)
-	for {
-		scaleStep(c)
-		for _, k := range c.CrashedShards() {
-			out.crashed[k] = true
-			rep, err := c.RecoverShard(k)
-			if err != nil {
-				return nil, err
-			}
-			out.recoveries++
-			out.recoveredInputs += rep.Inputs
-		}
-		depth := 0
-		for _, l := range c.Shards {
-			depth += l.Service.IngestDepth()
-		}
-		if depth > out.peakDepth {
-			out.peakDepth = depth
-		}
-		if scaleDone(c) {
-			break
-		}
-		var maxNow sim.Time
-		for _, l := range c.Shards {
-			if now := l.Engine.Now(); now > maxNow {
-				maxNow = now
-			}
-		}
-		if maxNow >= deadline {
-			return nil, fmt.Errorf("experiments: scale run (%d shards, %d users) not done after 40 virtual days", shards, users)
-		}
-	}
-	for k, l := range c.Shards {
-		if errs := l.Service.IngestErrors(); len(errs) > 0 {
-			return nil, fmt.Errorf("experiments: shard %d deferred ingest error: %w", k, errs[0])
-		}
-		if err := l.DurableErr(); err != nil {
-			return nil, fmt.Errorf("experiments: shard %d durable error: %w", k, err)
-		}
-	}
-
-	// Terminal accounting and makespan across all shards.
-	out.conserved = true
-	var lastDone sim.Time
-	for _, l := range c.Shards {
-		st := l.Scheduler.Stats()
-		out.jobs += st.Submitted
-		out.completed += st.Completed
-		out.failed += st.Failed
-		for _, n := range l.Obs.Journal.TerminalCounts() {
-			if n != 1 {
-				out.conserved = false
-			}
-		}
-		for _, id := range l.Service.Batches() {
-			bst, err := l.Service.Status(id)
-			if err != nil {
-				return nil, err
-			}
-			if !bst.Done {
-				return nil, fmt.Errorf("experiments: batch %s not done at collection", id)
-			}
-			if bst.DoneAt > lastDone {
-				lastDone = bst.DoneAt
-			}
-		}
-	}
-	if out.jobs != users {
-		out.conserved = false
-	}
-	out.makespan = lastDone.Sub(0)
-
-	// Waiting-time means from the merged histograms.
-	var ingestSum, placeSum float64
-	var ingestN, placeN uint64
-	for _, l := range c.Shards {
-		for _, s := range l.Obs.Registry.Snapshot() {
-			switch s.Name {
-			case "lattice_gsbl_ingest_wait_seconds":
-				ingestSum += s.Sum
-				ingestN += s.Count
-			case "lattice_sched_placement_wait_seconds":
-				placeSum += s.Sum
-				placeN += s.Count
-			}
-		}
-	}
-	if ingestN > 0 {
-		out.ingestWaitMean = ingestSum / float64(ingestN)
-	}
-	if placeN > 0 {
-		out.placeWaitMean = placeSum / float64(placeN)
-	}
-	out.shardDigests = c.ShardDigests()
-	out.digest = c.Digest()
-	if err := c.CloseDurable(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // scaleCrashFaults is the crash variant's hostile schedule: outage,
@@ -345,28 +187,28 @@ func scaleCrashFaults(k int) *faults.Schedule {
 // ScaleOutPoint runs one shard-count measurement (no twin) — the
 // benchmark suite's per-point entry.
 func ScaleOutPoint(seed int64, users, shards int) (ScalePoint, error) {
-	o, err := scaleRun(seed, users, shards, nil, "", false)
+	o, err := execute(scaleScenario(users, shards, nil, false), seed)
 	if err != nil {
 		return ScalePoint{}, err
 	}
 	return scalePointOf(shards, o), nil
 }
 
-func scalePointOf(shards int, o *scaleOutcome) ScalePoint {
+func scalePointOf(shards int, o *outcome) ScalePoint {
 	p := ScalePoint{
 		Shards:                shards,
-		Jobs:                  o.jobs,
-		Completed:             o.completed,
-		Failed:                o.failed,
-		MakespanHours:         o.makespan.Hours(),
-		MeanIngestWaitSeconds: o.ingestWaitMean,
-		MeanPlaceWaitSeconds:  o.placeWaitMean,
+		Jobs:                  o.sched.Submitted,
+		Completed:             o.sched.Completed,
+		Failed:                o.sched.Failed,
+		MakespanHours:         o.lastBatchDone.Sub(0).Hours(),
+		MeanIngestWaitSeconds: mean(o.ingestWait),
+		MeanPlaceWaitSeconds:  mean(o.placeWait),
 		PeakIngestDepth:       o.peakDepth,
 		Conserved:             o.conserved,
 		Digest:                o.digest,
 	}
-	if o.makespan > 0 {
-		p.ThroughputPerHour = float64(o.completed+o.failed) / o.makespan.Hours()
+	if p.MakespanHours > 0 {
+		p.ThroughputPerHour = float64(p.Completed+p.Failed) / p.MakespanHours
 	}
 	return p
 }
@@ -382,49 +224,29 @@ func ScaleOut(seed int64) (*ScaleOutResult, error) {
 func ScaleOutSized(seed int64, users, crashUsers int) (*ScaleOutResult, error) {
 	r := &ScaleOutResult{Users: users, CrashUsers: crashUsers, CrashShard: scaleCrashShard}
 	for _, n := range []int{1, 2, 4, 8} {
-		first, err := scaleRun(seed, users, n, nil, "", false)
-		if err != nil {
-			return nil, err
-		}
-		twin, err := scaleRun(seed, users, n, nil, "", false)
+		first, again, err := twin(scaleScenario(users, n, nil, false), seed)
 		if err != nil {
 			return nil, err
 		}
 		p := scalePointOf(n, first)
-		p.TwinMatch = first.digest == twin.digest
+		p.TwinMatch = first.digest == again.digest
 		r.Points = append(r.Points, p)
 	}
 	r.Monotonic = len(r.Points) >= 3 &&
 		r.Points[1].MakespanHours < r.Points[0].MakespanHours &&
 		r.Points[2].MakespanHours < r.Points[1].MakespanHours
 
-	// Crash variant: uninterrupted twin (crashes journaled, engines
-	// never stopped), then the same seed with the kill armed and the
-	// dead shard recovered from its own WAL.
-	base, err := scaleRun(seed, crashUsers, 4, scaleCrashFaults, "", true)
-	if err != nil {
-		return nil, err
-	}
-	dir, err := os.MkdirTemp("", "lattice-scale-*")
-	if err != nil {
-		return nil, err
-	}
-	//lint:allow errdrop -- scratch cleanup; the evidence is already collected
-	defer os.RemoveAll(dir)
-	crashed, err := scaleRun(seed, crashUsers, 4, scaleCrashFaults, dir, false)
+	// Crash variant: the kill armed and the dead shard recovered from
+	// its own WAL, beside the uninterrupted twin.
+	crashed, base, err := twin(scaleScenario(crashUsers, 4, scaleCrashFaults, true), seed)
 	if err != nil {
 		return nil, err
 	}
 	r.CrashLocal = len(crashed.crashed) == 1 && crashed.crashed[scaleCrashShard] && crashed.recoveries >= 1
 	r.CrashRecoveries = crashed.recoveries
-	r.CrashRecoveredInputs = crashed.recoveredInputs
+	r.CrashRecoveredInputs = crashed.replayed
 	r.CrashConserved = crashed.conserved && base.conserved
-	r.CrashDigestsEqual = len(crashed.shardDigests) == len(base.shardDigests)
-	for k := range crashed.shardDigests {
-		if r.CrashDigestsEqual && crashed.shardDigests[k] != base.shardDigests[k] {
-			r.CrashDigestsEqual = false
-		}
-	}
+	r.CrashDigestsEqual = slices.Equal(crashed.shardDigests, base.shardDigests)
 
 	for _, p := range r.Points {
 		r.Rows = append(r.Rows, []string{

@@ -9,10 +9,15 @@ import "testing"
 // every shard count, strictly improving makespan 1→2→4, and a shard
 // crash that recovers locally and matches its uninterrupted twin.
 func TestScaleOutShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("grid simulation experiment")
+	}
+	t.Parallel()
 	r, err := ScaleOutSized(1, 100000, 20000)
 	if err != nil {
 		t.Fatal(err)
 	}
+	golden(t, "scale", r.String())
 	want := []int{1, 2, 4, 8}
 	if len(r.Points) != len(want) {
 		t.Fatalf("got %d points, want %d", len(r.Points), len(want))

@@ -28,12 +28,8 @@ func SchedulerRanking(seed int64) (*RankingResult, error) {
 	for _, pol := range []metasched.Policy{metasched.PolicyNaive, metasched.PolicySpeedAware, metasched.PolicyFull} {
 		sched := metasched.DefaultConfig()
 		sched.Policy = pol
-		g, err := newGridRun(seed, sched, 120, 150)
-		if err != nil {
-			return nil, err
-		}
 		subs := standardWorkload(seed+7, 40, 60)
-		m, err := g.runSubmissionsPaced(subs, 15*sim.Minute, 90*sim.Day)
+		m, err := measure(gridScenario(standardFederation(sched, 120, 150), paced(subs, 15*sim.Minute), 90*sim.Day), seed)
 		if err != nil {
 			return nil, err
 		}
@@ -76,15 +72,6 @@ func StabilityGating(seed int64) (*GatingResult, error) {
 	for _, c := range cases {
 		sched := metasched.DefaultConfig()
 		sched.Policy = c.policy
-		g, err := newGridRun(seed, sched, 120, 150)
-		if err != nil {
-			return nil, err
-		}
-		// Isolate the gating *mechanism* from model quality: use exact
-		// expected-work estimates (E3 measures the model-quality
-		// effect; random forests cannot extrapolate to job sizes far
-		// outside their training population).
-		g.lat.Scheduler.SetPredictor(oraclePredictor{})
 		// Long-job-heavy workload: multi-replicate analyses of large
 		// alignments, each 10-35 h on the reference computer, enough
 		// of them to overflow the stable clusters so placement policy
@@ -104,7 +91,12 @@ func StabilityGating(seed int64) (*GatingResult, error) {
 				UserEmail:  fmt.Sprintf("user%d@lab.edu", i%5),
 			}
 		}
-		m, err := g.runSubmissionsPaced(subs, 20*sim.Minute, 120*sim.Day)
+		// Isolate the gating *mechanism* from model quality: use exact
+		// expected-work estimates (E3 measures the model-quality
+		// effect; random forests cannot extrapolate to job sizes far
+		// outside their training population).
+		load := predicting(oraclePredictor{}, paced(subs, 20*sim.Minute))
+		m, err := measure(gridScenario(standardFederation(sched, 120, 150), load, 120*sim.Day), seed)
 		if err != nil {
 			return nil, err
 		}
@@ -156,10 +148,14 @@ func SchedulingEffect(seed int64) (*EstimatorEffectResult, error) {
 		if withModel {
 			name = "random-forest estimates"
 		}
-		g, err := newGridRun(seed, sched, 0, 150)
-		if err != nil {
-			return nil, err
+		subs := standardWorkload(seed+19, 16, 20)
+		for i := 0; i < 12; i++ {
+			subs = append(subs, workload.Submission{
+				Spec: longSpec(i), Replicates: 3,
+				UserEmail: fmt.Sprintf("atol%d@lab.edu", i%3),
+			})
 		}
+		load := paced(subs, 15*sim.Minute)
 		if withModel {
 			est, err := estimatorFor(seed, 120, 0)
 			if err != nil {
@@ -177,16 +173,9 @@ func SchedulingEffect(seed int64) (*EstimatorEffectResult, error) {
 			if err := est.Retrain(); err != nil {
 				return nil, err
 			}
-			g.lat.Scheduler.SetPredictor(est)
+			load = predicting(est, load)
 		}
-		subs := standardWorkload(seed+19, 16, 20)
-		for i := 0; i < 12; i++ {
-			subs = append(subs, workload.Submission{
-				Spec: longSpec(i), Replicates: 3,
-				UserEmail: fmt.Sprintf("atol%d@lab.edu", i%3),
-			})
-		}
-		m, err := g.runSubmissionsPaced(subs, 15*sim.Minute, 120*sim.Day)
+		m, err := measure(gridScenario(standardFederation(sched, 0, 150), load, 120*sim.Day), seed)
 		if err != nil {
 			return nil, err
 		}
