@@ -69,6 +69,7 @@ bench:
 # so benchmark code cannot rot.
 bench-smoke:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1x .
+	$(GO) test -run '^$$' -bench Train -benchtime 1x ./internal/forest
 
 # ledger runs the repository's benchmark (bench/README.md): six
 # workloads, the gated end-to-end metrics, every correctness check, and

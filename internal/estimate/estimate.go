@@ -60,9 +60,19 @@ var substModelCodes = map[string]float64{
 	"GY94": 6,
 }
 
+// numFeatures is the width of Schema.
+const numFeatures = 9
+
 // Features encodes a job specification as a covariate row matching
 // Schema.
 func Features(s *workload.JobSpec) []float64 {
+	x := encode(s)
+	return x[:]
+}
+
+// encode is Features by value: Predict and AddObservation, which only
+// read the row, keep it on their stack.
+func encode(s *workload.JobSpec) [numFeatures]float64 {
 	code, ok := substModelCodes[s.SubstModel]
 	if !ok {
 		code = 7 // unknown bucket
@@ -75,7 +85,7 @@ func Features(s *workload.JobSpec) []float64 {
 	if cats == 0 {
 		cats = 4
 	}
-	return []float64{
+	return [numFeatures]float64{
 		float64(s.RateHet),
 		float64(s.DataType),
 		float64(s.NumTaxa),
@@ -143,12 +153,13 @@ func (e *Estimator) NumObservations() int {
 // (seconds on a speed-1.0 machine). It does not retrain; call Retrain
 // (cheap, per the paper) when ready.
 func (e *Estimator) AddObservation(spec *workload.JobSpec, refSeconds float64) error {
-	if refSeconds <= 0 {
-		return fmt.Errorf("estimate: runtime must be positive, got %g", refSeconds)
+	if refSeconds <= 0 || math.IsNaN(refSeconds) || math.IsInf(refSeconds, 1) {
+		return fmt.Errorf("estimate: runtime must be positive and finite, got %g", refSeconds)
 	}
+	x := encode(spec)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.ds.Append(Features(spec), math.Log(refSeconds))
+	return e.ds.Append(x[:], math.Log(refSeconds))
 }
 
 // Retrain rebuilds the forest from the current training matrix. The
@@ -195,7 +206,8 @@ func (e *Estimator) Predict(spec *workload.JobSpec) (float64, error) {
 	if e.f == nil {
 		return 0, fmt.Errorf("estimate: model not trained")
 	}
-	return math.Exp(e.f.Predict(Features(spec))), nil
+	x := encode(spec)
+	return math.Exp(e.f.Predict(x[:])), nil
 }
 
 // PredictOn scales the reference estimate by a resource's measured

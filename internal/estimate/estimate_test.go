@@ -219,6 +219,34 @@ func TestAddObservationValidation(t *testing.T) {
 	if err := e.AddObservation(&spec, 0); err == nil {
 		t.Error("expected error for zero runtime")
 	}
+	// log(+Inf) and log(NaN) must never reach the training matrix.
+	if err := e.AddObservation(&spec, math.Inf(1)); err == nil {
+		t.Error("expected error for infinite runtime")
+	}
+	if err := e.AddObservation(&spec, math.NaN()); err == nil {
+		t.Error("expected error for NaN runtime")
+	}
+	if n := e.NumObservations(); n != 0 {
+		t.Errorf("rejected observations were stored: %d rows", n)
+	}
+}
+
+// TestPredictDoesNotAllocate pins the stack-resident feature vector:
+// the metascheduler predicts once per job per candidate resource.
+func TestPredictDoesNotAllocate(t *testing.T) {
+	gen := workload.NewGenerator(9)
+	e, err := Bootstrap(Config{NumTrees: 20, MTry: 3, Seed: 1}, gen, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := gen.Job()
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := e.Predict(&spec); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Predict allocates %v objects per call, want 0", n)
+	}
 }
 
 func TestFeaturesEncodeConfigRateCats(t *testing.T) {

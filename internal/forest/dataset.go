@@ -15,7 +15,10 @@
 // preprocessing, mirroring the R randomForest package the paper used.
 package forest
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // FeatureKind distinguishes continuous from categorical covariates.
 type FeatureKind int
@@ -74,7 +77,7 @@ type Dataset struct {
 // NumRows returns the number of observations.
 func (d *Dataset) NumRows() int { return len(d.Y) }
 
-// Validate checks shape and categorical coding.
+// Validate checks shape, finiteness and categorical coding.
 func (d *Dataset) Validate() error {
 	if d.Schema == nil {
 		return fmt.Errorf("forest: dataset has no schema")
@@ -88,28 +91,45 @@ func (d *Dataset) Validate() error {
 	if len(d.Y) == 0 {
 		return fmt.Errorf("forest: empty dataset")
 	}
-	p := d.Schema.NumFeatures()
 	for i, row := range d.X {
-		if len(row) != p {
-			return fmt.Errorf("forest: row %d has %d features; schema has %d", i, len(row), p)
-		}
-		for j, v := range row {
-			if d.Schema.Kinds[j] == Categorical {
-				//lint:allow floatcmp -- integrality check: a categorical level is valid only if exactly integral
-				if v != float64(int(v)) || v < 0 || v >= maxCategories {
-					return fmt.Errorf("forest: row %d feature %q: categorical value %v must be an integer in [0,%d)", i, d.Schema.Names[j], v, maxCategories)
-				}
-			}
+		if err := d.Schema.checkRow(i, row, d.Y[i]); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// Append adds an observation. It is how the continuous-retraining loop
-// grows the training matrix as reference-cluster replicates complete.
+// checkRow validates observation i against the schema: one finite
+// value per feature, categorical values coded as integers in [0, 64),
+// and a finite response. A NaN would make the split comparator
+// inconsistent and grow silently wrong trees.
+func (s *Schema) checkRow(i int, x []float64, y float64) error {
+	if len(x) != s.NumFeatures() {
+		return fmt.Errorf("forest: row %d has %d features; schema has %d", i, len(x), s.NumFeatures())
+	}
+	for j, v := range x {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("forest: row %d feature %q: value %v is not finite", i, s.Names[j], v)
+		}
+		if s.Kinds[j] == Categorical {
+			//lint:allow floatcmp -- integrality check: a categorical level is valid only if exactly integral
+			if v != float64(int(v)) || v < 0 || v >= maxCategories {
+				return fmt.Errorf("forest: row %d feature %q: categorical value %v must be an integer in [0,%d)", i, s.Names[j], v, maxCategories)
+			}
+		}
+	}
+	if math.IsNaN(y) || math.IsInf(y, 0) {
+		return fmt.Errorf("forest: row %d: response %v is not finite", i, y)
+	}
+	return nil
+}
+
+// Append adds an observation, refusing one Validate would reject. It
+// is how the continuous-retraining loop grows the training matrix as
+// reference-cluster replicates complete.
 func (d *Dataset) Append(x []float64, y float64) error {
-	if len(x) != d.Schema.NumFeatures() {
-		return fmt.Errorf("forest: observation has %d features; schema has %d", len(x), d.Schema.NumFeatures())
+	if err := d.Schema.checkRow(len(d.Y), x, y); err != nil {
+		return err
 	}
 	d.X = append(d.X, append([]float64(nil), x...))
 	d.Y = append(d.Y, y)

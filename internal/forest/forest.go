@@ -83,7 +83,7 @@ func Train(ds *Dataset, cfg Config) (*Forest, error) {
 	}
 
 	f := &Forest{schema: ds.Schema, cfg: cfg, trees: make([]*regTree, cfg.NumTrees), ds: ds.Clone()}
-	n := ds.NumRows()
+	cols := columnMajor(f.ds)
 
 	var wg sync.WaitGroup
 	next := make(chan int)
@@ -91,25 +91,11 @@ func Train(ds *Dataset, cfg Config) (*Forest, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			b := newTreeBuilder(cfg, f.schema.Kinds, cols, f.ds.Y)
 			for t := range next {
 				// Per-tree deterministic stream: independent of which
 				// worker builds which tree.
-				rng := sim.NewRNG(cfg.Seed + int64(t)*0x9E3779B9)
-				rows := make([]int, n)
-				inBag := make([]bool, n)
-				for i := range rows {
-					r := rng.Intn(n)
-					rows[i] = r
-					inBag[r] = true
-				}
-				b := &treeBuilder{ds: f.ds, cfg: cfg, rng: rng}
-				tree := b.grow(rows)
-				for i := 0; i < n; i++ {
-					if !inBag[i] {
-						tree.oob = append(tree.oob, i)
-					}
-				}
-				f.trees[t] = tree
+				f.trees[t] = b.grow(cfg.Seed + int64(t)*0x9E3779B9)
 			}
 		}()
 	}
@@ -121,6 +107,19 @@ func Train(ds *Dataset, cfg Config) (*Forest, error) {
 
 	f.computeOOB()
 	return f, nil
+}
+
+// columnMajor returns ds.X transposed into one slice: feature f of
+// row r at [f*n+r].
+func columnMajor(ds *Dataset) []float64 {
+	n, p := ds.NumRows(), ds.Schema.NumFeatures()
+	cols := make([]float64, p*n)
+	for r, row := range ds.X {
+		for f, v := range row {
+			cols[f*n+r] = v
+		}
+	}
+	return cols
 }
 
 // computeOOB fills the out-of-bag predictions and error.
@@ -200,6 +199,8 @@ func (f *Forest) Importance(seed int64) []ImportanceResult {
 	counts := make([]int, p)
 	baseSSE := make([]float64, p)
 	rng := sim.NewRNG(seed)
+	row := make([]float64, p)
+	permBuf := make([]int, f.ds.NumRows())
 	for _, tr := range f.trees {
 		if len(tr.oob) < 2 {
 			continue
@@ -210,10 +211,9 @@ func (f *Forest) Importance(seed int64) []ImportanceResult {
 			d := tr.predict(f.ds.X[r], f.schema.Kinds) - f.ds.Y[r]
 			base += d * d
 		}
-		row := make([]float64, p)
-		perm := make([]int, len(tr.oob))
+		perm := permBuf[:len(tr.oob)]
 		for j := 0; j < p; j++ {
-			copy(perm, rng.Perm(len(tr.oob)))
+			rng.PermInto(perm)
 			var sse float64
 			for k, r := range tr.oob {
 				copy(row, f.ds.X[r])

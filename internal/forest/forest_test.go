@@ -2,6 +2,7 @@ package forest
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -54,6 +55,50 @@ func TestTrainValidation(t *testing.T) {
 	badCat2.X[0][1] = 64
 	if _, err := Train(badCat2, DefaultConfig()); err == nil {
 		t.Error("expected error for categorical ≥ 64")
+	}
+}
+
+// TestNonFiniteRejected: a NaN makes the split comparator inconsistent
+// (silently wrong trees) and an infinity poisons every sum, so neither
+// may enter a dataset by Append or pass Validate, in a covariate of
+// either kind or in the response. The error names the row and feature.
+func TestNonFiniteRejected(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for j, name := range []string{"signal", "category", "noise"} {
+			ds := syntheticDataset(10, 5)
+			ds.X[7][j] = bad
+			err := ds.Validate()
+			if err == nil {
+				t.Errorf("Validate accepted %v in feature %q", bad, name)
+			} else if msg := err.Error(); !strings.Contains(msg, "row 7") || !strings.Contains(msg, name) {
+				t.Errorf("Validate error %q does not name row 7 and feature %q", msg, name)
+			}
+			if _, err := Train(ds, DefaultConfig()); err == nil {
+				t.Errorf("Train accepted %v in feature %q", bad, name)
+			}
+
+			ds = syntheticDataset(10, 5)
+			x := []float64{0.5, 1, 0.5}
+			x[j] = bad
+			err = ds.Append(x, 1)
+			if err == nil {
+				t.Errorf("Append accepted %v in feature %q", bad, name)
+			} else if msg := err.Error(); !strings.Contains(msg, "row 10") || !strings.Contains(msg, name) {
+				t.Errorf("Append error %q does not name row 10 and feature %q", msg, name)
+			}
+			if ds.NumRows() != 10 || len(ds.X) != 10 {
+				t.Errorf("rejected Append grew the dataset to %d rows", ds.NumRows())
+			}
+		}
+
+		ds := syntheticDataset(10, 5)
+		ds.Y[3] = bad
+		if err := ds.Validate(); err == nil || !strings.Contains(err.Error(), "row 3") {
+			t.Errorf("Validate on response %v: got %v, want an error naming row 3", bad, err)
+		}
+		if err := ds.Append([]float64{0.5, 1, 0.5}, bad); err == nil {
+			t.Errorf("Append accepted response %v", bad)
+		}
 	}
 }
 

@@ -103,3 +103,31 @@ func TestForestConcurrentReaders(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestConcurrentBuildersMatchReference trains one shared adversarial
+// dataset at 1, 2 and 8 workers, all at once, and holds every forest
+// to the reference oracle node for node: worker-resident scratch must
+// neither race with another builder's nor leak from one tree into the
+// next, however trees are dealt to workers.
+func TestConcurrentBuildersMatchReference(t *testing.T) {
+	ds := adversarialDataset(sim.NewRNG(31))
+	var wg sync.WaitGroup
+	for round := 0; round < 2; round++ {
+		for _, workers := range []int{1, 2, 8} {
+			wg.Add(1)
+			go func(workers int) {
+				defer wg.Done()
+				cfg := Config{NumTrees: 40, MinLeafSize: 2, Seed: 5, Workers: workers}
+				f, err := Train(ds, cfg)
+				if err != nil {
+					t.Errorf("workers %d: %v", workers, err)
+					return
+				}
+				if diff := diffForest(f); diff != "" {
+					t.Errorf("workers %d: %s", workers, diff)
+				}
+			}(workers)
+		}
+	}
+	wg.Wait()
+}

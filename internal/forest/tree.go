@@ -2,7 +2,7 @@ package forest
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"lattice/internal/sim"
 )
@@ -16,6 +16,15 @@ type treeNode struct {
 	value     float64 // leaf prediction (mean response)
 	left      int     // index of left child
 	right     int     // index of right child
+}
+
+// goesLeft reports which child of split node n a row whose split
+// feature holds v, of the given kind, descends to.
+func (n *treeNode) goesLeft(v float64, kind FeatureKind) bool {
+	if kind == Categorical {
+		return n.catLeft&(1<<uint(int(v))) != 0
+	}
+	return v <= n.threshold
 }
 
 // regTree is a single regression tree grown on a bootstrap sample.
@@ -35,14 +44,7 @@ func (t *regTree) predict(x []float64, kinds []FeatureKind) float64 {
 		if n.feature < 0 {
 			return n.value
 		}
-		v := x[n.feature]
-		var goLeft bool
-		if kinds[n.feature] == Categorical {
-			goLeft = n.catLeft&(1<<uint(int(v))) != 0
-		} else {
-			goLeft = v <= n.threshold
-		}
-		if goLeft {
+		if n.goesLeft(x[n.feature], kinds[n.feature]) {
 			i = n.left
 		} else {
 			i = n.right
@@ -50,31 +52,110 @@ func (t *regTree) predict(x []float64, kinds []FeatureKind) float64 {
 	}
 }
 
-// treeBuilder grows one tree; it owns scratch buffers so concurrent
-// builders never share state.
-type treeBuilder struct {
-	ds    *Dataset
-	cfg   Config
-	rng   *sim.RNG
-	nodes []treeNode
-	gain  []float64 // per-feature SSE reduction of the growing tree
+// xy is one (covariate, response) pair of a numeric split scan.
+type xy struct{ x, y float64 }
+
+// lvl is one occupied category level of a categorical split scan.
+type lvl struct {
+	cat  int
+	mean float64
 }
 
-// grow builds a tree from the given bootstrap sample rows.
-func (b *treeBuilder) grow(rows []int) *regTree {
+// cmpFloat is the three-way form of a < b that the split scans sort
+// by. Ties compare equal, so the order inside a tie group is the
+// sort's own — the scans' running sums round in that order, and every
+// forest depends on it bit for bit.
+func cmpFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case b < a:
+		return +1
+	}
+	return 0
+}
+
+// treeBuilder grows every tree one Train worker is handed. It owns all
+// the scratch growth needs — the bootstrap rows, the partition buffer,
+// the sort pairs, the feature permutation, the node list, the RNG — so
+// a tree costs only the allocations that outlive it (nodes, oob, gain)
+// and concurrent builders share nothing they write.
+type treeBuilder struct {
+	cfg   Config
+	kinds []FeatureKind
+	// cols is X column-major, shared read-only between builders:
+	// feature f of row r is cols[f*len(y)+r]. A split scan walks one
+	// column instead of chasing a row pointer per cell.
+	cols []float64
+	y    []float64
+	rng  *sim.RNG
+
+	rows    []int  // the tree's bootstrap sample, partitioned in place as it grows
+	scratch []int  // right-hand rows of the partition in progress
+	inBag   []bool // row drawn into the current sample
+	perm    []int  // feature order of the node being split
+	pairs   []xy   // numeric split scan
+	nodes   []treeNode
+	gain    []float64 // per-feature SSE reduction of the growing tree
+}
+
+// newTreeBuilder sizes a builder for the n = len(y) rows of cols.
+func newTreeBuilder(cfg Config, kinds []FeatureKind, cols, y []float64) *treeBuilder {
+	n := len(y)
+	return &treeBuilder{
+		cfg: cfg, kinds: kinds, cols: cols, y: y,
+		rng:     sim.NewRNG(0),
+		rows:    make([]int, n),
+		scratch: make([]int, n),
+		inBag:   make([]bool, n),
+		perm:    make([]int, len(kinds)),
+		pairs:   make([]xy, n),
+	}
+}
+
+// col returns feature f's column.
+func (b *treeBuilder) col(f int) []float64 {
+	n := len(b.y)
+	return b.cols[f*n : (f+1)*n]
+}
+
+// grow draws a bootstrap sample from the stream seeded with seed and
+// builds its tree.
+func (b *treeBuilder) grow(seed int64) *regTree {
+	b.rng.Reseed(seed)
+	n := len(b.y)
+	clear(b.inBag)
+	distinct := 0
+	for i := range b.rows {
+		r := b.rng.Intn(n)
+		b.rows[i] = r
+		if !b.inBag[r] {
+			b.inBag[r] = true
+			distinct++
+		}
+	}
 	b.nodes = b.nodes[:0]
-	b.gain = make([]float64, b.ds.Schema.NumFeatures())
-	b.buildNode(rows, 0)
-	tr := &regTree{nodes: append([]treeNode(nil), b.nodes...), gain: b.gain}
+	b.gain = make([]float64, len(b.kinds))
+	b.buildNode(b.rows, 0)
+	tr := &regTree{
+		nodes: append([]treeNode(nil), b.nodes...),
+		oob:   make([]int, 0, n-distinct),
+		gain:  b.gain,
+	}
+	for i, in := range b.inBag {
+		if !in {
+			tr.oob = append(tr.oob, i)
+		}
+	}
 	return tr
 }
 
-// buildNode recursively grows the subtree for rows; returns its index.
+// buildNode recursively grows the subtree for rows, a window of
+// b.rows it is free to reorder; returns the subtree's node index.
 func (b *treeBuilder) buildNode(rows []int, depth int) int {
 	idx := len(b.nodes)
-	b.nodes = append(b.nodes, treeNode{feature: -1})
 	mean := b.meanY(rows)
-	b.nodes[idx].value = mean
+	b.nodes = append(b.nodes, treeNode{feature: -1, value: mean})
 	if len(rows) < 2*b.cfg.MinLeafSize || (b.cfg.MaxDepth > 0 && depth >= b.cfg.MaxDepth) || b.pure(rows) {
 		return idx
 	}
@@ -82,42 +163,46 @@ func (b *treeBuilder) buildNode(rows []int, depth int) int {
 	if !ok {
 		return idx
 	}
-	var left, right []int
-	kinds := b.ds.Schema.Kinds
+	// The gain term sums responses in row order: take it before the
+	// partition reorders rows.
+	g := b.sse(rows) - splitSSE
+	split := treeNode{feature: feat, threshold: thr, catLeft: mask, value: mean}
+	nl := b.partition(rows, &split)
+	if nl < b.cfg.MinLeafSize || len(rows)-nl < b.cfg.MinLeafSize {
+		return idx
+	}
+	if g > 0 {
+		b.gain[feat] += g
+	}
+	split.left = b.buildNode(rows[:nl], depth+1)
+	split.right = b.buildNode(rows[nl:], depth+1)
+	b.nodes[idx] = split
+	return idx
+}
+
+// partition stably reorders rows so those split sends left come first,
+// each side keeping its relative order (a child's sums must round as
+// if its rows had been appended one by one); returns the left count.
+func (b *treeBuilder) partition(rows []int, split *treeNode) int {
+	col, kind := b.col(split.feature), b.kinds[split.feature]
+	right := b.scratch[:0]
+	nl := 0
 	for _, r := range rows {
-		v := b.ds.X[r][feat]
-		var goLeft bool
-		if kinds[feat] == Categorical {
-			goLeft = mask&(1<<uint(int(v))) != 0
-		} else {
-			goLeft = v <= thr
-		}
-		if goLeft {
-			left = append(left, r)
+		if split.goesLeft(col[r], kind) {
+			rows[nl] = r
+			nl++
 		} else {
 			right = append(right, r)
 		}
 	}
-	if len(left) < b.cfg.MinLeafSize || len(right) < b.cfg.MinLeafSize {
-		return idx
-	}
-	b.nodes[idx].feature = feat
-	b.nodes[idx].threshold = thr
-	b.nodes[idx].catLeft = mask
-	if g := b.sse(rows) - splitSSE; g > 0 {
-		b.gain[feat] += g
-	}
-	l := b.buildNode(left, depth+1)
-	r := b.buildNode(right, depth+1)
-	b.nodes[idx].left = l
-	b.nodes[idx].right = r
-	return idx
+	copy(rows[nl:], right)
+	return nl
 }
 
 func (b *treeBuilder) meanY(rows []int) float64 {
 	var s float64
 	for _, r := range rows {
-		s += b.ds.Y[r]
+		s += b.y[r]
 	}
 	return s / float64(len(rows))
 }
@@ -126,7 +211,7 @@ func (b *treeBuilder) meanY(rows []int) float64 {
 func (b *treeBuilder) sse(rows []int) float64 {
 	var sum, sq float64
 	for _, r := range rows {
-		y := b.ds.Y[r]
+		y := b.y[r]
 		sum += y
 		sq += y * y
 	}
@@ -135,10 +220,10 @@ func (b *treeBuilder) sse(rows []int) float64 {
 }
 
 func (b *treeBuilder) pure(rows []int) bool {
-	first := b.ds.Y[rows[0]]
+	first := b.y[rows[0]]
 	for _, r := range rows[1:] {
 		//lint:allow floatcmp -- purity test compares stored responses bit-for-bit, as R's randomForest does
-		if b.ds.Y[r] != first {
+		if b.y[r] != first {
 			return false
 		}
 	}
@@ -149,15 +234,10 @@ func (b *treeBuilder) pure(rows []int) bool {
 // split minimizing the children's summed squared error, along with
 // that SSE.
 func (b *treeBuilder) bestSplit(rows []int) (feat int, thr float64, mask uint64, sse float64, ok bool) {
-	p := b.ds.Schema.NumFeatures()
-	mtry := b.cfg.MTry
-	if mtry > p {
-		mtry = p
-	}
-	perm := b.rng.Perm(p)
+	b.rng.PermInto(b.perm)
 	bestSSE := math.Inf(1)
-	for _, f := range perm[:mtry] {
-		if b.ds.Schema.Kinds[f] == Categorical {
+	for _, f := range b.perm[:b.cfg.MTry] {
+		if b.kinds[f] == Categorical {
 			if m, s2, valid := b.bestCategoricalSplit(rows, f); valid && s2 < bestSSE {
 				bestSSE, feat, mask, thr, ok = s2, f, m, 0, true
 			}
@@ -172,12 +252,12 @@ func (b *treeBuilder) bestSplit(rows []int) (feat int, thr float64, mask uint64,
 
 // bestNumericSplit scans sorted unique values of feature f.
 func (b *treeBuilder) bestNumericSplit(rows []int, f int) (thr, sse float64, ok bool) {
-	type pair struct{ x, y float64 }
-	ps := make([]pair, len(rows))
+	col := b.col(f)
+	ps := b.pairs[:len(rows)]
 	for i, r := range rows {
-		ps[i] = pair{b.ds.X[r][f], b.ds.Y[r]}
+		ps[i] = xy{col[r], b.y[r]}
 	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].x < ps[j].x })
+	slices.SortFunc(ps, func(a, b xy) int { return cmpFloat(a.x, b.x) })
 	// Prefix sums for O(1) SSE of each split.
 	n := len(ps)
 	var sumL, sqL float64
@@ -214,18 +294,16 @@ func (b *treeBuilder) bestNumericSplit(rows []int, f int) (thr, sse float64, ok 
 func (b *treeBuilder) bestCategoricalSplit(rows []int, f int) (mask uint64, sse float64, ok bool) {
 	var sum, sq [maxCategories]float64
 	var cnt [maxCategories]int
+	col := b.col(f)
 	for _, r := range rows {
-		c := int(b.ds.X[r][f])
-		y := b.ds.Y[r]
+		c := int(col[r])
+		y := b.y[r]
 		sum[c] += y
 		sq[c] += y * y
 		cnt[c]++
 	}
-	type lvl struct {
-		cat  int
-		mean float64
-	}
-	var lvls []lvl
+	var buf [maxCategories]lvl
+	lvls := buf[:0]
 	for c := 0; c < maxCategories; c++ {
 		if cnt[c] > 0 {
 			lvls = append(lvls, lvl{c, sum[c] / float64(cnt[c])})
@@ -234,7 +312,7 @@ func (b *treeBuilder) bestCategoricalSplit(rows []int, f int) (mask uint64, sse 
 	if len(lvls) < 2 {
 		return 0, 0, false
 	}
-	sort.Slice(lvls, func(i, j int) bool { return lvls[i].mean < lvls[j].mean })
+	slices.SortFunc(lvls, func(a, b lvl) int { return cmpFloat(a.mean, b.mean) })
 	var totalSum, totalSq float64
 	var totalN int
 	for _, l := range lvls {

@@ -19,6 +19,11 @@ func NewRNG(seed int64) *RNG {
 	return &RNG{r: rand.New(rand.NewSource(seed))}
 }
 
+// Reseed returns the generator to the state NewRNG(seed) starts in,
+// reusing its source: a loop that needs a fresh stream per iteration
+// (one per forest tree) pays for the 5 kB source once.
+func (g *RNG) Reseed(seed int64) { g.r.Seed(seed) }
+
 // Stream derives an independent generator from this one, labelled by
 // name. The derivation is deterministic: the same parent seed and name
 // always yield the same stream.
@@ -98,6 +103,18 @@ func (g *RNG) Choice(weights []float64) int {
 
 // Perm returns a random permutation of [0, n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
+
+// PermInto fills buf with the permutation Perm(len(buf)) would return,
+// consuming exactly the same draws, without allocating. buf's previous
+// contents do not matter.
+func (g *RNG) PermInto(buf []int) {
+	// math/rand's inside-out Fisher–Yates, including its i = 0 draw.
+	for i := range buf {
+		j := g.r.Intn(i + 1)
+		buf[i] = buf[j]
+		buf[j] = i
+	}
+}
 
 // Shuffle permutes a collection of length n in place using swap.
 func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }

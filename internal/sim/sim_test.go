@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -221,6 +222,59 @@ func TestRNGStreamsIndependentAndStable(t *testing.T) {
 	}
 	if same == 16 {
 		t.Error("streams alpha and beta are identical")
+	}
+}
+
+// TestPermIntoMatchesPerm: PermInto must return Perm's permutation and
+// leave the stream where Perm leaves it, for every length including 0
+// and 1, whatever the buffer held before.
+func TestPermIntoMatchesPerm(t *testing.T) {
+	a, b := NewRNG(42), NewRNG(42)
+	buf := make([]int, 64)
+	for round := 0; round < 200; round++ {
+		n := round % (len(buf) + 1)
+		want := a.Perm(n)
+		got := buf[:n]
+		b.PermInto(got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("round %d, n=%d: PermInto = %v, Perm = %v", round, n, got, want)
+		}
+		if x, y := a.Int63(), b.Int63(); x != y {
+			t.Fatalf("round %d, n=%d: streams diverged after the permutation (%d vs %d)", round, n, x, y)
+		}
+	}
+}
+
+// TestReseedMatchesNewRNG: a reseeded generator, whatever it drew
+// before (including a cached normal variate), must replay NewRNG(seed)
+// draw for draw across the distributions.
+func TestReseedMatchesNewRNG(t *testing.T) {
+	g := NewRNG(99)
+	for _, seed := range []int64{0, 1, -7, 0x9E3779B9, 1 << 40} {
+		g.Normal(0, 1)
+		g.Perm(5)
+		g.Reseed(seed)
+		fresh := NewRNG(seed)
+		for i := 0; i < 1000; i++ {
+			switch i % 4 {
+			case 0:
+				if x, y := g.Intn(150), fresh.Intn(150); x != y {
+					t.Fatalf("seed %d draw %d: Intn %d vs %d", seed, i, x, y)
+				}
+			case 1:
+				if x, y := g.Float64(), fresh.Float64(); x != y {
+					t.Fatalf("seed %d draw %d: Float64 %v vs %v", seed, i, x, y)
+				}
+			case 2:
+				if x, y := g.Normal(0, 1), fresh.Normal(0, 1); x != y {
+					t.Fatalf("seed %d draw %d: Normal %v vs %v", seed, i, x, y)
+				}
+			case 3:
+				if x, y := g.Perm(9), fresh.Perm(9); !slices.Equal(x, y) {
+					t.Fatalf("seed %d draw %d: Perm %v vs %v", seed, i, x, y)
+				}
+			}
+		}
 	}
 }
 
