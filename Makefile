@@ -70,6 +70,7 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1x .
 	$(GO) test -run '^$$' -bench Train -benchtime 1x ./internal/forest
+	$(GO) test -run '^$$' -bench 'ResultsZip2000|ServerInfo2000|ScanPending2000' -benchtime 1x ./internal/gsbl ./internal/boinc ./internal/metasched
 
 # ledger runs the repository's benchmark (bench/README.md): six
 # workloads, the gated end-to-end metrics, every correctness check, and

@@ -39,11 +39,16 @@ type Host struct {
 	srv      *Server
 	on       bool
 	detached bool
-	tasks    []*task // head is the running task
-	doneEv   sim.EventID
-	pollEv   sim.EventID
+	// counted is the state this host is entered under in srv.pool.
+	counted hostState
+	tasks   []*task // head is the running task
+	doneEv  sim.EventID
+	pollEv  sim.EventID
 	// resumeAt tracks when the running task last (re)started.
 	startedAt sim.Time
+	// The host's engine handlers, bound once in attach: handing the
+	// engine h.turnOn afresh would allocate a method value per event.
+	onFn, offFn, pollFn, doneFn sim.Handler
 }
 
 // task is one assigned result instance being computed.
@@ -52,16 +57,50 @@ type task struct {
 	remainingWork float64
 }
 
+// hostState is the part of a host's state the pool summary counts. A
+// detached host is off and holds nothing, so it counts nowhere.
+type hostState struct {
+	on   bool // powered on and attached
+	busy bool // holds at least one task
+}
+
+// tally re-enters the host in the server's pool counts under its
+// current state. Every change to h.on or to whether h.tasks is empty
+// is followed by a call before the server lock is released.
+func (h *Host) tally() {
+	now := hostState{on: h.on, busy: len(h.tasks) > 0}
+	if now == h.counted {
+		return
+	}
+	h.srv.pool.count(h.counted, -1)
+	h.srv.pool.count(now, +1)
+	h.counted = now
+}
+
+// detach takes a host that was just switched off out of the project
+// for good: its queued tasks are lost and will time out on the server.
+func (h *Host) detach() {
+	h.detached = true
+	h.srv.stats.Detached++
+	for _, t := range h.tasks {
+		t.res.lost = true
+	}
+	h.tasks = nil
+	h.tally()
+	h.srv.summarizeAttached()
+}
+
 // attach wires the host into the server's simulation.
 func (h *Host) attach(s *Server) {
 	h.srv = s
 	h.on = false
-	s.eng.Schedule(s.rng.ExpDuration(h.MeanOff), h.turnOn)
+	h.onFn, h.offFn, h.pollFn, h.doneFn = h.turnOn, h.turnOff, h.poll, h.taskDone
+	s.eng.Schedule(s.rng.ExpDuration(h.MeanOff), h.onFn)
 }
 
-// turnOn and turnOff are engine-scheduled entry points: they run on
-// the engine goroutine and take the server lock before touching host
-// or server state.
+// turnOn, turnOff, poll and taskDone are engine-scheduled entry points:
+// they run on the engine goroutine and take the server lock before
+// touching host or server state.
 func (h *Host) turnOn() {
 	h.srv.mu.Lock()
 	defer h.srv.mu.Unlock()
@@ -69,7 +108,8 @@ func (h *Host) turnOn() {
 		return
 	}
 	h.on = true
-	h.srv.eng.Schedule(h.srv.rng.ExpDuration(h.MeanOn), h.turnOff)
+	h.tally()
+	h.srv.eng.Schedule(h.srv.rng.ExpDuration(h.MeanOn), h.offFn)
 	h.maybeFetchWork()
 	h.resume()
 }
@@ -81,19 +121,13 @@ func (h *Host) turnOff() {
 		return
 	}
 	h.on = false
+	h.tally()
 	h.suspend()
 	if h.srv.rng.Bool(h.PDetach) {
-		// Volunteer leaves the project; queued tasks are lost and
-		// will time out on the server.
-		h.detached = true
-		h.srv.stats.Detached++
-		for _, t := range h.tasks {
-			t.res.lost = true
-		}
-		h.tasks = nil
+		h.detach() // the volunteer leaves the project
 		return
 	}
-	h.srv.eng.Schedule(h.srv.rng.ExpDuration(h.MeanOff), h.turnOn)
+	h.srv.eng.Schedule(h.srv.rng.ExpDuration(h.MeanOff), h.onFn)
 }
 
 // suspend checkpoints the running task (the paper's special GARLI
@@ -126,39 +160,47 @@ func (h *Host) resume() {
 	if len(h.tasks) == 0 {
 		// Nothing to do: poll the scheduler periodically while on.
 		if h.pollEv == 0 {
-			h.pollEv = h.srv.eng.Schedule(h.srv.cfg.IdlePollInterval, func() {
-				h.srv.mu.Lock()
-				defer h.srv.mu.Unlock()
-				h.pollEv = 0
-				h.maybeFetchWork()
-				h.resume()
-			})
+			h.pollEv = h.srv.eng.Schedule(h.srv.cfg.IdlePollInterval, h.pollFn)
 		}
 		return
 	}
-	t := h.tasks[0]
 	h.startedAt = h.srv.eng.Now()
-	dur := sim.Duration(t.remainingWork / (h.Speed * lrm.ReferenceCellsPerSecond))
-	h.doneEv = h.srv.eng.Schedule(dur, func() {
-		h.srv.mu.Lock()
-		defer h.srv.mu.Unlock()
-		h.doneEv = 0
-		h.tasks = h.tasks[1:]
-		h.srv.stats.HostCPUSeconds += t.res.wu.job.Work / lrm.ReferenceCellsPerSecond
-		// Report after the host's usual reporting latency.
-		res := t.res
-		h.srv.eng.Schedule(h.ReportLatency, func() {
-			srv := h.srv
-			srv.mu.Lock()
-			notify := srv.receiveResult(res)
-			srv.mu.Unlock()
-			if notify != nil {
-				notify()
-			}
-		})
-		h.maybeFetchWork()
-		h.resume()
+	dur := sim.Duration(h.tasks[0].remainingWork / (h.Speed * lrm.ReferenceCellsPerSecond))
+	h.doneEv = h.srv.eng.Schedule(dur, h.doneFn)
+}
+
+// poll is an idle host's periodic scheduler contact.
+func (h *Host) poll() {
+	h.srv.mu.Lock()
+	defer h.srv.mu.Unlock()
+	h.pollEv = 0
+	h.maybeFetchWork()
+	h.resume()
+}
+
+// taskDone fires when the running task — still the head of h.tasks,
+// since anything that displaces the head first cancels doneEv through
+// suspend — has computed its last cell.
+func (h *Host) taskDone() {
+	h.srv.mu.Lock()
+	defer h.srv.mu.Unlock()
+	h.doneEv = 0
+	res := h.tasks[0].res
+	h.tasks = h.tasks[1:]
+	h.tally()
+	h.srv.stats.HostCPUSeconds += res.wu.job.Work / lrm.ReferenceCellsPerSecond
+	// Report after the host's usual reporting latency.
+	h.srv.eng.Schedule(h.ReportLatency, func() {
+		srv := h.srv
+		srv.mu.Lock()
+		notify := srv.receiveResult(res)
+		srv.mu.Unlock()
+		if notify != nil {
+			notify()
+		}
 	})
+	h.maybeFetchWork()
+	h.resume()
 }
 
 // queuedSeconds estimates the local execution seconds of queued work,

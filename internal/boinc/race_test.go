@@ -143,3 +143,65 @@ func TestServerConcurrentStress(t *testing.T) {
 			st.WorkunitsDone, st.WorkunitsFailed, cancelled.Load(), accounted, wantCreated)
 	}
 }
+
+// TestInfoReadersDuringDetach pins the sharing contract of
+// Info().Platforms under the race detector: the slice is the server's
+// own and is replaced, never rewritten, when an attach or a detach
+// changes it, so readers may keep ranging over an old answer while the
+// engine goroutine detaches hosts.
+func TestInfoReadersDuringDetach(t *testing.T) {
+	eng := sim.NewEngine()
+	srv, err := NewServer(eng, sim.NewRNG(3), DefaultConfig("leaky"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	platforms := []lrm.Platform{lrm.WindowsX86, lrm.LinuxX86, lrm.DarwinX86}
+	for i := 0; i < 300; i++ {
+		srv.AttachHost(&Host{
+			ID: i, Speed: 1, MemoryMB: 1024 << (i % 4), Platform: platforms[i%7%3],
+			MeanOn: 2 * sim.Hour, MeanOff: 2 * sim.Hour,
+			BufferSeconds: 3600, ReportLatency: sim.Minute,
+			PDetach: 0.2,
+		})
+	}
+	for i := 0; i < 200; i++ {
+		if err := srv.Submit(wu(fmt.Sprintf("j%d", i), 1800)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	engineDone := make(chan struct{})
+	go func() {
+		defer close(engineDone)
+		eng.RunUntil(sim.Time(10 * sim.Day))
+	}()
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-engineDone:
+					return
+				default:
+				}
+				info := srv.Info()
+				if len(info.Platforms) > len(platforms) || info.FreeCPUs > info.TotalCPUs {
+					t.Errorf("implausible pool: %+v", info)
+					return
+				}
+				for _, p := range info.Platforms {
+					if p == "" {
+						t.Errorf("blank platform in %+v", info)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if srv.ActiveHosts() != 0 {
+		t.Errorf("%d hosts outlived ten days at PDetach 0.2", srv.ActiveHosts())
+	}
+	checkInfo(t, srv, "after every host has left")
+}

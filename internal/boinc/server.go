@@ -2,6 +2,7 @@ package boinc
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"lattice/internal/lrm"
@@ -110,6 +111,11 @@ type Server struct {
 	// the lock is released so handlers may re-enter the server.
 	mu    sync.Mutex
 	hosts []*Host
+	// pool is what Info reports about the hosts, kept current instead
+	// of recounted on every MDS poll: Host.tally maintains the counts,
+	// and the memory ceiling and platform list — properties of the set
+	// of attached hosts — change only in AttachHost and Host.detach.
+	pool poolSummary
 	// unsent holds workunits with capacity for further issues, FIFO.
 	unsent  []*workunit
 	byJob   map[string]*workunit
@@ -117,6 +123,40 @@ type Server struct {
 	obs     *obs.Obs
 	ins     boincInstruments
 	durable Durability
+}
+
+// poolSummary is the host population as MDS sees it.
+type poolSummary struct {
+	on     int // attached hosts currently on: the deliverable parallelism
+	idle   int // of those, hosts holding no task
+	busy   int // attached hosts holding at least one task, on or off
+	memory int // largest MemoryMB among attached hosts
+	// platforms lists attached hosts' platforms in first-attached
+	// order. Info hands the slice out, so it is replaced, never
+	// written in place.
+	platforms []lrm.Platform
+}
+
+// count adds (d = +1) or removes (d = -1) one host in state st.
+func (p *poolSummary) count(st hostState, d int) {
+	if st.on {
+		p.on += d
+		if !st.busy {
+			p.idle += d
+		}
+	}
+	if st.busy {
+		p.busy += d
+	}
+}
+
+// include folds one attached host into the memory ceiling and the
+// platform list.
+func (p *poolSummary) include(h *Host) {
+	p.memory = max(p.memory, h.MemoryMB)
+	if !slices.Contains(p.platforms, h.Platform) {
+		p.platforms = append(slices.Clip(p.platforms), h.Platform)
+	}
 }
 
 // Durability is the write-ahead-log hook for workunit and result
@@ -195,7 +235,19 @@ func (s *Server) AttachHost(h *Host) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.hosts = append(s.hosts, h)
+	s.pool.include(h)
 	h.attach(s)
+}
+
+// summarizeAttached recomputes the pool's memory ceiling and platform
+// list after a host has left. Callers hold s.mu.
+func (s *Server) summarizeAttached() {
+	s.pool.memory, s.pool.platforms = 0, nil
+	for _, h := range s.hosts {
+		if !h.detached {
+			s.pool.include(h)
+		}
+	}
 }
 
 // NumHosts returns the number of hosts ever attached.
@@ -224,12 +276,7 @@ func (s *Server) Churn(n int) int {
 		}
 		h.suspend()
 		h.on = false
-		h.detached = true
-		s.stats.Detached++
-		for _, t := range h.tasks {
-			t.res.lost = true
-		}
-		h.tasks = nil
+		h.detach()
 		left++
 	}
 	return left
@@ -389,6 +436,7 @@ func (s *Server) issue(wu *workunit, h *Host) {
 	s.ins.issued.Inc()
 	s.durably(wu.job.ID, "issued", fmt.Sprintf("issue %d", wu.issues))
 	h.tasks = append(h.tasks, &task{res: r, remainingWork: wu.job.Work})
+	h.tally()
 	if len(h.tasks) == 1 {
 		h.resume()
 	}
@@ -480,9 +528,11 @@ func (h *Host) dropTask(r *result) {
 			if i == 0 && h.doneEv != 0 {
 				h.suspend()
 				h.tasks = h.tasks[1:]
+				h.tally()
 				h.resume()
 			} else {
 				h.tasks = append(h.tasks[:i], h.tasks[i+1:]...)
+				h.tally()
 			}
 			return
 		}
@@ -529,41 +579,22 @@ func (s *Server) receiveResult(r *result) (notify func()) {
 }
 
 // Info implements lrm.LRM: the volunteer pool summarized as one
-// resource for MDS.
+// resource for MDS. The pool's deliverable parallelism is the hosts
+// currently on; attached-but-off machines are not capacity right now.
 func (s *Server) Info() lrm.Info {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	info := lrm.Info{
-		Name:   s.cfg.Name,
-		Kind:   "boinc",
-		Stable: false,
+	return lrm.Info{
+		Name:         s.cfg.Name,
+		Kind:         "boinc",
+		Stable:       false,
+		TotalCPUs:    s.pool.on,
+		FreeCPUs:     s.pool.idle,
+		RunningJobs:  s.pool.busy,
+		NodeMemoryMB: s.pool.memory,
+		Platforms:    s.pool.platforms,
+		QueuedJobs:   len(s.unsent),
 	}
-	seen := map[lrm.Platform]bool{}
-	for _, h := range s.hosts {
-		if h.detached {
-			continue
-		}
-		// The pool's deliverable parallelism is the hosts currently
-		// on; attached-but-off machines are not capacity right now.
-		if h.on {
-			info.TotalCPUs++
-			if len(h.tasks) == 0 {
-				info.FreeCPUs++
-			}
-		}
-		if len(h.tasks) > 0 {
-			info.RunningJobs++
-		}
-		if h.MemoryMB > info.NodeMemoryMB {
-			info.NodeMemoryMB = h.MemoryMB
-		}
-		if !seen[h.Platform] {
-			seen[h.Platform] = true
-			info.Platforms = append(info.Platforms, h.Platform)
-		}
-	}
-	info.QueuedJobs = len(s.unsent)
-	return info
 }
 
 // Stats implements lrm.LRM (extended BOINC statistics are available

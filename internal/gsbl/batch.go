@@ -4,7 +4,10 @@ import (
 	"archive/zip"
 	"bytes"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"sort"
+	"strconv"
 
 	"lattice/internal/admit"
 	"lattice/internal/metasched"
@@ -291,51 +294,114 @@ func (s *Service) ResultsZip(id string) ([]byte, error) {
 	if !st.Done {
 		return nil, fmt.Errorf("gsbl: batch %s still has %d jobs outstanding", id, st.Pending+st.Running)
 	}
-	var buf bytes.Buffer
-	zw := zip.NewWriter(&buf)
-	summary := &bytes.Buffer{}
-	fmt.Fprintf(summary, "batch: %s\nreplicates: %d\njobs: %d\ncompleted: %d\nfailed: %d\n",
-		b.ID, b.Submission.Replicates, st.Total, st.Completed, st.Failed)
-	fmt.Fprintf(summary, "submitted_at: %.0f\nfinished_at: %.0f\n",
-		float64(b.CreatedAt), float64(b.DoneAt))
+	var out bytes.Buffer
+	out.Grow(len(b.Jobs)*zipBytesPerJob + 1024)
+	z := zipWriter{
+		zw:   zip.NewWriter(&out),
+		hdrs: make([]zip.FileHeader, 0, 2*st.Completed+st.Failed+1),
+	}
+	var body []byte // every entry is rendered here, then copied out by add
 	for _, j := range b.Jobs {
 		name := j.Desc.JobID
-		if j.Status == metasched.StatusCompleted {
-			w, err := zw.Create(name + ".best.tre")
-			if err != nil {
+		if j.Status != metasched.StatusCompleted {
+			body = append(append(body[:0], j.FailReason...), '\n')
+			if err := z.add(name, ".FAILED", body); err != nil {
 				return nil, err
 			}
-			if _, err := fmt.Fprintf(w, "# best tree for %s (searchreps=%d) from resource %s\n",
-				name, j.Spec.SearchReps, j.Resource); err != nil {
-				return nil, err
-			}
-			lw, err := zw.Create(name + ".screen.log")
-			if err != nil {
-				return nil, err
-			}
-			if _, err := fmt.Fprintf(lw, "job %s\nresource %s\nattempts %d\nwall_seconds %.0f\n",
-				name, j.Resource, j.Attempts, float64(j.CompletedAt.Sub(j.StartedAt))); err != nil {
-				return nil, err
-			}
-		} else {
-			w, err := zw.Create(name + ".FAILED")
-			if err != nil {
-				return nil, err
-			}
-			if _, err := fmt.Fprintf(w, "%s\n", j.FailReason); err != nil {
-				return nil, err
-			}
+			continue
+		}
+		body = append(append(body[:0], "# best tree for "...), name...)
+		body = strconv.AppendInt(append(body, " (searchreps="...), int64(j.Spec.SearchReps), 10)
+		body = append(append(append(body, ") from resource "...), j.Resource...), '\n')
+		if err := z.add(name, ".best.tre", body); err != nil {
+			return nil, err
+		}
+		body = append(append(body[:0], "job "...), name...)
+		body = append(append(body, "\nresource "...), j.Resource...)
+		body = strconv.AppendInt(append(body, "\nattempts "...), int64(j.Attempts), 10)
+		body = appendSeconds(append(body, "\nwall_seconds "...), float64(j.CompletedAt.Sub(j.StartedAt)))
+		body = append(body, '\n')
+		if err := z.add(name, ".screen.log", body); err != nil {
+			return nil, err
 		}
 	}
-	w, err := zw.Create("batch_summary.txt")
+	body = append(append(body[:0], "batch: "...), b.ID...)
+	body = strconv.AppendInt(append(body, "\nreplicates: "...), int64(b.Submission.Replicates), 10)
+	body = strconv.AppendInt(append(body, "\njobs: "...), int64(st.Total), 10)
+	body = strconv.AppendInt(append(body, "\ncompleted: "...), int64(st.Completed), 10)
+	body = strconv.AppendInt(append(body, "\nfailed: "...), int64(st.Failed), 10)
+	body = appendSeconds(append(body, "\nsubmitted_at: "...), float64(b.CreatedAt))
+	body = appendSeconds(append(body, "\nfinished_at: "...), float64(b.DoneAt))
+	body = append(body, '\n')
+	if err := z.add("batch_summary.txt", "", body); err != nil {
+		return nil, err
+	}
+	if err := z.zw.Close(); err != nil {
+		return nil, err
+	}
+	return out.Bytes(), nil
+}
+
+// appendSeconds appends v as fmt's %.0f would print it.
+func appendSeconds(dst []byte, v float64) []byte {
+	return strconv.AppendFloat(dst, v, 'f', 0, 64)
+}
+
+const (
+	// storeBelow is the body length under which an archive entry is
+	// stored instead of deflated. Measured on these text bodies (job
+	// stubs, and log- and Newick-shaped text grown line by line):
+	// level-5 deflate plus the 16-byte data descriptor a streamed entry
+	// carries comes out larger than the input up to about 130 bytes
+	// (89 -> 106, 131 -> 128, 143 -> 141) and smaller from there on
+	// (262 -> 178, 1 kB -> ~350), so short stubs are cheaper stored —
+	// in archive bytes as well as in the 640 kB of compressor state a
+	// deflated entry resets — and kB-sized GARLI trees and logs still
+	// compress.
+	storeBelow = 128
+	// zipBytesPerJob pre-sizes the archive for stub-sized outputs: a
+	// completed job's two entries cost two 30-byte local headers, two
+	// 46-byte directory records, its ~35-byte ID six times and ~130
+	// bytes of fixed text. Larger outputs grow the buffer as usual.
+	zipBytesPerJob = 544
+	// zipVersion20 is the "version needed to extract" archive/zip
+	// itself stamps on every entry it creates.
+	zipVersion20 = 20
+)
+
+// zipWriter is ResultsZip's single entry writer.
+type zipWriter struct {
+	zw *zip.Writer
+	// hdrs backs every entry's header (zw keeps a pointer to each until
+	// Close), sized up front so entries share one allocation.
+	hdrs []zip.FileHeader
+}
+
+// add writes one entry, name+suffix, holding body: stored when the body
+// is shorter than storeBelow, deflated otherwise. The rule reads only
+// the body's length. A stored entry's CRC and sizes are known up
+// front, so it goes in raw: no compressor, no hash state, no trailing
+// data descriptor.
+func (z *zipWriter) add(name, suffix string, body []byte) error {
+	z.hdrs = append(z.hdrs, zip.FileHeader{Name: name + suffix, Method: zip.Deflate})
+	fh := &z.hdrs[len(z.hdrs)-1]
+	var (
+		w   io.Writer
+		err error
+	)
+	if len(body) < storeBelow {
+		fh.Method = zip.Store
+		fh.CreatorVersion, fh.ReaderVersion = zipVersion20, zipVersion20
+		fh.CRC32 = crc32.ChecksumIEEE(body)
+		fh.CompressedSize64 = uint64(len(body))
+		fh.UncompressedSize64 = uint64(len(body))
+		w, err = z.zw.CreateRaw(fh)
+	} else {
+		w, err = z.zw.CreateHeader(fh)
+	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if _, err := w.Write(summary.Bytes()); err != nil {
-		return nil, err
-	}
-	if err := zw.Close(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	_, err = w.Write(body)
+	return err
 }

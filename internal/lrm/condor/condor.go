@@ -10,6 +10,7 @@ package condor
 
 import (
 	"fmt"
+	"slices"
 
 	"lattice/internal/lrm"
 	"lattice/internal/obs"
@@ -84,9 +85,15 @@ type Pool struct {
 	rng      *sim.RNG
 	cfg      Config
 	machines []*machineState
-	queue    []*queued
-	stats    lrm.Stats
-	ins      *lrm.Instruments
+	// nodeMemoryMB and platforms (first-seen order) summarize the
+	// machine list for Info; it is fixed at construction, so they are
+	// computed there once and the platform slice is shared by every
+	// answer.
+	nodeMemoryMB int
+	platforms    []lrm.Platform
+	queue        []*queued
+	stats        lrm.Stats
+	ins          *lrm.Instruments
 	// requeueCounts tracks per-job preemption counts across requeues.
 	requeueCounts map[string]int
 }
@@ -113,6 +120,10 @@ func New(eng *sim.Engine, rng *sim.RNG, cfg Config) (*Pool, error) {
 		}
 		ms := &machineState{Machine: m, ownerPresent: true}
 		p.machines = append(p.machines, ms)
+		p.nodeMemoryMB = max(p.nodeMemoryMB, m.MemoryMB)
+		if !slices.Contains(p.platforms, m.Platform) {
+			p.platforms = append(p.platforms, m.Platform)
+		}
 		p.scheduleOwnerDeparture(ms)
 	}
 	return p, nil
@@ -321,30 +332,23 @@ func durationOn(j *lrm.Job, speed float64) sim.Duration {
 // Info implements lrm.LRM.
 func (p *Pool) Info() lrm.Info {
 	info := lrm.Info{
-		Name:     p.cfg.Name,
-		Kind:     "condor",
-		Software: p.cfg.Software,
-		Stable:   false,
-		MPI:      false,
+		Name:         p.cfg.Name,
+		Kind:         "condor",
+		TotalCPUs:    len(p.machines),
+		NodeMemoryMB: p.nodeMemoryMB,
+		Platforms:    p.platforms,
+		Software:     p.cfg.Software,
+		Stable:       false,
+		MPI:          false,
+		QueuedJobs:   len(p.queue),
 	}
-	seen := map[lrm.Platform]bool{}
 	for _, m := range p.machines {
-		info.TotalCPUs++
-		if !m.ownerPresent && m.running == nil {
-			info.FreeCPUs++
-		}
 		if m.running != nil {
 			info.RunningJobs++
-		}
-		if m.MemoryMB > info.NodeMemoryMB {
-			info.NodeMemoryMB = m.MemoryMB
-		}
-		if !seen[m.Platform] {
-			seen[m.Platform] = true
-			info.Platforms = append(info.Platforms, m.Platform)
+		} else if !m.ownerPresent {
+			info.FreeCPUs++
 		}
 	}
-	info.QueuedJobs = len(p.queue)
 	return info
 }
 

@@ -270,15 +270,18 @@ type Scheduler struct {
 	// order lists resource names in registration order (which core
 	// fixes by config order) — the deterministic iteration sequence
 	// for the offline sweep.
-	order    []string
-	pending  []*GridJob
-	jobs     map[string]*GridJob
-	stats    Stats
-	nextSeq  int
-	scanning bool
-	obs      *obs.Obs
-	ins      schedInstruments
-	durable  Durability
+	order   []string
+	pending []*GridJob
+	// pendingSpare is scanPending's output buffer; it and pending swap
+	// roles at the end of every scan.
+	pendingSpare []*GridJob
+	jobs         map[string]*GridJob
+	stats        Stats
+	nextSeq      int
+	scanning     bool
+	obs          *obs.Obs
+	ins          schedInstruments
+	durable      Durability
 
 	// cands is the cached matchmaking view (see candidates), built
 	// from the MDS view at candsVersion. 0 — never an MDS version —

@@ -246,29 +246,40 @@ func TestSubmitRetryBackoff(t *testing.T) {
 	}
 }
 
+// With backoff disabled a refused job waits for the periodic scan. The
+// second case refuses it again *inside* that scan: the synchronous
+// re-queue lands behind the entries the scan is ranging over and must
+// survive the scan's queue rebuild (it used to be overwritten, leaving
+// the job pending forever with an empty queue).
 func TestSubmitRetryDisabledFallsBackToScan(t *testing.T) {
-	eng := sim.NewEngine()
-	idx, _ := mds.NewIndex(eng, 5*sim.Minute)
-	res := &refusingLRM{eng: eng, name: "flaky-gate", failN: 1, runFor: 10 * sim.Minute,
-		jobs: make(map[string]*lrm.Job)}
-	if _, err := mds.StartProvider(eng, idx, res, sim.Minute); err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.SubmitRetryBase = 0 // legacy behaviour: next periodic scan retries
-	sched := New(eng, idx, cfg)
-	if err := sched.Register(res, 1.0); err != nil {
-		t.Fatal(err)
-	}
-	j, err := sched.Submit(jobDesc("j1", 600), nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.RunUntil(sim.Time(6 * sim.Hour))
-	if j.Status != StatusCompleted {
-		t.Fatalf("job status %v, want completed", j.Status)
-	}
-	if st := sched.Stats(); st.SubmitRetries != 0 {
-		t.Errorf("legacy path counted %d submit retries, want 0", st.SubmitRetries)
+	for _, refusals := range []int{1, 2} {
+		eng := sim.NewEngine()
+		idx, _ := mds.NewIndex(eng, 5*sim.Minute)
+		res := &refusingLRM{eng: eng, name: "flaky-gate", failN: refusals, runFor: 10 * sim.Minute,
+			jobs: make(map[string]*lrm.Job)}
+		if _, err := mds.StartProvider(eng, idx, res, sim.Minute); err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig()
+		cfg.SubmitRetryBase = 0 // legacy behaviour: next periodic scan retries
+		sched := New(eng, idx, cfg)
+		if err := sched.Register(res, 1.0); err != nil {
+			t.Fatal(err)
+		}
+		j, err := sched.Submit(jobDesc("j1", 600), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.RunUntil(sim.Time(6 * sim.Hour))
+		if j.Status != StatusCompleted {
+			t.Fatalf("%d refusals: job status %v, submits=%d, len(pending)=%d; want completed",
+				refusals, j.Status, res.submits, sched.Pending())
+		}
+		if res.submits != refusals+1 {
+			t.Errorf("%d refusals: resource saw %d submissions, want %d", refusals, res.submits, refusals+1)
+		}
+		if st := sched.Stats(); st.SubmitRetries != 0 {
+			t.Errorf("legacy path counted %d submit retries, want 0", st.SubmitRetries)
+		}
 	}
 }

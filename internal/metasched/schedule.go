@@ -133,7 +133,9 @@ func sanitizeID(email string) string {
 }
 
 // scanPending retries placement of queued jobs against one candidate
-// view, held for the whole scan.
+// view, held for the whole scan. Survivors are filtered into the
+// scheduler's spare buffer, which then trades places with the queue,
+// so a steady-state scan allocates nothing.
 func (s *Scheduler) scanPending() {
 	if s.scanning || len(s.pending) == 0 {
 		return
@@ -141,15 +143,19 @@ func (s *Scheduler) scanPending() {
 	s.scanning = true
 	defer func() { s.scanning = false }()
 	snap := s.candidates()
-	var still []*GridJob
-	for _, j := range s.pending {
-		if j.Status != StatusPending || !s.place(j, snap) {
-			if j.Status == StatusPending {
-				still = append(still, j)
-			}
+	n := len(s.pending)
+	still := s.pendingSpare[:0]
+	for _, j := range s.pending[:n] {
+		if j.Status == StatusPending && !s.place(j, snap) {
+			still = append(still, j)
 		}
 	}
-	s.pending = still
+	// A placement that fails synchronously (a refused zero-delay submit,
+	// a job failing inside Submit) re-queues its job behind the n being
+	// ranged over; those entries outlive the scan.
+	still = append(still, s.pending[n:]...)
+	clear(s.pending) // the spare must not pin placed jobs
+	s.pending, s.pendingSpare = still, s.pending[:0]
 	s.ins.pending.Set(float64(len(s.pending)))
 }
 

@@ -21,7 +21,7 @@ type viewGrid struct {
 
 // newViewGrid registers the named resources at the given speeds; none
 // is published yet.
-func newViewGrid(t *testing.T, cfg Config, speeds map[string]float64) *viewGrid {
+func newViewGrid(t testing.TB, cfg Config, speeds map[string]float64) *viewGrid {
 	t.Helper()
 	eng := sim.NewEngine()
 	idx, err := mds.NewIndex(eng, 5*sim.Minute)
