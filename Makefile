@@ -22,8 +22,8 @@ vet:
 
 # latticelint is the project's own analyzer suite (cmd/latticelint):
 # five per-package analyzers (determinism, errdrop, floatcmp,
-# syncmisuse, deadassign) plus three whole-program dataflow analyzers
-# (lockorder, goroleak, taintdet). One run writes the JSON artifact
+# syncmisuse, deadassign) plus four whole-program analyzers
+# (lockorder, goroleak, taintdet, deadexport). One run writes the JSON artifact
 # and exits non-zero on any unsuppressed finding; on failure, a second
 # text-mode run prints the findings for humans.
 lint:

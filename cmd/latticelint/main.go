@@ -1,9 +1,9 @@
 // Command latticelint runs the project's static-analysis suite: five
 // per-package syntactic analyzers (determinism, errdrop, floatcmp,
-// syncmisuse, deadassign) plus three whole-program dataflow analyzers
-// (lockorder, goroleak, taintdet) that enforce the reproducibility,
-// error-handling and concurrency discipline the paper reproduction
-// depends on. It is built from the standard library alone and works
+// syncmisuse, deadassign) plus four whole-program analyzers
+// (lockorder, goroleak, taintdet, deadexport) that enforce the
+// reproducibility, error-handling, concurrency and API-surface
+// discipline the paper reproduction depends on. It is built from the standard library alone and works
 // offline.
 //
 // Usage:

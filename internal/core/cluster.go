@@ -169,14 +169,6 @@ func (c *Cluster) Route(user, origin string) int {
 	return shard.Route(user, origin, len(c.Shards))
 }
 
-// SubmitSubmission routes a submission to its owner shard and
-// enqueues it through that shard's coordinator front door. The
-// returned int is the owning shard.
-func (c *Cluster) SubmitSubmission(sub workload.Submission, onAccepted func(*gsbl.Batch, error)) (int, error) {
-	k := c.Route(sub.UserEmail, "core")
-	return k, c.Shards[k].EnqueueSubmission(sub, shard.Origin(k, "core"), onAccepted)
-}
-
 // ScheduleSubmission arranges for sub to arrive at virtual time at on
 // its owner shard. Arrivals are tracked cluster-side so RecoverShard
 // can re-schedule the ones a crash wiped out of the engine.
@@ -193,7 +185,7 @@ func (c *Cluster) scheduleArrival(k int, pa *pendingArrival) {
 	l := c.Shards[k]
 	l.Engine.ScheduleAt(pa.at, func() {
 		pa.delivered = true
-		if err := l.EnqueueSubmission(pa.sub, pa.origin, nil); err != nil {
+		if _, err := l.submit(gsbl.Request{Sub: pa.sub, Origin: pa.origin}); err != nil {
 			l.Service.NoteIngestErr(fmt.Errorf("core: scheduled arrival at %v: %w", pa.at, err))
 		}
 	})
@@ -215,21 +207,13 @@ func (c *Cluster) PendingArrivals() int {
 	return n
 }
 
-// SubmitWorkflow pins a workflow to its owner shard (routed by user,
-// so a user's workflows and batches live together) and submits it.
-func (c *Cluster) SubmitWorkflow(wf workload.Workflow) (int, error) {
-	k := c.Route(wf.UserEmail, "workflow")
-	_, err := c.Shards[k].SubmitWorkflow(wf)
-	return k, err
-}
-
 // RunUntil advances every non-crashed shard to t, one engine at a
 // time. Shards never exchange events, so sequential advancement is
 // equivalent to any interleaving; a shard whose injector crashed
 // stays frozen until RecoverShard.
 func (c *Cluster) RunUntil(t sim.Time) {
 	for _, l := range c.Shards {
-		if l.Faults != nil && l.Faults.Crashed() {
+		if l.crashed() {
 			continue
 		}
 		l.Engine.RunUntil(t)
@@ -240,7 +224,7 @@ func (c *Cluster) RunUntil(t sim.Time) {
 // the HTTP-safe twin of RunUntil, driven by cmd/lattice's ticker.
 func (c *Cluster) Pump(d sim.Duration) {
 	for _, l := range c.Shards {
-		if l.Faults != nil && l.Faults.Crashed() {
+		if l.crashed() {
 			continue
 		}
 		l.Portal.Pump(d)
@@ -252,12 +236,16 @@ func (c *Cluster) Pump(d sim.Duration) {
 func (c *Cluster) CrashedShards() []int {
 	var out []int
 	for k, l := range c.Shards {
-		if l.Faults != nil && l.Faults.Crashed() {
+		if l.crashed() {
 			out = append(out, k)
 		}
 	}
 	return out
 }
+
+// crashed reports whether the shard's fault injector has fired a crash
+// and stopped its engine.
+func (l *Lattice) crashed() bool { return l.Faults != nil && l.Faults.Crashed() }
 
 // RecoverShard rebuilds shard k from its own WAL directory — the
 // other shards are untouched, which is the point of per-shard
@@ -305,9 +293,9 @@ func (c *Cluster) Digest() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// MergedSnapshot returns every shard's metrics with a shard label, in
+// mergedSnapshot returns every shard's metrics with a shard label, in
 // deterministic order (see shard.MergeSnapshots).
-func (c *Cluster) MergedSnapshot() []obs.SeriesSnapshot {
+func (c *Cluster) mergedSnapshot() []obs.SeriesSnapshot {
 	perShard := make([][]obs.SeriesSnapshot, len(c.Shards))
 	for k, l := range c.Shards {
 		perShard[k] = l.Obs.Registry.Snapshot()
@@ -319,7 +307,7 @@ func (c *Cluster) MergedSnapshot() []obs.SeriesSnapshot {
 // format — the cluster-wide /metrics body.
 func (c *Cluster) MergedExposition() string {
 	var b strings.Builder
-	obs.WriteExposition(&b, c.MergedSnapshot())
+	obs.WriteExposition(&b, c.mergedSnapshot())
 	return b.String()
 }
 
@@ -347,41 +335,22 @@ func (c *Cluster) Handler() http.Handler {
 
 // statusJSON merges every shard's /grid/status view.
 func (c *Cluster) statusJSON() any {
-	type row struct {
-		Name    string `json:"name"`
-		Kind    string `json:"kind"`
-		Total   int    `json:"totalCPUs"`
-		Free    int    `json:"freeCPUs"`
-		Queued  int    `json:"queued"`
-		Running int    `json:"running"`
-		Stable  bool   `json:"stable"`
-	}
 	type shardStatus struct {
-		Shard     int     `json:"shard"`
-		Crashed   bool    `json:"crashed"`
-		Time      float64 `json:"time"`
-		Resources []row   `json:"resources"`
-		Scheduler any     `json:"scheduler"`
+		Shard     int           `json:"shard"`
+		Crashed   bool          `json:"crashed"`
+		Time      float64       `json:"time"`
+		Resources []resourceRow `json:"resources"`
+		Scheduler any           `json:"scheduler"`
 	}
 	out := make([]shardStatus, len(c.Shards))
 	for k, l := range c.Shards {
-		st := shardStatus{
-			Shard: k,
-			Time:  float64(l.Engine.Now()),
+		out[k] = shardStatus{
+			Shard:     k,
+			Crashed:   l.crashed(),
+			Time:      float64(l.Engine.Now()),
+			Resources: l.resourceRows(),
+			Scheduler: l.Scheduler.Stats(),
 		}
-		if l.Faults != nil {
-			st.Crashed = l.Faults.Crashed()
-		}
-		for _, e := range l.Index.Snapshot() {
-			st.Resources = append(st.Resources, row{
-				Name: e.Info.Name, Kind: e.Info.Kind,
-				Total: e.Info.TotalCPUs, Free: e.Info.FreeCPUs,
-				Queued: e.Info.QueuedJobs, Running: e.Info.RunningJobs,
-				Stable: e.Info.Stable,
-			})
-		}
-		st.Scheduler = l.Scheduler.Stats()
-		out[k] = st
 	}
 	return map[string]any{"shards": out}
 }

@@ -167,35 +167,32 @@ func TestClusterRoutedSubmissions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type accepted struct {
-		shard int
-		id    string
-	}
-	var got []accepted
 	for i := 0; i < 10; i++ {
 		email := fmt.Sprintf("user%02d@example.edu", i)
-		k, err := c.SubmitSubmission(clusterSubmission(email, int64(100+i)), func(b *gsbl.Batch, err error) {
-			if err != nil {
-				t.Errorf("accept %s: %v", email, err)
-				return
-			}
-			got = append(got, accepted{shard: shard.Route(email, "core", 2), id: b.ID})
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		k := c.ScheduleSubmission(0, clusterSubmission(email, int64(100+i)))
 		if want := shard.Route(email, "core", 2); k != want {
 			t.Errorf("submission for %s routed to shard %d, want %d", email, k, want)
 		}
 	}
 	runClusterToDone(t, c, sim.Time(10*sim.Day))
-	if len(got) != 10 {
-		t.Fatalf("%d batches accepted, want 10", len(got))
-	}
-	for _, a := range got {
-		if !strings.HasPrefix(a.id, fmt.Sprintf("shard%d-batch-", a.shard)) {
-			t.Errorf("batch %s not prefixed for shard %d", a.id, a.shard)
+	accepted := 0
+	for k, l := range c.Shards {
+		if errs := l.Service.IngestErrors(); len(errs) != 0 {
+			t.Errorf("shard %d: %v", k, errs)
 		}
+		for _, id := range l.Service.Batches() {
+			accepted++
+			b, _ := l.Service.Batch(id)
+			if !strings.HasPrefix(id, fmt.Sprintf("shard%d-batch-", k)) {
+				t.Errorf("batch %s not prefixed for shard %d", id, k)
+			}
+			if want := shard.Route(b.Submission.UserEmail, "core", 2); want != k {
+				t.Errorf("batch %s for %s lives on shard %d, want %d", id, b.Submission.UserEmail, k, want)
+			}
+		}
+	}
+	if accepted != 10 {
+		t.Fatalf("%d batches accepted, want 10", accepted)
 	}
 	checkConservation(t, c)
 }
@@ -241,9 +238,7 @@ func TestClusterPartitionAndLeaseShares(t *testing.T) {
 	// Work still completes under lease rotation.
 	for i := 0; i < 6; i++ {
 		email := fmt.Sprintf("lease%02d@example.edu", i)
-		if _, err := lease.SubmitSubmission(clusterSubmission(email, int64(200+i)), nil); err != nil {
-			t.Fatal(err)
-		}
+		lease.ScheduleSubmission(0, clusterSubmission(email, int64(200+i)))
 	}
 	runClusterToDone(t, lease, sim.Time(10*sim.Day))
 	checkConservation(t, lease)

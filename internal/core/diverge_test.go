@@ -163,7 +163,6 @@ func TestRecoverConfigDriftStopsEarly(t *testing.T) {
 // of the stream it verifies — and still sees a record that differs.
 func TestRebuildEmitRetainsNothing(t *testing.T) {
 	eng := sim.NewEngine()
-	rec := newRecorder(eng, 1)
 	const n = 300
 	events := make([]obs.Event, n)
 	tail := make([]wal.Record, n)
@@ -173,7 +172,7 @@ func TestRebuildEmitRetainsNothing(t *testing.T) {
 		tail[i] = wal.Record{Seq: uint64(i + 1), At: ev.At, Kind: wal.KindStage, Batch: ev.Batch, Job: ev.Job, Stage: string(ev.Stage), Resource: ev.Resource}
 	}
 	tail[n-1].Detail = "only the log says this"
-	rec.rb = &rebuild{tail: tail, lastSeq: n}
+	rec := newRecorder(eng, 1, &rebuild{tail: tail, lastSeq: n})
 	i := 0
 	if allocs := testing.AllocsPerRun(n-100, func() {
 		rec.Stage(events[i])

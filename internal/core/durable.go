@@ -73,10 +73,11 @@ type rebuild struct {
 	err error
 }
 
-func newRecorder(eng *sim.Engine, seed int64) *recorder {
+func newRecorder(eng *sim.Engine, seed int64, rb *rebuild) *recorder {
 	return &recorder{
 		eng:        eng,
 		seed:       seed,
+		rb:         rb,
 		jhash:      sha256.New(),
 		stability:  make(map[string]float64),
 		boincState: make(map[string]int),
@@ -283,28 +284,16 @@ func (rec *recorder) Workunit(at sim.Time, job, state, detail string) {
 	rec.emit(wal.Record{At: at, Kind: wal.KindWorkunit, Job: job, State: state, Detail: detail})
 }
 
-// Submission implements gsbl.Durability. The Pre flag marks inputs
-// that arrived before the engine ever stepped, which replay must
-// apply before running any events.
-func (rec *recorder) Submission(at sim.Time, origin string, sub workload.Submission) {
+// Submission implements gsbl.Durability. Queued marks an enqueue behind
+// the front door, which replay sends back through the door; the Pre
+// flag marks inputs that arrived before the engine ever stepped, which
+// replay must apply before running any events.
+func (rec *recorder) Submission(at sim.Time, origin string, queued bool, sub workload.Submission) {
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
 	s := sub
 	rec.emit(wal.Record{
-		At: at, Kind: wal.KindSubmission, Origin: origin, Sub: &s,
-		Pre: rec.isPre(),
-	})
-}
-
-// QueuedSubmission implements gsbl.Durability for the serialized
-// ingest path: the enqueue is the input, so the record carries the
-// Queued mark that routes replay back through the ingest queue.
-func (rec *recorder) QueuedSubmission(at sim.Time, origin string, sub workload.Submission) {
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	s := sub
-	rec.emit(wal.Record{
-		At: at, Kind: wal.KindSubmission, Origin: origin, Sub: &s, Queued: true,
+		At: at, Kind: wal.KindSubmission, Origin: origin, Sub: &s, Queued: queued,
 		Pre: rec.isPre(),
 	})
 }
@@ -330,22 +319,6 @@ func (rec *recorder) User(at sim.Time, token, email string) {
 		At: at, Kind: wal.KindUser, Token: token, Email: email,
 		Pre: rec.isPre(),
 	})
-}
-
-// wireDurable connects a recorder to every component that records
-// durable transitions. Called before any journal event is recorded,
-// so the record stream starts at genesis in both live and rebuild
-// modes.
-func (l *Lattice) wireDurable(rec *recorder) {
-	l.rec = rec
-	l.Obs.Journal.SetObserver(rec.Stage)
-	l.Scheduler.SetDurable(rec)
-	l.Service.SetDurable(rec)
-	l.Workflows.SetDurable(rec)
-	l.Portal.SetDurable(rec)
-	if l.Boinc != nil {
-		l.Boinc.SetDurable(rec)
-	}
 }
 
 // DurableErr reports the write-ahead log's sticky error, nil when

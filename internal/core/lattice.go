@@ -199,28 +199,28 @@ type Lattice struct {
 // durability recorder through every component; use Recover instead
 // when the directory already holds state.
 func New(cfg Config) (*Lattice, error) {
-	l, err := build(cfg, false)
+	l, err := build(cfg, nil)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Durable != "" {
+	if l.rec != nil {
 		lg, err := wal.Create(cfg.Durable, cfg.WAL)
 		if err != nil {
 			return nil, err
 		}
-		rec := newRecorder(l.Engine, cfg.Seed)
-		l.wireDurable(rec)
-		rec.attachLog(lg)
-		rec.begin()
-		l.Portal.SetArtifactDir(filepath.Join(cfg.Durable, "artifacts"))
+		l.rec.attachLog(lg)
+		l.rec.begin()
 	}
 	return l, nil
 }
 
-// build assembles the deployment. rebuild marks a recovery
-// re-execution: identical wiring and RNG draws, but scheduled crashes
-// must not stop the engine (the rebuild runs straight through them).
-func build(cfg Config, rebuild bool) (*Lattice, error) {
+// build assembles the deployment, with a durability recorder wired
+// through every component when cfg.Durable is set. A non-nil rb marks a
+// recovery re-execution: identical wiring and RNG draws, but the
+// recorder verifies against rb instead of logging, and scheduled
+// crashes must not stop the engine (the rebuild runs straight through
+// them).
+func build(cfg Config, rb *rebuild) (*Lattice, error) {
 	if cfg.MDSTTL <= 0 {
 		cfg.MDSTTL = 5 * sim.Minute
 	}
@@ -250,7 +250,7 @@ func build(cfg Config, rebuild bool) (*Lattice, error) {
 	if cfg.Faults != nil {
 		l.Faults = faults.NewInjector(eng, rng.Stream("faults"))
 		l.Faults.SetObs(l.Obs)
-		if rebuild {
+		if rb != nil {
 			l.Faults.SetCrashStops(false)
 		}
 		pubSink = l.Faults.Sink(idx)
@@ -298,46 +298,74 @@ func build(cfg Config, rebuild bool) (*Lattice, error) {
 		l.Estimator = est
 		l.Scheduler.SetPredictor(est)
 	}
+	// The hooks stay nil interfaces unless a recorder exists: a typed-nil
+	// *recorder in a hook would pass every "durable != nil" check.
+	var hooks interface {
+		gsbl.Durability
+		dag.Durability
+		portal.Durability
+	}
+	var artifacts string
+	if cfg.Durable != "" {
+		l.rec = newRecorder(eng, cfg.Seed, rb)
+		hooks = l.rec
+		artifacts = filepath.Join(cfg.Durable, "artifacts")
+	}
 	l.Mailer = &gsbl.Mailer{}
-	l.Service = gsbl.NewService(eng, l.Scheduler, l.Mailer, rng.Stream("gsbl"))
-	l.Service.SetObs(l.Obs)
-	l.Service.SetIDPrefix(cfg.IDPrefix)
-	l.Service.SetIngest(cfg.Ingest)
-	if cfg.Admit.Enabled() {
-		if err := l.Service.SetAdmit(cfg.Admit); err != nil {
-			return nil, err
+	l.Service, err = gsbl.NewService(eng, l.Scheduler, l.Mailer, rng.Stream("gsbl"), gsbl.Options{
+		Obs: l.Obs, IDPrefix: cfg.IDPrefix, Ingest: cfg.Ingest, Admit: cfg.Admit, Durable: hooks,
+	})
+	if err != nil {
+		return nil, err
+	}
+	l.Workflows = dag.NewEngine(eng, l.Service, l.Obs, dag.Config{IDPrefix: cfg.IDPrefix, Durable: hooks})
+	l.Portal = portal.New(eng, l.Service, portal.Options{
+		Obs: l.Obs, Workflows: l.Workflows, StatusSource: l.statusJSON, ArtifactDir: artifacts, Durable: hooks,
+	})
+	if l.rec != nil {
+		// Wired before any journal event is recorded, so the record
+		// stream starts at genesis in both live and rebuild modes.
+		l.Obs.Journal.SetObserver(l.rec.Stage)
+		l.Scheduler.SetDurable(l.rec)
+		if l.Boinc != nil {
+			l.Boinc.SetDurable(l.rec)
 		}
 	}
-	l.Workflows = dag.NewEngine(eng, l.Service, l.Obs, dag.Config{IDPrefix: cfg.IDPrefix})
-	l.Portal = portal.New(eng, l.Service)
-	l.Portal.SetObs(l.Obs)
-	l.Portal.SetWorkflows(l.Workflows)
-	l.Portal.SetStatusSource(func() any {
-		type row struct {
-			Name    string `json:"name"`
-			Kind    string `json:"kind"`
-			Total   int    `json:"totalCPUs"`
-			Free    int    `json:"freeCPUs"`
-			Queued  int    `json:"queued"`
-			Running int    `json:"running"`
-			Stable  bool   `json:"stable"`
-		}
-		var rows []row
-		for _, e := range l.Index.Snapshot() {
-			rows = append(rows, row{
-				Name: e.Info.Name, Kind: e.Info.Kind,
-				Total: e.Info.TotalCPUs, Free: e.Info.FreeCPUs,
-				Queued: e.Info.QueuedJobs, Running: e.Info.RunningJobs,
-				Stable: e.Info.Stable,
-			})
-		}
-		return map[string]any{
-			"resources": rows,
-			"scheduler": l.Scheduler.Stats(),
-			"time":      float64(l.Engine.Now()),
-		}
-	})
 	return l, nil
+}
+
+// resourceRow is one federation member in a /grid/status body.
+type resourceRow struct {
+	Name    string `json:"name"`
+	Kind    string `json:"kind"`
+	Total   int    `json:"totalCPUs"`
+	Free    int    `json:"freeCPUs"`
+	Queued  int    `json:"queued"`
+	Running int    `json:"running"`
+	Stable  bool   `json:"stable"`
+}
+
+// resourceRows is the federation as MDS currently sees it.
+func (l *Lattice) resourceRows() []resourceRow {
+	var rows []resourceRow
+	for _, e := range l.Index.Snapshot() {
+		rows = append(rows, resourceRow{
+			Name: e.Info.Name, Kind: e.Info.Kind,
+			Total: e.Info.TotalCPUs, Free: e.Info.FreeCPUs,
+			Queued: e.Info.QueuedJobs, Running: e.Info.RunningJobs,
+			Stable: e.Info.Stable,
+		})
+	}
+	return rows
+}
+
+// statusJSON is the /grid/status body of a single coordinator.
+func (l *Lattice) statusJSON() any {
+	return map[string]any{
+		"resources": l.resourceRows(),
+		"scheduler": l.Scheduler.Stats(),
+		"time":      float64(l.Engine.Now()),
+	}
 }
 
 // buildResource constructs one LRM from its spec.
@@ -423,32 +451,28 @@ func (l *Lattice) TotalCores() int {
 	return total
 }
 
-// SubmitSubmission validates and schedules a portal-style submission,
-// forking one extra replicate to the reference cluster for continuous
-// model retraining when configured (Section VI-E: "we simply fork off
-// a single job replicate on our reference computer … and add the
-// observed runtime and values of the predictor variables to the
-// matrix").
+// SubmitSubmission validates and schedules a portal-style submission
+// on the spot, past any modelled front door, under the "core" origin.
 func (l *Lattice) SubmitSubmission(sub workload.Submission) (*gsbl.Batch, error) {
-	b, err := l.Service.SubmitBatchOrigin(sub, "core")
-	if err != nil {
-		return nil, err
-	}
-	if l.refName != "" && l.Estimator != nil {
-		l.forkReferenceReplicate(sub)
-	}
-	return b, nil
+	return l.submit(gsbl.Request{Sub: sub, Origin: "core", Direct: true})
 }
 
-// EnqueueSubmission is the scale-out accept path: the submission is
-// validated and durably recorded now, then expanded into grid jobs
-// when the serialized coordinator front door (Config.Ingest) reaches
-// it. With the ingest model disabled it schedules synchronously. The
-// origin labels the arrival path ("shard3/core" under a cluster); the
-// reference-cluster retraining fork stays a direct-submission feature
-// and is not applied here.
-func (l *Lattice) EnqueueSubmission(sub workload.Submission, origin string, onAccepted func(*gsbl.Batch, error)) error {
-	return l.Service.EnqueueBatchOrigin(sub, origin, onAccepted)
+// submit offers a request to the service. A "core" request the service
+// expanded on the spot forks one extra replicate to the reference
+// cluster for continuous model retraining when configured (Section
+// VI-E: "we simply fork off a single job replicate on our reference
+// computer … and add the observed runtime and values of the predictor
+// variables to the matrix"); the fork stays a direct-submission
+// feature, so nothing queued behind the door and no cluster arrival
+// ("shard<k>/core") forks. Every live "core" request and crash replay
+// both come through here, which is what keeps the fork count equal
+// between them.
+func (l *Lattice) submit(r gsbl.Request) (*gsbl.Batch, error) {
+	b, err := l.Service.Submit(r)
+	if b != nil && r.Origin == "core" && l.refName != "" && l.Estimator != nil {
+		l.forkReferenceReplicate(r.Sub)
+	}
+	return b, err
 }
 
 // SubmitWorkflow validates and starts a stage-DAG workflow: each

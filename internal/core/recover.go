@@ -4,8 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"path/filepath"
 
+	"lattice/internal/gsbl"
 	"lattice/internal/sim"
 	"lattice/internal/wal"
 )
@@ -59,19 +59,17 @@ func Recover(dir string, cfg Config) (*Lattice, error) {
 		return nil, fmt.Errorf("core: durable state in %s was written with seed %d, config has seed %d", dir, st.Seed, cfg.Seed)
 	}
 
-	l, err := build(cfg, true)
+	inputs := st.Inputs()
+	rb := &rebuild{inputs: inputs, tail: st.Tail, lastSeq: st.LastSeq}
+	if st.Snap != nil {
+		rb.snapSeq = st.Snap.Seq
+	}
+	l, err := build(cfg, rb)
 	if err != nil {
 		return nil, err
 	}
-	inputs := st.Inputs()
-	rec := newRecorder(l.Engine, cfg.Seed)
-	rec.rb = &rebuild{inputs: inputs, tail: st.Tail, lastSeq: st.LastSeq}
-	if st.Snap != nil {
-		rec.rb.snapSeq = st.Snap.Seq
-	}
-	l.wireDurable(rec)
+	rec := l.rec
 	rec.begin()
-	l.Portal.SetArtifactDir(filepath.Join(dir, "artifacts"))
 
 	if err := l.replay(inputs, st.Watermark); err != nil {
 		return nil, err
@@ -146,10 +144,12 @@ func (l *Lattice) replay(inputs []wal.Record, watermark sim.Time) error {
 	return l.rec.diverged()
 }
 
-// applyInput re-injects one logged input through the path it
-// originally arrived by — the paths differ in bookkeeping (portal
-// ownership) and RNG side effects (core's reference fork), so the
-// origin label picks the exact same code path.
+// applyInput re-injects one logged input. A submission goes back
+// through the one door it came in by: the record's origin and Queued
+// bit rebuild the request, so the same record is re-emitted, a
+// submission the admission layer shed re-sheds deterministically (a
+// decision, not a replay error), and core's reference fork fires
+// exactly when it did live.
 func (l *Lattice) applyInput(r wal.Record) error {
 	switch r.Kind {
 	case wal.KindUser:
@@ -167,27 +167,7 @@ func (l *Lattice) applyInput(r wal.Record) error {
 		if r.Sub == nil {
 			return fmt.Errorf("core: submission record %d has no payload", r.Seq)
 		}
-		var err error
-		switch {
-		case r.Queued && r.Origin == "portal":
-			// Portal-queued submissions replay through the portal so
-			// batch ownership is restored when the drain accepts them;
-			// admission rejections re-shed deterministically and are not
-			// replay errors.
-			_, _, err = l.Portal.EnqueueOwned(*r.Sub)
-		case r.Queued:
-			// The record marks an ingest enqueue; re-enqueueing it
-			// re-emits the same durable record and re-execution
-			// regenerates the drain-time scheduling.
-			err = l.Service.EnqueueBatchOrigin(*r.Sub, r.Origin, nil)
-		case r.Origin == "core":
-			_, err = l.SubmitSubmission(*r.Sub)
-		case r.Origin == "portal":
-			_, err = l.Portal.Resubmit(*r.Sub)
-		default:
-			_, err = l.Service.SubmitBatchOrigin(*r.Sub, r.Origin)
-		}
-		if err != nil {
+		if _, err := l.submit(gsbl.Request{Sub: *r.Sub, Origin: r.Origin, Direct: !r.Queued}); err != nil {
 			return fmt.Errorf("core: replaying submission record %d: %w", r.Seq, err)
 		}
 		return nil

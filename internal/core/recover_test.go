@@ -434,7 +434,7 @@ func TestJournalObserverSeesEveryEvent(t *testing.T) {
 func TestRecorderDigestTracksJournal(t *testing.T) {
 	eng := sim.NewEngine()
 	j := obs.NewJournal(eng)
-	rec := newRecorder(eng, 1)
+	rec := newRecorder(eng, 1, nil)
 	j.SetObserver(rec.Stage)
 	details := []string{"", "policy=full attempt=1", "a\x1fb\nc", strings.Repeat("long detail ", 100)}
 	for i, d := range details {

@@ -152,9 +152,9 @@ func TestWorkflowReadinessOrder(t *testing.T) {
 	if r.State != RunComplete {
 		t.Fatalf("run state = %s, want %s", r.State, RunComplete)
 	}
-	search, _ := r.Stage("search")
-	boot, _ := r.Stage("bootstrap")
-	cons, _ := r.Stage("consensus")
+	search := r.stages["search"]
+	boot := r.stages["bootstrap"]
+	cons := r.stages["consensus"]
 	if boot.DoneAt >= search.DoneAt {
 		t.Fatalf("bootstrap (done %v) should finish before search (done %v)", boot.DoneAt, search.DoneAt)
 	}
@@ -204,7 +204,7 @@ func TestStageRetryDrawsFreshSeed(t *testing.T) {
 	if r.State != RunComplete {
 		t.Fatalf("run state = %s, want complete after one retry", r.State)
 	}
-	search, _ := r.Stage("search")
+	search := r.stages["search"]
 	if search.Attempts != 2 {
 		t.Fatalf("search attempts = %d, want 2", search.Attempts)
 	}
@@ -237,7 +237,7 @@ func TestDirtySubtreeReexecution(t *testing.T) {
 	}
 	states := map[string]StageState{}
 	for _, id := range r.Order {
-		sr, _ := r.Stage(id)
+		sr := r.stages[id]
 		states[id] = sr.State
 	}
 	want := map[string]StageState{

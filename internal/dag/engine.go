@@ -39,6 +39,8 @@ type Config struct {
 	// front router can attribute a workflow to its coordinator shard.
 	// Empty for single-coordinator deployments.
 	IDPrefix string
+	// Durable is the write-ahead-log hook; nil disables it.
+	Durable Durability
 }
 
 // StageState is a workflow stage's lifecycle state.
@@ -93,12 +95,6 @@ type Run struct {
 	children map[string][]string
 }
 
-// Stage returns a stage's live state.
-func (r *Run) Stage(id string) (*StageRun, bool) {
-	sr, ok := r.stages[id]
-	return sr, ok
-}
-
 // StageStatus is the JSON view of one stage the portal serves.
 type StageStatus struct {
 	ID        string     `json:"id"`
@@ -127,13 +123,12 @@ type RunStatus struct {
 // goroutine (the portal serializes its HTTP access under its own
 // mutex, exactly as it does for the service layer).
 type Engine struct {
-	eng     *sim.Engine
-	runner  Runner
-	o       *obs.Obs
-	durable Durability
-	cfg     Config
-	runs    map[string]*Run
-	nextID  int
+	eng    *sim.Engine
+	runner Runner
+	o      *obs.Obs
+	cfg    Config
+	runs   map[string]*Run
+	nextID int
 }
 
 // NewEngine wires a workflow engine onto a stage runner.
@@ -153,9 +148,6 @@ func NewEngine(eng *sim.Engine, runner Runner, o *obs.Obs, cfg Config) *Engine {
 	}
 }
 
-// SetDurable installs the durability hook (nil disables it).
-func (e *Engine) SetDurable(d Durability) { e.durable = d }
-
 // Submit validates a workflow and starts its root stages. The
 // workflow is recorded as a durable input before any side effect, so
 // recovery re-injects it and re-execution regenerates every stage
@@ -165,8 +157,8 @@ func (e *Engine) Submit(wf workload.Workflow) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	if e.durable != nil {
-		e.durable.Workflow(e.eng.Now(), wf)
+	if e.cfg.Durable != nil {
+		e.cfg.Durable.Workflow(e.eng.Now(), wf)
 	}
 	e.nextID++
 	r := &Run{
@@ -190,12 +182,6 @@ func (e *Engine) Submit(wf workload.Workflow) (*Run, error) {
 		fmt.Sprintf("workflow %s: %d stages for %s", wf.Name, len(wf.Stages), wf.UserEmail))
 	e.launchReady(r)
 	return r, nil
-}
-
-// Run returns a run by ID.
-func (e *Engine) Run(id string) (*Run, bool) {
-	r, ok := e.runs[id]
-	return r, ok
 }
 
 // Runs lists run IDs in submission order.
@@ -386,6 +372,8 @@ func (e *Engine) finishIfTerminal(r *Run) {
 // Rerun is an operator action, not a recorded WAL input: a workflow
 // rerun after a crash must be re-issued by the operator, the same way
 // a cancelled batch must be resubmitted.
+//
+//lint:allow deadexport -- the operator half of the workflow lifecycle (README "Workflows"): nothing in the simulation reruns a stage, an operator does
 func (e *Engine) Rerun(runID, stageID string) error {
 	r, ok := e.runs[runID]
 	if !ok {

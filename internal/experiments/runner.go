@@ -11,6 +11,7 @@ import (
 
 	"lattice/internal/core"
 	"lattice/internal/faults"
+	"lattice/internal/gsbl"
 	"lattice/internal/metasched"
 	"lattice/internal/obs"
 	"lattice/internal/shard"
@@ -326,7 +327,7 @@ func (r *run) arrive(at sim.Time, sub workload.Submission) {
 // their own arrival process on the shard's clock.
 func (r *run) enqueue(k int, sub workload.Submission) {
 	l := r.lats[k]
-	if err := l.EnqueueSubmission(sub, shard.Origin(k, "core"), nil); err != nil {
+	if _, err := l.Service.Submit(gsbl.Request{Sub: sub, Origin: shard.Origin(k, "core")}); err != nil {
 		l.Service.NoteIngestErr(fmt.Errorf("experiments: arrival on shard %d: %w", k, err))
 	}
 	r.offered[k]++

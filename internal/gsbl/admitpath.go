@@ -6,7 +6,6 @@ import (
 	"lattice/internal/admit"
 	"lattice/internal/obs"
 	"lattice/internal/sim"
-	"lattice/internal/workload"
 )
 
 // This file is the admission-controlled variant of the ingest path
@@ -15,26 +14,6 @@ import (
 // deterministic load shedding. Everything still runs on the virtual
 // clock inside engine callbacks, so same-seed runs shed the same
 // submissions at the same instants.
-
-// SetAdmit installs the overload-protection layer in front of the
-// ingest queue. The ingest model must already be enabled — its cost
-// function prices each submission's front-door occupancy, which is the
-// currency the fair-share queue and the wait budget meter. A disabled
-// config is a no-op. Call before the first submission.
-func (s *Service) SetAdmit(cfg admit.Config) error {
-	if !cfg.Enabled() {
-		return nil
-	}
-	if !s.ingest.Enabled() {
-		return fmt.Errorf("gsbl: admission control requires the ingest model (SetIngest first)")
-	}
-	ctl, err := admit.NewController(cfg)
-	if err != nil {
-		return err
-	}
-	s.admit = ctl
-	return nil
-}
 
 // AdmitActive reports whether the admission controller is installed.
 func (s *Service) AdmitActive() bool { return s.admit != nil }
@@ -45,38 +24,26 @@ func (s *Service) AdmitActive() bool { return s.admit != nil }
 // submissions == batches + quota + overload.
 func (s *Service) Sheds() (quota, overload int) { return s.shedQuota, s.shedOverload }
 
-// admitItem carries a queued submission's context through the
-// fair-share queue.
-type admitItem struct {
-	sub        workload.Submission
-	origin     string
-	arrived    sim.Time
-	onAccepted func(*Batch, error)
-}
-
 // admitEnqueue is the admission-controlled accept path: charge the
 // user's quota, tag the entry into the fair-share queue, shed from the
 // low-share end while the queue exceeds its bounds, and start serving
-// if the door is idle. The durable record was already written by the
-// caller — sheds are decisions, not inputs, so recovery re-enqueues
+// if the door is idle. The durable record was already written by
+// Submit — sheds are decisions, not inputs, so recovery re-enqueues
 // the submission and deterministically re-sheds it.
-func (s *Service) admitEnqueue(sub workload.Submission, origin string, onAccepted func(*Batch, error)) {
-	now := s.eng.Now()
-	if rej := s.admit.TakeQuota(sub.UserEmail, float64(sub.Replicates), now); rej != nil {
-		s.shed(&sub, origin, rej, onAccepted)
+func (s *Service) admitEnqueue(r Request, now sim.Time) {
+	if rej := s.admit.TakeQuota(r.Sub.UserEmail, float64(r.Sub.Replicates), now); rej != nil {
+		s.shed(&r, rej)
 		return
 	}
-	item := &admitItem{sub: sub, origin: origin, arrived: now, onAccepted: onAccepted}
-	s.admit.Push(sub.UserEmail, s.ingest.cost(&sub).Seconds(), item)
+	s.admit.Push(r.Sub.UserEmail, s.ingest.cost(&r.Sub).Seconds(), &queued{Request: r, arrived: now})
 	s.ingestDepth++
 	for {
 		victim, rej := s.admit.Overflow(s.admitBusySeconds(now))
 		if victim == nil {
 			break
 		}
-		v := victim.Payload.(*admitItem)
 		s.ingestDepth--
-		s.shed(&v.sub, v.origin, rej, v.onAccepted)
+		s.shed(&victim.Payload.(*queued).Request, rej)
 	}
 	if ins := s.ingestInstruments(); ins != nil {
 		ins.depth.Set(float64(s.ingestDepth))
@@ -104,25 +71,16 @@ func (s *Service) admitServe(now sim.Time) {
 	if e == nil {
 		return
 	}
-	item := e.Payload.(*admitItem)
+	it := e.Payload.(*queued)
 	s.admitServing = true
 	done := now.Add(sim.Duration(e.Cost))
 	s.admitBusyUntil = done
 	s.eng.ScheduleAt(done, func() {
 		s.admitServing = false
-		s.ingestDepth--
 		if ins := s.ingestInstruments(); ins != nil {
-			ins.depth.Set(float64(s.ingestDepth))
-			ins.wait.Observe(float64(s.eng.Now().Sub(item.arrived)))
 			ins.accepted.Inc()
 		}
-		b, err := s.submit(item.sub, item.origin, ingestDetail(&item.sub), nil)
-		if err != nil {
-			s.noteIngestErr(err)
-		}
-		if item.onAccepted != nil {
-			item.onAccepted(b, err)
-		}
+		s.drain(it)
 		s.admitServe(s.eng.Now())
 	})
 }
@@ -131,7 +89,7 @@ func (s *Service) admitServe(now sim.Time) {
 // event (the submission's terminal), a per-reason counter, and the
 // caller's callback fired with the typed *admit.Rejection so portals
 // can answer 429 with Retry-After.
-func (s *Service) shed(sub *workload.Submission, origin string, rej *admit.Rejection, onAccepted func(*Batch, error)) {
+func (s *Service) shed(r *Request, rej *admit.Rejection) {
 	var counter string
 	switch rej.Reason {
 	case admit.ReasonQuota:
@@ -143,9 +101,9 @@ func (s *Service) shed(sub *workload.Submission, origin string, rej *admit.Rejec
 	}
 	s.obs.Record("", "", obs.StageShed, "ingest",
 		fmt.Sprintf("%s: %d replicates for %s via %s; retry after %.0fs",
-			rej.Reason, sub.Replicates, sub.UserEmail, origin, rej.RetryAfter.Seconds()))
+			rej.Reason, r.Sub.Replicates, r.Sub.UserEmail, r.Origin, rej.RetryAfter.Seconds()))
 	s.obs.Counter(counter, "Submissions rejected by the admission layer").Inc()
-	if onAccepted != nil {
-		onAccepted(nil, rej)
+	if r.OnAccepted != nil {
+		r.OnAccepted(nil, rej)
 	}
 }

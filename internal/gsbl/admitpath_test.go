@@ -24,11 +24,10 @@ func userSubmission(email string, replicates int) workload.Submission {
 // backlog no longer head-of-line-blocks small users who arrive behind
 // it — the small submissions drain first.
 func TestAdmitFairShareOrdersDrains(t *testing.T) {
-	eng, svc, _ := testService(t)
-	svc.SetIngest(IngestConfig{PerSubmissionSeconds: 1, PerReplicateSeconds: 1})
-	if err := svc.SetAdmit(admit.Config{MaxQueueDepth: 100}); err != nil {
-		t.Fatal(err)
-	}
+	eng, sched := testGrid(t)
+	svc := mustService(t, eng, sched, Options{
+		Ingest: IngestConfig{PerSubmissionSeconds: 1, PerReplicateSeconds: 1},
+		Admit:  admit.Config{MaxQueueDepth: 100}})
 	var order []string
 	accept := func(user string) func(*Batch, error) {
 		return func(b *Batch, err error) {
@@ -41,12 +40,12 @@ func TestAdmitFairShareOrdersDrains(t *testing.T) {
 	// Heavy user floods first (cost 41s each); three small users (cost
 	// 2s) arrive while the first heavy entry is already in service.
 	for i := 0; i < 3; i++ {
-		if err := svc.EnqueueBatchOrigin(userSubmission("heavy@x", 40), "service", accept("heavy")); err != nil {
+		if _, err := svc.Submit(Request{Sub: userSubmission("heavy@x", 40), Origin: "service", OnAccepted: accept("heavy")}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, u := range []string{"a", "b", "c"} {
-		if err := svc.EnqueueBatchOrigin(userSubmission(u+"@x", 1), "service", accept(u)); err != nil {
+		if _, err := svc.Submit(Request{Sub: userSubmission(u+"@x", 1), Origin: "service", OnAccepted: accept(u)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -64,14 +63,12 @@ func TestAdmitFairShareOrdersDrains(t *testing.T) {
 // gets exactly one StageShed journal event, the typed rejection
 // reaches the callback, and submissions == batches + sheds.
 func TestAdmitShedJournalsAndAccounts(t *testing.T) {
-	eng, svc, _ := testService(t)
+	eng, sched := testGrid(t)
 	hub := obs.New(eng)
-	svc.SetObs(hub)
-	svc.SetIngest(IngestConfig{PerSubmissionSeconds: 10, PerReplicateSeconds: 0})
 	// Budget of 25s: the door plus at most two queued 10s entries.
-	if err := svc.SetAdmit(admit.Config{MaxQueuedSeconds: 25}); err != nil {
-		t.Fatal(err)
-	}
+	svc := mustService(t, eng, sched, Options{Obs: hub,
+		Ingest: IngestConfig{PerSubmissionSeconds: 10},
+		Admit:  admit.Config{MaxQueuedSeconds: 25}})
 	var rejections []*admit.Rejection
 	onAccepted := func(b *Batch, err error) {
 		if err == nil {
@@ -85,7 +82,7 @@ func TestAdmitShedJournalsAndAccounts(t *testing.T) {
 	}
 	const subs = 5
 	for i := 0; i < subs; i++ {
-		if err := svc.EnqueueBatchOrigin(userSubmission("u@x", 1), "service", onAccepted); err != nil {
+		if _, err := svc.Submit(Request{Sub: userSubmission("u@x", 1), Origin: "service", OnAccepted: onAccepted}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -126,11 +123,10 @@ func TestAdmitShedJournalsAndAccounts(t *testing.T) {
 // a user who spends their replicate budget is refused with a
 // refill-derived retry hint while other users pass untouched.
 func TestAdmitQuotaShedsRepeatOffender(t *testing.T) {
-	eng, svc, _ := testService(t)
-	svc.SetIngest(IngestConfig{PerSubmissionSeconds: 1, PerReplicateSeconds: 0})
-	if err := svc.SetAdmit(admit.Config{UserRatePerHour: 3600, UserBurst: 10}); err != nil {
-		t.Fatal(err)
-	}
+	eng, sched := testGrid(t)
+	svc := mustService(t, eng, sched, Options{
+		Ingest: IngestConfig{PerSubmissionSeconds: 1},
+		Admit:  admit.Config{UserRatePerHour: 3600, UserBurst: 10}})
 	var rejected *admit.Rejection
 	cb := func(b *Batch, err error) {
 		var rej *admit.Rejection
@@ -138,14 +134,14 @@ func TestAdmitQuotaShedsRepeatOffender(t *testing.T) {
 			rejected = rej
 		}
 	}
-	if err := svc.EnqueueBatchOrigin(userSubmission("greedy@x", 8), "service", cb); err != nil {
+	if _, err := svc.Submit(Request{Sub: userSubmission("greedy@x", 8), Origin: "service", OnAccepted: cb}); err != nil {
 		t.Fatal(err)
 	}
 	if rejected != nil {
 		t.Fatalf("first submission rejected: %v", rejected)
 	}
 	// 2 tokens left, 8 more wanted: refused synchronously, 6s refill.
-	if err := svc.EnqueueBatchOrigin(userSubmission("greedy@x", 8), "service", cb); err != nil {
+	if _, err := svc.Submit(Request{Sub: userSubmission("greedy@x", 8), Origin: "service", OnAccepted: cb}); err != nil {
 		t.Fatal(err)
 	}
 	if rejected == nil || rejected.Reason != admit.ReasonQuota {
@@ -155,7 +151,7 @@ func TestAdmitQuotaShedsRepeatOffender(t *testing.T) {
 		t.Fatalf("RetryAfter = %v, want 6s", rejected.RetryAfter)
 	}
 	rejected = nil
-	if err := svc.EnqueueBatchOrigin(userSubmission("modest@x", 8), "service", cb); err != nil {
+	if _, err := svc.Submit(Request{Sub: userSubmission("modest@x", 8), Origin: "service", OnAccepted: cb}); err != nil {
 		t.Fatal(err)
 	}
 	if rejected != nil {
@@ -169,15 +165,13 @@ func TestAdmitQuotaShedsRepeatOffender(t *testing.T) {
 
 // TestAdmitRequiresIngest pins the wiring contract: the admission
 // layer prices submissions with the ingest cost model, so enabling it
-// without SetIngest is a configuration error.
+// without the ingest model is a construction error.
 func TestAdmitRequiresIngest(t *testing.T) {
-	_, svc, _ := testService(t)
-	if err := svc.SetAdmit(admit.Config{MaxQueueDepth: 1}); err == nil {
-		t.Fatal("SetAdmit accepted a service without the ingest model")
+	eng, sched := testGrid(t)
+	if _, err := NewService(eng, sched, &Mailer{}, sim.NewRNG(1), Options{Admit: admit.Config{MaxQueueDepth: 1}}); err == nil {
+		t.Fatal("NewService accepted admission control without the ingest model")
 	}
-	if err := svc.SetAdmit(admit.Config{}); err != nil {
-		t.Fatalf("disabled admit config must be a no-op, got %v", err)
-	}
+	svc := mustService(t, eng, sched, Options{Ingest: IngestConfig{PerSubmissionSeconds: 1}})
 	if svc.AdmitActive() {
 		t.Fatal("AdmitActive true without a controller")
 	}
@@ -190,10 +184,9 @@ func TestAdmitRequiresIngest(t *testing.T) {
 // SubmitBatch — pre-seeding a direct Submit with the ID the drain will
 // generate makes the deferred expansion fail deterministically.
 func TestIngestErrorJournaled(t *testing.T) {
-	eng, svc, _ := testService(t)
+	eng, sched := testGrid(t)
 	hub := obs.New(eng)
-	svc.SetObs(hub)
-	svc.SetIngest(IngestConfig{PerSubmissionSeconds: 5, PerReplicateSeconds: 0})
+	svc := mustService(t, eng, sched, Options{Obs: hub, Ingest: IngestConfig{PerSubmissionSeconds: 5}})
 
 	// Occupy the job ID the drain-time expansion will generate
 	// (replicate 0, batch sequence 1): the deferred SubmitBatch then
@@ -208,9 +201,9 @@ func TestIngestErrorJournaled(t *testing.T) {
 		t.Fatalf("pre-seed Submit: %v", err)
 	}
 	var drainErr error
-	if err := svc.EnqueueBatchOrigin(userSubmission("clash@example.edu", 1), "service", func(b *Batch, err error) {
+	if _, err := svc.Submit(Request{Sub: userSubmission("clash@example.edu", 1), Origin: "service", OnAccepted: func(b *Batch, err error) {
 		drainErr = err
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	eng.RunUntil(sim.Time(sim.Minute))

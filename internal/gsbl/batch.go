@@ -55,9 +55,7 @@ type Service struct {
 	rng     *sim.RNG
 	batches map[string]*Batch
 	nextID  int
-	// idPrefix qualifies batch IDs ("shard0-batch-000001") so a
-	// cluster front router can attribute an ID to its coordinator
-	// shard; empty for single-coordinator deployments.
+	// From Options.
 	idPrefix string
 	obs      *obs.Obs
 	durable  Durability
@@ -81,85 +79,121 @@ type Service struct {
 // Durability is the write-ahead-log hook for submissions entering the
 // coordinator. The submission is recorded after validation and before
 // any scheduling side effect, so a recovered run can re-inject it and
-// regenerate everything downstream. QueuedSubmission is the same
-// contract for the serialized ingest path: the record marks an
-// *enqueue* — recovery re-enqueues it and re-execution regenerates
+// regenerate everything downstream. queued marks an *enqueue* behind
+// the front door: recovery re-enqueues it and re-execution regenerates
 // the drain-time scheduling.
 type Durability interface {
-	Submission(at sim.Time, origin string, sub workload.Submission)
-	QueuedSubmission(at sim.Time, origin string, sub workload.Submission)
+	Submission(at sim.Time, origin string, queued bool, sub workload.Submission)
 }
 
-// SetDurable installs the durability hook (nil disables it).
-func (s *Service) SetDurable(d Durability) { s.durable = d }
-
-// SetIDPrefix qualifies every subsequently created batch ID with a
-// prefix. Call before the first submission; existing IDs are not
-// rewritten.
-func (s *Service) SetIDPrefix(p string) { s.idPrefix = p }
-
-// SetObs wires the facade to an observability hub: validation becomes
-// a journal event and each batch gets a root trace span covering
-// submission to last terminal job.
-func (s *Service) SetObs(o *obs.Obs) { s.obs = o }
+// Options is everything about a Service that is fixed at construction;
+// the zero value is a synchronous, unobserved, non-durable facade.
+type Options struct {
+	// Obs makes validation a journal event and gives each batch a root
+	// trace span covering submission to last terminal job.
+	Obs *obs.Obs
+	// IDPrefix qualifies batch IDs ("shard0-batch-000001") so a cluster
+	// front router can attribute an ID to its coordinator shard.
+	IDPrefix string
+	// Ingest is the front-door throughput model (see ingest.go).
+	Ingest IngestConfig
+	// Admit, when enabled, puts admission control in front of the ingest
+	// queue (see admitpath.go); it requires Ingest.
+	Admit admit.Config
+	// Durable is the write-ahead-log hook; nil disables it.
+	Durable Durability
+}
 
 // NewService wires the facade.
-func NewService(eng *sim.Engine, sched *metasched.Scheduler, mailer *Mailer, rng *sim.RNG) *Service {
-	return &Service{
-		eng:     eng,
-		sched:   sched,
-		mailer:  mailer,
-		rng:     rng,
-		batches: make(map[string]*Batch),
+func NewService(eng *sim.Engine, sched *metasched.Scheduler, mailer *Mailer, rng *sim.RNG, opts Options) (*Service, error) {
+	s := &Service{
+		eng:      eng,
+		sched:    sched,
+		mailer:   mailer,
+		rng:      rng,
+		batches:  make(map[string]*Batch),
+		idPrefix: opts.IDPrefix,
+		obs:      opts.Obs,
+		durable:  opts.Durable,
+		ingest:   opts.Ingest,
 	}
+	if opts.Admit.Enabled() {
+		// The ingest cost function prices each submission's front-door
+		// occupancy, which is the currency the fair-share queue and the
+		// wait budget meter.
+		if !opts.Ingest.Enabled() {
+			return nil, fmt.Errorf("gsbl: admission control requires the ingest model")
+		}
+		ctl, err := admit.NewController(opts.Admit)
+		if err != nil {
+			return nil, err
+		}
+		s.admit = ctl
+	}
+	return s, nil
 }
 
-// Validate runs the GARLI validation pre-pass applied "before any jobs
-// are scheduled … to ensure there are no problems with the data files
-// and parameters specified".
-func (s *Service) Validate(sub *workload.Submission) error {
-	return sub.Validate()
+// Request is one submission offered to the service.
+type Request struct {
+	Sub workload.Submission
+	// Origin labels the path the submission arrived through: "service",
+	// "portal", "core" ("shard<k>/core" under a cluster), or
+	// "<run>/<stage>" for a workflow stage. The durable record carries
+	// it, and it is what a cluster routes and core's reference fork
+	// key on.
+	Origin string
+	// Direct expands the submission on the spot even when a front door
+	// is modelled; otherwise it queues behind the door (a service
+	// without one expands every request on the spot).
+	Direct bool
+	// OnDone, when set, marks a batch derived from an input the
+	// durability layer already witnessed — a workflow stage. It is
+	// deliberately not recorded as a WAL input (recovery re-injects the
+	// workflow and re-execution regenerates every stage submission;
+	// recording both would double-inject), its validate event names the
+	// origin, and OnDone fires once when the batch is terminal.
+	OnDone func(BatchStatus)
+	// OnAccepted, when set, fires once with the created batch, the
+	// deferred scheduling error, or the *admit.Rejection that shed the
+	// request: before Submit returns when the outcome is known by then,
+	// otherwise from the engine event that drains or sheds it.
+	OnAccepted func(*Batch, error)
 }
 
-// SubmitBatch validates and schedules a submission. On completion of
-// every replicate the user is emailed and results become downloadable.
-func (s *Service) SubmitBatch(sub workload.Submission) (*Batch, error) {
-	return s.SubmitBatchOrigin(sub, "service")
-}
-
-// SubmitBatchOrigin is SubmitBatch with an explicit origin label
-// ("service", "portal", "core") naming the path the submission
-// arrived through. The durability layer records the label so recovery
-// can re-inject each submission through the same path — paths differ
-// in bookkeeping (portal ownership) and RNG side effects (core's
-// reference fork).
-func (s *Service) SubmitBatchOrigin(sub workload.Submission, origin string) (*Batch, error) {
-	if err := s.Validate(&sub); err != nil {
+// Submit is the one way a submission becomes a batch. It runs the GARLI
+// validation pre-pass applied "before any jobs are scheduled … to
+// ensure there are no problems with the data files and parameters
+// specified", writes the one durable record — exactly as the input
+// arrived, before BatchTag assignment mutates it and before the
+// admission decision, so a shed submission replays and
+// deterministically re-sheds — and then either expands the submission
+// or queues it behind the front door. The batch is nil when the
+// request was queued or shed, neither of which is an error: Submit
+// fails on a rejected input, or when expanding on the spot fails.
+func (s *Service) Submit(r Request) (*Batch, error) {
+	if err := r.Sub.Validate(); err != nil {
 		return nil, err
 	}
-	if s.durable != nil {
-		// Record the input exactly as it arrived (before BatchTag
-		// assignment mutates it).
-		s.durable.Submission(s.eng.Now(), origin, sub)
+	queued := !r.Direct && s.ingest.Enabled()
+	if s.durable != nil && r.OnDone == nil {
+		s.durable.Submission(s.eng.Now(), r.Origin, queued, r.Sub)
 	}
-	return s.submit(sub, origin,
-		fmt.Sprintf("%d replicates for %s", sub.Replicates, sub.UserEmail), nil)
-}
-
-// SubmitBatchDerived schedules a submission derived from an input the
-// durability layer already witnessed — a workflow stage batch. It is
-// deliberately *not* recorded as a WAL input: crash recovery
-// re-injects the workflow itself, and deterministic re-execution
-// regenerates every stage submission; recording both would
-// double-inject on replay. The origin labels the deriving context
-// ("<run>/<stage>") through the journal, and onDone fires once when
-// the batch reaches its terminal state.
-func (s *Service) SubmitBatchDerived(sub workload.Submission, origin string, onDone func(BatchStatus)) (*Batch, error) {
-	if err := s.Validate(&sub); err != nil {
+	if queued {
+		s.enqueue(r)
+		return nil, nil
+	}
+	detail := fmt.Sprintf("%d replicates for %s", r.Sub.Replicates, r.Sub.UserEmail)
+	if r.OnDone != nil {
+		detail += " via " + r.Origin
+	}
+	b, err := s.submit(r.Sub, r.Origin, detail, r.OnDone)
+	if err != nil {
 		return nil, err
 	}
-	return s.submit(sub, origin,
-		fmt.Sprintf("%d replicates for %s via %s", sub.Replicates, sub.UserEmail, origin), onDone)
+	if r.OnAccepted != nil {
+		r.OnAccepted(b, nil)
+	}
+	return b, nil
 }
 
 // submit is the shared accept path: batch bookkeeping, trace root,
@@ -196,9 +230,8 @@ func (s *Service) submit(sub workload.Submission, origin, validateDetail string,
 // whose origin names the workflow run and stage, and the stage
 // advances when the batch is terminal.
 func (s *Service) RunStage(runID, stageID string, sub workload.Submission, done func(completed, failed int)) (string, error) {
-	b, err := s.SubmitBatchDerived(sub, runID+"/"+stageID, func(st BatchStatus) {
-		done(st.Completed, st.Failed)
-	})
+	b, err := s.Submit(Request{Sub: sub, Origin: runID + "/" + stageID, Direct: true,
+		OnDone: func(st BatchStatus) { done(st.Completed, st.Failed) }})
 	if err != nil {
 		return "", err
 	}
@@ -271,6 +304,8 @@ func (s *Service) status(b *Batch) BatchStatus {
 }
 
 // CancelBatch cancels every non-terminal job of a batch.
+//
+//lint:allow deadexport -- DESIGN.md lists cancel in the job lifecycle (submit/status/cancel/results); a user cancels, the simulation never does
 func (s *Service) CancelBatch(id string) error {
 	b, ok := s.batches[id]
 	if !ok {

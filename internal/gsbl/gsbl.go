@@ -44,6 +44,8 @@ func (a *AppDescription) XML() ([]byte, error) {
 }
 
 // ParseAppDescription reads an XML application description.
+//
+//lint:allow deadexport -- the reading half of the format XML writes: what a client of /garli/app.xml parses the document with
 func ParseAppDescription(data []byte) (*AppDescription, error) {
 	var a AppDescription
 	if err := xml.Unmarshal(data, &a); err != nil {
@@ -53,16 +55,6 @@ func ParseAppDescription(data []byte) (*AppDescription, error) {
 		return nil, fmt.Errorf("gsbl: application description has no name")
 	}
 	return &a, nil
-}
-
-// Param lookup by name.
-func (a *AppDescription) Param(name string) (*Param, bool) {
-	for i := range a.Params {
-		if a.Params[i].Name == name {
-			return &a.Params[i], true
-		}
-	}
-	return nil, false
 }
 
 // GarliApp returns the GARLI grid service description mirroring the

@@ -15,7 +15,8 @@ import (
 	"lattice/internal/workload"
 )
 
-func testService(t *testing.T) (*sim.Engine, *Service, *Mailer) {
+// testGrid builds the one-cluster grid every service fixture runs on.
+func testGrid(t *testing.T) (*sim.Engine, *metasched.Scheduler) {
 	t.Helper()
 	eng := sim.NewEngine()
 	idx, err := mds.NewIndex(eng, 5*sim.Minute)
@@ -36,9 +37,29 @@ func testService(t *testing.T) (*sim.Engine, *Service, *Mailer) {
 	if err := sched.Register(hpc, 1.5); err != nil {
 		t.Fatal(err)
 	}
-	mailer := &Mailer{}
-	svc := NewService(eng, sched, mailer, sim.NewRNG(1))
-	return eng, svc, mailer
+	return eng, sched
+}
+
+// mustService builds a service over a testGrid with the given options.
+func mustService(t *testing.T, eng *sim.Engine, sched *metasched.Scheduler, opts Options) *Service {
+	t.Helper()
+	svc, err := NewService(eng, sched, &Mailer{}, sim.NewRNG(1), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return svc
+}
+
+func testService(t *testing.T) (*sim.Engine, *Service, *Mailer) {
+	t.Helper()
+	eng, sched := testGrid(t)
+	svc := mustService(t, eng, sched, Options{})
+	return eng, svc, svc.mailer
+}
+
+// direct is a request expanded on the spot under the "service" origin.
+func direct(sub workload.Submission) Request {
+	return Request{Sub: sub, Origin: "service", Direct: true}
 }
 
 func smallSubmission(replicates int) workload.Submission {
@@ -68,9 +89,14 @@ func TestGarliAppXMLRoundTrip(t *testing.T) {
 	if back.Name != "garli" || len(back.Params) != len(app.Params) {
 		t.Errorf("round trip lost content: %s, %d params", back.Name, len(back.Params))
 	}
-	p, ok := back.Param("ratehetmodel")
-	if !ok || len(p.Options) != 3 {
-		t.Errorf("ratehetmodel parameter mangled: %+v", p)
+	var het *Param
+	for i := range back.Params {
+		if back.Params[i].Name == "ratehetmodel" {
+			het = &back.Params[i]
+		}
+	}
+	if het == nil || len(het.Options) != 3 {
+		t.Errorf("ratehetmodel parameter mangled: %+v", het)
 	}
 	if _, err := ParseAppDescription([]byte("<gridApplication></gridApplication>")); err == nil {
 		t.Error("expected error for unnamed app")
@@ -82,7 +108,7 @@ func TestGarliAppXMLRoundTrip(t *testing.T) {
 
 func TestBatchLifecycle(t *testing.T) {
 	eng, svc, mailer := testService(t)
-	b, err := svc.SubmitBatch(smallSubmission(8))
+	b, err := svc.Submit(direct(smallSubmission(8)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,23 +137,23 @@ func TestBatchLifecycle(t *testing.T) {
 func TestValidationRejectsBadSubmission(t *testing.T) {
 	_, svc, _ := testService(t)
 	bad := smallSubmission(0)
-	if _, err := svc.SubmitBatch(bad); err == nil {
+	if _, err := svc.Submit(direct(bad)); err == nil {
 		t.Error("zero-replicate submission accepted")
 	}
 	bad = smallSubmission(5)
 	bad.Spec.NumTaxa = 1
-	if _, err := svc.SubmitBatch(bad); err == nil {
+	if _, err := svc.Submit(direct(bad)); err == nil {
 		t.Error("1-taxon submission accepted")
 	}
 	bad = smallSubmission(workload.MaxReplicates + 1)
-	if _, err := svc.SubmitBatch(bad); err == nil {
+	if _, err := svc.Submit(direct(bad)); err == nil {
 		t.Error("over-limit replicate count accepted")
 	}
 }
 
 func TestResultsZip(t *testing.T) {
 	eng, svc, _ := testService(t)
-	b, err := svc.SubmitBatch(smallSubmission(5))
+	b, err := svc.Submit(direct(smallSubmission(5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +195,7 @@ func TestCancelBatch(t *testing.T) {
 	sub := smallSubmission(4)
 	sub.Spec.NumTaxa = 80
 	sub.Spec.SeqLength = 3000 // long jobs
-	b, err := svc.SubmitBatch(sub)
+	b, err := svc.Submit(direct(sub))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +232,7 @@ func TestUnknownBatchQueries(t *testing.T) {
 func TestBatchesSorted(t *testing.T) {
 	_, svc, _ := testService(t)
 	for i := 0; i < 3; i++ {
-		if _, err := svc.SubmitBatch(smallSubmission(1)); err != nil {
+		if _, err := svc.Submit(direct(smallSubmission(1))); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -44,11 +44,6 @@ type ingestIns struct {
 	accepted *obs.Counter
 }
 
-// SetIngest installs the front-door throughput model. Call before the
-// first submission; changing the model mid-run would break replay
-// determinism.
-func (s *Service) SetIngest(cfg IngestConfig) { s.ingest = cfg }
-
 // IngestDepth reports how many accepted submissions are queued behind
 // the coordinator's front door right now.
 func (s *Service) IngestDepth() int { return s.ingestDepth }
@@ -58,76 +53,60 @@ func (s *Service) IngestDepth() int { return s.ingestDepth }
 // submission expanded cleanly.
 func (s *Service) IngestErrors() []error { return s.ingestErrs }
 
-// EnqueueBatchOrigin is the scale-out accept path: the submission is
-// validated and durably recorded immediately (the enqueue is the
-// input — a crash loses nothing that was accepted), then expanded
-// into grid jobs when the serialized coordinator front door reaches
-// it on the virtual clock. onAccepted, when non-nil, fires at drain
-// time with the created batch or the deferred scheduling error. With
-// the ingest model disabled this is SubmitBatchOrigin plus a
-// synchronous callback.
-func (s *Service) EnqueueBatchOrigin(sub workload.Submission, origin string, onAccepted func(*Batch, error)) error {
-	if !s.ingest.Enabled() {
-		b, err := s.SubmitBatchOrigin(sub, origin)
-		if err != nil {
-			return err
-		}
-		if onAccepted != nil {
-			onAccepted(b, nil)
-		}
-		return nil
-	}
-	if err := s.Validate(&sub); err != nil {
-		return err
-	}
-	if s.durable != nil {
-		// The enqueue is the durable input: recovery re-enqueues it at
-		// this virtual time and deterministic re-execution regenerates
-		// the drain, the batch, and everything downstream. Recorded
-		// before the admission decision so a shed submission replays
-		// and deterministically re-sheds.
-		s.durable.QueuedSubmission(s.eng.Now(), origin, sub)
-	}
-	if s.admit != nil {
-		s.admitEnqueue(sub, origin, onAccepted)
-		return nil
-	}
+// queued is a request waiting behind the front door — the one heap
+// object a queued submission costs.
+type queued struct {
+	Request
+	arrived sim.Time
+}
+
+// enqueue puts a validated, durably recorded request behind the front
+// door (the enqueue is the input — a crash loses nothing that was
+// accepted): the fair-share queue when admission control is on,
+// otherwise FIFO, where the serialized coordinator reaches it one
+// service time after the request ahead of it.
+func (s *Service) enqueue(r Request) {
 	now := s.eng.Now()
+	if s.admit != nil {
+		s.admitEnqueue(r, now)
+		return
+	}
 	start := now
 	if s.ingestFree > start {
 		start = s.ingestFree
 	}
-	done := start.Add(s.ingest.cost(&sub))
+	done := start.Add(s.ingest.cost(&r.Sub))
 	s.ingestFree = done
 	s.ingestDepth++
-	ins := s.ingestInstruments()
-	if ins != nil {
+	if ins := s.ingestInstruments(); ins != nil {
 		ins.depth.Set(float64(s.ingestDepth))
 		ins.accepted.Inc()
 	}
-	s.eng.ScheduleAt(done, func() {
-		s.ingestDepth--
-		if ins != nil {
-			ins.depth.Set(float64(s.ingestDepth))
-			ins.wait.Observe(float64(s.eng.Now().Sub(now)))
-		}
-		b, err := s.submit(sub, origin, ingestDetail(&sub), nil)
-		if err != nil {
-			s.noteIngestErr(err)
-		}
-		if onAccepted != nil {
-			onAccepted(b, err)
-		}
-	})
-	return nil
+	it := &queued{Request: r, arrived: now}
+	s.eng.ScheduleAt(done, func() { s.drain(it) })
 }
 
-func ingestDetail(sub *workload.Submission) string {
-	return fmt.Sprintf("%d replicates for %s (ingest-drained)", sub.Replicates, sub.UserEmail)
+// drain is the front door reaching a queued request: expand it into
+// grid jobs and tell whoever is waiting. It runs inside an engine
+// event, so a scheduling failure has no caller to return to.
+func (s *Service) drain(it *queued) {
+	s.ingestDepth--
+	if ins := s.ingestInstruments(); ins != nil {
+		ins.depth.Set(float64(s.ingestDepth))
+		ins.wait.Observe(float64(s.eng.Now().Sub(it.arrived)))
+	}
+	b, err := s.submit(it.Sub, it.Origin,
+		fmt.Sprintf("%d replicates for %s (ingest-drained)", it.Sub.Replicates, it.Sub.UserEmail), it.OnDone)
+	if err != nil {
+		s.NoteIngestErr(err)
+	}
+	if it.OnAccepted != nil {
+		it.OnAccepted(b, err)
+	}
 }
 
-// ingestInstruments lazily builds the instrument handles once an obs
-// hub is wired; nil (a no-op) before that.
+// ingestInstruments builds the instrument handles on first use, so a
+// deployment without a front door exposes none; nil without an obs hub.
 func (s *Service) ingestInstruments() *ingestIns {
 	if s.ingestInsCache != nil {
 		return s.ingestInsCache
@@ -146,22 +125,16 @@ func (s *Service) ingestInstruments() *ingestIns {
 	return s.ingestInsCache
 }
 
-// NoteIngestErr records an asynchronous accept failure on behalf of a
-// caller with no request to fail — the cluster's scheduled arrivals
-// fire inside engine callbacks and report through here.
-func (s *Service) NoteIngestErr(err error) { s.noteIngestErr(err) }
-
-// noteIngestErr records a deferred scheduling failure, keeping the
-// most recent ones (the drain runs inside a simulation callback with
-// no caller to return an error to).
-func (s *Service) noteIngestErr(err error) {
+// NoteIngestErr records a deferred scheduling failure, keeping the
+// most recent ones. Exported for callers with no request to fail — the
+// cluster's scheduled arrivals fire inside engine callbacks too.
+func (s *Service) NoteIngestErr(err error) {
 	const keep = 32
 	if len(s.ingestErrs) >= keep {
 		s.ingestErrs = s.ingestErrs[1:]
 	}
 	s.ingestErrs = append(s.ingestErrs, err)
-	// The drain runs with no caller to return an error to: surface the
-	// failure as a batch-level journal event (empty batch/job — the
+	// Surface the failure as a batch-level journal event (empty batch/job — the
 	// batch was never created) and a counter, so operators see it
 	// without polling IngestErrors.
 	s.obs.Record("", "", obs.StageFail, "ingest", "deferred expansion failed: "+err.Error())

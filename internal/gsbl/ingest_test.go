@@ -1,8 +1,10 @@
 package gsbl
 
 import (
+	"runtime/debug"
 	"testing"
 
+	"lattice/internal/admit"
 	"lattice/internal/sim"
 	"lattice/internal/workload"
 )
@@ -18,33 +20,30 @@ type recordedInput struct {
 // fakeDurable captures durability-hook calls.
 type fakeDurable struct{ inputs []recordedInput }
 
-func (f *fakeDurable) Submission(at sim.Time, origin string, sub workload.Submission) {
-	f.inputs = append(f.inputs, recordedInput{at: at, origin: origin, sub: sub})
-}
-
-func (f *fakeDurable) QueuedSubmission(at sim.Time, origin string, sub workload.Submission) {
-	f.inputs = append(f.inputs, recordedInput{at: at, origin: origin, queued: true, sub: sub})
+func (f *fakeDurable) Submission(at sim.Time, origin string, queued bool, sub workload.Submission) {
+	f.inputs = append(f.inputs, recordedInput{at: at, origin: origin, queued: queued, sub: sub})
 }
 
 // TestIngestDisabledIsSynchronous checks the zero-value config takes
 // the pre-scale-out path: the submission schedules on arrival and the
 // durable record is a plain (non-queued) input.
 func TestIngestDisabledIsSynchronous(t *testing.T) {
-	_, svc, _ := testService(t)
+	eng, sched := testGrid(t)
 	d := &fakeDurable{}
-	svc.SetDurable(d)
+	svc := mustService(t, eng, sched, Options{Durable: d})
 
 	var got *Batch
-	if err := svc.EnqueueBatchOrigin(smallSubmission(3), "shard0/core", func(b *Batch, err error) {
+	ret, err := svc.Submit(Request{Sub: smallSubmission(3), Origin: "shard0/core", OnAccepted: func(b *Batch, err error) {
 		if err != nil {
 			t.Fatalf("onAccepted error: %v", err)
 		}
 		got = b
-	}); err != nil {
+	}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got == nil {
-		t.Fatal("disabled ingest did not accept synchronously")
+	if got == nil || ret != got {
+		t.Fatalf("disabled ingest did not accept synchronously: returned %v, callback got %v", ret, got)
 	}
 	if len(got.Jobs) != 3 {
 		t.Fatalf("batch has %d jobs, want 3", len(got.Jobs))
@@ -59,10 +58,10 @@ func TestIngestDisabledIsSynchronous(t *testing.T) {
 // while busy queue FIFO, the depth tracks the backlog, and every
 // enqueue is durably recorded at arrival with the Queued mark.
 func TestIngestSerializesSubmissions(t *testing.T) {
-	eng, svc, _ := testService(t)
+	eng, sched := testGrid(t)
 	d := &fakeDurable{}
-	svc.SetDurable(d)
-	svc.SetIngest(IngestConfig{PerSubmissionSeconds: 10, PerReplicateSeconds: 1})
+	svc := mustService(t, eng, sched, Options{Durable: d,
+		Ingest: IngestConfig{PerSubmissionSeconds: 10, PerReplicateSeconds: 1}})
 
 	var acceptedAt []sim.Time
 	onAccepted := func(b *Batch, err error) {
@@ -75,8 +74,8 @@ func TestIngestSerializesSubmissions(t *testing.T) {
 	// seconds, so drains land at 12, 24, 36.
 	for i := 0; i < 3; i++ {
 		sub := smallSubmission(2)
-		if err := svc.EnqueueBatchOrigin(sub, "shard0/core", onAccepted); err != nil {
-			t.Fatal(err)
+		if b, err := svc.Submit(Request{Sub: sub, Origin: "shard0/core", OnAccepted: onAccepted}); err != nil || b != nil {
+			t.Fatalf("queued Submit = (%v, %v), want (nil, nil)", b, err)
 		}
 	}
 	if svc.IngestDepth() != 3 {
@@ -124,14 +123,13 @@ func TestIngestSerializesSubmissions(t *testing.T) {
 // TestIngestValidationSynchronous checks a bad submission is rejected
 // at enqueue time, before any durable record or queue state.
 func TestIngestValidationSynchronous(t *testing.T) {
-	_, svc, _ := testService(t)
+	eng, sched := testGrid(t)
 	d := &fakeDurable{}
-	svc.SetDurable(d)
-	svc.SetIngest(IngestConfig{PerSubmissionSeconds: 10})
+	svc := mustService(t, eng, sched, Options{Durable: d, Ingest: IngestConfig{PerSubmissionSeconds: 10}})
 
 	bad := smallSubmission(1)
 	bad.UserEmail = ""
-	if err := svc.EnqueueBatchOrigin(bad, "shard0/core", nil); err == nil {
+	if _, err := svc.Submit(Request{Sub: bad, Origin: "shard0/core"}); err == nil {
 		t.Fatal("invalid submission accepted")
 	}
 	if len(d.inputs) != 0 {
@@ -145,17 +143,74 @@ func TestIngestValidationSynchronous(t *testing.T) {
 // TestIngestIDPrefix checks prefixed batch identity survives the
 // ingest path.
 func TestIngestIDPrefix(t *testing.T) {
-	eng, svc, _ := testService(t)
-	svc.SetIDPrefix("shard2-")
-	svc.SetIngest(IngestConfig{PerSubmissionSeconds: 5})
+	eng, sched := testGrid(t)
+	svc := mustService(t, eng, sched, Options{IDPrefix: "shard2-", Ingest: IngestConfig{PerSubmissionSeconds: 5}})
 	var got *Batch
-	if err := svc.EnqueueBatchOrigin(smallSubmission(1), "shard2/core", func(b *Batch, err error) {
+	if _, err := svc.Submit(Request{Sub: smallSubmission(1), Origin: "shard2/core", OnAccepted: func(b *Batch, err error) {
 		got = b
-	}); err != nil {
+	}}); err != nil {
 		t.Fatal(err)
 	}
 	eng.RunUntil(sim.Time(10))
 	if got == nil || got.ID != "shard2-batch-000001" {
 		t.Fatalf("batch ID = %+v, want shard2-batch-000001", got)
+	}
+}
+
+// raceBuild reports whether the test binary was built with -race, whose
+// runtime allocates on paths that otherwise do not.
+func raceBuild() bool {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return false
+	}
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
+// TestDoorAllocs holds the door to the allocations it cost before
+// Submit replaced the per-door entry points: one queued submission,
+// measured at the parent commit on this fixture — at enqueue (the
+// queued request, the drain closure and the engine event; the admit
+// door adds its queue entry and serve closure) and from enqueue
+// through drain (46 and 47; 55 and 56 under the race detector).
+func TestDoorAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name                  string
+		admit                 admit.Config
+		enqueue, all, allRace float64
+	}{
+		{"fifo", admit.Config{}, 3, 46, 55},
+		{"admit", admit.Config{MaxQueueDepth: 100}, 6, 47, 56},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, sched := testGrid(t)
+			svc := mustService(t, eng, sched, Options{
+				Ingest: IngestConfig{PerSubmissionSeconds: 1, PerReplicateSeconds: 0.25}, Admit: tc.admit})
+			req := Request{Sub: smallSubmission(1), Origin: "shard0/core"}
+			submit := func() {
+				if _, err := svc.Submit(req); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := testing.AllocsPerRun(200, submit); got > tc.enqueue {
+				t.Errorf("enqueue: %.0f allocations, was %.0f", got, tc.enqueue)
+			}
+			eng.RunUntil(eng.Now().Add(sim.Hour))
+			want := tc.all
+			if raceBuild() {
+				want = tc.allRace
+			}
+			if got := testing.AllocsPerRun(200, func() {
+				submit()
+				eng.RunUntil(eng.Now().Add(10))
+			}); got > want {
+				t.Errorf("enqueue through drain: %.0f allocations, was %.0f", got, want)
+			}
+		})
 	}
 }

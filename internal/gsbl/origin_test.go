@@ -14,10 +14,10 @@ import (
 // stage received threads through the meta-scheduler's submit, place
 // and dispatch events all the way to terminal completion.
 func TestBatchOriginPropagation(t *testing.T) {
-	eng, svc, _ := testService(t)
+	eng, sched := testGrid(t)
 	o := obs.New(eng)
-	svc.SetObs(o)
-	svc.sched.SetObs(o)
+	sched.SetObs(o)
+	svc := mustService(t, eng, sched, Options{Obs: o})
 
 	fired, gotCompleted, gotFailed := 0, -1, -1
 	id, err := svc.RunStage("wf-000001", "search", smallSubmission(3), func(c, f int) {
@@ -69,25 +69,62 @@ func TestBatchOriginPropagation(t *testing.T) {
 // detail byte-for-byte: journal digests of existing scenarios depend
 // on it, so only derived stage batches may use the "via" form.
 func TestDirectOriginKeepsFlatDetail(t *testing.T) {
-	eng, svc, _ := testService(t)
-	o := obs.New(eng)
-	svc.SetObs(o)
+	checkValidateDetail(t, IngestConfig{}, Request{Origin: "service", Direct: true},
+		"2 replicates for researcher@example.edu")
+}
 
-	b, err := svc.SubmitBatchOrigin(smallSubmission(2), "service")
-	if err != nil {
+// TestValidateDetailSpellings pins the other spellings through Submit:
+// flat for anything expanded on the spot (no door, or past one), "via
+// <origin>" only for a derived stage batch, "(ingest-drained)" for a
+// request the front door reached.
+func TestValidateDetailSpellings(t *testing.T) {
+	door := IngestConfig{PerSubmissionSeconds: 5}
+	for _, tc := range []struct {
+		name   string
+		ingest IngestConfig
+		req    Request
+		want   string
+	}{
+		{"door-off", IngestConfig{}, Request{Origin: "shard0/core"},
+			"2 replicates for researcher@example.edu"},
+		{"past-the-door", door, Request{Origin: "core", Direct: true},
+			"2 replicates for researcher@example.edu"},
+		{"derived", door, Request{Origin: "wf-000001/search", Direct: true, OnDone: func(BatchStatus) {}},
+			"2 replicates for researcher@example.edu via wf-000001/search"},
+		{"drained", door, Request{Origin: "portal"},
+			"2 replicates for researcher@example.edu (ingest-drained)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkValidateDetail(t, tc.ingest, tc.req, tc.want) })
+	}
+}
+
+// checkValidateDetail submits a two-replicate request and holds the one
+// batch it becomes to the request's origin and the wanted validate
+// detail.
+func checkValidateDetail(t *testing.T, ingest IngestConfig, req Request, want string) {
+	t.Helper()
+	eng, sched := testGrid(t)
+	o := obs.New(eng)
+	svc := mustService(t, eng, sched, Options{Obs: o, Ingest: ingest})
+	req.Sub = smallSubmission(2)
+	if _, err := svc.Submit(req); err != nil {
 		t.Fatal(err)
 	}
-	if b.Origin != "service" {
-		t.Fatalf("Batch.Origin = %q, want service", b.Origin)
+	eng.RunUntil(sim.Time(sim.Minute))
+	ids := svc.Batches()
+	if len(ids) != 1 {
+		t.Fatalf("%d batches, want 1", len(ids))
 	}
-	_ = eng
+	if b, _ := svc.Batch(ids[0]); b.Origin != req.Origin {
+		t.Fatalf("Batch.Origin = %q, want %q", b.Origin, req.Origin)
+	}
 	for _, ev := range o.Journal.Events() {
-		if ev.Batch == b.ID && ev.Stage == obs.StageValidate {
-			if ev.Detail != "2 replicates for researcher@example.edu" {
-				t.Fatalf("direct validate detail = %q; must stay byte-identical to the flat form", ev.Detail)
+		if ev.Batch == ids[0] && ev.Stage == obs.StageValidate {
+			if ev.Detail != want {
+				t.Fatalf("validate detail = %q; must stay byte-identical to %q", ev.Detail, want)
 			}
 			return
 		}
 	}
-	t.Fatal("no validate event recorded for direct batch")
+	t.Fatal("no validate event recorded")
 }

@@ -107,7 +107,7 @@ func TestResultsZipMatchesReference(t *testing.T) {
 	sub := smallSubmission(9)
 	sub.Spec.NumTaxa = 80
 	sub.Spec.SeqLength = 3000
-	b, err := svc.SubmitBatch(sub)
+	b, err := svc.Submit(direct(sub))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,10 @@ var zipSink []byte
 
 func BenchmarkResultsZip2000(b *testing.B) {
 	eng := sim.NewEngine()
-	svc := NewService(eng, nil, &Mailer{}, sim.NewRNG(1))
+	svc, err := NewService(eng, nil, &Mailer{}, sim.NewRNG(1), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
 	batch := finishedBatch(svc, 2000)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -176,6 +176,7 @@ func All() []*Analyzer {
 		LockOrder,
 		GoroLeak,
 		TaintDet,
+		DeadExport,
 	}
 }
 

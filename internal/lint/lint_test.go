@@ -144,6 +144,7 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{LockOrder, "lockorder"},
 		{GoroLeak, "goroleak"},
 		{TaintDet, "taintdet"},
+		{DeadExport, "deadexport"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.fixture, func(t *testing.T) {
@@ -266,6 +267,12 @@ func TestAnalyzerScope(t *testing.T) {
 		{ErrDrop, "lattice/examples/portalrun", true},
 		{SyncMisuse, "lattice/internal/boinc", true},
 		{DeadAssign, "lattice/internal/phylo", true},
+		{DeadExport, "lattice/internal/gsbl", true},
+		{DeadExport, "lattice/internal/core", true},
+		{DeadExport, "lattice/internal/portal", true},
+		{DeadExport, "lattice/internal/dag", true},
+		{DeadExport, "lattice/internal/metasched", false},
+		{DeadExport, "lattice/cmd/lattice", false},
 	}
 	for _, tc := range cases {
 		if got := tc.analyzer.AppliesTo(tc.pkg); got != tc.want {

@@ -26,31 +26,19 @@ import (
 
 // Portal serves the science-portal HTTP interface over a gsbl.Service.
 // All handlers serialize access to the (single-threaded) simulation
-// through one mutex.
+// through one mutex. It keeps no record of who owns what: a batch or a
+// workflow run is visible when the service or the workflow engine
+// holds it, and its owner is the e-mail it was submitted under — so
+// whatever path created it (form, API, boot flag, crash replay), the
+// portal shows it.
 type Portal struct {
 	mu      sync.Mutex
 	eng     *sim.Engine
 	svc     *gsbl.Service
 	app     *gsbl.AppDescription
 	users   map[string]string // token → email
-	owners  map[string]string // batch ID → email (or guest email)
 	nextTok int
-	// statusFn, when set (see SetStatusSource), backs /grid/status.
-	statusFn func() any
-	// obsHub, when set (see SetObs), backs /metrics and /trace/.
-	obsHub *obs.Obs
-	// clientErrs counts response bodies that failed to write: the
-	// client disconnected mid-response, which a handler cannot report
-	// anywhere else.
-	clientErrs int
-	durable    Durability
-	// artifactDir, when set, caches downloadable result archives on
-	// disk (written atomically) so a crash mid-write can never leave a
-	// truncated archive behind.
-	artifactDir string
-	// wfs, when set (see SetWorkflows), backs the workflow submission
-	// and per-stage status endpoints.
-	wfs *dag.Engine
+	opts    Options
 }
 
 // Durability is the write-ahead-log hook for portal account state.
@@ -60,20 +48,42 @@ type Durability interface {
 	User(at sim.Time, token, email string)
 }
 
-// SetDurable installs the durability hook (nil disables it).
-func (p *Portal) SetDurable(d Durability) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.durable = d
+// Options is everything about a Portal that is fixed at construction;
+// each nil or empty field turns the endpoints it backs into 404s.
+type Options struct {
+	// Obs backs GET /metrics (text exposition) and GET /trace/{batch}
+	// (span tree as JSON), and counts failed response writes. The hub's
+	// registry and tracer have their own synchronization, so these
+	// handlers do not take the portal mutex and never block the Pump.
+	Obs *obs.Obs
+	// Workflows backs POST /workflow/create and GET /workflow/{id}. The
+	// engine runs on the simulation goroutine, so handlers access it
+	// under the portal mutex exactly as they do the service layer.
+	Workflows *dag.Engine
+	// StatusSource backs /grid/status — typically the grid's MDS
+	// snapshot plus scheduler statistics. It is invoked outside the
+	// portal mutex: a source that re-entered the portal would otherwise
+	// deadlock.
+	StatusSource func() any
+	// ArtifactDir caches downloadable result archives on disk (written
+	// atomically, so a crash mid-write can never leave a truncated
+	// archive behind). The directory is created by the first archive
+	// published there, so a deployment nobody downloads from never
+	// touches the filesystem for it.
+	ArtifactDir string
+	// Durable is the write-ahead-log hook; nil disables it.
+	Durable Durability
 }
 
-// SetArtifactDir enables the on-disk result-archive cache under dir.
-// The directory is created by the first archive published there, so a
-// deployment nobody downloads from never touches the filesystem for it.
-func (p *Portal) SetArtifactDir(dir string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.artifactDir = dir
+// New builds a portal for the GARLI application.
+func New(eng *sim.Engine, svc *gsbl.Service, opts Options) *Portal {
+	return &Portal{
+		eng:   eng,
+		svc:   svc,
+		app:   gsbl.GarliApp(),
+		users: make(map[string]string),
+		opts:  opts,
+	}
 }
 
 // RestoreUser re-creates a registered account from the durable log,
@@ -87,8 +97,8 @@ func (p *Portal) RestoreUser(token, email string) {
 	if _, err := fmt.Sscanf(token, "tok-%06d", &n); err == nil && n > p.nextTok {
 		p.nextTok = n
 	}
-	if p.durable != nil {
-		p.durable.User(p.eng.Now(), token, email)
+	if p.opts.Durable != nil {
+		p.opts.Durable.User(p.eng.Now(), token, email)
 	}
 }
 
@@ -97,9 +107,13 @@ func (p *Portal) RestoreUser(token, email string) {
 // endpoints.
 func (p *Portal) WriteJSON(w http.ResponseWriter, v any) { p.writeJSON(w, v) }
 
-// NoteClientErr records a failed response write on behalf of the
-// cluster front router.
-func (p *Portal) NoteClientErr() { p.noteClientErr() }
+// NoteClientErr counts a response body that failed to write: the client
+// disconnected mid-response, which a handler cannot report anywhere
+// else. Exported for the cluster front router's own endpoints.
+func (p *Portal) NoteClientErr() {
+	p.opts.Obs.Counter("lattice_portal_client_write_errors_total",
+		"Response bodies that failed to write because the client went away").Inc()
+}
 
 // LookupToken resolves a registered API token to its email. A cluster
 // front router uses it to find the shard that issued a token.
@@ -110,73 +124,30 @@ func (p *Portal) LookupToken(token string) (string, bool) {
 	return email, ok
 }
 
-// Resubmit pushes a submission through the portal's submission path —
-// batch creation plus ownership bookkeeping — without an HTTP
-// request. Recovery uses it to re-inject portal-originated
-// submissions.
-func (p *Portal) Resubmit(sub workload.Submission) (*gsbl.Batch, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	batch, err := p.svc.SubmitBatchOrigin(sub, "portal")
-	if err != nil {
-		return nil, err
+// requester resolves the request's API token: sent reports whether the
+// request carries one, email is the account it is registered to ("" for
+// an unknown token).
+func (p *Portal) requester(r *http.Request) (email string, sent bool) {
+	tok := r.Header.Get("X-Lattice-Token")
+	if tok == "" {
+		return "", false
 	}
-	p.owners[batch.ID] = sub.UserEmail
-	return batch, nil
+	email, _ = p.LookupToken(tok)
+	return email, true
 }
 
-// EnqueueOwned pushes a submission through the service's admission and
-// ingest front door with portal ownership bookkeeping. The acceptance
-// callback fires either synchronously (immediate quota refusal or
-// arriving-entry shed) or later at ingest drain time; drains run inside
-// Pump, which holds the portal mutex, so the callback writes the
-// ownership map directly instead of locking. The return value reflects
-// what is known when the enqueue returns: the batch when acceptance was
-// synchronous, the admission rejection when the submission was shed on
-// arrival, or (nil, nil, nil) when it was queued behind the door.
-func (p *Portal) EnqueueOwned(sub workload.Submission) (*gsbl.Batch, *admit.Rejection, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var (
-		batch *gsbl.Batch
-		rej   *admit.Rejection
-	)
-	email := sub.UserEmail
-	err := p.svc.EnqueueBatchOrigin(sub, "portal", func(b *gsbl.Batch, err error) {
-		if b != nil {
-			p.owners[b.ID] = email
-			batch = b
-			return
-		}
-		var r *admit.Rejection
-		if errors.As(err, &r) {
-			rej = r
-		}
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return batch, rej, nil
-}
-
-// ClientWriteErrors reports how many response writes failed because
-// the client went away.
-func (p *Portal) ClientWriteErrors() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.clientErrs
-}
-
-func (p *Portal) noteClientErr() {
-	p.mu.Lock()
-	p.clientErrs++
-	p.mu.Unlock()
+// mayRead is the access rule for everything an owner's e-mail guards:
+// registered users may only see their own batches and workflow runs;
+// guests may query any ID they hold (capability-style).
+func (p *Portal) mayRead(r *http.Request, owner string) bool {
+	email, sent := p.requester(r)
+	return !sent || (email != "" && email == owner)
 }
 
 // writeBody writes a response body, recording client disconnects.
 func (p *Portal) writeBody(w io.Writer, data []byte) {
 	if _, err := w.Write(data); err != nil {
-		p.noteClientErr()
+		p.NoteClientErr()
 	}
 }
 
@@ -185,38 +156,7 @@ func (p *Portal) writeBody(w io.Writer, data []byte) {
 func (p *Portal) writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	if err := json.NewEncoder(w).Encode(v); err != nil {
-		p.noteClientErr()
-	}
-}
-
-// SetWorkflows installs the workflow engine behind POST
-// /workflow/create and GET /workflow/{id}. The engine runs on the
-// simulation goroutine, so handlers access it under the portal mutex
-// exactly as they do the service layer.
-func (p *Portal) SetWorkflows(e *dag.Engine) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.wfs = e
-}
-
-// SetStatusSource installs a provider for the /grid/status endpoint —
-// typically the grid's MDS snapshot plus scheduler statistics.
-func (p *Portal) SetStatusSource(fn func() any) { p.statusFn = fn }
-
-// SetObs installs the observability hub behind GET /metrics (text
-// exposition) and GET /trace/{batch} (span tree as JSON). The hub's
-// registry and tracer have their own synchronization, so these
-// handlers do not take the portal mutex and never block the Pump.
-func (p *Portal) SetObs(o *obs.Obs) { p.obsHub = o }
-
-// New builds a portal for the GARLI application.
-func New(eng *sim.Engine, svc *gsbl.Service) *Portal {
-	return &Portal{
-		eng:    eng,
-		svc:    svc,
-		app:    gsbl.GarliApp(),
-		users:  make(map[string]string),
-		owners: make(map[string]string),
+		p.NoteClientErr()
 	}
 }
 
@@ -239,17 +179,17 @@ func (p *Portal) Handler() http.Handler {
 
 // handleMetrics serves the metrics registry in text exposition format.
 func (p *Portal) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if p.obsHub == nil {
+	if p.opts.Obs == nil {
 		http.Error(w, "observability not configured", http.StatusNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	p.writeBody(w, []byte(p.obsHub.Exposition()))
+	p.writeBody(w, []byte(p.opts.Obs.Exposition()))
 }
 
 // handleTrace serves /trace/{batch}: the batch's span tree as JSON.
 func (p *Portal) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if p.obsHub == nil || p.obsHub.Tracer == nil {
+	if p.opts.Obs == nil || p.opts.Obs.Tracer == nil {
 		http.Error(w, "observability not configured", http.StatusNotFound)
 		return
 	}
@@ -258,7 +198,7 @@ func (p *Portal) handleTrace(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "batch ID required", http.StatusBadRequest)
 		return
 	}
-	spans, ok := p.obsHub.Tracer.Batch(batch)
+	spans, ok := p.opts.Obs.Tracer.Batch(batch)
 	if !ok {
 		http.NotFound(w, r)
 		return
@@ -311,8 +251,8 @@ func (p *Portal) handleRegister(w http.ResponseWriter, r *http.Request) {
 	p.nextTok++
 	token := fmt.Sprintf("tok-%06d", p.nextTok)
 	p.users[token] = email
-	if p.durable != nil {
-		p.durable.User(p.eng.Now(), token, email)
+	if p.opts.Durable != nil {
+		p.opts.Durable.User(p.eng.Now(), token, email)
 	}
 	p.mu.Unlock()
 	p.writeJSON(w, map[string]string{"token": token, "email": email})
@@ -321,11 +261,8 @@ func (p *Portal) handleRegister(w http.ResponseWriter, r *http.Request) {
 // identify resolves the requester's email: a registered token takes
 // precedence; otherwise guest mode requires an email form value.
 func (p *Portal) identify(r *http.Request) (string, bool) {
-	if tok := r.Header.Get("X-Lattice-Token"); tok != "" {
-		p.mu.Lock()
-		email, ok := p.users[tok]
-		p.mu.Unlock()
-		return email, ok
+	if email, sent := p.requester(r); sent {
+		return email, email != ""
 	}
 	email := r.FormValue("email")
 	if strings.Contains(email, "@") {
@@ -374,49 +311,35 @@ func (p *Portal) createJob(w http.ResponseWriter, r *http.Request) {
 		Bootstrap:  bootstrap,
 		UserEmail:  email,
 	}
-	if p.svc.AdmitActive() {
-		// The admission controller fronts the door: a refusal becomes
-		// HTTP 429 with the controller's deterministic Retry-After hint,
-		// and an admitted submission may still be queued (202) rather
-		// than expanded before the response is written.
-		batch, rej, err := p.EnqueueOwned(sub)
-		if err != nil {
-			http.Error(w, "validation failed: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		if rej != nil {
-			w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(rej.RetryAfter.Seconds()))))
-			http.Error(w, rej.Error(), http.StatusTooManyRequests)
-			return
-		}
-		if batch == nil {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusAccepted)
-			if err := json.NewEncoder(w).Encode(map[string]any{
-				"status":     "queued",
-				"replicates": replicates,
-			}); err != nil {
-				p.noteClientErr()
-			}
-			return
-		}
+	// The one door decides: a batch when the submission was expanded
+	// before the response is written, an admission refusal (HTTP 429 with
+	// the controller's deterministic Retry-After hint), or neither when it
+	// is queued behind the door. The callback only ever sets this
+	// request's rej, and the handler reads it before giving up the lock:
+	// a queued request can still be shed later, inside Pump.
+	var rej *admit.Rejection
+	p.mu.Lock()
+	batch, err := p.svc.Submit(gsbl.Request{Sub: sub, Origin: "portal",
+		OnAccepted: func(_ *gsbl.Batch, err error) { errors.As(err, &rej) }})
+	shed := rej
+	p.mu.Unlock()
+	switch {
+	case err != nil:
+		http.Error(w, "validation failed: "+err.Error(), http.StatusBadRequest)
+	case shed != nil:
+		w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(shed.RetryAfter.Seconds()))))
+		http.Error(w, shed.Error(), http.StatusTooManyRequests)
+	case batch == nil:
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusAccepted)
+		p.writeJSON(w, map[string]any{"status": "queued", "replicates": replicates})
+	default:
 		p.writeJSON(w, map[string]any{
 			"batch":      batch.ID,
 			"jobs":       len(batch.Jobs),
 			"replicates": replicates,
 		})
-		return
 	}
-	batch, err := p.Resubmit(sub)
-	if err != nil {
-		http.Error(w, "validation failed: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	p.writeJSON(w, map[string]any{
-		"batch":      batch.ID,
-		"jobs":       len(batch.Jobs),
-		"replicates": replicates,
-	})
 }
 
 // parseSpec converts form fields (and the uploaded data file) into a
@@ -530,33 +453,25 @@ func (p *Portal) handleBatch(w http.ResponseWriter, r *http.Request) {
 	parts := strings.SplitN(rest, "/", 2)
 	id := parts[0]
 	p.mu.Lock()
-	owner, known := p.owners[id]
+	b, known := p.svc.Batch(id)
 	p.mu.Unlock()
 	if !known {
 		http.NotFound(w, r)
 		return
 	}
-	// Registered users may only see their own batches; guests may
-	// query any batch ID they hold (capability-style).
-	if tok := r.Header.Get("X-Lattice-Token"); tok != "" {
-		p.mu.Lock()
-		email, ok := p.users[tok]
-		p.mu.Unlock()
-		if !ok || email != owner {
-			http.Error(w, "forbidden", http.StatusForbidden)
-			return
-		}
+	if !p.mayRead(r, b.Submission.UserEmail) {
+		http.Error(w, "forbidden", http.StatusForbidden)
+		return
 	}
 	if len(parts) == 2 && parts[1] == "download" {
 		p.mu.Lock()
 		data, err := p.svc.ResultsZip(id)
-		dir := p.artifactDir
 		p.mu.Unlock()
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusConflict)
 			return
 		}
-		if dir != "" {
+		if dir := p.opts.ArtifactDir; dir != "" {
 			// Publish the archive atomically: readers (and recovery)
 			// only ever see a complete zip at this path.
 			err := os.MkdirAll(dir, 0o755)
@@ -606,11 +521,8 @@ func (p *Portal) handleWorkflowCreate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "bad workflow JSON: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if tok := r.Header.Get("X-Lattice-Token"); tok != "" {
-		p.mu.Lock()
-		email, ok := p.users[tok]
-		p.mu.Unlock()
-		if !ok {
+	if email, sent := p.requester(r); sent {
+		if email == "" {
 			http.Error(w, "unknown token", http.StatusUnauthorized)
 			return
 		}
@@ -619,20 +531,17 @@ func (p *Portal) handleWorkflowCreate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "guest workflows require a userEmail", http.StatusBadRequest)
 		return
 	}
-	p.mu.Lock()
-	if p.wfs == nil {
-		p.mu.Unlock()
+	if p.opts.Workflows == nil {
 		http.Error(w, "workflow engine not configured", http.StatusNotFound)
 		return
 	}
-	run, err := p.wfs.Submit(wf)
+	p.mu.Lock()
+	run, err := p.opts.Workflows.Submit(wf)
+	p.mu.Unlock()
 	if err != nil {
-		p.mu.Unlock()
 		http.Error(w, "validation failed: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	p.owners[run.ID] = wf.UserEmail
-	p.mu.Unlock()
 	p.writeJSON(w, map[string]any{
 		"workflow": run.ID,
 		"stages":   len(run.Order),
@@ -648,59 +557,37 @@ func (p *Portal) handleWorkflowStatus(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "workflow run ID required", http.StatusBadRequest)
 		return
 	}
-	p.mu.Lock()
-	owner, known := p.owners[id]
-	p.mu.Unlock()
-	if !known {
+	if p.opts.Workflows == nil {
 		http.NotFound(w, r)
 		return
 	}
-	if tok := r.Header.Get("X-Lattice-Token"); tok != "" {
-		p.mu.Lock()
-		email, ok := p.users[tok]
-		p.mu.Unlock()
-		if !ok || email != owner {
-			http.Error(w, "forbidden", http.StatusForbidden)
-			return
-		}
-	}
 	p.mu.Lock()
-	if p.wfs == nil {
-		p.mu.Unlock()
-		http.NotFound(w, r)
-		return
-	}
-	st, err := p.wfs.Status(id)
+	st, err := p.opts.Workflows.Status(id)
 	p.mu.Unlock()
 	if err != nil {
 		http.NotFound(w, r)
 		return
 	}
+	if !p.mayRead(r, st.User) {
+		http.Error(w, "forbidden", http.StatusForbidden)
+		return
+	}
 	p.writeJSON(w, st)
 }
 
-// handleGridStatus reports the federation's current state. The
-// status callback reaches into core and is invoked outside p.mu: a
-// callback that re-entered the portal would otherwise deadlock.
+// handleGridStatus reports the federation's current state.
 func (p *Portal) handleGridStatus(w http.ResponseWriter, r *http.Request) {
-	p.mu.Lock()
-	fn := p.statusFn
-	p.mu.Unlock()
-	if fn == nil {
+	if p.opts.StatusSource == nil {
 		http.Error(w, "status source not configured", http.StatusNotFound)
 		return
 	}
-	st := fn()
-	p.writeJSON(w, st)
+	p.writeJSON(w, p.opts.StatusSource())
 }
 
-// handleMyJobs lists a registered user's batches.
+// handleMyJobs lists a registered user's batches in creation order.
 func (p *Portal) handleMyJobs(w http.ResponseWriter, r *http.Request) {
-	tok := r.Header.Get("X-Lattice-Token")
-	p.mu.Lock()
-	email, ok := p.users[tok]
-	p.mu.Unlock()
-	if !ok {
+	email, _ := p.requester(r)
+	if email == "" {
 		http.Error(w, "registration token required", http.StatusUnauthorized)
 		return
 	}
@@ -710,12 +597,11 @@ func (p *Portal) handleMyJobs(w http.ResponseWriter, r *http.Request) {
 	}
 	var rows []row
 	p.mu.Lock()
-	for id, owner := range p.owners {
-		if owner != email {
+	for _, id := range p.svc.Batches() {
+		if b, _ := p.svc.Batch(id); b.Submission.UserEmail != email {
 			continue
 		}
-		st, err := p.svc.Status(id)
-		if err == nil {
+		if st, err := p.svc.Status(id); err == nil {
 			rows = append(rows, row{Batch: id, Status: st})
 		}
 	}

@@ -18,17 +18,27 @@ import (
 	"lattice/internal/wal"
 
 	"lattice/internal/admit"
+	"lattice/internal/dag"
 	"lattice/internal/grid/mds"
 	"lattice/internal/gsbl"
 	"lattice/internal/lrm"
 	"lattice/internal/lrm/pbs"
 	"lattice/internal/metasched"
+	"lattice/internal/obs"
 	"lattice/internal/phylo"
 	"lattice/internal/sim"
+	"lattice/internal/workload"
 )
 
-// fixture builds a portal over a one-cluster grid.
+// fixture builds a bare portal over a one-cluster grid.
 func fixture(t *testing.T) (*Portal, *httptest.Server, *gsbl.Mailer) {
+	t.Helper()
+	return fixtureOpts(t, gsbl.Options{}, Options{})
+}
+
+// fixtureOpts builds a portal over a one-cluster grid from the given
+// service and portal options, always with a workflow engine behind it.
+func fixtureOpts(t *testing.T, sopts gsbl.Options, popts Options) (*Portal, *httptest.Server, *gsbl.Mailer) {
 	t.Helper()
 	eng := sim.NewEngine()
 	idx, err := mds.NewIndex(eng, 5*sim.Minute)
@@ -50,8 +60,12 @@ func fixture(t *testing.T) (*Portal, *httptest.Server, *gsbl.Mailer) {
 		t.Fatal(err)
 	}
 	mailer := &gsbl.Mailer{}
-	svc := gsbl.NewService(eng, sched, mailer, sim.NewRNG(1))
-	p := New(eng, svc)
+	svc, err := gsbl.NewService(eng, sched, mailer, sim.NewRNG(1), sopts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	popts.Workflows = dag.NewEngine(eng, svc, popts.Obs, dag.Config{})
+	p := New(eng, svc, popts)
 	ts := httptest.NewServer(p.Handler())
 	t.Cleanup(ts.Close)
 	return p, ts, mailer
@@ -364,7 +378,7 @@ END;
 }
 
 func TestGridStatusEndpoint(t *testing.T) {
-	p, ts, _ := fixture(t)
+	_, ts, _ := fixture(t)
 	// Unconfigured → 404.
 	resp, err := http.Get(ts.URL + "/grid/status")
 	if err != nil {
@@ -374,7 +388,8 @@ func TestGridStatusEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("unconfigured status returned %d", resp.StatusCode)
 	}
-	p.SetStatusSource(func() any { return map[string]int{"resources": 1} })
+	_, ts, _ = fixtureOpts(t, gsbl.Options{}, Options{
+		StatusSource: func() any { return map[string]int{"resources": 1} }})
 	resp, err = http.Get(ts.URL + "/grid/status")
 	if err != nil {
 		t.Fatal(err)
@@ -394,9 +409,8 @@ func TestGridStatusEndpoint(t *testing.T) {
 // publishes the result zip on disk via atomic temp+rename, and an
 // interrupted rewrite never clobbers the published archive.
 func TestArtifactCacheAtomic(t *testing.T) {
-	p, ts, _ := fixture(t)
 	dir := filepath.Join(t.TempDir(), "artifacts") // created by the first download
-	p.SetArtifactDir(dir)
+	p, ts, _ := fixtureOpts(t, gsbl.Options{}, Options{ArtifactDir: dir})
 	batch := submitBatch(t, ts, map[string]string{
 		"email":        "durable@example.org",
 		"datatype":     "nucleotide",
@@ -457,43 +471,20 @@ func TestArtifactCacheAtomic(t *testing.T) {
 	}
 }
 
-// admitFixture builds a portal over a grid with the ingest model and
-// admission controller in front of the door.
+// admitFixture builds a portal whose service has the front door and the
+// admission controller in front of it.
 func admitFixture(t *testing.T, acfg admit.Config) (*Portal, *httptest.Server) {
 	t.Helper()
-	eng := sim.NewEngine()
-	idx, err := mds.NewIndex(eng, 5*sim.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hpc, err := pbs.New(eng, pbs.Config{
-		Name: "hpc", Platform: lrm.LinuxX86,
-		Nodes: []pbs.NodeClass{{Count: 32, Speed: 2, MemoryMB: 8192}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := mds.StartProvider(eng, idx, hpc, sim.Minute); err != nil {
-		t.Fatal(err)
-	}
-	sched := metasched.New(eng, idx, metasched.DefaultConfig())
-	if err := sched.Register(hpc, 2); err != nil {
-		t.Fatal(err)
-	}
-	svc := gsbl.NewService(eng, sched, &gsbl.Mailer{}, sim.NewRNG(1))
-	svc.SetIngest(gsbl.IngestConfig{PerSubmissionSeconds: 1, PerReplicateSeconds: 0.25})
-	if err := svc.SetAdmit(acfg); err != nil {
-		t.Fatal(err)
-	}
-	p := New(eng, svc)
-	ts := httptest.NewServer(p.Handler())
-	t.Cleanup(ts.Close)
+	p, ts, _ := fixtureOpts(t, gsbl.Options{
+		Ingest: gsbl.IngestConfig{PerSubmissionSeconds: 1, PerReplicateSeconds: 0.25},
+		Admit:  acfg,
+	}, Options{})
 	return p, ts
 }
 
 // TestCreateJobAdmission walks the admission-aware submission path: an
 // admitted submission is acknowledged 202 (queued behind the door) and
-// gains ownership when the drain accepts it; a quota-exhausted repeat
+// becomes visible when the drain accepts it; a quota-exhausted repeat
 // is answered 429 with the controller's Retry-After hint.
 func TestCreateJobAdmission(t *testing.T) {
 	p, ts := admitFixture(t, admit.Config{UserRatePerHour: 3600, UserBurst: 10})
@@ -539,15 +530,10 @@ func TestCreateJobAdmission(t *testing.T) {
 		t.Fatalf("429 body %s does not name the quota", raw)
 	}
 
-	// Draining the door registers ownership for the accepted batch.
+	// Draining the door makes the accepted batch visible.
 	p.Pump(sim.Hour)
 	p.mu.Lock()
-	var owned []string
-	for id, owner := range p.owners {
-		if owner == "stampede@example.org" {
-			owned = append(owned, id)
-		}
-	}
+	owned := p.svc.Batches()
 	p.mu.Unlock()
 	if len(owned) != 1 {
 		t.Fatalf("owned batches after drain = %v, want exactly one", owned)
@@ -559,5 +545,213 @@ func TestCreateJobAdmission(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch status for drained submission returned %d", resp.StatusCode)
+	}
+}
+
+// do sends one request with an optional API token and returns the status
+// code and body.
+func do(t *testing.T, method, url, token, ctype string, body io.Reader) (int, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ctype != "" {
+		req.Header.Set("Content-Type", ctype)
+	}
+	if token != "" {
+		req.Header.Set("X-Lattice-Token", token)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, raw
+}
+
+// registerUser creates an account and returns its token.
+func registerUser(t *testing.T, ts *httptest.Server, email string) string {
+	t.Helper()
+	code, raw := do(t, http.MethodPost, ts.URL+"/register", "", "application/x-www-form-urlencoded",
+		strings.NewReader("email="+email))
+	var reg struct{ Token string }
+	if err := json.Unmarshal(raw, &reg); err != nil || reg.Token == "" {
+		t.Fatalf("register %s: %d %s", email, code, raw)
+	}
+	return reg.Token
+}
+
+// smallSpec is a minutes-scale job specification.
+func smallSpec() workload.JobSpec {
+	return workload.JobSpec{
+		DataType: phylo.Nucleotide, SubstModel: "HKY85", RateHet: phylo.RateGamma,
+		NumRateCats: 4, GammaShape: 0.5, NumTaxa: 12, SeqLength: 500, SearchReps: 1,
+		StartingTree: phylo.StartStepwise, AttachmentsPerTaxon: 10, Seed: 7,
+	}
+}
+
+// TestWorkflowEndpoints walks POST /workflow/create and GET
+// /workflow/<id>: guest and token creation (the token's e-mail overrides
+// the body's), and every refusal the two handlers can give.
+func TestWorkflowEndpoints(t *testing.T) {
+	_, ts, _ := fixture(t)
+	alice, eve := registerUser(t, ts, "alice@lab.edu"), registerUser(t, ts, "eve@lab.edu")
+	spec := smallSpec()
+	wfJSON := func(email string) io.Reader {
+		raw, err := json.Marshal(dag.StandardAnalysis("analysis", email, 3, spec, 2, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytes.NewReader(raw)
+	}
+	create := func(token, email string) (int, string) {
+		code, raw := do(t, http.MethodPost, ts.URL+"/workflow/create", token, "application/json", wfJSON(email))
+		var out struct {
+			Workflow string
+			Stages   int
+		}
+		if code == http.StatusOK {
+			if err := json.Unmarshal(raw, &out); err != nil || out.Stages != 4 {
+				t.Fatalf("create body %s: %v", raw, err)
+			}
+		}
+		return code, out.Workflow
+	}
+	owner := func(id, token string) string {
+		code, raw := do(t, http.MethodGet, ts.URL+"/workflow/"+id, token, "", nil)
+		if code != http.StatusOK {
+			t.Fatalf("GET /workflow/%s = %d: %s", id, code, raw)
+		}
+		var st dag.RunStatus
+		if err := json.Unmarshal(raw, &st); err != nil || len(st.Stages) != 4 {
+			t.Fatalf("status body %s: %v", raw, err)
+		}
+		return st.User
+	}
+
+	code, guestRun := create("", "guest@example.org")
+	if code != http.StatusOK {
+		t.Fatalf("guest create = %d", code)
+	}
+	if got := owner(guestRun, ""); got != "guest@example.org" {
+		t.Errorf("guest run owned by %q", got)
+	}
+	code, aliceRun := create(alice, "someone-else@example.org")
+	if code != http.StatusOK {
+		t.Fatalf("token create = %d", code)
+	}
+	if got := owner(aliceRun, alice); got != "alice@lab.edu" {
+		t.Errorf("token run owned by %q, want the token's e-mail", got)
+	}
+
+	for _, tc := range []struct {
+		name   string
+		method string
+		path   string
+		token  string
+		body   io.Reader
+		want   int
+	}{
+		{"guest without an e-mail", http.MethodPost, "/workflow/create", "", wfJSON(""), http.StatusBadRequest},
+		{"unknown token creates", http.MethodPost, "/workflow/create", "tok-999999", wfJSON("x@example.org"), http.StatusUnauthorized},
+		{"malformed JSON", http.MethodPost, "/workflow/create", alice, strings.NewReader("{not json"), http.StatusBadRequest},
+		{"invalid workflow", http.MethodPost, "/workflow/create", alice, strings.NewReader(`{"name":"empty"}`), http.StatusBadRequest},
+		{"GET on create", http.MethodGet, "/workflow/create", alice, nil, http.StatusMethodNotAllowed},
+		{"other user's token reads", http.MethodGet, "/workflow/" + aliceRun, eve, nil, http.StatusForbidden},
+		{"unknown token reads", http.MethodGet, "/workflow/" + aliceRun, "tok-999999", nil, http.StatusForbidden},
+		{"guest reads a run it holds the ID of", http.MethodGet, "/workflow/" + aliceRun, "", nil, http.StatusOK},
+		{"unknown run", http.MethodGet, "/workflow/wf-999999", alice, nil, http.StatusNotFound},
+		{"no run ID", http.MethodGet, "/workflow/", alice, nil, http.StatusBadRequest},
+		{"a run is not a batch", http.MethodGet, "/batch/" + aliceRun, alice, nil, http.StatusNotFound},
+	} {
+		if code, raw := do(t, tc.method, ts.URL+tc.path, tc.token, "application/json", tc.body); code != tc.want {
+			t.Errorf("%s: %s %s = %d, want %d (%s)", tc.name, tc.method, tc.path, code, tc.want, raw)
+		}
+	}
+}
+
+// TestMyJobsListsInCreationOrder pins the /myjobs row order (it used to
+// follow a map's iteration order) and its scope: every batch submitted
+// under the account's e-mail, however it reached the service, and
+// nobody else's.
+func TestMyJobsListsInCreationOrder(t *testing.T) {
+	p, ts, _ := fixture(t)
+	alice := registerUser(t, ts, "alice@lab.edu")
+	fasta := testFASTA(t)
+	var want []string
+	for i := 0; i < 12; i++ {
+		fields := map[string]string{"replicates": "1"}
+		token := alice
+		if i%3 == 2 {
+			fields["email"], token = "guest@example.org", ""
+		}
+		ctype, body := multipartForm(t, fields, fasta)
+		code, raw := do(t, http.MethodPost, ts.URL+"/garli/create", token, ctype, body)
+		var out struct{ Batch string }
+		if err := json.Unmarshal(raw, &out); err != nil || code != http.StatusOK {
+			t.Fatalf("create %d: %d %s", i, code, raw)
+		}
+		if token != "" {
+			want = append(want, out.Batch)
+		}
+	}
+	// One that never went through the form: same e-mail, another origin.
+	p.mu.Lock()
+	sub := workload.Submission{Spec: smallSpec(), Replicates: 1, UserEmail: "alice@lab.edu"}
+	b, err := p.svc.Submit(gsbl.Request{Sub: sub, Origin: "core", Direct: true})
+	p.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, b.ID)
+
+	for round := 0; round < 3; round++ {
+		code, raw := do(t, http.MethodGet, ts.URL+"/myjobs", alice, "", nil)
+		var rows []struct{ Batch string }
+		if err := json.Unmarshal(raw, &rows); err != nil || code != http.StatusOK {
+			t.Fatalf("/myjobs: %d %s", code, raw)
+		}
+		var got []string
+		for _, r := range rows {
+			got = append(got, r.Batch)
+		}
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Fatalf("/myjobs rows %v, want %v", got, want)
+		}
+	}
+	if code, _ := do(t, http.MethodGet, ts.URL+"/myjobs", "", "", nil); code != http.StatusUnauthorized {
+		t.Errorf("/myjobs without a token = %d, want 401", code)
+	}
+}
+
+// failingWriter is a ResponseWriter whose client has gone away.
+type failingWriter struct{ httptest.ResponseRecorder }
+
+func (*failingWriter) Write([]byte) (int, error) { return 0, errors.New("broken pipe") }
+
+// TestClientWriteErrorsCounted: a response body that cannot be written
+// shows up on /metrics, and the series does not exist before the first
+// failure.
+func TestClientWriteErrorsCounted(t *testing.T) {
+	hub := obs.New(sim.NewEngine())
+	p, _, _ := fixtureOpts(t, gsbl.Options{}, Options{Obs: hub})
+	const series = "lattice_portal_client_write_errors_total"
+	if strings.Contains(hub.Exposition(), series) {
+		t.Fatal("the counter exists before any write failed")
+	}
+	p.Handler().ServeHTTP(&failingWriter{}, httptest.NewRequest(http.MethodGet, "/", nil))
+	p.Handler().ServeHTTP(&failingWriter{}, httptest.NewRequest(http.MethodGet, "/garli/app.xml", nil))
+	p.WriteJSON(&failingWriter{}, map[string]int{"shards": 2})
+	metrics, err := obs.ParseExposition(hub.Exposition())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if metrics[series] != 3 {
+		t.Fatalf("%s = %v after three failed writes, want 3", series, metrics[series])
 	}
 }
