@@ -57,7 +57,8 @@ race:
 
 # smoke boots the full grid binary on a loopback port, runs a fixed
 # workload, scrapes /metrics and /trace over real HTTP, and fails if
-# the exposition is empty or unparseable.
+# the exposition is empty or unparseable or the trace is not a closed
+# root span plus one span per job.
 smoke:
 	$(GO) run ./cmd/lattice -smoke
 

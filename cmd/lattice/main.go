@@ -20,6 +20,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -220,7 +221,7 @@ func metricsMux(lat *core.Lattice) *http.ServeMux {
 // runSmoke is the CI boot check: serve the portal on a loopback port,
 // run a small fixed-seed workload to completion, then scrape /metrics
 // and /trace/ over HTTP and verify the exposition parses and reflects
-// the workload.
+// the workload and the trace has a closed root and one span per job.
 func runSmoke(lat *core.Lattice) error {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -278,8 +279,22 @@ func runSmoke(lat *core.Lattice) error {
 			return fmt.Errorf("smoke: metric %s is %g, want > 0", key, metrics[key])
 		}
 	}
-	if _, err := get(base + "/trace/" + batch.ID); err != nil {
+	body, err = get(base + "/trace/" + batch.ID)
+	if err != nil {
 		return err
+	}
+	var trace struct {
+		Spans []obs.SpanView `json:"spans"`
+	}
+	if err := json.Unmarshal(body, &trace); err != nil {
+		return fmt.Errorf("smoke: /trace/%s unparseable: %w", batch.ID, err)
+	}
+	if len(trace.Spans) != 1+len(batch.Jobs) {
+		return fmt.Errorf("smoke: /trace/%s has %d spans, want a root plus one per job (%d)",
+			batch.ID, len(trace.Spans), len(batch.Jobs))
+	}
+	if trace.Spans[0].InFlight {
+		return fmt.Errorf("smoke: /trace/%s root span still in flight after the batch finished", batch.ID)
 	}
 	fmt.Printf("smoke: OK — %d series, %d/%d jobs completed, journal digest %.12s…\n",
 		len(metrics), st.Completed, st.Total, lat.Obs.Journal.Digest())

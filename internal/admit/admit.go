@@ -226,9 +226,6 @@ func (c *Controller) Pop() *Entry {
 // Len reports how many entries are queued (excluding any in service).
 func (c *Controller) Len() int { return len(c.queue) }
 
-// QueuedSeconds reports the summed service cost of the queue.
-func (c *Controller) QueuedSeconds() float64 { return c.queuedSeconds }
-
 // Overflow checks the queue against its bounds given the remaining
 // service seconds of the entry currently at the door. While either
 // bound is exceeded it evicts and returns the lowest-share entry — the

@@ -173,8 +173,8 @@ type Lattice struct {
 	// Workflows is the stage-DAG workflow engine, mapping ready
 	// stages onto the GSBL batch path.
 	Workflows *dag.Engine
-	// Obs is the deployment-wide observability hub: metrics, traces,
-	// and the job-lifecycle journal, all on virtual time.
+	// Obs is the deployment-wide observability hub: metrics and the
+	// job-lifecycle journal (which /trace/ reads), all on virtual time.
 	Obs *obs.Obs
 	// Faults is the active fault injector (nil unless Config.Faults
 	// was set).

@@ -107,6 +107,8 @@ func (x *Index) View() ([]Entry, uint64) {
 
 // Offline returns the names of resources whose entries have gone
 // stale, sorted.
+//
+//lint:allow deadexport -- the operator's view of TTL expiry; the scheduler asks per resource (Lookup), the staleness tests ask for the list
 func (x *Index) Offline() []string {
 	var out []string
 	for name, e := range x.entries {
@@ -148,6 +150,8 @@ func StartProvider(eng *sim.Engine, dst Sink, src lrm.LRM, period sim.Duration) 
 // Stop halts publication — the resource's entry then ages out of the
 // index, exactly how a crashed remote Globus container disappears from
 // the central MDS.
+//
+//lint:allow deadexport -- how the MDS and scheduler tests kill one container; the simulation kills them through the fault injector's sink instead
 func (p *Provider) Stop() { p.stop() }
 
 // Propagator periodically copies fresh entries from one index into
@@ -160,6 +164,8 @@ type Propagator struct {
 }
 
 // StartPropagator copies fresh entries of src into dst every period.
+//
+//lint:allow deadexport -- the paper's hierarchical MDS; core deployments run one index, the integration test runs two
 func StartPropagator(eng *sim.Engine, src, dst *Index, period sim.Duration) (*Propagator, error) {
 	if period <= 0 {
 		return nil, fmt.Errorf("mds: propagator period must be positive")
@@ -177,4 +183,6 @@ func StartPropagator(eng *sim.Engine, src, dst *Index, period sim.Duration) (*Pr
 }
 
 // Stop halts propagation.
+//
+//lint:allow deadexport -- a dead link between containers, as the propagation tests model it
 func (p *Propagator) Stop() { p.stop() }

@@ -40,6 +40,11 @@ type Batch struct {
 	CreatedAt sim.Time
 	DoneAt    sim.Time
 	done      bool
+	// settled jobs — Jobs[:settled] — are terminal and tallied in
+	// completed/failed; jobDone advances the prefix, so telling whether
+	// the batch is over costs O(1) amortized per job rather than a walk
+	// of the batch.
+	settled, completed, failed int
 	// onDone fires once when the batch reaches its terminal state;
 	// the workflow engine uses it to advance the stage graph.
 	onDone func(BatchStatus)
@@ -89,8 +94,8 @@ type Durability interface {
 // Options is everything about a Service that is fixed at construction;
 // the zero value is a synchronous, unobserved, non-durable facade.
 type Options struct {
-	// Obs makes validation a journal event and gives each batch a root
-	// trace span covering submission to last terminal job.
+	// Obs makes validation a journal event, the first one of the
+	// batch's trace.
 	Obs *obs.Obs
 	// IDPrefix qualifies batch IDs ("shard0-batch-000001") so a cluster
 	// front router can attribute an ID to its coordinator shard.
@@ -196,8 +201,8 @@ func (s *Service) Submit(r Request) (*Batch, error) {
 	return b, nil
 }
 
-// submit is the shared accept path: batch bookkeeping, trace root,
-// validation journal event, scheduler expansion, submission mail.
+// submit is the shared accept path: batch bookkeeping, validation
+// journal event, scheduler expansion, submission mail.
 func (s *Service) submit(sub workload.Submission, origin, validateDetail string, onDone func(BatchStatus)) (*Batch, error) {
 	s.nextID++
 	b := &Batch{
@@ -207,9 +212,7 @@ func (s *Service) submit(sub workload.Submission, origin, validateDetail string,
 		CreatedAt:  s.eng.Now(),
 		onDone:     onDone,
 	}
-	// Root the batch's trace before any job span, and journal the
-	// validation pre-pass (batch-level event, no job ID).
-	s.obs.Root(b.ID)
+	// Journal the validation pre-pass (batch-level event, no job ID).
 	s.obs.Record(b.ID, "", obs.StageValidate, "", validateDetail)
 	sub.BatchTag = b.ID
 	jobs, err := s.sched.SubmitBatch(&sub, s.rng, func(j *metasched.GridJob) { s.jobDone(b, j) })
@@ -245,19 +248,37 @@ func (s *Service) jobDone(b *Batch, j *metasched.GridJob) {
 			fmt.Sprintf("[Lattice] job failure in %s", b.ID),
 			fmt.Sprintf("Job %s failed: %s", j.Desc.JobID, j.FailReason))
 	}
-	st := s.status(b)
-	if st.Done && !b.done {
-		b.done = true
-		b.DoneAt = s.eng.Now()
-		s.obs.Root(b.ID).End()
-		s.mailer.Send(s.eng.Now(), b.Submission.UserEmail,
-			fmt.Sprintf("[Lattice] %s complete", b.ID),
-			fmt.Sprintf("All %d jobs finished (%d completed, %d failed). Results are ready for download.",
-				st.Total, st.Completed, st.Failed))
-		if b.onDone != nil {
-			b.onDone(st)
+	if b.done || !b.settle() {
+		return
+	}
+	st := BatchStatus{ID: b.ID, Total: len(b.Jobs), Completed: b.completed, Failed: b.failed,
+		Done: true, CreatedAt: b.CreatedAt}
+	b.done = true
+	b.DoneAt = s.eng.Now()
+	s.mailer.Send(s.eng.Now(), b.Submission.UserEmail,
+		fmt.Sprintf("[Lattice] %s complete", b.ID),
+		fmt.Sprintf("All %d jobs finished (%d completed, %d failed). Results are ready for download.",
+			st.Total, st.Completed, st.Failed))
+	if b.onDone != nil {
+		b.onDone(st)
+	}
+}
+
+// settle advances the settled prefix over every job that has reached a
+// terminal state — including one cancelled through the scheduler, which
+// ends without a jobDone call — and reports whether that is all of them.
+func (b *Batch) settle() bool {
+	for ; b.settled < len(b.Jobs); b.settled++ {
+		switch b.Jobs[b.settled].Status {
+		case metasched.StatusCompleted:
+			b.completed++
+		case metasched.StatusFailed:
+			b.failed++
+		default:
+			return false
 		}
 	}
+	return true
 }
 
 // Batch returns a batch by ID.

@@ -157,7 +157,7 @@ func (a *Analyzer) AppliesTo(pkgPath string) bool {
 // lattice/internal/sim and everything below internal/).
 func matchScope(pkgPath, pat string) bool {
 	if base, ok := strings.CutSuffix(pat, "/..."); ok {
-		return pkgPath == base ||
+		return pkgPath == base || strings.HasSuffix(pkgPath, "/"+base) ||
 			strings.HasPrefix(pkgPath, base+"/") ||
 			strings.Contains(pkgPath, "/"+base+"/")
 	}

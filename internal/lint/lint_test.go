@@ -271,6 +271,12 @@ func TestAnalyzerScope(t *testing.T) {
 		{DeadExport, "lattice/internal/core", true},
 		{DeadExport, "lattice/internal/portal", true},
 		{DeadExport, "lattice/internal/dag", true},
+		{DeadExport, "lattice/internal/obs", true},
+		{DeadExport, "lattice/internal/shard", true},
+		{DeadExport, "lattice/internal/admit", true},
+		{DeadExport, "lattice/internal/lrm", true},
+		{DeadExport, "lattice/internal/lrm/condor", true},
+		{DeadExport, "lattice/internal/grid/mds", true},
 		{DeadExport, "lattice/internal/metasched", false},
 		{DeadExport, "lattice/cmd/lattice", false},
 	}

@@ -243,31 +243,7 @@ func (p *Pool) fits(j *lrm.Job, m *machineState) bool {
 	if j.MemoryMB > m.MemoryMB {
 		return false
 	}
-	if len(j.Platforms) > 0 {
-		ok := false
-		for _, pf := range j.Platforms {
-			if pf == m.Platform {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	for _, s := range j.Software {
-		found := false
-		for _, have := range p.cfg.Software {
-			if s == have {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
+	return lrm.HasPlatform(j.Platforms, m.Platform) && lrm.HasSoftware(j.Software, p.cfg.Software)
 }
 
 // tryDispatch matches queued jobs to idle owner-absent machines, FIFO
@@ -323,10 +299,6 @@ func (p *Pool) start(q *queued, m *machineState) {
 			p.tryDispatch()
 		})
 	}
-}
-
-func durationOn(j *lrm.Job, speed float64) sim.Duration {
-	return sim.Duration(j.Work / (speed * lrm.ReferenceCellsPerSecond))
 }
 
 // Info implements lrm.LRM.

@@ -1,8 +1,10 @@
 // Package lrm defines the local-resource-manager abstraction of the
 // grid — "an established computing resource administered in one domain
 // and capable of functioning independently from the grid system" — and
-// the common job/node machinery its implementations (Condor pools, PBS
-// and SGE clusters, and the BOINC adapter in internal/boinc) share.
+// the job machinery its implementations (Condor pools, PBS and SGE
+// clusters, and the BOINC adapter in internal/boinc) and the
+// meta-scheduler share: the Job itself, its runtime on a node of a
+// given speed, and platform and software matching.
 //
 // Every LRM is a discrete-event simulator on the shared sim.Engine:
 // nodes execute abstract work (likelihood cell updates) at a speed
@@ -41,7 +43,7 @@ type Job struct {
 	ID string
 	// Batch names the portal batch the job came through ("" for
 	// direct submissions); observability context that travels with
-	// the job so local events land under the right trace root.
+	// the job so local journal events land under the right batch.
 	Batch string
 	// Work is the job's total computational cost in likelihood cell
 	// updates; runtime on a node is Work / (speed × reference rate).
@@ -96,9 +98,9 @@ func (j *Job) Validate() error {
 	return nil
 }
 
-// runtimeOn returns the job's execution time on a node of the given
-// speed.
-func (j *Job) runtimeOn(speed float64) sim.Duration {
+// RuntimeOn returns the job's execution time on a node (or an MPI
+// node set) of the given speed relative to the reference computer.
+func (j *Job) RuntimeOn(speed float64) sim.Duration {
 	return sim.Duration(j.Work / (speed * ReferenceCellsPerSecond))
 }
 
@@ -153,9 +155,9 @@ type LRM interface {
 	Stats() Stats
 }
 
-// hasPlatform reports whether any of the job's acceptable platforms is
-// offered by the node/resource platform set.
-func hasPlatform(want []Platform, have []Platform) bool {
+// HasPlatform reports whether any of the job's acceptable platforms is
+// offered by the node/resource platform set; an empty want accepts any.
+func HasPlatform(want []Platform, have ...Platform) bool {
 	if len(want) == 0 {
 		return true
 	}
@@ -169,8 +171,8 @@ func hasPlatform(want []Platform, have []Platform) bool {
 	return false
 }
 
-// hasSoftware reports whether every requested dependency is present.
-func hasSoftware(want, have []string) bool {
+// HasSoftware reports whether every requested dependency is present.
+func HasSoftware(want, have []string) bool {
 	for _, w := range want {
 		found := false
 		for _, h := range have {

@@ -26,36 +26,36 @@ func TestJobValidate(t *testing.T) {
 
 func TestRuntimeOn(t *testing.T) {
 	j := &Job{ID: "j", Work: 2 * ReferenceCellsPerSecond}
-	if got := j.runtimeOn(1.0); got != 2*sim.Second {
-		t.Errorf("runtimeOn(1.0) = %v, want 2 s", got)
+	if got := j.RuntimeOn(1.0); got != 2*sim.Second {
+		t.Errorf("RuntimeOn(1.0) = %v, want 2 s", got)
 	}
-	if got := j.runtimeOn(2.0); got != sim.Second {
-		t.Errorf("runtimeOn(2.0) = %v, want 1 s", got)
+	if got := j.RuntimeOn(2.0); got != sim.Second {
+		t.Errorf("RuntimeOn(2.0) = %v, want 1 s", got)
 	}
 }
 
 func TestHasPlatform(t *testing.T) {
 	have := []Platform{LinuxX86, DarwinX86}
-	if !hasPlatform(nil, have) {
+	if !HasPlatform(nil, have...) {
 		t.Error("empty requirement should match anything")
 	}
-	if !hasPlatform([]Platform{DarwinX86}, have) {
+	if !HasPlatform([]Platform{DarwinX86}, have...) {
 		t.Error("matching platform rejected")
 	}
-	if hasPlatform([]Platform{WindowsX86}, have) {
+	if HasPlatform([]Platform{WindowsX86}, have...) {
 		t.Error("missing platform accepted")
 	}
 }
 
 func TestHasSoftware(t *testing.T) {
 	have := []string{"java", "python"}
-	if !hasSoftware(nil, have) {
+	if !HasSoftware(nil, have) {
 		t.Error("empty requirement should match")
 	}
-	if !hasSoftware([]string{"java"}, have) {
+	if !HasSoftware([]string{"java"}, have) {
 		t.Error("available software rejected")
 	}
-	if hasSoftware([]string{"java", "matlab"}, have) {
+	if HasSoftware([]string{"java", "matlab"}, have) {
 		t.Error("partially missing software accepted")
 	}
 }

@@ -104,16 +104,8 @@ func (c *Cluster) Submit(j *lrm.Job) error {
 	if j.Nodes > len(c.nodes) {
 		return fmt.Errorf("pbs: job %s requests %d nodes; cluster %s has %d", j.ID, j.Nodes, c.cfg.Name, len(c.nodes))
 	}
-	if len(j.Platforms) > 0 {
-		ok := false
-		for _, p := range j.Platforms {
-			if p == c.cfg.Platform {
-				ok = true
-			}
-		}
-		if !ok {
-			return fmt.Errorf("pbs: cluster %s platform %s not in job's set", c.cfg.Name, c.cfg.Platform)
-		}
+	if !lrm.HasPlatform(j.Platforms, c.cfg.Platform) {
+		return fmt.Errorf("pbs: cluster %s platform %s not in job's set", c.cfg.Name, c.cfg.Platform)
 	}
 	satisfiable := false
 	for _, n := range c.nodes {
@@ -198,7 +190,7 @@ func (c *Cluster) start(j *lrm.Job, nodes []*node) {
 	if len(nodes) > 1 {
 		aggregate *= mpiEfficiency
 	}
-	dur := sim.Duration(j.Work / (aggregate * lrm.ReferenceCellsPerSecond))
+	dur := j.RuntimeOn(aggregate)
 	r := &running{job: j, nodes: nodes, startedAt: c.eng.Now()}
 	c.running[j.ID] = r
 	c.ins.JobStarted(j, c.eng.Now().Sub(c.queuedAt[j.ID]))

@@ -95,16 +95,8 @@ func (c *Cluster) Submit(j *lrm.Job) error {
 	if j.NeedsMPI && !c.cfg.MPI {
 		return fmt.Errorf("sge: cluster %s has no MPI interconnect", c.cfg.Name)
 	}
-	if len(j.Platforms) > 0 {
-		ok := false
-		for _, p := range j.Platforms {
-			if p == c.cfg.Platform {
-				ok = true
-			}
-		}
-		if !ok {
-			return fmt.Errorf("sge: cluster %s platform %s not in job's set", c.cfg.Name, c.cfg.Platform)
-		}
+	if !lrm.HasPlatform(j.Platforms, c.cfg.Platform) {
+		return fmt.Errorf("sge: cluster %s platform %s not in job's set", c.cfg.Name, c.cfg.Platform)
 	}
 	satisfiable := false
 	for _, n := range c.nodes {
@@ -175,7 +167,7 @@ func (c *Cluster) dispatch() {
 func (c *Cluster) start(j *lrm.Job, n *node) {
 	n.usedCores++
 	n.usedMemMB += j.MemoryMB
-	dur := sim.Duration(j.Work / (n.speed * lrm.ReferenceCellsPerSecond))
+	dur := j.RuntimeOn(n.speed)
 	r := &running{job: j, node: n}
 	c.running[j.ID] = r
 	c.ins.JobStarted(j, c.eng.Now().Sub(c.queuedAt[j.ID]))

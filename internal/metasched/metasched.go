@@ -189,7 +189,7 @@ type GridJob struct {
 	Spec *workload.JobSpec
 
 	// Batch is the portal batch the job belongs to ("" for direct
-	// submissions); it parents the job's trace span.
+	// submissions); it is the Batch field of the job's journal events.
 	Batch string
 
 	Status      JobStatus
@@ -212,10 +212,6 @@ type GridJob struct {
 	// latency histogram when the job finally completes.
 	disrupted   bool
 	disruptedAt sim.Time
-
-	// span is the job's lifecycle trace span (nil when the scheduler
-	// is not wired to an observability hub).
-	span *obs.Span
 }
 
 // Stats aggregates scheduler behaviour.

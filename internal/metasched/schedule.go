@@ -32,7 +32,6 @@ func (s *Scheduler) Submit(desc *rsl.JobDescription, spec *workload.JobSpec, onD
 		SubmittedAt: s.eng.Now(),
 		OnDone:      onDone,
 	}
-	j.span = s.obs.Span(j.Batch, desc.JobID, "job")
 	s.obs.Record(j.Batch, desc.JobID, obs.StageSubmit, "", "")
 	s.ins.submitted.Inc()
 	// Grid overhead: staging and submission cost attached to every
@@ -207,7 +206,7 @@ func (s *Scheduler) eligible(j *GridJob, c *candidate) bool {
 	if d.ServiceOnly && c.info.Kind == "boinc" {
 		return false
 	}
-	if len(d.Platforms) > 0 && !platformsOverlap(d.Platforms, c.info.Platforms) {
+	if !lrm.HasPlatform(d.Platforms, c.info.Platforms...) {
 		return false
 	}
 	if d.MaxMemoryMB > c.info.NodeMemoryMB {
@@ -216,7 +215,7 @@ func (s *Scheduler) eligible(j *GridJob, c *candidate) bool {
 	if d.NeedsMPI && !c.info.MPI {
 		return false
 	}
-	if !softwareSubset(d.Software, c.info.Software) {
+	if !lrm.HasSoftware(d.Software, c.info.Software) {
 		return false
 	}
 	// Stability gating (PolicyFull): jobs with long speed-scaled
@@ -345,7 +344,6 @@ func (s *Scheduler) dispatch(j *GridJob, c *candidate) {
 	}
 	c.res.placements.Inc()
 	s.ins.placeWait.Observe(float64(s.eng.Now().Sub(j.SubmittedAt)))
-	j.span.Annotate("resource", c.info.Name)
 	name := c.info.Name
 	res := c.res
 	// attempt pins this dispatch's identity: callbacks arriving after
@@ -513,7 +511,6 @@ func (s *Scheduler) onJobComplete(j *GridJob, attempt int) {
 	s.stats.Completed++
 	s.ins.completed.Inc()
 	s.obs.Record(j.Batch, j.Desc.JobID, obs.StageComplete, j.Resource, "")
-	j.span.End()
 	if j.OnDone != nil {
 		j.OnDone(j)
 	}
@@ -538,7 +535,6 @@ func (s *Scheduler) onJobFail(j *GridJob, resourceName, reason string, attempt i
 		s.stats.Failed++
 		s.ins.failed.Inc()
 		s.obs.Record(j.Batch, j.Desc.JobID, obs.StageFail, resourceName, reason)
-		j.span.End()
 		if j.OnDone != nil {
 			j.OnDone(j)
 		}
@@ -575,34 +571,6 @@ func (s *Scheduler) Cancel(jobID string) bool {
 	j.CompletedAt = s.eng.Now()
 	s.ins.failed.Inc()
 	s.obs.Record(j.Batch, j.Desc.JobID, obs.StageFail, "", "cancelled by user")
-	j.span.End()
 	s.ins.pending.Set(float64(len(s.pending)))
-	return true
-}
-
-func platformsOverlap(want, have []lrm.Platform) bool {
-	for _, w := range want {
-		for _, h := range have {
-			if w == h {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func softwareSubset(want, have []string) bool {
-	for _, w := range want {
-		found := false
-		for _, h := range have {
-			if w == h {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
 	return true
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"strings"
 	"sync"
 
 	"lattice/internal/sim"
@@ -253,4 +254,68 @@ func (j *Journal) TerminalCounts() map[string]int {
 		}
 	}
 	return out
+}
+
+// Attr is a span annotation (re-exported label shape for JSON).
+type Attr = Label
+
+// SpanView is the JSON shape of one span, served by the portal's
+// /trace/{batch} endpoint. Times are virtual seconds.
+type SpanView struct {
+	ID       uint64  `json:"id"`
+	Parent   uint64  `json:"parent,omitempty"`
+	Job      string  `json:"job,omitempty"`
+	Name     string  `json:"name"`
+	Start    float64 `json:"start"`
+	End      float64 `json:"end"`
+	InFlight bool    `json:"inFlight,omitempty"`
+	Attrs    []Attr  `json:"attrs,omitempty"`
+}
+
+// Trace folds the journal into one batch's span tree: a "batch" root
+// from the batch's first job-lifecycle event to the terminal event that
+// left none of its submitted jobs open, then one "job" span per submit
+// event in submit order, closed by the job's terminal event and
+// carrying one resource attribute per placement. Spans are numbered
+// within the batch, root 1. ok is false when the journal holds no
+// job-lifecycle event for the ID — workflow-level (wf-*) events, which
+// file a run ID under Batch, do not make a trace. One linear scan under
+// the journal lock: the price of an endpoint nothing polls, paid by the
+// reader instead of by every submission.
+func (j *Journal) Trace(batch string) (spans []SpanView, ok bool) {
+	if j == nil || batch == "" {
+		return nil, false
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	byJob := make(map[string]int) // job ID → index in spans
+	open, lastEnd := 0, 0.0
+	for _, ev := range j.events {
+		if ev.Batch != batch || strings.HasPrefix(string(ev.Stage), "wf-") {
+			continue
+		}
+		if spans == nil {
+			spans = append(spans, SpanView{ID: 1, Name: "batch", Start: float64(ev.At), InFlight: true})
+		}
+		i, seen := byJob[ev.Job]
+		switch {
+		case ev.Stage == StageSubmit && !seen && ev.Job != "":
+			byJob[ev.Job] = len(spans)
+			spans = append(spans, SpanView{
+				ID: uint64(len(spans) + 1), Parent: 1, Job: ev.Job, Name: "job",
+				Start: float64(ev.At), InFlight: true,
+			})
+			open++
+		case ev.Stage == StagePlace && seen:
+			spans[i].Attrs = append(spans[i].Attrs, Attr{Key: "resource", Value: ev.Resource})
+		case ev.Stage.Terminal() && seen && spans[i].InFlight:
+			spans[i].End, spans[i].InFlight = float64(ev.At), false
+			open--
+			lastEnd = spans[i].End
+		}
+	}
+	if len(spans) > 1 && open == 0 {
+		spans[0].End, spans[0].InFlight = lastEnd, false
+	}
+	return spans, spans != nil
 }

@@ -1,7 +1,8 @@
 // Package obs is the grid's observability subsystem: a metrics
-// registry (counters, gauges, histograms with label sets), a tracer
-// whose spans are parented by batch/job ID, and a job-lifecycle event
-// journal with a stable digest.
+// registry (counters, gauges, histograms with label sets) and a
+// job-lifecycle event journal with a stable digest. A batch's trace —
+// a root span with one child per grid job — is not a third record but
+// a view folded from the journal on request (Journal.Trace).
 //
 // Every timestamp in this package is *virtual* time read from a
 // sim.Clock (in practice the sim.Engine); nothing here ever touches
@@ -17,12 +18,11 @@ package obs
 
 import "lattice/internal/sim"
 
-// Obs bundles the three observability facilities that share one
+// Obs bundles the two observability facilities that share one
 // virtual clock. Construct it with New and hand it to each component
 // (metasched, the LRMs, the BOINC server, GSBL, the portal).
 type Obs struct {
 	Registry *Registry
-	Tracer   *Tracer
 	Journal  *Journal
 }
 
@@ -31,7 +31,6 @@ type Obs struct {
 func New(clock sim.Clock) *Obs {
 	return &Obs{
 		Registry: NewRegistry(),
-		Tracer:   NewTracer(clock),
 		Journal:  NewJournal(clock),
 	}
 }
@@ -69,22 +68,6 @@ func (o *Obs) Record(batch, job string, stage Stage, resource, detail string) {
 		return
 	}
 	o.Journal.Record(batch, job, stage, resource, detail)
-}
-
-// Root returns (creating on first use) the root span of a batch.
-func (o *Obs) Root(batch string) *Span {
-	if o == nil || o.Tracer == nil {
-		return nil
-	}
-	return o.Tracer.Root(batch)
-}
-
-// Span starts a span for a job, parented under the batch's root span.
-func (o *Obs) Span(batch, job, name string) *Span {
-	if o == nil || o.Tracer == nil {
-		return nil
-	}
-	return o.Tracer.Start(batch, job, name)
 }
 
 // Exposition renders the registry in the text exposition format; a nil

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -20,7 +21,7 @@ func TestCounterGaugeValues(t *testing.T) {
 	}
 	g := r.Gauge("queue_depth", "depth")
 	g.Set(7)
-	g.Add(-2)
+	g.Set(5)
 	if got := g.Value(); got != 5 {
 		t.Fatalf("gauge = %g, want 5", got)
 	}
@@ -127,33 +128,97 @@ func TestExpositionRoundTrip(t *testing.T) {
 	}
 }
 
-func TestTracerSpansAndViews(t *testing.T) {
+func TestTraceSpansAndViews(t *testing.T) {
 	eng := sim.NewEngine()
-	tr := NewTracer(eng)
-	root := tr.Root("batch-1")
-	job := tr.Start("batch-1", "job-a", "job")
-	eng.Schedule(10, func() {})
+	j := NewJournal(eng)
+	j.Record("wf-1", "search", StageWfSubmit, "", "")
+	j.Record("batch-1", "", StageValidate, "", "")
+	j.Record("batch-1", "job-a", StageSubmit, "", "")
+	j.Record("batch-1", "job-b", StageSubmit, "", "")
+	j.Record("batch-2", "job-c", StageSubmit, "", "")
+	eng.Schedule(4, func() {
+		j.Record("batch-1", "job-a", StagePlace, "umd-condor", "")
+		j.Record("batch-2", "job-c", StagePlace, "bio-sge", "")
+		j.Record("batch-1", "job-a", StageRequeue, "umd-condor", "")
+	})
+	eng.Schedule(10, func() {
+		j.Record("batch-1", "job-a", StagePlace, "umd-hpc", "")
+		j.Record("batch-1", "job-a", StageComplete, "umd-hpc", "")
+	})
 	eng.Run()
-	job.Annotate("resource", "umd-hpc")
-	job.End()
-	job.End() // second End keeps the first end time
-	views, ok := tr.Batch("batch-1")
-	if !ok || len(views) != 2 {
+	views, ok := j.Trace("batch-1")
+	if !ok || len(views) != 3 {
 		t.Fatalf("batch trace = %v ok=%v", views, ok)
 	}
-	if views[0].ID != root.id || views[0].Name != "batch" || views[0].InFlight != true {
-		t.Fatalf("root view wrong: %+v", views[0])
+	root := views[0]
+	if root.Parent != 0 || root.Name != "batch" || root.Job != "" || root.Start != 0 || root.End != 0 || !root.InFlight {
+		t.Fatalf("root view wrong: %+v", root)
 	}
 	jv := views[1]
-	if jv.Parent != root.id || jv.Job != "job-a" || jv.Start != 0 || jv.End != 10 || jv.InFlight {
+	if jv.Parent != root.ID || jv.Job != "job-a" || jv.Name != "job" || jv.Start != 0 || jv.End != 10 || jv.InFlight {
 		t.Fatalf("job view wrong: %+v", jv)
 	}
-	if len(jv.Attrs) != 1 || jv.Attrs[0] != (Attr{Key: "resource", Value: "umd-hpc"}) {
+	want := []Attr{{Key: "resource", Value: "umd-condor"}, {Key: "resource", Value: "umd-hpc"}}
+	if len(jv.Attrs) != 2 || jv.Attrs[0] != want[0] || jv.Attrs[1] != want[1] {
 		t.Fatalf("attrs wrong: %+v", jv.Attrs)
 	}
-	if _, ok := tr.Batch("nope"); ok {
-		t.Fatal("unknown batch reported a trace")
+	if open := views[2]; open.Job != "job-b" || !open.InFlight || open.End != 0 || open.Attrs != nil || open.ID == jv.ID {
+		t.Fatalf("open job view wrong: %+v", open)
 	}
+
+	// The batch closes with its last open job; a second terminal event
+	// for a closed job moves nothing.
+	eng.Schedule(5, func() { j.Record("batch-1", "job-b", StageFail, "", "cancelled by user") })
+	eng.Schedule(7, func() { j.Record("batch-1", "job-a", StageFail, "umd-hpc", "late copy") })
+	eng.Run()
+	views, _ = j.Trace("batch-1")
+	if views[0].InFlight || views[0].End != 15 || views[1].End != 10 || views[2].End != 15 {
+		t.Fatalf("closed trace wrong: %+v", views)
+	}
+	// A workflow run files only wf-* events under its ID: no trace.
+	for _, id := range []string{"nope", "wf-1", ""} {
+		if v, ok := j.Trace(id); ok || v != nil {
+			t.Fatalf("Trace(%q) = %v, %v; want no trace", id, v, ok)
+		}
+	}
+}
+
+// TestTraceWhileRecording: HTTP goroutines fold the journal while the
+// simulation goroutine appends to it.
+func TestTraceWhileRecording(t *testing.T) {
+	j := NewJournal(sim.NewEngine())
+	const jobs = 500
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				views, _ := j.Trace("b")
+				open := 0
+				for _, v := range views {
+					if v.Name == "job" && v.InFlight {
+						open++
+					}
+				}
+				if len(views) > 0 && views[0].InFlight != (open > 0) {
+					t.Errorf("root inFlight=%v with %d of %d jobs open", views[0].InFlight, open, len(views)-1)
+					return
+				}
+				if len(views) == 1+jobs && open == 0 {
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < jobs; i++ {
+		j.Record("b", "j"+strconv.Itoa(i), StageSubmit, "", "")
+	}
+	for i := 0; i < jobs; i++ {
+		j.Record("b", "j"+strconv.Itoa(i), StagePlace, "pbs", "")
+		j.Record("b", "j"+strconv.Itoa(i), StageComplete, "pbs", "")
+	}
+	wg.Wait()
 }
 
 func TestJournalDigestAndConservation(t *testing.T) {
@@ -190,10 +255,6 @@ func TestNilSafety(t *testing.T) {
 	o.Gauge("x2", "").Set(1)
 	o.Histogram("x3", "", nil).Observe(1)
 	o.Record("b", "j", StageSubmit, "", "")
-	o.Root("b").End()
-	sp := o.Span("b", "j", "job")
-	sp.Annotate("k", "v")
-	sp.End()
 	if o.Exposition() != "" {
 		t.Fatal("nil Obs exposed metrics")
 	}
@@ -202,8 +263,7 @@ func TestNilSafety(t *testing.T) {
 	if j.Digest() != "" || j.Len() != 0 || j.Events() != nil || j.TerminalCounts() != nil {
 		t.Fatal("nil journal not inert")
 	}
-	var tr *Tracer
-	if tr.Root("b") != nil || tr.NumBatches() != 0 {
-		t.Fatal("nil tracer not inert")
+	if v, ok := j.Trace("b"); v != nil || ok {
+		t.Fatal("nil journal served a trace")
 	}
 }

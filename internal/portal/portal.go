@@ -52,9 +52,10 @@ type Durability interface {
 // each nil or empty field turns the endpoints it backs into 404s.
 type Options struct {
 	// Obs backs GET /metrics (text exposition) and GET /trace/{batch}
-	// (span tree as JSON), and counts failed response writes. The hub's
-	// registry and tracer have their own synchronization, so these
-	// handlers do not take the portal mutex and never block the Pump.
+	// (span tree as JSON, folded from the journal per request), and
+	// counts failed response writes. The hub's registry and journal have
+	// their own synchronization, so these handlers do not take the portal
+	// mutex and never block the Pump.
 	Obs *obs.Obs
 	// Workflows backs POST /workflow/create and GET /workflow/{id}. The
 	// engine runs on the simulation goroutine, so handlers access it
@@ -189,7 +190,7 @@ func (p *Portal) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // handleTrace serves /trace/{batch}: the batch's span tree as JSON.
 func (p *Portal) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if p.opts.Obs == nil || p.opts.Obs.Tracer == nil {
+	if p.opts.Obs == nil || p.opts.Obs.Journal == nil {
 		http.Error(w, "observability not configured", http.StatusNotFound)
 		return
 	}
@@ -198,7 +199,7 @@ func (p *Portal) handleTrace(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "batch ID required", http.StatusBadRequest)
 		return
 	}
-	spans, ok := p.opts.Obs.Tracer.Batch(batch)
+	spans, ok := p.opts.Obs.Journal.Trace(batch)
 	if !ok {
 		http.NotFound(w, r)
 		return

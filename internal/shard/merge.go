@@ -34,14 +34,6 @@ func MergeSnapshots(perShard [][]obs.SeriesSnapshot) []obs.SeriesSnapshot {
 	return out
 }
 
-// MergeExpositions renders merged per-shard snapshots in the text
-// exposition format — what a cluster's /metrics endpoint serves.
-func MergeExpositions(perShard [][]obs.SeriesSnapshot) string {
-	var b strings.Builder
-	obs.WriteExposition(&b, MergeSnapshots(perShard))
-	return b.String()
-}
-
 // insertLabel returns a fresh label slice with l added in key-sorted
 // position (registry snapshots keep labels sorted by key; the merge
 // preserves that invariant).

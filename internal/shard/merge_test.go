@@ -73,8 +73,13 @@ func TestMergeExpositionsParseBack(t *testing.T) {
 		wantSamples += len(m)
 	}
 
-	text := MergeExpositions(per)
-	if text != MergeExpositions(per) {
+	render := func() string {
+		var b strings.Builder
+		obs.WriteExposition(&b, MergeSnapshots(per))
+		return b.String()
+	}
+	text := render()
+	if text != render() {
 		t.Fatal("merged exposition is not deterministic")
 	}
 	m, err := obs.ParseExposition(text)
