@@ -1,16 +1,17 @@
 GO ?= go
 
-# The likelihood-engine micro-benchmarks (incremental re-evaluation
-# and parallel population scoring); see EXPERIMENTS.md "Performance".
-# The committed BENCH_PR*.json files are frozen per-PR artifacts; the
-# live figures come from `make ledger`.
-BENCH_PATTERN = SearchEval50|Search50|ParallelScore
+# Performance is measured by one ruler, the ledger (`make ledger`,
+# bench/README.md, BENCHMARK.json): six workloads, gated end-to-end
+# metrics, a per-layer table. The only other benchmarks in the tree are
+# package-local micro-benchmarks beside the code they time
+# (internal/beagle, forest, gsbl, boinc, metasched); `make check`
+# executes each body once so none can rot.
 
 # Machine-readable analyzer report: every finding, suppressed ones
 # included and marked, for dashboards and suppression audits.
 LINT_ARTIFACT = latticelint.json
 
-.PHONY: all build vet lint lint-fixtures fuzz test race smoke faults crash dag scale overload check bench bench-smoke ledger ledger-trace
+.PHONY: all build vet lint lint-fixtures fuzz test race smoke faults crash dag scale overload check bench-rot ledger ledger-trace
 
 all: check
 
@@ -23,9 +24,10 @@ vet:
 # latticelint is the project's own analyzer suite (cmd/latticelint):
 # five per-package analyzers (determinism, errdrop, floatcmp,
 # syncmisuse, deadassign) plus four whole-program analyzers
-# (lockorder, goroleak, taintdet, deadexport). One run writes the JSON artifact
-# and exits non-zero on any unsuppressed finding; on failure, a second
-# text-mode run prints the findings for humans.
+# (lockorder, goroleak, taintdet, deadexport — the last over all of
+# internal/...). One run writes the JSON artifact and exits non-zero on
+# any unsuppressed finding; on failure, a second text-mode run prints
+# the findings for humans.
 lint:
 	$(GO) run ./cmd/latticelint -json ./... > $(LINT_ARTIFACT) || { $(GO) run ./cmd/latticelint ./...; exit 1; }
 
@@ -62,16 +64,12 @@ race:
 smoke:
 	$(GO) run ./cmd/lattice -smoke
 
-# bench runs the engine micro-benchmarks at measurement quality.
-bench:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem .
-
-# bench-smoke executes every benchmark body exactly once — a CI gate
-# so benchmark code cannot rot.
-bench-smoke:
-	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchtime 1x .
-	$(GO) test -run '^$$' -bench Train -benchtime 1x ./internal/forest
-	$(GO) test -run '^$$' -bench 'ResultsZip2000|ServerInfo2000|ScanPending2000' -benchtime 1x ./internal/gsbl ./internal/boinc ./internal/metasched
+# bench-rot executes every benchmark body in the tree exactly once — a
+# CI gate so benchmark code cannot rot. (The ledger's own workloads run
+# at 1/100 size with every check on inside `go test ./bench`, which
+# `test` and `race` already cover.)
+bench-rot:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/...
 
 # ledger runs the repository's benchmark (bench/README.md): six
 # workloads, the gated end-to-end metrics, every correctness check, and
@@ -133,6 +131,6 @@ overload:
 # concurrency stress tests and — once each — the fault-injection,
 # crash-recovery, workflow, coordinator sharding and
 # overload-protection scenarios), the grid boot smoke that scrapes
-# /metrics over real HTTP, and one execution of every engine benchmark
-# body so benchmark code cannot rot.
-check: build vet lint lint-fixtures fuzz race smoke bench-smoke
+# /metrics over real HTTP, and one execution of every benchmark body so
+# benchmark code cannot rot.
+check: build vet lint lint-fixtures fuzz race smoke bench-rot

@@ -70,14 +70,27 @@ func run() error {
 }
 
 // runSelected runs the experiments the -run selector names, printing
-// each one's table.
+// each one's table. A selector naming an ID the registry lacks is
+// refused whole, before anything runs: a misspelled ID silently skipped
+// would make two runs compare equal that did not run the same things.
 func runSelected(sel string, seed int64, withObs bool) error {
+	known := map[string]bool{}
+	for _, e := range registry {
+		known[e.id] = true
+	}
 	want := map[string]bool{}
 	all := strings.EqualFold(sel, "all")
+	var unknown []string
 	for _, s := range strings.Split(sel, ",") {
-		want[strings.ToLower(strings.TrimSpace(s))] = true
+		id := strings.ToLower(strings.TrimSpace(s))
+		want[id] = true
+		if !all && !known[id] {
+			unknown = append(unknown, fmt.Sprintf("%q", id))
+		}
 	}
-	ran := 0
+	if len(unknown) > 0 {
+		return fmt.Errorf("no experiment named %s; try -list", strings.Join(unknown, ", "))
+	}
 	for _, e := range registry {
 		if !all && !want[e.id] {
 			continue
@@ -93,10 +106,6 @@ func runSelected(sel string, seed int64, withObs bool) error {
 				fmt.Printf("--- metrics snapshot: %s ---\n%s\n", ne.Name, ne.Exposition)
 			}
 		}
-		ran++
-	}
-	if ran == 0 {
-		return fmt.Errorf("no experiment matched %q; try -list", sel)
 	}
 	return nil
 }

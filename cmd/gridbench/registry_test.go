@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -38,5 +39,17 @@ func TestRegistryShape(t *testing.T) {
 		if !seen[id] {
 			t.Errorf("registry lost the %q scenario", id)
 		}
+	}
+	// A misspelled ID among valid ones refuses the whole selector —
+	// every unknown named — before the valid ones run.
+	ran := false
+	registry = append(registry, experiment{id: "probe", fn: func(int64) (fmt.Stringer, error) {
+		ran = true
+		return nil, fmt.Errorf("probe ran")
+	}})
+	defer func() { registry = registry[:len(registry)-1] }()
+	err := runSelected("probe, typo,E44", 1, false)
+	if err == nil || ran || !strings.Contains(err.Error(), `"typo"`) || !strings.Contains(err.Error(), `"e44"`) {
+		t.Errorf("runSelected with unknown IDs: err = %v, probe ran = %v; want both named and nothing run", err, ran)
 	}
 }

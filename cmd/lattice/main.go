@@ -27,6 +27,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"path/filepath"
 	"time"
 
 	"lattice/internal/admit"
@@ -79,7 +80,15 @@ func run() error {
 		fmt.Println("overload protection active: admission control at the ingest door, circuit breakers in the scheduler")
 	}
 	if *shards > 1 {
-		return runCluster(cfg, *shards, *share, *durable, *withFaults, *smoke, *addr, *accel)
+		switch {
+		case *smoke:
+			return fmt.Errorf("-smoke checks the flat deployment; run it without -shards")
+		case *workflow:
+			return fmt.Errorf("-workflow submits its demo to the flat deployment; run it without -shards")
+		case *metricsAddr != "":
+			return fmt.Errorf("-metrics-addr serves the flat deployment's hub; under -shards the front router serves the merged /metrics")
+		}
+		return runCluster(cfg, *shards, *share, *durable, *withFaults, *addr, *accel)
 	}
 	var lat *core.Lattice
 	var err error
@@ -94,14 +103,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	if rep := lat.Recovery; rep != nil {
-		fmt.Printf("recovered from %s: %d records verified (snapshot at seq %d, %d log records, %d inputs replayed), resumed at t=%.0fs",
-			*durable, rep.Records, rep.SnapshotSeq, rep.TailRecords, rep.Inputs, float64(rep.Watermark))
-		if rep.TornTail {
-			fmt.Print(" — torn final log record dropped")
-		}
-		fmt.Println()
-	} else if *durable != "" {
+	if !reportRecovery(*durable, lat.Recovery) && *durable != "" {
 		fmt.Printf("durable state: write-ahead log at %s\n", *durable)
 	}
 	if *withFaults {
@@ -162,13 +164,25 @@ func run() error {
 	return http.ListenAndServe(*addr, lat.Portal.Handler())
 }
 
+// reportRecovery prints what a boot over existing durable state in dir
+// resumed from, and reports whether there was anything to print.
+func reportRecovery(dir string, rep *core.RecoveryReport) bool {
+	if rep == nil {
+		return false
+	}
+	fmt.Printf("recovered from %s: %d records verified (snapshot at seq %d, %d log records, %d inputs replayed), resumed at t=%.0fs",
+		dir, rep.Records, rep.SnapshotSeq, rep.TailRecords, rep.Inputs, float64(rep.Watermark))
+	if rep.TornTail {
+		fmt.Print(" — torn final log record dropped")
+	}
+	fmt.Println()
+	return true
+}
+
 // runCluster boots a sharded deployment: N coordinator shards behind
 // the deterministic front router, each with its own engine, metrics
 // hub and (under -durable) WAL directory root/shard<k>.
-func runCluster(base core.Config, shards int, share, durable string, withFaults, smoke bool, addr string, accel float64) error {
-	if smoke {
-		return fmt.Errorf("-smoke checks the flat deployment; run it without -shards")
-	}
+func runCluster(base core.Config, shards int, share, durable string, withFaults bool, addr string, accel float64) error {
 	ccfg := core.ClusterConfig{
 		Shards:      shards,
 		Share:       shard.ShareMode(share),
@@ -193,6 +207,7 @@ func runCluster(base core.Config, shards int, share, durable string, withFaults,
 	for k, lat := range c.Shards {
 		fmt.Printf("  shard %d: %d resources, %d CPU cores visible\n",
 			k, len(lat.ResourceNames()), lat.TotalCores())
+		reportRecovery(filepath.Join(durable, fmt.Sprintf("shard%d", k)), lat.Recovery)
 	}
 
 	// Advance every shard's virtual clock continuously.

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 
@@ -151,7 +152,8 @@ func main() {
 		pool.Workers(), pres2.BestLogL, pres2.Work)
 
 	// Checkpointing: run a resumable search in two halves, as the
-	// BOINC build of GARLI does on volunteer machines.
+	// BOINC build of GARLI does on volunteer machines — the second half
+	// by a fresh runner that knows only what the checkpoint holds.
 	runner, err := phylo.NewRunner(pd, model, rates, al.Names, fast, 99)
 	if err != nil {
 		log.Fatal(err)
@@ -159,6 +161,14 @@ func main() {
 	runner.Step(50)
 	fmt.Printf("checkpoint at generation %d (progress %.0f%%)\n",
 		runner.Generation(), 100*runner.Progress())
+	var checkpoint bytes.Buffer
+	if err := runner.Save(&checkpoint); err != nil {
+		log.Fatal(err)
+	}
+	runner, err = phylo.LoadRunner(&checkpoint, pd, model, rates, al.Names, fast)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for !runner.Step(100) {
 	}
 	_, logL := runner.Best()

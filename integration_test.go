@@ -205,7 +205,7 @@ func TestOfflineResourceInvisibleToScheduler(t *testing.T) {
 	if _, ok := grid.Resource("umd-hpc"); !ok {
 		t.Fatal("expected umd-hpc in the default federation")
 	}
-	if _, ok := grid.Scheduler.Speed("umd-hpc"); !ok {
+	if _, ok := grid.Scheduler.Stability("umd-hpc"); !ok {
 		t.Fatal("scheduler does not know umd-hpc")
 	}
 }

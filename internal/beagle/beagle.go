@@ -207,12 +207,12 @@ func (e *Engine) resizeShapes() {
 	e.freeBufs = nil
 }
 
-// SetModel swaps the substitution model and rate mixture. Every cached
+// setModel swaps the substitution model and rate mixture. Every cached
 // transition matrix is an exponential of the old rate matrix and every
 // cached partial was propagated through them, so both caches are
 // explicitly invalidated; buffers resize lazily on the next evaluation
 // if the category count changed.
-func (e *Engine) SetModel(model *phylo.Model, rates *phylo.SiteRates) error {
+func (e *Engine) setModel(model *phylo.Model, rates *phylo.SiteRates) error {
 	if model == nil {
 		return fmt.Errorf("beagle: nil model")
 	}
@@ -247,13 +247,11 @@ func (e *Engine) SetIncremental(on bool) {
 	e.InvalidateAll()
 }
 
-// SetCacheCap re-bounds the transition-matrix cache.
-func (e *Engine) SetCacheCap(n int) { e.pmats.setCap(n) }
-
-// SetMemoryBudget re-bounds the bytes of conditional-likelihood state
-// the engine retains across trees (default 64 MiB). Shrinking evicts
-// the least recently evaluated trees' banks on the next evaluation.
-func (e *Engine) SetMemoryBudget(bytes int64) {
+// setMemoryBudget re-bounds the bytes of conditional-likelihood state
+// the engine retains across trees (64 MiB in every deployment; the
+// eviction tests shrink it). Shrinking evicts the least recently
+// evaluated trees' banks on the next evaluation.
+func (e *Engine) setMemoryBudget(bytes int64) {
 	if bytes < e.claBytes {
 		bytes = e.claBytes
 	}

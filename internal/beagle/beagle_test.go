@@ -136,7 +136,7 @@ func TestTransitionCacheEffectiveness(t *testing.T) {
 func TestCacheEviction(t *testing.T) {
 	fx := newFixture(t, 10, phylo.Nucleotide, 1, 6, 100)
 	eng, _ := New(fx.data, fx.model, fx.rates)
-	eng.SetCacheCap(8)
+	eng.pmats.cap = 8
 	// Probe more distinct branch lengths than the cap.
 	for i := 1; i <= 50; i++ {
 		eng.transition(float64(i) / 100)
@@ -210,8 +210,7 @@ func BenchmarkBeagleVsReference(b *testing.B) {
 		eng, _ := New(fx.data, fx.model, fx.rates)
 		// Incremental reuse off: this benchmark isolates the kernel +
 		// transition-cache speedup on a full pruning pass. The
-		// incremental gain is measured by BenchmarkSearchEval50 at the
-		// repository root.
+		// incremental gain is measured by BenchmarkSearchEval50.
 		eng.SetIncremental(false)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

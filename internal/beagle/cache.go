@@ -107,15 +107,6 @@ func (c *pmatCache) trim() {
 	}
 }
 
-// setCap re-bounds the cache, evicting immediately if it shrank.
-func (c *pmatCache) setCap(n int) {
-	if n < pmatMinCap {
-		n = pmatMinCap
-	}
-	c.cap = n
-	c.trim()
-}
-
 // reset empties the cache and the free list. Called when the model or
 // rate mixture changes: every cached matrix is an exponential of the
 // old rate matrix, none survives a model swap, and the buffer shape

@@ -163,7 +163,7 @@ func TestIncrementalAcrossClones(t *testing.T) {
 func TestIncrementalUnderMemoryBudget(t *testing.T) {
 	fx := newFixture(t, 61, phylo.Nucleotide, 4, 10, 300)
 	inc, _ := New(fx.data, fx.model, fx.rates)
-	inc.SetMemoryBudget(1) // clamps to one buffer: nothing survives
+	inc.setMemoryBudget(1) // clamps to one buffer: nothing survives
 	full, _ := New(fx.data, fx.model, fx.rates)
 	full.SetIncremental(false)
 	rng := sim.NewRNG(13)
@@ -252,7 +252,7 @@ func TestSetModelInvalidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.SetModel(m2, r2); err != nil {
+	if err := eng.setModel(m2, r2); err != nil {
 		t.Fatal(err)
 	}
 	if eng.pmats.size() != 0 {
@@ -269,7 +269,7 @@ func TestSetModelInvalidates(t *testing.T) {
 	}
 	// Mismatched data type must be rejected and leave the engine usable.
 	aa, _ := phylo.NewPoissonAA()
-	if err := eng.SetModel(aa, nil); err == nil {
+	if err := eng.setModel(aa, nil); err == nil {
 		t.Error("expected error swapping to a model of a different data type")
 	}
 	if got := eng.LogLikelihood(fx.tree); got != after {

@@ -99,7 +99,7 @@ func TestServerConcurrentStress(t *testing.T) {
 				_ = srv.Info()
 				_ = srv.Stats()
 				_ = srv.ProjectStats()
-				_ = srv.ActiveHosts()
+				_ = srv.activeHosts()
 				_ = srv.NumHosts()
 			}
 		}()
@@ -200,8 +200,8 @@ func TestInfoReadersDuringDetach(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if srv.ActiveHosts() != 0 {
-		t.Errorf("%d hosts outlived ten days at PDetach 0.2", srv.ActiveHosts())
+	if srv.activeHosts() != 0 {
+		t.Errorf("%d hosts outlived ten days at PDetach 0.2", srv.activeHosts())
 	}
 	checkInfo(t, srv, "after every host has left")
 }

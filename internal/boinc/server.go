@@ -282,8 +282,8 @@ func (s *Server) Churn(n int) int {
 	return left
 }
 
-// ActiveHosts returns the number of hosts that have not detached.
-func (s *Server) ActiveHosts() int {
+// activeHosts returns the number of hosts that have not detached.
+func (s *Server) activeHosts() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0

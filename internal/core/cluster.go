@@ -14,6 +14,7 @@ import (
 	"lattice/internal/obs"
 	"lattice/internal/shard"
 	"lattice/internal/sim"
+	"lattice/internal/wal"
 	"lattice/internal/workload"
 )
 
@@ -79,7 +80,10 @@ type Cluster struct {
 // NewCluster assembles a sharded deployment. Shard k runs with seed
 // shard.Seed(Base.Seed, k), ID prefix "shard<k>-", and its share of
 // the federation; with DurableRoot set each shard writes its own WAL
-// under root/shard<k>.
+// under root/shard<k>, and a shard whose directory already holds state
+// resumes from it (Shards[k].Recovery says how). Arrivals the previous
+// process had scheduled but not delivered are not durable inputs; the
+// caller schedules them again.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("core: cluster needs at least 1 shard, got %d", cfg.Shards)
@@ -98,7 +102,14 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		pending: make([][]*pendingArrival, cfg.Shards),
 	}
 	for k := 0; k < cfg.Shards; k++ {
-		l, err := New(c.shardConfig(k))
+		scfg := c.shardConfig(k)
+		var l *Lattice
+		var err error
+		if scfg.Durable != "" && wal.HasState(scfg.Durable) {
+			l, err = Recover(scfg.Durable, scfg)
+		} else {
+			l, err = New(scfg)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("core: building shard %d: %w", k, err)
 		}

@@ -467,6 +467,51 @@ func TestClusterShardCrashRecoversLocally(t *testing.T) {
 	}
 }
 
+// TestClusterRestartsFromDurableRoot boots a sharded durable deployment
+// twice on one root: the second NewCluster must resume every shard from
+// its own WAL, mid-batch, instead of refusing the directory.
+func TestClusterRestartsFromDurableRoot(t *testing.T) {
+	cfg := ClusterConfig{Shards: 2, Base: clusterBase(31), DurableRoot: t.TempDir()}
+	cfg.Base.Ingest = gsbl.IngestConfig{PerSubmissionSeconds: 30, PerReplicateSeconds: 5}
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		email := fmt.Sprintf("restart%02d@example.edu", i)
+		c.ScheduleSubmission(sim.Time(float64(i)*600+13), clusterSubmission(email, int64(500+i)))
+	}
+	doorsEmpty := func() bool {
+		for _, l := range c.Shards {
+			if l.Service.IngestDepth() != 0 {
+				return false
+			}
+		}
+		return c.PendingArrivals() == 0
+	}
+	for !doorsEmpty() {
+		c.RunUntil(c.Shards[0].Engine.Now().Add(sim.Hour))
+	}
+	want := c.ShardDigests()
+	if err := c.CloseDurable(); err != nil {
+		t.Fatal(err)
+	}
+
+	again, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatalf("second boot on the same durable root: %v", err)
+	}
+	defer again.CloseDurable()
+	for k, l := range again.Shards {
+		if l.Recovery == nil || l.Recovery.Inputs == 0 {
+			t.Errorf("shard %d: recovery report %+v, want its inputs replayed", k, l.Recovery)
+		}
+		if got := l.Obs.Journal.Digest(); got != want[k] {
+			t.Errorf("shard %d digest %s after restart, %s before", k, got, want[k])
+		}
+	}
+}
+
 // TestClusterLeaseRotationAcrossCrash pins lease rotation across a
 // shard crash/recover boundary: under ShareLease a shard is killed
 // after at least one rotation, stays down while further rotations

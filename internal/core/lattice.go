@@ -241,8 +241,21 @@ func build(cfg Config, rb *rebuild) (*Lattice, error) {
 		refName:   cfg.ReferenceCluster,
 	}
 	l.Obs = obs.New(eng)
-	l.Scheduler = metasched.New(eng, idx, cfg.Scheduler)
-	l.Scheduler.SetObs(l.Obs)
+	// The hooks stay nil interfaces unless a recorder exists: a typed-nil
+	// *recorder in a hook would pass every "durable != nil" check.
+	var hooks interface {
+		metasched.Durability
+		gsbl.Durability
+		dag.Durability
+		portal.Durability
+	}
+	var artifacts string
+	if cfg.Durable != "" {
+		l.rec = newRecorder(eng, cfg.Seed, rb)
+		hooks = l.rec
+		artifacts = filepath.Join(cfg.Durable, "artifacts")
+	}
+	l.Scheduler = metasched.New(eng, idx, cfg.Scheduler, metasched.Options{Obs: l.Obs, Durable: hooks})
 	// The injector and its sink exist only when a fault schedule is
 	// configured: a no-fault deployment takes the exact pre-injector
 	// path (same wiring, same RNG stream draws, bit-identical runs).
@@ -298,19 +311,6 @@ func build(cfg Config, rb *rebuild) (*Lattice, error) {
 		l.Estimator = est
 		l.Scheduler.SetPredictor(est)
 	}
-	// The hooks stay nil interfaces unless a recorder exists: a typed-nil
-	// *recorder in a hook would pass every "durable != nil" check.
-	var hooks interface {
-		gsbl.Durability
-		dag.Durability
-		portal.Durability
-	}
-	var artifacts string
-	if cfg.Durable != "" {
-		l.rec = newRecorder(eng, cfg.Seed, rb)
-		hooks = l.rec
-		artifacts = filepath.Join(cfg.Durable, "artifacts")
-	}
 	l.Mailer = &gsbl.Mailer{}
 	l.Service, err = gsbl.NewService(eng, l.Scheduler, l.Mailer, rng.Stream("gsbl"), gsbl.Options{
 		Obs: l.Obs, IDPrefix: cfg.IDPrefix, Ingest: cfg.Ingest, Admit: cfg.Admit, Durable: hooks,
@@ -326,7 +326,6 @@ func build(cfg Config, rb *rebuild) (*Lattice, error) {
 		// Wired before any journal event is recorded, so the record
 		// stream starts at genesis in both live and rebuild modes.
 		l.Obs.Journal.SetObserver(l.rec.Stage)
-		l.Scheduler.SetDurable(l.rec)
 		if l.Boinc != nil {
 			l.Boinc.SetDurable(l.rec)
 		}

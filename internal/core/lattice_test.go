@@ -37,8 +37,11 @@ func TestNewDefaultFederation(t *testing.T) {
 	if l.Boinc == nil {
 		t.Error("BOINC server not wired")
 	}
-	if l.Estimator == nil || !l.Estimator.Ready() {
-		t.Error("estimator not bootstrapped")
+	if l.Estimator == nil {
+		t.Fatal("estimator not wired")
+	}
+	if _, err := l.Estimator.Stats(); err != nil {
+		t.Errorf("estimator not bootstrapped: %v", err)
 	}
 	// MDS should see every resource immediately (providers publish on
 	// start).

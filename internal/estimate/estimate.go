@@ -191,13 +191,6 @@ func (e *Estimator) Retrain() error {
 	return nil
 }
 
-// Ready reports whether a model has been trained.
-func (e *Estimator) Ready() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.f != nil
-}
-
 // Predict returns the estimated runtime of the job in seconds on the
 // reference computer (speed 1.0).
 func (e *Estimator) Predict(spec *workload.JobSpec) (float64, error) {
@@ -341,19 +334,6 @@ func (e *Estimator) CrossValidate(k int) (CVMetrics, error) {
 	m.MedianAbsRelError = relErrs[len(relErrs)/2]
 	m.WithinFactor2 = float64(within) / float64(len(pred))
 	return m, nil
-}
-
-func varianceOf(y []float64) float64 {
-	var mean float64
-	for _, v := range y {
-		mean += v
-	}
-	mean /= float64(len(y))
-	var ss float64
-	for _, v := range y {
-		ss += (v - mean) * (v - mean)
-	}
-	return ss / float64(len(y))
 }
 
 func pearson(a, b []float64) float64 {

@@ -41,9 +41,6 @@ func TestPredictBeforeTraining(t *testing.T) {
 	if _, err := e.Predict(&spec); err == nil {
 		t.Error("expected error predicting with untrained model")
 	}
-	if e.Ready() {
-		t.Error("Ready() true before training")
-	}
 	if err := e.Retrain(); err == nil {
 		t.Error("expected error retraining with empty matrix")
 	}

@@ -16,12 +16,12 @@ type wallClock struct{}
 //lint:allow determinism -- the clock seam itself; everything else reads through it
 func (wallClock) Now() time.Time { return time.Now() }
 
-// clock is the package's time source. Tests swap it with SetClock.
+// clock is the package's time source. Tests swap it with setClock.
 var clock Clock = wallClock{}
 
-// SetClock replaces the experiment clock and returns a restore
+// setClock replaces the experiment clock and returns a restore
 // function, for deterministic build-time measurements in tests.
-func SetClock(c Clock) (restore func()) {
+func setClock(c Clock) (restore func()) {
 	prev := clock
 	clock = c
 	return func() { clock = prev }

@@ -25,7 +25,7 @@ func (c *fakeClock) Now() time.Time {
 func TestFig2InjectableClock(t *testing.T) {
 	base := time.Date(2026, 8, 6, 12, 0, 0, 0, time.UTC)
 	const step = 250 * time.Millisecond
-	restore := SetClock(&fakeClock{now: base, step: step})
+	restore := setClock(&fakeClock{now: base, step: step})
 	defer restore()
 
 	r, err := Fig2(1, 30, 50)
@@ -41,9 +41,9 @@ func TestFig2InjectableClock(t *testing.T) {
 // previous clock.
 func TestSetClockRestore(t *testing.T) {
 	fake := &fakeClock{now: time.Unix(0, 0), step: time.Second}
-	restore := SetClock(fake)
+	restore := setClock(fake)
 	if clock != Clock(fake) {
-		t.Fatal("SetClock did not install the fake clock")
+		t.Fatal("setClock did not install the fake clock")
 	}
 	restore()
 	if _, ok := clock.(wallClock); !ok {

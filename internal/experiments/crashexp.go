@@ -68,13 +68,6 @@ func killSchedule(at ...sim.Duration) *faults.Schedule {
 // one lands on running work.
 func CrashSchedule() *faults.Schedule { return killSchedule(5, 11, 16) }
 
-// WALOverheadRun executes one hostile-schedule run — durability off
-// when durable is false, on (with a scratch directory) when true — so
-// the benchmark suite can price the write-ahead log.
-func WALOverheadRun(seed int64, durable bool) (BatchMetrics, error) {
-	return measure(batchScenario("crash@example.edu", core.DefaultFaultSchedule, durable), seed)
-}
-
 // CrashScenario runs the crash-recovery experiment: the same seed
 // killed at every scheduled crash point and recovered from the
 // write-ahead log, beside its uninterrupted twin.

@@ -41,6 +41,15 @@ type DagResult struct {
 	// Digest is the run's final journal digest.
 	Digest string
 	Rows   [][]string
+	// chained and engine are what the workflow engine buys: the same
+	// four stages chained by hand, and as the DAG above.
+	chained, engine payoff
+}
+
+// payoff prices one way of running the analysis: batch makespan and
+// mean stage-queue wait (dependencies done → stage submitted).
+type payoff struct {
+	makespan, wait sim.Duration
 }
 
 // dagSubmissionSpec is the fault, crash and workflow experiments' job
@@ -174,9 +183,13 @@ func dagShortOnService(events []obs.Event, status dag.RunStatus, wf workload.Wor
 }
 
 // DagScenario runs the workflow experiment: the four-stage analysis
-// twice with the same seed on a calm grid.
+// twice with the same seed on a calm grid, then once chained by hand.
 func DagScenario(seed int64) (*DagResult, error) {
 	first, again, err := twin(dagScenario(nil, false), seed)
+	if err != nil {
+		return nil, err
+	}
+	chained, err := handChained(seed)
 	if err != nil {
 		return nil, err
 	}
@@ -201,6 +214,8 @@ func DagScenario(seed int64) (*DagResult, error) {
 		Conserved:      first.conserved,
 		Digest:         first.digest,
 		DigestsEqual:   first.same(again),
+		chained:        chained,
+		engine:         payoff{first.m.Makespan, stageQueueWait(st, wf)},
 	}
 	for _, ss := range st.Stages {
 		r.Rows = append(r.Rows, []string{
@@ -224,6 +239,8 @@ func (r *DagResult) String() string {
 	s += fmt.Sprintf("placement: short stages never on the volunteer pool: %s\n", pass(r.ShortOnService))
 	s += fmt.Sprintf("conservation: every stage job exactly one terminal state: %s\n", pass(r.Conserved))
 	s += fmt.Sprintf("determinism: same-seed digests identical: %s\n", pass(r.DigestsEqual))
+	s += fmt.Sprintf("payoff: hand-chained %s makespan, %s mean stage-queue wait; DAG %s makespan, %s mean stage-queue wait\n",
+		hours(r.chained.makespan), hours(r.chained.wait), hours(r.engine.makespan), hours(r.engine.wait))
 	return s
 }
 
@@ -308,24 +325,11 @@ func (r *DagCrashResult) String() string {
 // couple of times per working day, which is generous for a human.
 const flatPollInterval = 6 * sim.Hour
 
-// WorkflowOverheadRun executes the four-stage analysis either as one
-// typed DAG (useDag) or the way the paper's users actually chained it:
-// each stage submitted by hand once its dependencies' batches are
-// observed done, discovering that by polling every flatPollInterval.
-// The pair prices the engine for the benchmark suite — wall time plus
-// mean stage-queue wait (dependency-done → stage-submitted).
-func WorkflowOverheadRun(seed int64, useDag bool) (BatchMetrics, sim.Duration, error) {
-	if useDag {
-		o, err := execute(dagScenario(nil, false), seed)
-		if err != nil {
-			return BatchMetrics{}, 0, err
-		}
-		st, err := dagStatus(o)
-		if err != nil {
-			return BatchMetrics{}, 0, err
-		}
-		return o.m, stageQueueWait(st, dagWorkflow(seed)), nil
-	}
+// handChained runs the four-stage analysis the way the paper's users
+// actually chained it: each stage submitted by hand once its
+// dependencies' batches are observed done, discovering that by polling
+// every flatPollInterval.
+func handChained(seed int64) (payoff, error) {
 	wf := dagWorkflow(seed)
 	batchOf := make(map[string]string, len(wf.Stages))
 	var waitSum sim.Duration
@@ -385,7 +389,7 @@ func WorkflowOverheadRun(seed int64, useDag bool) (BatchMetrics, sim.Duration, e
 		err = chainErr
 	}
 	if err != nil {
-		return BatchMetrics{}, 0, err
+		return payoff{}, err
 	}
-	return o.m, waitSum / sim.Duration(len(wf.Stages)), nil
+	return payoff{o.m.Makespan, waitSum / sim.Duration(len(wf.Stages))}, nil
 }

@@ -37,6 +37,13 @@ func TestDagScenarioShape(t *testing.T) {
 	if r.Digest == "" {
 		t.Error("workflow run produced no journal digest")
 	}
+	if r.engine.wait != 0 || r.chained.wait <= 0 {
+		t.Errorf("stage-queue wait: DAG %v, hand-chained %v; the engine dispatches at the instant a stage is ready, a polling user cannot",
+			r.engine.wait, r.chained.wait)
+	}
+	if r.engine.makespan >= r.chained.makespan {
+		t.Errorf("payoff lost: DAG makespan %v not under hand-chained %v", r.engine.makespan, r.chained.makespan)
+	}
 }
 
 func TestDagCrashScenarioShape(t *testing.T) {

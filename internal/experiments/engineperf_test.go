@@ -8,8 +8,8 @@ import (
 // TestEnginePerfShape pins the engine comparison's qualitative claims
 // at a size small enough for CI: incremental evaluation must be exact,
 // save a substantial share of the work, and parallel search must be
-// deterministic across worker counts. (The committed BENCH_PR2.json
-// regenerates the full-size numbers; see EXPERIMENTS.md.)
+// deterministic across worker counts. (`gridbench -run perf` prints the
+// full-size table; the ledger's search50 workload times the engine.)
 func TestEnginePerfShape(t *testing.T) {
 	t.Parallel()
 	r, err := EnginePerf(1, 12, 200, 40)

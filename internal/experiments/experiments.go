@@ -6,8 +6,10 @@
 // and work-fetch, replicate bundling, portal-scale batching, system
 // scale, continuous retraining, and the checkpoint-cycling alternative
 // the paper declined). Each experiment is a pure function from a seed
-// to a result struct with a printable table, shared by the benchmark
-// suite (bench_test.go) and the gridbench binary.
+// to a result struct with a printable table: the gridbench binary
+// prints it, the shape tests compare it byte for byte with
+// testdata/<id>.golden. What a run costs is not measured here but by
+// the ledger (bench/, `make ledger`).
 package experiments
 
 import (

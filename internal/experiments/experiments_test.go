@@ -18,19 +18,19 @@ func TestFig2Shape(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("\n%s", r)
-	if r.Rank(estimate.FeatRateHet) > 1 {
-		t.Errorf("RateHetModel ranked %d; paper has it first (89.7%%)", r.Rank(estimate.FeatRateHet))
+	if r.rank(estimate.FeatRateHet) > 1 {
+		t.Errorf("RateHetModel ranked %d; paper has it first (89.7%%)", r.rank(estimate.FeatRateHet))
 	}
-	dt := r.Rank(estimate.FeatDataType)
-	if sm := r.Rank(estimate.FeatSubstModel); sm < dt {
+	dt := r.rank(estimate.FeatDataType)
+	if sm := r.rank(estimate.FeatSubstModel); sm < dt {
 		dt = sm
 	}
 	if dt > 3 {
 		t.Errorf("data-type signal ranked %d; paper has DataType second (72.4%%)", dt)
 	}
 	for _, weak := range []string{estimate.FeatNumRateCats, estimate.FeatStartTree} {
-		if r.Rank(weak) < 5 {
-			t.Errorf("%s ranked %d; paper shows it near zero", weak, r.Rank(weak))
+		if r.rank(weak) < 5 {
+			t.Errorf("%s ranked %d; paper shows it near zero", weak, r.rank(weak))
 		}
 	}
 	if r.Stats.PctVarExplained < 80 {

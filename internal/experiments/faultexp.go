@@ -57,17 +57,6 @@ func batchScenario(user string, sch func() *faults.Schedule, durable bool) scena
 	return under(gridScenario(crashConfig, load, 90*sim.Day), sch, durable)
 }
 
-// FaultOverheadRun executes one scenario grid run — calm when hostile
-// is false, under the default schedule when true — so the benchmark
-// suite can price the injector (the fault-off vs fault-on artifact).
-func FaultOverheadRun(seed int64, hostile bool) (BatchMetrics, error) {
-	var sch func() *faults.Schedule
-	if hostile {
-		sch = core.DefaultFaultSchedule
-	}
-	return measure(batchScenario("faults@example.edu", sch, false), seed)
-}
-
 // FaultScenario runs the fault-injection experiment: a calm baseline,
 // then the default hostile schedule twice with the same seed.
 func FaultScenario(seed int64) (*FaultResult, error) {

@@ -61,8 +61,8 @@ func (r *Fig2Result) String() string {
 		r.BuildTime.Round(time.Millisecond))
 }
 
-// Rank returns a feature's position in the importance ordering.
-func (r *Fig2Result) Rank(feature string) int {
+// rank returns a feature's position in the importance ordering.
+func (r *Fig2Result) rank(feature string) int {
 	for i, imp := range r.Importance {
 		if imp.Feature == feature {
 			return i

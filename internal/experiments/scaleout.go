@@ -184,16 +184,6 @@ func scaleCrashFaults(k int) *faults.Schedule {
 	}
 }
 
-// ScaleOutPoint runs one shard-count measurement (no twin) — the
-// benchmark suite's per-point entry.
-func ScaleOutPoint(seed int64, users, shards int) (ScalePoint, error) {
-	o, err := execute(scaleScenario(users, shards, nil, false), seed)
-	if err != nil {
-		return ScalePoint{}, err
-	}
-	return scalePointOf(shards, o), nil
-}
-
 func scalePointOf(shards int, o *outcome) ScalePoint {
 	p := ScalePoint{
 		Shards:                shards,

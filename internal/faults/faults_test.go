@@ -121,7 +121,7 @@ func TestOutageKillsInFlightAndRefusesSubmits(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.eng.Schedule(90*sim.Minute, func() { // mid-outage
-		if !h.in.Down("res-a") {
+		if !h.in.down("res-a") {
 			t.Error("resource should be down at t=90min")
 		}
 		var o outcome
@@ -133,7 +133,7 @@ func TestOutageKillsInFlightAndRefusesSubmits(t *testing.T) {
 	})
 	var late outcome
 	h.eng.Schedule(150*sim.Minute, func() { // after recovery
-		if h.in.Down("res-a") {
+		if h.in.down("res-a") {
 			t.Error("resource should be back up at t=150min")
 		}
 		if err := h.res.Submit(job("late", &late)); err != nil {
@@ -337,7 +337,7 @@ func TestFlapDeterminism(t *testing.T) {
 		for h := 1; h <= 5*24; h++ {
 			at := sim.Time(sim.Duration(h) * sim.Hour)
 			eng.ScheduleAt(at, func() {
-				if in.Down("res-a") {
+				if in.down("res-a") {
 					downAt = append(downAt, at)
 				}
 			})

@@ -105,8 +105,8 @@ func (in *Injector) AttachDemand(name string, fn func(factor float64)) {
 	in.demands[name] = fn
 }
 
-// Down reports whether the named resource is currently in an outage.
-func (in *Injector) Down(name string) bool {
+// down reports whether the named resource is currently in an outage.
+func (in *Injector) down(name string) bool {
 	t, ok := in.targets[name]
 	return ok && t.down
 }

@@ -3,7 +3,6 @@ package forest
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 
 	"lattice/internal/sim"
@@ -165,9 +164,6 @@ func (f *Forest) Predict(x []float64) float64 {
 	return s / float64(len(f.trees))
 }
 
-// OOBPrediction returns the out-of-bag prediction for training row i.
-func (f *Forest) OOBPrediction(i int) float64 { return f.oobPrediction[i] }
-
 // OOBMSE returns the out-of-bag mean squared error.
 func (f *Forest) OOBMSE() float64 { return f.oobMSE }
 
@@ -261,13 +257,6 @@ func (f *Forest) GainImportance() []ImportanceResult {
 		out[j] = ImportanceResult{Feature: f.schema.Names[j], PctIncMSE: pct}
 	}
 	return out
-}
-
-// RankedImportance returns Importance sorted descending by %IncMSE.
-func (f *Forest) RankedImportance(seed int64) []ImportanceResult {
-	imp := f.Importance(seed)
-	sort.Slice(imp, func(i, j int) bool { return imp[i].PctIncMSE > imp[j].PctIncMSE })
-	return imp
 }
 
 // CrossValidate runs k-fold cross-validation of a forest configuration

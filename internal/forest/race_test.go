@@ -98,7 +98,6 @@ func TestForestConcurrentReaders(t *testing.T) {
 			_ = f.PercentVarExplained()
 			_ = f.Importance(int64(r))
 			_ = f.GainImportance()
-			_ = f.RankedImportance(int64(r))
 		}(r)
 	}
 	wg.Wait()

@@ -19,6 +19,13 @@ import (
 func testGrid(t *testing.T) (*sim.Engine, *metasched.Scheduler) {
 	t.Helper()
 	eng := sim.NewEngine()
+	return eng, gridOn(t, eng, metasched.Options{})
+}
+
+// gridOn is testGrid's one-cluster grid on a caller-made engine, for
+// tests that wire the scheduler to a hub built on that engine.
+func gridOn(t *testing.T, eng *sim.Engine, opts metasched.Options) *metasched.Scheduler {
+	t.Helper()
 	idx, err := mds.NewIndex(eng, 5*sim.Minute)
 	if err != nil {
 		t.Fatal(err)
@@ -33,11 +40,11 @@ func testGrid(t *testing.T) (*sim.Engine, *metasched.Scheduler) {
 	if _, err := mds.StartProvider(eng, idx, hpc, sim.Minute); err != nil {
 		t.Fatal(err)
 	}
-	sched := metasched.New(eng, idx, metasched.DefaultConfig())
+	sched := metasched.New(eng, idx, metasched.DefaultConfig(), opts)
 	if err := sched.Register(hpc, 1.5); err != nil {
 		t.Fatal(err)
 	}
-	return eng, sched
+	return sched
 }
 
 // mustService builds a service over a testGrid with the given options.

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"lattice/internal/metasched"
 	"lattice/internal/obs"
 	"lattice/internal/sim"
 )
@@ -14,9 +15,9 @@ import (
 // stage received threads through the meta-scheduler's submit, place
 // and dispatch events all the way to terminal completion.
 func TestBatchOriginPropagation(t *testing.T) {
-	eng, sched := testGrid(t)
+	eng := sim.NewEngine()
 	o := obs.New(eng)
-	sched.SetObs(o)
+	sched := gridOn(t, eng, metasched.Options{Obs: o})
 	svc := mustService(t, eng, sched, Options{Obs: o})
 
 	fired, gotCompleted, gotFailed := 0, -1, -1

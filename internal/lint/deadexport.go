@@ -22,8 +22,7 @@ named interfaces of directly imported packages); a struct field counts
 when it carries a tag (encoding/json reaches it by reflection). The
 answer is only meaningful over the whole module (./...): a package
 loaded alone has no callers in view.`,
-	Scope: []string{"internal/gsbl", "internal/core", "internal/portal", "internal/dag",
-		"internal/obs", "internal/shard", "internal/admit", "internal/lrm/...", "internal/grid/..."},
+	Scope:      []string{"internal/..."},
 	RunProgram: runDeadExport,
 }
 

@@ -96,9 +96,6 @@ func modulePath(file string) (string, error) {
 	return "", fmt.Errorf("lint: no module declaration in %s", file)
 }
 
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // LoadAll loads every package under the module root, in path order.
 // Directories named testdata or vendor, and directories whose name
 // starts with "." or "_", are skipped, mirroring the go tool's
@@ -182,16 +179,8 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 	return pkg, nil
 }
 
-// Load loads the package with the given import path; the path must be
-// the module path or below it.
-func (l *Loader) Load(path string) (*Package, error) {
-	dir, ok := l.dirFor(path)
-	if !ok {
-		return nil, fmt.Errorf("lint: import path %q is outside module %s", path, l.ModPath)
-	}
-	return l.load(path, dir)
-}
-
+// dirFor maps a module-local import path to its directory; any other
+// path belongs to the standard-library importer.
 func (l *Loader) dirFor(path string) (string, bool) {
 	if path == l.ModPath {
 		return l.ModRoot, true

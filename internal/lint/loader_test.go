@@ -124,11 +124,11 @@ func TestLoaderAttachTests(t *testing.T) {
 	}
 }
 
-// TestLoaderOutsideModule: import paths outside the module are
-// rejected with a clear error rather than being resolved from GOPATH.
+// TestLoaderOutsideModule: import paths outside the module are never
+// resolved to a directory under it; they go to the standard-library
+// importer.
 func TestLoaderOutsideModule(t *testing.T) {
-	_, err := edgeLoader(t, false).Load("example.com/elsewhere")
-	if err == nil || !strings.Contains(err.Error(), "outside module") {
-		t.Fatalf("Load of a foreign path = %v, want an \"outside module\" error", err)
+	if dir, ok := edgeLoader(t, false).dirFor("example.com/elsewhere"); ok {
+		t.Fatalf("dirFor of a foreign path = %q, want it left unresolved", dir)
 	}
 }

@@ -97,9 +97,3 @@ func (s *Scheduler) observeBreaker(name string, ok bool) {
 		fmt.Sprintf("open after %d consecutive failures; probe after %.0fs",
 			s.cfg.BreakerThreshold, float64(s.breakerCooldown())))
 }
-
-// BreakerOpen reports whether a resource's circuit is currently open.
-func (s *Scheduler) BreakerOpen(name string) bool {
-	r, ok := s.resources[name]
-	return ok && r.breakerOpen
-}

@@ -26,9 +26,8 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	cfg.SubmitRetryMax = 2 * sim.Minute
 	cfg.BreakerThreshold = 2
 	cfg.BreakerCooldown = 5 * sim.Minute
-	sched := New(eng, idx, cfg)
 	hub := obs.New(eng)
-	sched.SetObs(hub)
+	sched := New(eng, idx, cfg, Options{Obs: hub})
 	if err := sched.Register(res, 1.0); err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +37,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	}
 	// Two refusals trip the breaker.
 	eng.RunUntil(sim.Time(2 * sim.Minute))
-	if !sched.BreakerOpen("flaky-gate") {
+	if !sched.resources["flaky-gate"].breakerOpen {
 		t.Fatal("breaker not open after consecutive refusals")
 	}
 	if st := sched.Stats(); st.BreakerTrips != 1 {
@@ -59,7 +58,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	if j.Status != StatusCompleted {
 		t.Fatalf("job status %v, want completed (fail reason %q)", j.Status, j.FailReason)
 	}
-	if sched.BreakerOpen("flaky-gate") {
+	if sched.resources["flaky-gate"].breakerOpen {
 		t.Fatal("breaker still open after a successful probe")
 	}
 	if res.submits != 4 {
@@ -82,7 +81,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 
 // TestBreakerDisabledIsZeroCost pins the default path: with
 // BreakerThreshold 0 a refusal-heavy run trips nothing, journals
-// nothing breaker-shaped, and BreakerOpen always answers false.
+// nothing breaker-shaped, and the circuit never opens.
 func TestBreakerDisabledIsZeroCost(t *testing.T) {
 	eng := sim.NewEngine()
 	idx, _ := mds.NewIndex(eng, 5*sim.Minute)
@@ -93,9 +92,8 @@ func TestBreakerDisabledIsZeroCost(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.SubmitRetryBase = 30 * sim.Second
-	sched := New(eng, idx, cfg)
 	hub := obs.New(eng)
-	sched.SetObs(hub)
+	sched := New(eng, idx, cfg, Options{Obs: hub})
 	if err := sched.Register(res, 1.0); err != nil {
 		t.Fatal(err)
 	}
@@ -110,8 +108,8 @@ func TestBreakerDisabledIsZeroCost(t *testing.T) {
 	if st := sched.Stats(); st.BreakerTrips != 0 {
 		t.Fatalf("BreakerTrips = %d with breakers disabled", st.BreakerTrips)
 	}
-	if sched.BreakerOpen("flaky-gate") {
-		t.Fatal("BreakerOpen true with breakers disabled")
+	if sched.resources["flaky-gate"].breakerOpen {
+		t.Fatal("circuit open with breakers disabled")
 	}
 	for _, ev := range hub.Journal.Events() {
 		if ev.Stage == obs.StageBreaker {

@@ -67,18 +67,3 @@ func Calibrate(eng *sim.Engine, target lrm.LRM, benchRefSeconds float64, count i
 	mean := sum / float64(n)
 	return benchRefSeconds / mean, nil
 }
-
-// CalibrateAndSet measures a registered resource and stores the result
-// as its scheduling speed.
-func (s *Scheduler) CalibrateAndSet(name string, benchRefSeconds float64, count int, deadline sim.Duration) (float64, error) {
-	r, ok := s.resources[name]
-	if !ok {
-		return 0, fmt.Errorf("metasched: unknown resource %s", name)
-	}
-	speed, err := Calibrate(s.eng, r.lrm, benchRefSeconds, count, deadline)
-	if err != nil {
-		return 0, err
-	}
-	r.speed = speed
-	return speed, nil
-}

@@ -250,9 +250,8 @@ type resource struct {
 	breakerUntil sim.Time // end of the open cooldown
 	breakerProbe bool     // half-open probe in flight
 	// placements is this resource's lattice_sched_placements_total
-	// series, resolved on first placement (nil until then, and again
-	// after SetObs) so the series exists only for resources that were
-	// actually chosen.
+	// series, resolved on first placement (nil until then) so the
+	// series exists only for resources that were actually chosen.
 	placements *obs.Counter
 }
 
@@ -298,12 +297,10 @@ type Durability interface {
 	Backoff(at sim.Time, job, resource string, attempt int, backoff sim.Duration)
 }
 
-// SetDurable installs the durability hook (nil disables it).
-func (s *Scheduler) SetDurable(d Durability) { s.durable = d }
-
-// schedInstruments pre-registers the scheduler's label-less metric
-// handles; per-resource series are created lazily on first placement.
-// All handles are nil-safe, so an un-wired scheduler records nothing.
+// schedInstruments holds the scheduler's label-less metric handles;
+// per-resource series are created lazily on first placement. All
+// handles are nil-safe, so a scheduler built without Options.Obs
+// records nothing.
 type schedInstruments struct {
 	submitted *obs.Counter
 	completed *obs.Counter
@@ -314,34 +311,38 @@ type schedInstruments struct {
 	placeWait *obs.Histogram
 }
 
-// SetObs wires the scheduler to an observability hub: ranking
-// decisions become per-resource placement counters, placement latency
-// (submit → dispatch, virtual time) feeds a histogram, and every
-// lifecycle transition is journaled and traced.
-func (s *Scheduler) SetObs(o *obs.Obs) {
-	s.obs = o
-	for _, r := range s.resources {
-		r.placements = nil
-	}
-	s.ins = schedInstruments{
-		submitted: o.Counter("lattice_sched_jobs_submitted_total", "Grid jobs accepted by the meta-scheduler"),
-		completed: o.Counter("lattice_sched_jobs_completed_total", "Grid jobs that reached completed"),
-		failed:    o.Counter("lattice_sched_jobs_failed_total", "Grid jobs that reached failed"),
-		retries:   o.Counter("lattice_sched_retries_total", "Resource-level failures sent back for rescheduling"),
-		bundled:   o.Counter("lattice_sched_jobs_bundled_total", "Replicates merged away by bundling"),
-		pending:   o.Gauge("lattice_sched_pending_jobs", "Jobs awaiting placement"),
-		placeWait: o.Histogram("lattice_sched_placement_wait_seconds", "Virtual seconds from submit to dispatch", nil),
-	}
+// Options wires a scheduler to the rest of a deployment; the zero
+// value is an unobserved, in-memory scheduler.
+type Options struct {
+	// Obs is the observability hub: ranking decisions become
+	// per-resource placement counters, placement latency (submit →
+	// dispatch, virtual time) feeds a histogram, and every lifecycle
+	// transition is journaled.
+	Obs *obs.Obs
+	// Durable is the write-ahead-log hook (nil: nothing is logged).
+	Durable Durability
 }
 
 // New creates a scheduler reading resource state from idx.
-func New(eng *sim.Engine, idx *mds.Index, cfg Config) *Scheduler {
+func New(eng *sim.Engine, idx *mds.Index, cfg Config, opts Options) *Scheduler {
+	o := opts.Obs
 	s := &Scheduler{
 		eng:       eng,
 		idx:       idx,
 		cfg:       cfg,
 		resources: make(map[string]*resource),
 		jobs:      make(map[string]*GridJob),
+		obs:       o,
+		durable:   opts.Durable,
+		ins: schedInstruments{
+			submitted: o.Counter("lattice_sched_jobs_submitted_total", "Grid jobs accepted by the meta-scheduler"),
+			completed: o.Counter("lattice_sched_jobs_completed_total", "Grid jobs that reached completed"),
+			failed:    o.Counter("lattice_sched_jobs_failed_total", "Grid jobs that reached failed"),
+			retries:   o.Counter("lattice_sched_retries_total", "Resource-level failures sent back for rescheduling"),
+			bundled:   o.Counter("lattice_sched_jobs_bundled_total", "Replicates merged away by bundling"),
+			pending:   o.Gauge("lattice_sched_pending_jobs", "Jobs awaiting placement"),
+			placeWait: o.Histogram("lattice_sched_placement_wait_seconds", "Virtual seconds from submit to dispatch", nil),
+		},
 	}
 	if cfg.RescanInterval > 0 {
 		eng.Every(cfg.RescanInterval, func() {
@@ -354,7 +355,9 @@ func New(eng *sim.Engine, idx *mds.Index, cfg Config) *Scheduler {
 
 // SetPredictor installs the runtime-estimation model. Without one the
 // scheduler operates estimate-blind (the system's pre-Section-VI
-// behaviour).
+// behaviour). It is a setter, not an Options field, because the
+// ablation experiments and the benchmark swap the predictor on a
+// deployment that is already built.
 func (s *Scheduler) SetPredictor(p Predictor) { s.predictor = p }
 
 // Register adds a resource target. The adapter is chosen by the
@@ -378,47 +381,9 @@ func (s *Scheduler) Register(target lrm.LRM, speed float64) error {
 	return nil
 }
 
-// SetSpeed updates a resource's measured speed.
-func (s *Scheduler) SetSpeed(name string, speed float64) error {
-	r, ok := s.resources[name]
-	if !ok {
-		return fmt.Errorf("metasched: unknown resource %s", name)
-	}
-	if speed <= 0 {
-		return fmt.Errorf("metasched: speed must be positive")
-	}
-	r.speed = speed
-	return nil
-}
-
-// Speed returns a resource's current speed setting.
-func (s *Scheduler) Speed(name string) (float64, bool) {
-	r, ok := s.resources[name]
-	if !ok {
-		return 0, false
-	}
-	return r.speed, true
-}
-
-// SetStability overrides a resource's stability score in [0,1] —
-// manual calibration writes through the same field the learned EWMA
-// updates, so an operator's prior and observed behaviour compose.
-func (s *Scheduler) SetStability(name string, stability float64) error {
-	r, ok := s.resources[name]
-	if !ok {
-		return fmt.Errorf("metasched: unknown resource %s", name)
-	}
-	if stability < 0 || stability > 1 {
-		return fmt.Errorf("metasched: stability must be in [0,1], got %g", stability)
-	}
-	r.stability = stability
-	if s.durable != nil {
-		s.durable.EWMA(s.eng.Now(), name, r.stability)
-	}
-	return nil
-}
-
 // Stability returns a resource's current stability score.
+//
+//lint:allow deadexport -- the recovery tests in internal/core read the learned EWMAs back through it: README "Durability & crash recovery" lists them among what a coordinator kill must not lose
 func (s *Scheduler) Stability(name string) (float64, bool) {
 	r, ok := s.resources[name]
 	if !ok {
@@ -447,14 +412,5 @@ func (s *Scheduler) observeStability(name string, ok bool) {
 	}
 }
 
-// Job returns the tracked record for a job ID.
-func (s *Scheduler) Job(id string) (*GridJob, bool) {
-	j, ok := s.jobs[id]
-	return j, ok
-}
-
 // Stats returns scheduler accounting.
 func (s *Scheduler) Stats() Stats { return s.stats }
-
-// Pending returns the number of jobs awaiting placement.
-func (s *Scheduler) Pending() int { return len(s.pending) }

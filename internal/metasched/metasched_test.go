@@ -57,7 +57,7 @@ func newGrid(t *testing.T, cfg Config) *grid {
 	if _, err := mds.StartProvider(eng, idx, hpc, sim.Minute); err != nil {
 		t.Fatal(err)
 	}
-	sched := New(eng, idx, cfg)
+	sched := New(eng, idx, cfg, Options{})
 	if err := sched.Register(pool, 1.0); err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestStabilityGateKeepsLongJobsOffCondor(t *testing.T) {
 	}
 	g.eng.RunUntil(sim.Time(1 * sim.Hour))
 	for i := 0; i < 6; i++ {
-		j, _ := g.sched.Job(fmt.Sprintf("long%d", i))
+		j := g.sched.jobs[fmt.Sprintf("long%d", i)]
 		placed = append(placed, j.Resource)
 		if j.Resource == "condor-pool" {
 			t.Errorf("long job %d placed on the unstable pool", i)
@@ -166,7 +166,7 @@ func TestNaivePolicyIgnoresStability(t *testing.T) {
 	g.eng.RunUntil(sim.Time(6 * sim.Hour))
 	onPool := 0
 	for i := 0; i < 32; i++ {
-		j, _ := g.sched.Job(fmt.Sprintf("l%d", i))
+		j := g.sched.jobs[fmt.Sprintf("l%d", i)]
 		if j.Resource == "condor-pool" {
 			onPool++
 		}
@@ -212,7 +212,7 @@ func TestMemoryAndMPIFiltering(t *testing.T) {
 	}
 	g.eng.RunUntil(sim.Time(1 * sim.Hour))
 	for _, id := range []string{"big", "mpi"} {
-		j, _ := g.sched.Job(id)
+		j := g.sched.jobs[id]
 		if j.Resource != "hpc-cluster" {
 			t.Errorf("%s placed on %q, want hpc-cluster", id, j.Resource)
 		}
@@ -228,8 +228,8 @@ func TestUnplaceableJobWaitsThenRuns(t *testing.T) {
 	if _, err := g.sched.Submit(weird, nil, func(j *GridJob) { done = j.Status == StatusCompleted }); err != nil {
 		t.Fatal(err)
 	}
-	if g.sched.Pending() != 1 {
-		t.Fatalf("job should be pending, have %d", g.sched.Pending())
+	if len(g.sched.pending) != 1 {
+		t.Fatalf("job should be pending, have %d", len(g.sched.pending))
 	}
 	// A PPC cluster joins the grid later.
 	g.eng.Schedule(2*sim.Hour, func() {
@@ -258,7 +258,7 @@ func TestOfflineResourceNotUsed(t *testing.T) {
 		Nodes: []pbs.NodeClass{{Count: 2, Speed: 1, MemoryMB: 2048}},
 	})
 	p, _ := mds.StartProvider(eng, idx, hpc, sim.Minute)
-	sched := New(eng, idx, DefaultConfig())
+	sched := New(eng, idx, DefaultConfig(), Options{})
 	sched.Register(hpc, 1)
 	// Resource crashes at t = 10 min; submit at t = 20 min.
 	eng.Schedule(10*sim.Minute, func() { p.Stop() })
@@ -418,7 +418,7 @@ func TestBoincDeadlineFromEstimate(t *testing.T) {
 	mds.StartProvider(eng, idx, srv, sim.Minute)
 	cfg := DefaultConfig()
 	cfg.BoincDeadlineSlack = 3
-	sched := New(eng, idx, cfg)
+	sched := New(eng, idx, cfg, Options{})
 	sched.Register(srv, 0.8)
 	sched.SetPredictor(fixedPredictor(2 * 3600))
 	spec := workload.JobSpec{DataType: phylo.Nucleotide, SubstModel: "JC69",
@@ -456,14 +456,8 @@ func TestRegisterValidation(t *testing.T) {
 	if err := g.sched.Register(g.pool, 1.0); err == nil {
 		t.Error("duplicate registration accepted")
 	}
-	if err := g.sched.SetSpeed("condor-pool", -1); err == nil {
+	if err := g.sched.Register(g.hpc, -1); err == nil {
 		t.Error("negative speed accepted")
-	}
-	if err := g.sched.SetSpeed("nope", 1); err == nil {
-		t.Error("unknown resource speed set")
-	}
-	if _, ok := g.sched.Speed("condor-pool"); !ok {
-		t.Error("Speed lookup failed")
 	}
 }
 

@@ -17,21 +17,6 @@ func TestStabilityAccessors(t *testing.T) {
 	if st, ok := g.sched.Stability("condor-pool"); !ok || st != 1 {
 		t.Fatalf("fresh stability = %v, %v; want 1, true", st, ok)
 	}
-	if err := g.sched.SetStability("condor-pool", 0.25); err != nil {
-		t.Fatal(err)
-	}
-	if st, _ := g.sched.Stability("condor-pool"); st != 0.25 {
-		t.Errorf("stability after SetStability = %v, want 0.25", st)
-	}
-	if err := g.sched.SetStability("condor-pool", 1.5); err == nil {
-		t.Error("SetStability accepted a value above 1")
-	}
-	if err := g.sched.SetStability("condor-pool", -0.1); err == nil {
-		t.Error("SetStability accepted a negative value")
-	}
-	if err := g.sched.SetStability("nope", 0.5); err == nil {
-		t.Error("SetStability accepted an unknown resource")
-	}
 	if _, ok := g.sched.Stability("nope"); ok {
 		t.Error("Stability reported a score for an unknown resource")
 	}
@@ -66,9 +51,7 @@ func TestLearnedStabilityGatesLongJobs(t *testing.T) {
 	// The statically-stable cluster has been observed failing: its
 	// learned score sinks below the floor, so the gate must now treat
 	// it as unstable and refuse to place long jobs anywhere.
-	if err := g.sched.SetStability("hpc-cluster", 0.3); err != nil {
-		t.Fatal(err)
-	}
+	g.sched.resources["hpc-cluster"].stability = 0.3
 	spec := workload.JobSpec{DataType: phylo.Nucleotide, SubstModel: "JC69",
 		NumTaxa: 10, SeqLength: 100, SearchReps: 1, StartingTree: phylo.StartRandom}
 	j, err := g.sched.Submit(jobDesc("long0", 40*3600), &spec, nil)
@@ -80,9 +63,7 @@ func TestLearnedStabilityGatesLongJobs(t *testing.T) {
 		t.Errorf("long job placed on %s despite learned instability everywhere", j.Resource)
 	}
 	// Restore the score: the job must flow to the cluster.
-	if err := g.sched.SetStability("hpc-cluster", 1); err != nil {
-		t.Fatal(err)
-	}
+	g.sched.resources["hpc-cluster"].stability = 1
 	g.eng.RunUntil(sim.Time(2 * sim.Hour))
 	if j.Resource != "hpc-cluster" {
 		t.Errorf("recovered cluster not used; job on %q status %v", j.Resource, j.Status)
@@ -118,7 +99,7 @@ func TestDeadResourceRequeue(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.BundleTargetSeconds = 0
-	sched := New(eng, idx, cfg)
+	sched := New(eng, idx, cfg, Options{})
 	if err := sched.Register(fast, 4.0); err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +120,7 @@ func TestDeadResourceRequeue(t *testing.T) {
 	}
 	eng.RunUntil(sim.Time(10 * sim.Minute))
 	for i := 0; i < 3; i++ {
-		j, _ := sched.Job(fmt.Sprintf("j%d", i))
+		j := sched.jobs[fmt.Sprintf("j%d", i)]
 		if j.Resource != "fast" {
 			t.Fatalf("job j%d placed on %q, want the fast cluster", i, j.Resource)
 		}
@@ -154,7 +135,7 @@ func TestDeadResourceRequeue(t *testing.T) {
 		t.Fatalf("%d of 3 jobs completed after the requeue", done)
 	}
 	for i := 0; i < 3; i++ {
-		j, _ := sched.Job(fmt.Sprintf("j%d", i))
+		j := sched.jobs[fmt.Sprintf("j%d", i)]
 		if j.Resource != "slow" {
 			t.Errorf("job j%d finished on %q, want the surviving cluster", i, j.Resource)
 		}
@@ -222,7 +203,7 @@ func TestSubmitRetryBackoff(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SubmitRetryBase = sim.Minute
 	cfg.SubmitRetryMax = 10 * sim.Minute
-	sched := New(eng, idx, cfg)
+	sched := New(eng, idx, cfg, Options{})
 	if err := sched.Register(res, 1.0); err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +243,7 @@ func TestSubmitRetryDisabledFallsBackToScan(t *testing.T) {
 		}
 		cfg := DefaultConfig()
 		cfg.SubmitRetryBase = 0 // legacy behaviour: next periodic scan retries
-		sched := New(eng, idx, cfg)
+		sched := New(eng, idx, cfg, Options{})
 		if err := sched.Register(res, 1.0); err != nil {
 			t.Fatal(err)
 		}
@@ -273,7 +254,7 @@ func TestSubmitRetryDisabledFallsBackToScan(t *testing.T) {
 		eng.RunUntil(sim.Time(6 * sim.Hour))
 		if j.Status != StatusCompleted {
 			t.Fatalf("%d refusals: job status %v, submits=%d, len(pending)=%d; want completed",
-				refusals, j.Status, res.submits, sched.Pending())
+				refusals, j.Status, res.submits, len(sched.pending))
 		}
 		if res.submits != refusals+1 {
 			t.Errorf("%d refusals: resource saw %d submissions, want %d", refusals, res.submits, refusals+1)

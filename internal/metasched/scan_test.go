@@ -19,8 +19,8 @@ func unplaceableGrid(t testing.TB, n int) *viewGrid {
 			t.Fatal(err)
 		}
 	}
-	if g.sched.Pending() != n {
-		t.Fatalf("%d of %d jobs pending", g.sched.Pending(), n)
+	if len(g.sched.pending) != n {
+		t.Fatalf("%d of %d jobs pending", len(g.sched.pending), n)
 	}
 	return g
 }
@@ -34,8 +34,8 @@ func TestScanPendingSteadyStateDoesNotAllocate(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, g.sched.scanPending); allocs != 0 {
 		t.Errorf("steady-state scan of 2000 pending jobs allocates %v", allocs)
 	}
-	if g.sched.Pending() != 2000 || g.sched.pending[0] != first {
-		t.Errorf("scans reordered or lost the queue: %d pending", g.sched.Pending())
+	if len(g.sched.pending) != 2000 || g.sched.pending[0] != first {
+		t.Errorf("scans reordered or lost the queue: %d pending", len(g.sched.pending))
 	}
 }
 

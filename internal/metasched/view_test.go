@@ -23,12 +23,18 @@ type viewGrid struct {
 // is published yet.
 func newViewGrid(t testing.TB, cfg Config, speeds map[string]float64) *viewGrid {
 	t.Helper()
-	eng := sim.NewEngine()
+	return newViewGridOn(t, sim.NewEngine(), cfg, Options{}, speeds)
+}
+
+// newViewGridOn is newViewGrid on a caller-made engine, for a test
+// that wires the scheduler to a hub built on that engine.
+func newViewGridOn(t testing.TB, eng *sim.Engine, cfg Config, opts Options, speeds map[string]float64) *viewGrid {
+	t.Helper()
 	idx, err := mds.NewIndex(eng, 5*sim.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := &viewGrid{eng: eng, idx: idx, sched: New(eng, idx, cfg), res: make(map[string]*refusingLRM)}
+	g := &viewGrid{eng: eng, idx: idx, sched: New(eng, idx, cfg, opts), res: make(map[string]*refusingLRM)}
 	for _, name := range []string{"a-fast", "b-slow", "c-late"} {
 		speed, ok := speeds[name]
 		g.res[name] = &refusingLRM{eng: eng, name: name, runFor: sim.Hour, jobs: make(map[string]*lrm.Job)}
@@ -121,8 +127,8 @@ func TestCandidateViewSurvivesReentrantPlacement(t *testing.T) {
 	cfg.RescanInterval = 0
 	g := newViewGrid(t, cfg, map[string]float64{"a-fast": 4, "b-slow": 1})
 	p1, p2 := g.submit(t, "p1"), g.submit(t, "p2") // nothing published: both wait
-	if g.sched.Pending() != 2 {
-		t.Fatalf("pending = %d, want 2", g.sched.Pending())
+	if len(g.sched.pending) != 2 {
+		t.Fatalf("pending = %d, want 2", len(g.sched.pending))
 	}
 	g.publish("a-fast", "b-slow")
 	held := g.sched.candidates()
@@ -167,9 +173,9 @@ func TestCandidateViewSurvivesReentrantPlacement(t *testing.T) {
 }
 
 func TestCandidateViewAndPlacementCounterDoNotAllocate(t *testing.T) {
-	g := newViewGrid(t, DefaultConfig(), map[string]float64{"a-fast": 4, "b-slow": 1})
-	o := obs.New(g.eng)
-	g.sched.SetObs(o)
+	eng := sim.NewEngine()
+	o := obs.New(eng)
+	g := newViewGridOn(t, eng, DefaultConfig(), Options{Obs: o}, map[string]float64{"a-fast": 4, "b-slow": 1})
 	g.publish("a-fast", "b-slow")
 	g.submit(t, "warm") // resolves a-fast's placement counter
 	if n := testing.AllocsPerRun(100, func() {

@@ -110,7 +110,7 @@ func appendFloat(dst []byte, v float64) []byte {
 // ParseExposition parses text-exposition output back into a flat
 // series→value map keyed by "name{labels}" exactly as exposed.
 // Comment and blank lines are skipped; any other malformed line is an
-// error. It is the inverse the smoke checks and cmd/benchjson use.
+// error. It is the inverse the smoke check (cmd/lattice -smoke) uses.
 func ParseExposition(text string) (map[string]float64, error) {
 	out := make(map[string]float64)
 	for ln, line := range strings.Split(text, "\n") {

@@ -57,9 +57,6 @@ func (r *Runner) Step(n int) bool {
 	return r.state.done()
 }
 
-// Done reports whether the search has terminated.
-func (r *Runner) Done() bool { return r.state.done() }
-
 // Best returns the current best tree and its log-likelihood.
 func (r *Runner) Best() (*Tree, float64) {
 	return r.state.pop[0].tree, r.state.pop[0].logL
@@ -88,9 +85,6 @@ func (r *Runner) Progress() float64 {
 
 // Generation returns the number of GA generations completed.
 func (r *Runner) Generation() int { return r.state.gen }
-
-// Work returns the cost accrued so far, in cell updates.
-func (r *Runner) Work() float64 { return r.state.lk.TotalWork() }
 
 // checkpointFile is the JSON snapshot written by Save.
 type checkpointFile struct {

@@ -30,11 +30,8 @@ func TestRunnerCompletes(t *testing.T) {
 	if tree == nil || logL >= 0 {
 		t.Fatalf("bad result: %v %v", tree, logL)
 	}
-	if !r.Done() {
-		t.Error("Done() false after completion")
-	}
-	if r.Work() <= 0 {
-		t.Error("no work recorded")
+	if !r.Step(0) {
+		t.Error("Step reports an unfinished search after completion")
 	}
 }
 

@@ -166,13 +166,3 @@ func (p *EvaluatorPool) TotalWork() float64 {
 	}
 	return w
 }
-
-// InvalidateAll drops cached per-node state on every worker engine
-// that keeps any.
-func (p *EvaluatorPool) InvalidateAll() {
-	for _, ev := range p.evs {
-		if inc, ok := ev.(IncrementalEvaluator); ok {
-			inc.InvalidateAll()
-		}
-	}
-}

@@ -82,8 +82,6 @@ func TestPoolScoreAllMatchesSerial(t *testing.T) {
 		if pool.TotalWork() != serial.Work {
 			t.Errorf("workers=%d: pool work %v != serial work %v", workers, pool.TotalWork(), serial.Work)
 		}
-		// InvalidateAll must be a safe no-op on non-incremental engines.
-		pool.InvalidateAll()
 	}
 }
 

@@ -32,4 +32,6 @@ const LogLTol = 1e-9
 
 // SameLogL reports whether two log-likelihoods are equal to within
 // LogLTol (relative for large magnitudes, absolute near zero).
+//
+//lint:allow deadexport -- the comparison README "Static analysis & correctness gates" (floatcmp) tells engine code to use instead of ==; today only tests compare two scores
 func SameLogL(a, b float64) bool { return AlmostEqual(a, b, LogLTol) }

@@ -20,13 +20,6 @@ type Model struct {
 // matrices.
 func (m *Model) Eigen() *EigenSystem { return m.eigen }
 
-// Param returns a named model parameter (e.g. "kappa", "omega") and
-// whether it is set.
-func (m *Model) Param(name string) (float64, bool) {
-	v, ok := m.params[name]
-	return v, ok
-}
-
 // newModelFromRates builds a normalized reversible model from
 // symmetric exchangeabilities rates (only the upper triangle is read)
 // and stationary frequencies.

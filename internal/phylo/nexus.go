@@ -488,8 +488,9 @@ func applyTranslate(nw string, table map[string]string) string {
 	return b.String()
 }
 
-// WriteNEXUS writes the alignment as a sequential NEXUS DATA block.
-func (a *Alignment) WriteNEXUS(w io.Writer) error {
+// writeNEXUS writes the alignment as a sequential NEXUS DATA block —
+// the round-trip tests' way of producing input ParseNEXUS must accept.
+func (a *Alignment) writeNEXUS(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	dtName := map[DataType]string{Nucleotide: "DNA", AminoAcid: "PROTEIN", Codon: "CODON"}[a.Type]
 	fmt.Fprintf(bw, "#NEXUS\nBEGIN DATA;\n  DIMENSIONS NTAX=%d NCHAR=%d;\n  FORMAT DATATYPE=%s MISSING=? GAP=-;\n  MATRIX\n",

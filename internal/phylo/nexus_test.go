@@ -153,7 +153,7 @@ func TestNEXUSRoundTrip(t *testing.T) {
 		Seqs:  []string{"ACGTAC", "ACG-AC", "AC?TAC"},
 	}
 	var buf strings.Builder
-	if err := a.WriteNEXUS(&buf); err != nil {
+	if err := a.writeNEXUS(&buf); err != nil {
 		t.Fatal(err)
 	}
 	nf, err := ParseNEXUS(strings.NewReader(buf.String()))

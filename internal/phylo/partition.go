@@ -43,9 +43,6 @@ func NewPartitionedLikelihood(parts []Partition) (*PartitionedLikelihood, error)
 	return pl, nil
 }
 
-// NumPartitions returns the number of data blocks.
-func (pl *PartitionedLikelihood) NumPartitions() int { return len(pl.parts) }
-
 // LogLikelihood implements Evaluator: the sum of per-partition
 // log-likelihoods on the shared tree.
 func (pl *PartitionedLikelihood) LogLikelihood(t *Tree) float64 {
@@ -54,11 +51,6 @@ func (pl *PartitionedLikelihood) LogLikelihood(t *Tree) float64 {
 		sum += lk.LogLikelihood(t)
 	}
 	return sum
-}
-
-// PartitionLogLikelihood evaluates a single partition.
-func (pl *PartitionedLikelihood) PartitionLogLikelihood(i int, t *Tree) float64 {
-	return pl.parts[i].LogLikelihood(t)
 }
 
 // OptimizeBranch implements Evaluator.
@@ -80,27 +72,4 @@ func (pl *PartitionedLikelihood) TotalWork() float64 {
 // (internal/beagle) can reuse it.
 func OptimizeBranchOf(ev Evaluator, t *Tree, n *Node, iterations int) float64 {
 	return optimizeBranch(ev, t, n, iterations)
-}
-
-// SplitAlignment cuts an alignment into contiguous blocks by column
-// ranges (half-open, in characters) — the usual way a concatenated
-// multi-gene matrix is partitioned. Each block inherits the
-// alignment's data type.
-func SplitAlignment(a *Alignment, bounds []int) ([]*Alignment, error) {
-	if len(bounds) < 2 {
-		return nil, fmt.Errorf("phylo: need at least one block (two bounds)")
-	}
-	var out []*Alignment
-	for i := 0; i+1 < len(bounds); i++ {
-		lo, hi := bounds[i], bounds[i+1]
-		if lo < 0 || hi > a.Length() || lo >= hi {
-			return nil, fmt.Errorf("phylo: invalid block [%d, %d) for alignment of length %d", lo, hi, a.Length())
-		}
-		blk := &Alignment{Type: a.Type, Names: append([]string(nil), a.Names...)}
-		for _, seq := range a.Seqs {
-			blk.Seqs = append(blk.Seqs, seq[lo:hi])
-		}
-		out = append(out, blk)
-	}
-	return out, nil
 }

@@ -54,16 +54,8 @@ func TestPartitionedLogLIsSumOfParts(t *testing.T) {
 	if got := pl.LogLikelihood(truth); math.Abs(got-sum) > 1e-9 {
 		t.Errorf("partitioned logL %v != sum of parts %v", got, sum)
 	}
-	if pl.NumPartitions() != 2 {
-		t.Errorf("NumPartitions = %d", pl.NumPartitions())
-	}
 	if pl.TotalWork() <= 0 {
 		t.Error("no work accrued")
-	}
-	a := pl.PartitionLogLikelihood(0, truth)
-	b := pl.PartitionLogLikelihood(1, truth)
-	if math.Abs(a+b-sum) > 1e-9 {
-		t.Error("per-partition likelihoods inconsistent")
 	}
 }
 
@@ -124,28 +116,5 @@ func TestPartitionValidation(t *testing.T) {
 	mismatch[0].Model = aa
 	if _, err := NewPartitionedLikelihood(mismatch); err == nil {
 		t.Error("type mismatch accepted")
-	}
-}
-
-func TestSplitAlignment(t *testing.T) {
-	a := &Alignment{
-		Type:  Nucleotide,
-		Names: []string{"a", "b", "c"},
-		Seqs:  []string{"AAACCCGGGT", "AAACCCGGGA", "AAACCCGGGC"},
-	}
-	blocks, err := SplitAlignment(a, []int{0, 3, 6, 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(blocks) != 3 {
-		t.Fatalf("got %d blocks", len(blocks))
-	}
-	if blocks[0].Seqs[0] != "AAA" || blocks[1].Seqs[0] != "CCC" || blocks[2].Seqs[0] != "GGGT" {
-		t.Errorf("block contents wrong: %q %q %q", blocks[0].Seqs[0], blocks[1].Seqs[0], blocks[2].Seqs[0])
-	}
-	for _, bad := range [][]int{{0}, {0, 20}, {5, 3}, {-1, 4}} {
-		if _, err := SplitAlignment(a, bad); err == nil {
-			t.Errorf("bounds %v accepted", bad)
-		}
 	}
 }

@@ -28,6 +28,8 @@ func BootstrapStream(seed int64, rep int) *sim.RNG {
 // BootstrapReplicate resamples pattern weights for replicate rep of a
 // bootstrap fan-out seeded with seed. Calling it twice with the same
 // arguments yields bit-identical weights.
+//
+//lint:allow deadexport -- README "Workflows" documents it as how replicate k gets the same stream at any parallelism; the simulation prices a replicate's search, only a real worker would run one
 func (p *PatternData) BootstrapReplicate(seed int64, rep int) *PatternData {
 	return p.Bootstrap(BootstrapStream(seed, rep).Float64)
 }

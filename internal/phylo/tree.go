@@ -129,8 +129,8 @@ func (t *Tree) InternalEdges() []*Node {
 	return out
 }
 
-// TotalLength returns the sum of all branch lengths.
-func (t *Tree) TotalLength() float64 {
+// totalLength returns the sum of all branch lengths.
+func (t *Tree) totalLength() float64 {
 	var s float64
 	t.PostOrder(func(n *Node) {
 		if n.Parent != nil {
@@ -144,6 +144,8 @@ func (t *Tree) TotalLength() float64 {
 // mutually consistent, IDs index the node slice, the root has no
 // parent, and branch lengths are finite and non-negative. It is used
 // by property tests after random topology moves.
+//
+//lint:allow deadexport -- the structural oracle of internal/beagle's tests: README "Performance" has property tests pin the two engines together, and a search result must first be a well-formed tree
 func (t *Tree) Check() error {
 	if t.Root == nil {
 		return fmt.Errorf("phylo: tree has no root")

@@ -215,8 +215,8 @@ func TestRFDistanceInvariantToRooting(t *testing.T) {
 
 func TestTotalLength(t *testing.T) {
 	tr, _ := ParseNewick("((a:0.1,b:0.2):0.05,c:0.3,d:0.15);", nil)
-	if got := tr.TotalLength(); !almostEqual(got, 0.8, 1e-12) {
-		t.Errorf("TotalLength = %v, want 0.8", got)
+	if got := tr.totalLength(); !almostEqual(got, 0.8, 1e-12) {
+		t.Errorf("totalLength = %v, want 0.8", got)
 	}
 }
 

@@ -55,7 +55,7 @@ func fixtureOpts(t *testing.T, sopts gsbl.Options, popts Options) (*Portal, *htt
 	if _, err := mds.StartProvider(eng, idx, hpc, sim.Minute); err != nil {
 		t.Fatal(err)
 	}
-	sched := metasched.New(eng, idx, metasched.DefaultConfig())
+	sched := metasched.New(eng, idx, metasched.DefaultConfig(), metasched.Options{})
 	if err := sched.Register(hpc, 2); err != nil {
 		t.Fatal(err)
 	}

@@ -45,9 +45,6 @@ func (g *RNG) Float64() float64 { return g.r.Float64() }
 // Intn returns a uniform integer in [0, n). n must be positive.
 func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 
-// Int63 returns a non-negative uniform 63-bit integer.
-func (g *RNG) Int63() int64 { return g.r.Int63() }
-
 // Uniform returns a uniform variate in [lo, hi).
 func (g *RNG) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*g.r.Float64()
@@ -55,6 +52,8 @@ func (g *RNG) Uniform(lo, hi float64) float64 {
 
 // Normal returns a normal variate with the given mean and standard
 // deviation.
+//
+//lint:allow deadexport -- the noise source of internal/forest's synthetic datasets and reference-oracle tests (internal/README.md "forest"); production draws LogNormal
 func (g *RNG) Normal(mean, sd float64) float64 {
 	return mean + sd*g.r.NormFloat64()
 }
@@ -116,45 +115,9 @@ func (g *RNG) PermInto(buf []int) {
 	}
 }
 
-// Shuffle permutes a collection of length n in place using swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
-
-// Gamma returns a gamma variate with the given shape and scale, using
-// the Marsaglia–Tsang method. Shape and scale must be positive.
-func (g *RNG) Gamma(shape, scale float64) float64 {
-	if shape <= 0 || scale <= 0 {
-		panic("sim: Gamma with non-positive parameter")
-	}
-	if shape < 1 {
-		// Boost: gamma(a) = gamma(a+1) * U^(1/a).
-		u := g.r.Float64()
-		for u == 0 {
-			u = g.r.Float64()
-		}
-		return g.Gamma(shape+1, scale) * math.Pow(u, 1/shape)
-	}
-	d := shape - 1.0/3.0
-	c := 1 / math.Sqrt(9*d)
-	for {
-		x := g.r.NormFloat64()
-		v := 1 + c*x
-		if v <= 0 {
-			continue
-		}
-		v = v * v * v
-		u := g.r.Float64()
-		if u < 1-0.0331*x*x*x*x {
-			return d * v * scale
-		}
-		if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
-			return d * v * scale
-		}
-	}
-}
-
-// Pareto returns a Pareto variate with the given minimum and tail
-// index alpha; heavy-tailed task sizes and burst lengths use this.
-func (g *RNG) Pareto(xmin, alpha float64) float64 {
+// pareto returns a Pareto variate with the given minimum and tail
+// index alpha.
+func (g *RNG) pareto(xmin, alpha float64) float64 {
 	u := g.r.Float64()
 	for u == 0 {
 		u = g.r.Float64()

@@ -93,8 +93,3 @@ func (s *JobSpec) SampleWork(rng *sim.RNG) float64 {
 func ReferenceSeconds(work float64) float64 {
 	return work / ReferenceCellsPerSecond
 }
-
-// ReferenceDuration is ReferenceSeconds as a sim.Duration.
-func ReferenceDuration(work float64) sim.Duration {
-	return sim.Duration(ReferenceSeconds(work))
-}

@@ -147,9 +147,10 @@ func (s *JobSpec) NumSites() int {
 	return s.SeqLength
 }
 
-// GenerateAlignment simulates a data set matching the spec — the
-// stand-in for the researcher's uploaded sequence file.
-func (s *JobSpec) GenerateAlignment() (*phylo.Alignment, *phylo.Tree, error) {
+// generateAlignment simulates a data set matching the spec — the
+// stand-in for the researcher's uploaded sequence file, which the cost
+// model's calibration test runs the real engine on.
+func (s *JobSpec) generateAlignment() (*phylo.Alignment, *phylo.Tree, error) {
 	model, err := s.BuildModel()
 	if err != nil {
 		return nil, nil, err

@@ -150,7 +150,7 @@ func TestValidateDoesNotAllocate(t *testing.T) {
 
 func TestGenerateAlignmentMatchesSpec(t *testing.T) {
 	s := baseSpec()
-	al, truth, err := s.GenerateAlignment()
+	al, truth, err := s.generateAlignment()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestGenerateAlignmentMatchesSpec(t *testing.T) {
 		t.Errorf("truth tree has %d taxa", truth.NumTaxa())
 	}
 	// Deterministic per seed.
-	al2, _, err := s.GenerateAlignment()
+	al2, _, err := s.generateAlignment()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestCostModelTracksRealEngine(t *testing.T) {
 		if err := s.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		al, _, err := s.GenerateAlignment()
+		al, _, err := s.generateAlignment()
 		if err != nil {
 			t.Fatal(err)
 		}
