@@ -28,6 +28,13 @@ package beagle
 // least-recently-evaluated banks are dropped until the total fits.
 // Dropped references recycle through free lists — at steady state the
 // engine allocates nothing.
+//
+// With incremental reuse off there is nothing to keep: one scratch bank
+// serves every tree, and a traversal hands each node's buffer back to
+// the free list as soon as its parent has consumed it (giveBack),
+// so the engine holds the post-order frontier — two buffers on a
+// caterpillar, about log₂ of the taxa on a balanced tree — not one
+// buffer per internal node.
 
 import "container/list"
 
@@ -168,6 +175,19 @@ func (e *Engine) obtainBuf() *claBuf {
 		part:  make([]float64, e.nPat*e.nCats*e.nStates),
 		scale: make([]float64, e.nPat),
 		refs:  1,
+	}
+}
+
+// giveBack releases the scratch bank's buffer for node id (none for a
+// leaf) once its one reader is done with it: the parent's kernel, or
+// for the root the likelihood readout. The next obtainBuf — this
+// traversal's or the next tree's — takes it off the free list.
+func (e *Engine) giveBack(bk *bank, id int) {
+	if b := bk.bufs[id]; b != nil {
+		bk.bufs[id] = nil
+		bk.bytes -= e.claBytes
+		e.bankBytes -= e.claBytes
+		e.releaseBuf(b)
 	}
 }
 

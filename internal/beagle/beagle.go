@@ -12,14 +12,20 @@
 //   - fused, blocked pruning kernels: a binary node is one sweep
 //     part = (P₁·c₁) ⊙ (P₂·c₂) with the child-scale addition folded
 //     in, pattern-major with no per-cell modulo (kernels.go),
-//   - an LRU transition-matrix cache keyed by branch length whose
-//     evicted buffers recycle through a free list, and whose entries
-//     pool workers share read-only via WarmStart (cache.go),
+//   - an LRU transition cache keyed by (branch length, leaf edge?):
+//     an entry holds one kind of state — the per-category matrices an
+//     internal child is multiplied by, or the tip tables a leaf child
+//     is read from — never both; it is bounded in bytes as well as in
+//     entries, evicted buffers recycle through a free list, and pool
+//     workers share entries read-only via WarmStart (cache.go),
 //   - incremental re-evaluation with per-tree banks of copy-on-write
 //     conditional-likelihood buffers, so one engine scoring many trees
 //     alternately keeps every tree's cached state live within a byte
 //     budget (banks.go) — the classic GARLI optimization extended
-//     across a whole population,
+//     across a whole population; with incremental reuse off a full
+//     traversal instead holds only its post-order frontier, each
+//     child's buffer going back to the free list once its parent is
+//     computed,
 //   - rescaling applied per node only when magnitudes demand it.
 //
 // Correctness is pinned to the reference implementation by property
@@ -55,8 +61,8 @@ type Engine struct {
 	nCats   int
 	nPat    int
 
-	// pmats is the bounded LRU transition cache keyed by branch
-	// length; each entry carries the per-category matrices plus the
+	// pmats is the bounded LRU transition cache keyed by branch length
+	// and edge kind; an entry carries the per-category matrices or the
 	// tip-column tables. The GA mutates one branch per generation, so
 	// almost every edge of an evaluated tree has been seen before.
 	pmats *pmatCache
@@ -92,9 +98,12 @@ type Engine struct {
 	freeBanks   []*bank
 	maxFreeBufs int
 
-	// Per-evaluation scratch, reused across calls.
+	// Per-evaluation scratch, reused across calls. matScratch holds the
+	// C·S·S matrices a leaf-edge cache miss exponentiates and keeps only
+	// the tip tables of.
 	touched    []bool
 	expScratch []float64
+	matScratch []float64
 
 	// Evaluations counts LogLikelihood calls; CacheHits / CacheMisses
 	// count transition-matrix lookups. PartialsComputed and
@@ -187,7 +196,7 @@ func New(data *phylo.PatternData, model *phylo.Model, rates *phylo.SiteRates) (*
 		nStates:     S,
 		nCats:       rates.NumCats(),
 		nPat:        data.NumPatterns(),
-		pmats:       newPmatCache(4096),
+		pmats:       new(pmatCache),
 		tipIdx:      buildTipIndex(data.States, data.NumTaxa, data.NumPatterns(), S),
 		incremental: true,
 		banks:       make(map[uint64]*bank),
@@ -200,18 +209,22 @@ func New(data *phylo.PatternData, model *phylo.Model, rates *phylo.SiteRates) (*
 }
 
 // resizeShapes recomputes every size derived from (nPat, nCats,
-// nStates) and discards free-list buffers of the old shape.
+// nStates) and discards what holds buffers of the old shape: the
+// partials free list and the transition cache, which is re-bounded for
+// the new entry size.
 func (e *Engine) resizeShapes() {
 	e.claBytes = int64(e.nPat*e.nCats*e.nStates+e.nPat) * 8
 	e.maxFreeBufs = int(e.bankBudget/e.claBytes) + 8
 	e.freeBufs = nil
+	e.matScratch = make([]float64, e.nCats*e.nStates*e.nStates)
+	e.pmats.reset(pmatCapacity(e.nStates, e.nCats))
 }
 
 // setModel swaps the substitution model and rate mixture. Every cached
 // transition matrix is an exponential of the old rate matrix and every
 // cached partial was propagated through them, so both caches are
-// explicitly invalidated; buffers resize lazily on the next evaluation
-// if the category count changed.
+// emptied (the transition cache by resizeShapes); buffers resize lazily
+// on the next evaluation if the category count changed.
 func (e *Engine) setModel(model *phylo.Model, rates *phylo.SiteRates) error {
 	if model == nil {
 		return fmt.Errorf("beagle: nil model")
@@ -229,7 +242,6 @@ func (e *Engine) setModel(model *phylo.Model, rates *phylo.SiteRates) error {
 	e.model = model
 	e.rates = rates
 	e.nCats = rates.NumCats()
-	e.pmats.reset()
 	e.InvalidateAll()
 	e.resizeShapes()
 	return nil
@@ -268,7 +280,7 @@ func (e *Engine) InvalidateAll() {
 }
 
 // WarmStart implements phylo.WarmStarter: it adopts the parent
-// engine's cached transition matrices (and their tip tables) when the
+// engine's cached transition entries (matrices and tip tables) when the
 // parent provably computes identical ones — same model and rate
 // objects. Shared entries are immutable and flagged on both sides so
 // neither engine ever recycles a buffer the other may read; beyond
@@ -362,27 +374,34 @@ func (s Stats) PatternCompression() float64 {
 	return float64(s.NumSites) / float64(s.NumPatterns)
 }
 
-// transition returns the cached per-branch-length entry (per-category
-// matrices plus tip tables), computing it on miss with zero steady-
-// state allocation: the backing buffer recycles from evicted entries
-// and the eigen scratch is engine-owned.
-func (e *Engine) transition(length float64) *pmatEntry {
-	if pe, ok := e.pmats.get(length); ok {
+// transition returns the cached entry for a branch length on a leaf or
+// an internal edge — the tip tables or the per-category matrices —
+// computing it on miss. A leaf-edge miss exponentiates into the
+// engine's scratch and keeps only the tables built from it; the entry's
+// buffer recycles from evicted entries and the eigen scratch is
+// engine-owned, so past the cold fill a miss allocates the entry alone.
+func (e *Engine) transition(length float64, leaf bool) *pmatEntry {
+	if pe, ok := e.pmats.get(length, leaf); ok {
 		e.CacheHits++
 		return pe
 	}
 	e.CacheMisses++
 	S, C := e.nStates, e.nCats
-	matsLen := C * S * S
-	data := e.pmats.buffer(matsLen + C*S*(S+1))
-	mats := data[:matsLen]
-	tips := data[matsLen:]
+	pe := &pmatEntry{key: pmatKey{length, leaf}}
+	mats := e.matScratch
+	if leaf {
+		pe.tips = e.pmats.buffer(leaf, C*S*(S+1))
+	} else {
+		pe.mats = e.pmats.buffer(leaf, C*S*S)
+		mats = pe.mats
+	}
 	es := e.model.Eigen()
 	for c := 0; c < C; c++ {
 		es.TransitionProbsInto(length*e.rates.Rates[c], mats[c*S*S:(c+1)*S*S], e.expScratch)
 	}
-	buildTipTables(mats, tips, S, C)
-	pe := &pmatEntry{length: length, data: data, mats: mats, tips: tips}
+	if leaf {
+		buildTipTables(mats, pe.tips, S, C)
+	}
 	e.pmats.put(pe)
 	return pe
 }
@@ -458,6 +477,11 @@ func (e *Engine) LogLikelihood(t *phylo.Tree) float64 {
 		}
 		if e.incremental {
 			rec.record(n)
+		} else {
+			// Nothing rereads a child once its parent is computed.
+			for _, c := range n.Children {
+				e.giveBack(bk, c.ID)
+			}
 		}
 	})
 	rootBuf := bk.bufs[t.Root.ID]
@@ -481,6 +505,9 @@ func (e *Engine) LogLikelihood(t *phylo.Tree) float64 {
 		}
 		logL += e.data.Weights[p] * (math.Log(site) + rscale[p])
 	}
+	if !e.incremental {
+		e.giveBack(bk, t.Root.ID)
+	}
 	return logL
 }
 
@@ -491,7 +518,7 @@ func (e *Engine) LogLikelihood(t *phylo.Tree) float64 {
 // fetching more than one further child (the fused pair holds two at
 // once, which the cache's minimum capacity guarantees).
 func (e *Engine) childRefFor(bk *bank, c *phylo.Node) childRef {
-	pe := e.transition(c.Length)
+	pe := e.transition(c.Length, c.IsLeaf())
 	S, C, nPat := e.nStates, e.nCats, e.nPat
 	e.work += float64(nPat+1) * float64(C) * float64(S) * float64(S)
 	if c.IsLeaf() {

@@ -139,7 +139,7 @@ func TestCacheEviction(t *testing.T) {
 	eng.pmats.cap = 8
 	// Probe more distinct branch lengths than the cap.
 	for i := 1; i <= 50; i++ {
-		eng.transition(float64(i) / 100)
+		eng.transition(float64(i)/100, false)
 	}
 	if eng.pmats.size() > 8 {
 		t.Errorf("cache grew to %d entries past cap 8", eng.pmats.size())
@@ -149,7 +149,7 @@ func TestCacheEviction(t *testing.T) {
 	}
 	// LRU order: the most recently probed lengths must be resident.
 	for i := 43; i <= 50; i++ {
-		if _, ok := eng.pmats.get(float64(i) / 100); !ok {
+		if _, ok := eng.pmats.get(float64(i)/100, false); !ok {
 			t.Errorf("recently used length %v was evicted", float64(i)/100)
 		}
 	}

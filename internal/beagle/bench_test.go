@@ -8,10 +8,10 @@ import (
 	"lattice/internal/sim"
 )
 
-// The two engine micro-benchmarks the ledger cannot localise: its
+// The three engine micro-benchmarks the ledger cannot localise: its
 // search50 and score-aa workloads time whole searches and whole
-// generations, these time one evaluation and one population score.
-// `make check` executes each body once.
+// generations, these time one evaluation, one full 20-state traversal
+// and one population score. `make check` executes each body once.
 
 // bench50 is the 50-taxon GTR+Γ4 nucleotide fixture both share.
 func bench50(b *testing.B) *fixture {
@@ -48,14 +48,6 @@ func BenchmarkSearchEval50(b *testing.B) {
 		}
 		b.ReportMetric(ev.TotalWork()/float64(b.N), "cells/op")
 	}
-	engine := func(b *testing.B, incremental bool) *Engine {
-		eng, err := New(fx.data, fx.model, fx.rates)
-		if err != nil {
-			b.Fatal(err)
-		}
-		eng.SetIncremental(incremental)
-		return eng
-	}
 	b.Run("reference", func(b *testing.B) {
 		lk, err := phylo.NewLikelihood(fx.data, fx.model, fx.rates)
 		if err != nil {
@@ -63,8 +55,27 @@ func BenchmarkSearchEval50(b *testing.B) {
 		}
 		run(b, lk)
 	})
-	b.Run("beagle-full", func(b *testing.B) { run(b, engine(b, false)) })
-	b.Run("beagle-incremental", func(b *testing.B) { run(b, engine(b, true)) })
+	b.Run("beagle-full", func(b *testing.B) { run(b, newEngine(b, fx, false)) })
+	b.Run("beagle-incremental", func(b *testing.B) { run(b, newEngine(b, fx, true)) })
+}
+
+// BenchmarkScoreAA50 measures one full (non-incremental) traversal of
+// a 50-taxon tree under the 20-state empirical model with +Γ4 — the
+// generic kernels and nothing else: the engine is warm, so every
+// transition is a cache hit and every buffer comes off the free list.
+func BenchmarkScoreAA50(b *testing.B) {
+	fx := newFixture(b, 50, phylo.AminoAcid, 4, 50, 500)
+	eng := newEngine(b, fx, false)
+	eng.LogLikelihood(fx.tree) // warm buffers and caches
+	cells0 := eng.TotalWork()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.LogLikelihood(fx.tree)
+	}
+	cells := (eng.TotalWork() - cells0) / float64(b.N)
+	b.ReportMetric(cells, "cells/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/cells, "ns/cell")
 }
 
 // BenchmarkParallelScore measures population scoring through an

@@ -137,6 +137,58 @@ func accT4(part []float64, a *childRef, nPat, C int) {
 
 // --- generic (amino-acid, codon) kernels ---
 
+// matVec is the one matrix-vector product of the generic kernels: with
+// S = len(v) it forms d[s] = Σₓ m[s·S+x]·v[x] for every row s and
+// stores it (out[s] = d[s]) or, with mul set, folds it into what out
+// already holds (out[s] *= d[s]).
+//
+// A single row's sum is one chain of dependent additions, so a row at
+// a time the loop runs at add latency, not add throughput. Rows are
+// independent: four are carried per sweep over v in four accumulators,
+// each still adding its own terms x = 0…S−1 left to right, so every
+// d[s] is the value the row-at-a-time loop produced, bit for bit
+// (kernels_test.go holds that loop as the oracle). Rows past the last
+// full tile (S = 61 leaves one) take the plain loop.
+func matVec(out, m, v []float64, mul bool) {
+	S := len(v)
+	out = out[:S]
+	s := 0
+	for ; s+4 <= S; s += 4 {
+		r0 := m[s*S:][:S]
+		r1 := m[(s+1)*S:][:S]
+		r2 := m[(s+2)*S:][:S]
+		r3 := m[(s+3)*S:][:S]
+		var d0, d1, d2, d3 float64
+		for x, vx := range v {
+			d0 += r0[x] * vx
+			d1 += r1[x] * vx
+			d2 += r2[x] * vx
+			d3 += r3[x] * vx
+		}
+		o := out[s : s+4 : s+4]
+		if mul {
+			o[0] *= d0
+			o[1] *= d1
+			o[2] *= d2
+			o[3] *= d3
+		} else {
+			o[0], o[1], o[2], o[3] = d0, d1, d2, d3
+		}
+	}
+	for ; s < S; s++ {
+		r := m[s*S:][:S]
+		var d float64
+		for x, vx := range v {
+			d += r[x] * vx
+		}
+		if mul {
+			out[s] *= d
+		} else {
+			out[s] = d
+		}
+	}
+}
+
 func fuseIIG(part, scale []float64, a, b *childRef, nPat, C, S int) {
 	for p := 0; p < nPat; p++ {
 		scale[p] = a.scale[p] + b.scale[p]
@@ -144,21 +196,9 @@ func fuseIIG(part, scale []float64, a, b *childRef, nPat, C, S int) {
 			base := (p*C + c) * S
 			m1 := a.mats[c*S*S:]
 			m2 := b.mats[c*S*S:]
-			v1 := a.part[base : base+S]
-			v2 := b.part[base : base+S]
 			out := part[base : base+S]
-			for s := 0; s < S; s++ {
-				r1 := m1[s*S : s*S+S]
-				r2 := m2[s*S : s*S+S]
-				var d1, d2 float64
-				for x := 0; x < S; x++ {
-					d1 += r1[x] * v1[x]
-				}
-				for x := 0; x < S; x++ {
-					d2 += r2[x] * v2[x]
-				}
-				out[s] = d1 * d2
-			}
+			matVec(out, m1, a.part[base:base+S], false)
+			matVec(out, m2, b.part[base:base+S], true)
 		}
 	}
 }
@@ -170,17 +210,11 @@ func fuseITG(part, scale []float64, in, tp *childRef, nPat, C, S int) {
 		ti := int(idx[p]) * C
 		for c := 0; c < C; c++ {
 			base := (p*C + c) * S
-			m := in.mats[c*S*S:]
-			v := in.part[base : base+S]
 			tc := tips[(ti+c)*S : (ti+c)*S+S]
 			out := part[base : base+S]
-			for s := 0; s < S; s++ {
-				r := m[s*S : s*S+S]
-				var d float64
-				for x := 0; x < S; x++ {
-					d += r[x] * v[x]
-				}
-				out[s] = d * tc[s]
+			matVec(out, in.mats[c*S*S:], in.part[base:base+S], false)
+			for s := range out {
+				out[s] *= tc[s]
 			}
 		}
 	}
@@ -210,17 +244,7 @@ func accIG(part, scale []float64, a *childRef, nPat, C, S int) {
 		scale[p] += a.scale[p]
 		for c := 0; c < C; c++ {
 			base := (p*C + c) * S
-			m := a.mats[c*S*S:]
-			v := a.part[base : base+S]
-			out := part[base : base+S]
-			for s := 0; s < S; s++ {
-				r := m[s*S : s*S+S]
-				var d float64
-				for x := 0; x < S; x++ {
-					d += r[x] * v[x]
-				}
-				out[s] *= d
-			}
+			matVec(part[base:base+S], a.mats[c*S*S:], a.part[base:base+S], true)
 		}
 	}
 }
@@ -247,17 +271,7 @@ func writeI(part, scale []float64, a *childRef, nPat, C, S int) {
 	for p := 0; p < nPat; p++ {
 		for c := 0; c < C; c++ {
 			base := (p*C + c) * S
-			m := a.mats[c*S*S:]
-			v := a.part[base : base+S]
-			out := part[base : base+S]
-			for s := 0; s < S; s++ {
-				r := m[s*S : s*S+S]
-				var d float64
-				for x := 0; x < S; x++ {
-					d += r[x] * v[x]
-				}
-				out[s] = d
-			}
+			matVec(part[base:base+S], a.mats[c*S*S:], a.part[base:base+S], false)
 		}
 	}
 }

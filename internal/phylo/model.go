@@ -9,11 +9,10 @@ import (
 // the state space of one DataType, normalized so branch lengths are
 // expected substitutions per site.
 type Model struct {
-	Name   string
-	Type   DataType
-	Freqs  []float64
-	eigen  *EigenSystem
-	params map[string]float64
+	Name  string
+	Type  DataType
+	Freqs []float64
+	eigen *EigenSystem
 }
 
 // Eigen exposes the spectral decomposition used to build transition
@@ -23,7 +22,7 @@ func (m *Model) Eigen() *EigenSystem { return m.eigen }
 // newModelFromRates builds a normalized reversible model from
 // symmetric exchangeabilities rates (only the upper triangle is read)
 // and stationary frequencies.
-func newModelFromRates(name string, dt DataType, rates *Matrix, freqs []float64, params map[string]float64) (*Model, error) {
+func newModelFromRates(name string, dt DataType, rates *Matrix, freqs []float64) (*Model, error) {
 	n := dt.NumStates()
 	if rates.N != n || len(freqs) != n {
 		return nil, fmt.Errorf("phylo: model %s: dimension mismatch (rates %d, freqs %d, states %d)", name, rates.N, len(freqs), n)
@@ -78,10 +77,7 @@ func newModelFromRates(name string, dt DataType, rates *Matrix, freqs []float64,
 	if err != nil {
 		return nil, fmt.Errorf("phylo: model %s: %w", name, err)
 	}
-	if params == nil {
-		params = map[string]float64{}
-	}
-	return &Model{Name: name, Type: dt, Freqs: pi, eigen: es, params: params}, nil
+	return &Model{Name: name, Type: dt, Freqs: pi, eigen: es}, nil
 }
 
 // RateHetKind names the among-site rate heterogeneity treatment. It is

@@ -58,7 +58,7 @@ func NewPoissonAA() (*Model, error) {
 			r.Set(i, j, 1)
 		}
 	}
-	return newModelFromRates("Poisson", AminoAcid, r, uniformFreqs(20), nil)
+	return newModelFromRates("Poisson", AminoAcid, r, uniformFreqs(20))
 }
 
 // NewEmpiricalAA returns the synthetic empirical amino acid model
@@ -75,7 +75,7 @@ func NewEmpiricalAA() (*Model, error) {
 			r.Set(i, j, 0.02+5/(1+d*d))
 		}
 	}
-	return newModelFromRates("EmpiricalAA", AminoAcid, r, syntheticAAFreqs, nil)
+	return newModelFromRates("EmpiricalAA", AminoAcid, r, syntheticAAFreqs)
 }
 
 // aaDistance is a normalized physicochemical distance between amino

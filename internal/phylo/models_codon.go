@@ -50,8 +50,7 @@ func NewGY94(kappa, omega float64, freqs []float64) (*Model, error) {
 			r.Set(i, j, rate)
 		}
 	}
-	return newModelFromRates("GY94", Codon, r, freqs,
-		map[string]float64{"kappa": kappa, "omega": omega})
+	return newModelFromRates("GY94", Codon, r, freqs)
 }
 
 // isTransitionTCAG reports whether a change between nucleotides in

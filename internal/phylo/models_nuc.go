@@ -27,7 +27,7 @@ func NewJC69() (*Model, error) {
 			r.Set(i, j, 1)
 		}
 	}
-	return newModelFromRates("JC69", Nucleotide, r, uniformFreqs(4), nil)
+	return newModelFromRates("JC69", Nucleotide, r, uniformFreqs(4))
 }
 
 // NewK80 returns the Kimura (1980) two-parameter model with
@@ -60,7 +60,7 @@ func hkyLike(name string, kappa float64, freqs []float64) (*Model, error) {
 			}
 		}
 	}
-	return newModelFromRates(name, Nucleotide, r, freqs, map[string]float64{"kappa": kappa})
+	return newModelFromRates(name, Nucleotide, r, freqs)
 }
 
 // isTransition reports whether the substitution between nucleotide
@@ -77,7 +77,6 @@ func isTransition(i, j int) bool {
 func NewGTR(rates [6]float64, freqs []float64) (*Model, error) {
 	r := NewMatrix(4)
 	idx := 0
-	params := map[string]float64{}
 	labels := [6]string{"rAC", "rAG", "rAT", "rCG", "rCT", "rGT"}
 	for i := 0; i < 4; i++ {
 		for j := i + 1; j < 4; j++ {
@@ -85,11 +84,10 @@ func NewGTR(rates [6]float64, freqs []float64) (*Model, error) {
 				return nil, fmt.Errorf("phylo: GTR rate %s must be positive, got %g", labels[idx], rates[idx])
 			}
 			r.Set(i, j, rates[idx])
-			params[labels[idx]] = rates[idx]
 			idx++
 		}
 	}
-	return newModelFromRates("GTR", Nucleotide, r, freqs, params)
+	return newModelFromRates("GTR", Nucleotide, r, freqs)
 }
 
 // NucModelSpec describes a nucleotide model by name plus free
