@@ -11,7 +11,7 @@ GO ?= go
 # included and marked, for dashboards and suppression audits.
 LINT_ARTIFACT = latticelint.json
 
-.PHONY: all build vet lint lint-fixtures fuzz test race smoke faults crash dag scale overload check bench-rot ledger ledger-trace
+.PHONY: all build vet lint lint-fixtures tracked-binaries fuzz test race smoke faults crash dag scale overload check bench-rot ledger ledger-trace
 
 all: check
 
@@ -38,6 +38,19 @@ lint:
 # error).
 lint-fixtures:
 	$(GO) test -race -run 'TestAnalyzerFixtures|TestFaultsInjectorFixture|TestWALFixture|TestGoodFixturesClean|TestSuppressionMarked|TestLoader' ./internal/lint/
+
+# tracked-binaries fails when git tracks a build output: a file that
+# starts with the ELF, Mach-O or PE magic, or any file over 1 MB (the
+# largest source file in the tree is under 100 kB). Binaries belong in
+# .gitignore; `go build ./cmd/<name>` drops one in the repo root.
+tracked-binaries:
+	@git ls-files -z | xargs -0 sh -c 'rc=0; for f; do \
+		[ -f "$$f" ] || continue; \
+		if [ "$$(wc -c < "$$f")" -gt 1048576 ]; then echo "tracked file over 1 MB: $$f"; rc=1; fi; \
+		case "$$(head -c 4 "$$f" | od -An -tx1 | tr -d " \n")" in \
+		7f454c46|feedface|feedfacf|cefaedfe|cffaedfe|cafebabe|4d5a*) echo "tracked executable: $$f"; rc=1;; \
+		esac; \
+	done; exit $$rc' sh
 
 # fuzz gives wal.Load ten seconds of arbitrary bytes in each of a
 # durable directory's three files (log, input segment, snapshot): it
@@ -126,11 +139,12 @@ overload:
 
 # check is the full correctness gate: compile, go vet, the project
 # analyzers (failing on any unsuppressed finding), the analyzer
-# fixture self-tests under -race, ten seconds of fuzzing wal.Load, the
+# fixture self-tests under -race, no build output tracked by git, ten
+# seconds of fuzzing wal.Load, the
 # test suite under the race detector (which includes the forest/BOINC
 # concurrency stress tests and — once each — the fault-injection,
 # crash-recovery, workflow, coordinator sharding and
 # overload-protection scenarios), the grid boot smoke that scrapes
 # /metrics over real HTTP, and one execution of every benchmark body so
 # benchmark code cannot rot.
-check: build vet lint lint-fixtures fuzz race smoke bench-rot
+check: build vet lint lint-fixtures tracked-binaries fuzz race smoke bench-rot

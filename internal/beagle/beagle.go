@@ -196,7 +196,7 @@ func New(data *phylo.PatternData, model *phylo.Model, rates *phylo.SiteRates) (*
 		nStates:     S,
 		nCats:       rates.NumCats(),
 		nPat:        data.NumPatterns(),
-		pmats:       new(pmatCache),
+		pmats:       newPmatCache(pmatCapacity(S, rates.NumCats())),
 		tipIdx:      buildTipIndex(data.States, data.NumTaxa, data.NumPatterns(), S),
 		incremental: true,
 		banks:       make(map[uint64]*bank),
@@ -204,47 +204,11 @@ func New(data *phylo.PatternData, model *phylo.Model, rates *phylo.SiteRates) (*
 		bankBudget:  defaultBankBudget,
 		expScratch:  make([]float64, S),
 	}
-	e.resizeShapes()
-	return e, nil
-}
-
-// resizeShapes recomputes every size derived from (nPat, nCats,
-// nStates) and discards what holds buffers of the old shape: the
-// partials free list and the transition cache, which is re-bounded for
-// the new entry size.
-func (e *Engine) resizeShapes() {
+	// Every size derived from (nPat, nCats, nStates).
 	e.claBytes = int64(e.nPat*e.nCats*e.nStates+e.nPat) * 8
 	e.maxFreeBufs = int(e.bankBudget/e.claBytes) + 8
-	e.freeBufs = nil
 	e.matScratch = make([]float64, e.nCats*e.nStates*e.nStates)
-	e.pmats.reset(pmatCapacity(e.nStates, e.nCats))
-}
-
-// setModel swaps the substitution model and rate mixture. Every cached
-// transition matrix is an exponential of the old rate matrix and every
-// cached partial was propagated through them, so both caches are
-// emptied (the transition cache by resizeShapes); buffers resize lazily
-// on the next evaluation if the category count changed.
-func (e *Engine) setModel(model *phylo.Model, rates *phylo.SiteRates) error {
-	if model == nil {
-		return fmt.Errorf("beagle: nil model")
-	}
-	if e.data.Type != model.Type {
-		return fmt.Errorf("beagle: data type %v does not match model type %v", e.data.Type, model.Type)
-	}
-	if rates == nil {
-		var err error
-		rates, err = phylo.NewSiteRates(phylo.RateHomogeneous, 0, 0, 1)
-		if err != nil {
-			return err
-		}
-	}
-	e.model = model
-	e.rates = rates
-	e.nCats = rates.NumCats()
-	e.InvalidateAll()
-	e.resizeShapes()
-	return nil
+	return e, nil
 }
 
 // SetIncremental toggles incremental re-evaluation (on by default).

@@ -148,17 +148,12 @@ func (c *pmatCache) trim() {
 	}
 }
 
-// reset empties the cache and the free lists and re-bounds the cache.
-// Called when the model or rate mixture changes: every cached matrix is
-// an exponential of the old rate matrix, none survives a model swap,
-// and the buffer shape — with it the capacity the byte budget allows —
-// may have changed with the category count.
-func (c *pmatCache) reset(capacity int) {
-	c.cap = capacity
-	c.n = 0
+// newPmatCache returns an empty cache bounded at capacity entries — what
+// the byte budget allows at the engine's buffer shape.
+func newPmatCache(capacity int) *pmatCache {
+	c := &pmatCache{cap: capacity, index: make(map[pmatKey]*pmatEntry, capacity)}
 	c.root.next, c.root.prev = &c.root, &c.root
-	c.index = make(map[pmatKey]*pmatEntry, capacity)
-	c.free = [2][][]float64{}
+	return c
 }
 
 // size returns the number of resident entries.

@@ -207,16 +207,4 @@ func TestTransitionCacheBoundedByBytes(t *testing.T) {
 	if got, want := eng.LogLikelihood(fx.tree), fresh.LogLikelihood(fx.tree); math.Float64bits(got) != math.Float64bits(want) {
 		t.Errorf("after eviction and recycling: %v, fresh engine %v", got, want)
 	}
-
-	// A model swap that changes the category count re-derives the bound.
-	flat, err := phylo.NewSiteRates(phylo.RateHomogeneous, 0, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.setModel(fx.model, flat); err != nil {
-		t.Fatal(err)
-	}
-	if eng.pmats.cap != 2218 || eng.pmats.size() != 0 {
-		t.Errorf("after the swap to one category: capacity %d with %d entries, want 2218 and 0", eng.pmats.cap, eng.pmats.size())
-	}
 }

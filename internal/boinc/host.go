@@ -6,6 +6,18 @@
 // of the paper's two-model system and the substrate for its
 // BOINC-specific scheduling experiments (deadline selection from
 // runtime estimates, work-request sizing, reissue behaviour).
+//
+// A project runs at one operating point, that of a typical small BOINC
+// project (PAPER.md §1 item 4b has the deadline and the work-request
+// size come from the runtime estimate; these are what applies around
+// it): a workunit validates on its first returned result and fails
+// back to the grid after 8 issues (maxIssues); a job without a deadline
+// gets a week (defaultDelayBound) and one without an estimate is sized
+// at 4 h (fallbackEstimateSeconds); a work request is granted at most
+// 64 results (maxTasksPerRPC) and never one the host's duty cycle says
+// it would return late; an idle client polls every 4 h
+// (idlePollInterval). The generated host population's shape (speeds,
+// availability, buffer) is fixed in population.go.
 package boinc
 
 import (
@@ -160,7 +172,7 @@ func (h *Host) resume() {
 	if len(h.tasks) == 0 {
 		// Nothing to do: poll the scheduler periodically while on.
 		if h.pollEv == 0 {
-			h.pollEv = h.srv.eng.Schedule(h.srv.cfg.IdlePollInterval, h.pollFn)
+			h.pollEv = h.srv.eng.Schedule(idlePollInterval, h.pollFn)
 		}
 		return
 	}
@@ -210,7 +222,7 @@ func (h *Host) queuedSeconds() float64 {
 	for _, t := range h.tasks {
 		est := t.res.wu.job.EstimatedRefSeconds
 		if est <= 0 {
-			est = h.srv.cfg.FallbackEstimateSeconds
+			est = fallbackEstimateSeconds
 		}
 		s += est / h.Speed
 	}

@@ -16,7 +16,7 @@ func fullWalkInfo(s *Server) lrm.Info {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	info := lrm.Info{
-		Name:   s.cfg.Name,
+		Name:   s.name,
 		Kind:   "boinc",
 		Stable: false,
 	}
@@ -62,9 +62,7 @@ func checkInfo(t testing.TB, s *Server, when string) {
 func churnyProject(t testing.TB) (*sim.Engine, *Server) {
 	t.Helper()
 	eng := sim.NewEngine()
-	cfg := DefaultConfig("volunteers")
-	cfg.MaxIssues = 3
-	s, err := NewServer(eng, sim.NewRNG(7), cfg)
+	s, err := NewServer(eng, sim.NewRNG(7), "volunteers")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +140,9 @@ func TestInfoMatchesFullWalk(t *testing.T) {
 	if st.Detached < 350 || st.ResultsTimedOut == 0 || st.WorkunitsFailed == 0 || st.WorkunitsDone == 0 {
 		t.Errorf("run too tame to exercise the counters: %+v", st)
 	}
-	if uint64(checks) < steps*3/4 {
+	// The rest share a second with another event: mostly the deadlines
+	// of results one scheduler RPC issued, up to 8 issues a workunit.
+	if uint64(checks) < steps*2/3 {
 		t.Errorf("only %d checks over %d engine steps", checks, steps)
 	}
 	t.Logf("%d checks over %d engine steps; %+v", checks, steps, st)

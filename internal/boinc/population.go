@@ -5,36 +5,33 @@ import (
 	"lattice/internal/sim"
 )
 
-// PopulationConfig shapes a synthetic volunteer host population. The
-// defaults mirror well-known desktop-grid measurements: heavy-tailed
-// speeds, mostly-Windows platforms, duty cycles well under 100%, and a
-// slow trickle of volunteers leaving.
+// PopulationConfig sizes a synthetic volunteer host population; its
+// shape is fixed below.
 type PopulationConfig struct {
 	Hosts int
-	// SpeedMedian and SpeedSigma parameterize the log-normal host
-	// speed distribution (relative to the reference computer).
-	SpeedMedian float64
-	SpeedSigma  float64
-	// MeanOn and MeanOff set average availability periods.
-	MeanOn  sim.Duration
-	MeanOff sim.Duration
-	// BufferSeconds is the client work-buffer target.
-	BufferSeconds float64
 	// PDetach is the per-off-period detach probability.
 	PDetach float64
 }
 
-// DefaultPopulation returns a realistic volunteer population shape.
+// The population's shape mirrors well-known desktop-grid measurements:
+// heavy-tailed speeds, mostly-Windows platforms, duty cycles well under
+// 100%.
+const (
+	// speedMedian and speedSigma parameterize the log-normal host
+	// speed distribution (relative to the reference computer).
+	speedMedian = 0.8
+	speedSigma  = 0.5
+	// meanOn and meanOff set average availability periods.
+	meanOn  = 10 * sim.Hour
+	meanOff = 14 * sim.Hour
+	// bufferSeconds is the client work-buffer target.
+	bufferSeconds = 12 * 3600.0
+)
+
+// DefaultPopulation returns a realistic volunteer population: hosts
+// leave in a slow trickle.
 func DefaultPopulation(hosts int) PopulationConfig {
-	return PopulationConfig{
-		Hosts:         hosts,
-		SpeedMedian:   0.8,
-		SpeedSigma:    0.5,
-		MeanOn:        10 * sim.Hour,
-		MeanOff:       14 * sim.Hour,
-		BufferSeconds: 12 * 3600,
-		PDetach:       0.002,
-	}
+	return PopulationConfig{Hosts: hosts, PDetach: 0.002}
 }
 
 // GeneratePopulation attaches cfg.Hosts synthetic volunteers to the
@@ -43,12 +40,12 @@ func GeneratePopulation(s *Server, rng *sim.RNG, cfg PopulationConfig) {
 	for i := 0; i < cfg.Hosts; i++ {
 		h := &Host{
 			ID:            i,
-			Speed:         rng.LogNormal(0, cfg.SpeedSigma) * cfg.SpeedMedian,
+			Speed:         rng.LogNormal(0, speedSigma) * speedMedian,
 			MemoryMB:      pickMemory(rng),
 			Platform:      pickPlatform(rng),
-			MeanOn:        scaleDur(rng, cfg.MeanOn),
-			MeanOff:       scaleDur(rng, cfg.MeanOff),
-			BufferSeconds: cfg.BufferSeconds * rng.Uniform(0.5, 2),
+			MeanOn:        scaleDur(rng, meanOn),
+			MeanOff:       scaleDur(rng, meanOff),
+			BufferSeconds: bufferSeconds * rng.Uniform(0.5, 2),
 			ReportLatency: sim.Duration(rng.Uniform(60, 4*3600)),
 			PDetach:       cfg.PDetach,
 		}

@@ -18,9 +18,7 @@ import (
 func TestServerConcurrentStress(t *testing.T) {
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(42)
-	cfg := DefaultConfig("stress")
-	cfg.IdlePollInterval = sim.Hour
-	srv, err := NewServer(eng, rng, cfg)
+	srv, err := NewServer(eng, rng, "stress")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +149,7 @@ func TestServerConcurrentStress(t *testing.T) {
 // engine goroutine detaches hosts.
 func TestInfoReadersDuringDetach(t *testing.T) {
 	eng := sim.NewEngine()
-	srv, err := NewServer(eng, sim.NewRNG(3), DefaultConfig("leaky"))
+	srv, err := NewServer(eng, sim.NewRNG(3), "leaky")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,51 +10,31 @@ import (
 	"lattice/internal/sim"
 )
 
-// Config holds project-level policy.
-type Config struct {
-	Name string
-	// Quorum is the number of matching results required to validate a
-	// workunit (classic redundant computing). 1 disables redundancy —
-	// the paper's GARLI project relies on its validation mode and
-	// reissue instead of multi-result quorums for most batches.
-	Quorum int
-	// DefaultDelayBound is the workunit deadline applied when a job
+// Project policy (see the package comment). No caller ever ran a
+// project anywhere else, so these are not options.
+const (
+	// defaultDelayBound is the workunit deadline applied when a job
 	// carries none. Before runtime estimates were integrated, the
 	// paper's operators "had to fill in this value manually for each
 	// batch of work".
-	DefaultDelayBound sim.Duration
-	// MaxIssues bounds how many instances of one workunit may be
-	// issued before the workunit is failed back to the grid.
-	MaxIssues int
-	// IdlePollInterval is how often an idle attached client asks for
+	defaultDelayBound = sim.Week
+	// maxIssues bounds how many instances of one workunit may be
+	// issued before the workunit is failed back to the grid. A workunit
+	// validates on its first returned result: the paper's GARLI project
+	// relies on its validation mode and reissue, not on multi-result
+	// quorums.
+	maxIssues = 8
+	// idlePollInterval is how often an idle attached client asks for
 	// work.
-	IdlePollInterval sim.Duration
-	// FallbackEstimateSeconds is used to size work requests for jobs
-	// without runtime estimates (the pre-estimate era's guess).
-	FallbackEstimateSeconds float64
-	// FeasibilityCheck makes the scheduler skip sending a result to a
-	// host that probably cannot meet its deadline (BOINC's deadline
-	// check). Requires estimates to work meaningfully.
-	FeasibilityCheck bool
-	// MaxTasksPerRPC bounds how many results one work request may
+	idlePollInterval = 4 * sim.Hour
+	// fallbackEstimateSeconds sizes work requests for jobs without
+	// runtime estimates (the pre-estimate era's guess).
+	fallbackEstimateSeconds = 4 * 3600.0
+	// maxTasksPerRPC bounds how many results one work request may
 	// receive (BOINC's max_wus_to_send), preventing a single fast
 	// client from hoarding the queue.
-	MaxTasksPerRPC int
-}
-
-// DefaultConfig mirrors a typical small BOINC project.
-func DefaultConfig(name string) Config {
-	return Config{
-		Name:                    name,
-		Quorum:                  1,
-		DefaultDelayBound:       sim.Week,
-		MaxIssues:               8,
-		IdlePollInterval:        4 * sim.Hour,
-		FallbackEstimateSeconds: 4 * 3600,
-		FeasibilityCheck:        true,
-		MaxTasksPerRPC:          64,
-	}
-}
+	maxTasksPerRPC = 64
+)
 
 // Stats aggregates project behaviour for the experiments.
 type Stats struct {
@@ -75,13 +55,12 @@ type Stats struct {
 
 // workunit tracks one grid job inside the project.
 type workunit struct {
-	job      *lrm.Job
-	delay    sim.Duration
-	issues   int
-	returned int
-	done     bool
-	failed   bool
-	pending  []*result // issued, not yet returned
+	job     *lrm.Job
+	delay   sim.Duration
+	issues  int
+	done    bool
+	failed  bool
+	pending []*result // issued, not yet returned
 }
 
 // result is one issued instance of a workunit.
@@ -98,9 +77,9 @@ type result struct {
 // grid's scheduler adapter can treat the volunteer pool as one large
 // (unstable) resource.
 type Server struct {
-	eng *sim.Engine
-	rng *sim.RNG
-	cfg Config
+	eng  *sim.Engine
+	rng  *sim.RNG
+	name string
 
 	// mu guards all server and host state. The engine dispatches host
 	// events on a single goroutine, but lrm.LRM callers (grid
@@ -197,7 +176,7 @@ type boincInstruments struct {
 // SetObs wires the project to an observability hub: deadline misses,
 // reissues, and quorum validations become counters and journal events.
 func (s *Server) SetObs(o *obs.Obs) {
-	pl := obs.L("project", s.cfg.Name)
+	pl := obs.L("project", s.name)
 	s.obs = o
 	s.ins = boincInstruments{
 		issued:    o.Counter("lattice_boinc_results_issued_total", "Result instances sent to volunteer hosts", pl),
@@ -211,20 +190,11 @@ func (s *Server) SetObs(o *obs.Obs) {
 }
 
 // NewServer creates a project with no hosts attached.
-func NewServer(eng *sim.Engine, rng *sim.RNG, cfg Config) (*Server, error) {
-	if cfg.Name == "" {
+func NewServer(eng *sim.Engine, rng *sim.RNG, name string) (*Server, error) {
+	if name == "" {
 		return nil, fmt.Errorf("boinc: project has no name")
 	}
-	if cfg.Quorum < 1 {
-		return nil, fmt.Errorf("boinc: quorum must be >= 1, got %d", cfg.Quorum)
-	}
-	if cfg.MaxIssues < cfg.Quorum {
-		return nil, fmt.Errorf("boinc: MaxIssues %d below quorum %d", cfg.MaxIssues, cfg.Quorum)
-	}
-	if cfg.DefaultDelayBound <= 0 {
-		return nil, fmt.Errorf("boinc: DefaultDelayBound must be positive")
-	}
-	return &Server{eng: eng, rng: rng, cfg: cfg, byJob: make(map[string]*workunit)}, nil
+	return &Server{eng: eng, rng: rng, name: name, byJob: make(map[string]*workunit)}, nil
 }
 
 // AttachHost adds a volunteer host to the project and starts its
@@ -296,7 +266,7 @@ func (s *Server) activeHosts() int {
 }
 
 // Name implements lrm.LRM.
-func (s *Server) Name() string { return s.cfg.Name }
+func (s *Server) Name() string { return s.name }
 
 // Submit implements lrm.LRM: the job becomes a workunit.
 func (s *Server) Submit(j *lrm.Job) error {
@@ -308,7 +278,7 @@ func (s *Server) Submit(j *lrm.Job) error {
 	}
 	delay := j.DelayBound
 	if delay <= 0 {
-		delay = s.cfg.DefaultDelayBound
+		delay = defaultDelayBound
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -349,11 +319,7 @@ func (s *Server) schedulerRPC(h *Host, wantSeconds float64) {
 	s.stats.SchedulerRPCs++
 	granted := 0.0
 	issued := 0
-	maxTasks := s.cfg.MaxTasksPerRPC
-	if maxTasks <= 0 {
-		maxTasks = 1 << 30
-	}
-	for i := 0; i < len(s.unsent) && granted < wantSeconds && issued < maxTasks; {
+	for i := 0; i < len(s.unsent) && granted < wantSeconds && issued < maxTasksPerRPC; {
 		wu := s.unsent[i]
 		if wu.done || wu.failed {
 			s.unsent = append(s.unsent[:i], s.unsent[i+1:]...)
@@ -365,37 +331,32 @@ func (s *Server) schedulerRPC(h *Host, wantSeconds float64) {
 		}
 		est := wu.job.EstimatedRefSeconds
 		if est <= 0 {
-			est = s.cfg.FallbackEstimateSeconds
+			est = fallbackEstimateSeconds
 		}
 		localEst := est / h.Speed
-		if s.cfg.FeasibilityCheck {
-			// Effective progress rate is diluted by the host's duty
-			// cycle; skip hosts that would blow the deadline.
-			duty := float64(h.MeanOn) / float64(h.MeanOn+h.MeanOff)
-			if sim.Duration(localEst/duty) > wu.delay {
-				s.stats.InfeasibleSkips++
-				i++
-				continue
-			}
+		// BOINC's deadline check: the effective progress rate is
+		// diluted by the host's duty cycle; skip hosts that would blow
+		// the deadline.
+		duty := float64(h.MeanOn) / float64(h.MeanOn+h.MeanOff)
+		if sim.Duration(localEst/duty) > wu.delay {
+			s.stats.InfeasibleSkips++
+			i++
+			continue
 		}
 		s.issue(wu, h)
 		granted += localEst
 		issued++
-		if len(wu.pending) >= s.cfg.Quorum {
-			// Enough live instances in flight; stop offering this
-			// workunit until a deadline miss frees it up.
-			s.unsent = append(s.unsent[:i], s.unsent[i+1:]...)
-		} else {
-			i++
-		}
+		// One live instance is in flight; stop offering this workunit
+		// until a deadline miss frees it up.
+		s.unsent = append(s.unsent[:i], s.unsent[i+1:]...)
 	}
 	if issued == 0 {
 		s.stats.EmptyRPCs++
 	}
 }
 
-// eligible checks platform/memory compatibility and that the host does
-// not already hold an instance of this workunit.
+// eligible checks platform/memory compatibility. (A workunit on offer
+// has no instance in flight, so the host cannot already hold one.)
 func (s *Server) eligible(h *Host, wu *workunit) bool {
 	j := wu.job
 	if j.MemoryMB > h.MemoryMB {
@@ -410,11 +371,6 @@ func (s *Server) eligible(h *Host, wu *workunit) bool {
 			}
 		}
 		if !ok {
-			return false
-		}
-	}
-	for _, r := range wu.pending {
-		if r.host == h {
 			return false
 		}
 	}
@@ -482,7 +438,7 @@ func (s *Server) deadlinePassed(r *result) (notify func()) {
 	if !r.lost {
 		r.host.dropTask(r)
 	}
-	if wu.issues >= s.cfg.MaxIssues {
+	if wu.issues >= maxIssues {
 		wu.failed = true
 		s.stats.WorkunitsFailed++
 		s.ins.wuFailed.Inc()
@@ -496,8 +452,8 @@ func (s *Server) deadlinePassed(r *result) (notify func()) {
 	}
 	// Back to the unsent queue for reissue.
 	s.ins.reissued.Inc()
-	s.obs.Record(wu.job.Batch, wu.job.ID, obs.StageReissue, s.cfg.Name,
-		fmt.Sprintf("deadline passed, issue %d/%d", wu.issues, s.cfg.MaxIssues))
+	s.obs.Record(wu.job.Batch, wu.job.ID, obs.StageReissue, s.name,
+		fmt.Sprintf("deadline passed, issue %d/%d", wu.issues, maxIssues))
 	s.requeue(wu)
 	return nil
 }
@@ -556,20 +512,13 @@ func (s *Server) receiveResult(r *result) (notify func()) {
 		return nil
 	}
 	wu.removePending(r)
-	wu.returned++
-	if wu.returned < s.cfg.Quorum {
-		return nil
-	}
 	wu.done = true
 	s.stats.WorkunitsDone++
 	s.ins.validated.Inc()
-	s.durably(wu.job.ID, "done", fmt.Sprintf("%d/%d results", wu.returned, s.cfg.Quorum))
-	s.obs.Record(wu.job.Batch, wu.job.ID, obs.StageQuorum, s.cfg.Name,
-		fmt.Sprintf("%d/%d results", wu.returned, s.cfg.Quorum))
-	// Redundant copies beyond the first are overhead by design.
-	if s.cfg.Quorum > 1 {
-		s.stats.WastedCPUSeconds += float64(s.cfg.Quorum-1) * wu.job.Work / lrm.ReferenceCellsPerSecond
-	}
+	// The first returned result validates the workunit; the detail is
+	// the journal's and the WAL's "returned/needed" wording.
+	s.durably(wu.job.ID, "done", "1/1 results")
+	s.obs.Record(wu.job.Batch, wu.job.ID, obs.StageQuorum, s.name, "1/1 results")
 	s.removeUnsent(wu)
 	if complete := wu.job.OnComplete; complete != nil {
 		now := s.eng.Now()
@@ -585,7 +534,7 @@ func (s *Server) Info() lrm.Info {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return lrm.Info{
-		Name:         s.cfg.Name,
+		Name:         s.name,
 		Kind:         "boinc",
 		Stable:       false,
 		TotalCPUs:    s.pool.on,

@@ -352,6 +352,9 @@ func (c *Cluster) statusJSON() any {
 		Time      float64       `json:"time"`
 		Resources []resourceRow `json:"resources"`
 		Scheduler any           `json:"scheduler"`
+		// Present only on a shard with something to report.
+		RetrainErrors []string `json:"retrainErrors,omitempty"`
+		DurableError  string   `json:"durableError,omitempty"`
 	}
 	out := make([]shardStatus, len(c.Shards))
 	for k, l := range c.Shards {
@@ -362,6 +365,7 @@ func (c *Cluster) statusJSON() any {
 			Resources: l.resourceRows(),
 			Scheduler: l.Scheduler.Stats(),
 		}
+		out[k].RetrainErrors, out[k].DurableError = l.errorStatus()
 	}
 	return map[string]any{"shards": out}
 }

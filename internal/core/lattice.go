@@ -19,9 +19,8 @@ import (
 	"lattice/internal/grid/mds"
 	"lattice/internal/gsbl"
 	"lattice/internal/lrm"
+	"lattice/internal/lrm/cluster"
 	"lattice/internal/lrm/condor"
-	"lattice/internal/lrm/pbs"
-	"lattice/internal/lrm/sge"
 	"lattice/internal/metasched"
 	"lattice/internal/obs"
 	"lattice/internal/portal"
@@ -47,13 +46,19 @@ type ResourceSpec struct {
 	Platform   lrm.Platform
 }
 
+// MDS liveness (PAPER.md §1 item 2): every resource's scheduler
+// provider republishes each providerPeriod, and an entry not refreshed
+// for mdsTTL marks its resource offline.
+const (
+	mdsTTL         = 5 * sim.Minute
+	providerPeriod = sim.Minute
+)
+
 // Config describes a whole Lattice deployment.
 type Config struct {
-	Seed           int64
-	MDSTTL         sim.Duration
-	ProviderPeriod sim.Duration
-	Scheduler      metasched.Config
-	Estimator      estimate.Config
+	Seed      int64
+	Scheduler metasched.Config
+	Estimator estimate.Config
 	// TrainingJobs bootstraps the runtime model with this many
 	// generated jobs (the paper's ~150-job matrix). 0 disables the
 	// estimator entirely.
@@ -108,12 +113,10 @@ type Config struct {
 func DefaultConfig(seed int64) Config {
 	pop := boinc.DefaultPopulation(400)
 	return Config{
-		Seed:           seed,
-		MDSTTL:         5 * sim.Minute,
-		ProviderPeriod: sim.Minute,
-		Scheduler:      metasched.DefaultConfig(),
-		Estimator:      estimate.DefaultConfig(),
-		TrainingJobs:   150,
+		Seed:         seed,
+		Scheduler:    metasched.DefaultConfig(),
+		Estimator:    estimate.DefaultConfig(),
+		TrainingJobs: 150,
 		Resources: []ResourceSpec{
 			{Kind: "condor", Name: "umd-condor", Nodes: 64, Speed: 1.1, MemMB: 2048,
 				MeanOwnerAway: 6 * sim.Hour, MeanOwnerBusy: 3 * sim.Hour, Platform: lrm.LinuxX86},
@@ -221,15 +224,9 @@ func New(cfg Config) (*Lattice, error) {
 // crashes must not stop the engine (the rebuild runs straight through
 // them).
 func build(cfg Config, rb *rebuild) (*Lattice, error) {
-	if cfg.MDSTTL <= 0 {
-		cfg.MDSTTL = 5 * sim.Minute
-	}
-	if cfg.ProviderPeriod <= 0 {
-		cfg.ProviderPeriod = sim.Minute
-	}
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(cfg.Seed)
-	idx, err := mds.NewIndex(eng, cfg.MDSTTL)
+	idx, err := mds.NewIndex(eng, mdsTTL)
 	if err != nil {
 		return nil, err
 	}
@@ -287,7 +284,7 @@ func build(cfg Config, rb *rebuild) (*Lattice, error) {
 			target = cfg.ResourceWrap(eng, rs.Name, target)
 		}
 		l.resources[rs.Name] = target
-		if _, err := mds.StartProvider(eng, pubSink, target, cfg.ProviderPeriod); err != nil {
+		if _, err := mds.StartProvider(eng, pubSink, target, providerPeriod); err != nil {
 			return nil, err
 		}
 		speed := rs.Speed
@@ -358,13 +355,36 @@ func (l *Lattice) resourceRows() []resourceRow {
 	return rows
 }
 
-// statusJSON is the /grid/status body of a single coordinator.
+// statusJSON is the /grid/status body of a single coordinator. The
+// two error fields appear only when there is something to report, so a
+// healthy body is what it always was.
 func (l *Lattice) statusJSON() any {
-	return map[string]any{
+	st := map[string]any{
 		"resources": l.resourceRows(),
 		"scheduler": l.Scheduler.Stats(),
 		"time":      float64(l.Engine.Now()),
 	}
+	retrain, durable := l.errorStatus()
+	if len(retrain) > 0 {
+		st["retrainErrors"] = retrain
+	}
+	if durable != "" {
+		st["durableError"] = durable
+	}
+	return st
+}
+
+// errorStatus renders the coordinator's two background error paths —
+// failures of the retraining loop and the write-ahead log's sticky
+// error — for /grid/status; both empty on a healthy deployment.
+func (l *Lattice) errorStatus() (retrain []string, durable string) {
+	for _, err := range l.retrainErrs {
+		retrain = append(retrain, err.Error())
+	}
+	if err := l.DurableErr(); err != nil {
+		durable = err.Error()
+	}
+	return retrain, durable
 }
 
 // buildResource constructs one LRM from its spec.
@@ -388,22 +408,17 @@ func (l *Lattice) buildResource(rs ResourceSpec) (lrm.LRM, error) {
 		return condor.New(l.Engine, l.rng.Stream("condor-"+rs.Name), condor.Config{
 			Name: rs.Name, Machines: machines, MaxRequeues: 50,
 		})
-	case "pbs":
-		return pbs.New(l.Engine, pbs.Config{
-			Name: rs.Name, Platform: plat, MPI: rs.MPI,
-			Nodes: []pbs.NodeClass{{Count: rs.Nodes, Speed: rs.Speed, MemoryMB: rs.MemMB}},
-		})
-	case "sge":
-		cores := rs.Cores
-		if cores <= 0 {
-			cores = 1
+	case "pbs", "sge":
+		cores := 1 // PBS allocates whole nodes
+		if rs.Kind == "sge" && rs.Cores > 0 {
+			cores = rs.Cores
 		}
-		return sge.New(l.Engine, sge.Config{
-			Name: rs.Name, Platform: plat, MPI: rs.MPI,
-			Nodes: []sge.NodeClass{{Count: rs.Nodes, Cores: cores, Speed: rs.Speed, MemoryMB: rs.MemMB}},
+		return cluster.New(l.Engine, cluster.Config{
+			Kind: rs.Kind, Name: rs.Name, Platform: plat, MPI: rs.MPI,
+			Nodes: []cluster.NodeClass{{Count: rs.Nodes, Cores: cores, Speed: rs.Speed, MemoryMB: rs.MemMB}},
 		})
 	case "boinc":
-		srv, err := boinc.NewServer(l.Engine, l.rng.Stream("boinc-"+rs.Name), boinc.DefaultConfig(rs.Name))
+		srv, err := boinc.NewServer(l.Engine, l.rng.Stream("boinc-"+rs.Name), rs.Name)
 		if err != nil {
 			return nil, err
 		}
@@ -520,13 +535,17 @@ func (l *Lattice) forkReferenceReplicate(sub workload.Submission) {
 }
 
 // noteRetrainErr records a continuous-retraining failure, keeping the
-// most recent ones.
+// most recent ones, and counts it where an operator scrapes: the
+// series exists from the first failure on, so a healthy exposition
+// does not carry it.
 func (l *Lattice) noteRetrainErr(err error) {
 	const keep = 32
 	if len(l.retrainErrs) >= keep {
 		l.retrainErrs = l.retrainErrs[1:]
 	}
 	l.retrainErrs = append(l.retrainErrs, err)
+	l.Obs.Counter("lattice_estimate_retrain_errors_total",
+		"Continuous-retraining failures: reference-cluster submits, observation feeds, rebuilds").Inc()
 }
 
 // RetrainErrors returns the recorded continuous-retraining failures

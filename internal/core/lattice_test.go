@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
+	"lattice/internal/faults"
 	"lattice/internal/metasched"
 	"lattice/internal/phylo"
 	"lattice/internal/sim"
@@ -240,5 +242,90 @@ func TestGridStatusThroughCore(t *testing.T) {
 		if !kinds[want] {
 			t.Errorf("status missing kind %q", want)
 		}
+	}
+}
+
+// refGateDown is a schedule under which the reference cluster's
+// gatekeeper refuses every submission, so every retraining fork fails.
+func refGateDown() *faults.Schedule {
+	return &faults.Schedule{Events: []faults.Event{
+		{At: 0, Kind: faults.KindSubmitFail, Resource: "reference-cluster", Duration: 365 * sim.Day, P: 1},
+	}}
+}
+
+// TestRetrainErrorsReachOperators drives the retraining loop's error
+// path — which runs inside engine callbacks and has no caller to
+// return to — and requires the failure to be counted on /metrics and
+// named on /grid/status, flat and per shard, while the batch that
+// triggered the fork completes untouched.
+func TestRetrainErrorsReachOperators(t *testing.T) {
+	sub := clusterSubmission("u@lab.edu", 3)
+	status := func(h http.Handler) string {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/grid/status", nil))
+		return rec.Body.String()
+	}
+	check := func(l *Lattice, batch string) {
+		t.Helper()
+		if errs := l.RetrainErrors(); len(errs) != 1 || !strings.Contains(errs[0].Error(), "gatekeeper refused") {
+			t.Errorf("RetrainErrors() = %v, want the one refused fork", errs)
+		}
+		if v := l.Obs.Counter("lattice_estimate_retrain_errors_total", "").Value(); v != 1 {
+			t.Errorf("lattice_estimate_retrain_errors_total = %g, want 1", v)
+		}
+		if st, err := l.Service.Status(batch); err != nil || !st.Done || st.Failed != 0 {
+			t.Errorf("batch %s: %+v, %v; want done with no failures", batch, st, err)
+		}
+	}
+
+	cfg := smallConfig(21)
+	cfg.Faults = refGateDown()
+	l, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body := status(l.Portal.Handler()); strings.Contains(body, "retrainErrors") || strings.Contains(body, "durableError") {
+		t.Errorf("healthy /grid/status carries error fields: %s", body)
+	}
+	l.Run(sim.Second) // the fault window opens on the clock
+	b, err := l.SubmitSubmission(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Run(30 * sim.Day)
+	check(l, b.ID)
+	if body := status(l.Portal.Handler()); !strings.Contains(body, `"retrainErrors":["`) {
+		t.Errorf("/grid/status does not name the retraining failure: %s", body)
+	}
+
+	// Sharded: the reference cluster is resource 7, so of two shards
+	// shard 1 owns it and is the one that forks.
+	c, err := NewCluster(ClusterConfig{Shards: 2, Base: smallConfig(21), ShardFaults: func(k int) *faults.Schedule {
+		if k != 1 {
+			return nil
+		}
+		return refGateDown()
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.RunUntil(sim.Time(sim.Second))
+	b, err = c.Shards[1].SubmitSubmission(sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.RunUntil(sim.Time(30 * sim.Day))
+	check(c.Shards[1], b.ID)
+	var st struct {
+		Shards []struct {
+			RetrainErrors []string `json:"retrainErrors"`
+		} `json:"shards"`
+	}
+	if err := json.Unmarshal([]byte(status(c.Handler())), &st); err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Shards) != 2 || len(st.Shards[0].RetrainErrors) != 0 || len(st.Shards[1].RetrainErrors) != 1 {
+		t.Errorf("cluster /grid/status shards = %+v, want the failure on shard 1 only", st.Shards)
 	}
 }

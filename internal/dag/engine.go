@@ -28,13 +28,13 @@ type Durability interface {
 	Workflow(at sim.Time, wf workload.Workflow)
 }
 
-// Config tunes the engine.
+// stageRetries is how many times a stage with failed jobs is
+// resubmitted (with a fresh derived seed) before it is declared failed
+// and its downstream subtree skipped.
+const stageRetries = 1
+
+// Config wires the engine into a deployment.
 type Config struct {
-	// StageRetries is how many times a stage with failed jobs is
-	// resubmitted (with a fresh derived seed) before it is declared
-	// failed and its downstream subtree skipped. Negative disables
-	// retries; 0 selects the default of 1.
-	StageRetries int
 	// IDPrefix qualifies run IDs ("shard0-wf-000001") so a cluster
 	// front router can attribute a workflow to its coordinator shard.
 	// Empty for single-coordinator deployments.
@@ -133,12 +133,6 @@ type Engine struct {
 
 // NewEngine wires a workflow engine onto a stage runner.
 func NewEngine(eng *sim.Engine, runner Runner, o *obs.Obs, cfg Config) *Engine {
-	if cfg.StageRetries == 0 {
-		cfg.StageRetries = 1
-	}
-	if cfg.StageRetries < 0 {
-		cfg.StageRetries = 0
-	}
 	return &Engine{
 		eng:    eng,
 		runner: runner,
@@ -284,7 +278,7 @@ func (e *Engine) stageDone(r *Run, sr *StageRun, attempt, completed, failed int)
 		e.finishIfTerminal(r)
 		return
 	}
-	if sr.Attempts <= e.cfg.StageRetries {
+	if sr.Attempts <= stageRetries {
 		e.o.Record(r.ID, sr.Stage.ID, obs.StageWfRetry, "",
 			fmt.Sprintf("%d of %d jobs failed; attempt %d", failed, completed+failed, attempt+1))
 		e.start(r, sr)

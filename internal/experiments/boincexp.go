@@ -22,8 +22,7 @@ func boincBatch(seed int64, pop boinc.PopulationConfig, jobs int,
 ) (boinc.Stats, sim.Duration, int, error) {
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(seed)
-	cfg := boinc.DefaultConfig("lattice-boinc")
-	srv, err := boinc.NewServer(eng, rng.Stream("server"), cfg)
+	srv, err := boinc.NewServer(eng, rng.Stream("server"), "lattice-boinc")
 	if err != nil {
 		return boinc.Stats{}, 0, 0, err
 	}

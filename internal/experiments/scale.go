@@ -7,8 +7,8 @@ import (
 	"lattice/internal/core"
 	"lattice/internal/estimate"
 	"lattice/internal/lrm"
+	"lattice/internal/lrm/cluster"
 	"lattice/internal/lrm/condor"
-	"lattice/internal/lrm/pbs"
 	"lattice/internal/metasched"
 	"lattice/internal/phylo"
 	"lattice/internal/sim"
@@ -50,7 +50,7 @@ func ReplicateBundling(seed int64) (*BundlingResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		overhead := float64(m.Jobs) * sched.PerJobOverheadSeconds / 3600
+		overhead := float64(m.Jobs) * metasched.PerJobOverheadSeconds / 3600
 		useful := perJob * 600 / 3600
 		frac := overhead / (overhead + useful)
 		name := "bundling off (600 jobs)"
@@ -114,8 +114,7 @@ func PortalScale(seed int64) (*PortalScaleResult, error) {
 	// Single 64-core cluster.
 	single := func(seed int64) core.Config {
 		return core.Config{
-			Seed: seed, MDSTTL: 5 * sim.Minute, ProviderPeriod: sim.Minute,
-			Scheduler: metasched.DefaultConfig(), Estimator: estimate.DefaultConfig(), TrainingJobs: 100,
+			Seed: seed, Scheduler: metasched.DefaultConfig(), Estimator: estimate.DefaultConfig(), TrainingJobs: 100,
 			Resources: []core.ResourceSpec{{Kind: "pbs", Name: "one-cluster", Nodes: 64, Speed: 2.0, MemMB: 8192, Platform: lrm.LinuxX86}},
 		}
 	}
@@ -331,9 +330,9 @@ func CheckpointAlternative(seed int64) (*CheckpointResult, error) {
 	// (a) Gating: job waits for and runs on a busy stable cluster.
 	{
 		eng := sim.NewEngine()
-		cl, err := pbs.New(eng, pbs.Config{
-			Name: "cluster", Platform: lrm.LinuxX86,
-			Nodes: []pbs.NodeClass{{Count: 4, Speed: 1, MemoryMB: 4096}},
+		cl, err := cluster.New(eng, cluster.Config{
+			Kind: "pbs", Name: "cluster", Platform: lrm.LinuxX86,
+			Nodes: []cluster.NodeClass{{Count: 4, Cores: 1, Speed: 1, MemoryMB: 4096}},
 		})
 		if err != nil {
 			return nil, err

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"lattice/internal/lrm"
+	"lattice/internal/lrm/cluster"
 	"lattice/internal/lrm/condor"
-	"lattice/internal/lrm/pbs"
 	"lattice/internal/metasched"
 	"lattice/internal/phylo"
 	"lattice/internal/sim"
@@ -222,9 +222,9 @@ func SpeedCalibration(seed int64) (*CalibrationResult, error) {
 	}{
 		{"reference-clone", 1.0}, {"fast-cluster", 2.0}, {"old-cluster", 0.5}, {"mid-cluster", 1.3},
 	} {
-		c, err := pbs.New(eng, pbs.Config{
-			Name: spec.name, Platform: lrm.LinuxX86,
-			Nodes: []pbs.NodeClass{{Count: 4, Speed: spec.speed, MemoryMB: 2048}},
+		c, err := cluster.New(eng, cluster.Config{
+			Kind: "pbs", Name: spec.name, Platform: lrm.LinuxX86,
+			Nodes: []cluster.NodeClass{{Count: 4, Cores: 1, Speed: spec.speed, MemoryMB: 2048}},
 		})
 		if err != nil {
 			return nil, err

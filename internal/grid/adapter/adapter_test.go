@@ -6,7 +6,7 @@ import (
 
 	"lattice/internal/grid/rsl"
 	"lattice/internal/lrm"
-	"lattice/internal/lrm/pbs"
+	"lattice/internal/lrm/cluster"
 	"lattice/internal/sim"
 )
 
@@ -91,16 +91,16 @@ func TestRenderRejectsInvalid(t *testing.T) {
 
 func TestSubmitWiresCallbacks(t *testing.T) {
 	eng := sim.NewEngine()
-	cluster, err := pbs.New(eng, pbs.Config{
-		Name: "c", Platform: lrm.LinuxX86,
-		Nodes: []pbs.NodeClass{{Count: 1, Speed: 1, MemoryMB: 1024}},
+	c, err := cluster.New(eng, cluster.Config{
+		Kind: "pbs", Name: "c", Platform: lrm.LinuxX86,
+		Nodes: []cluster.NodeClass{{Count: 1, Cores: 1, Speed: 1, MemoryMB: 1024}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	a, _ := ForKind("pbs")
 	completed := false
-	if err := a.Submit(cluster, desc(), func() { completed = true }, nil); err != nil {
+	if err := a.Submit(c, desc(), func() { completed = true }, nil); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
@@ -111,19 +111,18 @@ func TestSubmitWiresCallbacks(t *testing.T) {
 
 func TestSubmitFailureCallback(t *testing.T) {
 	eng := sim.NewEngine()
-	cluster, err := pbs.New(eng, pbs.Config{
-		Name: "c", Platform: lrm.LinuxX86,
-		Nodes:            []pbs.NodeClass{{Count: 1, Speed: 1, MemoryMB: 1024}},
-		DefaultWallLimit: sim.Minute,
+	c, err := cluster.New(eng, cluster.Config{
+		Kind: "pbs", Name: "c", Platform: lrm.LinuxX86,
+		Nodes: []cluster.NodeClass{{Count: 1, Cores: 1, Speed: 1, MemoryMB: 1024}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	a, _ := ForKind("pbs")
 	d := desc()
-	d.WallLimit = 0 // fall back to the queue's 1-minute limit
+	d.WallLimit = sim.Minute // the 15-minute job overruns it
 	var reason string
-	if err := a.Submit(cluster, d, nil, func(r string) { reason = r }); err != nil {
+	if err := a.Submit(c, d, nil, func(r string) { reason = r }); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()

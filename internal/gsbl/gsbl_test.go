@@ -8,7 +8,7 @@ import (
 
 	"lattice/internal/grid/mds"
 	"lattice/internal/lrm"
-	"lattice/internal/lrm/pbs"
+	"lattice/internal/lrm/cluster"
 	"lattice/internal/metasched"
 	"lattice/internal/phylo"
 	"lattice/internal/sim"
@@ -30,9 +30,9 @@ func gridOn(t *testing.T, eng *sim.Engine, opts metasched.Options) *metasched.Sc
 	if err != nil {
 		t.Fatal(err)
 	}
-	hpc, err := pbs.New(eng, pbs.Config{
-		Name: "hpc", Platform: lrm.LinuxX86,
-		Nodes: []pbs.NodeClass{{Count: 16, Speed: 1.5, MemoryMB: 8192}},
+	hpc, err := cluster.New(eng, cluster.Config{
+		Kind: "pbs", Name: "hpc", Platform: lrm.LinuxX86,
+		Nodes: []cluster.NodeClass{{Count: 16, Cores: 1, Speed: 1.5, MemoryMB: 8192}},
 	})
 	if err != nil {
 		t.Fatal(err)

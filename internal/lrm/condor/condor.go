@@ -4,8 +4,12 @@
 // owner-present and owner-absent periods; a grid job executes only
 // while the owner is away and is preempted (killed and requeued) the
 // moment the owner returns. This is the canonical "unstable" resource
-// of the paper's stability criterion: short jobs slip into idle
-// windows, long jobs thrash.
+// of the paper's stability criterion (PAPER.md §1 item 2: "unstable
+// resources only take jobs estimated under n = 10 hours"): short jobs
+// slip into idle windows, long jobs thrash. Pools run the vanilla
+// universe — a preempted job restarts from scratch; the paper gates
+// long jobs off such pools by estimate instead of checkpoint-cycling
+// them (experiment E14 models the declined alternative by hand).
 package condor
 
 import (
@@ -44,14 +48,6 @@ type Config struct {
 	// Condor requeues indefinitely, which for long jobs on busy pools
 	// means never finishing).
 	MaxRequeues int
-	// Checkpointing selects Condor's standard universe: preempted
-	// jobs resume from a checkpoint on their next machine instead of
-	// restarting from scratch, paying CheckpointOverhead per
-	// migration (checkpoint write + transfer + restore).
-	Checkpointing bool
-	// CheckpointOverhead is the per-migration cost in reference
-	// seconds (default 60 when Checkpointing is set).
-	CheckpointOverhead float64
 }
 
 type machineState struct {
@@ -65,16 +61,10 @@ type running struct {
 	startedAt sim.Time
 	doneEvent sim.EventID
 	wallEvent sim.EventID
-	remaining float64 // work being executed in this attempt
-	machine   *machineState
 }
 
 type queued struct {
-	job      *lrm.Job
-	requeues int
-	// remaining is the work left to execute (checkpointing pools
-	// preserve progress across preemptions).
-	remaining float64
+	job *lrm.Job
 	// queuedAt is when this wait began (submission or last preemption).
 	queuedAt sim.Time
 }
@@ -150,10 +140,8 @@ func (p *Pool) scheduleOwnerReturn(m *machineState) {
 	})
 }
 
-// preempt kills the running job and requeues it. In the vanilla
-// universe all progress is lost; in the standard universe (see
-// Config.Checkpointing) the job resumes from a checkpoint and only the
-// migration overhead is wasted.
+// preempt kills the running job and requeues it: pools run Condor's
+// vanilla universe, so all progress is lost.
 func (p *Pool) preempt(m *machineState) {
 	r := m.running
 	m.running = nil
@@ -162,30 +150,10 @@ func (p *Pool) preempt(m *machineState) {
 	elapsed := p.eng.Now().Sub(r.startedAt)
 	p.stats.Preemptions++
 	p.ins.JobPreempted(r.job, "owner returned")
-	q := &queued{job: r.job, requeues: 1, remaining: r.remaining, queuedAt: p.eng.Now()}
-	if p.cfg.Checkpointing {
-		done := elapsed.Seconds() * m.Speed * lrm.ReferenceCellsPerSecond
-		q.remaining -= done
-		if q.remaining < 0 {
-			q.remaining = 0
-		}
-		overhead := p.cfg.CheckpointOverhead
-		if overhead <= 0 {
-			overhead = 60
-		}
-		q.remaining += overhead * lrm.ReferenceCellsPerSecond
-		p.stats.WastedCPU += overhead
-	} else {
-		p.stats.WastedCPU += elapsed.Seconds() * m.Speed
-	}
-	// Recover the prior requeue count if tracked via closure-free
-	// bookkeeping: we keep it in the queued record only, so requeues
-	// accumulate by re-wrapping.
-	if prior, ok := p.requeueCounts[r.job.ID]; ok {
-		q.requeues = prior + 1
-	}
-	p.requeueCounts[r.job.ID] = q.requeues
-	if p.cfg.MaxRequeues > 0 && q.requeues > p.cfg.MaxRequeues {
+	p.stats.WastedCPU += elapsed.Seconds() * m.Speed
+	requeues := p.requeueCounts[r.job.ID] + 1
+	p.requeueCounts[r.job.ID] = requeues
+	if p.cfg.MaxRequeues > 0 && requeues > p.cfg.MaxRequeues {
 		p.stats.Failed++
 		p.ins.JobFailed(r.job)
 		delete(p.requeueCounts, r.job.ID)
@@ -194,7 +162,7 @@ func (p *Pool) preempt(m *machineState) {
 		}
 		return
 	}
-	p.queue = append(p.queue, q)
+	p.queue = append(p.queue, &queued{job: r.job, queuedAt: p.eng.Now()})
 	// The machine is owner-occupied now; another machine may take it.
 	p.tryDispatch()
 }
@@ -208,7 +176,7 @@ func (p *Pool) Submit(j *lrm.Job) error {
 		return fmt.Errorf("condor: pool %s cannot run MPI jobs", p.cfg.Name)
 	}
 	p.stats.TotalQueued++
-	p.queue = append(p.queue, &queued{job: j, remaining: j.Work, queuedAt: p.eng.Now()})
+	p.queue = append(p.queue, &queued{job: j, queuedAt: p.eng.Now()})
 	if len(p.queue) > p.stats.MaxQueueSeen {
 		p.stats.MaxQueueSeen = len(p.queue)
 	}
@@ -269,10 +237,10 @@ func (p *Pool) tryDispatch() {
 
 func (p *Pool) start(q *queued, m *machineState) {
 	j := q.job
-	r := &running{job: j, startedAt: p.eng.Now(), remaining: q.remaining, machine: m}
+	r := &running{job: j, startedAt: p.eng.Now()}
 	m.running = r
 	p.ins.JobStarted(j, p.eng.Now().Sub(q.queuedAt))
-	dur := sim.Duration(q.remaining / (m.Speed * lrm.ReferenceCellsPerSecond))
+	dur := j.RuntimeOn(m.Speed)
 	r.doneEvent = p.eng.Schedule(dur, func() {
 		m.running = nil
 		p.eng.Cancel(r.wallEvent)

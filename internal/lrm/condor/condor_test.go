@@ -247,43 +247,3 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("expected error for zero speed")
 	}
 }
-
-func TestStandardUniverseCheckpointing(t *testing.T) {
-	// A 40-hour job on short-window machines: impossible in the
-	// vanilla universe (see TestLongJobsThrash), but the standard
-	// universe carries progress across preemptions and finishes.
-	eng := sim.NewEngine()
-	machines := make([]Machine, 2)
-	for i := range machines {
-		machines[i] = Machine{
-			Speed: 1.0, MemoryMB: 2048, Platform: lrm.LinuxX86,
-			MeanOwnerAway: 3 * sim.Hour, MeanOwnerBusy: 3 * sim.Hour,
-		}
-	}
-	p, err := New(eng, sim.NewRNG(1), Config{
-		Name: "std", Machines: machines,
-		Checkpointing: true, CheckpointOverhead: 120,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := false
-	j := job("long", 40*3600)
-	j.OnComplete = func(sim.Time) { done = true }
-	if err := p.Submit(j); err != nil {
-		t.Fatal(err)
-	}
-	eng.RunUntil(sim.Time(60 * sim.Day))
-	if !done {
-		t.Fatal("checkpointed long job never completed")
-	}
-	st := p.Stats()
-	if st.Preemptions < 5 {
-		t.Errorf("only %d preemptions; the job should have migrated repeatedly", st.Preemptions)
-	}
-	// Waste is only migration overhead: preemptions × 120 s.
-	wantWaste := float64(st.Preemptions) * 120
-	if st.WastedCPU > wantWaste*1.01 || st.WastedCPU < wantWaste*0.99 {
-		t.Errorf("wasted CPU %.0f s, want ≈ %.0f (overhead only)", st.WastedCPU, wantWaste)
-	}
-}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"lattice/internal/obs"
-	"lattice/internal/sim"
 )
 
 // Per-resource circuit breakers, layered on the learned stability
@@ -17,17 +16,6 @@ import (
 // one half-open probe whose outcome closes or re-opens it. Everything
 // keys off the virtual clock and the deterministic failure sequence,
 // so breakers add no RNG draws and same-seed runs trip identically.
-
-// defaultBreakerCooldown applies when breakers are enabled without an
-// explicit cooldown.
-const defaultBreakerCooldown = 10 * sim.Minute
-
-func (s *Scheduler) breakerCooldown() sim.Duration {
-	if s.cfg.BreakerCooldown > 0 {
-		return s.cfg.BreakerCooldown
-	}
-	return defaultBreakerCooldown
-}
 
 // breakerAllows reports whether the resource's circuit admits a new
 // dispatch: closed → yes; open and cooling → no; open past the
@@ -76,7 +64,7 @@ func (s *Scheduler) observeBreaker(name string, ok bool) {
 		// before the trip — re-arms the cooldown.
 		wasProbe := r.breakerProbe
 		r.breakerProbe = false
-		r.breakerUntil = now.Add(s.breakerCooldown())
+		r.breakerUntil = now.Add(breakerCooldown)
 		if wasProbe {
 			s.obs.Record("", "", obs.StageBreaker, name, "probe failed; reopened")
 		}
@@ -89,11 +77,11 @@ func (s *Scheduler) observeBreaker(name string, ok bool) {
 	r.breakerOpen = true
 	r.breakerProbe = false
 	r.breakerFails = 0
-	r.breakerUntil = now.Add(s.breakerCooldown())
+	r.breakerUntil = now.Add(breakerCooldown)
 	s.stats.BreakerTrips++
 	s.obs.Counter("lattice_sched_breaker_trips_total",
 		"Per-resource circuit-breaker trips on consecutive failures").Inc()
 	s.obs.Record("", "", obs.StageBreaker, name,
 		fmt.Sprintf("open after %d consecutive failures; probe after %.0fs",
-			s.cfg.BreakerThreshold, float64(s.breakerCooldown())))
+			s.cfg.BreakerThreshold, float64(breakerCooldown)))
 }

@@ -22,10 +22,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	cfg.SubmitRetryBase = 30 * sim.Second
-	cfg.SubmitRetryMax = 2 * sim.Minute
 	cfg.BreakerThreshold = 2
-	cfg.BreakerCooldown = 5 * sim.Minute
 	hub := obs.New(eng)
 	sched := New(eng, idx, cfg, Options{Obs: hub})
 	if err := sched.Register(res, 1.0); err != nil {
@@ -46,8 +43,9 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	if res.submits != 2 {
 		t.Fatalf("resource saw %d submissions while tripping, want 2", res.submits)
 	}
-	// While open, scans must not touch the resource.
-	eng.RunUntil(sim.Time(4 * sim.Minute))
+	// While open — tripped at 0:30, so until 10:30 — scans and the
+	// job's own backoff timer must not touch the resource.
+	eng.RunUntil(sim.Time(10 * sim.Minute))
 	if res.submits != 2 {
 		t.Fatalf("open breaker leaked %d submissions", res.submits-2)
 	}
@@ -90,10 +88,8 @@ func TestBreakerDisabledIsZeroCost(t *testing.T) {
 	if _, err := mds.StartProvider(eng, idx, res, sim.Minute); err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.SubmitRetryBase = 30 * sim.Second
 	hub := obs.New(eng)
-	sched := New(eng, idx, cfg, Options{Obs: hub})
+	sched := New(eng, idx, DefaultConfig(), Options{Obs: hub})
 	if err := sched.Register(res, 1.0); err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,20 @@
 // priori runtime estimates, bundles very short jobs to amortize
 // per-job overhead, and computes BOINC workunit deadlines from the
 // estimates.
+//
+// The operating point is the paper's and is not configurable
+// (PAPER.md §1): unstable resources take only jobs whose speed-scaled
+// estimate is under n = 10 hours (unstableMaxEstimate; item 2, item
+// 4a); a BOINC deadline is 3× the speed-scaled estimate
+// (boincDeadlineSlack; item 4b); jobs estimated under 300 s are "very
+// short" and bundled to amortize 30 s of per-job grid overhead
+// (minJobSeconds, PerJobOverheadSeconds; item 4c). The rest are this
+// reproduction's fixed choices where the paper states none: 50 MB/s
+// staging (stageBandwidthMBps), a backlog of at most 2× a resource's
+// CPUs (maxBacklogFactor), 5 reschedules per job (retryLimit), submit
+// retries at 30 s·2^k up to 30 min (submitRetryBase, submitRetryMax),
+// learned stability under 0.5 gated as unstable (stabilityFloor) and a
+// 10-minute breaker cooldown (breakerCooldown).
 package metasched
 
 import (
@@ -55,64 +69,19 @@ type Predictor interface {
 	Predict(spec *workload.JobSpec) (float64, error)
 }
 
-// Config holds scheduler policy.
+// Config holds scheduler policy: the five values some experiment or
+// deployment varies. Everything else about the operating point is a
+// constant below.
 type Config struct {
 	Policy Policy
-	// UnstableMaxEstimate is the paper's n = 10 hours: unstable
-	// resources get no job estimated (after speed scaling) to run
-	// longer than this.
-	UnstableMaxEstimate sim.Duration
-	// BoincDeadlineSlack multiplies the speed-scaled estimate to set
-	// a BOINC workunit deadline.
-	BoincDeadlineSlack float64
-	// FixedBoincDeadline, when set, overrides estimate-driven
-	// deadlines (the pre-integration manual behaviour; E7 baseline).
-	FixedBoincDeadline sim.Duration
-	// PerJobOverheadSeconds is the fixed grid overhead (staging,
-	// submission, result handling) added to every job — what
-	// replicate bundling amortizes.
-	PerJobOverheadSeconds float64
 	// BundleTargetSeconds: when a job's estimate is below
-	// MinJobSeconds, replicates are merged until the bundle reaches
+	// minJobSeconds, replicates are merged until the bundle reaches
 	// this target ("ratchet up the number of search replicates").
 	// 0 disables bundling.
 	BundleTargetSeconds float64
-	// MinJobSeconds is the threshold below which jobs are considered
-	// "very short".
-	MinJobSeconds float64
-	// RetryLimit bounds rescheduling attempts after resource-level
-	// failures.
-	RetryLimit int
 	// RescanInterval is how often pending (unplaceable) jobs are
 	// retried against the current MDS view.
 	RescanInterval sim.Duration
-	// DisableSpeedScaledGate makes the stability gate compare the raw
-	// reference estimate against the threshold instead of the
-	// speed-scaled one — the ablation of Section VI-E(a)'s scaling.
-	DisableSpeedScaledGate bool
-	// StageBandwidthMBps models the data-placement link between the
-	// grid node and each resource: a job with input files waits
-	// InputMB / bandwidth before its local submission, and its
-	// results take OutputMB / bandwidth to come back (0 disables
-	// staging delays).
-	StageBandwidthMBps float64
-	// MaxBacklogFactor caps how many of this scheduler's jobs may be
-	// outstanding on one resource, as a multiple of its CPU count
-	// (0 = default 2). Beyond the cap, jobs wait in the grid-level
-	// pending queue and flow to whichever resource drains first —
-	// "the grid system breaks these up into smaller batches and may
-	// schedule each of these batches to a different grid computing
-	// resource".
-	MaxBacklogFactor float64
-	// SubmitRetryBase is the initial backoff before a job whose
-	// gatekeeper submission failed is retried; each further failure
-	// doubles it, capped at SubmitRetryMax. 0 restores the legacy
-	// behaviour (straight back to the pending queue for the next
-	// periodic scan).
-	SubmitRetryBase sim.Duration
-	// SubmitRetryMax caps the exponential submit-retry backoff
-	// (0 = uncapped).
-	SubmitRetryMax sim.Duration
 	// StabilityAlpha enables the learned per-resource stability score:
 	// every observed completion (1) or resource-level failure (0)
 	// feeds an EWMA with this weight, and the score replaces static
@@ -120,41 +89,69 @@ type Config struct {
 	// 0 disables learning and preserves the static Info.Stable
 	// behaviour exactly.
 	StabilityAlpha float64
-	// StabilityFloor is the learned-stability value below which a
-	// resource is treated as unstable by the gating rule even when its
-	// static Info.Stable flag says otherwise. Only meaningful with
-	// StabilityAlpha > 0.
-	StabilityFloor float64
 	// BreakerThreshold enables per-resource circuit breakers: this
 	// many consecutive failures (gatekeeper submit refusals,
 	// resource-level job failures, death requeues) with no
 	// intervening success trips the resource's circuit open — it
-	// stops receiving work for BreakerCooldown, then admits a single
+	// stops receiving work for breakerCooldown, then admits a single
 	// half-open probe whose outcome closes or re-opens the circuit.
 	// Layered on the stability EWMA: the EWMA softly deprioritizes a
 	// degrading resource, the breaker hard-stops a flapping one from
 	// eating retry budget. 0 disables breakers entirely.
 	BreakerThreshold int
-	// BreakerCooldown is how long a tripped circuit stays open before
-	// the half-open probe (default 10 virtual minutes).
-	BreakerCooldown sim.Duration
 }
+
+// The operating point (see the package comment). No caller ever ran
+// the scheduler anywhere else, so these are not options.
+const (
+	// unstableMaxEstimate is the paper's n = 10 hours: unstable
+	// resources get no job whose speed-scaled estimate is longer.
+	unstableMaxEstimate = 10 * sim.Hour
+	// boincDeadlineSlack multiplies the speed-scaled estimate to set a
+	// BOINC workunit deadline.
+	boincDeadlineSlack = 3.0
+	// PerJobOverheadSeconds is the fixed grid overhead (staging,
+	// submission, result handling) added to every job — what replicate
+	// bundling amortizes.
+	PerJobOverheadSeconds = 30.0
+	// minJobSeconds is the estimate below which a job is "very short"
+	// and its replicates are bundled.
+	minJobSeconds = 300.0
+	// retryLimit bounds rescheduling attempts after resource-level
+	// failures.
+	retryLimit = 5
+	// stageBandwidthMBps models the data-placement link between the
+	// grid node and each resource: a job waits InputMB / bandwidth
+	// before its local submission, and its results take OutputMB /
+	// bandwidth to come back.
+	stageBandwidthMBps = 50.0
+	// maxBacklogFactor caps how many of this scheduler's jobs may be
+	// outstanding on one resource, as a multiple of its CPU count.
+	// Beyond the cap, jobs wait in the grid-level pending queue and
+	// flow to whichever resource drains first — "the grid system breaks
+	// these up into smaller batches and may schedule each of these
+	// batches to a different grid computing resource".
+	maxBacklogFactor = 2.0
+	// submitRetryBase is the backoff before a job whose gatekeeper
+	// submission failed is retried; each further failure doubles it,
+	// capped at submitRetryMax.
+	submitRetryBase = 30 * sim.Second
+	submitRetryMax  = 30 * sim.Minute
+	// stabilityFloor is the learned-stability value below which a
+	// resource is gated as unstable even when its static Info.Stable
+	// flag says otherwise. Only meaningful with StabilityAlpha > 0.
+	stabilityFloor = 0.5
+	// breakerCooldown is how long a tripped circuit stays open before
+	// the half-open probe.
+	breakerCooldown = 10 * sim.Minute
+)
 
 // DefaultConfig mirrors the paper's operating point.
 func DefaultConfig() Config {
 	return Config{
-		Policy:                PolicyFull,
-		UnstableMaxEstimate:   10 * sim.Hour,
-		BoincDeadlineSlack:    3,
-		PerJobOverheadSeconds: 30,
-		BundleTargetSeconds:   1800,
-		MinJobSeconds:         300,
-		RetryLimit:            5,
-		RescanInterval:        2 * sim.Minute,
-		StageBandwidthMBps:    50,
-		SubmitRetryBase:       30 * sim.Second,
-		SubmitRetryMax:        30 * sim.Minute,
-		StabilityFloor:        0.5,
+		Policy:              PolicyFull,
+		BundleTargetSeconds: 1800,
+		RescanInterval:      2 * sim.Minute,
 	}
 }
 

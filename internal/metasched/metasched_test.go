@@ -8,8 +8,8 @@ import (
 	"lattice/internal/grid/mds"
 	"lattice/internal/grid/rsl"
 	"lattice/internal/lrm"
+	"lattice/internal/lrm/cluster"
 	"lattice/internal/lrm/condor"
-	"lattice/internal/lrm/pbs"
 	"lattice/internal/phylo"
 	"lattice/internal/sim"
 	"lattice/internal/workload"
@@ -21,7 +21,7 @@ type grid struct {
 	idx   *mds.Index
 	sched *Scheduler
 	pool  *condor.Pool
-	hpc   *pbs.Cluster
+	hpc   *cluster.Cluster
 }
 
 // newGrid builds one Condor pool (unstable, speed 1) and one PBS
@@ -44,9 +44,9 @@ func newGrid(t *testing.T, cfg Config) *grid {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hpc, err := pbs.New(eng, pbs.Config{
-		Name: "hpc-cluster", Platform: lrm.LinuxX86, MPI: true,
-		Nodes: []pbs.NodeClass{{Count: 8, Speed: 2.0, MemoryMB: 8192}},
+	hpc, err := cluster.New(eng, cluster.Config{
+		Kind: "pbs", Name: "hpc-cluster", Platform: lrm.LinuxX86, MPI: true,
+		Nodes: []cluster.NodeClass{{Count: 8, Cores: 1, Speed: 2.0, MemoryMB: 8192}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -233,9 +233,9 @@ func TestUnplaceableJobWaitsThenRuns(t *testing.T) {
 	}
 	// A PPC cluster joins the grid later.
 	g.eng.Schedule(2*sim.Hour, func() {
-		ppc, err := pbs.New(g.eng, pbs.Config{
-			Name: "mac-cluster", Platform: lrm.DarwinPPC,
-			Nodes: []pbs.NodeClass{{Count: 2, Speed: 1, MemoryMB: 2048}},
+		ppc, err := cluster.New(g.eng, cluster.Config{
+			Kind: "pbs", Name: "mac-cluster", Platform: lrm.DarwinPPC,
+			Nodes: []cluster.NodeClass{{Count: 2, Cores: 1, Speed: 1, MemoryMB: 2048}},
 		})
 		if err != nil {
 			t.Error(err)
@@ -253,9 +253,9 @@ func TestUnplaceableJobWaitsThenRuns(t *testing.T) {
 func TestOfflineResourceNotUsed(t *testing.T) {
 	eng := sim.NewEngine()
 	idx, _ := mds.NewIndex(eng, 3*sim.Minute)
-	hpc, _ := pbs.New(eng, pbs.Config{
-		Name: "solo", Platform: lrm.LinuxX86,
-		Nodes: []pbs.NodeClass{{Count: 2, Speed: 1, MemoryMB: 2048}},
+	hpc, _ := cluster.New(eng, cluster.Config{
+		Kind: "pbs", Name: "solo", Platform: lrm.LinuxX86,
+		Nodes: []cluster.NodeClass{{Count: 2, Cores: 1, Speed: 1, MemoryMB: 2048}},
 	})
 	p, _ := mds.StartProvider(eng, idx, hpc, sim.Minute)
 	sched := New(eng, idx, DefaultConfig(), Options{})
@@ -326,13 +326,13 @@ func TestCancelPendingAndRunning(t *testing.T) {
 
 func TestCalibrateRecoverSpeeds(t *testing.T) {
 	eng := sim.NewEngine()
-	fast, _ := pbs.New(eng, pbs.Config{
-		Name: "fast", Platform: lrm.LinuxX86,
-		Nodes: []pbs.NodeClass{{Count: 2, Speed: 2.0, MemoryMB: 2048}},
+	fast, _ := cluster.New(eng, cluster.Config{
+		Kind: "pbs", Name: "fast", Platform: lrm.LinuxX86,
+		Nodes: []cluster.NodeClass{{Count: 2, Cores: 1, Speed: 2.0, MemoryMB: 2048}},
 	})
-	slow, _ := pbs.New(eng, pbs.Config{
-		Name: "slow", Platform: lrm.LinuxX86,
-		Nodes: []pbs.NodeClass{{Count: 2, Speed: 0.5, MemoryMB: 2048}},
+	slow, _ := cluster.New(eng, cluster.Config{
+		Kind: "pbs", Name: "slow", Platform: lrm.LinuxX86,
+		Nodes: []cluster.NodeClass{{Count: 2, Cores: 1, Speed: 0.5, MemoryMB: 2048}},
 	})
 	sFast, err := Calibrate(eng, fast, 600, 2, sim.Day)
 	if err != nil {
@@ -351,10 +351,7 @@ func TestCalibrateRecoverSpeeds(t *testing.T) {
 }
 
 func TestBundlingMergesShortReplicates(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.BundleTargetSeconds = 1800
-	cfg.MinJobSeconds = 300
-	g := newGrid(t, cfg)
+	g := newGrid(t, DefaultConfig())
 	g.sched.SetPredictor(fixedPredictor(60)) // 1-minute jobs
 	sub := &workload.Submission{
 		Spec: workload.JobSpec{
@@ -410,15 +407,13 @@ func TestBoincDeadlineFromEstimate(t *testing.T) {
 	eng := sim.NewEngine()
 	idx, _ := mds.NewIndex(eng, 5*sim.Minute)
 	rng := sim.NewRNG(4)
-	srv, err := boinc.NewServer(eng, rng, boinc.DefaultConfig("volunteers"))
+	srv, err := boinc.NewServer(eng, rng, "volunteers")
 	if err != nil {
 		t.Fatal(err)
 	}
 	boinc.GeneratePopulation(srv, rng, boinc.DefaultPopulation(30))
 	mds.StartProvider(eng, idx, srv, sim.Minute)
-	cfg := DefaultConfig()
-	cfg.BoincDeadlineSlack = 3
-	sched := New(eng, idx, cfg, Options{})
+	sched := New(eng, idx, DefaultConfig(), Options{})
 	sched.Register(srv, 0.8)
 	sched.SetPredictor(fixedPredictor(2 * 3600))
 	spec := workload.JobSpec{DataType: phylo.Nucleotide, SubstModel: "JC69",
@@ -462,12 +457,10 @@ func TestRegisterValidation(t *testing.T) {
 }
 
 func TestDataStagingDelaysExecution(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.StageBandwidthMBps = 1 // 1 MB/s: staging dominates
-	g := newGrid(t, cfg)
+	g := newGrid(t, DefaultConfig())
 	d := jobDesc("staged", 60)
-	d.InputMB = 120 // 2 minutes in
-	d.OutputMB = 60 // 1 minute out
+	d.InputMB = 120 * stageBandwidthMBps // 2 minutes in: staging dominates
+	d.OutputMB = 60 * stageBandwidthMBps // 1 minute out
 	var doneAt sim.Time
 	if _, err := g.sched.Submit(d, nil, func(j *GridJob) { doneAt = j.CompletedAt }); err != nil {
 		t.Fatal(err)
@@ -480,29 +473,24 @@ func TestDataStagingDelaysExecution(t *testing.T) {
 	if float64(doneAt) < 200 {
 		t.Errorf("job done at %.0f s; staging delays not applied", float64(doneAt))
 	}
-	// Without staging the same job is much faster.
-	cfg2 := DefaultConfig()
-	cfg2.StageBandwidthMBps = 0
-	g2 := newGrid(t, cfg2)
+	// With nothing to stage the same job is much faster.
+	g2 := newGrid(t, DefaultConfig())
 	d2 := jobDesc("fast", 60)
-	d2.InputMB = 120
 	var doneAt2 sim.Time
 	if _, err := g2.sched.Submit(d2, nil, func(j *GridJob) { doneAt2 = j.CompletedAt }); err != nil {
 		t.Fatal(err)
 	}
 	g2.eng.RunUntil(sim.Time(1 * sim.Hour))
 	if doneAt2 == 0 || doneAt2 >= doneAt {
-		t.Errorf("staging-off job at %.0f s not faster than staging-on %.0f s",
+		t.Errorf("unstaged job at %.0f s not faster than the staged one at %.0f s",
 			float64(doneAt2), float64(doneAt))
 	}
 }
 
 func TestCancelDuringStaging(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.StageBandwidthMBps = 1
-	g := newGrid(t, cfg)
+	g := newGrid(t, DefaultConfig())
 	d := jobDesc("c-staged", 60)
-	d.InputMB = 600 // 10 minutes of staging
+	d.InputMB = 600 * stageBandwidthMBps // 10 minutes of staging
 	completed := false
 	if _, err := g.sched.Submit(d, nil, func(j *GridJob) {
 		completed = j.Status == StatusCompleted

@@ -6,7 +6,7 @@ import (
 
 	"lattice/internal/grid/mds"
 	"lattice/internal/lrm"
-	"lattice/internal/lrm/pbs"
+	"lattice/internal/lrm/cluster"
 	"lattice/internal/phylo"
 	"lattice/internal/sim"
 	"lattice/internal/workload"
@@ -79,10 +79,10 @@ func TestDeadResourceRequeue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mk := func(name string, speed float64) *pbs.Cluster {
-		c, err := pbs.New(eng, pbs.Config{
-			Name: name, Platform: lrm.LinuxX86,
-			Nodes: []pbs.NodeClass{{Count: 4, Speed: speed, MemoryMB: 8192}},
+	mk := func(name string, speed float64) *cluster.Cluster {
+		c, err := cluster.New(eng, cluster.Config{
+			Kind: "pbs", Name: name, Platform: lrm.LinuxX86,
+			Nodes: []cluster.NodeClass{{Count: 4, Cores: 1, Speed: speed, MemoryMB: 8192}},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -143,14 +143,16 @@ func TestDeadResourceRequeue(t *testing.T) {
 }
 
 // refusingLRM is a PBS-shaped resource whose gatekeeper rejects the
-// first failN submissions, then accepts and completes jobs normally.
+// first failN submissions (or, with failSync, accepts and at once
+// fails them), then accepts and completes jobs normally.
 type refusingLRM struct {
-	eng     *sim.Engine
-	name    string
-	failN   int
-	runFor  sim.Duration
-	jobs    map[string]*lrm.Job
-	submits int
+	eng      *sim.Engine
+	name     string
+	failN    int
+	failSync bool
+	runFor   sim.Duration
+	jobs     map[string]*lrm.Job
+	submits  int
 	// onRefuse, when set, runs inside each refused Submit — i.e.
 	// synchronously inside the scheduler's dispatch.
 	onRefuse func()
@@ -168,6 +170,10 @@ func (f *refusingLRM) Submit(j *lrm.Job) error {
 	if f.submits <= f.failN {
 		if f.onRefuse != nil {
 			f.onRefuse()
+		}
+		if f.failSync {
+			j.OnFail(f.eng.Now(), "node died at start")
+			return nil
 		}
 		return fmt.Errorf("gatekeeper: submission refused")
 	}
@@ -192,18 +198,26 @@ func (f *refusingLRM) Cancel(id string) bool {
 	return true
 }
 
+// backoffLog records the scheduler's durable backoff decisions.
+type backoffLog struct{ backoffs []sim.Duration }
+
+func (*backoffLog) EWMA(sim.Time, string, float64) {}
+func (l *backoffLog) Backoff(_ sim.Time, _, _ string, _ int, d sim.Duration) {
+	l.backoffs = append(l.backoffs, d)
+}
+
+// A refused submission retries on its own timer: 30 s doubling per
+// further refusal, capped at 30 min, and never consumes the job.
 func TestSubmitRetryBackoff(t *testing.T) {
 	eng := sim.NewEngine()
 	idx, _ := mds.NewIndex(eng, 5*sim.Minute)
-	res := &refusingLRM{eng: eng, name: "flaky-gate", failN: 2, runFor: 10 * sim.Minute,
+	res := &refusingLRM{eng: eng, name: "flaky-gate", failN: 8, runFor: 10 * sim.Minute,
 		jobs: make(map[string]*lrm.Job)}
 	if _, err := mds.StartProvider(eng, idx, res, sim.Minute); err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.SubmitRetryBase = sim.Minute
-	cfg.SubmitRetryMax = 10 * sim.Minute
-	sched := New(eng, idx, cfg, Options{})
+	var log backoffLog
+	sched := New(eng, idx, DefaultConfig(), Options{Durable: &log})
 	if err := sched.Register(res, 1.0); err != nil {
 		t.Fatal(err)
 	}
@@ -215,52 +229,54 @@ func TestSubmitRetryBackoff(t *testing.T) {
 	if j.Status != StatusCompleted {
 		t.Fatalf("job status %v after retries, want completed (fail reason %q)", j.Status, j.FailReason)
 	}
-	st := sched.Stats()
-	if st.SubmitRetries != 2 {
-		t.Errorf("SubmitRetries = %d, want 2", st.SubmitRetries)
+	want := []sim.Duration{30, 60, 120, 240, 480, 960, 30 * sim.Minute, 30 * sim.Minute}
+	if fmt.Sprint(log.backoffs) != fmt.Sprint(want) {
+		t.Errorf("backoffs %v, want 30 s·2^k capped at 30 min: %v", log.backoffs, want)
 	}
-	if res.submits != 3 {
-		t.Errorf("resource saw %d submissions, want 3 (two refused, one accepted)", res.submits)
+	st := sched.Stats()
+	if st.SubmitRetries != 8 {
+		t.Errorf("SubmitRetries = %d, want 8", st.SubmitRetries)
+	}
+	if res.submits != 9 {
+		t.Errorf("resource saw %d submissions, want 9 (eight refused, one accepted)", res.submits)
 	}
 	if st.Failed != 0 {
 		t.Errorf("submit refusals must not consume the job: stats %+v", st)
 	}
 }
 
-// With backoff disabled a refused job waits for the periodic scan. The
-// second case refuses it again *inside* that scan: the synchronous
+// A job the resource fails synchronously inside Submit re-queues
+// itself at once. When that happens *inside* a periodic scan, the
 // re-queue lands behind the entries the scan is ranging over and must
 // survive the scan's queue rebuild (it used to be overwritten, leaving
 // the job pending forever with an empty queue).
-func TestSubmitRetryDisabledFallsBackToScan(t *testing.T) {
-	for _, refusals := range []int{1, 2} {
-		eng := sim.NewEngine()
-		idx, _ := mds.NewIndex(eng, 5*sim.Minute)
-		res := &refusingLRM{eng: eng, name: "flaky-gate", failN: refusals, runFor: 10 * sim.Minute,
-			jobs: make(map[string]*lrm.Job)}
-		if _, err := mds.StartProvider(eng, idx, res, sim.Minute); err != nil {
-			t.Fatal(err)
-		}
-		cfg := DefaultConfig()
-		cfg.SubmitRetryBase = 0 // legacy behaviour: next periodic scan retries
-		sched := New(eng, idx, cfg, Options{})
-		if err := sched.Register(res, 1.0); err != nil {
-			t.Fatal(err)
-		}
-		j, err := sched.Submit(jobDesc("j1", 600), nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng.RunUntil(sim.Time(6 * sim.Hour))
-		if j.Status != StatusCompleted {
-			t.Fatalf("%d refusals: job status %v, submits=%d, len(pending)=%d; want completed",
-				refusals, j.Status, res.submits, len(sched.pending))
-		}
-		if res.submits != refusals+1 {
-			t.Errorf("%d refusals: resource saw %d submissions, want %d", refusals, res.submits, refusals+1)
-		}
-		if st := sched.Stats(); st.SubmitRetries != 0 {
-			t.Errorf("legacy path counted %d submit retries, want 0", st.SubmitRetries)
-		}
+func TestSynchronousFailureInsideScanStaysQueued(t *testing.T) {
+	eng := sim.NewEngine()
+	idx, _ := mds.NewIndex(eng, 5*sim.Minute)
+	res := &refusingLRM{eng: eng, name: "flaky-gate", failN: 2, failSync: true, runFor: 10 * sim.Minute,
+		jobs: make(map[string]*lrm.Job)}
+	if _, err := mds.StartProvider(eng, idx, res, sim.Minute); err != nil {
+		t.Fatal(err)
+	}
+	sched := New(eng, idx, DefaultConfig(), Options{})
+	if err := sched.Register(res, 1.0); err != nil {
+		t.Fatal(err)
+	}
+	// The first failure happens inside Submit, the second inside the
+	// first scan.
+	j, err := sched.Submit(jobDesc("j1", 600), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.RunUntil(sim.Time(6 * sim.Hour))
+	if j.Status != StatusCompleted {
+		t.Fatalf("job status %v, submits=%d, len(pending)=%d; want completed",
+			j.Status, res.submits, len(sched.pending))
+	}
+	if res.submits != 3 {
+		t.Errorf("resource saw %d submissions, want 3", res.submits)
+	}
+	if st := sched.Stats(); st.Retries != 2 || st.SubmitRetries != 0 {
+		t.Errorf("stats %+v, want 2 retries and no submit retries", st)
 	}
 }

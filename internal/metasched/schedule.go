@@ -36,10 +36,10 @@ func (s *Scheduler) Submit(desc *rsl.JobDescription, spec *workload.JobSpec, onD
 	s.ins.submitted.Inc()
 	// Grid overhead: staging and submission cost attached to every
 	// independent job.
-	j.Desc.Work += s.cfg.PerJobOverheadSeconds * lrm.ReferenceCellsPerSecond
+	j.Desc.Work += PerJobOverheadSeconds * lrm.ReferenceCellsPerSecond
 	if s.predictor != nil && spec != nil {
 		if est, err := s.predictor.Predict(spec); err == nil {
-			j.EstimateRefSeconds = est + s.cfg.PerJobOverheadSeconds
+			j.EstimateRefSeconds = est + PerJobOverheadSeconds
 			s.obs.Record(j.Batch, desc.JobID, obs.StageEstimate, "",
 				fmt.Sprintf("%.0f ref-seconds", j.EstimateRefSeconds))
 		}
@@ -56,7 +56,7 @@ func (s *Scheduler) Submit(desc *rsl.JobDescription, spec *workload.JobSpec, onD
 
 // SubmitBatch expands a portal submission into grid jobs, applying
 // replicate bundling for very short jobs: when the estimate is below
-// MinJobSeconds, several replicates are merged into a single job whose
+// minJobSeconds, several replicates are merged into a single job whose
 // search-replicate count is raised, amortizing the per-job overhead
 // ("we can ratchet up the number of search replicates each individual
 // GARLI job will perform"). The supplied work sampler provides each
@@ -67,7 +67,7 @@ func (s *Scheduler) SubmitBatch(sub *workload.Submission, rng *sim.RNG, onDone f
 	}
 	bundle := 1
 	if s.cfg.BundleTargetSeconds > 0 && s.predictor != nil {
-		if est, err := s.predictor.Predict(&sub.Spec); err == nil && est < s.cfg.MinJobSeconds {
+		if est, err := s.predictor.Predict(&sub.Spec); err == nil && est < minJobSeconds {
 			perRep := est / float64(sub.Spec.SearchReps)
 			if perRep <= 0 {
 				perRep = est
@@ -188,11 +188,7 @@ func (s *Scheduler) eligible(j *GridJob, c *candidate) bool {
 	d := j.Desc
 	// Backlog cap: keep the grid-level queue in charge of batching
 	// rather than flooding one resource's local queue.
-	factor := s.cfg.MaxBacklogFactor
-	if factor <= 0 {
-		factor = 2
-	}
-	if c.info.TotalCPUs > 0 && float64(c.res.active) >= factor*float64(c.info.TotalCPUs) {
+	if c.info.TotalCPUs > 0 && float64(c.res.active) >= maxBacklogFactor*float64(c.info.TotalCPUs) {
 		return false
 	}
 	// Circuit breaker: a tripped resource receives no work until the
@@ -225,15 +221,11 @@ func (s *Scheduler) eligible(j *GridJob, c *candidate) bool {
 	// below the floor is gated like a statically-unstable one — the
 	// EWMA replaces config as the source of truth.
 	unstable := !c.info.Stable
-	if s.cfg.StabilityAlpha > 0 && c.res.stability < s.cfg.StabilityFloor {
+	if s.cfg.StabilityAlpha > 0 && c.res.stability < stabilityFloor {
 		unstable = true
 	}
 	if s.cfg.Policy == PolicyFull && unstable && j.EstimateRefSeconds > 0 {
-		scaled := sim.Duration(j.EstimateRefSeconds / c.res.speed)
-		if s.cfg.DisableSpeedScaledGate {
-			scaled = sim.Duration(j.EstimateRefSeconds)
-		}
-		if scaled > s.cfg.UnstableMaxEstimate {
+		if sim.Duration(j.EstimateRefSeconds/c.res.speed) > unstableMaxEstimate {
 			return false
 		}
 	}
@@ -316,18 +308,13 @@ func (s *Scheduler) place(j *GridJob, cands []candidate) bool {
 func (s *Scheduler) dispatch(j *GridJob, c *candidate) {
 	d := *j.Desc
 	d.EstimatedRefSeconds = j.EstimateRefSeconds
-	// BOINC deadline: estimate-driven unless a fixed deadline is
-	// configured (or no estimate exists).
-	if c.info.Kind == "boinc" {
-		switch {
-		case s.cfg.FixedBoincDeadline > 0:
-			d.DelayBound = s.cfg.FixedBoincDeadline
-		case j.EstimateRefSeconds > 0:
-			local := j.EstimateRefSeconds / c.res.speed
-			d.DelayBound = sim.Duration(local * s.cfg.BoincDeadlineSlack)
-			if d.DelayBound < 6*sim.Hour {
-				d.DelayBound = 6 * sim.Hour
-			}
+	// BOINC deadline: estimate-driven; without an estimate the server's
+	// own default applies.
+	if c.info.Kind == "boinc" && j.EstimateRefSeconds > 0 {
+		local := j.EstimateRefSeconds / c.res.speed
+		d.DelayBound = sim.Duration(local * boincDeadlineSlack)
+		if d.DelayBound < 6*sim.Hour {
+			d.DelayBound = 6 * sim.Hour
 		}
 	}
 	s.noteBreakerDispatch(c.info.Name, c.res)
@@ -382,10 +369,10 @@ func (s *Scheduler) dispatch(j *GridJob, c *candidate) {
 
 // stageDelay converts a transfer size to a staging duration.
 func (s *Scheduler) stageDelay(mb float64) sim.Duration {
-	if mb <= 0 || s.cfg.StageBandwidthMBps <= 0 {
+	if mb <= 0 {
 		return 0
 	}
-	return sim.Duration(mb / s.cfg.StageBandwidthMBps)
+	return sim.Duration(mb / stageBandwidthMBps)
 }
 
 // release drops the in-flight count for the job's resource.
@@ -395,27 +382,21 @@ func (s *Scheduler) release(j *GridJob) {
 	}
 }
 
-// submitFailed handles a gatekeeper submit error: with a backoff
-// configured the job retries on its own exponential timer (base·2^k,
-// capped), otherwise it falls back to the pending queue for the next
-// periodic scan.
+// submitFailed handles a gatekeeper submit error: the job retries on
+// its own exponential timer (submitRetryBase·2^k, capped at
+// submitRetryMax).
 func (s *Scheduler) submitFailed(j *GridJob, name string, err error) {
 	s.release(j)
 	j.Status = StatusPending
 	j.Resource = ""
 	s.markDisrupted(j)
 	s.observeBreaker(name, false)
-	if s.cfg.SubmitRetryBase <= 0 {
-		// Legacy path: try elsewhere on next scan.
-		s.pending = append(s.pending, j)
-		return
-	}
 	s.stats.SubmitRetries++
-	backoff := s.cfg.SubmitRetryBase
+	backoff := submitRetryBase
 	for i := 1; i < j.Attempts; i++ {
 		backoff *= 2
-		if s.cfg.SubmitRetryMax > 0 && backoff >= s.cfg.SubmitRetryMax {
-			backoff = s.cfg.SubmitRetryMax
+		if backoff >= submitRetryMax {
+			backoff = submitRetryMax
 			break
 		}
 	}
@@ -528,7 +509,7 @@ func (s *Scheduler) onJobFail(j *GridJob, resourceName, reason string, attempt i
 	if strings.HasPrefix(reason, "faults:") {
 		s.markDisrupted(j)
 	}
-	if j.Attempts > s.cfg.RetryLimit {
+	if j.Attempts > retryLimit {
 		j.Status = StatusFailed
 		j.CompletedAt = s.eng.Now()
 		j.FailReason = reason

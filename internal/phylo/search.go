@@ -38,18 +38,21 @@ type SearchConfig struct {
 	// ImprovementEps is the log-likelihood gain regarded as a real
 	// improvement (GARLI's scorethreshforterm).
 	ImprovementEps float64
-	// NNIWeight, SPRWeight and BrlenWeight are the relative
-	// probabilities of the three mutation categories.
-	NNIWeight, SPRWeight, BrlenWeight float64
-	// SPRRadius limits regraft distance (GARLI's limsprrange);
-	// 0 = unlimited.
-	SPRRadius int
 	// BrlenOptIterations is the golden-section refinement budget
 	// applied to mutated branches.
 	BrlenOptIterations int
-	// MeanBranchLength seeds starting-tree branch lengths.
-	MeanBranchLength float64
 }
+
+// GARLI's stock mutation settings, scaled to this engine.
+const (
+	// nniWeight, sprWeight and brlenWeight are the relative
+	// probabilities of the three mutation categories.
+	nniWeight, sprWeight, brlenWeight = 0.5, 0.3, 0.2
+	// sprRadius limits regraft distance (GARLI's limsprrange).
+	sprRadius = 6
+	// meanBranchLength seeds starting-tree branch lengths.
+	meanBranchLength = 0.05
+)
 
 // DefaultSearchConfig mirrors GARLI's stock settings scaled to this
 // engine.
@@ -62,12 +65,7 @@ func DefaultSearchConfig() SearchConfig {
 		MaxGenerations:        500,
 		StagnationGenerations: 60,
 		ImprovementEps:        0.01,
-		NNIWeight:             0.5,
-		SPRWeight:             0.3,
-		BrlenWeight:           0.2,
-		SPRRadius:             6,
 		BrlenOptIterations:    8,
-		MeanBranchLength:      0.05,
 	}
 }
 
@@ -86,9 +84,6 @@ func (c *SearchConfig) validate() error {
 	}
 	if c.StartingTree == StartStepwise && c.AttachmentsPerTaxon < 1 {
 		return fmt.Errorf("phylo: AttachmentsPerTaxon must be >= 1 for stepwise addition")
-	}
-	if c.NNIWeight+c.SPRWeight+c.BrlenWeight <= 0 {
-		return fmt.Errorf("phylo: mutation weights must not all be zero")
 	}
 	return nil
 }
@@ -328,7 +323,7 @@ func (st *gaState) done() bool {
 // step runs a single GA generation.
 func (st *gaState) step(rng *sim.RNG) {
 	cfg := st.cfg
-	weights := []float64{cfg.NNIWeight, cfg.SPRWeight, cfg.BrlenWeight}
+	weights := []float64{nniWeight, sprWeight, brlenWeight}
 	parent := st.pop[selectParent(len(st.pop), rng)]
 	child := parent.tree.Clone()
 	var touched *Node
@@ -336,7 +331,7 @@ func (st *gaState) step(rng *sim.RNG) {
 	case 0:
 		touched = child.NNI(rng)
 	case 1:
-		touched = child.SPR(cfg.SPRRadius, rng)
+		touched = child.SPR(sprRadius, rng)
 	default:
 		perturbBranches(child, rng)
 	}
@@ -416,7 +411,7 @@ func (st *gaState) finalPolish() float64 {
 func startingTree(lk Evaluator, pool *EvaluatorPool, names []string, cfg SearchConfig, rng *sim.RNG) (*Tree, error) {
 	switch cfg.StartingTree {
 	case StartRandom:
-		return RandomTree(names, cfg.MeanBranchLength, rng), nil
+		return RandomTree(names, meanBranchLength, rng), nil
 	case StartUser:
 		return cfg.UserTree.Clone(), nil
 	case StartStepwise:
@@ -440,7 +435,7 @@ func stepwiseAdditionTree(lk Evaluator, pool *EvaluatorPool, names []string, cfg
 		leaf := t.newNode()
 		leaf.Taxon = order[i]
 		leaf.Name = names[order[i]]
-		leaf.Length = rng.Exp(cfg.MeanBranchLength)
+		leaf.Length = rng.Exp(meanBranchLength)
 		leaf.Parent = root
 		root.Children = append(root.Children, leaf)
 	}
@@ -472,7 +467,7 @@ func stepwiseAdditionTree(lk Evaluator, pool *EvaluatorPool, names []string, cfg
 			leaf := cand.newNode()
 			leaf.Taxon = taxon
 			leaf.Name = names[taxon]
-			leaf.Length = cfg.MeanBranchLength
+			leaf.Length = meanBranchLength
 			cand.attachAt(leaf, cand.Nodes[edges[perm[k]].ID], leaf.Length)
 			cand.reindex()
 			cands[k] = cand
@@ -489,7 +484,7 @@ func stepwiseAdditionTree(lk Evaluator, pool *EvaluatorPool, names []string, cfg
 		leaf := t.newNode()
 		leaf.Taxon = taxon
 		leaf.Name = names[taxon]
-		leaf.Length = cfg.MeanBranchLength
+		leaf.Length = meanBranchLength
 		t.attachAt(leaf, edges[bestEdge], leaf.Length)
 		t.reindex()
 	}

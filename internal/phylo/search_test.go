@@ -165,7 +165,6 @@ func TestSearchConfigValidation(t *testing.T) {
 		func(c *SearchConfig) { c.PopulationSize = 0 },
 		func(c *SearchConfig) { c.MaxGenerations = 0 },
 		func(c *SearchConfig) { c.StartingTree = StartUser; c.UserTree = nil },
-		func(c *SearchConfig) { c.NNIWeight = 0; c.SPRWeight = 0; c.BrlenWeight = 0 },
 		func(c *SearchConfig) { c.StartingTree = StartStepwise; c.AttachmentsPerTaxon = 0 },
 	}
 	for i, mutate := range bad {

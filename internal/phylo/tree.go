@@ -129,17 +129,6 @@ func (t *Tree) InternalEdges() []*Node {
 	return out
 }
 
-// totalLength returns the sum of all branch lengths.
-func (t *Tree) totalLength() float64 {
-	var s float64
-	t.PostOrder(func(n *Node) {
-		if n.Parent != nil {
-			s += n.Length
-		}
-	})
-	return s
-}
-
 // Check verifies structural invariants: parent/child links are
 // mutually consistent, IDs index the node slice, the root has no
 // parent, and branch lengths are finite and non-negative. It is used

@@ -213,13 +213,6 @@ func TestRFDistanceInvariantToRooting(t *testing.T) {
 	}
 }
 
-func TestTotalLength(t *testing.T) {
-	tr, _ := ParseNewick("((a:0.1,b:0.2):0.05,c:0.3,d:0.15);", nil)
-	if got := tr.totalLength(); !almostEqual(got, 0.8, 1e-12) {
-		t.Errorf("totalLength = %v, want 0.8", got)
-	}
-}
-
 func TestStepwiseVsRandomStartQuality(t *testing.T) {
 	// A stepwise-addition starting tree should fit the data at least
 	// as well as a random one (this is its entire purpose, and the

@@ -22,7 +22,7 @@ import (
 	"lattice/internal/grid/mds"
 	"lattice/internal/gsbl"
 	"lattice/internal/lrm"
-	"lattice/internal/lrm/pbs"
+	"lattice/internal/lrm/cluster"
 	"lattice/internal/metasched"
 	"lattice/internal/obs"
 	"lattice/internal/phylo"
@@ -45,9 +45,9 @@ func fixtureOpts(t *testing.T, sopts gsbl.Options, popts Options) (*Portal, *htt
 	if err != nil {
 		t.Fatal(err)
 	}
-	hpc, err := pbs.New(eng, pbs.Config{
-		Name: "hpc", Platform: lrm.LinuxX86,
-		Nodes: []pbs.NodeClass{{Count: 32, Speed: 2, MemoryMB: 8192}},
+	hpc, err := cluster.New(eng, cluster.Config{
+		Kind: "pbs", Name: "hpc", Platform: lrm.LinuxX86,
+		Nodes: []cluster.NodeClass{{Count: 32, Cores: 1, Speed: 2, MemoryMB: 8192}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -114,13 +114,3 @@ func (g *RNG) PermInto(buf []int) {
 		buf[j] = i
 	}
 }
-
-// pareto returns a Pareto variate with the given minimum and tail
-// index alpha.
-func (g *RNG) pareto(xmin, alpha float64) float64 {
-	u := g.r.Float64()
-	for u == 0 {
-		u = g.r.Float64()
-	}
-	return xmin / math.Pow(u, 1/alpha)
-}

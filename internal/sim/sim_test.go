@@ -305,15 +305,6 @@ func TestChoiceRespectsWeights(t *testing.T) {
 	}
 }
 
-func TestParetoTail(t *testing.T) {
-	g := NewRNG(5)
-	for i := 0; i < 1000; i++ {
-		if v := g.pareto(2, 1.5); v < 2 {
-			t.Fatalf("Pareto variate %v below xmin", v)
-		}
-	}
-}
-
 func TestDurationHelpers(t *testing.T) {
 	if Hour.Hours() != 1 {
 		t.Error("Hour.Hours() != 1")
