@@ -52,14 +52,18 @@ tracked-binaries:
 		esac; \
 	done; exit $$rc' sh
 
-# fuzz gives wal.Load ten seconds of arbitrary bytes in each of a
-# durable directory's three files (log, input segment, snapshot): it
-# must return an error or a state with a dense tail and an ordered
-# input history — never panic, never size an allocation from a length
-# field. A failing input lands in internal/wal/testdata/fuzz/ and
-# then fails plain `go test` until fixed.
+# fuzz gives every Fuzz* target in the tree ten seconds of arbitrary
+# input, one target at a time: `go test -list` finds them, so a new
+# target is a new file, not an edit here. A failing input lands in the
+# package's testdata/fuzz/ and then fails plain `go test` until fixed.
 fuzz:
-	$(GO) test -run '^$$' -fuzz FuzzLoad -fuzztime 10s ./internal/wal/
+	@list=$$($(GO) test -list '^Fuzz' ./...) || { echo "$$list"; exit 1; }; \
+	echo "$$list" | \
+	awk '/^Fuzz/ { t[n++] = $$1 } /^ok/ { for (i = 0; i < n; i++) print $$2, t[i]; n = 0 }' | \
+	while read pkg target; do \
+		echo "fuzz $$pkg $$target"; \
+		$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s "$$pkg" || exit 1; \
+	done
 
 test:
 	$(GO) test ./...
@@ -140,7 +144,7 @@ overload:
 # check is the full correctness gate: compile, go vet, the project
 # analyzers (failing on any unsuppressed finding), the analyzer
 # fixture self-tests under -race, no build output tracked by git, ten
-# seconds of fuzzing wal.Load, the
+# seconds of each fuzz target, the
 # test suite under the race detector (which includes the forest/BOINC
 # concurrency stress tests and — once each — the fault-injection,
 # crash-recovery, workflow, coordinator sharding and

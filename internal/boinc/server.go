@@ -74,16 +74,16 @@ type result struct {
 }
 
 // Server is the BOINC project server. It implements lrm.LRM so the
-// grid's scheduler adapter can treat the volunteer pool as one large
-// (unstable) resource.
+// meta-scheduler can treat the volunteer pool as one large (unstable)
+// resource.
 type Server struct {
 	eng  *sim.Engine
 	rng  *sim.RNG
 	name string
 
 	// mu guards all server and host state. The engine dispatches host
-	// events on a single goroutine, but lrm.LRM callers (grid
-	// adapters, the meta-scheduler, tests) may submit, cancel and read
+	// events on a single goroutine, but lrm.LRM callers (the
+	// meta-scheduler, tests) may submit, cancel and read
 	// statistics from other goroutines while the engine runs; every
 	// engine-scheduled closure and every public method takes the lock
 	// at entry. Job callbacks (OnComplete/OnFail) are invoked after

@@ -77,9 +77,9 @@ func checkTrace(t *testing.T, lat *Lattice, b *gsbl.Batch) int {
 	for i, j := range b.Jobs {
 		got := spans[1+i]
 		want := obs.SpanView{
-			ID: got.ID, Parent: root.ID, Job: j.Desc.JobID, Name: "job",
+			ID: got.ID, Parent: root.ID, Job: j.ID, Name: "job",
 			Start: float64(j.SubmittedAt), InFlight: !terminal(j),
-			Attrs: placed[j.Desc.JobID],
+			Attrs: placed[j.ID],
 		}
 		if terminal(j) {
 			want.End = float64(j.CompletedAt)
@@ -143,8 +143,8 @@ func TestTraceMatchesGroundTruth(t *testing.T) {
 	if open < 2 {
 		t.Fatalf("fixture: %d open jobs at 9h, need ≥ 2", open)
 	}
-	if !lat.Scheduler.Cancel(cancelled.Desc.JobID) {
-		t.Fatalf("cancel %s refused", cancelled.Desc.JobID)
+	if !lat.Scheduler.Cancel(cancelled.ID) {
+		t.Fatalf("cancel %s refused", cancelled.ID)
 	}
 	for _, b := range []*gsbl.Batch{first, second} {
 		checkTrace(t, lat, b)

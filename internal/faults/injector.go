@@ -334,7 +334,7 @@ func (t *target) Cancel(jobID string) bool {
 	return t.inner.Cancel(jobID)
 }
 
-// Submit implements lrm.LRM. The adapter builds a fresh lrm.Job per
+// Submit implements lrm.LRM. The scheduler builds a fresh lrm.Job per
 // dispatch, so rewriting its callbacks here never leaks into a retry.
 func (t *target) Submit(j *lrm.Job) error {
 	if t.down {

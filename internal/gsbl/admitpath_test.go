@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"lattice/internal/admit"
-	"lattice/internal/grid/rsl"
-	"lattice/internal/lrm"
 	"lattice/internal/obs"
 	"lattice/internal/sim"
 	"lattice/internal/workload"
@@ -179,36 +177,25 @@ func TestAdmitRequiresIngest(t *testing.T) {
 
 // TestIngestErrorJournaled forces a deferred expansion failure and
 // checks it surfaces as a journal event and counter, not only in the
-// IngestErrors slice. The collision: the scheduler's per-submission
-// job IDs are sanitize(email)-rNNNN-seq, and seq only advances on
-// SubmitBatch — pre-seeding a direct Submit with the ID the drain will
-// generate makes the deferred expansion fail deterministically.
+// IngestErrors slice. Submit validates before it enqueues and the
+// scheduler's job IDs end in a per-job sequence number, so no request
+// through the door fails at the drain; the test puts a submission the
+// door never validated straight into the queue, and the drain-time
+// expansion refuses it.
 func TestIngestErrorJournaled(t *testing.T) {
 	eng, sched := testGrid(t)
 	hub := obs.New(eng)
 	svc := mustService(t, eng, sched, Options{Obs: hub, Ingest: IngestConfig{PerSubmissionSeconds: 5}})
 
-	// Occupy the job ID the drain-time expansion will generate
-	// (replicate 0, batch sequence 1): the deferred SubmitBatch then
-	// fails on the duplicate.
-	desc := &rsl.JobDescription{
-		JobID: "clash_example_edu-r0000-1", Executable: "garli", Count: 1,
-		MaxMemoryMB: 256,
-		Platforms:   []lrm.Platform{lrm.LinuxX86},
-		Work:        60 * lrm.ReferenceCellsPerSecond,
-	}
-	if _, err := svc.sched.Submit(desc, nil, nil); err != nil {
-		t.Fatalf("pre-seed Submit: %v", err)
-	}
+	sub := userSubmission("bad@example.edu", 1)
+	sub.Spec.NumTaxa = 2
 	var drainErr error
-	if _, err := svc.Submit(Request{Sub: userSubmission("clash@example.edu", 1), Origin: "service", OnAccepted: func(b *Batch, err error) {
+	svc.enqueue(Request{Sub: sub, Origin: "service", OnAccepted: func(b *Batch, err error) {
 		drainErr = err
-	}}); err != nil {
-		t.Fatal(err)
-	}
+	}})
 	eng.RunUntil(sim.Time(sim.Minute))
-	if drainErr == nil || !strings.Contains(drainErr.Error(), "duplicate job ID") {
-		t.Fatalf("drain error = %v, want duplicate job ID", drainErr)
+	if drainErr == nil || !strings.Contains(drainErr.Error(), "NumTaxa") {
+		t.Fatalf("drain error = %v, want the NumTaxa refusal", drainErr)
 	}
 	if len(svc.IngestErrors()) != 1 {
 		t.Fatalf("IngestErrors = %v, want exactly one", svc.IngestErrors())

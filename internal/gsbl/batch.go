@@ -246,8 +246,14 @@ func (s *Service) jobDone(b *Batch, j *metasched.GridJob) {
 	if j.Status == metasched.StatusFailed {
 		s.mailer.Send(s.eng.Now(), b.Submission.UserEmail,
 			fmt.Sprintf("[Lattice] job failure in %s", b.ID),
-			fmt.Sprintf("Job %s failed: %s", j.Desc.JobID, j.FailReason))
+			fmt.Sprintf("Job %s failed: %s", j.ID, j.FailReason))
 	}
+	s.finish(b)
+}
+
+// finish ends the batch once every job is terminal: it stamps DoneAt,
+// sends the completion mail and fires onDone, all exactly once.
+func (s *Service) finish(b *Batch) {
 	if b.done || !b.settle() {
 		return
 	}
@@ -324,7 +330,9 @@ func (s *Service) status(b *Batch) BatchStatus {
 	return st
 }
 
-// CancelBatch cancels every non-terminal job of a batch.
+// CancelBatch cancels every non-terminal job of a batch, which ends
+// the batch: a cancelled job never reaches jobDone, so the batch is
+// finished here.
 //
 //lint:allow deadexport -- DESIGN.md lists cancel in the job lifecycle (submit/status/cancel/results); a user cancels, the simulation never does
 func (s *Service) CancelBatch(id string) error {
@@ -333,8 +341,9 @@ func (s *Service) CancelBatch(id string) error {
 		return fmt.Errorf("gsbl: unknown batch %s", id)
 	}
 	for _, j := range b.Jobs {
-		s.sched.Cancel(j.Desc.JobID)
+		s.sched.Cancel(j.ID)
 	}
+	s.finish(b)
 	return nil
 }
 
@@ -358,7 +367,7 @@ func (s *Service) ResultsZip(id string) ([]byte, error) {
 	}
 	var body []byte // every entry is rendered here, then copied out by add
 	for _, j := range b.Jobs {
-		name := j.Desc.JobID
+		name := j.ID
 		if j.Status != metasched.StatusCompleted {
 			body = append(append(body[:0], j.FailReason...), '\n')
 			if err := z.add(name, ".FAILED", body); err != nil {

@@ -17,11 +17,13 @@ import (
 
 // Param describes one form parameter of a grid application.
 type Param struct {
-	Name     string   `xml:"name,attr"`
-	Type     string   `xml:"type,attr"` // "int", "float", "choice", "file", "text"
-	Label    string   `xml:"label"`
-	Default  string   `xml:"default,omitempty"`
-	Options  []string `xml:"option,omitempty"`
+	Name    string `xml:"name,attr"`
+	Type    string `xml:"type,attr"` // "int", "float", "choice", "file", "text"
+	Label   string `xml:"label"`
+	Default string `xml:"default,omitempty"`
+	// Options is not omitempty: encoding/xml applies that to each
+	// element, so an empty option would not survive a round trip.
+	Options  []string `xml:"option"`
 	Required bool     `xml:"required,attr"`
 	Help     string   `xml:"help,omitempty"`
 }

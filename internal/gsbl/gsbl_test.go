@@ -197,26 +197,56 @@ func TestResultsZip(t *testing.T) {
 	}
 }
 
+// TestCancelBatch cancels a whole running batch: the cancel ends the
+// batch the way a last completing job would — DoneAt at the cancel
+// instant, one completion mail, OnDone fired once.
 func TestCancelBatch(t *testing.T) {
-	eng, svc, _ := testService(t)
+	eng, svc, mailer := testService(t)
 	sub := smallSubmission(4)
 	sub.Spec.NumTaxa = 80
 	sub.Spec.SeqLength = 3000 // long jobs
-	b, err := svc.Submit(direct(sub))
+	var done []BatchStatus
+	b, err := svc.Submit(Request{Sub: sub, Origin: "wf-000001/search", Direct: true,
+		OnDone: func(st BatchStatus) { done = append(done, st) }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.RunUntil(sim.Time(5 * sim.Minute))
+	const at = sim.Time(5 * sim.Minute)
+	eng.RunUntil(at)
 	if err := svc.CancelBatch(b.ID); err != nil {
 		t.Fatal(err)
+	}
+	if b.DoneAt != at {
+		t.Errorf("DoneAt = %v, want the cancel instant %v", b.DoneAt, at)
 	}
 	eng.RunUntil(sim.Time(2 * sim.Day))
 	st, _ := svc.Status(b.ID)
 	if st.Completed != 0 {
 		t.Errorf("%d jobs completed despite cancellation", st.Completed)
 	}
-	if !st.Done {
-		t.Errorf("cancelled batch not terminal: %+v", st)
+	if !st.Done || st.DoneAt != at {
+		t.Errorf("cancelled batch not terminal at %v: %+v", at, st)
+	}
+	if len(done) != 1 || done[0].Failed != 4 || !done[0].Done {
+		t.Errorf("OnDone fired with %+v, want once with 4 failed", done)
+	}
+	var completions int
+	for _, m := range mailer.Sent() {
+		if m.Subject == "[Lattice] "+b.ID+" complete" {
+			completions++
+			if m.At != at {
+				t.Errorf("completion mail sent at %v, want %v", m.At, at)
+			}
+		}
+	}
+	if completions != 1 {
+		t.Errorf("%d completion mails, want 1", completions)
+	}
+	if err := svc.CancelBatch(b.ID); err != nil {
+		t.Fatal(err)
+	}
+	if len(done) > 1 {
+		t.Errorf("a second CancelBatch fired OnDone again")
 	}
 	if err := svc.CancelBatch("nope"); err == nil {
 		t.Error("cancel of unknown batch succeeded")

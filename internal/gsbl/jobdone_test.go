@@ -37,8 +37,8 @@ func TestJobDoneTalliesLikeTheWalk(t *testing.T) {
 	}
 	// Cancel from both ends of the batch, running and queued alike.
 	for _, i := range []int{0, 1, 700, 1998, 1999} {
-		if j := b.Jobs[i]; !svc.sched.Cancel(j.Desc.JobID) {
-			t.Fatalf("cancel %s refused (%v)", j.Desc.JobID, j.Status)
+		if j := b.Jobs[i]; !svc.sched.Cancel(j.ID) {
+			t.Fatalf("cancel %s refused (%v)", j.ID, j.Status)
 		}
 	}
 	if b.done || fired != 0 {

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"lattice/internal/grid/rsl"
 	"lattice/internal/metasched"
 	"lattice/internal/sim"
 	"lattice/internal/workload"
@@ -26,7 +25,7 @@ func referenceZip(b *Batch, st BatchStatus) ([]byte, error) {
 	fmt.Fprintf(summary, "submitted_at: %.0f\nfinished_at: %.0f\n",
 		float64(b.CreatedAt), float64(b.DoneAt))
 	for _, j := range b.Jobs {
-		name := j.Desc.JobID
+		name := j.ID
 		if j.Status == metasched.StatusCompleted {
 			w, err := zw.Create(name + ".best.tre")
 			if err != nil {
@@ -113,8 +112,8 @@ func TestResultsZipMatchesReference(t *testing.T) {
 	}
 	eng.RunUntil(sim.Time(5 * sim.Minute))
 	for _, j := range b.Jobs[:3] {
-		if !svc.sched.Cancel(j.Desc.JobID) {
-			t.Fatalf("cancel %s refused", j.Desc.JobID)
+		if !svc.sched.Cancel(j.ID) {
+			t.Fatalf("cancel %s refused", j.ID)
 		}
 	}
 	eng.RunUntil(sim.Time(30 * sim.Day))
@@ -186,7 +185,7 @@ func finishedBatch(svc *Service, n int) *Batch {
 	spec := &workload.JobSpec{SearchReps: 2}
 	for i := 0; i < n; i++ {
 		b.Jobs = append(b.Jobs, &metasched.GridJob{
-			Desc:        &rsl.JobDescription{JobID: fmt.Sprintf("researcher_example_edu-r%04d-%d", i, i+1)},
+			ID:          fmt.Sprintf("researcher_example_edu-r%04d-%d", i, i+1),
 			Spec:        spec,
 			Status:      metasched.StatusCompleted,
 			Resource:    "condor-physics",

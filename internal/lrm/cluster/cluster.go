@@ -36,8 +36,8 @@ type NodeClass struct {
 // Config describes a cluster.
 type Config struct {
 	// Kind is the batch system the cluster presents to the grid, "pbs"
-	// or "sge": Info().Kind (which selects the scheduler adapter) and
-	// the prefix of every error and failure reason.
+	// or "sge": Info().Kind and the prefix of every error and failure
+	// reason.
 	Kind     string
 	Name     string
 	Nodes    []NodeClass

@@ -2,9 +2,12 @@
 // grid — "an established computing resource administered in one domain
 // and capable of functioning independently from the grid system" — and
 // the job machinery its implementations (Condor pools, PBS and SGE
-// clusters, and the BOINC adapter in internal/boinc) and the
+// clusters, and the BOINC project server in internal/boinc) and the
 // meta-scheduler share: the Job itself, its runtime on a node of a
-// given speed, and platform and software matching.
+// given speed, and platform and software matching. Job is the
+// resource-specific job description: the meta-scheduler translates
+// each grid job into one per dispatch, which is what the paper's
+// per-LRM "scheduler adapters" did.
 //
 // Every LRM is a discrete-event simulator on the shared sim.Engine:
 // nodes execute abstract work (likelihood cell updates) at a speed
@@ -139,8 +142,8 @@ type Info struct {
 }
 
 // LRM is the interface every local resource manager implements; the
-// grid ties into it through a scheduler adapter (submission) and a
-// scheduler provider (Info for MDS).
+// grid ties into it through Submit (the meta-scheduler hands over one
+// Job per dispatch) and a scheduler provider (Info for MDS).
 type LRM interface {
 	// Name returns the resource's grid-wide name.
 	Name() string

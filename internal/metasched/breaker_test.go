@@ -28,7 +28,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	if err := sched.Register(res, 1.0); err != nil {
 		t.Fatal(err)
 	}
-	j, err := sched.Submit(jobDesc("j1", 600), nil, nil)
+	j, err := submit(sched, testJob("j1", 600), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestBreakerDisabledIsZeroCost(t *testing.T) {
 	if err := sched.Register(res, 1.0); err != nil {
 		t.Fatal(err)
 	}
-	j, err := sched.Submit(jobDesc("j1", 600), nil, nil)
+	j, err := submit(sched, testJob("j1", 600), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

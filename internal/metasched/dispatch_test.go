@@ -1,0 +1,154 @@
+package metasched
+
+import (
+	"fmt"
+	"runtime/debug"
+	"slices"
+	"testing"
+
+	"lattice/internal/boinc"
+	"lattice/internal/grid/mds"
+	"lattice/internal/lrm"
+	"lattice/internal/lrm/cluster"
+	"lattice/internal/phylo"
+	"lattice/internal/sim"
+	"lattice/internal/workload"
+)
+
+// dispatchAllocBudget is what one submit→complete cycle costs on a
+// one-cluster scheduler: the GridJob, the placement journal detail, one
+// lrm.Job with its two attempt-guarded callbacks and the staging
+// closure, and the cluster's own bookkeeping. The adapter path this
+// replaced cost 16: a description beside the GridJob, and per dispatch
+// a copy of it, ToJob's platform-list copy and two wrapper closures.
+// The race detector's runtime adds one.
+const dispatchAllocBudget, dispatchAllocBudgetRace = 11, 12
+
+// raceBuild reports whether the test binary was built with -race.
+func raceBuild() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
+}
+
+func TestDispatchAllocations(t *testing.T) {
+	eng := sim.NewEngine()
+	idx, err := mds.NewIndex(eng, 1000*sim.Day)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hpc, err := cluster.New(eng, cluster.Config{
+		Kind: "pbs", Name: "hpc", Platform: lrm.LinuxX86,
+		Nodes: []cluster.NodeClass{{Count: 4, Cores: 1, Speed: 1, MemoryMB: 2048}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx.Publish(hpc.Info())
+	cfg := DefaultConfig()
+	cfg.RescanInterval = 0 // no periodic scan: Run returns when the job is done
+	sched := New(eng, idx, cfg, Options{})
+	if err := sched.Register(hpc, 1); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 200
+	ids := make([]string, runs+1)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("j%d", i)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		j := &GridJob{ID: ids[next], Work: 60 * lrm.ReferenceCellsPerSecond, Platforms: garliPlatforms}
+		next++
+		if err := sched.submit(j); err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+		if j.Status != StatusCompleted {
+			t.Fatalf("%s is %v after the run", j.ID, j.Status)
+		}
+	})
+	budget := dispatchAllocBudget
+	if raceBuild() {
+		budget = dispatchAllocBudgetRace
+	}
+	if allocs > float64(budget) {
+		t.Errorf("%.0f allocations per submit→complete cycle, budget %d", allocs, budget)
+	}
+	t.Logf("%.0f allocations per submit→complete cycle", allocs)
+}
+
+// TestSharedPlatformsUntouched runs a batch to completion across every
+// kind of LRM — Condor, PBS and BOINC each read Job.Platforms — and
+// checks the one platform slice all its jobs share is unchanged.
+func TestSharedPlatformsUntouched(t *testing.T) {
+	want := []lrm.Platform{lrm.LinuxX86, lrm.WindowsX86, lrm.DarwinX86}
+	g := newGrid(t, DefaultConfig())
+	rng := sim.NewRNG(5)
+	srv, err := boinc.NewServer(g.eng, rng, "volunteers")
+	if err != nil {
+		t.Fatal(err)
+	}
+	boinc.GeneratePopulation(srv, rng, boinc.DefaultPopulation(30))
+	if _, err := mds.StartProvider(g.eng, g.idx, srv, sim.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.sched.Register(srv, 0.8); err != nil {
+		t.Fatal(err)
+	}
+	sub := &workload.Submission{
+		Spec: workload.JobSpec{DataType: phylo.Nucleotide, SubstModel: "JC69",
+			NumTaxa: 40, SeqLength: 2000, SearchReps: 1, StartingTree: phylo.StartRandom, Seed: 1},
+		Replicates: 200,
+		UserEmail:  "u@x",
+	}
+	jobs, err := g.sched.SubmitBatch(sub, sim.NewRNG(6), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.eng.RunUntil(sim.Time(60 * sim.Day))
+	used := map[string]bool{}
+	for _, j := range jobs {
+		if j.Status != StatusCompleted {
+			t.Fatalf("%s is %v", j.ID, j.Status)
+		}
+		if &j.Platforms[0] != &garliPlatforms[0] {
+			t.Errorf("%s carries its own platform list", j.ID)
+		}
+		used[j.Resource] = true
+	}
+	if len(used) != 3 {
+		t.Errorf("batch ran on %v, want all three resources", used)
+	}
+	if !slices.Equal(garliPlatforms, want) {
+		t.Errorf("shared platform list is %v after the run, want %v", garliPlatforms, want)
+	}
+}
+
+// submit refuses a job lrm.Job.Validate refuses, before it is recorded.
+func TestSubmitRejectsInvalidJob(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*GridJob)
+	}{
+		{"no ID", func(j *GridJob) { j.ID = "" }},
+		{"zero work", func(j *GridJob) { j.Work = 0 }},
+		{"negative work", func(j *GridJob) { j.Work = -1 }},
+		{"negative memory", func(j *GridJob) { j.MemoryMB = -1 }},
+	} {
+		g := newGrid(t, DefaultConfig())
+		j := testJob("bad", 600)
+		tc.edit(j)
+		if _, err := submit(g.sched, j, nil, nil); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+		if st := g.sched.Stats(); st.Submitted != 0 || len(g.sched.jobs) != 0 {
+			t.Errorf("%s: refused job recorded: %+v", tc.name, st)
+		}
+	}
+}

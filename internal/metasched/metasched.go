@@ -25,9 +25,7 @@ package metasched
 import (
 	"fmt"
 
-	"lattice/internal/grid/adapter"
 	"lattice/internal/grid/mds"
-	"lattice/internal/grid/rsl"
 	"lattice/internal/lrm"
 	"lattice/internal/obs"
 	"lattice/internal/sim"
@@ -180,14 +178,38 @@ func (s JobStatus) String() string {
 	}
 }
 
-// GridJob is the scheduler's record of one job.
+// GridJob is the scheduler's record of one job: the generic,
+// resource-independent description the paper's jobs travel as, plus
+// where the job is in its lifecycle. Each dispatch translates it into
+// one lrm.Job for the chosen resource.
 type GridJob struct {
-	Desc *rsl.JobDescription
+	// ID is unique across the grid.
+	ID   string
 	Spec *workload.JobSpec
 
 	// Batch is the portal batch the job belongs to ("" for direct
 	// submissions); it is the Batch field of the job's journal events.
 	Batch string
+
+	// Work is the job's cost in likelihood cell updates, the per-job
+	// grid overhead included once submitted.
+	Work float64
+	// MemoryMB, Platforms, Software and NeedsMPI are the matchmaking
+	// requirements, passed on as the lrm.Job fields of the same names.
+	// Platforms is read-only: LRMs only read it, so jobs share slices.
+	MemoryMB  int
+	Platforms []lrm.Platform
+	Software  []string
+	NeedsMPI  bool
+	// InputMB and OutputMB size the job's data staging: sequence files
+	// in, result files out ("data placement" is a grid-level function
+	// in the paper's Section IV).
+	InputMB  float64
+	OutputMB float64
+	// ServiceOnly excludes desktop-grid (BOINC) resources from
+	// placement: set for short workflow stages, where volunteer-pool
+	// turnaround latency would dominate.
+	ServiceOnly bool
 
 	Status      JobStatus
 	Resource    string
@@ -226,9 +248,8 @@ type Stats struct {
 
 // resource is a registered target.
 type resource struct {
-	lrm     lrm.LRM
-	adapter adapter.Adapter
-	speed   float64
+	lrm   lrm.LRM
+	speed float64
 	// active counts this scheduler's jobs dispatched to the resource
 	// and not yet terminal — the scheduler's own view of the load it
 	// has created, which is fresher than the MDS entry (whose refresh
@@ -357,22 +378,17 @@ func New(eng *sim.Engine, idx *mds.Index, cfg Config, opts Options) *Scheduler {
 // deployment that is already built.
 func (s *Scheduler) SetPredictor(p Predictor) { s.predictor = p }
 
-// Register adds a resource target. The adapter is chosen by the
-// resource's kind; speed is the measured speed relative to the
-// reference computer (use Calibrate to measure it in-band).
+// Register adds a resource target; speed is the measured speed
+// relative to the reference computer (use Calibrate to measure it
+// in-band).
 func (s *Scheduler) Register(target lrm.LRM, speed float64) error {
 	if speed <= 0 {
 		return fmt.Errorf("metasched: speed for %s must be positive", target.Name())
 	}
-	kind := target.Info().Kind
-	ad, err := adapter.ForKind(kind)
-	if err != nil {
-		return err
-	}
 	if _, dup := s.resources[target.Name()]; dup {
 		return fmt.Errorf("metasched: resource %s already registered", target.Name())
 	}
-	s.resources[target.Name()] = &resource{lrm: target, adapter: ad, speed: speed, stability: 1}
+	s.resources[target.Name()] = &resource{lrm: target, speed: speed, stability: 1}
 	s.order = append(s.order, target.Name())
 	s.candsVersion = 0
 	return nil

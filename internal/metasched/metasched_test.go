@@ -6,7 +6,6 @@ import (
 
 	"lattice/internal/boinc"
 	"lattice/internal/grid/mds"
-	"lattice/internal/grid/rsl"
 	"lattice/internal/lrm"
 	"lattice/internal/lrm/cluster"
 	"lattice/internal/lrm/condor"
@@ -75,21 +74,26 @@ func (perfectPredictor) Predict(spec *workload.JobSpec) (float64, error) {
 	return workload.ReferenceSeconds(spec.ExpectedWork()), nil
 }
 
-// jobDesc builds a description of the given reference-seconds.
-func jobDesc(id string, refSeconds float64) *rsl.JobDescription {
-	return &rsl.JobDescription{
-		JobID: id, Executable: "garli", Count: 1,
-		MaxMemoryMB: 256,
-		Platforms:   []lrm.Platform{lrm.LinuxX86},
-		Work:        refSeconds * lrm.ReferenceCellsPerSecond,
+// testJob builds a Linux job of the given reference-seconds.
+func testJob(id string, refSeconds float64) *GridJob {
+	return &GridJob{
+		ID: id, MemoryMB: 256,
+		Platforms: []lrm.Platform{lrm.LinuxX86},
+		Work:      refSeconds * lrm.ReferenceCellsPerSecond,
 	}
+}
+
+// submit gives j its spec and terminal callback and submits it.
+func submit(s *Scheduler, j *GridJob, spec *workload.JobSpec, onDone func(*GridJob)) (*GridJob, error) {
+	j.Spec, j.OnDone = spec, onDone
+	return j, s.submit(j)
 }
 
 func TestSubmitAndComplete(t *testing.T) {
 	g := newGrid(t, DefaultConfig())
 	done := 0
 	for i := 0; i < 10; i++ {
-		_, err := g.sched.Submit(jobDesc(fmt.Sprintf("j%d", i), 600), nil, func(j *GridJob) {
+		_, err := submit(g.sched, testJob(fmt.Sprintf("j%d", i), 600), nil, func(j *GridJob) {
 			if j.Status == StatusCompleted {
 				done++
 			}
@@ -110,10 +114,10 @@ func TestSubmitAndComplete(t *testing.T) {
 
 func TestDuplicateIDRejected(t *testing.T) {
 	g := newGrid(t, DefaultConfig())
-	if _, err := g.sched.Submit(jobDesc("dup", 60), nil, nil); err != nil {
+	if _, err := submit(g.sched, testJob("dup", 60), nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.sched.Submit(jobDesc("dup", 60), nil, nil); err == nil {
+	if _, err := submit(g.sched, testJob("dup", 60), nil, nil); err == nil {
 		t.Error("duplicate job ID accepted")
 	}
 }
@@ -128,7 +132,7 @@ func TestStabilityGateKeepsLongJobsOffCondor(t *testing.T) {
 		NumTaxa: 10, SeqLength: 100, SearchReps: 1, StartingTree: phylo.StartRandom}
 	var placed []string
 	for i := 0; i < 6; i++ {
-		j, err := g.sched.Submit(jobDesc(fmt.Sprintf("long%d", i), 40*3600), &spec, nil)
+		j, err := submit(g.sched, testJob(fmt.Sprintf("long%d", i), 40*3600), &spec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +162,7 @@ func TestNaivePolicyIgnoresStability(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		i := i
 		g.eng.Schedule(sim.Duration(i)*5*sim.Minute, func() {
-			if _, err := g.sched.Submit(jobDesc(fmt.Sprintf("l%d", i), 40*3600), &spec, nil); err != nil {
+			if _, err := submit(g.sched, testJob(fmt.Sprintf("l%d", i), 40*3600), &spec, nil); err != nil {
 				t.Error(err)
 			}
 		})
@@ -189,7 +193,7 @@ func TestSpeedAwareprefersFastCluster(t *testing.T) {
 	// 2×-speed cluster until its backlog builds.
 	var first *GridJob
 	var err error
-	if first, err = g.sched.Submit(jobDesc("probe", 600), nil, nil); err != nil {
+	if first, err = submit(g.sched, testJob("probe", 600), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	g.eng.RunUntil(sim.Time(10 * sim.Minute))
@@ -200,14 +204,14 @@ func TestSpeedAwareprefersFastCluster(t *testing.T) {
 
 func TestMemoryAndMPIFiltering(t *testing.T) {
 	g := newGrid(t, DefaultConfig())
-	big := jobDesc("big", 600)
-	big.MaxMemoryMB = 4096 // only the cluster has 8 GB nodes
-	if _, err := g.sched.Submit(big, nil, nil); err != nil {
+	big := testJob("big", 600)
+	big.MemoryMB = 4096 // only the cluster has 8 GB nodes
+	if _, err := submit(g.sched, big, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	mpi := jobDesc("mpi", 600)
+	mpi := testJob("mpi", 600)
 	mpi.NeedsMPI = true
-	if _, err := g.sched.Submit(mpi, nil, nil); err != nil {
+	if _, err := submit(g.sched, mpi, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	g.eng.RunUntil(sim.Time(1 * sim.Hour))
@@ -222,10 +226,10 @@ func TestMemoryAndMPIFiltering(t *testing.T) {
 func TestUnplaceableJobWaitsThenRuns(t *testing.T) {
 	g := newGrid(t, DefaultConfig())
 	// Nothing matches darwin/ppc yet.
-	weird := jobDesc("ppc", 60)
+	weird := testJob("ppc", 60)
 	weird.Platforms = []lrm.Platform{lrm.DarwinPPC}
 	done := false
-	if _, err := g.sched.Submit(weird, nil, func(j *GridJob) { done = j.Status == StatusCompleted }); err != nil {
+	if _, err := submit(g.sched, weird, nil, func(j *GridJob) { done = j.Status == StatusCompleted }); err != nil {
 		t.Fatal(err)
 	}
 	if len(g.sched.pending) != 1 {
@@ -263,7 +267,7 @@ func TestOfflineResourceNotUsed(t *testing.T) {
 	// Resource crashes at t = 10 min; submit at t = 20 min.
 	eng.Schedule(10*sim.Minute, func() { p.Stop() })
 	eng.Schedule(20*sim.Minute, func() {
-		j, err := sched.Submit(jobDesc("after-crash", 60), nil, nil)
+		j, err := submit(sched, testJob("after-crash", 60), nil, nil)
 		if err != nil {
 			t.Error(err)
 			return
@@ -275,43 +279,49 @@ func TestOfflineResourceNotUsed(t *testing.T) {
 	eng.RunUntil(sim.Time(30 * sim.Minute))
 }
 
+// A resource that fails every job it is given: the scheduler retries
+// the job up to retryLimit times, then marks it failed.
 func TestRetryAfterResourceFailure(t *testing.T) {
-	cfg := DefaultConfig()
-	g := newGrid(t, cfg)
-	// A job that exceeds the pool's wall limit... instead, use a job
-	// with a wall limit that fails on the first resource; the
-	// scheduler should retry and eventually mark failed after limit.
-	d := jobDesc("flaky", 7200)
-	d.WallLimit = sim.Minute // will fail wherever it runs
-	var final *GridJob
-	if _, err := g.sched.Submit(d, nil, func(j *GridJob) { final = j }); err != nil {
+	eng := sim.NewEngine()
+	idx, _ := mds.NewIndex(eng, 5*sim.Minute)
+	res := &refusingLRM{eng: eng, name: "doomed", failN: 1 << 30, failSync: true,
+		jobs: make(map[string]*lrm.Job)}
+	if _, err := mds.StartProvider(eng, idx, res, sim.Minute); err != nil {
 		t.Fatal(err)
 	}
-	g.eng.RunUntil(sim.Time(2 * sim.Day))
+	sched := New(eng, idx, DefaultConfig(), Options{})
+	if err := sched.Register(res, 1.0); err != nil {
+		t.Fatal(err)
+	}
+	var final *GridJob
+	if _, err := submit(sched, testJob("flaky", 7200), nil, func(j *GridJob) { final = j }); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunUntil(sim.Time(2 * sim.Day))
 	if final == nil {
 		t.Fatal("job never reached a terminal state")
 	}
-	if final.Status != StatusFailed {
-		t.Fatalf("status = %v, want failed", final.Status)
+	if final.Status != StatusFailed || final.FailReason != "node died at start" {
+		t.Fatalf("status = %v (%q), want failed by the resource", final.Status, final.FailReason)
 	}
-	if final.Attempts < 2 {
-		t.Errorf("no retries happened: attempts = %d", final.Attempts)
+	if final.Attempts != retryLimit+1 || res.submits != retryLimit+1 {
+		t.Errorf("attempts = %d, resource saw %d; want %d", final.Attempts, res.submits, retryLimit+1)
 	}
-	if g.sched.Stats().Retries == 0 {
-		t.Error("retry counter untouched")
+	if st := sched.Stats(); st.Retries != retryLimit+1 || st.Failed != 1 {
+		t.Errorf("stats %+v", st)
 	}
 }
 
 func TestCancelPendingAndRunning(t *testing.T) {
 	g := newGrid(t, DefaultConfig())
-	weird := jobDesc("stuck", 60)
+	weird := testJob("stuck", 60)
 	weird.Platforms = []lrm.Platform{lrm.DarwinPPC}
-	g.sched.Submit(weird, nil, nil)
+	submit(g.sched, weird, nil, nil)
 	if !g.sched.Cancel("stuck") {
 		t.Error("pending job not cancellable")
 	}
-	run := jobDesc("running", 7200)
-	g.sched.Submit(run, nil, nil)
+	run := testJob("running", 7200)
+	submit(g.sched, run, nil, nil)
 	g.eng.RunUntil(sim.Time(5 * sim.Minute))
 	if !g.sched.Cancel("running") {
 		t.Error("running job not cancellable")
@@ -321,6 +331,11 @@ func TestCancelPendingAndRunning(t *testing.T) {
 	}
 	if g.sched.Cancel("unknown") {
 		t.Error("cancel of unknown job returned true")
+	}
+	// A cancel is a terminal failure: it counts, so Completed+Failed
+	// catches up with Submitted.
+	if st := g.sched.Stats(); st.Submitted != 2 || st.Failed != 2 || st.Completed != 0 {
+		t.Errorf("stats after two cancels: %+v", st)
 	}
 }
 
@@ -418,9 +433,9 @@ func TestBoincDeadlineFromEstimate(t *testing.T) {
 	sched.SetPredictor(fixedPredictor(2 * 3600))
 	spec := workload.JobSpec{DataType: phylo.Nucleotide, SubstModel: "JC69",
 		NumTaxa: 10, SeqLength: 100, SearchReps: 1, StartingTree: phylo.StartRandom}
-	d := jobDesc("wu1", 2*3600)
+	d := testJob("wu1", 2*3600)
 	d.Platforms = []lrm.Platform{lrm.WindowsX86, lrm.LinuxX86, lrm.DarwinX86}
-	j, err := sched.Submit(d, &spec, nil)
+	j, err := submit(sched, d, &spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,10 +448,10 @@ func TestBoincDeadlineFromEstimate(t *testing.T) {
 	}
 	// A 12-hour job, by contrast, must be gated off the unstable
 	// volunteer pool entirely.
-	long := jobDesc("wu2", 12*3600)
+	long := testJob("wu2", 12*3600)
 	long.Platforms = d.Platforms
 	sched.SetPredictor(fixedPredictor(12 * 3600))
-	lj, err := sched.Submit(long, &spec, nil)
+	lj, err := submit(sched, long, &spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,11 +473,11 @@ func TestRegisterValidation(t *testing.T) {
 
 func TestDataStagingDelaysExecution(t *testing.T) {
 	g := newGrid(t, DefaultConfig())
-	d := jobDesc("staged", 60)
+	d := testJob("staged", 60)
 	d.InputMB = 120 * stageBandwidthMBps // 2 minutes in: staging dominates
 	d.OutputMB = 60 * stageBandwidthMBps // 1 minute out
 	var doneAt sim.Time
-	if _, err := g.sched.Submit(d, nil, func(j *GridJob) { doneAt = j.CompletedAt }); err != nil {
+	if _, err := submit(g.sched, d, nil, func(j *GridJob) { doneAt = j.CompletedAt }); err != nil {
 		t.Fatal(err)
 	}
 	g.eng.RunUntil(sim.Time(1 * sim.Hour))
@@ -475,9 +490,9 @@ func TestDataStagingDelaysExecution(t *testing.T) {
 	}
 	// With nothing to stage the same job is much faster.
 	g2 := newGrid(t, DefaultConfig())
-	d2 := jobDesc("fast", 60)
+	d2 := testJob("fast", 60)
 	var doneAt2 sim.Time
-	if _, err := g2.sched.Submit(d2, nil, func(j *GridJob) { doneAt2 = j.CompletedAt }); err != nil {
+	if _, err := submit(g2.sched, d2, nil, func(j *GridJob) { doneAt2 = j.CompletedAt }); err != nil {
 		t.Fatal(err)
 	}
 	g2.eng.RunUntil(sim.Time(1 * sim.Hour))
@@ -489,10 +504,10 @@ func TestDataStagingDelaysExecution(t *testing.T) {
 
 func TestCancelDuringStaging(t *testing.T) {
 	g := newGrid(t, DefaultConfig())
-	d := jobDesc("c-staged", 60)
+	d := testJob("c-staged", 60)
 	d.InputMB = 600 * stageBandwidthMBps // 10 minutes of staging
 	completed := false
-	if _, err := g.sched.Submit(d, nil, func(j *GridJob) {
+	if _, err := submit(g.sched, d, nil, func(j *GridJob) {
 		completed = j.Status == StatusCompleted
 	}); err != nil {
 		t.Fatal(err)

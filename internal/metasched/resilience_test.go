@@ -54,7 +54,7 @@ func TestLearnedStabilityGatesLongJobs(t *testing.T) {
 	g.sched.resources["hpc-cluster"].stability = 0.3
 	spec := workload.JobSpec{DataType: phylo.Nucleotide, SubstModel: "JC69",
 		NumTaxa: 10, SeqLength: 100, SearchReps: 1, StartingTree: phylo.StartRandom}
-	j, err := g.sched.Submit(jobDesc("long0", 40*3600), &spec, nil)
+	j, err := submit(g.sched, testJob("long0", 40*3600), &spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestDeadResourceRequeue(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		// 4 h of reference work: ~1 h on fast, so still running when
 		// the resource dies at t=30 min.
-		if _, err := sched.Submit(jobDesc(fmt.Sprintf("j%d", i), 4*3600), nil, func(j *GridJob) {
+		if _, err := submit(sched, testJob(fmt.Sprintf("j%d", i), 4*3600), nil, func(j *GridJob) {
 			if j.Status == StatusCompleted {
 				done++
 			}
@@ -221,7 +221,7 @@ func TestSubmitRetryBackoff(t *testing.T) {
 	if err := sched.Register(res, 1.0); err != nil {
 		t.Fatal(err)
 	}
-	j, err := sched.Submit(jobDesc("j1", 600), nil, nil)
+	j, err := submit(sched, testJob("j1", 600), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestSynchronousFailureInsideScanStaysQueued(t *testing.T) {
 	}
 	// The first failure happens inside Submit, the second inside the
 	// first scan.
-	j, err := sched.Submit(jobDesc("j1", 600), nil, nil)
+	j, err := submit(sched, testJob("j1", 600), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,9 +13,9 @@ func unplaceableGrid(t testing.TB, n int) *viewGrid {
 	g := newViewGrid(t, cfg, map[string]float64{"a-fast": 4, "b-slow": 1})
 	g.publish("a-fast", "b-slow")
 	for i := 0; i < n; i++ {
-		d := jobDesc(fmt.Sprintf("big-%d", i), 600)
-		d.MaxMemoryMB = 1 << 20
-		if _, err := g.sched.Submit(d, nil, nil); err != nil {
+		d := testJob(fmt.Sprintf("big-%d", i), 600)
+		d.MemoryMB = 1 << 20
+		if _, err := submit(g.sched, d, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

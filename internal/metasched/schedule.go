@@ -6,52 +6,50 @@ import (
 	"sort"
 	"strings"
 
-	"lattice/internal/grid/rsl"
 	"lattice/internal/lrm"
 	"lattice/internal/obs"
 	"lattice/internal/sim"
 	"lattice/internal/workload"
 )
 
-// Submit accepts a grid job: the RSL description plus the GARLI
-// specification the runtime model reads. The job is placed immediately
-// when an eligible resource is reporting, otherwise it waits in the
-// pending queue for the next scan.
-func (s *Scheduler) Submit(desc *rsl.JobDescription, spec *workload.JobSpec, onDone func(*GridJob)) (*GridJob, error) {
-	if err := desc.Validate(); err != nil {
-		return nil, err
+// garliPlatforms are the platforms GARLI is built for ("we support
+// three major computing platforms: Linux, Windows, and Mac OS"). Every
+// batch job shares this one slice; no LRM writes to Job.Platforms.
+var garliPlatforms = []lrm.Platform{lrm.LinuxX86, lrm.WindowsX86, lrm.DarwinX86}
+
+// submit accepts a grid job described by the caller (ID, work,
+// requirements, Spec for the runtime model, OnDone). The job is placed
+// immediately when an eligible resource is reporting, otherwise it
+// waits in the pending queue for the next scan.
+func (s *Scheduler) submit(j *GridJob) error {
+	if err := (&lrm.Job{ID: j.ID, Work: j.Work, MemoryMB: j.MemoryMB}).Validate(); err != nil {
+		return err
 	}
-	if _, dup := s.jobs[desc.JobID]; dup {
-		return nil, fmt.Errorf("metasched: duplicate job ID %s", desc.JobID)
+	if _, dup := s.jobs[j.ID]; dup {
+		return fmt.Errorf("metasched: duplicate job ID %s", j.ID)
 	}
-	j := &GridJob{
-		Desc:        desc,
-		Spec:        spec,
-		Batch:       desc.BatchID,
-		Status:      StatusPending,
-		SubmittedAt: s.eng.Now(),
-		OnDone:      onDone,
-	}
-	s.obs.Record(j.Batch, desc.JobID, obs.StageSubmit, "", "")
+	j.Status = StatusPending
+	j.SubmittedAt = s.eng.Now()
+	s.obs.Record(j.Batch, j.ID, obs.StageSubmit, "", "")
 	s.ins.submitted.Inc()
 	// Grid overhead: staging and submission cost attached to every
 	// independent job.
-	j.Desc.Work += PerJobOverheadSeconds * lrm.ReferenceCellsPerSecond
-	if s.predictor != nil && spec != nil {
-		if est, err := s.predictor.Predict(spec); err == nil {
+	j.Work += PerJobOverheadSeconds * lrm.ReferenceCellsPerSecond
+	if s.predictor != nil && j.Spec != nil {
+		if est, err := s.predictor.Predict(j.Spec); err == nil {
 			j.EstimateRefSeconds = est + PerJobOverheadSeconds
-			s.obs.Record(j.Batch, desc.JobID, obs.StageEstimate, "",
+			s.obs.Record(j.Batch, j.ID, obs.StageEstimate, "",
 				fmt.Sprintf("%.0f ref-seconds", j.EstimateRefSeconds))
 		}
 	}
-	s.jobs[desc.JobID] = j
+	s.jobs[j.ID] = j
 	s.stats.Submitted++
 	if !s.tryPlace(j) {
 		s.pending = append(s.pending, j)
 		s.stats.UnplaceableAt++
 	}
 	s.ins.pending.Set(float64(len(s.pending)))
-	return j, nil
+	return nil
 }
 
 // SubmitBatch expands a portal submission into grid jobs, applying
@@ -91,27 +89,24 @@ func (s *Scheduler) SubmitBatch(sub *workload.Submission, rng *sim.RNG, onDone f
 		spec.SearchReps = sub.Spec.SearchReps * n
 		spec.Seed = sub.Spec.Seed + int64(rep)
 		s.nextSeq++
-		desc := &rsl.JobDescription{
-			JobID:       fmt.Sprintf("%s-r%04d-%d", sanitizeID(sub.UserEmail), rep, s.nextSeq),
-			BatchID:     sub.BatchTag,
-			Executable:  "garli",
-			Arguments:   []string{"garli.conf"},
-			Count:       1,
-			MaxMemoryMB: spec.MemoryMB(),
-			Platforms:   []lrm.Platform{lrm.LinuxX86, lrm.WindowsX86, lrm.DarwinX86},
-			Work:        spec.SampleWork(rng),
+		j := &GridJob{
+			ID:        fmt.Sprintf("%s-r%04d-%d", sanitizeID(sub.UserEmail), rep, s.nextSeq),
+			Spec:      &spec,
+			Batch:     sub.BatchTag,
+			Work:      spec.SampleWork(rng),
+			MemoryMB:  spec.MemoryMB(),
+			Platforms: garliPlatforms,
 			// Input: the sequence matrix; output: trees and logs.
 			InputMB:     float64(spec.NumTaxa) * float64(spec.SeqLength) / (1 << 20),
 			OutputMB:    0.5,
 			ServiceOnly: sub.ServiceOnly,
+			OnDone:      onDone,
 		}
 		if n > 1 {
 			s.stats.Bundled += n - 1
 			s.ins.bundled.Add(float64(n - 1))
 		}
-		specCopy := spec
-		j, err := s.Submit(desc, &specCopy, onDone)
-		if err != nil {
+		if err := s.submit(j); err != nil {
 			return jobs, err
 		}
 		jobs = append(jobs, j)
@@ -185,7 +180,6 @@ type candidate struct {
 
 // eligible applies the paper's matchmaking filters.
 func (s *Scheduler) eligible(j *GridJob, c *candidate) bool {
-	d := j.Desc
 	// Backlog cap: keep the grid-level queue in charge of batching
 	// rather than flooding one resource's local queue.
 	if c.info.TotalCPUs > 0 && float64(c.res.active) >= maxBacklogFactor*float64(c.info.TotalCPUs) {
@@ -199,19 +193,19 @@ func (s *Scheduler) eligible(j *GridJob, c *candidate) bool {
 	// Service-grid restriction: short workflow stages never go to the
 	// volunteer pool, whose turnaround latency (deadline slack, host
 	// churn) would dwarf their compute.
-	if d.ServiceOnly && c.info.Kind == "boinc" {
+	if j.ServiceOnly && c.info.Kind == "boinc" {
 		return false
 	}
-	if !lrm.HasPlatform(d.Platforms, c.info.Platforms...) {
+	if !lrm.HasPlatform(j.Platforms, c.info.Platforms...) {
 		return false
 	}
-	if d.MaxMemoryMB > c.info.NodeMemoryMB {
+	if j.MemoryMB > c.info.NodeMemoryMB {
 		return false
 	}
-	if d.NeedsMPI && !c.info.MPI {
+	if j.NeedsMPI && !c.info.MPI {
 		return false
 	}
-	if !lrm.HasSoftware(d.Software, c.info.Software) {
+	if !lrm.HasSoftware(j.Software, c.info.Software) {
 		return false
 	}
 	// Stability gating (PolicyFull): jobs with long speed-scaled
@@ -304,25 +298,28 @@ func (s *Scheduler) place(j *GridJob, cands []candidate) bool {
 	return true
 }
 
-// dispatch hands the job to the chosen resource through its adapter.
+// dispatch translates the job into one lrm.Job for the chosen resource
+// — the per-LRM translation the paper's scheduler adapters performed —
+// and submits it once the input has staged. Every attempt gets a fresh
+// lrm.Job: a stale attempt's may still sit in a dead resource.
 func (s *Scheduler) dispatch(j *GridJob, c *candidate) {
-	d := *j.Desc
-	d.EstimatedRefSeconds = j.EstimateRefSeconds
+	lj := &lrm.Job{
+		ID: j.ID, Batch: j.Batch, Work: j.Work, MemoryMB: j.MemoryMB,
+		Platforms: j.Platforms, Software: j.Software, NeedsMPI: j.NeedsMPI,
+		EstimatedRefSeconds: j.EstimateRefSeconds,
+	}
 	// BOINC deadline: estimate-driven; without an estimate the server's
 	// own default applies.
 	if c.info.Kind == "boinc" && j.EstimateRefSeconds > 0 {
 		local := j.EstimateRefSeconds / c.res.speed
-		d.DelayBound = sim.Duration(local * boincDeadlineSlack)
-		if d.DelayBound < 6*sim.Hour {
-			d.DelayBound = 6 * sim.Hour
-		}
+		lj.DelayBound = max(sim.Duration(local*boincDeadlineSlack), 6*sim.Hour)
 	}
 	s.noteBreakerDispatch(c.info.Name, c.res)
 	j.Status = StatusRunning
 	j.Resource = c.info.Name
 	j.StartedAt = s.eng.Now()
 	j.Attempts++
-	s.obs.Record(j.Batch, d.JobID, obs.StagePlace, c.info.Name,
+	s.obs.Record(j.Batch, j.ID, obs.StagePlace, c.info.Name,
 		fmt.Sprintf("policy=%s attempt=%d", s.cfg.Policy, j.Attempts))
 	if c.res.placements == nil {
 		c.res.placements = s.obs.Counter("lattice_sched_placements_total",
@@ -338,29 +335,26 @@ func (s *Scheduler) dispatch(j *GridJob, c *candidate) {
 	// home, a slow result from a dead resource) carry a stale attempt
 	// and are ignored.
 	attempt := j.Attempts
+	lj.OnComplete = func(sim.Time) {
+		// Results stage back before the job counts as done.
+		if out := s.stageDelay(j.OutputMB); out > 0 {
+			s.eng.Schedule(out, func() { s.onJobComplete(j, attempt) })
+		} else {
+			s.onJobComplete(j, attempt)
+		}
+	}
+	lj.OnFail = func(_ sim.Time, reason string) { s.onJobFail(j, name, reason, attempt) }
 	submit := func() {
 		if j.Status != StatusRunning || j.Resource != name || j.Attempts != attempt {
 			return // cancelled, requeued or re-routed during staging
 		}
-		s.obs.Record(j.Batch, d.JobID, obs.StageDispatch, name, "")
-		err := res.adapter.Submit(res.lrm, &d,
-			func() {
-				// Results stage back before the job counts as done.
-				out := s.stageDelay(d.OutputMB)
-				if out > 0 {
-					s.eng.Schedule(out, func() { s.onJobComplete(j, attempt) })
-				} else {
-					s.onJobComplete(j, attempt)
-				}
-			},
-			func(reason string) { s.onJobFail(j, name, reason, attempt) },
-		)
-		if err != nil {
+		s.obs.Record(j.Batch, j.ID, obs.StageDispatch, name, "")
+		if err := res.lrm.Submit(lj); err != nil {
 			s.submitFailed(j, name, err)
 		}
 	}
 	c.res.active++
-	if in := s.stageDelay(d.InputMB); in > 0 {
+	if in := s.stageDelay(j.InputMB); in > 0 {
 		s.eng.Schedule(in, submit)
 	} else {
 		submit()
@@ -402,10 +396,10 @@ func (s *Scheduler) submitFailed(j *GridJob, name string, err error) {
 	}
 	s.obs.Counter("lattice_sched_submit_retries_total",
 		"Gatekeeper submit failures sent to exponential backoff").Inc()
-	s.obs.Record(j.Batch, j.Desc.JobID, obs.StageRequeue, name,
+	s.obs.Record(j.Batch, j.ID, obs.StageRequeue, name,
 		fmt.Sprintf("submit failed (%v); retry in %.0fs", err, float64(backoff)))
 	if s.durable != nil {
-		s.durable.Backoff(s.eng.Now(), j.Desc.JobID, name, j.Attempts, backoff)
+		s.durable.Backoff(s.eng.Now(), j.ID, name, j.Attempts, backoff)
 	}
 	s.eng.Schedule(backoff, func() {
 		if j.Status != StatusPending {
@@ -491,7 +485,7 @@ func (s *Scheduler) onJobComplete(j *GridJob, attempt int) {
 	j.CompletedAt = s.eng.Now()
 	s.stats.Completed++
 	s.ins.completed.Inc()
-	s.obs.Record(j.Batch, j.Desc.JobID, obs.StageComplete, j.Resource, "")
+	s.obs.Record(j.Batch, j.ID, obs.StageComplete, j.Resource, "")
 	if j.OnDone != nil {
 		j.OnDone(j)
 	}
@@ -515,14 +509,14 @@ func (s *Scheduler) onJobFail(j *GridJob, resourceName, reason string, attempt i
 		j.FailReason = reason
 		s.stats.Failed++
 		s.ins.failed.Inc()
-		s.obs.Record(j.Batch, j.Desc.JobID, obs.StageFail, resourceName, reason)
+		s.obs.Record(j.Batch, j.ID, obs.StageFail, resourceName, reason)
 		if j.OnDone != nil {
 			j.OnDone(j)
 		}
 		return
 	}
 	// Back to pending; the periodic scan will find a new home.
-	s.obs.Record(j.Batch, j.Desc.JobID, obs.StageReissue, resourceName, reason)
+	s.obs.Record(j.Batch, j.ID, obs.StageReissue, resourceName, reason)
 	j.Status = StatusPending
 	j.Resource = ""
 	s.pending = append(s.pending, j)
@@ -550,8 +544,9 @@ func (s *Scheduler) Cancel(jobID string) bool {
 	j.Status = StatusFailed
 	j.FailReason = "cancelled by user"
 	j.CompletedAt = s.eng.Now()
+	s.stats.Failed++
 	s.ins.failed.Inc()
-	s.obs.Record(j.Batch, j.Desc.JobID, obs.StageFail, "", "cancelled by user")
+	s.obs.Record(j.Batch, j.ID, obs.StageFail, "", "cancelled by user")
 	s.ins.pending.Set(float64(len(s.pending)))
 	return true
 }

@@ -91,7 +91,7 @@ func (g *Gate) Cancel(jobID string) bool { return g.inner.Cancel(jobID) }
 // Info passes the resource state through while the lease is held and
 // reports zero capacity otherwise. Kind, name and platform survive
 // either way, so MDS entries stay alive (no false resource-death
-// requeues) and adapter selection at registration is unaffected.
+// requeues) and kind-based matchmaking is unaffected.
 func (g *Gate) Info() lrm.Info {
 	info := g.inner.Info()
 	if !g.held(g.now()) {
