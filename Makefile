@@ -22,22 +22,23 @@ vet:
 	$(GO) vet ./...
 
 # latticelint is the project's own analyzer suite (cmd/latticelint):
-# five per-package analyzers (determinism, errdrop, floatcmp,
-# syncmisuse, deadassign) plus four whole-program analyzers
-# (lockorder, goroleak, taintdet, deadexport — the last over all of
-# internal/...). One run writes the JSON artifact and exits non-zero on
-# any unsuppressed finding; on failure, a second text-mode run prints
-# the findings for humans.
+# four per-package analyzers (determinism, errdrop, floatcmp,
+# deadassign) plus four whole-program analyzers (lockorder, goroleak,
+# taintdet, deadexport — the last over the whole module, root facade
+# included), over non-test files. Copied locks are vet's copylocks.
+# One run writes the JSON artifact and exits non-zero on any
+# unsuppressed finding; on failure, a second text-mode run prints the
+# findings for humans.
 lint:
 	$(GO) run ./cmd/latticelint -json ./... > $(LINT_ARTIFACT) || { $(GO) run ./cmd/latticelint ./...; exit 1; }
 
 # lint-fixtures runs the analyzer self-tests under the race detector:
 # every analyzer against its bad/good fixture pair, the combined
-# injector and WAL fixtures, the suppression-marking contract, and the
-# loader edge cases (tests-only package, build-tag exclusion, syntax
-# error).
+# injector and WAL fixtures, the suppression-marking contract, the
+# loader edge cases (no Go files, build-tag exclusion, syntax error)
+# and latticelint's exit statuses.
 lint-fixtures:
-	$(GO) test -race -run 'TestAnalyzerFixtures|TestFaultsInjectorFixture|TestWALFixture|TestGoodFixturesClean|TestSuppressionMarked|TestLoader' ./internal/lint/
+	$(GO) test -race -run 'TestAnalyzerFixtures|TestFaultsInjectorFixture|TestWALFixture|TestGoodFixturesClean|TestSuppressionMarked|TestLoader|TestExitStatus' ./internal/lint/ ./cmd/latticelint/
 
 # tracked-binaries fails when git tracks a build output: a file that
 # starts with the ELF, Mach-O or PE magic, or any file over 1 MB (the

@@ -162,7 +162,7 @@ func TestGridSurvivesResourceOutage(t *testing.T) {
 		Spec: lattice.JobSpec{
 			DataType: lattice.Nucleotide, SubstModel: "JC69",
 			NumTaxa: 20, SeqLength: 1000, SearchReps: 1,
-			StartingTree: lattice.StartRandom, Seed: 4,
+			StartingTree: phylo.StartRandom, Seed: 4,
 		},
 		Replicates: 60,
 		UserEmail:  "ops@example.edu",

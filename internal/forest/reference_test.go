@@ -108,7 +108,6 @@ func (b *refBuilder) sse(rows []int) float64 {
 func (b *refBuilder) pure(rows []int) bool {
 	first := b.ds.Y[rows[0]]
 	for _, r := range rows[1:] {
-		//lint:allow floatcmp -- purity test compares stored responses bit-for-bit, as R's randomForest does
 		if b.ds.Y[r] != first {
 			return false
 		}
@@ -164,7 +163,6 @@ func (b *refBuilder) bestNumericSplit(rows []int, f int) (thr, sse float64, ok b
 		sqL += y * y
 		sumR -= y
 		sqR -= y * y
-		//lint:allow floatcmp -- adjacent sorted covariate values: a split threshold exists only between distinct stored values
 		if ps[i+1].x == ps[i].x {
 			continue // can't split between equal values
 		}

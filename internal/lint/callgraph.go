@@ -19,9 +19,7 @@ import (
 // Program is every loaded package plus the cross-package call graph.
 type Program struct {
 	Packages []*Package
-	// Funcs indexes every declared function and method with a body,
-	// including ones declared in test files when the loader included
-	// them.
+	// Funcs indexes every declared function and method with a body.
 	Funcs map[*types.Func]*FuncInfo
 	// FuncList is Funcs in deterministic order: package path, then
 	// file, then declaration order.
@@ -35,8 +33,6 @@ type FuncInfo struct {
 	Obj  *types.Func
 	Decl *ast.FuncDecl
 	Pkg  *Package
-	// InTest marks functions declared in _test.go files.
-	InTest bool
 	// Calls are the function's call sites in lexical order, including
 	// calls inside nested function literals.
 	Calls []*CallSite
@@ -110,8 +106,8 @@ func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// NewProgram indexes the packages and resolves every static call site.
-func NewProgram(pkgs []*Package) *Program {
+// newProgram indexes the packages and resolves every static call site.
+func newProgram(pkgs []*Package) *Program {
 	prog := &Program{
 		Funcs: map[*types.Func]*FuncInfo{},
 		byDir: map[string]*Package{},
@@ -120,10 +116,7 @@ func NewProgram(pkgs []*Package) *Program {
 	for _, pkg := range pkgs {
 		prog.byDir[pkg.Dir] = pkg
 		for _, f := range pkg.Files {
-			prog.indexFile(pkg, f, false)
-		}
-		for _, f := range pkg.TestFiles {
-			prog.indexFile(pkg, f, true)
+			prog.indexFile(pkg, f)
 		}
 	}
 	// Resolve call sites after the full index exists so cross-package
@@ -134,7 +127,7 @@ func NewProgram(pkgs []*Package) *Program {
 	return prog
 }
 
-func (prog *Program) indexFile(pkg *Package, f *ast.File, inTest bool) {
+func (prog *Program) indexFile(pkg *Package, f *ast.File) {
 	for _, decl := range f.Decls {
 		fd, ok := decl.(*ast.FuncDecl)
 		if !ok || fd.Body == nil {
@@ -144,7 +137,7 @@ func (prog *Program) indexFile(pkg *Package, f *ast.File, inTest bool) {
 		if !ok {
 			continue
 		}
-		fi := &FuncInfo{Obj: obj, Decl: fd, Pkg: pkg, InTest: inTest}
+		fi := &FuncInfo{Obj: obj, Decl: fd, Pkg: pkg}
 		prog.Funcs[obj] = fi
 		prog.FuncList = append(prog.FuncList, fi)
 	}

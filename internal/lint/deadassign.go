@@ -8,16 +8,14 @@ import (
 // DeadAssign flags `_ = x` statements that throw away a computed
 // local: the value was produced, named, and then deliberately
 // ignored — either the computation is dead weight or the value was
-// meant to be used. Blanked errors are errdrop's department and are
-// not double-reported here.
+// meant to be used. Only function-local variables and parameters
+// count; remove the assignment (and the computation, if now unused) or
+// use the value. Blanked errors are errdrop's department and are not
+// double-reported here, and package-level var _ = ... declarations
+// (compile-time assertions) are not flagged.
 var DeadAssign = &Analyzer{
 	Name: "deadassign",
-	Doc: `flag statements of the form _ = x where x is a function-local
-variable or parameter: remove the assignment (and the computation, if
-now unused) or use the value. Error-typed values are reported by
-errdrop instead. Package-level var _ = ... declarations (compile-time
-assertions) are not flagged.`,
-	Run: runDeadAssign,
+	Run:  runDeadAssign,
 }
 
 func runDeadAssign(p *Pass) {

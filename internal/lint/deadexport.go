@@ -2,34 +2,36 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"sort"
 )
 
 // DeadExport flags exported API nothing in the module's own non-test
-// code uses. An internal/ package has no importer outside the module,
-// so an export that only tests (or nothing) reference is surface that
-// has to be read, documented and kept compiling for no caller — the
-// residue every "thread one more parameter" entry point left behind.
+// code uses: a func, method, type, struct field, const or var that no
+// non-test file references outside its own declaration. An internal/
+// package has no importer outside the module, and the root package's
+// public surface is what the examples use, so an export that only
+// tests (or nothing) reference is surface that has to be read,
+// documented and kept compiling for no caller — the residue every
+// "thread one more parameter" entry point left behind. Delete it,
+// unexport it, or keep it with //lint:allow deadexport -- <why it
+// stays>.
+//
+// A method counts as referenced when its receiver implements an
+// interface that declares it (module interfaces, named or literal, and
+// the named interfaces of directly imported packages); a struct field
+// counts when it carries a tag (encoding/json reaches it by
+// reflection). The answer is only meaningful over the whole module
+// (./...): a package loaded alone has no callers in view.
 var DeadExport = &Analyzer{
-	Name: "deadexport",
-	Doc: `flag an exported func, method, type or struct field that no non-test file of the module references outside its own declaration
-Delete it, unexport it, or keep it with //lint:allow deadexport -- <why it
-stays>. A method counts as referenced when its receiver implements an
-interface that declares it (module interfaces, named or literal, and the
-named interfaces of directly imported packages); a struct field counts
-when it carries a tag (encoding/json reaches it by reflection). The
-answer is only meaningful over the whole module (./...): a package
-loaded alone has no callers in view.`,
-	Scope:      []string{"internal/..."},
+	Name:       "deadexport",
 	RunProgram: runDeadExport,
 }
 
 // exportDecl is one exported declaration under judgement.
 type exportDecl struct {
 	obj  types.Object
-	kind string // "func", "method", "type", "field"
+	kind string // "func", "method", "type", "field", "const", "var"
 	name string // diagnostic name: Func, Type.Method, Type.Field
 	// own is the syntax the declaration itself spans; references inside
 	// it (recursion, a type naming itself) do not make it live.
@@ -60,7 +62,7 @@ func runDeadExport(pp *ProgramPass) {
 }
 
 // exportedDecls lists the exported funcs, methods of exported types,
-// types and untagged struct fields one file declares.
+// types, untagged struct fields, consts and vars one file declares.
 func exportedDecls(pkg *Package, f *ast.File) []exportDecl {
 	var out []exportDecl
 	for _, decl := range f.Decls {
@@ -80,27 +82,32 @@ func exportedDecls(pkg *Package, f *ast.File) []exportDecl {
 			}
 			out = append(out, d)
 		case *ast.GenDecl:
-			if decl.Tok != token.TYPE {
-				continue
-			}
 			for _, spec := range decl.Specs {
-				ts := spec.(*ast.TypeSpec)
-				tn, ok := pkg.Info.Defs[ts.Name].(*types.TypeName)
-				if !ok || !tn.Exported() {
-					continue
-				}
-				out = append(out, exportDecl{obj: tn, kind: "type", name: tn.Name(), own: ts})
-				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					continue
-				}
-				for _, field := range st.Fields.List {
-					if field.Tag != nil {
+				switch spec := spec.(type) {
+				case *ast.ValueSpec:
+					for _, id := range spec.Names {
+						if obj := pkg.Info.Defs[id]; obj != nil && obj.Exported() {
+							out = append(out, exportDecl{obj: obj, kind: decl.Tok.String(), name: obj.Name(), own: spec})
+						}
+					}
+				case *ast.TypeSpec:
+					tn, ok := pkg.Info.Defs[spec.Name].(*types.TypeName)
+					if !ok || !tn.Exported() {
 						continue
 					}
-					for _, id := range field.Names {
-						if v, ok := pkg.Info.Defs[id].(*types.Var); ok && v.Exported() {
-							out = append(out, exportDecl{obj: v, kind: "field", name: tn.Name() + "." + v.Name(), own: ts})
+					out = append(out, exportDecl{obj: tn, kind: "type", name: tn.Name(), own: spec})
+					st, ok := spec.Type.(*ast.StructType)
+					if !ok {
+						continue
+					}
+					for _, field := range st.Fields.List {
+						if field.Tag != nil {
+							continue
+						}
+						for _, id := range field.Names {
+							if v, ok := pkg.Info.Defs[id].(*types.Var); ok && v.Exported() {
+								out = append(out, exportDecl{obj: v, kind: "field", name: tn.Name() + "." + v.Name(), own: spec})
+							}
 						}
 					}
 				}

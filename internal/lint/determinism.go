@@ -7,17 +7,14 @@ import (
 
 // Determinism flags the direct nondeterminism sources that make
 // simulator, trainer and scheduler output depend on anything but the
-// seed: wall-clock and timer reads, and the global math/rand source.
-// Map-iteration-order hazards are owned by the taintdet dataflow
-// analyzer, which tracks them to an actual ordered sink instead of
-// flagging every range over a map.
+// seed: wall-clock and timer reads (time.Now/Since/Until/Sleep/Tick/
+// After/NewTimer/NewTicker) and the global math/rand functions, in the
+// deterministic core and command packages. Map-iteration-order hazards
+// are owned by the taintdet dataflow analyzer, which tracks them to an
+// actual ordered sink instead of flagging every range over a map. Use
+// //lint:allow determinism for justified exceptions.
 var Determinism = &Analyzer{
-	Name: "determinism",
-	Doc: `flag wall-clock and timer reads (time.Now/Since/Until/Sleep/
-Tick/After/NewTimer/NewTicker) and global math/rand functions in the
-deterministic core and command packages. Map-iteration-order flows are
-handled by taintdet. Use //lint:allow determinism for justified
-exceptions.`,
+	Name:  "determinism",
 	Scope: []string{"internal/...", "cmd/..."},
 	Run:   runDeterminism,
 }

@@ -9,18 +9,19 @@ import (
 // is dropped on the floor (expression statements) and assignments
 // that blank an error value. Grid portals live or die on surfacing
 // failures before submission; an unchecked parse is a silent zero.
+//
+// Flagged: calls used as statements whose results include an error,
+// and assignments that blank an error value (x, _ := f() with an error
+// in the blanked position, or _ = err). Deferred calls are not
+// flagged. Writers documented never to fail (or with no better channel
+// to report their own failure) are exempt: fmt.Print*, fmt.Fprint* to
+// os.Stdout / os.Stderr, and fmt.Fprint* / Write* methods on
+// strings.Builder, bytes.Buffer and bufio.Writer (bufio errors are
+// sticky and surface at Flush). Use //lint:allow errdrop for justified
+// exceptions.
 var ErrDrop = &Analyzer{
 	Name: "errdrop",
-	Doc: `flag function calls used as statements whose results include an
-error, and assignments that blank an error value (x, _ := f() with an
-error in the blanked position, or _ = err). Deferred calls are not
-flagged. Writers documented never to fail (or with no better channel
-to report their own failure) are exempt: fmt.Print*, fmt.Fprint* to
-os.Stdout / os.Stderr, and fmt.Fprint* / Write* methods on
-strings.Builder, bytes.Buffer and bufio.Writer (bufio errors are
-sticky and surface at Flush). Use //lint:allow errdrop for justified
-exceptions.`,
-	Run: runErrDrop,
+	Run:  runErrDrop,
 }
 
 func runErrDrop(p *Pass) {

@@ -11,14 +11,11 @@ import (
 // likelihood/estimation code, where rounding makes == a latent bug.
 // Comparison against the exact-zero constant is exempt: guarding a
 // division by an exactly-zero variance or an unset sentinel is
-// well-defined IEEE behaviour and idiomatic in this codebase.
+// well-defined IEEE behaviour and idiomatic in this codebase. Compare
+// with a tolerance helper otherwise, or annotate a justified exact
+// comparison with //lint:allow floatcmp.
 var FloatCmp = &Analyzer{
 	Name: "floatcmp",
-	Doc: `flag == and != between floating-point operands in the
-likelihood and estimation packages. Comparisons where either side is
-a compile-time zero constant are exempt (exact-zero guards); compare
-with a tolerance helper otherwise, or annotate a justified exact
-comparison with //lint:allow floatcmp.`,
 	Scope: []string{
 		"internal/phylo",
 		"internal/estimate",

@@ -13,18 +13,12 @@ import (
 // exactly what core.Recover's deterministic re-execution cannot
 // tolerate: the replayed coordinator must reach the same quiescent
 // state as the original, and a goroutine nobody waits for keeps
-// running (and mutating) after the run is supposedly done. Runs on
-// _test.go files too — leaked test goroutines outlive the test and
-// corrupt later -race runs.
+// running (and mutating) after the run is supposedly done. Use
+// //lint:allow goroleak with a justification for process-lifetime
+// goroutines.
 var GoroLeak = &Analyzer{
-	Name: "goroleak",
-	Doc: `flag go statements whose goroutine has no join or stop path: no
-WaitGroup.Done (direct or deferred), no send/close on a channel the
-parent receives from, and no receive from a stop or work channel in
-the goroutine body. Covers _test.go files. Use //lint:allow goroleak
-with a justification for process-lifetime goroutines.`,
+	Name:       "goroleak",
 	Scope:      []string{"internal/...", "cmd/...", "examples/..."},
-	Tests:      true,
 	RunProgram: runGoroLeak,
 }
 

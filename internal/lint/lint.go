@@ -7,7 +7,8 @@
 // seeds; the analyzers flag the constructs that silently break that
 // property (wall-clock reads, global RNG state, map-iteration-ordered
 // output) along with classic correctness hazards (discarded errors,
-// exact float comparison, copied locks, dead assignments).
+// exact float comparison, dead assignments). Copied locks are go vet's
+// copylocks check, not an analyzer here.
 //
 // Findings can be suppressed with an explicit escape hatch:
 //
@@ -122,18 +123,15 @@ func (p *ProgramPass) Posf(pos token.Pos) string {
 }
 
 // Analyzer is one named check: either a per-package syntactic pass
-// (Run) or a whole-program dataflow pass (RunProgram).
+// (Run) or a whole-program dataflow pass (RunProgram). What it flags
+// and why is its var's doc comment.
 type Analyzer struct {
 	Name string
-	Doc  string
 	// Scope restricts the analyzer to packages whose import path ends
 	// with one of these suffixes; a "dir/..." entry matches every
 	// package at or under that directory anywhere in the module.
 	// Empty means every package.
-	Scope []string
-	// Tests opts the analyzer into _test.go files (when the loader
-	// included them). Analyzers without it never report there.
-	Tests      bool
+	Scope      []string
 	Run        func(*Pass)
 	RunProgram func(*ProgramPass)
 }
@@ -171,7 +169,6 @@ func All() []*Analyzer {
 		Determinism,
 		ErrDrop,
 		FloatCmp,
-		SyncMisuse,
 		DeadAssign,
 		LockOrder,
 		GoroLeak,
@@ -180,81 +177,48 @@ func All() []*Analyzer {
 	}
 }
 
-// ByName returns the named analyzer, or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range All() {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
-}
-
-// RunAnalyzers applies each per-package analyzer that is in scope for
-// pkg and returns its findings sorted by position, with findings
-// covered by a //lint:allow directive marked Suppressed (use
-// Unsuppressed to drop them). Whole-program analyzers are skipped;
-// run those with RunWholeProgram.
-func RunAnalyzers(pkg *Package, analyzers []*Analyzer) []Finding {
-	var findings []Finding
-	for _, a := range analyzers {
-		if a.Run == nil || !a.AppliesTo(pkg.Path) {
-			continue
-		}
-		files := pkg.Files
-		if a.Tests {
-			files = append(append([]*ast.File{}, pkg.Files...), pkg.TestFiles...)
-		}
-		pass := &Pass{
-			Fset:     pkg.Fset,
-			Files:    files,
-			Pkg:      pkg.Types,
-			Info:     pkg.Info,
-			analyzer: a,
-			findings: &findings,
-		}
-		a.Run(pass)
-	}
-	markSuppressed(allowSet(pkg.Fset, pkg.AllFiles()), findings)
-	sortFindings(findings)
-	return findings
-}
-
-// RunWholeProgram applies each dataflow analyzer to the program and
-// returns the findings that land in packages within the analyzer's
-// scope, sorted by position and marked Suppressed where a
-// //lint:allow directive covers them. Findings in _test.go files are
-// kept only for analyzers that opt into tests.
-func RunWholeProgram(prog *Program, analyzers []*Analyzer) []Finding {
-	if len(prog.Packages) == 0 {
+// Run applies the analyzers to the packages and returns the findings
+// that land in each analyzer's scope, sorted by position, with the
+// ones a //lint:allow directive covers marked Suppressed (Unsuppressed
+// drops them). A per-package analyzer sees one package at a time; a
+// whole-program analyzer sees every package at once, so cross-package
+// summaries (lock orders, sink parameters, callers) resolve.
+func Run(pkgs []*Package, analyzers []*Analyzer) []Finding {
+	if len(pkgs) == 0 {
 		return nil
 	}
-	fset := prog.Packages[0].Fset
+	fset := pkgs[0].Fset
+	prog := newProgram(pkgs)
 	var findings []Finding
 	for _, a := range analyzers {
-		if a.RunProgram == nil {
-			continue
+		if a.Run != nil {
+			for _, pkg := range pkgs {
+				if !a.AppliesTo(pkg.Path) {
+					continue
+				}
+				a.Run(&Pass{
+					Fset:     fset,
+					Files:    pkg.Files,
+					Pkg:      pkg.Types,
+					Info:     pkg.Info,
+					analyzer: a,
+					findings: &findings,
+				})
+			}
 		}
-		var raw []Finding
-		a.RunProgram(&ProgramPass{
-			Prog:     prog,
-			analyzer: a,
-			findings: &raw,
-			fset:     fset,
-		})
-		for _, f := range raw {
-			if strings.HasSuffix(f.File, "_test.go") && !a.Tests {
-				continue
+		if a.RunProgram != nil {
+			var raw []Finding
+			a.RunProgram(&ProgramPass{Prog: prog, analyzer: a, findings: &raw, fset: fset})
+			for _, f := range raw {
+				if pkg := prog.PackageOf(f.File); pkg != nil && a.AppliesTo(pkg.Path) {
+					findings = append(findings, f)
+				}
 			}
-			if pkg := prog.PackageOf(f.File); pkg == nil || !a.AppliesTo(pkg.Path) {
-				continue
-			}
-			findings = append(findings, f)
 		}
 	}
 	var files []*ast.File
-	for _, pkg := range prog.Packages {
-		files = append(files, pkg.AllFiles()...)
+	for _, pkg := range pkgs {
+		files = append(files, pkg.Files...)
 	}
 	markSuppressed(allowSet(fset, files), findings)
 	sortFindings(findings)

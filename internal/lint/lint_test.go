@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -43,44 +41,19 @@ func sharedLoader(t *testing.T) *Loader {
 	return fixtureLoader
 }
 
-// runFixture loads the named fixture package and applies a single
-// analyzer directly (fixtures live under testdata/, outside any
-// analyzer's Scope), then applies directive suppression exactly as
-// RunAnalyzers would: suppressed findings are marked and dropped.
-// Whole-program analyzers run over a single-package program built
-// from the fixture.
-func runFixture(t *testing.T, a *Analyzer, name string) []Finding {
+// runFixture loads the named fixture package and runs the analyzers
+// over it through Run with their scopes lifted (fixtures live under
+// testdata/, outside most scopes), keeping the unsuppressed findings.
+func runFixture(t *testing.T, name string, analyzers ...*Analyzer) []Finding {
 	t.Helper()
 	pkg := loadFixture(t, name)
-	var findings []Finding
-	if a.Run != nil {
-		pass := &Pass{
-			Fset:     pkg.Fset,
-			Files:    pkg.Files,
-			Pkg:      pkg.Types,
-			Info:     pkg.Info,
-			analyzer: a,
-			findings: &findings,
-		}
-		a.Run(pass)
+	var unscoped []*Analyzer
+	for _, a := range analyzers {
+		u := *a
+		u.Scope = nil
+		unscoped = append(unscoped, &u)
 	}
-	if a.RunProgram != nil {
-		a.RunProgram(&ProgramPass{
-			Prog:     NewProgram([]*Package{pkg}),
-			analyzer: a,
-			findings: &findings,
-			fset:     pkg.Fset,
-		})
-	}
-	markSuppressed(allowSet(pkg.Fset, pkg.AllFiles()), findings)
-	findings = Unsuppressed(findings)
-	sort.Slice(findings, func(i, j int) bool {
-		if findings[i].File != findings[j].File {
-			return findings[i].File < findings[j].File
-		}
-		return findings[i].Line < findings[j].Line
-	})
-	return findings
+	return Unsuppressed(Run([]*Package{pkg}, unscoped))
 }
 
 func loadFixture(t *testing.T, name string) *Package {
@@ -140,7 +113,6 @@ func TestAnalyzerFixtures(t *testing.T) {
 		{Determinism, "determinism"},
 		{ErrDrop, "errdrop"},
 		{FloatCmp, "floatcmp"},
-		{SyncMisuse, "syncmisuse"},
 		{DeadAssign, "deadassign"},
 		{LockOrder, "lockorder"},
 		{GoroLeak, "goroleak"},
@@ -149,14 +121,15 @@ func TestAnalyzerFixtures(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.fixture, func(t *testing.T) {
-			findings := runFixture(t, tc.analyzer, tc.fixture)
+			findings := runFixture(t, tc.fixture, tc.analyzer)
 			matchWants(t, tc.fixture, findings)
 		})
 	}
-	// deadexport judges internal/... whole: a hand list of packages is
-	// how metasched's introspection surface sat outside it for two PRs.
-	if !slices.Equal(DeadExport.Scope, []string{"internal/..."}) {
-		t.Errorf("deadexport scope = %q, want the single entry internal/...", DeadExport.Scope)
+	// deadexport judges the whole module, the root facade included: any
+	// scope leaves some exported surface (a package, the facade) with no
+	// judge.
+	if len(DeadExport.Scope) != 0 {
+		t.Errorf("deadexport scope = %q, want none (every package)", DeadExport.Scope)
 	}
 }
 
@@ -198,22 +171,14 @@ func matchWants(t *testing.T, fixture string, findings []Finding) {
 // determinism, errdrop and floatcmp findings over one combined
 // fixture, with the good-file look-alikes staying clean.
 func TestFaultsInjectorFixture(t *testing.T) {
-	var findings []Finding
-	for _, a := range []*Analyzer{Determinism, ErrDrop, FloatCmp, TaintDet} {
-		findings = append(findings, runFixture(t, a, "faultsinj")...)
-	}
-	matchWants(t, "faultsinj", findings)
+	matchWants(t, "faultsinj", runFixture(t, "faultsinj", Determinism, ErrDrop, FloatCmp, TaintDet))
 }
 
 // TestWALFixture proves the analyzers covering internal/wal actually
 // fire on log-shaped code: determinism and errdrop findings over one
 // combined fixture, with the good-file look-alikes staying clean.
 func TestWALFixture(t *testing.T) {
-	var findings []Finding
-	for _, a := range []*Analyzer{Determinism, ErrDrop, TaintDet} {
-		findings = append(findings, runFixture(t, a, "wal")...)
-	}
-	matchWants(t, "wal", findings)
+	matchWants(t, "wal", runFixture(t, "wal", Determinism, ErrDrop, TaintDet))
 }
 
 // TestGoodFixturesClean pins the false-positive guarantee explicitly:
@@ -222,7 +187,7 @@ func TestWALFixture(t *testing.T) {
 // escape hatch.
 func TestGoodFixturesClean(t *testing.T) {
 	for _, a := range All() {
-		findings := runFixture(t, a, a.Name)
+		findings := runFixture(t, a.Name, a)
 		for _, f := range findings {
 			if filepath.Base(f.File) == "good.go" {
 				t.Errorf("%s: good.go flagged: %s", a.Name, f)
@@ -271,13 +236,9 @@ func TestAnalyzerScope(t *testing.T) {
 		{FloatCmp, "lattice/internal/gsbl", false},
 		{ErrDrop, "lattice/internal/portal", true},
 		{ErrDrop, "lattice/examples/portalrun", true},
-		{SyncMisuse, "lattice/internal/boinc", true},
 		{DeadAssign, "lattice/internal/phylo", true},
-		{DeadExport, "lattice/internal/core", true},
+		{DeadExport, "lattice", true},
 		{DeadExport, "lattice/internal/lrm/condor", true},
-		{DeadExport, "lattice/internal/metasched", true},
-		{DeadExport, "lattice/internal/phylo", true},
-		{DeadExport, "lattice/cmd/lattice", false},
 	}
 	for _, tc := range cases {
 		if got := tc.analyzer.AppliesTo(tc.pkg); got != tc.want {
@@ -286,25 +247,12 @@ func TestAnalyzerScope(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	for _, a := range All() {
-		if ByName(a.Name) != a {
-			t.Errorf("ByName(%q) did not return the registered analyzer", a.Name)
-		}
-	}
-	if ByName("nosuch") != nil {
-		t.Error("ByName of an unknown name should be nil")
-	}
-}
-
 // TestSuppressionMarked pins the escape-hatch contract: a finding
 // covered by //lint:allow is retained and marked Suppressed (so -json
 // consumers can audit the hatches), not silently dropped, and
 // Unsuppressed filters exactly those findings out.
 func TestSuppressionMarked(t *testing.T) {
-	pkg := loadFixture(t, "suppress")
-	findings := RunAnalyzers(pkg, All())
-	findings = append(findings, RunWholeProgramAll(t, pkg)...)
+	findings := Run([]*Package{loadFixture(t, "suppress")}, All())
 	var suppressed, open int
 	for _, f := range findings {
 		if f.Suppressed {
@@ -322,26 +270,6 @@ func TestSuppressionMarked(t *testing.T) {
 	if got := len(Unsuppressed(findings)); got != open {
 		t.Errorf("Unsuppressed kept %d findings, want %d", got, open)
 	}
-}
-
-// RunWholeProgramAll runs every dataflow analyzer over a one-package
-// program without scope filtering (fixtures live outside all scopes).
-func RunWholeProgramAll(t *testing.T, pkg *Package) []Finding {
-	t.Helper()
-	var findings []Finding
-	for _, a := range All() {
-		if a.RunProgram == nil {
-			continue
-		}
-		a.RunProgram(&ProgramPass{
-			Prog:     NewProgram([]*Package{pkg}),
-			analyzer: a,
-			findings: &findings,
-			fset:     pkg.Fset,
-		})
-	}
-	markSuppressed(allowSet(pkg.Fset, pkg.AllFiles()), findings)
-	return findings
 }
 
 // TestFindingString pins the human-readable diagnostic format the

@@ -15,28 +15,15 @@ import (
 )
 
 // Package is one parsed, type-checked package ready for analysis.
+// Its _test.go files are never loaded: go vet and the race-enabled
+// test run are the gates that read tests.
 type Package struct {
 	Path  string // import path, e.g. lattice/internal/sim
 	Dir   string
 	Fset  *token.FileSet
 	Files []*ast.File
-	// TestFiles are the package's in-package _test.go files, present
-	// only when the loader's IncludeTests is set. They are
-	// type-checked into the same *types.Package and Info as Files.
-	// External test packages (package foo_test) are not loaded.
-	TestFiles []*ast.File
-	Types     *types.Package
-	Info      *types.Info
-
-	testsLoaded bool
-}
-
-// AllFiles returns source and (when loaded) test files.
-func (p *Package) AllFiles() []*ast.File {
-	if len(p.TestFiles) == 0 {
-		return p.Files
-	}
-	return append(append([]*ast.File{}, p.Files...), p.TestFiles...)
+	Types *types.Package
+	Info  *types.Info
 }
 
 // Loader parses and type-checks packages of a single module using
@@ -49,11 +36,6 @@ func (p *Package) AllFiles() []*ast.File {
 type Loader struct {
 	ModRoot string
 	ModPath string
-	// IncludeTests also loads each package's in-package _test.go
-	// files. Test files are attached after the base package
-	// type-checks, so a test-only import cycle (B's tests import A, A
-	// imports B) cannot wedge the loader.
-	IncludeTests bool
 
 	fset  *token.FileSet
 	std   types.Importer
@@ -135,9 +117,7 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 	return pkgs, nil
 }
 
-// hasGoFiles reports whether dir holds loadable Go source: non-test
-// files always, test files too when IncludeTests is set (a package
-// with only tests is still a package then).
+// hasGoFiles reports whether dir holds a non-test Go file.
 func (l *Loader) hasGoFiles(dir string) bool {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -147,7 +127,7 @@ func (l *Loader) hasGoFiles(dir string) bool {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
 			continue
 		}
-		if !strings.HasSuffix(e.Name(), "_test.go") || l.IncludeTests {
+		if !strings.HasSuffix(e.Name(), "_test.go") {
 			return true
 		}
 	}
@@ -169,14 +149,7 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 	if rel != "." {
 		path = l.ModPath + "/" + filepath.ToSlash(rel)
 	}
-	pkg, err := l.load(path, abs)
-	if err != nil {
-		return nil, err
-	}
-	if err := l.attachTests(pkg); err != nil {
-		return nil, err
-	}
-	return pkg, nil
+	return l.load(path, abs)
 }
 
 // dirFor maps a module-local import path to its directory; any other
@@ -195,19 +168,14 @@ func (l *Loader) load(path, dir string) (*Package, error) {
 	if pkg, ok := l.cache[path]; ok {
 		return pkg, nil
 	}
-	files, err := l.parseDir(dir, false)
+	files, err := l.parseDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	info := newInfo()
 	if len(files) == 0 {
-		// A package may consist only of tests (or only of files
-		// excluded by build constraints, which is an error).
-		if l.IncludeTests {
-			return l.loadTestsOnly(path, dir, info)
-		}
 		return nil, fmt.Errorf("lint: no Go files in %s", dir)
 	}
+	info := newInfo()
 	conf := types.Config{Importer: (*modImporter)(l)}
 	tpkg, err := conf.Check(path, l.fset, files, info)
 	if err != nil {
@@ -229,12 +197,11 @@ func newInfo() *types.Info {
 	}
 }
 
-// parseDir parses the directory's source files (tests=false) or its
-// _test.go files (tests=true), skipping files excluded by build
-// constraints for the current GOOS/GOARCH — a //go:build linux file
-// on darwin would otherwise poison type checking with duplicate or
-// dangling declarations.
-func (l *Loader) parseDir(dir string, tests bool) ([]*ast.File, error) {
+// parseDir parses the directory's non-test source files, skipping
+// files excluded by build constraints for the current GOOS/GOARCH — a
+// //go:build linux file on darwin would otherwise poison type checking
+// with duplicate or dangling declarations.
+func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
@@ -242,7 +209,7 @@ func (l *Loader) parseDir(dir string, tests bool) ([]*ast.File, error) {
 	var files []*ast.File
 	for _, e := range ents {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") != tests {
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
 			continue
 		}
 		if match, err := build.Default.MatchFile(dir, name); err != nil || !match {
@@ -255,68 +222,6 @@ func (l *Loader) parseDir(dir string, tests bool) ([]*ast.File, error) {
 		files = append(files, f)
 	}
 	return files, nil
-}
-
-// loadTestsOnly type-checks a package that has no non-test sources:
-// its in-package test files form the whole unit.
-func (l *Loader) loadTestsOnly(path, dir string, info *types.Info) (*Package, error) {
-	all, err := l.parseDir(dir, true)
-	if err != nil {
-		return nil, err
-	}
-	var files []*ast.File
-	for _, f := range all {
-		if !strings.HasSuffix(f.Name.Name, "_test") {
-			files = append(files, f)
-		}
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: no Go files in %s", dir)
-	}
-	conf := types.Config{Importer: (*modImporter)(l)}
-	tpkg, err := conf.Check(path, l.fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
-	}
-	pkg := &Package{
-		Path: path, Dir: dir, Fset: l.fset,
-		TestFiles: files, Types: tpkg, Info: info, testsLoaded: true,
-	}
-	l.cache[path] = pkg
-	return pkg, nil
-}
-
-// attachTests type-checks the package's in-package _test.go files
-// into the already-checked package. Called only from the top-level
-// entry points, never from the importer, so dependency loads stay
-// test-free and test-only import cycles terminate. External test
-// packages (package foo_test) are skipped: they cannot be merged into
-// the package's type scope.
-func (l *Loader) attachTests(pkg *Package) error {
-	if !l.IncludeTests || pkg.testsLoaded {
-		return nil
-	}
-	pkg.testsLoaded = true
-	all, err := l.parseDir(pkg.Dir, true)
-	if err != nil {
-		return err
-	}
-	var files []*ast.File
-	for _, f := range all {
-		if f.Name.Name == pkg.Types.Name() {
-			files = append(files, f)
-		}
-	}
-	if len(files) == 0 {
-		return nil
-	}
-	conf := types.Config{Importer: (*modImporter)(l)}
-	checker := types.NewChecker(&conf, l.fset, pkg.Types, pkg.Info)
-	if err := checker.Files(files); err != nil {
-		return fmt.Errorf("lint: type-checking tests of %s: %w", pkg.Path, err)
-	}
-	pkg.TestFiles = files
-	return nil
 }
 
 // modImporter resolves imports during type checking: module-local

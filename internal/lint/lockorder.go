@@ -17,14 +17,11 @@ import (
 // function-typed values (callbacks), and blocking I/O (time.Sleep,
 // net, net/http). This is the bug class the BOINC server was
 // race-hardened against by hand: callbacks must run outside the lock.
+// Lock identity is the lock class (pkg.Type.field or a package-level
+// variable); aliases through local pointers resolve via value
+// numbering. Use //lint:allow lockorder for justified exceptions.
 var LockOrder = &Analyzer{
-	Name: "lockorder",
-	Doc: `derive mutex acquisition order across the whole program and flag
-inconsistent pair orderings, self-deadlocks through the call graph,
-and locks held across channel operations, callback invocations, or
-blocking I/O. Lock identity is the lock class (pkg.Type.field or a
-package-level variable); aliases through local pointers resolve via
-value numbering. Use //lint:allow lockorder for justified exceptions.`,
+	Name:       "lockorder",
 	Scope:      []string{"internal/...", "cmd/..."},
 	RunProgram: runLockOrder,
 }
@@ -136,7 +133,7 @@ func runLockOrder(pp *ProgramPass) {
 		st.analyzeBody(fi.Pkg, fi, fi.CFG(), fi.Vnum())
 	}
 	for _, pkg := range pp.Prog.Packages {
-		for _, f := range pkg.AllFiles() {
+		for _, f := range pkg.Files {
 			pkgf := pkg
 			ast.Inspect(f, func(n ast.Node) bool {
 				if lit, ok := n.(*ast.FuncLit); ok {

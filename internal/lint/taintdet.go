@@ -12,20 +12,14 @@ import (
 // source, os.Getenv, and map iteration order across assignments,
 // function returns and call arguments — package boundaries included —
 // and flags the flows that reach an ordered sink: obs journal and
-// digest writes, WAL frames, metric exposition, printing and writer
-// output. It subsumes the old single-function map-range check of the
+// digest writes, WAL frames, metric exposition, printing, writer
+// output and channel sends. It subsumes the old single-function map-range check of the
 // determinism analyzer and shrinks its escape hatches to provably
 // safe cases: a slice collected from a map but sorted before use is
-// clean, and copying a map into a map carries no order at all.
+// clean, and copying a map into a map carries no order at all. Use
+// //lint:allow taintdet for justified exceptions.
 var TaintDet = &Analyzer{
-	Name: "taintdet",
-	Doc: `interprocedural determinism taint: values derived from
-time.Now, global math/rand, os.Getenv or map iteration order are
-tracked through assignments, returns and calls across packages;
-flows into ordered sinks (obs journal/digest, WAL frames, exposition,
-printing, writers, channel sends) are flagged. Sorting a collected
-slice sanitizes its order taint. Use //lint:allow taintdet for
-justified exceptions.`,
+	Name:       "taintdet",
 	Scope:      []string{"internal/...", "cmd/..."},
 	RunProgram: runTaintDet,
 }

@@ -36,3 +36,20 @@ func (Relic) Dust() {} // want: exported method Relic.Dust
 type Chain struct { // want: exported type Chain
 	Next *Chain // want: exported field Chain.Next
 }
+
+// Retries is a knob nothing reads any more.
+const Retries = 3 // want: exported const Retries
+
+// Registry is a table nothing consults.
+var Registry = map[string]int{} // want: exported var Registry
+
+// Phase values: one member of the iota block lost its last user.
+type Phase int
+
+const (
+	PhaseInit   Phase = iota
+	PhaseLegacy       // want: exported const PhaseLegacy
+	PhaseDone
+)
+
+var phases = []Phase{PhaseInit, PhaseDone}

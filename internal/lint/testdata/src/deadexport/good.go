@@ -79,3 +79,23 @@ var handles = func() bool { closeAll(Handle{}); return true }()
 //
 //lint:allow deadexport -- the documented lifecycle lists cancel; operators call it, the simulation never does
 func (l *Ledger) Cancel() { l.Entries = -1 }
+
+// Limit is read by capped: a const with a user.
+const Limit = 2
+
+// Default is read by capped: a var with a user.
+var Default = &Ledger{Entries: Limit}
+
+var capped = Default.Total() <= Limit
+
+// Mode values. A retired member is blanked with _ rather than deleted,
+// so the members after it keep their values; _ exports nothing.
+type Mode int
+
+const (
+	ModeFast Mode = iota
+	_
+	ModeSafe
+)
+
+var modes = []Mode{ModeFast, ModeSafe}

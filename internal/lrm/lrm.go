@@ -37,7 +37,6 @@ const (
 	LinuxX86   Platform = "linux/x86_64"
 	WindowsX86 Platform = "windows/x86_64"
 	DarwinX86  Platform = "darwin/x86_64"
-	DarwinPPC  Platform = "darwin/ppc"
 )
 
 // Job is a unit of computational work submitted to a local resource.

@@ -14,6 +14,10 @@ import (
 	"lattice/internal/workload"
 )
 
+// darwinPPC is a platform no test federation offers until a test adds
+// a resource for it.
+const darwinPPC = lrm.Platform("darwin/ppc")
+
 // grid is a small test federation.
 type grid struct {
 	eng   *sim.Engine
@@ -227,7 +231,7 @@ func TestUnplaceableJobWaitsThenRuns(t *testing.T) {
 	g := newGrid(t, DefaultConfig())
 	// Nothing matches darwin/ppc yet.
 	weird := testJob("ppc", 60)
-	weird.Platforms = []lrm.Platform{lrm.DarwinPPC}
+	weird.Platforms = []lrm.Platform{darwinPPC}
 	done := false
 	if _, err := submit(g.sched, weird, nil, func(j *GridJob) { done = j.Status == StatusCompleted }); err != nil {
 		t.Fatal(err)
@@ -238,7 +242,7 @@ func TestUnplaceableJobWaitsThenRuns(t *testing.T) {
 	// A PPC cluster joins the grid later.
 	g.eng.Schedule(2*sim.Hour, func() {
 		ppc, err := cluster.New(g.eng, cluster.Config{
-			Kind: "pbs", Name: "mac-cluster", Platform: lrm.DarwinPPC,
+			Kind: "pbs", Name: "mac-cluster", Platform: darwinPPC,
 			Nodes: []cluster.NodeClass{{Count: 2, Cores: 1, Speed: 1, MemoryMB: 2048}},
 		})
 		if err != nil {
@@ -315,7 +319,7 @@ func TestRetryAfterResourceFailure(t *testing.T) {
 func TestCancelPendingAndRunning(t *testing.T) {
 	g := newGrid(t, DefaultConfig())
 	weird := testJob("stuck", 60)
-	weird.Platforms = []lrm.Platform{lrm.DarwinPPC}
+	weird.Platforms = []lrm.Platform{darwinPPC}
 	submit(g.sched, weird, nil, nil)
 	if !g.sched.Cancel("stuck") {
 		t.Error("pending job not cancellable")

@@ -18,23 +18,19 @@
 //	grid.Run(30 * lattice.Day)
 //
 // The heavy lifting lives in the internal packages; this package
-// re-exports the supported surface:
+// re-exports what the examples use:
 //
 //   - grid assembly and operation (internal/core)
 //   - GARLI job specifications and workload generation
 //     (internal/workload)
-//   - runtime estimation with random forests (internal/estimate,
-//     internal/forest)
-//   - the phylogenetic inference engine itself (internal/phylo)
+//   - runtime estimation with random forests (internal/estimate)
+//   - the data type, rate and starting-tree settings of a job
+//     (internal/phylo)
 package lattice
 
 import (
-	"lattice/internal/beagle"
 	"lattice/internal/core"
 	"lattice/internal/estimate"
-	"lattice/internal/forest"
-	"lattice/internal/gsbl"
-	"lattice/internal/metasched"
 	"lattice/internal/phylo"
 	"lattice/internal/sim"
 	"lattice/internal/workload"
@@ -47,16 +43,6 @@ type (
 	Config = core.Config
 	// Lattice is a running grid system.
 	Lattice = core.Lattice
-	// ResourceSpec declares one federation member.
-	ResourceSpec = core.ResourceSpec
-	// Batch tracks one submission through the grid.
-	Batch = gsbl.Batch
-	// BatchStatus summarizes batch progress.
-	BatchStatus = gsbl.BatchStatus
-	// SchedulerConfig is grid-level scheduling policy.
-	SchedulerConfig = metasched.Config
-	// SchedulerPolicy selects naive / speed-aware / full ranking.
-	SchedulerPolicy = metasched.Policy
 )
 
 // New assembles and starts a grid from a configuration.
@@ -64,13 +50,6 @@ func New(cfg Config) (*Lattice, error) { return core.New(cfg) }
 
 // DefaultConfig returns the paper's federation at laptop scale.
 func DefaultConfig(seed int64) Config { return core.DefaultConfig(seed) }
-
-// Scheduler policies.
-const (
-	PolicyNaive      = metasched.PolicyNaive
-	PolicySpeedAware = metasched.PolicySpeedAware
-	PolicyFull       = metasched.PolicyFull
-)
 
 // Workload: GARLI jobs and submissions.
 type (
@@ -87,9 +66,6 @@ type (
 // NewGenerator returns a deterministic workload generator.
 func NewGenerator(seed int64) *Generator { return workload.NewGenerator(seed) }
 
-// MaxReplicates is the portal's per-submission replicate limit.
-const MaxReplicates = workload.MaxReplicates
-
 // Runtime estimation.
 type (
 	// Estimator predicts GARLI runtimes with a random forest and
@@ -97,16 +73,7 @@ type (
 	Estimator = estimate.Estimator
 	// EstimatorConfig sizes the forest.
 	EstimatorConfig = estimate.Config
-	// ForestConfig configures raw random-forest training.
-	ForestConfig = forest.Config
-	// Dataset is a random-forest design matrix.
-	Dataset = forest.Dataset
-	// Forest is a trained random-forest regression model.
-	Forest = forest.Forest
 )
-
-// NewEstimator returns an estimator with an empty training matrix.
-func NewEstimator(cfg EstimatorConfig) *Estimator { return estimate.New(cfg) }
 
 // BootstrapEstimator seeds and trains an estimator with n generated
 // jobs (the paper's ~150-job matrix).
@@ -114,36 +81,8 @@ func BootstrapEstimator(cfg EstimatorConfig, gen *Generator, n int) (*Estimator,
 	return estimate.Bootstrap(cfg, gen, n)
 }
 
-// TrainForest trains a random forest regression model.
-func TrainForest(ds *Dataset, cfg ForestConfig) (*Forest, error) { return forest.Train(ds, cfg) }
-
-// Phylogenetics: the GARLI-equivalent engine.
-type (
-	// Alignment is a multiple sequence alignment.
-	Alignment = phylo.Alignment
-	// Tree is a phylogenetic tree.
-	Tree = phylo.Tree
-	// Model is a substitution model.
-	Model = phylo.Model
-	// SiteRates is an among-site rate mixture.
-	SiteRates = phylo.SiteRates
-	// SearchConfig controls the genetic-algorithm tree search.
-	SearchConfig = phylo.SearchConfig
-	// SearchResult is a completed search.
-	SearchResult = phylo.SearchResult
-	// DataType is nucleotide / amino acid / codon.
-	DataType = phylo.DataType
-)
-
-// Data types.
-const (
-	Nucleotide = phylo.Nucleotide
-	AminoAcid  = phylo.AminoAcid
-	Codon      = phylo.Codon
-)
-
-// RateHetKind selects among-site rate heterogeneity treatment.
-type RateHetKind = phylo.RateHetKind
+// Nucleotide is the data type of the examples' jobs.
+const Nucleotide = phylo.Nucleotide
 
 // Rate heterogeneity treatments.
 const (
@@ -152,76 +91,11 @@ const (
 	RateGammaInv    = phylo.RateGammaInv
 )
 
-// StartingTreeKind selects how searches build their initial tree.
-type StartingTreeKind = phylo.StartingTreeKind
-
-// Starting tree kinds.
-const (
-	StartRandom   = phylo.StartRandom
-	StartStepwise = phylo.StartStepwise
-	StartUser     = phylo.StartUser
-)
-
-// Phylogenetics: partitioned models and optimized evaluation.
-type (
-	// Evaluator is any tree log-likelihood engine the GA search can
-	// drive.
-	Evaluator = phylo.Evaluator
-	// Partition couples a data block with its own model and rates.
-	Partition = phylo.Partition
-	// PartitionedLikelihood evaluates several partitions on one tree.
-	PartitionedLikelihood = phylo.PartitionedLikelihood
-	// IncrementalEvaluator is an Evaluator with explicit cache
-	// invalidation (the beagle backend's incremental re-evaluation).
-	IncrementalEvaluator = phylo.IncrementalEvaluator
-	// EvaluatorPool scores GA populations and search replicates in
-	// parallel, one engine per worker, bit-deterministically.
-	EvaluatorPool = phylo.EvaluatorPool
-	// EvaluatorFactory builds one pool worker's engine.
-	EvaluatorFactory = phylo.EvaluatorFactory
-	// BeagleEngine is the optimized likelihood backend (this
-	// repository's BEAGLE analogue).
-	BeagleEngine = beagle.Engine
-	// BeagleStats is a snapshot of a BeagleEngine's cache and work
-	// counters.
-	BeagleStats = beagle.Stats
-	// NexusFile is a parsed NEXUS document (data matrix + trees).
-	NexusFile = phylo.NexusFile
-)
-
-// NewPartitionedLikelihood builds a joint evaluator over partitions
-// sharing one tree.
-func NewPartitionedLikelihood(parts []Partition) (*PartitionedLikelihood, error) {
-	return phylo.NewPartitionedLikelihood(parts)
-}
-
-// NewBeagleEngine builds the optimized likelihood backend.
-func NewBeagleEngine(data *phylo.PatternData, model *Model, rates *SiteRates) (*BeagleEngine, error) {
-	return beagle.New(data, model, rates)
-}
-
-// NewEvaluatorPool builds a pool of `workers` engines for parallel
-// population scoring and replicate-parallel search.
-func NewEvaluatorPool(workers int, factory EvaluatorFactory) (*EvaluatorPool, error) {
-	return phylo.NewEvaluatorPool(workers, factory)
-}
-
-// SearchParallel runs the GA tree search across a pool of evaluators;
-// results are bit-deterministic for a fixed seed regardless of worker
-// count.
-func SearchParallel(pool *EvaluatorPool, names []string, cfg SearchConfig, rng *sim.RNG) (*SearchResult, error) {
-	return phylo.SearchParallel(pool, names, cfg, rng)
-}
+// StartStepwise builds a search's initial tree by stepwise addition.
+const StartStepwise = phylo.StartStepwise
 
 // Virtual time units for Lattice.Run.
-type Duration = sim.Duration
-
-// Durations.
 const (
-	Second = sim.Second
-	Minute = sim.Minute
-	Hour   = sim.Hour
-	Day    = sim.Day
-	Week   = sim.Week
-	Year   = sim.Year
+	Hour = sim.Hour
+	Day  = sim.Day
 )
