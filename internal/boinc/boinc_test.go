@@ -14,7 +14,7 @@ func testProject(t *testing.T, n int, name string) (*sim.Engine, *Server) {
 	t.Helper()
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(1)
-	s, err := NewServer(eng, rng, name)
+	s, err := NewServer(eng, rng, nil, name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestBatchCompletes(t *testing.T) {
 func TestDetachingHostsTriggerReissue(t *testing.T) {
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(2)
-	s, err := NewServer(eng, rng, "churny")
+	s, err := NewServer(eng, rng, nil, "churny")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,12 +106,11 @@ func TestDetachingHostsTriggerReissue(t *testing.T) {
 func TestChurnBurstReissueCompletesQuorum(t *testing.T) {
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(3)
-	s, err := NewServer(eng, rng, "churnburst")
+	hub := obs.New(eng)
+	s, err := NewServer(eng, rng, hub, "churnburst")
 	if err != nil {
 		t.Fatal(err)
 	}
-	hub := obs.New(eng)
-	s.SetObs(hub)
 	attach := func(id int) {
 		s.AttachHost(&Host{
 			ID: id, Speed: 1.0, MemoryMB: 4096, Platform: lrm.WindowsX86,
@@ -189,7 +188,7 @@ func TestTightDeadlineCausesTimeouts(t *testing.T) {
 	// past the server's deadline check: expect timeouts and reissues.
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(3)
-	s, err := NewServer(eng, rng, "tight")
+	s, err := NewServer(eng, rng, nil, "tight")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +217,7 @@ func TestTightDeadlineCausesTimeouts(t *testing.T) {
 func TestFeasibilityCheckAvoidsSlowHosts(t *testing.T) {
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(4)
-	s, err := NewServer(eng, rng, "feas")
+	s, err := NewServer(eng, rng, nil, "feas")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,10 +284,10 @@ func TestCancelWorkunit(t *testing.T) {
 func TestServerValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(1)
-	if _, err := NewServer(eng, rng, ""); err == nil {
+	if _, err := NewServer(eng, rng, nil, ""); err == nil {
 		t.Error("expected error for empty name")
 	}
-	ok, err := NewServer(eng, rng, "ok")
+	ok, err := NewServer(eng, rng, nil, "ok")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +301,7 @@ func TestServerValidation(t *testing.T) {
 func TestGeneratedPopulation(t *testing.T) {
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(7)
-	s, err := NewServer(eng, rng, "pop")
+	s, err := NewServer(eng, rng, nil, "pop")
 	if err != nil {
 		t.Fatal(err)
 	}

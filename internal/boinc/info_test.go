@@ -62,7 +62,7 @@ func checkInfo(t testing.TB, s *Server, when string) {
 func churnyProject(t testing.TB) (*sim.Engine, *Server) {
 	t.Helper()
 	eng := sim.NewEngine()
-	s, err := NewServer(eng, sim.NewRNG(7), "volunteers")
+	s, err := NewServer(eng, sim.NewRNG(7), nil, "volunteers")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@ import (
 func TestServerConcurrentStress(t *testing.T) {
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(42)
-	srv, err := NewServer(eng, rng, "stress")
+	srv, err := NewServer(eng, rng, nil, "stress")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestServerConcurrentStress(t *testing.T) {
 // engine goroutine detaches hosts.
 func TestInfoReadersDuringDetach(t *testing.T) {
 	eng := sim.NewEngine()
-	srv, err := NewServer(eng, sim.NewRNG(3), "leaky")
+	srv, err := NewServer(eng, sim.NewRNG(3), nil, "leaky")
 	if err != nil {
 		t.Fatal(err)
 	}

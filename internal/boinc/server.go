@@ -173,12 +173,15 @@ type boincInstruments struct {
 	validated *obs.Counter
 }
 
-// SetObs wires the project to an observability hub: deadline misses,
-// reissues, and quorum validations become counters and journal events.
-func (s *Server) SetObs(o *obs.Obs) {
-	pl := obs.L("project", s.name)
-	s.obs = o
-	s.ins = boincInstruments{
+// NewServer creates a project with no hosts attached. o, which may be
+// nil, receives deadline misses, reissues and quorum validations as
+// counters and journal events.
+func NewServer(eng *sim.Engine, rng *sim.RNG, o *obs.Obs, name string) (*Server, error) {
+	if name == "" {
+		return nil, fmt.Errorf("boinc: project has no name")
+	}
+	pl := obs.L("project", name)
+	return &Server{eng: eng, rng: rng, name: name, byJob: make(map[string]*workunit), obs: o, ins: boincInstruments{
 		issued:    o.Counter("lattice_boinc_results_issued_total", "Result instances sent to volunteer hosts", pl),
 		returned:  o.Counter("lattice_boinc_results_returned_total", "Result instances returned by hosts", pl),
 		late:      o.Counter("lattice_boinc_results_late_total", "Results returned after reissue or completion (wasted)", pl),
@@ -186,15 +189,7 @@ func (s *Server) SetObs(o *obs.Obs) {
 		reissued:  o.Counter("lattice_boinc_reissues_total", "Workunits requeued after a deadline miss", pl),
 		wuFailed:  o.Counter("lattice_boinc_workunits_failed_total", "Workunits failed back to the grid (issue limit)", pl),
 		validated: o.Counter("lattice_boinc_quorum_validations_total", "Workunits that reached quorum and validated", pl),
-	}
-}
-
-// NewServer creates a project with no hosts attached.
-func NewServer(eng *sim.Engine, rng *sim.RNG, name string) (*Server, error) {
-	if name == "" {
-		return nil, fmt.Errorf("boinc: project has no name")
-	}
-	return &Server{eng: eng, rng: rng, name: name, byJob: make(map[string]*workunit)}, nil
+	}}, nil
 }
 
 // AttachHost adds a volunteer host to the project and starts its

@@ -27,12 +27,9 @@ type ClusterConfig struct {
 	// SharePartition (the default) statically assigns resource i of
 	// Base.Resources to shard i mod N; ShareLease gives every shard a
 	// replica of the full federation gated by a rotating lease, so each
-	// resource serves exactly one shard per lease term (see
+	// resource serves exactly one shard per shard.DefaultLeaseTerm (see
 	// shard.Leases).
 	Share shard.ShareMode
-	// LeaseTerm is the lease rotation period under ShareLease
-	// (default shard.DefaultLeaseTerm).
-	LeaseTerm sim.Duration
 	// Base is the per-shard deployment template. Seed, IDPrefix,
 	// Durable, Faults and ResourceWrap are derived per shard and must
 	// be left at their zero values here.
@@ -133,11 +130,7 @@ func (c *Cluster) shardConfig(k int) Config {
 		// Every shard replicates the full federation; the lease gate
 		// admits each resource only while this shard holds its lease,
 		// so at any instant a resource name serves exactly one shard.
-		term := c.cfg.LeaseTerm
-		if term <= 0 {
-			term = shard.DefaultLeaseTerm
-		}
-		leases := shard.Leases{Shards: c.cfg.Shards, Term: term}
+		leases := shard.Leases{Shards: c.cfg.Shards, Term: shard.DefaultLeaseTerm}
 		index := make(map[string]int, len(c.cfg.Base.Resources))
 		for i, rs := range c.cfg.Base.Resources {
 			index[rs.Name] = i
@@ -344,7 +337,8 @@ func (c *Cluster) Handler() http.Handler {
 	return mux
 }
 
-// statusJSON merges every shard's /grid/status view.
+// statusJSON merges every shard's /grid/status view, each read under
+// that shard's portal lock.
 func (c *Cluster) statusJSON() any {
 	type shardStatus struct {
 		Shard     int           `json:"shard"`
@@ -358,14 +352,16 @@ func (c *Cluster) statusJSON() any {
 	}
 	out := make([]shardStatus, len(c.Shards))
 	for k, l := range c.Shards {
-		out[k] = shardStatus{
-			Shard:     k,
-			Crashed:   l.crashed(),
-			Time:      float64(l.Engine.Now()),
-			Resources: l.resourceRows(),
-			Scheduler: l.Scheduler.Stats(),
-		}
-		out[k].RetrainErrors, out[k].DurableError = l.errorStatus()
+		l.Portal.Locked(func() {
+			out[k] = shardStatus{
+				Shard:     k,
+				Crashed:   l.crashed(),
+				Time:      float64(l.Engine.Now()),
+				Resources: l.resourceRows(),
+				Scheduler: l.Scheduler.Stats(),
+			}
+			out[k].RetrainErrors, out[k].DurableError = l.errorStatus()
+		})
 	}
 	return map[string]any{"shards": out}
 }

@@ -523,8 +523,8 @@ func TestClusterRestartsFromDurableRoot(t *testing.T) {
 func TestClusterLeaseRotationAcrossCrash(t *testing.T) {
 	const seed = 26
 	const crashShard = 0
-	term := 2 * sim.Hour
-	crashAt := sim.Time(3 * sim.Hour) // one rotation behind it, more while down
+	term := shard.DefaultLeaseTerm
+	crashAt := sim.Time(term + term/2) // one rotation behind it, more while down
 	shardFaults := func(k int) *faults.Schedule {
 		if k != crashShard {
 			return nil
@@ -534,14 +534,14 @@ func TestClusterLeaseRotationAcrossCrash(t *testing.T) {
 	schedule := func(c *Cluster) {
 		for i := 0; i < 12; i++ {
 			email := fmt.Sprintf("leasecrash%02d@example.edu", i)
-			c.ScheduleSubmission(sim.Time(float64(i)*1700+11), clusterSubmission(email, int64(500+i)))
+			c.ScheduleSubmission(sim.Time(sim.Duration(i)*term/4+11), clusterSubmission(email, int64(500+i)))
 		}
 	}
 	base := clusterBase(seed)
 	base.Ingest = gsbl.IngestConfig{PerSubmissionSeconds: 30, PerReplicateSeconds: 5}
 
 	twin, err := NewCluster(ClusterConfig{
-		Shards: 2, Share: shard.ShareLease, LeaseTerm: term,
+		Shards: 2, Share: shard.ShareLease,
 		Base: base, ShardFaults: shardFaults,
 	})
 	if err != nil {
@@ -552,7 +552,7 @@ func TestClusterLeaseRotationAcrossCrash(t *testing.T) {
 	runClusterToDone(t, twin, sim.Time(10*sim.Day))
 
 	c, err := NewCluster(ClusterConfig{
-		Shards: 2, Share: shard.ShareLease, LeaseTerm: term,
+		Shards: 2, Share: shard.ShareLease,
 		Base: base, ShardFaults: shardFaults,
 		DurableRoot: t.TempDir(),
 	})

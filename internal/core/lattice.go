@@ -20,7 +20,6 @@ import (
 	"lattice/internal/gsbl"
 	"lattice/internal/lrm"
 	"lattice/internal/lrm/cluster"
-	"lattice/internal/lrm/condor"
 	"lattice/internal/metasched"
 	"lattice/internal/obs"
 	"lattice/internal/portal"
@@ -31,13 +30,19 @@ import (
 
 // ResourceSpec declares one resource of the federation.
 type ResourceSpec struct {
-	Kind  string // "condor", "pbs", "sge", "boinc"
-	Name  string
+	// Kind is "condor", "pbs" or "sge" (all built as one lrm/cluster)
+	// or "boinc".
+	Kind string
+	Name string
+	// Nodes counts a cluster's nodes, or a pool's machines.
 	Nodes int
-	Cores int     // per node (sge)
-	Speed float64 // node speed vs reference
+	Cores int // slots per node (sge; pbs and condor nodes have one)
+	// Speed is the node speed vs reference; a pool's machines are
+	// jittered ±20 % around it.
+	Speed float64
 	MemMB int
-	// Condor-only: owner activity.
+	// Condor-only: the mean lengths of every machine's owner-away and
+	// owner-busy periods.
 	MeanOwnerAway sim.Duration
 	MeanOwnerBusy sim.Duration
 	// BOINC-only population.
@@ -258,8 +263,7 @@ func build(cfg Config, rb *rebuild) (*Lattice, error) {
 	// path (same wiring, same RNG stream draws, bit-identical runs).
 	var pubSink mds.Sink = idx
 	if cfg.Faults != nil {
-		l.Faults = faults.NewInjector(eng, rng.Stream("faults"))
-		l.Faults.SetObs(l.Obs)
+		l.Faults = faults.NewInjector(eng, rng.Stream("faults"), l.Obs)
 		if rb != nil {
 			l.Faults.SetCrashStops(false)
 		}
@@ -269,9 +273,6 @@ func build(cfg Config, rb *rebuild) (*Lattice, error) {
 		inner, err := l.buildResource(rs)
 		if err != nil {
 			return nil, err
-		}
-		if w, ok := inner.(interface{ SetObs(*obs.Obs) }); ok {
-			w.SetObs(l.Obs)
 		}
 		target := inner
 		if l.Faults != nil {
@@ -394,31 +395,28 @@ func (l *Lattice) buildResource(rs ResourceSpec) (lrm.LRM, error) {
 		plat = lrm.LinuxX86
 	}
 	switch rs.Kind {
-	case "condor":
-		machines := make([]condor.Machine, rs.Nodes)
-		for i := range machines {
-			machines[i] = condor.Machine{
-				Speed:         jitter(l.rng, rs.Speed, 0.2),
-				MemoryMB:      rs.MemMB,
-				Platform:      plat,
-				MeanOwnerAway: rs.MeanOwnerAway,
-				MeanOwnerBusy: rs.MeanOwnerBusy,
+	case "condor", "pbs", "sge":
+		// PBS allocates whole nodes.
+		nodes := []cluster.NodeClass{{Count: rs.Nodes, Cores: 1, Speed: rs.Speed, MemoryMB: rs.MemMB}}
+		var owners *sim.RNG
+		switch {
+		case rs.Kind == "sge" && rs.Cores > 0:
+			nodes[0].Cores = rs.Cores
+		case rs.Kind == "condor":
+			// One workstation per machine, each with its own speed and
+			// owner.
+			nodes = make([]cluster.NodeClass, rs.Nodes)
+			for i := range nodes {
+				nodes[i] = cluster.NodeClass{Count: 1, Cores: 1, Speed: jitter(l.rng, rs.Speed, 0.2), MemoryMB: rs.MemMB,
+					MeanOwnerAway: rs.MeanOwnerAway, MeanOwnerBusy: rs.MeanOwnerBusy}
 			}
+			owners = l.rng.Stream("condor-" + rs.Name)
 		}
-		return condor.New(l.Engine, l.rng.Stream("condor-"+rs.Name), condor.Config{
-			Name: rs.Name, Machines: machines, MaxRequeues: 50,
-		})
-	case "pbs", "sge":
-		cores := 1 // PBS allocates whole nodes
-		if rs.Kind == "sge" && rs.Cores > 0 {
-			cores = rs.Cores
-		}
-		return cluster.New(l.Engine, cluster.Config{
-			Kind: rs.Kind, Name: rs.Name, Platform: plat, MPI: rs.MPI,
-			Nodes: []cluster.NodeClass{{Count: rs.Nodes, Cores: cores, Speed: rs.Speed, MemoryMB: rs.MemMB}},
+		return cluster.New(l.Engine, owners, l.Obs, cluster.Config{
+			Kind: rs.Kind, Name: rs.Name, Nodes: nodes, Platform: plat, MPI: rs.MPI, MaxRequeues: 50,
 		})
 	case "boinc":
-		srv, err := boinc.NewServer(l.Engine, l.rng.Stream("boinc-"+rs.Name), rs.Name)
+		srv, err := boinc.NewServer(l.Engine, l.rng.Stream("boinc-"+rs.Name), l.Obs, rs.Name)
 		if err != nil {
 			return nil, err
 		}

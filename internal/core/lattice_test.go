@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"lattice/internal/faults"
@@ -242,6 +243,56 @@ func TestGridStatusThroughCore(t *testing.T) {
 		if !kinds[want] {
 			t.Errorf("status missing kind %q", want)
 		}
+	}
+}
+
+// TestGridStatusWhilePumping GETs /grid/status while another goroutine
+// pumps the simulation, as cmd/lattice's ticker does. The status body
+// reads the MDS index the pump's providers publish into, the scheduler
+// and the clock, so it must be read under the portal lock — every
+// shard's own lock behind the cluster router. Run under -race.
+func TestGridStatusWhilePumping(t *testing.T) {
+	flat, err := New(clusterBase(41))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := NewCluster(ClusterConfig{Shards: 2, Base: clusterBase(41)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		handler http.Handler
+		pump    func(sim.Duration)
+	}{
+		{"flat", flat.Portal.Handler(), flat.Portal.Pump},
+		{"2-shard", sharded.Handler(), sharded.Pump},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						tc.pump(sim.Minute)
+					}
+				}
+			}()
+			defer wg.Wait()
+			defer close(stop)
+			for i := 0; i < 50; i++ {
+				rec := httptest.NewRecorder()
+				tc.handler.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/grid/status", nil))
+				if rec.Code != http.StatusOK {
+					t.Fatalf("GET /grid/status: %d %s", rec.Code, rec.Body)
+				}
+			}
+		})
 	}
 }
 

@@ -22,7 +22,7 @@ func boincBatch(seed int64, pop boinc.PopulationConfig, jobs int,
 ) (boinc.Stats, sim.Duration, int, error) {
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(seed)
-	srv, err := boinc.NewServer(eng, rng.Stream("server"), "lattice-boinc")
+	srv, err := boinc.NewServer(eng, rng.Stream("server"), nil, "lattice-boinc")
 	if err != nil {
 		return boinc.Stats{}, 0, 0, err
 	}

@@ -8,7 +8,6 @@ import (
 	"lattice/internal/estimate"
 	"lattice/internal/lrm"
 	"lattice/internal/lrm/cluster"
-	"lattice/internal/lrm/condor"
 	"lattice/internal/metasched"
 	"lattice/internal/phylo"
 	"lattice/internal/sim"
@@ -330,7 +329,7 @@ func CheckpointAlternative(seed int64) (*CheckpointResult, error) {
 	// (a) Gating: job waits for and runs on a busy stable cluster.
 	{
 		eng := sim.NewEngine()
-		cl, err := cluster.New(eng, cluster.Config{
+		cl, err := cluster.New(eng, nil, nil, cluster.Config{
 			Kind: "pbs", Name: "cluster", Platform: lrm.LinuxX86,
 			Nodes: []cluster.NodeClass{{Count: 4, Cores: 1, Speed: 1, MemoryMB: 4096}},
 		})
@@ -358,14 +357,11 @@ func CheckpointAlternative(seed int64) (*CheckpointResult, error) {
 	{
 		eng := sim.NewEngine()
 		rng := sim.NewRNG(seed)
-		machines := make([]condor.Machine, 6)
-		for i := range machines {
-			machines[i] = condor.Machine{
-				Speed: 1, MemoryMB: 4096, Platform: lrm.LinuxX86,
-				MeanOwnerAway: 4 * sim.Hour, MeanOwnerBusy: 2 * sim.Hour,
-			}
-		}
-		pool, err := condor.New(eng, rng, condor.Config{Name: "pool", Machines: machines})
+		pool, err := cluster.New(eng, rng, nil, cluster.Config{
+			Kind: "condor", Name: "pool", Platform: lrm.LinuxX86,
+			Nodes: []cluster.NodeClass{{Count: 6, Cores: 1, Speed: 1, MemoryMB: 4096,
+				MeanOwnerAway: 4 * sim.Hour, MeanOwnerBusy: 2 * sim.Hour}},
+		})
 		if err != nil {
 			return nil, err
 		}

@@ -5,7 +5,6 @@ import (
 
 	"lattice/internal/lrm"
 	"lattice/internal/lrm/cluster"
-	"lattice/internal/lrm/condor"
 	"lattice/internal/metasched"
 	"lattice/internal/phylo"
 	"lattice/internal/sim"
@@ -222,7 +221,7 @@ func SpeedCalibration(seed int64) (*CalibrationResult, error) {
 	}{
 		{"reference-clone", 1.0}, {"fast-cluster", 2.0}, {"old-cluster", 0.5}, {"mid-cluster", 1.3},
 	} {
-		c, err := cluster.New(eng, cluster.Config{
+		c, err := cluster.New(eng, nil, nil, cluster.Config{
 			Kind: "pbs", Name: spec.name, Platform: lrm.LinuxX86,
 			Nodes: []cluster.NodeClass{{Count: 4, Cores: 1, Speed: spec.speed, MemoryMB: 2048}},
 		})
@@ -233,14 +232,14 @@ func SpeedCalibration(seed int64) (*CalibrationResult, error) {
 	}
 	// An idle Condor pool with heterogeneous machines: calibration
 	// averages over its members.
-	machines := make([]condor.Machine, 6)
+	machines := make([]cluster.NodeClass, 6)
 	for i := range machines {
-		machines[i] = condor.Machine{
-			Speed: 0.6 + 0.2*float64(i%3), MemoryMB: 2048, Platform: lrm.LinuxX86,
+		machines[i] = cluster.NodeClass{
+			Count: 1, Cores: 1, Speed: 0.6 + 0.2*float64(i%3), MemoryMB: 2048,
 			MeanOwnerAway: 1000 * sim.Hour, MeanOwnerBusy: sim.Minute,
 		}
 	}
-	pool, err := condor.New(eng, rng, condor.Config{Name: "hetero-pool", Machines: machines})
+	pool, err := cluster.New(eng, rng, nil, cluster.Config{Kind: "condor", Name: "hetero-pool", Nodes: machines, Platform: lrm.LinuxX86})
 	if err != nil {
 		return nil, err
 	}

@@ -66,7 +66,7 @@ type harness struct {
 func newHarness(t *testing.T, seed int64, runFor sim.Duration, sch Schedule) *harness {
 	t.Helper()
 	eng := sim.NewEngine()
-	in := NewInjector(eng, sim.NewRNG(seed))
+	in := NewInjector(eng, sim.NewRNG(seed), nil)
 	fake := newFakeLRM(eng, "res-a", runFor)
 	res := in.Wrap(fake)
 	if err := in.Apply(sch); err != nil {
@@ -226,7 +226,7 @@ func TestSlowResultDelaysCompletion(t *testing.T) {
 
 func TestSinkDropAndStale(t *testing.T) {
 	eng := sim.NewEngine()
-	in := NewInjector(eng, sim.NewRNG(1))
+	in := NewInjector(eng, sim.NewRNG(1), nil)
 	fake := newFakeLRM(eng, "res-a", sim.Hour)
 	in.Wrap(fake)
 	err := in.Apply(Schedule{Events: []Event{
@@ -289,7 +289,7 @@ func TestSinkDropAndStale(t *testing.T) {
 
 func TestSinkForwardsUnknownResources(t *testing.T) {
 	eng := sim.NewEngine()
-	in := NewInjector(eng, sim.NewRNG(1))
+	in := NewInjector(eng, sim.NewRNG(1), nil)
 	idx, _ := mds.NewIndex(eng, 5*sim.Minute)
 	in.Sink(idx).Publish(lrm.Info{Name: "outsider", FreeCPUs: 2})
 	if e, ok := idx.Lookup("outsider"); !ok || e.Info.FreeCPUs != 2 {
@@ -304,7 +304,7 @@ func (c *fakeChurner) Churn(n int) int { c.asked = n; c.served = n - 1; return c
 
 func TestChurnEvent(t *testing.T) {
 	eng := sim.NewEngine()
-	in := NewInjector(eng, sim.NewRNG(1))
+	in := NewInjector(eng, sim.NewRNG(1), nil)
 	c := &fakeChurner{}
 	in.AttachChurner("boinc-x", c)
 	err := in.Apply(Schedule{Events: []Event{
@@ -325,7 +325,7 @@ func TestChurnEvent(t *testing.T) {
 func TestFlapDeterminism(t *testing.T) {
 	trace := func(seed int64) []sim.Time {
 		eng := sim.NewEngine()
-		in := NewInjector(eng, sim.NewRNG(seed))
+		in := NewInjector(eng, sim.NewRNG(seed), nil)
 		in.Wrap(newFakeLRM(eng, "res-a", sim.Hour))
 		err := in.Apply(Schedule{Flaps: []Flap{
 			{Resource: "res-a", MeanUp: 4 * sim.Hour, MeanDown: 30 * sim.Minute, Until: sim.Time(5 * sim.Day)},
@@ -400,7 +400,7 @@ func TestValidateRejectsBadSchedules(t *testing.T) {
 
 func TestApplyRejectsUnwiredTargets(t *testing.T) {
 	eng := sim.NewEngine()
-	in := NewInjector(eng, sim.NewRNG(1))
+	in := NewInjector(eng, sim.NewRNG(1), nil)
 	if err := in.Apply(Schedule{Events: []Event{
 		{Kind: KindOutage, Resource: "ghost", Duration: sim.Hour},
 	}}); err == nil {

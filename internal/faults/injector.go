@@ -38,11 +38,14 @@ type Injector struct {
 // NewInjector creates an injector on the engine's clock. rng seeds the
 // probabilistic fault streams; every wrapped resource derives its own
 // child streams from it, so wrapping order (which core fixes by config
-// order) pins the whole fault sequence.
-func NewInjector(eng *sim.Engine, rng *sim.RNG) *Injector {
+// order) pins the whole fault sequence. o, which may be nil, receives
+// every injected fault as a per-kind counter increment and a journal
+// "fault" event (recoveries journal too, without counting).
+func NewInjector(eng *sim.Engine, rng *sim.RNG, o *obs.Obs) *Injector {
 	return &Injector{
 		eng:        eng,
 		rng:        rng,
+		obs:        o,
 		targets:    make(map[string]*target),
 		churners:   make(map[string]Churner),
 		demands:    make(map[string]func(factor float64)),
@@ -59,11 +62,6 @@ func (in *Injector) SetCrashStops(on bool) { in.crashStops = on }
 // Crashed reports whether a scheduled crash has killed the
 // coordinator since the last recovery.
 func (in *Injector) Crashed() bool { return in.crashed }
-
-// SetObs wires the injector to an observability hub: every injected
-// fault becomes a per-kind counter increment and a journal "fault"
-// event (recoveries journal too, without counting).
-func (in *Injector) SetObs(o *obs.Obs) { in.obs = o }
 
 // Wrap interposes the injector between the scheduler and one resource.
 // The wrapper is a pass-through lrm.LRM until the schedule says

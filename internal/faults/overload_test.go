@@ -46,7 +46,7 @@ func TestDemandSpikeWithoutHookStillJournals(t *testing.T) {
 // the collapsed capacity are refused, and both recover at the end.
 func TestCapacityCollapseScalesAndRefuses(t *testing.T) {
 	eng := sim.NewEngine()
-	in := NewInjector(eng, sim.NewRNG(1))
+	in := NewInjector(eng, sim.NewRNG(1), nil)
 	fake := newFakeLRM(eng, "res-a", 10*sim.Hour) // jobs effectively never finish
 	res := in.Wrap(fake)
 	err := in.Apply(Schedule{Events: []Event{
@@ -123,11 +123,11 @@ func TestOverloadEventValidation(t *testing.T) {
 	// Apply requires capacity-collapse targets to be wrapped, but not
 	// demand-spike hooks (they attach later, workload-side).
 	eng := sim.NewEngine()
-	in := NewInjector(eng, sim.NewRNG(1))
+	in := NewInjector(eng, sim.NewRNG(1), nil)
 	if err := in.Apply(ok); err == nil {
 		t.Error("Apply accepted capacity-collapse on an unwrapped resource")
 	}
-	in2 := NewInjector(eng, sim.NewRNG(1))
+	in2 := NewInjector(eng, sim.NewRNG(1), nil)
 	in2.Wrap(newFakeLRM(eng, "res-a", sim.Hour))
 	if err := in2.Apply(ok); err != nil {
 		t.Errorf("Apply rejected a valid overload schedule: %v", err)

@@ -30,7 +30,7 @@ func gridOn(t *testing.T, eng *sim.Engine, opts metasched.Options) *metasched.Sc
 	if err != nil {
 		t.Fatal(err)
 	}
-	hpc, err := cluster.New(eng, cluster.Config{
+	hpc, err := cluster.New(eng, nil, nil, cluster.Config{
 		Kind: "pbs", Name: "hpc", Platform: lrm.LinuxX86,
 		Nodes: []cluster.NodeClass{{Count: 16, Cores: 1, Speed: 1.5, MemoryMB: 8192}},
 	})

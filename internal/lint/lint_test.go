@@ -238,7 +238,7 @@ func TestAnalyzerScope(t *testing.T) {
 		{ErrDrop, "lattice/examples/portalrun", true},
 		{DeadAssign, "lattice/internal/phylo", true},
 		{DeadExport, "lattice", true},
-		{DeadExport, "lattice/internal/lrm/condor", true},
+		{DeadExport, "lattice/internal/lrm/cluster", true},
 	}
 	for _, tc := range cases {
 		if got := tc.analyzer.AppliesTo(tc.pkg); got != tc.want {

@@ -1,58 +1,87 @@
-// Package cluster simulates a dedicated batch cluster — the grid's
-// PBS and SGE resources, which are one machine at two slot counts. A
-// node exposes Cores slots that share its memory; a job takes one slot
-// on each of max(Nodes, 1) nodes that have a free slot and the memory,
-// from a FIFO queue with first-fit backfill. PBS's whole-node
-// allocation is Cores: 1; SGE's packing of many serial GARLI
-// replicates onto one node is Cores: n.
+// Package cluster simulates the grid's batch resources — PBS and SGE
+// clusters and Condor pools, which are one machine room at different
+// slot counts and owner processes. A node exposes Cores slots that
+// share its memory; a job takes one slot on each of max(Nodes, 1) nodes
+// that have a free slot and the memory, from a FIFO queue with
+// first-fit backfill. PBS's whole-node allocation is Cores: 1; SGE's
+// packing of many serial GARLI replicates onto one node is Cores: n.
 //
-// Clusters are the grid's "stable" resources — jobs run to completion
-// without owner interference — and the natural home for large-memory
-// and MPI work ("jobs with large memory requirements can be sent to
-// clusters with large memory nodes, and tightly coupled jobs to
-// clusters with fast interconnects", PAPER.md §1 item 2's matchmaking
-// attributes). The one constant of the model is mpiEfficiency: a job
-// spanning several nodes runs at 0.85 of their summed speed.
+// A Condor pool is a cluster of institutional workstations scavenged
+// for cycles while their owners are away ("Condor — a hunter of idle
+// workstations"): a node with an owner alternates exponential
+// owner-present and owner-away periods, takes jobs only while the owner
+// is away, and preempts them the moment the owner returns. Pools run
+// the vanilla universe, so a preempted job loses its progress and
+// requeues; the paper gates long jobs off such pools by estimate
+// instead of checkpoint-cycling them (experiment E14 models the
+// declined alternative by hand).
+//
+// A cluster with no owner is "stable" — jobs run to completion — and
+// the natural home for large-memory and MPI work ("jobs with large
+// memory requirements can be sent to clusters with large memory nodes,
+// and tightly coupled jobs to clusters with fast interconnects",
+// PAPER.md §1 item 2's matchmaking attributes); one with owners is the
+// canonical unstable resource ("unstable resources only take jobs
+// estimated under n = 10 hours"). The one constant of the model is
+// mpiEfficiency: a job spanning several nodes runs at 0.85 of their
+// summed speed.
 package cluster
 
 import (
 	"fmt"
+	"slices"
 
 	"lattice/internal/lrm"
 	"lattice/internal/obs"
 	"lattice/internal/sim"
 )
 
-// NodeClass describes a group of identical cluster nodes.
+// NodeClass describes a group of identical nodes.
 type NodeClass struct {
 	Count int
 	// Cores is the number of job slots per node: 1 allocates whole
-	// nodes (PBS), more packs jobs onto a node (SGE).
+	// nodes (PBS, a Condor workstation), more packs jobs onto a node
+	// (SGE).
 	Cores    int
 	Speed    float64
 	MemoryMB int // total per node, shared by its slots
+	// MeanOwnerAway and MeanOwnerBusy, set together, give every node of
+	// the class an owner: the mean lengths of the exponential periods in
+	// which the node is free for grid jobs and in which its owner uses
+	// it. Zero for a dedicated node.
+	MeanOwnerAway sim.Duration
+	MeanOwnerBusy sim.Duration
 }
 
 // Config describes a cluster.
 type Config struct {
-	// Kind is the batch system the cluster presents to the grid, "pbs"
-	// or "sge": Info().Kind and the prefix of every error and failure
-	// reason.
+	// Kind is the batch system the cluster presents to the grid, "pbs",
+	// "sge" or "condor": Info().Kind and the prefix of every error and
+	// failure reason.
 	Kind     string
 	Name     string
 	Nodes    []NodeClass
 	Platform lrm.Platform
-	Software []string
 	// MPI marks the cluster as having a low-latency interconnect.
 	MPI bool
+	// MaxRequeues bounds how many times one job may be preempted by an
+	// owner before the cluster fails it (0 = unlimited; real Condor
+	// requeues indefinitely, which for long jobs on busy pools means
+	// never finishing).
+	MaxRequeues int
 }
 
 type node struct {
 	cores     int
 	speed     float64
 	memoryMB  int
-	usedCores int
 	usedMemMB int
+	// jobs hold a slot here, in start order.
+	jobs []*running
+	// away and busy are the owner's mean periods (zero: no owner);
+	// ownerPresent keeps the node from taking jobs.
+	away, busy   sim.Duration
+	ownerPresent bool
 }
 
 type running struct {
@@ -60,54 +89,121 @@ type running struct {
 	nodes []*node
 	// speed is the aggregate speed the job runs at.
 	speed     float64
+	started   sim.Time
 	doneEvent sim.EventID
 	wallEvent sim.EventID
 }
 
-// Cluster is a PBS or SGE LRM.
+// Cluster is a PBS, SGE or Condor LRM.
 type Cluster struct {
-	eng     *sim.Engine
+	eng *sim.Engine
+	// rng draws the owners' periods.
+	rng     *sim.RNG
 	cfg     Config
 	nodes   []*node
 	queue   []*lrm.Job
 	running map[string]*running
 	stats   lrm.Stats
 	ins     *lrm.Instruments
-	// queuedAt records local submission times for queue-wait metrics.
+	// info is what Info reports that never changes, built once so an
+	// MDS poll allocates nothing.
+	info lrm.Info
+	// queuedAt records when each queued job's current wait began
+	// (submission or last preemption), for queue-wait metrics.
 	queuedAt map[string]sim.Time
+	// requeues counts each job's owner preemptions so far.
+	requeues map[string]int
 	// picked is dispatch's node-selection scratch.
 	picked []*node
 }
 
-// SetObs wires the cluster to an observability hub: queue waits and
-// executions become per-resource series and journal events.
-func (c *Cluster) SetObs(o *obs.Obs) { c.ins = lrm.NewInstruments(o, c.cfg.Name) }
-
-// New builds a cluster.
-func New(eng *sim.Engine, cfg Config) (*Cluster, error) {
-	if cfg.Kind != "pbs" && cfg.Kind != "sge" {
+// New builds a cluster. rng draws the owners' periods and may be nil
+// when no node has an owner; o, which may be nil, receives queue waits,
+// executions and preemptions as per-resource series and journal
+// events. Owner nodes start owner-present, and their first departures
+// are drawn here in node order.
+func New(eng *sim.Engine, rng *sim.RNG, o *obs.Obs, cfg Config) (*Cluster, error) {
+	switch cfg.Kind {
+	case "pbs", "sge", "condor":
+	default:
 		return nil, fmt.Errorf("cluster: unknown kind %q", cfg.Kind)
 	}
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("%s: cluster has no name", cfg.Kind)
 	}
-	c := &Cluster{eng: eng, cfg: cfg, running: make(map[string]*running), queuedAt: make(map[string]sim.Time)}
+	c := &Cluster{
+		eng: eng, rng: rng, cfg: cfg, ins: lrm.NewInstruments(o, cfg.Name),
+		running: make(map[string]*running), queuedAt: make(map[string]sim.Time), requeues: make(map[string]int),
+		info: lrm.Info{Name: cfg.Name, Kind: cfg.Kind, Platforms: []lrm.Platform{cfg.Platform}, MPI: cfg.MPI, Stable: true},
+	}
 	for i, nc := range cfg.Nodes {
-		if nc.Speed <= 0 || nc.Count <= 0 || nc.Cores <= 0 {
+		owned := nc.MeanOwnerBusy > 0
+		if nc.Speed <= 0 || nc.Count <= 0 || nc.Cores <= 0 || owned != (nc.MeanOwnerAway > 0) || (owned && rng == nil) {
 			return nil, fmt.Errorf("%s: node class %d invalid", cfg.Kind, i)
 		}
 		for k := 0; k < nc.Count; k++ {
-			c.nodes = append(c.nodes, &node{cores: nc.Cores, speed: nc.Speed, memoryMB: nc.MemoryMB})
+			c.nodes = append(c.nodes, &node{cores: nc.Cores, speed: nc.Speed, memoryMB: nc.MemoryMB,
+				away: nc.MeanOwnerAway, busy: nc.MeanOwnerBusy, ownerPresent: owned})
 		}
+		c.info.TotalCPUs += nc.Count * nc.Cores
+		c.info.NodeMemoryMB = max(c.info.NodeMemoryMB, nc.MemoryMB)
+		c.info.Stable = c.info.Stable && !owned
 	}
 	if len(c.nodes) == 0 {
 		return nil, fmt.Errorf("%s: cluster %s has no nodes", cfg.Kind, cfg.Name)
+	}
+	for _, n := range c.nodes {
+		if n.busy > 0 {
+			c.ownerLeaves(n)
+		}
 	}
 	return c, nil
 }
 
 // Name implements lrm.LRM.
 func (c *Cluster) Name() string { return c.cfg.Name }
+
+// ownerLeaves ends n's current owner-present period after a random
+// busy time: the node takes jobs until the owner returns.
+func (c *Cluster) ownerLeaves(n *node) {
+	c.eng.Schedule(c.rng.ExpDuration(n.busy), func() {
+		n.ownerPresent = false
+		c.eng.Schedule(c.rng.ExpDuration(n.away), func() {
+			n.ownerPresent = true
+			for len(n.jobs) > 0 {
+				c.preempt(n.jobs[0])
+			}
+			c.ownerLeaves(n)
+		})
+		c.dispatch()
+	})
+}
+
+// preempt evicts r because an owner came back. The vanilla universe
+// loses its progress: the job goes back to the tail of the queue with
+// a fresh queue-wait clock, or fails once preempted MaxRequeues times.
+func (c *Cluster) preempt(r *running) {
+	j := r.job
+	c.eng.Cancel(r.doneEvent)
+	c.eng.Cancel(r.wallEvent)
+	requeues := c.requeues[j.ID] + 1
+	c.release(r)
+	c.stats.Preemptions++
+	c.ins.JobPreempted(j, "owner returned")
+	c.stats.WastedCPU += c.eng.Now().Sub(r.started).Seconds() * r.speed
+	if c.cfg.MaxRequeues > 0 && requeues > c.cfg.MaxRequeues {
+		c.stats.Failed++
+		c.ins.JobFailed(j)
+		if j.OnFail != nil {
+			j.OnFail(c.eng.Now(), c.cfg.Kind+": requeue limit exceeded")
+		}
+		return
+	}
+	c.requeues[j.ID] = requeues
+	c.queue = append(c.queue, j)
+	c.queuedAt[j.ID] = c.eng.Now()
+	c.dispatch()
+}
 
 // Submit implements lrm.LRM. Jobs whose requirements no node can ever
 // satisfy are rejected immediately (qsub-style validation).
@@ -128,14 +224,7 @@ func (c *Cluster) Submit(j *lrm.Job) error {
 	if !lrm.HasPlatform(j.Platforms, c.cfg.Platform) {
 		return fmt.Errorf("%s: cluster %s platform %s not in job's set", kind, c.cfg.Name, c.cfg.Platform)
 	}
-	satisfiable := false
-	for _, n := range c.nodes {
-		if j.MemoryMB <= n.memoryMB {
-			satisfiable = true
-			break
-		}
-	}
-	if !satisfiable {
+	if j.MemoryMB > c.info.NodeMemoryMB {
 		return fmt.Errorf("%s: no node on %s has %d MB", kind, c.cfg.Name, j.MemoryMB)
 	}
 	c.stats.TotalQueued++
@@ -154,6 +243,7 @@ func (c *Cluster) Cancel(jobID string) bool {
 		if j.ID == jobID {
 			c.queue = append(c.queue[:i], c.queue[i+1:]...)
 			delete(c.queuedAt, jobID)
+			delete(c.requeues, jobID)
 			return true
 		}
 	}
@@ -170,10 +260,12 @@ func (c *Cluster) Cancel(jobID string) bool {
 // release frees the job's slots and forgets it.
 func (c *Cluster) release(r *running) {
 	for _, n := range r.nodes {
-		n.usedCores--
+		i := slices.Index(n.jobs, r)
+		n.jobs = slices.Delete(n.jobs, i, i+1)
 		n.usedMemMB -= r.job.MemoryMB
 	}
 	delete(c.running, r.job.ID)
+	delete(c.requeues, r.job.ID)
 }
 
 // mpiEfficiency is the parallel efficiency of multi-node MPI jobs
@@ -182,14 +274,14 @@ const mpiEfficiency = 0.85
 
 // dispatch starts queued jobs on free slots: FIFO order with first-fit
 // backfill (a job later in the queue may start if the head does not
-// fit enough nodes with a free slot and the memory).
+// fit enough owner-free nodes with a free slot and the memory).
 func (c *Cluster) dispatch() {
 	for qi := 0; qi < len(c.queue); {
 		j := c.queue[qi]
 		want := max(j.Nodes, 1)
 		picked := c.picked[:0]
 		for _, n := range c.nodes {
-			if n.usedCores < n.cores && n.usedMemMB+j.MemoryMB <= n.memoryMB {
+			if !n.ownerPresent && len(n.jobs) < n.cores && n.usedMemMB+j.MemoryMB <= n.memoryMB {
 				picked = append(picked, n)
 				if len(picked) == want {
 					break
@@ -207,9 +299,9 @@ func (c *Cluster) dispatch() {
 }
 
 func (c *Cluster) start(j *lrm.Job, nodes []*node) {
-	r := &running{job: j, nodes: nodes}
+	r := &running{job: j, nodes: nodes, started: c.eng.Now()}
 	for _, n := range nodes {
-		n.usedCores++
+		n.jobs = append(n.jobs, r)
 		n.usedMemMB += j.MemoryMB
 		r.speed += n.speed
 	}
@@ -246,21 +338,13 @@ func (c *Cluster) start(j *lrm.Job, nodes []*node) {
 	}
 }
 
-// Info implements lrm.LRM.
+// Info implements lrm.LRM. A slot is free while its node's owner is
+// away; Stable holds exactly when no node has an owner.
 func (c *Cluster) Info() lrm.Info {
-	info := lrm.Info{
-		Name:      c.cfg.Name,
-		Kind:      c.cfg.Kind,
-		Platforms: []lrm.Platform{c.cfg.Platform},
-		Software:  c.cfg.Software,
-		MPI:       c.cfg.MPI,
-		Stable:    true,
-	}
+	info := c.info
 	for _, n := range c.nodes {
-		info.TotalCPUs += n.cores
-		info.FreeCPUs += n.cores - n.usedCores
-		if n.memoryMB > info.NodeMemoryMB {
-			info.NodeMemoryMB = n.memoryMB
+		if !n.ownerPresent {
+			info.FreeCPUs += n.cores - len(n.jobs)
 		}
 	}
 	info.QueuedJobs = len(c.queue)

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -186,7 +188,7 @@ func TestCluster(t *testing.T) {
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			eng := sim.NewEngine()
-			c, err := New(eng, row.cfg)
+			c, err := New(eng, nil, nil, row.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -274,9 +276,242 @@ func TestNewValidation(t *testing.T) {
 		if mutate != nil {
 			mutate(&cfg)
 		}
-		if _, err := New(sim.NewEngine(), cfg); (err == nil) != (mutate == nil) {
+		if _, err := New(sim.NewEngine(), nil, nil, cfg); (err == nil) != (mutate == nil) {
 			t.Errorf("%s: New returned %v", name, err)
 		}
+	}
+}
+
+// TestPoolValidation is New's refusals for a Condor pool: the shared
+// checks on a pool-shaped config, and the owner process, which needs
+// both mean periods and a random stream to draw them from.
+func TestPoolValidation(t *testing.T) {
+	owner := func(away, busy sim.Duration) func(*Config) {
+		return func(c *Config) {
+			c.Nodes = []NodeClass{{Count: 1, Cores: 1, Speed: 1, MemoryMB: 1, MeanOwnerAway: away, MeanOwnerBusy: busy}}
+		}
+	}
+	for _, row := range []struct {
+		name   string
+		mutate func(*Config)
+		rng    *sim.RNG
+		ok     bool
+	}{
+		{"no name", func(c *Config) { c.Name = "" }, sim.NewRNG(1), false},
+		{"no nodes", func(c *Config) { c.Nodes = nil }, sim.NewRNG(1), false},
+		{"zero speed", func(c *Config) { c.Nodes[0].Speed = 0 }, sim.NewRNG(1), false},
+		{"owner away without busy", owner(sim.Hour, 0), sim.NewRNG(1), false},
+		{"owner busy without away", owner(0, sim.Hour), sim.NewRNG(1), false},
+		{"owner without a random stream", owner(sim.Hour, sim.Hour), nil, false},
+		{"valid pool", nil, sim.NewRNG(1), true},
+	} {
+		cfg := workstations(1, sim.Hour, sim.Hour)
+		if row.mutate != nil {
+			row.mutate(&cfg)
+		}
+		if _, err := New(sim.NewEngine(), row.rng, nil, cfg); (err == nil) != row.ok {
+			t.Errorf("%s: New returned %v", row.name, err)
+		}
+	}
+}
+
+// workstations is a Condor pool of n identical one-slot machines whose
+// owners are away for periods of mean away and busy for mean busy.
+func workstations(n int, away, busy sim.Duration) Config {
+	return Config{
+		Kind: "condor", Name: "pool", Platform: lrm.LinuxX86,
+		Nodes: []NodeClass{{Count: n, Cores: 1, Speed: 1, MemoryMB: 2048, MeanOwnerAway: away, MeanOwnerBusy: busy}},
+	}
+}
+
+// TestOwnerNodes runs the Condor pool's cases: one-slot nodes whose
+// owner comes and goes on the table's random stream (seed 1). All jobs
+// are submitted at time zero, while every owner is still present; the
+// cancels run at cancelAt. Owner periods are random, so rows pin
+// outcomes — completions, failure reasons, preemptions — and exact
+// times only where the first departure fixes them.
+func TestOwnerNodes(t *testing.T) {
+	// firstLeave is when the table's first owner leaves a node whose
+	// owner is busy for a mean minute: the first draw of the stream.
+	firstLeave := float64(sim.NewRNG(1).ExpDuration(sim.Minute))
+	fast := workstations(1, 1000*sim.Hour, sim.Minute)
+	fast.Nodes[0].Speed = 2
+	thrash := workstations(2, 3*sim.Hour, 3*sim.Hour)
+	thrash.MaxRequeues = 20
+	mixed := workstations(1, 100*sim.Hour, sim.Minute)
+	mixed.Nodes = append([]NodeClass{{Count: 1, Cores: 1, Speed: 1, MemoryMB: 512,
+		MeanOwnerAway: 100 * sim.Hour, MeanOwnerBusy: sim.Minute}}, mixed.Nodes...)
+	for _, row := range []struct {
+		name     string
+		cfg      Config
+		subs     []sub
+		cancelAt sim.Duration
+		cancels  []cancel
+		until    sim.Duration
+		done     map[string]float64 // job → completion time
+		failed   map[string]string  // job → reason
+		// completed counts completions; preempted is the least number
+		// of preemptions.
+		completed, preempted int
+	}{
+		{name: "short-jobs-complete", cfg: workstations(4, 8*sim.Hour, 2*sim.Hour),
+			subs: []sub{{id: "j", n: 20, ref: 600}}, until: 30 * sim.Day, completed: 20},
+		{name: "long-jobs-thrash", cfg: thrash,
+			// A 40-hour job on machines whose owners are away ~3 h at a
+			// time never finishes: the 21st preemption fails it.
+			subs: []sub{{id: "long", ref: 40 * 3600}}, until: 60 * sim.Day,
+			failed: map[string]string{"long": "condor: requeue limit exceeded"}, preempted: 21},
+		{name: "preempted-job-completes", cfg: workstations(3, 4*sim.Hour, 2*sim.Hour),
+			// ~4-hour windows: a 2-hour job may be preempted but finishes.
+			subs: []sub{{id: "medium", ref: 2 * 3600}}, until: 30 * sim.Day, completed: 1},
+		{name: "speed-1", cfg: workstations(1, 1000*sim.Hour, sim.Minute),
+			subs: []sub{{id: "j", ref: 3600}}, until: 10 * sim.Day,
+			done: map[string]float64{"j": firstLeave + 3600}, completed: 1},
+		{name: "speed-2", cfg: fast,
+			subs: []sub{{id: "j", ref: 3600}}, until: 10 * sim.Day,
+			done: map[string]float64{"j": firstLeave + 1800}, completed: 1},
+		{name: "requirements", cfg: mixed,
+			// The big job waits for the one machine that has the memory;
+			// what no machine can run is refused at Submit.
+			subs: []sub{
+				{id: "big", ref: 60, mem: 1024},
+				{id: "huge", ref: 60, mem: 4096, fail: "condor: no node on pool has 4096 MB"},
+				{id: "win", ref: 60, fail: "condor: cluster pool platform linux/x86_64 not in job's set",
+					job: func(j *lrm.Job) { j.Platforms = []lrm.Platform{lrm.WindowsX86} }},
+			},
+			until: 2 * sim.Day, completed: 1},
+		{name: "mpi-rejected", cfg: workstations(1, sim.Hour, sim.Hour),
+			subs:  []sub{{id: "mpi", ref: 60, job: mpi(0), fail: "condor: cluster pool has no MPI interconnect"}},
+			until: sim.Day},
+		{name: "cancel-running", cfg: workstations(1, 100*sim.Hour, sim.Minute),
+			subs:     []sub{{id: "c1", ref: 3600}},
+			cancelAt: 10 * sim.Minute, cancels: []cancel{{"c1", true}, {"c1", false}, {"never-submitted", false}},
+			until: sim.Day},
+		{name: "wall-limit", cfg: workstations(1, 1000*sim.Hour, sim.Minute),
+			subs:   []sub{{id: "w", ref: 7200, job: func(j *lrm.Job) { j.WallLimit = sim.Hour }}},
+			until:  sim.Day,
+			failed: map[string]string{"w": "condor: wall clock limit exceeded"}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			c, err := New(eng, sim.NewRNG(1), nil, row.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			done, failed := map[string]float64{}, map[string]string{}
+			var delivered float64 // reference-seconds of completed jobs
+			for _, s := range row.subs {
+				for k := 0; k < max(s.n, 1); k++ {
+					id := s.id
+					if s.n > 1 {
+						id = fmt.Sprintf("%s%d", s.id, k)
+					}
+					j := &lrm.Job{ID: id, Work: s.ref * lrm.ReferenceCellsPerSecond, MemoryMB: 256}
+					if s.mem > 0 {
+						j.MemoryMB = s.mem
+					}
+					if s.job != nil {
+						s.job(j)
+					}
+					j.OnComplete = func(at sim.Time) { done[id] = float64(at); delivered += s.ref }
+					j.OnFail = func(_ sim.Time, reason string) { failed[id] = reason }
+					err := c.Submit(j)
+					switch {
+					case s.fail == "" && err != nil:
+						t.Fatalf("submit %s: %v", id, err)
+					case s.fail != "" && (err == nil || !strings.Contains(err.Error(), s.fail)):
+						t.Errorf("submit %s: error %v, want one containing %q", id, err, s.fail)
+					}
+				}
+			}
+			eng.RunUntil(sim.Time(row.cancelAt))
+			for _, cn := range row.cancels {
+				if got := c.Cancel(cn.id); got != cn.want {
+					t.Errorf("Cancel(%s) = %v, want %v", cn.id, got, cn.want)
+				}
+			}
+			eng.RunUntil(sim.Time(row.until))
+			for id, want := range row.done {
+				if got, ok := done[id]; !ok || math.Abs(got-want) > 1e-9*want {
+					t.Errorf("%s done at %v (%v), want %v", id, got, ok, want)
+				}
+			}
+			if !maps.Equal(failed, row.failed) {
+				t.Errorf("failures %v, want %v", failed, row.failed)
+			}
+			st := c.Stats()
+			if st.Completed != row.completed || len(done) != row.completed || st.Failed != len(row.failed) {
+				t.Errorf("stats %+v with %d completion callbacks; want %d completed, %d failed",
+					st, len(done), row.completed, len(row.failed))
+			}
+			if st.Preemptions < row.preempted || (st.Preemptions > 0 && st.WastedCPU <= 0) {
+				t.Errorf("%d preemptions wasting %.0f s; want at least %d, and waste from each",
+					st.Preemptions, st.WastedCPU, row.preempted)
+			}
+			// Completed work is delivered once, whoever's machine ran it.
+			if math.Abs(st.CPUSeconds-delivered) > 1e-9*delivered {
+				t.Errorf("delivered %v reference-seconds, completed jobs needed %v", st.CPUSeconds, delivered)
+			}
+			if info := c.Info(); info.Kind != "condor" || info.Stable || info.RunningJobs+info.QueuedJobs != 0 {
+				t.Errorf("info at the horizon: %+v", info)
+			}
+		})
+	}
+}
+
+// TestInfo pins what MDS reads. Stable holds exactly when no node has
+// an owner, whatever the kind. A slot is free while idle with its
+// owner away, so a non-empty queue of jobs any node could run means no
+// free slot. A poll allocates nothing.
+func TestInfo(t *testing.T) {
+	pool := workstations(5, 10*sim.Hour, 10*sim.Hour)
+	dedicatedPool := workstations(5, 0, 0)
+	ownedPBS := hpc
+	ownedPBS.Nodes = append(slices.Clone(hpc.Nodes), NodeClass{Count: 2, Cores: 1, Speed: 1, MemoryMB: 4096,
+		MeanOwnerAway: 2 * sim.Hour, MeanOwnerBusy: sim.Hour})
+	for _, row := range []struct {
+		name          string
+		cfg           Config
+		total, memory int
+		stable        bool
+	}{
+		{"pbs", hpc, 6, 32768, true},
+		{"sge", slots, 16, 16384, true},
+		{"condor-pool", pool, 5, 2048, false},
+		{"condor-without-owners", dedicatedPool, 5, 2048, true},
+		{"pbs-with-an-owner-class", ownedPBS, 8, 32768, false},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			c, err := New(eng, sim.NewRNG(1), nil, row.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info := c.Info(); (info.FreeCPUs == info.TotalCPUs) != row.stable {
+				t.Errorf("at time zero %d of %d slots free; owners are present until they first leave", info.FreeCPUs, info.TotalCPUs)
+			}
+			for i := 0; i < 40; i++ {
+				j := &lrm.Job{ID: fmt.Sprintf("j%d", i), Work: 3 * 3600 * lrm.ReferenceCellsPerSecond, MemoryMB: 256}
+				if err := c.Submit(j); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for h := 0; h < 96; h++ {
+				eng.RunUntil(sim.Time(sim.Duration(h) * sim.Hour))
+				info := c.Info()
+				if info.Kind != row.cfg.Kind || info.TotalCPUs != row.total || info.NodeMemoryMB != row.memory ||
+					info.Stable != row.stable || info.MPI != row.cfg.MPI || !slices.Equal(info.Platforms, []lrm.Platform{lrm.LinuxX86}) {
+					t.Fatalf("hour %d: info misdescribes the cluster: %+v", h, info)
+				}
+				if info.FreeCPUs < 0 || info.FreeCPUs+info.RunningJobs > info.TotalCPUs || (info.QueuedJobs > 0 && info.FreeCPUs > 0) {
+					t.Fatalf("hour %d: %d free, %d running, %d queued of %d slots", h,
+						info.FreeCPUs, info.RunningJobs, info.QueuedJobs, info.TotalCPUs)
+				}
+			}
+			if allocs := testing.AllocsPerRun(100, func() { _ = c.Info() }); allocs != 0 {
+				t.Errorf("Info allocates %v times a call", allocs)
+			}
+		})
 	}
 }
 
@@ -406,7 +641,7 @@ func (c *refCluster) run(j *lrm.Job, r *refRunning, speed float64) {
 func (c *refCluster) info() lrm.Info {
 	return lrm.Info{
 		Name: c.cfg.Name, Kind: c.cfg.Kind, Platforms: []lrm.Platform{c.cfg.Platform},
-		Software: c.cfg.Software, MPI: c.cfg.MPI, Stable: true,
+		MPI: c.cfg.MPI, Stable: true,
 		QueuedJobs: len(c.queue), RunningJobs: len(c.running),
 	}
 }
@@ -542,6 +777,206 @@ func (c *refSlots) Info() lrm.Info {
 	return info
 }
 
+// refPool is the Condor pool as it stood as its own package: one
+// machine a node, an owner process per machine, vanilla-universe
+// preemption with a requeue limit, and no Submit checks beyond MPI.
+type refPool struct {
+	eng       *sim.Engine
+	rng       *sim.RNG
+	cfg       Config
+	machines  []*refMachine
+	platforms []lrm.Platform
+	queue     []refQueued
+	stats     lrm.Stats
+	requeues  map[string]int
+}
+
+type refMachine struct {
+	speed        float64
+	memoryMB     int
+	away, busy   sim.Duration
+	ownerPresent bool
+	running      *refRun
+}
+
+type refRun struct {
+	job                  *lrm.Job
+	startedAt            sim.Time
+	doneEvent, wallEvent sim.EventID
+}
+
+type refQueued struct {
+	job      *lrm.Job
+	queuedAt sim.Time
+}
+
+func newRefPool(eng *sim.Engine, rng *sim.RNG, cfg Config) *refPool {
+	p := &refPool{eng: eng, rng: rng, cfg: cfg, platforms: []lrm.Platform{cfg.Platform}, requeues: make(map[string]int)}
+	for _, nc := range cfg.Nodes {
+		for k := 0; k < nc.Count; k++ {
+			m := &refMachine{speed: nc.Speed, memoryMB: nc.MemoryMB, away: nc.MeanOwnerAway, busy: nc.MeanOwnerBusy, ownerPresent: true}
+			p.machines = append(p.machines, m)
+			p.scheduleOwnerDeparture(m)
+		}
+	}
+	return p
+}
+
+func (p *refPool) Name() string     { return p.cfg.Name }
+func (p *refPool) Stats() lrm.Stats { return p.stats }
+
+func (p *refPool) scheduleOwnerDeparture(m *refMachine) {
+	p.eng.Schedule(p.rng.ExpDuration(m.busy), func() {
+		m.ownerPresent = false
+		p.scheduleOwnerReturn(m)
+		p.tryDispatch()
+	})
+}
+
+func (p *refPool) scheduleOwnerReturn(m *refMachine) {
+	p.eng.Schedule(p.rng.ExpDuration(m.away), func() {
+		m.ownerPresent = true
+		if m.running != nil {
+			p.preempt(m)
+		}
+		p.scheduleOwnerDeparture(m)
+	})
+}
+
+func (p *refPool) preempt(m *refMachine) {
+	r := m.running
+	m.running = nil
+	p.eng.Cancel(r.doneEvent)
+	p.eng.Cancel(r.wallEvent)
+	p.stats.Preemptions++
+	p.stats.WastedCPU += p.eng.Now().Sub(r.startedAt).Seconds() * m.speed
+	requeues := p.requeues[r.job.ID] + 1
+	p.requeues[r.job.ID] = requeues
+	if p.cfg.MaxRequeues > 0 && requeues > p.cfg.MaxRequeues {
+		p.stats.Failed++
+		delete(p.requeues, r.job.ID)
+		if r.job.OnFail != nil {
+			r.job.OnFail(p.eng.Now(), "condor: requeue limit exceeded")
+		}
+		return
+	}
+	p.queue = append(p.queue, refQueued{r.job, p.eng.Now()})
+	p.tryDispatch()
+}
+
+func (p *refPool) Submit(j *lrm.Job) error {
+	if err := j.Validate(); err != nil {
+		return err
+	}
+	if j.NeedsMPI {
+		return fmt.Errorf("condor: pool %s cannot run MPI jobs", p.cfg.Name)
+	}
+	p.stats.TotalQueued++
+	p.queue = append(p.queue, refQueued{j, p.eng.Now()})
+	if len(p.queue) > p.stats.MaxQueueSeen {
+		p.stats.MaxQueueSeen = len(p.queue)
+	}
+	p.tryDispatch()
+	return nil
+}
+
+func (p *refPool) Cancel(jobID string) bool {
+	for i, q := range p.queue {
+		if q.job.ID == jobID {
+			p.queue = append(p.queue[:i], p.queue[i+1:]...)
+			delete(p.requeues, jobID)
+			return true
+		}
+	}
+	for _, m := range p.machines {
+		if m.running != nil && m.running.job.ID == jobID {
+			p.eng.Cancel(m.running.doneEvent)
+			p.eng.Cancel(m.running.wallEvent)
+			m.running = nil
+			delete(p.requeues, jobID)
+			p.tryDispatch()
+			return true
+		}
+	}
+	return false
+}
+
+func (p *refPool) tryDispatch() {
+	for qi := 0; qi < len(p.queue); {
+		q := p.queue[qi]
+		var target *refMachine
+		for _, m := range p.machines {
+			if !m.ownerPresent && m.running == nil && q.job.MemoryMB <= m.memoryMB && lrm.HasPlatform(q.job.Platforms, p.cfg.Platform) {
+				target = m
+				break
+			}
+		}
+		if target == nil {
+			qi++
+			continue
+		}
+		p.queue = append(p.queue[:qi], p.queue[qi+1:]...)
+		p.start(q.job, target)
+	}
+}
+
+func (p *refPool) start(j *lrm.Job, m *refMachine) {
+	r := &refRun{job: j, startedAt: p.eng.Now()}
+	m.running = r
+	dur := j.RuntimeOn(m.speed)
+	r.doneEvent = p.eng.Schedule(dur, func() {
+		m.running = nil
+		p.eng.Cancel(r.wallEvent)
+		p.stats.Completed++
+		p.stats.CPUSeconds += dur.Seconds() * m.speed
+		delete(p.requeues, j.ID)
+		if j.OnComplete != nil {
+			j.OnComplete(p.eng.Now())
+		}
+		p.tryDispatch()
+	})
+	if j.WallLimit > 0 && j.WallLimit < dur {
+		r.wallEvent = p.eng.Schedule(j.WallLimit, func() {
+			m.running = nil
+			p.eng.Cancel(r.doneEvent)
+			p.stats.Failed++
+			p.stats.WastedCPU += j.WallLimit.Seconds() * m.speed
+			delete(p.requeues, j.ID)
+			if j.OnFail != nil {
+				j.OnFail(p.eng.Now(), "condor: wall clock limit exceeded")
+			}
+			p.tryDispatch()
+		})
+	}
+}
+
+func (p *refPool) Info() lrm.Info {
+	info := lrm.Info{Name: p.cfg.Name, Kind: "condor", TotalCPUs: len(p.machines), Platforms: p.platforms, QueuedJobs: len(p.queue)}
+	for _, m := range p.machines {
+		info.NodeMemoryMB = max(info.NodeMemoryMB, m.memoryMB)
+		if m.running != nil {
+			info.RunningJobs++
+		} else if !m.ownerPresent {
+			info.FreeCPUs++
+		}
+	}
+	return info
+}
+
+func (p *refPool) placement() (map[string][]int, []string) {
+	run := map[string][]int{}
+	for i, m := range p.machines {
+		if m.running != nil {
+			run[m.running.job.ID] = []int{i}
+		}
+	}
+	ids := make([]string, len(p.queue))
+	for i, q := range p.queue {
+		ids[i] = q.job.ID
+	}
+	return run, ids
+}
+
 // placed is what the differential test reads from either side: which
 // nodes (by index) each running job holds, and the queue in order.
 type placed interface {
@@ -591,8 +1026,12 @@ func (c *refCluster) placement() (map[string][]int, []string) {
 // terminal job, and Info, Stats, the running set and the queue after
 // every event (a zero-delay probe behind each one, so it sees the
 // re-dispatch that ends the handler). multi counts the terminal jobs
-// that ran on more than one node.
-func replay(seed int64, eng *sim.Engine, c placed, multiNode bool) (log []string, multi int) {
+// that ran on more than one node. A pool stream holds only jobs the
+// meta-scheduler's eligibility check lets reach a pool — no MPI, no
+// foreign platform, no more memory than its largest machine — and,
+// since owners come and go forever, is probed every ten minutes up to
+// a three-day horizon instead of run dry.
+func replay(seed int64, eng *sim.Engine, c placed, multiNode, pool bool) (log []string, multi int) {
 	rng := sim.NewRNG(seed)
 	type start struct {
 		at    sim.Time
@@ -639,10 +1078,11 @@ func replay(seed int64, eng *sim.Engine, c placed, multiNode bool) (log []string
 		}
 		id := fmt.Sprintf("j%02d", i)
 		ids = append(ids, id)
-		j := &lrm.Job{
-			ID:       id,
-			Work:     rng.Uniform(300, 3*3600) * lrm.ReferenceCellsPerSecond,
-			MemoryMB: []int{256, 2048, 6000, 12000, 40000}[rng.Choice([]float64{4, 3, 2, 2, 0.5})],
+		j := &lrm.Job{ID: id, Work: rng.Uniform(300, 3*3600) * lrm.ReferenceCellsPerSecond}
+		if pool {
+			j.MemoryMB = []int{256, 1024, 2048}[rng.Intn(3)]
+		} else {
+			j.MemoryMB = []int{256, 2048, 6000, 12000, 40000}[rng.Choice([]float64{4, 3, 2, 2, 0.5})]
 		}
 		if multiNode {
 			j.Nodes = []int{0, 1, 2, 4, 9}[rng.Choice([]float64{3, 3, 2, 2, 0.3})]
@@ -651,7 +1091,7 @@ func replay(seed int64, eng *sim.Engine, c placed, multiNode bool) (log []string
 		if rng.Bool(0.3) {
 			j.WallLimit = sim.Duration(rng.Uniform(600, 2*3600))
 		}
-		if rng.Bool(0.05) {
+		if !pool && rng.Bool(0.05) {
 			j.Platforms = []lrm.Platform{lrm.WindowsX86}
 		}
 		j.OnComplete = func(sim.Time) { ended(id, "completed") }
@@ -661,14 +1101,24 @@ func replay(seed int64, eng *sim.Engine, c placed, multiNode bool) (log []string
 			snapshot()
 		})
 	}
-	eng.Run()
+	if !pool {
+		eng.Run()
+		return log, multi
+	}
+	const horizon = sim.Time(3 * sim.Day)
+	for at := sim.Time(0); at < horizon; at = at.Add(10 * sim.Minute) {
+		eng.ScheduleAt(at, snapshot)
+	}
+	eng.RunUntil(horizon)
 	return log, multi
 }
 
 // TestMatchesParentAllocators requires the folded allocator to be the
 // parents' on every stream: a Cores: 1 cluster against PBS's
-// whole-node allocator (multi-node MPI jobs included) and a Cores: 4
-// cluster against SGE's slot allocator.
+// whole-node allocator (multi-node MPI jobs included), a Cores: 4
+// cluster against SGE's slot allocator, and a cluster of owner nodes
+// against the Condor pool — owners drawn from the same stream, and a
+// requeue limit of 0 (unlimited), 1 or 2 by seed.
 func TestMatchesParentAllocators(t *testing.T) {
 	whole := Config{
 		Kind: "pbs", Name: "whole", Platform: lrm.LinuxX86, MPI: true,
@@ -684,43 +1134,59 @@ func TestMatchesParentAllocators(t *testing.T) {
 			{Count: 2, Cores: 4, Speed: 1.0, MemoryMB: 8192},
 		},
 	}
+	pool := Config{
+		Kind: "condor", Name: "pool", Platform: lrm.LinuxX86,
+		Nodes: []NodeClass{
+			{Count: 2, Cores: 1, Speed: 1.2, MemoryMB: 2048, MeanOwnerAway: 2 * sim.Hour, MeanOwnerBusy: sim.Hour},
+			{Count: 3, Cores: 1, Speed: 0.8, MemoryMB: 1024, MeanOwnerAway: 3 * sim.Hour, MeanOwnerBusy: 30 * sim.Minute},
+			{Count: 1, Cores: 1, Speed: 1.0, MemoryMB: 2048, MeanOwnerAway: 5 * sim.Hour, MeanOwnerBusy: 2 * sim.Hour},
+		},
+	}
 	for _, side := range []struct {
-		cfg       Config
-		ref       func(*sim.Engine, Config) placed
-		multiNode bool
+		cfg             Config
+		ref             func(*sim.Engine, *sim.RNG, Config) placed
+		multiNode, pool bool
 	}{
-		{whole, func(e *sim.Engine, c Config) placed { return newRefWholeNode(e, c) }, true},
-		{packed, func(e *sim.Engine, c Config) placed { return newRefSlots(e, c) }, false},
+		{whole, func(e *sim.Engine, _ *sim.RNG, c Config) placed { return newRefWholeNode(e, c) }, true, false},
+		{packed, func(e *sim.Engine, _ *sim.RNG, c Config) placed { return newRefSlots(e, c) }, false, false},
+		{pool, func(e *sim.Engine, rng *sim.RNG, c Config) placed { return newRefPool(e, rng, c) }, false, true},
 	} {
-		terminal, wallFails, multi := 0, 0, 0
+		terminal, wallFails, multi, requeueFails := 0, 0, 0, 0
 		for seed := int64(1); seed <= 200; seed++ {
+			cfg := side.cfg
+			if side.pool {
+				cfg.MaxRequeues = int(seed % 3)
+			}
 			eng := sim.NewEngine()
-			c, err := New(eng, side.cfg)
+			c, err := New(eng, sim.NewRNG(-seed), nil, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, m := replay(seed, eng, c, side.multiNode)
+			got, m := replay(seed, eng, c, side.multiNode, side.pool)
 			multi += m
 			refEng := sim.NewEngine()
-			want, _ := replay(seed, refEng, side.ref(refEng, side.cfg), side.multiNode)
+			want, _ := replay(seed, refEng, side.ref(refEng, sim.NewRNG(-seed), cfg), side.multiNode, side.pool)
 			if len(got) != len(want) {
-				t.Fatalf("%s seed %d: %d log lines, the parent allocator wrote %d", side.cfg.Kind, seed, len(got), len(want))
+				t.Fatalf("%s seed %d: %d log lines, the parent allocator wrote %d", cfg.Kind, seed, len(got), len(want))
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("%s seed %d, line %d:\n got  %s\n want %s", side.cfg.Kind, seed, i, got[i], want[i])
+					t.Fatalf("%s seed %d, line %d:\n got  %s\n want %s", cfg.Kind, seed, i, got[i], want[i])
 				}
 				if strings.HasPrefix(got[i], "job ") {
 					terminal++
 					if strings.Contains(got[i], "wall clock") {
 						wallFails++
 					}
+					if strings.Contains(got[i], "requeue limit") {
+						requeueFails++
+					}
 				}
 			}
 		}
-		if terminal < 200*30 || wallFails == 0 || (multi == 0) == side.multiNode {
-			t.Errorf("%s streams too tame: %d terminal jobs, %d wall-limit failures, %d multi-node runs",
-				side.cfg.Kind, terminal, wallFails, multi)
+		if terminal < 200*30 || wallFails == 0 || (multi == 0) == side.multiNode || (requeueFails == 0) == side.pool {
+			t.Errorf("%s streams too tame: %d terminal jobs, %d wall-limit failures, %d multi-node runs, %d requeue-limit failures",
+				side.cfg.Kind, terminal, wallFails, multi, requeueFails)
 		}
 	}
 }

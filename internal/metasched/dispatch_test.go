@@ -42,7 +42,7 @@ func TestDispatchAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hpc, err := cluster.New(eng, cluster.Config{
+	hpc, err := cluster.New(eng, nil, nil, cluster.Config{
 		Kind: "pbs", Name: "hpc", Platform: lrm.LinuxX86,
 		Nodes: []cluster.NodeClass{{Count: 4, Cores: 1, Speed: 1, MemoryMB: 2048}},
 	})
@@ -90,7 +90,7 @@ func TestSharedPlatformsUntouched(t *testing.T) {
 	want := []lrm.Platform{lrm.LinuxX86, lrm.WindowsX86, lrm.DarwinX86}
 	g := newGrid(t, DefaultConfig())
 	rng := sim.NewRNG(5)
-	srv, err := boinc.NewServer(g.eng, rng, "volunteers")
+	srv, err := boinc.NewServer(g.eng, rng, nil, "volunteers")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,13 +2,13 @@ package metasched
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"lattice/internal/boinc"
 	"lattice/internal/grid/mds"
 	"lattice/internal/lrm"
 	"lattice/internal/lrm/cluster"
-	"lattice/internal/lrm/condor"
 	"lattice/internal/phylo"
 	"lattice/internal/sim"
 	"lattice/internal/workload"
@@ -23,7 +23,7 @@ type grid struct {
 	eng   *sim.Engine
 	idx   *mds.Index
 	sched *Scheduler
-	pool  *condor.Pool
+	pool  *cluster.Cluster
 	hpc   *cluster.Cluster
 }
 
@@ -36,18 +36,15 @@ func newGrid(t *testing.T, cfg Config) *grid {
 	if err != nil {
 		t.Fatal(err)
 	}
-	machines := make([]condor.Machine, 8)
-	for i := range machines {
-		machines[i] = condor.Machine{
-			Speed: 1.0, MemoryMB: 2048, Platform: lrm.LinuxX86,
-			MeanOwnerAway: 5 * sim.Hour, MeanOwnerBusy: 30 * sim.Minute,
-		}
-	}
-	pool, err := condor.New(eng, sim.NewRNG(1), condor.Config{Name: "condor-pool", Machines: machines})
+	pool, err := cluster.New(eng, sim.NewRNG(1), nil, cluster.Config{
+		Kind: "condor", Name: "condor-pool", Platform: lrm.LinuxX86,
+		Nodes: []cluster.NodeClass{{Count: 8, Cores: 1, Speed: 1.0, MemoryMB: 2048,
+			MeanOwnerAway: 5 * sim.Hour, MeanOwnerBusy: 30 * sim.Minute}},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hpc, err := cluster.New(eng, cluster.Config{
+	hpc, err := cluster.New(eng, nil, nil, cluster.Config{
 		Kind: "pbs", Name: "hpc-cluster", Platform: lrm.LinuxX86, MPI: true,
 		Nodes: []cluster.NodeClass{{Count: 8, Cores: 1, Speed: 2.0, MemoryMB: 8192}},
 	})
@@ -61,13 +58,30 @@ func newGrid(t *testing.T, cfg Config) *grid {
 		t.Fatal(err)
 	}
 	sched := New(eng, idx, cfg, Options{})
-	if err := sched.Register(pool, 1.0); err != nil {
+	if err := sched.Register(acceptsAll{pool, t}, 1.0); err != nil {
 		t.Fatal(err)
 	}
 	if err := sched.Register(hpc, 2.0); err != nil {
 		t.Fatal(err)
 	}
 	return &grid{eng: eng, idx: idx, sched: sched, pool: pool, hpc: hpc}
+}
+
+// acceptsAll registers a pool so that every test on the grid pins what
+// the pool's own Submit checks assume: a pool refuses a job it could
+// never run (foreign platform, more memory than any machine, MPI), and
+// the scheduler's eligibility check never offers it one.
+type acceptsAll struct {
+	lrm.LRM
+	t *testing.T
+}
+
+func (a acceptsAll) Submit(j *lrm.Job) error {
+	err := a.LRM.Submit(j)
+	if err != nil {
+		a.t.Errorf("%s refused a job the scheduler placed on it: %v", a.Name(), err)
+	}
+	return err
 }
 
 // perfectPredictor predicts from the spec's expected work — an oracle
@@ -206,24 +220,38 @@ func TestSpeedAwareprefersFastCluster(t *testing.T) {
 	}
 }
 
+// TestMemoryAndMPIFiltering sends the three kinds of job the pool would
+// refuse at Submit, more of each than the cluster's backlog cap admits,
+// so the idle pool is the only other candidate; newGrid's acceptsAll
+// fails the test if one reaches it.
 func TestMemoryAndMPIFiltering(t *testing.T) {
 	g := newGrid(t, DefaultConfig())
-	big := testJob("big", 600)
-	big.MemoryMB = 4096 // only the cluster has 8 GB nodes
-	if _, err := submit(g.sched, big, nil, nil); err != nil {
-		t.Fatal(err)
+	kinds := map[string]func(*GridJob){
+		"big": func(j *GridJob) { j.MemoryMB = 4096 }, // only the cluster has 8 GB nodes
+		"mpi": func(j *GridJob) { j.NeedsMPI = true },
+		"win": func(j *GridJob) { j.Platforms = []lrm.Platform{lrm.WindowsX86} }, // nobody runs Windows
 	}
-	mpi := testJob("mpi", 600)
-	mpi.NeedsMPI = true
-	if _, err := submit(g.sched, mpi, nil, nil); err != nil {
-		t.Fatal(err)
+	for kind, mutate := range kinds {
+		for i := 0; i < 20; i++ {
+			j := testJob(fmt.Sprintf("%s%d", kind, i), 600)
+			mutate(j)
+			if _, err := submit(g.sched, j, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	g.eng.RunUntil(sim.Time(1 * sim.Hour))
-	for _, id := range []string{"big", "mpi"} {
-		j := g.sched.jobs[id]
-		if j.Resource != "hpc-cluster" {
-			t.Errorf("%s placed on %q, want hpc-cluster", id, j.Resource)
+	for id, j := range g.sched.jobs {
+		want := "hpc-cluster"
+		if strings.HasPrefix(id, "win") {
+			want = ""
 		}
+		if j.Resource != want && j.Resource != "" {
+			t.Errorf("%s placed on %q, want %q", id, j.Resource, want)
+		}
+	}
+	if g.hpc.Stats().TotalQueued == 0 {
+		t.Error("the cluster ran none of the big and MPI jobs")
 	}
 }
 
@@ -241,7 +269,7 @@ func TestUnplaceableJobWaitsThenRuns(t *testing.T) {
 	}
 	// A PPC cluster joins the grid later.
 	g.eng.Schedule(2*sim.Hour, func() {
-		ppc, err := cluster.New(g.eng, cluster.Config{
+		ppc, err := cluster.New(g.eng, nil, nil, cluster.Config{
 			Kind: "pbs", Name: "mac-cluster", Platform: darwinPPC,
 			Nodes: []cluster.NodeClass{{Count: 2, Cores: 1, Speed: 1, MemoryMB: 2048}},
 		})
@@ -261,7 +289,7 @@ func TestUnplaceableJobWaitsThenRuns(t *testing.T) {
 func TestOfflineResourceNotUsed(t *testing.T) {
 	eng := sim.NewEngine()
 	idx, _ := mds.NewIndex(eng, 3*sim.Minute)
-	hpc, _ := cluster.New(eng, cluster.Config{
+	hpc, _ := cluster.New(eng, nil, nil, cluster.Config{
 		Kind: "pbs", Name: "solo", Platform: lrm.LinuxX86,
 		Nodes: []cluster.NodeClass{{Count: 2, Cores: 1, Speed: 1, MemoryMB: 2048}},
 	})
@@ -345,11 +373,11 @@ func TestCancelPendingAndRunning(t *testing.T) {
 
 func TestCalibrateRecoverSpeeds(t *testing.T) {
 	eng := sim.NewEngine()
-	fast, _ := cluster.New(eng, cluster.Config{
+	fast, _ := cluster.New(eng, nil, nil, cluster.Config{
 		Kind: "pbs", Name: "fast", Platform: lrm.LinuxX86,
 		Nodes: []cluster.NodeClass{{Count: 2, Cores: 1, Speed: 2.0, MemoryMB: 2048}},
 	})
-	slow, _ := cluster.New(eng, cluster.Config{
+	slow, _ := cluster.New(eng, nil, nil, cluster.Config{
 		Kind: "pbs", Name: "slow", Platform: lrm.LinuxX86,
 		Nodes: []cluster.NodeClass{{Count: 2, Cores: 1, Speed: 0.5, MemoryMB: 2048}},
 	})
@@ -426,7 +454,7 @@ func TestBoincDeadlineFromEstimate(t *testing.T) {
 	eng := sim.NewEngine()
 	idx, _ := mds.NewIndex(eng, 5*sim.Minute)
 	rng := sim.NewRNG(4)
-	srv, err := boinc.NewServer(eng, rng, "volunteers")
+	srv, err := boinc.NewServer(eng, rng, nil, "volunteers")
 	if err != nil {
 		t.Fatal(err)
 	}

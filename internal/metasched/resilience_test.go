@@ -80,7 +80,7 @@ func TestDeadResourceRequeue(t *testing.T) {
 		t.Fatal(err)
 	}
 	mk := func(name string, speed float64) *cluster.Cluster {
-		c, err := cluster.New(eng, cluster.Config{
+		c, err := cluster.New(eng, nil, nil, cluster.Config{
 			Kind: "pbs", Name: name, Platform: lrm.LinuxX86,
 			Nodes: []cluster.NodeClass{{Count: 4, Cores: 1, Speed: speed, MemoryMB: 8192}},
 		})

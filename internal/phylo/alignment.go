@@ -213,7 +213,14 @@ func ParseFASTA(r io.Reader, dt DataType) (*Alignment, error) {
 		if len(a.Names) == 0 {
 			return nil, fmt.Errorf("phylo: FASTA sequence data before first header")
 		}
-		cur.WriteString(line)
+		// A '>' in sequence data would start a header wherever WriteFASTA
+		// wraps the row; whitespace inside a line is layout, not data.
+		if strings.Contains(line, ">") {
+			return nil, fmt.Errorf("phylo: FASTA sequence for %q contains '>'", a.Names[len(a.Names)-1])
+		}
+		for _, chunk := range strings.Fields(line) {
+			cur.WriteString(chunk)
+		}
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("phylo: reading FASTA: %w", err)

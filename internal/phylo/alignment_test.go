@@ -40,9 +40,15 @@ func TestFASTARoundTrip(t *testing.T) {
 	}
 }
 
-func TestFASTALongLinesWrapped(t *testing.T) {
+// longWrappedAlignment has rows longer than WriteFASTA's 70 columns.
+func longWrappedAlignment() *Alignment {
 	long := strings.Repeat("ACGT", 100)
-	a := &Alignment{Type: Nucleotide, Names: []string{"x", "y", "z"}, Seqs: []string{long, long, long}}
+	return &Alignment{Type: Nucleotide, Names: []string{"x", "y", "z"}, Seqs: []string{long, long, long}}
+}
+
+func TestFASTALongLinesWrapped(t *testing.T) {
+	a := longWrappedAlignment()
+	long := a.Seqs[0]
 	var buf strings.Builder
 	if err := a.WriteFASTA(&buf); err != nil {
 		t.Fatal(err)
@@ -61,21 +67,29 @@ func TestFASTALongLinesWrapped(t *testing.T) {
 	}
 }
 
+// fastaErrorInputs are empty input, data before the first header, an
+// empty record name and a '>' inside sequence data.
+var fastaErrorInputs = []string{"", "ACGT\n", ">\nACGT\n", ">a\nAC>GT\n"}
+
 func TestFASTAErrors(t *testing.T) {
-	if _, err := ParseFASTA(strings.NewReader(""), Nucleotide); err == nil {
-		t.Error("expected error on empty input")
-	}
-	if _, err := ParseFASTA(strings.NewReader("ACGT\n"), Nucleotide); err == nil {
-		t.Error("expected error on data before header")
-	}
-	if _, err := ParseFASTA(strings.NewReader(">\nACGT\n"), Nucleotide); err == nil {
-		t.Error("expected error on empty record name")
+	for _, in := range fastaErrorInputs {
+		if _, err := ParseFASTA(strings.NewReader(in), Nucleotide); err == nil {
+			t.Errorf("expected error for %q", in)
+		}
 	}
 }
 
+const phylipSample = "3 8\nalpha ACGTACGT\nbeta  ACGTACGA\ngamma ACG TACGA\n"
+
+var phylipErrorInputs = []string{
+	"",
+	"x y\n",
+	"2 4\nonly ACGT\n",
+	"1 0\n",
+}
+
 func TestParsePHYLIP(t *testing.T) {
-	in := "3 8\nalpha ACGTACGT\nbeta  ACGTACGA\ngamma ACG TACGA\n"
-	a, err := ParsePHYLIP(strings.NewReader(in), Nucleotide)
+	a, err := ParsePHYLIP(strings.NewReader(phylipSample), Nucleotide)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,13 +102,7 @@ func TestParsePHYLIP(t *testing.T) {
 }
 
 func TestParsePHYLIPErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"x y\n",
-		"2 4\nonly ACGT\n",
-		"1 0\n",
-	}
-	for _, in := range cases {
+	for _, in := range phylipErrorInputs {
 		if _, err := ParsePHYLIP(strings.NewReader(in), Nucleotide); err == nil {
 			t.Errorf("expected error for %q", in)
 		}

@@ -396,6 +396,9 @@ func parseTreesBlock(tz *nexusTokenizer, nf *NexusFile) error {
 				if err != nil {
 					return err
 				}
+				if key == "" {
+					return fmt.Errorf("phylo: unterminated TRANSLATE table")
+				}
 				// Commas separate entries; a quoted label leaves its
 				// trailing comma as a standalone token.
 				key = strings.TrimPrefix(key, ",")

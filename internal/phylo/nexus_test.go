@@ -80,8 +80,7 @@ func TestParseNEXUSTreesWithTranslate(t *testing.T) {
 	}
 }
 
-func TestParseNEXUSInterleaved(t *testing.T) {
-	in := `#NEXUS
+const nexusInterleaved = `#NEXUS
 BEGIN DATA;
   DIMENSIONS NTAX=3 NCHAR=8;
   FORMAT DATATYPE=DNA INTERLEAVE;
@@ -95,7 +94,9 @@ BEGIN DATA;
   ;
 END;
 `
-	nf, err := ParseNEXUS(strings.NewReader(in))
+
+func TestParseNEXUSInterleaved(t *testing.T) {
+	nf, err := ParseNEXUS(strings.NewReader(nexusInterleaved))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,8 +108,7 @@ END;
 	}
 }
 
-func TestParseNEXUSWrappedSequential(t *testing.T) {
-	in := `#NEXUS
+const nexusWrapped = `#NEXUS
 BEGIN CHARACTERS;
   DIMENSIONS NTAX=2 NCHAR=8;
   FORMAT DATATYPE=PROTEIN;
@@ -119,7 +119,9 @@ BEGIN CHARACTERS;
   ;
 END;
 `
-	nf, err := ParseNEXUS(strings.NewReader(in))
+
+func TestParseNEXUSWrappedSequential(t *testing.T) {
+	nf, err := ParseNEXUS(strings.NewReader(nexusWrapped))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,15 +133,16 @@ END;
 	}
 }
 
+var nexusErrorInputs = []string{
+	"",
+	"not nexus",
+	"#NEXUS\nBEGIN DATA;\nDIMENSIONS NTAX=3 NCHAR=4;\nMATRIX\n a ACGT\n b ACGT\n;\nEND;\n", // NTAX mismatch
+	"#NEXUS\nBEGIN DATA;\nDIMENSIONS NTAX=2 NCHAR=8;\nMATRIX\n a ACGT\n b ACGT\n;\nEND;\n", // NCHAR mismatch
+	"#NEXUS\n",
+}
+
 func TestParseNEXUSErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"not nexus",
-		"#NEXUS\nBEGIN DATA;\nDIMENSIONS NTAX=3 NCHAR=4;\nMATRIX\n a ACGT\n b ACGT\n;\nEND;\n", // NTAX mismatch
-		"#NEXUS\nBEGIN DATA;\nDIMENSIONS NTAX=2 NCHAR=8;\nMATRIX\n a ACGT\n b ACGT\n;\nEND;\n", // NCHAR mismatch
-		"#NEXUS\n",
-	}
-	for i, in := range cases {
+	for i, in := range nexusErrorInputs {
 		if _, err := ParseNEXUS(strings.NewReader(in)); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
@@ -168,8 +171,7 @@ func TestNEXUSRoundTrip(t *testing.T) {
 	}
 }
 
-func TestNEXUSCommentsIgnored(t *testing.T) {
-	in := `#NEXUS
+const nexusComments = `#NEXUS
 [outer [nested] comment]
 BEGIN DATA;
   DIMENSIONS [why not here] NTAX=3 NCHAR=4;
@@ -181,7 +183,9 @@ BEGIN DATA;
   ;
 END;
 `
-	nf, err := ParseNEXUS(strings.NewReader(in))
+
+func TestNEXUSCommentsIgnored(t *testing.T) {
+	nf, err := ParseNEXUS(strings.NewReader(nexusComments))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,14 +197,15 @@ END;
 // TestParseNEXUSMalformedDimensions pins the dimension parsing fix: a
 // non-numeric or non-positive NTAX/NCHAR must produce a parse error
 // naming the bad dimension, not a silently-zero count.
+var nexusMalformedDimensions = []struct{ in, wantSub string }{
+	{"#NEXUS\nBEGIN DATA;\nDIMENSIONS NTAX=abc NCHAR=4;\nMATRIX\n a ACGT\n;\nEND;\n", "NTAX"},
+	{"#NEXUS\nBEGIN DATA;\nDIMENSIONS NTAX=0 NCHAR=4;\nMATRIX\n;\nEND;\n", "NTAX"},
+	{"#NEXUS\nBEGIN DATA;\nDIMENSIONS NTAX=1 NCHAR=4x;\nMATRIX\n a ACGT\n;\nEND;\n", "NCHAR"},
+	{"#NEXUS\nBEGIN DATA;\nDIMENSIONS NTAX=1 NCHAR=-8;\nMATRIX\n a ACGT\n;\nEND;\n", "NCHAR"},
+}
+
 func TestParseNEXUSMalformedDimensions(t *testing.T) {
-	cases := []struct{ in, wantSub string }{
-		{"#NEXUS\nBEGIN DATA;\nDIMENSIONS NTAX=abc NCHAR=4;\nMATRIX\n a ACGT\n;\nEND;\n", "NTAX"},
-		{"#NEXUS\nBEGIN DATA;\nDIMENSIONS NTAX=0 NCHAR=4;\nMATRIX\n;\nEND;\n", "NTAX"},
-		{"#NEXUS\nBEGIN DATA;\nDIMENSIONS NTAX=1 NCHAR=4x;\nMATRIX\n a ACGT\n;\nEND;\n", "NCHAR"},
-		{"#NEXUS\nBEGIN DATA;\nDIMENSIONS NTAX=1 NCHAR=-8;\nMATRIX\n a ACGT\n;\nEND;\n", "NCHAR"},
-	}
-	for i, tc := range cases {
+	for i, tc := range nexusMalformedDimensions {
 		_, err := ParseNEXUS(strings.NewReader(tc.in))
 		if err == nil {
 			t.Errorf("case %d: expected a parse error for malformed %s", i, tc.wantSub)

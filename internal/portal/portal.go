@@ -62,9 +62,11 @@ type Options struct {
 	// under the portal mutex exactly as they do the service layer.
 	Workflows *dag.Engine
 	// StatusSource backs /grid/status — typically the grid's MDS
-	// snapshot plus scheduler statistics. It is invoked outside the
-	// portal mutex: a source that re-entered the portal would otherwise
-	// deadlock.
+	// snapshot plus scheduler statistics. It is invoked under the portal
+	// mutex, serialized with Pump, so it may read the simulation; it must
+	// not re-enter the portal, and what it returns must not share
+	// simulation state, because the body is encoded after the mutex is
+	// released.
 	StatusSource func() any
 	// ArtifactDir caches downloadable result archives on disk (written
 	// atomically, so a crash mid-write can never leave a truncated
@@ -214,6 +216,15 @@ func (p *Portal) Pump(d sim.Duration) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.eng.RunUntil(p.eng.Now().Add(d))
+}
+
+// Locked runs fn under the portal mutex, serialized with Pump and every
+// handler that touches the simulation — how a cluster front router
+// reads a shard's state. fn must not re-enter the portal.
+func (p *Portal) Locked(fn func()) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	fn() //lint:allow lockorder -- running fn under mu is the point: it reads the simulation the pump advances
 }
 
 func (p *Portal) handleIndex(w http.ResponseWriter, r *http.Request) {
@@ -582,7 +593,9 @@ func (p *Portal) handleGridStatus(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "status source not configured", http.StatusNotFound)
 		return
 	}
-	p.writeJSON(w, p.opts.StatusSource())
+	var status any
+	p.Locked(func() { status = p.opts.StatusSource() })
+	p.writeJSON(w, status)
 }
 
 // handleMyJobs lists a registered user's batches in creation order.

@@ -45,7 +45,7 @@ func fixtureOpts(t *testing.T, sopts gsbl.Options, popts Options) (*Portal, *htt
 	if err != nil {
 		t.Fatal(err)
 	}
-	hpc, err := cluster.New(eng, cluster.Config{
+	hpc, err := cluster.New(eng, nil, nil, cluster.Config{
 		Kind: "pbs", Name: "hpc", Platform: lrm.LinuxX86,
 		Nodes: []cluster.NodeClass{{Count: 32, Cores: 1, Speed: 2, MemoryMB: 8192}},
 	})
