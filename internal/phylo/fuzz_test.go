@@ -79,3 +79,51 @@ func FuzzParseNEXUS(f *testing.F) {
 		}
 	})
 }
+
+// fuzzTaxa is the alignment index FuzzParseNewick also reads against:
+// the names its seed trees use.
+var fuzzTaxa = map[string]int{"a": 0, "b": 1, "c": 2, "d": 3, "e": 4}
+
+// FuzzParseNewick feeds arbitrary text to the Newick reader, both free
+// and against an alignment's index: an error or a tree, never a panic.
+// An accepted tree passes Check and places each taxon once, its Newick
+// reads back to the same Newick, and its clone passes Check and prints
+// that Newick too.
+func FuzzParseNewick(f *testing.F) {
+	for _, in := range append(slices.Clone(newickInputs), newickErrorInputs...) {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		for _, idx := range []map[string]int{nil, fuzzTaxa} {
+			tr, err := ParseNewick(s, idx)
+			if err != nil {
+				continue
+			}
+			if err := tr.Check(); err != nil {
+				t.Fatalf("accepted tree fails Check: %v", err)
+			}
+			placed := make(map[int]bool)
+			for _, l := range tr.Leaves() {
+				if placed[l.Taxon] {
+					t.Fatalf("taxon %d (%q) placed twice", l.Taxon, l.Name)
+				}
+				placed[l.Taxon] = true
+			}
+			out := tr.Newick()
+			back, err := ParseNewick(out, idx)
+			if err != nil {
+				t.Fatalf("own Newick refused: %v\n%q", err, out)
+			}
+			if again := back.Newick(); again != out {
+				t.Fatalf("Newick not a fixed point:\n got %q\nwant %q", again, out)
+			}
+			c := tr.Clone()
+			if err := c.Check(); err != nil {
+				t.Fatalf("clone fails Check: %v", err)
+			}
+			if got := c.Newick(); got != out {
+				t.Fatalf("clone prints %q, original %q", got, out)
+			}
+		}
+	})
+}

@@ -74,36 +74,41 @@ func (t *Tree) newNode() *Node {
 	return n
 }
 
-// Clone returns a deep copy of the tree.
+// Clone returns a deep copy of the tree in a fresh *Tree: same IDs,
+// child order, names and lengths, in four allocations whatever the size.
+// The nodes share one slab and their child lists one slice (a tree has
+// an edge per non-root node); each list is a capped window of it, so an
+// append to one node's children never writes into its neighbour's.
 func (t *Tree) Clone() *Tree {
-	c := &Tree{}
-	c.Nodes = make([]*Node, len(t.Nodes))
+	slab := make([]Node, len(t.Nodes))
+	c := &Tree{Nodes: make([]*Node, len(t.Nodes))}
+	kids := make([]*Node, 0, len(t.Nodes))
 	for i, n := range t.Nodes {
-		c.Nodes[i] = &Node{ID: n.ID, Taxon: n.Taxon, Name: n.Name, Length: n.Length}
-	}
-	for i, n := range t.Nodes {
-		cn := c.Nodes[i]
+		cn := &slab[i]
+		*cn = Node{ID: n.ID, Taxon: n.Taxon, Name: n.Name, Length: n.Length}
+		c.Nodes[i] = cn
 		if n.Parent != nil {
-			cn.Parent = c.Nodes[n.Parent.ID]
+			cn.Parent = &slab[n.Parent.ID]
 		}
+		a := len(kids)
 		for _, ch := range n.Children {
-			cn.Children = append(cn.Children, c.Nodes[ch.ID])
+			kids = append(kids, &slab[ch.ID])
 		}
+		cn.Children = kids[a:len(kids):len(kids)]
 	}
-	c.Root = c.Nodes[t.Root.ID]
+	c.Root = &slab[t.Root.ID]
 	return c
 }
 
 // PostOrder visits every node children-first and calls fn on each.
-func (t *Tree) PostOrder(fn func(*Node)) {
-	var walk func(*Node)
-	walk = func(n *Node) {
-		for _, c := range n.Children {
-			walk(c)
-		}
-		fn(n)
+func (t *Tree) PostOrder(fn func(*Node)) { postOrder(t.Root, fn) }
+
+// postOrder visits the subtree rooted at n children-first.
+func postOrder(n *Node, fn func(*Node)) {
+	for _, c := range n.Children {
+		postOrder(c, fn)
 	}
-	walk(t.Root)
+	fn(n)
 }
 
 // Leaves returns the tree's leaf nodes in post-order.
@@ -197,18 +202,20 @@ func (t *Tree) Newick() string {
 	return b.String()
 }
 
+// escapeNewickName quotes a name holding any byte an unquoted name
+// ends at (see parseName) or that skipSpace would drop from its front.
 func escapeNewickName(s string) string {
-	if strings.ContainsAny(s, " ():,;'") {
+	if strings.ContainsAny(s, "():,;' \t\n\r") {
 		return "'" + strings.ReplaceAll(s, "'", "''") + "'"
 	}
 	return s
 }
 
 // ParseNewick parses a Newick string. Taxon indices are assigned by
-// looking names up in taxonIndex; pass nil to assign indices in order
-// of appearance.
+// looking names up in taxonIndex, and a taxon named twice is an error;
+// pass nil to assign indices in order of appearance.
 func ParseNewick(s string, taxonIndex map[string]int) (*Tree, error) {
-	p := &newickParser{s: s, taxa: taxonIndex}
+	p := &newickParser{s: s, taxa: taxonIndex, seen: make(map[int]bool)}
 	t := &Tree{}
 	root, err := p.parseSubtree(t)
 	if err != nil {
@@ -230,6 +237,7 @@ type newickParser struct {
 	s    string
 	pos  int
 	taxa map[string]int
+	seen map[int]bool // taxa already placed, when taxa is set
 	next int
 }
 
@@ -276,6 +284,10 @@ func (p *newickParser) parseSubtree(t *Tree) (*Node, error) {
 				if !ok {
 					return nil, fmt.Errorf("phylo: Newick taxon %q not in alignment", name)
 				}
+				if p.seen[idx] {
+					return nil, fmt.Errorf("phylo: Newick taxon %q appears twice", name)
+				}
+				p.seen[idx] = true
 				n.Taxon = idx
 			} else {
 				n.Taxon = p.next
@@ -337,9 +349,9 @@ func (p *newickParser) parseName() string {
 }
 
 // reindex rebuilds the node slice and IDs after structural surgery
-// removed nodes from the tree.
+// removed nodes from the tree, into a new slice: callers may hold the old.
 func (t *Tree) reindex() {
-	var nodes []*Node
+	nodes := make([]*Node, 0, len(t.Nodes))
 	t.PostOrder(func(n *Node) {
 		n.ID = len(nodes)
 		nodes = append(nodes, n)

@@ -1,7 +1,9 @@
 package phylo
 
 import (
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -17,12 +19,26 @@ func taxonSet(t *Tree) []int {
 	return out
 }
 
-func TestNewickRoundTrip(t *testing.T) {
-	cases := []string{
+// newickInputs and newickErrorInputs are the trees the Newick tests
+// parse and the ones they must refuse; FuzzParseNewick starts from
+// both.
+var (
+	newickInputs = []string{
 		"((a:0.1,b:0.2):0.05,c:0.3,d:0.15);",
 		"(a:1,b:2,(c:3,(d:4,e:5):0.5):0.25);",
+		"('taxon one':0.1,'it''s':0.2,c:0.3);",
+		"((a:1,b:1):1,(c:1,d:1):1,e:1);",
 	}
-	for _, in := range cases {
+	newickErrorInputs = []string{
+		"((a,b);",
+		"(a:x,b:1,c:1);",
+		"(a,b,c); trailing",
+		"(,b,c);",
+	}
+)
+
+func TestNewickRoundTrip(t *testing.T) {
+	for _, in := range newickInputs {
 		tr, err := ParseNewick(in, nil)
 		if err != nil {
 			t.Fatalf("%q: %v", in, err)
@@ -71,18 +87,39 @@ func TestNewickTaxonIndexLookup(t *testing.T) {
 	if _, err := ParseNewick("(x:1,y:1,w:1);", idx); err == nil {
 		t.Error("expected error for unknown taxon")
 	}
+	// A taxon placed twice (so another is missing) is refused by name.
+	if _, err := ParseNewick("(x:1,x:1,z:1);", idx); err == nil || !strings.Contains(err.Error(), `"x"`) {
+		t.Errorf("duplicate taxon: err = %v, want one naming \"x\"", err)
+	}
 }
 
 func TestNewickErrors(t *testing.T) {
-	bad := []string{
-		"((a,b);",
-		"(a:x,b:1,c:1);",
-		"(a,b,c); trailing",
-		"(,b,c);",
-	}
-	for _, in := range bad {
+	for _, in := range newickErrorInputs {
 		if _, err := ParseNewick(in, nil); err == nil {
 			t.Errorf("expected parse error for %q", in)
+		}
+	}
+}
+
+// TestNewickQuotesEveryBreak: a name holding a byte that ends an
+// unquoted name, or that the reader skips as space, must come back
+// through Newick unchanged — checkpoint resume round-trips trees so.
+func TestNewickQuotesEveryBreak(t *testing.T) {
+	for _, name := range []string{"a\tb", "a\nb", "\ra", "a\r", "a b", "a(b", "it's"} {
+		tr := &Tree{}
+		tr.Root = tr.newNode()
+		for _, leaf := range []string{name, "c", "d"} {
+			n := tr.newNode()
+			n.Name, n.Length, n.Parent = leaf, 1, tr.Root
+			tr.Root.Children = append(tr.Root.Children, n)
+		}
+		back, err := ParseNewick(tr.Newick(), nil)
+		if err != nil {
+			t.Errorf("name %q: own Newick %q refused: %v", name, tr.Newick(), err)
+			continue
+		}
+		if got := back.Root.Children[0].Name; got != name {
+			t.Errorf("name %q came back as %q", name, got)
 		}
 	}
 }
@@ -99,6 +136,101 @@ func TestCloneIndependence(t *testing.T) {
 	}
 	if cp.Newick() == "" || tr.NumTaxa() != cp.NumTaxa() {
 		t.Error("clone structurally different")
+	}
+}
+
+// childIDs lists each node's child IDs, in node order.
+func childIDs(t *Tree) [][]int {
+	out := make([][]int, len(t.Nodes))
+	for i, n := range t.Nodes {
+		for _, c := range n.Children {
+			out[i] = append(out[i], c.ID)
+		}
+	}
+	return out
+}
+
+// TestCloneSurgeryIndependence: surgery on a clone — NNI, SPR, a
+// grafted leaf, an append to one node's children — leaves the original
+// as it was, and the append reaches no other node's children in either
+// tree, though a clone's child lists share one backing array.
+func TestCloneSurgeryIndependence(t *testing.T) {
+	rng := sim.NewRNG(3)
+	orig := RandomTree(TaxonNames(12), 0.1, rng)
+	want, wantKids := orig.Newick(), childIDs(orig)
+	unchanged := func(what string) {
+		t.Helper()
+		if got := orig.Newick(); got != want {
+			t.Fatalf("%s on a clone changed the original:\n got %s\nwant %s", what, got, want)
+		}
+		if err := orig.Check(); err != nil {
+			t.Fatalf("%s on a clone: original %v", what, err)
+		}
+		if !slices.EqualFunc(childIDs(orig), wantKids, slices.Equal) {
+			t.Fatalf("%s on a clone changed the original's child lists", what)
+		}
+	}
+	graft := func(c *Tree) {
+		target := c.Nodes[rng.Intn(len(c.Nodes)-1)] // the root is last
+		leaf := c.newNode()
+		leaf.Taxon, leaf.Name = len(c.Nodes), "extra"
+		c.attachAt(leaf, target, 0.1)
+		c.reindex()
+	}
+	for _, m := range []struct {
+		what string
+		move func(*Tree)
+	}{
+		{"NNI", func(c *Tree) { c.NNI(rng) }},
+		{"SPR", func(c *Tree) { c.SPR(sprRadius, rng) }},
+		{"attachAt", graft},
+	} {
+		what, move := m.what, m.move
+		c := orig.Clone()
+		for i := 0; i < 10; i++ {
+			move(c)
+			if err := c.Check(); err != nil {
+				t.Fatalf("%s on a clone: %v", what, err)
+			}
+			unchanged(what)
+		}
+	}
+	for x, n := range orig.Nodes {
+		if n.IsLeaf() {
+			continue
+		}
+		c := orig.Clone()
+		extra := &Node{ID: len(c.Nodes), Taxon: -1, Parent: c.Nodes[x]}
+		c.Nodes = append(c.Nodes, extra)
+		c.Nodes[x].Children = append(c.Nodes[x].Children, extra)
+		unchanged("append")
+		got := childIDs(c)
+		for i := range wantKids {
+			if i != x && !slices.Equal(got[i], wantKids[i]) {
+				t.Fatalf("append to node %d's children changed node %d's: %v, want %v", x, i, got[i], wantKids[i])
+			}
+		}
+	}
+}
+
+// TestTreeSurgeryAllocations pins the tree layer's allocations: Clone
+// is four whatever the size, reindex one, and SPR a constant that does
+// not grow with the number of taxa.
+func TestTreeSurgeryAllocations(t *testing.T) {
+	const sprAllocs = 8
+	tr := RandomTree(TaxonNames(50), 0.1, sim.NewRNG(1))
+	if n := testing.AllocsPerRun(100, func() { tr.Clone() }); n > 4 {
+		t.Errorf("Clone of a 50-taxon tree: %v allocations, want ≤ 4", n)
+	}
+	if n := testing.AllocsPerRun(100, tr.reindex); n > 1 {
+		t.Errorf("reindex of a 50-taxon tree: %v allocations, want ≤ 1", n)
+	}
+	for _, taxa := range []int{8, 50} {
+		rng := sim.NewRNG(2)
+		tr := RandomTree(TaxonNames(taxa), 0.1, rng)
+		if n := testing.AllocsPerRun(200, func() { tr.SPR(sprRadius, rng) }); n > sprAllocs {
+			t.Errorf("SPR on %d taxa: %v allocations, want ≤ %d", taxa, n, sprAllocs)
+		}
 	}
 }
 

@@ -180,20 +180,6 @@ func (t *Tree) normalizeRoot() {
 	}
 }
 
-// subtreeNodes returns all nodes in the subtree rooted at s.
-func subtreeNodes(s *Node) map[*Node]bool {
-	set := make(map[*Node]bool)
-	var walk func(*Node)
-	walk = func(n *Node) {
-		set[n] = true
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
-	walk(s)
-	return set
-}
-
 // NNI performs a random nearest-neighbour interchange: for an internal
 // edge (parent p — child c), it swaps a random child of c with a
 // random sibling of c. It returns the edge node whose neighbourhood
@@ -240,20 +226,18 @@ func (t *Tree) NNI(rng *sim.RNG) *Node {
 // new attachment), or nil when no legal move exists.
 func (t *Tree) SPR(radius int, rng *sim.RNG) *Node {
 	// Candidate subtrees: any non-root node whose removal leaves
-	// at least 3 taxa outside.
-	var cands []*Node
+	// at least 3 taxa outside. leaves[id] counts the taxa below node id.
 	total := t.NumTaxa()
+	leaves := make([]int, len(t.Nodes))
+	cands := make([]*Node, 0, len(t.Nodes))
 	t.PostOrder(func(n *Node) {
-		if n.Parent == nil {
-			return
+		if n.IsLeaf() {
+			leaves[n.ID] = 1
 		}
-		sz := 0
-		for m := range subtreeNodes(n) {
-			if m.IsLeaf() {
-				sz++
-			}
+		for _, c := range n.Children {
+			leaves[n.ID] += leaves[c.ID]
 		}
-		if total-sz >= 3 {
+		if n.Parent != nil && total-leaves[n.ID] >= 3 {
 			cands = append(cands, n)
 		}
 	})
@@ -261,27 +245,25 @@ func (t *Tree) SPR(radius int, rng *sim.RNG) *Node {
 		return nil
 	}
 	s := cands[rng.Intn(len(cands))]
-	origin := s.Parent
-	dist := distancesFrom(t, origin)
+	dist := distancesFrom(t, s.Parent)
 	t.detach(s)
 	// Candidate regraft edges: nodes with a parent, outside s's subtree.
-	inS := subtreeNodes(s)
-	var targets []*Node
+	inS := make([]bool, len(t.Nodes))
+	postOrder(s, func(n *Node) { inS[n.ID] = true })
+	targets := cands[:0] // the candidates are spent; reuse their array
 	t.PostOrder(func(n *Node) {
-		if n.Parent == nil || inS[n] {
+		if n.Parent == nil || inS[n.ID] {
 			return
 		}
-		if radius > 0 {
-			if d, ok := dist[n]; !ok || d > radius {
-				return
-			}
+		if radius > 0 && (dist[n.ID] < 0 || dist[n.ID] > radius) {
+			return
 		}
 		targets = append(targets, n)
 	})
 	if len(targets) == 0 {
 		// No target within radius; fall back to any edge.
 		t.PostOrder(func(n *Node) {
-			if n.Parent != nil && !inS[n] {
+			if n.Parent != nil && !inS[n.ID] {
 				targets = append(targets, n)
 			}
 		})
@@ -292,24 +274,29 @@ func (t *Tree) SPR(radius int, rng *sim.RNG) *Node {
 	return s
 }
 
-// distancesFrom returns hop counts from start to every node, treating
-// the tree as an undirected graph.
-func distancesFrom(t *Tree, start *Node) map[*Node]int {
-	dist := map[*Node]int{start: 0}
-	queue := []*Node{start}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		var adj []*Node
-		if n.Parent != nil {
-			adj = append(adj, n.Parent)
+// distancesFrom returns hop counts from start to every node, indexed
+// by node ID and treating the tree as an undirected graph; -1 marks a
+// node start does not reach.
+func distancesFrom(t *Tree, start *Node) []int {
+	dist := make([]int, len(t.Nodes))
+	for i := range dist {
+		dist[i] = -1
+	}
+	dist[start.ID] = 0
+	queue := append(make([]*Node, 0, len(t.Nodes)), start)
+	visit := func(from, m *Node) {
+		if dist[m.ID] < 0 {
+			dist[m.ID] = dist[from.ID] + 1
+			queue = append(queue, m)
 		}
-		adj = append(adj, n.Children...)
-		for _, m := range adj {
-			if _, ok := dist[m]; !ok {
-				dist[m] = dist[n] + 1
-				queue = append(queue, m)
-			}
+	}
+	for i := 0; i < len(queue); i++ {
+		n := queue[i]
+		if n.Parent != nil {
+			visit(n, n.Parent)
+		}
+		for _, m := range n.Children {
+			visit(n, m)
 		}
 	}
 	return dist
