@@ -4,7 +4,7 @@ GO ?= go
 # bench/README.md, BENCHMARK.json): six workloads, gated end-to-end
 # metrics, a per-layer table. The only other benchmarks in the tree are
 # package-local micro-benchmarks beside the code they time
-# (internal/beagle, forest, gsbl, boinc, metasched); `make check`
+# (internal/beagle, forest, gsbl, boinc, metasched, obs); `make check`
 # executes each body once so none can rot.
 
 # Machine-readable analyzer report: every finding, suppressed ones

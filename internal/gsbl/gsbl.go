@@ -107,8 +107,10 @@ func (m *Mailer) Send(at sim.Time, to, subject, body string) {
 	m.sent = append(m.sent, Notification{At: at, To: to, Subject: subject, Body: body})
 }
 
-// Sent returns all notifications in order.
-func (m *Mailer) Sent() []Notification { return m.sent }
+// Sent returns all notifications in order. The slice is capped at its
+// length, so a caller's append copies instead of writing into the
+// outbox's spare capacity, where the next Send would overwrite it.
+func (m *Mailer) Sent() []Notification { return m.sent[:len(m.sent):len(m.sent)] }
 
 // SentTo returns notifications for one recipient.
 func (m *Mailer) SentTo(to string) []Notification {

@@ -253,6 +253,24 @@ func TestCancelBatch(t *testing.T) {
 	}
 }
 
+// TestSentIsTheCallersToExtend: appending to what Sent returned must
+// not write into the outbox, and the next Send must not overwrite what
+// the caller appended.
+func TestSentIsTheCallersToExtend(t *testing.T) {
+	var m Mailer
+	for i := 0; i < 3; i++ {
+		m.Send(sim.Time(i), "u@example.edu", "mail", "")
+	}
+	mine := append(m.Sent(), Notification{To: "caller"})
+	m.Send(3, "u@example.edu", "fourth", "")
+	if mine[3].To != "caller" {
+		t.Errorf("the next Send overwrote the caller's appended notification with %+v", mine[3])
+	}
+	if sent := m.Sent(); len(sent) != 4 || sent[3].Subject != "fourth" {
+		t.Errorf("outbox = %+v", sent)
+	}
+}
+
 func TestUnknownBatchQueries(t *testing.T) {
 	_, svc, _ := testService(t)
 	if _, err := svc.Status("nope"); err == nil {

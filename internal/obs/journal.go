@@ -100,14 +100,29 @@ type Event struct {
 // digest. Events are stamped with virtual time at Record, so the
 // journal of a fixed-seed simulation is identical run to run — the
 // digest turns that into a one-line assertion.
+//
+// Events live in chunks whose capacity is fixed when they are opened:
+// firstChunk events, doubling per chunk up to maxChunk. Record appends
+// into the last chunk and opens a new one when it is full, so a stored
+// event is never copied or written again. Readers take mu only to
+// snapshot the chunk headers (see view) and fold outside the lock, so a
+// /trace request against a long journal does not stall Record.
 type Journal struct {
 	mu       sync.Mutex
 	clock    sim.Clock
 	hash     hash.Hash
 	scratch  []byte // framing buffer reused by every Record
-	events   []Event
+	chunks   [][]Event
+	n        int // events in all chunks
 	observer func(Event)
 }
+
+// Chunk capacities, in events: 64 events (5.5 kB) for a journal that
+// stays small, 4 096 (360 kB) once it is long.
+const (
+	firstChunk = 64
+	maxChunk   = 4096
+)
 
 // NewJournal creates an empty journal on the given virtual clock.
 func NewJournal(clock sim.Clock) *Journal {
@@ -136,7 +151,17 @@ func (j *Journal) Record(batch, job string, stage Stage, resource, detail string
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	ev := Event{At: j.clock.Now(), Batch: batch, Job: job, Stage: stage, Resource: resource, Detail: detail}
-	j.events = append(j.events, ev)
+	last := len(j.chunks) - 1
+	if last < 0 || len(j.chunks[last]) == cap(j.chunks[last]) {
+		size := firstChunk
+		if last >= 0 {
+			size = min(2*cap(j.chunks[last]), maxChunk)
+		}
+		j.chunks = append(j.chunks, make([]Event, 0, size))
+		last++
+	}
+	j.chunks[last] = append(j.chunks[last], ev)
+	j.n++
 	j.scratch = HashEvent(j.hash, j.scratch, ev)
 	if j.observer != nil {
 		j.observer(ev) //lint:allow lockorder -- the observer is the WAL feed: it must see events in digest order, which only mu guarantees
@@ -172,14 +197,48 @@ func HashEvent(h hash.Hash, scratch []byte, ev Event) []byte {
 	return scratch
 }
 
+// view is a reader's snapshot of the journal's first n events: the
+// headers of the full chunks and a copy of the last chunk's header.
+// Taking it holds mu for O(1); walking it needs no lock, because Record
+// never writes a stored event again — it writes only past the copied
+// tail's length, and only the last chunk's header, which the view does
+// not alias.
+type view struct {
+	sealed [][]Event
+	tail   []Event
+	n      int
+}
+
+func (j *Journal) view() view {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	last := len(j.chunks) - 1
+	if last < 0 {
+		return view{}
+	}
+	return view{sealed: j.chunks[:last:last], tail: j.chunks[last], n: j.n}
+}
+
+// each calls fn with the view's first n events (n ≤ v.n), one chunk at
+// a time, in append order.
+func (v view) each(n int, fn func([]Event)) {
+	for i := 0; i <= len(v.sealed) && n > 0; i++ {
+		c := v.tail
+		if i < len(v.sealed) {
+			c = v.sealed[i]
+		}
+		c = c[:min(n, len(c))]
+		fn(c)
+		n -= len(c)
+	}
+}
+
 // Len reports the number of recorded events.
 func (j *Journal) Len() int {
 	if j == nil {
 		return 0
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.events)
+	return j.view().n
 }
 
 // Events returns a copy of the journal in append order.
@@ -187,9 +246,13 @@ func (j *Journal) Events() []Event {
 	if j == nil {
 		return nil
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return append([]Event(nil), j.events...)
+	v := j.view()
+	if v.n == 0 {
+		return nil
+	}
+	out := make([]Event, 0, v.n)
+	v.each(v.n, func(c []Event) { out = append(out, c...) })
+	return out
 }
 
 // Digest returns the hex SHA-256 over every event recorded so far.
@@ -213,16 +276,17 @@ func (j *Journal) DigestAt(n int) (string, error) {
 		}
 		return "", fmt.Errorf("obs: DigestAt(%d) on nil journal", n)
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if n < 0 || n > len(j.events) {
-		return "", fmt.Errorf("obs: DigestAt(%d) outside journal of %d events", n, len(j.events))
+	v := j.view()
+	if n < 0 || n > v.n {
+		return "", fmt.Errorf("obs: DigestAt(%d) outside journal of %d events", n, v.n)
 	}
 	h := sha256.New()
 	scratch := make([]byte, 0, eventScratchCap)
-	for _, ev := range j.events[:n] {
-		scratch = HashEvent(h, scratch, ev)
-	}
+	v.each(n, func(c []Event) {
+		for i := range c {
+			scratch = HashEvent(h, scratch, c[i])
+		}
+	})
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
@@ -237,22 +301,24 @@ func (j *Journal) TerminalCounts() map[string]int {
 	if j == nil {
 		return nil
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	v := j.view()
 	out := make(map[string]int)
-	for _, ev := range j.events {
-		if ev.Job == "" {
-			continue
-		}
-		if ev.Stage == StageSubmit {
-			if _, seen := out[ev.Job]; !seen {
-				out[ev.Job] = 0
+	v.each(v.n, func(c []Event) {
+		for i := range c {
+			ev := &c[i]
+			if ev.Job == "" {
+				continue
+			}
+			if ev.Stage == StageSubmit {
+				if _, seen := out[ev.Job]; !seen {
+					out[ev.Job] = 0
+				}
+			}
+			if _, seen := out[ev.Job]; seen && ev.Stage.Terminal() {
+				out[ev.Job]++
 			}
 		}
-		if _, seen := out[ev.Job]; seen && ev.Stage.Terminal() {
-			out[ev.Job]++
-		}
-	}
+	})
 	return out
 }
 
@@ -279,41 +345,44 @@ type SpanView struct {
 // carrying one resource attribute per placement. Spans are numbered
 // within the batch, root 1. ok is false when the journal holds no
 // job-lifecycle event for the ID — workflow-level (wf-*) events, which
-// file a run ID under Batch, do not make a trace. One linear scan under
-// the journal lock: the price of an endpoint nothing polls, paid by the
-// reader instead of by every submission.
+// file a run ID under Batch, do not make a trace. One linear scan of a
+// snapshot, outside the journal lock: the price of an endpoint nothing
+// polls, paid by the reader instead of by every submission, and never
+// by Record waiting on it.
 func (j *Journal) Trace(batch string) (spans []SpanView, ok bool) {
 	if j == nil || batch == "" {
 		return nil, false
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	v := j.view()
 	byJob := make(map[string]int) // job ID → index in spans
 	open, lastEnd := 0, 0.0
-	for _, ev := range j.events {
-		if ev.Batch != batch || strings.HasPrefix(string(ev.Stage), "wf-") {
-			continue
+	v.each(v.n, func(c []Event) {
+		for k := range c {
+			ev := &c[k]
+			if ev.Batch != batch || strings.HasPrefix(string(ev.Stage), "wf-") {
+				continue
+			}
+			if spans == nil {
+				spans = append(spans, SpanView{ID: 1, Name: "batch", Start: float64(ev.At), InFlight: true})
+			}
+			i, seen := byJob[ev.Job]
+			switch {
+			case ev.Stage == StageSubmit && !seen && ev.Job != "":
+				byJob[ev.Job] = len(spans)
+				spans = append(spans, SpanView{
+					ID: uint64(len(spans) + 1), Parent: 1, Job: ev.Job, Name: "job",
+					Start: float64(ev.At), InFlight: true,
+				})
+				open++
+			case ev.Stage == StagePlace && seen:
+				spans[i].Attrs = append(spans[i].Attrs, Attr{Key: "resource", Value: ev.Resource})
+			case ev.Stage.Terminal() && seen && spans[i].InFlight:
+				spans[i].End, spans[i].InFlight = float64(ev.At), false
+				open--
+				lastEnd = spans[i].End
+			}
 		}
-		if spans == nil {
-			spans = append(spans, SpanView{ID: 1, Name: "batch", Start: float64(ev.At), InFlight: true})
-		}
-		i, seen := byJob[ev.Job]
-		switch {
-		case ev.Stage == StageSubmit && !seen && ev.Job != "":
-			byJob[ev.Job] = len(spans)
-			spans = append(spans, SpanView{
-				ID: uint64(len(spans) + 1), Parent: 1, Job: ev.Job, Name: "job",
-				Start: float64(ev.At), InFlight: true,
-			})
-			open++
-		case ev.Stage == StagePlace && seen:
-			spans[i].Attrs = append(spans[i].Attrs, Attr{Key: "resource", Value: ev.Resource})
-		case ev.Stage.Terminal() && seen && spans[i].InFlight:
-			spans[i].End, spans[i].InFlight = float64(ev.At), false
-			open--
-			lastEnd = spans[i].End
-		}
-	}
+	})
 	if len(spans) > 1 && open == 0 {
 		spans[0].End, spans[0].InFlight = lastEnd, false
 	}

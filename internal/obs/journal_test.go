@@ -3,11 +3,14 @@ package obs
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"hash"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"lattice/internal/sim"
 )
@@ -150,13 +153,91 @@ func TestJournalFramingAllocations(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { scratch = HashEvent(h, scratch, ev) }); n != 0 {
 		t.Errorf("HashEvent allocates %v per event", n)
 	}
-	const runs = 1000
+	// 100 000 events fill 30 chunks (64, 128, …, 4 096, then 4 096 each)
+	// and grow the chunk list six times; nothing else may allocate, and
+	// no stored event is copied, so the bytes stay within one chunk of
+	// the events' own size (one growing slice copied about five times
+	// that).
+	const records, maxObjects = 100000, 40
+	maxBytes := uint64(records+maxChunk) * uint64(unsafe.Sizeof(Event{}))
 	j := NewJournal(&settableClock{now: 12345.678})
-	j.events = make([]Event, 0, runs+2) // AllocsPerRun adds a warm-up call
-	if n := testing.AllocsPerRun(runs, func() {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.GC() // the process's first GC starts its workers, which allocate
+	runtime.ReadMemStats(&before)
+	for i := 0; i < records; i++ {
 		j.Record(ev.Batch, ev.Job, ev.Stage, ev.Resource, ev.Detail)
-	}); n != 0 {
-		t.Errorf("Journal.Record allocates %v per event beyond growing the event slice", n)
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n > maxObjects {
+		t.Errorf("%d Records into a fresh journal allocate %d objects, want ≤ %d", records, n, maxObjects)
+	}
+	if b := after.TotalAlloc - before.TotalAlloc; b > maxBytes {
+		t.Errorf("%d Records into a fresh journal allocate %d bytes, want ≤ %d", records, b, maxBytes)
+	}
+	if n := testing.AllocsPerRun(10, func() { _ = j.Events() }); n != 1 {
+		t.Errorf("Events allocates %v times, want 1", n)
+	}
+}
+
+// scaleoutEvents returns n events shaped like the journal of the
+// ledger's scaleout workload: one-replicate batches, each validated,
+// submitted, placed, dispatched, run and completed on one of 16 PBS
+// clusters, with the coordinator's IDs and details.
+func scaleoutEvents(n int) []Event {
+	evs := make([]Event, 0, n)
+	for b := 1; len(evs) < n; b++ {
+		batch := fmt.Sprintf("batch-%06d", b)
+		job := fmt.Sprintf("u%05d_example_edu-r0000-%d", b%100000, b)
+		res := fmt.Sprintf("pbs-%02d", b%16)
+		at := sim.Time(b) * 0.216
+		for _, ev := range []Event{
+			{Batch: batch, Stage: StageValidate, Detail: "1 replicate"},
+			{Batch: batch, Job: job, Stage: StageSubmit},
+			{Batch: batch, Job: job, Stage: StagePlace, Resource: res, Detail: "policy=full attempt=1"},
+			{Batch: batch, Job: job, Stage: StageDispatch, Resource: res},
+			{Batch: batch, Job: job, Stage: StageRun, Resource: res},
+			{Batch: batch, Job: job, Stage: StageComplete, Resource: res},
+		} {
+			if len(evs) == n {
+				break
+			}
+			ev.At = at
+			evs = append(evs, ev)
+		}
+	}
+	return evs
+}
+
+// scaleoutJournalEvents is the size of scaleout's journal: 10^5 users,
+// six events each.
+const scaleoutJournalEvents = 600000
+
+// BenchmarkJournalRecord records a whole scaleout-sized journal per
+// operation: framing and hashing every event, and the chunk allocations.
+func BenchmarkJournalRecord(b *testing.B) {
+	evs := scaleoutEvents(scaleoutJournalEvents)
+	clock := &settableClock{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := NewJournal(clock)
+		recordAll(j, clock, evs)
+	}
+}
+
+// BenchmarkJournalTrace folds one batch's trace out of a scaleout-sized
+// journal: the cost of one /trace/<id> request at the end of the run.
+func BenchmarkJournalTrace(b *testing.B) {
+	clock := &settableClock{}
+	j := NewJournal(clock)
+	recordAll(j, clock, scaleoutEvents(scaleoutJournalEvents))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if spans, ok := j.Trace("batch-050000"); !ok || len(spans) != 2 || spans[0].InFlight {
+			b.Fatalf("trace = %+v, %v", spans, ok)
+		}
 	}
 }
 
