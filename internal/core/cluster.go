@@ -72,6 +72,9 @@ type Cluster struct {
 	// pending[k] holds shard k's scheduled-but-possibly-undelivered
 	// arrivals, in scheduling order.
 	pending [][]*pendingArrival
+	// origins[k] is the origin of shard k's scheduled arrivals,
+	// "shard<k>/core".
+	origins []string
 }
 
 // NewCluster assembles a sharded deployment. Shard k runs with seed
@@ -97,8 +100,10 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		cfg:     cfg,
 		Shards:  make([]*Lattice, cfg.Shards),
 		pending: make([][]*pendingArrival, cfg.Shards),
+		origins: make([]string, cfg.Shards),
 	}
 	for k := 0; k < cfg.Shards; k++ {
+		c.origins[k] = shard.Origin(k, "core")
 		scfg := c.shardConfig(k)
 		var l *Lattice
 		var err error
@@ -178,7 +183,7 @@ func (c *Cluster) Route(user, origin string) int {
 // can re-schedule the ones a crash wiped out of the engine.
 func (c *Cluster) ScheduleSubmission(at sim.Time, sub workload.Submission) int {
 	k := c.Route(sub.UserEmail, "core")
-	pa := &pendingArrival{at: at, sub: sub, origin: shard.Origin(k, "core")}
+	pa := &pendingArrival{at: at, sub: sub, origin: c.origins[k]}
 	c.pending[k] = append(c.pending[k], pa)
 	c.scheduleArrival(k, pa)
 	return k

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"sort"
+	"strconv"
 
 	"lattice/internal/admit"
 	"lattice/internal/boinc"
@@ -508,7 +509,7 @@ func (l *Lattice) forkReferenceReplicate(sub workload.Submission) {
 	start := l.Engine.Now()
 	l.retrains++
 	j := &lrm.Job{
-		ID:       fmt.Sprintf("ref-fork-%d", l.retrains),
+		ID:       "ref-fork-" + strconv.Itoa(l.retrains),
 		Work:     work,
 		MemoryMB: spec.MemoryMB(),
 	}

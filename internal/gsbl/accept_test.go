@@ -1,0 +1,335 @@
+package gsbl
+
+import (
+	"fmt"
+	"slices"
+	"strings"
+	"testing"
+
+	"lattice/internal/admit"
+	"lattice/internal/grid/mds"
+	"lattice/internal/lrm"
+	"lattice/internal/lrm/cluster"
+	"lattice/internal/metasched"
+	"lattice/internal/obs"
+	"lattice/internal/sim"
+	"lattice/internal/workload"
+)
+
+// The accept path built its batch IDs, journal details and mail through
+// fmt.Sprintf with the formats below. They stay here as the oracle the
+// append functions and the mail renderer are held to, byte for byte.
+
+func sprintfBatchID(prefix string, n int) string { return fmt.Sprintf("%sbatch-%06d", prefix, n) }
+
+func sprintfValidate(sub workload.Submission) string {
+	return fmt.Sprintf("%d replicates for %s", sub.Replicates, sub.UserEmail)
+}
+
+func sprintfDrained(sub workload.Submission) string {
+	return fmt.Sprintf("%d replicates for %s (ingest-drained)", sub.Replicates, sub.UserEmail)
+}
+
+func sprintfShed(r Request, rej *admit.Rejection) string {
+	return fmt.Sprintf("%s: %d replicates for %s via %s; retry after %.0fs",
+		rej.Reason, r.Sub.Replicates, r.Sub.UserEmail, r.Origin, rej.RetryAfter.Seconds())
+}
+
+func sprintfSubmitted(at sim.Time, b *Batch) Notification {
+	return Notification{At: at, To: b.Submission.UserEmail,
+		Subject: fmt.Sprintf("[Lattice] %s submitted", b.ID),
+		Body: fmt.Sprintf("Your submission of %d replicates was accepted as %s (%d grid jobs).",
+			b.Submission.Replicates, b.ID, len(b.Jobs))}
+}
+
+func sprintfJobFailed(at sim.Time, b *Batch, j *metasched.GridJob) Notification {
+	return Notification{At: at, To: b.Submission.UserEmail,
+		Subject: fmt.Sprintf("[Lattice] job failure in %s", b.ID),
+		Body:    fmt.Sprintf("Job %s failed: %s", j.ID, j.FailReason)}
+}
+
+func sprintfComplete(at sim.Time, b *Batch, total, completed, failed int) Notification {
+	return Notification{At: at, To: b.Submission.UserEmail,
+		Subject: fmt.Sprintf("[Lattice] %s complete", b.ID),
+		Body: fmt.Sprintf("All %d jobs finished (%d completed, %d failed). Results are ready for download.",
+			total, completed, failed)}
+}
+
+// oracleEmails are submitter addresses the details must carry through
+// untouched: plain, several '@' and '.', '%' verbs, non-ASCII bytes
+// and one longer than every stack buffer.
+var oracleEmails = []string{
+	"researcher@example.edu",
+	"a.b@c.d@e.f.g",
+	"100%@%d.example",
+	"jürgen.müller@uni-köln.de",
+	"\xff\xfe@invalid-utf8",
+	strings.Repeat("long.address", 12) + "@example.edu",
+}
+
+func TestBatchIDMatchesSprintf(t *testing.T) {
+	ns := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 99_999, 999_999, 1_000_000, 123_456_789}
+	for _, prefix := range []string{"", "shard0-", "shard13-"} {
+		s := &Service{idPrefix: prefix}
+		for _, n := range ns {
+			if got, want := s.batchID(n), sprintfBatchID(prefix, n); got != want {
+				t.Errorf("batchID(%q, %d) = %q, want %q", prefix, n, got, want)
+			}
+		}
+	}
+}
+
+func TestDetailsMatchSprintf(t *testing.T) {
+	origins := []string{"service", "shard3/core", "wf-000001/model-selection"}
+	retries := []sim.Duration{0, 0.4, 0.5, 1.5, 2.5, 6 * sim.Second, 1234.56, 1e9}
+	for _, email := range oracleEmails {
+		for _, reps := range []int{1, 7, 2000} {
+			sub := userSubmission(email, reps)
+			if got, want := validateDetail(&sub), sprintfValidate(sub); got != want {
+				t.Errorf("direct validate detail %q, want %q", got, want)
+			}
+			if got, want := validateDetail(&sub, " (ingest-drained)"), sprintfDrained(sub); got != want {
+				t.Errorf("drained validate detail %q, want %q", got, want)
+			}
+			for _, origin := range origins {
+				if got, want := validateDetail(&sub, " via ", origin), sprintfValidate(sub)+" via "+origin; got != want {
+					t.Errorf("via validate detail %q, want %q", got, want)
+				}
+				r := Request{Sub: sub, Origin: origin}
+				for _, reason := range []string{admit.ReasonQuota, admit.ReasonOverload} {
+					for _, after := range retries {
+						rej := &admit.Rejection{Reason: reason, RetryAfter: after}
+						if got, want := shedDetail(&r, rej), sprintfShed(r, rej); got != want {
+							t.Errorf("shed detail %q, want %q", got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMailRendersTheSentText reads the outbox after each notification
+// and again at the end, and holds both readings to the text the
+// Sprintf formats gave at the moment the mail was queued: a submitted
+// batch, a job failure whose reason holds '%' and non-ASCII, a
+// completion with failed jobs, and a batch ended by CancelBatch.
+func TestMailRendersTheSentText(t *testing.T) {
+	eng, svc, mailer := testService(t)
+	var want []Notification
+	check := func(step string) {
+		t.Helper()
+		if got := mailer.Sent(); !slices.Equal(got, want) {
+			t.Fatalf("%s: outbox\n%+v\nwant\n%+v", step, got, want)
+		}
+	}
+
+	// Submitted: through the real accept path.
+	b, err := svc.Submit(direct(smallSubmission(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, sprintfSubmitted(eng.Now(), b))
+	check("submitted")
+	eng.RunUntil(sim.Time(sim.Hour))
+	if st, _ := svc.Status(b.ID); !st.Done || st.Completed != 3 {
+		t.Fatalf("first batch %+v", st)
+	}
+	want = append(want, sprintfComplete(b.DoneAt, b, 3, 3, 0))
+	check("completed")
+
+	// A hand-run batch of three jobs: one fails with an awkward reason,
+	// two complete, which ends the batch with a failed job in it.
+	hand := &Batch{ID: "batch-000099", Submission: userSubmission("jürgen@uni-köln.de", 3)}
+	for i := 0; i < 3; i++ {
+		hand.Jobs = append(hand.Jobs, &metasched.GridJob{ID: fmt.Sprintf("hand-r%04d-%d", i, i)})
+	}
+	svc.batches[hand.ID] = hand
+	failed := hand.Jobs[1]
+	failed.Status, failed.FailReason = metasched.StatusFailed, "faults: 100% of nœuds lost (%d %s)"
+	svc.jobDone(hand, failed)
+	want = append(want, sprintfJobFailed(eng.Now(), hand, failed))
+	check("job failure")
+	eng.RunUntil(sim.Time(2 * sim.Hour))
+	for _, i := range []int{0, 2} {
+		hand.Jobs[i].Status = metasched.StatusCompleted
+		svc.jobDone(hand, hand.Jobs[i])
+	}
+	want = append(want, sprintfComplete(eng.Now(), hand, 3, 2, 1))
+	check("completion with a failed job")
+
+	// Ended by CancelBatch while its long jobs run.
+	long := smallSubmission(4)
+	long.UserEmail = "canceller@example.edu"
+	long.Spec.NumTaxa, long.Spec.SeqLength = 80, 3000
+	c, err := svc.Submit(direct(long))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, sprintfSubmitted(eng.Now(), c))
+	eng.RunUntil(sim.Time(2*sim.Hour + 5*sim.Minute))
+	if err := svc.CancelBatch(c.ID); err != nil {
+		t.Fatal(err)
+	}
+	want = append(want, sprintfComplete(eng.Now(), c, 4, 0, 4))
+	check("cancelled")
+
+	// The cancelled jobs' resources run on; every mail still reads the
+	// same.
+	eng.RunUntil(sim.Time(30 * sim.Day))
+	check("end of run")
+
+	for _, to := range []string{"researcher@example.edu", "jürgen@uni-köln.de", "canceller@example.edu", "nobody@example.edu"} {
+		var mine []Notification
+		for _, n := range want {
+			if n.To == to {
+				mine = append(mine, n)
+			}
+		}
+		if got := mailer.SentTo(to); !slices.Equal(got, mine) {
+			t.Errorf("SentTo(%q) = %+v, want %+v", to, got, mine)
+		}
+	}
+}
+
+// TestIDsAndDetailsAllocateOnce: each ID and detail function costs exactly
+// its result string.
+func TestIDsAndDetailsAllocateOnce(t *testing.T) {
+	s := &Service{idPrefix: "shard13-"}
+	sub := smallSubmission(1)
+	r := Request{Sub: sub, Origin: "shard13/core"}
+	rej := &admit.Rejection{Reason: admit.ReasonOverload, RetryAfter: 1234.5}
+	var sink string
+	for _, tc := range []struct {
+		name string
+		fn   func()
+	}{
+		{"batchID", func() { sink = s.batchID(123_456) }},
+		{"validateDetail", func() { sink = validateDetail(&sub) }},
+		{"validateDetail via", func() { sink = validateDetail(&sub, " via ", "wf-000001/search") }},
+		{"validateDetail drained", func() { sink = validateDetail(&sub, " (ingest-drained)") }},
+		{"shedDetail", func() { sink = shedDetail(&r, rej) }},
+	} {
+		if n := testing.AllocsPerRun(100, tc.fn); n != 1 {
+			t.Errorf("%s: %.0f allocations, want 1", tc.name, n)
+		}
+	}
+	_ = sink
+}
+
+// TestBatchesInCreationOrderPastSixDigits: batch 1 000 000 is listed
+// after batch 999 999, though it sorts before it as a string.
+func TestBatchesInCreationOrderPastSixDigits(t *testing.T) {
+	_, svc, _ := testService(t)
+	svc.nextID = 999_997
+	var want []string
+	for i := 0; i < 3; i++ {
+		b, err := svc.Submit(direct(smallSubmission(1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, b.ID)
+	}
+	if want[2] != "batch-1000000" {
+		t.Fatalf("fixture: third batch is %s", want[2])
+	}
+	if got := svc.Batches(); !slices.Equal(got, want) {
+		t.Errorf("Batches() = %v, want creation order %v", got, want)
+	}
+}
+
+// doorGrid is a service with a front door over n 16-node PBS clusters,
+// every component reporting to one hub. The MDS entries never expire
+// and are published once, so the engine holds only what submissions
+// schedule, plus the scheduler's rescan when rescan > 0.
+func doorGrid(tb testing.TB, n int, rescan sim.Duration) (*sim.Engine, *Service) {
+	tb.Helper()
+	eng := sim.NewEngine()
+	hub := obs.New(eng)
+	idx, err := mds.NewIndex(eng, 1000*sim.Day)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := metasched.DefaultConfig()
+	cfg.RescanInterval = rescan
+	sched := metasched.New(eng, idx, cfg, metasched.Options{Obs: hub})
+	for i := 0; i < n; i++ {
+		c, err := cluster.New(eng, nil, hub, cluster.Config{
+			Kind: "pbs", Name: fmt.Sprintf("pbs%02d", i), Platform: lrm.LinuxX86,
+			Nodes: []cluster.NodeClass{{Count: 16, Cores: 1, Speed: 1, MemoryMB: 8192}},
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		idx.Publish(c.Info())
+		if err := sched.Register(c, 1); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	svc, err := NewService(eng, sched, &Mailer{}, sim.NewRNG(1), Options{Obs: hub,
+		Ingest: IngestConfig{PerSubmissionSeconds: 0.5}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return eng, svc
+}
+
+// acceptPathAllocBudget is what one queued one-replicate submission
+// costs from enqueue through drain to its completion mail, measured:
+// the records (queued request, batch, job list, grid job, lrm.Job), the
+// closures and engine events that carry them through the door, the
+// scheduler and the cluster, and three strings — the batch ID, the
+// validate detail and the job ID. With those built through fmt.Sprintf,
+// the mail's text rendered when it was sent and the submission moved to
+// the heap for the predictor, the same cycle cost 36 (45 under the race
+// detector, which now adds nothing).
+const acceptPathAllocBudget = 21
+
+func TestAcceptPathAllocations(t *testing.T) {
+	eng, svc := doorGrid(t, 1, 0)
+	sub := smallSubmission(1)
+	r := Request{Sub: sub, Origin: "service"}
+	allocs := testing.AllocsPerRun(500, func() {
+		if _, err := svc.Submit(r); err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+	})
+	if n := len(svc.Batches()); n != 501 {
+		t.Fatalf("%d batches after 501 submissions", n)
+	}
+	for _, id := range svc.Batches() {
+		if st, _ := svc.Status(id); !st.Done || st.Completed != 1 {
+			t.Fatalf("%s: %+v", id, st)
+		}
+	}
+	if allocs > acceptPathAllocBudget {
+		t.Errorf("%.0f allocations per accepted submission, budget %d", allocs, acceptPathAllocBudget)
+	}
+	t.Logf("%.0f allocations per accepted submission", allocs)
+}
+
+// BenchmarkIngestDrain drives 10 000 one-replicate submissions through
+// the front door of a 16-cluster grid, arriving all at once, until every
+// batch is done: the ingest layer end to end, one op per 10 000.
+func BenchmarkIngestDrain(b *testing.B) {
+	const subs = 10_000
+	sub := smallSubmission(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		eng, svc := doorGrid(b, 16, 2*sim.Minute)
+		b.StartTimer()
+		for u := 0; u < subs; u++ {
+			if _, err := svc.Submit(Request{Sub: sub, Origin: "service"}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		eng.RunUntil(sim.Time(30 * sim.Day))
+		b.StopTimer()
+		if n := len(svc.Batches()); n != subs {
+			b.Fatalf("%d of %d submissions became batches", n, subs)
+		}
+		b.StartTimer()
+	}
+}

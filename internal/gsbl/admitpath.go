@@ -1,8 +1,6 @@
 package gsbl
 
 import (
-	"fmt"
-
 	"lattice/internal/admit"
 	"lattice/internal/obs"
 	"lattice/internal/sim"
@@ -99,11 +97,19 @@ func (s *Service) shed(r *Request, rej *admit.Rejection) {
 		s.shedOverload++
 		counter = "lattice_admit_shed_overload_total"
 	}
-	s.obs.Record("", "", obs.StageShed, "ingest",
-		fmt.Sprintf("%s: %d replicates for %s via %s; retry after %.0fs",
-			rej.Reason, r.Sub.Replicates, r.Sub.UserEmail, r.Origin, rej.RetryAfter.Seconds()))
+	s.obs.Record("", "", obs.StageShed, "ingest", shedDetail(r, rej))
 	s.obs.Counter(counter, "Submissions rejected by the admission layer").Inc()
 	if r.OnAccepted != nil {
 		r.OnAccepted(nil, rej)
 	}
+}
+
+// shedDetail is the shed event's detail: "<reason>: <n> replicates for
+// <email> via <origin>; retry after <whole seconds>s".
+func shedDetail(r *Request, rej *admit.Rejection) string {
+	var buf [128]byte
+	d := append(append(buf[:0], rej.Reason...), ": "...)
+	d = append(append(appendSubmission(d, &r.Sub), " via "...), r.Origin...)
+	d = appendSeconds(append(d, "; retry after "...), rej.RetryAfter.Seconds())
+	return string(append(d, 's'))
 }

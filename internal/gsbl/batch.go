@@ -3,11 +3,13 @@ package gsbl
 import (
 	"archive/zip"
 	"bytes"
+	"cmp"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 
 	"lattice/internal/admit"
 	"lattice/internal/metasched"
@@ -187,9 +189,11 @@ func (s *Service) Submit(r Request) (*Batch, error) {
 		s.enqueue(r)
 		return nil, nil
 	}
-	detail := fmt.Sprintf("%d replicates for %s", r.Sub.Replicates, r.Sub.UserEmail)
+	var detail string
 	if r.OnDone != nil {
-		detail += " via " + r.Origin
+		detail = validateDetail(&r.Sub, " via ", r.Origin)
+	} else {
+		detail = validateDetail(&r.Sub)
 	}
 	b, err := s.submit(r.Sub, r.Origin, detail, r.OnDone)
 	if err != nil {
@@ -206,7 +210,7 @@ func (s *Service) Submit(r Request) (*Batch, error) {
 func (s *Service) submit(sub workload.Submission, origin, validateDetail string, onDone func(BatchStatus)) (*Batch, error) {
 	s.nextID++
 	b := &Batch{
-		ID:         fmt.Sprintf("%sbatch-%06d", s.idPrefix, s.nextID),
+		ID:         s.batchID(s.nextID),
 		Submission: sub,
 		Origin:     origin,
 		CreatedAt:  s.eng.Now(),
@@ -221,11 +225,37 @@ func (s *Service) submit(sub workload.Submission, origin, validateDetail string,
 	}
 	b.Jobs = jobs
 	s.batches[b.ID] = b
-	s.mailer.Send(s.eng.Now(), sub.UserEmail,
-		fmt.Sprintf("[Lattice] %s submitted", b.ID),
-		fmt.Sprintf("Your submission of %d replicates was accepted as %s (%d grid jobs).",
-			sub.Replicates, b.ID, len(jobs)))
+	s.mailer.queue(s.eng.Now(), mailSubmitted, b, nil)
 	return b, nil
+}
+
+// batchID names batch n: the service's prefix, "batch-" and n padded to
+// six digits.
+func (s *Service) batchID(n int) string {
+	var buf [48]byte
+	id := append(append(buf[:0], s.idPrefix...), "batch-"...)
+	for p := 100_000; p > 1 && n < p; p /= 10 {
+		id = append(id, '0')
+	}
+	return string(strconv.AppendInt(id, int64(n), 10))
+}
+
+// validateDetail is the validate event's detail: "<n> replicates for
+// <email>" and then each of suffix.
+func validateDetail(sub *workload.Submission, suffix ...string) string {
+	var buf [96]byte
+	d := appendSubmission(buf[:0], sub)
+	for _, s := range suffix {
+		d = append(d, s...)
+	}
+	return string(d)
+}
+
+// appendSubmission appends "<n> replicates for <email>", the words every
+// validate and shed detail names a submission by.
+func appendSubmission(dst []byte, sub *workload.Submission) []byte {
+	dst = strconv.AppendInt(dst, int64(sub.Replicates), 10)
+	return append(append(dst, " replicates for "...), sub.UserEmail...)
 }
 
 // RunStage implements the workflow engine's Runner contract
@@ -244,9 +274,7 @@ func (s *Service) RunStage(runID, stageID string, sub workload.Submission, done 
 // jobDone handles a terminal job state and fires batch-level events.
 func (s *Service) jobDone(b *Batch, j *metasched.GridJob) {
 	if j.Status == metasched.StatusFailed {
-		s.mailer.Send(s.eng.Now(), b.Submission.UserEmail,
-			fmt.Sprintf("[Lattice] job failure in %s", b.ID),
-			fmt.Sprintf("Job %s failed: %s", j.ID, j.FailReason))
+		s.mailer.queue(s.eng.Now(), mailJobFailed, b, j)
 	}
 	s.finish(b)
 }
@@ -261,10 +289,7 @@ func (s *Service) finish(b *Batch) {
 		Done: true, CreatedAt: b.CreatedAt}
 	b.done = true
 	b.DoneAt = s.eng.Now()
-	s.mailer.Send(s.eng.Now(), b.Submission.UserEmail,
-		fmt.Sprintf("[Lattice] %s complete", b.ID),
-		fmt.Sprintf("All %d jobs finished (%d completed, %d failed). Results are ready for download.",
-			st.Total, st.Completed, st.Failed))
+	s.mailer.queue(s.eng.Now(), mailComplete, b, nil)
 	if b.onDone != nil {
 		b.onDone(st)
 	}
@@ -293,13 +318,20 @@ func (s *Service) Batch(id string) (*Batch, bool) {
 	return b, ok
 }
 
-// Batches lists batch IDs in creation order.
+// Batches lists batch IDs in creation order. The IDs share the service's
+// prefix and a number padded to at least six digits, so shorter sorts
+// first and equal lengths sort as strings.
 func (s *Service) Batches() []string {
 	ids := make([]string, 0, len(s.batches))
 	for id := range s.batches {
 		ids = append(ids, id)
 	}
-	sort.Strings(ids)
+	slices.SortFunc(ids, func(a, b string) int {
+		if c := cmp.Compare(len(a), len(b)); c != 0 {
+			return c
+		}
+		return strings.Compare(a, b)
+	})
 	return ids
 }
 

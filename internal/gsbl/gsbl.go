@@ -11,7 +11,9 @@ package gsbl
 import (
 	"encoding/xml"
 	"fmt"
+	"strconv"
 
+	"lattice/internal/metasched"
 	"lattice/internal/sim"
 )
 
@@ -97,27 +99,72 @@ type Notification struct {
 	Body    string
 }
 
-// Mailer collects outbound notifications (the simulation's SMTP).
+// Mailer collects outbound notifications (the simulation's SMTP). The
+// outbox holds what each mail is about, not its text: every field the
+// text reads is final by the time the mail is queued, so rendering it
+// when someone reads the outbox gives the text sending would have.
 type Mailer struct {
-	sent []Notification
+	sent []mail
 }
 
-// Send records a notification.
-func (m *Mailer) Send(at sim.Time, to, subject, body string) {
-	m.sent = append(m.sent, Notification{At: at, To: to, Subject: subject, Body: body})
+// mailKind selects one of the three notifications the service sends.
+type mailKind uint8
+
+const (
+	mailSubmitted mailKind = iota // b accepted: b.ID, replicates and len(b.Jobs) are final
+	mailJobFailed                 // j failed for good: j.ID and j.FailReason are final
+	mailComplete                  // b done: b.completed and b.failed are final
+)
+
+// mail is one queued notification.
+type mail struct {
+	at   sim.Time
+	kind mailKind
+	b    *Batch
+	j    *metasched.GridJob
 }
 
-// Sent returns all notifications in order. The slice is capped at its
-// length, so a caller's append copies instead of writing into the
-// outbox's spare capacity, where the next Send would overwrite it.
-func (m *Mailer) Sent() []Notification { return m.sent[:len(m.sent):len(m.sent)] }
+// queue records a notification about b (and, for a job failure, j).
+func (m *Mailer) queue(at sim.Time, kind mailKind, b *Batch, j *metasched.GridJob) {
+	m.sent = append(m.sent, mail{at: at, kind: kind, b: b, j: j})
+}
+
+// render is the notification's text, addressed to the batch's owner.
+func (n *mail) render() Notification {
+	b := n.b
+	out := Notification{At: n.at, To: b.Submission.UserEmail}
+	switch n.kind {
+	case mailSubmitted:
+		out.Subject = "[Lattice] " + b.ID + " submitted"
+		out.Body = "Your submission of " + strconv.Itoa(b.Submission.Replicates) +
+			" replicates was accepted as " + b.ID + " (" + strconv.Itoa(len(b.Jobs)) + " grid jobs)."
+	case mailJobFailed:
+		out.Subject = "[Lattice] job failure in " + b.ID
+		out.Body = "Job " + n.j.ID + " failed: " + n.j.FailReason
+	case mailComplete:
+		out.Subject = "[Lattice] " + b.ID + " complete"
+		out.Body = "All " + strconv.Itoa(len(b.Jobs)) + " jobs finished (" + strconv.Itoa(b.completed) +
+			" completed, " + strconv.Itoa(b.failed) + " failed). Results are ready for download."
+	}
+	return out
+}
+
+// Sent returns all notifications in order, rendered into a slice of the
+// caller's own.
+func (m *Mailer) Sent() []Notification {
+	out := make([]Notification, len(m.sent))
+	for i := range m.sent {
+		out[i] = m.sent[i].render()
+	}
+	return out
+}
 
 // SentTo returns notifications for one recipient.
 func (m *Mailer) SentTo(to string) []Notification {
 	var out []Notification
-	for _, n := range m.sent {
-		if n.To == to {
-			out = append(out, n)
+	for i := range m.sent {
+		if m.sent[i].b.Submission.UserEmail == to {
+			out = append(out, m.sent[i].render())
 		}
 	}
 	return out

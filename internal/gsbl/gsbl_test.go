@@ -253,20 +253,27 @@ func TestCancelBatch(t *testing.T) {
 	}
 }
 
-// TestSentIsTheCallersToExtend: appending to what Sent returned must
-// not write into the outbox, and the next Send must not overwrite what
-// the caller appended.
+// TestSentIsTheCallersToExtend: what Sent returned is the caller's —
+// appending to it or editing it must not reach the outbox, and the next
+// notification must not overwrite what the caller appended.
 func TestSentIsTheCallersToExtend(t *testing.T) {
-	var m Mailer
+	_, svc, m := testService(t)
 	for i := 0; i < 3; i++ {
-		m.Send(sim.Time(i), "u@example.edu", "mail", "")
+		if _, err := svc.Submit(direct(smallSubmission(1))); err != nil {
+			t.Fatal(err)
+		}
 	}
 	mine := append(m.Sent(), Notification{To: "caller"})
-	m.Send(3, "u@example.edu", "fourth", "")
-	if mine[3].To != "caller" {
-		t.Errorf("the next Send overwrote the caller's appended notification with %+v", mine[3])
+	mine[0].Subject = "edited"
+	if _, err := svc.Submit(direct(smallSubmission(1))); err != nil {
+		t.Fatal(err)
 	}
-	if sent := m.Sent(); len(sent) != 4 || sent[3].Subject != "fourth" {
+	if mine[3].To != "caller" {
+		t.Errorf("the next notification overwrote the caller's appended one with %+v", mine[3])
+	}
+	sent := m.Sent()
+	if len(sent) != 4 || sent[0].Subject != "[Lattice] batch-000001 submitted" ||
+		sent[3].Subject != "[Lattice] batch-000004 submitted" {
 		t.Errorf("outbox = %+v", sent)
 	}
 }

@@ -1,8 +1,6 @@
 package gsbl
 
 import (
-	"fmt"
-
 	"lattice/internal/obs"
 	"lattice/internal/sim"
 	"lattice/internal/workload"
@@ -95,8 +93,7 @@ func (s *Service) drain(it *queued) {
 		ins.depth.Set(float64(s.ingestDepth))
 		ins.wait.Observe(float64(s.eng.Now().Sub(it.arrived)))
 	}
-	b, err := s.submit(it.Sub, it.Origin,
-		fmt.Sprintf("%d replicates for %s (ingest-drained)", it.Sub.Replicates, it.Sub.UserEmail), it.OnDone)
+	b, err := s.submit(it.Sub, it.Origin, validateDetail(&it.Sub, " (ingest-drained)"), it.OnDone)
 	if err != nil {
 		s.NoteIngestErr(err)
 	}

@@ -16,13 +16,14 @@ import (
 )
 
 // dispatchAllocBudget is what one submit→complete cycle costs on a
-// one-cluster scheduler: the GridJob, the placement journal detail, one
-// lrm.Job with its two attempt-guarded callbacks and the staging
-// closure, and the cluster's own bookkeeping. The adapter path this
-// replaced cost 16: a description beside the GridJob, and per dispatch
-// a copy of it, ToJob's platform-list copy and two wrapper closures.
-// The race detector's runtime adds one.
-const dispatchAllocBudget, dispatchAllocBudgetRace = 11, 12
+// one-cluster scheduler: the GridJob, one lrm.Job with its two
+// attempt-guarded callbacks and the staging closure, and the cluster's
+// own bookkeeping. The adapter path this replaced cost 16: a
+// description beside the GridJob, and per dispatch a copy of it,
+// ToJob's platform-list copy and two wrapper closures; the placement
+// journal detail, built per dispatch, cost one more until it was kept
+// per attempt number. The race detector's runtime adds one.
+const dispatchAllocBudget, dispatchAllocBudgetRace = 10, 11
 
 // raceBuild reports whether the test binary was built with -race.
 func raceBuild() bool {

@@ -184,8 +184,11 @@ func (s JobStatus) String() string {
 // one lrm.Job for the chosen resource.
 type GridJob struct {
 	// ID is unique across the grid.
-	ID   string
+	ID string
+	// Spec is the job's GARLI specification; for a job SubmitBatch
+	// expanded it points at spec, the copy the job carries inline.
 	Spec *workload.JobSpec
+	spec workload.JobSpec
 
 	// Batch is the portal batch the job belongs to ("" for direct
 	// submissions); it is the Batch field of the job's journal events.
@@ -295,6 +298,9 @@ type Scheduler struct {
 	obs          *obs.Obs
 	ins          schedInstruments
 	durable      Durability
+	// placeDetails[n] is the place event's detail for attempt n (see
+	// placeDetail).
+	placeDetails []string
 
 	// cands is the cached matchmaking view (see candidates), built
 	// from the MDS view at candsVersion. 0 — never an MDS version —

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"lattice/internal/lrm"
@@ -38,8 +39,7 @@ func (s *Scheduler) submit(j *GridJob) error {
 	if s.predictor != nil && j.Spec != nil {
 		if est, err := s.predictor.Predict(j.Spec); err == nil {
 			j.EstimateRefSeconds = est + PerJobOverheadSeconds
-			s.obs.Record(j.Batch, j.ID, obs.StageEstimate, "",
-				fmt.Sprintf("%.0f ref-seconds", j.EstimateRefSeconds))
+			s.obs.Record(j.Batch, j.ID, obs.StageEstimate, "", estimateDetail(j.EstimateRefSeconds))
 		}
 	}
 	s.jobs[j.ID] = j
@@ -65,7 +65,10 @@ func (s *Scheduler) SubmitBatch(sub *workload.Submission, rng *sim.RNG, onDone f
 	}
 	bundle := 1
 	if s.cfg.BundleTargetSeconds > 0 && s.predictor != nil {
-		if est, err := s.predictor.Predict(&sub.Spec); err == nil && est < minJobSeconds {
+		// The predictor gets a copy: handing it &sub.Spec would move every
+		// caller's submission to the heap, predictor or not.
+		spec := sub.Spec
+		if est, err := s.predictor.Predict(&spec); err == nil && est < minJobSeconds {
 			perRep := est / float64(sub.Spec.SearchReps)
 			if perRep <= 0 {
 				perRep = est
@@ -79,29 +82,30 @@ func (s *Scheduler) SubmitBatch(sub *workload.Submission, rng *sim.RNG, onDone f
 			}
 		}
 	}
-	var jobs []*GridJob
+	jobs := make([]*GridJob, 0, (sub.Replicates+bundle-1)/bundle)
 	for rep := 0; rep < sub.Replicates; rep += bundle {
 		n := bundle
 		if rep+n > sub.Replicates {
 			n = sub.Replicates - rep
 		}
-		spec := sub.Spec
-		spec.SearchReps = sub.Spec.SearchReps * n
-		spec.Seed = sub.Spec.Seed + int64(rep)
 		s.nextSeq++
 		j := &GridJob{
-			ID:        fmt.Sprintf("%s-r%04d-%d", sanitizeID(sub.UserEmail), rep, s.nextSeq),
-			Spec:      &spec,
-			Batch:     sub.BatchTag,
-			Work:      spec.SampleWork(rng),
-			MemoryMB:  spec.MemoryMB(),
-			Platforms: garliPlatforms,
-			// Input: the sequence matrix; output: trees and logs.
-			InputMB:     float64(spec.NumTaxa) * float64(spec.SeqLength) / (1 << 20),
-			OutputMB:    0.5,
+			ID:          jobID(sub.UserEmail, rep, s.nextSeq),
+			spec:        sub.Spec,
+			Batch:       sub.BatchTag,
+			Platforms:   garliPlatforms,
+			OutputMB:    0.5, // trees and logs
 			ServiceOnly: sub.ServiceOnly,
 			OnDone:      onDone,
 		}
+		spec := &j.spec
+		spec.SearchReps = sub.Spec.SearchReps * n
+		spec.Seed = sub.Spec.Seed + int64(rep)
+		j.Spec = spec
+		j.Work = spec.SampleWork(rng)
+		j.MemoryMB = spec.MemoryMB()
+		// Input: the sequence matrix.
+		j.InputMB = float64(spec.NumTaxa) * float64(spec.SeqLength) / (1 << 20)
 		if n > 1 {
 			s.stats.Bundled += n - 1
 			s.ins.bundled.Add(float64(n - 1))
@@ -114,16 +118,45 @@ func (s *Scheduler) SubmitBatch(sub *workload.Submission, rng *sim.RNG, onDone f
 	return jobs, nil
 }
 
-func sanitizeID(email string) string {
-	out := make([]byte, 0, len(email))
+// jobID names the job that starts at replicate rep of a submission from
+// email: the email with '_' for every '@' and '.', "-r", rep padded to
+// four digits, "-" and the scheduler's sequence number seq.
+func jobID(email string, rep, seq int) string {
+	var buf [96]byte
+	id := buf[:0]
 	for i := 0; i < len(email); i++ {
 		c := email[i]
 		if c == '@' || c == '.' {
 			c = '_'
 		}
-		out = append(out, c)
+		id = append(id, c)
 	}
-	return string(out)
+	id = append(id, "-r"...)
+	for p := 1000; p > 1 && rep < p; p /= 10 {
+		id = append(id, '0')
+	}
+	id = strconv.AppendInt(id, int64(rep), 10)
+	id = strconv.AppendInt(append(id, '-'), int64(seq), 10)
+	return string(id)
+}
+
+// estimateDetail is the estimate event's detail: the estimate in whole
+// reference seconds, as %.0f prints it.
+func estimateDetail(refSeconds float64) string {
+	var buf [32]byte
+	return string(append(strconv.AppendFloat(buf[:0], refSeconds, 'f', 0, 64), " ref-seconds"...))
+}
+
+// placeDetail is the place event's detail for a dispatch's attempt
+// number, "policy=<policy> attempt=<n>". The policy is fixed at New, so
+// each attempt number's text is built once and kept.
+func (s *Scheduler) placeDetail(attempt int) string {
+	for len(s.placeDetails) <= attempt {
+		n := len(s.placeDetails)
+		s.placeDetails = append(s.placeDetails,
+			"policy="+s.cfg.Policy.String()+" attempt="+strconv.Itoa(n))
+	}
+	return s.placeDetails[attempt]
 }
 
 // scanPending retries placement of queued jobs against one candidate
@@ -319,8 +352,7 @@ func (s *Scheduler) dispatch(j *GridJob, c *candidate) {
 	j.Resource = c.info.Name
 	j.StartedAt = s.eng.Now()
 	j.Attempts++
-	s.obs.Record(j.Batch, j.ID, obs.StagePlace, c.info.Name,
-		fmt.Sprintf("policy=%s attempt=%d", s.cfg.Policy, j.Attempts))
+	s.obs.Record(j.Batch, j.ID, obs.StagePlace, c.info.Name, s.placeDetail(j.Attempts))
 	if c.res.placements == nil {
 		c.res.placements = s.obs.Counter("lattice_sched_placements_total",
 			"Placement decisions by resource and ranking policy",
