@@ -45,8 +45,10 @@ func TestBatchCompletes(t *testing.T) {
 	done := 0
 	for i := 0; i < 100; i++ {
 		j := wu(fmt.Sprintf("j%d", i), 1800)
-		j.OnComplete = func(sim.Time) { done++ }
-		j.OnFail = func(_ sim.Time, r string) { t.Errorf("workunit failed: %s", r) }
+		j.Owner = &lrm.Callbacks{
+			OnComplete: func(sim.Time) { done++ },
+			OnFail:     func(_ sim.Time, r string) { t.Errorf("workunit failed: %s", r) },
+		}
 		if err := s.Submit(j); err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +83,7 @@ func TestDetachingHostsTriggerReissue(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		j := wu(fmt.Sprintf("j%d", i), 3600)
 		j.DelayBound = 2 * sim.Day
-		j.OnComplete = func(sim.Time) { done++ }
+		j.Owner = &lrm.Callbacks{OnComplete: func(sim.Time) { done++ }}
 		if err := s.Submit(j); err != nil {
 			t.Fatal(err)
 		}
@@ -123,8 +125,10 @@ func TestChurnBurstReissueCompletesQuorum(t *testing.T) {
 	done := 0
 	j := wu("burst", 3600)
 	j.DelayBound = 4 * sim.Hour
-	j.OnComplete = func(sim.Time) { done++ }
-	j.OnFail = func(_ sim.Time, r string) { t.Errorf("workunit failed: %s", r) }
+	j.Owner = &lrm.Callbacks{
+		OnComplete: func(sim.Time) { done++ },
+		OnFail:     func(_ sim.Time, r string) { t.Errorf("workunit failed: %s", r) },
+	}
 	if err := s.Submit(j); err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +269,7 @@ func TestCancelWorkunit(t *testing.T) {
 	eng, s := testProject(t, 2, "cancel")
 	j := wu("c", 36000)
 	completed := false
-	j.OnComplete = func(sim.Time) { completed = true }
+	j.Owner = &lrm.Callbacks{OnComplete: func(sim.Time) { completed = true }}
 	if err := s.Submit(j); err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +331,7 @@ func TestGeneratedPopulation(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		j := wu(fmt.Sprintf("j%d", i), 900)
 		j.MemoryMB = 512
-		j.OnComplete = func(sim.Time) { done++ }
+		j.Owner = &lrm.Callbacks{OnComplete: func(sim.Time) { done++ }}
 		if err := s.Submit(j); err != nil {
 			t.Fatal(err)
 		}

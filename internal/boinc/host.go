@@ -58,10 +58,22 @@ type Host struct {
 	pollEv  sim.EventID
 	// resumeAt tracks when the running task last (re)started.
 	startedAt sim.Time
-	// The host's engine handlers, bound once in attach: handing the
-	// engine h.turnOn afresh would allocate a method value per event.
-	onFn, offFn, pollFn, doneFn sim.Handler
 }
+
+// The host's engine events are the host itself under four names, so
+// scheduling one allocates nothing (a method value such as h.turnOn
+// would allocate each time).
+type (
+	hostOn   Host
+	hostOff  Host
+	hostPoll Host
+	hostDone Host
+)
+
+func (e *hostOn) Fire()   { (*Host)(e).turnOn() }
+func (e *hostOff) Fire()  { (*Host)(e).turnOff() }
+func (e *hostPoll) Fire() { (*Host)(e).poll() }
+func (e *hostDone) Fire() { (*Host)(e).taskDone() }
 
 // task is one assigned result instance being computed.
 type task struct {
@@ -106,11 +118,10 @@ func (h *Host) detach() {
 func (h *Host) attach(s *Server) {
 	h.srv = s
 	h.on = false
-	h.onFn, h.offFn, h.pollFn, h.doneFn = h.turnOn, h.turnOff, h.poll, h.taskDone
-	s.eng.Schedule(s.rng.ExpDuration(h.MeanOff), h.onFn)
+	s.eng.After(s.rng.ExpDuration(h.MeanOff), (*hostOn)(h))
 }
 
-// turnOn, turnOff, poll and taskDone are engine-scheduled entry points:
+// turnOn, turnOff, poll and taskDone are the host's engine events:
 // they run on the engine goroutine and take the server lock before
 // touching host or server state.
 func (h *Host) turnOn() {
@@ -121,7 +132,7 @@ func (h *Host) turnOn() {
 	}
 	h.on = true
 	h.tally()
-	h.srv.eng.Schedule(h.srv.rng.ExpDuration(h.MeanOn), h.offFn)
+	h.srv.eng.After(h.srv.rng.ExpDuration(h.MeanOn), (*hostOff)(h))
 	h.maybeFetchWork()
 	h.resume()
 }
@@ -139,7 +150,7 @@ func (h *Host) turnOff() {
 		h.detach() // the volunteer leaves the project
 		return
 	}
-	h.srv.eng.Schedule(h.srv.rng.ExpDuration(h.MeanOff), h.onFn)
+	h.srv.eng.After(h.srv.rng.ExpDuration(h.MeanOff), (*hostOn)(h))
 }
 
 // suspend checkpoints the running task (the paper's special GARLI
@@ -172,13 +183,13 @@ func (h *Host) resume() {
 	if len(h.tasks) == 0 {
 		// Nothing to do: poll the scheduler periodically while on.
 		if h.pollEv == 0 {
-			h.pollEv = h.srv.eng.Schedule(idlePollInterval, h.pollFn)
+			h.pollEv = h.srv.eng.After(idlePollInterval, (*hostPoll)(h))
 		}
 		return
 	}
 	h.startedAt = h.srv.eng.Now()
 	dur := sim.Duration(h.tasks[0].remainingWork / (h.Speed * lrm.ReferenceCellsPerSecond))
-	h.doneEv = h.srv.eng.Schedule(dur, h.doneFn)
+	h.doneEv = h.srv.eng.After(dur, (*hostDone)(h))
 }
 
 // poll is an idle host's periodic scheduler contact.
@@ -202,15 +213,7 @@ func (h *Host) taskDone() {
 	h.tally()
 	h.srv.stats.HostCPUSeconds += res.wu.job.Work / lrm.ReferenceCellsPerSecond
 	// Report after the host's usual reporting latency.
-	h.srv.eng.Schedule(h.ReportLatency, func() {
-		srv := h.srv
-		srv.mu.Lock()
-		notify := srv.receiveResult(res)
-		srv.mu.Unlock()
-		if notify != nil {
-			notify()
-		}
-	})
+	h.srv.eng.After(h.ReportLatency, res)
 	h.maybeFetchWork()
 	h.resume()
 }

@@ -55,8 +55,10 @@ func TestServerConcurrentStress(t *testing.T) {
 			ID:                  id,
 			Work:                3600 * lrm.ReferenceCellsPerSecond, // one reference hour
 			EstimatedRefSeconds: 3600,
-			OnComplete:          onComplete,
-			OnFail:              func(sim.Time, string) { failed.Add(1) },
+			Owner: &lrm.Callbacks{
+				OnComplete: onComplete,
+				OnFail:     func(sim.Time, string) { failed.Add(1) },
+			},
 		}
 	}
 	for w := 0; w < submitters; w++ {

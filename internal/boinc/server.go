@@ -63,7 +63,8 @@ type workunit struct {
 	pending []*result // issued, not yet returned
 }
 
-// result is one issued instance of a workunit.
+// result is one issued instance of a workunit. It is the event of the
+// host reporting it, and (*deadline)(r) is its deadline timer.
 type result struct {
 	wu       *workunit
 	host     *Host
@@ -85,9 +86,9 @@ type Server struct {
 	// events on a single goroutine, but lrm.LRM callers (the
 	// meta-scheduler, tests) may submit, cancel and read
 	// statistics from other goroutines while the engine runs; every
-	// engine-scheduled closure and every public method takes the lock
-	// at entry. Job callbacks (OnComplete/OnFail) are invoked after
-	// the lock is released so handlers may re-enter the server.
+	// engine event and every public method takes the lock
+	// at entry. A job's Owner is told its outcome after the lock is
+	// released, so it may re-enter the server.
 	mu    sync.Mutex
 	hosts []*Host
 	// pool is what Info reports about the hosts, kept current instead
@@ -391,21 +392,38 @@ func (s *Server) issue(wu *workunit, h *Host) {
 	if len(h.tasks) == 1 {
 		h.resume()
 	}
-	s.eng.ScheduleAt(r.deadline, func() {
-		s.mu.Lock()
-		notify := s.deadlinePassed(r)
-		s.mu.Unlock()
-		if notify != nil {
-			notify()
-		}
-	})
+	s.eng.At(r.deadline, (*deadline)(r))
+}
+
+// deadline is a result's deadline timer.
+type deadline result
+
+func (d *deadline) Fire() {
+	s := d.host.srv
+	s.mu.Lock()
+	failed := s.deadlinePassed((*result)(d))
+	s.mu.Unlock()
+	if failed != nil && failed.Owner != nil {
+		failed.Owner.Fail(s.eng.Now(), "boinc: too many errors (may have bug)")
+	}
+}
+
+// Fire is the host reporting the result.
+func (r *result) Fire() {
+	s := r.host.srv
+	s.mu.Lock()
+	done := s.receiveResult(r)
+	s.mu.Unlock()
+	if done != nil && done.Owner != nil {
+		done.Owner.Complete(s.eng.Now())
+	}
 }
 
 // deadlinePassed reissues a workunit whose result never came back.
-// Called with s.mu held; the returned closure (the job's failure
-// callback, if the workunit is out of issues) must be invoked after
-// the lock is released.
-func (s *Server) deadlinePassed(r *result) (notify func()) {
+// Called with s.mu held; it returns the job when the workunit is out of
+// issues and failed, for its owner to be told after the lock is
+// released.
+func (s *Server) deadlinePassed(r *result) (failed *lrm.Job) {
 	if r.timedOut {
 		return nil
 	}
@@ -439,11 +457,7 @@ func (s *Server) deadlinePassed(r *result) (notify func()) {
 		s.ins.wuFailed.Inc()
 		s.durably(wu.job.ID, "failed", "too many errors")
 		s.removeUnsent(wu)
-		if fail := wu.job.OnFail; fail != nil {
-			now := s.eng.Now()
-			return func() { fail(now, "boinc: too many errors (may have bug)") }
-		}
-		return nil
+		return wu.job
 	}
 	// Back to the unsent queue for reissue.
 	s.ins.reissued.Inc()
@@ -490,10 +504,10 @@ func (h *Host) dropTask(r *result) {
 	}
 }
 
-// receiveResult handles a returned result. Called with s.mu held; the
-// returned closure (the job's completion callback, if the workunit
-// just validated) must be invoked after the lock is released.
-func (s *Server) receiveResult(r *result) (notify func()) {
+// receiveResult handles a returned result. Called with s.mu held; it
+// returns the job when the workunit just validated, for its owner to
+// be told after the lock is released.
+func (s *Server) receiveResult(r *result) (done *lrm.Job) {
 	s.stats.ResultsReturned++
 	s.ins.returned.Inc()
 	wu := r.wu
@@ -515,11 +529,7 @@ func (s *Server) receiveResult(r *result) (notify func()) {
 	s.durably(wu.job.ID, "done", "1/1 results")
 	s.obs.Record(wu.job.Batch, wu.job.ID, obs.StageQuorum, s.name, "1/1 results")
 	s.removeUnsent(wu)
-	if complete := wu.job.OnComplete; complete != nil {
-		now := s.eng.Now()
-		return func() { complete(now) }
-	}
-	return nil
+	return wu.job
 }
 
 // Info implements lrm.LRM: the volunteer pool summarized as one

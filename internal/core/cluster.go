@@ -45,15 +45,25 @@ type ClusterConfig struct {
 }
 
 // pendingArrival is one future submission scheduled on a shard's
-// clock. The cluster keeps this bookkeeping outside the engines
-// because a crashed engine loses its scheduled closures: recovery
-// replays enqueues up to the durable watermark from the WAL and
-// re-schedules the still-undelivered arrivals from this list.
+// clock, and the engine event that delivers it to shard. The cluster
+// keeps this bookkeeping outside the engines because a crashed engine
+// loses its scheduled events: recovery replays enqueues up to the
+// durable watermark from the WAL and re-installs the still-undelivered
+// arrivals from this list on the rebuilt shard.
 type pendingArrival struct {
 	at        sim.Time
 	sub       workload.Submission
 	origin    string
+	shard     *Lattice
 	delivered bool
+}
+
+// Fire delivers the submission.
+func (pa *pendingArrival) Fire() {
+	pa.delivered = true
+	if _, err := pa.shard.submit(gsbl.Request{Sub: pa.sub, Origin: pa.origin}); err != nil {
+		pa.shard.Service.NoteIngestErr(fmt.Errorf("core: scheduled arrival at %v: %w", pa.at, err))
+	}
 }
 
 // Cluster is a sharded deployment: N Lattices, each with its own
@@ -191,13 +201,8 @@ func (c *Cluster) ScheduleSubmission(at sim.Time, sub workload.Submission) int {
 
 // scheduleArrival installs one tracked arrival on shard k's engine.
 func (c *Cluster) scheduleArrival(k int, pa *pendingArrival) {
-	l := c.Shards[k]
-	l.Engine.ScheduleAt(pa.at, func() {
-		pa.delivered = true
-		if _, err := l.submit(gsbl.Request{Sub: pa.sub, Origin: pa.origin}); err != nil {
-			l.Service.NoteIngestErr(fmt.Errorf("core: scheduled arrival at %v: %w", pa.at, err))
-		}
-	})
+	pa.shard = c.Shards[k]
+	pa.shard.Engine.At(pa.at, pa)
 }
 
 // PendingArrivals counts scheduled submissions that have not yet been

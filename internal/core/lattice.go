@@ -513,7 +513,7 @@ func (l *Lattice) forkReferenceReplicate(sub workload.Submission) {
 		Work:     work,
 		MemoryMB: spec.MemoryMB(),
 	}
-	j.OnComplete = func(at sim.Time) {
+	j.Owner = &lrm.Callbacks{OnComplete: func(at sim.Time) {
 		// The reference cluster runs at speed 1.0, so wall time is
 		// reference time (minus queueing, which the paper's operators
 		// also absorbed).
@@ -527,7 +527,7 @@ func (l *Lattice) forkReferenceReplicate(sub workload.Submission) {
 		if err := l.Estimator.Retrain(); err != nil {
 			l.noteRetrainErr(err)
 		}
-	}
+	}}
 	if err := ref.Submit(j); err != nil {
 		l.noteRetrainErr(err)
 	}

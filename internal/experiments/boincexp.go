@@ -50,12 +50,12 @@ func boincBatch(seed int64, pop boinc.PopulationConfig, jobs int,
 			MemoryMB:            512,
 			EstimatedRefSeconds: estimateFor(ref),
 			DelayBound:          deadlineFor(ref),
-		}
-		j.OnComplete = func(at sim.Time) {
-			done++
-			if at > lastDone {
-				lastDone = at
-			}
+			Owner: &lrm.Callbacks{OnComplete: func(at sim.Time) {
+				done++
+				if at > lastDone {
+					lastDone = at
+				}
+			}},
 		}
 		if err := srv.Submit(j); err != nil {
 			return boinc.Stats{}, 0, 0, err

@@ -343,8 +343,8 @@ func CheckpointAlternative(seed int64) (*CheckpointResult, error) {
 			}
 		}
 		var doneAt sim.Time
-		j := &lrm.Job{ID: "long", Work: jobRefHours * 3600 * lrm.ReferenceCellsPerSecond, MemoryMB: 256}
-		j.OnComplete = func(at sim.Time) { doneAt = at }
+		j := &lrm.Job{ID: "long", Work: jobRefHours * 3600 * lrm.ReferenceCellsPerSecond, MemoryMB: 256,
+			Owner: &lrm.Callbacks{OnComplete: func(at sim.Time) { doneAt = at }}}
 		if err := cl.Submit(j); err != nil {
 			return nil, err
 		}
@@ -379,14 +379,14 @@ func CheckpointAlternative(seed int64) (*CheckpointResult, error) {
 				ID:       fmt.Sprintf("slice-%d", sliceN),
 				Work:     (sliceSecs + perSliceOverhead) * lrm.ReferenceCellsPerSecond,
 				MemoryMB: 256,
-			}
-			j.OnComplete = func(at sim.Time) {
-				remaining -= sliceSecs
-				if remaining <= 0 {
-					doneAt = at
-					return
-				}
-				submitSlice()
+				Owner: &lrm.Callbacks{OnComplete: func(at sim.Time) {
+					remaining -= sliceSecs
+					if remaining <= 0 {
+						doneAt = at
+						return
+					}
+					submitSlice()
+				}},
 			}
 			if err := pool.Submit(j); err != nil {
 				submitErr = err

@@ -39,8 +39,8 @@ func (f *fakeLRM) Submit(j *lrm.Job) error {
 			return // cancelled meanwhile
 		}
 		delete(f.jobs, j.ID)
-		if j.OnComplete != nil {
-			j.OnComplete(f.eng.Now())
+		if j.Owner != nil {
+			j.Owner.Complete(f.eng.Now())
 		}
 	})
 	return nil
@@ -85,8 +85,10 @@ type outcome struct {
 func job(id string, o *outcome) *lrm.Job {
 	return &lrm.Job{
 		ID: id, Work: 1,
-		OnComplete: func(at sim.Time) { o.done = true; o.completedAt = at },
-		OnFail:     func(_ sim.Time, reason string) { o.done = true; o.failReason = reason },
+		Owner: &lrm.Callbacks{
+			OnComplete: func(at sim.Time) { o.done = true; o.completedAt = at },
+			OnFail:     func(_ sim.Time, reason string) { o.done = true; o.failReason = reason },
+		},
 	}
 }
 

@@ -333,7 +333,7 @@ func (t *target) Cancel(jobID string) bool {
 }
 
 // Submit implements lrm.LRM. The scheduler builds a fresh lrm.Job per
-// dispatch, so rewriting its callbacks here never leaks into a retry.
+// dispatch, so rewriting its Owner here never leaks into a retry.
 func (t *target) Submit(j *lrm.Job) error {
 	if t.down {
 		t.in.note(KindSubmitFail, t.name, "submit refused: resource down")
@@ -353,41 +353,56 @@ func (t *target) Submit(j *lrm.Job) error {
 			return fmt.Errorf("faults: %s capacity collapsed", t.name)
 		}
 	}
-	origComplete := j.OnComplete
-	origFail := j.OnFail
-	j.OnComplete = func(at sim.Time) {
-		t.forget(j.ID)
-		if t.lostP > 0 && t.resultRNG.Bool(t.lostP) {
-			t.in.note(KindLostResult, t.name, j.ID)
-			if origFail != nil {
-				origFail(at, "faults: result lost in transit")
-			}
-			return
-		}
-		if t.slowP > 0 && t.resultRNG.Bool(t.slowP) {
-			t.in.note(KindSlowResult, t.name, j.ID)
-			t.in.eng.Schedule(t.slowBy, func() {
-				if origComplete != nil {
-					origComplete(t.in.eng.Now())
-				}
-			})
-			return
-		}
-		if origComplete != nil {
-			origComplete(at)
-		}
-	}
-	j.OnFail = func(at sim.Time, reason string) {
-		t.forget(j.ID)
-		if origFail != nil {
-			origFail(at, reason)
-		}
-	}
+	j.Owner = &tracked{t: t, j: j, owner: j.Owner}
 	if err := t.inner.Submit(j); err != nil {
 		return err
 	}
 	t.inflight = append(t.inflight, j)
 	return nil
+}
+
+// tracked stands between a job submitted through the wrapper and its
+// owner: it forgets the job when it ends and applies the lost- and
+// slow-result windows to its completion. It is also the event of a
+// delayed result arriving.
+type tracked struct {
+	t     *target
+	j     *lrm.Job
+	owner lrm.Owner
+}
+
+func (k *tracked) Complete(at sim.Time) {
+	t := k.t
+	t.forget(k.j.ID)
+	if t.lostP > 0 && t.resultRNG.Bool(t.lostP) {
+		t.in.note(KindLostResult, t.name, k.j.ID)
+		if k.owner != nil {
+			k.owner.Fail(at, "faults: result lost in transit")
+		}
+		return
+	}
+	if t.slowP > 0 && t.resultRNG.Bool(t.slowP) {
+		t.in.note(KindSlowResult, t.name, k.j.ID)
+		t.in.eng.After(t.slowBy, k)
+		return
+	}
+	if k.owner != nil {
+		k.owner.Complete(at)
+	}
+}
+
+func (k *tracked) Fail(at sim.Time, reason string) {
+	k.t.forget(k.j.ID)
+	if k.owner != nil {
+		k.owner.Fail(at, reason)
+	}
+}
+
+// Fire delivers a slow result.
+func (k *tracked) Fire() {
+	if k.owner != nil {
+		k.owner.Complete(k.t.in.eng.Now())
+	}
 }
 
 // beginOutage takes the resource down: every tracked in-flight job is
@@ -403,8 +418,8 @@ func (t *target) beginOutage() {
 	now := t.in.eng.Now()
 	for _, j := range jobs {
 		t.inner.Cancel(j.ID)
-		if j.OnFail != nil {
-			j.OnFail(now, "faults: resource outage")
+		if j.Owner != nil {
+			j.Owner.Fail(now, "faults: resource outage")
 		}
 	}
 }

@@ -33,7 +33,7 @@ func (s *Service) admitEnqueue(r Request, now sim.Time) {
 		s.shed(&r, rej)
 		return
 	}
-	s.admit.Push(r.Sub.UserEmail, s.ingest.cost(&r.Sub).Seconds(), &queued{Request: r, arrived: now})
+	s.admit.Push(r.Sub.UserEmail, s.ingest.cost(&r.Sub).Seconds(), &queued{Request: r, arrived: now, svc: s})
 	s.ingestDepth++
 	for {
 		victim, rej := s.admit.Overflow(s.admitBusySeconds(now))
@@ -69,18 +69,24 @@ func (s *Service) admitServe(now sim.Time) {
 	if e == nil {
 		return
 	}
-	it := e.Payload.(*queued)
 	s.admitServing = true
 	done := now.Add(sim.Duration(e.Cost))
 	s.admitBusyUntil = done
-	s.eng.ScheduleAt(done, func() {
-		s.admitServing = false
-		if ins := s.ingestInstruments(); ins != nil {
-			ins.accepted.Inc()
-		}
-		s.drain(it)
-		s.admitServe(s.eng.Now())
-	})
+	s.eng.At(done, (*served)(e.Payload.(*queued)))
+}
+
+// served is the admit door finishing a queued request: the request
+// drains and the door serves the next.
+type served queued
+
+func (it *served) Fire() {
+	s := it.svc
+	s.admitServing = false
+	if ins := s.ingestInstruments(); ins != nil {
+		ins.accepted.Inc()
+	}
+	s.drain((*queued)(it))
+	s.admitServe(s.eng.Now())
 }
 
 // shed accounts one rejected submission: exactly one StageShed journal

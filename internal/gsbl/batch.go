@@ -43,13 +43,16 @@ type Batch struct {
 	DoneAt    sim.Time
 	done      bool
 	// settled jobs — Jobs[:settled] — are terminal and tallied in
-	// completed/failed; jobDone advances the prefix, so telling whether
+	// completed/failed; JobDone advances the prefix, so telling whether
 	// the batch is over costs O(1) amortized per job rather than a walk
 	// of the batch.
 	settled, completed, failed int
 	// onDone fires once when the batch reaches its terminal state;
 	// the workflow engine uses it to advance the stage graph.
 	onDone func(BatchStatus)
+	// svc is the service that made the batch, whose clock and mailer its
+	// end reaches.
+	svc *Service
 }
 
 // Service is the grid-services facade: it validates submissions,
@@ -215,11 +218,12 @@ func (s *Service) submit(sub workload.Submission, origin, validateDetail string,
 		Origin:     origin,
 		CreatedAt:  s.eng.Now(),
 		onDone:     onDone,
+		svc:        s,
 	}
 	// Journal the validation pre-pass (batch-level event, no job ID).
 	s.obs.Record(b.ID, "", obs.StageValidate, "", validateDetail)
 	sub.BatchTag = b.ID
-	jobs, err := s.sched.SubmitBatch(&sub, s.rng, func(j *metasched.GridJob) { s.jobDone(b, j) })
+	jobs, err := s.sched.SubmitBatch(&sub, s.rng, b)
 	if err != nil {
 		return nil, err
 	}
@@ -271,25 +275,26 @@ func (s *Service) RunStage(runID, stageID string, sub workload.Submission, done 
 	return b.ID, nil
 }
 
-// jobDone handles a terminal job state and fires batch-level events.
-func (s *Service) jobDone(b *Batch, j *metasched.GridJob) {
+// JobDone implements metasched.Owner: one of the batch's jobs is
+// terminal, which may end the batch.
+func (b *Batch) JobDone(j *metasched.GridJob) {
 	if j.Status == metasched.StatusFailed {
-		s.mailer.queue(s.eng.Now(), mailJobFailed, b, j)
+		b.svc.mailer.queue(b.svc.eng.Now(), mailJobFailed, b, j)
 	}
-	s.finish(b)
+	b.finish()
 }
 
 // finish ends the batch once every job is terminal: it stamps DoneAt,
 // sends the completion mail and fires onDone, all exactly once.
-func (s *Service) finish(b *Batch) {
+func (b *Batch) finish() {
 	if b.done || !b.settle() {
 		return
 	}
 	st := BatchStatus{ID: b.ID, Total: len(b.Jobs), Completed: b.completed, Failed: b.failed,
 		Done: true, CreatedAt: b.CreatedAt}
 	b.done = true
-	b.DoneAt = s.eng.Now()
-	s.mailer.queue(s.eng.Now(), mailComplete, b, nil)
+	b.DoneAt = b.svc.eng.Now()
+	b.svc.mailer.queue(b.DoneAt, mailComplete, b, nil)
 	if b.onDone != nil {
 		b.onDone(st)
 	}
@@ -297,7 +302,7 @@ func (s *Service) finish(b *Batch) {
 
 // settle advances the settled prefix over every job that has reached a
 // terminal state — including one cancelled through the scheduler, which
-// ends without a jobDone call — and reports whether that is all of them.
+// ends without a JobDone call — and reports whether that is all of them.
 func (b *Batch) settle() bool {
 	for ; b.settled < len(b.Jobs); b.settled++ {
 		switch b.Jobs[b.settled].Status {
@@ -363,7 +368,7 @@ func (s *Service) status(b *Batch) BatchStatus {
 }
 
 // CancelBatch cancels every non-terminal job of a batch, which ends
-// the batch: a cancelled job never reaches jobDone, so the batch is
+// the batch: a cancelled job never reaches JobDone, so the batch is
 // finished here.
 //
 //lint:allow deadexport -- DESIGN.md lists cancel in the job lifecycle (submit/status/cancel/results); a user cancels, the simulation never does
@@ -375,7 +380,7 @@ func (s *Service) CancelBatch(id string) error {
 	for _, j := range b.Jobs {
 		s.sched.Cancel(j.ID)
 	}
-	s.finish(b)
+	b.finish()
 	return nil
 }
 

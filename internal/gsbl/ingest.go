@@ -52,11 +52,16 @@ func (s *Service) IngestDepth() int { return s.ingestDepth }
 func (s *Service) IngestErrors() []error { return s.ingestErrs }
 
 // queued is a request waiting behind the front door — the one heap
-// object a queued submission costs.
+// object a queued submission costs. It is the FIFO door's drain event;
+// (*served)(it) is the admit door's.
 type queued struct {
 	Request
 	arrived sim.Time
+	svc     *Service
 }
+
+// Fire drains the request.
+func (it *queued) Fire() { it.svc.drain(it) }
 
 // enqueue puts a validated, durably recorded request behind the front
 // door (the enqueue is the input — a crash loses nothing that was
@@ -80,8 +85,7 @@ func (s *Service) enqueue(r Request) {
 		ins.depth.Set(float64(s.ingestDepth))
 		ins.accepted.Inc()
 	}
-	it := &queued{Request: r, arrived: now}
-	s.eng.ScheduleAt(done, func() { s.drain(it) })
+	s.eng.At(done, &queued{Request: r, arrived: now, svc: s})
 }
 
 // drain is the front door reaching a queued request: expand it into

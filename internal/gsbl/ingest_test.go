@@ -1,7 +1,6 @@
 package gsbl
 
 import (
-	"runtime/debug"
 	"testing"
 
 	"lattice/internal/admit"
@@ -157,35 +156,25 @@ func TestIngestIDPrefix(t *testing.T) {
 	}
 }
 
-// raceBuild reports whether the test binary was built with -race, whose
-// runtime allocates on paths that otherwise do not.
-func raceBuild() bool {
-	bi, ok := debug.ReadBuildInfo()
-	if !ok {
-		return false
-	}
-	for _, s := range bi.Settings {
-		if s.Key == "-race" {
-			return s.Value == "true"
-		}
-	}
-	return false
-}
-
-// TestDoorAllocs holds the door to the allocations it cost before
-// Submit replaced the per-door entry points: one queued submission,
-// measured at the parent commit on this fixture — at enqueue (the
-// queued request, the drain closure and the engine event; the admit
-// door adds its queue entry and serve closure) and from enqueue
-// through drain (46 and 47; 55 and 56 under the race detector).
+// TestDoorAllocs holds the door to what one queued submission costs on
+// this fixture, measured: at enqueue, the queued request, which is also
+// its own drain event (the admit door adds its fair-queue entry and,
+// amortized, the queue's growth); from enqueue through drain, that plus
+// the batch, its job list, the grid job, its attempt record and the
+// cluster's running record, the batch ID, validate detail and job ID
+// strings, and the growth of the outbox and tables, amortized. When
+// each engine event was an *event and each callback a closure, the same
+// costs were 3 and 22 (fifo) and 3 and 23 (admit, whose serve event is
+// made when the door frees, not at enqueue). The race detector adds
+// nothing.
 func TestDoorAllocs(t *testing.T) {
 	for _, tc := range []struct {
-		name                  string
-		admit                 admit.Config
-		enqueue, all, allRace float64
+		name         string
+		admit        admit.Config
+		enqueue, all float64
 	}{
-		{"fifo", admit.Config{}, 3, 46, 55},
-		{"admit", admit.Config{MaxQueueDepth: 100}, 6, 47, 56},
+		{"fifo", admit.Config{}, 1, 10},
+		{"admit", admit.Config{MaxQueueDepth: 100}, 3, 11},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng, sched := testGrid(t)
@@ -197,20 +186,20 @@ func TestDoorAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if got := testing.AllocsPerRun(200, submit); got > tc.enqueue {
-				t.Errorf("enqueue: %.0f allocations, was %.0f", got, tc.enqueue)
+			got := testing.AllocsPerRun(200, submit)
+			if got > tc.enqueue {
+				t.Errorf("enqueue: %.0f allocations, budget %.0f", got, tc.enqueue)
 			}
+			t.Logf("enqueue: %.0f allocations", got)
 			eng.RunUntil(eng.Now().Add(sim.Hour))
-			want := tc.all
-			if raceBuild() {
-				want = tc.allRace
-			}
-			if got := testing.AllocsPerRun(200, func() {
+			got = testing.AllocsPerRun(200, func() {
 				submit()
 				eng.RunUntil(eng.Now().Add(10))
-			}); got > want {
-				t.Errorf("enqueue through drain: %.0f allocations, was %.0f", got, want)
+			})
+			if got > tc.all {
+				t.Errorf("enqueue through drain: %.0f allocations, budget %.0f", got, tc.all)
 			}
+			t.Logf("enqueue through drain: %.0f allocations", got)
 		})
 	}
 }

@@ -7,12 +7,13 @@ import (
 	"go/token"
 	"testing"
 
+	"lattice/internal/metasched"
 	"lattice/internal/sim"
 )
 
 // TestJobDoneTalliesLikeTheWalk runs a 2000-job batch, some of it
 // cancelled through the scheduler (which ends a job without telling the
-// service), and holds what jobDone announces from its counters — the
+// service), and holds what JobDone announces from its counters — the
 // completion mail, the onDone status, the instant — to the full walk
 // status() does for the portal.
 func TestJobDoneTalliesLikeTheWalk(t *testing.T) {
@@ -80,28 +81,153 @@ func TestJobDoneTalliesLikeTheWalk(t *testing.T) {
 	}
 }
 
-// TestJobDoneDoesNotRecount pins the shape of the fix: jobDone runs
-// once per terminal job, so it must not call the O(jobs) status walk.
+// TestJobDoneDoesNotRecount pins the shape of the fix: JobDone runs
+// once per terminal job, so neither it nor finish may call the O(jobs)
+// status walk.
 func TestJobDoneDoesNotRecount(t *testing.T) {
 	f, err := parser.ParseFile(token.NewFileSet(), "batch.go", nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
+	found := 0
 	for _, d := range f.Decls {
 		fn, ok := d.(*ast.FuncDecl)
-		if !ok || fn.Name.Name != "jobDone" {
+		if !ok || (fn.Name.Name != "JobDone" && fn.Name.Name != "finish") {
 			continue
 		}
-		found = true
+		found++
 		ast.Inspect(fn.Body, func(n ast.Node) bool {
 			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "status" {
-				t.Errorf("jobDone calls status()")
+				t.Errorf("%s calls status()", fn.Name.Name)
 			}
 			return true
 		})
 	}
-	if !found {
-		t.Fatal("batch.go has no jobDone")
+	if found != 2 {
+		t.Fatalf("batch.go has %d of JobDone and finish", found)
+	}
+}
+
+// TestSettleModel drives 300 generated batches of 1–40 jobs through
+// random interleavings of the four ways a job ends — the scheduler
+// reporting a completion or a failure to JobDone, a Scheduler.Cancel
+// (which ends a job without telling the batch) and CancelBatch — and
+// after every step holds the settled prefix to an O(n²) recount:
+// Jobs[:settled] is terminal and tallied, and every JobDone or
+// CancelBatch leaves the cursor at the longest terminal prefix. The
+// batch must finish exactly once, at the step that makes every job
+// terminal, with one completion mail, one onDone and one job-failure
+// mail per reported failure.
+func TestSettleModel(t *testing.T) {
+	for seed := int64(1); seed <= 300; seed++ {
+		g := sim.NewRNG(seed)
+		_, svc, mailer := testService(t)
+		n := 1 + g.Intn(40)
+		var dones []BatchStatus
+		b, err := svc.Submit(Request{Sub: smallSubmission(n), Origin: "wf-000001/model", Direct: true,
+			OnDone: func(st BatchStatus) { dones = append(dones, st) }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b.Jobs) != n {
+			t.Fatalf("seed %d: %d jobs, want %d", seed, len(b.Jobs), n)
+		}
+		terminal := func(j *metasched.GridJob) bool {
+			return j.Status == metasched.StatusCompleted || j.Status == metasched.StatusFailed
+		}
+		// recount is the O(n²) model: the longest prefix of terminal jobs,
+		// each prefix checked from scratch.
+		recount := func() (prefix, completed, failed int) {
+			for i := 0; i <= n; i++ {
+				all := true
+				for _, j := range b.Jobs[:i] {
+					all = all && terminal(j)
+				}
+				if all {
+					prefix = i
+				}
+			}
+			for _, j := range b.Jobs[:prefix] {
+				if j.Status == metasched.StatusCompleted {
+					completed++
+				} else {
+					failed++
+				}
+			}
+			return
+		}
+		reportedFailures, finishedAt := 0, -1
+		for step := 0; !b.done || g.Intn(4) > 0; step++ {
+			var open []*metasched.GridJob
+			for _, j := range b.Jobs {
+				if !terminal(j) {
+					open = append(open, j)
+				}
+			}
+			wasDone := b.done
+			told := true // the batch heard of this step
+			switch op := g.Intn(10); {
+			case len(open) == 0 || op == 0:
+				if err := svc.CancelBatch(b.ID); err != nil {
+					t.Fatal(err)
+				}
+			case op <= 4:
+				j := open[g.Intn(len(open))]
+				j.Status = metasched.StatusCompleted
+				b.JobDone(j)
+			case op <= 6:
+				j := open[g.Intn(len(open))]
+				j.Status, j.FailReason = metasched.StatusFailed, "model failure"
+				reportedFailures++
+				b.JobDone(j)
+			default:
+				if !svc.sched.Cancel(open[g.Intn(len(open))].ID) {
+					t.Fatalf("seed %d step %d: Scheduler.Cancel refused an open job", seed, step)
+				}
+				told = false
+			}
+			prefix, completed, failed := recount()
+			if b.settled > prefix || (told && !b.done && b.settled != prefix) {
+				t.Fatalf("seed %d step %d: settled %d, terminal prefix %d", seed, step, b.settled, prefix)
+			}
+			sc, sf := 0, 0
+			for _, j := range b.Jobs[:b.settled] {
+				if j.Status == metasched.StatusCompleted {
+					sc++
+				} else {
+					sf++
+				}
+			}
+			if b.completed != sc || b.failed != sf {
+				t.Fatalf("seed %d step %d: tallies %d/%d, prefix holds %d/%d", seed, step, b.completed, b.failed, sc, sf)
+			}
+			if b.done && !wasDone {
+				if finishedAt >= 0 || !told || prefix != n || completed+failed != n {
+					t.Fatalf("seed %d step %d: finished with prefix %d of %d (told %v, earlier finish at %d)",
+						seed, step, prefix, n, told, finishedAt)
+				}
+				finishedAt = step
+			}
+			if !b.done && told && prefix == n {
+				t.Fatalf("seed %d step %d: every job terminal and the batch not finished", seed, step)
+			}
+		}
+		_, completed, failed := recount()
+		if len(dones) != 1 || dones[0].Completed != completed || dones[0].Failed != failed || dones[0].Total != n {
+			t.Fatalf("seed %d: onDone calls %+v, want one with %d completed, %d failed", seed, dones, completed, failed)
+		}
+		completions, failMails := 0, 0
+		for _, m := range mailer.Sent() {
+			switch {
+			case m.Subject == "[Lattice] "+b.ID+" complete":
+				completions++
+			case m.Subject == "[Lattice] job failure in "+b.ID:
+				failMails++
+			}
+		}
+		if completions != 1 || failMails != reportedFailures {
+			t.Fatalf("seed %d: %d completion mails and %d job-failure mails, want 1 and %d",
+				seed, completions, failMails, reportedFailures)
+		}
 	}
 }

@@ -72,6 +72,8 @@ type Config struct {
 }
 
 type node struct {
+	// c is the node's cluster, which its owner's events act on.
+	c         *Cluster
 	cores     int
 	speed     float64
 	memoryMB  int
@@ -84,11 +86,18 @@ type node struct {
 	ownerPresent bool
 }
 
+// running is a started job, and the event that completes it;
+// (*wallLimit)(r) is its wall-clock timer.
 type running struct {
+	c     *Cluster
 	job   *lrm.Job
 	nodes []*node
-	// speed is the aggregate speed the job runs at.
+	// one backs nodes for a one-node job, so starting one copies no
+	// node list.
+	one [1]*node
+	// speed is the aggregate speed the job runs at, for dur.
 	speed     float64
+	dur       sim.Duration
 	started   sim.Time
 	doneEvent sim.EventID
 	wallEvent sim.EventID
@@ -142,7 +151,7 @@ func New(eng *sim.Engine, rng *sim.RNG, o *obs.Obs, cfg Config) (*Cluster, error
 			return nil, fmt.Errorf("%s: node class %d invalid", cfg.Kind, i)
 		}
 		for k := 0; k < nc.Count; k++ {
-			c.nodes = append(c.nodes, &node{cores: nc.Cores, speed: nc.Speed, memoryMB: nc.MemoryMB,
+			c.nodes = append(c.nodes, &node{c: c, cores: nc.Cores, speed: nc.Speed, memoryMB: nc.MemoryMB,
 				away: nc.MeanOwnerAway, busy: nc.MeanOwnerBusy, ownerPresent: owned})
 		}
 		c.info.TotalCPUs += nc.Count * nc.Cores
@@ -166,17 +175,29 @@ func (c *Cluster) Name() string { return c.cfg.Name }
 // ownerLeaves ends n's current owner-present period after a random
 // busy time: the node takes jobs until the owner returns.
 func (c *Cluster) ownerLeaves(n *node) {
-	c.eng.Schedule(c.rng.ExpDuration(n.busy), func() {
-		n.ownerPresent = false
-		c.eng.Schedule(c.rng.ExpDuration(n.away), func() {
-			n.ownerPresent = true
-			for len(n.jobs) > 0 {
-				c.preempt(n.jobs[0])
-			}
-			c.ownerLeaves(n)
-		})
-		c.dispatch()
-	})
+	c.eng.After(c.rng.ExpDuration(n.busy), (*ownerAway)(n))
+}
+
+// ownerAway is the event of a node's owner leaving; (*ownerBack)(n) is
+// the owner's return.
+type ownerAway node
+
+func (a *ownerAway) Fire() {
+	n := (*node)(a)
+	n.ownerPresent = false
+	n.c.eng.After(n.c.rng.ExpDuration(n.away), (*ownerBack)(n))
+	n.c.dispatch()
+}
+
+type ownerBack node
+
+func (b *ownerBack) Fire() {
+	n := (*node)(b)
+	n.ownerPresent = true
+	for len(n.jobs) > 0 {
+		n.c.preempt(n.jobs[0])
+	}
+	n.c.ownerLeaves(n)
 }
 
 // preempt evicts r because an owner came back. The vanilla universe
@@ -194,8 +215,8 @@ func (c *Cluster) preempt(r *running) {
 	if c.cfg.MaxRequeues > 0 && requeues > c.cfg.MaxRequeues {
 		c.stats.Failed++
 		c.ins.JobFailed(j)
-		if j.OnFail != nil {
-			j.OnFail(c.eng.Now(), c.cfg.Kind+": requeue limit exceeded")
+		if j.Owner != nil {
+			j.Owner.Fail(c.eng.Now(), c.cfg.Kind+": requeue limit exceeded")
 		}
 		return
 	}
@@ -294,48 +315,67 @@ func (c *Cluster) dispatch() {
 			continue
 		}
 		c.queue = append(c.queue[:qi], c.queue[qi+1:]...)
-		c.start(j, append([]*node(nil), picked...))
+		c.start(j, picked)
 	}
 }
 
-func (c *Cluster) start(j *lrm.Job, nodes []*node) {
-	r := &running{job: j, nodes: nodes, started: c.eng.Now()}
-	for _, n := range nodes {
+// start runs j on picked, which is dispatch's scratch: the job keeps its
+// own copy, inline when it is one node.
+func (c *Cluster) start(j *lrm.Job, picked []*node) {
+	r := &running{c: c, job: j, started: c.eng.Now()}
+	if len(picked) == 1 {
+		r.one[0] = picked[0]
+		r.nodes = r.one[:]
+	} else {
+		r.nodes = append([]*node(nil), picked...)
+	}
+	for _, n := range r.nodes {
 		n.jobs = append(n.jobs, r)
 		n.usedMemMB += j.MemoryMB
 		r.speed += n.speed
 	}
-	if len(nodes) > 1 {
+	if len(r.nodes) > 1 {
 		r.speed *= mpiEfficiency
 	}
-	dur := j.RuntimeOn(r.speed)
+	r.dur = j.RuntimeOn(r.speed)
 	c.running[j.ID] = r
 	c.ins.JobStarted(j, c.eng.Now().Sub(c.queuedAt[j.ID]))
 	delete(c.queuedAt, j.ID)
-	r.doneEvent = c.eng.Schedule(dur, func() {
-		c.eng.Cancel(r.wallEvent)
-		c.release(r)
-		c.stats.Completed++
-		c.stats.CPUSeconds += dur.Seconds() * r.speed
-		c.ins.JobCompleted(j)
-		if j.OnComplete != nil {
-			j.OnComplete(c.eng.Now())
-		}
-		c.dispatch()
-	})
-	if j.WallLimit > 0 && j.WallLimit < dur {
-		r.wallEvent = c.eng.Schedule(j.WallLimit, func() {
-			c.eng.Cancel(r.doneEvent)
-			c.release(r)
-			c.stats.Failed++
-			c.stats.WastedCPU += j.WallLimit.Seconds() * r.speed
-			c.ins.JobFailed(j)
-			if j.OnFail != nil {
-				j.OnFail(c.eng.Now(), c.cfg.Kind+": wall clock limit exceeded")
-			}
-			c.dispatch()
-		})
+	r.doneEvent = c.eng.After(r.dur, r)
+	if j.WallLimit > 0 && j.WallLimit < r.dur {
+		r.wallEvent = c.eng.After(j.WallLimit, (*wallLimit)(r))
 	}
+}
+
+// Fire completes the job.
+func (r *running) Fire() {
+	c, j := r.c, r.job
+	c.eng.Cancel(r.wallEvent)
+	c.release(r)
+	c.stats.Completed++
+	c.stats.CPUSeconds += r.dur.Seconds() * r.speed
+	c.ins.JobCompleted(j)
+	if j.Owner != nil {
+		j.Owner.Complete(c.eng.Now())
+	}
+	c.dispatch()
+}
+
+// wallLimit is a running job's wall-clock timer: it kills the job.
+type wallLimit running
+
+func (w *wallLimit) Fire() {
+	r := (*running)(w)
+	c, j := r.c, r.job
+	c.eng.Cancel(r.doneEvent)
+	c.release(r)
+	c.stats.Failed++
+	c.stats.WastedCPU += j.WallLimit.Seconds() * r.speed
+	c.ins.JobFailed(j)
+	if j.Owner != nil {
+		j.Owner.Fail(c.eng.Now(), c.cfg.Kind+": wall clock limit exceeded")
+	}
+	c.dispatch()
 }
 
 // Info implements lrm.LRM. A slot is free while its node's owner is

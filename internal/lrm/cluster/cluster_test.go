@@ -206,8 +206,10 @@ func TestCluster(t *testing.T) {
 					if s.job != nil {
 						s.job(j)
 					}
-					j.OnComplete = func(at sim.Time) { done[id] = float64(at) }
-					j.OnFail = func(at sim.Time, reason string) { failed[id] = fmt.Sprintf("%v %s", float64(at), reason) }
+					j.Owner = &lrm.Callbacks{
+						OnComplete: func(at sim.Time) { done[id] = float64(at) },
+						OnFail:     func(at sim.Time, reason string) { failed[id] = fmt.Sprintf("%v %s", float64(at), reason) },
+					}
 					err := c.Submit(j)
 					switch {
 					case s.fail == "" && err != nil:
@@ -413,8 +415,10 @@ func TestOwnerNodes(t *testing.T) {
 					if s.job != nil {
 						s.job(j)
 					}
-					j.OnComplete = func(at sim.Time) { done[id] = float64(at); delivered += s.ref }
-					j.OnFail = func(_ sim.Time, reason string) { failed[id] = reason }
+					j.Owner = &lrm.Callbacks{
+						OnComplete: func(at sim.Time) { done[id] = float64(at); delivered += s.ref },
+						OnFail:     func(_ sim.Time, reason string) { failed[id] = reason },
+					}
 					err := c.Submit(j)
 					switch {
 					case s.fail == "" && err != nil:
@@ -618,8 +622,8 @@ func (c *refCluster) run(j *lrm.Job, r *refRunning, speed float64) {
 		delete(c.running, j.ID)
 		c.stats.Completed++
 		c.stats.CPUSeconds += dur.Seconds() * speed
-		if j.OnComplete != nil {
-			j.OnComplete(c.eng.Now())
+		if j.Owner != nil {
+			j.Owner.Complete(c.eng.Now())
 		}
 		c.dispatch()
 	})
@@ -630,8 +634,8 @@ func (c *refCluster) run(j *lrm.Job, r *refRunning, speed float64) {
 			delete(c.running, j.ID)
 			c.stats.Failed++
 			c.stats.WastedCPU += j.WallLimit.Seconds() * speed
-			if j.OnFail != nil {
-				j.OnFail(c.eng.Now(), c.cfg.Kind+": wall clock limit exceeded")
+			if j.Owner != nil {
+				j.Owner.Fail(c.eng.Now(), c.cfg.Kind+": wall clock limit exceeded")
 			}
 			c.dispatch()
 		})
@@ -855,8 +859,8 @@ func (p *refPool) preempt(m *refMachine) {
 	if p.cfg.MaxRequeues > 0 && requeues > p.cfg.MaxRequeues {
 		p.stats.Failed++
 		delete(p.requeues, r.job.ID)
-		if r.job.OnFail != nil {
-			r.job.OnFail(p.eng.Now(), "condor: requeue limit exceeded")
+		if r.job.Owner != nil {
+			r.job.Owner.Fail(p.eng.Now(), "condor: requeue limit exceeded")
 		}
 		return
 	}
@@ -930,8 +934,8 @@ func (p *refPool) start(j *lrm.Job, m *refMachine) {
 		p.stats.Completed++
 		p.stats.CPUSeconds += dur.Seconds() * m.speed
 		delete(p.requeues, j.ID)
-		if j.OnComplete != nil {
-			j.OnComplete(p.eng.Now())
+		if j.Owner != nil {
+			j.Owner.Complete(p.eng.Now())
 		}
 		p.tryDispatch()
 	})
@@ -942,8 +946,8 @@ func (p *refPool) start(j *lrm.Job, m *refMachine) {
 			p.stats.Failed++
 			p.stats.WastedCPU += j.WallLimit.Seconds() * m.speed
 			delete(p.requeues, j.ID)
-			if j.OnFail != nil {
-				j.OnFail(p.eng.Now(), "condor: wall clock limit exceeded")
+			if j.Owner != nil {
+				j.Owner.Fail(p.eng.Now(), "condor: wall clock limit exceeded")
 			}
 			p.tryDispatch()
 		})
@@ -1094,8 +1098,10 @@ func replay(seed int64, eng *sim.Engine, c placed, multiNode, pool bool) (log []
 		if !pool && rng.Bool(0.05) {
 			j.Platforms = []lrm.Platform{lrm.WindowsX86}
 		}
-		j.OnComplete = func(sim.Time) { ended(id, "completed") }
-		j.OnFail = func(_ sim.Time, reason string) { ended(id, "failed: "+reason) }
+		j.Owner = &lrm.Callbacks{
+			OnComplete: func(sim.Time) { ended(id, "completed") },
+			OnFail:     func(_ sim.Time, reason string) { ended(id, "failed: "+reason) },
+		}
 		eng.ScheduleAt(at, func() {
 			log = append(log, fmt.Sprintf("%v submit %s %v", eng.Now(), id, c.Submit(j)))
 			snapshot()

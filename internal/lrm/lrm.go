@@ -13,7 +13,7 @@
 // nodes execute abstract work (likelihood cell updates) at a speed
 // relative to the reference computer, availability processes interrupt
 // jobs on scavenged resources, and completions/failures are reported
-// through callbacks so the grid level can track and reschedule.
+// to the job's Owner so the grid level can track and reschedule.
 package lrm
 
 import (
@@ -78,12 +78,41 @@ type Job struct {
 	// default.
 	DelayBound sim.Duration
 
-	// OnComplete fires when the job finishes successfully.
+	// Owner, when set, is told how the job ended.
+	Owner Owner
+}
+
+// Owner is whoever submitted a job and is told how it ended — the
+// meta-scheduler's per-attempt record, so the report costs no closure.
+type Owner interface {
+	// Complete is called when the job finishes successfully.
+	Complete(at sim.Time)
+	// Fail is called when the resource permanently fails the job
+	// (exceeded wall limit, node crash with no requeue budget left;
+	// cancellation is not a failure).
+	Fail(at sim.Time, reason string)
+}
+
+// Callbacks is an Owner made of two funcs, for a submitter with no
+// record of its own to hang the methods on; a nil func ignores its
+// outcome.
+type Callbacks struct {
 	OnComplete func(at sim.Time)
-	// OnFail fires when the job is permanently failed by the
-	// resource (exceeded wall limit, node crash with no requeue
-	// budget left, cancellation is not a failure).
-	OnFail func(at sim.Time, reason string)
+	OnFail     func(at sim.Time, reason string)
+}
+
+// Complete calls OnComplete.
+func (c *Callbacks) Complete(at sim.Time) {
+	if c.OnComplete != nil {
+		c.OnComplete(at)
+	}
+}
+
+// Fail calls OnFail.
+func (c *Callbacks) Fail(at sim.Time, reason string) {
+	if c.OnFail != nil {
+		c.OnFail(at, reason)
+	}
 }
 
 // Validate checks the job is well-formed.

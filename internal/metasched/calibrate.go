@@ -40,11 +40,11 @@ func Calibrate(eng *sim.Engine, target lrm.LRM, benchRefSeconds float64, count i
 			Work:     benchRefSeconds * lrm.ReferenceCellsPerSecond,
 			MemoryMB: 64,
 		}
-		j.OnComplete = func(at sim.Time) {
+		j.Owner = &lrm.Callbacks{OnComplete: func(at sim.Time) {
 			samples[i].dur = at.Sub(samples[i].start)
 			samples[i].done = true
 			finished++
-		}
+		}}
 		if err := target.Submit(j); err != nil {
 			return 0, fmt.Errorf("metasched: calibration submit to %s: %w", target.Name(), err)
 		}

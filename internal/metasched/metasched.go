@@ -225,8 +225,9 @@ type GridJob struct {
 	// no model was available).
 	EstimateRefSeconds float64
 
-	// OnDone fires on terminal status (completed or failed).
-	OnDone func(j *GridJob)
+	// Owner, when set, is told when the job reaches a terminal status
+	// (completed or failed) on its own; a cancelled job is not reported.
+	Owner Owner
 
 	// disrupted marks jobs that hit a fault-induced setback (death
 	// requeue, gatekeeper failure, a "faults:" resource failure);
@@ -234,6 +235,12 @@ type GridJob struct {
 	// latency histogram when the job finally completes.
 	disrupted   bool
 	disruptedAt sim.Time
+}
+
+// Owner is whoever submitted a grid job and is told when it ends; a
+// *gsbl.Batch is the owner of each of its jobs.
+type Owner interface {
+	JobDone(j *GridJob)
 }
 
 // Stats aggregates scheduler behaviour.

@@ -101,9 +101,17 @@ func testJob(id string, refSeconds float64) *GridJob {
 	}
 }
 
+// doneFunc is a test's Owner: a func called with each terminal job.
+type doneFunc func(*GridJob)
+
+func (f doneFunc) JobDone(j *GridJob) { f(j) }
+
 // submit gives j its spec and terminal callback and submits it.
 func submit(s *Scheduler, j *GridJob, spec *workload.JobSpec, onDone func(*GridJob)) (*GridJob, error) {
-	j.Spec, j.OnDone = spec, onDone
+	j.Spec = spec
+	if onDone != nil {
+		j.Owner = doneFunc(onDone)
+	}
 	return j, s.submit(j)
 }
 

@@ -172,7 +172,7 @@ func (f *refusingLRM) Submit(j *lrm.Job) error {
 			f.onRefuse()
 		}
 		if f.failSync {
-			j.OnFail(f.eng.Now(), "node died at start")
+			j.Owner.Fail(f.eng.Now(), "node died at start")
 			return nil
 		}
 		return fmt.Errorf("gatekeeper: submission refused")
@@ -183,8 +183,8 @@ func (f *refusingLRM) Submit(j *lrm.Job) error {
 			return
 		}
 		delete(f.jobs, j.ID)
-		if j.OnComplete != nil {
-			j.OnComplete(f.eng.Now())
+		if j.Owner != nil {
+			j.Owner.Complete(f.eng.Now())
 		}
 	})
 	return nil

@@ -19,7 +19,7 @@ import (
 var garliPlatforms = []lrm.Platform{lrm.LinuxX86, lrm.WindowsX86, lrm.DarwinX86}
 
 // submit accepts a grid job described by the caller (ID, work,
-// requirements, Spec for the runtime model, OnDone). The job is placed
+// requirements, Spec for the runtime model, Owner). The job is placed
 // immediately when an eligible resource is reporting, otherwise it
 // waits in the pending queue for the next scan.
 func (s *Scheduler) submit(j *GridJob) error {
@@ -58,8 +58,9 @@ func (s *Scheduler) submit(j *GridJob) error {
 // search-replicate count is raised, amortizing the per-job overhead
 // ("we can ratchet up the number of search replicates each individual
 // GARLI job will perform"). The supplied work sampler provides each
-// job's true cost. Returns the created jobs.
-func (s *Scheduler) SubmitBatch(sub *workload.Submission, rng *sim.RNG, onDone func(*GridJob)) ([]*GridJob, error) {
+// job's true cost; owner (nil for none) becomes each job's Owner.
+// Returns the created jobs.
+func (s *Scheduler) SubmitBatch(sub *workload.Submission, rng *sim.RNG, owner Owner) ([]*GridJob, error) {
 	if err := sub.Validate(); err != nil {
 		return nil, err
 	}
@@ -96,7 +97,7 @@ func (s *Scheduler) SubmitBatch(sub *workload.Submission, rng *sim.RNG, onDone f
 			Platforms:   garliPlatforms,
 			OutputMB:    0.5, // trees and logs
 			ServiceOnly: sub.ServiceOnly,
-			OnDone:      onDone,
+			Owner:       owner,
 		}
 		spec := &j.spec
 		spec.SearchReps = sub.Spec.SearchReps * n
@@ -334,24 +335,29 @@ func (s *Scheduler) place(j *GridJob, cands []candidate) bool {
 // dispatch translates the job into one lrm.Job for the chosen resource
 // — the per-LRM translation the paper's scheduler adapters performed —
 // and submits it once the input has staged. Every attempt gets a fresh
-// lrm.Job: a stale attempt's may still sit in a dead resource.
+// record: a stale attempt's lrm.Job may still sit in a dead resource.
 func (s *Scheduler) dispatch(j *GridJob, c *candidate) {
-	lj := &lrm.Job{
-		ID: j.ID, Batch: j.Batch, Work: j.Work, MemoryMB: j.MemoryMB,
-		Platforms: j.Platforms, Software: j.Software, NeedsMPI: j.NeedsMPI,
-		EstimatedRefSeconds: j.EstimateRefSeconds,
+	a := &attempt{
+		Job: lrm.Job{
+			ID: j.ID, Batch: j.Batch, Work: j.Work, MemoryMB: j.MemoryMB,
+			Platforms: j.Platforms, Software: j.Software, NeedsMPI: j.NeedsMPI,
+			EstimatedRefSeconds: j.EstimateRefSeconds,
+		},
+		s: s, j: j, res: c.res, name: c.info.Name,
 	}
+	a.Owner = a
 	// BOINC deadline: estimate-driven; without an estimate the server's
 	// own default applies.
 	if c.info.Kind == "boinc" && j.EstimateRefSeconds > 0 {
 		local := j.EstimateRefSeconds / c.res.speed
-		lj.DelayBound = max(sim.Duration(local*boincDeadlineSlack), 6*sim.Hour)
+		a.DelayBound = max(sim.Duration(local*boincDeadlineSlack), 6*sim.Hour)
 	}
 	s.noteBreakerDispatch(c.info.Name, c.res)
 	j.Status = StatusRunning
 	j.Resource = c.info.Name
 	j.StartedAt = s.eng.Now()
 	j.Attempts++
+	a.n = j.Attempts
 	s.obs.Record(j.Batch, j.ID, obs.StagePlace, c.info.Name, s.placeDetail(j.Attempts))
 	if c.res.placements == nil {
 		c.res.placements = s.obs.Counter("lattice_sched_placements_total",
@@ -360,38 +366,60 @@ func (s *Scheduler) dispatch(j *GridJob, c *candidate) {
 	}
 	c.res.placements.Inc()
 	s.ins.placeWait.Observe(float64(s.eng.Now().Sub(j.SubmittedAt)))
-	name := c.info.Name
-	res := c.res
-	// attempt pins this dispatch's identity: callbacks arriving after
-	// the job was requeued and re-dispatched (a cancelled copy limping
-	// home, a slow result from a dead resource) carry a stale attempt
-	// and are ignored.
-	attempt := j.Attempts
-	lj.OnComplete = func(sim.Time) {
-		// Results stage back before the job counts as done.
-		if out := s.stageDelay(j.OutputMB); out > 0 {
-			s.eng.Schedule(out, func() { s.onJobComplete(j, attempt) })
-		} else {
-			s.onJobComplete(j, attempt)
-		}
-	}
-	lj.OnFail = func(_ sim.Time, reason string) { s.onJobFail(j, name, reason, attempt) }
-	submit := func() {
-		if j.Status != StatusRunning || j.Resource != name || j.Attempts != attempt {
-			return // cancelled, requeued or re-routed during staging
-		}
-		s.obs.Record(j.Batch, j.ID, obs.StageDispatch, name, "")
-		if err := res.lrm.Submit(lj); err != nil {
-			s.submitFailed(j, name, err)
-		}
-	}
 	c.res.active++
 	if in := s.stageDelay(j.InputMB); in > 0 {
-		s.eng.Schedule(in, submit)
+		s.eng.After(in, a)
 	} else {
-		submit()
+		a.Fire()
 	}
 }
+
+// attempt is one dispatch of a grid job: the lrm.Job the resource runs
+// and what reporting its end needs. It is that job's Owner, its Fire is
+// the submission once the input has staged, and (*stageOut)(a) is the
+// event that lands its results. n pins the dispatch's identity: a
+// report arriving after the job was requeued and re-dispatched (a
+// cancelled copy limping home, a slow result from a dead resource)
+// carries a stale n and is ignored.
+type attempt struct {
+	lrm.Job
+	s    *Scheduler
+	j    *GridJob
+	res  *resource
+	name string
+	n    int
+}
+
+// Fire submits the job to the resource, unless it was cancelled,
+// requeued or re-routed while its input staged.
+func (a *attempt) Fire() {
+	s, j := a.s, a.j
+	if j.Status != StatusRunning || j.Resource != a.name || j.Attempts != a.n {
+		return
+	}
+	s.obs.Record(j.Batch, j.ID, obs.StageDispatch, a.name, "")
+	if err := a.res.lrm.Submit(&a.Job); err != nil {
+		s.submitFailed(j, a.name, err)
+	}
+}
+
+// Complete implements lrm.Owner: results stage back before the job
+// counts as done.
+func (a *attempt) Complete(sim.Time) {
+	if out := a.s.stageDelay(a.j.OutputMB); out > 0 {
+		a.s.eng.After(out, (*stageOut)(a))
+	} else {
+		a.s.onJobComplete(a.j, a.n)
+	}
+}
+
+// Fail implements lrm.Owner.
+func (a *attempt) Fail(_ sim.Time, reason string) { a.s.onJobFail(a.j, a.name, reason, a.n) }
+
+// stageOut is an attempt's results arriving back from the resource.
+type stageOut attempt
+
+func (o *stageOut) Fire() { o.s.onJobComplete(o.j, o.n) }
 
 // stageDelay converts a transfer size to a staging duration.
 func (s *Scheduler) stageDelay(mb float64) sim.Duration {
@@ -518,8 +546,8 @@ func (s *Scheduler) onJobComplete(j *GridJob, attempt int) {
 	s.stats.Completed++
 	s.ins.completed.Inc()
 	s.obs.Record(j.Batch, j.ID, obs.StageComplete, j.Resource, "")
-	if j.OnDone != nil {
-		j.OnDone(j)
+	if j.Owner != nil {
+		j.Owner.JobDone(j)
 	}
 }
 
@@ -542,8 +570,8 @@ func (s *Scheduler) onJobFail(j *GridJob, resourceName, reason string, attempt i
 		s.stats.Failed++
 		s.ins.failed.Inc()
 		s.obs.Record(j.Batch, j.ID, obs.StageFail, resourceName, reason)
-		if j.OnDone != nil {
-			j.OnDone(j)
+		if j.Owner != nil {
+			j.Owner.JobDone(j)
 		}
 		return
 	}

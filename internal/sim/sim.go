@@ -4,13 +4,40 @@
 // BOINC server and its volunteer hosts, the meta-scheduler, MDS
 // propagation) advance on a shared virtual clock owned by an Engine.
 // Determinism is a hard requirement: given the same seed and the same
-// sequence of Schedule calls, a simulation produces identical event
-// orderings on every run. Ties in event time are broken by scheduling
-// order, never by map iteration or goroutine interleaving.
+// sequence of scheduling calls, a simulation produces identical event
+// orderings on every run.
+//
+// An event is a Handler and a time. Handler is one method, Fire, so a
+// pointer to a record that already exists — a job's per-attempt record,
+// a request queued behind a door — is scheduled as it is, with no
+// allocation; where one record needs two events, the second is a named
+// pointer conversion of it (type stageOut attempt; (*stageOut)(a)). A
+// method value would allocate a closure each time and is never used.
+// Func adapts a plain func() the way http.HandlerFunc does; Schedule,
+// ScheduleAt and Every take funcs through it, for one-off events whose
+// closure is the only state there is.
+//
+// At(at, h) and After(d, h) are the one scheduling path. A time in the
+// past or NaN is clamped to Now, and so is a negative or NaN delay.
+//
+// Ordering rule: every scheduled event gets the next value of one
+// engine-wide sequence counter, and events fire in (at, seq) order —
+// earliest time first, and among events at the same instant in the
+// order they were scheduled. (at, seq) is a strict total order, so the
+// firing sequence is a function of the scheduling calls alone, never of
+// the queue's layout, map iteration or goroutine interleaving.
+//
+// Cancel contract: Cancel(id) reports true only for an event that is
+// pending and not yet cancelled, and then that event never fires.
+// Cancelling an event that already fired, cancelling twice, and
+// cancelling the zero EventID (never issued) are no-ops that report
+// false. An EventID names a handler slot and the slot's generation, so
+// an ID outlives its event harmlessly: once the event fired or was
+// cancelled and popped, the slot's generation moves on and the old ID
+// matches nothing.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -60,64 +87,58 @@ type Clock interface {
 
 var _ Clock = (*Engine)(nil)
 
-// Handler is a callback invoked when an event fires. It runs with the
-// engine clock set to the event's time.
-type Handler func()
+// Handler is what an event does: Fire runs with the engine clock set to
+// the event's time.
+type Handler interface{ Fire() }
 
-// EventID identifies a scheduled event so it can be cancelled.
+// Func adapts an ordinary function to Handler. A func value is a single
+// pointer, so the conversion allocates nothing; a closure still costs
+// its own allocation where it is created.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
+// EventID identifies a scheduled event so it can be cancelled: the low
+// 32 bits are its handler slot, the high 32 bits the slot's generation
+// (never 0, so no event has ID 0).
 type EventID uint64
 
+// event is one queue entry, a value: the firing time, the sequence
+// number that breaks ties, and the slot holding the handler.
 type event struct {
-	at        Time
-	seq       uint64 // tie-break: FIFO among simultaneous events
-	id        EventID
-	fn        Handler
-	cancelled bool
-	index     int // heap index
+	at   Time
+	seq  uint64
+	slot uint32
 }
 
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
+// before is the firing order, (at, seq).
+func before(a, b event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
-}
-
-func (q *eventQueue) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*q)
-	*q = append(*q, ev)
-}
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*q = old[:n-1]
-	return ev
+// slot holds a queued event's handler; h is nil once the event is
+// cancelled. gen counts the slot's reuses and is bumped when its event
+// leaves the queue.
+type slot struct {
+	h   Handler
+	gen uint32
 }
 
 // Engine owns the virtual clock and the pending-event queue. It is not
 // safe for concurrent use: simulations are single-threaded by design so
 // that runs are reproducible.
 type Engine struct {
-	now     Time
-	queue   eventQueue
+	now Time
+	// queue is a binary min-heap of events in (at, seq) order.
+	queue []event
+	// slots[i] is the handler of the queued event naming slot i; free
+	// lists the slots no queued event names.
+	slots   []slot
+	free    []uint32
 	nextSeq uint64
-	nextID  EventID
-	events  map[EventID]*event
+	// live counts queued events that are not cancelled.
+	live    int
 	running bool
 	stopped bool
 	steps   uint64
@@ -125,54 +146,66 @@ type Engine struct {
 
 // NewEngine returns an engine with the clock at time zero and an empty
 // event queue.
-func NewEngine() *Engine {
-	return &Engine{events: make(map[EventID]*event)}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Pending reports the number of events waiting to fire.
-func (e *Engine) Pending() int { return len(e.queue) }
+// Pending reports the number of events waiting to fire; cancelled
+// events are not counted.
+func (e *Engine) Pending() int { return e.live }
 
-// Schedule arranges for fn to run after delay. A negative delay is
-// treated as zero (the event fires at the current time, after events
-// already scheduled for that time). It returns an ID usable with
+// At arranges for h to fire at absolute time at. A time in the past,
+// or NaN, is clamped to Now: the event fires at the current time, after
+// the events already scheduled for it. It returns an ID usable with
 // Cancel.
-func (e *Engine) Schedule(delay Duration, fn Handler) EventID {
-	if delay < 0 || math.IsNaN(float64(delay)) {
-		delay = 0
+func (e *Engine) At(at Time, h Handler) EventID {
+	if h == nil {
+		panic("sim: At with nil handler")
 	}
-	return e.ScheduleAt(e.now.Add(delay), fn)
-}
-
-// ScheduleAt arranges for fn to run at absolute time at. Times in the
-// past are clamped to the current time.
-func (e *Engine) ScheduleAt(at Time, fn Handler) EventID {
-	if fn == nil {
-		panic("sim: ScheduleAt with nil handler")
-	}
-	if at < e.now {
+	if at < e.now || at != at {
 		at = e.now
 	}
-	e.nextID++
-	ev := &event{at: at, seq: e.nextSeq, id: e.nextID, fn: fn}
+	var i uint32
+	if n := len(e.free); n > 0 {
+		i = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		i = uint32(len(e.slots))
+		e.slots = append(e.slots, slot{gen: 1})
+	}
+	e.slots[i].h = h
+	e.live++
+	e.queue = append(e.queue, event{at: at, seq: e.nextSeq, slot: i})
 	e.nextSeq++
-	heap.Push(&e.queue, ev)
-	e.events[ev.id] = ev
-	return ev.id
+	e.up(len(e.queue) - 1)
+	return EventID(uint64(e.slots[i].gen)<<32 | uint64(i))
 }
 
-// Cancel prevents a scheduled event from firing. Cancelling an event
-// that already fired, or was already cancelled, is a no-op. It reports
-// whether an event was actually cancelled.
+// After arranges for h to fire d from now; a negative or NaN delay
+// fires at the current time, after the events already scheduled for it.
+func (e *Engine) After(d Duration, h Handler) EventID { return e.At(e.now.Add(d), h) }
+
+// Schedule is After for a func.
+func (e *Engine) Schedule(delay Duration, fn func()) EventID { return e.After(delay, Func(fn)) }
+
+// ScheduleAt is At for a func.
+func (e *Engine) ScheduleAt(at Time, fn func()) EventID { return e.At(at, Func(fn)) }
+
+// Cancel prevents a scheduled event from firing. It reports whether it
+// did: false for an event that already fired or was already cancelled,
+// and for ID 0.
 func (e *Engine) Cancel(id EventID) bool {
-	ev, ok := e.events[id]
-	if !ok || ev.cancelled {
+	i, gen := uint32(id), uint32(id>>32)
+	if int(i) >= len(e.slots) {
 		return false
 	}
-	ev.cancelled = true
-	delete(e.events, id)
+	s := &e.slots[i]
+	if s.gen != gen || s.h == nil {
+		return false
+	}
+	s.h = nil
+	e.live--
 	return true
 }
 
@@ -180,21 +213,63 @@ func (e *Engine) Cancel(id EventID) bool {
 // handler finishes. Pending events remain queued.
 func (e *Engine) Stop() { e.stopped = true }
 
-// step fires the earliest pending event. It reports false when the
-// queue is empty.
-func (e *Engine) step() bool {
-	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*event)
-		if ev.cancelled {
-			continue
-		}
-		delete(e.events, ev.id)
-		e.now = ev.at
-		e.steps++
-		ev.fn()
-		return true
+// pop removes the earliest event and frees its slot — before the
+// handler runs, so the handler can neither cancel its own event nor
+// see its ID alive. It returns the event's time and handler, nil for a
+// cancelled event.
+func (e *Engine) pop() (Time, Handler) {
+	ev := e.queue[0]
+	n := len(e.queue) - 1
+	e.queue[0] = e.queue[n]
+	e.queue = e.queue[:n]
+	if n > 0 {
+		e.down(0)
 	}
-	return false
+	s := &e.slots[ev.slot]
+	h := s.h
+	s.h = nil
+	if s.gen++; s.gen == 0 {
+		s.gen = 1
+	}
+	e.free = append(e.free, ev.slot)
+	return ev.at, h
+}
+
+// up restores the heap order above position j.
+func (e *Engine) up(j int) {
+	q := e.queue
+	ev := q[j]
+	for j > 0 {
+		i := (j - 1) / 2
+		if !before(ev, q[i]) {
+			break
+		}
+		q[j] = q[i]
+		j = i
+	}
+	q[j] = ev
+}
+
+// down restores the heap order below position i.
+func (e *Engine) down(i int) {
+	q := e.queue
+	n := len(q)
+	ev := q[i]
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && before(q[r], q[c]) {
+			c = r
+		}
+		if !before(q[c], ev) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = ev
 }
 
 // Steps reports how many events the engine has fired since creation.
@@ -221,8 +296,8 @@ func (e *Engine) RunUntil(deadline Time) Time {
 	defer func() { e.running = false }()
 	for !e.stopped {
 		// Skip cancelled events sitting at the head.
-		for len(e.queue) > 0 && e.queue[0].cancelled {
-			heap.Pop(&e.queue)
+		for len(e.queue) > 0 && e.slots[e.queue[0].slot].h == nil {
+			e.pop()
 		}
 		if len(e.queue) == 0 {
 			return e.now
@@ -233,34 +308,49 @@ func (e *Engine) RunUntil(deadline Time) Time {
 			}
 			return e.now
 		}
-		e.step()
+		at, h := e.pop()
+		e.live--
+		e.now = at
+		e.steps++
+		h.Fire()
 	}
 	return e.now
 }
 
 // Every schedules fn to run repeatedly with the given period, starting
-// one period from now. fn may call the returned stop function to end
-// the series; Cancel on the returned EventID only cancels the next
-// occurrence. The period must be positive.
-func (e *Engine) Every(period Duration, fn Handler) (stop func()) {
+// one period from now, until the returned stop function is called; fn
+// may call it to end the series from inside a tick. The period must be
+// positive.
+func (e *Engine) Every(period Duration, fn func()) (stop func()) {
 	if period <= 0 {
 		panic("sim: Every with non-positive period")
 	}
-	stopped := false
-	var tick Handler
-	var pending EventID
-	tick = func() {
-		if stopped {
-			return
-		}
-		fn()
-		if !stopped {
-			pending = e.Schedule(period, tick)
-		}
+	t := &ticker{e: e, period: period, fn: fn}
+	t.next = e.After(period, t)
+	return t.stop
+}
+
+// ticker is one Every series: it is its own event, rescheduled after
+// each tick.
+type ticker struct {
+	e       *Engine
+	period  Duration
+	fn      func()
+	next    EventID
+	stopped bool
+}
+
+func (t *ticker) Fire() {
+	if t.stopped {
+		return
 	}
-	pending = e.Schedule(period, tick)
-	return func() {
-		stopped = true
-		e.Cancel(pending)
+	t.fn()
+	if !t.stopped {
+		t.next = t.e.After(t.period, t)
 	}
+}
+
+func (t *ticker) stop() {
+	t.stopped = true
+	t.e.Cancel(t.next)
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -142,6 +143,157 @@ func TestNegativeDelayClamped(t *testing.T) {
 		})
 	})
 	e.Run()
+}
+
+// TestNaNTimeClampedToNow: a NaN time fires now, after what is already
+// scheduled for now, and leaves the clock a number. Unclamped, the NaN
+// event fired after an event scheduled later and the clock ended at
+// t+NaNs, so every later Schedule was NaN too.
+func TestNaNTimeClampedToNow(t *testing.T) {
+	e := NewEngine()
+	var got []string
+	e.Schedule(5, func() {
+		e.Schedule(0, func() { got = append(got, fmt.Sprint("tie@", e.Now())) })
+		e.ScheduleAt(Time(math.NaN()), func() { got = append(got, fmt.Sprint("nan@", e.Now())) })
+		e.Schedule(1, func() { got = append(got, fmt.Sprint("later@", e.Now())) })
+	})
+	e.Run()
+	want := []string{"tie@t+5.000s", "nan@t+5.000s", "later@t+6.000s"}
+	if !slices.Equal(got, want) {
+		t.Errorf("fired %v, want %v", got, want)
+	}
+	if e.Now() != 6 {
+		t.Errorf("Now() = %v, want 6", e.Now())
+	}
+}
+
+// TestPendingCountsLiveEvents: Pending is the events waiting to fire, so
+// a cancelled event leaves it at once, not when the run pops it.
+func TestPendingCountsLiveEvents(t *testing.T) {
+	e := NewEngine()
+	a := e.Schedule(1, func() {})
+	e.Schedule(2, func() {})
+	if e.Pending() != 2 {
+		t.Fatalf("Pending = %d, want 2", e.Pending())
+	}
+	e.Cancel(a)
+	if e.Pending() != 1 {
+		t.Errorf("Pending after a cancel = %d, want 1", e.Pending())
+	}
+	e.Cancel(a)
+	if e.Pending() != 1 {
+		t.Errorf("Pending after a second cancel = %d, want 1", e.Pending())
+	}
+	e.Run()
+	if e.Pending() != 0 {
+		t.Errorf("Pending after the run = %d, want 0", e.Pending())
+	}
+}
+
+// TestCancelZeroAndStaleIDs: ID 0 is never an event, and an event's ID
+// stays dead when its slot carries a newer event.
+func TestCancelZeroAndStaleIDs(t *testing.T) {
+	e := NewEngine()
+	if e.Cancel(0) {
+		t.Error("Cancel(0) on an empty engine returned true")
+	}
+	old := e.Schedule(1, func() {})
+	if e.Cancel(0) {
+		t.Error("Cancel(0) with an event pending returned true")
+	}
+	e.Run()
+	fired := false
+	fresh := e.Schedule(1, func() { fired = true }) // reuses old's slot
+	if uint32(fresh) != uint32(old) {
+		t.Fatalf("fixture: fresh event took slot %d, old had %d", uint32(fresh), uint32(old))
+	}
+	if e.Cancel(old) {
+		t.Error("a stale ID cancelled the event now in its slot")
+	}
+	e.Run()
+	if !fired {
+		t.Error("the slot's new event did not fire")
+	}
+}
+
+type counter struct{ n int }
+
+func (c *counter) Fire() { c.n++ }
+
+// TestEngineAllocs: on a warm engine, At and After with a pointer
+// handler, Cancel and firing allocate nothing, and neither does
+// Schedule with a func that captures nothing.
+func TestEngineAllocs(t *testing.T) {
+	e := NewEngine()
+	c := &counter{}
+	for i := 0; i < 64; i++ { // warm: grow the queue and the slot table
+		e.After(Duration(i), c)
+	}
+	e.Run()
+	for name, fn := range map[string]func(){
+		"At+fire":    func() { e.At(e.Now()+1, c); e.Run() },
+		"After+fire": func() { e.After(1, c); e.Run() },
+		"Cancel":     func() { e.Cancel(e.After(1, c)); e.Run() },
+		"Schedule":   func() { e.Schedule(1, func() {}); e.Run() },
+		"many": func() {
+			for i := 0; i < 32; i++ {
+				e.After(Duration(i%5), c)
+			}
+			e.Run()
+		},
+	} {
+		if n := testing.AllocsPerRun(100, fn); n != 0 {
+			t.Errorf("%s: %.1f allocations, want 0", name, n)
+		}
+	}
+	if c.n == 0 {
+		t.Error("the handler never fired")
+	}
+}
+
+// holdModel is BenchmarkEngine's handler: each firing pushes one new
+// event, and every tenth also cancels a pending one and replaces it, so
+// the queue holds its size.
+type holdModel struct {
+	e     *Engine
+	g     *RNG
+	ids   []EventID
+	fires int
+	stop  int
+}
+
+func (h *holdModel) Fire() {
+	h.fires++
+	if h.fires >= h.stop {
+		h.e.Stop()
+	}
+	k := h.g.Intn(len(h.ids))
+	h.ids[k] = h.e.After(Duration(h.g.Exp(100)), h)
+	if h.fires%10 == 0 {
+		k = h.g.Intn(len(h.ids))
+		if h.e.Cancel(h.ids[k]) {
+			h.ids[k] = h.e.After(Duration(h.g.Exp(100)), h)
+		}
+	}
+}
+
+// BenchmarkEngine is the classic hold model: 10^5 pending events, one
+// op pops the earliest and pushes one, and one op in ten also cancels a
+// pending event and schedules its replacement.
+func BenchmarkEngine(b *testing.B) {
+	const held = 100_000
+	e := NewEngine()
+	h := &holdModel{e: e, g: NewRNG(1), ids: make([]EventID, held), stop: b.N}
+	for i := range h.ids {
+		h.ids[i] = e.After(Duration(h.g.Exp(100)), h)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+	b.StopTimer()
+	if h.fires != b.N {
+		b.Fatalf("fired %d, want %d", h.fires, b.N)
+	}
 }
 
 func TestDeterministicReplay(t *testing.T) {
