@@ -44,28 +44,6 @@ type ClusterConfig struct {
 	ShardFaults func(k int) *faults.Schedule
 }
 
-// pendingArrival is one future submission scheduled on a shard's
-// clock, and the engine event that delivers it to shard. The cluster
-// keeps this bookkeeping outside the engines because a crashed engine
-// loses its scheduled events: recovery replays enqueues up to the
-// durable watermark from the WAL and re-installs the still-undelivered
-// arrivals from this list on the rebuilt shard.
-type pendingArrival struct {
-	at        sim.Time
-	sub       workload.Submission
-	origin    string
-	shard     *Lattice
-	delivered bool
-}
-
-// Fire delivers the submission.
-func (pa *pendingArrival) Fire() {
-	pa.delivered = true
-	if _, err := pa.shard.submit(gsbl.Request{Sub: pa.sub, Origin: pa.origin}); err != nil {
-		pa.shard.Service.NoteIngestErr(fmt.Errorf("core: scheduled arrival at %v: %w", pa.at, err))
-	}
-}
-
 // Cluster is a sharded deployment: N Lattices, each with its own
 // engine, obs hub, WAL directory and fault injector, coordinated only
 // through pure functions of the virtual clock (the router hash and
@@ -79,9 +57,6 @@ func (pa *pendingArrival) Fire() {
 type Cluster struct {
 	cfg    ClusterConfig
 	Shards []*Lattice
-	// pending[k] holds shard k's scheduled-but-possibly-undelivered
-	// arrivals, in scheduling order.
-	pending [][]*pendingArrival
 	// origins[k] is the origin of shard k's scheduled arrivals,
 	// "shard<k>/core".
 	origins []string
@@ -91,9 +66,9 @@ type Cluster struct {
 // shard.Seed(Base.Seed, k), ID prefix "shard<k>-", and its share of
 // the federation; with DurableRoot set each shard writes its own WAL
 // under root/shard<k>, and a shard whose directory already holds state
-// resumes from it (Shards[k].Recovery says how). Arrivals the previous
-// process had scheduled but not delivered are not durable inputs; the
-// caller schedules them again.
+// resumes from it (Shards[k].Recovery says how) — arrivals the previous
+// process scheduled included: each was a durable input from the moment
+// it was scheduled, and the resumed shard delivers the ones not yet due.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("core: cluster needs at least 1 shard, got %d", cfg.Shards)
@@ -109,7 +84,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	c := &Cluster{
 		cfg:     cfg,
 		Shards:  make([]*Lattice, cfg.Shards),
-		pending: make([][]*pendingArrival, cfg.Shards),
 		origins: make([]string, cfg.Shards),
 	}
 	for k := 0; k < cfg.Shards; k++ {
@@ -189,20 +163,18 @@ func (c *Cluster) Route(user, origin string) int {
 }
 
 // ScheduleSubmission arranges for sub to arrive at virtual time at on
-// its owner shard. Arrivals are tracked cluster-side so RecoverShard
-// can re-schedule the ones a crash wiped out of the engine.
+// its owner shard, and returns the shard. The shard records the
+// submission now, with its due time, and delivers it at that time; the
+// record is the arrival's only state, so recovery and a restart bring
+// back every arrival not yet due. A rejected submission is noted as an
+// ingest error on its shard.
 func (c *Cluster) ScheduleSubmission(at sim.Time, sub workload.Submission) int {
 	k := c.Route(sub.UserEmail, "core")
-	pa := &pendingArrival{at: at, sub: sub, origin: c.origins[k]}
-	c.pending[k] = append(c.pending[k], pa)
-	c.scheduleArrival(k, pa)
+	l := c.Shards[k]
+	if _, err := l.submit(gsbl.Request{Sub: sub, Origin: c.origins[k], Scheduled: true, Due: at}); err != nil {
+		l.Service.NoteIngestErr(fmt.Errorf("core: scheduling an arrival at %v: %w", at, err))
+	}
 	return k
-}
-
-// scheduleArrival installs one tracked arrival on shard k's engine.
-func (c *Cluster) scheduleArrival(k int, pa *pendingArrival) {
-	pa.shard = c.Shards[k]
-	pa.shard.Engine.At(pa.at, pa)
 }
 
 // PendingArrivals counts scheduled submissions that have not yet been
@@ -211,12 +183,8 @@ func (c *Cluster) scheduleArrival(k int, pa *pendingArrival) {
 // workload is idle between arrivals.
 func (c *Cluster) PendingArrivals() int {
 	n := 0
-	for _, shardPending := range c.pending {
-		for _, pa := range shardPending {
-			if !pa.delivered {
-				n++
-			}
-		}
+	for _, l := range c.Shards {
+		n += l.Service.Arrivals()
 	}
 	return n
 }
@@ -261,12 +229,11 @@ func (c *Cluster) CrashedShards() []int {
 // and stopped its engine.
 func (l *Lattice) crashed() bool { return l.Faults != nil && l.Faults.Crashed() }
 
-// RecoverShard rebuilds shard k from its own WAL directory — the
-// other shards are untouched, which is the point of per-shard
-// durability. Scheduled arrivals the crash wiped out of the dead
-// engine are re-installed: delivered arrivals were durably recorded
-// as enqueues and come back via WAL replay, so only the undelivered
-// ones (all at or after the durable watermark) need re-scheduling.
+// RecoverShard rebuilds shard k from its own WAL directory and swaps it
+// in — the other shards are untouched, which is the point of per-shard
+// durability. Nothing is re-installed afterwards: replaying a scheduled
+// arrival's record schedules it again, so the rebuilt shard already
+// holds every arrival the dead one had not yet delivered.
 func (c *Cluster) RecoverShard(k int) (*RecoveryReport, error) {
 	if k < 0 || k >= len(c.Shards) {
 		return nil, fmt.Errorf("core: no shard %d in a %d-shard cluster", k, len(c.Shards))
@@ -280,11 +247,6 @@ func (c *Cluster) RecoverShard(k int) (*RecoveryReport, error) {
 		return nil, fmt.Errorf("core: recovering shard %d: %w", k, err)
 	}
 	c.Shards[k] = l
-	for _, pa := range c.pending[k] {
-		if !pa.delivered {
-			c.scheduleArrival(k, pa)
-		}
-	}
 	return l.Recovery, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"hash"
 	"sync"
 
+	"lattice/internal/gsbl"
 	"lattice/internal/obs"
 	"lattice/internal/sim"
 	"lattice/internal/wal"
@@ -285,16 +286,13 @@ func (rec *recorder) Workunit(at sim.Time, job, state, detail string) {
 }
 
 // Submission implements gsbl.Durability. Queued marks an enqueue behind
-// the front door, which replay sends back through the door; the Pre
-// flag marks inputs that arrived before the engine ever stepped, which
-// replay must apply before running any events.
-func (rec *recorder) Submission(at sim.Time, origin string, queued bool, sub workload.Submission) {
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	s := sub
-	rec.emit(wal.Record{
-		At: at, Kind: wal.KindSubmission, Origin: origin, Sub: &s, Queued: queued,
-		Pre: rec.isPre(),
+// the front door, which replay sends back through the door; Scheduled
+// and Due an arrival, which replay schedules again. The record keeps
+// the request's own submission: gsbl never changes it.
+func (rec *recorder) Submission(at sim.Time, r *gsbl.Request, queued bool) {
+	rec.input(wal.Record{
+		At: at, Kind: wal.KindSubmission, Origin: r.Origin, Sub: &r.Sub, Queued: queued,
+		Scheduled: r.Scheduled, Due: r.Due,
 	})
 }
 
@@ -302,23 +300,30 @@ func (rec *recorder) Submission(at sim.Time, origin string, queued bool, sub wor
 // submission — stage batches derived from it are regenerated by
 // re-execution and deliberately not recorded.
 func (rec *recorder) Workflow(at sim.Time, wf workload.Workflow) {
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	w := wf
-	rec.emit(wal.Record{
-		At: at, Kind: wal.KindWorkflow, WF: &w,
-		Pre: rec.isPre(),
-	})
+	rec.input(wal.Record{At: at, Kind: wal.KindWorkflow, WF: &wf})
 }
 
 // User implements portal.Durability.
 func (rec *recorder) User(at sim.Time, token, email string) {
+	rec.input(wal.Record{At: at, Kind: wal.KindUser, Token: token, Email: email})
+}
+
+// input emits one input record, with the Pre flag marking an input that
+// arrived before the engine ever stepped, which replay applies before
+// running any events. An input made while the engine is firing a
+// handler cannot be replayed where it happened (see sim's input rule),
+// so it is not recorded: it becomes the log's sticky error instead.
+func (rec *recorder) input(r wal.Record) {
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	rec.emit(wal.Record{
-		At: at, Kind: wal.KindUser, Token: token, Email: email,
-		Pre: rec.isPre(),
-	})
+	if rec.eng.Running() {
+		if rec.log != nil {
+			rec.log.Fail(fmt.Errorf("core: %s input at %v arrived inside an engine event; it cannot be replayed, so the log stops here", r.Kind, r.At))
+		}
+		return
+	}
+	r.Pre = rec.isPre()
+	rec.emit(r)
 }
 
 // DurableErr reports the write-ahead log's sticky error, nil when

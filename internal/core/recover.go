@@ -44,6 +44,14 @@ type RecoveryReport struct {
 // reset to a fresh snapshot at the frontier and the deployment
 // continues live, mid-batch, with crashes re-armed.
 //
+// Re-injection rests on sim's input rule. An input either entered
+// between engine runs — replay drains the engine to its time, then
+// applies it — or was scheduled — a submission with a due time, whose
+// re-applied record installs the same arrival event at the same
+// (at, seq), so arrivals not yet due at the frontier come back without
+// any bookkeeping outside the log. An input made inside an engine
+// handler fits neither; the recorder refuses it and fails the log.
+//
 // When dir holds no durable state, Recover is New with cfg.Durable
 // set to dir.
 func Recover(dir string, cfg Config) (*Lattice, error) {
@@ -83,6 +91,9 @@ func Recover(dir string, cfg Config) (*Lattice, error) {
 	// log, crashes re-armed.
 	snap := rec.snapshot()
 	snap.Inputs = rec.endRebuild()
+	if st.Snap != nil { // the segment prefix Reset keeps
+		snap.InputsLen, snap.InputsBytes = st.Snap.InputsLen, st.Snap.InputsBytes
+	}
 	lg, err := wal.Reset(dir, snap, cfg.WAL)
 	if err != nil {
 		return nil, err
@@ -145,11 +156,12 @@ func (l *Lattice) replay(inputs []wal.Record, watermark sim.Time) error {
 }
 
 // applyInput re-injects one logged input. A submission goes back
-// through the one door it came in by: the record's origin and Queued
-// bit rebuild the request, so the same record is re-emitted, a
-// submission the admission layer shed re-sheds deterministically (a
-// decision, not a replay error), and core's reference fork fires
-// exactly when it did live.
+// through the one door it came in by: the record's origin, Queued bit
+// and due time rebuild the request, so the same record is re-emitted, a
+// scheduled arrival's event is installed again, a submission the
+// admission layer shed re-sheds deterministically (a decision, not a
+// replay error), and core's reference fork fires exactly when it did
+// live.
 func (l *Lattice) applyInput(r wal.Record) error {
 	switch r.Kind {
 	case wal.KindUser:
@@ -167,7 +179,8 @@ func (l *Lattice) applyInput(r wal.Record) error {
 		if r.Sub == nil {
 			return fmt.Errorf("core: submission record %d has no payload", r.Seq)
 		}
-		if _, err := l.submit(gsbl.Request{Sub: *r.Sub, Origin: r.Origin, Direct: !r.Queued}); err != nil {
+		req := gsbl.Request{Sub: *r.Sub, Origin: r.Origin, Direct: !r.Queued, Scheduled: r.Scheduled, Due: r.Due}
+		if _, err := l.submit(req); err != nil {
 			return fmt.Errorf("core: replaying submission record %d: %w", r.Seq, err)
 		}
 		return nil

@@ -149,13 +149,8 @@ func execute(sc scenario, seed int64) (_ *outcome, err error) {
 	}
 	r.origin = r.now()
 	for {
-		r.step()
-		for k, l := range r.lats {
-			if l.Faults != nil && l.Faults.Crashed() {
-				if err := r.recoverShard(k); err != nil {
-					return nil, err
-				}
-			}
+		if err := r.step(); err != nil {
+			return nil, err
 		}
 		depth := 0
 		for _, l := range r.lats {
@@ -286,14 +281,25 @@ func (r *run) now() sim.Time {
 }
 
 // step advances every shard to the next grid boundary past the
-// furthest clock. A shard killed on the way stops short; the caller
-// recovers it before the next step.
-func (r *run) step() {
-	k := int(float64(r.now().Sub(r.origin)) / float64(r.sc.step))
-	t := r.origin.Add(sim.Duration(k+1) * r.sc.step)
-	for _, l := range r.lats {
-		l.Engine.RunUntil(t)
+// furthest clock. A shard killed on the way is recovered in place and
+// run on to the boundary, so every shard is at the boundary when the
+// run asks whether it is done — the instant an uninterrupted twin asks.
+func (r *run) step() error {
+	n := int(float64(r.now().Sub(r.origin)) / float64(r.sc.step))
+	t := r.origin.Add(sim.Duration(n+1) * r.sc.step)
+	for killed := true; killed; {
+		killed = false
+		for k, l := range r.lats {
+			l.Engine.RunUntil(t)
+			if l.Faults != nil && l.Faults.Crashed() {
+				if err := r.recoverShard(k); err != nil {
+					return err
+				}
+				killed = true
+			}
+		}
 	}
+	return nil
 }
 
 // close closes every live log and removes the scratch directory.
@@ -317,8 +323,8 @@ func (r *run) submit(sub workload.Submission) error {
 }
 
 // arrive schedules sub to reach its owner shard's front door at
-// virtual time at. The cluster tracks the arrival, so one a kill wipes
-// out of the dead engine is re-installed by recovery.
+// virtual time at. The shard records the arrival when it is scheduled,
+// so recovering a killed shard schedules it again.
 func (r *run) arrive(at sim.Time, sub workload.Submission) {
 	r.offered[r.cluster.ScheduleSubmission(at, sub)]++
 }

@@ -28,12 +28,12 @@ func (s *Service) Sheds() (quota, overload int) { return s.shedQuota, s.shedOver
 // if the door is idle. The durable record was already written by
 // Submit — sheds are decisions, not inputs, so recovery re-enqueues
 // the submission and deterministically re-sheds it.
-func (s *Service) admitEnqueue(r Request, now sim.Time) {
-	if rej := s.admit.TakeQuota(r.Sub.UserEmail, float64(r.Sub.Replicates), now); rej != nil {
-		s.shed(&r, rej)
+func (s *Service) admitEnqueue(it *queued, now sim.Time) {
+	if rej := s.admit.TakeQuota(it.Sub.UserEmail, float64(it.Sub.Replicates), now); rej != nil {
+		s.shed(&it.Request, rej)
 		return
 	}
-	s.admit.Push(r.Sub.UserEmail, s.ingest.cost(&r.Sub).Seconds(), &queued{Request: r, arrived: now, svc: s})
+	s.admit.Push(it.Sub.UserEmail, s.ingest.cost(&it.Sub).Seconds(), it)
 	s.ingestDepth++
 	for {
 		victim, rej := s.admit.Overflow(s.admitBusySeconds(now))

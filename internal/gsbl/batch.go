@@ -70,7 +70,8 @@ type Service struct {
 	obs      *obs.Obs
 	durable  Durability
 
-	// Serialized front-door state (see ingest.go).
+	// Front-door state and scheduled requests not yet due (see ingest.go).
+	arrivals       int
 	ingest         IngestConfig
 	ingestFree     sim.Time
 	ingestDepth    int
@@ -87,13 +88,14 @@ type Service struct {
 }
 
 // Durability is the write-ahead-log hook for submissions entering the
-// coordinator. The submission is recorded after validation and before
-// any scheduling side effect, so a recovered run can re-inject it and
+// coordinator. The request is recorded after validation and before any
+// scheduling side effect, so a recovered run can re-inject it and
 // regenerate everything downstream. queued marks an *enqueue* behind
 // the front door: recovery re-enqueues it and re-execution regenerates
-// the drain-time scheduling.
+// the drain-time scheduling. The request is the service's own record
+// of it and stays unchanged, so the hook may keep &r.Sub.
 type Durability interface {
-	Submission(at sim.Time, origin string, queued bool, sub workload.Submission)
+	Submission(at sim.Time, r *Request, queued bool)
 }
 
 // Options is everything about a Service that is fixed at construction;
@@ -156,6 +158,12 @@ type Request struct {
 	// is modelled; otherwise it queues behind the door (a service
 	// without one expands every request on the spot).
 	Direct bool
+	// Scheduled makes the request arrive at Due instead of now: Submit
+	// validates and records it now, and an engine event delivers it at
+	// Due (after the events already scheduled for that instant). The
+	// delivery is derived from the record, so it is never recorded.
+	Scheduled bool
+	Due       sim.Time
 	// OnDone, when set, marks a batch derived from an input the
 	// durability layer already witnessed — a workflow stage. It is
 	// deliberately not recorded as a WAL input (recovery re-injects the
@@ -164,9 +172,9 @@ type Request struct {
 	// origin, and OnDone fires once when the batch is terminal.
 	OnDone func(BatchStatus)
 	// OnAccepted, when set, fires once with the created batch, the
-	// deferred scheduling error, or the *admit.Rejection that shed the
-	// request: before Submit returns when the outcome is known by then,
-	// otherwise from the engine event that drains or sheds it.
+	// scheduling error, or the *admit.Rejection that shed the request:
+	// before Submit returns when the outcome is known by then, otherwise
+	// from the engine event that delivers, drains or sheds it.
 	OnAccepted func(*Batch, error)
 }
 
@@ -176,36 +184,48 @@ type Request struct {
 // specified", writes the one durable record — exactly as the input
 // arrived, before BatchTag assignment mutates it and before the
 // admission decision, so a shed submission replays and
-// deterministically re-sheds — and then either expands the submission
-// or queues it behind the front door. The batch is nil when the
-// request was queued or shed, neither of which is an error: Submit
-// fails on a rejected input, or when expanding on the spot fails.
+// deterministically re-sheds — and then expands the submission, queues
+// it behind the front door, or schedules its arrival. The batch is nil
+// when the request was queued, shed or scheduled, none of which is an
+// error: Submit fails on a rejected input, or when expanding on the
+// spot fails.
 func (s *Service) Submit(r Request) (*Batch, error) {
 	if err := r.Sub.Validate(); err != nil {
 		return nil, err
 	}
-	queued := !r.Direct && s.ingest.Enabled()
-	if s.durable != nil && r.OnDone == nil {
-		s.durable.Submission(s.eng.Now(), r.Origin, queued, r.Sub)
+	behind := !r.Direct && s.ingest.Enabled()
+	record := s.durable != nil && r.OnDone == nil
+	if !behind && !r.Scheduled && !record {
+		return s.accept(&r)
 	}
-	if queued {
-		s.enqueue(r)
-		return nil, nil
+	it := &queued{Request: r, svc: s}
+	if record {
+		s.durable.Submission(s.eng.Now(), &it.Request, behind)
 	}
-	var detail string
+	switch {
+	case r.Scheduled:
+		s.arrivals++
+		s.eng.At(r.Due, (*arrival)(it))
+	case behind:
+		s.enqueue(it)
+	default:
+		return s.accept(&it.Request)
+	}
+	return nil, nil
+}
+
+// accept expands a request into its batch and tells whoever is waiting,
+// failure included. The validate detail names a derived batch's origin,
+// and otherwise adds suffix.
+func (s *Service) accept(r *Request, suffix ...string) (*Batch, error) {
 	if r.OnDone != nil {
-		detail = validateDetail(&r.Sub, " via ", r.Origin)
-	} else {
-		detail = validateDetail(&r.Sub)
+		suffix = []string{" via ", r.Origin}
 	}
-	b, err := s.submit(r.Sub, r.Origin, detail, r.OnDone)
-	if err != nil {
-		return nil, err
-	}
+	b, err := s.submit(r.Sub, r.Origin, validateDetail(&r.Sub, suffix...), r.OnDone)
 	if r.OnAccepted != nil {
-		r.OnAccepted(b, nil)
+		r.OnAccepted(b, err)
 	}
-	return b, nil
+	return b, err
 }
 
 // submit is the shared accept path: batch bookkeeping, validation

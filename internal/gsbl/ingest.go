@@ -51,9 +51,10 @@ func (s *Service) IngestDepth() int { return s.ingestDepth }
 // submission expanded cleanly.
 func (s *Service) IngestErrors() []error { return s.ingestErrs }
 
-// queued is a request waiting behind the front door — the one heap
-// object a queued submission costs. It is the FIFO door's drain event;
-// (*served)(it) is the admit door's.
+// queued is a request waiting behind the front door, or for its
+// scheduled arrival — the one heap object either costs. It is the FIFO
+// door's drain event; (*served)(it) is the admit door's and
+// (*arrival)(it) the scheduled arrival's.
 type queued struct {
 	Request
 	arrived sim.Time
@@ -63,29 +64,50 @@ type queued struct {
 // Fire drains the request.
 func (it *queued) Fire() { it.svc.drain(it) }
 
+// arrival is a scheduled request coming due: it goes behind the front
+// door, or is expanded on the spot, as if submitted now.
+type arrival queued
+
+func (a *arrival) Fire() {
+	it := (*queued)(a)
+	s := it.svc
+	s.arrivals--
+	if !it.Direct && s.ingest.Enabled() {
+		s.enqueue(it)
+	} else if _, err := s.accept(&it.Request); err != nil {
+		s.NoteIngestErr(err)
+	}
+}
+
+// Arrivals counts the scheduled requests that are not yet due. Replay
+// re-applies every scheduled record, so a recovered service counts the
+// same.
+func (s *Service) Arrivals() int { return s.arrivals }
+
 // enqueue puts a validated, durably recorded request behind the front
 // door (the enqueue is the input — a crash loses nothing that was
 // accepted): the fair-share queue when admission control is on,
 // otherwise FIFO, where the serialized coordinator reaches it one
 // service time after the request ahead of it.
-func (s *Service) enqueue(r Request) {
+func (s *Service) enqueue(it *queued) {
 	now := s.eng.Now()
+	it.arrived = now
 	if s.admit != nil {
-		s.admitEnqueue(r, now)
+		s.admitEnqueue(it, now)
 		return
 	}
 	start := now
 	if s.ingestFree > start {
 		start = s.ingestFree
 	}
-	done := start.Add(s.ingest.cost(&r.Sub))
+	done := start.Add(s.ingest.cost(&it.Sub))
 	s.ingestFree = done
 	s.ingestDepth++
 	if ins := s.ingestInstruments(); ins != nil {
 		ins.depth.Set(float64(s.ingestDepth))
 		ins.accepted.Inc()
 	}
-	s.eng.At(done, &queued{Request: r, arrived: now, svc: s})
+	s.eng.At(done, it)
 }
 
 // drain is the front door reaching a queued request: expand it into
@@ -97,12 +119,8 @@ func (s *Service) drain(it *queued) {
 		ins.depth.Set(float64(s.ingestDepth))
 		ins.wait.Observe(float64(s.eng.Now().Sub(it.arrived)))
 	}
-	b, err := s.submit(it.Sub, it.Origin, validateDetail(&it.Sub, " (ingest-drained)"), it.OnDone)
-	if err != nil {
+	if _, err := s.accept(&it.Request, " (ingest-drained)"); err != nil {
 		s.NoteIngestErr(err)
-	}
-	if it.OnAccepted != nil {
-		it.OnAccepted(b, err)
 	}
 }
 
@@ -127,8 +145,8 @@ func (s *Service) ingestInstruments() *ingestIns {
 }
 
 // NoteIngestErr records a deferred scheduling failure, keeping the
-// most recent ones. Exported for callers with no request to fail — the
-// cluster's scheduled arrivals fire inside engine callbacks too.
+// most recent ones. Exported for callers with no request to fail, such
+// as a load that offers submissions from inside engine callbacks.
 func (s *Service) NoteIngestErr(err error) {
 	const keep = 32
 	if len(s.ingestErrs) >= keep {

@@ -10,17 +10,20 @@ import (
 
 // recordedInput is one durable input the fake hook saw.
 type recordedInput struct {
-	at     sim.Time
-	origin string
-	queued bool
-	sub    workload.Submission
+	at        sim.Time
+	origin    string
+	queued    bool
+	scheduled bool
+	due       sim.Time
+	sub       workload.Submission
 }
 
 // fakeDurable captures durability-hook calls.
 type fakeDurable struct{ inputs []recordedInput }
 
-func (f *fakeDurable) Submission(at sim.Time, origin string, queued bool, sub workload.Submission) {
-	f.inputs = append(f.inputs, recordedInput{at: at, origin: origin, queued: queued, sub: sub})
+func (f *fakeDurable) Submission(at sim.Time, r *Request, queued bool) {
+	f.inputs = append(f.inputs, recordedInput{at: at, origin: r.Origin, queued: queued,
+		scheduled: r.Scheduled, due: r.Due, sub: r.Sub})
 }
 
 // TestIngestDisabledIsSynchronous checks the zero-value config takes
@@ -116,6 +119,42 @@ func TestIngestSerializesSubmissions(t *testing.T) {
 	}
 	if errs := svc.IngestErrors(); len(errs) != 0 {
 		t.Fatalf("unexpected ingest errors: %v", errs)
+	}
+}
+
+// TestScheduledArrivalIsOneRecord: a scheduled request is validated and
+// recorded when it is scheduled, with its due time, and its delivery at
+// that time — through the door, or on the spot without one — writes no
+// second record. Arrivals counts it until then.
+func TestScheduledArrivalIsOneRecord(t *testing.T) {
+	for _, door := range []IngestConfig{{}, {PerSubmissionSeconds: 10}} {
+		eng, sched := testGrid(t)
+		d := &fakeDurable{}
+		svc := mustService(t, eng, sched, Options{Durable: d, Ingest: door})
+		var acceptedAt sim.Time
+		b, err := svc.Submit(Request{Sub: smallSubmission(2), Origin: "shard0/core", Scheduled: true, Due: 30,
+			OnAccepted: func(*Batch, error) { acceptedAt = eng.Now() }})
+		if b != nil || err != nil {
+			t.Fatalf("scheduled Submit = (%v, %v), want (nil, nil)", b, err)
+		}
+		want := recordedInput{origin: "shard0/core", queued: door.Enabled(), scheduled: true, due: 30, sub: smallSubmission(2)}
+		if len(d.inputs) != 1 || d.inputs[0] != want {
+			t.Fatalf("door %+v: recorded %+v, want %+v", door, d.inputs, want)
+		}
+		if svc.Arrivals() != 1 || svc.IngestDepth() != 0 {
+			t.Fatalf("door %+v: %d arrivals and depth %d before the due time, want 1 and 0", door, svc.Arrivals(), svc.IngestDepth())
+		}
+		eng.RunUntil(29)
+		if svc.Arrivals() != 1 || len(svc.Batches()) != 0 {
+			t.Fatalf("door %+v: delivered early", door)
+		}
+		eng.RunUntil(sim.Time(sim.Hour))
+		if wantAt := 30 + sim.Time(door.PerSubmissionSeconds); svc.Arrivals() != 0 || len(svc.Batches()) != 1 || acceptedAt != wantAt {
+			t.Fatalf("door %+v: %d arrivals, %d batches, accepted at %v; want 0, 1, %v", door, svc.Arrivals(), len(svc.Batches()), acceptedAt, wantAt)
+		}
+		if len(d.inputs) != 1 {
+			t.Fatalf("door %+v: the delivery was recorded too: %+v", door, d.inputs)
+		}
 	}
 }
 

@@ -27,6 +27,15 @@
 // firing sequence is a function of the scheduling calls alone, never of
 // the queue's layout, map iteration or goroutine interleaving.
 //
+// Input rule: an external input either enters between engine runs, or
+// is scheduled — an event installed for a later instant. Replay
+// reproduces both: it drains the engine to the input's time and then
+// applies it, and re-applying a scheduled input installs the same event
+// at the same (at, seq). An input made while the engine is firing a
+// handler (Running) fits neither: replay would apply it after every
+// event of that instant, not between the two it came between. A
+// durable deployment refuses to record one.
+//
 // Cancel contract: Cancel(id) reports true only for an event that is
 // pending and not yet cancelled, and then that event never fires.
 // Cancelling an event that already fired, cancelling twice, and
@@ -271,6 +280,10 @@ func (e *Engine) down(i int) {
 	}
 	q[i] = ev
 }
+
+// Running reports whether the engine is inside Run or RunUntil — that
+// is, whether the caller is an event handler.
+func (e *Engine) Running() bool { return e.running }
 
 // Steps reports how many events the engine has fired since creation.
 // The durability layer uses it to distinguish inputs that arrived

@@ -50,7 +50,8 @@ const (
 	flagPre
 	flagSub
 	flagWF
-	recordFlags = flagQueued | flagPre | flagSub | flagWF
+	flagScheduled
+	recordFlags = flagQueued | flagPre | flagSub | flagWF | flagScheduled
 )
 
 // Flag bits shared by Submission and WorkflowStage.
@@ -73,8 +74,9 @@ func appendRecord(dst []byte, r *Record) []byte {
 	dst = append(dst, kindCode(r.Kind))
 	dst = binary.AppendUvarint(dst, r.Seq)
 	dst = appendFloat(dst, float64(r.At))
+	dst = appendFloat(dst, float64(r.Due))
 	dst = append(dst, flagIf(r.Queued, flagQueued)|flagIf(r.Pre, flagPre)|
-		flagIf(r.Sub != nil, flagSub)|flagIf(r.WF != nil, flagWF))
+		flagIf(r.Sub != nil, flagSub)|flagIf(r.WF != nil, flagWF)|flagIf(r.Scheduled, flagScheduled))
 	dst = appendString(dst, r.Batch)
 	dst = appendString(dst, r.Job)
 	dst = appendString(dst, r.Stage)
@@ -242,9 +244,11 @@ func decodeRecord(p []byte) (Record, error) {
 	}
 	r.Seq = d.uvarint()
 	r.At = sim.Time(d.float())
+	r.Due = sim.Time(d.float())
 	flags := d.flags(recordFlags)
 	r.Queued = flags&flagQueued != 0
 	r.Pre = flags&flagPre != 0
+	r.Scheduled = flags&flagScheduled != 0
 	r.Batch = d.str()
 	r.Job = d.str()
 	r.Stage = d.str()

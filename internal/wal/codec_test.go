@@ -91,6 +91,10 @@ func TestCodecRoundTripCases(t *testing.T) {
 		"200 stages":      {Seq: 6, At: 4, Kind: KindWorkflow, WF: &workload.Workflow{Name: "w", Seed: 9, Stages: stages(200)}},
 		"queued submission": {Seq: 7, At: 5, Kind: KindSubmission, Origin: "shard0/core", Queued: true,
 			Sub: &workload.Submission{Replicates: 2000, Bootstrap: true, UserEmail: "u@example.edu"}},
+		"scheduled at zero": {Seq: 8, Kind: KindSubmission, Origin: "shard1/core", Scheduled: true, Pre: true,
+			Sub: &workload.Submission{Replicates: 1, UserEmail: "v@example.edu"}},
+		"scheduled later": {Seq: 9, At: 6, Kind: KindSubmission, Origin: "shard1/core", Scheduled: true, Due: 7.25, Queued: true,
+			Sub: &workload.Submission{Replicates: 1, UserEmail: "w@example.edu"}},
 	}
 	var buf []byte // reused across cases: growth must not leak one record into the next
 	for name, want := range cases {
@@ -115,7 +119,7 @@ func TestDecodeRejects(t *testing.T) {
 		t.Fatalf("reference record: %v", err)
 	}
 	mutate := func(f func(p []byte) []byte) []byte { return f(append([]byte(nil), good...)) }
-	const batchLen = 1 + 1 + 8 + 1 // kind, seq, at, flags: offset of Batch's length prefix
+	const batchLen = 1 + 1 + 8 + 8 + 1 // kind, seq, at, due, flags: offset of Batch's length prefix
 	cases := map[string]struct {
 		p    []byte
 		want string
@@ -184,5 +188,9 @@ func TestHotPathsAllocateNothing(t *testing.T) {
 	logged.Pre = true
 	if cmp.Equal(&queued, &logged) {
 		t.Error("records differing only in Pre compare equal")
+	}
+	logged.Pre, logged.Scheduled = false, true
+	if cmp.Equal(&queued, &logged) {
+		t.Error("records differing only in Scheduled compare equal")
 	}
 }

@@ -40,22 +40,12 @@ type State struct {
 }
 
 // Inputs returns the full input history in sequence order: the
-// snapshot's accumulated inputs followed by any in the tail. Every
-// call builds a new slice, sized exactly (the history is the largest
-// thing recovery holds).
+// snapshot's accumulated inputs followed by any in the tail — the
+// snapshot's own slice when the tail holds no input, else a copy.
 func (st *State) Inputs() []Record {
-	n := 0
-	for i := range st.Tail {
-		if st.Tail[i].IsInput() {
-			n++
-		}
-	}
+	var in []Record
 	if st.Snap != nil {
-		n += len(st.Snap.Inputs)
-	}
-	in := make([]Record, 0, n)
-	if st.Snap != nil {
-		in = append(in, st.Snap.Inputs...)
+		in = st.Snap.Inputs[:len(st.Snap.Inputs):len(st.Snap.Inputs)]
 	}
 	for i := range st.Tail {
 		if st.Tail[i].IsInput() {

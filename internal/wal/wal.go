@@ -22,6 +22,8 @@
 package wal
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -94,6 +96,11 @@ type Record struct {
 	// recovery applies such inputs before running any events so they
 	// interleave with organic time-zero work exactly as they did live.
 	Pre bool `json:"pre,omitempty"`
+	// Scheduled marks a submission recorded at At that arrives at Due.
+	// Recovery re-applies it where it was recorded, which installs the
+	// same arrival event; the delivery is derived and never recorded.
+	Scheduled bool     `json:"scheduled,omitempty"`
+	Due       sim.Time `json:"due,omitempty"`
 
 	// KindWorkflow payload.
 	WF *workload.Workflow `json:"wf,omitempty"`
@@ -131,7 +138,7 @@ const DefaultSnapshotEvery = 4096
 // incompatible framing or record-encoding change; Load refuses every
 // other version (a durable directory belongs to one run of one build,
 // so there is no migration).
-var magic = []byte("LATWAL02")
+var magic = []byte("LATWAL03")
 
 // frameHeaderSize is the per-record framing overhead: uint32 LE
 // payload length followed by uint32 LE CRC32 (IEEE) of the payload.
@@ -194,24 +201,33 @@ func Create(dir string, opts Options) (*Log, error) {
 }
 
 // Reset atomically replaces dir's durable state with the given
-// snapshot, an input segment rebuilt from snap.Inputs, and an empty
-// log, and returns the log open for appending. This is the
-// post-recovery path: the rebuilt coordinator's state becomes the new
-// baseline and replay history is discarded. The segment is published
-// first: the old snapshot's prefix of it is unchanged (one record has
-// one encoding), so a crash before the new snapshot lands still loads.
+// snapshot, an input segment holding snap.Inputs, and an empty log, and
+// returns the log open for appending. This is the post-recovery path:
+// the rebuilt coordinator's state becomes the new baseline and replay
+// history is discarded. snap.InputsLen and snap.InputsBytes name the
+// prefix of snap.Inputs the segment already holds — the loaded
+// snapshot's, verified frame for frame by the rebuild (one record has
+// one encoding) — so only the inputs past it are written, over
+// whatever a dead run left after the prefix. The segment is published
+// before the snapshot, and its prefix never changes, so a crash before
+// the new snapshot lands still loads.
 func Reset(dir string, snap Snapshot, opts Options) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	var segment []byte
-	for i := range snap.Inputs {
-		segment = appendFrame(segment, &snap.Inputs[i])
+	var frames []byte
+	for i := snap.InputsLen; i < len(snap.Inputs); i++ {
+		frames = appendFrame(frames, &snap.Inputs[i])
 	}
-	if err := WriteFileAtomic(SegmentPath(dir), segment); err != nil {
+	seg, err := os.OpenFile(SegmentPath(dir), os.O_CREATE|os.O_WRONLY, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("wal: opening input segment: %w", err)
+	}
+	_, err = seg.WriteAt(frames, snap.InputsBytes)
+	snap.InputsLen, snap.InputsBytes = len(snap.Inputs), snap.InputsBytes+int64(len(frames))
+	if err = errors.Join(err, seg.Truncate(snap.InputsBytes), seg.Sync(), seg.Close()); err != nil {
 		return nil, fmt.Errorf("wal: writing input segment: %w", err)
 	}
-	snap.InputsLen, snap.InputsBytes = len(snap.Inputs), int64(len(segment))
 	if err := writeSnapshot(dir, snap); err != nil {
 		return nil, err
 	}
@@ -338,6 +354,10 @@ func (l *Log) snapshot(snap Snapshot) {
 
 // Err returns the first write failure, if any.
 func (l *Log) Err() error { return l.err }
+
+// Fail makes err the sticky error unless one is already set, for a
+// writer that finds its own history can no longer be made durable.
+func (l *Log) Fail(err error) { l.err = cmp.Or(l.err, err) }
 
 // Close flushes and closes the log file, and closes the input segment
 // (which needs no flush of its own: Load reads only the prefix the

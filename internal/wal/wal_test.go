@@ -533,16 +533,19 @@ func TestSplicedSnapshotRefused(t *testing.T) {
 	}
 }
 
-// TestOlderFormatRefused: a directory written by the JSON-frame build
+// TestOlderFormatRefused: a directory written by an older build — the
+// JSON-frame one, or the binary one whose records had no due time —
 // fails to load with an error naming both versions.
 func TestOlderFormatRefused(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(LogPath(dir), []byte("LATWAL01\x10\x00\x00\x00"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := Load(dir)
-	if err == nil || !strings.Contains(err.Error(), "LATWAL01") || !strings.Contains(err.Error(), "LATWAL02") {
-		t.Fatalf("got %v, want an error naming LATWAL01 and LATWAL02", err)
+	for _, old := range []string{"LATWAL01", "LATWAL02"} {
+		dir := t.TempDir()
+		if err := os.WriteFile(LogPath(dir), []byte(old+"\x10\x00\x00\x00"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Load(dir)
+		if err == nil || !strings.Contains(err.Error(), old) || !strings.Contains(err.Error(), "LATWAL03") {
+			t.Fatalf("got %v, want an error naming %s and LATWAL03", err, old)
+		}
 	}
 }
 
@@ -584,6 +587,52 @@ func TestResetReplacesState(t *testing.T) {
 	}
 	if !reflect.DeepEqual(seqs(st.Tail), []uint64{13, 14}) || !reflect.DeepEqual(seqs(st.Inputs()), []uint64{2, 6, 10, 14}) {
 		t.Fatalf("tail %v, inputs %v", seqs(st.Tail), seqs(st.Inputs()))
+	}
+}
+
+// TestResetKeepsSegmentPrefix: given the prefix the loaded snapshot
+// names, Reset leaves those bytes where they are, cuts whatever a dead
+// run left after them, and appends only the newer inputs — the segment
+// ends byte-equal to one rebuilt from scratch.
+func TestResetKeepsSegmentPrefix(t *testing.T) {
+	dir := t.TempDir()
+	appendRotating(t, dir, makeRecords(15), 4) // snapshot at seq 12 over inputs 2, 6, 10; input 14 in the tail
+	st := mustLoad(t, dir)
+	history := st.Inputs()
+	if st.Snap.InputsLen != 3 || !reflect.DeepEqual(seqs(history), []uint64{2, 6, 10, 14}) {
+		t.Fatalf("fixture: snapshot over %d inputs, history %v", st.Snap.InputsLen, seqs(history))
+	}
+	// A dead run's torn frame past the prefix.
+	if err := os.Truncate(SegmentPath(dir), st.Snap.InputsBytes+5); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.Stat(SegmentPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := Snapshot{Seq: 15, At: 22, Seed: 42, Inputs: history, InputsLen: st.Snap.InputsLen, InputsBytes: st.Snap.InputsBytes}
+	lg, err := Reset(dir, snap, Options{})
+	if err != nil {
+		t.Fatalf("Reset: %v", err)
+	}
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	for i := range history {
+		want = appendFrame(want, &history[i])
+	}
+	after, err := os.Stat(SegmentPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(SegmentPath(dir)); err != nil || !bytes.Equal(got, want) || !os.SameFile(before, after) {
+		t.Fatalf("segment is %d bytes (%v, same file %v), want the %d bytes of inputs 2, 6, 10, 14 in place",
+			len(got), err, os.SameFile(before, after), len(want))
+	}
+	got := mustLoad(t, dir)
+	if got.Snap.InputsLen != 4 || got.Snap.InputsBytes != int64(len(want)) || !reflect.DeepEqual(got.Inputs(), history) {
+		t.Fatalf("reloaded snapshot over %d inputs in %d bytes, history %v", got.Snap.InputsLen, got.Snap.InputsBytes, seqs(got.Inputs()))
 	}
 }
 
