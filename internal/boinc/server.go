@@ -97,12 +97,11 @@ type Server struct {
 	// of attached hosts — change only in AttachHost and Host.detach.
 	pool poolSummary
 	// unsent holds workunits with capacity for further issues, FIFO.
-	unsent  []*workunit
-	byJob   map[string]*workunit
-	stats   Stats
-	obs     *obs.Obs
-	ins     boincInstruments
-	durable Durability
+	unsent []*workunit
+	byJob  map[string]*workunit
+	stats  Stats
+	obs    *obs.Obs
+	ins    boincInstruments
 }
 
 // poolSummary is the host population as MDS sees it.
@@ -136,29 +135,6 @@ func (p *poolSummary) include(h *Host) {
 	p.memory = max(p.memory, h.MemoryMB)
 	if !slices.Contains(p.platforms, h.Platform) {
 		p.platforms = append(slices.Clip(p.platforms), h.Platform)
-	}
-}
-
-// Durability is the write-ahead-log hook for workunit and result
-// state transitions (created, issued, timeout, failed, returned,
-// late, done). Called with s.mu held; implementations must not call
-// back into the server.
-type Durability interface {
-	Workunit(at sim.Time, job, state, detail string)
-}
-
-// SetDurable installs the durability hook (nil disables it).
-func (s *Server) SetDurable(d Durability) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.durable = d
-}
-
-// durably records one workunit transition when a hook is installed.
-// Callers hold s.mu.
-func (s *Server) durably(job, state, detail string) {
-	if s.durable != nil {
-		s.durable.Workunit(s.eng.Now(), job, state, detail)
 	}
 }
 
@@ -282,7 +258,6 @@ func (s *Server) Submit(j *lrm.Job) error {
 	s.byJob[j.ID] = wu
 	s.unsent = append(s.unsent, wu)
 	s.stats.WorkunitsCreated++
-	s.durably(j.ID, "created", "")
 	return nil
 }
 
@@ -386,7 +361,6 @@ func (s *Server) issue(wu *workunit, h *Host) {
 	wu.pending = append(wu.pending, r)
 	s.stats.ResultsIssued++
 	s.ins.issued.Inc()
-	s.durably(wu.job.ID, "issued", fmt.Sprintf("issue %d", wu.issues))
 	h.tasks = append(h.tasks, &task{res: r, remainingWork: wu.job.Work})
 	h.tally()
 	if len(h.tasks) == 1 {
@@ -445,7 +419,6 @@ func (s *Server) deadlinePassed(r *result) (failed *lrm.Job) {
 	r.timedOut = true
 	s.stats.ResultsTimedOut++
 	s.ins.missed.Inc()
-	s.durably(wu.job.ID, "timeout", fmt.Sprintf("issue %d", wu.issues))
 	wu.removePending(r)
 	// Drop the task from the host queue if the host still holds it.
 	if !r.lost {
@@ -455,7 +428,6 @@ func (s *Server) deadlinePassed(r *result) (failed *lrm.Job) {
 		wu.failed = true
 		s.stats.WorkunitsFailed++
 		s.ins.wuFailed.Inc()
-		s.durably(wu.job.ID, "failed", "too many errors")
 		s.removeUnsent(wu)
 		return wu.job
 	}
@@ -511,12 +483,10 @@ func (s *Server) receiveResult(r *result) (done *lrm.Job) {
 	s.stats.ResultsReturned++
 	s.ins.returned.Inc()
 	wu := r.wu
-	s.durably(wu.job.ID, "returned", "")
 	if r.timedOut || wu.done || wu.failed {
 		// Arrived after reissue or completion: wasted computation.
 		s.stats.ResultsLate++
 		s.ins.late.Inc()
-		s.durably(wu.job.ID, "late", "")
 		s.stats.WastedCPUSeconds += wu.job.Work / lrm.ReferenceCellsPerSecond
 		return nil
 	}
@@ -525,8 +495,7 @@ func (s *Server) receiveResult(r *result) (done *lrm.Job) {
 	s.stats.WorkunitsDone++
 	s.ins.validated.Inc()
 	// The first returned result validates the workunit; the detail is
-	// the journal's and the WAL's "returned/needed" wording.
-	s.durably(wu.job.ID, "done", "1/1 results")
+	// the journal's "returned/needed" wording.
 	s.obs.Record(wu.job.Batch, wu.job.ID, obs.StageQuorum, s.name, "1/1 results")
 	s.removeUnsent(wu)
 	return wu.job

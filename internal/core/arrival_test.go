@@ -102,8 +102,10 @@ func twinPending(t *testing.T, cfg ClusterConfig, gap, kill sim.Duration) int {
 // TestClusterRestartDeliversScheduledArrivals closes a durable cluster
 // with arrivals still scheduled and boots a new one on the same root:
 // the arrivals were durable from the moment they were scheduled, so the
-// rebooted cluster delivers them without being told again and ends
-// digest-equal to a cluster that never stopped.
+// rebooted cluster — once it has re-executed to the instant the first
+// one stopped at — has the same ones pending, delivers them without
+// being told again and ends digest-equal to a cluster that never
+// stopped.
 func TestClusterRestartDeliversScheduledArrivals(t *testing.T) {
 	const arrivals = 40
 	const gap = 7 * sim.Minute
@@ -121,7 +123,8 @@ func TestClusterRestartDeliversScheduledArrivals(t *testing.T) {
 		t.Fatal(err)
 	}
 	scheduleArrivals(c, arrivals, gap)
-	c.RunUntil(sim.Time(2 * sim.Hour))
+	stopped := sim.Time(2 * sim.Hour)
+	c.RunUntil(stopped)
 	pending := c.PendingArrivals()
 	if pending == 0 || pending == arrivals {
 		t.Fatalf("%d of %d arrivals pending at the restart, want some delivered and some not", pending, arrivals)
@@ -135,6 +138,7 @@ func TestClusterRestartDeliversScheduledArrivals(t *testing.T) {
 		t.Fatalf("second boot on the same durable root: %v", err)
 	}
 	defer again.CloseDurable()
+	again.RunUntil(stopped)
 	if got := again.PendingArrivals(); got != pending {
 		t.Errorf("%d arrivals pending after the restart, %d before", got, pending)
 	}

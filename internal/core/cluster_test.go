@@ -469,7 +469,10 @@ func TestClusterShardCrashRecoversLocally(t *testing.T) {
 
 // TestClusterRestartsFromDurableRoot boots a sharded durable deployment
 // twice on one root: the second NewCluster must resume every shard from
-// its own WAL, mid-batch, instead of refusing the directory.
+// its own WAL, mid-batch, instead of refusing the directory. A shard
+// resumes at its last durable record and re-executes from there, so run
+// on to the instant the first boot stopped at, every journal is the one
+// it had then.
 func TestClusterRestartsFromDurableRoot(t *testing.T) {
 	cfg := ClusterConfig{Shards: 2, Base: clusterBase(31), DurableRoot: t.TempDir()}
 	cfg.Base.Ingest = gsbl.IngestConfig{PerSubmissionSeconds: 30, PerReplicateSeconds: 5}
@@ -493,6 +496,7 @@ func TestClusterRestartsFromDurableRoot(t *testing.T) {
 		c.RunUntil(c.Shards[0].Engine.Now().Add(sim.Hour))
 	}
 	want := c.ShardDigests()
+	stopped := c.Shards[0].Engine.Now()
 	if err := c.CloseDurable(); err != nil {
 		t.Fatal(err)
 	}
@@ -506,6 +510,12 @@ func TestClusterRestartsFromDurableRoot(t *testing.T) {
 		if l.Recovery == nil || l.Recovery.Inputs == 0 {
 			t.Errorf("shard %d: recovery report %+v, want its inputs replayed", k, l.Recovery)
 		}
+		if l.Recovery != nil && l.Recovery.Watermark > stopped {
+			t.Errorf("shard %d resumed at %v, past the first boot's stop at %v", k, l.Recovery.Watermark, stopped)
+		}
+	}
+	again.RunUntil(stopped)
+	for k, l := range again.Shards {
 		if got := l.Obs.Journal.Digest(); got != want[k] {
 			t.Errorf("shard %d digest %s after restart, %s before", k, got, want[k])
 		}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -68,13 +70,15 @@ func editFrame(t *testing.T, path string, start int, marker string, edit func(pa
 	t.Fatalf("no frame in %s mentions %q", path, marker)
 }
 
-// divergedAt extracts N from a "diverged at record N" error.
+// divergedAt extracts N from a "diverged at record N" error — which
+// may name the journal events a diverging checkpoint covers before the
+// colon.
 func divergedAt(t *testing.T, err error) uint64 {
 	t.Helper()
 	if err == nil {
 		t.Fatal("Recover succeeded over a history it cannot regenerate")
 	}
-	m := regexp.MustCompile(`recovery diverged at record (\d+): regenerated (\{.*\}), log holds (\{.*\})`).FindStringSubmatch(err.Error())
+	m := regexp.MustCompile(`recovery diverged at record (\d+)(?:, [^:]*)?: regenerated (\{.*\}), log holds (\{.*\})`).FindStringSubmatch(err.Error())
 	if m == nil {
 		t.Fatalf("error does not name the diverging record and show both sides: %v", err)
 	}
@@ -88,18 +92,49 @@ func divergedAt(t *testing.T, err error) uint64 {
 	return n
 }
 
-// TestRecoverTailFieldDivergence: one field of one tail record changed
-// behind a valid checksum is caught at that record, both sides shown.
-func TestRecoverTailFieldDivergence(t *testing.T) {
+// logHeader is the length of the log's format header, where its first
+// frame starts.
+const logHeader = len("LATWAL04")
+
+// TestRecoverCheckpointDigestDivergence: one byte of one checkpoint's
+// journal digest changed behind a valid checksum is caught at that
+// record, named with the journal events it covers, both digests shown.
+func TestRecoverCheckpointDigestDivergence(t *testing.T) {
 	dir, cfg := crashedRun(t, 11, 0)
-	editFrame(t, wal.LogPath(dir), len("LATWAL02"), "umd-condor", func(p []byte) {
-		i := bytes.Index(p, []byte("umd-condor"))
-		p[i+len("umd-condo")] = 's'
+	st, err := wal.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	from := 0 // journal length at the checkpoint before the target
+	var target wal.Record
+	for _, r := range st.Tail {
+		if r.Kind != wal.KindCheckpoint {
+			continue
+		}
+		if r.JournalLen > 3*checkpointEvery {
+			target = r
+			break
+		}
+		from = r.JournalLen
+	}
+	if target.Seq == 0 {
+		t.Fatalf("the log holds no checkpoint past journal event %d", 3*checkpointEvery)
+	}
+	flipped := []byte(target.JournalDigest)
+	flipped[len(flipped)-1] ^= 0x01 // '0'↔'1', 'a'↔'`': a byte a CRC re-check cannot see
+	editFrame(t, wal.LogPath(dir), logHeader, target.JournalDigest, func(p []byte) {
+		copy(p[bytes.Index(p, []byte(target.JournalDigest)):], flipped)
 	})
-	_, err := Recover(dir, cfg)
-	divergedAt(t, err)
-	if !strings.Contains(err.Error(), `"umd-condos"`) || !strings.Contains(err.Error(), `"umd-condor"`) {
-		t.Fatalf("error does not show the field that differs: %v", err)
+	_, err = Recover(dir, cfg)
+	if got := divergedAt(t, err); got != target.Seq {
+		t.Fatalf("diverged at record %d, want the checkpoint at %d: %v", got, target.Seq, err)
+	}
+	interval := fmt.Sprintf("record %d, the checkpoint of journal events %d–%d:", target.Seq, from+1, target.JournalLen)
+	if !strings.Contains(err.Error(), interval) {
+		t.Fatalf("error does not name the journal events %d–%d: %v", from+1, target.JournalLen, err)
+	}
+	if !strings.Contains(err.Error(), `"`+target.JournalDigest+`"`) || !strings.Contains(err.Error(), `"`+string(flipped)+`"`) {
+		t.Fatalf("error does not show both digests: %v", err)
 	}
 }
 
@@ -107,7 +142,7 @@ func TestRecoverTailFieldDivergence(t *testing.T) {
 // the wrong position is caught when that input is regenerated — the
 // rebuild does not run on to the snapshot with a mis-placed input.
 func TestRecoverInputSeqDivergence(t *testing.T) {
-	dir, cfg := crashedRun(t, 11, 200)
+	dir, cfg := crashedRun(t, 11, 16)
 	st, err := wal.Load(dir)
 	if err != nil || st.Snap == nil || len(st.Snap.Inputs) == 0 {
 		t.Fatalf("fixture has no input under a snapshot: %+v, %v", st, err)
@@ -158,35 +193,51 @@ func TestRecoverConfigDriftStopsEarly(t *testing.T) {
 	}
 }
 
-// TestRebuildEmitRetainsNothing: checking a regenerated stage record
-// against the log tail allocates nothing — the recorder keeps no copy
-// of the stream it verifies — and still sees a record that differs.
+// TestRebuildEmitRetainsNothing: regenerating a checkpoint and checking
+// it against the log tail allocates nothing — the recorder keeps no
+// copy of the stream it verifies — and still sees a checkpoint that
+// differs. Each run feeds the observer the journal's hash at one
+// checkpoint: checkpointEvery events, of which it sees the last.
 func TestRebuildEmitRetainsNothing(t *testing.T) {
 	eng := sim.NewEngine()
 	const n = 300
 	events := make([]obs.Event, n)
+	frames := make([][]byte, n)
 	tail := make([]wal.Record, n)
+	h := sha256.New()
 	for i := range events {
 		ev := obs.Event{At: sim.Time(i), Batch: "batch-000001", Job: fmt.Sprintf("batch-000001-r%04d", i), Stage: obs.StageDispatch, Resource: "umd-hpc"}
 		events[i] = ev
-		tail[i] = wal.Record{Seq: uint64(i + 1), At: ev.At, Kind: wal.KindStage, Batch: ev.Batch, Job: ev.Job, Stage: string(ev.Stage), Resource: ev.Resource}
+		for k := 0; k < checkpointEvery; k++ {
+			frames[i] = obs.AppendEvent(frames[i], ev)
+		}
+		h.Write(frames[i])
+		tail[i] = wal.Record{Seq: uint64(i + 1), At: ev.At, Kind: wal.KindCheckpoint,
+			JournalLen: (i + 1) * checkpointEvery, JournalDigest: hex.EncodeToString(h.Sum(nil))}
 	}
-	tail[n-1].Detail = "only the log says this"
+	tail[n-1].JournalDigest = strings.Repeat("0", 64) // only the log says this
 	rec := newRecorder(eng, 1, &rebuild{tail: tail, lastSeq: n})
+	live := sha256.New()
 	i := 0
-	if allocs := testing.AllocsPerRun(n-100, func() {
-		rec.Stage(events[i])
+	checkpoint := func() {
+		live.Write(frames[i])
+		rec.observe(events[i], (i+1)*checkpointEvery, live)
 		i++
-	}); allocs != 0 {
-		t.Errorf("emit in rebuild mode allocates %v times per stage record", allocs)
+	}
+	if allocs := testing.AllocsPerRun(n-100, checkpoint); allocs != 0 {
+		t.Errorf("emit in rebuild mode allocates %v times per checkpoint", allocs)
 	}
 	if err := rec.diverged(); err != nil || rec.count != uint64(i) {
-		t.Fatalf("after %d matching records (count %d): %v", i, rec.count, err)
+		t.Fatalf("after %d matching checkpoints (count %d): %v", i, rec.count, err)
 	}
-	for ; i < n; i++ {
-		rec.Stage(events[i])
+	for i < n {
+		checkpoint()
 	}
-	if err := rec.diverged(); err == nil || divergedAt(t, err) != n {
-		t.Fatalf("the differing record %d went unnoticed: %v", n, err)
+	err := rec.diverged()
+	if err == nil || divergedAt(t, err) != n {
+		t.Fatalf("the differing checkpoint %d went unnoticed: %v", n, err)
+	}
+	if want := fmt.Sprintf("journal events %d–%d", (n-1)*checkpointEvery+1, n*checkpointEvery); !strings.Contains(err.Error(), want) {
+		t.Fatalf("error does not name %s: %v", want, err)
 	}
 }

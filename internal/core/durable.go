@@ -1,10 +1,10 @@
 package core
 
 import (
-	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"hash"
+	"maps"
 	"sync"
 
 	"lattice/internal/gsbl"
@@ -14,13 +14,20 @@ import (
 	"lattice/internal/workload"
 )
 
+// checkpointEvery is the cadence, in journal events, of checkpoint
+// records; a fault-stage event is checkpointed wherever it falls (see
+// observe).
+const checkpointEvery = 64
+
 // recorder is the durability adapter between the live components and
-// the write-ahead log. It implements the narrow Durability interfaces
-// of obs (as the journal observer), metasched, boinc, gsbl and
-// portal; owns record sequence numbering; and maintains the aggregate
-// shadow state that snapshots capture — all from its own bookkeeping,
-// never by calling back into the components (hook methods run under
-// component locks, so re-entry would deadlock).
+// the write-ahead log. It logs causes, not effects: it implements the
+// narrow Durability interfaces of gsbl, dag and portal, which hand it
+// the inputs, and observes the obs journal, whose own running digest it
+// checkpoints. It owns record sequence numbering and keeps what
+// snapshots capture — the latest checkpoint and the portal accounts —
+// from its own bookkeeping, never by calling back into the components
+// (hook methods run under component locks, so re-entry would
+// deadlock).
 //
 // The same type serves both modes: live (log attached, every record
 // appended) and rebuild (during Recover: every regenerated record
@@ -33,14 +40,13 @@ type recorder struct {
 	seed int64
 	log  *wal.Log // nil while rebuilding
 
-	// Shadow aggregates, updated record by record.
-	count      uint64
-	journalLen int
-	jhash      hash.Hash
-	jscratch   []byte // obs.HashEvent framing buffer, reused per stage record
-	stability  map[string]float64
-	boincState map[string]int
-	users      map[string]string
+	// Snapshot state, updated record by record.
+	count         uint64
+	journalLen    int // the latest checkpoint
+	journalDigest string
+	users         map[string]string
+	// sum and hex are the checkpoint digest's buffers, reused.
+	sum, hex []byte
 
 	rb *rebuild // nil when live
 	// notPre marks the post-pre phase of replay: the inputs being
@@ -68,22 +74,14 @@ type rebuild struct {
 	tail             []wal.Record
 	snapSeq, lastSeq uint64
 	cmp              wal.Comparer
-	// captured is the aggregate state at snapSeq, for snapshotsEqual.
+	// captured is the snapshot state at snapSeq, for snapshotsEqual.
 	captured *wal.Snapshot
 	// err is the first divergence; it stops the engine.
 	err error
 }
 
 func newRecorder(eng *sim.Engine, seed int64, rb *rebuild) *recorder {
-	return &recorder{
-		eng:        eng,
-		seed:       seed,
-		rb:         rb,
-		jhash:      sha256.New(),
-		stability:  make(map[string]float64),
-		boincState: make(map[string]int),
-		users:      make(map[string]string),
-	}
+	return &recorder{eng: eng, seed: seed, rb: rb, users: make(map[string]string)}
 }
 
 // attachLog connects the recorder to a live log and registers the
@@ -105,22 +103,15 @@ func (rec *recorder) begin() {
 }
 
 // emit assigns the next sequence number, folds the record into the
-// shadow aggregates, and forwards it to the log (live) or checks it
+// snapshot state, and forwards it to the log (live) or checks it
 // against the durable history (rebuild). Callers hold rec.mu.
 func (rec *recorder) emit(r wal.Record) {
 	rec.count++
 	r.Seq = rec.count
+	from := rec.journalLen // the events a checkpoint covers start past here
 	switch r.Kind {
-	case wal.KindStage:
-		rec.journalLen++
-		rec.jscratch = obs.HashEvent(rec.jhash, rec.jscratch, obs.Event{
-			At: r.At, Batch: r.Batch, Job: r.Job,
-			Stage: obs.Stage(r.Stage), Resource: r.Resource, Detail: r.Detail,
-		})
-	case wal.KindEWMA:
-		rec.stability[r.Resource] = r.Value
-	case wal.KindWorkunit:
-		rec.boincState[r.State]++
+	case wal.KindCheckpoint:
+		rec.journalLen, rec.journalDigest = r.JournalLen, r.JournalDigest
 	case wal.KindUser:
 		rec.users[r.Token] = r.Email
 	}
@@ -128,7 +119,7 @@ func (rec *recorder) emit(r wal.Record) {
 		rec.log.Append(r)
 	}
 	if rb := rec.rb; rb != nil {
-		rb.verify(&r)
+		rb.verify(&r, from)
 		if rec.count == rb.snapSeq {
 			s := rec.snapshotLocked()
 			s.InputsLen = rb.next
@@ -147,16 +138,18 @@ func (rec *recorder) emit(r wal.Record) {
 
 // verify checks one regenerated record against the durable history:
 // an input against the next input the log holds, any record past the
-// snapshot against the tail entry of its Seq. The first mismatch is
-// kept and every later record ignored.
-func (rb *rebuild) verify(r *wal.Record) {
+// snapshot against the tail entry of its Seq. from is the journal
+// length of the checkpoint before r, for naming the events a diverging
+// checkpoint covers. The first mismatch is kept and every later record
+// ignored.
+func (rb *rebuild) verify(r *wal.Record, from int) {
 	if rb.err != nil {
 		return
 	}
 	if r.IsInput() {
 		switch {
 		case rb.next < len(rb.inputs):
-			rb.compare(r, &rb.inputs[rb.next])
+			rb.compare(r, &rb.inputs[rb.next], from)
 			rb.next++
 		case r.Seq > rb.lastSeq:
 			rb.inputs = append(rb.inputs, *r)
@@ -167,24 +160,39 @@ func (rb *rebuild) verify(r *wal.Record) {
 				r.Seq, mustJSON(got))
 		}
 	}
-	if r.Seq > rb.snapSeq && r.Seq <= rb.lastSeq {
-		rb.compare(r, &rb.tail[r.Seq-rb.snapSeq-1])
+	if want := rb.logged(r.Seq); want != nil {
+		rb.compare(r, want, from)
 	}
 }
 
+// logged returns the log tail's record of sequence seq, nil when seq is
+// not past the snapshot or not durable (or there is no rebuild).
+func (rb *rebuild) logged(seq uint64) *wal.Record {
+	if rb == nil || seq <= rb.snapSeq || seq > rb.lastSeq {
+		return nil
+	}
+	return &rb.tail[seq-rb.snapSeq-1]
+}
+
 // compare records a divergence unless got and want are equal field
-// for field. Rendering copies got so that the caller's record stays
-// off the heap on the path where nothing diverges.
-func (rb *rebuild) compare(got, want *wal.Record) {
+// for field; a diverging checkpoint is named with the journal events
+// (from, got.JournalLen] it covers. Rendering copies got so that the
+// caller's record stays off the heap on the path where nothing
+// diverges.
+func (rb *rebuild) compare(got, want *wal.Record, from int) {
 	if rb.err != nil || rb.cmp.Equal(got, want) {
 		return
 	}
 	g := *got
-	rb.err = fmt.Errorf("core: recovery diverged at record %d: regenerated %s, log holds %s",
-		got.Seq, mustJSON(g), mustJSON(want))
+	what := ""
+	if g.Kind == wal.KindCheckpoint {
+		what = fmt.Sprintf(", the checkpoint of journal events %d–%d", from+1, g.JournalLen)
+	}
+	rb.err = fmt.Errorf("core: recovery diverged at record %d%s: regenerated %s, log holds %s",
+		g.Seq, what, mustJSON(g), mustJSON(want))
 }
 
-// snapshotLocked captures the aggregate state as a wal.Snapshot.
+// snapshotLocked captures the snapshot state as a wal.Snapshot.
 // Callers hold rec.mu.
 func (rec *recorder) snapshotLocked() wal.Snapshot {
 	return wal.Snapshot{
@@ -192,10 +200,8 @@ func (rec *recorder) snapshotLocked() wal.Snapshot {
 		At:            rec.eng.Now(),
 		Seed:          rec.seed,
 		JournalLen:    rec.journalLen,
-		JournalDigest: hex.EncodeToString(rec.jhash.Sum(nil)),
-		Stability:     copyMap(rec.stability),
-		Boinc:         copyMap(rec.boincState),
-		Users:         copyMap(rec.users),
+		JournalDigest: rec.journalDigest,
+		Users:         maps.Clone(rec.users),
 	}
 }
 
@@ -238,51 +244,31 @@ func (rec *recorder) endRebuild() []wal.Record {
 	return inputs
 }
 
-func copyMap[V any](m map[string]V) map[string]V {
-	if len(m) == 0 {
-		return nil
+// observe is the journal observer, called under the journal lock after
+// each event is hashed: it checkpoints the journal's running digest
+// every checkpointEvery events and at every fault-stage event. The
+// fault rule is what makes a kill durable: the injector journals each
+// kill as a fault event, and its checkpoint is the record that puts the
+// recovery watermark at the kill — without it the watermark falls
+// before the kill, and the rebuilt coordinator is killed again at the
+// same instant. The recorder never calls back into the journal.
+func (rec *recorder) observe(ev obs.Event, n int, digest hash.Hash) {
+	if n%checkpointEvery != 0 && ev.Stage != obs.StageFault {
+		return
 	}
-	out := make(map[string]V, len(m))
-	for k, v := range m {
-		out[k] = v
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	rec.sum = digest.Sum(rec.sum[:0])
+	rec.hex = hex.AppendEncode(rec.hex[:0], rec.sum)
+	var d string
+	if want := rec.rb.logged(rec.count + 1); want != nil && want.JournalDigest == string(rec.hex) {
+		// The rebuild expects this very digest: reuse the log's copy, so a
+		// rebuild that matches allocates nothing per checkpoint.
+		d = want.JournalDigest
+	} else {
+		d = string(rec.hex)
 	}
-	return out
-}
-
-// Stage implements the obs journal observer. Called under the journal
-// lock; the recorder never calls back into the journal.
-func (rec *recorder) Stage(ev obs.Event) {
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	rec.emit(wal.Record{
-		At: ev.At, Kind: wal.KindStage,
-		Batch: ev.Batch, Job: ev.Job, Stage: string(ev.Stage),
-		Resource: ev.Resource, Detail: ev.Detail,
-	})
-}
-
-// EWMA implements metasched.Durability.
-func (rec *recorder) EWMA(at sim.Time, resource string, stability float64) {
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	rec.emit(wal.Record{At: at, Kind: wal.KindEWMA, Resource: resource, Value: stability})
-}
-
-// Backoff implements metasched.Durability.
-func (rec *recorder) Backoff(at sim.Time, job, resource string, attempt int, backoff sim.Duration) {
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	rec.emit(wal.Record{
-		At: at, Kind: wal.KindBackoff, Job: job, Resource: resource,
-		Attempt: attempt, Value: float64(backoff),
-	})
-}
-
-// Workunit implements boinc.Durability.
-func (rec *recorder) Workunit(at sim.Time, job, state, detail string) {
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	rec.emit(wal.Record{At: at, Kind: wal.KindWorkunit, Job: job, State: state, Detail: detail})
+	rec.emit(wal.Record{At: ev.At, Kind: wal.KindCheckpoint, JournalLen: n, JournalDigest: d})
 }
 
 // Submission implements gsbl.Durability. Queued marks an enqueue behind

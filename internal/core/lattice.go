@@ -103,10 +103,10 @@ type Config struct {
 	// resources untouched.
 	ResourceWrap func(eng *sim.Engine, name string, inner lrm.LRM) lrm.LRM
 	// Durable, when non-empty, is a directory for crash-consistent
-	// state: every coordinator transition and input is appended to a
-	// write-ahead log there (see internal/wal), periodic snapshots
-	// bound replay, and core.Recover resumes a killed deployment
-	// mid-batch. Empty disables durability entirely — no recorder, no
+	// state: every input, and checkpoints of the journal's digest, are
+	// appended to a write-ahead log there (see internal/wal), periodic
+	// snapshots bound replay, and core.Recover resumes a killed
+	// deployment mid-batch. Empty disables durability entirely — no recorder, no
 	// extra RNG draws, bit-identical to pre-durability builds.
 	Durable string
 	// WAL tunes the write-ahead log when Durable is set.
@@ -205,7 +205,7 @@ type Lattice struct {
 
 // New assembles and starts a Lattice deployment. With cfg.Durable set
 // it also creates a fresh write-ahead log there and wires the
-// durability recorder through every component; use Recover instead
+// durability recorder to the inputs and the journal; use Recover instead
 // when the directory already holds state.
 func New(cfg Config) (*Lattice, error) {
 	l, err := build(cfg, nil)
@@ -223,9 +223,9 @@ func New(cfg Config) (*Lattice, error) {
 	return l, nil
 }
 
-// build assembles the deployment, with a durability recorder wired
-// through every component when cfg.Durable is set. A non-nil rb marks a
-// recovery re-execution: identical wiring and RNG draws, but the
+// build assembles the deployment, with a durability recorder wired to
+// the input hooks and the journal when cfg.Durable is set. A non-nil rb
+// marks a recovery re-execution: identical wiring and RNG draws, but the
 // recorder verifies against rb instead of logging, and scheduled
 // crashes must not stop the engine (the rebuild runs straight through
 // them).
@@ -247,7 +247,6 @@ func build(cfg Config, rb *rebuild) (*Lattice, error) {
 	// The hooks stay nil interfaces unless a recorder exists: a typed-nil
 	// *recorder in a hook would pass every "durable != nil" check.
 	var hooks interface {
-		metasched.Durability
 		gsbl.Durability
 		dag.Durability
 		portal.Durability
@@ -258,7 +257,7 @@ func build(cfg Config, rb *rebuild) (*Lattice, error) {
 		hooks = l.rec
 		artifacts = filepath.Join(cfg.Durable, "artifacts")
 	}
-	l.Scheduler = metasched.New(eng, idx, cfg.Scheduler, metasched.Options{Obs: l.Obs, Durable: hooks})
+	l.Scheduler = metasched.New(eng, idx, cfg.Scheduler, metasched.Options{Obs: l.Obs})
 	// The injector and its sink exist only when a fault schedule is
 	// configured: a no-fault deployment takes the exact pre-injector
 	// path (same wiring, same RNG stream draws, bit-identical runs).
@@ -322,12 +321,10 @@ func build(cfg Config, rb *rebuild) (*Lattice, error) {
 		Obs: l.Obs, Workflows: l.Workflows, StatusSource: l.statusJSON, ArtifactDir: artifacts, Durable: hooks,
 	})
 	if l.rec != nil {
-		// Wired before any journal event is recorded, so the record
-		// stream starts at genesis in both live and rebuild modes.
-		l.Obs.Journal.SetObserver(l.rec.Stage)
-		if l.Boinc != nil {
-			l.Boinc.SetDurable(l.rec)
-		}
+		// Wired before any journal event is recorded, so checkpoints
+		// count the journal from its first event in both live and
+		// rebuild modes.
+		l.Obs.Journal.SetObserver(l.rec.observe)
 	}
 	return l, nil
 }

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"encoding/hex"
+	"hash"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,9 +17,9 @@ import (
 	"lattice/internal/workload"
 )
 
-// recoverConfig is a trimmed federation that still exercises every
-// durable record kind: stability learning on, submit retries on, a
-// BOINC pool for workunit state, hour-scale jobs.
+// recoverConfig is a trimmed federation that still exercises the state
+// recovery must re-derive without a record of it: stability learning
+// on, submit retries on, a BOINC pool with workunits, hour-scale jobs.
 func recoverConfig(seed int64) Config {
 	cfg := DefaultConfig(seed)
 	cfg.TrainingJobs = 30
@@ -122,11 +125,11 @@ func TestDurableDigestUnchanged(t *testing.T) {
 // TestRecoverMidBatch is the heart of the tentpole: kill the
 // coordinator mid-batch, recover, and prove the resumed deployment is
 // indistinguishable from one that never died — learned stability
-// EWMAs and submit-retry backoff state restored (the verification
-// inside Recover compares every logged EWMA/backoff record against
-// the rebuild), placement decisions identical (full journal stage
-// sequence, not just terminal counts), and the final digest
-// bit-identical to an uninterrupted same-seed run.
+// EWMAs and submit-retry backoff state restored (neither is logged:
+// re-execution re-derives both, and the journal checkpoints verified
+// inside Recover cover the placements they drove), placement decisions
+// identical (full journal stage sequence, not just terminal counts),
+// and the final digest bit-identical to an uninterrupted same-seed run.
 func TestRecoverMidBatch(t *testing.T) {
 	const seed = 11
 	crashAt := sim.Time(4 * sim.Hour)
@@ -151,7 +154,7 @@ func TestRecoverMidBatch(t *testing.T) {
 	cfg := recoverConfig(seed)
 	cfg.Faults = crashingSchedule(crashAt)
 	cfg.Durable = dir
-	cfg.WAL.SnapshotEvery = 200 // force several snapshot rotations
+	cfg.WAL.SnapshotEvery = 16 // force several snapshot rotations
 	lat, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -207,8 +210,9 @@ func TestRecoverMidBatch(t *testing.T) {
 		}
 	}
 	// Submit-retry backoff state: the retry counter (and, via the
-	// record-for-record verification inside Recover, every backoff
-	// decision) survives.
+	// journal checkpoints verified inside Recover, every backoff
+	// decision — each is journaled as its requeue's "retry in Ns")
+	// survives.
 	if got := recovered.Scheduler.Stats().SubmitRetries; got != wantRetries {
 		t.Errorf("submit retries = %d after recovery, want %d", got, wantRetries)
 	}
@@ -397,57 +401,64 @@ func TestRecoverOfRecovery(t *testing.T) {
 }
 
 // TestJournalObserverSeesEveryEvent pins the obs hook the recorder
-// rides on.
+// rides on: every event, the journal's length with it, and the running
+// digest over exactly those events.
 func TestJournalObserverSeesEveryEvent(t *testing.T) {
 	eng := sim.NewEngine()
 	j := obs.NewJournal(eng)
+	empty := j.Digest()
 	var seen []obs.Event
-	j.SetObserver(func(ev obs.Event) { seen = append(seen, ev) })
+	var lens []int
+	var sums []string
+	j.SetObserver(func(ev obs.Event, n int, digest hash.Hash) {
+		seen = append(seen, ev)
+		lens = append(lens, n)
+		sums = append(sums, hex.EncodeToString(digest.Sum(nil)))
+	})
 	j.Record("b", "j1", obs.StageSubmit, "r", "d")
+	first := j.Digest()
 	j.Record("b", "j1", obs.StageComplete, "r", "")
 	if len(seen) != 2 || seen[0].Stage != obs.StageSubmit || seen[1].Stage != obs.StageComplete {
 		t.Fatalf("observer saw %+v", seen)
 	}
-	d0, err := j.DigestAt(0)
-	if err != nil {
-		t.Fatal(err)
+	if !slices.Equal(lens, []int{1, 2}) {
+		t.Fatalf("observer told lengths %v, want [1 2]", lens)
 	}
-	d2, err := j.DigestAt(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d2 != j.Digest() {
-		t.Error("DigestAt(len) != Digest()")
-	}
-	if d0 == d2 {
-		t.Error("empty-prefix digest equals full digest")
-	}
-	if _, err := j.DigestAt(3); err == nil {
-		t.Error("DigestAt past the end did not error")
+	if sums[0] != first || sums[1] != j.Digest() || sums[0] == empty || sums[0] == sums[1] {
+		t.Fatalf("observer saw digests %v; journal %s then %s (empty %s)", sums, first, j.Digest(), empty)
 	}
 }
 
 // TestRecorderDigestTracksJournal feeds one event stream to the
-// journal and, through the observer hook, to a recorder: the
-// snapshot's journal fingerprint must equal the journal's own digest
-// and DigestAt at every prefix, since recovery compares exactly these.
+// journal and, through the observer hook, to a recorder: the snapshot
+// carries the latest checkpoint — every checkpointEvery events, and at
+// every fault event between — whose digest is the journal's own at that
+// length, since recovery compares exactly these.
 func TestRecorderDigestTracksJournal(t *testing.T) {
 	eng := sim.NewEngine()
 	j := obs.NewJournal(eng)
 	rec := newRecorder(eng, 1, nil)
-	j.SetObserver(rec.Stage)
+	j.SetObserver(rec.observe)
 	details := []string{"", "policy=full attempt=1", "a\x1fb\nc", strings.Repeat("long detail ", 100)}
-	for i, d := range details {
-		eng.Schedule(sim.Duration(i)*0.1, func() { j.Record("batch", "job", obs.StagePlace, "pbs-01", d) })
-		eng.Run()
+	digests := []string{""} // digests[n]: the journal's after n events; none before the first checkpoint
+	last := 0               // the journal length the latest checkpoint covers
+	for i := 0; i < 3*checkpointEvery+5; i++ {
+		stage := obs.StagePlace
+		if i%50 == 49 {
+			stage = obs.StageFault
+		}
+		j.Record("batch", "job", stage, "pbs-01", details[i%len(details)])
+		digests = append(digests, j.Digest())
+		if n := i + 1; n%checkpointEvery == 0 || stage == obs.StageFault {
+			last = n
+		}
 		snap := rec.snapshot()
-		at, err := j.DigestAt(snap.JournalLen)
-		if err != nil {
-			t.Fatal(err)
+		if snap.JournalLen != last || snap.JournalDigest != digests[last] {
+			t.Fatalf("after %d events: snapshot checkpoint (%d, %s), want (%d, %s)",
+				i+1, snap.JournalLen, snap.JournalDigest, last, digests[last])
 		}
-		if snap.JournalLen != i+1 || snap.JournalDigest != j.Digest() || at != j.Digest() {
-			t.Fatalf("after %d events: recorder (%d, %s), journal %s, DigestAt %s",
-				i+1, snap.JournalLen, snap.JournalDigest, j.Digest(), at)
-		}
+	}
+	if want := uint64(3 + 3); rec.count != want { // every 64th event, and the faults at 50, 100, 150
+		t.Fatalf("%d checkpoints, want %d", rec.count, want)
 	}
 }

@@ -183,8 +183,18 @@ func checkTuple(t *testing.T, b []byte) {
 	if err != nil {
 		fail("%v", err)
 	}
-	if crashed.recoveries == 0 {
-		fail("no shard was recovered")
+	// Every kill is durable: a shard killed k times recovers exactly k
+	// times, plus once more when the tear took a kill's own record and
+	// the rebuild stopped short of that kill, so it fired again.
+	for k, ks := range tu.Kills {
+		want := len(ks)
+		if crashed.tornKill == k {
+			want++
+		}
+		if got := crashed.crashed[k]; got != want {
+			fail("shard %d killed %d times recovered %d times, want %d (torn kill record on shard %d)",
+				k, len(ks), got, want, crashed.tornKill)
+		}
 	}
 	if !slices.Equal(crashed.shardDigests, control.shardDigests) {
 		fail("shard digests %v, uninterrupted %v", short(crashed.shardDigests), short(control.shardDigests))

@@ -104,15 +104,17 @@ type outcome struct {
 	// lastBatchDone is when the last batch turned terminal (m.Makespan
 	// ends at the last *completed* job instead).
 	lastBatchDone sim.Time
-	// crashed is the set of shards ever killed; recoveries counts
-	// successful rebuilds (it exceeds the kills when a kill's own record
-	// was torn off and the kill fired again), replayed the durable
+	// crashed counts the successful rebuilds of each shard ever killed;
+	// recoveries is their total (it exceeds the kills when a kill's own
+	// record was torn off and the kill fired again), replayed the durable
 	// inputs they re-injected, torn whether a torn log tail was detected
-	// and survived.
-	crashed    map[int]bool
+	// and survived, and tornKill the shard whose kill fired again because
+	// the tear took its record (-1: none).
+	crashed    map[int]int
 	recoveries int
 	replayed   int
 	torn       bool
+	tornKill   int
 	// ingestWait and placeWait are the front-door and placement wait
 	// histograms summed over shards; peakDepth is the deepest front-door
 	// queue seen at a grid boundary.
@@ -127,7 +129,8 @@ func execute(sc scenario, seed int64) (_ *outcome, err error) {
 	r := &run{sc: sc, seed: seed, cfg: sc.federation(seed), outcome: &outcome{
 		conserved: true,
 		injected:  map[faults.Kind]int{},
-		crashed:   map[int]bool{},
+		crashed:   map[int]int{},
+		tornKill:  -1,
 	}}
 	if sc.durable {
 		if r.dir, err = os.MkdirTemp("", "lattice-scenario-*"); err != nil {
@@ -247,10 +250,27 @@ func (r *run) shardDir(k int) string {
 // recoverShard rebuilds killed shard k in place. The dead coordinator's
 // log handle is closed first, as the OS would on process death.
 func (r *run) recoverShard(k int) error {
+	// A kill is recovered once, or twice when the tear took its record;
+	// more means a kill no durable record covers, which would fire again
+	// at every recovery.
+	if kills := len(r.sc.faults(k).CrashAt); r.crashed[k] > kills {
+		return fmt.Errorf("experiments: shard %d killed again after %d recoveries from %d scheduled kills", k, r.crashed[k], kills)
+	}
 	if err := r.lats[k].CloseDurable(); err != nil {
 		return fmt.Errorf("experiments: closing killed shard %d: %w", k, err)
 	}
+	killLen := 0 // journal length at the kill whose record the tear takes
 	if r.sc.tear && !r.torn {
+		// The kill's checkpoint is the last record written, unless a
+		// snapshot it triggered has already cut the log back to its
+		// header.
+		st, err := wal.Load(r.shardDir(k))
+		if err != nil {
+			return err
+		}
+		if n := len(st.Tail); n > 0 {
+			killLen = st.Tail[n-1].JournalLen
+		}
 		path := wal.LogPath(r.shardDir(k))
 		fi, err := os.Stat(path)
 		if err != nil {
@@ -264,7 +284,13 @@ func (r *run) recoverShard(k int) error {
 		return fmt.Errorf("experiments: recovery %d (shard %d): %w", r.recoveries+1, k, err)
 	}
 	rep := r.lats[k].Recovery
-	r.crashed[k] = true
+	// The torn kill fires again only if the rebuild stopped short of it;
+	// one whose last durable record is an input at the kill's instant
+	// runs on through it.
+	if r.lats[k].Obs.Journal.Len() < killLen {
+		r.tornKill = k
+	}
+	r.crashed[k]++
 	r.recoveries++
 	r.replayed += rep.Inputs
 	r.torn = r.torn || rep.TornTail

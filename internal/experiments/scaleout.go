@@ -232,7 +232,7 @@ func ScaleOutSized(seed int64, users, crashUsers int) (*ScaleOutResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.CrashLocal = len(crashed.crashed) == 1 && crashed.crashed[scaleCrashShard] && crashed.recoveries >= 1
+	r.CrashLocal = len(crashed.crashed) == 1 && crashed.crashed[scaleCrashShard] >= 1
 	r.CrashRecoveries = crashed.recoveries
 	r.CrashRecoveredInputs = crashed.replayed
 	r.CrashConserved = crashed.conserved && base.conserved

@@ -304,7 +304,6 @@ type Scheduler struct {
 	scanning     bool
 	obs          *obs.Obs
 	ins          schedInstruments
-	durable      Durability
 	// placeDetails[n] is the place event's detail for attempt n (see
 	// placeDetail).
 	placeDetails []string
@@ -315,17 +314,6 @@ type Scheduler struct {
 	// since.
 	cands        []candidate
 	candsVersion uint64
-}
-
-// Durability is the write-ahead-log hook for the scheduler's learned
-// state: stability EWMAs and submit-retry backoff decisions. Methods
-// are called synchronously on the engine goroutine; implementations
-// must not call back into the scheduler.
-type Durability interface {
-	// EWMA records a resource's updated stability estimate.
-	EWMA(at sim.Time, resource string, stability float64)
-	// Backoff records a submit-retry backoff decision for a job.
-	Backoff(at sim.Time, job, resource string, attempt int, backoff sim.Duration)
 }
 
 // schedInstruments holds the scheduler's label-less metric handles;
@@ -350,8 +338,6 @@ type Options struct {
 	// dispatch, virtual time) feeds a histogram, and every lifecycle
 	// transition is journaled.
 	Obs *obs.Obs
-	// Durable is the write-ahead-log hook (nil: nothing is logged).
-	Durable Durability
 }
 
 // New creates a scheduler reading resource state from idx.
@@ -364,7 +350,6 @@ func New(eng *sim.Engine, idx *mds.Index, cfg Config, opts Options) *Scheduler {
 		resources: make(map[string]*resource),
 		jobs:      make(map[string]*GridJob),
 		obs:       o,
-		durable:   opts.Durable,
 		ins: schedInstruments{
 			submitted: o.Counter("lattice_sched_jobs_submitted_total", "Grid jobs accepted by the meta-scheduler"),
 			completed: o.Counter("lattice_sched_jobs_completed_total", "Grid jobs that reached completed"),
@@ -433,9 +418,6 @@ func (s *Scheduler) observeStability(name string, ok bool) {
 		v = 1
 	}
 	r.stability = (1-s.cfg.StabilityAlpha)*r.stability + s.cfg.StabilityAlpha*v
-	if s.durable != nil {
-		s.durable.EWMA(s.eng.Now(), name, r.stability)
-	}
 }
 
 // Stats returns scheduler accounting.

@@ -2,11 +2,14 @@ package metasched
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"lattice/internal/grid/mds"
 	"lattice/internal/lrm"
 	"lattice/internal/lrm/cluster"
+	"lattice/internal/obs"
 	"lattice/internal/phylo"
 	"lattice/internal/sim"
 	"lattice/internal/workload"
@@ -198,14 +201,6 @@ func (f *refusingLRM) Cancel(id string) bool {
 	return true
 }
 
-// backoffLog records the scheduler's durable backoff decisions.
-type backoffLog struct{ backoffs []sim.Duration }
-
-func (*backoffLog) EWMA(sim.Time, string, float64) {}
-func (l *backoffLog) Backoff(_ sim.Time, _, _ string, _ int, d sim.Duration) {
-	l.backoffs = append(l.backoffs, d)
-}
-
 // A refused submission retries on its own timer: 30 s doubling per
 // further refusal, capped at 30 min, and never consumes the job.
 func TestSubmitRetryBackoff(t *testing.T) {
@@ -216,8 +211,8 @@ func TestSubmitRetryBackoff(t *testing.T) {
 	if _, err := mds.StartProvider(eng, idx, res, sim.Minute); err != nil {
 		t.Fatal(err)
 	}
-	var log backoffLog
-	sched := New(eng, idx, DefaultConfig(), Options{Durable: &log})
+	o := obs.New(eng)
+	sched := New(eng, idx, DefaultConfig(), Options{Obs: o})
 	if err := sched.Register(res, 1.0); err != nil {
 		t.Fatal(err)
 	}
@@ -229,9 +224,16 @@ func TestSubmitRetryBackoff(t *testing.T) {
 	if j.Status != StatusCompleted {
 		t.Fatalf("job status %v after retries, want completed (fail reason %q)", j.Status, j.FailReason)
 	}
-	want := []sim.Duration{30, 60, 120, 240, 480, 960, 30 * sim.Minute, 30 * sim.Minute}
-	if fmt.Sprint(log.backoffs) != fmt.Sprint(want) {
-		t.Errorf("backoffs %v, want 30 s·2^k capped at 30 min: %v", log.backoffs, want)
+	// Each backoff is journaled with its requeue: "… retry in Ns".
+	var backoffs []string
+	for _, ev := range o.Journal.Events() {
+		if _, d, ok := strings.Cut(ev.Detail, "retry in "); ok && ev.Stage == obs.StageRequeue {
+			backoffs = append(backoffs, d)
+		}
+	}
+	want := []string{"30s", "60s", "120s", "240s", "480s", "960s", "1800s", "1800s"}
+	if !slices.Equal(backoffs, want) {
+		t.Errorf("backoffs %v, want 30 s·2^k capped at 30 min: %v", backoffs, want)
 	}
 	st := sched.Stats()
 	if st.SubmitRetries != 8 {

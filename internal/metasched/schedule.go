@@ -458,9 +458,6 @@ func (s *Scheduler) submitFailed(j *GridJob, name string, err error) {
 		"Gatekeeper submit failures sent to exponential backoff").Inc()
 	s.obs.Record(j.Batch, j.ID, obs.StageRequeue, name,
 		fmt.Sprintf("submit failed (%v); retry in %.0fs", err, float64(backoff)))
-	if s.durable != nil {
-		s.durable.Backoff(s.eng.Now(), j.ID, name, j.Attempts, backoff)
-	}
 	s.eng.Schedule(backoff, func() {
 		if j.Status != StatusPending {
 			return // cancelled or picked up by a scan meanwhile

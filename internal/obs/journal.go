@@ -3,7 +3,6 @@ package obs
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"hash"
 	"strings"
 	"sync"
@@ -114,7 +113,7 @@ type Journal struct {
 	scratch  []byte // framing buffer reused by every Record
 	chunks   [][]Event
 	n        int // events in all chunks
-	observer func(Event)
+	observer func(ev Event, n int, digest hash.Hash)
 }
 
 // Chunk capacities, in events: 64 events (5.5 kB) for a journal that
@@ -130,11 +129,13 @@ func NewJournal(clock sim.Clock) *Journal {
 }
 
 // SetObserver installs a callback invoked synchronously for every
-// recorded event, after it is hashed. The callback runs under the
-// journal lock — it must not call back into the journal. The
-// durability layer uses this to mirror lifecycle events into the
-// write-ahead log.
-func (j *Journal) SetObserver(fn func(Event)) {
+// recorded event, after it is hashed: n is the journal's length with ev
+// in it and digest the running SHA-256 over those n events, which fn
+// may Sum but must never Write. The callback runs under the journal
+// lock — it must not call back into the journal. The durability layer
+// uses this to checkpoint the journal's digest into the write-ahead
+// log.
+func (j *Journal) SetObserver(fn func(ev Event, n int, digest hash.Hash)) {
 	if j == nil {
 		return
 	}
@@ -162,9 +163,9 @@ func (j *Journal) Record(batch, job string, stage Stage, resource, detail string
 	}
 	j.chunks[last] = append(j.chunks[last], ev)
 	j.n++
-	j.scratch = HashEvent(j.hash, j.scratch, ev)
+	j.scratch = hashEvent(j.hash, j.scratch, ev)
 	if j.observer != nil {
-		j.observer(ev) //lint:allow lockorder -- the observer is the WAL feed: it must see events in digest order, which only mu guarantees
+		j.observer(ev, j.n, j.hash) //lint:allow lockorder -- the observer checkpoints the digest into the WAL: it must see the hash at exactly this event, which only mu guarantees
 	}
 }
 
@@ -187,11 +188,10 @@ func AppendEvent(dst []byte, ev Event) []byte {
 	return append(dst, '\n')
 }
 
-// HashEvent streams one framed event into h with a single Write,
+// hashEvent streams one framed event into h with a single Write,
 // framing it in scratch (overwritten; pass the returned slice back in
-// to reuse its capacity). Exported so the durability layer can
-// maintain an identical running digest from its own record stream.
-func HashEvent(h hash.Hash, scratch []byte, ev Event) []byte {
+// to reuse its capacity).
+func hashEvent(h hash.Hash, scratch []byte, ev Event) []byte {
 	scratch = AppendEvent(scratch[:0], ev)
 	h.Write(scratch) //lint:allow errdrop -- hash.Hash documents that Write never errors
 	return scratch
@@ -264,30 +264,6 @@ func (j *Journal) Digest() string {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return hex.EncodeToString(j.hash.Sum(nil))
-}
-
-// DigestAt returns the hex SHA-256 over the first n events — the
-// digest the journal had when its length was n. Recovery uses this to
-// check a rebuilt journal against a snapshot's recorded prefix.
-func (j *Journal) DigestAt(n int) (string, error) {
-	if j == nil {
-		if n == 0 {
-			return hex.EncodeToString(sha256.New().Sum(nil)), nil
-		}
-		return "", fmt.Errorf("obs: DigestAt(%d) on nil journal", n)
-	}
-	v := j.view()
-	if n < 0 || n > v.n {
-		return "", fmt.Errorf("obs: DigestAt(%d) outside journal of %d events", n, v.n)
-	}
-	h := sha256.New()
-	scratch := make([]byte, 0, eventScratchCap)
-	v.each(n, func(c []Event) {
-		for i := range c {
-			scratch = HashEvent(h, scratch, c[i])
-		}
-	})
-	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 // TerminalCounts returns, for every job whose lifecycle the journal

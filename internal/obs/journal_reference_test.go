@@ -26,9 +26,28 @@ func (r *refJournal) DigestAt(n int) string {
 	h := sha256.New()
 	scratch := make([]byte, 0, eventScratchCap)
 	for _, ev := range r.events[:n] {
-		scratch = HashEvent(h, scratch, ev)
+		scratch = hashEvent(h, scratch, ev)
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// digestAt is the hex SHA-256 over the journal's first n events, folded
+// from a view outside the lock like every reader of the journal: the
+// tests below hold it to the reference at every prefix, which pins the
+// view and its chunk walk.
+func (j *Journal) digestAt(n int) (string, error) {
+	v := j.view()
+	if n < 0 || n > v.n {
+		return "", fmt.Errorf("obs: digestAt(%d) outside journal of %d events", n, v.n)
+	}
+	h := sha256.New()
+	scratch := make([]byte, 0, eventScratchCap)
+	v.each(n, func(c []Event) {
+		for i := range c {
+			scratch = hashEvent(h, scratch, c[i])
+		}
+	})
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 func (r *refJournal) TerminalCounts() map[string]int {
@@ -193,13 +212,13 @@ func compareWithReference(t *testing.T, j *Journal, evs []Event) {
 		if k > n {
 			continue
 		}
-		if got, err := j.DigestAt(k); err != nil || got != ref.DigestAt(k) {
-			t.Fatalf("DigestAt(%d) = %s, %v; reference %s", k, got, err, ref.DigestAt(k))
+		if got, err := j.digestAt(k); err != nil || got != ref.DigestAt(k) {
+			t.Fatalf("digestAt(%d) = %s, %v; reference %s", k, got, err, ref.DigestAt(k))
 		}
 	}
 	for _, k := range []int{-1, n + 1} {
-		if _, err := j.DigestAt(k); err == nil {
-			t.Fatalf("DigestAt(%d) of a %d-event journal did not fail", k, n)
+		if _, err := j.digestAt(k); err == nil {
+			t.Fatalf("digestAt(%d) of a %d-event journal did not fail", k, n)
 		}
 	}
 	if got, want := j.TerminalCounts(), ref.TerminalCounts(); !reflect.DeepEqual(got, want) {
@@ -259,7 +278,7 @@ func TestChunkedJournalMatchesReference(t *testing.T) {
 
 // TestJournalReadersSeePrefixes records 200 000 events on one goroutine
 // while readers fold the journal on others (run it under -race). Every
-// read must see a prefix of the stream: DigestAt(Len()) is the
+// read must see a prefix of the stream: digestAt(Len()) is the
 // reference digest after that many events, Events is the stream cut at
 // its length, and Trace and TerminalCounts never show a span, an
 // attribute or a terminal that the full journal does not.
@@ -271,7 +290,7 @@ func TestJournalReadersSeePrefixes(t *testing.T) {
 	var scratch []byte
 	for k, ev := range evs {
 		h.Sum(digests[k][:0])
-		scratch = HashEvent(h, scratch, ev)
+		scratch = hashEvent(h, scratch, ev)
 	}
 	h.Sum(digests[n][:0])
 	ref := &refJournal{events: evs}
@@ -304,8 +323,8 @@ func TestJournalReadersSeePrefixes(t *testing.T) {
 				if 0 < k && k < n {
 					midStream.Add(1)
 				}
-				if d, err := j.DigestAt(k); err != nil || d != hex.EncodeToString(digests[k][:]) {
-					t.Errorf("DigestAt(%d) = %s, %v; not the digest of the first %d events", k, d, err, k)
+				if d, err := j.digestAt(k); err != nil || d != hex.EncodeToString(digests[k][:]) {
+					t.Errorf("digestAt(%d) = %s, %v; not the digest of the first %d events", k, d, err, k)
 					return
 				}
 				if got := j.Events(); len(got) < k || !isPrefix(got, evs) {
@@ -329,8 +348,8 @@ func TestJournalReadersSeePrefixes(t *testing.T) {
 	close(done)
 	wg.Wait()
 	t.Logf("%d reads landed while the writer was recording", midStream.Load())
-	if d, err := j.DigestAt(n); err != nil || d != j.Digest() || d != hex.EncodeToString(digests[n][:]) {
-		t.Fatalf("DigestAt(%d) = %s, %v; Digest %s", n, d, err, j.Digest())
+	if d, err := j.digestAt(n); err != nil || d != j.Digest() || d != hex.EncodeToString(digests[n][:]) {
+		t.Fatalf("digestAt(%d) = %s, %v; Digest %s", n, d, err, j.Digest())
 	}
 	if got, _ := j.Trace(batch); !reflect.DeepEqual(got, finalTrace) {
 		t.Fatalf("final trace of %s differs from the reference", batch)

@@ -88,7 +88,7 @@ func TestAppendEventMatchesReferenceFraming(t *testing.T) {
 			t.Fatalf("event %d %+v: framing digest %s, reference %s", i, ev, a, b)
 		}
 		refHashEvent(ref, ev)
-		scratch = HashEvent(got, scratch, ev)
+		scratch = hashEvent(got, scratch, ev)
 	}
 	if a, b := hex.EncodeToString(got.Sum(nil)), hex.EncodeToString(ref.Sum(nil)); a != b {
 		t.Fatalf("stream digest %s, reference %s", a, b)
@@ -107,30 +107,29 @@ func TestJournalDigestsAgreeWithReference(t *testing.T) {
 	evs := framingEvents(500)
 	clock := &settableClock{}
 	j := NewJournal(clock)
-	var observed []Event
-	j.SetObserver(func(ev Event) { observed = append(observed, ev) })
 	ref := sha256.New()
+	var observed []Event
+	var sums []string
+	// The observer sees the length and the digest with ev folded in.
+	j.SetObserver(func(ev Event, n int, digest hash.Hash) {
+		if n != len(observed)+1 {
+			t.Fatalf("observer told length %d after %d events", n, len(observed))
+		}
+		observed = append(observed, ev)
+		sums = append(sums, hex.EncodeToString(digest.Sum(nil)))
+	})
 	for n, ev := range evs {
 		if n%97 == 0 {
-			at, err := j.DigestAt(n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := hex.EncodeToString(ref.Sum(nil)); at != want || j.Digest() != want {
-				t.Fatalf("after %d events: DigestAt %s, Digest %s, reference %s", n, at, j.Digest(), want)
+			if at, err := j.digestAt(n); err != nil || at != hex.EncodeToString(ref.Sum(nil)) {
+				t.Fatalf("after %d events: digestAt %s, %v; reference %s", n, at, err, hex.EncodeToString(ref.Sum(nil)))
 			}
 		}
 		clock.now = ev.At
 		j.Record(ev.Batch, ev.Job, ev.Stage, ev.Resource, ev.Detail)
 		refHashEvent(ref, ev)
-	}
-	want := hex.EncodeToString(ref.Sum(nil))
-	full, err := j.DigestAt(len(evs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j.Digest() != want || full != want {
-		t.Fatalf("Digest %s, DigestAt(all) %s, reference %s", j.Digest(), full, want)
+		if want := hex.EncodeToString(ref.Sum(nil)); sums[n] != want || j.Digest() != want {
+			t.Fatalf("after %d events: observer saw digest %s, Digest %s, reference %s", n+1, sums[n], j.Digest(), want)
+		}
 	}
 	if len(observed) != len(evs) {
 		t.Fatalf("observer saw %d of %d events", len(observed), len(evs))
@@ -150,8 +149,8 @@ func TestJournalFramingAllocations(t *testing.T) {
 		t.Errorf("AppendEvent allocates %v per event", n)
 	}
 	h := sha256.New()
-	if n := testing.AllocsPerRun(100, func() { scratch = HashEvent(h, scratch, ev) }); n != 0 {
-		t.Errorf("HashEvent allocates %v per event", n)
+	if n := testing.AllocsPerRun(100, func() { scratch = hashEvent(h, scratch, ev) }); n != 0 {
+		t.Errorf("hashEvent allocates %v per event", n)
 	}
 	// 100 000 events fill 30 chunks (64, 128, …, 4 096, then 4 096 each)
 	// and grow the chunk list six times; nothing else may allocate, and

@@ -27,12 +27,10 @@ import (
 var kinds = [...]Kind{
 	1: KindGenesis,
 	2: KindStage,
-	3: KindEWMA,
-	4: KindBackoff,
-	5: KindWorkunit,
-	6: KindSubmission,
-	7: KindUser,
-	8: KindWorkflow,
+	3: KindSubmission,
+	4: KindUser,
+	5: KindWorkflow,
+	6: KindCheckpoint,
 }
 
 // kindCode returns k's kind byte, 0 when k is not a known Kind.
@@ -82,9 +80,8 @@ func appendRecord(dst []byte, r *Record) []byte {
 	dst = appendString(dst, r.Stage)
 	dst = appendString(dst, r.Resource)
 	dst = appendString(dst, r.Detail)
-	dst = appendFloat(dst, r.Value)
-	dst = binary.AppendVarint(dst, int64(r.Attempt))
-	dst = appendString(dst, r.State)
+	dst = binary.AppendVarint(dst, int64(r.JournalLen))
+	dst = appendString(dst, r.JournalDigest)
 	dst = appendString(dst, r.Origin)
 	dst = appendString(dst, r.Token)
 	dst = appendString(dst, r.Email)
@@ -254,9 +251,8 @@ func decodeRecord(p []byte) (Record, error) {
 	r.Stage = d.str()
 	r.Resource = d.str()
 	r.Detail = d.str()
-	r.Value = d.float()
-	readInt(d, &r.Attempt)
-	r.State = d.str()
+	readInt(d, &r.JournalLen)
+	r.JournalDigest = d.str()
 	r.Origin = d.str()
 	r.Token = d.str()
 	r.Email = d.str()

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"strings"
 	"testing"
 
 	"lattice/internal/workload"
@@ -11,10 +12,10 @@ import (
 // relies on: decoding the record's own encoding gives back the same
 // record, field for field (Comparer).
 func FuzzDecodeRecord(f *testing.F) {
-	recs := makeRecords(8) // genesis, stage, EWMA, submission, workunit
+	recs := makeRecords(8) // genesis, stage, checkpoint, submission
 	recs = append(recs,
-		Record{Seq: 9, At: 13.5, Kind: KindUser, Email: "u@example.edu", Token: "t0k", State: "active"},
-		Record{Seq: 10, At: 14, Kind: KindBackoff, Resource: "pbs-03", Attempt: -2, Value: 60},
+		Record{Seq: 9, At: 13.5, Kind: KindUser, Email: "u@example.edu", Token: "t0k"},
+		Record{Seq: 10, At: 14, Kind: KindCheckpoint, JournalLen: 4096, JournalDigest: strings.Repeat("c0", 32)},
 		Record{Seq: 11, At: 15, Kind: KindWorkflow, Origin: "portal", Pre: true, WF: &workload.Workflow{
 			Name: "standard", UserEmail: "w@example.edu", Seed: -7, Stages: []workload.WorkflowStage{
 				{ID: "search", Replicates: 2, Short: true},

@@ -83,8 +83,8 @@ func stages(n int) []workload.WorkflowStage {
 func TestCodecRoundTripCases(t *testing.T) {
 	cases := map[string]Record{
 		"genesis at zero": {Seq: 1, Kind: KindGenesis, Seed: -42},
-		"at +Inf":         {Seq: 2, At: sim.Time(math.Inf(1)), Kind: KindEWMA, Resource: "r", Value: math.Inf(-1)},
-		"at -Inf":         {Seq: 3, At: sim.Time(math.Inf(-1)), Kind: KindBackoff, Attempt: -1, Value: math.SmallestNonzeroFloat64},
+		"at +Inf":         {Seq: 2, At: sim.Time(math.Inf(1)), Kind: KindCheckpoint, JournalLen: 1 << 40, JournalDigest: strings.Repeat("ab", 32)},
+		"at -Inf":         {Seq: 3, At: sim.Time(math.Inf(-1)), Kind: KindCheckpoint, JournalLen: -1},
 		"empty strings":   {Seq: 4, At: 1, Kind: KindStage},
 		"70 KiB detail":   {Seq: 1 << 40, At: 2, Kind: KindStage, Detail: strings.Repeat("d", 70<<10)},
 		"zero stages":     {Seq: 5, At: 3, Kind: KindWorkflow, Pre: true, WF: &workload.Workflow{Name: "w"}},
@@ -160,8 +160,9 @@ func TestHotPathsAllocateNothing(t *testing.T) {
 	sub := workload.Submission{Replicates: 1, UserEmail: "u00017@example.edu", Spec: workload.JobSpec{SubstModel: "GTR", NumTaxa: 50}}
 	stage := Record{At: 12.5, Kind: KindStage, Batch: "shard0-batch-000017", Job: "shard0-batch-000017-r0000", Stage: "dispatch", Resource: "pbs03"}
 	queued := Record{At: 12.5, Kind: KindSubmission, Origin: "shard0/core", Sub: &sub, Queued: true}
+	checkpoint := Record{At: 12.5, Kind: KindCheckpoint, JournalLen: 4096, JournalDigest: strings.Repeat("5e", 32)}
 	seq := uint64(0)
-	for name, r := range map[string]Record{"stage": stage, "queued submission": queued} {
+	for name, r := range map[string]Record{"stage": stage, "queued submission": queued, "checkpoint": checkpoint} {
 		if n := testing.AllocsPerRun(100, func() {
 			seq++
 			r.Seq = seq
@@ -179,7 +180,7 @@ func TestHotPathsAllocateNothing(t *testing.T) {
 	logged.Sub = &workload.Submission{}
 	*logged.Sub = sub
 	if n := testing.AllocsPerRun(100, func() {
-		if !cmp.Equal(&queued, &logged) || cmp.Equal(&queued, &stage) {
+		if !cmp.Equal(&queued, &logged) || cmp.Equal(&queued, &checkpoint) {
 			t.Fatal("Comparer is wrong")
 		}
 	}); n != 0 {
@@ -192,5 +193,10 @@ func TestHotPathsAllocateNothing(t *testing.T) {
 	logged.Pre, logged.Scheduled = false, true
 	if cmp.Equal(&queued, &logged) {
 		t.Error("records differing only in Scheduled compare equal")
+	}
+	regenerated := checkpoint
+	regenerated.JournalDigest = strings.Repeat("5e", 31) + "5f"
+	if cmp.Equal(&checkpoint, &regenerated) {
+		t.Error("checkpoints differing only in the digest's last byte compare equal")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 
 	"lattice/internal/sim"
 )
@@ -40,12 +41,13 @@ type State struct {
 }
 
 // Inputs returns the full input history in sequence order: the
-// snapshot's accumulated inputs followed by any in the tail — the
-// snapshot's own slice when the tail holds no input, else a copy.
+// snapshot's accumulated inputs followed by any in the tail. Load
+// leaves room for the tail's inputs behind the snapshot's, so the
+// history is built in the snapshot's own array, without a copy.
 func (st *State) Inputs() []Record {
 	var in []Record
 	if st.Snap != nil {
-		in = st.Snap.Inputs[:len(st.Snap.Inputs):len(st.Snap.Inputs)]
+		in = st.Snap.Inputs
 	}
 	for i := range st.Tail {
 		if st.Tail[i].IsInput() {
@@ -82,9 +84,6 @@ func Load(dir string) (*State, error) {
 	st := &State{Snap: snap}
 	var sinceSeq uint64 // skip log records the snapshot already covers
 	if snap != nil {
-		if snap.Inputs, err = readSegment(dir, snap); err != nil {
-			return nil, err
-		}
 		st.Seed = snap.Seed
 		st.LastSeq = snap.Seq
 		st.Watermark = snap.At
@@ -100,7 +99,7 @@ func Load(dir string) (*State, error) {
 			return nil, fmt.Errorf("wal: log has no valid header and no snapshot exists")
 		}
 		st.Torn = st.Torn || len(data) > 0
-		return st, nil
+		return st.withSegment(dir)
 	}
 
 	off := len(magic)
@@ -144,18 +143,39 @@ func Load(dir string) (*State, error) {
 	if snap == nil && len(st.Tail) == 0 {
 		return nil, nil
 	}
+	return st.withSegment(dir)
+}
+
+// withSegment completes a loaded state: the snapshot's inputs come
+// from the segment prefix it covers, with spare capacity for the
+// tail's inputs (see Inputs).
+func (st *State) withSegment(dir string) (*State, error) {
+	if st.Snap == nil {
+		return st, nil
+	}
+	spare := 0
+	for i := range st.Tail {
+		if st.Tail[i].IsInput() {
+			spare++
+		}
+	}
+	var err error
+	if st.Snap.Inputs, err = readSegment(dir, st.Snap, spare); err != nil {
+		return nil, err
+	}
 	return st, nil
 }
 
-// readSegment returns the inputs in the segment prefix snap covers:
+// readSegment returns the inputs in the segment prefix snap covers —
 // exactly snap.InputsLen intact input frames in exactly
-// snap.InputsBytes bytes, with increasing Seq no newer than snap.Seq.
-func readSegment(dir string, snap *Snapshot) ([]Record, error) {
+// snap.InputsBytes bytes, with increasing Seq no newer than snap.Seq —
+// in a slice with room for spare more.
+func readSegment(dir string, snap *Snapshot, spare int) ([]Record, error) {
 	corrupt := func(format string, args ...any) ([]Record, error) {
 		return nil, fmt.Errorf("%w: %s", ErrCorruptSegment, fmt.Sprintf(format, args...))
 	}
 	if snap.InputsLen == 0 && snap.InputsBytes == 0 {
-		return nil, nil
+		return slices.Grow([]Record(nil), spare), nil
 	}
 	if snap.InputsLen < 0 || snap.InputsBytes < 0 {
 		return corrupt("snapshot names a prefix of %d frames in %d bytes", snap.InputsLen, snap.InputsBytes)
@@ -179,7 +199,7 @@ func readSegment(dir string, snap *Snapshot) ([]Record, error) {
 	if _, err := io.ReadFull(f, data); err != nil {
 		return corrupt("%v", err)
 	}
-	inputs := make([]Record, 0, snap.InputsLen)
+	inputs := make([]Record, 0, snap.InputsLen+spare)
 	off, last := 0, uint64(0)
 	for i := 0; i < snap.InputsLen; i++ {
 		r, next, err := decodeFrame(data, off)

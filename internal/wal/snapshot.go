@@ -12,28 +12,25 @@ import (
 // Seq: everything needed to (a) bound log replay and (b) verify that
 // a recovery re-execution reproduced the original run exactly. It
 // deliberately does not try to serialize live machine state — event
-// closures, heaps, open batches — because the simulation is
-// deterministic: Seed plus the inputs regenerate all of that, and the
-// aggregates here are the cross-check. The inputs are not in the
-// snapshot file: they live, once, in the input segment, and the
-// snapshot names the prefix of it that it covers — so a snapshot is a
-// few hundred bytes however long the run.
+// closures, heaps, open batches, learned estimates — because the
+// simulation is deterministic: Seed plus the inputs regenerate all of
+// that, and the latest journal checkpoint here is the cross-check. The
+// inputs are not in the snapshot file: they live, once, in the input
+// segment, and the snapshot names the prefix of it that it covers — so
+// a snapshot is a few hundred bytes however long the run.
 type Snapshot struct {
 	Version int      `json:"version"`
 	Seq     uint64   `json:"seq"`
 	At      sim.Time `json:"at"`
 	Seed    int64    `json:"seed"`
 
-	// JournalLen and JournalDigest fingerprint the obs journal prefix
-	// covered by this snapshot: the SHA-256 over the first JournalLen
-	// events, in the journal's own framing.
+	// JournalLen and JournalDigest are the latest checkpoint at or
+	// before Seq: the SHA-256 over the obs journal's first JournalLen
+	// events, in the journal's own framing (0 and empty before the
+	// first checkpoint).
 	JournalLen    int    `json:"journal_len"`
 	JournalDigest string `json:"journal_digest"`
 
-	// Stability holds the learned per-resource stability EWMAs.
-	Stability map[string]float64 `json:"stability,omitempty"`
-	// Boinc counts workunit state transitions seen so far, by state.
-	Boinc map[string]int `json:"boinc,omitempty"`
 	// Users maps portal tokens to registered email addresses.
 	Users map[string]string `json:"users,omitempty"`
 
@@ -53,8 +50,10 @@ type Snapshot struct {
 }
 
 // snapshotVersion is the current Snapshot schema version: 2 moved the
-// inputs out of the snapshot into the segment.
-const snapshotVersion = 2
+// inputs out of the snapshot into the segment, 3 dropped the effect
+// aggregates (stability EWMAs, workunit counts) and made the journal
+// fingerprint the latest checkpoint.
+const snapshotVersion = 3
 
 // writeSnapshot persists snap atomically (temp file + rename, fsync
 // before rename) so a crash mid-write always leaves either the old or

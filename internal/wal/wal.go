@@ -1,20 +1,22 @@
 // Package wal is the coordinator's crash-consistent durability layer:
 // an append-only, length-prefixed, checksummed write-ahead log, an
 // append-only segment holding every input frame since genesis, and
-// periodic atomic snapshots. The log records every state transition
-// the coordinator makes — obs journal stages, learned per-resource
-// stability EWMAs, submit-retry backoffs, BOINC workunit state — and,
-// crucially, the *inputs* that caused them (submissions, portal user
-// registrations). Because the simulation is deterministic per seed,
-// inputs plus seed are sufficient to reconstruct the full machine
-// state: recovery re-executes the run from genesis, re-injecting each
-// input at its recorded virtual time, and verifies the regenerated
-// record stream against the log byte-for-byte. Snapshots bound how
-// much log must be read and verified, and truncate the log so its
-// size stays proportional to work since the last snapshot. A snapshot
-// holds aggregates and the length of the input-segment prefix it
-// covers, never the inputs themselves, so writing one costs the same
-// however long the run has been going.
+// periodic atomic snapshots. The log holds causes, not effects: the
+// seed (genesis), every input that entered the coordinator —
+// submissions, workflows, portal user registrations — and checkpoints
+// of the obs journal's own running digest. Because the simulation is
+// deterministic per seed, inputs plus seed are sufficient to
+// reconstruct the full machine state: recovery re-executes the run from
+// genesis, re-injecting each input at its recorded virtual time, and
+// checks the regenerated inputs and checkpoints against the log
+// byte-for-byte. A checkpoint fingerprints every journal event up to
+// it, so the lifecycle transitions the journal records need no record
+// of their own. Snapshots bound how much log must be read and verified,
+// and truncate the log so its size stays proportional to work since
+// the last snapshot. A snapshot holds the latest checkpoint, the portal
+// accounts and the length of the input-segment prefix it covers, never
+// the inputs themselves, so writing one costs the same however long
+// the run has been going.
 //
 // The package depends only on the standard library plus the sim and
 // workload value types; it knows nothing about the components that
@@ -22,9 +24,11 @@
 package wal
 
 import (
+	"bufio"
 	"cmp"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -39,15 +43,16 @@ const (
 	// KindGenesis is the first record of every log: the seed the whole
 	// deterministic run derives from.
 	KindGenesis Kind = "genesis"
-	// KindStage mirrors one obs journal event (submit, validate,
-	// place, dispatch, requeue, reissue, quorum, terminal, ...).
+	// KindStage carries one obs journal event (submit, validate,
+	// place, dispatch, ...). The coordinator never logs one — a
+	// checkpoint covers the journal — but the kind stays readable for
+	// tools that log journal events of their own, such as the
+	// benchmark's append probe.
 	KindStage Kind = "stage"
-	// KindEWMA records a learned per-resource stability estimate.
-	KindEWMA Kind = "ewma"
-	// KindBackoff records a submit-retry backoff decision.
-	KindBackoff Kind = "backoff"
-	// KindWorkunit records a BOINC workunit/result state transition.
-	KindWorkunit Kind = "workunit"
+	// KindCheckpoint fingerprints the obs journal: its length and the
+	// journal's own running digest over that many events. Recovery
+	// regenerates it and compares; nothing is applied from it.
+	KindCheckpoint Kind = "checkpoint"
 	// KindSubmission is an input: a batch submission entering the
 	// coordinator (origin "service", "portal" or "core").
 	KindSubmission Kind = "submission"
@@ -76,13 +81,10 @@ type Record struct {
 	Resource string `json:"resource,omitempty"`
 	Detail   string `json:"detail,omitempty"`
 
-	// KindEWMA stability value or KindBackoff delay in seconds.
-	Value float64 `json:"value,omitempty"`
-	// KindBackoff attempt count.
-	Attempt int `json:"attempt,omitempty"`
-	// KindWorkunit state (created, issued, timeout, failed, returned,
-	// late, done).
-	State string `json:"state,omitempty"`
+	// KindCheckpoint payload: the journal's length and its hex SHA-256
+	// over those events, in the journal's own framing.
+	JournalLen    int    `json:"journal_len,omitempty"`
+	JournalDigest string `json:"journal_digest,omitempty"`
 
 	// KindSubmission payload.
 	Origin string               `json:"origin,omitempty"`
@@ -114,7 +116,7 @@ type Record struct {
 }
 
 // IsInput reports whether the record is an external input that
-// recovery must re-inject (as opposed to a transition that
+// recovery must re-inject (as opposed to a checkpoint, which
 // re-execution regenerates on its own).
 func (r *Record) IsInput() bool {
 	return r.Kind == KindSubmission || r.Kind == KindUser || r.Kind == KindWorkflow
@@ -138,7 +140,7 @@ const DefaultSnapshotEvery = 4096
 // incompatible framing or record-encoding change; Load refuses every
 // other version (a durable directory belongs to one run of one build,
 // so there is no migration).
-var magic = []byte("LATWAL03")
+var magic = []byte("LATWAL04")
 
 // frameHeaderSize is the per-record framing overhead: uint32 LE
 // payload length followed by uint32 LE CRC32 (IEEE) of the payload.
@@ -215,17 +217,21 @@ func Reset(dir string, snap Snapshot, opts Options) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	var frames []byte
-	for i := snap.InputsLen; i < len(snap.Inputs); i++ {
-		frames = appendFrame(frames, &snap.Inputs[i])
-	}
 	seg, err := os.OpenFile(SegmentPath(dir), os.O_CREATE|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: opening input segment: %w", err)
 	}
-	_, err = seg.WriteAt(frames, snap.InputsBytes)
-	snap.InputsLen, snap.InputsBytes = len(snap.Inputs), snap.InputsBytes+int64(len(frames))
-	if err = errors.Join(err, seg.Truncate(snap.InputsBytes), seg.Sync(), seg.Close()); err != nil {
+	// One frame buffer, streamed: the inputs past the prefix can be a
+	// snapshot interval's worth.
+	w := bufio.NewWriter(io.NewOffsetWriter(seg, snap.InputsBytes))
+	var frame []byte
+	for i := snap.InputsLen; i < len(snap.Inputs); i++ {
+		frame = appendFrame(frame[:0], &snap.Inputs[i])
+		w.Write(frame) // a failed write sticks in w; Flush reports it
+		snap.InputsBytes += int64(len(frame))
+	}
+	snap.InputsLen = len(snap.Inputs)
+	if err = errors.Join(w.Flush(), seg.Truncate(snap.InputsBytes), seg.Sync(), seg.Close()); err != nil {
 		return nil, fmt.Errorf("wal: writing input segment: %w", err)
 	}
 	if err := writeSnapshot(dir, snap); err != nil {

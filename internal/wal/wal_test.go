@@ -105,15 +105,12 @@ func makeRecords(n int) []Record {
 			r = Record{Seq: uint64(i), At: at, Kind: KindStage,
 				Batch: "batch-000001", Job: fmt.Sprintf("j-%04d", i),
 				Stage: "dispatch", Resource: "cluster-a", Detail: "ok"}
-		case 1:
-			r = Record{Seq: uint64(i), At: at, Kind: KindEWMA,
-				Resource: "cluster-a", Value: 0.25 * float64(i%3+1)}
 		case 2:
 			r = Record{Seq: uint64(i), At: at, Kind: KindSubmission,
 				Origin: "service", Sub: &workload.Submission{Replicates: i, UserEmail: "w@example.edu"}}
 		default:
-			r = Record{Seq: uint64(i), At: at, Kind: KindWorkunit,
-				Job: fmt.Sprintf("j-%04d", i), State: "issued", Detail: "issue 1"}
+			r = Record{Seq: uint64(i), At: at, Kind: KindCheckpoint,
+				JournalLen: 64 * i, JournalDigest: fmt.Sprintf("%064x", i)}
 		}
 		recs = append(recs, r)
 	}
@@ -258,7 +255,7 @@ func TestSequenceGapFatal(t *testing.T) {
 		t.Fatal(err)
 	}
 	lg.Append(Record{Seq: 1, Kind: KindGenesis, Seed: 7})
-	lg.Append(Record{Seq: 3, Kind: KindEWMA, Resource: "r", Value: 0.5})
+	lg.Append(Record{Seq: 3, Kind: KindCheckpoint, JournalLen: 64, JournalDigest: strings.Repeat("0", 64)})
 	if err := lg.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +386,7 @@ func TestAutoSnapshot(t *testing.T) {
 	var last Record
 	lg.SetSnapshotSource(func() Snapshot {
 		return Snapshot{Seq: last.Seq, At: last.At, Seed: 42, JournalLen: int(last.Seq), JournalDigest: strings.Repeat("f", 64),
-			Stability: map[string]float64{"cluster-a": 0.75}}
+			Users: map[string]string{"tok": "u@example.edu"}}
 	})
 	var sinceRotation, covered int64
 	rotations := 0
@@ -425,7 +422,7 @@ func TestAutoSnapshot(t *testing.T) {
 		at := sim.Time(float64(i) * 0.5)
 		appendOne(Record{At: at, Kind: KindSubmission, Origin: "service", Queued: i%2 == 0,
 			Sub: &workload.Submission{Replicates: 1 + i%2000, UserEmail: fmt.Sprintf("u%05d@example.edu", i)}})
-		appendOne(Record{At: at, Kind: KindStage, Batch: "b", Job: fmt.Sprintf("j-%05d", i), Stage: "submit"})
+		appendOne(Record{At: at, Kind: KindCheckpoint, JournalLen: 64 * i, JournalDigest: fmt.Sprintf("%064x", i)})
 	}
 	if err := lg.Close(); err != nil {
 		t.Fatal(err)
@@ -443,7 +440,7 @@ func TestAutoSnapshot(t *testing.T) {
 		t.Fatalf("snapshot at %d, %d tail records up to %d; want snapshot at %d, tail up to %d",
 			st.Snap.Seq, len(st.Tail), st.LastSeq, wantSeq, last.Seq)
 	}
-	if st.Seed != 42 || st.Snap.Stability["cluster-a"] != 0.75 {
+	if st.Seed != 42 || st.Snap.Users["tok"] != "u@example.edu" || st.Snap.JournalDigest != strings.Repeat("f", 64) {
 		t.Fatalf("seed %d, snapshot %+v", st.Seed, st.Snap)
 	}
 	all := st.Inputs()
@@ -534,17 +531,18 @@ func TestSplicedSnapshotRefused(t *testing.T) {
 }
 
 // TestOlderFormatRefused: a directory written by an older build — the
-// JSON-frame one, or the binary one whose records had no due time —
-// fails to load with an error naming both versions.
+// JSON-frame one, the binary one whose records had no due time, or the
+// one that logged every journal event and learned estimate beside the
+// inputs — fails to load with an error naming both versions.
 func TestOlderFormatRefused(t *testing.T) {
-	for _, old := range []string{"LATWAL01", "LATWAL02"} {
+	for _, old := range []string{"LATWAL01", "LATWAL02", "LATWAL03"} {
 		dir := t.TempDir()
 		if err := os.WriteFile(LogPath(dir), []byte(old+"\x10\x00\x00\x00"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		_, err := Load(dir)
-		if err == nil || !strings.Contains(err.Error(), old) || !strings.Contains(err.Error(), "LATWAL03") {
-			t.Fatalf("got %v, want an error naming %s and LATWAL03", err, old)
+		if err == nil || !strings.Contains(err.Error(), old) || !strings.Contains(err.Error(), "LATWAL04") {
+			t.Fatalf("got %v, want an error naming %s and LATWAL04", err, old)
 		}
 	}
 }
@@ -557,7 +555,7 @@ func TestResetReplacesState(t *testing.T) {
 	dir := t.TempDir()
 	appendRotating(t, dir, makeRecords(15), 4) // segment now holds inputs 2, 6, 10, 14
 	history := mustLoad(t, dir).Inputs()[:3]   // recovery verified up to seq 12, say
-	snap := Snapshot{Seq: 12, At: 18, Seed: 42, Stability: map[string]float64{"a": 0.5}, Inputs: history}
+	snap := Snapshot{Seq: 12, At: 18, Seed: 42, Users: map[string]string{"a": "a@example.edu"}, Inputs: history}
 	lg, err := Reset(dir, snap, Options{})
 	if err != nil {
 		t.Fatalf("Reset: %v", err)
@@ -569,7 +567,7 @@ func TestResetReplacesState(t *testing.T) {
 	if got, err := os.ReadFile(SegmentPath(dir)); err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("republished segment is %d bytes (%v), want the %d bytes of inputs 2, 6, 10", len(got), err, len(want))
 	}
-	lg.Append(Record{Seq: 13, At: 19, Kind: KindEWMA, Resource: "a", Value: 0.6})
+	lg.Append(Record{Seq: 13, At: 19, Kind: KindCheckpoint, JournalLen: 640, JournalDigest: strings.Repeat("a", 64)})
 	next := Record{Seq: 14, At: 20, Kind: KindUser, Token: "tok", Email: "n@example.edu"}
 	lg.Append(next)
 	if err := lg.Close(); err != nil {
@@ -579,8 +577,8 @@ func TestResetReplacesState(t *testing.T) {
 		t.Fatalf("segment after the reset log took an input: %d bytes (%v)", len(got), err)
 	}
 	st := mustLoad(t, dir)
-	if st.Snap.Seq != 12 || st.Snap.Stability["a"] != 0.5 || st.Snap.InputsLen != 3 || st.Snap.InputsBytes != int64(len(want)) {
-		t.Fatalf("snapshot %+v, want seq 12 over 3 inputs, stability preserved", st.Snap)
+	if st.Snap.Seq != 12 || st.Snap.Users["a"] != "a@example.edu" || st.Snap.InputsLen != 3 || st.Snap.InputsBytes != int64(len(want)) {
+		t.Fatalf("snapshot %+v, want seq 12 over 3 inputs, accounts preserved", st.Snap)
 	}
 	if !reflect.DeepEqual(st.Snap.Inputs, history) {
 		t.Fatalf("snapshot inputs %v, want %v", seqs(st.Snap.Inputs), seqs(history))
@@ -704,7 +702,7 @@ func TestStickyError(t *testing.T) {
 	if err := lg.f.Close(); err != nil { // yank the file out from under the log
 		t.Fatal(err)
 	}
-	lg.Append(Record{Seq: 2, At: 1, Kind: KindEWMA, Resource: "r", Value: 0.1})
+	lg.Append(Record{Seq: 2, At: 1, Kind: KindCheckpoint, JournalLen: 64})
 	if lg.Err() == nil {
 		t.Fatal("write to closed file did not stick")
 	}
@@ -728,9 +726,9 @@ func TestStickySegmentError(t *testing.T) {
 	if err := lg.seg.Close(); err != nil { // yank the segment out from under the log
 		t.Fatal(err)
 	}
-	lg.Append(Record{Seq: 3, At: 1, Kind: KindEWMA, Resource: "r", Value: 0.1})
+	lg.Append(Record{Seq: 3, At: 1, Kind: KindCheckpoint, JournalLen: 64})
 	if err := lg.Err(); err != nil {
-		t.Fatalf("a transition record touched the segment: %v", err)
+		t.Fatalf("a checkpoint touched the segment: %v", err)
 	}
 	lg.Append(Record{Seq: 4, At: 2, Kind: KindUser, Token: "t", Email: "e@example.edu"})
 	if err := lg.Err(); err == nil || !strings.Contains(err.Error(), "segment") {
@@ -744,7 +742,7 @@ func TestStickySegmentError(t *testing.T) {
 		return fi.Size()
 	}
 	before := size()
-	lg.Append(Record{Seq: 5, At: 3, Kind: KindEWMA, Resource: "r", Value: 0.2})
+	lg.Append(Record{Seq: 5, At: 3, Kind: KindCheckpoint, JournalLen: 128})
 	if size() != before {
 		t.Fatal("Append wrote after the error stuck")
 	}
