@@ -57,7 +57,7 @@ func run() error {
 		train       = flag.Int("train", 150, "runtime-model training jobs")
 		smoke       = flag.Bool("smoke", false, "boot, run a small workload, self-scrape /metrics, and exit")
 		withFaults  = flag.Bool("faults", false, "run under the default hostile fault schedule (outages, flaps, churn, lost results)")
-		durable     = flag.String("durable", "", "directory for crash-consistent state (WAL + snapshots); on boot, existing state there is recovered")
+		durable     = flag.String("durable", "", "directory for crash-consistent state (one append-only log, wal.log); on boot, existing state there is recovered by replay from genesis")
 		workflow    = flag.Bool("workflow", false, "submit the four-stage standard-analysis demo workflow at boot; watch it at /workflow/<id>")
 		shards      = flag.Int("shards", 1, "coordinator shard count; above 1 boots a sharded cluster behind a deterministic front router")
 		share       = flag.String("share", "partition", "grid sharing mode under -shards: partition (static split) or lease (rotating leases)")
@@ -170,8 +170,8 @@ func reportRecovery(dir string, rep *core.RecoveryReport) bool {
 	if rep == nil {
 		return false
 	}
-	fmt.Printf("recovered from %s: %d records verified (snapshot at seq %d, %d log records, %d inputs replayed), resumed at t=%.0fs",
-		dir, rep.Records, rep.SnapshotSeq, rep.TailRecords, rep.Inputs, float64(rep.Watermark))
+	fmt.Printf("recovered from %s: %d records verified (%d inputs replayed from genesis), resumed at t=%.0fs",
+		dir, rep.Records, rep.Inputs, float64(rep.Watermark))
 	if rep.TornTail {
 		fmt.Print(" — torn final log record dropped")
 	}

@@ -241,8 +241,8 @@ func (c *Cluster) RecoverShard(k int) (*RecoveryReport, error) {
 	if c.cfg.DurableRoot == "" {
 		return nil, fmt.Errorf("core: cluster has no durable root; shard %d cannot be recovered", k)
 	}
-	dir := filepath.Join(c.cfg.DurableRoot, fmt.Sprintf("shard%d", k))
-	l, err := Recover(dir, c.shardConfig(k))
+	cfg := c.shardConfig(k)
+	l, err := Recover(cfg.Durable, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: recovering shard %d: %w", k, err)
 	}

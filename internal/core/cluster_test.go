@@ -9,6 +9,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -426,9 +429,10 @@ func TestClusterShardCrashRecoversLocally(t *testing.T) {
 	runClusterToDone(t, twin, sim.Time(10*sim.Day))
 
 	// Durable run: killed, then recovered shard-locally.
+	root := t.TempDir()
 	c, err := NewCluster(ClusterConfig{
 		Shards: 2, Base: base, ShardFaults: shardFaults,
-		DurableRoot: t.TempDir(),
+		DurableRoot: root,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -457,6 +461,28 @@ func TestClusterShardCrashRecoversLocally(t *testing.T) {
 	}
 	runClusterToDone(t, c, sim.Time(10*sim.Day))
 	checkConservation(t, c)
+
+	// A durable directory is one log, plus the artifacts a download
+	// published.
+	id := c.Shards[crashShard].Service.Batches()[0]
+	rec := httptest.NewRecorder()
+	c.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/batch/"+id+"/download", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("download of %s: %d %s", id, rec.Code, rec.Body)
+	}
+	for k, want := range map[int][]string{crashShard: {"artifacts", "wal.log"}, 1 - crashShard: {"wal.log"}} {
+		entries, err := os.ReadDir(filepath.Join(root, fmt.Sprintf("shard%d", k)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, e := range entries {
+			got = append(got, e.Name())
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("shard %d directory holds %v, want %v", k, got, want)
+		}
+	}
 
 	want := twin.ShardDigests()
 	got := c.ShardDigests()

@@ -21,13 +21,12 @@ import (
 // crashedRun drives the recovery scenario into its 4-hour kill and
 // returns the abandoned durable directory with the config that wrote
 // it.
-func crashedRun(t *testing.T, seed int64, snapshotEvery int) (string, Config) {
+func crashedRun(t *testing.T, seed int64) (string, Config) {
 	t.Helper()
 	dir := t.TempDir() + "/wal"
 	cfg := recoverConfig(seed)
 	cfg.Faults = crashingSchedule(sim.Time(4 * sim.Hour))
 	cfg.Durable = dir
-	cfg.WAL.SnapshotEvery = snapshotEvery
 	lat, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -94,13 +93,13 @@ func divergedAt(t *testing.T, err error) uint64 {
 
 // logHeader is the length of the log's format header, where its first
 // frame starts.
-const logHeader = len("LATWAL04")
+const logHeader = len("LATWAL05")
 
 // TestRecoverCheckpointDigestDivergence: one byte of one checkpoint's
 // journal digest changed behind a valid checksum is caught at that
 // record, named with the journal events it covers, both digests shown.
 func TestRecoverCheckpointDigestDivergence(t *testing.T) {
-	dir, cfg := crashedRun(t, 11, 0)
+	dir, cfg := crashedRun(t, 11)
 	st, err := wal.Load(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -138,28 +137,45 @@ func TestRecoverCheckpointDigestDivergence(t *testing.T) {
 	}
 }
 
-// TestRecoverInputSeqDivergence: an input in the segment that claims
-// the wrong position is caught when that input is regenerated — the
-// rebuild does not run on to the snapshot with a mis-placed input.
+// TestRecoverInputSeqDivergence: an input the log holds one position
+// late — swapped with the record after it — is caught where the input
+// is regenerated, at its true position, not run past.
 func TestRecoverInputSeqDivergence(t *testing.T) {
-	dir, cfg := crashedRun(t, 11, 16)
+	dir, cfg := crashedRun(t, 11)
 	st, err := wal.Load(dir)
-	if err != nil || st.Snap == nil || len(st.Snap.Inputs) == 0 {
-		t.Fatalf("fixture has no input under a snapshot: %+v, %v", st, err)
+	if err != nil {
+		t.Fatal(err)
 	}
-	seq := st.Snap.Inputs[0].Seq
-	if seq >= 0x7f {
-		t.Fatalf("first input has seq %d; the one-byte edit below needs a small one", seq)
+	recs := st.Tail
+	i := 0
+	for i+1 < len(recs) && !(recs[i].IsInput() && !recs[i+1].IsInput()) {
+		i++
 	}
-	editFrame(t, wal.SegmentPath(dir), 0, "recover@example.edu", func(p []byte) {
-		p[1]++ // kind byte, then Seq as a varint
-	})
+	if i+1 == len(recs) {
+		t.Fatal("the log holds no input followed by a checkpoint")
+	}
+	seq := recs[i].Seq
+	recs[i], recs[i+1] = recs[i+1], recs[i]
+	recs[i].Seq, recs[i+1].Seq = seq, seq+1
+	if err := os.Remove(wal.LogPath(dir)); err != nil {
+		t.Fatal(err)
+	}
+	lg, err := wal.Create(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		lg.Append(r)
+	}
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
+	}
 	_, err = Recover(dir, cfg)
 	if got := divergedAt(t, err); got != seq {
 		t.Fatalf("diverged at record %d, want the input at %d: %v", got, seq, err)
 	}
-	if !strings.Contains(err.Error(), fmt.Sprintf(`log holds {"seq":%d,`, seq+1)) {
-		t.Fatalf("error does not show the shifted input: %v", err)
+	if !strings.Contains(err.Error(), fmt.Sprintf(`log holds {"seq":%d,`, seq)) || !strings.Contains(err.Error(), `"kind":"checkpoint"`) {
+		t.Fatalf("error does not show the checkpoint the log holds in the input's place: %v", err)
 	}
 }
 
@@ -167,7 +183,7 @@ func TestRecoverInputSeqDivergence(t *testing.T) {
 // cluster short fails at the first record that differs, not after
 // regenerating the whole history.
 func TestRecoverConfigDriftStopsEarly(t *testing.T) {
-	dir, cfg := crashedRun(t, 11, 0)
+	dir, cfg := crashedRun(t, 11)
 	st, err := wal.Load(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +232,7 @@ func TestRebuildEmitRetainsNothing(t *testing.T) {
 			JournalLen: (i + 1) * checkpointEvery, JournalDigest: hex.EncodeToString(h.Sum(nil))}
 	}
 	tail[n-1].JournalDigest = strings.Repeat("0", 64) // only the log says this
-	rec := newRecorder(eng, 1, &rebuild{tail: tail, lastSeq: n})
+	rec := newRecorder(eng, 1, &rebuild{log: tail})
 	live := sha256.New()
 	i := 0
 	checkpoint := func() {

@@ -4,7 +4,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
-	"maps"
 	"sync"
 
 	"lattice/internal/gsbl"
@@ -23,28 +22,23 @@ const checkpointEvery = 64
 // the write-ahead log. It logs causes, not effects: it implements the
 // narrow Durability interfaces of gsbl, dag and portal, which hand it
 // the inputs, and observes the obs journal, whose own running digest it
-// checkpoints. It owns record sequence numbering and keeps what
-// snapshots capture — the latest checkpoint and the portal accounts —
-// from its own bookkeeping, never by calling back into the components
-// (hook methods run under component locks, so re-entry would
-// deadlock).
+// checkpoints. It owns record sequence numbering and never calls back
+// into the components (hook methods run under component locks, so
+// re-entry would deadlock).
 //
 // The same type serves both modes: live (log attached, every record
 // appended) and rebuild (during Recover: every regenerated record
-// checked against the durable history as it is emitted, nothing
-// retained per record, with the engine stopped once the durable
-// frontier is regenerated or the first record diverges).
+// checked against the log record of its Seq as it is emitted, with the
+// engine stopped once the durable frontier is regenerated or the first
+// record diverges).
 type recorder struct {
 	mu   sync.Mutex
 	eng  *sim.Engine
 	seed int64
 	log  *wal.Log // nil while rebuilding
 
-	// Snapshot state, updated record by record.
-	count         uint64
-	journalLen    int // the latest checkpoint
-	journalDigest string
-	users         map[string]string
+	count      uint64
+	journalLen int // the latest checkpoint's
 	// sum and hex are the checkpoint digest's buffers, reused.
 	sum, hex []byte
 
@@ -57,42 +51,42 @@ type recorder struct {
 	notPre bool
 }
 
-// rebuild is what a recovering recorder verifies against: the durable
-// history wal.Load returned, consumed in step with the regenerated
-// stream.
+// rebuild is what a recovering recorder verifies against: the log
+// wal.Load returned, consumed in step with the regenerated stream.
 type rebuild struct {
-	// inputs is the loaded input history in sequence order; next
-	// indexes the one the rebuild must regenerate next. Comparing each
-	// regenerated input against it field for field — Seq, At, Pre and
-	// Queued included — is what catches an input replay mis-positioned.
-	// An input regenerated past the durable frontier was never durable
-	// and is appended, so inputs ends as the history Reset publishes.
-	inputs []wal.Record
-	next   int
-	// tail holds the durable records past snapSeq, dense up to lastSeq;
-	// the rebuild stops once it has regenerated lastSeq.
-	tail             []wal.Record
-	snapSeq, lastSeq uint64
-	cmp              wal.Comparer
-	// captured is the snapshot state at snapSeq, for snapshotsEqual.
-	captured *wal.Snapshot
+	// log holds every durable record since genesis; log[i] has Seq
+	// i+1. Comparing each regenerated record with the one of its Seq —
+	// inputs field for field, Pre and Queued included — is what catches
+	// an input replay mis-positioned, and names a diverging checkpoint
+	// wherever it falls. The rebuild stops once it has regenerated the
+	// last one.
+	log []wal.Record
+	cmp wal.Comparer
+	// past holds the records regenerated beyond the log before the
+	// engine stopped. They were never durable; Recover appends them
+	// when it reopens the log, so sequence numbers stay dense.
+	past []wal.Record
 	// err is the first divergence; it stops the engine.
 	err error
 }
 
 func newRecorder(eng *sim.Engine, seed int64, rb *rebuild) *recorder {
-	return &recorder{eng: eng, seed: seed, rb: rb, users: make(map[string]string)}
+	return &recorder{eng: eng, seed: seed, rb: rb}
 }
 
-// attachLog connects the recorder to a live log and registers the
-// snapshot source. The source callback runs inside Log.Append — i.e.
-// inside emit, with rec.mu already held — so it must use the unlocked
-// snapshot form.
+// attachLog connects the recorder to a live log. Coming out of a
+// rebuild, it first appends the records regenerated past the durable
+// frontier; a failed append sticks in lg.
 func (rec *recorder) attachLog(lg *wal.Log) {
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
+	if rec.rb != nil {
+		for _, r := range rec.rb.past {
+			lg.Append(r)
+		}
+		rec.rb = nil
+	}
 	rec.log = lg
-	lg.SetSnapshotSource(rec.snapshotLocked)
 }
 
 // begin emits the genesis record (sequence 1).
@@ -102,76 +96,52 @@ func (rec *recorder) begin() {
 	rec.emit(wal.Record{Kind: wal.KindGenesis, Seed: rec.seed})
 }
 
-// emit assigns the next sequence number, folds the record into the
-// snapshot state, and forwards it to the log (live) or checks it
-// against the durable history (rebuild). Callers hold rec.mu.
+// emit assigns the next sequence number and forwards the record to the
+// log (live) or checks it against the log (rebuild). Callers hold
+// rec.mu.
 func (rec *recorder) emit(r wal.Record) {
 	rec.count++
 	r.Seq = rec.count
 	from := rec.journalLen // the events a checkpoint covers start past here
-	switch r.Kind {
-	case wal.KindCheckpoint:
-		rec.journalLen, rec.journalDigest = r.JournalLen, r.JournalDigest
-	case wal.KindUser:
-		rec.users[r.Token] = r.Email
+	if r.Kind == wal.KindCheckpoint {
+		rec.journalLen = r.JournalLen
 	}
 	if rec.log != nil {
 		rec.log.Append(r)
 	}
 	if rb := rec.rb; rb != nil {
 		rb.verify(&r, from)
-		if rec.count == rb.snapSeq {
-			s := rec.snapshotLocked()
-			s.InputsLen = rb.next
-			rb.captured = &s
-		}
-		if rb.err != nil || rec.count >= rb.lastSeq {
+		if rb.err != nil || rec.count >= uint64(len(rb.log)) {
 			// The durable frontier is regenerated (or can no longer
 			// be); halt the rebuild at the next handler boundary.
-			// Records emitted between here and the actual stop were
-			// never durable, but the fresh post-recovery snapshot
-			// captures them, so nothing is lost or doubled.
 			rec.eng.Stop()
 		}
 	}
 }
 
-// verify checks one regenerated record against the durable history:
-// an input against the next input the log holds, any record past the
-// snapshot against the tail entry of its Seq. from is the journal
-// length of the checkpoint before r, for naming the events a diverging
-// checkpoint covers. The first mismatch is kept and every later record
-// ignored.
+// verify checks one regenerated record against the log record of its
+// Seq, or keeps it for the reopened log when it is past the frontier.
+// from is the journal length of the checkpoint before r, for naming
+// the events a diverging checkpoint covers. The first mismatch is kept
+// and every later record ignored.
 func (rb *rebuild) verify(r *wal.Record, from int) {
 	if rb.err != nil {
 		return
 	}
-	if r.IsInput() {
-		switch {
-		case rb.next < len(rb.inputs):
-			rb.compare(r, &rb.inputs[rb.next], from)
-			rb.next++
-		case r.Seq > rb.lastSeq:
-			rb.inputs = append(rb.inputs, *r)
-			rb.next++
-		default:
-			got := *r
-			rb.err = fmt.Errorf("core: recovery diverged at record %d: regenerated input %s, the log holds no further input",
-				r.Seq, mustJSON(got))
-		}
-	}
 	if want := rb.logged(r.Seq); want != nil {
 		rb.compare(r, want, from)
+	} else {
+		rb.past = append(rb.past, *r)
 	}
 }
 
-// logged returns the log tail's record of sequence seq, nil when seq is
-// not past the snapshot or not durable (or there is no rebuild).
+// logged returns the log's record of sequence seq, nil when seq is past
+// the durable frontier (or there is no rebuild).
 func (rb *rebuild) logged(seq uint64) *wal.Record {
-	if rb == nil || seq <= rb.snapSeq || seq > rb.lastSeq {
+	if rb == nil || seq > uint64(len(rb.log)) {
 		return nil
 	}
-	return &rb.tail[seq-rb.snapSeq-1]
+	return &rb.log[seq-1]
 }
 
 // compare records a divergence unless got and want are equal field
@@ -190,26 +160,6 @@ func (rb *rebuild) compare(got, want *wal.Record, from int) {
 	}
 	rb.err = fmt.Errorf("core: recovery diverged at record %d%s: regenerated %s, log holds %s",
 		g.Seq, what, mustJSON(g), mustJSON(want))
-}
-
-// snapshotLocked captures the snapshot state as a wal.Snapshot.
-// Callers hold rec.mu.
-func (rec *recorder) snapshotLocked() wal.Snapshot {
-	return wal.Snapshot{
-		Seq:           rec.count,
-		At:            rec.eng.Now(),
-		Seed:          rec.seed,
-		JournalLen:    rec.journalLen,
-		JournalDigest: rec.journalDigest,
-		Users:         maps.Clone(rec.users),
-	}
-}
-
-// snapshot is the locking wrapper around snapshotLocked.
-func (rec *recorder) snapshot() wal.Snapshot {
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	return rec.snapshotLocked()
 }
 
 // diverged returns the rebuild's first divergence, nil while the
@@ -232,16 +182,6 @@ func (rec *recorder) setNotPre(on bool) {
 // originally arrived later. Callers hold rec.mu.
 func (rec *recorder) isPre() bool {
 	return rec.eng.Steps() == 0 && !rec.notPre
-}
-
-// endRebuild hands over the verified input history and returns the
-// recorder to live mode.
-func (rec *recorder) endRebuild() []wal.Record {
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	inputs := rec.rb.inputs
-	rec.rb = nil
-	return inputs
 }
 
 // observe is the journal observer, called under the journal lock after

@@ -104,13 +104,12 @@ type Config struct {
 	ResourceWrap func(eng *sim.Engine, name string, inner lrm.LRM) lrm.LRM
 	// Durable, when non-empty, is a directory for crash-consistent
 	// state: every input, and checkpoints of the journal's digest, are
-	// appended to a write-ahead log there (see internal/wal), periodic
-	// snapshots bound replay, and core.Recover resumes a killed
-	// deployment mid-batch. Empty disables durability entirely — no recorder, no
-	// extra RNG draws, bit-identical to pre-durability builds.
+	// appended to a write-ahead log there (see internal/wal), and
+	// core.Recover resumes a killed deployment mid-batch by
+	// re-executing from genesis. Empty disables durability entirely —
+	// no recorder, no extra RNG draws, bit-identical to pre-durability
+	// builds.
 	Durable string
-	// WAL tunes the write-ahead log when Durable is set.
-	WAL wal.Options
 }
 
 // DefaultConfig builds the paper's federation: four Condor pools, four
@@ -213,7 +212,7 @@ func New(cfg Config) (*Lattice, error) {
 		return nil, err
 	}
 	if l.rec != nil {
-		lg, err := wal.Create(cfg.Durable, cfg.WAL)
+		lg, err := wal.Create(cfg.Durable, wal.Options{})
 		if err != nil {
 			return nil, err
 		}

@@ -12,11 +12,6 @@ import (
 
 // RecoveryReport summarizes what Recover rebuilt.
 type RecoveryReport struct {
-	// SnapshotSeq is the snapshot the rebuild verified against (0 when
-	// the run crashed before its first snapshot).
-	SnapshotSeq uint64
-	// TailRecords is how many post-snapshot log records were verified.
-	TailRecords int
 	// TornTail reports that the final log record was truncated
 	// mid-write and dropped.
 	TornTail bool
@@ -30,21 +25,20 @@ type RecoveryReport struct {
 
 // Recover resumes a deployment from the durable state in dir. The
 // simulation's machine state — event queues, half-run batches, host
-// populations — is closures and heaps that no snapshot could capture
+// populations — is closures and heaps that no file could capture
 // faithfully; what recovery relies on instead is that the whole
 // coordinator is deterministic per seed. It rebuilds the deployment
 // from cfg, re-injects every logged input at its recorded virtual
-// time, and re-executes up to the durable frontier. Each regenerated
-// record is verified against the durable history as it is emitted —
-// inputs against the logged inputs, checkpoints of the journal's digest
-// past the snapshot against the log tail, the latest checkpoint and the
-// portal accounts at the snapshot point against the snapshot — so any
-// divergence — config drift, code drift, corruption — stops the rebuild
-// at the offending record, or at the first checkpoint past the journal
-// event it changed, and fails loudly instead of silently forking
-// history. On success the directory is
-// reset to a fresh snapshot at the frontier and the deployment
-// continues live, mid-batch, with crashes re-armed.
+// time, and re-executes from genesis up to the durable frontier: the
+// log holds every record since genesis, and replay always starts
+// there. Each regenerated record is verified against the log record of
+// its sequence number as it is emitted, so any divergence — config
+// drift, code drift, corruption — stops the rebuild at the offending
+// input, or at the first checkpoint past the journal event it changed,
+// and fails loudly instead of silently forking history. On success the
+// log is reopened after its last whole record — the records the
+// rebuild regenerated past it appended — and the deployment continues
+// live, mid-batch, with crashes re-armed.
 //
 // Re-injection rests on sim's input rule. An input either entered
 // between engine runs — replay drains the engine to its time, then
@@ -69,69 +63,64 @@ func Recover(dir string, cfg Config) (*Lattice, error) {
 		return nil, fmt.Errorf("core: durable state in %s was written with seed %d, config has seed %d", dir, st.Seed, cfg.Seed)
 	}
 
-	inputs := st.Inputs()
-	rb := &rebuild{inputs: inputs, tail: st.Tail, lastSeq: st.LastSeq}
-	if st.Snap != nil {
-		rb.snapSeq = st.Snap.Seq
-	}
-	l, err := build(cfg, rb)
+	l, err := build(cfg, &rebuild{log: st.Tail})
 	if err != nil {
 		return nil, err
 	}
 	rec := l.rec
 	rec.begin()
-
-	if err := l.replay(inputs, st.Watermark); err != nil {
+	inputs, err := l.replay(st.Tail, st.Watermark)
+	if err != nil {
 		return nil, err
 	}
-	if err := l.verifyRebuild(st, len(inputs)); err != nil {
-		return nil, err
+	if rec.count < st.LastSeq {
+		return nil, fmt.Errorf("core: recovery diverged: regenerated %d of %d durable records", rec.count, st.LastSeq)
 	}
 
-	// The rebuilt state becomes the new durable baseline: fresh
-	// snapshot at the frontier over the verified input history, empty
-	// log, crashes re-armed.
-	snap := rec.snapshot()
-	snap.Inputs = rec.endRebuild()
-	if st.Snap != nil { // the segment prefix Reset keeps
-		snap.InputsLen, snap.InputsBytes = st.Snap.InputsLen, st.Snap.InputsBytes
-	}
-	lg, err := wal.Reset(dir, snap, cfg.WAL)
+	lg, err := wal.Reopen(dir, st, wal.Options{})
 	if err != nil {
 		return nil, err
 	}
 	rec.attachLog(lg)
+	if err := lg.Err(); err != nil {
+		lg.Close() //lint:allow errdrop -- Close returns the same sticky error
+		return nil, err
+	}
 	if l.Faults != nil {
 		l.Faults.SetCrashStops(true)
 	}
 	l.Recovery = &RecoveryReport{
-		TailRecords: len(st.Tail),
-		TornTail:    st.Torn,
-		Watermark:   st.Watermark,
-		Inputs:      len(inputs),
-		Records:     rec.count,
-	}
-	if st.Snap != nil {
-		l.Recovery.SnapshotSeq = st.Snap.Seq
+		TornTail:  st.Torn,
+		Watermark: st.Watermark,
+		Inputs:    inputs,
+		Records:   rec.count,
 	}
 	return l, nil
 }
 
-// replay re-executes the run: inputs recorded before the engine ever
-// stepped are applied first (exactly as they originally interleaved
-// with time-zero work), then each remaining input is applied after
-// draining the engine through its recorded time — the same
-// drain-then-apply the original caller performed. Back-to-back inputs
-// at the same instant are re-applied back-to-back without running the
-// engine between them. The final drain runs to the durable watermark;
-// the recorder halts the engine once the last durable record has been
-// regenerated. A divergence halts it too, and ends the replay there.
-func (l *Lattice) replay(inputs []wal.Record, watermark sim.Time) error {
-	i := 0
-	for ; i < len(inputs) && inputs[i].Pre; i++ {
-		if err := l.applyInput(inputs[i]); err != nil {
-			return err
+// replay re-executes the run from the log's inputs and returns how many
+// it re-applied: inputs recorded before the engine ever stepped are
+// applied first (exactly as they originally interleaved with time-zero
+// work), then each remaining input is applied after draining the
+// engine through its recorded time — the same drain-then-apply the
+// original caller performed. Back-to-back inputs at the same instant
+// are re-applied back-to-back without running the engine between them.
+// The final drain runs to the durable watermark; the recorder halts the
+// engine once the last durable record has been regenerated. A
+// divergence halts it too, and ends the replay there.
+func (l *Lattice) replay(log []wal.Record, watermark sim.Time) (int, error) {
+	n, i := 0, 0
+	for ; i < len(log); i++ {
+		if !log[i].IsInput() {
+			continue
 		}
+		if !log[i].Pre {
+			break
+		}
+		if err := l.applyInput(log[i]); err != nil {
+			return n, err
+		}
+		n++
 	}
 	// The remaining inputs were originally recorded after the engine
 	// had stepped; mark the recorder so re-applying them between
@@ -139,22 +128,26 @@ func (l *Lattice) replay(inputs []wal.Record, watermark sim.Time) error {
 	// them without the Pre flag, exactly as the live run did.
 	l.rec.setNotPre(true)
 	prevAt := sim.Time(math.Inf(-1))
-	for ; i < len(inputs); i++ {
-		r := inputs[i]
+	for ; i < len(log); i++ {
+		r := log[i]
+		if !r.IsInput() {
+			continue
+		}
 		if r.At != prevAt {
 			l.Engine.RunUntil(r.At)
 		}
 		if err := l.rec.diverged(); err != nil {
-			return err
+			return n, err
 		}
 		if err := l.applyInput(r); err != nil {
-			return err
+			return n, err
 		}
+		n++
 		prevAt = r.At
 	}
 	l.rec.setNotPre(false)
 	l.Engine.RunUntil(watermark)
-	return l.rec.diverged()
+	return n, l.rec.diverged()
 }
 
 // applyInput re-injects one logged input. A submission goes back
@@ -188,52 +181,6 @@ func (l *Lattice) applyInput(r wal.Record) error {
 		return nil
 	}
 	return fmt.Errorf("core: cannot replay record %d of kind %q", r.Seq, r.Kind)
-}
-
-// verifyRebuild closes the verification the recorder did record by
-// record during the replay: the whole durable history must have been
-// regenerated — every record up to the frontier, every input — and
-// the snapshot must match the rebuild's state at the snapshot point,
-// whose checkpoint fingerprints the rebuilt journal up to there. This
-// is what turns "deterministic re-execution" from an assumption into an
-// invariant.
-func (l *Lattice) verifyRebuild(st *wal.State, inputs int) error {
-	rec := l.rec
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	rb := rec.rb
-	if rb.err != nil {
-		return rb.err
-	}
-	if rec.count < st.LastSeq || rb.next < inputs {
-		return fmt.Errorf("core: recovery diverged: regenerated %d of %d durable records, %d of %d inputs",
-			rec.count, st.LastSeq, rb.next, inputs)
-	}
-	if st.Snap != nil {
-		if rb.captured == nil {
-			return fmt.Errorf("core: recovery never reached snapshot seq %d", st.Snap.Seq)
-		}
-		if err := snapshotsEqual(rb.captured, st.Snap); err != nil {
-			return fmt.Errorf("core: recovery diverged from snapshot at seq %d: %w", st.Snap.Seq, err)
-		}
-	}
-	return nil
-}
-
-// snapshotsEqual compares two snapshots via canonical JSON (maps
-// marshal key-sorted; float64 round-trips exactly).
-func snapshotsEqual(a, b *wal.Snapshot) error {
-	x := *a
-	y := *b
-	// Version and InputsBytes are stamped at write time; the captured
-	// twin never was. (InputsLen it does carry: the inputs regenerated
-	// up to the snapshot point.)
-	x.Version, y.Version = 0, 0
-	x.InputsBytes, y.InputsBytes = 0, 0
-	if mustJSON(x) != mustJSON(y) {
-		return fmt.Errorf("rebuilt state %s != durable %s", mustJSON(x), mustJSON(y))
-	}
-	return nil
 }
 
 func mustJSON(v any) string {

@@ -154,7 +154,6 @@ func TestRecoverMidBatch(t *testing.T) {
 	cfg := recoverConfig(seed)
 	cfg.Faults = crashingSchedule(crashAt)
 	cfg.Durable = dir
-	cfg.WAL.SnapshotEvery = 16 // force several snapshot rotations
 	lat, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -194,9 +193,6 @@ func TestRecoverMidBatch(t *testing.T) {
 	rep := recovered.Recovery
 	if rep == nil {
 		t.Fatal("no recovery report")
-	}
-	if rep.SnapshotSeq == 0 {
-		t.Errorf("expected a snapshot before the crash (records=%d)", rep.Records)
 	}
 	if rep.Inputs == 0 {
 		t.Error("no inputs replayed")
@@ -340,15 +336,83 @@ func TestRecoverGuards(t *testing.T) {
 	}
 }
 
-// TestRecoverOfRecovery crashes a recovered deployment again: the
-// post-recovery Reset state must itself be a valid recovery baseline.
+// TestRecoverOverTornGenesis: a process killed inside its first append
+// leaves a log holding the header and part of the genesis frame, which
+// is nothing durable. Recover and NewCluster boot fresh over it instead
+// of refusing the directory.
+func TestRecoverOverTornGenesis(t *testing.T) {
+	tearGenesis := func(dir string) {
+		t.Helper()
+		data, err := os.ReadFile(wal.LogPath(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(wal.LogPath(dir), data[:logHeader+3], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	booted := func(what, dir string) {
+		t.Helper()
+		st, err := wal.Load(dir)
+		if err != nil || st == nil || st.Tail[0].Kind != wal.KindGenesis || st.Torn {
+			t.Fatalf("%s: log after the fresh boot: %+v, %v", what, st, err)
+		}
+	}
+
+	cfg := recoverConfig(3)
+	cfg.Durable = t.TempDir() + "/wal"
+	lat, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lat.CloseDurable(); err != nil {
+		t.Fatal(err)
+	}
+	tearGenesis(cfg.Durable)
+	fresh, err := Recover(cfg.Durable, cfg)
+	if err != nil {
+		t.Fatalf("Recover over a torn genesis: %v", err)
+	}
+	if fresh.Recovery != nil {
+		t.Errorf("fresh boot reports a recovery: %+v", fresh.Recovery)
+	}
+	if err := fresh.CloseDurable(); err != nil {
+		t.Fatal(err)
+	}
+	booted("flat", cfg.Durable)
+
+	ccfg := ClusterConfig{Shards: 2, Base: clusterBase(31), DurableRoot: t.TempDir()}
+	c, err := NewCluster(ccfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.CloseDurable(); err != nil {
+		t.Fatal(err)
+	}
+	tearGenesis(c.shardConfig(1).Durable)
+	again, err := NewCluster(ccfg)
+	if err != nil {
+		t.Fatalf("NewCluster over a torn genesis: %v", err)
+	}
+	if again.Shards[0].Recovery == nil || again.Shards[1].Recovery != nil {
+		t.Errorf("recovery reports %+v, %+v; want shard 0 recovered and shard 1 booted fresh",
+			again.Shards[0].Recovery, again.Shards[1].Recovery)
+	}
+	if err := again.CloseDurable(); err != nil {
+		t.Fatal(err)
+	}
+	booted("shard 1", again.shardConfig(1).Durable)
+}
+
+// TestRecoverOfRecovery crashes a recovered deployment again: the log
+// a recovery reopened and appended to must itself be a valid recovery
+// baseline.
 func TestRecoverOfRecovery(t *testing.T) {
 	dir := t.TempDir() + "/wal"
 	cfg := recoverConfig(13)
 	sch := crashingSchedule(sim.Time(2*sim.Hour), sim.Time(4*sim.Hour))
 	cfg.Faults = sch
 	cfg.Durable = dir
-	cfg.WAL.SnapshotEvery = 400
 	lat, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -430,18 +494,25 @@ func TestJournalObserverSeesEveryEvent(t *testing.T) {
 }
 
 // TestRecorderDigestTracksJournal feeds one event stream to the
-// journal and, through the observer hook, to a recorder: the snapshot
-// carries the latest checkpoint — every checkpointEvery events, and at
-// every fault event between — whose digest is the journal's own at that
+// journal and, through the observer hook, to a recorder over a live
+// log: the log holds a checkpoint every checkpointEvery events, and at
+// every fault event between, whose digest is the journal's own at that
 // length, since recovery compares exactly these.
 func TestRecorderDigestTracksJournal(t *testing.T) {
 	eng := sim.NewEngine()
 	j := obs.NewJournal(eng)
 	rec := newRecorder(eng, 1, nil)
+	dir := t.TempDir()
+	lg, err := wal.Create(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.attachLog(lg)
+	rec.begin()
 	j.SetObserver(rec.observe)
 	details := []string{"", "policy=full attempt=1", "a\x1fb\nc", strings.Repeat("long detail ", 100)}
-	digests := []string{""} // digests[n]: the journal's after n events; none before the first checkpoint
-	last := 0               // the journal length the latest checkpoint covers
+	digests := []string{""} // digests[n]: the journal's after n events
+	var lens []int          // the journal lengths checkpoints should cover
 	for i := 0; i < 3*checkpointEvery+5; i++ {
 		stage := obs.StagePlace
 		if i%50 == 49 {
@@ -450,15 +521,22 @@ func TestRecorderDigestTracksJournal(t *testing.T) {
 		j.Record("batch", "job", stage, "pbs-01", details[i%len(details)])
 		digests = append(digests, j.Digest())
 		if n := i + 1; n%checkpointEvery == 0 || stage == obs.StageFault {
-			last = n
-		}
-		snap := rec.snapshot()
-		if snap.JournalLen != last || snap.JournalDigest != digests[last] {
-			t.Fatalf("after %d events: snapshot checkpoint (%d, %s), want (%d, %s)",
-				i+1, snap.JournalLen, snap.JournalDigest, last, digests[last])
+			lens = append(lens, n)
 		}
 	}
-	if want := uint64(3 + 3); rec.count != want { // every 64th event, and the faults at 50, 100, 150
-		t.Fatalf("%d checkpoints, want %d", rec.count, want)
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := wal.Load(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(lens) != 3+3 || len(st.Tail) != 1+len(lens) { // every 64th event, and the faults at 50, 100, 150
+		t.Fatalf("%d records after genesis, want %d checkpoints", len(st.Tail)-1, len(lens))
+	}
+	for i, r := range st.Tail[1:] {
+		if n := lens[i]; r.Kind != wal.KindCheckpoint || r.JournalLen != n || r.JournalDigest != digests[n] {
+			t.Fatalf("record %d is a %s of (%d, %s), want the checkpoint (%d, %s)", r.Seq, r.Kind, r.JournalLen, r.JournalDigest, n, digests[n])
+		}
 	}
 }

@@ -19,7 +19,7 @@ import (
 // recoverTuple is one generated crash-recovery scenario. Recovery must
 // make it indistinguishable from its uninterrupted twin whatever the
 // values: shard count, door rate, admission, load shape, faults, kill
-// instants, snapshot cadence and a torn log tail.
+// instants and a torn log tail.
 type recoverTuple struct {
 	Shards int // 1, 2 or 4 coordinator shards
 	// Door is the front door's virtual seconds per submission (a
@@ -36,10 +36,7 @@ type recoverTuple struct {
 	Tear  bool // rip the last bytes off the first killed log
 	Users int  // arrivals, Gap apart from t = 1 s
 	Gap   sim.Duration
-	// SnapEvery is the snapshot cadence in records; small values put
-	// kills in the middle of snapshot rotations.
-	SnapEvery int
-	Seed      int64
+	Seed  int64
 }
 
 // tupleFrom decodes a tuple from bytes, one choice per byte — a missing
@@ -58,12 +55,11 @@ func tupleFrom(b []byte) recoverTuple {
 		return v
 	}
 	t := recoverTuple{
-		Shards:    []int{1, 2, 4}[next()%3],
-		Door:      []float64{0, 2, 5, 10, 20}[next()%5],
-		Users:     8 + next()%40,
-		Gap:       []sim.Duration{1, 3, 7, 15, 40}[next()%5],
-		SnapEvery: []int{8, 24, 96, 0}[next()%4],
-		Seed:      int64(1 + next()%16),
+		Shards: []int{1, 2, 4}[next()%3],
+		Door:   []float64{0, 2, 5, 10, 20}[next()%5],
+		Users:  8 + next()%40,
+		Gap:    []sim.Duration{1, 3, 7, 15, 40}[next()%5],
+		Seed:   int64(1 + next()%16),
 	}
 	flags := next()
 	t.Admit = t.Door > 0 && flags&1 != 0
@@ -92,7 +88,6 @@ func (t recoverTuple) scenario() scenario {
 	return scenario{
 		federation: func(seed int64) core.Config {
 			cfg := doorFederation(seed, 8)
-			cfg.WAL.SnapshotEvery = t.SnapEvery
 			if t.Door > 0 {
 				cfg.Ingest = gsbl.IngestConfig{PerSubmissionSeconds: t.Door, PerReplicateSeconds: 0.25}
 			}

@@ -261,16 +261,12 @@ func (r *run) recoverShard(k int) error {
 	}
 	killLen := 0 // journal length at the kill whose record the tear takes
 	if r.sc.tear && !r.torn {
-		// The kill's checkpoint is the last record written, unless a
-		// snapshot it triggered has already cut the log back to its
-		// header.
+		// The kill's checkpoint is the last record written.
 		st, err := wal.Load(r.shardDir(k))
 		if err != nil {
 			return err
 		}
-		if n := len(st.Tail); n > 0 {
-			killLen = st.Tail[n-1].JournalLen
-		}
+		killLen = st.Tail[len(st.Tail)-1].JournalLen
 		path := wal.LogPath(r.shardDir(k))
 		fi, err := os.Stat(path)
 		if err != nil {

@@ -2,6 +2,7 @@ package portal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -20,7 +21,6 @@ import (
 	"lattice/internal/obs"
 	"lattice/internal/phylo"
 	"lattice/internal/sim"
-	"lattice/internal/wal"
 	"lattice/internal/workload"
 )
 
@@ -488,7 +488,7 @@ func (p *Portal) handleBatch(w http.ResponseWriter, r *http.Request) {
 			// only ever see a complete zip at this path.
 			err := os.MkdirAll(dir, 0o755)
 			if err == nil {
-				err = wal.WriteFileAtomic(filepath.Join(dir, id+".zip"), data)
+				err = writeFileAtomic(filepath.Join(dir, id+".zip"), bytes.NewReader(data))
 			}
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -518,6 +518,35 @@ func (p *Portal) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/html")
 	p.writeBody(w, []byte(page))
+}
+
+// writeFileAtomic streams src to path through a temp file and rename,
+// so readers never observe a partially written file: if src or the
+// write fails partway, the temp file is removed and any previous file
+// at path is untouched.
+func writeFileAtomic(path string, src io.Reader) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return fmt.Errorf("portal: creating temp file: %w", err)
+	}
+	_, err = io.Copy(tmp, src)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if err == nil {
+		err = tmp.Chmod(0o644)
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name()) //lint:allow errdrop -- already failing; best-effort cleanup
+		return fmt.Errorf("portal: publishing %s: %w", path, err)
+	}
+	return nil
 }
 
 // handleWorkflowCreate accepts a JSON workload.Workflow and submits

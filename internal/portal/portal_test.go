@@ -15,8 +15,6 @@ import (
 	"testing"
 	"testing/iotest"
 
-	"lattice/internal/wal"
-
 	"lattice/internal/admit"
 	"lattice/internal/dag"
 	"lattice/internal/grid/mds"
@@ -449,7 +447,7 @@ func TestArtifactCacheAtomic(t *testing.T) {
 	// A writer dying mid-copy must leave the published archive intact
 	// and litter nothing.
 	half := len(cached) / 2
-	err = wal.CopyFileAtomic(path, io.MultiReader(
+	err = writeFileAtomic(path, io.MultiReader(
 		bytes.NewReader(cached[:half]),
 		iotest.ErrReader(errors.New("disk yanked")),
 	))
