@@ -109,12 +109,15 @@ ledger-trace:
 faults:
 	$(GO) test -race -run TestFaultScenarioShape ./internal/experiments/
 
-# crash runs the crash-recovery scenario under the race detector: the
-# coordinator killed three times mid-batch (once over a torn log
-# tail), recovered from the WAL each time, with conservation intact
-# and the final journal digest bit-identical to an uninterrupted run.
+# crash runs the crash-recovery tests under the race detector: the
+# scenario (the coordinator killed three times mid-batch, once over a
+# torn log tail, recovered from the WAL each time, with conservation
+# intact and the final journal digest bit-identical to an uninterrupted
+# run), the 200 generated kill/recover tuples of TestRecoverSweep, and
+# an input taken right after a restart that resumed partway through an
+# instant, replayed there by the next restart.
 crash:
-	$(GO) test -race -run TestCrashScenarioShape ./internal/experiments/
+	$(GO) test -race -run 'TestCrashScenarioShape|TestRecoverSweep|TestInputAfterMidInstantResume' ./internal/experiments/ ./internal/core/
 
 # dag runs both workflow-engine scenarios under the race detector: the
 # four-stage standard analysis as one typed DAG (readiness ordering,

@@ -57,7 +57,7 @@ func run() error {
 		train       = flag.Int("train", 150, "runtime-model training jobs")
 		smoke       = flag.Bool("smoke", false, "boot, run a small workload, self-scrape /metrics, and exit")
 		withFaults  = flag.Bool("faults", false, "run under the default hostile fault schedule (outages, flaps, churn, lost results)")
-		durable     = flag.String("durable", "", "directory for crash-consistent state (one append-only log, wal.log); on boot, existing state there is recovered by replay from genesis")
+		durable     = flag.String("durable", "", "directory for crash-consistent state (one append-only log, wal.log, of inputs and checkpoints, each stamped with its engine step); on boot, a log already there is resumed by replaying it from genesis")
 		workflow    = flag.Bool("workflow", false, "submit the four-stage standard-analysis demo workflow at boot; watch it at /workflow/<id>")
 		shards      = flag.Int("shards", 1, "coordinator shard count; above 1 boots a sharded cluster behind a deterministic front router")
 		share       = flag.String("share", "partition", "grid sharing mode under -shards: partition (static split) or lease (rotating leases)")
@@ -90,16 +90,8 @@ func run() error {
 		}
 		return runCluster(cfg, *shards, *share, *durable, *withFaults, *addr, *accel)
 	}
-	var lat *core.Lattice
-	var err error
-	if *durable != "" {
-		cfg.Durable = *durable
-		// Recover falls through to a fresh boot when the directory
-		// holds no durable state yet.
-		lat, err = core.Recover(*durable, cfg)
-	} else {
-		lat, err = core.New(cfg)
-	}
+	cfg.Durable = *durable
+	lat, err := core.New(cfg)
 	if err != nil {
 		return err
 	}

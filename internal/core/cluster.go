@@ -14,7 +14,6 @@ import (
 	"lattice/internal/obs"
 	"lattice/internal/shard"
 	"lattice/internal/sim"
-	"lattice/internal/wal"
 	"lattice/internal/workload"
 )
 
@@ -88,14 +87,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	for k := 0; k < cfg.Shards; k++ {
 		c.origins[k] = shard.Origin(k, "core")
-		scfg := c.shardConfig(k)
-		var l *Lattice
-		var err error
-		if scfg.Durable != "" && wal.HasState(scfg.Durable) {
-			l, err = Recover(scfg.Durable, scfg)
-		} else {
-			l, err = New(scfg)
-		}
+		l, err := New(c.shardConfig(k))
 		if err != nil {
 			return nil, fmt.Errorf("core: building shard %d: %w", k, err)
 		}
@@ -241,8 +233,7 @@ func (c *Cluster) RecoverShard(k int) (*RecoveryReport, error) {
 	if c.cfg.DurableRoot == "" {
 		return nil, fmt.Errorf("core: cluster has no durable root; shard %d cannot be recovered", k)
 	}
-	cfg := c.shardConfig(k)
-	l, err := Recover(cfg.Durable, cfg)
+	l, err := New(c.shardConfig(k))
 	if err != nil {
 		return nil, fmt.Errorf("core: recovering shard %d: %w", k, err)
 	}

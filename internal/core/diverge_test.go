@@ -75,7 +75,7 @@ func editFrame(t *testing.T, path string, start int, marker string, edit func(pa
 func divergedAt(t *testing.T, err error) uint64 {
 	t.Helper()
 	if err == nil {
-		t.Fatal("Recover succeeded over a history it cannot regenerate")
+		t.Fatal("resume succeeded over a history it cannot regenerate")
 	}
 	m := regexp.MustCompile(`recovery diverged at record (\d+)(?:, [^:]*)?: regenerated (\{.*\}), log holds (\{.*\})`).FindStringSubmatch(err.Error())
 	if m == nil {
@@ -93,7 +93,7 @@ func divergedAt(t *testing.T, err error) uint64 {
 
 // logHeader is the length of the log's format header, where its first
 // frame starts.
-const logHeader = len("LATWAL05")
+const logHeader = len("LATWAL06")
 
 // TestRecoverCheckpointDigestDivergence: one byte of one checkpoint's
 // journal digest changed behind a valid checksum is caught at that
@@ -124,7 +124,7 @@ func TestRecoverCheckpointDigestDivergence(t *testing.T) {
 	editFrame(t, wal.LogPath(dir), logHeader, target.JournalDigest, func(p []byte) {
 		copy(p[bytes.Index(p, []byte(target.JournalDigest)):], flipped)
 	})
-	_, err = Recover(dir, cfg)
+	_, err = New(cfg)
 	if got := divergedAt(t, err); got != target.Seq {
 		t.Fatalf("diverged at record %d, want the checkpoint at %d: %v", got, target.Seq, err)
 	}
@@ -170,7 +170,7 @@ func TestRecoverInputSeqDivergence(t *testing.T) {
 	if err := lg.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, err = Recover(dir, cfg)
+	_, err = New(cfg)
 	if got := divergedAt(t, err); got != seq {
 		t.Fatalf("diverged at record %d, want the input at %d: %v", got, seq, err)
 	}
@@ -203,7 +203,7 @@ func TestRecoverConfigDriftStopsEarly(t *testing.T) {
 		}
 	}
 	drifted.Faults = &sch
-	_, err = Recover(dir, drifted)
+	_, err = New(drifted)
 	if at := divergedAt(t, err); at > st.LastSeq/2 {
 		t.Fatalf("diverged at record %d of %d: %v", at, st.LastSeq, err)
 	}
@@ -232,7 +232,7 @@ func TestRebuildEmitRetainsNothing(t *testing.T) {
 			JournalLen: (i + 1) * checkpointEvery, JournalDigest: hex.EncodeToString(h.Sum(nil))}
 	}
 	tail[n-1].JournalDigest = strings.Repeat("0", 64) // only the log says this
-	rec := newRecorder(eng, 1, &rebuild{log: tail})
+	rec := &recorder{eng: eng, seed: 1, rb: &rebuild{log: tail}}
 	live := sha256.New()
 	i := 0
 	checkpoint := func() {

@@ -198,12 +198,12 @@ func TestPortalStateSurvivesRecover(t *testing.T) {
 	if err := lat.CloseDurable(); err != nil {
 		t.Fatal(err)
 	}
-	recovered, err := Recover(cfg.Durable, cfg)
+	recovered, err := New(cfg)
 	if err != nil {
-		t.Fatalf("Recover: %v", err)
+		t.Fatalf("resume: %v", err)
 	}
 	defer recovered.CloseDurable()
-	check("after Recover", recovered)
+	check("after the resume", recovered)
 }
 
 // TestReplayEquivalenceOverTheOneDoor: whatever origin a request
@@ -269,9 +269,9 @@ func TestReplayEquivalenceOverTheOneDoor(t *testing.T) {
 					if err := killed.CloseDurable(); err != nil {
 						t.Fatal(err)
 					}
-					rec, err := Recover(cfg.Durable, cfg)
+					rec, err := New(cfg)
 					if err != nil {
-						t.Fatalf("Recover: %v", err)
+						t.Fatalf("resume: %v", err)
 					}
 					defer rec.CloseDurable()
 					if rec.Recovery == nil || rec.Recovery.Inputs != 4 {

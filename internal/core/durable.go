@@ -26,11 +26,10 @@ const checkpointEvery = 64
 // into the components (hook methods run under component locks, so
 // re-entry would deadlock).
 //
-// The same type serves both modes: live (log attached, every record
-// appended) and rebuild (during Recover: every regenerated record
-// checked against the log record of its Seq as it is emitted, with the
-// engine stopped once the durable frontier is regenerated or the first
-// record diverges).
+// The same type serves both modes: rebuild (while New opens the log:
+// every regenerated record checked against the log record of its Seq as
+// it is emitted, with the engine stopped at the first that diverges)
+// and then live (log attached, every record appended).
 type recorder struct {
 	mu   sync.Mutex
 	eng  *sim.Engine
@@ -43,12 +42,6 @@ type recorder struct {
 	sum, hex []byte
 
 	rb *rebuild // nil when live
-	// notPre marks the post-pre phase of replay: the inputs being
-	// re-applied were originally recorded after the engine had
-	// stepped, but replay applies them between engine runs — possibly
-	// before the rebuilt engine's first step — so Steps()==0 must not
-	// re-flag them as pre-run inputs.
-	notPre bool
 }
 
 // rebuild is what a recovering recorder verifies against: the log
@@ -56,22 +49,18 @@ type recorder struct {
 type rebuild struct {
 	// log holds every durable record since genesis; log[i] has Seq
 	// i+1. Comparing each regenerated record with the one of its Seq —
-	// inputs field for field, Pre and Queued included — is what catches
-	// an input replay mis-positioned, and names a diverging checkpoint
-	// wherever it falls. The rebuild stops once it has regenerated the
-	// last one.
+	// field for field, Step and Queued included — is what catches an
+	// input replay mis-positioned, and names a diverging checkpoint
+	// wherever it falls.
 	log []wal.Record
 	cmp wal.Comparer
-	// past holds the records regenerated beyond the log before the
-	// engine stopped. They were never durable; Recover appends them
-	// when it reopens the log, so sequence numbers stay dense.
+	// past holds the records regenerated beyond the log: the rest of
+	// the handler that wrote the last one, or genesis for an empty log.
+	// They were never durable; attachLog appends them, so sequence
+	// numbers stay dense.
 	past []wal.Record
 	// err is the first divergence; it stops the engine.
 	err error
-}
-
-func newRecorder(eng *sim.Engine, seed int64, rb *rebuild) *recorder {
-	return &recorder{eng: eng, seed: seed, rb: rb}
 }
 
 // attachLog connects the recorder to a live log. Coming out of a
@@ -96,12 +85,13 @@ func (rec *recorder) begin() {
 	rec.emit(wal.Record{Kind: wal.KindGenesis, Seed: rec.seed})
 }
 
-// emit assigns the next sequence number and forwards the record to the
-// log (live) or checks it against the log (rebuild). Callers hold
-// rec.mu.
+// emit assigns the next sequence number, stamps the engine's position
+// and forwards the record to the log (live) or checks it against the
+// log (rebuild). Callers hold rec.mu.
 func (rec *recorder) emit(r wal.Record) {
 	rec.count++
 	r.Seq = rec.count
+	r.Step = rec.eng.Steps()
 	from := rec.journalLen // the events a checkpoint covers start past here
 	if r.Kind == wal.KindCheckpoint {
 		rec.journalLen = r.JournalLen
@@ -110,10 +100,8 @@ func (rec *recorder) emit(r wal.Record) {
 		rec.log.Append(r)
 	}
 	if rb := rec.rb; rb != nil {
-		rb.verify(&r, from)
-		if rb.err != nil || rec.count >= uint64(len(rb.log)) {
-			// The durable frontier is regenerated (or can no longer
-			// be); halt the rebuild at the next handler boundary.
+		if rb.verify(&r, from); rb.err != nil {
+			// Halt the rebuild at the next handler boundary.
 			rec.eng.Stop()
 		}
 	}
@@ -170,20 +158,6 @@ func (rec *recorder) diverged() error {
 	return rec.rb.err
 }
 
-// setNotPre toggles the replay marker (see the field comment).
-func (rec *recorder) setNotPre(on bool) {
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	rec.notPre = on
-}
-
-// isPre reports whether an input arriving now should carry the Pre
-// mark: nothing has run yet, and we are not replaying inputs that
-// originally arrived later. Callers hold rec.mu.
-func (rec *recorder) isPre() bool {
-	return rec.eng.Steps() == 0 && !rec.notPre
-}
-
 // observe is the journal observer, called under the journal lock after
 // each event is hashed: it checkpoints the journal's running digest
 // every checkpointEvery events and at every fault-stage event. The
@@ -234,11 +208,10 @@ func (rec *recorder) User(at sim.Time, token, email string) {
 	rec.input(wal.Record{At: at, Kind: wal.KindUser, Token: token, Email: email})
 }
 
-// input emits one input record, with the Pre flag marking an input that
-// arrived before the engine ever stepped, which replay applies before
-// running any events. An input made while the engine is firing a
-// handler cannot be replayed where it happened (see sim's input rule),
-// so it is not recorded: it becomes the log's sticky error instead.
+// input emits one input record. An input made while the engine is
+// firing a handler cannot be replayed where it happened (see sim's
+// input rule), so it is not recorded: it becomes the log's sticky error
+// instead.
 func (rec *recorder) input(r wal.Record) {
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
@@ -248,7 +221,6 @@ func (rec *recorder) input(r wal.Record) {
 		}
 		return
 	}
-	r.Pre = rec.isPre()
 	rec.emit(r)
 }
 

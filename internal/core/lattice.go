@@ -25,7 +25,6 @@ import (
 	"lattice/internal/obs"
 	"lattice/internal/portal"
 	"lattice/internal/sim"
-	"lattice/internal/wal"
 	"lattice/internal/workload"
 )
 
@@ -104,11 +103,11 @@ type Config struct {
 	ResourceWrap func(eng *sim.Engine, name string, inner lrm.LRM) lrm.LRM
 	// Durable, when non-empty, is a directory for crash-consistent
 	// state: every input, and checkpoints of the journal's digest, are
-	// appended to a write-ahead log there (see internal/wal), and
-	// core.Recover resumes a killed deployment mid-batch by
-	// re-executing from genesis. Empty disables durability entirely —
-	// no recorder, no extra RNG draws, bit-identical to pre-durability
-	// builds.
+	// appended to a write-ahead log there (see internal/wal), and New
+	// over a directory that already holds one resumes the killed
+	// deployment mid-batch by re-executing from genesis. Empty
+	// disables durability entirely — no recorder, no extra RNG draws,
+	// bit-identical to pre-durability builds.
 	Durable string
 }
 
@@ -187,8 +186,8 @@ type Lattice struct {
 	// Faults is the active fault injector (nil unless Config.Faults
 	// was set).
 	Faults *faults.Injector
-	// Recovery describes the rebuild when this Lattice came from
-	// Recover; nil on a fresh New.
+	// Recovery describes the rebuild when New resumed this Lattice
+	// from durable state; nil on a fresh start.
 	Recovery *RecoveryReport
 
 	rng       *sim.RNG
@@ -203,32 +202,26 @@ type Lattice struct {
 }
 
 // New assembles and starts a Lattice deployment. With cfg.Durable set
-// it also creates a fresh write-ahead log there and wires the
-// durability recorder to the inputs and the journal; use Recover instead
-// when the directory already holds state.
+// it wires the durability recorder to the inputs and the journal and
+// opens the write-ahead log there: a fresh log in a directory without
+// durable state, otherwise the existing one, which it resumes from
+// (see open; Recovery then says how).
 func New(cfg Config) (*Lattice, error) {
-	l, err := build(cfg, nil)
+	l, err := build(cfg)
 	if err != nil {
 		return nil, err
 	}
 	if l.rec != nil {
-		lg, err := wal.Create(cfg.Durable, wal.Options{})
-		if err != nil {
+		if err := l.open(cfg.Durable); err != nil {
 			return nil, err
 		}
-		l.rec.attachLog(lg)
-		l.rec.begin()
 	}
 	return l, nil
 }
 
 // build assembles the deployment, with a durability recorder wired to
-// the input hooks and the journal when cfg.Durable is set. A non-nil rb
-// marks a recovery re-execution: identical wiring and RNG draws, but the
-// recorder verifies against rb instead of logging, and scheduled
-// crashes must not stop the engine (the rebuild runs straight through
-// them).
-func build(cfg Config, rb *rebuild) (*Lattice, error) {
+// the input hooks and the journal when cfg.Durable is set.
+func build(cfg Config) (*Lattice, error) {
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(cfg.Seed)
 	idx, err := mds.NewIndex(eng, mdsTTL)
@@ -252,7 +245,7 @@ func build(cfg Config, rb *rebuild) (*Lattice, error) {
 	}
 	var artifacts string
 	if cfg.Durable != "" {
-		l.rec = newRecorder(eng, cfg.Seed, rb)
+		l.rec = &recorder{eng: eng, seed: cfg.Seed}
 		hooks = l.rec
 		artifacts = filepath.Join(cfg.Durable, "artifacts")
 	}
@@ -263,9 +256,6 @@ func build(cfg Config, rb *rebuild) (*Lattice, error) {
 	var pubSink mds.Sink = idx
 	if cfg.Faults != nil {
 		l.Faults = faults.NewInjector(eng, rng.Stream("faults"), l.Obs)
-		if rb != nil {
-			l.Faults.SetCrashStops(false)
-		}
 		pubSink = l.Faults.Sink(idx)
 	}
 	for _, rs := range cfg.Resources {

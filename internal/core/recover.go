@@ -3,19 +3,20 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 
 	"lattice/internal/gsbl"
 	"lattice/internal/sim"
 	"lattice/internal/wal"
 )
 
-// RecoveryReport summarizes what Recover rebuilt.
+// RecoveryReport summarizes what New rebuilt from a durable directory
+// that already held state.
 type RecoveryReport struct {
 	// TornTail reports that the final log record was truncated
 	// mid-write and dropped.
 	TornTail bool
-	// Watermark is the virtual time the rebuild resumed at.
+	// Watermark is the virtual time of the last durable record, where
+	// the rebuild resumed.
 	Watermark sim.Time
 	// Inputs is how many submissions/registrations were re-injected.
 	Inputs int
@@ -23,130 +24,109 @@ type RecoveryReport struct {
 	Records uint64
 }
 
-// Recover resumes a deployment from the durable state in dir. The
-// simulation's machine state — event queues, half-run batches, host
-// populations — is closures and heaps that no file could capture
-// faithfully; what recovery relies on instead is that the whole
-// coordinator is deterministic per seed. It rebuilds the deployment
-// from cfg, re-injects every logged input at its recorded virtual
-// time, and re-executes from genesis up to the durable frontier: the
-// log holds every record since genesis, and replay always starts
-// there. Each regenerated record is verified against the log record of
-// its sequence number as it is emitted, so any divergence — config
-// drift, code drift, corruption — stops the rebuild at the offending
-// input, or at the first checkpoint past the journal event it changed,
-// and fails loudly instead of silently forking history. On success the
-// log is reopened after its last whole record — the records the
-// rebuild regenerated past it appended — and the deployment continues
-// live, mid-batch, with crashes re-armed.
+// open opens the write-ahead log in dir for l, which build wired to
+// record there, the way a database opens its file. The simulation's
+// machine state — event queues, half-run batches, host populations — is
+// closures and heaps that no file could capture faithfully; what
+// recovery relies on instead is that the whole coordinator is
+// deterministic per seed. So open re-executes the log from genesis: it
+// returns the engine to each record's position (Record.Step, Record.At)
+// and re-applies each input there, which is sim's input rule, so an
+// input lands between the same two events it came between live, in the
+// middle of an instant included, and a scheduled arrival's record
+// installs the same arrival event at the same (at, seq). Each
+// regenerated record is verified against the log record of its sequence
+// number as it is emitted, so any divergence — config drift, code
+// drift, corruption — stops the rebuild at the offending input, or at
+// the first checkpoint past the journal event it changed, and fails
+// loudly instead of silently forking history. The log is then reopened
+// after its last whole record, the records the rebuild regenerated past
+// it appended, and the deployment continues live, mid-batch, with
+// crashes re-armed.
 //
-// Re-injection rests on sim's input rule. An input either entered
-// between engine runs — replay drains the engine to its time, then
-// applies it — or was scheduled — a submission with a due time, whose
-// re-applied record installs the same arrival event at the same
-// (at, seq), so arrivals not yet due at the frontier come back without
-// any bookkeeping outside the log. An input made inside an engine
-// handler fits neither; the recorder refuses it and fails the log.
-//
-// When dir holds no durable state, Recover is New with cfg.Durable
-// set to dir.
-func Recover(dir string, cfg Config) (*Lattice, error) {
+// A directory without durable state is the rebuild of an empty log:
+// nothing replays, genesis is regenerated past the end, and a fresh log
+// is created to hold it.
+func (l *Lattice) open(dir string) error {
 	st, err := wal.Load(dir)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	cfg.Durable = dir
-	if st == nil {
-		return New(cfg)
+	var log []wal.Record
+	if st != nil {
+		if st.Seed != l.rec.seed {
+			return fmt.Errorf("core: durable state in %s was written with seed %d, config has seed %d", dir, st.Seed, l.rec.seed)
+		}
+		log = st.Tail
 	}
-	if st.Seed != cfg.Seed {
-		return nil, fmt.Errorf("core: durable state in %s was written with seed %d, config has seed %d", dir, st.Seed, cfg.Seed)
-	}
-
-	l, err := build(cfg, &rebuild{log: st.Tail})
-	if err != nil {
-		return nil, err
+	if l.Faults != nil {
+		// The rebuild runs straight through the kills it re-executes.
+		l.Faults.SetCrashStops(false)
 	}
 	rec := l.rec
+	rec.rb = &rebuild{log: log}
 	rec.begin()
-	inputs, err := l.replay(st.Tail, st.Watermark)
+	inputs, err := l.replay(log)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if rec.count < st.LastSeq {
-		return nil, fmt.Errorf("core: recovery diverged: regenerated %d of %d durable records", rec.count, st.LastSeq)
+	if rec.count < uint64(len(log)) {
+		return fmt.Errorf("core: recovery diverged: regenerated %d of %d durable records", rec.count, len(log))
 	}
 
-	lg, err := wal.Reopen(dir, st, wal.Options{})
+	var lg *wal.Log
+	if st == nil {
+		lg, err = wal.Create(dir, wal.Options{})
+	} else {
+		lg, err = wal.Reopen(dir, st, wal.Options{})
+	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	rec.attachLog(lg)
 	if err := lg.Err(); err != nil {
 		lg.Close() //lint:allow errdrop -- Close returns the same sticky error
-		return nil, err
+		return err
 	}
 	if l.Faults != nil {
 		l.Faults.SetCrashStops(true)
 	}
-	l.Recovery = &RecoveryReport{
-		TornTail:  st.Torn,
-		Watermark: st.Watermark,
-		Inputs:    inputs,
-		Records:   rec.count,
+	if st != nil {
+		l.Recovery = &RecoveryReport{
+			TornTail:  st.Torn,
+			Watermark: log[len(log)-1].At,
+			Inputs:    inputs,
+			Records:   rec.count,
+		}
 	}
-	return l, nil
+	return nil
 }
 
-// replay re-executes the run from the log's inputs and returns how many
-// it re-applied: inputs recorded before the engine ever stepped are
-// applied first (exactly as they originally interleaved with time-zero
-// work), then each remaining input is applied after draining the
-// engine through its recorded time — the same drain-then-apply the
-// original caller performed. Back-to-back inputs at the same instant
-// are re-applied back-to-back without running the engine between them.
-// The final drain runs to the durable watermark; the recorder halts the
-// engine once the last durable record has been regenerated. A
-// divergence halts it too, and ends the replay there.
-func (l *Lattice) replay(log []wal.Record, watermark sim.Time) (int, error) {
-	n, i := 0, 0
-	for ; i < len(log); i++ {
-		if !log[i].IsInput() {
-			continue
-		}
-		if !log[i].Pre {
-			break
-		}
-		if err := l.applyInput(log[i]); err != nil {
-			return n, err
-		}
-		n++
-	}
-	// The remaining inputs were originally recorded after the engine
-	// had stepped; mark the recorder so re-applying them between
-	// engine runs (possibly before this engine's first step) re-emits
-	// them without the Pre flag, exactly as the live run did.
-	l.rec.setNotPre(true)
-	prevAt := sim.Time(math.Inf(-1))
-	for ; i < len(log); i++ {
-		r := log[i]
-		if !r.IsInput() {
-			continue
-		}
-		if r.At != prevAt {
-			l.Engine.RunUntil(r.At)
-		}
+// replay re-executes the run from the log and returns how many inputs
+// it re-applied: for every record in turn it runs the engine to the
+// position the record was written at, and applies the record there if
+// it is an input. A checkpoint is never applied, only compared as the
+// run regenerates it. A divergence stops the engine and ends the replay
+// with an error, and so does a position the rebuilt engine cannot reach.
+func (l *Lattice) replay(log []wal.Record) (int, error) {
+	n := 0
+	for i := range log {
+		r := &log[i]
+		reached := l.Engine.RunTo(r.Step, r.At)
 		if err := l.rec.diverged(); err != nil {
 			return n, err
+		}
+		if !reached {
+			return n, fmt.Errorf("core: recovery diverged at record %d: the rebuilt engine cannot reach step %d at %v, where the record was written", r.Seq, r.Step, r.At)
+		}
+		if !r.IsInput() {
+			continue
 		}
 		if err := l.applyInput(r); err != nil {
 			return n, err
 		}
 		n++
-		prevAt = r.At
 	}
-	l.rec.setNotPre(false)
-	l.Engine.RunUntil(watermark)
 	return n, l.rec.diverged()
 }
 
@@ -157,7 +137,7 @@ func (l *Lattice) replay(log []wal.Record, watermark sim.Time) (int, error) {
 // admission layer shed re-sheds deterministically (a decision, not a
 // replay error), and core's reference fork fires exactly when it did
 // live.
-func (l *Lattice) applyInput(r wal.Record) error {
+func (l *Lattice) applyInput(r *wal.Record) error {
 	switch r.Kind {
 	case wal.KindUser:
 		l.Portal.RestoreUser(r.Token, r.Email)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/hex"
+	"fmt"
 	"hash"
 	"os"
 	"slices"
@@ -10,6 +11,7 @@ import (
 
 	"lattice/internal/boinc"
 	"lattice/internal/faults"
+	"lattice/internal/gsbl"
 	"lattice/internal/obs"
 	"lattice/internal/phylo"
 	"lattice/internal/sim"
@@ -127,7 +129,7 @@ func TestDurableDigestUnchanged(t *testing.T) {
 // indistinguishable from one that never died — learned stability
 // EWMAs and submit-retry backoff state restored (neither is logged:
 // re-execution re-derives both, and the journal checkpoints verified
-// inside Recover cover the placements they drove), placement decisions
+// inside the resume cover the placements they drove), placement decisions
 // identical (full journal stage sequence, not just terminal counts),
 // and the final digest bit-identical to an uninterrupted same-seed run.
 func TestRecoverMidBatch(t *testing.T) {
@@ -186,9 +188,9 @@ func TestRecoverMidBatch(t *testing.T) {
 	wantRetries := lat.Scheduler.Stats().SubmitRetries
 	lat = nil
 
-	recovered, err := Recover(dir, cfg)
+	recovered, err := New(cfg)
 	if err != nil {
-		t.Fatalf("Recover: %v", err)
+		t.Fatalf("resume: %v", err)
 	}
 	rep := recovered.Recovery
 	if rep == nil {
@@ -206,7 +208,7 @@ func TestRecoverMidBatch(t *testing.T) {
 		}
 	}
 	// Submit-retry backoff state: the retry counter (and, via the
-	// journal checkpoints verified inside Recover, every backoff
+	// journal checkpoints verified inside the resume, every backoff
 	// decision — each is journaled as its requeue's "retry in Ns")
 	// survives.
 	if got := recovered.Scheduler.Stats().SubmitRetries; got != wantRetries {
@@ -277,9 +279,9 @@ func TestRecoverTornTail(t *testing.T) {
 	if err := os.Truncate(wal.LogPath(dir), fi.Size()-3); err != nil {
 		t.Fatal(err)
 	}
-	recovered, err := Recover(dir, cfg)
+	recovered, err := New(cfg)
 	if err != nil {
-		t.Fatalf("Recover over torn tail: %v", err)
+		t.Fatalf("resume over torn tail: %v", err)
 	}
 	if !recovered.Recovery.TornTail {
 		t.Error("torn tail not reported")
@@ -302,7 +304,7 @@ func TestRecoverTornTail(t *testing.T) {
 }
 
 // TestRecoverGuards pins the error paths: seed mismatch refuses, an
-// empty directory falls through to New.
+// empty directory starts a fresh log.
 func TestRecoverGuards(t *testing.T) {
 	dir := t.TempDir() + "/wal"
 	cfg := recoverConfig(3)
@@ -317,28 +319,30 @@ func TestRecoverGuards(t *testing.T) {
 	lat.Run(sim.Hour)
 
 	bad := recoverConfig(4)
-	if _, err := Recover(dir, bad); err == nil || !strings.Contains(err.Error(), "seed") {
+	bad.Durable = dir
+	if _, err := New(bad); err == nil || !strings.Contains(err.Error(), "seed") {
 		t.Fatalf("seed mismatch not refused: %v", err)
 	}
 
 	empty := t.TempDir() + "/fresh"
 	cfg2 := recoverConfig(3)
-	fresh, err := Recover(empty, cfg2)
+	cfg2.Durable = empty
+	fresh, err := New(cfg2)
 	if err != nil {
-		t.Fatalf("Recover(empty): %v", err)
+		t.Fatalf("New over an empty dir: %v", err)
 	}
 	if fresh.Recovery != nil {
 		t.Error("fresh deployment reports a recovery")
 	}
-	if !wal.HasState(empty) {
+	if st, err := wal.Load(empty); st == nil || err != nil {
 		// The fresh path must have created a live log (genesis record).
-		t.Error("Recover over empty dir did not start a durable log")
+		t.Errorf("New over an empty dir did not start a durable log: %v", err)
 	}
 }
 
 // TestRecoverOverTornGenesis: a process killed inside its first append
 // leaves a log holding the header and part of the genesis frame, which
-// is nothing durable. Recover and NewCluster boot fresh over it instead
+// is nothing durable. New and NewCluster boot fresh over it instead
 // of refusing the directory.
 func TestRecoverOverTornGenesis(t *testing.T) {
 	tearGenesis := func(dir string) {
@@ -369,9 +373,9 @@ func TestRecoverOverTornGenesis(t *testing.T) {
 		t.Fatal(err)
 	}
 	tearGenesis(cfg.Durable)
-	fresh, err := Recover(cfg.Durable, cfg)
+	fresh, err := New(cfg)
 	if err != nil {
-		t.Fatalf("Recover over a torn genesis: %v", err)
+		t.Fatalf("New over a torn genesis: %v", err)
 	}
 	if fresh.Recovery != nil {
 		t.Errorf("fresh boot reports a recovery: %+v", fresh.Recovery)
@@ -428,7 +432,7 @@ func TestRecoverOfRecovery(t *testing.T) {
 		pumpBoundary(lat)
 		if lat.Faults.Crashed() {
 			crashes++
-			lat, err = Recover(dir, cfg)
+			lat, err = New(cfg)
 			if err != nil {
 				t.Fatalf("recovery %d: %v", crashes, err)
 			}
@@ -501,7 +505,7 @@ func TestJournalObserverSeesEveryEvent(t *testing.T) {
 func TestRecorderDigestTracksJournal(t *testing.T) {
 	eng := sim.NewEngine()
 	j := obs.NewJournal(eng)
-	rec := newRecorder(eng, 1, nil)
+	rec := &recorder{eng: eng, seed: 1}
 	dir := t.TempDir()
 	lg, err := wal.Create(dir, wal.Options{})
 	if err != nil {
@@ -538,5 +542,88 @@ func TestRecorderDigestTracksJournal(t *testing.T) {
 		if n := lens[i]; r.Kind != wal.KindCheckpoint || r.JournalLen != n || r.JournalDigest != digests[n] {
 			t.Fatalf("record %d is a %s of (%d, %s), want the checkpoint (%d, %s)", r.Seq, r.Kind, r.JournalLen, r.JournalDigest, n, digests[n])
 		}
+	}
+}
+
+// TestInputAfterMidInstantResume: a restart resumes where the last
+// durable record was written, which can be partway through an instant,
+// with that instant's events still pending. An input taken there,
+// before the next run, is logged at that position, and the next restart
+// must replay it there — it used to refuse its own log as diverged. The
+// door does not matter to the input, which is direct, but it changes
+// the instant's events.
+func TestInputAfterMidInstantResume(t *testing.T) {
+	for _, n := range []int{16, 17, 20, 40} {
+		for _, door := range []bool{false, true} {
+			n, door := n, door
+			t.Run(fmt.Sprintf("n%d/door=%v", n, door), func(t *testing.T) {
+				t.Parallel()
+				cfg := clusterBase(5)
+				if door {
+					cfg.Ingest = gsbl.IngestConfig{PerSubmissionSeconds: 10, PerReplicateSeconds: 2}
+				}
+				// boot builds a deployment that has taken the n inputs.
+				boot := func(cfg Config) *Lattice {
+					t.Helper()
+					l, err := New(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if l.Recovery == nil {
+						for i := 0; i < n; i++ {
+							offer(t, l, i)
+						}
+					}
+					return l
+				}
+				durable := cfg
+				durable.Durable = t.TempDir()
+				first := boot(durable)
+				first.Engine.RunUntil(1)
+				closeLog(t, first)
+
+				resumed := boot(durable)
+				steps, now := resumed.Engine.Steps(), resumed.Engine.Now()
+				if peek := boot(cfg); steps == 0 || now >= 1 || !peek.Engine.RunTo(steps, now) || !peek.Engine.RunTo(steps+1, now) {
+					t.Fatalf("resumed at step %d, %v; want partway through an instant before the stop", steps, now)
+				}
+				offer(t, resumed, n)
+				resumed.Run(2 * sim.Hour)
+				closeLog(t, resumed)
+
+				again, err := New(durable)
+				if err != nil {
+					t.Fatalf("second resume: %v", err)
+				}
+				defer again.CloseDurable()
+
+				twin := boot(cfg)
+				if !twin.Engine.RunTo(steps, now) {
+					t.Fatalf("the uninterrupted twin cannot reach step %d at %v", steps, now)
+				}
+				offer(t, twin, n)
+				for _, l := range []*Lattice{twin, again} {
+					l.Engine.RunUntil(sim.Time(2 * sim.Hour))
+				}
+				if got, want := again.Obs.Journal.Digest(), twin.Obs.Journal.Digest(); got != want {
+					t.Errorf("resumed digest %.12s != uninterrupted %.12s", got, want)
+				}
+			})
+		}
+	}
+}
+
+// offer submits the i-th of a table's direct submissions.
+func offer(t *testing.T, l *Lattice, i int) {
+	t.Helper()
+	if _, err := l.SubmitSubmission(clusterSubmission(fmt.Sprintf("user%02d@example.edu", i), int64(i))); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func closeLog(t *testing.T, l *Lattice) {
+	t.Helper()
+	if err := l.CloseDurable(); err != nil {
+		t.Fatal(err)
 	}
 }

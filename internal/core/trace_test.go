@@ -285,9 +285,9 @@ func TestTraceAfterRecover(t *testing.T) {
 	if len(dying) != 1+len(batch.Jobs) || !dying[0].InFlight {
 		t.Fatalf("fixture: crash is not mid-batch (%d spans)", len(dying))
 	}
-	recovered, err := Recover(cfg.Durable, cfg)
+	recovered, err := New(cfg)
 	if err != nil {
-		t.Fatalf("Recover: %v", err)
+		t.Fatalf("resume: %v", err)
 	}
 	rb, ok := recovered.Service.Batch(batch.ID)
 	if !ok {

@@ -22,7 +22,7 @@ type CrashResult struct {
 	Jobs int
 	// Kills is how many scheduled coordinator kills the run survived.
 	Kills int
-	// Recoveries counts successful core.Recover calls. It can exceed
+	// Recoveries counts successful resumes from the log. It can exceed
 	// Kills: when a kill's own log record is torn off, the rebuild
 	// resumes an instant before the kill and the schedule fires it
 	// again.

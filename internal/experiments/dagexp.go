@@ -256,7 +256,7 @@ type DagCrashResult struct {
 	Jobs   int
 	// Kills is how many scheduled coordinator kills the run survived.
 	Kills int
-	// Recoveries counts successful core.Recover calls (can exceed
+	// Recoveries counts successful resumes from the log (can exceed
 	// Kills when a kill's own record is torn off and it fires again).
 	Recoveries int
 	// TornRecovered is true when the torn log tail was detected and

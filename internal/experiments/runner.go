@@ -202,8 +202,9 @@ func twin(sc scenario, seed int64) (first, control *outcome, err error) {
 
 // deploy is the only place a coordinator is built or rebuilt: with
 // k < 0 it assembles the scenario's deployment, otherwise it recovers
-// killed shard k from that shard's own log. Flat versus sharded is
-// this one branch; the rest of the runner sees r.lats.
+// killed shard k from that shard's own log. The flat coordinator is one
+// core.New either way, which resumes the log it finds. Flat versus
+// sharded is this one branch; the rest of the runner sees r.lats.
 func (r *run) deploy(k int) (err error) {
 	if r.sc.shards == 0 {
 		cfg := r.cfg
@@ -213,12 +214,7 @@ func (r *run) deploy(k int) (err error) {
 		if r.dir != "" {
 			cfg.Durable = r.shardDir(0)
 		}
-		var lat *core.Lattice
-		if k < 0 {
-			lat, err = core.New(cfg)
-		} else {
-			lat, err = core.Recover(cfg.Durable, cfg)
-		}
+		lat, err := core.New(cfg)
 		if err == nil {
 			r.lats = []*core.Lattice{lat}
 		}

@@ -52,8 +52,8 @@ const (
 	KindLostResult Kind = "lost-result"
 	// KindCrash kills the coordinator process itself at a scheduled
 	// time (Schedule.CrashAt). The injector stops the engine
-	// mid-simulation; with durability enabled the run resumes via
-	// core.Recover, without it everything since genesis is lost.
+	// mid-simulation; with durability enabled core.New resumes the run
+	// from its log, without it everything since genesis is lost.
 	KindCrash Kind = "crash"
 	// KindDemandSpike is the workload-side fault: the grid is healthy
 	// but the users stampede. Event.Resource names a demand hook

@@ -10,7 +10,7 @@ import (
 // path: no sync.WaitGroup.Done, no send or close on a channel the
 // launching function provably receives from, and no receive from a
 // stop/work channel inside the goroutine itself. A stranded worker is
-// exactly what core.Recover's deterministic re-execution cannot
+// exactly what crash recovery's deterministic re-execution cannot
 // tolerate: the replayed coordinator must reach the same quiescent
 // state as the original, and a goroutine nobody waits for keeps
 // running (and mutating) after the run is supposedly done. Use

@@ -154,6 +154,43 @@ func (e *refEngine) RunUntil(deadline Time) Time {
 	return e.now
 }
 
+// RunTo is new with the value heap; the reference spells its contract
+// out step by step instead of sharing RunUntil's loop.
+func (e *refEngine) RunTo(steps uint64, at Time) bool {
+	if e.running {
+		panic("sim: re-entrant Run")
+	}
+	e.running = true
+	e.stopped = false
+	defer func() { e.running = false }()
+	for !e.stopped && e.steps < steps {
+		for len(e.queue) > 0 && e.queue[0].cancelled {
+			heap.Pop(&e.queue)
+		}
+		if len(e.queue) == 0 {
+			return false
+		}
+		if e.queue[0].at > at {
+			if at > e.now && !math.IsInf(float64(at), 1) {
+				e.now = at
+			}
+			return false
+		}
+		e.step()
+	}
+	if e.stopped || e.steps != steps || math.IsNaN(float64(at)) || at < e.now {
+		return false
+	}
+	for len(e.queue) > 0 && e.queue[0].cancelled {
+		heap.Pop(&e.queue)
+	}
+	if len(e.queue) > 0 && e.queue[0].at < at {
+		return false
+	}
+	e.now = at
+	return true
+}
+
 func (e *refEngine) Every(period Duration, fn func()) (stop func()) {
 	if period <= 0 {
 		panic("sim: Every with non-positive period")

@@ -18,6 +18,7 @@ type subject interface {
 	Stop()
 	Run() Time
 	RunUntil(deadline Time) Time
+	RunTo(steps uint64, at Time) bool
 	Every(period Duration, fn func()) (stop func())
 }
 
@@ -48,9 +49,10 @@ func (p *probe) Fire() { p.d.fired(p.label) }
 // schedule (through At/After with a pointer handler where the engine
 // has them, through the func adapters otherwise), cancel pending,
 // fired, already-cancelled, stale and zero IDs, start and stop Every
-// series, and run to deadlines; each firing handler reads one more op
-// of its own, so handlers schedule, cancel (their own event included)
-// and Stop the run from inside it.
+// series, run to deadlines, and run to step positions behind, at and
+// past the count so far; each firing handler reads one more op of its
+// own, so handlers schedule, cancel (their own event included) and Stop
+// the run from inside it.
 type driver struct {
 	e     subject
 	prog  []byte
@@ -175,7 +177,7 @@ func (d *driver) cancel(b byte) {
 
 func (d *driver) op(b byte) {
 	arg := d.next()
-	switch b % 9 {
+	switch b % 10 {
 	case 0, 1, 2, 3:
 		d.schedule(b, arg)
 	case 4:
@@ -200,10 +202,34 @@ func (d *driver) op(b byte) {
 	case 7:
 		d.e.RunUntil(d.e.Now() + Time(arg%8))
 		d.note("rununtil", int(arg%8), true)
-	default:
+	case 8:
 		d.e.Run()
 		d.note("run", -1, true)
+	default:
+		d.runTo(arg)
 	}
+}
+
+// runTo runs to the step position picked by b: a step count from one
+// behind the count so far to four past it, at a time near now. The
+// note's label is the number of labels issued before the run, so
+// TestDriverCoversTheContract can tell a stop mid-instant from a later
+// event scheduled at the same time.
+func (d *driver) runTo(b byte) {
+	n := d.e.Steps()
+	target := n + uint64(b%6)
+	if target > 0 {
+		target--
+	}
+	ok := d.e.RunTo(target, d.when(d.next()))
+	what := "runto"
+	switch {
+	case n > target:
+		what = "runto-past"
+	case d.e.Pending() == 0 && d.e.Steps() < target:
+		what = "runto-drained"
+	}
+	d.note(what, len(d.ids), ok)
 }
 
 // fired records a handler (label ≥ 0) or series tick (-1-k) and runs
@@ -299,17 +325,34 @@ func TestDriverCoversTheContract(t *testing.T) {
 		for i := range prog {
 			prog[i] = byte(g.Intn(256))
 		}
-		for _, s := range runProgram(NewEngine(), prog) {
+		trace := runProgram(NewEngine(), prog)
+		for i, s := range trace {
 			seen[fmt.Sprintf("%s/%v", s.what, s.ok)]++
+			if s.what == "runto" && s.ok && stoppedMidInstant(trace[i+1:], s) {
+				seen["runto-mid/true"]++
+			}
 		}
 	}
 	for _, k := range []string{
 		"cancel/true", "cancel/false", "cancel0/false", "cancel-self/false",
 		"stop-inside/true", "stop/true", "stop-run/true", "every/true",
 		"rununtil/true", "run/true", "fire/true",
+		"runto/true", "runto/false", "runto-mid/true", "runto-drained/false", "runto-past/false",
 	} {
 		if seen[k] == 0 {
 			t.Errorf("no %s in 50 programs (saw %v)", k, seen)
 		}
 	}
+}
+
+// stoppedMidInstant reports whether a successful RunTo, traced as at,
+// left an event of its own instant pending: the next handler to fire
+// does so at the same time and was scheduled before the run.
+func stoppedMidInstant(rest []step, at step) bool {
+	for _, s := range rest {
+		if s.what == "fire" {
+			return s.now == at.now && s.label >= 0 && s.label < at.label
+		}
+	}
+	return false
 }

@@ -27,14 +27,17 @@
 // firing sequence is a function of the scheduling calls alone, never of
 // the queue's layout, map iteration or goroutine interleaving.
 //
-// Input rule: an external input either enters between engine runs, or
-// is scheduled — an event installed for a later instant. Replay
-// reproduces both: it drains the engine to the input's time and then
-// applies it, and re-applying a scheduled input installs the same event
-// at the same (at, seq). An input made while the engine is firing a
-// handler (Running) fits neither: replay would apply it after every
-// event of that instant, not between the two it came between. A
-// durable deployment refuses to record one.
+// Input rule: an external input enters between engine runs, at a
+// position (Steps, Now) — after the same handlers, at the same time,
+// whether it is applied on the spot or schedules an event for a later
+// instant. Replay restores it there: RunTo(steps, at) fires exactly
+// the events that had fired and moves the clock to the input's time,
+// then the input is applied, so it lands between the two events it came
+// between even in the middle of an instant, and a re-applied scheduled
+// input installs the same event at the same (at, seq). An input made
+// while the engine is firing a handler (Running) has no such position:
+// the nearest one replay can reach is after that handler, not inside
+// it. A durable deployment refuses to record one.
 //
 // Cancel contract: Cancel(id) reports true only for an event that is
 // pending and not yet cancelled, and then that event never fires.
@@ -218,8 +221,8 @@ func (e *Engine) Cancel(id EventID) bool {
 	return true
 }
 
-// Stop makes the currently executing Run return after the current
-// handler finishes. Pending events remain queued.
+// Stop makes the currently executing Run, RunUntil or RunTo return
+// after the current handler finishes. Pending events remain queued.
 func (e *Engine) Stop() { e.stopped = true }
 
 // pop removes the earliest event and frees its slot — before the
@@ -281,13 +284,13 @@ func (e *Engine) down(i int) {
 	q[i] = ev
 }
 
-// Running reports whether the engine is inside Run or RunUntil — that
-// is, whether the caller is an event handler.
+// Running reports whether the engine is inside Run, RunUntil or RunTo
+// — that is, whether the caller is an event handler.
 func (e *Engine) Running() bool { return e.running }
 
-// Steps reports how many events the engine has fired since creation.
-// The durability layer uses it to distinguish inputs that arrived
-// before the simulation ever ran from inputs injected mid-run.
+// Steps reports how many events the engine has fired since creation:
+// with Now, the position of whatever happens between two runs, which
+// RunTo returns a rebuilt engine to.
 func (e *Engine) Steps() uint64 { return e.steps }
 
 // Run fires events in order until the queue drains or Stop is called.
@@ -301,6 +304,34 @@ func (e *Engine) Run() Time {
 // advanced to deadline if the simulation had events left but none
 // before the deadline; otherwise it stays at the last event fired.
 func (e *Engine) RunUntil(deadline Time) Time {
+	e.run(deadline, math.MaxUint64)
+	return e.now
+}
+
+// RunTo fires events in order, as RunUntil(at) would, until steps
+// events have fired since creation, and then moves the clock forward
+// to at. It reports whether it got there: false when the engine had
+// already fired more than steps, when the queue drained or the next
+// event fell after at first, when Stop was called, or when at is
+// before Now or after an event still pending — a position no run of
+// this engine passes through.
+func (e *Engine) RunTo(steps uint64, at Time) bool {
+	e.run(at, steps)
+	if e.stopped || e.steps != steps || !(at >= e.now) {
+		return false
+	}
+	if len(e.queue) > 0 && e.queue[0].at < at {
+		return false
+	}
+	e.now = at
+	return true
+}
+
+// run is the one firing loop. It fires events in order until the queue
+// drains, Stop is called, limit events have fired since creation, or
+// the next event would fire after deadline; in that last case the clock
+// moves to a finite deadline.
+func (e *Engine) run(deadline Time, limit uint64) {
 	if e.running {
 		panic("sim: re-entrant Run")
 	}
@@ -312,14 +343,14 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		for len(e.queue) > 0 && e.slots[e.queue[0].slot].h == nil {
 			e.pop()
 		}
-		if len(e.queue) == 0 {
-			return e.now
+		if len(e.queue) == 0 || e.steps >= limit {
+			return
 		}
 		if e.queue[0].at > deadline {
 			if deadline > e.now && !math.IsInf(float64(deadline), 1) {
 				e.now = deadline
 			}
-			return e.now
+			return
 		}
 		at, h := e.pop()
 		e.live--
@@ -327,7 +358,6 @@ func (e *Engine) RunUntil(deadline Time) Time {
 		e.steps++
 		h.Fire()
 	}
-	return e.now
 }
 
 // Every schedules fn to run repeatedly with the given period, starting

@@ -235,6 +235,7 @@ func TestEngineAllocs(t *testing.T) {
 		"After+fire": func() { e.After(1, c); e.Run() },
 		"Cancel":     func() { e.Cancel(e.After(1, c)); e.Run() },
 		"Schedule":   func() { e.Schedule(1, func() {}); e.Run() },
+		"RunTo":      func() { e.After(1, c); e.RunTo(e.Steps()+1, e.Now()+2) },
 		"many": func() {
 			for i := 0; i < 32; i++ {
 				e.After(Duration(i%5), c)

@@ -14,7 +14,7 @@ import (
 
 // The record encoding is positional: every field of Record, in the
 // order below, whatever the Kind. Integers are varints (unsigned for
-// Seq, lengths and counts; zig-zag for the rest), floats are their
+// Seq, Step, lengths and counts; zig-zag for the rest), floats are their
 // IEEE-754 bits little-endian, strings and slices are length-prefixed,
 // booleans and the presence of the two pointer payloads share a flags
 // byte. One record has exactly one encoding, so two records are equal
@@ -45,11 +45,10 @@ func kindCode(k Kind) byte {
 
 const (
 	flagQueued = 1 << iota
-	flagPre
 	flagSub
 	flagWF
 	flagScheduled
-	recordFlags = flagQueued | flagPre | flagSub | flagWF | flagScheduled
+	recordFlags = flagQueued | flagSub | flagWF | flagScheduled
 )
 
 // Flag bits shared by Submission and WorkflowStage.
@@ -71,9 +70,10 @@ func flagIf(on bool, bit byte) byte {
 func appendRecord(dst []byte, r *Record) []byte {
 	dst = append(dst, kindCode(r.Kind))
 	dst = binary.AppendUvarint(dst, r.Seq)
+	dst = binary.AppendUvarint(dst, r.Step)
 	dst = appendFloat(dst, float64(r.At))
 	dst = appendFloat(dst, float64(r.Due))
-	dst = append(dst, flagIf(r.Queued, flagQueued)|flagIf(r.Pre, flagPre)|
+	dst = append(dst, flagIf(r.Queued, flagQueued)|
 		flagIf(r.Sub != nil, flagSub)|flagIf(r.WF != nil, flagWF)|flagIf(r.Scheduled, flagScheduled))
 	dst = appendString(dst, r.Batch)
 	dst = appendString(dst, r.Job)
@@ -240,11 +240,11 @@ func decodeRecord(p []byte) (Record, error) {
 		r.Kind = kinds[c]
 	}
 	r.Seq = d.uvarint()
+	r.Step = d.uvarint()
 	r.At = sim.Time(d.float())
 	r.Due = sim.Time(d.float())
 	flags := d.flags(recordFlags)
 	r.Queued = flags&flagQueued != 0
-	r.Pre = flags&flagPre != 0
 	r.Scheduled = flags&flagScheduled != 0
 	r.Batch = d.str()
 	r.Job = d.str()
@@ -364,7 +364,7 @@ func decodeFrame(data []byte, off int) (Record, int, error) {
 }
 
 // Comparer reports whether two records are equal field for field —
-// Seq, At and every flag included — by comparing their canonical
+// Seq, Step, At and every flag included — by comparing their canonical
 // encodings in two buffers it reuses, so a comparison allocates
 // nothing once the buffers have grown to the largest record seen.
 type Comparer struct{ a, b []byte }

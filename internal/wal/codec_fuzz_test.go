@@ -16,7 +16,7 @@ func FuzzDecodeRecord(f *testing.F) {
 	recs = append(recs,
 		Record{Seq: 9, At: 13.5, Kind: KindUser, Email: "u@example.edu", Token: "t0k"},
 		Record{Seq: 10, At: 14, Kind: KindCheckpoint, JournalLen: 4096, JournalDigest: strings.Repeat("c0", 32)},
-		Record{Seq: 11, At: 15, Kind: KindWorkflow, Origin: "portal", Pre: true, WF: &workload.Workflow{
+		Record{Seq: 11, Step: 1 << 33, At: 15, Kind: KindWorkflow, Origin: "portal", WF: &workload.Workflow{
 			Name: "standard", UserEmail: "w@example.edu", Seed: -7, Stages: []workload.WorkflowStage{
 				{ID: "search", Replicates: 2, Short: true},
 				{ID: "bootstrap", Replicates: 100, Bootstrap: true, After: []string{"search"}},

@@ -87,13 +87,13 @@ func TestCodecRoundTripCases(t *testing.T) {
 		"at -Inf":         {Seq: 3, At: sim.Time(math.Inf(-1)), Kind: KindCheckpoint, JournalLen: -1},
 		"empty strings":   {Seq: 4, At: 1, Kind: KindStage},
 		"70 KiB detail":   {Seq: 1 << 40, At: 2, Kind: KindStage, Detail: strings.Repeat("d", 70<<10)},
-		"zero stages":     {Seq: 5, At: 3, Kind: KindWorkflow, Pre: true, WF: &workload.Workflow{Name: "w"}},
+		"zero stages":     {Seq: 5, Step: 300, At: 3, Kind: KindWorkflow, WF: &workload.Workflow{Name: "w"}},
 		"200 stages":      {Seq: 6, At: 4, Kind: KindWorkflow, WF: &workload.Workflow{Name: "w", Seed: 9, Stages: stages(200)}},
 		"queued submission": {Seq: 7, At: 5, Kind: KindSubmission, Origin: "shard0/core", Queued: true,
 			Sub: &workload.Submission{Replicates: 2000, Bootstrap: true, UserEmail: "u@example.edu"}},
-		"scheduled at zero": {Seq: 8, Kind: KindSubmission, Origin: "shard1/core", Scheduled: true, Pre: true,
+		"scheduled at zero": {Seq: 8, Kind: KindSubmission, Origin: "shard1/core", Scheduled: true,
 			Sub: &workload.Submission{Replicates: 1, UserEmail: "v@example.edu"}},
-		"scheduled later": {Seq: 9, At: 6, Kind: KindSubmission, Origin: "shard1/core", Scheduled: true, Due: 7.25, Queued: true,
+		"scheduled later": {Seq: 9, Step: 17, At: 6, Kind: KindSubmission, Origin: "shard1/core", Scheduled: true, Due: 7.25, Queued: true,
 			Sub: &workload.Submission{Replicates: 1, UserEmail: "w@example.edu"}},
 	}
 	var buf []byte // reused across cases: growth must not leak one record into the next
@@ -119,7 +119,7 @@ func TestDecodeRejects(t *testing.T) {
 		t.Fatalf("reference record: %v", err)
 	}
 	mutate := func(f func(p []byte) []byte) []byte { return f(append([]byte(nil), good...)) }
-	const batchLen = 1 + 1 + 8 + 8 + 1 // kind, seq, at, due, flags: offset of Batch's length prefix
+	const batchLen = 1 + 1 + 1 + 8 + 8 + 1 // kind, seq, step, at, due, flags: offset of Batch's length prefix
 	cases := map[string]struct {
 		p    []byte
 		want string
@@ -186,11 +186,11 @@ func TestHotPathsAllocateNothing(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("comparing one record allocates %v times", n)
 	}
-	logged.Pre = true
+	logged.Step = 1
 	if cmp.Equal(&queued, &logged) {
-		t.Error("records differing only in Pre compare equal")
+		t.Error("records differing only in Step compare equal")
 	}
-	logged.Pre, logged.Scheduled = false, true
+	logged.Step, logged.Scheduled = 0, true
 	if cmp.Equal(&queued, &logged) {
 		t.Error("records differing only in Scheduled compare equal")
 	}

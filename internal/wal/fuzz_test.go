@@ -38,7 +38,7 @@ func FuzzLoad(f *testing.F) {
 		flipped[at] ^= 0x40
 		f.Add(flipped)
 	}
-	f.Add(append([]byte("LATWAL04"), whole[len(magic):]...))
+	f.Add(append([]byte("LATWAL05"), whole[len(magic):]...))
 
 	f.Fuzz(func(t *testing.T, log []byte) {
 		dir := t.TempDir()
@@ -72,7 +72,8 @@ func FuzzLoad(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		next := Record{Seq: st.LastSeq + 1, At: st.Watermark, Kind: KindCheckpoint, JournalLen: 64}
+		last := st.Tail[len(st.Tail)-1]
+		next := Record{Seq: st.LastSeq + 1, Step: last.Step, At: last.At, Kind: KindCheckpoint, JournalLen: 64}
 		lg.Append(next)
 		if err := lg.Close(); err != nil {
 			t.Fatal(err)

@@ -5,12 +5,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
-
-	"lattice/internal/sim"
 )
 
 // State is everything Load could recover from a durable directory:
-// every record since genesis and the derived replay bounds.
+// every record since genesis, with the seed and the last sequence
+// number read off it.
 type State struct {
 	// Tail holds every whole record of the log, genesis first,
 	// contiguous and checksum-verified.
@@ -22,9 +21,6 @@ type State struct {
 	Seed int64
 	// LastSeq is the newest durable sequence number.
 	LastSeq uint64
-	// Watermark is the virtual time of the newest durable record —
-	// recovery re-executes the run up to here.
-	Watermark sim.Time
 	// size is the byte length of the header and the whole frames: where
 	// Reopen appends.
 	size int64
@@ -79,7 +75,7 @@ func Load(dir string) (*State, error) {
 			st.Seed = r.Seed
 		}
 		st.Tail = append(st.Tail, r)
-		st.LastSeq, st.Watermark = r.Seq, r.At
+		st.LastSeq = r.Seq
 		off = next
 		st.size = int64(off)
 	}

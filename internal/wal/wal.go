@@ -6,13 +6,14 @@
 // checkpoints of the obs journal's own running digest. Because the
 // simulation is deterministic per seed, inputs plus seed are sufficient
 // to reconstruct the full machine state: recovery re-executes the run
-// from genesis, re-injecting each input at its recorded virtual time,
-// and checks every regenerated record against the log byte for byte. A
-// checkpoint fingerprints every journal event up to it, so the
-// lifecycle transitions the journal records need no record of their
-// own. The only crash window is the frame being written when the
-// process died: Load drops that torn tail and Reopen cuts it off before
-// the next append.
+// from genesis, re-injecting each input at its recorded position — the
+// engine step and virtual time it was written at — and checks every
+// regenerated record against the log byte for byte. A checkpoint
+// fingerprints every journal event up to it, so the lifecycle
+// transitions the journal records need no record of their own. The
+// only crash window is the frame being written when the process died:
+// Load drops that torn tail and Reopen cuts it off before the next
+// append.
 //
 // The package depends only on the standard library plus the sim and
 // workload value types; it knows nothing about the components that
@@ -58,12 +59,15 @@ const (
 )
 
 // Record is one durable log entry. Seq is a dense 1-based sequence
-// number assigned by the single writer; At is the virtual time the
-// event happened. The remaining fields are a union keyed by Kind. The
+// number assigned by the single writer; Step and At are the engine's
+// position when the record was written — the events fired so far and
+// the virtual time — which replay returns a rebuilt engine to before
+// it re-applies an input. The remaining fields are a union keyed by Kind. The
 // json tags only shape how a record is rendered in error messages;
 // the durable encoding is the binary one in codec.go.
 type Record struct {
 	Seq  uint64   `json:"seq"`
+	Step uint64   `json:"step"`
 	At   sim.Time `json:"at"`
 	Kind Kind     `json:"kind"`
 
@@ -87,10 +91,6 @@ type Record struct {
 	// is regenerated by re-execution) instead of scheduling it
 	// synchronously.
 	Queued bool `json:"queued,omitempty"`
-	// Pre marks an input that arrived before the engine ever stepped;
-	// recovery applies such inputs before running any events so they
-	// interleave with organic time-zero work exactly as they did live.
-	Pre bool `json:"pre,omitempty"`
 	// Scheduled marks a submission recorded at At that arrives at Due.
 	// Recovery re-applies it where it was recorded, which installs the
 	// same arrival event; the delivery is derived and never recorded.
@@ -127,7 +127,7 @@ type Options struct {
 // incompatible framing or record-encoding change; Load refuses every
 // other version (a durable directory belongs to one run of one build,
 // so there is no migration).
-var magic = []byte("LATWAL05")
+var magic = []byte("LATWAL06")
 
 // frameHeaderSize is the per-record framing overhead: uint32 LE
 // payload length followed by uint32 LE CRC32 (IEEE) of the payload.
@@ -145,11 +145,11 @@ func LogPath(dir string) string { return filepath.Join(dir, "wal.log") }
 // the file's size (always 0 now).
 func SnapshotPath(dir string) string { return filepath.Join(dir, "snapshot.json") }
 
-// HasState reports whether dir holds recoverable durable state: a log
+// hasState reports whether dir holds recoverable durable state: a log
 // Load reads at least one whole frame from, or one it refuses. A log
 // whose writer died inside the header or the genesis frame holds
 // nothing durable, and Create may start over it.
-func HasState(dir string) bool {
+func hasState(dir string) bool {
 	st, err := Load(dir)
 	return st != nil || err != nil
 }
@@ -167,9 +167,9 @@ type Log struct {
 
 // Create opens a fresh log in dir, creating the directory if needed.
 // It refuses to run over existing durable state — use Load plus Reopen
-// (via core.Recover) to resume, or remove the directory to start over.
+// (core.New does) to resume, or remove the directory to start over.
 func Create(dir string, opts Options) (*Log, error) {
-	if HasState(dir) {
+	if hasState(dir) {
 		return nil, fmt.Errorf("wal: %s already holds durable state; recover or remove it first", dir)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {

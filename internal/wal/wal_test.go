@@ -107,21 +107,21 @@ func TestRoundTrip(t *testing.T) {
 
 func TestHasState(t *testing.T) {
 	dir := t.TempDir()
-	if HasState(dir) {
+	if hasState(dir) {
 		t.Fatal("empty dir reports state")
 	}
 	lg, err := Create(dir, Options{})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
-	if HasState(dir) {
+	if hasState(dir) {
 		t.Fatal("header-only log reports state")
 	}
 	lg.Append(Record{Seq: 1, Kind: KindGenesis, Seed: 1})
 	if err := lg.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if !HasState(dir) {
+	if !hasState(dir) {
 		t.Fatal("log with a record reports no state")
 	}
 	if _, err := Create(dir, Options{}); err == nil {
@@ -136,8 +136,8 @@ func TestHasState(t *testing.T) {
 	if err := os.WriteFile(LogPath(dir), data[:len(magic)+3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if st, err := Load(dir); HasState(dir) || st != nil || err != nil {
-		t.Fatalf("torn genesis: HasState %v, Load %+v, %v; want no state", HasState(dir), st, err)
+	if st, err := Load(dir); hasState(dir) || st != nil || err != nil {
+		t.Fatalf("torn genesis: hasState %v, Load %+v, %v; want no state", hasState(dir), st, err)
 	}
 	if lg, err = Create(dir, Options{}); err != nil {
 		t.Fatalf("Create over a torn genesis: %v", err)
@@ -149,7 +149,7 @@ func TestHasState(t *testing.T) {
 	if err := os.WriteFile(LogPath(dir), []byte("LATWAL04"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if !HasState(dir) {
+	if !hasState(dir) {
 		t.Fatal("an older format's log reports no state")
 	}
 }
@@ -284,17 +284,18 @@ func TestSequenceGapFatal(t *testing.T) {
 // TestOlderFormatRefused: a directory written by an older build — the
 // JSON-frame one, the binary one whose records had no due time, the
 // one that logged every journal event and learned estimate beside the
-// inputs, or the one with a snapshot and an input segment beside the
-// log — fails to load with an error naming both versions.
+// inputs, the one with a snapshot and an input segment beside the log,
+// or the one whose pre-run inputs carried a flag instead of every record
+// its engine step — fails to load with an error naming both versions.
 func TestOlderFormatRefused(t *testing.T) {
-	for _, old := range []string{"LATWAL01", "LATWAL02", "LATWAL03", "LATWAL04"} {
+	for _, old := range []string{"LATWAL01", "LATWAL02", "LATWAL03", "LATWAL04", "LATWAL05"} {
 		dir := t.TempDir()
 		if err := os.WriteFile(LogPath(dir), []byte(old+"\x10\x00\x00\x00"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		_, err := Load(dir)
-		if err == nil || !strings.Contains(err.Error(), old) || !strings.Contains(err.Error(), "LATWAL05") {
-			t.Fatalf("got %v, want an error naming %s and LATWAL05", err, old)
+		if err == nil || !strings.Contains(err.Error(), old) || !strings.Contains(err.Error(), "LATWAL06") {
+			t.Fatalf("got %v, want an error naming %s and LATWAL06", err, old)
 		}
 	}
 }
