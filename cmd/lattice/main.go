@@ -13,6 +13,10 @@
 // pass -metrics-addr to serve those two endpoints on a separate
 // listener as well.
 //
+// With -shards N above 1 the front router fronts N coordinator shards
+// that share nothing: each owns a disjoint slice of the federation and,
+// under -durable, its own write-ahead log in <dir>/shard<k>.
+//
 // The -smoke flag boots the grid on a loopback port, pushes a small
 // workload through it, scrapes /metrics and /trace over real HTTP,
 // and exits non-zero unless the exposition parses and shows the
@@ -21,13 +25,13 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
-	"path/filepath"
 	"time"
 
 	"lattice/internal/admit"
@@ -42,28 +46,35 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "lattice:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+// run boots the deployment its arguments describe. Bad arguments are
+// refused before anything is built or listens.
+func run(args []string) error {
+	fs := flag.NewFlagSet("lattice", flag.ContinueOnError)
 	var (
-		addr        = flag.String("addr", ":8080", "portal listen address")
-		metricsAddr = flag.String("metrics-addr", "", "optional separate listen address for /metrics and /trace/")
-		accel       = flag.Float64("accel", 60, "grid-time acceleration (virtual seconds per wall second)")
-		seed        = flag.Int64("seed", 1, "random seed for the simulated federation")
-		train       = flag.Int("train", 150, "runtime-model training jobs")
-		smoke       = flag.Bool("smoke", false, "boot, run a small workload, self-scrape /metrics, and exit")
-		withFaults  = flag.Bool("faults", false, "run under the default hostile fault schedule (outages, flaps, churn, lost results)")
-		durable     = flag.String("durable", "", "directory for crash-consistent state (one append-only log, wal.log, of inputs and checkpoints, each stamped with its engine step); on boot, a log already there is resumed by replaying it from genesis")
-		workflow    = flag.Bool("workflow", false, "submit the four-stage standard-analysis demo workflow at boot; watch it at /workflow/<id>")
-		shards      = flag.Int("shards", 1, "coordinator shard count; above 1 boots a sharded cluster behind a deterministic front router")
-		share       = flag.String("share", "partition", "grid sharing mode under -shards: partition (static split) or lease (rotating leases)")
-		withAdmit   = flag.Bool("admit", false, "enable overload protection: the serialized ingest door with per-user quotas, fair-share shedding (429 + Retry-After at the portal) and per-resource circuit breakers")
+		addr        = fs.String("addr", ":8080", "portal listen address")
+		metricsAddr = fs.String("metrics-addr", "", "optional separate listen address for /metrics and /trace/")
+		accel       = fs.Float64("accel", 60, "grid-time acceleration (virtual seconds per wall second)")
+		seed        = fs.Int64("seed", 1, "random seed for the simulated federation")
+		train       = fs.Int("train", 150, "runtime-model training jobs")
+		smoke       = fs.Bool("smoke", false, "boot, run a small workload, self-scrape /metrics, and exit")
+		withFaults  = fs.Bool("faults", false, "run under the default hostile fault schedule (outages, flaps, churn, lost results)")
+		durable     = fs.String("durable", "", "directory for crash-consistent state (one append-only log, wal.log, of inputs and checkpoints, each stamped with its engine step); on boot, a log already there is resumed by replaying it from genesis")
+		workflow    = fs.Bool("workflow", false, "submit the four-stage standard-analysis demo workflow at boot; watch it at /workflow/<id>")
+		shards      = fs.Int("shards", 1, "coordinator shard count (≥ 1); above 1 boots a sharded cluster behind a deterministic front router, each shard owning a disjoint slice of the federation")
+		withAdmit   = fs.Bool("admit", false, "enable overload protection: the serialized ingest door with per-user quotas, fair-share shedding (429 + Retry-After at the portal) and per-resource circuit breakers")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *shards < 1 {
+		return fmt.Errorf("-shards %d: a deployment needs at least 1 coordinator shard", *shards)
+	}
 
 	cfg := core.DefaultConfig(*seed)
 	cfg.TrainingJobs = *train
@@ -88,7 +99,7 @@ func run() error {
 		case *metricsAddr != "":
 			return fmt.Errorf("-metrics-addr serves the flat deployment's hub; under -shards the front router serves the merged /metrics")
 		}
-		return runCluster(cfg, *shards, *share, *durable, *withFaults, *addr, *accel)
+		return runCluster(cfg, *shards, *durable, *withFaults, *addr, *accel)
 	}
 	cfg.Durable = *durable
 	lat, err := core.New(cfg)
@@ -174,10 +185,9 @@ func reportRecovery(dir string, rep *core.RecoveryReport) bool {
 // runCluster boots a sharded deployment: N coordinator shards behind
 // the deterministic front router, each with its own engine, metrics
 // hub and (under -durable) WAL directory root/shard<k>.
-func runCluster(base core.Config, shards int, share, durable string, withFaults bool, addr string, accel float64) error {
+func runCluster(base core.Config, shards int, durable string, withFaults bool, addr string, accel float64) error {
 	ccfg := core.ClusterConfig{
 		Shards:      shards,
-		Share:       shard.ShareMode(share),
 		Base:        base,
 		DurableRoot: durable,
 	}
@@ -194,12 +204,11 @@ func runCluster(base core.Config, shards int, share, durable string, withFaults 
 	if durable != "" {
 		fmt.Printf("durable state: per-shard write-ahead logs under %s/shard<k>\n", durable)
 	}
-	fmt.Printf("The Lattice Project — %d coordinator shards (%s sharing) behind the front router\n",
-		c.Size(), ccfg.Share)
+	fmt.Printf("The Lattice Project — %d coordinator shards behind the front router\n", c.Size())
 	for k, lat := range c.Shards {
 		fmt.Printf("  shard %d: %d resources, %d CPU cores visible\n",
 			k, len(lat.ResourceNames()), lat.TotalCores())
-		reportRecovery(filepath.Join(durable, fmt.Sprintf("shard%d", k)), lat.Recovery)
+		reportRecovery(shard.Dir(durable, k), lat.Recovery)
 	}
 
 	// Advance every shard's virtual clock continuously.

@@ -1,6 +1,9 @@
 package lattice_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -11,8 +14,11 @@ import (
 
 // TestDocsNameOnlyWhatExists keeps the prose honest about the tree:
 // every `make <target>` the four living documents mention is a target
-// of the Makefile, and every repo path — any word ending in .go, .json
-// or .md, or under cmd/, internal/, examples/ — exists.
+// of the Makefile, every backticked `pkg.Ident` whose pkg is the last
+// element of an internal/… package path is declared at top level in
+// that package (test files included), and every repo path — any word
+// ending in .go, .json or .md, or under cmd/, internal/, examples/ —
+// exists.
 // bench/, CHANGES.md and ROADMAP.md are history and may name the dead.
 func TestDocsNameOnlyWhatExists(t *testing.T) {
 	mk, err := os.ReadFile("Makefile")
@@ -35,6 +41,8 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	decls := internalDecls(t)
+	qualified := regexp.MustCompile(`\b([a-z][a-z0-9]*)\.([A-Z][A-Za-z0-9_]*)`)
 	span := regexp.MustCompile("`[^`\n]+`")
 	for _, doc := range []string{"README.md", "EXPERIMENTS.md", "DESIGN.md", "internal/README.md"} {
 		text, err := os.ReadFile(doc)
@@ -44,6 +52,11 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 		for _, s := range span.FindAllString(string(text), -1) {
 			if w := strings.Fields(strings.Trim(s, "`")); len(w) >= 2 && w[0] == "make" && !targets[w[1]] {
 				t.Errorf("%s: %s is not a Makefile target", doc, s)
+			}
+			for _, m := range qualified.FindAllStringSubmatch(s, -1) {
+				if names, ok := decls[m[1]]; ok && !names[m[2]] {
+					t.Errorf("%s: %s names %s.%s, which package %s does not declare", doc, s, m[1], m[2], m[1])
+				}
 			}
 		}
 		for _, w := range strings.Fields(string(text)) {
@@ -64,4 +77,54 @@ func TestDocsNameOnlyWhatExists(t *testing.T) {
 			}
 		}
 	}
+}
+
+// internalDecls maps the last element of every internal/… package path
+// to the names its files, test files included, declare at top level.
+func internalDecls(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	decls := map[string]map[string]bool{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir("internal", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && d.Name() == "testdata":
+			return filepath.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go"):
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := filepath.Base(filepath.Dir(path))
+		if decls[pkg] == nil {
+			decls[pkg] = map[string]bool{}
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					decls[pkg][d.Name.Name] = true
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						decls[pkg][s.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							decls[pkg][n.Name] = true
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return decls
 }

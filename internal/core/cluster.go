@@ -5,12 +5,10 @@ import (
 	"encoding/hex"
 	"fmt"
 	"net/http"
-	"path/filepath"
 	"strings"
 
 	"lattice/internal/faults"
 	"lattice/internal/gsbl"
-	"lattice/internal/lrm"
 	"lattice/internal/obs"
 	"lattice/internal/shard"
 	"lattice/internal/sim"
@@ -22,20 +20,17 @@ import (
 type ClusterConfig struct {
 	// Shards is the coordinator count (≥ 1).
 	Shards int
-	// Share selects how the grid federation is divided among shards:
-	// SharePartition (the default) statically assigns resource i of
-	// Base.Resources to shard i mod N; ShareLease gives every shard a
-	// replica of the full federation gated by a rotating lease, so each
-	// resource serves exactly one shard per shard.DefaultLeaseTerm (see
-	// shard.Leases).
+	// Share has one accepted value, shard.SharePartition (or empty):
+	// resource i of Base.Resources belongs to shard i mod N. It is
+	// kept only for the ledger's call site.
 	Share shard.ShareMode
 	// Base is the per-shard deployment template. Seed, IDPrefix,
-	// Durable, Faults and ResourceWrap are derived per shard and must
-	// be left at their zero values here.
+	// Durable and Faults are derived per shard and must be left at
+	// their zero values here; ResourceWrap must be left unset.
 	Base Config
 	// DurableRoot, when non-empty, gives each shard its own
-	// write-ahead-log directory root/shard<k>, so recovery stays local
-	// to a crashed shard. Empty disables durability cluster-wide.
+	// write-ahead-log directory shard.Dir(root, k), so recovery stays
+	// local to a crashed shard. Empty disables durability cluster-wide.
 	DurableRoot string
 	// ShardFaults, when non-nil, supplies shard k's fault schedule
 	// (nil return: no faults on that shard). Crash events stop only
@@ -44,10 +39,10 @@ type ClusterConfig struct {
 }
 
 // Cluster is a sharded deployment: N Lattices, each with its own
-// engine, obs hub, WAL directory and fault injector, coordinated only
-// through pure functions of the virtual clock (the router hash and
-// the lease rotation), so shards can be advanced independently and a
-// crash never leaves cross-shard state half-written.
+// engine, obs hub, WAL directory, fault injector and slice of the
+// federation, coordinated only through the router hash, so shards can
+// be advanced independently and a crash never leaves cross-shard state
+// half-written.
 //
 // The cluster itself is single-threaded like the engines it drives:
 // submissions, RunUntil and recovery belong to one goroutine. Handler
@@ -62,20 +57,18 @@ type Cluster struct {
 }
 
 // NewCluster assembles a sharded deployment. Shard k runs with seed
-// shard.Seed(Base.Seed, k), ID prefix "shard<k>-", and its share of
-// the federation; with DurableRoot set each shard writes its own WAL
-// under root/shard<k>, and a shard whose directory already holds state
-// resumes from it (Shards[k].Recovery says how) — arrivals the previous
+// shard.Seed(Base.Seed, k), ID prefix shard.IDPrefix(k), and its
+// slice of the federation; with DurableRoot set each shard writes its
+// own WAL under shard.Dir(root, k), and a shard whose directory
+// already holds state resumes from it (Shards[k].Recovery says how) — arrivals the previous
 // process scheduled included: each was a durable input from the moment
 // it was scheduled, and the resumed shard delivers the ones not yet due.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("core: cluster needs at least 1 shard, got %d", cfg.Shards)
 	}
-	switch cfg.Share {
-	case "", shard.SharePartition, shard.ShareLease:
-	default:
-		return nil, fmt.Errorf("core: unknown share mode %q", cfg.Share)
+	if cfg.Share != "" && cfg.Share != shard.SharePartition {
+		return nil, fmt.Errorf("core: unknown share mode %q; shards share the federation only as %q", cfg.Share, shard.SharePartition)
 	}
 	if cfg.Base.IDPrefix != "" || cfg.Base.Durable != "" || cfg.Base.Faults != nil || cfg.Base.ResourceWrap != nil {
 		return nil, fmt.Errorf("core: cluster base config must leave IDPrefix, Durable, Faults and ResourceWrap unset")
@@ -100,30 +93,12 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 func (c *Cluster) shardConfig(k int) Config {
 	cfg := c.cfg.Base
 	cfg.Seed = shard.Seed(c.cfg.Base.Seed, k)
-	cfg.IDPrefix = fmt.Sprintf("shard%d-", k)
+	cfg.IDPrefix = shard.IDPrefix(k)
 	if c.cfg.DurableRoot != "" {
-		cfg.Durable = filepath.Join(c.cfg.DurableRoot, fmt.Sprintf("shard%d", k))
+		cfg.Durable = shard.Dir(c.cfg.DurableRoot, k)
 	}
 	if c.cfg.ShardFaults != nil {
 		cfg.Faults = c.cfg.ShardFaults(k)
-	}
-	if c.cfg.Share == shard.ShareLease {
-		// Every shard replicates the full federation; the lease gate
-		// admits each resource only while this shard holds its lease,
-		// so at any instant a resource name serves exactly one shard.
-		leases := shard.Leases{Shards: c.cfg.Shards, Term: shard.DefaultLeaseTerm}
-		index := make(map[string]int, len(c.cfg.Base.Resources))
-		for i, rs := range c.cfg.Base.Resources {
-			index[rs.Name] = i
-		}
-		shardID := k
-		cfg.ResourceWrap = func(eng *sim.Engine, name string, inner lrm.LRM) lrm.LRM {
-			i := index[name]
-			return shard.NewGate(inner, eng.Now, func(now sim.Time) bool {
-				return leases.Owner(i, now) == shardID
-			})
-		}
-		return cfg
 	}
 	// Static partition: resource i belongs to shard i mod N. The
 	// reference cluster only retrains on shards that own it.
@@ -335,8 +310,13 @@ func (c *Cluster) statusJSON() any {
 // index page, the app description, fresh registrations without an
 // email — the registration handler itself rejects those).
 func (c *Cluster) shardFor(r *http.Request) *Lattice {
-	if k, ok := pathShard(r.URL.Path, len(c.Shards)); ok {
-		return c.Shards[k]
+	// An ID right after its route names its shard, e.g.
+	// /batch/shard2-batch-000017/status → 2. A path without the route
+	// keeps its leading slash, which no shard prefix matches.
+	for _, route := range []string{"/batch/", "/trace/", "/workflow/"} {
+		if k, ok := shard.IDShard(strings.TrimPrefix(r.URL.Path, route), len(c.Shards)); ok {
+			return c.Shards[k]
+		}
 	}
 	if tok := r.Header.Get("X-Lattice-Token"); tok != "" {
 		for _, l := range c.Shards {
@@ -349,22 +329,6 @@ func (c *Cluster) shardFor(r *http.Request) *Lattice {
 		return c.Shards[shard.Route(email, "portal", len(c.Shards))]
 	}
 	return c.Shards[0]
-}
-
-// pathShard extracts the shard index from a shard-prefixed ID path
-// segment, e.g. /batch/shard2-batch-000017/status → 2.
-func pathShard(path string, n int) (int, bool) {
-	for _, prefix := range []string{"/batch/", "/trace/", "/workflow/"} {
-		rest, ok := strings.CutPrefix(path, prefix)
-		if !ok {
-			continue
-		}
-		var k int
-		if _, err := fmt.Sscanf(rest, "shard%d-", &k); err == nil && k >= 0 && k < n {
-			return k, true
-		}
-	}
-	return 0, false
 }
 
 // CloseDurable closes every shard's write-ahead log.

@@ -200,12 +200,10 @@ func TestClusterRoutedSubmissions(t *testing.T) {
 	checkConservation(t, c)
 }
 
-// TestClusterPartitionAndLeaseShares checks the two share modes: the
-// static partition splits the federation round-robin (and drops the
-// reference cluster from shards that don't own it), the lease mode
-// replicates it everywhere with gates that admit exactly one shard
-// per resource at any instant.
-func TestClusterPartitionAndLeaseShares(t *testing.T) {
+// TestClusterPartitionShares checks the static partition splits the
+// federation round-robin, and that NewCluster refuses any other
+// sharing mode.
+func TestClusterPartitionShares(t *testing.T) {
 	base := clusterBase(22)
 	part, err := NewCluster(ClusterConfig{Shards: 2, Base: base})
 	if err != nil {
@@ -217,34 +215,9 @@ func TestClusterPartitionAndLeaseShares(t *testing.T) {
 	if got := part.Shards[1].ResourceNames(); len(got) != 2 || got[0] != "pbs01" || got[1] != "pbs03" {
 		t.Errorf("shard 1 partition = %v, want [pbs01 pbs03]", got)
 	}
-
-	lease, err := NewCluster(ClusterConfig{Shards: 2, Base: base, Share: shard.ShareLease})
-	if err != nil {
-		t.Fatal(err)
+	if _, err := NewCluster(ClusterConfig{Shards: 2, Base: base, Share: "lease"}); err == nil {
+		t.Error(`NewCluster accepted Share: "lease"`)
 	}
-	for k, l := range lease.Shards {
-		if got := len(l.ResourceNames()); got != 4 {
-			t.Errorf("lease shard %d sees %d resources, want 4", k, got)
-		}
-	}
-	// At t=0 (epoch 0) resource i is leased to shard i mod 2.
-	if r, _ := lease.Shards[0].Resource("pbs00"); r.Info().TotalCPUs == 0 {
-		t.Error("shard 0 should hold pbs00's lease at t=0")
-	}
-	if r, _ := lease.Shards[0].Resource("pbs01"); r.Info().TotalCPUs != 0 {
-		t.Error("shard 0 should not hold pbs01's lease at t=0")
-	}
-	if r, _ := lease.Shards[1].Resource("pbs01"); r.Info().TotalCPUs == 0 {
-		t.Error("shard 1 should hold pbs01's lease at t=0")
-	}
-
-	// Work still completes under lease rotation.
-	for i := 0; i < 6; i++ {
-		email := fmt.Sprintf("lease%02d@example.edu", i)
-		lease.ScheduleSubmission(0, clusterSubmission(email, int64(200+i)))
-	}
-	runClusterToDone(t, lease, sim.Time(10*sim.Day))
-	checkConservation(t, lease)
 }
 
 // TestClusterSameSeedDigests is the determinism pin: at every shard
@@ -544,92 +517,6 @@ func TestClusterRestartsFromDurableRoot(t *testing.T) {
 	for k, l := range again.Shards {
 		if got := l.Obs.Journal.Digest(); got != want[k] {
 			t.Errorf("shard %d digest %s after restart, %s before", k, got, want[k])
-		}
-	}
-}
-
-// TestClusterLeaseRotationAcrossCrash pins lease rotation across a
-// shard crash/recover boundary: under ShareLease a shard is killed
-// after at least one rotation, stays down while further rotations
-// elapse, and is rebuilt from its own WAL. Because lease ownership is
-// a pure function of (resource, virtual time) — configuration, not
-// replicated state — the recovered shard must see exactly the
-// ownership an uninterrupted twin sees, and the final per-shard
-// digests must match the twin's bit for bit.
-func TestClusterLeaseRotationAcrossCrash(t *testing.T) {
-	const seed = 26
-	const crashShard = 0
-	term := shard.DefaultLeaseTerm
-	crashAt := sim.Time(term + term/2) // one rotation behind it, more while down
-	shardFaults := func(k int) *faults.Schedule {
-		if k != crashShard {
-			return nil
-		}
-		return &faults.Schedule{CrashAt: []sim.Time{crashAt}}
-	}
-	schedule := func(c *Cluster) {
-		for i := 0; i < 12; i++ {
-			email := fmt.Sprintf("leasecrash%02d@example.edu", i)
-			c.ScheduleSubmission(sim.Time(sim.Duration(i)*term/4+11), clusterSubmission(email, int64(500+i)))
-		}
-	}
-	base := clusterBase(seed)
-	base.Ingest = gsbl.IngestConfig{PerSubmissionSeconds: 30, PerReplicateSeconds: 5}
-
-	twin, err := NewCluster(ClusterConfig{
-		Shards: 2, Share: shard.ShareLease,
-		Base: base, ShardFaults: shardFaults,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	twin.Shards[crashShard].Faults.SetCrashStops(false)
-	schedule(twin)
-	runClusterToDone(t, twin, sim.Time(10*sim.Day))
-
-	c, err := NewCluster(ClusterConfig{
-		Shards: 2, Share: shard.ShareLease,
-		Base: base, ShardFaults: shardFaults,
-		DurableRoot: t.TempDir(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	schedule(c)
-	for len(c.CrashedShards()) == 0 {
-		c.RunUntil(c.Shards[1-crashShard].Engine.Now().Add(sim.Hour))
-	}
-	// Let further rotations pass while the shard is down: the survivor
-	// runs on alone, so by recovery time the leases the crashed shard
-	// held have rotated away and back.
-	c.RunUntil(c.Shards[1-crashShard].Engine.Now().Add(2 * term))
-	if _, err := c.RecoverShard(crashShard); err != nil {
-		t.Fatal(err)
-	}
-
-	// The recovered shard's gates agree with the schedule right now:
-	// resource i is visible iff this shard owns its lease.
-	leases := shard.Leases{Shards: 2, Term: term}
-	rec := c.Shards[crashShard]
-	now := rec.Engine.Now()
-	for i, name := range rec.ResourceNames() {
-		r, ok := rec.Resource(name)
-		if !ok {
-			t.Fatalf("recovered shard lost resource %s", name)
-		}
-		wantHeld := leases.Owner(i, now) == crashShard
-		if gotHeld := r.Info().TotalCPUs > 0; gotHeld != wantHeld {
-			t.Errorf("recovered shard: resource %s held=%v at t=%v, schedule says %v", name, gotHeld, now, wantHeld)
-		}
-	}
-
-	runClusterToDone(t, c, sim.Time(10*sim.Day))
-	checkConservation(t, c)
-	want := twin.ShardDigests()
-	got := c.ShardDigests()
-	for k := range want {
-		if got[k] != want[k] {
-			t.Errorf("shard %d digest %s != uninterrupted lease twin %s", k, got[k], want[k])
 		}
 	}
 }

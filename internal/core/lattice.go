@@ -97,7 +97,7 @@ type Config struct {
 	IDPrefix string
 	// ResourceWrap, when non-nil, wraps every resource after fault
 	// wrapping and before MDS/scheduler registration — the seam the
-	// cluster's lease gates install through. The engine is the
+	// ledger's per-layer timing installs through. The engine is the
 	// deployment's clock for time-dependent wrappers. Nil leaves
 	// resources untouched.
 	ResourceWrap func(eng *sim.Engine, name string, inner lrm.LRM) lrm.LRM

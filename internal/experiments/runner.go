@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"slices"
 	"strconv"
 	"sync"
@@ -212,7 +211,8 @@ func (r *run) deploy(k int) (err error) {
 			cfg.Faults = r.sc.faults(0)
 		}
 		if r.dir != "" {
-			cfg.Durable = r.shardDir(0)
+			// core.ClusterConfig.DurableRoot's layout, borrowed as shard 0.
+			cfg.Durable = shard.Dir(r.dir, 0)
 		}
 		lat, err := core.New(cfg)
 		if err == nil {
@@ -223,7 +223,6 @@ func (r *run) deploy(k int) (err error) {
 	if k < 0 {
 		r.cluster, err = core.NewCluster(core.ClusterConfig{
 			Shards:      r.sc.shards,
-			Share:       shard.SharePartition,
 			Base:        r.cfg,
 			DurableRoot: r.dir,
 			ShardFaults: r.sc.faults,
@@ -235,12 +234,6 @@ func (r *run) deploy(k int) (err error) {
 		r.lats = r.cluster.Shards
 	}
 	return err
-}
-
-// shardDir is shard k's log directory — core.ClusterConfig.DurableRoot's
-// layout, which the flat coordinator borrows as shard 0.
-func (r *run) shardDir(k int) string {
-	return filepath.Join(r.dir, fmt.Sprintf("shard%d", k))
 }
 
 // recoverShard rebuilds killed shard k in place. The dead coordinator's
@@ -258,12 +251,12 @@ func (r *run) recoverShard(k int) error {
 	killLen := 0 // journal length at the kill whose record the tear takes
 	if r.sc.tear && !r.torn {
 		// The kill's checkpoint is the last record written.
-		st, err := wal.Load(r.shardDir(k))
+		st, err := wal.Load(shard.Dir(r.dir, k))
 		if err != nil {
 			return err
 		}
 		killLen = st.Tail[len(st.Tail)-1].JournalLen
-		path := wal.LogPath(r.shardDir(k))
+		path := wal.LogPath(shard.Dir(r.dir, k))
 		fi, err := os.Stat(path)
 		if err != nil {
 			return err

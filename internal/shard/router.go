@@ -1,22 +1,32 @@
 // Package shard holds the primitives of multi-coordinator scale-out:
 // a deterministic router that partitions users across N coordinator
-// shards, a deterministic resource-lease schedule (plus the static
-// partition alternative) for sharing the grid federation between
-// shards, and exposition merging that gives every metric series a
-// shard label. The package is pure mechanism — core.Cluster wires
-// these primitives around N core.Lattice deployments.
+// shards, per-shard seed derivation, the shard naming every
+// shard-qualified label uses (origins, ID prefixes, WAL directories),
+// and exposition merging that gives every metric series a shard label.
+// The package is pure mechanism — core.Cluster wires these primitives
+// around N core.Lattice deployments, each of which owns a disjoint
+// slice of the grid federation.
 //
-// Everything here is a pure function of its inputs and the virtual
-// clock: no wall time, no map iteration, no process identity. Two
-// same-seed cluster runs therefore route, lease and expose
-// bit-identically, which is what lets the scale-out experiments pin
-// digest equality at every shard count.
+// Everything here is a pure function of its inputs: no clock, no wall
+// time, no map iteration, no process identity. Two same-seed cluster
+// runs therefore route and expose bit-identically, which is what lets
+// the scale-out experiments pin digest equality at every shard count.
 package shard
 
 import (
 	"fmt"
 	"hash/fnv"
+	"path/filepath"
+	"strconv"
+	"strings"
 )
+
+// ShareMode names how a cluster's shards share the grid federation.
+type ShareMode string
+
+// SharePartition, the only ShareMode, gives resource i of the
+// federation to shard i mod N alone.
+const SharePartition ShareMode = "partition"
 
 // routeSep separates the hash fields, mirroring dag.StageSeed's
 // framing so no (user, origin) pair can collide with another by
@@ -62,9 +72,36 @@ func Seed(base int64, k int) int64 {
 	return int64(h.Sum64() >> 1) // clear the sign bit: seeds stay non-negative
 }
 
+// namePrefix and name give shard k's name, the one format every
+// shard-qualified label below derives from.
+const namePrefix = "shard"
+
+func name(k int) string { return namePrefix + strconv.Itoa(k) }
+
 // Origin builds the shard-qualified origin label recorded on batches
 // and WAL inputs: "shard<k>/<path>". The prefix makes every journal
 // event and durable record attributable to its coordinator shard.
 func Origin(k int, path string) string {
-	return fmt.Sprintf("shard%d/%s", k, path)
+	return name(k) + "/" + path
 }
+
+// IDPrefix is the prefix qualifying shard k's batch and workflow IDs,
+// "shard<k>-", so any ID names its owner.
+func IDPrefix(k int) string { return name(k) + "-" }
+
+// IDShard returns the shard whose IDPrefix starts id, when that shard
+// exists in an n-shard deployment. It accepts exactly the prefixes
+// IDPrefix builds: no sign, no leading zero, the dash present.
+func IDShard(id string, n int) (int, bool) {
+	rest, ok := strings.CutPrefix(id, namePrefix)
+	digits, _, dash := strings.Cut(rest, "-")
+	k, err := strconv.Atoi(digits)
+	if !ok || !dash || err != nil || k >= n || strconv.Itoa(k) != digits {
+		return 0, false
+	}
+	return k, true
+}
+
+// Dir is shard k's write-ahead-log directory under root,
+// "<root>/shard<k>", so recovery stays local to a crashed shard.
+func Dir(root string, k int) string { return filepath.Join(root, name(k)) }

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"path/filepath"
 	"testing"
 )
 
@@ -154,5 +155,40 @@ func TestSeedDerivation(t *testing.T) {
 func TestOrigin(t *testing.T) {
 	if got := Origin(3, "core"); got != "shard3/core" {
 		t.Errorf("Origin(3, core) = %q", got)
+	}
+}
+
+// TestIDPrefixRoundTrip pins the shard naming: IDShard accepts exactly
+// the IDs IDPrefix builds for shards that exist, and Dir lays shard
+// k's log under root/shard<k>.
+func TestIDPrefixRoundTrip(t *testing.T) {
+	const n = 12
+	for k := 0; k < n; k++ {
+		id := IDPrefix(k) + "batch-000001"
+		if got, ok := IDShard(id, n); !ok || got != k {
+			t.Errorf("IDShard(%q, %d) = %d, %v; want %d, true", id, n, got, ok, k)
+		}
+	}
+	if got := IDPrefix(3); got != "shard3-" {
+		t.Errorf("IDPrefix(3) = %q", got)
+	}
+	if got := Dir("state", 3); got != filepath.Join("state", "shard3") {
+		t.Errorf("Dir(state, 3) = %q", got)
+	}
+	for _, id := range []string{
+		IDPrefix(n) + "batch-000001",
+		"shard-1-batch-000001",
+		"shard01-batch-000001",
+		"shard+1-batch-000001",
+		"shard2x-batch-000001",
+		"shard2x",
+		"shard2",
+		"shard-",
+		"batch-000001",
+		"",
+	} {
+		if k, ok := IDShard(id, n); ok {
+			t.Errorf("IDShard(%q, %d) = %d, true; want refused", id, n, k)
+		}
 	}
 }
