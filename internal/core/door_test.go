@@ -345,3 +345,55 @@ func allDone(l *Lattice, want int) bool {
 	}
 	return true
 }
+
+// durableSubmissionAllocs is what one recorded, queued one-replicate
+// submission costs from Submit to its completion mail on a one-cluster
+// durable deployment, measured: gsbl's seven (see
+// acceptPathAllocBudget), two for the scheduler's candidate view, which
+// the MDS providers' per-minute publications make it rebuild at each
+// placement, and the candidate list itself; the recorder's checkpoint
+// digests, one string per 64 journal events, amortize to under one. The
+// hook is handed the request's own record, so recording costs no copy:
+// a hook that took the request instead makes the record's copy escape,
+// one more. With a queued request and a job list apart from the batch
+// the same cycle cost 12.
+const durableSubmissionAllocs = 10
+
+func TestDurableSubmissionAllocations(t *testing.T) {
+	cfg := clusterBase(1)
+	cfg.Resources = cfg.Resources[:1]
+	cfg.Ingest = gsbl.IngestConfig{PerSubmissionSeconds: 0.5}
+	cfg.Durable = t.TempDir()
+	l, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.CloseDurable()
+	sub := doorSubmission("durable@example.edu", 7)
+	sub.Replicates = 1
+	cycle := func() {
+		if b, err := l.submit(gsbl.Request{Sub: sub, Origin: "core"}); b != nil || err != nil {
+			t.Fatalf("queued submit = (%v, %v), want (nil, nil)", b, err)
+		}
+		l.Run(10 * sim.Minute)
+	}
+	for i := 0; i < 20; i++ { // warm the tables, chunks and the log buffer
+		cycle()
+	}
+	allocs := testing.AllocsPerRun(200, cycle)
+	for _, id := range l.Service.Batches() {
+		if st, _ := l.Service.Status(id); !st.Done || st.Completed != 1 {
+			t.Fatalf("%s: %+v", id, st)
+		}
+	}
+	if n := len(l.Service.Batches()); n != 221 {
+		t.Fatalf("%d batches after 221 submissions", n)
+	}
+	if err := l.DurableErr(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs > durableSubmissionAllocs {
+		t.Errorf("%.0f allocations per recorded submission, budget %d", allocs, durableSubmissionAllocs)
+	}
+	t.Logf("%.0f allocations per recorded submission", allocs)
+}

@@ -188,11 +188,12 @@ func (rec *recorder) observe(ev obs.Event, n int, digest hash.Hash) {
 // Submission implements gsbl.Durability. Queued marks an enqueue behind
 // the front door, which replay sends back through the door; Scheduled
 // and Due an arrival, which replay schedules again. The record keeps
-// the request's own submission: gsbl never changes it.
-func (rec *recorder) Submission(at sim.Time, r *gsbl.Request, queued bool) {
+// the batch record's own submission: gsbl never changes it.
+func (rec *recorder) Submission(at sim.Time, b *gsbl.Batch, queued bool) {
+	due, scheduled := b.Due()
 	rec.input(wal.Record{
-		At: at, Kind: wal.KindSubmission, Origin: r.Origin, Sub: &r.Sub, Queued: queued,
-		Scheduled: r.Scheduled, Due: r.Due,
+		At: at, Kind: wal.KindSubmission, Origin: b.Origin, Sub: &b.Submission, Queued: queued,
+		Scheduled: scheduled, Due: due,
 	})
 }
 

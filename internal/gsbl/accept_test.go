@@ -30,9 +30,9 @@ func sprintfDrained(sub workload.Submission) string {
 	return fmt.Sprintf("%d replicates for %s (ingest-drained)", sub.Replicates, sub.UserEmail)
 }
 
-func sprintfShed(r Request, rej *admit.Rejection) string {
+func sprintfShed(b *Batch, rej *admit.Rejection) string {
 	return fmt.Sprintf("%s: %d replicates for %s via %s; retry after %.0fs",
-		rej.Reason, r.Sub.Replicates, r.Sub.UserEmail, r.Origin, rej.RetryAfter.Seconds())
+		rej.Reason, b.Submission.Replicates, b.Submission.UserEmail, b.Origin, rej.RetryAfter.Seconds())
 }
 
 func sprintfSubmitted(at sim.Time, b *Batch) Notification {
@@ -95,11 +95,11 @@ func TestDetailsMatchSprintf(t *testing.T) {
 				if got, want := validateDetail(&sub, " via ", origin), sprintfValidate(sub)+" via "+origin; got != want {
 					t.Errorf("via validate detail %q, want %q", got, want)
 				}
-				r := Request{Sub: sub, Origin: origin}
+				b := &Batch{Submission: sub, Origin: origin}
 				for _, reason := range []string{admit.ReasonQuota, admit.ReasonOverload} {
 					for _, after := range retries {
 						rej := &admit.Rejection{Reason: reason, RetryAfter: after}
-						if got, want := shedDetail(&r, rej), sprintfShed(r, rej); got != want {
+						if got, want := shedDetail(b, rej), sprintfShed(b, rej); got != want {
 							t.Errorf("shed detail %q, want %q", got, want)
 						}
 					}
@@ -197,7 +197,7 @@ func TestMailRendersTheSentText(t *testing.T) {
 func TestIDsAndDetailsAllocateOnce(t *testing.T) {
 	s := &Service{idPrefix: "shard13-"}
 	sub := smallSubmission(1)
-	r := Request{Sub: sub, Origin: "shard13/core"}
+	b := &Batch{Submission: sub, Origin: "shard13/core"}
 	rej := &admit.Rejection{Reason: admit.ReasonOverload, RetryAfter: 1234.5}
 	var sink string
 	for _, tc := range []struct {
@@ -208,7 +208,7 @@ func TestIDsAndDetailsAllocateOnce(t *testing.T) {
 		{"validateDetail", func() { sink = validateDetail(&sub) }},
 		{"validateDetail via", func() { sink = validateDetail(&sub, " via ", "wf-000001/search") }},
 		{"validateDetail drained", func() { sink = validateDetail(&sub, " (ingest-drained)") }},
-		{"shedDetail", func() { sink = shedDetail(&r, rej) }},
+		{"shedDetail", func() { sink = shedDetail(b, rej) }},
 	} {
 		if n := testing.AllocsPerRun(100, tc.fn); n != 1 {
 			t.Errorf("%s: %.0f allocations, want 1", tc.name, n)
@@ -276,17 +276,18 @@ func doorGrid(tb testing.TB, n int, rescan sim.Duration) (*sim.Engine, *Service)
 
 // acceptPathAllocBudget is what one queued one-replicate submission
 // costs from enqueue through drain to its completion mail, measured:
-// six records — the queued request (its own drain event), the batch
-// (the owner of its jobs), the job list, the grid job, the attempt
-// record (lrm.Job, owner and staging events in one) and the cluster's
-// running record (its own completion event) — and three strings, the
-// batch ID, the validate detail and the job ID; the journal's and the
-// outbox's growth amortize to under one. No engine event and no
-// callback allocates. With an *event per engine event and a closure per callback
-// the same cycle cost 21; with the IDs and details built through
-// fmt.Sprintf and the mail rendered when sent, 36 (45 under the race
-// detector, which now adds nothing).
-const acceptPathAllocBudget = 9
+// four records — the batch (the pending request until the drain, its
+// own drain event, the owner of its jobs, and the holder of its one-job
+// list), the grid job, the attempt record (lrm.Job, owner and staging
+// events in one) and the cluster's running record (its own completion
+// event) — and three strings, the batch ID, the validate detail and the
+// job ID; the journal's and the outbox's chunks and the engine's tables
+// amortize to under one. No engine event and no callback allocates.
+// With a separate queued request and job list the same cycle cost 9;
+// with an *event per engine event and a closure per callback, 21; with
+// the IDs and details built through fmt.Sprintf and the mail rendered
+// when sent, 36 (45 under the race detector, which now adds nothing).
+const acceptPathAllocBudget = 7
 
 func TestAcceptPathAllocations(t *testing.T) {
 	eng, svc := doorGrid(t, 1, 0)

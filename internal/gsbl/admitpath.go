@@ -28,12 +28,13 @@ func (s *Service) Sheds() (quota, overload int) { return s.shedQuota, s.shedOver
 // if the door is idle. The durable record was already written by
 // Submit — sheds are decisions, not inputs, so recovery re-enqueues
 // the submission and deterministically re-sheds it.
-func (s *Service) admitEnqueue(it *queued, now sim.Time) {
-	if rej := s.admit.TakeQuota(it.Sub.UserEmail, float64(it.Sub.Replicates), now); rej != nil {
-		s.shed(&it.Request, rej)
+func (s *Service) admitEnqueue(b *Batch, now sim.Time) {
+	sub := &b.Submission
+	if rej := s.admit.TakeQuota(sub.UserEmail, float64(sub.Replicates), now); rej != nil {
+		s.shed(b, rej)
 		return
 	}
-	s.admit.Push(it.Sub.UserEmail, s.ingest.cost(&it.Sub).Seconds(), it)
+	s.admit.Push(sub.UserEmail, s.ingest.cost(sub).Seconds(), b)
 	s.ingestDepth++
 	for {
 		victim, rej := s.admit.Overflow(s.admitBusySeconds(now))
@@ -41,7 +42,7 @@ func (s *Service) admitEnqueue(it *queued, now sim.Time) {
 			break
 		}
 		s.ingestDepth--
-		s.shed(&victim.Payload.(*queued).Request, rej)
+		s.shed(victim.Payload.(*Batch), rej)
 	}
 	if ins := s.ingestInstruments(); ins != nil {
 		ins.depth.Set(float64(s.ingestDepth))
@@ -72,28 +73,29 @@ func (s *Service) admitServe(now sim.Time) {
 	s.admitServing = true
 	done := now.Add(sim.Duration(e.Cost))
 	s.admitBusyUntil = done
-	s.eng.At(done, (*served)(e.Payload.(*queued)))
+	s.eng.At(done, (*served)(e.Payload.(*Batch)))
 }
 
 // served is the admit door finishing a queued request: the request
 // drains and the door serves the next.
-type served queued
+type served Batch
 
-func (it *served) Fire() {
-	s := it.svc
+func (b *served) Fire() {
+	s := b.svc
 	s.admitServing = false
 	if ins := s.ingestInstruments(); ins != nil {
 		ins.accepted.Inc()
 	}
-	s.drain((*queued)(it))
+	s.drain((*Batch)(b))
 	s.admitServe(s.eng.Now())
 }
 
 // shed accounts one rejected submission: exactly one StageShed journal
 // event (the submission's terminal), a per-reason counter, and the
 // caller's callback fired with the typed *admit.Rejection so portals
-// can answer 429 with Retry-After.
-func (s *Service) shed(r *Request, rej *admit.Rejection) {
+// can answer 429 with Retry-After. The record is dropped: a shed
+// request never becomes a batch.
+func (s *Service) shed(b *Batch, rej *admit.Rejection) {
 	var counter string
 	switch rej.Reason {
 	case admit.ReasonQuota:
@@ -103,19 +105,19 @@ func (s *Service) shed(r *Request, rej *admit.Rejection) {
 		s.shedOverload++
 		counter = "lattice_admit_shed_overload_total"
 	}
-	s.obs.Record("", "", obs.StageShed, "ingest", shedDetail(r, rej))
+	s.obs.Record("", "", obs.StageShed, "ingest", shedDetail(b, rej))
 	s.obs.Counter(counter, "Submissions rejected by the admission layer").Inc()
-	if r.OnAccepted != nil {
-		r.OnAccepted(nil, rej)
+	if onAccepted := b.resolve(); onAccepted != nil {
+		onAccepted(nil, rej)
 	}
 }
 
 // shedDetail is the shed event's detail: "<reason>: <n> replicates for
 // <email> via <origin>; retry after <whole seconds>s".
-func shedDetail(r *Request, rej *admit.Rejection) string {
+func shedDetail(b *Batch, rej *admit.Rejection) string {
 	var buf [128]byte
 	d := append(append(buf[:0], rej.Reason...), ": "...)
-	d = append(append(appendSubmission(d, &r.Sub), " via "...), r.Origin...)
+	d = append(append(appendSubmission(d, &b.Submission), " via "...), b.Origin...)
 	d = appendSeconds(append(d, "; retry after "...), rej.RetryAfter.Seconds())
 	return string(append(d, 's'))
 }

@@ -190,9 +190,9 @@ func TestIngestErrorJournaled(t *testing.T) {
 	sub := userSubmission("bad@example.edu", 1)
 	sub.Spec.NumTaxa = 2
 	var drainErr error
-	svc.enqueue(&queued{Request: Request{Sub: sub, Origin: "service", OnAccepted: func(b *Batch, err error) {
+	svc.enqueue(&Batch{Submission: sub, Origin: "service", onAccepted: func(b *Batch, err error) {
 		drainErr = err
-	}}, svc: svc})
+	}, svc: svc})
 	eng.RunUntil(sim.Time(sim.Minute))
 	if drainErr == nil || !strings.Contains(drainErr.Error(), "NumTaxa") {
 		t.Fatalf("drain error = %v, want the NumTaxa refusal", drainErr)

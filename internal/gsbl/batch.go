@@ -31,7 +31,12 @@ type BatchStatus struct {
 	DoneAt    sim.Time
 }
 
-// Batch tracks one portal submission through the grid.
+// Batch tracks one portal submission through the grid. It is the one
+// record a submission costs: Submit builds it from the Request, and
+// until the request is accepted it is the pending request too — its
+// scheduled arrival, its place behind the front door and the admit
+// queue's payload. Accepting it stamps ID and CreatedAt and expands its
+// jobs; a shed request never gets an ID and is dropped.
 type Batch struct {
 	ID         string
 	Submission workload.Submission
@@ -41,18 +46,41 @@ type Batch struct {
 	Jobs      []*metasched.GridJob
 	CreatedAt sim.Time
 	DoneAt    sim.Time
-	done      bool
-	// settled jobs — Jobs[:settled] — are terminal and tallied in
-	// completed/failed; JobDone advances the prefix, so telling whether
-	// the batch is over costs O(1) amortized per job rather than a walk
-	// of the batch.
-	settled, completed, failed int
+	// one backs Jobs for a one-job batch.
+	one [1]*metasched.GridJob
+	// completed and failed tally Jobs[:completed+failed], the settled
+	// prefix: every job in it is terminal. JobDone advances the prefix,
+	// so telling whether the batch is over costs O(1) amortized per job
+	// rather than a walk of the batch. (int32 keeps the record within
+	// the allocator's 288-byte size class; a batch has at most
+	// workload.MaxReplicates jobs.)
+	completed, failed int32
+	done              bool
+	// direct and scheduled are the request's Direct and Scheduled;
+	// scheduled is cleared when the arrival fires.
+	direct, scheduled bool
+	// arrived is when the pending request arrives: its Due while it is
+	// scheduled, then the instant it went behind the front door.
+	arrived sim.Time
+	// onAccepted is the request's OnAccepted; it and arrived are
+	// cleared once the request is accepted or shed, so a batch does not
+	// keep its caller's closure alive.
+	onAccepted func(*Batch, error)
 	// onDone fires once when the batch reaches its terminal state;
 	// the workflow engine uses it to advance the stage graph.
 	onDone func(BatchStatus)
 	// svc is the service that made the batch, whose clock and mailer its
 	// end reaches.
 	svc *Service
+}
+
+// Due reports when a scheduled request arrives (Request.Due), while
+// that arrival is still pending; ok is false otherwise.
+func (b *Batch) Due() (at sim.Time, ok bool) {
+	if !b.scheduled {
+		return 0, false
+	}
+	return b.arrived, true
 }
 
 // Service is the grid-services facade: it validates submissions,
@@ -90,12 +118,14 @@ type Service struct {
 // Durability is the write-ahead-log hook for submissions entering the
 // coordinator. The request is recorded after validation and before any
 // scheduling side effect, so a recovered run can re-inject it and
-// regenerate everything downstream. queued marks an *enqueue* behind
-// the front door: recovery re-enqueues it and re-execution regenerates
-// the drain-time scheduling. The request is the service's own record
-// of it and stays unchanged, so the hook may keep &r.Sub.
+// regenerate everything downstream. The hook gets the request's own
+// record, b, before any ID is stamped: its Origin, Submission and Due
+// are the request's. queued marks an *enqueue* behind the front door:
+// recovery re-enqueues it and re-execution regenerates the drain-time
+// scheduling. b.Submission never changes, so the hook may keep a
+// pointer to it.
 type Durability interface {
-	Submission(at sim.Time, r *Request, queued bool)
+	Submission(at sim.Time, b *Batch, queued bool)
 }
 
 // Options is everything about a Service that is fixed at construction;
@@ -193,64 +223,54 @@ func (s *Service) Submit(r Request) (*Batch, error) {
 	if err := r.Sub.Validate(); err != nil {
 		return nil, err
 	}
+	b := &Batch{Submission: r.Sub, Origin: r.Origin, direct: r.Direct, scheduled: r.Scheduled,
+		arrived: r.Due, onAccepted: r.OnAccepted, onDone: r.OnDone, svc: s}
 	behind := !r.Direct && s.ingest.Enabled()
-	record := s.durable != nil && r.OnDone == nil
-	if !behind && !r.Scheduled && !record {
-		return s.accept(&r)
-	}
-	it := &queued{Request: r, svc: s}
-	if record {
-		s.durable.Submission(s.eng.Now(), &it.Request, behind)
+	if s.durable != nil && r.OnDone == nil {
+		s.durable.Submission(s.eng.Now(), b, behind)
 	}
 	switch {
 	case r.Scheduled:
 		s.arrivals++
-		s.eng.At(r.Due, (*arrival)(it))
+		s.eng.At(r.Due, (*arrival)(b))
 	case behind:
-		s.enqueue(it)
+		s.enqueue(b)
 	default:
-		return s.accept(&it.Request)
+		return s.accept(b)
 	}
 	return nil, nil
 }
 
-// accept expands a request into its batch and tells whoever is waiting,
-// failure included. The validate detail names a derived batch's origin,
-// and otherwise adds suffix.
-func (s *Service) accept(r *Request, suffix ...string) (*Batch, error) {
-	if r.OnDone != nil {
-		suffix = []string{" via ", r.Origin}
+// accept expands a pending request into its batch — batch bookkeeping,
+// validation journal event, scheduler expansion, submission mail — and
+// tells whoever is waiting, failure included. The validate detail names
+// a derived batch's origin, and otherwise adds suffix.
+func (s *Service) accept(b *Batch, suffix ...string) (*Batch, error) {
+	if b.onDone != nil {
+		suffix = []string{" via ", b.Origin}
 	}
-	b, err := s.submit(r.Sub, r.Origin, validateDetail(&r.Sub, suffix...), r.OnDone)
-	if r.OnAccepted != nil {
-		r.OnAccepted(b, err)
+	detail := validateDetail(&b.Submission, suffix...)
+	s.nextID++
+	b.ID = s.batchID(s.nextID)
+	b.CreatedAt = s.eng.Now()
+	// Journal the validation pre-pass (batch-level event, no job ID).
+	s.obs.Record(b.ID, "", obs.StageValidate, "", detail)
+	sub := b.Submission
+	sub.BatchTag = b.ID
+	jobs, err := s.sched.SubmitBatch(&sub, s.rng, b, b.one[:0])
+	if err == nil {
+		b.Jobs = jobs
+		s.batches[b.ID] = b
+		s.mailer.queue(b.CreatedAt, mailSubmitted, b, nil)
+	}
+	onAccepted := b.resolve()
+	if err != nil {
+		b = nil
+	}
+	if onAccepted != nil {
+		onAccepted(b, err)
 	}
 	return b, err
-}
-
-// submit is the shared accept path: batch bookkeeping, validation
-// journal event, scheduler expansion, submission mail.
-func (s *Service) submit(sub workload.Submission, origin, validateDetail string, onDone func(BatchStatus)) (*Batch, error) {
-	s.nextID++
-	b := &Batch{
-		ID:         s.batchID(s.nextID),
-		Submission: sub,
-		Origin:     origin,
-		CreatedAt:  s.eng.Now(),
-		onDone:     onDone,
-		svc:        s,
-	}
-	// Journal the validation pre-pass (batch-level event, no job ID).
-	s.obs.Record(b.ID, "", obs.StageValidate, "", validateDetail)
-	sub.BatchTag = b.ID
-	jobs, err := s.sched.SubmitBatch(&sub, s.rng, b)
-	if err != nil {
-		return nil, err
-	}
-	b.Jobs = jobs
-	s.batches[b.ID] = b
-	s.mailer.queue(s.eng.Now(), mailSubmitted, b, nil)
-	return b, nil
 }
 
 // batchID names batch n: the service's prefix, "batch-" and n padded to
@@ -304,13 +324,21 @@ func (b *Batch) JobDone(j *metasched.GridJob) {
 	b.finish()
 }
 
+// resolve ends the pending request, accepted or shed, and returns its
+// OnAccepted: the fields only a pending request needs are cleared.
+func (b *Batch) resolve() func(*Batch, error) {
+	f := b.onAccepted
+	b.onAccepted, b.arrived = nil, 0
+	return f
+}
+
 // finish ends the batch once every job is terminal: it stamps DoneAt,
 // sends the completion mail and fires onDone, all exactly once.
 func (b *Batch) finish() {
 	if b.done || !b.settle() {
 		return
 	}
-	st := BatchStatus{ID: b.ID, Total: len(b.Jobs), Completed: b.completed, Failed: b.failed,
+	st := BatchStatus{ID: b.ID, Total: len(b.Jobs), Completed: int(b.completed), Failed: int(b.failed),
 		Done: true, CreatedAt: b.CreatedAt}
 	b.done = true
 	b.DoneAt = b.svc.eng.Now()
@@ -324,8 +352,8 @@ func (b *Batch) finish() {
 // terminal state — including one cancelled through the scheduler, which
 // ends without a JobDone call — and reports whether that is all of them.
 func (b *Batch) settle() bool {
-	for ; b.settled < len(b.Jobs); b.settled++ {
-		switch b.Jobs[b.settled].Status {
+	for int(b.completed+b.failed) < len(b.Jobs) {
+		switch b.Jobs[b.completed+b.failed].Status {
 		case metasched.StatusCompleted:
 			b.completed++
 		case metasched.StatusFailed:

@@ -103,9 +103,21 @@ type Notification struct {
 // outbox holds what each mail is about, not its text: every field the
 // text reads is final by the time the mail is queued, so rendering it
 // when someone reads the outbox gives the text sending would have.
+//
+// Mails live in chunks whose capacity is fixed when they are opened,
+// firstMailChunk mails doubling per chunk up to maxMailChunk, so a
+// queued mail is never copied (as obs.Journal stores its events).
 type Mailer struct {
-	sent []mail
+	chunks [][]mail
+	n      int // mails in all chunks
 }
+
+// Chunk capacities, in mails: 64 (2 kB) for an outbox that stays small,
+// 4 096 (128 kB) once it is long.
+const (
+	firstMailChunk = 64
+	maxMailChunk   = 4096
+)
 
 // mailKind selects one of the three notifications the service sends.
 type mailKind uint8
@@ -126,7 +138,17 @@ type mail struct {
 
 // queue records a notification about b (and, for a job failure, j).
 func (m *Mailer) queue(at sim.Time, kind mailKind, b *Batch, j *metasched.GridJob) {
-	m.sent = append(m.sent, mail{at: at, kind: kind, b: b, j: j})
+	last := len(m.chunks) - 1
+	if last < 0 || len(m.chunks[last]) == cap(m.chunks[last]) {
+		size := firstMailChunk
+		if last >= 0 {
+			size = min(2*cap(m.chunks[last]), maxMailChunk)
+		}
+		m.chunks = append(m.chunks, make([]mail, 0, size))
+		last++
+	}
+	m.chunks[last] = append(m.chunks[last], mail{at: at, kind: kind, b: b, j: j})
+	m.n++
 }
 
 // render is the notification's text, addressed to the batch's owner.
@@ -143,8 +165,8 @@ func (n *mail) render() Notification {
 		out.Body = "Job " + n.j.ID + " failed: " + n.j.FailReason
 	case mailComplete:
 		out.Subject = "[Lattice] " + b.ID + " complete"
-		out.Body = "All " + strconv.Itoa(len(b.Jobs)) + " jobs finished (" + strconv.Itoa(b.completed) +
-			" completed, " + strconv.Itoa(b.failed) + " failed). Results are ready for download."
+		out.Body = "All " + strconv.Itoa(len(b.Jobs)) + " jobs finished (" + strconv.Itoa(int(b.completed)) +
+			" completed, " + strconv.Itoa(int(b.failed)) + " failed). Results are ready for download."
 	}
 	return out
 }
@@ -152,9 +174,11 @@ func (n *mail) render() Notification {
 // Sent returns all notifications in order, rendered into a slice of the
 // caller's own.
 func (m *Mailer) Sent() []Notification {
-	out := make([]Notification, len(m.sent))
-	for i := range m.sent {
-		out[i] = m.sent[i].render()
+	out := make([]Notification, 0, m.n)
+	for _, c := range m.chunks {
+		for i := range c {
+			out = append(out, c[i].render())
+		}
 	}
 	return out
 }
@@ -162,9 +186,11 @@ func (m *Mailer) Sent() []Notification {
 // SentTo returns notifications for one recipient.
 func (m *Mailer) SentTo(to string) []Notification {
 	var out []Notification
-	for i := range m.sent {
-		if m.sent[i].b.Submission.UserEmail == to {
-			out = append(out, m.sent[i].render())
+	for _, c := range m.chunks {
+		for i := range c {
+			if c[i].b.Submission.UserEmail == to {
+				out = append(out, c[i].render())
+			}
 		}
 	}
 	return out

@@ -51,30 +51,26 @@ func (s *Service) IngestDepth() int { return s.ingestDepth }
 // submission expanded cleanly.
 func (s *Service) IngestErrors() []error { return s.ingestErrs }
 
-// queued is a request waiting behind the front door, or for its
-// scheduled arrival — the one heap object either costs. It is the FIFO
-// door's drain event; (*served)(it) is the admit door's and
-// (*arrival)(it) the scheduled arrival's.
-type queued struct {
-	Request
-	arrived sim.Time
-	svc     *Service
-}
+// drained is a request's record as the FIFO door's drain event;
+// (*served)(b) is the admit door's and (*arrival)(b) the scheduled
+// arrival's. The record is the one heap object a pending request costs.
+type drained Batch
 
 // Fire drains the request.
-func (it *queued) Fire() { it.svc.drain(it) }
+func (d *drained) Fire() { d.svc.drain((*Batch)(d)) }
 
 // arrival is a scheduled request coming due: it goes behind the front
 // door, or is expanded on the spot, as if submitted now.
-type arrival queued
+type arrival Batch
 
 func (a *arrival) Fire() {
-	it := (*queued)(a)
-	s := it.svc
+	b := (*Batch)(a)
+	s := b.svc
 	s.arrivals--
-	if !it.Direct && s.ingest.Enabled() {
-		s.enqueue(it)
-	} else if _, err := s.accept(&it.Request); err != nil {
+	b.scheduled = false
+	if !b.direct && s.ingest.Enabled() {
+		s.enqueue(b)
+	} else if _, err := s.accept(b); err != nil {
 		s.NoteIngestErr(err)
 	}
 }
@@ -89,37 +85,37 @@ func (s *Service) Arrivals() int { return s.arrivals }
 // accepted): the fair-share queue when admission control is on,
 // otherwise FIFO, where the serialized coordinator reaches it one
 // service time after the request ahead of it.
-func (s *Service) enqueue(it *queued) {
+func (s *Service) enqueue(b *Batch) {
 	now := s.eng.Now()
-	it.arrived = now
+	b.arrived = now
 	if s.admit != nil {
-		s.admitEnqueue(it, now)
+		s.admitEnqueue(b, now)
 		return
 	}
 	start := now
 	if s.ingestFree > start {
 		start = s.ingestFree
 	}
-	done := start.Add(s.ingest.cost(&it.Sub))
+	done := start.Add(s.ingest.cost(&b.Submission))
 	s.ingestFree = done
 	s.ingestDepth++
 	if ins := s.ingestInstruments(); ins != nil {
 		ins.depth.Set(float64(s.ingestDepth))
 		ins.accepted.Inc()
 	}
-	s.eng.At(done, it)
+	s.eng.At(done, (*drained)(b))
 }
 
 // drain is the front door reaching a queued request: expand it into
 // grid jobs and tell whoever is waiting. It runs inside an engine
 // event, so a scheduling failure has no caller to return to.
-func (s *Service) drain(it *queued) {
+func (s *Service) drain(b *Batch) {
 	s.ingestDepth--
 	if ins := s.ingestInstruments(); ins != nil {
 		ins.depth.Set(float64(s.ingestDepth))
-		ins.wait.Observe(float64(s.eng.Now().Sub(it.arrived)))
+		ins.wait.Observe(float64(s.eng.Now().Sub(b.arrived)))
 	}
-	if _, err := s.accept(&it.Request, " (ingest-drained)"); err != nil {
+	if _, err := s.accept(b, " (ingest-drained)"); err != nil {
 		s.NoteIngestErr(err)
 	}
 }

@@ -21,9 +21,10 @@ type recordedInput struct {
 // fakeDurable captures durability-hook calls.
 type fakeDurable struct{ inputs []recordedInput }
 
-func (f *fakeDurable) Submission(at sim.Time, r *Request, queued bool) {
-	f.inputs = append(f.inputs, recordedInput{at: at, origin: r.Origin, queued: queued,
-		scheduled: r.Scheduled, due: r.Due, sub: r.Sub})
+func (f *fakeDurable) Submission(at sim.Time, b *Batch, queued bool) {
+	due, scheduled := b.Due()
+	f.inputs = append(f.inputs, recordedInput{at: at, origin: b.Origin, queued: queued,
+		scheduled: scheduled, due: due, sub: b.Submission})
 }
 
 // TestIngestDisabledIsSynchronous checks the zero-value config takes
@@ -196,24 +197,25 @@ func TestIngestIDPrefix(t *testing.T) {
 }
 
 // TestDoorAllocs holds the door to what one queued submission costs on
-// this fixture, measured: at enqueue, the queued request, which is also
-// its own drain event (the admit door adds its fair-queue entry and,
-// amortized, the queue's growth); from enqueue through drain, that plus
-// the batch, its job list, the grid job, its attempt record and the
+// this fixture, measured: at enqueue, the request's record — the batch
+// to be, which is also its own drain event (the admit door adds its
+// fair-queue entry and, amortized, the queue's growth); from enqueue
+// through drain, that plus the grid job, its attempt record and the
 // cluster's running record, the batch ID, validate detail and job ID
-// strings, and the growth of the outbox and tables, amortized. When
-// each engine event was an *event and each callback a closure, the same
-// costs were 3 and 22 (fifo) and 3 and 23 (admit, whose serve event is
-// made when the door frees, not at enqueue). The race detector adds
-// nothing.
+// strings, and the growth of the outbox, the engine and the tables,
+// amortized. With a queued request apart from its batch and a job list
+// apart from both, the whole cycle cost 10 (fifo) and 11 (admit); when
+// each engine event was an *event and each callback a closure, 22 and
+// 23, and enqueue 3 for both (the admit door's serve event is made when
+// the door frees, not at enqueue). The race detector adds nothing.
 func TestDoorAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
 		admit        admit.Config
 		enqueue, all float64
 	}{
-		{"fifo", admit.Config{}, 1, 10},
-		{"admit", admit.Config{MaxQueueDepth: 100}, 3, 11},
+		{"fifo", admit.Config{}, 1, 8},
+		{"admit", admit.Config{MaxQueueDepth: 100}, 3, 9},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng, sched := testGrid(t)

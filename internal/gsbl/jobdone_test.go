@@ -187,18 +187,19 @@ func TestSettleModel(t *testing.T) {
 				told = false
 			}
 			prefix, completed, failed := recount()
-			if b.settled > prefix || (told && !b.done && b.settled != prefix) {
-				t.Fatalf("seed %d step %d: settled %d, terminal prefix %d", seed, step, b.settled, prefix)
+			settled := int(b.completed + b.failed)
+			if settled > prefix || (told && !b.done && settled != prefix) {
+				t.Fatalf("seed %d step %d: settled %d, terminal prefix %d", seed, step, settled, prefix)
 			}
 			sc, sf := 0, 0
-			for _, j := range b.Jobs[:b.settled] {
+			for _, j := range b.Jobs[:settled] {
 				if j.Status == metasched.StatusCompleted {
 					sc++
 				} else {
 					sf++
 				}
 			}
-			if b.completed != sc || b.failed != sf {
+			if int(b.completed) != sc || int(b.failed) != sf {
 				t.Fatalf("seed %d step %d: tallies %d/%d, prefix holds %d/%d", seed, step, b.completed, b.failed, sc, sf)
 			}
 			if b.done && !wasDone {

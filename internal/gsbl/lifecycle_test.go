@@ -1,0 +1,242 @@
+package gsbl
+
+import (
+	"errors"
+	"slices"
+	"testing"
+
+	"lattice/internal/admit"
+	"lattice/internal/grid/mds"
+	"lattice/internal/lrm"
+	"lattice/internal/lrm/cluster"
+	"lattice/internal/metasched"
+	"lattice/internal/obs"
+	"lattice/internal/sim"
+)
+
+// recordingDurable keeps every record the durability hook is handed.
+type recordingDurable struct{ records []*Batch }
+
+func (d *recordingDurable) Submission(_ sim.Time, b *Batch, _ bool) {
+	d.records = append(d.records, b)
+}
+
+// TestRequestLifeCycle submits requests down every path a request can
+// take — direct, behind the FIFO door, through the admit door, shed for
+// quota, shed for overflow, scheduled — each with a recording hook, and
+// holds every one to its life cycle: the hook gets each request's
+// record once, OnAccepted fires exactly once with the batch or the
+// *admit.Rejection, a shed request never becomes a batch, and once a
+// request is accepted or shed its record lets go of the OnAccepted
+// closure and its arrival time.
+func TestRequestLifeCycle(t *testing.T) {
+	door := IngestConfig{PerSubmissionSeconds: 10}
+	for _, tc := range []struct {
+		name    string
+		opts    Options
+		req     Request
+		n       int
+		pending bool   // the requests are still pending when Submit returns
+		shed    string // the reason some of them are shed for, "" for none
+	}{
+		{"direct", Options{Ingest: door}, Request{Direct: true}, 3, false, ""},
+		{"fifo", Options{Ingest: door}, Request{}, 3, true, ""},
+		{"admit", Options{Ingest: door, Admit: admit.Config{MaxQueueDepth: 100}}, Request{}, 3, true, ""},
+		{"quota shed", Options{Ingest: door, Admit: admit.Config{UserRatePerHour: 1}}, Request{}, 3, true, admit.ReasonQuota},
+		{"overflow shed", Options{Ingest: door, Admit: admit.Config{MaxQueueDepth: 1}}, Request{}, 4, true, admit.ReasonOverload},
+		{"scheduled", Options{Ingest: door}, Request{Scheduled: true, Due: 30}, 3, true, ""},
+		{"scheduled direct", Options{}, Request{Direct: true, Scheduled: true, Due: 30}, 3, true, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, sched := testGrid(t)
+			d := &recordingDurable{}
+			tc.opts.Durable = d
+			svc := mustService(t, eng, sched, tc.opts)
+			type outcome struct {
+				calls int
+				b     *Batch
+				err   error
+			}
+			got := make([]outcome, tc.n)
+			for i := range got {
+				r := tc.req
+				r.Sub, r.Origin = smallSubmission(1), "service"
+				r.OnAccepted = func(b *Batch, err error) {
+					got[i].calls++
+					got[i].b, got[i].err = b, err
+				}
+				b, err := svc.Submit(r)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(d.records) != i+1 {
+					t.Fatalf("request %d: the hook has %d records", i, len(d.records))
+				}
+				rec := d.records[i]
+				if tc.pending {
+					if b != nil || (rec.onAccepted == nil && got[i].calls == 0) {
+						t.Fatalf("request %d: Submit returned %v; pending record holds OnAccepted: %v", i, b, rec.onAccepted != nil)
+					}
+				} else if b != rec {
+					t.Fatalf("request %d: Submit returned %p, not its record %p", i, b, rec)
+				}
+			}
+			eng.RunUntil(sim.Time(sim.Day))
+
+			shed := 0
+			for i, o := range got {
+				rec := d.records[i]
+				if o.calls != 1 {
+					t.Fatalf("request %d: OnAccepted fired %d times", i, o.calls)
+				}
+				if rec.onAccepted != nil || rec.arrived != 0 || rec.scheduled {
+					t.Errorf("request %d: resolved record still holds OnAccepted %v, arrival %v, scheduled %v",
+						i, rec.onAccepted != nil, rec.arrived, rec.scheduled)
+				}
+				var rej *admit.Rejection
+				switch {
+				case errors.As(o.err, &rej):
+					shed++
+					if o.b != nil || rej.Reason != tc.shed {
+						t.Errorf("request %d: shed with batch %v and reason %q, want nil and %q", i, o.b, rej.Reason, tc.shed)
+					}
+					if rec.ID != "" || slices.Contains(svc.Batches(), rec.ID) {
+						t.Errorf("request %d: shed record became batch %q", i, rec.ID)
+					}
+				case o.err != nil:
+					t.Errorf("request %d: %v", i, o.err)
+				default:
+					if o.b != rec || !slices.Contains(svc.Batches(), rec.ID) {
+						t.Errorf("request %d: accepted as %p (%q), its record is %p", i, o.b, rec.ID, rec)
+					}
+				}
+			}
+			if (shed > 0) != (tc.shed != "") || len(svc.Batches()) != tc.n-shed {
+				t.Fatalf("%d shed, %d batches of %d requests", shed, len(svc.Batches()), tc.n)
+			}
+			if q, o := svc.Sheds(); q+o != shed {
+				t.Fatalf("Sheds() = %d+%d, %d callbacks saw a rejection", q, o, shed)
+			}
+		})
+	}
+}
+
+// wallLimited hands every job whose ID starts with "fail" to its
+// resource with a one-second wall-clock limit, so each attempt is
+// killed and the scheduler fails the job for good after its retries.
+type wallLimited struct{ lrm.LRM }
+
+func (w wallLimited) Submit(j *lrm.Job) error {
+	if len(j.ID) >= 4 && j.ID[:4] == "fail" {
+		j.WallLimit = sim.Second
+	}
+	return w.LRM.Submit(j)
+}
+
+// TestOutboxMatchesFlatOracle sends over 13 000 mails of all three
+// kinds through a service — enough for the whole 64 → 4 096 chunk ramp
+// and two full 4 096-mail chunks — and holds Sent and SentTo to a flat
+// []mail the test derives from the journal: a submitted mail at each
+// batch's validate event, a job-failure mail at each job's fail event,
+// and a completion mail at the terminal event that ends each batch.
+func TestOutboxMatchesFlatOracle(t *testing.T) {
+	if got := (&Mailer{}).Sent(); got == nil || len(got) != 0 {
+		t.Fatalf("empty outbox: Sent() = %#v, want a non-nil empty slice", got)
+	}
+	eng := sim.NewEngine()
+	hub := obs.New(eng)
+	idx, err := mds.NewIndex(eng, 5*sim.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hpc, err := cluster.New(eng, nil, nil, cluster.Config{
+		Kind: "pbs", Name: "hpc", Platform: lrm.LinuxX86,
+		Nodes: []cluster.NodeClass{{Count: 16, Cores: 1, Speed: 1.5, MemoryMB: 8192}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mds.StartProvider(eng, idx, hpc, sim.Minute); err != nil {
+		t.Fatal(err)
+	}
+	sched := metasched.New(eng, idx, metasched.DefaultConfig(), metasched.Options{Obs: hub})
+	if err := sched.Register(wallLimited{hpc}, 1.5); err != nil {
+		t.Fatal(err)
+	}
+	svc := mustService(t, eng, sched, Options{Obs: hub})
+	users := []string{"ok@example.edu", "fail@example.edu", "other@example.org"}
+	for i := 0; i < 5000; i++ {
+		user := users[i%len(users)]
+		reps := 1
+		if i%len(users) == 1 {
+			reps = 3
+		}
+		if _, err := svc.Submit(direct(userSubmission(user, reps))); err != nil {
+			t.Fatal(err)
+		}
+		if i%50 == 49 {
+			eng.RunUntil(eng.Now().Add(sim.Hour))
+		}
+	}
+	eng.RunUntil(eng.Now().Add(100 * sim.Day))
+
+	var flat []mail
+	left := make(map[string]int)
+	failures := 0
+	for _, ev := range hub.Journal.Events() {
+		b, ok := svc.Batch(ev.Batch)
+		if !ok {
+			continue
+		}
+		switch {
+		case ev.Stage == obs.StageValidate:
+			flat = append(flat, mail{at: ev.At, kind: mailSubmitted, b: b})
+			left[b.ID] = len(b.Jobs)
+		case ev.Stage == obs.StageFail, ev.Stage == obs.StageComplete:
+			if ev.Stage == obs.StageFail {
+				i := slices.IndexFunc(b.Jobs, func(j *metasched.GridJob) bool { return j.ID == ev.Job })
+				flat = append(flat, mail{at: ev.At, kind: mailJobFailed, b: b, j: b.Jobs[i]})
+				failures++
+			}
+			if left[b.ID]--; left[b.ID] == 0 {
+				flat = append(flat, mail{at: ev.At, kind: mailComplete, b: b})
+			}
+		}
+	}
+	// 64 + 128 + … + 4 096 + 4 096 = 12 224 mails fill eight chunks.
+	if len(flat) <= 12_224 || failures == 0 || len(svc.Batches()) != 5000 {
+		t.Fatalf("fixture: %d mails (%d job failures) for %d batches", len(flat), failures, len(svc.Batches()))
+	}
+	t.Logf("%d mails, %d of them job failures, in %d chunks", len(flat), failures, len(svc.mailer.chunks))
+	render := func(to string) []Notification {
+		out := []Notification{}
+		for i := range flat {
+			if to == "" || flat[i].b.Submission.UserEmail == to {
+				out = append(out, flat[i].render())
+			}
+		}
+		return out
+	}
+	if got, want := svc.mailer.Sent(), render(""); !slices.Equal(got, want) {
+		t.Fatalf("Sent(): %d mails, the oracle %d; first difference at %d", len(got), len(want), firstDiff(got, want))
+	}
+	for _, to := range append(users, "nobody@example.edu") {
+		got, want := svc.mailer.SentTo(to), render(to)
+		if len(got) != len(want) || (len(want) > 0 && !slices.Equal(got, want)) {
+			t.Errorf("SentTo(%q): %d mails, the oracle %d; first difference at %d", to, len(got), len(want), firstDiff(got, want))
+		}
+	}
+	if n := len(svc.mailer.chunks); n < 9 || cap(svc.mailer.chunks[n-2]) != maxMailChunk || cap(svc.mailer.chunks[n-3]) != maxMailChunk {
+		t.Errorf("%d chunks: the outbox never reached two full %d-mail chunks", n, maxMailChunk)
+	}
+}
+
+// firstDiff is the first index at which a and b differ.
+func firstDiff(a, b []Notification) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
+}

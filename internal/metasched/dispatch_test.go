@@ -93,7 +93,7 @@ func TestSharedPlatformsUntouched(t *testing.T) {
 		Replicates: 200,
 		UserEmail:  "u@x",
 	}
-	jobs, err := g.sched.SubmitBatch(sub, sim.NewRNG(6), nil)
+	jobs, err := g.sched.SubmitBatch(sub, sim.NewRNG(6), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -417,7 +417,7 @@ func TestBundlingMergesShortReplicates(t *testing.T) {
 		Replicates: 100,
 		UserEmail:  "u@x",
 	}
-	jobs, err := g.sched.SubmitBatch(sub, sim.NewRNG(2), nil)
+	jobs, err := g.sched.SubmitBatch(sub, sim.NewRNG(2), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +449,7 @@ func TestNoBundlingForLongJobs(t *testing.T) {
 		Replicates: 20,
 		UserEmail:  "u@x",
 	}
-	jobs, err := g.sched.SubmitBatch(sub, sim.NewRNG(3), nil)
+	jobs, err := g.sched.SubmitBatch(sub, sim.NewRNG(3), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,8 +59,9 @@ func (s *Scheduler) submit(j *GridJob) error {
 // ("we can ratchet up the number of search replicates each individual
 // GARLI job will perform"). The supplied work sampler provides each
 // job's true cost; owner (nil for none) becomes each job's Owner.
-// Returns the created jobs.
-func (s *Scheduler) SubmitBatch(sub *workload.Submission, rng *sim.RNG, owner Owner) ([]*GridJob, error) {
+// Returns the created jobs in jobs[:0] when they fit its capacity, and
+// otherwise in a slice of exactly their number.
+func (s *Scheduler) SubmitBatch(sub *workload.Submission, rng *sim.RNG, owner Owner, jobs []*GridJob) ([]*GridJob, error) {
 	if err := sub.Validate(); err != nil {
 		return nil, err
 	}
@@ -83,7 +84,10 @@ func (s *Scheduler) SubmitBatch(sub *workload.Submission, rng *sim.RNG, owner Ow
 			}
 		}
 	}
-	jobs := make([]*GridJob, 0, (sub.Replicates+bundle-1)/bundle)
+	if n := (sub.Replicates + bundle - 1) / bundle; cap(jobs) < n {
+		jobs = make([]*GridJob, 0, n)
+	}
+	jobs = jobs[:0]
 	for rep := 0; rep < sub.Replicates; rep += bundle {
 		n := bundle
 		if rep+n > sub.Replicates {

@@ -184,11 +184,11 @@ func (e *Engine) At(at Time, h Handler) EventID {
 		e.free = e.free[:n-1]
 	} else {
 		i = uint32(len(e.slots))
-		e.slots = append(e.slots, slot{gen: 1})
+		e.slots = append(grow(e.slots), slot{gen: 1})
 	}
 	e.slots[i].h = h
 	e.live++
-	e.queue = append(e.queue, event{at: at, seq: e.nextSeq, slot: i})
+	e.queue = append(grow(e.queue), event{at: at, seq: e.nextSeq, slot: i})
 	e.nextSeq++
 	e.up(len(e.queue) - 1)
 	return EventID(uint64(e.slots[i].gen)<<32 | uint64(i))
@@ -243,8 +243,21 @@ func (e *Engine) pop() (Time, Handler) {
 	if s.gen++; s.gen == 0 {
 		s.gen = 1
 	}
-	e.free = append(e.free, ev.slot)
+	e.free = append(grow(e.free), ev.slot)
 	return ev.at, h
+}
+
+// grow returns s with room for one more element, doubling its capacity
+// when it is full, so a table's earlier copies add up to less than its
+// final size; append's own steps shrink to 1.25× for long slices, whose
+// copies add up to about four times it.
+func grow[T any](s []T) []T {
+	if len(s) < cap(s) {
+		return s
+	}
+	t := make([]T, len(s), max(2*cap(s), 16))
+	copy(t, s)
+	return t
 }
 
 // up restores the heap order above position j.

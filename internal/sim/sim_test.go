@@ -3,9 +3,11 @@ package sim
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestScheduleOrdering(t *testing.T) {
@@ -249,6 +251,35 @@ func TestEngineAllocs(t *testing.T) {
 	}
 	if c.n == 0 {
 		t.Error("the handler never fired")
+	}
+}
+
+// TestEngineGrowthIsGeometric: scheduling 10^5 events without firing
+// any allocates at most 2.5 times the bytes of the queue, slot and free
+// tables it ends with — what doubling costs (each table's earlier
+// copies add up to less than its final size), where append's 1.25×
+// steps for long slices cost about five times.
+func TestEngineGrowthIsGeometric(t *testing.T) {
+	const n = 100_000
+	c := &counter{}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	e := NewEngine()
+	for i := 0; i < n; i++ {
+		e.At(Time(i%977), c)
+	}
+	runtime.ReadMemStats(&after)
+	final := cap(e.queue)*int(unsafe.Sizeof(event{})) + cap(e.slots)*int(unsafe.Sizeof(slot{})) +
+		cap(e.free)*int(unsafe.Sizeof(uint32(0)))
+	allocated := after.TotalAlloc - before.TotalAlloc
+	if e.Pending() != n {
+		t.Fatalf("%d events pending, want %d", e.Pending(), n)
+	}
+	if ratio := float64(allocated) / float64(final); ratio > 2.5 {
+		t.Errorf("scheduling %d events allocated %d bytes, %.2f times the final tables' %d", n, allocated, ratio, final)
+	} else {
+		t.Logf("%d bytes allocated for %d bytes of tables (%.2f×)", allocated, final, ratio)
 	}
 }
 
