@@ -226,7 +226,9 @@ func (e *Engine) dropBank(bk *bank) {
 }
 
 // dropAllBanks discards every bank — the wholesale invalidation used
-// on tree-size changes, model swaps, and InvalidateAll.
+// on tree-size changes and when incremental evaluation is toggled.
+// Transition matrices stay cached: they depend only on the model and
+// branch lengths, not on tree content.
 func (e *Engine) dropAllBanks() {
 	for e.bankLRU.Len() > 0 {
 		e.dropBank(e.bankLRU.Front().Value.(*bank))

@@ -130,12 +130,10 @@ type Engine struct {
 	work float64
 }
 
-// Engine implements phylo.Evaluator, the incremental extension, and
-// the pool warm-start seam.
+// Engine implements phylo.Evaluator and the pool warm-start seam.
 var (
-	_ phylo.Evaluator            = (*Engine)(nil)
-	_ phylo.IncrementalEvaluator = (*Engine)(nil)
-	_ phylo.WarmStarter          = (*Engine)(nil)
+	_ phylo.Evaluator   = (*Engine)(nil)
+	_ phylo.WarmStarter = (*Engine)(nil)
 )
 
 // nodeRecord is the structural signature of the subtree whose partial
@@ -220,7 +218,7 @@ func (e *Engine) SetIncremental(on bool) {
 		return
 	}
 	e.incremental = on
-	e.InvalidateAll()
+	e.dropAllBanks()
 }
 
 // setMemoryBudget re-bounds the bytes of conditional-likelihood state
@@ -233,14 +231,6 @@ func (e *Engine) setMemoryBudget(bytes int64) {
 	}
 	e.bankBudget = bytes
 	e.maxFreeBufs = int(e.bankBudget/e.claBytes) + 8
-}
-
-// InvalidateAll implements phylo.IncrementalEvaluator: it drops every
-// cached per-node conditional likelihood, forcing the next evaluation
-// to recompute the whole tree. Transition matrices stay cached — they
-// depend only on the model and branch lengths, not on tree content.
-func (e *Engine) InvalidateAll() {
-	e.dropAllBanks()
 }
 
 // WarmStart implements phylo.WarmStarter: it adopts the parent

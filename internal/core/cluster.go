@@ -198,9 +198,12 @@ func (l *Lattice) crashed() bool { return l.Faults != nil && l.Faults.Crashed() 
 
 // RecoverShard rebuilds shard k from its own WAL directory and swaps it
 // in — the other shards are untouched, which is the point of per-shard
-// durability. Nothing is re-installed afterwards: replaying a scheduled
-// arrival's record schedules it again, so the rebuilt shard already
-// holds every arrival the dead one had not yet delivered.
+// durability. The dead shard's log handle is closed first and nothing
+// more is written to it, as the process's death would have it; its
+// error, if any, is the dead process's, and the rebuild verifies what
+// reached the log. Nothing is re-installed afterwards: replaying a
+// scheduled arrival's record schedules it again, so the rebuilt shard
+// already holds every arrival the dead one had not yet delivered.
 func (c *Cluster) RecoverShard(k int) (*RecoveryReport, error) {
 	if k < 0 || k >= len(c.Shards) {
 		return nil, fmt.Errorf("core: no shard %d in a %d-shard cluster", k, len(c.Shards))
@@ -208,6 +211,7 @@ func (c *Cluster) RecoverShard(k int) (*RecoveryReport, error) {
 	if c.cfg.DurableRoot == "" {
 		return nil, fmt.Errorf("core: cluster has no durable root; shard %d cannot be recovered", k)
 	}
+	c.Shards[k].CloseDurable() //lint:allow errdrop -- the dead process's error; the rebuild verifies the log itself
 	l, err := New(c.shardConfig(k))
 	if err != nil {
 		return nil, fmt.Errorf("core: recovering shard %d: %w", k, err)

@@ -21,6 +21,7 @@ import (
 	"lattice/internal/phylo"
 	"lattice/internal/shard"
 	"lattice/internal/sim"
+	"lattice/internal/wal"
 	"lattice/internal/workload"
 )
 
@@ -519,4 +520,55 @@ func TestClusterRestartsFromDurableRoot(t *testing.T) {
 			t.Errorf("shard %d digest %s after restart, %s before", k, got, want[k])
 		}
 	}
+}
+
+// TestRecoverShardClosesTheDeadLog: rebuilding a shard closes the dead
+// shard's log handle, as the process's death would, so every recovery
+// leaves exactly one handle on the shard's log — the rebuilt shard's.
+// The dead shard's handle used to stay open until exit, one more per
+// recovery.
+func TestRecoverShardClosesTheDeadLog(t *testing.T) {
+	root := t.TempDir()
+	c, err := NewCluster(ClusterConfig{Shards: 2, Base: clusterBase(5), DurableRoot: root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.CloseDurable()
+	for i := 0; i < 4; i++ {
+		c.ScheduleSubmission(sim.Time(i*600), clusterSubmission(fmt.Sprintf("u%d@example.edu", i), int64(i)))
+	}
+	c.RunUntil(sim.Time(sim.Hour))
+	path, err := filepath.EvalSymlinks(wal.LogPath(shard.Dir(root, 0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := 1; round <= 2; round++ {
+		dead := c.Shards[0]
+		if _, err := c.RecoverShard(0); err != nil {
+			t.Fatal(err)
+		}
+		if err := dead.DurableErr(); err != nil {
+			t.Fatalf("round %d: the dead shard's log: %v", round, err)
+		}
+		if n := openHandles(t, path); n != 1 {
+			t.Fatalf("round %d: %d open handles on %s after RecoverShard, want 1", round, n, path)
+		}
+	}
+}
+
+// openHandles counts this process's open file descriptors on path; it
+// skips the test where /proc/self/fd does not list them.
+func openHandles(t *testing.T, path string) int {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot list open files: %v", err)
+	}
+	n := 0
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && target == path {
+			n++
+		}
+	}
+	return n
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"mime/multipart"
 	"net/http"
@@ -243,7 +244,8 @@ func TestReplayEquivalenceOverTheOneDoor(t *testing.T) {
 					live := func(l *Lattice) {
 						t.Helper()
 						offer := func(user string, seed int64) {
-							if _, err := l.submit(gsbl.Request{Sub: doorSubmission(user+"@example.edu", seed), Origin: origin, Direct: direct}); err != nil {
+							var rej *admit.Rejection // a shed on arrival is a decision, not a failure
+							if _, err := l.submit(gsbl.Request{Sub: doorSubmission(user+"@example.edu", seed), Origin: origin, Direct: direct}); err != nil && !errors.As(err, &rej) {
 								t.Fatal(err)
 							}
 						}

@@ -266,9 +266,6 @@ func build(cfg Config) (*Lattice, error) {
 		target := inner
 		if l.Faults != nil {
 			target = l.Faults.Wrap(inner)
-			if rs.Kind == "boinc" {
-				l.Faults.AttachChurner(rs.Name, l.Boinc)
-			}
 		}
 		if cfg.ResourceWrap != nil {
 			target = cfg.ResourceWrap(eng, rs.Name, target)

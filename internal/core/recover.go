@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"lattice/internal/admit"
 	"lattice/internal/gsbl"
 	"lattice/internal/sim"
 	"lattice/internal/wal"
@@ -156,7 +157,9 @@ func (l *Lattice) applyInput(r *wal.Record) error {
 		}
 		req := gsbl.Request{Sub: *r.Sub, Origin: r.Origin, Direct: !r.Queued, Scheduled: r.Scheduled, Due: r.Due}
 		if _, err := l.submit(req); err != nil {
-			return fmt.Errorf("core: replaying submission record %d: %w", r.Seq, err)
+			if _, shed := err.(*admit.Rejection); !shed {
+				return fmt.Errorf("core: replaying submission record %d: %w", r.Seq, err)
+			}
 		}
 		return nil
 	}

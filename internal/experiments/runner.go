@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"sync"
 
+	"lattice/internal/admit"
 	"lattice/internal/core"
 	"lattice/internal/faults"
 	"lattice/internal/gsbl"
@@ -341,11 +342,14 @@ func (r *run) arrive(at sim.Time, sub workload.Submission) {
 }
 
 // enqueue offers sub to shard k's front door now, for loads that run
-// their own arrival process on the shard's clock.
+// their own arrival process on the shard's clock. A shed is the door's
+// decision, journaled and counted, not an ingest error.
 func (r *run) enqueue(k int, sub workload.Submission) {
 	l := r.lats[k]
 	if _, err := l.Service.Submit(gsbl.Request{Sub: sub, Origin: shard.Origin(k, "core")}); err != nil {
-		l.Service.NoteIngestErr(fmt.Errorf("experiments: arrival on shard %d: %w", k, err))
+		if _, shed := err.(*admit.Rejection); !shed {
+			l.Service.NoteIngestErr(fmt.Errorf("experiments: arrival on shard %d: %w", k, err))
+		}
 	}
 	r.offered[k]++
 }

@@ -2,9 +2,9 @@
 // for the grid. A seeded Schedule — scripted events, probabilistic
 // windows, and exponential up/down flapping — is applied through an
 // Injector that wraps the seams the production stack already exposes:
-// every lrm.LRM passes through a per-resource wrapper, MDS
-// publications pass through a dropping/staling mds.Sink, and the BOINC
-// server is reached through the narrow Churner hook. Nothing in the
+// every lrm.LRM passes through a per-resource wrapper, which also
+// reaches a BOINC server's hosts when the resource is a Churner, and MDS
+// publications pass through a dropping/staling mds.Sink. Nothing in the
 // production path imports this package or changes behaviour when no
 // injector is wired; with one wired, the same seed always produces the
 // same fault sequence (per-purpose RNG streams), so a hostile run is

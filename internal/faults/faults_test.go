@@ -299,16 +299,21 @@ func TestSinkForwardsUnknownResources(t *testing.T) {
 	}
 }
 
-// fakeChurner records churn requests.
-type fakeChurner struct{ asked, served int }
+// fakeChurner is a resource that records churn requests.
+type fakeChurner struct {
+	*fakeLRM
+	asked, served int
+}
 
 func (c *fakeChurner) Churn(n int) int { c.asked = n; c.served = n - 1; return c.served }
 
+// TestChurnEvent: wrapping a resource that is a Churner is what makes
+// it a churn target.
 func TestChurnEvent(t *testing.T) {
 	eng := sim.NewEngine()
 	in := NewInjector(eng, sim.NewRNG(1), nil)
-	c := &fakeChurner{}
-	in.AttachChurner("boinc-x", c)
+	c := &fakeChurner{fakeLRM: newFakeLRM(eng, "boinc-x", sim.Hour)}
+	in.Wrap(c)
 	err := in.Apply(Schedule{Events: []Event{
 		{At: sim.Time(sim.Hour), Kind: KindChurn, Resource: "boinc-x", Hosts: 10},
 	}})
@@ -412,6 +417,12 @@ func TestApplyRejectsUnwiredTargets(t *testing.T) {
 		{Kind: KindChurn, Resource: "ghost", Hosts: 3},
 	}}); err == nil {
 		t.Error("Apply accepted churn with no churner attached")
+	}
+	in.Wrap(newFakeLRM(eng, "plain", sim.Hour))
+	if err := in.Apply(Schedule{Events: []Event{
+		{Kind: KindChurn, Resource: "plain", Hosts: 3},
+	}}); err == nil {
+		t.Error("Apply accepted churn on a wrapped resource that is no Churner")
 	}
 	if err := in.Apply(Schedule{Flaps: []Flap{
 		{Resource: "ghost", MeanUp: sim.Hour, MeanDown: sim.Hour},

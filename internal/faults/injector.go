@@ -9,9 +9,9 @@ import (
 	"lattice/internal/sim"
 )
 
-// Churner is the narrow hook into a BOINC project for host-churn
-// bursts; boinc.Server satisfies it. Churn detaches up to n hosts and
-// returns how many actually left.
+// Churner is a wrapped resource that host-churn bursts can reach;
+// boinc.Server satisfies it. Churn detaches up to n hosts and returns
+// how many actually left.
 type Churner interface {
 	Churn(n int) int
 }
@@ -66,7 +66,8 @@ func (in *Injector) Crashed() bool { return in.crashed }
 // Wrap interposes the injector between the scheduler and one resource.
 // The wrapper is a pass-through lrm.LRM until the schedule says
 // otherwise: submits can be refused, in-flight jobs killed by outages,
-// and completed results delayed or lost.
+// and completed results delayed or lost. A resource that is a Churner
+// can also be the target of churn events.
 func (in *Injector) Wrap(inner lrm.LRM) lrm.LRM {
 	name := inner.Name()
 	t := &target{
@@ -77,6 +78,9 @@ func (in *Injector) Wrap(inner lrm.LRM) lrm.LRM {
 		resultRNG: in.rng.Stream("result-" + name),
 	}
 	in.targets[name] = t
+	if c, ok := inner.(Churner); ok {
+		in.churners[name] = c
+	}
 	return t
 }
 
@@ -87,11 +91,6 @@ func (in *Injector) Wrap(inner lrm.LRM) lrm.LRM {
 // republished unchanged).
 func (in *Injector) Sink(dst mds.Sink) mds.Sink {
 	return &sink{in: in, dst: dst}
-}
-
-// AttachChurner registers the churn hook for a BOINC resource.
-func (in *Injector) AttachChurner(name string, c Churner) {
-	in.churners[name] = c
 }
 
 // AttachDemand registers the hook a demand-spike event drives: fn is

@@ -27,27 +27,33 @@ func (s *Service) Sheds() (quota, overload int) { return s.shedQuota, s.shedOver
 // low-share end while the queue exceeds its bounds, and start serving
 // if the door is idle. The durable record was already written by
 // Submit — sheds are decisions, not inputs, so recovery re-enqueues
-// the submission and deterministically re-sheds it.
-func (s *Service) admitEnqueue(b *Batch, now sim.Time) {
+// the submission and deterministically re-sheds it. The result is the
+// rejection that shed b itself, nil when b is queued.
+func (s *Service) admitEnqueue(b *Batch, now sim.Time) *admit.Rejection {
 	sub := &b.Submission
 	if rej := s.admit.TakeQuota(sub.UserEmail, float64(sub.Replicates), now); rej != nil {
 		s.shed(b, rej)
-		return
+		return rej
 	}
 	s.admit.Push(sub.UserEmail, s.ingest.cost(sub).Seconds(), b)
 	s.ingestDepth++
+	var own *admit.Rejection
 	for {
 		victim, rej := s.admit.Overflow(s.admitBusySeconds(now))
 		if victim == nil {
 			break
 		}
 		s.ingestDepth--
+		if victim.Payload == b {
+			own = rej
+		}
 		s.shed(victim.Payload.(*Batch), rej)
 	}
 	if ins := s.ingestInstruments(); ins != nil {
 		ins.depth.Set(float64(s.ingestDepth))
 	}
 	s.admitServe(now)
+	return own
 }
 
 // admitBusySeconds is the remaining front-door occupancy of the entry
@@ -91,10 +97,8 @@ func (b *served) Fire() {
 }
 
 // shed accounts one rejected submission: exactly one StageShed journal
-// event (the submission's terminal), a per-reason counter, and the
-// caller's callback fired with the typed *admit.Rejection so portals
-// can answer 429 with Retry-After. The record is dropped: a shed
-// request never becomes a batch.
+// event (the submission's terminal) and a per-reason counter. The
+// record is dropped: a shed request never becomes a batch.
 func (s *Service) shed(b *Batch, rej *admit.Rejection) {
 	var counter string
 	switch rej.Reason {
@@ -107,9 +111,6 @@ func (s *Service) shed(b *Batch, rej *admit.Rejection) {
 	}
 	s.obs.Record("", "", obs.StageShed, "ingest", shedDetail(b, rej))
 	s.obs.Counter(counter, "Submissions rejected by the admission layer").Inc()
-	if onAccepted := b.resolve(); onAccepted != nil {
-		onAccepted(nil, rej)
-	}
 }
 
 // shedDetail is the shed event's detail: "<reason>: <n> replicates for

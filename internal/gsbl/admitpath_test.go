@@ -26,28 +26,25 @@ func TestAdmitFairShareOrdersDrains(t *testing.T) {
 	svc := mustService(t, eng, sched, Options{
 		Ingest: IngestConfig{PerSubmissionSeconds: 1, PerReplicateSeconds: 1},
 		Admit:  admit.Config{MaxQueueDepth: 100}})
-	var order []string
-	accept := func(user string) func(*Batch, error) {
-		return func(b *Batch, err error) {
-			if err != nil {
-				t.Fatalf("accept for %s: %v", user, err)
-			}
-			order = append(order, user)
-		}
-	}
 	// Heavy user floods first (cost 41s each); three small users (cost
 	// 2s) arrive while the first heavy entry is already in service.
 	for i := 0; i < 3; i++ {
-		if _, err := svc.Submit(Request{Sub: userSubmission("heavy@x", 40), Origin: "service", OnAccepted: accept("heavy")}); err != nil {
+		if _, err := svc.Submit(Request{Sub: userSubmission("heavy@x", 40), Origin: "service"}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, u := range []string{"a", "b", "c"} {
-		if _, err := svc.Submit(Request{Sub: userSubmission(u+"@x", 1), Origin: "service", OnAccepted: accept(u)}); err != nil {
+		if _, err := svc.Submit(Request{Sub: userSubmission(u+"@x", 1), Origin: "service"}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	eng.RunUntil(sim.Time(sim.Hour))
+	// Batch IDs are stamped at accept, so ID order is drain order.
+	var order []string
+	for _, id := range svc.Batches() {
+		b, _ := svc.Batch(id)
+		order = append(order, strings.TrimSuffix(b.Submission.UserEmail, "@x"))
+	}
 	want := []string{"heavy", "a", "b", "c", "heavy", "heavy"}
 	if strings.Join(order, ",") != strings.Join(want, ",") {
 		t.Fatalf("drain order %v, want %v", order, want)
@@ -58,8 +55,9 @@ func TestAdmitFairShareOrdersDrains(t *testing.T) {
 }
 
 // TestAdmitShedJournalsAndAccounts checks every rejected submission
-// gets exactly one StageShed journal event, the typed rejection
-// reaches the callback, and submissions == batches + sheds.
+// gets exactly one StageShed journal event, a request shed on arrival
+// gets the typed rejection back from Submit, and submissions == batches
+// + sheds.
 func TestAdmitShedJournalsAndAccounts(t *testing.T) {
 	eng, sched := testGrid(t)
 	hub := obs.New(eng)
@@ -68,26 +66,19 @@ func TestAdmitShedJournalsAndAccounts(t *testing.T) {
 		Ingest: IngestConfig{PerSubmissionSeconds: 10},
 		Admit:  admit.Config{MaxQueuedSeconds: 25}})
 	var rejections []*admit.Rejection
-	onAccepted := func(b *Batch, err error) {
-		if err == nil {
-			return
-		}
-		var rej *admit.Rejection
-		if !errors.As(err, &rej) {
-			t.Fatalf("callback error is %T, want *admit.Rejection", err)
-		}
-		rejections = append(rejections, rej)
-	}
 	const subs = 5
 	for i := 0; i < subs; i++ {
-		if _, err := svc.Submit(Request{Sub: userSubmission("u@x", 1), Origin: "service", OnAccepted: onAccepted}); err != nil {
+		var rej *admit.Rejection
+		if _, err := svc.Submit(Request{Sub: userSubmission("u@x", 1), Origin: "service"}); errors.As(err, &rej) {
+			rejections = append(rejections, rej)
+		} else if err != nil {
 			t.Fatal(err)
 		}
 	}
 	eng.RunUntil(sim.Time(sim.Hour))
 	_, overload := svc.Sheds()
 	if overload != len(rejections) || overload == 0 {
-		t.Fatalf("overload sheds %d, rejection callbacks %d; want equal and > 0", overload, len(rejections))
+		t.Fatalf("overload sheds %d, rejections returned %d; want equal and > 0", overload, len(rejections))
 	}
 	for _, rej := range rejections {
 		if rej.Reason != admit.ReasonOverload || rej.RetryAfter < sim.Second {
@@ -125,35 +116,19 @@ func TestAdmitQuotaShedsRepeatOffender(t *testing.T) {
 	svc := mustService(t, eng, sched, Options{
 		Ingest: IngestConfig{PerSubmissionSeconds: 1},
 		Admit:  admit.Config{UserRatePerHour: 3600, UserBurst: 10}})
-	var rejected *admit.Rejection
-	cb := func(b *Batch, err error) {
-		var rej *admit.Rejection
-		if errors.As(err, &rej) {
-			rejected = rej
-		}
-	}
-	if _, err := svc.Submit(Request{Sub: userSubmission("greedy@x", 8), Origin: "service", OnAccepted: cb}); err != nil {
-		t.Fatal(err)
-	}
-	if rejected != nil {
-		t.Fatalf("first submission rejected: %v", rejected)
+	if _, err := svc.Submit(Request{Sub: userSubmission("greedy@x", 8), Origin: "service"}); err != nil {
+		t.Fatalf("first submission rejected: %v", err)
 	}
 	// 2 tokens left, 8 more wanted: refused synchronously, 6s refill.
-	if _, err := svc.Submit(Request{Sub: userSubmission("greedy@x", 8), Origin: "service", OnAccepted: cb}); err != nil {
-		t.Fatal(err)
-	}
-	if rejected == nil || rejected.Reason != admit.ReasonQuota {
-		t.Fatalf("second submission not quota-rejected: %+v", rejected)
+	var rejected *admit.Rejection
+	if _, err := svc.Submit(Request{Sub: userSubmission("greedy@x", 8), Origin: "service"}); !errors.As(err, &rejected) || rejected.Reason != admit.ReasonQuota {
+		t.Fatalf("second submission not quota-rejected: %v", err)
 	}
 	if rejected.RetryAfter != 6*sim.Second {
 		t.Fatalf("RetryAfter = %v, want 6s", rejected.RetryAfter)
 	}
-	rejected = nil
-	if _, err := svc.Submit(Request{Sub: userSubmission("modest@x", 8), Origin: "service", OnAccepted: cb}); err != nil {
-		t.Fatal(err)
-	}
-	if rejected != nil {
-		t.Fatalf("independent user rejected: %v", rejected)
+	if _, err := svc.Submit(Request{Sub: userSubmission("modest@x", 8), Origin: "service"}); err != nil {
+		t.Fatalf("independent user rejected: %v", err)
 	}
 	eng.RunUntil(sim.Time(sim.Hour))
 	if q, _ := svc.Sheds(); q != 1 {
@@ -189,16 +164,10 @@ func TestIngestErrorJournaled(t *testing.T) {
 
 	sub := userSubmission("bad@example.edu", 1)
 	sub.Spec.NumTaxa = 2
-	var drainErr error
-	svc.enqueue(&Batch{Submission: sub, Origin: "service", onAccepted: func(b *Batch, err error) {
-		drainErr = err
-	}, svc: svc})
+	svc.enqueue(&Batch{Submission: sub, Origin: "service", svc: svc})
 	eng.RunUntil(sim.Time(sim.Minute))
-	if drainErr == nil || !strings.Contains(drainErr.Error(), "NumTaxa") {
-		t.Fatalf("drain error = %v, want the NumTaxa refusal", drainErr)
-	}
-	if len(svc.IngestErrors()) != 1 {
-		t.Fatalf("IngestErrors = %v, want exactly one", svc.IngestErrors())
+	if errs := svc.IngestErrors(); len(errs) != 1 || !strings.Contains(errs[0].Error(), "NumTaxa") {
+		t.Fatalf("IngestErrors = %v, want exactly the NumTaxa refusal", errs)
 	}
 	var found bool
 	for _, ev := range hub.Journal.Events() {

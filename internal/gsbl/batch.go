@@ -62,10 +62,6 @@ type Batch struct {
 	// arrived is when the pending request arrives: its Due while it is
 	// scheduled, then the instant it went behind the front door.
 	arrived sim.Time
-	// onAccepted is the request's OnAccepted; it and arrived are
-	// cleared once the request is accepted or shed, so a batch does not
-	// keep its caller's closure alive.
-	onAccepted func(*Batch, error)
 	// onDone fires once when the batch reaches its terminal state;
 	// the workflow engine uses it to advance the stage graph.
 	onDone func(BatchStatus)
@@ -201,11 +197,6 @@ type Request struct {
 	// recording both would double-inject), its validate event names the
 	// origin, and OnDone fires once when the batch is terminal.
 	OnDone func(BatchStatus)
-	// OnAccepted, when set, fires once with the created batch, the
-	// scheduling error, or the *admit.Rejection that shed the request:
-	// before Submit returns when the outcome is known by then, otherwise
-	// from the engine event that delivers, drains or sheds it.
-	OnAccepted func(*Batch, error)
 }
 
 // Submit is the one way a submission becomes a batch. It runs the GARLI
@@ -215,16 +206,20 @@ type Request struct {
 // arrived, before BatchTag assignment mutates it and before the
 // admission decision, so a shed submission replays and
 // deterministically re-sheds — and then expands the submission, queues
-// it behind the front door, or schedules its arrival. The batch is nil
-// when the request was queued, shed or scheduled, none of which is an
-// error: Submit fails on a rejected input, or when expanding on the
-// spot fails.
+// it behind the front door, or schedules its arrival. Submit returns
+// the batch when it expanded the request on the spot, and (nil, nil)
+// when it queued or scheduled it; what happens to a queued request
+// later is journaled, not returned. When the admission layer sheds the
+// arriving request itself — by quota, or as the overflow victim — the
+// error is that decision, an unwrapped *admit.Rejection; otherwise
+// Submit fails on a rejected input, or when expanding on the spot
+// fails.
 func (s *Service) Submit(r Request) (*Batch, error) {
 	if err := r.Sub.Validate(); err != nil {
 		return nil, err
 	}
 	b := &Batch{Submission: r.Sub, Origin: r.Origin, direct: r.Direct, scheduled: r.Scheduled,
-		arrived: r.Due, onAccepted: r.OnAccepted, onDone: r.OnDone, svc: s}
+		arrived: r.Due, onDone: r.OnDone, svc: s}
 	behind := !r.Direct && s.ingest.Enabled()
 	if s.durable != nil && r.OnDone == nil {
 		s.durable.Submission(s.eng.Now(), b, behind)
@@ -234,7 +229,9 @@ func (s *Service) Submit(r Request) (*Batch, error) {
 		s.arrivals++
 		s.eng.At(r.Due, (*arrival)(b))
 	case behind:
-		s.enqueue(b)
+		if rej := s.enqueue(b); rej != nil {
+			return nil, rej
+		}
 	default:
 		return s.accept(b)
 	}
@@ -242,9 +239,9 @@ func (s *Service) Submit(r Request) (*Batch, error) {
 }
 
 // accept expands a pending request into its batch — batch bookkeeping,
-// validation journal event, scheduler expansion, submission mail — and
-// tells whoever is waiting, failure included. The validate detail names
-// a derived batch's origin, and otherwise adds suffix.
+// validation journal event, scheduler expansion, submission mail. The
+// validate detail names a derived batch's origin, and otherwise adds
+// suffix.
 func (s *Service) accept(b *Batch, suffix ...string) (*Batch, error) {
 	if b.onDone != nil {
 		suffix = []string{" via ", b.Origin}
@@ -262,15 +259,9 @@ func (s *Service) accept(b *Batch, suffix ...string) (*Batch, error) {
 		b.Jobs = jobs
 		s.batches[b.ID] = b
 		s.mailer.queue(b.CreatedAt, mailSubmitted, b, nil)
+		return b, nil
 	}
-	onAccepted := b.resolve()
-	if err != nil {
-		b = nil
-	}
-	if onAccepted != nil {
-		onAccepted(b, err)
-	}
-	return b, err
+	return nil, err
 }
 
 // batchID names batch n: the service's prefix, "batch-" and n padded to
@@ -322,14 +313,6 @@ func (b *Batch) JobDone(j *metasched.GridJob) {
 		b.svc.mailer.queue(b.svc.eng.Now(), mailJobFailed, b, j)
 	}
 	b.finish()
-}
-
-// resolve ends the pending request, accepted or shed, and returns its
-// OnAccepted: the fields only a pending request needs are cleared.
-func (b *Batch) resolve() func(*Batch, error) {
-	f := b.onAccepted
-	b.onAccepted, b.arrived = nil, 0
-	return f
 }
 
 // finish ends the batch once every job is terminal: it stamps DoneAt,

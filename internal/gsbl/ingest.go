@@ -1,6 +1,7 @@
 package gsbl
 
 import (
+	"lattice/internal/admit"
 	"lattice/internal/obs"
 	"lattice/internal/sim"
 	"lattice/internal/workload"
@@ -60,7 +61,8 @@ type drained Batch
 func (d *drained) Fire() { d.svc.drain((*Batch)(d)) }
 
 // arrival is a scheduled request coming due: it goes behind the front
-// door, or is expanded on the spot, as if submitted now.
+// door, or is expanded on the spot, as if submitted now. A shed on
+// arrival has no caller to answer; it is journaled and counted.
 type arrival Batch
 
 func (a *arrival) Fire() {
@@ -84,13 +86,13 @@ func (s *Service) Arrivals() int { return s.arrivals }
 // door (the enqueue is the input — a crash loses nothing that was
 // accepted): the fair-share queue when admission control is on,
 // otherwise FIFO, where the serialized coordinator reaches it one
-// service time after the request ahead of it.
-func (s *Service) enqueue(b *Batch) {
+// service time after the request ahead of it. It returns the rejection
+// when the admission layer sheds b itself on arrival.
+func (s *Service) enqueue(b *Batch) *admit.Rejection {
 	now := s.eng.Now()
 	b.arrived = now
 	if s.admit != nil {
-		s.admitEnqueue(b, now)
-		return
+		return s.admitEnqueue(b, now)
 	}
 	start := now
 	if s.ingestFree > start {
@@ -104,6 +106,7 @@ func (s *Service) enqueue(b *Batch) {
 		ins.accepted.Inc()
 	}
 	s.eng.At(done, (*drained)(b))
+	return nil
 }
 
 // drain is the front door reaching a queued request: expand it into

@@ -35,18 +35,12 @@ func TestIngestDisabledIsSynchronous(t *testing.T) {
 	d := &fakeDurable{}
 	svc := mustService(t, eng, sched, Options{Durable: d})
 
-	var got *Batch
-	ret, err := svc.Submit(Request{Sub: smallSubmission(3), Origin: "shard0/core", OnAccepted: func(b *Batch, err error) {
-		if err != nil {
-			t.Fatalf("onAccepted error: %v", err)
-		}
-		got = b
-	}})
+	got, err := svc.Submit(Request{Sub: smallSubmission(3), Origin: "shard0/core"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got == nil || ret != got {
-		t.Fatalf("disabled ingest did not accept synchronously: returned %v, callback got %v", ret, got)
+	if got == nil || len(svc.Batches()) != 1 {
+		t.Fatalf("disabled ingest did not accept synchronously: returned %v", got)
 	}
 	if len(got.Jobs) != 3 {
 		t.Fatalf("batch has %d jobs, want 3", len(got.Jobs))
@@ -66,18 +60,11 @@ func TestIngestSerializesSubmissions(t *testing.T) {
 	svc := mustService(t, eng, sched, Options{Durable: d,
 		Ingest: IngestConfig{PerSubmissionSeconds: 10, PerReplicateSeconds: 1}})
 
-	var acceptedAt []sim.Time
-	onAccepted := func(b *Batch, err error) {
-		if err != nil {
-			t.Fatalf("deferred accept error: %v", err)
-		}
-		acceptedAt = append(acceptedAt, eng.Now())
-	}
 	// Three 2-replicate submissions at t=0: each costs 12 virtual
 	// seconds, so drains land at 12, 24, 36.
 	for i := 0; i < 3; i++ {
 		sub := smallSubmission(2)
-		if b, err := svc.Submit(Request{Sub: sub, Origin: "shard0/core", OnAccepted: onAccepted}); err != nil || b != nil {
+		if b, err := svc.Submit(Request{Sub: sub, Origin: "shard0/core"}); err != nil || b != nil {
 			t.Fatalf("queued Submit = (%v, %v), want (nil, nil)", b, err)
 		}
 	}
@@ -95,17 +82,14 @@ func TestIngestSerializesSubmissions(t *testing.T) {
 	if svc.IngestDepth() != 0 {
 		t.Fatalf("depth = %d after drain, want 0", svc.IngestDepth())
 	}
-	if len(acceptedAt) != 3 {
-		t.Fatalf("%d accepts, want 3", len(acceptedAt))
-	}
-	wantDrain := []sim.Time{12, 24, 36}
-	for i, at := range acceptedAt {
-		if at != wantDrain[i] {
-			t.Errorf("accept %d at t=%v, want %v", i, at, wantDrain[i])
-		}
-	}
 	if len(svc.Batches()) != 3 {
 		t.Fatalf("%d batches after drain, want 3", len(svc.Batches()))
+	}
+	wantDrain := []sim.Time{12, 24, 36}
+	for i, id := range svc.Batches() {
+		if b, _ := svc.Batch(id); b.CreatedAt != wantDrain[i] {
+			t.Errorf("accept %d at t=%v, want %v", i, b.CreatedAt, wantDrain[i])
+		}
 	}
 	for i, in := range d.inputs {
 		if !in.queued {
@@ -132,9 +116,7 @@ func TestScheduledArrivalIsOneRecord(t *testing.T) {
 		eng, sched := testGrid(t)
 		d := &fakeDurable{}
 		svc := mustService(t, eng, sched, Options{Durable: d, Ingest: door})
-		var acceptedAt sim.Time
-		b, err := svc.Submit(Request{Sub: smallSubmission(2), Origin: "shard0/core", Scheduled: true, Due: 30,
-			OnAccepted: func(*Batch, error) { acceptedAt = eng.Now() }})
+		b, err := svc.Submit(Request{Sub: smallSubmission(2), Origin: "shard0/core", Scheduled: true, Due: 30})
 		if b != nil || err != nil {
 			t.Fatalf("scheduled Submit = (%v, %v), want (nil, nil)", b, err)
 		}
@@ -150,8 +132,11 @@ func TestScheduledArrivalIsOneRecord(t *testing.T) {
 			t.Fatalf("door %+v: delivered early", door)
 		}
 		eng.RunUntil(sim.Time(sim.Hour))
-		if wantAt := 30 + sim.Time(door.PerSubmissionSeconds); svc.Arrivals() != 0 || len(svc.Batches()) != 1 || acceptedAt != wantAt {
-			t.Fatalf("door %+v: %d arrivals, %d batches, accepted at %v; want 0, 1, %v", door, svc.Arrivals(), len(svc.Batches()), acceptedAt, wantAt)
+		if svc.Arrivals() != 0 || len(svc.Batches()) != 1 {
+			t.Fatalf("door %+v: %d arrivals, %d batches; want 0, 1", door, svc.Arrivals(), len(svc.Batches()))
+		}
+		if b, _ := svc.Batch(svc.Batches()[0]); b.CreatedAt != 30+sim.Time(door.PerSubmissionSeconds) {
+			t.Fatalf("door %+v: accepted at %v, want %v", door, b.CreatedAt, 30+sim.Time(door.PerSubmissionSeconds))
 		}
 		if len(d.inputs) != 1 {
 			t.Fatalf("door %+v: the delivery was recorded too: %+v", door, d.inputs)
@@ -184,15 +169,12 @@ func TestIngestValidationSynchronous(t *testing.T) {
 func TestIngestIDPrefix(t *testing.T) {
 	eng, sched := testGrid(t)
 	svc := mustService(t, eng, sched, Options{IDPrefix: "shard2-", Ingest: IngestConfig{PerSubmissionSeconds: 5}})
-	var got *Batch
-	if _, err := svc.Submit(Request{Sub: smallSubmission(1), Origin: "shard2/core", OnAccepted: func(b *Batch, err error) {
-		got = b
-	}}); err != nil {
+	if _, err := svc.Submit(Request{Sub: smallSubmission(1), Origin: "shard2/core"}); err != nil {
 		t.Fatal(err)
 	}
 	eng.RunUntil(sim.Time(10))
-	if got == nil || got.ID != "shard2-batch-000001" {
-		t.Fatalf("batch ID = %+v, want shard2-batch-000001", got)
+	if got := svc.Batches(); len(got) != 1 || got[0] != "shard2-batch-000001" {
+		t.Fatalf("batches %v, want [shard2-batch-000001]", got)
 	}
 }
 
@@ -222,9 +204,11 @@ func TestDoorAllocs(t *testing.T) {
 			svc := mustService(t, eng, sched, Options{
 				Ingest: IngestConfig{PerSubmissionSeconds: 1, PerReplicateSeconds: 0.25}, Admit: tc.admit})
 			req := Request{Sub: smallSubmission(1), Origin: "shard0/core"}
-			submit := func() {
+			submit := func() { // the admit door sheds once 100 are queued
 				if _, err := svc.Submit(req); err != nil {
-					t.Fatal(err)
+					if _, shed := err.(*admit.Rejection); !shed {
+						t.Fatal(err)
+					}
 				}
 			}
 			got := testing.AllocsPerRun(200, submit)

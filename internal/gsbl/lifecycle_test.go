@@ -25,10 +25,10 @@ func (d *recordingDurable) Submission(_ sim.Time, b *Batch, _ bool) {
 // take — direct, behind the FIFO door, through the admit door, shed for
 // quota, shed for overflow, scheduled — each with a recording hook, and
 // holds every one to its life cycle: the hook gets each request's
-// record once, OnAccepted fires exactly once with the batch or the
-// *admit.Rejection, a shed request never becomes a batch, and once a
-// request is accepted or shed its record lets go of the OnAccepted
-// closure and its arrival time.
+// record once, Submit returns the record when it expanded it, the
+// *admit.Rejection when the door shed it on arrival and nothing when it
+// is pending, a shed request never becomes a batch, and once the engine
+// has run every pending request is a batch or shed.
 func TestRequestLifeCycle(t *testing.T) {
 	door := IngestConfig{PerSubmissionSeconds: 10}
 	for _, tc := range []struct {
@@ -36,7 +36,7 @@ func TestRequestLifeCycle(t *testing.T) {
 		opts    Options
 		req     Request
 		n       int
-		pending bool   // the requests are still pending when Submit returns
+		pending bool   // the requests are not expanded when Submit returns
 		shed    string // the reason some of them are shed for, "" for none
 	}{
 		{"direct", Options{Ingest: door}, Request{Direct: true}, 3, false, ""},
@@ -52,70 +52,47 @@ func TestRequestLifeCycle(t *testing.T) {
 			d := &recordingDurable{}
 			tc.opts.Durable = d
 			svc := mustService(t, eng, sched, tc.opts)
-			type outcome struct {
-				calls int
-				b     *Batch
-				err   error
-			}
-			got := make([]outcome, tc.n)
-			for i := range got {
+			shed := make([]bool, tc.n) // returned as shed on arrival
+			returned := 0
+			for i := range shed {
 				r := tc.req
 				r.Sub, r.Origin = smallSubmission(1), "service"
-				r.OnAccepted = func(b *Batch, err error) {
-					got[i].calls++
-					got[i].b, got[i].err = b, err
-				}
 				b, err := svc.Submit(r)
-				if err != nil {
-					t.Fatal(err)
-				}
 				if len(d.records) != i+1 {
 					t.Fatalf("request %d: the hook has %d records", i, len(d.records))
 				}
 				rec := d.records[i]
-				if tc.pending {
-					if b != nil || (rec.onAccepted == nil && got[i].calls == 0) {
-						t.Fatalf("request %d: Submit returned %v; pending record holds OnAccepted: %v", i, b, rec.onAccepted != nil)
+				var rej *admit.Rejection
+				switch {
+				case errors.As(err, &rej):
+					shed[i] = true
+					returned++
+					if b != nil || rej.Reason != tc.shed {
+						t.Errorf("request %d: shed with batch %v and reason %q, want nil and %q", i, b, rej.Reason, tc.shed)
 					}
-				} else if b != rec {
+				case err != nil:
+					t.Fatal(err)
+				case tc.pending && b != nil:
+					t.Fatalf("request %d: Submit returned %v for a pending request", i, b)
+				case !tc.pending && b != rec:
 					t.Fatalf("request %d: Submit returned %p, not its record %p", i, b, rec)
 				}
 			}
 			eng.RunUntil(sim.Time(sim.Day))
 
-			shed := 0
-			for i, o := range got {
-				rec := d.records[i]
-				if o.calls != 1 {
-					t.Fatalf("request %d: OnAccepted fired %d times", i, o.calls)
-				}
-				if rec.onAccepted != nil || rec.arrived != 0 || rec.scheduled {
-					t.Errorf("request %d: resolved record still holds OnAccepted %v, arrival %v, scheduled %v",
-						i, rec.onAccepted != nil, rec.arrived, rec.scheduled)
-				}
-				var rej *admit.Rejection
-				switch {
-				case errors.As(o.err, &rej):
-					shed++
-					if o.b != nil || rej.Reason != tc.shed {
-						t.Errorf("request %d: shed with batch %v and reason %q, want nil and %q", i, o.b, rej.Reason, tc.shed)
-					}
-					if rec.ID != "" || slices.Contains(svc.Batches(), rec.ID) {
-						t.Errorf("request %d: shed record became batch %q", i, rec.ID)
-					}
-				case o.err != nil:
-					t.Errorf("request %d: %v", i, o.err)
-				default:
-					if o.b != rec || !slices.Contains(svc.Batches(), rec.ID) {
-						t.Errorf("request %d: accepted as %p (%q), its record is %p", i, o.b, rec.ID, rec)
-					}
-				}
+			q, o := svc.Sheds()
+			// The queue holds one user's equal requests, so the door sheds
+			// each arriving one: every shed is returned.
+			if (q+o > 0) != (tc.shed != "") || len(svc.Batches()) != tc.n-q-o || returned != q+o {
+				t.Fatalf("%d+%d shed (%d on arrival), %d batches of %d requests", q, o, returned, len(svc.Batches()), tc.n)
 			}
-			if (shed > 0) != (tc.shed != "") || len(svc.Batches()) != tc.n-shed {
-				t.Fatalf("%d shed, %d batches of %d requests", shed, len(svc.Batches()), tc.n)
-			}
-			if q, o := svc.Sheds(); q+o != shed {
-				t.Fatalf("Sheds() = %d+%d, %d callbacks saw a rejection", q, o, shed)
+			for i, rec := range d.records {
+				if rec.scheduled || (shed[i] && rec.ID != "") {
+					t.Errorf("request %d: delivered record still scheduled %v, or shed and accepted as %q", i, rec.scheduled, rec.ID)
+				}
+				if accepted := slices.Contains(svc.Batches(), rec.ID); accepted != (rec.ID != "") {
+					t.Errorf("request %d: record ID %q, in Batches %v", i, rec.ID, accepted)
+				}
 			}
 		})
 	}

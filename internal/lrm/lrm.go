@@ -22,9 +22,10 @@ import (
 	"lattice/internal/sim"
 )
 
-// ReferenceCellsPerSecond mirrors workload.ReferenceCellsPerSecond;
-// duplicated here to keep the dependency graph acyclic (lrm must not
-// import workload).
+// ReferenceCellsPerSecond is the likelihood-cell throughput of the
+// "reference computer" that anchors all resource speed measurements
+// (the paper arbitrarily assigns it speed 1.0). Every resource in the
+// grid executes work at speed × this rate.
 const ReferenceCellsPerSecond = 2.5e8
 
 // Platform identifies an operating system / CPU architecture pair an

@@ -48,32 +48,24 @@ var DurationBuckets = []float64{
 	1, 10, 60, 300, 1800, 3600, 6 * 3600, 24 * 3600, 7 * 24 * 3600, 30 * 24 * 3600,
 }
 
-// shardCount spreads hot counters across cache lines; snapshots sum
-// the shards, so the split never affects observed values.
-const shardCount = 8
+// cell is an atomic float64 that adds by compare-and-swap.
+type cell struct{ bits atomic.Uint64 }
 
-// shard is one padded atomic cell holding float64 bits.
-type shard struct {
-	bits atomic.Uint64
-	_    [7]uint64 // pad to a cache line so shards don't false-share
-}
-
-func (s *shard) add(v float64) {
+func (c *cell) add(v float64) {
 	for {
-		old := s.bits.Load()
+		old := c.bits.Load()
 		nw := math.Float64bits(math.Float64frombits(old) + v)
-		if s.bits.CompareAndSwap(old, nw) {
+		if c.bits.CompareAndSwap(old, nw) {
 			return
 		}
 	}
 }
 
+func (c *cell) load() float64 { return math.Float64frombits(c.bits.Load()) }
+
 // Counter is a monotonically increasing metric. Increments are
-// lock-free: a round-robin pick spreads writers across shards.
-type Counter struct {
-	rr     atomic.Uint32
-	shards [shardCount]shard
-}
+// lock-free.
+type Counter struct{ v cell }
 
 // Inc adds one.
 func (c *Counter) Inc() { c.Add(1) }
@@ -84,19 +76,15 @@ func (c *Counter) Add(v float64) {
 	if c == nil || v <= 0 {
 		return
 	}
-	c.shards[c.rr.Add(1)%shardCount].add(v)
+	c.v.add(v)
 }
 
-// Value sums the shards.
+// Value reads the counter.
 func (c *Counter) Value() float64 {
 	if c == nil {
 		return 0
 	}
-	var sum float64
-	for i := range c.shards {
-		sum += math.Float64frombits(c.shards[i].bits.Load())
-	}
-	return sum
+	return c.v.load()
 }
 
 // Gauge is a set-or-adjust metric.
@@ -125,7 +113,7 @@ func (g *Gauge) Value() float64 {
 type Histogram struct {
 	bounds []float64
 	counts []atomic.Uint64 // len(bounds)+1
-	sum    shard
+	sum    cell
 	count  atomic.Uint64
 }
 
@@ -212,23 +200,23 @@ func (r *Registry) familyFor(name, help string, kind Kind, bounds []float64) *fa
 	return f
 }
 
-// series returns (creating if needed) the handle for a label set.
-// The constructor runs outside the lock — it is caller-supplied code,
-// and a callback under mu is a deadlock waiting to happen — with a
-// double-checked insert so racing creators converge on one handle.
-func (f *family) series(labels []Label, mk func() any) any {
+// series returns (creating if needed) the handle for a label set: a
+// *Counter, *Gauge or *Histogram by the family's kind.
+func (f *family) series(labels []Label) any {
 	key, sorted := canonLabels(labels)
 	f.mu.Lock()
+	defer f.mu.Unlock()
 	if m, ok := f.bySeries[key]; ok {
-		f.mu.Unlock()
 		return m
 	}
-	f.mu.Unlock()
-	m := mk()
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if exist, ok := f.bySeries[key]; ok {
-		return exist // another goroutine won the race; discard ours
+	var m any
+	switch f.kind {
+	case KindCounter:
+		m = &Counter{}
+	case KindGauge:
+		m = &Gauge{}
+	default:
+		m = &Histogram{bounds: f.bounds, counts: make([]atomic.Uint64, len(f.bounds)+1)}
 	}
 	f.bySeries[key] = m
 	i := sort.Search(len(f.ordered), func(i int) bool { return f.ordered[i].key >= key })
@@ -241,14 +229,12 @@ func (f *family) series(labels []Label, mk func() any) any {
 // Counter returns the counter for name+labels, creating both the
 // family and the series on first use.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	f := r.familyFor(name, help, KindCounter, nil)
-	return f.series(labels, func() any { return &Counter{} }).(*Counter)
+	return r.familyFor(name, help, KindCounter, nil).series(labels).(*Counter)
 }
 
 // Gauge returns the gauge for name+labels.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	f := r.familyFor(name, help, KindGauge, nil)
-	return f.series(labels, func() any { return &Gauge{} }).(*Gauge)
+	return r.familyFor(name, help, KindGauge, nil).series(labels).(*Gauge)
 }
 
 // Histogram returns the histogram for name+labels. Bounds apply to the
@@ -258,10 +244,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 	if bounds == nil {
 		bounds = DurationBuckets
 	}
-	f := r.familyFor(name, help, KindHistogram, bounds)
-	return f.series(labels, func() any {
-		return &Histogram{bounds: f.bounds, counts: make([]atomic.Uint64, len(f.bounds)+1)}
-	}).(*Histogram)
+	return r.familyFor(name, help, KindHistogram, bounds).series(labels).(*Histogram)
 }
 
 // Snapshot returns every series in deterministic order: families
@@ -295,7 +278,7 @@ func (r *Registry) Snapshot() []SeriesSnapshot {
 					s.Buckets = append(s.Buckets, Bucket{UpperBound: ub, Count: cum})
 				}
 				s.Count = m.count.Load()
-				s.Sum = math.Float64frombits(m.sum.bits.Load())
+				s.Sum = m.sum.load()
 			}
 			out = append(out, s)
 		}

@@ -20,18 +20,6 @@ type Evaluator interface {
 	TotalWork() float64
 }
 
-// IncrementalEvaluator is an Evaluator that caches per-node state
-// between evaluations (internal/beagle's incremental re-evaluation).
-// Such caches are self-validating against tree mutations; InvalidateAll
-// is the explicit escape hatch for anything the engine cannot observe —
-// swapping the underlying data or re-parameterizing the model in place.
-type IncrementalEvaluator interface {
-	Evaluator
-	// InvalidateAll drops all cached per-node state, forcing the next
-	// evaluation to recompute from scratch.
-	InvalidateAll()
-}
-
 // EvaluatorFactory constructs one evaluator instance. A pool calls it
 // once per worker, because engines own mutable scratch buffers and are
 // not safe for concurrent use.

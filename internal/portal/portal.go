@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -48,8 +47,9 @@ type Durability interface {
 	User(at sim.Time, token, email string)
 }
 
-// Options is everything about a Portal that is fixed at construction;
-// each nil or empty field turns the endpoints it backs into 404s.
+// Options is everything about a Portal that is fixed at construction.
+// Obs, Workflows and StatusSource are required; ArtifactDir and Durable
+// are optional, because a non-durable deployment has neither.
 type Options struct {
 	// Obs backs GET /metrics (text exposition) and GET /trace/{batch}
 	// (span tree as JSON, folded from the journal per request), and
@@ -78,8 +78,12 @@ type Options struct {
 	Durable Durability
 }
 
-// New builds a portal for the GARLI application.
+// New builds a portal for the GARLI application. It panics when a
+// required option is missing: that is a wiring error, not a request.
 func New(eng *sim.Engine, svc *gsbl.Service, opts Options) *Portal {
+	if opts.Obs == nil || opts.Workflows == nil || opts.StatusSource == nil {
+		panic("portal: Options.Obs, Workflows and StatusSource are required")
+	}
 	return &Portal{
 		eng:   eng,
 		svc:   svc,
@@ -182,20 +186,12 @@ func (p *Portal) Handler() http.Handler {
 
 // handleMetrics serves the metrics registry in text exposition format.
 func (p *Portal) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if p.opts.Obs == nil {
-		http.Error(w, "observability not configured", http.StatusNotFound)
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	p.writeBody(w, []byte(p.opts.Obs.Exposition()))
 }
 
 // handleTrace serves /trace/{batch}: the batch's span tree as JSON.
 func (p *Portal) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if p.opts.Obs == nil || p.opts.Obs.Journal == nil {
-		http.Error(w, "observability not configured", http.StatusNotFound)
-		return
-	}
 	batch := strings.TrimPrefix(r.URL.Path, "/trace/")
 	if batch == "" {
 		http.Error(w, "batch ID required", http.StatusBadRequest)
@@ -324,23 +320,20 @@ func (p *Portal) createJob(w http.ResponseWriter, r *http.Request) {
 		UserEmail:  email,
 	}
 	// The one door decides: a batch when the submission was expanded
-	// before the response is written, an admission refusal (HTTP 429 with
+	// on the spot, an admission refusal of this request (HTTP 429 with
 	// the controller's deterministic Retry-After hint), or neither when it
-	// is queued behind the door. The callback only ever sets this
-	// request's rej, and the handler reads it before giving up the lock:
-	// a queued request can still be shed later, inside Pump.
-	var rej *admit.Rejection
+	// is queued behind the door, where it can still be shed later, inside
+	// Pump.
 	p.mu.Lock()
-	batch, err := p.svc.Submit(gsbl.Request{Sub: sub, Origin: "portal",
-		OnAccepted: func(_ *gsbl.Batch, err error) { errors.As(err, &rej) }})
-	shed := rej
+	batch, err := p.svc.Submit(gsbl.Request{Sub: sub, Origin: "portal"})
 	p.mu.Unlock()
+	shed, isShed := err.(*admit.Rejection)
 	switch {
-	case err != nil:
-		http.Error(w, "validation failed: "+err.Error(), http.StatusBadRequest)
-	case shed != nil:
+	case isShed:
 		w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(shed.RetryAfter.Seconds()))))
 		http.Error(w, shed.Error(), http.StatusTooManyRequests)
+	case err != nil:
+		http.Error(w, "validation failed: "+err.Error(), http.StatusBadRequest)
 	case batch == nil:
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusAccepted)
@@ -572,10 +565,6 @@ func (p *Portal) handleWorkflowCreate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "guest workflows require a userEmail", http.StatusBadRequest)
 		return
 	}
-	if p.opts.Workflows == nil {
-		http.Error(w, "workflow engine not configured", http.StatusNotFound)
-		return
-	}
 	p.mu.Lock()
 	run, err := p.opts.Workflows.Submit(wf)
 	p.mu.Unlock()
@@ -598,10 +587,6 @@ func (p *Portal) handleWorkflowStatus(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "workflow run ID required", http.StatusBadRequest)
 		return
 	}
-	if p.opts.Workflows == nil {
-		http.NotFound(w, r)
-		return
-	}
 	p.mu.Lock()
 	st, err := p.opts.Workflows.Status(id)
 	p.mu.Unlock()
@@ -618,10 +603,6 @@ func (p *Portal) handleWorkflowStatus(w http.ResponseWriter, r *http.Request) {
 
 // handleGridStatus reports the federation's current state.
 func (p *Portal) handleGridStatus(w http.ResponseWriter, r *http.Request) {
-	if p.opts.StatusSource == nil {
-		http.Error(w, "status source not configured", http.StatusNotFound)
-		return
-	}
 	var status any
 	p.Locked(func() { status = p.opts.StatusSource() })
 	p.writeJSON(w, status)

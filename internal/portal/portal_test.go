@@ -35,7 +35,9 @@ func fixture(t *testing.T) (*Portal, *httptest.Server, *gsbl.Mailer) {
 }
 
 // fixtureOpts builds a portal over a one-cluster grid from the given
-// service and portal options, always with a workflow engine behind it.
+// service and portal options, always with a workflow engine behind it
+// and, unless the options name their own, an obs hub and a status
+// source reporting one resource.
 func fixtureOpts(t *testing.T, sopts gsbl.Options, popts Options) (*Portal, *httptest.Server, *gsbl.Mailer) {
 	t.Helper()
 	eng := sim.NewEngine()
@@ -61,6 +63,12 @@ func fixtureOpts(t *testing.T, sopts gsbl.Options, popts Options) (*Portal, *htt
 	svc, err := gsbl.NewService(eng, sched, mailer, sim.NewRNG(1), sopts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if popts.Obs == nil {
+		popts.Obs = obs.New(eng)
+	}
+	if popts.StatusSource == nil {
+		popts.StatusSource = func() any { return map[string]int{"resources": 1} }
 	}
 	popts.Workflows = dag.NewEngine(eng, svc, popts.Obs, dag.Config{})
 	p := New(eng, svc, popts)
@@ -377,18 +385,7 @@ END;
 
 func TestGridStatusEndpoint(t *testing.T) {
 	_, ts, _ := fixture(t)
-	// Unconfigured → 404.
 	resp, err := http.Get(ts.URL + "/grid/status")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unconfigured status returned %d", resp.StatusCode)
-	}
-	_, ts, _ = fixtureOpts(t, gsbl.Options{}, Options{
-		StatusSource: func() any { return map[string]int{"resources": 1} }})
-	resp, err = http.Get(ts.URL + "/grid/status")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -751,5 +748,29 @@ func TestClientWriteErrorsCounted(t *testing.T) {
 	}
 	if metrics[series] != 3 {
 		t.Fatalf("%s = %v after three failed writes, want 3", series, metrics[series])
+	}
+}
+
+// TestNewRequiresWiring: the obs hub, the workflow engine and the status
+// source back endpoints every deployment serves, so a portal without
+// one of them is refused at construction instead of answering 404.
+func TestNewRequiresWiring(t *testing.T) {
+	eng := sim.NewEngine()
+	hub := obs.New(eng)
+	wf := dag.NewEngine(eng, nil, hub, dag.Config{})
+	status := func() any { return nil }
+	for _, opts := range []Options{
+		{Workflows: wf, StatusSource: status},
+		{Obs: hub, StatusSource: status},
+		{Obs: hub, Workflows: wf},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New accepted %+v", opts)
+				}
+			}()
+			New(eng, nil, opts)
+		}()
 	}
 }

@@ -1,15 +1,10 @@
 package workload
 
 import (
+	"lattice/internal/lrm"
 	"lattice/internal/phylo"
 	"lattice/internal/sim"
 )
-
-// ReferenceCellsPerSecond is the likelihood-cell throughput of the
-// "reference computer" that anchors all resource speed measurements
-// (the paper arbitrarily assigns it speed 1.0). Every resource in the
-// grid executes work at speed × this rate.
-const ReferenceCellsPerSecond = 2.5e8
 
 // Work units are likelihood cell updates (see phylo.Likelihood.Work).
 
@@ -89,7 +84,7 @@ func (s *JobSpec) SampleWork(rng *sim.RNG) float64 {
 }
 
 // ReferenceSeconds converts work in cell updates to seconds on the
-// reference computer (speed 1.0).
+// reference computer (speed 1.0, lrm.ReferenceCellsPerSecond).
 func ReferenceSeconds(work float64) float64 {
-	return work / ReferenceCellsPerSecond
+	return work / lrm.ReferenceCellsPerSecond
 }
