@@ -11,7 +11,7 @@
 // and watch your batch at /batch/<id>?format=json. Metrics are at
 // /metrics (text exposition) and per-batch traces at /trace/<id>;
 // pass -metrics-addr to serve those two endpoints on a separate
-// listener as well.
+// listener as well, with the Go runtime profiles under /debug/pprof/.
 //
 // With -shards N above 1 the front router fronts N coordinator shards
 // that share nothing: each owns a disjoint slice of the federation and,
@@ -31,6 +31,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"time"
 
@@ -58,7 +59,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("lattice", flag.ContinueOnError)
 	var (
 		addr        = fs.String("addr", ":8080", "portal listen address")
-		metricsAddr = fs.String("metrics-addr", "", "optional separate listen address for /metrics and /trace/")
+		metricsAddr = fs.String("metrics-addr", "", "optional separate listen address for /metrics, /trace/ and /debug/pprof/")
 		accel       = fs.Float64("accel", 60, "grid-time acceleration (virtual seconds per wall second)")
 		seed        = fs.Int64("seed", 1, "random seed for the simulated federation")
 		train       = fs.Int("train", 150, "runtime-model training jobs")
@@ -225,12 +226,18 @@ func runCluster(base core.Config, shards int, durable string, withFaults bool, a
 }
 
 // metricsMux exposes only the observability endpoints — what a
-// scrape-only listener should serve.
+// scrape-only listener should serve — and the runtime profiles under
+// /debug/pprof/, which the public portal never serves.
 func metricsMux(lat *core.Lattice) *http.ServeMux {
 	portal := lat.Portal.Handler()
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", portal)
 	mux.Handle("/trace/", portal)
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
 

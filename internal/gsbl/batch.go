@@ -1,15 +1,15 @@
 package gsbl
 
 import (
-	"archive/zip"
-	"bytes"
 	"cmp"
+	"compress/flate"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"slices"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"lattice/internal/admit"
 	"lattice/internal/metasched"
@@ -427,11 +427,9 @@ func (s *Service) ResultsZip(id string) ([]byte, error) {
 	if !st.Done {
 		return nil, fmt.Errorf("gsbl: batch %s still has %d jobs outstanding", id, st.Pending+st.Running)
 	}
-	var out bytes.Buffer
-	out.Grow(len(b.Jobs)*zipBytesPerJob + 1024)
 	z := zipWriter{
-		zw:   zip.NewWriter(&out),
-		hdrs: make([]zip.FileHeader, 0, 2*st.Completed+st.Failed+1),
+		buf:  make([]byte, 0, len(b.Jobs)*zipBytesPerJob+1024),
+		recs: make([]zipRecord, 0, 2*st.Completed+st.Failed+1),
 	}
 	var body []byte // every entry is rendered here, then copied out by add
 	for _, j := range b.Jobs {
@@ -469,10 +467,7 @@ func (s *Service) ResultsZip(id string) ([]byte, error) {
 	if err := z.add("batch_summary.txt", "", body); err != nil {
 		return nil, err
 	}
-	if err := z.zw.Close(); err != nil {
-		return nil, err
-	}
-	return out.Bytes(), nil
+	return z.close()
 }
 
 // appendSeconds appends v as fmt's %.0f would print it.
@@ -484,7 +479,7 @@ const (
 	// storeBelow is the body length under which an archive entry is
 	// stored instead of deflated. Measured on these text bodies (job
 	// stubs, and log- and Newick-shaped text grown line by line):
-	// level-5 deflate plus the 16-byte data descriptor a streamed entry
+	// level-5 deflate plus the 16-byte data descriptor a deflated entry
 	// carries comes out larger than the input up to about 130 bytes
 	// (89 -> 106, 131 -> 128, 143 -> 141) and smaller from there on
 	// (262 -> 178, 1 kB -> ~350), so short stubs are cheaper stored —
@@ -492,49 +487,185 @@ const (
 	// deflated entry resets — and kB-sized GARLI trees and logs still
 	// compress.
 	storeBelow = 128
-	// zipBytesPerJob pre-sizes the archive for stub-sized outputs: a
-	// completed job's two entries cost two 30-byte local headers, two
-	// 46-byte directory records, its ~35-byte ID six times and ~130
-	// bytes of fixed text. Larger outputs grow the buffer as usual.
+	// zipBytesPerJob pre-sizes the one buffer the whole archive is
+	// written into, for stub-sized outputs: a completed job's two
+	// entries cost two 30-byte local headers, two 46-byte directory
+	// records, its ~35-byte ID six times and ~130 bytes of fixed text.
+	// Larger outputs grow the buffer as usual.
 	zipBytesPerJob = 544
-	// zipVersion20 is the "version needed to extract" archive/zip
-	// itself stamps on every entry it creates.
-	zipVersion20 = 20
+
+	// zipLocalLen is the fixed part of a local file header (PKWARE
+	// APPNOTE 4.3.7); the entry's name follows it.
+	zipLocalLen = 30
+	// zipMax16 bounds a name's length and the entry count, zipMax32 any
+	// size or offset: archive/zip refuses a longer name, and at either
+	// count it switches to zip64, which ResultsZip refuses instead.
+	zipMax16 = 1<<16 - 1
+	zipMax32 = 1<<32 - 1
 )
 
-// zipWriter is ResultsZip's single entry writer.
+// le writes the zip format's little-endian fields.
+var le = binary.LittleEndian
+
+// zipRecord is what the central directory repeats about one entry; the
+// name is read back from the entry's local header.
+type zipRecord struct {
+	offset, crc, compressed, uncompressed uint32
+	flags, method, nameLen                uint16
+}
+
+// zipWriter is ResultsZip's single entry writer. It writes the zip
+// format itself, byte for byte what archive/zip's Writer wrote for the
+// same entries (results_test.go keeps that writer as the oracle), into
+// one buffer: each entry's local header, name and data, then at close
+// the central directory and the end record.
 type zipWriter struct {
-	zw *zip.Writer
-	// hdrs backs every entry's header (zw keeps a pointer to each until
-	// Close), sized up front so entries share one allocation.
-	hdrs []zip.FileHeader
+	buf  []byte
+	recs []zipRecord
+	// fw is the one deflate compressor, made on the first deflated
+	// entry and Reset for each later one.
+	fw *flate.Writer
+}
+
+// Write appends compressed bytes for fw.
+func (z *zipWriter) Write(p []byte) (int, error) {
+	z.buf = append(z.buf, p...)
+	return len(p), nil
 }
 
 // add writes one entry, name+suffix, holding body: stored when the body
 // is shorter than storeBelow, deflated otherwise. The rule reads only
-// the body's length. A stored entry's CRC and sizes are known up
-// front, so it goes in raw: no compressor, no hash state, no trailing
-// data descriptor.
+// the body's length. A stored entry's CRC and sizes are known up front
+// and go in its local header; a deflated entry's follow its data in a
+// data descriptor (flag 0x8), as archive/zip streams them. Every '/'
+// and '\' in the name is written as '_', so each entry sits at the
+// archive root whatever the user's address held.
 func (z *zipWriter) add(name, suffix string, body []byte) error {
-	z.hdrs = append(z.hdrs, zip.FileHeader{Name: name + suffix, Method: zip.Deflate})
-	fh := &z.hdrs[len(z.hdrs)-1]
-	var (
-		w   io.Writer
-		err error
-	)
+	n := len(name) + len(suffix)
+	if n > zipMax16 {
+		return fmt.Errorf("gsbl: archive entry name of %d bytes is over the zip limit", n)
+	}
+	if uint64(len(body)) >= zipMax32 {
+		return fmt.Errorf("gsbl: archive entry %s%s of %d bytes needs zip64", name, suffix, len(body))
+	}
+	off := len(z.buf)
+	z.buf = append(z.buf, make([]byte, zipLocalLen)...)
+	z.buf = append(append(z.buf, name...), suffix...)
+	entry := z.buf[off+zipLocalLen:]
+	for i, c := range entry {
+		if c == '/' || c == '\\' {
+			entry[i] = '_'
+		}
+	}
+	r := zipRecord{
+		offset:       uint32(off),
+		crc:          crc32.ChecksumIEEE(body),
+		uncompressed: uint32(len(body)),
+		nameLen:      uint16(n),
+	}
 	if len(body) < storeBelow {
-		fh.Method = zip.Store
-		fh.CreatorVersion, fh.ReaderVersion = zipVersion20, zipVersion20
-		fh.CRC32 = crc32.ChecksumIEEE(body)
-		fh.CompressedSize64 = uint64(len(body))
-		fh.UncompressedSize64 = uint64(len(body))
-		w, err = z.zw.CreateRaw(fh)
+		r.compressed = r.uncompressed
+		z.buf = append(z.buf, body...)
 	} else {
-		w, err = z.zw.CreateHeader(fh)
+		r.method = 8 // deflate
+		r.flags = 0x8
+		if needsUTF8Flag(entry) {
+			r.flags |= 0x800
+		}
+		start := len(z.buf)
+		if z.fw == nil {
+			fw, err := flate.NewWriter(z, 5) // archive/zip's level
+			if err != nil {
+				return err
+			}
+			z.fw = fw
+		} else {
+			z.fw.Reset(z)
+		}
+		if _, err := z.fw.Write(body); err != nil {
+			return err
+		}
+		if err := z.fw.Close(); err != nil {
+			return err
+		}
+		r.compressed = uint32(len(z.buf) - start)
+		z.buf = le.AppendUint32(z.buf, 0x08074b50)
+		z.buf = le.AppendUint32(z.buf, r.crc)
+		z.buf = le.AppendUint32(z.buf, r.compressed)
+		z.buf = le.AppendUint32(z.buf, r.uncompressed)
 	}
-	if err != nil {
-		return err
+	h := z.buf[off : off+zipLocalLen]
+	le.PutUint32(h, 0x04034b50)
+	le.PutUint16(h[4:], 20) // version needed to extract
+	le.PutUint16(h[6:], r.flags)
+	le.PutUint16(h[8:], r.method)
+	// time and date stay 0; so do CRC and sizes of a deflated entry
+	if r.method == 0 {
+		le.PutUint32(h[14:], r.crc)
+		le.PutUint32(h[18:], r.compressed)
+		le.PutUint32(h[22:], r.uncompressed)
 	}
-	_, err = w.Write(body)
-	return err
+	le.PutUint16(h[26:], r.nameLen)
+	z.recs = append(z.recs, r)
+	return nil
+}
+
+// close appends the central directory, each record followed by the
+// name copied from its local header, and the end record, and returns
+// the archive.
+func (z *zipWriter) close() ([]byte, error) {
+	start := len(z.buf)
+	if len(z.recs) >= zipMax16 || uint64(start) >= zipMax32 {
+		return nil, fmt.Errorf("gsbl: archive of %d entries and %d bytes needs zip64", len(z.recs), start)
+	}
+	for _, r := range z.recs {
+		z.buf = le.AppendUint32(z.buf, 0x02014b50)
+		z.buf = le.AppendUint16(z.buf, 20) // version made by
+		z.buf = le.AppendUint16(z.buf, 20) // version needed to extract
+		z.buf = le.AppendUint16(z.buf, r.flags)
+		z.buf = le.AppendUint16(z.buf, r.method)
+		z.buf = le.AppendUint32(z.buf, 0) // time and date
+		z.buf = le.AppendUint32(z.buf, r.crc)
+		z.buf = le.AppendUint32(z.buf, r.compressed)
+		z.buf = le.AppendUint32(z.buf, r.uncompressed)
+		z.buf = le.AppendUint16(z.buf, r.nameLen)
+		// extra and comment lengths, disk number, internal and
+		// external attributes: all 0
+		z.buf = append(z.buf, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+		z.buf = le.AppendUint32(z.buf, r.offset)
+		name := int(r.offset) + zipLocalLen
+		z.buf = append(z.buf, z.buf[name:name+int(r.nameLen)]...)
+	}
+	size := len(z.buf) - start
+	if uint64(size) >= zipMax32 {
+		return nil, fmt.Errorf("gsbl: archive directory of %d bytes needs zip64", size)
+	}
+	z.buf = le.AppendUint32(z.buf, 0x06054b50)
+	z.buf = le.AppendUint32(z.buf, 0) // disk numbers
+	z.buf = le.AppendUint16(z.buf, uint16(len(z.recs)))
+	z.buf = le.AppendUint16(z.buf, uint16(len(z.recs)))
+	z.buf = le.AppendUint32(z.buf, uint32(size))
+	z.buf = le.AppendUint32(z.buf, uint32(start))
+	z.buf = le.AppendUint16(z.buf, 0) // comment length
+	return z.buf, nil
+}
+
+// needsUTF8Flag is archive/zip's rule for setting flag 0x800 on a
+// deflated entry: the name is valid UTF-8 and holds a rune outside
+// 0x20–0x7d, which CP-437 readers would misread. (The rule also counts
+// a backslash, which never survives add's mapping.) A stored entry's
+// flags stay 0, as CreateRaw left them.
+func needsUTF8Flag(name []byte) bool {
+	require := false
+	for i := 0; i < len(name); {
+		r, size := utf8.DecodeRune(name[i:])
+		i += size
+		if r < 0x20 || r > 0x7d {
+			if r == utf8.RuneError && size == 1 {
+				return false
+			}
+			require = true
+		}
+	}
+	return require
 }

@@ -4,7 +4,9 @@ import (
 	"archive/zip"
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -198,22 +200,231 @@ func finishedBatch(svc *Service, n int) *Batch {
 	return b
 }
 
-// TestResultsZipAllocBudget pins the per-entry cost of the portal's
-// largest download: 2000 jobs, 4001 entries. The fmt/zw.Create renderer
-// spent 15.3 allocations per entry.
+// TestResultsZipAllocBudget pins the cost of the portal's largest
+// download, 2000 jobs and 4001 entries, for the whole archive: the
+// archive/zip writer spent about 28 000 allocations on it (7 per entry:
+// the name string and six inside archive/zip); writing the format into
+// one buffer takes a handful, whatever the entry count.
 func TestResultsZipAllocBudget(t *testing.T) {
 	_, svc, _ := testService(t)
 	b := finishedBatch(svc, 2000)
-	entries := 2*len(b.Jobs) + 1
 	allocs := testing.AllocsPerRun(5, func() {
 		if _, err := svc.ResultsZip(b.ID); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if per := allocs / float64(entries); per > 8 {
-		t.Errorf("%.1f allocations per entry (%.0f over %d entries), budget 8", per, allocs, entries)
+	if allocs > 8 {
+		t.Errorf("%.0f allocations for a %d-entry archive, budget 8", allocs, 2*len(b.Jobs)+1)
 	} else {
-		t.Logf("%.2f allocations per entry", per)
+		t.Logf("%.0f allocations", allocs)
+	}
+}
+
+// oracleWriter is ResultsZip's entry writer as it stood on archive/zip
+// — a stored entry through CreateRaw with its CRC and sizes up front,
+// a deflated one through CreateHeader — kept as the byte-for-byte
+// oracle for the format zipWriter now writes itself.
+type oracleWriter struct {
+	zw   *zip.Writer
+	hdrs []zip.FileHeader
+}
+
+func (z *oracleWriter) add(name string, body []byte) error {
+	z.hdrs = append(z.hdrs, zip.FileHeader{Name: name, Method: zip.Deflate})
+	fh := &z.hdrs[len(z.hdrs)-1]
+	var (
+		w   io.Writer
+		err error
+	)
+	if len(body) < storeBelow {
+		fh.Method = zip.Store
+		fh.CreatorVersion, fh.ReaderVersion = 20, 20
+		fh.CRC32 = crc32.ChecksumIEEE(body)
+		fh.CompressedSize64 = uint64(len(body))
+		fh.UncompressedSize64 = uint64(len(body))
+		w, err = z.zw.CreateRaw(fh)
+	} else {
+		w, err = z.zw.CreateHeader(fh)
+	}
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(body)
+	return err
+}
+
+// oracleZip writes entries, in order, with oracleWriter.
+func oracleZip(entries []zipEntry) ([]byte, error) {
+	var out bytes.Buffer
+	z := oracleWriter{zw: zip.NewWriter(&out), hdrs: make([]zip.FileHeader, 0, len(entries))}
+	for _, e := range entries {
+		if err := z.add(e.name, e.body); err != nil {
+			return nil, err
+		}
+	}
+	if err := z.zw.Close(); err != nil {
+		return nil, err
+	}
+	return out.Bytes(), nil
+}
+
+// entryNames maps a job's file name to its archive entry name.
+var entryNames = strings.NewReplacer("/", "_", `\`, "_")
+
+// oracleArchive is what ResultsZip must return for b: the reference
+// renderer's entries, names mapped, written by oracleWriter.
+func oracleArchive(t *testing.T, svc *Service, b *Batch) ([]byte, error) {
+	t.Helper()
+	ref, err := referenceZip(b, svc.status(b))
+	if err != nil {
+		return nil, err
+	}
+	entries := readZip(t, ref)
+	for i := range entries {
+		entries[i].name = entryNames.Replace(entries[i].name)
+	}
+	return oracleZip(entries)
+}
+
+// checkAgainstOracle holds ResultsZip's archive of b to oracleArchive
+// byte for byte, and reads every entry back, CRC verified, with a
+// local, separator-free name.
+func checkAgainstOracle(t *testing.T, svc *Service, b *Batch) {
+	t.Helper()
+	got, err := svc.ResultsZip(b.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := oracleArchive(t, svc, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		i := 0
+		for i < len(got) && i < len(want) && got[i] == want[i] {
+			i++
+		}
+		t.Fatalf("%d-byte archive differs from the %d-byte oracle at byte %d:\n got % x\nwant % x",
+			len(got), len(want), i, got[i:min(i+48, len(got))], want[i:min(i+48, len(want))])
+	}
+	for _, e := range readZip(t, got) {
+		if !filepath.IsLocal(e.name) || strings.ContainsAny(e.name, `/\`) {
+			t.Fatalf("entry %q leaves the archive root", e.name)
+		}
+	}
+}
+
+// zipService is a Service with no grid, for registering finished
+// batches directly.
+func zipService(t testing.TB) *Service {
+	svc, err := NewService(sim.NewEngine(), nil, &Mailer{}, sim.NewRNG(1), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return svc
+}
+
+// TestResultsZipMatchesOracle holds the direct writer to the archive/zip
+// oracle on batches of 1, 7, 300 and 2000 jobs that mix stored and
+// deflated entries with failed jobs, non-ASCII, invalid-UTF-8, '~',
+// '/' and '\' names.
+func TestResultsZipMatchesOracle(t *testing.T) {
+	odd := []string{"caf\u00e9", "\xff\xfe", "tilde~", `back\slash`, "/abs/path", "ctl\x01", "\u4e16\u754c"}
+	for _, n := range []int{1, 7, 300, 2000} {
+		svc := zipService(t)
+		b := finishedBatch(svc, n)
+		for i, j := range b.Jobs {
+			if i%3 == 1 {
+				j.ID = odd[i%len(odd)] + j.ID
+			}
+			switch i % 5 {
+			case 2:
+				j.Status = metasched.StatusFailed
+				j.FailReason = strings.Repeat("lost result ", 1+i%20)
+			case 4:
+				j.Resource = strings.Repeat("campus-condor-pool-", 1+i%9)
+			}
+		}
+		checkAgainstOracle(t, svc, b)
+	}
+}
+
+// TestResultsZipRefusesZip64 checks the limits: ResultsZip writes an
+// archive up to the last name length and entry count archive/zip
+// writes without zip64, identical to the oracle, and refuses one past
+// them — where the oracle fails too, or switches to zip64.
+func TestResultsZipRefusesZip64(t *testing.T) {
+	const suffix = len(".screen.log") // the longer of a completed job's two
+	svc := zipService(t)
+	b := finishedBatch(svc, 1)
+	b.Jobs[0].ID = strings.Repeat("n", 1<<16-1-suffix)
+	checkAgainstOracle(t, svc, b)
+	b.Jobs[0].ID += "n"
+	if _, err := svc.ResultsZip(b.ID); err == nil {
+		t.Errorf("a %d-byte entry name was accepted", 1<<16)
+	}
+	if _, err := oracleArchive(t, svc, b); err == nil {
+		t.Errorf("the oracle accepted a %d-byte entry name", 1<<16)
+	}
+
+	// A completed job's two entries, 32 766 times, a failed job's one
+	// and the summary: 65 534, the most a zip holds without zip64. The
+	// oracle rewrites the archive's own entries here (rendering them
+	// all-deflated through referenceZip costs seconds); the smaller
+	// batches above check what the entries hold.
+	b = finishedBatch(svc, 32767)
+	b.Jobs[0].Status, b.Jobs[0].FailReason = metasched.StatusFailed, "lost"
+	got, err := svc.ResultsZip(b.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := readZip(t, got)
+	want, err := oracleZip(entries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1<<16-2 || !bytes.Equal(got, want) {
+		t.Fatalf("%d-entry archive: %d bytes, oracle %d, equal %v", len(entries), len(got), len(want), bytes.Equal(got, want))
+	}
+	b.Jobs[0].Status = metasched.StatusCompleted
+	if _, err := svc.ResultsZip(b.ID); err == nil {
+		t.Errorf("a %d-entry archive was accepted", 1<<16-1)
+	}
+	want, err = oracleZip(append(entries, zipEntry{name: "one-more", body: []byte("x")}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(want, []byte("PK\x06\x06")) {
+		t.Errorf("the oracle wrote %d entries without a zip64 end record", 1<<16-1)
+	}
+}
+
+// TestResultsZipEntriesStayInsideTheArchive submits batches from guest
+// addresses that carry path separators — a job ID keeps every byte of
+// the address but '@' and '.' — and requires every entry name to be
+// local (not absolute, no "..") with no backslash, the rule Go's own
+// zip reader enforces under GODEBUG=zipinsecurepath=0 and what keeps a
+// naive unzip inside its target directory. The archive is flat, so no
+// name holds a '/' either: "a/b@c" must not make a directory "a".
+func TestResultsZipEntriesStayInsideTheArchive(t *testing.T) {
+	for _, email := range []string{`/etc/cron.d/x@y`, `..\..\evil@x`, `a/b@c`} {
+		eng, svc, _ := testService(t)
+		sub := smallSubmission(2)
+		sub.UserEmail = email
+		b, err := svc.Submit(direct(sub))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.RunUntil(sim.Time(30 * sim.Day))
+		data, err := svc.ResultsZip(b.ID)
+		if err != nil {
+			t.Fatalf("%s: %v", email, err)
+		}
+		for _, e := range readZip(t, data) {
+			if !filepath.IsLocal(e.name) || strings.ContainsAny(e.name, `/\`) {
+				t.Errorf("%s: entry %q leaves the archive root", email, e.name)
+			}
+		}
 	}
 }
 
