@@ -70,13 +70,8 @@ func run() error {
 	case "phylip":
 		al, err = phylo.ParsePHYLIP(f, dt)
 	case "nexus":
-		var nf *phylo.NexusFile
-		nf, err = phylo.ParseNEXUS(f)
+		al, err = phylo.ParseNEXUS(f)
 		if err == nil {
-			if nf.Alignment == nil {
-				return fmt.Errorf("NEXUS file has no data matrix")
-			}
-			al = nf.Alignment
 			// The NEXUS FORMAT block overrides -datatype.
 			dt = al.Type
 		}

@@ -192,3 +192,44 @@ func TestInputInsideAnEventFailsTheLog(t *testing.T) {
 		t.Errorf("/grid/status does not report the durable error: %s", body)
 	}
 }
+
+// TestRejectedArrivalRecovers: a scheduled arrival refused when it is
+// scheduled has no WAL record and schedules nothing, so it must leave
+// nothing in the journal either — a shard rebuilt from its log would
+// otherwise diverge at the checkpoint covering the refusal. The refusal
+// is the caller's, kept in IngestErrors; the rebuilt shard runs on to
+// the digest of a cluster that never stopped.
+func TestRejectedArrivalRecovers(t *testing.T) {
+	bad := clusterSubmission("rejected@example.edu", 1)
+	bad.Replicates = 0
+	load := func(c *Cluster) {
+		c.ScheduleSubmission(1, bad)
+		scheduleArrivals(c, 40, 7*sim.Minute)
+	}
+	cfg := ClusterConfig{Shards: 1, Base: arrivalBase(41)}
+	twin, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	load(twin)
+	if errs := twin.Shards[0].Service.IngestErrors(); len(errs) != 1 {
+		t.Fatalf("IngestErrors = %v, want the one refusal", errs)
+	}
+	runClusterToDone(t, twin, sim.Time(20*sim.Day))
+
+	cfg.DurableRoot = t.TempDir()
+	c, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.CloseDurable()
+	load(c)
+	c.RunUntil(sim.Time(2 * sim.Hour))
+	if _, err := c.RecoverShard(0); err != nil {
+		t.Fatal(err)
+	}
+	runClusterToDone(t, c, sim.Time(20*sim.Day))
+	if got, want := c.Digest(), twin.Digest(); got != want {
+		t.Errorf("digest %.12s after recovery, uninterrupted twin %.12s", got, want)
+	}
+}

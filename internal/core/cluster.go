@@ -133,8 +133,8 @@ func (c *Cluster) Route(user, origin string) int {
 // its owner shard, and returns the shard. The shard records the
 // submission now, with its due time, and delivers it at that time; the
 // record is the arrival's only state, so recovery and a restart bring
-// back every arrival not yet due. A rejected submission is noted as an
-// ingest error on its shard.
+// back every arrival not yet due. A rejected submission has no record,
+// so it is only noted as an ingest error on its shard, never journaled.
 func (c *Cluster) ScheduleSubmission(at sim.Time, sub workload.Submission) int {
 	k := c.Route(sub.UserEmail, "core")
 	l := c.Shards[k]

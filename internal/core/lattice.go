@@ -271,7 +271,7 @@ func build(cfg Config) (*Lattice, error) {
 			target = cfg.ResourceWrap(eng, rs.Name, target)
 		}
 		l.resources[rs.Name] = target
-		if _, err := mds.StartProvider(eng, pubSink, target, providerPeriod); err != nil {
+		if err := mds.StartProvider(eng, pubSink, target, providerPeriod); err != nil {
 			return nil, err
 		}
 		speed := rs.Speed

@@ -107,8 +107,9 @@ func traceSubmission(email string, replicates int) workload.Submission {
 
 // TestTraceMatchesGroundTruth runs two batches through the default
 // hostile schedule — jobs requeued off a dead cluster, reissued after
-// lost results, re-placed after refused submits, one cancelled by hand
-// — and checks every span of both traces mid-run and at the end.
+// lost results, re-placed after refused submits, failed for good by a
+// flapping pool — and checks every span of both traces mid-run and at
+// the end.
 func TestTraceMatchesGroundTruth(t *testing.T) {
 	cfg := recoverConfig(11)
 	cfg.Faults = DefaultFaultSchedule()
@@ -126,26 +127,8 @@ func TestTraceMatchesGroundTruth(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Mid-run, inside umd-hpc's day-long outage: cancel one job that is
-	// still open (not the batch's last, so the batch still ends through
-	// a completing job), then look.
+	// Mid-run, inside umd-hpc's day-long outage.
 	lat.Engine.RunUntil(sim.Time(9 * sim.Hour))
-	var cancelled *metasched.GridJob
-	open := 0
-	for _, j := range first.Jobs {
-		if !terminal(j) {
-			open++
-			if cancelled == nil {
-				cancelled = j
-			}
-		}
-	}
-	if open < 2 {
-		t.Fatalf("fixture: %d open jobs at 9h, need ≥ 2", open)
-	}
-	if !lat.Scheduler.Cancel(cancelled.ID) {
-		t.Fatalf("cancel %s refused", cancelled.ID)
-	}
 	for _, b := range []*gsbl.Batch{first, second} {
 		checkTrace(t, lat, b)
 		if b.DoneAt != 0 {
@@ -167,8 +150,16 @@ func TestTraceMatchesGroundTruth(t *testing.T) {
 	if most < 2 {
 		t.Errorf("fixture: no job was placed twice; the resource-attr order is untested")
 	}
-	if cancelled.Status != metasched.StatusFailed || cancelled.FailReason != "cancelled by user" {
-		t.Errorf("cancelled job ended %v (%s)", cancelled.Status, cancelled.FailReason)
+	failed := 0
+	for _, b := range []*gsbl.Batch{first, second} {
+		for _, j := range b.Jobs {
+			if j.Status == metasched.StatusFailed {
+				failed++
+			}
+		}
+	}
+	if failed == 0 {
+		t.Errorf("fixture: no job failed for good; a failed span is untested")
 	}
 }
 

@@ -16,9 +16,8 @@
 // run mid-graph — the engine needs no snapshot state of its own.
 //
 // Failure handling is subtree-scoped: a stage that exhausts its
-// retries fails, its downstream subtree is skipped (never the
-// independent branches, which run to completion), and Rerun resets
-// exactly the dirty subtree for re-execution.
+// retries fails, and its downstream subtree is skipped (never the
+// independent branches, which run to completion).
 package dag
 
 import (

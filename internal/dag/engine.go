@@ -71,7 +71,7 @@ type StageRun struct {
 	Stage workload.WorkflowStage
 	State StageState
 	// Attempts counts batch submissions of this stage (monotonic
-	// across retries and reruns; each attempt derives a fresh seed).
+	// across retries; each attempt derives a fresh seed).
 	Attempts  int
 	BatchID   string
 	Completed int
@@ -263,11 +263,10 @@ func (e *Engine) start(r *Run, sr *StageRun) {
 			batchID, attempt, sr.Stage.Replicates, sr.Stage.Short))
 }
 
-// stageDone handles a stage batch reaching its terminal state.
+// stageDone handles a stage batch reaching its terminal state. A stage
+// has one batch in flight at a time, and a batch ends once, so this is
+// always the stage's current attempt.
 func (e *Engine) stageDone(r *Run, sr *StageRun, attempt, completed, failed int) {
-	if sr.State != StageRunning || sr.Attempts != attempt {
-		return // a stale batch from before a rerun reset
-	}
 	sr.Completed, sr.Failed = completed, failed
 	if failed == 0 {
 		sr.State = StageDone
@@ -356,46 +355,4 @@ func (e *Engine) finishIfTerminal(r *Run) {
 	r.State = RunFailed
 	e.o.Record(r.ID, "", obs.StageWfFail, "",
 		fmt.Sprintf("%d done, %d failed, %d skipped", done, failed, skipped))
-}
-
-// Rerun resets a stage and its transitive descendants — the dirty
-// subtree — back to waiting and re-executes them; stages outside the
-// subtree keep their finished results untouched. The target stage
-// must be terminal and nothing in its subtree may be in flight.
-//
-// Rerun is an operator action, not a recorded WAL input: a workflow
-// rerun after a crash must be re-issued by the operator, the same way
-// a cancelled batch must be resubmitted.
-//
-//lint:allow deadexport -- the operator half of the workflow lifecycle (README "Workflows"): nothing in the simulation reruns a stage, an operator does
-func (e *Engine) Rerun(runID, stageID string) error {
-	r, ok := e.runs[runID]
-	if !ok {
-		return fmt.Errorf("dag: unknown workflow run %s", runID)
-	}
-	if _, ok := r.stages[stageID]; !ok {
-		return fmt.Errorf("dag: run %s has no stage %s", runID, stageID)
-	}
-	subtree := e.subtree(r, stageID)
-	for _, id := range subtree {
-		switch r.stages[id].State {
-		case StageRunning:
-			return fmt.Errorf("dag: run %s stage %s is still running", runID, id)
-		case StageWaiting:
-			return fmt.Errorf("dag: run %s stage %s is still waiting", runID, id)
-		}
-	}
-	e.o.Record(r.ID, stageID, obs.StageWfRerun, "",
-		fmt.Sprintf("resetting %d stages", len(subtree)))
-	for _, id := range subtree {
-		sr := r.stages[id]
-		sr.State = StageWaiting
-		sr.BatchID = ""
-		sr.Completed, sr.Failed = 0, 0
-		sr.StartedAt, sr.DoneAt = 0, 0
-	}
-	r.State = RunRunning
-	r.DoneAt = 0
-	e.launchReady(r)
-	return nil
 }

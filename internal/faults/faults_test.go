@@ -239,7 +239,7 @@ func TestSinkDropAndStale(t *testing.T) {
 		t.Fatal(err)
 	}
 	idx, _ := mds.NewIndex(eng, 5*sim.Minute)
-	if _, err := mds.StartProvider(eng, in.Sink(idx), fake, sim.Minute); err != nil {
+	if err := mds.StartProvider(eng, in.Sink(idx), fake, sim.Minute); err != nil {
 		t.Fatal(err)
 	}
 	// A job submitted at t=5min changes FreeCPUs; during the stale

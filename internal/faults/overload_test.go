@@ -57,7 +57,7 @@ func TestCapacityCollapseScalesAndRefuses(t *testing.T) {
 		t.Fatal(err)
 	}
 	idx, _ := mds.NewIndex(eng, 5*sim.Minute)
-	if _, err := mds.StartProvider(eng, in.Sink(idx), fake, sim.Minute); err != nil {
+	if err := mds.StartProvider(eng, in.Sink(idx), fake, sim.Minute); err != nil {
 		t.Fatal(err)
 	}
 	outcomes := make([]*outcome, 4)

@@ -2,9 +2,8 @@
 // Discovery Service the grid-level scheduler depends on: scheduler
 // providers periodically publish resource state into an index, entries
 // carry a short TTL ("valid for a short lifetime, typically on the
-// order of minutes"), indexes propagate upstream into a central index,
-// and resources whose information goes stale are marked offline so "no
-// new jobs are scheduled there".
+// order of minutes"), and a resource whose information goes stale is
+// offline, so "no new jobs are scheduled there".
 package mds
 
 import (
@@ -105,21 +104,6 @@ func (x *Index) View() ([]Entry, uint64) {
 	return x.view, x.viewVersion
 }
 
-// Offline returns the names of resources whose entries have gone
-// stale, sorted.
-//
-//lint:allow deadexport -- the operator's view of TTL expiry; the scheduler asks per resource (Lookup), the staleness tests ask for the list
-func (x *Index) Offline() []string {
-	var out []string
-	for name, e := range x.entries {
-		if !x.fresh(e) {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Sink consumes resource-state publications. *Index satisfies it
 // directly; the fault injector wraps one to model publication drops
 // and staleness bursts without the provider noticing.
@@ -127,62 +111,19 @@ type Sink interface {
 	Publish(info lrm.Info)
 }
 
-// Provider is a scheduler provider: it polls one local resource and
-// publishes its Info into an index on a fixed period (the Condor
-// provider of the paper parses condor_status the same way).
-type Provider struct {
-	stop func()
-}
-
-// StartProvider begins publishing src's state into dst every period.
-// The first publication happens immediately.
-func StartProvider(eng *sim.Engine, dst Sink, src lrm.LRM, period sim.Duration) (*Provider, error) {
+// StartProvider is a scheduler provider: it publishes src's state
+// into dst now and then every period, polling one local resource the
+// way the paper's Condor provider parses condor_status. A provider
+// runs for the life of the deployment; a container that stops
+// publishing is modelled by a Sink that drops its publications (the
+// fault injector's), and its entry then ages out of the index.
+func StartProvider(eng *sim.Engine, dst Sink, src lrm.LRM, period sim.Duration) error {
 	if period <= 0 {
-		return nil, fmt.Errorf("mds: provider period must be positive")
+		return fmt.Errorf("mds: provider period must be positive")
 	}
 	dst.Publish(src.Info())
-	stop := eng.Every(period, func() {
+	eng.Every(period, func() {
 		dst.Publish(src.Info())
 	})
-	return &Provider{stop: stop}, nil
+	return nil
 }
-
-// Stop halts publication — the resource's entry then ages out of the
-// index, exactly how a crashed remote Globus container disappears from
-// the central MDS.
-//
-//lint:allow deadexport -- how the MDS and scheduler tests kill one container; the simulation kills them through the fault injector's sink instead
-func (p *Provider) Stop() { p.stop() }
-
-// Propagator periodically copies fresh entries from one index into
-// another, modelling the hierarchical MDS aggregation between Globus
-// containers ("information in this MDS database can be periodically
-// propagated to another MDS database running in another Globus
-// container process").
-type Propagator struct {
-	stop func()
-}
-
-// StartPropagator copies fresh entries of src into dst every period.
-//
-//lint:allow deadexport -- the paper's hierarchical MDS; core deployments run one index, the integration test runs two
-func StartPropagator(eng *sim.Engine, src, dst *Index, period sim.Duration) (*Propagator, error) {
-	if period <= 0 {
-		return nil, fmt.Errorf("mds: propagator period must be positive")
-	}
-	propagate := func() {
-		for _, e := range src.Snapshot() {
-			// Preserve origin timestamps? Central entries refresh on
-			// arrival: staleness is measured per hop, as in MDS.
-			dst.Publish(e.Info)
-		}
-	}
-	propagate()
-	stop := eng.Every(period, propagate)
-	return &Propagator{stop: stop}, nil
-}
-
-// Stop halts propagation.
-//
-//lint:allow deadexport -- a dead link between containers, as the propagation tests model it
-func (p *Propagator) Stop() { p.stop() }

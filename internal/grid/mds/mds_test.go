@@ -45,20 +45,32 @@ func TestTTLExpiry(t *testing.T) {
 		if _, ok := idx.Lookup("r1"); ok {
 			t.Error("entry should have expired")
 		}
-		off := idx.Offline()
-		if len(off) != 1 || off[0] != "r1" {
-			t.Errorf("Offline() = %v", off)
+		if snap := idx.Snapshot(); len(snap) != 0 {
+			t.Errorf("Snapshot() = %v after expiry", snap)
 		}
 	})
 	eng.Run()
+}
+
+// gate is a Sink that forwards publications until it is closed: a
+// container that stops publishing, as the index sees it.
+type gate struct {
+	dst    Sink
+	closed bool
+}
+
+func (g *gate) Publish(info lrm.Info) {
+	if !g.closed {
+		g.dst.Publish(info)
+	}
 }
 
 func TestProviderKeepsEntryFresh(t *testing.T) {
 	eng := sim.NewEngine()
 	idx, _ := NewIndex(eng, 5*sim.Minute)
 	src := &fakeLRM{name: "cluster", free: 2}
-	p, err := StartProvider(eng, idx, src, 2*sim.Minute)
-	if err != nil {
+	g := &gate{dst: idx}
+	if err := StartProvider(eng, g, src, 2*sim.Minute); err != nil {
 		t.Fatal(err)
 	}
 	// Well past several TTLs, the entry must still be fresh and must
@@ -74,87 +86,15 @@ func TestProviderKeepsEntryFresh(t *testing.T) {
 		if e.Info.FreeCPUs != 7 {
 			t.Errorf("stale FreeCPUs = %d, want 7", e.Info.FreeCPUs)
 		}
-		p.Stop()
+		g.closed = true
 	})
-	// After stopping, the entry ages out (resource offline).
+	// Once publications stop, the entry ages out (resource offline).
 	eng.Schedule(50*sim.Minute, func() {
 		if _, ok := idx.Lookup("cluster"); ok {
-			t.Error("entry still fresh after provider stopped")
+			t.Error("entry still fresh after publication stopped")
 		}
 	})
 	eng.RunUntil(sim.Time(sim.Hour))
-}
-
-func TestPropagatorAggregatesToCentral(t *testing.T) {
-	eng := sim.NewEngine()
-	local1, _ := NewIndex(eng, 5*sim.Minute)
-	local2, _ := NewIndex(eng, 5*sim.Minute)
-	central, _ := NewIndex(eng, 5*sim.Minute)
-	StartProvider(eng, local1, &fakeLRM{name: "condor-a", free: 1}, sim.Minute)
-	StartProvider(eng, local2, &fakeLRM{name: "pbs-b", free: 2}, sim.Minute)
-	if _, err := StartPropagator(eng, local1, central, 2*sim.Minute); err != nil {
-		t.Fatal(err)
-	}
-	StartPropagator(eng, local2, central, 2*sim.Minute)
-	eng.Schedule(10*sim.Minute, func() {
-		snap := central.Snapshot()
-		if len(snap) != 2 {
-			t.Fatalf("central sees %d resources, want 2", len(snap))
-		}
-		if snap[0].Info.Name != "condor-a" || snap[1].Info.Name != "pbs-b" {
-			t.Errorf("snapshot order wrong: %v, %v", snap[0].Info.Name, snap[1].Info.Name)
-		}
-	})
-	eng.RunUntil(sim.Time(15 * sim.Minute))
-}
-
-func TestOfflineResourceDisappearsFromCentral(t *testing.T) {
-	eng := sim.NewEngine()
-	local, _ := NewIndex(eng, 4*sim.Minute)
-	central, _ := NewIndex(eng, 4*sim.Minute)
-	p, _ := StartProvider(eng, local, &fakeLRM{name: "flaky"}, sim.Minute)
-	StartPropagator(eng, local, central, sim.Minute)
-	// Resource "crashes" at t=20min.
-	eng.Schedule(20*sim.Minute, func() { p.Stop() })
-	eng.Schedule(19*sim.Minute, func() {
-		if _, ok := central.Lookup("flaky"); !ok {
-			t.Error("resource should be visible before crash")
-		}
-	})
-	eng.Schedule(30*sim.Minute, func() {
-		if _, ok := central.Lookup("flaky"); ok {
-			t.Error("crashed resource still fresh in central index 10 min later")
-		}
-	})
-	eng.RunUntil(sim.Time(35 * sim.Minute))
-}
-
-// TestCentralExpiryWithLiveDownstream covers the split-brain case: the
-// downstream provider keeps its local index fresh, but the propagation
-// link to the central index dies. The central entry must age out on
-// its own TTL even though the resource is alive and publishing.
-func TestCentralExpiryWithLiveDownstream(t *testing.T) {
-	eng := sim.NewEngine()
-	local, _ := NewIndex(eng, 4*sim.Minute)
-	central, _ := NewIndex(eng, 4*sim.Minute)
-	StartProvider(eng, local, &fakeLRM{name: "alive", free: 3}, sim.Minute)
-	p, err := StartPropagator(eng, local, central, sim.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng.Schedule(20*sim.Minute, func() { p.Stop() }) // the link dies
-	eng.Schedule(30*sim.Minute, func() {
-		if _, ok := local.Lookup("alive"); !ok {
-			t.Error("local entry expired although the provider kept publishing")
-		}
-		if _, ok := central.Lookup("alive"); ok {
-			t.Error("central entry still fresh 10 min after the propagation link died")
-		}
-		if off := central.Offline(); len(off) != 1 || off[0] != "alive" {
-			t.Errorf("central Offline() = %v, want [alive]", off)
-		}
-	})
-	eng.RunUntil(sim.Time(35 * sim.Minute))
 }
 
 // TestSnapshotDeterministicUnderExpiry pins Snapshot's contract while
@@ -260,10 +200,7 @@ func TestValidation(t *testing.T) {
 		t.Error("expected error for zero TTL")
 	}
 	idx, _ := NewIndex(eng, sim.Minute)
-	if _, err := StartProvider(eng, idx, &fakeLRM{name: "x"}, 0); err == nil {
+	if err := StartProvider(eng, idx, &fakeLRM{name: "x"}, 0); err == nil {
 		t.Error("expected error for zero provider period")
-	}
-	if _, err := StartPropagator(eng, idx, idx, 0); err == nil {
-		t.Error("expected error for zero propagator period")
 	}
 }

@@ -1,6 +1,7 @@
 package gsbl
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"strings"
@@ -113,9 +114,10 @@ func TestDetailsMatchSprintf(t *testing.T) {
 // and again at the end, and holds both readings to the text the
 // Sprintf formats gave at the moment the mail was queued: a submitted
 // batch, a job failure whose reason holds '%' and non-ASCII, a
-// completion with failed jobs, and a batch ended by CancelBatch.
+// completion with failed jobs, and a batch whose every job the cluster
+// fails.
 func TestMailRendersTheSentText(t *testing.T) {
-	eng, svc, mailer := testService(t)
+	eng, svc, mailer := failingService(t, func(id string) bool { return strings.HasPrefix(id, "failer_example_edu-") })
 	var want []Notification
 	check := func(step string) {
 		t.Helper()
@@ -158,28 +160,32 @@ func TestMailRendersTheSentText(t *testing.T) {
 	want = append(want, sprintfComplete(eng.Now(), hand, 3, 2, 1))
 	check("completion with a failed job")
 
-	// Ended by CancelBatch while its long jobs run.
-	long := smallSubmission(4)
-	long.UserEmail = "canceller@example.edu"
-	long.Spec.NumTaxa, long.Spec.SeqLength = 80, 3000
-	c, err := svc.Submit(direct(long))
+	// Every job failed for good by the cluster: a job-failure mail
+	// each, in the order they failed, then the completion.
+	doomed := smallSubmission(4)
+	doomed.UserEmail = "failer@example.edu"
+	c, err := svc.Submit(direct(doomed))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want = append(want, sprintfSubmitted(eng.Now(), c))
-	eng.RunUntil(sim.Time(2*sim.Hour + 5*sim.Minute))
-	if err := svc.CancelBatch(c.ID); err != nil {
-		t.Fatal(err)
+	eng.RunUntil(sim.Time(2 * sim.Day))
+	jobs := slices.Clone(c.Jobs)
+	slices.SortFunc(jobs, func(x, y *metasched.GridJob) int { return cmp.Compare(x.CompletedAt, y.CompletedAt) })
+	for i, j := range jobs {
+		if j.Status != metasched.StatusFailed || (i > 0 && j.CompletedAt == jobs[i-1].CompletedAt) {
+			t.Fatalf("fixture: job %s ended %v at %v", j.ID, j.Status, j.CompletedAt)
+		}
+		want = append(want, sprintfJobFailed(j.CompletedAt, c, j))
 	}
-	want = append(want, sprintfComplete(eng.Now(), c, 4, 0, 4))
-	check("cancelled")
+	want = append(want, sprintfComplete(c.DoneAt, c, 4, 0, 4))
+	check("failed by the cluster")
 
-	// The cancelled jobs' resources run on; every mail still reads the
-	// same.
+	// The run goes on; every mail still reads the same.
 	eng.RunUntil(sim.Time(30 * sim.Day))
 	check("end of run")
 
-	for _, to := range []string{"researcher@example.edu", "jürgen@uni-köln.de", "canceller@example.edu", "nobody@example.edu"} {
+	for _, to := range []string{"researcher@example.edu", "jürgen@uni-köln.de", "failer@example.edu", "nobody@example.edu"} {
 		var mine []Notification
 		for _, n := range want {
 			if n.To == to {

@@ -48,14 +48,12 @@ type Batch struct {
 	DoneAt    sim.Time
 	// one backs Jobs for a one-job batch.
 	one [1]*metasched.GridJob
-	// completed and failed tally Jobs[:completed+failed], the settled
-	// prefix: every job in it is terminal. JobDone advances the prefix,
-	// so telling whether the batch is over costs O(1) amortized per job
-	// rather than a walk of the batch. (int32 keeps the record within
-	// the allocator's 288-byte size class; a batch has at most
+	// completed and failed count the jobs JobDone has been told of, so
+	// telling whether the batch is over costs O(1) per job rather than
+	// a walk of the batch. (int32 keeps the record within the
+	// allocator's 288-byte size class; a batch has at most
 	// workload.MaxReplicates jobs.)
 	completed, failed int32
-	done              bool
 	// direct and scheduled are the request's Direct and Scheduled;
 	// scheduled is cleared when the arrival fires.
 	direct, scheduled bool
@@ -307,45 +305,32 @@ func (s *Service) RunStage(runID, stageID string, sub workload.Submission, done 
 }
 
 // JobDone implements metasched.Owner: one of the batch's jobs is
-// terminal, which may end the batch.
+// terminal, which may end the batch. The scheduler reports each job
+// exactly once — when it completes, or when it fails for good — so the
+// two counters reach len(Jobs) exactly once, at the last job's end.
 func (b *Batch) JobDone(j *metasched.GridJob) {
 	if j.Status == metasched.StatusFailed {
+		b.failed++
 		b.svc.mailer.queue(b.svc.eng.Now(), mailJobFailed, b, j)
+	} else {
+		b.completed++
 	}
 	b.finish()
 }
 
-// finish ends the batch once every job is terminal: it stamps DoneAt,
-// sends the completion mail and fires onDone, all exactly once.
+// finish ends the batch at the report that makes every job terminal:
+// it stamps DoneAt, sends the completion mail and fires onDone.
 func (b *Batch) finish() {
-	if b.done || !b.settle() {
+	if int(b.completed+b.failed) != len(b.Jobs) {
 		return
 	}
 	st := BatchStatus{ID: b.ID, Total: len(b.Jobs), Completed: int(b.completed), Failed: int(b.failed),
 		Done: true, CreatedAt: b.CreatedAt}
-	b.done = true
 	b.DoneAt = b.svc.eng.Now()
 	b.svc.mailer.queue(b.DoneAt, mailComplete, b, nil)
 	if b.onDone != nil {
 		b.onDone(st)
 	}
-}
-
-// settle advances the settled prefix over every job that has reached a
-// terminal state — including one cancelled through the scheduler, which
-// ends without a JobDone call — and reports whether that is all of them.
-func (b *Batch) settle() bool {
-	for int(b.completed+b.failed) < len(b.Jobs) {
-		switch b.Jobs[b.completed+b.failed].Status {
-		case metasched.StatusCompleted:
-			b.completed++
-		case metasched.StatusFailed:
-			b.failed++
-		default:
-			return false
-		}
-	}
-	return true
 }
 
 // Batch returns a batch by ID.
@@ -396,23 +381,6 @@ func (s *Service) status(b *Batch) BatchStatus {
 	}
 	st.Done = st.Completed+st.Failed == st.Total
 	return st
-}
-
-// CancelBatch cancels every non-terminal job of a batch, which ends
-// the batch: a cancelled job never reaches JobDone, so the batch is
-// finished here.
-//
-//lint:allow deadexport -- DESIGN.md lists cancel in the job lifecycle (submit/status/cancel/results); a user cancels, the simulation never does
-func (s *Service) CancelBatch(id string) error {
-	b, ok := s.batches[id]
-	if !ok {
-		return fmt.Errorf("gsbl: unknown batch %s", id)
-	}
-	for _, j := range b.Jobs {
-		s.sched.Cancel(j.ID)
-	}
-	b.finish()
-	return nil
 }
 
 // ResultsZip packages a finished batch's outputs into one zip archive,

@@ -3,6 +3,7 @@ package gsbl
 import (
 	"archive/zip"
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -19,12 +20,14 @@ import (
 func testGrid(t *testing.T) (*sim.Engine, *metasched.Scheduler) {
 	t.Helper()
 	eng := sim.NewEngine()
-	return eng, gridOn(t, eng, metasched.Options{})
+	return eng, gridOn(t, eng, metasched.Options{}, nil)
 }
 
 // gridOn is testGrid's one-cluster grid on a caller-made engine, for
-// tests that wire the scheduler to a hub built on that engine.
-func gridOn(t *testing.T, eng *sim.Engine, opts metasched.Options) *metasched.Scheduler {
+// tests that wire the scheduler to a hub built on that engine. A
+// non-nil fail makes the cluster fail every job fail picks (see
+// failing).
+func gridOn(t *testing.T, eng *sim.Engine, opts metasched.Options, fail func(jobID string) bool) *metasched.Scheduler {
 	t.Helper()
 	idx, err := mds.NewIndex(eng, 5*sim.Minute)
 	if err != nil {
@@ -37,14 +40,62 @@ func gridOn(t *testing.T, eng *sim.Engine, opts metasched.Options) *metasched.Sc
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mds.StartProvider(eng, idx, hpc, sim.Minute); err != nil {
+	if err := mds.StartProvider(eng, idx, hpc, sim.Minute); err != nil {
 		t.Fatal(err)
 	}
 	sched := metasched.New(eng, idx, metasched.DefaultConfig(), opts)
-	if err := sched.Register(hpc, 1.5); err != nil {
+	var target lrm.LRM = hpc
+	if fail != nil {
+		target = &failing{LRM: hpc, eng: eng, pick: fail}
+	}
+	if err := sched.Register(target, 1.5); err != nil {
 		t.Fatal(err)
 	}
 	return sched
+}
+
+// failing is a cluster that fails, ten minutes in, every job pick
+// names by ID, each failure a second after the one before so no two
+// share an instant. The scheduler reissues such a job until its retry
+// limit, and then the job fails for good — the one way a job of a
+// batch ends failed.
+type failing struct {
+	lrm.LRM
+	eng   *sim.Engine
+	pick  func(jobID string) bool
+	fails int
+}
+
+func (f *failing) Submit(j *lrm.Job) error {
+	if !f.pick(j.ID) {
+		return f.LRM.Submit(j)
+	}
+	f.fails++
+	f.eng.Schedule(10*sim.Minute+sim.Duration(f.fails)*sim.Second, func() {
+		j.Owner.Fail(f.eng.Now(), "pbs: node died")
+	})
+	return nil
+}
+
+// replicates picks the jobs of the given replicate numbers.
+func replicates(reps ...int) func(jobID string) bool {
+	return func(id string) bool {
+		for _, r := range reps {
+			if strings.Contains(id, fmt.Sprintf("-r%04d-", r)) {
+				return true
+			}
+		}
+		return false
+	}
+}
+
+// failingService is testService over a cluster that fails every job
+// fail picks.
+func failingService(t *testing.T, fail func(jobID string) bool) (*sim.Engine, *Service, *Mailer) {
+	t.Helper()
+	eng := sim.NewEngine()
+	svc := mustService(t, eng, gridOn(t, eng, metasched.Options{}, fail), Options{})
+	return eng, svc, svc.mailer
 }
 
 // mustService builds a service over a testGrid with the given options.
@@ -194,62 +245,6 @@ func TestResultsZip(t *testing.T) {
 	}
 	if tre != 5 || logs != 5 {
 		t.Errorf("zip has %d tree files and %d logs, want 5 each", tre, logs)
-	}
-}
-
-// TestCancelBatch cancels a whole running batch: the cancel ends the
-// batch the way a last completing job would — DoneAt at the cancel
-// instant, one completion mail, OnDone fired once.
-func TestCancelBatch(t *testing.T) {
-	eng, svc, mailer := testService(t)
-	sub := smallSubmission(4)
-	sub.Spec.NumTaxa = 80
-	sub.Spec.SeqLength = 3000 // long jobs
-	var done []BatchStatus
-	b, err := svc.Submit(Request{Sub: sub, Origin: "wf-000001/search", Direct: true,
-		OnDone: func(st BatchStatus) { done = append(done, st) }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const at = sim.Time(5 * sim.Minute)
-	eng.RunUntil(at)
-	if err := svc.CancelBatch(b.ID); err != nil {
-		t.Fatal(err)
-	}
-	if b.DoneAt != at {
-		t.Errorf("DoneAt = %v, want the cancel instant %v", b.DoneAt, at)
-	}
-	eng.RunUntil(sim.Time(2 * sim.Day))
-	st, _ := svc.Status(b.ID)
-	if st.Completed != 0 {
-		t.Errorf("%d jobs completed despite cancellation", st.Completed)
-	}
-	if !st.Done || st.DoneAt != at {
-		t.Errorf("cancelled batch not terminal at %v: %+v", at, st)
-	}
-	if len(done) != 1 || done[0].Failed != 4 || !done[0].Done {
-		t.Errorf("OnDone fired with %+v, want once with 4 failed", done)
-	}
-	var completions int
-	for _, m := range mailer.Sent() {
-		if m.Subject == "[Lattice] "+b.ID+" complete" {
-			completions++
-			if m.At != at {
-				t.Errorf("completion mail sent at %v, want %v", m.At, at)
-			}
-		}
-	}
-	if completions != 1 {
-		t.Errorf("%d completion mails, want 1", completions)
-	}
-	if err := svc.CancelBatch(b.ID); err != nil {
-		t.Fatal(err)
-	}
-	if len(done) > 1 {
-		t.Errorf("a second CancelBatch fired OnDone again")
-	}
-	if err := svc.CancelBatch("nope"); err == nil {
-		t.Error("cancel of unknown batch succeeded")
 	}
 }
 

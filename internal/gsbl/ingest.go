@@ -73,7 +73,7 @@ func (a *arrival) Fire() {
 	if !b.direct && s.ingest.Enabled() {
 		s.enqueue(b)
 	} else if _, err := s.accept(b); err != nil {
-		s.NoteIngestErr(err)
+		s.expansionFailed(err)
 	}
 }
 
@@ -119,7 +119,7 @@ func (s *Service) drain(b *Batch) {
 		ins.wait.Observe(float64(s.eng.Now().Sub(b.arrived)))
 	}
 	if _, err := s.accept(b, " (ingest-drained)"); err != nil {
-		s.NoteIngestErr(err)
+		s.expansionFailed(err)
 	}
 }
 
@@ -143,18 +143,26 @@ func (s *Service) ingestInstruments() *ingestIns {
 	return s.ingestInsCache
 }
 
-// NoteIngestErr records a deferred scheduling failure, keeping the
-// most recent ones. Exported for callers with no request to fail, such
-// as a load that offers submissions from inside engine callbacks.
+// NoteIngestErr keeps a refused submission's error in IngestErrors,
+// most recent last, for a caller with nobody to return it to — such as
+// a load that schedules submissions ahead of time. It journals nothing:
+// a submission refused when it was offered has no WAL record, so
+// replay could not regenerate an event for it.
 func (s *Service) NoteIngestErr(err error) {
 	const keep = 32
 	if len(s.ingestErrs) >= keep {
 		s.ingestErrs = s.ingestErrs[1:]
 	}
 	s.ingestErrs = append(s.ingestErrs, err)
-	// Surface the failure as a batch-level journal event (empty batch/job — the
-	// batch was never created) and a counter, so operators see it
-	// without polling IngestErrors.
+}
+
+// expansionFailed is NoteIngestErr for a recorded request that failed
+// to expand inside an engine event (an arrival or a drain), which
+// replay regenerates: it is also a batch-level journal event (empty
+// batch and job — the batch was never created) and a counter, so
+// operators see it without polling IngestErrors.
+func (s *Service) expansionFailed(err error) {
+	s.NoteIngestErr(err)
 	s.obs.Record("", "", obs.StageFail, "ingest", "deferred expansion failed: "+err.Error())
 	s.obs.Counter("lattice_ingest_errors_total",
 		"Deferred submission expansion failures at the ingest drain").Inc()

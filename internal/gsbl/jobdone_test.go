@@ -11,13 +11,13 @@ import (
 	"lattice/internal/sim"
 )
 
-// TestJobDoneTalliesLikeTheWalk runs a 2000-job batch, some of it
-// cancelled through the scheduler (which ends a job without telling the
-// service), and holds what JobDone announces from its counters — the
-// completion mail, the onDone status, the instant — to the full walk
-// status() does for the portal.
+// TestJobDoneTalliesLikeTheWalk runs a 2000-job batch, five of whose
+// jobs the cluster fails for good, and holds what JobDone announces
+// from its counters — the completion mail, the onDone status, the
+// instant — to the full walk status() does for the portal.
 func TestJobDoneTalliesLikeTheWalk(t *testing.T) {
-	eng, svc, mailer := testService(t)
+	// Failures from both ends of the batch.
+	eng, svc, mailer := failingService(t, replicates(0, 1, 700, 1998, 1999))
 	var (
 		b     *Batch
 		got   BatchStatus
@@ -35,15 +35,6 @@ func TestJobDoneTalliesLikeTheWalk(t *testing.T) {
 	}
 	if len(b.Jobs) != 2000 {
 		t.Fatalf("fixture: %d jobs", len(b.Jobs))
-	}
-	// Cancel from both ends of the batch, running and queued alike.
-	for _, i := range []int{0, 1, 700, 1998, 1999} {
-		if j := b.Jobs[i]; !svc.sched.Cancel(j.ID) {
-			t.Fatalf("cancel %s refused (%v)", j.ID, j.Status)
-		}
-	}
-	if b.done || fired != 0 {
-		t.Fatal("a cancellation ended the batch")
 	}
 	eng.RunUntil(sim.Time(60 * sim.Day))
 
@@ -109,15 +100,12 @@ func TestJobDoneDoesNotRecount(t *testing.T) {
 }
 
 // TestSettleModel drives 300 generated batches of 1–40 jobs through
-// random interleavings of the four ways a job ends — the scheduler
-// reporting a completion or a failure to JobDone, a Scheduler.Cancel
-// (which ends a job without telling the batch) and CancelBatch — and
-// after every step holds the settled prefix to an O(n²) recount:
-// Jobs[:settled] is terminal and tallied, and every JobDone or
-// CancelBatch leaves the cursor at the longest terminal prefix. The
-// batch must finish exactly once, at the step that makes every job
-// terminal, with one completion mail, one onDone and one job-failure
-// mail per reported failure.
+// random interleavings of the two ways a job ends — the scheduler
+// reporting a completion or a failure to JobDone, once per job — and
+// after every step holds the counters to a recount of the jobs
+// reported so far. The batch must finish exactly once, at the report
+// of its last open job, with one completion mail, one onDone and one
+// job-failure mail per failure.
 func TestSettleModel(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
 		g := sim.NewRNG(seed)
@@ -132,88 +120,27 @@ func TestSettleModel(t *testing.T) {
 		if len(b.Jobs) != n {
 			t.Fatalf("seed %d: %d jobs, want %d", seed, len(b.Jobs), n)
 		}
-		terminal := func(j *metasched.GridJob) bool {
-			return j.Status == metasched.StatusCompleted || j.Status == metasched.StatusFailed
-		}
-		// recount is the O(n²) model: the longest prefix of terminal jobs,
-		// each prefix checked from scratch.
-		recount := func() (prefix, completed, failed int) {
-			for i := 0; i <= n; i++ {
-				all := true
-				for _, j := range b.Jobs[:i] {
-					all = all && terminal(j)
-				}
-				if all {
-					prefix = i
-				}
-			}
-			for _, j := range b.Jobs[:prefix] {
-				if j.Status == metasched.StatusCompleted {
-					completed++
-				} else {
-					failed++
-				}
-			}
-			return
-		}
-		reportedFailures, finishedAt := 0, -1
-		for step := 0; !b.done || g.Intn(4) > 0; step++ {
-			var open []*metasched.GridJob
-			for _, j := range b.Jobs {
-				if !terminal(j) {
-					open = append(open, j)
-				}
-			}
-			wasDone := b.done
-			told := true // the batch heard of this step
-			switch op := g.Intn(10); {
-			case len(open) == 0 || op == 0:
-				if err := svc.CancelBatch(b.ID); err != nil {
-					t.Fatal(err)
-				}
-			case op <= 4:
-				j := open[g.Intn(len(open))]
-				j.Status = metasched.StatusCompleted
-				b.JobDone(j)
-			case op <= 6:
-				j := open[g.Intn(len(open))]
+		open := append([]*metasched.GridJob(nil), b.Jobs...)
+		completed, failed := 0, 0
+		for step := 0; len(open) > 0; step++ {
+			k := g.Intn(len(open))
+			j := open[k]
+			open = append(open[:k], open[k+1:]...)
+			if g.Intn(3) == 0 {
 				j.Status, j.FailReason = metasched.StatusFailed, "model failure"
-				reportedFailures++
-				b.JobDone(j)
-			default:
-				if !svc.sched.Cancel(open[g.Intn(len(open))].ID) {
-					t.Fatalf("seed %d step %d: Scheduler.Cancel refused an open job", seed, step)
-				}
-				told = false
+				failed++
+			} else {
+				j.Status = metasched.StatusCompleted
+				completed++
 			}
-			prefix, completed, failed := recount()
-			settled := int(b.completed + b.failed)
-			if settled > prefix || (told && !b.done && settled != prefix) {
-				t.Fatalf("seed %d step %d: settled %d, terminal prefix %d", seed, step, settled, prefix)
+			b.JobDone(j)
+			if int(b.completed) != completed || int(b.failed) != failed {
+				t.Fatalf("seed %d step %d: tallies %d/%d, %d/%d reported", seed, step, b.completed, b.failed, completed, failed)
 			}
-			sc, sf := 0, 0
-			for _, j := range b.Jobs[:settled] {
-				if j.Status == metasched.StatusCompleted {
-					sc++
-				} else {
-					sf++
-				}
-			}
-			if int(b.completed) != sc || int(b.failed) != sf {
-				t.Fatalf("seed %d step %d: tallies %d/%d, prefix holds %d/%d", seed, step, b.completed, b.failed, sc, sf)
-			}
-			if b.done && !wasDone {
-				if finishedAt >= 0 || !told || prefix != n || completed+failed != n {
-					t.Fatalf("seed %d step %d: finished with prefix %d of %d (told %v, earlier finish at %d)",
-						seed, step, prefix, n, told, finishedAt)
-				}
-				finishedAt = step
-			}
-			if !b.done && told && prefix == n {
-				t.Fatalf("seed %d step %d: every job terminal and the batch not finished", seed, step)
+			if len(dones) > 0 && len(open) > 0 {
+				t.Fatalf("seed %d step %d: finished with %d of %d jobs open", seed, step, len(open), n)
 			}
 		}
-		_, completed, failed := recount()
 		if len(dones) != 1 || dones[0].Completed != completed || dones[0].Failed != failed || dones[0].Total != n {
 			t.Fatalf("seed %d: onDone calls %+v, want one with %d completed, %d failed", seed, dones, completed, failed)
 		}
@@ -226,9 +153,9 @@ func TestSettleModel(t *testing.T) {
 				failMails++
 			}
 		}
-		if completions != 1 || failMails != reportedFailures {
+		if completions != 1 || failMails != failed {
 			t.Fatalf("seed %d: %d completion mails and %d job-failure mails, want 1 and %d",
-				seed, completions, failMails, reportedFailures)
+				seed, completions, failMails, failed)
 		}
 	}
 }

@@ -133,7 +133,7 @@ func TestOutboxMatchesFlatOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mds.StartProvider(eng, idx, hpc, sim.Minute); err != nil {
+	if err := mds.StartProvider(eng, idx, hpc, sim.Minute); err != nil {
 		t.Fatal(err)
 	}
 	sched := metasched.New(eng, idx, metasched.DefaultConfig(), metasched.Options{Obs: hub})

@@ -17,7 +17,7 @@ import (
 func TestBatchOriginPropagation(t *testing.T) {
 	eng := sim.NewEngine()
 	o := obs.New(eng)
-	sched := gridOn(t, eng, metasched.Options{Obs: o})
+	sched := gridOn(t, eng, metasched.Options{Obs: o}, nil)
 	svc := mustService(t, eng, sched, Options{Obs: o})
 
 	fired, gotCompleted, gotFailed := 0, -1, -1

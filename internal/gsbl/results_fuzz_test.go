@@ -36,7 +36,6 @@ func fuzzBatch(data []byte) *Batch {
 		Submission: workload.Submission{Replicates: n},
 		CreatedAt:  sim.Time(next()),
 		DoneAt:     sim.Time(next() << 10),
-		done:       true,
 	}
 	for i := 0; i < n; i++ {
 		flags := next()

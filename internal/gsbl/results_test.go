@@ -99,24 +99,18 @@ func readZip(t *testing.T, data []byte) []zipEntry {
 	return out
 }
 
-// TestResultsZipMatchesReference runs a batch that ends with completed,
-// failed and cancelled jobs, some of whose bodies fall on the deflate
-// side of the break-even, and holds ResultsZip to the old renderer
-// entry for entry.
+// TestResultsZipMatchesReference runs a batch that ends with completed
+// jobs and jobs the cluster failed, some of whose bodies fall on the
+// deflate side of the break-even, and holds ResultsZip to the old
+// renderer entry for entry.
 func TestResultsZipMatchesReference(t *testing.T) {
-	eng, svc, _ := testService(t)
+	eng, svc, _ := failingService(t, replicates(0, 1, 2))
 	sub := smallSubmission(9)
 	sub.Spec.NumTaxa = 80
 	sub.Spec.SeqLength = 3000
 	b, err := svc.Submit(direct(sub))
 	if err != nil {
 		t.Fatal(err)
-	}
-	eng.RunUntil(sim.Time(5 * sim.Minute))
-	for _, j := range b.Jobs[:3] {
-		if !svc.sched.Cancel(j.ID) {
-			t.Fatalf("cancel %s refused", j.ID)
-		}
 	}
 	eng.RunUntil(sim.Time(30 * sim.Day))
 	// A resource-level failure with a long reason, and a completed job
@@ -182,7 +176,6 @@ func finishedBatch(svc *Service, n int) *Batch {
 		Submission: smallSubmission(n),
 		CreatedAt:  0,
 		DoneAt:     sim.Time(9 * sim.Hour),
-		done:       true,
 	}
 	spec := &workload.JobSpec{SearchReps: 2}
 	for i := 0; i < n; i++ {

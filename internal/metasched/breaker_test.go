@@ -18,7 +18,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	idx, _ := mds.NewIndex(eng, 5*sim.Minute)
 	res := &refusingLRM{eng: eng, name: "flaky-gate", failN: 3, runFor: 10 * sim.Minute,
 		jobs: make(map[string]*lrm.Job)}
-	if _, err := mds.StartProvider(eng, idx, res, sim.Minute); err != nil {
+	if err := mds.StartProvider(eng, idx, res, sim.Minute); err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
@@ -85,7 +85,7 @@ func TestBreakerDisabledIsZeroCost(t *testing.T) {
 	idx, _ := mds.NewIndex(eng, 5*sim.Minute)
 	res := &refusingLRM{eng: eng, name: "flaky-gate", failN: 4, runFor: 10 * sim.Minute,
 		jobs: make(map[string]*lrm.Job)}
-	if _, err := mds.StartProvider(eng, idx, res, sim.Minute); err != nil {
+	if err := mds.StartProvider(eng, idx, res, sim.Minute); err != nil {
 		t.Fatal(err)
 	}
 	hub := obs.New(eng)

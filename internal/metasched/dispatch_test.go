@@ -81,7 +81,7 @@ func TestSharedPlatformsUntouched(t *testing.T) {
 		t.Fatal(err)
 	}
 	boinc.GeneratePopulation(srv, rng, boinc.DefaultPopulation(30))
-	if _, err := mds.StartProvider(g.eng, g.idx, srv, sim.Minute); err != nil {
+	if err := mds.StartProvider(g.eng, g.idx, srv, sim.Minute); err != nil {
 		t.Fatal(err)
 	}
 	if err := g.sched.Register(srv, 0.8); err != nil {

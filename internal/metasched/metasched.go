@@ -225,8 +225,8 @@ type GridJob struct {
 	// no model was available).
 	EstimateRefSeconds float64
 
-	// Owner, when set, is told when the job reaches a terminal status
-	// (completed or failed) on its own; a cancelled job is not reported.
+	// Owner, when set, is told once, when the job reaches a terminal
+	// status (completed or failed).
 	Owner Owner
 
 	// disrupted marks jobs that hit a fault-induced setback (death

@@ -51,10 +51,10 @@ func newGrid(t *testing.T, cfg Config) *grid {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mds.StartProvider(eng, idx, pool, sim.Minute); err != nil {
+	if err := mds.StartProvider(eng, idx, pool, sim.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mds.StartProvider(eng, idx, hpc, sim.Minute); err != nil {
+	if err := mds.StartProvider(eng, idx, hpc, sim.Minute); err != nil {
 		t.Fatal(err)
 	}
 	sched := New(eng, idx, cfg, Options{})
@@ -82,6 +82,20 @@ func (a acceptsAll) Submit(j *lrm.Job) error {
 		a.t.Errorf("%s refused a job the scheduler placed on it: %v", a.Name(), err)
 	}
 	return err
+}
+
+// gate is an mds.Sink that forwards a resource's publications until
+// it is closed: the resource's container going silent, after which its
+// entry ages out of the index.
+type gate struct {
+	dst    mds.Sink
+	closed bool
+}
+
+func (g *gate) Publish(info lrm.Info) {
+	if !g.closed {
+		g.dst.Publish(info)
+	}
 }
 
 // perfectPredictor predicts from the spec's expected work — an oracle
@@ -301,11 +315,12 @@ func TestOfflineResourceNotUsed(t *testing.T) {
 		Kind: "pbs", Name: "solo", Platform: lrm.LinuxX86,
 		Nodes: []cluster.NodeClass{{Count: 2, Cores: 1, Speed: 1, MemoryMB: 2048}},
 	})
-	p, _ := mds.StartProvider(eng, idx, hpc, sim.Minute)
+	g := &gate{dst: idx}
+	mds.StartProvider(eng, g, hpc, sim.Minute)
 	sched := New(eng, idx, DefaultConfig(), Options{})
 	sched.Register(hpc, 1)
 	// Resource crashes at t = 10 min; submit at t = 20 min.
-	eng.Schedule(10*sim.Minute, func() { p.Stop() })
+	eng.Schedule(10*sim.Minute, func() { g.closed = true })
 	eng.Schedule(20*sim.Minute, func() {
 		j, err := submit(sched, testJob("after-crash", 60), nil, nil)
 		if err != nil {
@@ -326,7 +341,7 @@ func TestRetryAfterResourceFailure(t *testing.T) {
 	idx, _ := mds.NewIndex(eng, 5*sim.Minute)
 	res := &refusingLRM{eng: eng, name: "doomed", failN: 1 << 30, failSync: true,
 		jobs: make(map[string]*lrm.Job)}
-	if _, err := mds.StartProvider(eng, idx, res, sim.Minute); err != nil {
+	if err := mds.StartProvider(eng, idx, res, sim.Minute); err != nil {
 		t.Fatal(err)
 	}
 	sched := New(eng, idx, DefaultConfig(), Options{})
@@ -349,33 +364,6 @@ func TestRetryAfterResourceFailure(t *testing.T) {
 	}
 	if st := sched.Stats(); st.Retries != retryLimit+1 || st.Failed != 1 {
 		t.Errorf("stats %+v", st)
-	}
-}
-
-func TestCancelPendingAndRunning(t *testing.T) {
-	g := newGrid(t, DefaultConfig())
-	weird := testJob("stuck", 60)
-	weird.Platforms = []lrm.Platform{darwinPPC}
-	submit(g.sched, weird, nil, nil)
-	if !g.sched.Cancel("stuck") {
-		t.Error("pending job not cancellable")
-	}
-	run := testJob("running", 7200)
-	submit(g.sched, run, nil, nil)
-	g.eng.RunUntil(sim.Time(5 * sim.Minute))
-	if !g.sched.Cancel("running") {
-		t.Error("running job not cancellable")
-	}
-	if g.sched.Cancel("running") {
-		t.Error("double cancel returned true")
-	}
-	if g.sched.Cancel("unknown") {
-		t.Error("cancel of unknown job returned true")
-	}
-	// A cancel is a terminal failure: it counts, so Completed+Failed
-	// catches up with Submitted.
-	if st := g.sched.Stats(); st.Submitted != 2 || st.Failed != 2 || st.Completed != 0 {
-		t.Errorf("stats after two cancels: %+v", st)
 	}
 }
 
@@ -539,25 +527,5 @@ func TestDataStagingDelaysExecution(t *testing.T) {
 	if doneAt2 == 0 || doneAt2 >= doneAt {
 		t.Errorf("unstaged job at %.0f s not faster than the staged one at %.0f s",
 			float64(doneAt2), float64(doneAt))
-	}
-}
-
-func TestCancelDuringStaging(t *testing.T) {
-	g := newGrid(t, DefaultConfig())
-	d := testJob("c-staged", 60)
-	d.InputMB = 600 * stageBandwidthMBps // 10 minutes of staging
-	completed := false
-	if _, err := submit(g.sched, d, nil, func(j *GridJob) {
-		completed = j.Status == StatusCompleted
-	}); err != nil {
-		t.Fatal(err)
-	}
-	g.eng.RunUntil(sim.Time(1 * sim.Minute))
-	if !g.sched.Cancel("c-staged") {
-		t.Fatal("cancel during staging failed")
-	}
-	g.eng.RunUntil(sim.Time(1 * sim.Hour))
-	if completed {
-		t.Error("job cancelled during staging still completed")
 	}
 }

@@ -73,7 +73,7 @@ func TestLearnedStabilityGatesLongJobs(t *testing.T) {
 	}
 }
 
-// TestDeadResourceRequeue kills a resource's MDS provider mid-run: the
+// TestDeadResourceRequeue silences a resource's MDS publications mid-run: the
 // scheduler must detect the expired entry, requeue the in-flight jobs,
 // and finish them elsewhere.
 func TestDeadResourceRequeue(t *testing.T) {
@@ -93,11 +93,11 @@ func TestDeadResourceRequeue(t *testing.T) {
 		return c
 	}
 	fast, slow := mk("fast", 4.0), mk("slow", 1.0)
-	pFast, err := mds.StartProvider(eng, idx, fast, sim.Minute)
-	if err != nil {
+	fastOut := &gate{dst: idx}
+	if err := mds.StartProvider(eng, fastOut, fast, sim.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mds.StartProvider(eng, idx, slow, sim.Minute); err != nil {
+	if err := mds.StartProvider(eng, idx, slow, sim.Minute); err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
@@ -128,7 +128,7 @@ func TestDeadResourceRequeue(t *testing.T) {
 			t.Fatalf("job j%d placed on %q, want the fast cluster", i, j.Resource)
 		}
 	}
-	eng.Schedule(20*sim.Minute, pFast.Stop) // the resource silently dies
+	eng.Schedule(20*sim.Minute, func() { fastOut.closed = true }) // the resource silently dies
 	eng.RunUntil(sim.Time(2 * sim.Day))
 	st := sched.Stats()
 	if st.Requeued != 3 {
@@ -208,7 +208,7 @@ func TestSubmitRetryBackoff(t *testing.T) {
 	idx, _ := mds.NewIndex(eng, 5*sim.Minute)
 	res := &refusingLRM{eng: eng, name: "flaky-gate", failN: 8, runFor: 10 * sim.Minute,
 		jobs: make(map[string]*lrm.Job)}
-	if _, err := mds.StartProvider(eng, idx, res, sim.Minute); err != nil {
+	if err := mds.StartProvider(eng, idx, res, sim.Minute); err != nil {
 		t.Fatal(err)
 	}
 	o := obs.New(eng)
@@ -257,7 +257,7 @@ func TestSynchronousFailureInsideScanStaysQueued(t *testing.T) {
 	idx, _ := mds.NewIndex(eng, 5*sim.Minute)
 	res := &refusingLRM{eng: eng, name: "flaky-gate", failN: 2, failSync: true, runFor: 10 * sim.Minute,
 		jobs: make(map[string]*lrm.Job)}
-	if _, err := mds.StartProvider(eng, idx, res, sim.Minute); err != nil {
+	if err := mds.StartProvider(eng, idx, res, sim.Minute); err != nil {
 		t.Fatal(err)
 	}
 	sched := New(eng, idx, DefaultConfig(), Options{})

@@ -394,8 +394,8 @@ type attempt struct {
 	n    int
 }
 
-// Fire submits the job to the resource, unless it was cancelled,
-// requeued or re-routed while its input staged.
+// Fire submits the job to the resource, unless it was requeued or
+// re-routed while its input staged.
 func (a *attempt) Fire() {
 	s, j := a.s, a.j
 	if j.Status != StatusRunning || j.Resource != a.name || j.Attempts != a.n {
@@ -462,10 +462,9 @@ func (s *Scheduler) submitFailed(j *GridJob, name string, err error) {
 		"Gatekeeper submit failures sent to exponential backoff").Inc()
 	s.obs.Record(j.Batch, j.ID, obs.StageRequeue, name,
 		fmt.Sprintf("submit failed (%v); retry in %.0fs", err, float64(backoff)))
+	// The job sits in no queue until the timer fires, so nothing else
+	// can place it meanwhile.
 	s.eng.Schedule(backoff, func() {
-		if j.Status != StatusPending {
-			return // cancelled or picked up by a scan meanwhile
-		}
 		if !s.tryPlace(j) {
 			s.pending = append(s.pending, j)
 			s.ins.pending.Set(float64(len(s.pending)))
@@ -582,32 +581,4 @@ func (s *Scheduler) onJobFail(j *GridJob, resourceName, reason string, attempt i
 	j.Resource = ""
 	s.pending = append(s.pending, j)
 	s.ins.pending.Set(float64(len(s.pending)))
-}
-
-// Cancel aborts a job wherever it is.
-func (s *Scheduler) Cancel(jobID string) bool {
-	j, ok := s.jobs[jobID]
-	if !ok || j.Status == StatusCompleted || j.Status == StatusFailed {
-		return false
-	}
-	if j.Status == StatusRunning {
-		if r, ok := s.resources[j.Resource]; ok {
-			r.lrm.Cancel(jobID)
-		}
-		s.release(j)
-	}
-	for i, p := range s.pending {
-		if p == j {
-			s.pending = append(s.pending[:i], s.pending[i+1:]...)
-			break
-		}
-	}
-	j.Status = StatusFailed
-	j.FailReason = "cancelled by user"
-	j.CompletedAt = s.eng.Now()
-	s.stats.Failed++
-	s.ins.failed.Inc()
-	s.obs.Record(j.Batch, j.ID, obs.StageFail, "", "cancelled by user")
-	s.ins.pending.Set(float64(len(s.pending)))
-	return true
 }

@@ -52,7 +52,6 @@ const (
 	StageWfStageFail Stage = "wf-stage-fail"
 	StageWfRetry     Stage = "wf-retry"
 	StageWfSkip      Stage = "wf-skip"
-	StageWfRerun     Stage = "wf-rerun"
 	StageWfComplete  Stage = "wf-complete"
 	StageWfFail      Stage = "wf-fail"
 )

@@ -10,9 +10,10 @@ import (
 
 // NEXUS support: GARLI's native input format. The subset implemented
 // covers what the portal accepts — a DATA or CHARACTERS block
-// (DIMENSIONS, FORMAT with datatype/missing/gap/interleave, MATRIX)
-// and a TREES block for user starting trees — with bracket comments
-// and quoted labels handled throughout.
+// (DIMENSIONS, FORMAT with datatype/missing/gap/interleave, MATRIX) —
+// with bracket comments and quoted labels handled throughout. Every
+// other block, TREES included, is skipped: a user starting tree comes
+// as a Newick file.
 
 // nexusTokenizer splits a NEXUS stream into tokens, dropping [...]
 // comments and honouring single-quoted labels.
@@ -133,19 +134,10 @@ func (tz *nexusTokenizer) skipToSemicolon() error {
 	}
 }
 
-// NexusFile is the parsed content of a NEXUS document.
-type NexusFile struct {
-	Alignment *Alignment
-	// Trees maps tree names (from a TREES block) to Newick strings;
-	// translate tables are applied.
-	Trees map[string]string
-	// TreeOrder preserves the order trees appeared in.
-	TreeOrder []string
-}
-
-// ParseNEXUS reads a NEXUS document containing a DATA/CHARACTERS block
-// and optionally a TREES block.
-func ParseNEXUS(r io.Reader) (*NexusFile, error) {
+// ParseNEXUS reads the alignment of a NEXUS document: its DATA or
+// CHARACTERS block (the last one, if there are several). A document
+// without one is refused.
+func ParseNEXUS(r io.Reader) (*Alignment, error) {
 	tz := newNexusTokenizer(r)
 	first, err := tz.next()
 	if err != nil {
@@ -154,7 +146,7 @@ func ParseNEXUS(r io.Reader) (*NexusFile, error) {
 	if !strings.EqualFold(first, "#NEXUS") {
 		return nil, fmt.Errorf("phylo: not a NEXUS file (starts with %q)", first)
 	}
-	nf := &NexusFile{Trees: map[string]string{}}
+	var al *Alignment
 	for {
 		t, err := tz.next()
 		if err != nil {
@@ -175,13 +167,7 @@ func ParseNEXUS(r io.Reader) (*NexusFile, error) {
 		}
 		switch strings.ToUpper(name) {
 		case "DATA", "CHARACTERS":
-			al, err := parseDataBlock(tz)
-			if err != nil {
-				return nil, err
-			}
-			nf.Alignment = al
-		case "TREES":
-			if err := parseTreesBlock(tz, nf); err != nil {
+			if al, err = parseDataBlock(tz); err != nil {
 				return nil, err
 			}
 		default:
@@ -190,10 +176,10 @@ func ParseNEXUS(r io.Reader) (*NexusFile, error) {
 			}
 		}
 	}
-	if nf.Alignment == nil && len(nf.Trees) == 0 {
-		return nil, fmt.Errorf("phylo: NEXUS file has no DATA, CHARACTERS or TREES block")
+	if al == nil {
+		return nil, fmt.Errorf("phylo: NEXUS file has no DATA or CHARACTERS block")
 	}
-	return nf, nil
+	return al, nil
 }
 
 // skipBlock discards tokens through "END ;".
@@ -377,140 +363,4 @@ func normalizeSeq(s string, missing, gap byte) string {
 		}
 	}
 	return string(out)
-}
-
-func parseTreesBlock(tz *nexusTokenizer, nf *NexusFile) error {
-	translate := map[string]string{}
-	for {
-		t, err := tz.next()
-		if err != nil {
-			return err
-		}
-		if t == "" {
-			return fmt.Errorf("phylo: unterminated TREES block")
-		}
-		switch strings.ToUpper(t) {
-		case "TRANSLATE":
-			for {
-				key, err := tz.next()
-				if err != nil {
-					return err
-				}
-				if key == "" {
-					return fmt.Errorf("phylo: unterminated TRANSLATE table")
-				}
-				// Commas separate entries; a quoted label leaves its
-				// trailing comma as a standalone token.
-				key = strings.TrimPrefix(key, ",")
-				if key == ";" {
-					break
-				}
-				if key == "" {
-					continue
-				}
-				val, err := tz.next()
-				if err != nil {
-					return err
-				}
-				if val == ";" {
-					return fmt.Errorf("phylo: TRANSLATE entry %q has no label", key)
-				}
-				translate[key] = strings.TrimSuffix(val, ",")
-			}
-		case "TREE", "UTREE":
-			name, err := tz.next()
-			if err != nil {
-				return err
-			}
-			eq, err := tz.peek()
-			if err != nil {
-				return err
-			}
-			if eq == "=" {
-				if _, err := tz.next(); err != nil {
-					return err
-				}
-			}
-			// The Newick string may have been split on '=' boundaries;
-			// reassemble tokens until ';'.
-			var b strings.Builder
-			for {
-				tok, err := tz.next()
-				if err != nil {
-					return err
-				}
-				if tok == ";" || tok == "" {
-					break
-				}
-				b.WriteString(tok)
-			}
-			nw := applyTranslate(b.String(), translate) + ";"
-			nf.Trees[name] = nw
-			nf.TreeOrder = append(nf.TreeOrder, name)
-		case "END", "ENDBLOCK":
-			return tz.skipToSemicolon()
-		default:
-			if err := tz.skipToSemicolon(); err != nil {
-				return err
-			}
-		}
-	}
-}
-
-// applyTranslate substitutes translate-table keys for taxon labels in
-// a Newick string.
-func applyTranslate(nw string, table map[string]string) string {
-	if len(table) == 0 {
-		return nw
-	}
-	var b strings.Builder
-	i := 0
-	for i < len(nw) {
-		c := nw[i]
-		if c == '(' || c == ')' || c == ',' || c == ':' {
-			b.WriteByte(c)
-			i++
-			continue
-		}
-		j := i
-		for j < len(nw) && !strings.ContainsRune("(),:;", rune(nw[j])) {
-			j++
-		}
-		label := nw[i:j]
-		if repl, ok := table[label]; ok {
-			// Labels with Newick-special characters must be re-quoted.
-			if strings.ContainsAny(repl, " ():,;'") {
-				repl = "'" + strings.ReplaceAll(repl, "'", "''") + "'"
-			}
-			b.WriteString(repl)
-		} else {
-			b.WriteString(label)
-		}
-		i = j
-	}
-	return b.String()
-}
-
-// writeNEXUS writes the alignment as a sequential NEXUS DATA block —
-// the round-trip tests' way of producing input ParseNEXUS must accept.
-func (a *Alignment) writeNEXUS(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	dtName := map[DataType]string{Nucleotide: "DNA", AminoAcid: "PROTEIN", Codon: "CODON"}[a.Type]
-	fmt.Fprintf(bw, "#NEXUS\nBEGIN DATA;\n  DIMENSIONS NTAX=%d NCHAR=%d;\n  FORMAT DATATYPE=%s MISSING=? GAP=-;\n  MATRIX\n",
-		a.NumTaxa(), a.Length(), dtName)
-	width := 0
-	for _, n := range a.Names {
-		if len(n) > width {
-			width = len(n)
-		}
-	}
-	for i, n := range a.Names {
-		label := n
-		if strings.ContainsAny(n, " ():,;") {
-			label = "'" + strings.ReplaceAll(n, "'", "''") + "'"
-		}
-		fmt.Fprintf(bw, "    %-*s  %s\n", width+2, label, a.Seqs[i])
-	}
-	fmt.Fprint(bw, "  ;\nEND;\n")
-	return bw.Flush()
 }

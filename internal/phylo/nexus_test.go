@@ -1,6 +1,10 @@
 package phylo
 
 import (
+	"bufio"
+	"fmt"
+	"io"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -29,13 +33,9 @@ END;
 `
 
 func TestParseNEXUSData(t *testing.T) {
-	nf, err := ParseNEXUS(strings.NewReader(sampleNexus))
+	al, err := ParseNEXUS(strings.NewReader(sampleNexus))
 	if err != nil {
 		t.Fatal(err)
-	}
-	al := nf.Alignment
-	if al == nil {
-		t.Fatal("no alignment parsed")
 	}
 	if al.NumTaxa() != 4 || al.Length() != 12 {
 		t.Fatalf("got %d × %d", al.NumTaxa(), al.Length())
@@ -54,29 +54,30 @@ func TestParseNEXUSData(t *testing.T) {
 	}
 }
 
+// TestParseNEXUSTreesWithTranslate: a TREES block, translate table and
+// all, is skipped like any other block the reader does not use — even
+// one the old TREES reader refused — and a document with nothing but
+// trees is refused, for it has no alignment.
 func TestParseNEXUSTreesWithTranslate(t *testing.T) {
-	nf, err := ParseNEXUS(strings.NewReader(sampleNexus))
+	data := sampleNexus[:strings.Index(sampleNexus, "BEGIN TREES;")]
+	want, err := ParseNEXUS(strings.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw, ok := nf.Trees["best"]
-	if !ok {
-		t.Fatalf("tree 'best' missing; have %v", nf.TreeOrder)
+	for _, trees := range []string{
+		sampleNexus[len(data):],
+		"BEGIN TREES;\n  TRANSLATE 1;\n  TREE t = (1,2);\nEND;\n", // an entry with no label
+	} {
+		al, err := ParseNEXUS(strings.NewReader(data + trees))
+		if err != nil {
+			t.Fatalf("%q: %v", trees, err)
+		}
+		if !slices.Equal(al.Names, want.Names) || !slices.Equal(al.Seqs, want.Seqs) {
+			t.Errorf("%q: the TREES block changed the alignment", trees)
+		}
 	}
-	idx := map[string]int{}
-	for i, n := range nf.Alignment.Names {
-		idx[n] = i
-	}
-	tr, err := ParseNewick(nw, idx)
-	if err != nil {
-		t.Fatalf("translated Newick unparseable (%q): %v", nw, err)
-	}
-	if tr.NumTaxa() != 4 {
-		t.Errorf("tree has %d taxa", tr.NumTaxa())
-	}
-	// The translate table must have substituted labels.
-	if !strings.Contains(nw, "taxon c") {
-		t.Errorf("translate table not applied: %q", nw)
+	if _, err := ParseNEXUS(strings.NewReader("#NEXUS\n" + sampleNexus[len(data):])); err == nil {
+		t.Error("accepted a document with trees and no data")
 	}
 }
 
@@ -96,15 +97,15 @@ END;
 `
 
 func TestParseNEXUSInterleaved(t *testing.T) {
-	nf, err := ParseNEXUS(strings.NewReader(nexusInterleaved))
+	al, err := ParseNEXUS(strings.NewReader(nexusInterleaved))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nf.Alignment.Seqs[0] != "ACGTTTTT" {
-		t.Errorf("interleaved row 0 = %q", nf.Alignment.Seqs[0])
+	if al.Seqs[0] != "ACGTTTTT" {
+		t.Errorf("interleaved row 0 = %q", al.Seqs[0])
 	}
-	if nf.Alignment.Seqs[2] != "ACGGTTTG" {
-		t.Errorf("interleaved row 2 = %q", nf.Alignment.Seqs[2])
+	if al.Seqs[2] != "ACGGTTTG" {
+		t.Errorf("interleaved row 2 = %q", al.Seqs[2])
 	}
 }
 
@@ -121,15 +122,15 @@ END;
 `
 
 func TestParseNEXUSWrappedSequential(t *testing.T) {
-	nf, err := ParseNEXUS(strings.NewReader(nexusWrapped))
+	al, err := ParseNEXUS(strings.NewReader(nexusWrapped))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nf.Alignment.Type != AminoAcid {
-		t.Errorf("datatype %v", nf.Alignment.Type)
+	if al.Type != AminoAcid {
+		t.Errorf("datatype %v", al.Type)
 	}
-	if nf.Alignment.Seqs[0] != "ARNDCQEG" || nf.Alignment.Seqs[1] != "ARNECQEG" {
-		t.Errorf("wrapped rows: %q", nf.Alignment.Seqs)
+	if al.Seqs[0] != "ARNDCQEG" || al.Seqs[1] != "ARNECQEG" {
+		t.Errorf("wrapped rows: %q", al.Seqs)
 	}
 }
 
@@ -159,11 +160,10 @@ func TestNEXUSRoundTrip(t *testing.T) {
 	if err := a.writeNEXUS(&buf); err != nil {
 		t.Fatal(err)
 	}
-	nf, err := ParseNEXUS(strings.NewReader(buf.String()))
+	b, err := ParseNEXUS(strings.NewReader(buf.String()))
 	if err != nil {
 		t.Fatalf("round trip parse failed:\n%s\n%v", buf.String(), err)
 	}
-	b := nf.Alignment
 	for i := range a.Names {
 		if b.Names[i] != a.Names[i] || b.Seqs[i] != a.Seqs[i] {
 			t.Errorf("row %d: %q/%q vs %q/%q", i, b.Names[i], b.Seqs[i], a.Names[i], a.Seqs[i])
@@ -185,12 +185,12 @@ END;
 `
 
 func TestNEXUSCommentsIgnored(t *testing.T) {
-	nf, err := ParseNEXUS(strings.NewReader(nexusComments))
+	al, err := ParseNEXUS(strings.NewReader(nexusComments))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nf.Alignment.NumTaxa() != 3 {
-		t.Errorf("taxa = %d", nf.Alignment.NumTaxa())
+	if al.NumTaxa() != 3 {
+		t.Errorf("taxa = %d", al.NumTaxa())
 	}
 }
 
@@ -215,4 +215,28 @@ func TestParseNEXUSMalformedDimensions(t *testing.T) {
 			t.Errorf("case %d: error %q does not name dimension %s", i, err, tc.wantSub)
 		}
 	}
+}
+
+// writeNEXUS writes the alignment as a sequential NEXUS DATA block —
+// the round-trip test's way of producing input ParseNEXUS must accept.
+func (a *Alignment) writeNEXUS(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	dtName := map[DataType]string{Nucleotide: "DNA", AminoAcid: "PROTEIN", Codon: "CODON"}[a.Type]
+	fmt.Fprintf(bw, "#NEXUS\nBEGIN DATA;\n  DIMENSIONS NTAX=%d NCHAR=%d;\n  FORMAT DATATYPE=%s MISSING=? GAP=-;\n  MATRIX\n",
+		a.NumTaxa(), a.Length(), dtName)
+	width := 0
+	for _, n := range a.Names {
+		if len(n) > width {
+			width = len(n)
+		}
+	}
+	for i, n := range a.Names {
+		label := n
+		if strings.ContainsAny(n, " ():,;") {
+			label = "'" + strings.ReplaceAll(n, "'", "''") + "'"
+		}
+		fmt.Fprintf(bw, "    %-*s  %s\n", width+2, label, a.Seqs[i])
+	}
+	fmt.Fprint(bw, "  ;\nEND;\n")
+	return bw.Flush()
 }

@@ -432,14 +432,7 @@ func parseUpload(r io.Reader, dt phylo.DataType) (*phylo.Alignment, error) {
 		return nil, err
 	}
 	if strings.EqualFold(string(head), "#NEXUS") {
-		nf, err := phylo.ParseNEXUS(br)
-		if err != nil {
-			return nil, err
-		}
-		if nf.Alignment == nil {
-			return nil, fmt.Errorf("NEXUS file has no data matrix")
-		}
-		return nf.Alignment, nil
+		return phylo.ParseNEXUS(br)
 	}
 	return phylo.ParseFASTA(br, dt)
 }

@@ -52,7 +52,7 @@ func fixtureOpts(t *testing.T, sopts gsbl.Options, popts Options) (*Portal, *htt
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mds.StartProvider(eng, idx, hpc, sim.Minute); err != nil {
+	if err := mds.StartProvider(eng, idx, hpc, sim.Minute); err != nil {
 		t.Fatal(err)
 	}
 	sched := metasched.New(eng, idx, metasched.DefaultConfig(), metasched.Options{})

@@ -191,25 +191,14 @@ func (e *refEngine) RunTo(steps uint64, at Time) bool {
 	return true
 }
 
-func (e *refEngine) Every(period Duration, fn func()) (stop func()) {
+func (e *refEngine) Every(period Duration, fn func()) {
 	if period <= 0 {
 		panic("sim: Every with non-positive period")
 	}
-	stopped := false
 	var tick func()
-	var pending EventID
 	tick = func() {
-		if stopped {
-			return
-		}
 		fn()
-		if !stopped {
-			pending = e.Schedule(period, tick)
-		}
+		e.Schedule(period, tick)
 	}
-	pending = e.Schedule(period, tick)
-	return func() {
-		stopped = true
-		e.Cancel(pending)
-	}
+	e.Schedule(period, tick)
 }

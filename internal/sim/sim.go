@@ -374,39 +374,25 @@ func (e *Engine) run(deadline Time, limit uint64) {
 }
 
 // Every schedules fn to run repeatedly with the given period, starting
-// one period from now, until the returned stop function is called; fn
-// may call it to end the series from inside a tick. The period must be
-// positive.
-func (e *Engine) Every(period Duration, fn func()) (stop func()) {
+// one period from now, for as long as the engine runs: a periodic
+// process (a provider's publication, a scheduler's scan) is part of
+// the deployment, so nothing stops one. The period must be positive.
+func (e *Engine) Every(period Duration, fn func()) {
 	if period <= 0 {
 		panic("sim: Every with non-positive period")
 	}
-	t := &ticker{e: e, period: period, fn: fn}
-	t.next = e.After(period, t)
-	return t.stop
+	e.After(period, &ticker{e: e, period: period, fn: fn})
 }
 
 // ticker is one Every series: it is its own event, rescheduled after
 // each tick.
 type ticker struct {
-	e       *Engine
-	period  Duration
-	fn      func()
-	next    EventID
-	stopped bool
+	e      *Engine
+	period Duration
+	fn     func()
 }
 
 func (t *ticker) Fire() {
-	if t.stopped {
-		return
-	}
 	t.fn()
-	if !t.stopped {
-		t.next = t.e.After(t.period, t)
-	}
-}
-
-func (t *ticker) stop() {
-	t.stopped = true
-	t.e.Cancel(t.next)
+	t.e.After(t.period, t)
 }

@@ -117,16 +117,10 @@ func TestStop(t *testing.T) {
 func TestEvery(t *testing.T) {
 	e := NewEngine()
 	var ticks []Time
-	var stop func()
-	stop = e.Every(10, func() {
-		ticks = append(ticks, e.Now())
-		if len(ticks) == 3 {
-			stop()
-		}
-	})
-	e.RunUntil(1000)
-	if len(ticks) != 3 {
-		t.Fatalf("got %d ticks, want 3", len(ticks))
+	e.Every(10, func() { ticks = append(ticks, e.Now()) })
+	e.RunUntil(35)
+	if len(ticks) != 3 || e.Pending() != 1 {
+		t.Fatalf("got %d ticks and %d pending, want 3 and the next tick", len(ticks), e.Pending())
 	}
 	for i, at := range ticks {
 		if want := Time(10 * (i + 1)); at != want {
