@@ -11,7 +11,7 @@ GO ?= go
 # included and marked, for dashboards and suppression audits.
 LINT_ARTIFACT = latticelint.json
 
-.PHONY: all build vet lint lint-fixtures tracked-binaries fuzz test race smoke faults crash dag scale overload check bench-rot ledger ledger-trace
+.PHONY: all build vet vet-narrow lint lint-fixtures tracked-binaries fuzz test race smoke faults crash dag scale overload check bench-rot ledger ledger-trace
 
 all: check
 
@@ -20,6 +20,13 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# vet-narrow holds the tree to a 32-bit target, where int is 32 bits: every
+# package and test file must vet there, and the WAL's tests run there,
+# since its decoder must refuse an int field a 32-bit int cannot hold.
+vet-narrow:
+	GOARCH=386 $(GO) vet ./...
+	GOARCH=386 $(GO) test ./internal/wal
 
 # latticelint is the project's own analyzer suite (cmd/latticelint):
 # four per-package analyzers (determinism, errdrop, floatcmp,
@@ -145,7 +152,8 @@ scale:
 overload:
 	$(GO) test -race -timeout 10m -run TestOverloadScenarioShape ./internal/experiments/
 
-# check is the full correctness gate: compile, go vet, the project
+# check is the full correctness gate: compile, go vet (also for the
+# 32-bit target, with the WAL's tests run there), the project
 # analyzers (failing on any unsuppressed finding), the analyzer
 # fixture self-tests under -race, no build output tracked by git, ten
 # seconds of each fuzz target, the
@@ -155,4 +163,4 @@ overload:
 # overload-protection scenarios), the grid boot smoke that scrapes
 # /metrics over real HTTP, and one execution of every benchmark body so
 # benchmark code cannot rot.
-check: build vet lint lint-fixtures tracked-binaries fuzz race smoke bench-rot
+check: build vet vet-narrow lint lint-fixtures tracked-binaries fuzz race smoke bench-rot

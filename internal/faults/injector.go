@@ -331,8 +331,10 @@ func (t *target) Cancel(jobID string) bool {
 	return t.inner.Cancel(jobID)
 }
 
-// Submit implements lrm.LRM. The scheduler builds a fresh lrm.Job per
-// dispatch, so rewriting its Owner here never leaks into a retry.
+// Submit implements lrm.LRM. Each dispatch hands over an lrm.Job no
+// earlier dispatch used — the first one inline in its grid job, every
+// retry a fresh record — so rewriting its Owner here never leaks into a
+// retry.
 func (t *target) Submit(j *lrm.Job) error {
 	if t.down {
 		t.in.note(KindSubmitFail, t.name, "submit refused: resource down")

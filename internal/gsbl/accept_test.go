@@ -3,6 +3,7 @@ package gsbl
 import (
 	"cmp"
 	"fmt"
+	"runtime/debug"
 	"slices"
 	"strings"
 	"testing"
@@ -83,24 +84,25 @@ func TestBatchIDMatchesSprintf(t *testing.T) {
 func TestDetailsMatchSprintf(t *testing.T) {
 	origins := []string{"service", "shard3/core", "wf-000001/model-selection"}
 	retries := []sim.Duration{0, 0.4, 0.5, 1.5, 2.5, 6 * sim.Second, 1234.56, 1e9}
+	s := &Service{}
 	for _, email := range oracleEmails {
 		for _, reps := range []int{1, 7, 2000} {
 			sub := userSubmission(email, reps)
-			if got, want := validateDetail(&sub), sprintfValidate(sub); got != want {
+			if got, want := s.validateDetail(&sub), sprintfValidate(sub); got != want {
 				t.Errorf("direct validate detail %q, want %q", got, want)
 			}
-			if got, want := validateDetail(&sub, " (ingest-drained)"), sprintfDrained(sub); got != want {
+			if got, want := s.validateDetail(&sub, " (ingest-drained)"), sprintfDrained(sub); got != want {
 				t.Errorf("drained validate detail %q, want %q", got, want)
 			}
 			for _, origin := range origins {
-				if got, want := validateDetail(&sub, " via ", origin), sprintfValidate(sub)+" via "+origin; got != want {
+				if got, want := s.validateDetail(&sub, " via ", origin), sprintfValidate(sub)+" via "+origin; got != want {
 					t.Errorf("via validate detail %q, want %q", got, want)
 				}
 				b := &Batch{Submission: sub, Origin: origin}
 				for _, reason := range []string{admit.ReasonQuota, admit.ReasonOverload} {
 					for _, after := range retries {
 						rej := &admit.Rejection{Reason: reason, RetryAfter: after}
-						if got, want := shedDetail(b, rej), sprintfShed(b, rej); got != want {
+						if got, want := s.shedDetail(b, rej), sprintfShed(b, rej); got != want {
 							t.Errorf("shed detail %q, want %q", got, want)
 						}
 					}
@@ -198,29 +200,38 @@ func TestMailRendersTheSentText(t *testing.T) {
 	}
 }
 
-// TestIDsAndDetailsAllocateOnce: each ID and detail function costs exactly
-// its result string.
+// TestIDsAndDetailsAllocateOnce: IDs and details are cut from the
+// service's slab, so 10 000 of each cost at most one allocation per
+// chunk they fill, and not one each. The collector is off for the
+// count: a cycle allocates a few objects of its own.
 func TestIDsAndDetailsAllocateOnce(t *testing.T) {
+	const chunk = 4096 // internal/slab's chunk size
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	s := &Service{idPrefix: "shard13-"}
 	sub := smallSubmission(1)
 	b := &Batch{Submission: sub, Origin: "shard13/core"}
 	rej := &admit.Rejection{Reason: admit.ReasonOverload, RetryAfter: 1234.5}
-	var sink string
-	for _, tc := range []struct {
-		name string
-		fn   func()
-	}{
-		{"batchID", func() { sink = s.batchID(123_456) }},
-		{"validateDetail", func() { sink = validateDetail(&sub) }},
-		{"validateDetail via", func() { sink = validateDetail(&sub, " via ", "wf-000001/search") }},
-		{"validateDetail drained", func() { sink = validateDetail(&sub, " (ingest-drained)") }},
-		{"shedDetail", func() { sink = shedDetail(b, rej) }},
-	} {
-		if n := testing.AllocsPerRun(100, tc.fn); n != 1 {
-			t.Errorf("%s: %.0f allocations, want 1", tc.name, n)
-		}
+	var total, longest int
+	cut := func(x string) {
+		total += len(x)
+		longest = max(longest, len(x))
 	}
-	_ = sink
+	const n = 10_000
+	allocs := testing.AllocsPerRun(1, func() {
+		total = 0
+		for i := 0; i < n; i++ {
+			cut(s.batchID(123_456 + i))
+			cut(s.validateDetail(&sub))
+			cut(s.validateDetail(&sub, " via ", "wf-000001/search"))
+			cut(s.validateDetail(&sub, " (ingest-drained)"))
+			cut(s.shedDetail(b, rej))
+		}
+	})
+	// A chunk that is full wastes less than the longest string; one more
+	// for the chunk the warm-up run left partly filled.
+	if chunks := float64(total/(chunk-longest) + 1); allocs > chunks {
+		t.Errorf("%d IDs and details, %d bytes: %.0f allocations, want at most %.0f", 5*n, total, allocs, chunks)
+	}
 }
 
 // TestBatchesInCreationOrderPastSixDigits: batch 1 000 000 is listed
@@ -282,18 +293,21 @@ func doorGrid(tb testing.TB, n int, rescan sim.Duration) (*sim.Engine, *Service)
 
 // acceptPathAllocBudget is what one queued one-replicate submission
 // costs from enqueue through drain to its completion mail, measured:
-// four records — the batch (the pending request until the drain, its
+// three records — the batch (the pending request until the drain, its
 // own drain event, the owner of its jobs, and the holder of its one-job
-// list), the grid job, the attempt record (lrm.Job, owner and staging
-// events in one) and the cluster's running record (its own completion
-// event) — and three strings, the batch ID, the validate detail and the
-// job ID; the journal's and the outbox's chunks and the engine's tables
-// amortize to under one. No engine event and no callback allocates.
-// With a separate queued request and job list the same cycle cost 9;
-// with an *event per engine event and a closure per callback, 21; with
-// the IDs and details built through fmt.Sprintf and the mail rendered
-// when sent, 36 (45 under the race detector, which now adds nothing).
-const acceptPathAllocBudget = 7
+// list), the grid job (its first attempt's lrm.Job, owner and staging
+// events inline) and the cluster's running record (its own completion
+// event). The batch ID, the validate detail and the job ID are cut from
+// the service's and the scheduler's slabs, which, like the journal's
+// and the outbox's chunks and the engine's tables, amortize to under
+// one. No engine event and no callback allocates. With a string
+// allocated per ID and detail and an attempt record apart from the grid
+// job the same cycle cost 7; with a separate queued request and job
+// list, 9; with an *event per engine event and a closure per callback,
+// 21; with the IDs and details built through fmt.Sprintf and the mail
+// rendered when sent, 36 (45 under the race detector, which now adds
+// nothing).
+const acceptPathAllocBudget = 3
 
 func TestAcceptPathAllocations(t *testing.T) {
 	eng, svc := doorGrid(t, 1, 0)

@@ -109,16 +109,16 @@ func (s *Service) shed(b *Batch, rej *admit.Rejection) {
 		s.shedOverload++
 		counter = "lattice_admit_shed_overload_total"
 	}
-	s.obs.Record("", "", obs.StageShed, "ingest", shedDetail(b, rej))
+	s.obs.Record("", "", obs.StageShed, "ingest", s.shedDetail(b, rej))
 	s.obs.Counter(counter, "Submissions rejected by the admission layer").Inc()
 }
 
 // shedDetail is the shed event's detail: "<reason>: <n> replicates for
 // <email> via <origin>; retry after <whole seconds>s".
-func shedDetail(b *Batch, rej *admit.Rejection) string {
+func (s *Service) shedDetail(b *Batch, rej *admit.Rejection) string {
 	var buf [128]byte
 	d := append(append(buf[:0], rej.Reason...), ": "...)
 	d = append(append(appendSubmission(d, &b.Submission), " via "...), b.Origin...)
 	d = appendSeconds(append(d, "; retry after "...), rej.RetryAfter.Seconds())
-	return string(append(d, 's'))
+	return s.names.String(append(d, 's'))
 }

@@ -15,6 +15,7 @@ import (
 	"lattice/internal/metasched"
 	"lattice/internal/obs"
 	"lattice/internal/sim"
+	"lattice/internal/slab"
 	"lattice/internal/workload"
 )
 
@@ -87,6 +88,10 @@ type Service struct {
 	rng     *sim.RNG
 	batches map[string]*Batch
 	nextID  int
+	// names holds the batch IDs and journal details, which the batch
+	// and the journal keep for the service's life; nextID's discipline
+	// guards it.
+	names slab.Slab
 	// From Options.
 	idPrefix string
 	obs      *obs.Obs
@@ -244,7 +249,7 @@ func (s *Service) accept(b *Batch, suffix ...string) (*Batch, error) {
 	if b.onDone != nil {
 		suffix = []string{" via ", b.Origin}
 	}
-	detail := validateDetail(&b.Submission, suffix...)
+	detail := s.validateDetail(&b.Submission, suffix...)
 	s.nextID++
 	b.ID = s.batchID(s.nextID)
 	b.CreatedAt = s.eng.Now()
@@ -270,18 +275,18 @@ func (s *Service) batchID(n int) string {
 	for p := 100_000; p > 1 && n < p; p /= 10 {
 		id = append(id, '0')
 	}
-	return string(strconv.AppendInt(id, int64(n), 10))
+	return s.names.String(strconv.AppendInt(id, int64(n), 10))
 }
 
 // validateDetail is the validate event's detail: "<n> replicates for
 // <email>" and then each of suffix.
-func validateDetail(sub *workload.Submission, suffix ...string) string {
+func (s *Service) validateDetail(sub *workload.Submission, suffix ...string) string {
 	var buf [96]byte
 	d := appendSubmission(buf[:0], sub)
-	for _, s := range suffix {
-		d = append(d, s...)
+	for _, x := range suffix {
+		d = append(d, x...)
 	}
-	return string(d)
+	return s.names.String(d)
 }
 
 // appendSubmission appends "<n> replicates for <email>", the words every

@@ -15,16 +15,17 @@ import (
 )
 
 // dispatchAllocBudget is what one submit→complete cycle costs on a
-// one-cluster scheduler: the GridJob, the attempt record (the lrm.Job
-// the cluster runs, its Owner and its staged-submit event in one
-// object), the cluster's running record (its own completion event, the
-// node held inline) and the scheduler's job-table growth, amortized.
-// Engine events cost nothing. With an *event per scheduled event,
-// OnComplete/OnFail closures on the lrm.Job, a submit closure, a
-// completion closure and a copied node list the same cycle cost 10 (11
-// under the race detector, which now adds nothing); the adapter path
-// before that cost 16.
-const dispatchAllocBudget = 4
+// one-cluster scheduler: the GridJob (its first attempt inline: the
+// lrm.Job the cluster runs, its Owner and its staged-submit event in
+// one record), the cluster's running record (its own completion event,
+// the node held inline) and the scheduler's job-table growth,
+// amortized. Engine events cost nothing. With the attempt record apart
+// from the GridJob the cycle cost 4; with an *event per scheduled
+// event, OnComplete/OnFail closures on the lrm.Job, a submit closure, a
+// completion closure and a copied node list, 10 (11 under the race
+// detector, which now adds nothing); the adapter path before that cost
+// 16.
+const dispatchAllocBudget = 3
 
 func TestDispatchAllocations(t *testing.T) {
 	eng := sim.NewEngine()

@@ -29,6 +29,7 @@ import (
 	"lattice/internal/lrm"
 	"lattice/internal/obs"
 	"lattice/internal/sim"
+	"lattice/internal/slab"
 	"lattice/internal/workload"
 )
 
@@ -235,6 +236,10 @@ type GridJob struct {
 	// latency histogram when the job finally completes.
 	disrupted   bool
 	disruptedAt sim.Time
+
+	// first is the record of the job's first dispatch (see dispatch),
+	// carried inline so that a job placed once costs no record apart.
+	first attempt
 }
 
 // Owner is whoever submitted a grid job and is told when it ends; a
@@ -301,9 +306,13 @@ type Scheduler struct {
 	jobs         map[string]*GridJob
 	stats        Stats
 	nextSeq      int
-	scanning     bool
-	obs          *obs.Obs
-	ins          schedInstruments
+	// names holds the job IDs and estimate details, which the jobs and
+	// the journal keep for the scheduler's life; nextSeq's discipline
+	// guards it.
+	names    slab.Slab
+	scanning bool
+	obs      *obs.Obs
+	ins      schedInstruments
 	// placeDetails[n] is the place event's detail for attempt n (see
 	// placeDetail).
 	placeDetails []string

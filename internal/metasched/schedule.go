@@ -39,7 +39,7 @@ func (s *Scheduler) submit(j *GridJob) error {
 	if s.predictor != nil && j.Spec != nil {
 		if est, err := s.predictor.Predict(j.Spec); err == nil {
 			j.EstimateRefSeconds = est + PerJobOverheadSeconds
-			s.obs.Record(j.Batch, j.ID, obs.StageEstimate, "", estimateDetail(j.EstimateRefSeconds))
+			s.obs.Record(j.Batch, j.ID, obs.StageEstimate, "", s.estimateDetail(j.EstimateRefSeconds))
 		}
 	}
 	s.jobs[j.ID] = j
@@ -95,7 +95,7 @@ func (s *Scheduler) SubmitBatch(sub *workload.Submission, rng *sim.RNG, owner Ow
 		}
 		s.nextSeq++
 		j := &GridJob{
-			ID:          jobID(sub.UserEmail, rep, s.nextSeq),
+			ID:          s.jobID(sub.UserEmail, rep, s.nextSeq),
 			spec:        sub.Spec,
 			Batch:       sub.BatchTag,
 			Platforms:   garliPlatforms,
@@ -126,7 +126,7 @@ func (s *Scheduler) SubmitBatch(sub *workload.Submission, rng *sim.RNG, owner Ow
 // jobID names the job that starts at replicate rep of a submission from
 // email: the email with '_' for every '@' and '.', "-r", rep padded to
 // four digits, "-" and the scheduler's sequence number seq.
-func jobID(email string, rep, seq int) string {
+func (s *Scheduler) jobID(email string, rep, seq int) string {
 	var buf [96]byte
 	id := buf[:0]
 	for i := 0; i < len(email); i++ {
@@ -142,14 +142,14 @@ func jobID(email string, rep, seq int) string {
 	}
 	id = strconv.AppendInt(id, int64(rep), 10)
 	id = strconv.AppendInt(append(id, '-'), int64(seq), 10)
-	return string(id)
+	return s.names.String(id)
 }
 
 // estimateDetail is the estimate event's detail: the estimate in whole
 // reference seconds, as %.0f prints it.
-func estimateDetail(refSeconds float64) string {
+func (s *Scheduler) estimateDetail(refSeconds float64) string {
 	var buf [32]byte
-	return string(append(strconv.AppendFloat(buf[:0], refSeconds, 'f', 0, 64), " ref-seconds"...))
+	return s.names.String(append(strconv.AppendFloat(buf[:0], refSeconds, 'f', 0, 64), " ref-seconds"...))
 }
 
 // placeDetail is the place event's detail for a dispatch's attempt
@@ -338,10 +338,17 @@ func (s *Scheduler) place(j *GridJob, cands []candidate) bool {
 
 // dispatch translates the job into one lrm.Job for the chosen resource
 // — the per-LRM translation the paper's scheduler adapters performed —
-// and submits it once the input has staged. Every attempt gets a fresh
-// record: a stale attempt's lrm.Job may still sit in a dead resource.
+// and submits it once the input has staged. The first attempt's record
+// is the one the job carries inline; every later attempt gets a fresh
+// one. No record is ever reused, so a stale attempt's lrm.Job, which
+// may still sit in a dead resource, is never overwritten: only an
+// earlier attempt can be stale.
 func (s *Scheduler) dispatch(j *GridJob, c *candidate) {
-	a := &attempt{
+	a := &j.first
+	if j.Attempts > 0 {
+		a = new(attempt)
+	}
+	*a = attempt{
 		Job: lrm.Job{
 			ID: j.ID, Batch: j.Batch, Work: j.Work, MemoryMB: j.MemoryMB,
 			Platforms: j.Platforms, Software: j.Software, NeedsMPI: j.NeedsMPI,

@@ -9,6 +9,7 @@ import (
 	"math"
 
 	"lattice/internal/sim"
+	"lattice/internal/slab"
 	"lattice/internal/workload"
 )
 
@@ -148,10 +149,13 @@ func appendString(dst []byte, s string) []byte {
 
 // decoder consumes an encoding front to back. The first malformed
 // field sets err and every later read returns zero, so decodeRecord
-// checks once at the end.
+// checks once at the end. Every string it decodes is cut from names,
+// never a view of p: the caller may reuse or drop p once the record is
+// decoded.
 type decoder struct {
-	p   []byte
-	err error
+	p     []byte
+	names *slab.Slab
+	err   error
 }
 
 func (d *decoder) fail(format string, args ...any) {
@@ -223,16 +227,17 @@ func (d *decoder) length() int {
 
 func (d *decoder) str() string {
 	n := d.length()
-	s := string(d.p[:n])
+	s := d.names.String(d.p[:n])
 	d.p = d.p[n:]
 	return s
 }
 
-// decodeRecord parses one canonical encoding. Anything appendRecord
-// cannot have produced from a valid record — unknown kind or flag
-// bits, a length past the end, bytes left over — is an error.
-func decodeRecord(p []byte) (Record, error) {
-	d := &decoder{p: p}
+// decodeRecord parses one canonical encoding, cutting its strings from
+// names. Anything appendRecord cannot have produced from a valid record
+// — unknown kind or flag bits, a length past the end, an int field out
+// of int's range, bytes left over — is an error.
+func decodeRecord(p []byte, names *slab.Slab) (Record, error) {
+	d := &decoder{p: p, names: names}
 	var r Record
 	if c := d.u8(); c == 0 || int(c) >= len(kinds) {
 		d.fail("unknown kind byte %d", c)
@@ -299,8 +304,17 @@ func (d *decoder) spec() (s workload.JobSpec) {
 	return s
 }
 
-// readInt decodes one zig-zag varint into an int-kinded field.
-func readInt[T ~int](d *decoder, p *T) { *p = T(d.varint()) }
+// readInt decodes one zig-zag varint into an int-kinded field. A value
+// the field cannot hold — past 32 bits on a 32-bit target — is an
+// error, not a silently different number.
+func readInt[T ~int](d *decoder, p *T) {
+	v := d.varint()
+	if int64(T(v)) != v {
+		d.fail("int field %d out of range", v)
+		return
+	}
+	*p = T(v)
+}
 
 func (d *decoder) workflow() *workload.Workflow {
 	w := &workload.Workflow{}
@@ -337,9 +351,9 @@ func appendFrame(dst []byte, r *Record) []byte {
 	return dst
 }
 
-// decodeFrame parses one frame at off, returning the record and the
-// next offset.
-func decodeFrame(data []byte, off int) (Record, int, error) {
+// decodeFrame parses one frame at off, returning the record, whose
+// strings are cut from names, and the next offset.
+func decodeFrame(data []byte, off int, names *slab.Slab) (Record, int, error) {
 	if len(data)-off < frameHeaderSize {
 		return Record{}, 0, errors.New("truncated frame header")
 	}
@@ -356,7 +370,7 @@ func decodeFrame(data []byte, off int) (Record, int, error) {
 	if crc32.ChecksumIEEE(payload) != sum {
 		return Record{}, 0, errors.New("checksum mismatch")
 	}
-	r, err := decodeRecord(payload)
+	r, err := decodeRecord(payload, names)
 	if err != nil {
 		return Record{}, 0, fmt.Errorf("decoding payload: %w", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"lattice/internal/slab"
 	"lattice/internal/workload"
 )
 
@@ -33,12 +34,12 @@ func FuzzDecodeRecord(f *testing.F) {
 		f.Add(p[:len(p)/2])
 	}
 	f.Fuzz(func(t *testing.T, p []byte) {
-		r, err := decodeRecord(p)
+		r, err := decodeRecord(p, new(slab.Slab))
 		if err != nil {
 			return
 		}
 		enc := appendRecord(nil, &r)
-		back, err := decodeRecord(enc)
+		back, err := decodeRecord(enc, new(slab.Slab))
 		if err != nil {
 			t.Fatalf("re-encoding %x of an accepted record does not decode: %v", enc, err)
 		}

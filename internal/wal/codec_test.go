@@ -1,13 +1,16 @@
 package wal
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
 	"lattice/internal/sim"
+	"lattice/internal/slab"
 	"lattice/internal/workload"
 )
 
@@ -58,7 +61,7 @@ func TestCodecCoversEveryField(t *testing.T) {
 		if r.Sub == nil || r.WF == nil || len(r.WF.Stages) != 2 || len(r.WF.Stages[1].After) != 2 {
 			t.Fatalf("walker left payloads unfilled: %+v", r)
 		}
-		got, err := decodeRecord(appendRecord(nil, &r))
+		got, err := decodeRecord(appendRecord(nil, &r), new(slab.Slab))
 		if err != nil {
 			t.Fatalf("%s: decode: %v", kind, err)
 		}
@@ -83,7 +86,7 @@ func stages(n int) []workload.WorkflowStage {
 func TestCodecRoundTripCases(t *testing.T) {
 	cases := map[string]Record{
 		"genesis at zero": {Seq: 1, Kind: KindGenesis, Seed: -42},
-		"at +Inf":         {Seq: 2, At: sim.Time(math.Inf(1)), Kind: KindCheckpoint, JournalLen: 1 << 40, JournalDigest: strings.Repeat("ab", 32)},
+		"at +Inf":         {Seq: 2, At: sim.Time(math.Inf(1)), Kind: KindCheckpoint, JournalLen: math.MaxInt, JournalDigest: strings.Repeat("ab", 32)},
 		"at -Inf":         {Seq: 3, At: sim.Time(math.Inf(-1)), Kind: KindCheckpoint, JournalLen: -1},
 		"empty strings":   {Seq: 4, At: 1, Kind: KindStage},
 		"70 KiB detail":   {Seq: 1 << 40, At: 2, Kind: KindStage, Detail: strings.Repeat("d", 70<<10)},
@@ -99,7 +102,7 @@ func TestCodecRoundTripCases(t *testing.T) {
 	var buf []byte // reused across cases: growth must not leak one record into the next
 	for name, want := range cases {
 		buf = appendRecord(buf[:0], &want)
-		got, err := decodeRecord(buf)
+		got, err := decodeRecord(buf, new(slab.Slab))
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -115,7 +118,7 @@ func TestCodecRoundTripCases(t *testing.T) {
 // record.
 func TestDecodeRejects(t *testing.T) {
 	good := appendRecord(nil, &Record{Seq: 9, At: 1.5, Kind: KindStage, Batch: "b", Job: "j", Stage: "place"})
-	if _, err := decodeRecord(good); err != nil {
+	if _, err := decodeRecord(good, new(slab.Slab)); err != nil {
 		t.Fatalf("reference record: %v", err)
 	}
 	mutate := func(f func(p []byte) []byte) []byte { return f(append([]byte(nil), good...)) }
@@ -136,15 +139,60 @@ func TestDecodeRejects(t *testing.T) {
 		"missing payload": {mutate(func(p []byte) []byte { p[batchLen-1] = flagSub; return p }), "varint"},
 	}
 	for name, c := range cases {
-		_, err := decodeRecord(c.p)
+		_, err := decodeRecord(c.p, new(slab.Slab))
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: got %v, want an error mentioning %q", name, err, c.want)
 		}
 	}
 	for cut := 0; cut < len(good); cut++ {
-		if _, err := decodeRecord(good[:cut]); err == nil {
+		if _, err := decodeRecord(good[:cut], new(slab.Slab)); err == nil {
 			t.Errorf("record truncated to %d of %d bytes decoded", cut, len(good))
 		}
+	}
+}
+
+// TestIntFieldOutOfRange splices a varint of 1<<40 into an int field.
+// A 64-bit int holds it; a 32-bit one cannot, and the decoder must
+// refuse it there rather than return a silently different number
+// (GOARCH=386 go test ./internal/wal).
+func TestIntFieldOutOfRange(t *testing.T) {
+	const big = int64(1) << 40
+	zero := appendRecord(nil, &Record{Seq: 1, Kind: KindCheckpoint})
+	seven := appendRecord(nil, &Record{Seq: 1, Kind: KindCheckpoint, JournalLen: 7})
+	at := 0 // JournalLen's one-byte varint is where the encodings first differ
+	for zero[at] == seven[at] {
+		at++
+	}
+	p := append(binary.AppendVarint(append([]byte(nil), zero[:at]...), big), zero[at+1:]...)
+	r, err := decodeRecord(p, new(slab.Slab))
+	if strconv.IntSize == 64 {
+		if err != nil || int64(r.JournalLen) != big {
+			t.Fatalf("64-bit int: JournalLen %d, err %v; want %d", r.JournalLen, err, big)
+		}
+		return
+	}
+	if err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("%d-bit int: JournalLen %d, err %v; want an out-of-range error", strconv.IntSize, r.JournalLen, err)
+	}
+}
+
+// TestDecodedStringsOwnTheirBytes decodes a frame, overwrites the buffer
+// it was read from, and finds every string of the record unchanged: the
+// decoder copies strings out, it never aliases the log image.
+func TestDecodedStringsOwnTheirBytes(t *testing.T) {
+	want := Record{Seq: 3, At: 2.5, Kind: KindSubmission, Origin: "shard2/core", Queued: true,
+		Sub: &workload.Submission{Replicates: 4, UserEmail: "u@example.edu", BatchTag: "shard2-batch-000003",
+			Spec: workload.JobSpec{SubstModel: "GTR", NumTaxa: 50}}}
+	data := appendFrame(nil, &want)
+	got, next, err := decodeFrame(data, 0, new(slab.Slab))
+	if err != nil || next != len(data) {
+		t.Fatalf("decodeFrame: next %d of %d, %v", next, len(data), err)
+	}
+	for i := range data {
+		data[i] = '#'
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("after the read buffer was overwritten: got %s want %s", recordJSON(t, got), recordJSON(t, want))
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
+
+	"lattice/internal/slab"
 )
 
 // State is everything Load could recover from a durable directory:
@@ -54,8 +56,12 @@ func Load(dir string) (*State, error) {
 		off += frameHeaderSize + int(binary.LittleEndian.Uint32(data[off:]))
 	}
 	st := &State{Tail: make([]Record, 0, n), size: int64(len(magic))}
+	// The records' strings are cut from one slab rather than allocated
+	// one by one, and rather than sliced from data, which would keep the
+	// whole log image alive as long as any record.
+	var names slab.Slab
 	for off := len(magic); off < len(data); {
-		r, next, err := decodeFrame(data, off)
+		r, next, err := decodeFrame(data, off, &names)
 		if err != nil {
 			if frameReachesEOF(data, off) {
 				// The writer died mid-append; the partial frame holds

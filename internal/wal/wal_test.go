@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"runtime/debug"
 	"strings"
 	"testing"
 
 	"lattice/internal/sim"
+	"lattice/internal/slab"
 	"lattice/internal/workload"
 )
 
@@ -79,6 +81,58 @@ func makeRecords(n int) []Record {
 		recs = append(recs, r)
 	}
 	return recs
+}
+
+// TestLoadAllocations pins what recovery allocates per record: loading
+// a log of n submission records costs, beyond loading a log that holds
+// only its genesis record (the file image, the State and its Tail), one
+// *Submission per record and the chunks of the slab its strings are cut
+// from — not one allocation per string. The collector is off for the
+// count: a cycle allocates a few objects of its own.
+func TestLoadAllocations(t *testing.T) {
+	const n = 2000
+	const chunk = 4096 // internal/slab's chunk size
+	genesis, full := t.TempDir(), t.TempDir()
+	appendN(t, genesis, 1, Options{})
+	lg, err := Create(full, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total, longest int
+	cut := func(x string) {
+		total += len(x)
+		longest = max(longest, len(x))
+	}
+	lg.Append(Record{Seq: 1, Kind: KindGenesis, Seed: 42})
+	for i := 2; i <= n+1; i++ {
+		r := Record{Seq: uint64(i), Step: uint64(3 * i), At: sim.Time(i), Kind: KindSubmission,
+			Origin: "shard0/core", Queued: true, Sub: &workload.Submission{Replicates: 1,
+				UserEmail: fmt.Sprintf("u%05d@example.edu", i), Spec: workload.JobSpec{SubstModel: "GTR", NumTaxa: 50}}}
+		cut(r.Origin)
+		cut(r.Sub.UserEmail)
+		cut(r.Sub.Spec.SubstModel)
+		lg.Append(r)
+	}
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	load := func(dir string, records int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if st, err := Load(dir); err != nil || st == nil || len(st.Tail) != records {
+				t.Fatalf("Load(%s): %v", dir, err)
+			}
+		})
+	}
+	base, allocs := load(genesis, 1), load(full, n+1)
+	// A full chunk wastes less than the longest string; one more for the
+	// chunk still filling at the end.
+	chunks := total/(chunk-longest) + 1
+	if extra := allocs - base; extra > float64(n+chunks) {
+		t.Errorf("Load of %d submission records: %.0f allocations beyond a genesis-only log, want at most %d (%d records, %d chunks)",
+			n, extra, n+chunks, n, chunks)
+	}
+	t.Logf("Load of %d submission records: %.0f allocations, %.0f for a genesis-only log", n, allocs, base)
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -172,7 +226,7 @@ func TestTornTailEveryOffset(t *testing.T) {
 	}
 	ends := []int{len(magic)} // ends[i] is where frame i+1 ends
 	for i := 0; i < n; i++ {
-		_, next, err := decodeFrame(data, ends[i])
+		_, next, err := decodeFrame(data, ends[i], new(slab.Slab))
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -267,7 +321,7 @@ func TestSequenceGapFatal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, gapOff, err := decodeFrame(data, len(magic))
+	_, gapOff, err := decodeFrame(data, len(magic), new(slab.Slab))
 	if err != nil {
 		t.Fatal(err)
 	}
