@@ -285,6 +285,56 @@ func TestCancelWorkunit(t *testing.T) {
 	}
 }
 
+// TestFinishedWorkunitsAreForgotten: the server keeps a workunit by its
+// job ID only until it validates or fails, and a workunit finishing
+// never drops the entry of a newer one for the same job ID.
+func TestFinishedWorkunitsAreForgotten(t *testing.T) {
+	eng, s := testProject(t, 20, "forget")
+	for i := 0; i < 100; i++ {
+		if err := s.Submit(wu(fmt.Sprintf("j%d", i), 1800)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.RunUntil(sim.Time(30 * sim.Day))
+	if st := s.ProjectStats(); st.WorkunitsDone != 100 || len(s.byJob) != 0 {
+		t.Fatalf("%d workunits validated, %d still kept by job ID", st.WorkunitsDone, len(s.byJob))
+	}
+
+	// Failed for good: every issue misses its deadline.
+	eng, s = testProject(t, 4, "forget-failed")
+	for i := 0; i < 8; i++ {
+		j := wu(fmt.Sprintf("f%d", i), 4*3600)
+		j.EstimatedRefSeconds = 600
+		j.DelayBound = sim.Hour
+		if err := s.Submit(j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.RunUntil(sim.Time(30 * sim.Day))
+	if st := s.ProjectStats(); st.WorkunitsFailed != 8 || len(s.byJob) != 0 {
+		t.Fatalf("%d workunits failed, %d still kept by job ID", st.WorkunitsFailed, len(s.byJob))
+	}
+
+	// The same job ID resubmitted while its first workunit still runs:
+	// the first one validating leaves the second cancellable.
+	eng, s = testProject(t, 1, "forget-newer")
+	if err := s.Submit(wu("x", 1800)); err != nil {
+		t.Fatal(err)
+	}
+	long := wu("x", 100*3600)
+	long.DelayBound = 100 * sim.Day
+	if err := s.Submit(long); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunUntil(sim.Time(sim.Day))
+	if st := s.ProjectStats(); st.WorkunitsDone != 1 {
+		t.Fatalf("fixture: %d workunits validated after a day, want the short one", st.WorkunitsDone)
+	}
+	if !s.Cancel("x") {
+		t.Error("the newer workunit for x was forgotten when the older one validated")
+	}
+}
+
 func TestServerValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(1)

@@ -270,9 +270,17 @@ func (s *Server) Cancel(jobID string) bool {
 		return false
 	}
 	wu.failed = true // no further issues; in-flight results discarded
-	delete(s.byJob, jobID)
+	s.forget(wu)
 	s.removeUnsent(wu)
 	return true
+}
+
+// forget drops a workunit that is done or failed from byJob, unless a
+// newer workunit for the same job has taken its entry.
+func (s *Server) forget(wu *workunit) {
+	if s.byJob[wu.job.ID] == wu {
+		delete(s.byJob, wu.job.ID)
+	}
 }
 
 func (s *Server) removeUnsent(wu *workunit) {
@@ -428,6 +436,7 @@ func (s *Server) deadlinePassed(r *result) (failed *lrm.Job) {
 		wu.failed = true
 		s.stats.WorkunitsFailed++
 		s.ins.wuFailed.Inc()
+		s.forget(wu)
 		s.removeUnsent(wu)
 		return wu.job
 	}
@@ -492,6 +501,7 @@ func (s *Server) receiveResult(r *result) (done *lrm.Job) {
 	}
 	wu.removePending(r)
 	wu.done = true
+	s.forget(wu)
 	s.stats.WorkunitsDone++
 	s.ins.validated.Inc()
 	// The first returned result validates the workunit; the detail is

@@ -3,6 +3,7 @@ package dag
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -270,11 +271,44 @@ func TestStatusShape(t *testing.T) {
 			t.Fatalf("stage status %d = %+v", i, st.Stages[i])
 		}
 	}
-	if _, err := e.Status("wf-000042"); err == nil {
-		t.Fatal("status of unknown run must fail")
+	// Only the run's own ID finds it: not a later number, and not another
+	// spelling of its own.
+	for _, id := range []string{"wf-000042", "wf-000000", "wf-0000001", "wf-1", "wf-+00001", "wf-000001 ", "shard0-wf-000001"} {
+		if _, err := e.Status(id); err == nil {
+			t.Fatalf("status of unknown run %q must fail", id)
+		}
 	}
 	if got := e.Runs(); len(got) != 1 || got[0] != r.ID {
 		t.Fatalf("Runs() = %v", got)
+	}
+}
+
+// TestRunsInCreationOrderPastSixDigits: run 1 000 000 is listed after
+// run 999 999, though it sorts before it as a string, and each of the
+// three is found by its own ID.
+func TestRunsInCreationOrderPastSixDigits(t *testing.T) {
+	_, _, e, _ := harness(t)
+	filler := &Run{}
+	e.runs = make([]*Run, 999_997)
+	for i := range e.runs {
+		e.runs[i] = filler
+	}
+	var want []string
+	for i := 0; i < 3; i++ {
+		r, err := e.Submit(diamond(int64(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, r.ID)
+		if st, err := e.Status(r.ID); err != nil || st.ID != r.ID {
+			t.Fatalf("Status(%s) = %+v, %v", r.ID, st, err)
+		}
+	}
+	if want[2] != "wf-1000000" {
+		t.Fatalf("fixture: third run is %s", want[2])
+	}
+	if got := e.Runs(); !slices.Equal(got[len(got)-3:], want) {
+		t.Errorf("Runs() ends %v, want creation order %v", got[len(got)-3:], want)
 	}
 }
 

@@ -2,9 +2,9 @@ package dag
 
 import (
 	"fmt"
-	"sort"
 
 	"lattice/internal/obs"
+	"lattice/internal/shard"
 	"lattice/internal/sim"
 	"lattice/internal/workload"
 )
@@ -127,8 +127,8 @@ type Engine struct {
 	runner Runner
 	o      *obs.Obs
 	cfg    Config
-	runs   map[string]*Run
-	nextID int
+	// runs holds every run in submission order: runs[n-1] is run n.
+	runs []*Run
 }
 
 // NewEngine wires a workflow engine onto a stage runner.
@@ -138,7 +138,6 @@ func NewEngine(eng *sim.Engine, runner Runner, o *obs.Obs, cfg Config) *Engine {
 		runner: runner,
 		o:      o,
 		cfg:    cfg,
-		runs:   make(map[string]*Run),
 	}
 }
 
@@ -154,9 +153,8 @@ func (e *Engine) Submit(wf workload.Workflow) (*Run, error) {
 	if e.cfg.Durable != nil {
 		e.cfg.Durable.Workflow(e.eng.Now(), wf)
 	}
-	e.nextID++
 	r := &Run{
-		ID:          fmt.Sprintf("%swf-%06d", e.cfg.IDPrefix, e.nextID),
+		ID:          string(shard.AppendID(nil, e.cfg.IDPrefix, "wf", len(e.runs)+1)),
 		Workflow:    wf,
 		Order:       order,
 		State:       RunRunning,
@@ -171,7 +169,7 @@ func (e *Engine) Submit(wf workload.Workflow) (*Run, error) {
 			r.children[dep] = append(r.children[dep], st.ID)
 		}
 	}
-	e.runs[r.ID] = r
+	e.runs = append(e.runs, r)
 	e.o.Record(r.ID, "", obs.StageWfSubmit, "",
 		fmt.Sprintf("workflow %s: %d stages for %s", wf.Name, len(wf.Stages), wf.UserEmail))
 	e.launchReady(r)
@@ -180,20 +178,22 @@ func (e *Engine) Submit(wf workload.Workflow) (*Run, error) {
 
 // Runs lists run IDs in submission order.
 func (e *Engine) Runs() []string {
-	ids := make([]string, 0, len(e.runs))
-	for id := range e.runs {
-		ids = append(ids, id)
+	ids := make([]string, len(e.runs))
+	for i, r := range e.runs {
+		ids[i] = r.ID
 	}
-	sort.Strings(ids)
 	return ids
 }
 
-// Status reports a run's per-stage state in topological order.
+// Status reports a run's per-stage state in topological order. Only
+// the ID Submit gave the run finds it: any other spelling of its number
+// is unknown.
 func (e *Engine) Status(id string) (RunStatus, error) {
-	r, ok := e.runs[id]
-	if !ok {
+	n, ok := shard.IDNumber(id, e.cfg.IDPrefix, "wf")
+	if !ok || n > len(e.runs) {
 		return RunStatus{}, fmt.Errorf("dag: unknown workflow run %s", id)
 	}
+	r := e.runs[n-1]
 	st := RunStatus{
 		ID: r.ID, Name: r.Workflow.Name, User: r.Workflow.UserEmail,
 		State: r.State, SubmittedAt: r.SubmittedAt, DoneAt: r.DoneAt,
@@ -250,7 +250,7 @@ func (e *Engine) start(r *Run, sr *StageRun) {
 	batchID, err := e.runner.RunStage(r.ID, sr.Stage.ID, sub,
 		func(completed, failed int) { e.stageDone(r, sr, attempt, completed, failed) })
 	if err != nil {
-		// A synchronous submit rejection (validation, duplicate IDs) is
+		// A synchronous submit rejection (validation) is
 		// deterministic — retrying would hit it again, so the stage
 		// fails immediately.
 		sr.BatchID = ""

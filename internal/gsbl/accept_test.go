@@ -148,7 +148,6 @@ func TestMailRendersTheSentText(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		hand.Jobs = append(hand.Jobs, &metasched.GridJob{ID: fmt.Sprintf("hand-r%04d-%d", i, i)})
 	}
-	svc.batches[hand.ID] = hand
 	failed := hand.Jobs[1]
 	failed.Status, failed.FailReason = metasched.StatusFailed, "faults: 100% of nœuds lost (%d %s)"
 	hand.JobDone(failed)
@@ -238,7 +237,7 @@ func TestIDsAndDetailsAllocateOnce(t *testing.T) {
 // after batch 999 999, though it sorts before it as a string.
 func TestBatchesInCreationOrderPastSixDigits(t *testing.T) {
 	_, svc, _ := testService(t)
-	svc.nextID = 999_997
+	svc.batches = make([]*Batch, 999_997)
 	var want []string
 	for i := 0; i < 3; i++ {
 		b, err := svc.Submit(direct(smallSubmission(1)))

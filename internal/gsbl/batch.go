@@ -1,19 +1,17 @@
 package gsbl
 
 import (
-	"cmp"
 	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"slices"
 	"strconv"
-	"strings"
 	"unicode/utf8"
 
 	"lattice/internal/admit"
 	"lattice/internal/metasched"
 	"lattice/internal/obs"
+	"lattice/internal/shard"
 	"lattice/internal/sim"
 	"lattice/internal/slab"
 	"lattice/internal/workload"
@@ -82,15 +80,16 @@ func (b *Batch) Due() (at sim.Time, ok bool) {
 // expands them into grid jobs via the meta-scheduler, tracks batches,
 // notifies users, and packages results.
 type Service struct {
-	eng     *sim.Engine
-	sched   *metasched.Scheduler
-	mailer  *Mailer
-	rng     *sim.RNG
-	batches map[string]*Batch
-	nextID  int
+	eng    *sim.Engine
+	sched  *metasched.Scheduler
+	mailer *Mailer
+	rng    *sim.RNG
+	// batches holds every accepted batch in creation order: batches[n-1]
+	// is batch n, nil when its expansion failed.
+	batches []*Batch
 	// names holds the batch IDs and journal details, which the batch
-	// and the journal keep for the service's life; nextID's discipline
-	// guards it.
+	// and the journal keep for the service's life; it is guarded as
+	// batches is.
 	names slab.Slab
 	// From Options.
 	idPrefix string
@@ -152,7 +151,6 @@ func NewService(eng *sim.Engine, sched *metasched.Scheduler, mailer *Mailer, rng
 		sched:    sched,
 		mailer:   mailer,
 		rng:      rng,
-		batches:  make(map[string]*Batch),
 		idPrefix: opts.IDPrefix,
 		obs:      opts.Obs,
 		durable:  opts.Durable,
@@ -250,8 +248,9 @@ func (s *Service) accept(b *Batch, suffix ...string) (*Batch, error) {
 		suffix = []string{" via ", b.Origin}
 	}
 	detail := s.validateDetail(&b.Submission, suffix...)
-	s.nextID++
-	b.ID = s.batchID(s.nextID)
+	s.batches = append(s.batches, nil)
+	n := len(s.batches)
+	b.ID = s.batchID(n)
 	b.CreatedAt = s.eng.Now()
 	// Journal the validation pre-pass (batch-level event, no job ID).
 	s.obs.Record(b.ID, "", obs.StageValidate, "", detail)
@@ -260,7 +259,7 @@ func (s *Service) accept(b *Batch, suffix ...string) (*Batch, error) {
 	jobs, err := s.sched.SubmitBatch(&sub, s.rng, b, b.one[:0])
 	if err == nil {
 		b.Jobs = jobs
-		s.batches[b.ID] = b
+		s.batches[n-1] = b
 		s.mailer.queue(b.CreatedAt, mailSubmitted, b, nil)
 		return b, nil
 	}
@@ -271,11 +270,7 @@ func (s *Service) accept(b *Batch, suffix ...string) (*Batch, error) {
 // six digits.
 func (s *Service) batchID(n int) string {
 	var buf [48]byte
-	id := append(append(buf[:0], s.idPrefix...), "batch-"...)
-	for p := 100_000; p > 1 && n < p; p /= 10 {
-		id = append(id, '0')
-	}
-	return s.names.String(strconv.AppendInt(id, int64(n), 10))
+	return s.names.String(shard.AppendID(buf[:0], s.idPrefix, "batch", n))
 }
 
 // validateDetail is the validate event's detail: "<n> replicates for
@@ -338,32 +333,29 @@ func (b *Batch) finish() {
 	}
 }
 
-// Batch returns a batch by ID.
+// Batch returns a batch by ID. Only the ID batchID built resolves: any
+// other spelling of its number is unknown.
 func (s *Service) Batch(id string) (*Batch, bool) {
-	b, ok := s.batches[id]
-	return b, ok
+	if n, ok := shard.IDNumber(id, s.idPrefix, "batch"); ok && n <= len(s.batches) && s.batches[n-1] != nil {
+		return s.batches[n-1], true
+	}
+	return nil, false
 }
 
-// Batches lists batch IDs in creation order. The IDs share the service's
-// prefix and a number padded to at least six digits, so shorter sorts
-// first and equal lengths sort as strings.
+// Batches lists batch IDs in creation order.
 func (s *Service) Batches() []string {
 	ids := make([]string, 0, len(s.batches))
-	for id := range s.batches {
-		ids = append(ids, id)
-	}
-	slices.SortFunc(ids, func(a, b string) int {
-		if c := cmp.Compare(len(a), len(b)); c != 0 {
-			return c
+	for _, b := range s.batches {
+		if b != nil {
+			ids = append(ids, b.ID)
 		}
-		return strings.Compare(a, b)
-	})
+	}
 	return ids
 }
 
 // Status reports batch progress.
 func (s *Service) Status(id string) (BatchStatus, error) {
-	b, ok := s.batches[id]
+	b, ok := s.Batch(id)
 	if !ok {
 		return BatchStatus{}, fmt.Errorf("gsbl: unknown batch %s", id)
 	}
@@ -392,7 +384,7 @@ func (s *Service) status(b *Batch) BatchStatus {
 // the post-processing step the portal serves for download. Each job
 // contributes its result files; a batch-level summary is included.
 func (s *Service) ResultsZip(id string) ([]byte, error) {
-	b, ok := s.batches[id]
+	b, ok := s.Batch(id)
 	if !ok {
 		return nil, fmt.Errorf("gsbl: unknown batch %s", id)
 	}

@@ -109,7 +109,7 @@ func FuzzResultsZip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		svc := zipService(t)
 		b := fuzzBatch(data)
-		svc.batches[b.ID] = b
+		svc.batches = []*Batch{b}
 		checkAgainstOracle(t, svc, b)
 	})
 }

@@ -168,8 +168,8 @@ func TestResultsZipMatchesReference(t *testing.T) {
 	}
 }
 
-// finishedBatch registers a terminal batch of n completed stub jobs
-// without running the grid.
+// finishedBatch registers a terminal batch of n completed stub jobs as
+// the service's one batch, without running the grid.
 func finishedBatch(svc *Service, n int) *Batch {
 	b := &Batch{
 		ID:         "batch-000001",
@@ -189,7 +189,7 @@ func finishedBatch(svc *Service, n int) *Batch {
 			CompletedAt: sim.Time(i + 7200 + 13*i),
 		})
 	}
-	svc.batches[b.ID] = b
+	svc.batches = []*Batch{b}
 	return b
 }
 

@@ -86,8 +86,10 @@ type node struct {
 	ownerPresent bool
 }
 
-// running is a started job, and the event that completes it;
-// (*wallLimit)(r) is its wall-clock timer.
+// running is the cluster's record of one submitted job, made at Submit
+// and kept until the job leaves the cluster: the queue's entry while it
+// waits, the event that completes it while it runs; (*wallLimit)(r) is
+// its wall-clock timer. A preempted job requeues the same record.
 type running struct {
 	c     *Cluster
 	job   *lrm.Job
@@ -96,32 +98,32 @@ type running struct {
 	// node list.
 	one [1]*node
 	// speed is the aggregate speed the job runs at, for dur.
-	speed     float64
-	dur       sim.Duration
-	started   sim.Time
+	speed float64
+	dur   sim.Duration
+	// since is when the job's current wait (submission or last
+	// preemption) or run began.
+	since     sim.Time
 	doneEvent sim.EventID
 	wallEvent sim.EventID
+	// requeues counts the job's owner preemptions so far.
+	requeues int
 }
 
 // Cluster is a PBS, SGE or Condor LRM.
 type Cluster struct {
 	eng *sim.Engine
 	// rng draws the owners' periods.
-	rng     *sim.RNG
-	cfg     Config
-	nodes   []*node
-	queue   []*lrm.Job
-	running map[string]*running
+	rng   *sim.RNG
+	cfg   Config
+	nodes []*node
+	queue []*running
+	// started counts the jobs holding slots.
+	started int
 	stats   lrm.Stats
 	ins     *lrm.Instruments
 	// info is what Info reports that never changes, built once so an
 	// MDS poll allocates nothing.
 	info lrm.Info
-	// queuedAt records when each queued job's current wait began
-	// (submission or last preemption), for queue-wait metrics.
-	queuedAt map[string]sim.Time
-	// requeues counts each job's owner preemptions so far.
-	requeues map[string]int
 	// picked is dispatch's node-selection scratch.
 	picked []*node
 }
@@ -142,7 +144,6 @@ func New(eng *sim.Engine, rng *sim.RNG, o *obs.Obs, cfg Config) (*Cluster, error
 	}
 	c := &Cluster{
 		eng: eng, rng: rng, cfg: cfg, ins: lrm.NewInstruments(o, cfg.Name),
-		running: make(map[string]*running), queuedAt: make(map[string]sim.Time), requeues: make(map[string]int),
 		info: lrm.Info{Name: cfg.Name, Kind: cfg.Kind, Platforms: []lrm.Platform{cfg.Platform}, MPI: cfg.MPI, Stable: true},
 	}
 	for i, nc := range cfg.Nodes {
@@ -207,12 +208,12 @@ func (c *Cluster) preempt(r *running) {
 	j := r.job
 	c.eng.Cancel(r.doneEvent)
 	c.eng.Cancel(r.wallEvent)
-	requeues := c.requeues[j.ID] + 1
+	r.requeues++
 	c.release(r)
 	c.stats.Preemptions++
 	c.ins.JobPreempted(j, "owner returned")
-	c.stats.WastedCPU += c.eng.Now().Sub(r.started).Seconds() * r.speed
-	if c.cfg.MaxRequeues > 0 && requeues > c.cfg.MaxRequeues {
+	c.stats.WastedCPU += c.eng.Now().Sub(r.since).Seconds() * r.speed
+	if c.cfg.MaxRequeues > 0 && r.requeues > c.cfg.MaxRequeues {
 		c.stats.Failed++
 		c.ins.JobFailed(j)
 		if j.Owner != nil {
@@ -220,9 +221,8 @@ func (c *Cluster) preempt(r *running) {
 		}
 		return
 	}
-	c.requeues[j.ID] = requeues
-	c.queue = append(c.queue, j)
-	c.queuedAt[j.ID] = c.eng.Now()
+	r.since = c.eng.Now()
+	c.queue = append(c.queue, r)
 	c.dispatch()
 }
 
@@ -249,8 +249,7 @@ func (c *Cluster) Submit(j *lrm.Job) error {
 		return fmt.Errorf("%s: no node on %s has %d MB", kind, c.cfg.Name, j.MemoryMB)
 	}
 	c.stats.TotalQueued++
-	c.queue = append(c.queue, j)
-	c.queuedAt[j.ID] = c.eng.Now()
+	c.queue = append(c.queue, &running{c: c, job: j, since: c.eng.Now()})
 	if len(c.queue) > c.stats.MaxQueueSeen {
 		c.stats.MaxQueueSeen = len(c.queue)
 	}
@@ -258,35 +257,36 @@ func (c *Cluster) Submit(j *lrm.Job) error {
 	return nil
 }
 
-// Cancel implements lrm.LRM.
+// Cancel implements lrm.LRM. It looks for the job in the queue, then on
+// the nodes: it runs only when a resource is presumed dead or taken
+// down, so it scans rather than keep an index by ID.
 func (c *Cluster) Cancel(jobID string) bool {
-	for i, j := range c.queue {
-		if j.ID == jobID {
-			c.queue = append(c.queue[:i], c.queue[i+1:]...)
-			delete(c.queuedAt, jobID)
-			delete(c.requeues, jobID)
-			return true
-		}
-	}
-	if r, ok := c.running[jobID]; ok {
-		c.eng.Cancel(r.doneEvent)
-		c.eng.Cancel(r.wallEvent)
-		c.release(r)
-		c.dispatch()
+	if i := slices.IndexFunc(c.queue, func(r *running) bool { return r.job.ID == jobID }); i >= 0 {
+		c.queue = slices.Delete(c.queue, i, i+1)
 		return true
+	}
+	for _, n := range c.nodes {
+		for _, r := range n.jobs {
+			if r.job.ID == jobID {
+				c.eng.Cancel(r.doneEvent)
+				c.eng.Cancel(r.wallEvent)
+				c.release(r)
+				c.dispatch()
+				return true
+			}
+		}
 	}
 	return false
 }
 
-// release frees the job's slots and forgets it.
+// release frees the job's slots.
 func (c *Cluster) release(r *running) {
 	for _, n := range r.nodes {
 		i := slices.Index(n.jobs, r)
 		n.jobs = slices.Delete(n.jobs, i, i+1)
 		n.usedMemMB -= r.job.MemoryMB
 	}
-	delete(c.running, r.job.ID)
-	delete(c.requeues, r.job.ID)
+	c.started--
 }
 
 // mpiEfficiency is the parallel efficiency of multi-node MPI jobs
@@ -298,7 +298,8 @@ const mpiEfficiency = 0.85
 // fit enough owner-free nodes with a free slot and the memory).
 func (c *Cluster) dispatch() {
 	for qi := 0; qi < len(c.queue); {
-		j := c.queue[qi]
+		r := c.queue[qi]
+		j := r.job
 		want := max(j.Nodes, 1)
 		picked := c.picked[:0]
 		for _, n := range c.nodes {
@@ -315,20 +316,16 @@ func (c *Cluster) dispatch() {
 			continue
 		}
 		c.queue = append(c.queue[:qi], c.queue[qi+1:]...)
-		c.start(j, picked)
+		c.start(r, picked)
 	}
 }
 
-// start runs j on picked, which is dispatch's scratch: the job keeps its
+// start runs r on picked, which is dispatch's scratch: the job keeps its
 // own copy, inline when it is one node.
-func (c *Cluster) start(j *lrm.Job, picked []*node) {
-	r := &running{c: c, job: j, started: c.eng.Now()}
-	if len(picked) == 1 {
-		r.one[0] = picked[0]
-		r.nodes = r.one[:]
-	} else {
-		r.nodes = append([]*node(nil), picked...)
-	}
+func (c *Cluster) start(r *running, picked []*node) {
+	j := r.job
+	r.nodes = append(r.one[:0], picked...)
+	r.speed = 0
 	for _, n := range r.nodes {
 		n.jobs = append(n.jobs, r)
 		n.usedMemMB += j.MemoryMB
@@ -338,9 +335,9 @@ func (c *Cluster) start(j *lrm.Job, picked []*node) {
 		r.speed *= mpiEfficiency
 	}
 	r.dur = j.RuntimeOn(r.speed)
-	c.running[j.ID] = r
-	c.ins.JobStarted(j, c.eng.Now().Sub(c.queuedAt[j.ID]))
-	delete(c.queuedAt, j.ID)
+	c.started++
+	c.ins.JobStarted(j, c.eng.Now().Sub(r.since))
+	r.since = c.eng.Now()
 	r.doneEvent = c.eng.After(r.dur, r)
 	if j.WallLimit > 0 && j.WallLimit < r.dur {
 		r.wallEvent = c.eng.After(j.WallLimit, (*wallLimit)(r))
@@ -388,7 +385,7 @@ func (c *Cluster) Info() lrm.Info {
 		}
 	}
 	info.QueuedJobs = len(c.queue)
-	info.RunningJobs = len(c.running)
+	info.RunningJobs = c.started
 	return info
 }
 

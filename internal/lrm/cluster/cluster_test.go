@@ -519,6 +519,38 @@ func TestInfo(t *testing.T) {
 	}
 }
 
+// TestPreemptedJobCostsOneRecord: a job's record is made at Submit and
+// requeued by each preemption, so a job submitted, preempted k times
+// and then completed costs one allocation whatever k is.
+func TestPreemptedJobCostsOneRecord(t *testing.T) {
+	eng := sim.NewEngine()
+	c, err := New(eng, nil, nil, hpc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := &lrm.Job{ID: "j", Work: 3600 * lrm.ReferenceCellsPerSecond, MemoryMB: 256}
+	for _, k := range []int{0, 1, 5} {
+		before := c.Stats()
+		allocs := testing.AllocsPerRun(50, func() {
+			if err := c.Submit(j); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < k; i++ {
+				c.preempt(c.nodes[0].jobs[0]) // the owner-return path; the job restarts at once
+			}
+			eng.Run()
+		})
+		st := c.Stats()
+		if st.Completed-before.Completed != 51 || st.Preemptions-before.Preemptions != 51*k {
+			t.Fatalf("k=%d: %d completions and %d preemptions in 51 runs", k,
+				st.Completed-before.Completed, st.Preemptions-before.Preemptions)
+		}
+		if allocs != 1 {
+			t.Errorf("k=%d: a job preempted k times costs %v allocations, want 1", k, allocs)
+		}
+	}
+}
+
 // Allocator oracles. refWholeNode and refSlots are the PBS and SGE
 // clusters as they stood as two packages — whole-node allocation over a
 // busy flag, slot allocation on a single node — kept so that the folded
@@ -1010,10 +1042,16 @@ func queueIDs(q []*lrm.Job) []string {
 
 func (c *Cluster) placement() (map[string][]int, []string) {
 	run := map[string][]int{}
-	for id, r := range c.running {
-		run[id] = nodeIndexes(c.nodes, r.nodes)
+	for _, n := range c.nodes {
+		for _, r := range n.jobs {
+			run[r.job.ID] = nodeIndexes(c.nodes, r.nodes)
+		}
 	}
-	return run, queueIDs(c.queue)
+	queue := make([]string, len(c.queue))
+	for i, r := range c.queue {
+		queue[i] = r.job.ID
+	}
+	return run, queue
 }
 
 func (c *refCluster) placement() (map[string][]int, []string) {

@@ -17,9 +17,11 @@ import (
 // dispatchAllocBudget is what one submit→complete cycle costs on a
 // one-cluster scheduler: the GridJob (its first attempt inline: the
 // lrm.Job the cluster runs, its Owner and its staged-submit event in
-// one record), the cluster's running record (its own completion event,
-// the node held inline) and the scheduler's job-table growth,
-// amortized. Engine events cost nothing. With the attempt record apart
+// one record), the cluster's record of the job (its own completion
+// event, the node held inline) and, with no hub to keep the per-resource
+// placement counter, the label list asked of the nil hub on every
+// placement. Engine events and the resource's running list, which only
+// grows to its high-water mark, cost nothing. With the attempt record apart
 // from the GridJob the cycle cost 4; with an *event per scheduled
 // event, OnComplete/OnFail closures on the lrm.Job, a submit closure, a
 // completion closure and a copied node list, 10 (11 under the race
@@ -134,8 +136,13 @@ func TestSubmitRejectsInvalidJob(t *testing.T) {
 		if _, err := submit(g.sched, j, nil, nil); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
-		if st := g.sched.Stats(); st.Submitted != 0 || len(g.sched.jobs) != 0 {
+		if st := g.sched.Stats(); st.Submitted != 0 || len(g.sched.pending) != 0 {
 			t.Errorf("%s: refused job recorded: %+v", tc.name, st)
+		}
+		for name, r := range g.sched.resources {
+			if len(r.running) != 0 {
+				t.Errorf("%s: refused job running on %s", tc.name, name)
+			}
 		}
 	}
 }

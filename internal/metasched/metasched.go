@@ -240,6 +240,9 @@ type GridJob struct {
 	// first is the record of the job's first dispatch (see dispatch),
 	// carried inline so that a job placed once costs no record apart.
 	first attempt
+	// slot is the job's index in its resource's running list while it
+	// is there.
+	slot int
 }
 
 // Owner is whoever submitted a grid job and is told when it ends; a
@@ -265,13 +268,13 @@ type Stats struct {
 type resource struct {
 	lrm   lrm.LRM
 	speed float64
-	// active counts this scheduler's jobs dispatched to the resource
-	// and not yet terminal — the scheduler's own view of the load it
-	// has created, which is fresher than the MDS entry (whose refresh
-	// lags by the provider period). Without it, a burst of arrivals
-	// all sees the same stale "free" snapshot and lands on one
-	// resource.
-	active int
+	// running holds this scheduler's jobs dispatched to the resource
+	// and not yet terminal, in no order; its length is the scheduler's
+	// own view of the load it has created, which is fresher than the
+	// MDS entry (whose refresh lags by the provider period). Without
+	// it, a burst of arrivals all sees the same stale "free" snapshot
+	// and lands on one resource.
+	running []*GridJob
 	// stability is the learned reliability score in [0,1], an EWMA of
 	// observed per-job outcomes (1 = never seen to fail). It only
 	// moves, and only matters, when Config.StabilityAlpha > 0.
@@ -303,7 +306,6 @@ type Scheduler struct {
 	// pendingSpare is scanPending's output buffer; it and pending swap
 	// roles at the end of every scan.
 	pendingSpare []*GridJob
-	jobs         map[string]*GridJob
 	stats        Stats
 	nextSeq      int
 	// names holds the job IDs and estimate details, which the jobs and
@@ -357,7 +359,6 @@ func New(eng *sim.Engine, idx *mds.Index, cfg Config, opts Options) *Scheduler {
 		idx:       idx,
 		cfg:       cfg,
 		resources: make(map[string]*resource),
-		jobs:      make(map[string]*GridJob),
 		obs:       o,
 		ins: schedInstruments{
 			submitted: o.Counter("lattice_sched_jobs_submitted_total", "Grid jobs accepted by the meta-scheduler"),

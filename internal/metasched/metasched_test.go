@@ -152,13 +152,31 @@ func TestSubmitAndComplete(t *testing.T) {
 	}
 }
 
-func TestDuplicateIDRejected(t *testing.T) {
+// TestIdenticalBatchesGetDistinctJobIDs: every job ID carries the
+// scheduler's own sequence number, so the same submission expanded
+// twice never repeats an ID.
+func TestIdenticalBatchesGetDistinctJobIDs(t *testing.T) {
 	g := newGrid(t, DefaultConfig())
-	if _, err := submit(g.sched, testJob("dup", 60), nil, nil); err != nil {
-		t.Fatal(err)
+	sub := workload.Submission{
+		Spec: workload.JobSpec{DataType: phylo.Nucleotide, SubstModel: "JC69",
+			NumTaxa: 10, SeqLength: 100, SearchReps: 1, StartingTree: phylo.StartRandom},
+		Replicates: 4, UserEmail: "same@example.edu", BatchTag: "batch-000001",
 	}
-	if _, err := submit(g.sched, testJob("dup", 60), nil, nil); err == nil {
-		t.Error("duplicate job ID accepted")
+	seen := map[string]bool{}
+	for i := 0; i < 2; i++ {
+		jobs, err := g.sched.SubmitBatch(&sub, sim.NewRNG(1), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, j := range jobs {
+			if seen[j.ID] {
+				t.Errorf("job ID %s given twice", j.ID)
+			}
+			seen[j.ID] = true
+		}
+	}
+	if len(seen) != 8 {
+		t.Errorf("%d distinct job IDs, want 8", len(seen))
 	}
 }
 
@@ -170,23 +188,20 @@ func TestStabilityGateKeepsLongJobsOffCondor(t *testing.T) {
 	g.sched.SetPredictor(fixedPredictor(40 * 3600))
 	spec := workload.JobSpec{DataType: phylo.Nucleotide, SubstModel: "JC69",
 		NumTaxa: 10, SeqLength: 100, SearchReps: 1, StartingTree: phylo.StartRandom}
-	var placed []string
+	var jobs []*GridJob
 	for i := 0; i < 6; i++ {
 		j, err := submit(g.sched, testJob(fmt.Sprintf("long%d", i), 40*3600), &spec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_ = j
+		jobs = append(jobs, j)
 	}
 	g.eng.RunUntil(sim.Time(1 * sim.Hour))
-	for i := 0; i < 6; i++ {
-		j := g.sched.jobs[fmt.Sprintf("long%d", i)]
-		placed = append(placed, j.Resource)
+	for i, j := range jobs {
 		if j.Resource == "condor-pool" {
 			t.Errorf("long job %d placed on the unstable pool", i)
 		}
 	}
-	_ = placed
 }
 
 func TestNaivePolicyIgnoresStability(t *testing.T) {
@@ -199,18 +214,20 @@ func TestNaivePolicyIgnoresStability(t *testing.T) {
 	// Saturate: 32 long jobs across 16 CPUs, spaced out so the MDS
 	// view refreshes between placements; naive spreading must put
 	// some on the pool once the cluster backs up.
+	var jobs []*GridJob
 	for i := 0; i < 32; i++ {
 		i := i
 		g.eng.Schedule(sim.Duration(i)*5*sim.Minute, func() {
-			if _, err := submit(g.sched, testJob(fmt.Sprintf("l%d", i), 40*3600), &spec, nil); err != nil {
+			j, err := submit(g.sched, testJob(fmt.Sprintf("l%d", i), 40*3600), &spec, nil)
+			if err != nil {
 				t.Error(err)
 			}
+			jobs = append(jobs, j)
 		})
 	}
 	g.eng.RunUntil(sim.Time(6 * sim.Hour))
 	onPool := 0
-	for i := 0; i < 32; i++ {
-		j := g.sched.jobs[fmt.Sprintf("l%d", i)]
+	for _, j := range jobs {
 		if j.Resource == "condor-pool" {
 			onPool++
 		}
@@ -253,6 +270,7 @@ func TestMemoryAndMPIFiltering(t *testing.T) {
 		"mpi": func(j *GridJob) { j.NeedsMPI = true },
 		"win": func(j *GridJob) { j.Platforms = []lrm.Platform{lrm.WindowsX86} }, // nobody runs Windows
 	}
+	var jobs []*GridJob
 	for kind, mutate := range kinds {
 		for i := 0; i < 20; i++ {
 			j := testJob(fmt.Sprintf("%s%d", kind, i), 600)
@@ -260,16 +278,17 @@ func TestMemoryAndMPIFiltering(t *testing.T) {
 			if _, err := submit(g.sched, j, nil, nil); err != nil {
 				t.Fatal(err)
 			}
+			jobs = append(jobs, j)
 		}
 	}
 	g.eng.RunUntil(sim.Time(1 * sim.Hour))
-	for id, j := range g.sched.jobs {
+	for _, j := range jobs {
 		want := "hpc-cluster"
-		if strings.HasPrefix(id, "win") {
+		if strings.HasPrefix(j.ID, "win") {
 			want = ""
 		}
 		if j.Resource != want && j.Resource != "" {
-			t.Errorf("%s placed on %q, want %q", id, j.Resource, want)
+			t.Errorf("%s placed on %q, want %q", j.ID, j.Resource, want)
 		}
 	}
 	if g.hpc.Stats().TotalQueued == 0 {

@@ -77,7 +77,87 @@ func TestLearnedStabilityGatesLongJobs(t *testing.T) {
 // scheduler must detect the expired entry, requeue the in-flight jobs,
 // and finish them elsewhere.
 func TestDeadResourceRequeue(t *testing.T) {
+	eng, sched, fastOut, _ := deadFastGrid(t)
+	done := 0
+	var jobs []*GridJob
+	for i := 0; i < 3; i++ {
+		// 4 h of reference work: ~1 h on fast, so still running when
+		// the resource dies at t=30 min.
+		j, err := submit(sched, testJob(fmt.Sprintf("j%d", i), 4*3600), nil, func(j *GridJob) {
+			if j.Status == StatusCompleted {
+				done++
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	eng.RunUntil(sim.Time(10 * sim.Minute))
+	for i, j := range jobs {
+		if j.Resource != "fast" {
+			t.Fatalf("job j%d placed on %q, want the fast cluster", i, j.Resource)
+		}
+	}
+	eng.Schedule(20*sim.Minute, func() { fastOut.closed = true }) // the resource silently dies
+	eng.RunUntil(sim.Time(2 * sim.Day))
+	st := sched.Stats()
+	if st.Requeued != 3 {
+		t.Errorf("Requeued = %d, want 3", st.Requeued)
+	}
+	if done != 3 {
+		t.Fatalf("%d of 3 jobs completed after the requeue", done)
+	}
+	for i, j := range jobs {
+		if j.Resource != "slow" {
+			t.Errorf("job j%d finished on %q, want the surviving cluster", i, j.Resource)
+		}
+	}
+}
+
+// TestDeadResourceRequeuesInIDOrder: the jobs in flight on a dead
+// resource are requeued in ID order, whatever order they were
+// dispatched in and however completions reshuffled the resource's
+// running list.
+func TestDeadResourceRequeuesInIDOrder(t *testing.T) {
+	eng, sched, fastOut, o := deadFastGrid(t)
+	for _, id := range []string{"j3", "j5", "j0", "j4", "j1", "j2"} {
+		work := 4 * 3600.0
+		if id == "j0" {
+			work = 60 // done before the death, out of the middle of the list
+		}
+		if _, err := submit(sched, testJob(id, work), nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.RunUntil(sim.Time(10 * sim.Minute))
+	var running []string
+	for _, j := range sched.resources["fast"].running {
+		running = append(running, j.ID)
+	}
+	if want := []string{"j3", "j5", "j2", "j4", "j1"}; !slices.Equal(running, want) {
+		t.Fatalf("fixture: fast runs %v, want %v", running, want)
+	}
+	eng.Schedule(20*sim.Minute, func() { fastOut.closed = true })
+	eng.RunUntil(sim.Time(2 * sim.Hour))
+	var requeued []string
+	for _, ev := range o.Journal.Events() {
+		if ev.Stage == obs.StageRequeue && ev.Resource == "fast" {
+			requeued = append(requeued, ev.Job)
+		}
+	}
+	if want := []string{"j1", "j2", "j3", "j4", "j5"}; !slices.Equal(requeued, want) {
+		t.Errorf("requeued %v, want ID order %v", requeued, want)
+	}
+}
+
+// deadFastGrid is two 4-node PBS clusters, "fast" (speed 4) and "slow"
+// (speed 1), under a scheduler without bundling that reports to the
+// returned hub; closing the gate silences fast's MDS publications.
+func deadFastGrid(t *testing.T) (*sim.Engine, *Scheduler, *gate, *obs.Obs) {
+	t.Helper()
 	eng := sim.NewEngine()
+	o := obs.New(eng)
 	idx, err := mds.NewIndex(eng, 5*sim.Minute)
 	if err != nil {
 		t.Fatal(err)
@@ -102,47 +182,14 @@ func TestDeadResourceRequeue(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.BundleTargetSeconds = 0
-	sched := New(eng, idx, cfg, Options{})
+	sched := New(eng, idx, cfg, Options{Obs: o})
 	if err := sched.Register(fast, 4.0); err != nil {
 		t.Fatal(err)
 	}
 	if err := sched.Register(slow, 1.0); err != nil {
 		t.Fatal(err)
 	}
-	done := 0
-	for i := 0; i < 3; i++ {
-		// 4 h of reference work: ~1 h on fast, so still running when
-		// the resource dies at t=30 min.
-		if _, err := submit(sched, testJob(fmt.Sprintf("j%d", i), 4*3600), nil, func(j *GridJob) {
-			if j.Status == StatusCompleted {
-				done++
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	eng.RunUntil(sim.Time(10 * sim.Minute))
-	for i := 0; i < 3; i++ {
-		j := sched.jobs[fmt.Sprintf("j%d", i)]
-		if j.Resource != "fast" {
-			t.Fatalf("job j%d placed on %q, want the fast cluster", i, j.Resource)
-		}
-	}
-	eng.Schedule(20*sim.Minute, func() { fastOut.closed = true }) // the resource silently dies
-	eng.RunUntil(sim.Time(2 * sim.Day))
-	st := sched.Stats()
-	if st.Requeued != 3 {
-		t.Errorf("Requeued = %d, want 3", st.Requeued)
-	}
-	if done != 3 {
-		t.Fatalf("%d of 3 jobs completed after the requeue", done)
-	}
-	for i := 0; i < 3; i++ {
-		j := sched.jobs[fmt.Sprintf("j%d", i)]
-		if j.Resource != "slow" {
-			t.Errorf("job j%d finished on %q, want the surviving cluster", i, j.Resource)
-		}
-	}
+	return eng, sched, fastOut, o
 }
 
 // refusingLRM is a PBS-shaped resource whose gatekeeper rejects the

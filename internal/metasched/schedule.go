@@ -3,7 +3,7 @@ package metasched
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -26,9 +26,6 @@ func (s *Scheduler) submit(j *GridJob) error {
 	if err := (&lrm.Job{ID: j.ID, Work: j.Work, MemoryMB: j.MemoryMB}).Validate(); err != nil {
 		return err
 	}
-	if _, dup := s.jobs[j.ID]; dup {
-		return fmt.Errorf("metasched: duplicate job ID %s", j.ID)
-	}
 	j.Status = StatusPending
 	j.SubmittedAt = s.eng.Now()
 	s.obs.Record(j.Batch, j.ID, obs.StageSubmit, "", "")
@@ -42,7 +39,6 @@ func (s *Scheduler) submit(j *GridJob) error {
 			s.obs.Record(j.Batch, j.ID, obs.StageEstimate, "", s.estimateDetail(j.EstimateRefSeconds))
 		}
 	}
-	s.jobs[j.ID] = j
 	s.stats.Submitted++
 	if !s.tryPlace(j) {
 		s.pending = append(s.pending, j)
@@ -220,7 +216,7 @@ type candidate struct {
 func (s *Scheduler) eligible(j *GridJob, c *candidate) bool {
 	// Backlog cap: keep the grid-level queue in charge of batching
 	// rather than flooding one resource's local queue.
-	if c.info.TotalCPUs > 0 && float64(c.res.active) >= maxBacklogFactor*float64(c.info.TotalCPUs) {
+	if c.info.TotalCPUs > 0 && float64(len(c.res.running)) >= maxBacklogFactor*float64(c.info.TotalCPUs) {
 		return false
 	}
 	// Circuit breaker: a tripped resource receives no work until the
@@ -280,7 +276,7 @@ func (s *Scheduler) score(c *candidate, j *GridJob) float64 {
 		return math.Inf(-1)
 	}
 	load := float64(c.info.QueuedJobs + c.info.RunningJobs)
-	if my := float64(c.res.active); my > load {
+	if my := float64(len(c.res.running)); my > load {
 		load = my
 	}
 	if s.cfg.Policy == PolicyNaive {
@@ -377,7 +373,8 @@ func (s *Scheduler) dispatch(j *GridJob, c *candidate) {
 	}
 	c.res.placements.Inc()
 	s.ins.placeWait.Observe(float64(s.eng.Now().Sub(j.SubmittedAt)))
-	c.res.active++
+	j.slot = len(c.res.running)
+	c.res.running = append(c.res.running, j)
 	if in := s.stageDelay(j.InputMB); in > 0 {
 		s.eng.After(in, a)
 	} else {
@@ -440,11 +437,18 @@ func (s *Scheduler) stageDelay(mb float64) sim.Duration {
 	return sim.Duration(mb / stageBandwidthMBps)
 }
 
-// release drops the in-flight count for the job's resource.
+// release takes the job off its resource's running list, if it is
+// there, by moving the list's last job into its slot.
 func (s *Scheduler) release(j *GridJob) {
-	if r, ok := s.resources[j.Resource]; ok && r.active > 0 {
-		r.active--
+	r, ok := s.resources[j.Resource]
+	if !ok || j.slot >= len(r.running) || r.running[j.slot] != j {
+		return
 	}
+	last := len(r.running) - 1
+	r.running[j.slot] = r.running[last]
+	r.running[j.slot].slot = j.slot
+	r.running[last] = nil
+	r.running = r.running[:last]
 }
 
 // submitFailed handles a gatekeeper submit error: the job retries on
@@ -487,7 +491,7 @@ func (s *Scheduler) submitFailed(j *GridJob, name string, err error) {
 func (s *Scheduler) checkOffline() {
 	for _, name := range s.order {
 		r := s.resources[name]
-		if r.active == 0 {
+		if len(r.running) == 0 {
 			continue
 		}
 		if _, ok := s.idx.Lookup(name); ok {
@@ -501,22 +505,16 @@ func (s *Scheduler) checkOffline() {
 // returns it to the pending queue, cancelling the remote copy
 // best-effort so a late completion cannot race the reissue.
 func (s *Scheduler) requeueFrom(resource string) {
-	var ids []string
-	for id, j := range s.jobs {
-		if j.Status == StatusRunning && j.Resource == resource {
-			ids = append(ids, id)
-		}
-	}
-	sort.Strings(ids)
 	r := s.resources[resource]
-	for _, id := range ids {
-		j := s.jobs[id]
-		r.lrm.Cancel(id)
+	jobs := slices.Clone(r.running)
+	slices.SortFunc(jobs, func(a, b *GridJob) int { return strings.Compare(a.ID, b.ID) })
+	for _, j := range jobs {
+		r.lrm.Cancel(j.ID)
 		s.release(j)
 		s.stats.Requeued++
 		s.obs.Counter("lattice_sched_requeues_total",
 			"In-flight jobs requeued after resource death (MDS expiry)").Inc()
-		s.obs.Record(j.Batch, id, obs.StageRequeue, resource, "resource presumed dead (MDS entry expired)")
+		s.obs.Record(j.Batch, j.ID, obs.StageRequeue, resource, "resource presumed dead (MDS entry expired)")
 		s.markDisrupted(j)
 		j.Status = StatusPending
 		j.Resource = ""

@@ -2,7 +2,7 @@
 // a deterministic router that partitions users across N coordinator
 // shards, per-shard seed derivation, the shard naming every
 // shard-qualified label uses (origins, ID prefixes, WAL directories),
-// and exposition merging that gives every metric series a shard label.
+// the numbered batch and workflow IDs, and exposition merging that gives every metric series a shard label.
 // The package is pure mechanism — core.Cluster wires these primitives
 // around N core.Lattice deployments, each of which owns a disjoint
 // slice of the grid federation.
@@ -100,6 +100,30 @@ func IDShard(id string, n int) (int, bool) {
 		return 0, false
 	}
 	return k, true
+}
+
+// AppendID appends the ID of the n-th record of a kind, numbered from 1
+// in creation order: prefix (IDPrefix, or "" outside a cluster), kind,
+// "-" and n padded to six digits — "shard0-batch-000123", "wf-000001".
+func AppendID(dst []byte, prefix, kind string, n int) []byte {
+	dst = append(append(append(dst, prefix...), kind...), '-')
+	for p := 100_000; p > 1 && n < p; p /= 10 {
+		dst = append(dst, '0')
+	}
+	return strconv.AppendInt(dst, int64(n), 10)
+}
+
+// IDNumber returns n when id is exactly what AppendID builds for prefix,
+// kind and some n ≥ 1; any other spelling of the number — fewer digits,
+// extra zeros, a sign, trailing bytes — is refused.
+func IDNumber(id, prefix, kind string) (int, bool) {
+	digits, ok := strings.CutPrefix(id, prefix+kind+"-")
+	n, err := strconv.Atoi(digits)
+	var buf [64]byte
+	if !ok || err != nil || n < 1 || string(AppendID(buf[:0], prefix, kind, n)) != id {
+		return 0, false
+	}
+	return n, true
 }
 
 // Dir is shard k's write-ahead-log directory under root,

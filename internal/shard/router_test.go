@@ -192,3 +192,31 @@ func TestIDPrefixRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestNumberedIDRoundTrip: IDNumber accepts exactly the IDs AppendID
+// builds, as fmt's "%s%s-%06d" renders them, and no other spelling.
+func TestNumberedIDRoundTrip(t *testing.T) {
+	for _, prefix := range []string{"", "shard3-"} {
+		for _, kind := range []string{"batch", "wf"} {
+			for _, n := range []int{1, 9, 10, 99_999, 999_999, 1_000_000, 12_345_678} {
+				id := string(AppendID(nil, prefix, kind, n))
+				if want := fmt.Sprintf("%s%s-%06d", prefix, kind, n); id != want {
+					t.Errorf("AppendID(%q, %q, %d) = %q, want %q", prefix, kind, n, id, want)
+				}
+				if got, ok := IDNumber(id, prefix, kind); !ok || got != n {
+					t.Errorf("IDNumber(%q) = %d, %v; want %d, true", id, got, ok, n)
+				}
+			}
+		}
+	}
+	for _, id := range []string{
+		"shard3-batch-0000001", "shard3-batch-01000000", "shard3-batch-+00001", "shard3-batch--00001",
+		"shard3-batch-000000", "shard3-batch-0", "shard3-batch-1", "shard3-batch-00001",
+		"shard3-batch-000001 ", "shard3-batch-000001x", "shard3-batch-00000x", "shard3-batch-",
+		"shard3-batch000001", "shard3-wf-000001", "shard2-batch-000001", "batch-000001", "",
+	} {
+		if n, ok := IDNumber(id, "shard3-", "batch"); ok {
+			t.Errorf("IDNumber(%q) = %d, true; want refused", id, n)
+		}
+	}
+}
