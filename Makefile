@@ -112,9 +112,12 @@ ledger-trace:
 
 # faults runs the fault-injection scenario under the race detector:
 # conservation (every job exactly one terminal state) and same-seed
-# determinism under the default hostile schedule.
+# determinism under the default hostile schedule. It also runs the
+# injector's own unit tests under -race: every kind's journal pin, the
+# schedule rules and the FuzzInjector seeds.
 faults:
 	$(GO) test -race -run TestFaultScenarioShape ./internal/experiments/
+	$(GO) test -race ./internal/faults/
 
 # crash runs the crash-recovery tests under the race detector: the
 # scenario (the coordinator killed three times mid-batch, once over a

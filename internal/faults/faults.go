@@ -20,6 +20,7 @@ package faults
 
 import (
 	"fmt"
+	"math"
 
 	"lattice/internal/sim"
 )
@@ -70,24 +71,97 @@ const (
 )
 
 // Event is one scripted fault. At is when it begins; window faults
-// last Duration, instantaneous ones (churn) ignore it.
+// last Duration, instantaneous ones (churn) ignore it. Which of the
+// other fields an event needs is its kind's row in kinds.
 type Event struct {
 	At       sim.Time
 	Kind     Kind
 	Resource string
-	// Duration is the window length for outage, submit-fail, mds-drop,
-	// mds-stale, slow-result and lost-result events.
+	// Duration is the window length.
 	Duration sim.Duration
-	// P is the per-instance probability for submit-fail, slow-result
-	// and lost-result windows.
+	// P is the per-instance probability of a probabilistic window.
 	P float64
-	// Delay is the added delivery latency for slow-result windows.
+	// Delay is the added delivery latency.
 	Delay sim.Duration
-	// Hosts is the burst size for churn events.
+	// Hosts is the burst size.
 	Hosts int
-	// Factor scales demand-spike arrival rates (> 1) and
-	// capacity-collapse published capacity (in (0,1)).
+	// Factor is the scale a window applies, inside its row's interval.
 	Factor float64
+}
+
+// reach is what an event's Resource names.
+type reach int
+
+const (
+	wrapped reach = iota // a resource passed to Wrap
+	churner              // a wrapped resource that is a Churner
+	demand               // a demand hook (AttachDemand)
+)
+
+// rule is one kind's row in the fault table.
+type rule struct {
+	window bool // lasts a positive Duration; otherwise instantaneous
+	p      bool // needs P in (0,1]
+	delay  bool // needs a positive Delay
+	hosts  bool // needs a positive Hosts
+	// factor, when set, is the open interval Factor must lie in.
+	factor *[2]float64
+	on     reach
+	// note makes the start count as an injection; otherwise, like
+	// every end, it only journals.
+	note bool
+	// opens and closes are the details the two edges journal. opens
+	// formats the fields the row needs: P, then Delay, then Factor and
+	// Duration.
+	opens, closes string
+}
+
+// kinds declares the fault vocabulary once: Validate, Apply and the
+// injector's window edges all read a kind's row here. Rows are looked
+// up, never ranged over, so map order cannot leak into a run.
+var kinds = map[Kind]rule{
+	KindOutage:     {window: true, note: true, opens: "down", closes: "recovered"},
+	KindSubmitFail: {window: true, p: true, opens: "window open p=%g", closes: "window closed"},
+	KindMDSDrop:    {window: true, note: true, opens: "publications dropped", closes: "publications restored"},
+	KindMDSStale:   {window: true, note: true, opens: "staleness burst begins", closes: "staleness burst ends"},
+	// A churn burst journals how many hosts actually left.
+	KindChurn:      {hosts: true, on: churner, note: true, opens: "%d hosts detached"},
+	KindSlowResult: {window: true, p: true, delay: true, opens: "window open p=%g delay=%.0fs", closes: "window closed"},
+	KindLostResult: {window: true, p: true, opens: "window open p=%g", closes: "window closed"},
+	KindDemandSpike: {window: true, factor: &[2]float64{1, math.Inf(1)}, on: demand, note: true,
+		opens: "arrival rate ×%g for %.0fs", closes: "demand restored"},
+	KindCapacityCollapse: {window: true, factor: &[2]float64{0, 1}, note: true,
+		opens: "capacity ×%g for %.0fs", closes: "capacity restored"},
+}
+
+// check names what ev lacks under the row, or returns "".
+func (r *rule) check(ev *Event) string {
+	switch {
+	case r.window && !(ev.Duration > 0):
+		return "a positive Duration"
+	case r.p && !(ev.P > 0 && ev.P <= 1):
+		return fmt.Sprintf("P in (0,1], got %g", ev.P)
+	case r.delay && !(ev.Delay > 0):
+		return "a positive Delay"
+	case r.hosts && ev.Hosts <= 0:
+		return "a positive host count"
+	case r.factor != nil && !(ev.Factor > r.factor[0] && ev.Factor < r.factor[1]):
+		return fmt.Sprintf("Factor in (%g,%g), got %g", r.factor[0], r.factor[1], ev.Factor)
+	}
+	return ""
+}
+
+// opened renders the detail of ev's start.
+func (r *rule) opened(ev *Event) string {
+	switch {
+	case r.delay:
+		return fmt.Sprintf(r.opens, ev.P, float64(ev.Delay))
+	case r.p:
+		return fmt.Sprintf(r.opens, ev.P)
+	case r.factor != nil:
+		return fmt.Sprintf(r.opens, ev.Factor, float64(ev.Duration))
+	}
+	return r.opens
 }
 
 // Flap generates a probabilistic outage process on one resource:
@@ -104,9 +178,11 @@ type Flap struct {
 }
 
 // Schedule is the injector's input: a script plus flapping processes.
-// Windows of the same kind on the same resource must not overlap, and
-// each resource should have at most one outage source (scripted or
-// flap) — overlapping recoveries would end each other early.
+// A window's end clears its kind's state on the resource, so windows of
+// one kind on one resource must not meet, not even end to start; and a
+// resource has at most one outage source (scripted or flap), since
+// overlapping recoveries would end each other early. Validate enforces
+// both.
 type Schedule struct {
 	Events []Event
 	Flaps  []Flap
@@ -115,54 +191,29 @@ type Schedule struct {
 	CrashAt []sim.Time
 }
 
-// Validate checks the schedule's internal consistency.
+// Validate checks each event against its kind's row and the schedule
+// against the rules above.
 func (s *Schedule) Validate() error {
-	for i, ev := range s.Events {
+	for i := range s.Events {
+		ev := &s.Events[i]
 		if ev.Resource == "" {
 			return fmt.Errorf("faults: event %d has no resource", i)
 		}
-		if ev.At < 0 {
+		if !(ev.At >= 0) {
 			return fmt.Errorf("faults: event %d (%s on %s) starts before t=0", i, ev.Kind, ev.Resource)
 		}
-		switch ev.Kind {
-		case KindOutage, KindMDSDrop, KindMDSStale:
-			if ev.Duration <= 0 {
-				return fmt.Errorf("faults: event %d (%s on %s) needs a positive Duration", i, ev.Kind, ev.Resource)
-			}
-		case KindSubmitFail, KindLostResult:
-			if ev.Duration <= 0 {
-				return fmt.Errorf("faults: event %d (%s on %s) needs a positive Duration", i, ev.Kind, ev.Resource)
-			}
-			if ev.P <= 0 || ev.P > 1 {
-				return fmt.Errorf("faults: event %d (%s on %s) needs P in (0,1], got %g", i, ev.Kind, ev.Resource, ev.P)
-			}
-		case KindSlowResult:
-			if ev.Duration <= 0 || ev.Delay <= 0 {
-				return fmt.Errorf("faults: event %d (slow-result on %s) needs positive Duration and Delay", i, ev.Resource)
-			}
-			if ev.P <= 0 || ev.P > 1 {
-				return fmt.Errorf("faults: event %d (slow-result on %s) needs P in (0,1], got %g", i, ev.Resource, ev.P)
-			}
-		case KindChurn:
-			if ev.Hosts <= 0 {
-				return fmt.Errorf("faults: event %d (churn on %s) needs a positive host count", i, ev.Resource)
-			}
-		case KindDemandSpike:
-			if ev.Duration <= 0 {
-				return fmt.Errorf("faults: event %d (demand-spike on %s) needs a positive Duration", i, ev.Resource)
-			}
-			if ev.Factor <= 1 {
-				return fmt.Errorf("faults: event %d (demand-spike on %s) needs Factor > 1, got %g", i, ev.Resource, ev.Factor)
-			}
-		case KindCapacityCollapse:
-			if ev.Duration <= 0 {
-				return fmt.Errorf("faults: event %d (capacity-collapse on %s) needs a positive Duration", i, ev.Resource)
-			}
-			if ev.Factor <= 0 || ev.Factor >= 1 {
-				return fmt.Errorf("faults: event %d (capacity-collapse on %s) needs Factor in (0,1), got %g", i, ev.Resource, ev.Factor)
-			}
-		default:
+		r, ok := kinds[ev.Kind]
+		if !ok {
 			return fmt.Errorf("faults: event %d has unknown kind %q", i, ev.Kind)
+		}
+		if lack := r.check(ev); lack != "" {
+			return fmt.Errorf("faults: event %d (%s on %s) needs %s", i, ev.Kind, ev.Resource, lack)
+		}
+		for j, prev := range s.Events[:i] {
+			if r.window && prev.Kind == ev.Kind && prev.Resource == ev.Resource &&
+				prev.At <= ev.At.Add(ev.Duration) && ev.At <= prev.At.Add(prev.Duration) {
+				return fmt.Errorf("faults: events %d and %d (%s on %s) overlap", j, i, ev.Kind, ev.Resource)
+			}
 		}
 	}
 	for i, at := range s.CrashAt {
@@ -179,6 +230,16 @@ func (s *Schedule) Validate() error {
 		}
 		if f.Until > 0 && f.Until <= f.Start {
 			return fmt.Errorf("faults: flap %d (%s) ends before it starts", i, f.Resource)
+		}
+		for j, prev := range s.Flaps[:i] {
+			if prev.Resource == f.Resource {
+				return fmt.Errorf("faults: flaps %d and %d both take %s down", j, i, f.Resource)
+			}
+		}
+		for j, ev := range s.Events {
+			if ev.Kind == KindOutage && ev.Resource == f.Resource {
+				return fmt.Errorf("faults: event %d scripts an outage on %s, which flap %d takes down", j, f.Resource, i)
+			}
 		}
 	}
 	return nil

@@ -123,7 +123,7 @@ func TestOutageKillsInFlightAndRefusesSubmits(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.eng.Schedule(90*sim.Minute, func() { // mid-outage
-		if !h.in.down("res-a") {
+		if !h.in.targets["res-a"].down {
 			t.Error("resource should be down at t=90min")
 		}
 		var o outcome
@@ -135,7 +135,7 @@ func TestOutageKillsInFlightAndRefusesSubmits(t *testing.T) {
 	})
 	var late outcome
 	h.eng.Schedule(150*sim.Minute, func() { // after recovery
-		if h.in.down("res-a") {
+		if h.in.targets["res-a"].down {
 			t.Error("resource should be back up at t=150min")
 		}
 		if err := h.res.Submit(job("late", &late)); err != nil {
@@ -344,7 +344,7 @@ func TestFlapDeterminism(t *testing.T) {
 		for h := 1; h <= 5*24; h++ {
 			at := sim.Time(sim.Duration(h) * sim.Hour)
 			eng.ScheduleAt(at, func() {
-				if in.down("res-a") {
+				if in.targets["res-a"].down {
 					downAt = append(downAt, at)
 				}
 			})
@@ -402,6 +402,51 @@ func TestValidateRejectsBadSchedules(t *testing.T) {
 		if err := c.sch.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted it", c.name)
 		}
+	}
+}
+
+// TestValidateRejectsOverlappingWindows: a window's close clears its
+// kind's state on the resource, so two windows of one kind there must
+// not meet — touching counts, since the engine may run the second
+// window's open before the first one's close. A resource has at most
+// one outage source.
+func TestValidateRejectsOverlappingWindows(t *testing.T) {
+	h := func(n int) sim.Time { return sim.Time(sim.Duration(n) * sim.Hour) }
+	gate := func(r string, from, to int) Event {
+		return Event{At: h(from), Kind: KindSubmitFail, Resource: r, Duration: sim.Duration(to-from) * sim.Hour, P: 1}
+	}
+	flap := Flap{Resource: "res-a", MeanUp: sim.Hour, MeanDown: sim.Hour}
+	bad := map[string]Schedule{
+		"overlapping windows": {Events: []Event{gate("res-a", 0, 2), gate("res-a", 1, 3)}},
+		"touching windows":    {Events: []Event{gate("res-a", 1, 2), gate("res-a", 0, 1)}},
+		"nested windows":      {Events: []Event{gate("res-a", 0, 5), gate("res-a", 1, 2)}},
+		"overlapping spikes": {Events: []Event{
+			{At: 0, Kind: KindDemandSpike, Resource: "door", Duration: sim.Hour, Factor: 2},
+			{At: h(1), Kind: KindDemandSpike, Resource: "door", Duration: sim.Hour, Factor: 3},
+		}},
+		"outage on a flapping resource": {
+			Events: []Event{{At: h(1), Kind: KindOutage, Resource: "res-a", Duration: sim.Hour}},
+			Flaps:  []Flap{flap},
+		},
+		"two flaps on one resource": {Flaps: []Flap{flap, flap}},
+	}
+	for name, sch := range bad {
+		if err := sch.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted it", name)
+		}
+	}
+	ok := Schedule{
+		Events: []Event{
+			gate("res-a", 0, 1), gate("res-a", 2, 3), gate("res-b", 0, 3),
+			{At: 0, Kind: KindLostResult, Resource: "res-a", Duration: 3 * sim.Hour, P: 1},
+			{At: 0, Kind: KindOutage, Resource: "res-b", Duration: sim.Hour},
+			{At: 0, Kind: KindChurn, Resource: "res-b", Hosts: 1},
+			{At: 0, Kind: KindChurn, Resource: "res-b", Hosts: 2},
+		},
+		Flaps: []Flap{flap, {Resource: "res-c", MeanUp: sim.Hour, MeanDown: sim.Hour}},
+	}
+	if err := ok.Validate(); err != nil {
+		t.Errorf("disjoint windows rejected: %v", err)
 	}
 }
 

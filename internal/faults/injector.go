@@ -2,6 +2,8 @@ package faults
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"lattice/internal/grid/mds"
 	"lattice/internal/lrm"
@@ -20,13 +22,12 @@ type Churner interface {
 // single-goroutine like everything else on the engine: all state
 // changes happen inside engine callbacks or during setup.
 type Injector struct {
-	eng      *sim.Engine
-	rng      *sim.RNG
-	obs      *obs.Obs
-	targets  map[string]*target
-	churners map[string]Churner
-	demands  map[string]func(factor float64)
-	stats    map[Kind]int
+	eng     *sim.Engine
+	rng     *sim.RNG
+	obs     *obs.Obs
+	targets map[string]*target
+	demands map[string]func(factor float64)
+	stats   map[Kind]int
 	// crashStops controls whether an armed crash actually stops the
 	// engine. Recovery re-execution disables it: the crash must still
 	// journal and count (it did originally), but the rebuild needs to
@@ -47,7 +48,6 @@ func NewInjector(eng *sim.Engine, rng *sim.RNG, o *obs.Obs) *Injector {
 		rng:        rng,
 		obs:        o,
 		targets:    make(map[string]*target),
-		churners:   make(map[string]Churner),
 		demands:    make(map[string]func(factor float64)),
 		stats:      make(map[Kind]int),
 		crashStops: true,
@@ -70,17 +70,17 @@ func (in *Injector) Crashed() bool { return in.crashed }
 // can also be the target of churn events.
 func (in *Injector) Wrap(inner lrm.LRM) lrm.LRM {
 	name := inner.Name()
+	churn, _ := inner.(Churner)
 	t := &target{
 		in:        in,
 		inner:     inner,
 		name:      name,
+		churn:     churn,
+		open:      make(map[Kind]*Event),
 		submitRNG: in.rng.Stream("submit-" + name),
 		resultRNG: in.rng.Stream("result-" + name),
 	}
 	in.targets[name] = t
-	if c, ok := inner.(Churner); ok {
-		in.churners[name] = c
-	}
 	return t
 }
 
@@ -102,20 +102,8 @@ func (in *Injector) AttachDemand(name string, fn func(factor float64)) {
 	in.demands[name] = fn
 }
 
-// down reports whether the named resource is currently in an outage.
-func (in *Injector) down(name string) bool {
-	t, ok := in.targets[name]
-	return ok && t.down
-}
-
 // Injected returns how many faults of each kind have fired so far.
-func (in *Injector) Injected() map[Kind]int {
-	out := make(map[Kind]int, len(in.stats))
-	for k, v := range in.stats {
-		out[k] = v
-	}
-	return out
-}
+func (in *Injector) Injected() map[Kind]int { return maps.Clone(in.stats) }
 
 // Apply validates the schedule against the wrapped resources and arms
 // every event and flap on the engine. Call it once, after all
@@ -124,20 +112,14 @@ func (in *Injector) Apply(sch Schedule) error {
 	if err := sch.Validate(); err != nil {
 		return err
 	}
+	// Demand hooks attach on the workload side, possibly after Apply.
 	for i, ev := range sch.Events {
-		if ev.Kind == KindChurn {
-			if _, ok := in.churners[ev.Resource]; !ok {
-				return fmt.Errorf("faults: event %d targets %s, which has no churn hook", i, ev.Resource)
-			}
-			continue
-		}
-		if ev.Kind == KindDemandSpike {
-			// Demand hooks attach on the workload side, possibly after
-			// Apply; nothing to validate here.
-			continue
-		}
-		if _, ok := in.targets[ev.Resource]; !ok {
+		t, on := in.targets[ev.Resource], kinds[ev.Kind].on
+		switch {
+		case on == wrapped && t == nil:
 			return fmt.Errorf("faults: event %d targets unwrapped resource %s", i, ev.Resource)
+		case on == churner && (t == nil || t.churn == nil):
+			return fmt.Errorf("faults: event %d targets %s, which has no churn hook", i, ev.Resource)
 		}
 	}
 	for i, f := range sch.Flaps {
@@ -145,8 +127,8 @@ func (in *Injector) Apply(sch Schedule) error {
 			return fmt.Errorf("faults: flap %d targets unwrapped resource %s", i, f.Resource)
 		}
 	}
-	for i := range sch.Events {
-		in.arm(sch.Events[i])
+	for _, ev := range sch.Events {
+		in.arm(ev)
 	}
 	for i := range sch.Flaps {
 		in.armFlap(sch.Flaps[i], i)
@@ -170,95 +152,44 @@ func (in *Injector) armCrash(at sim.Time) {
 	})
 }
 
-// arm schedules one scripted event's begin (and end, for windows).
+// arm schedules one scripted event's start and, for a window, its end.
 func (in *Injector) arm(ev Event) {
-	switch ev.Kind {
-	case KindChurn:
-		in.eng.ScheduleAt(ev.At, func() {
-			n := in.churners[ev.Resource].Churn(ev.Hosts)
-			in.note(KindChurn, ev.Resource, fmt.Sprintf("%d hosts detached", n))
-		})
-		return
-	case KindOutage:
-		t := in.targets[ev.Resource]
-		in.eng.ScheduleAt(ev.At, t.beginOutage)
-		in.eng.ScheduleAt(ev.At.Add(ev.Duration), t.endOutage)
-		return
-	case KindDemandSpike:
-		in.eng.ScheduleAt(ev.At, func() {
-			in.note(KindDemandSpike, ev.Resource,
-				fmt.Sprintf("arrival rate ×%g for %.0fs", ev.Factor, float64(ev.Duration)))
-			if fn := in.demands[ev.Resource]; fn != nil {
-				fn(ev.Factor)
-			}
-		})
-		in.eng.ScheduleAt(ev.At.Add(ev.Duration), func() {
-			in.mark(KindDemandSpike, ev.Resource, "demand restored")
-			if fn := in.demands[ev.Resource]; fn != nil {
-				fn(1)
-			}
-		})
-		return
-	}
 	t := in.targets[ev.Resource]
 	end := ev.At.Add(ev.Duration)
 	switch ev.Kind {
-	case KindSubmitFail:
+	case KindChurn:
 		in.eng.ScheduleAt(ev.At, func() {
-			t.submitFailP = ev.P
-			in.mark(KindSubmitFail, t.name, fmt.Sprintf("window open p=%g", ev.P))
+			n := t.churn.Churn(ev.Hosts)
+			in.note(KindChurn, ev.Resource, fmt.Sprintf(kinds[KindChurn].opens, n))
 		})
-		in.eng.ScheduleAt(end, func() {
-			t.submitFailP = 0
-			in.mark(KindSubmitFail, t.name, "window closed")
-		})
-	case KindMDSDrop:
-		in.eng.ScheduleAt(ev.At, func() {
-			t.drop = true
-			in.note(KindMDSDrop, t.name, "publications dropped")
-		})
-		in.eng.ScheduleAt(end, func() {
-			t.drop = false
-			in.mark(KindMDSDrop, t.name, "publications restored")
-		})
-	case KindMDSStale:
-		in.eng.ScheduleAt(ev.At, func() {
-			t.stale = true
-			in.note(KindMDSStale, t.name, "staleness burst begins")
-		})
-		in.eng.ScheduleAt(end, func() {
-			t.stale = false
-			in.mark(KindMDSStale, t.name, "staleness burst ends")
-		})
-	case KindSlowResult:
-		in.eng.ScheduleAt(ev.At, func() {
-			t.slowP = ev.P
-			t.slowBy = ev.Delay
-			in.mark(KindSlowResult, t.name, fmt.Sprintf("window open p=%g delay=%.0fs", ev.P, float64(ev.Delay)))
-		})
-		in.eng.ScheduleAt(end, func() {
-			t.slowP = 0
-			in.mark(KindSlowResult, t.name, "window closed")
-		})
-	case KindLostResult:
-		in.eng.ScheduleAt(ev.At, func() {
-			t.lostP = ev.P
-			in.mark(KindLostResult, t.name, fmt.Sprintf("window open p=%g", ev.P))
-		})
-		in.eng.ScheduleAt(end, func() {
-			t.lostP = 0
-			in.mark(KindLostResult, t.name, "window closed")
-		})
-	case KindCapacityCollapse:
-		in.eng.ScheduleAt(ev.At, func() {
-			t.capFactor = ev.Factor
-			in.note(KindCapacityCollapse, t.name,
-				fmt.Sprintf("capacity ×%g for %.0fs", ev.Factor, float64(ev.Duration)))
-		})
-		in.eng.ScheduleAt(end, func() {
-			t.capFactor = 0
-			in.mark(KindCapacityCollapse, t.name, "capacity restored")
-		})
+	case KindOutage:
+		in.eng.ScheduleAt(ev.At, t.beginOutage)
+		in.eng.ScheduleAt(end, t.endOutage)
+	default:
+		in.eng.ScheduleAt(ev.At, func() { in.edge(t, &ev, true) })
+		in.eng.ScheduleAt(end, func() { in.edge(t, &ev, false) })
+	}
+}
+
+// edge opens or closes ev's window. While it lasts, a wrapped resource
+// holds ev as its open window of that kind; each edge journals, a
+// counted start as an injection; a demand hook receives the Factor at
+// the start and 1 at the end.
+func (in *Injector) edge(t *target, ev *Event, open bool) {
+	r := kinds[ev.Kind]
+	cur, factor, detail, journal := (*Event)(nil), 1.0, r.closes, in.mark
+	if open {
+		cur, factor, detail = ev, ev.Factor, r.opened(ev)
+		if r.note {
+			journal = in.note
+		}
+	}
+	if r.on == wrapped {
+		t.open[ev.Kind] = cur
+	}
+	journal(ev.Kind, ev.Resource, detail)
+	if fn := in.demands[ev.Resource]; r.on == demand && fn != nil {
+		fn(factor)
 	}
 }
 
@@ -296,22 +227,20 @@ func (in *Injector) mark(k Kind, resource, detail string) {
 }
 
 // target wraps one lrm.LRM with the injector's failure modes. With no
-// active window it is a pure pass-through (plus in-flight tracking).
+// open window it is a pure pass-through (plus in-flight tracking).
 type target struct {
 	in    *Injector
 	inner lrm.LRM
 	name  string
+	// churn is inner as a Churner, nil when it is none.
+	churn Churner
 
-	down        bool
-	capFactor   float64 // capacity-collapse scale, 0 when inactive
-	submitFailP float64
-	lostP       float64
-	slowP       float64
-	slowBy      sim.Duration
-	drop        bool
-	stale       bool
-	lastInfo    lrm.Info
-	haveLast    bool
+	down bool
+	// open holds, per kind, the event whose window is open on the
+	// resource; nil when none is.
+	open     map[Kind]*Event
+	lastInfo lrm.Info
+	haveLast bool
 
 	submitRNG *sim.RNG
 	resultRNG *sim.RNG
@@ -319,7 +248,7 @@ type target struct {
 	// inflight tracks jobs submitted through the wrapper and not yet
 	// terminal, in submission order, so an outage kills them
 	// deterministically.
-	inflight []*lrm.Job
+	inflight []*tracked
 }
 
 func (t *target) Name() string     { return t.inner.Name() }
@@ -327,7 +256,9 @@ func (t *target) Info() lrm.Info   { return t.inner.Info() }
 func (t *target) Stats() lrm.Stats { return t.inner.Stats() }
 
 func (t *target) Cancel(jobID string) bool {
-	t.forget(jobID)
+	if i := slices.IndexFunc(t.inflight, func(k *tracked) bool { return k.j.ID == jobID }); i >= 0 {
+		t.inflight = slices.Delete(t.inflight, i, i+1)
+	}
 	return t.inner.Cancel(jobID)
 }
 
@@ -340,26 +271,26 @@ func (t *target) Submit(j *lrm.Job) error {
 		t.in.note(KindSubmitFail, t.name, "submit refused: resource down")
 		return fmt.Errorf("faults: %s is down", t.name)
 	}
-	if t.submitFailP > 0 && t.submitRNG.Bool(t.submitFailP) {
+	if ev := t.open[KindSubmitFail]; ev != nil && t.submitRNG.Bool(ev.P) {
 		t.in.note(KindSubmitFail, t.name, "submit refused by gatekeeper")
 		return fmt.Errorf("faults: %s gatekeeper refused the submission", t.name)
 	}
-	if t.capFactor > 0 {
-		capacity := int(t.capFactor * float64(t.inner.Info().TotalCPUs))
-		if capacity < 1 {
-			capacity = 1
-		}
-		if len(t.inflight) >= capacity {
-			t.in.note(KindCapacityCollapse, t.name, "submit refused: capacity collapsed")
-			return fmt.Errorf("faults: %s capacity collapsed", t.name)
-		}
+	if ev := t.open[KindCapacityCollapse]; ev != nil && len(t.inflight) >= collapse(ev, t.inner.Info().TotalCPUs) {
+		t.in.note(KindCapacityCollapse, t.name, "submit refused: capacity collapsed")
+		return fmt.Errorf("faults: %s capacity collapsed", t.name)
 	}
-	j.Owner = &tracked{t: t, j: j, owner: j.Owner}
+	k := &tracked{t: t, j: j, owner: j.Owner}
+	j.Owner = k
 	if err := t.inner.Submit(j); err != nil {
 		return err
 	}
-	t.inflight = append(t.inflight, j)
+	t.inflight = append(t.inflight, k)
 	return nil
+}
+
+// collapse is the CPU count a capacity-collapse window leaves of cpus.
+func collapse(ev *Event, cpus int) int {
+	return max(1, int(ev.Factor*float64(cpus)))
 }
 
 // tracked stands between a job submitted through the wrapper and its
@@ -372,19 +303,20 @@ type tracked struct {
 	owner lrm.Owner
 }
 
+// Complete draws for a lost result before a slow one.
 func (k *tracked) Complete(at sim.Time) {
 	t := k.t
-	t.forget(k.j.ID)
-	if t.lostP > 0 && t.resultRNG.Bool(t.lostP) {
+	t.forget(k)
+	if ev := t.open[KindLostResult]; ev != nil && t.resultRNG.Bool(ev.P) {
 		t.in.note(KindLostResult, t.name, k.j.ID)
 		if k.owner != nil {
 			k.owner.Fail(at, "faults: result lost in transit")
 		}
 		return
 	}
-	if t.slowP > 0 && t.resultRNG.Bool(t.slowP) {
+	if ev := t.open[KindSlowResult]; ev != nil && t.resultRNG.Bool(ev.P) {
 		t.in.note(KindSlowResult, t.name, k.j.ID)
-		t.in.eng.After(t.slowBy, k)
+		t.in.eng.After(ev.Delay, k)
 		return
 	}
 	if k.owner != nil {
@@ -393,7 +325,7 @@ func (k *tracked) Complete(at sim.Time) {
 }
 
 func (k *tracked) Fail(at sim.Time, reason string) {
-	k.t.forget(k.j.ID)
+	k.t.forget(k)
 	if k.owner != nil {
 		k.owner.Fail(at, reason)
 	}
@@ -413,15 +345,13 @@ func (t *target) beginOutage() {
 		return
 	}
 	t.down = true
-	t.in.note(KindOutage, t.name, "down")
+	t.in.note(KindOutage, t.name, kinds[KindOutage].opens)
 	jobs := t.inflight
 	t.inflight = nil
 	now := t.in.eng.Now()
-	for _, j := range jobs {
-		t.inner.Cancel(j.ID)
-		if j.Owner != nil {
-			j.Owner.Fail(now, "faults: resource outage")
-		}
+	for _, k := range jobs {
+		t.inner.Cancel(k.j.ID)
+		k.Fail(now, "faults: resource outage")
 	}
 }
 
@@ -430,16 +360,12 @@ func (t *target) endOutage() {
 		return
 	}
 	t.down = false
-	t.in.mark(KindOutage, t.name, "recovered")
+	t.in.mark(KindOutage, t.name, kinds[KindOutage].closes)
 }
 
-func (t *target) forget(jobID string) {
-	for i, j := range t.inflight {
-		if j.ID == jobID {
-			t.inflight = append(t.inflight[:i], t.inflight[i+1:]...)
-			return
-		}
-	}
+// forget drops a job that ended from the in-flight list.
+func (t *target) forget(k *tracked) {
+	t.inflight = slices.DeleteFunc(t.inflight, func(x *tracked) bool { return x == k })
 }
 
 // sink filters MDS publications through the injector's window state.
@@ -454,25 +380,20 @@ func (k *sink) Publish(info lrm.Info) {
 		k.dst.Publish(info)
 		return
 	}
-	if t.down || t.drop {
+	if t.down || t.open[KindMDSDrop] != nil {
 		return // a dead container publishes nothing; the entry ages out
 	}
-	if t.stale && t.haveLast {
+	if t.open[KindMDSStale] != nil && t.haveLast {
 		k.dst.Publish(t.lastInfo)
 		return
 	}
 	t.lastInfo = info
 	t.haveLast = true
-	if t.capFactor > 0 {
+	if ev := t.open[KindCapacityCollapse]; ev != nil {
 		// Brownout: the resource advertises its collapsed capacity, so
 		// the scheduler's backlog cap and ranking throttle it.
-		info.TotalCPUs = int(t.capFactor * float64(info.TotalCPUs))
-		if info.TotalCPUs < 1 {
-			info.TotalCPUs = 1
-		}
-		if info.FreeCPUs > info.TotalCPUs {
-			info.FreeCPUs = info.TotalCPUs
-		}
+		info.TotalCPUs = collapse(ev, info.TotalCPUs)
+		info.FreeCPUs = min(info.FreeCPUs, info.TotalCPUs)
 	}
 	k.dst.Publish(info)
 }

@@ -32,21 +32,17 @@ func (s *Scheduler) breakerAllows(r *resource) bool {
 
 // noteBreakerDispatch marks the half-open probe when a dispatch lands
 // on an open circuit past its cooldown.
-func (s *Scheduler) noteBreakerDispatch(name string, r *resource) {
+func (s *Scheduler) noteBreakerDispatch(r *resource) {
 	if s.cfg.BreakerThreshold <= 0 || !r.breakerOpen || r.breakerProbe {
 		return
 	}
 	r.breakerProbe = true
-	s.obs.Record("", "", obs.StageBreaker, name, "half-open probe dispatched")
+	s.obs.Record("", "", obs.StageBreaker, r.name, "half-open probe dispatched")
 }
 
 // observeBreaker feeds one outcome on a resource into its circuit.
-func (s *Scheduler) observeBreaker(name string, ok bool) {
+func (s *Scheduler) observeBreaker(r *resource, ok bool) {
 	if s.cfg.BreakerThreshold <= 0 {
-		return
-	}
-	r, found := s.resources[name]
-	if !found {
 		return
 	}
 	now := s.eng.Now()
@@ -54,7 +50,7 @@ func (s *Scheduler) observeBreaker(name string, ok bool) {
 		if r.breakerOpen {
 			r.breakerOpen = false
 			r.breakerProbe = false
-			s.obs.Record("", "", obs.StageBreaker, name, "closed after successful probe")
+			s.obs.Record("", "", obs.StageBreaker, r.name, "closed after successful probe")
 		}
 		r.breakerFails = 0
 		return
@@ -66,7 +62,7 @@ func (s *Scheduler) observeBreaker(name string, ok bool) {
 		r.breakerProbe = false
 		r.breakerUntil = now.Add(breakerCooldown)
 		if wasProbe {
-			s.obs.Record("", "", obs.StageBreaker, name, "probe failed; reopened")
+			s.obs.Record("", "", obs.StageBreaker, r.name, "probe failed; reopened")
 		}
 		return
 	}
@@ -81,7 +77,7 @@ func (s *Scheduler) observeBreaker(name string, ok bool) {
 	s.stats.BreakerTrips++
 	s.obs.Counter("lattice_sched_breaker_trips_total",
 		"Per-resource circuit-breaker trips on consecutive failures").Inc()
-	s.obs.Record("", "", obs.StageBreaker, name,
+	s.obs.Record("", "", obs.StageBreaker, r.name,
 		fmt.Sprintf("open after %d consecutive failures; probe after %.0fs",
 			s.cfg.BreakerThreshold, float64(breakerCooldown)))
 }

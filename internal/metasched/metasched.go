@@ -266,6 +266,7 @@ type Stats struct {
 
 // resource is a registered target.
 type resource struct {
+	name  string
 	lrm   lrm.LRM
 	speed float64
 	// running holds this scheduler's jobs dispatched to the resource
@@ -298,10 +299,10 @@ type Scheduler struct {
 	cfg       Config
 	predictor Predictor
 	resources map[string]*resource
-	// order lists resource names in registration order (which core
+	// order lists the resources in registration order (which core
 	// fixes by config order) — the deterministic iteration sequence
 	// for the offline sweep.
-	order   []string
+	order   []*resource
 	pending []*GridJob
 	// pendingSpare is scanPending's output buffer; it and pending swap
 	// roles at the end of every scan.
@@ -396,8 +397,9 @@ func (s *Scheduler) Register(target lrm.LRM, speed float64) error {
 	if _, dup := s.resources[target.Name()]; dup {
 		return fmt.Errorf("metasched: resource %s already registered", target.Name())
 	}
-	s.resources[target.Name()] = &resource{lrm: target, speed: speed, stability: 1}
-	s.order = append(s.order, target.Name())
+	r := &resource{name: target.Name(), lrm: target, speed: speed, stability: 1}
+	s.resources[r.name] = r
+	s.order = append(s.order, r)
 	s.candsVersion = 0
 	return nil
 }
@@ -415,12 +417,8 @@ func (s *Scheduler) Stability(name string) (float64, bool) {
 
 // observeStability feeds one job outcome on a resource into the
 // learned stability EWMA. A no-op unless learning is enabled.
-func (s *Scheduler) observeStability(name string, ok bool) {
+func (s *Scheduler) observeStability(r *resource, ok bool) {
 	if s.cfg.StabilityAlpha <= 0 {
-		return
-	}
-	r, found := s.resources[name]
-	if !found {
 		return
 	}
 	v := 0.0

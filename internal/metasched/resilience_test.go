@@ -29,17 +29,18 @@ func TestStabilityEWMALearning(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.StabilityAlpha = 0.5
 	g := newGrid(t, cfg)
-	g.sched.observeStability("condor-pool", false) // 1 → 0.5
+	pool := g.sched.resources["condor-pool"]
+	g.sched.observeStability(pool, false) // 1 → 0.5
 	if st, _ := g.sched.Stability("condor-pool"); st != 0.5 {
 		t.Errorf("after one failure stability = %v, want 0.5", st)
 	}
-	g.sched.observeStability("condor-pool", true) // 0.5 → 0.75
+	g.sched.observeStability(pool, true) // 0.5 → 0.75
 	if st, _ := g.sched.Stability("condor-pool"); st != 0.75 {
 		t.Errorf("after a success stability = %v, want 0.75", st)
 	}
 	// alpha = 0 disables learning entirely.
 	g2 := newGrid(t, DefaultConfig())
-	g2.sched.observeStability("condor-pool", false)
+	g2.sched.observeStability(g2.sched.resources["condor-pool"], false)
 	if st, _ := g2.sched.Stability("condor-pool"); st != 1 {
 		t.Errorf("alpha=0 moved stability to %v", st)
 	}

@@ -350,7 +350,7 @@ func (s *Scheduler) dispatch(j *GridJob, c *candidate) {
 			Platforms: j.Platforms, Software: j.Software, NeedsMPI: j.NeedsMPI,
 			EstimatedRefSeconds: j.EstimateRefSeconds,
 		},
-		s: s, j: j, res: c.res, name: c.info.Name,
+		s: s, j: j, res: c.res,
 	}
 	a.Owner = a
 	// BOINC deadline: estimate-driven; without an estimate the server's
@@ -359,7 +359,7 @@ func (s *Scheduler) dispatch(j *GridJob, c *candidate) {
 		local := j.EstimateRefSeconds / c.res.speed
 		a.DelayBound = max(sim.Duration(local*boincDeadlineSlack), 6*sim.Hour)
 	}
-	s.noteBreakerDispatch(c.info.Name, c.res)
+	s.noteBreakerDispatch(c.res)
 	j.Status = StatusRunning
 	j.Resource = c.info.Name
 	j.StartedAt = s.eng.Now()
@@ -391,23 +391,22 @@ func (s *Scheduler) dispatch(j *GridJob, c *candidate) {
 // carries a stale n and is ignored.
 type attempt struct {
 	lrm.Job
-	s    *Scheduler
-	j    *GridJob
-	res  *resource
-	name string
-	n    int
+	s   *Scheduler
+	j   *GridJob
+	res *resource
+	n   int
 }
 
 // Fire submits the job to the resource, unless it was requeued or
 // re-routed while its input staged.
 func (a *attempt) Fire() {
 	s, j := a.s, a.j
-	if j.Status != StatusRunning || j.Resource != a.name || j.Attempts != a.n {
+	if j.Status != StatusRunning || j.Resource != a.res.name || j.Attempts != a.n {
 		return
 	}
-	s.obs.Record(j.Batch, j.ID, obs.StageDispatch, a.name, "")
+	s.obs.Record(j.Batch, j.ID, obs.StageDispatch, a.res.name, "")
 	if err := a.res.lrm.Submit(&a.Job); err != nil {
-		s.submitFailed(j, a.name, err)
+		s.submitFailed(a.res, j, err)
 	}
 }
 
@@ -417,17 +416,17 @@ func (a *attempt) Complete(sim.Time) {
 	if out := a.s.stageDelay(a.j.OutputMB); out > 0 {
 		a.s.eng.After(out, (*stageOut)(a))
 	} else {
-		a.s.onJobComplete(a.j, a.n)
+		a.s.onJobComplete(a.res, a.j, a.n)
 	}
 }
 
 // Fail implements lrm.Owner.
-func (a *attempt) Fail(_ sim.Time, reason string) { a.s.onJobFail(a.j, a.name, reason, a.n) }
+func (a *attempt) Fail(_ sim.Time, reason string) { a.s.onJobFail(a.res, a.j, reason, a.n) }
 
 // stageOut is an attempt's results arriving back from the resource.
 type stageOut attempt
 
-func (o *stageOut) Fire() { o.s.onJobComplete(o.j, o.n) }
+func (o *stageOut) Fire() { o.s.onJobComplete(o.res, o.j, o.n) }
 
 // stageDelay converts a transfer size to a staging duration.
 func (s *Scheduler) stageDelay(mb float64) sim.Duration {
@@ -437,11 +436,10 @@ func (s *Scheduler) stageDelay(mb float64) sim.Duration {
 	return sim.Duration(mb / stageBandwidthMBps)
 }
 
-// release takes the job off its resource's running list, if it is
-// there, by moving the list's last job into its slot.
-func (s *Scheduler) release(j *GridJob) {
-	r, ok := s.resources[j.Resource]
-	if !ok || j.slot >= len(r.running) || r.running[j.slot] != j {
+// release takes the job off r's running list, if it is there, by
+// moving the list's last job into its slot.
+func (s *Scheduler) release(r *resource, j *GridJob) {
+	if j.slot >= len(r.running) || r.running[j.slot] != j {
 		return
 	}
 	last := len(r.running) - 1
@@ -454,12 +452,12 @@ func (s *Scheduler) release(j *GridJob) {
 // submitFailed handles a gatekeeper submit error: the job retries on
 // its own exponential timer (submitRetryBase·2^k, capped at
 // submitRetryMax).
-func (s *Scheduler) submitFailed(j *GridJob, name string, err error) {
-	s.release(j)
+func (s *Scheduler) submitFailed(r *resource, j *GridJob, err error) {
+	s.release(r, j)
 	j.Status = StatusPending
 	j.Resource = ""
 	s.markDisrupted(j)
-	s.observeBreaker(name, false)
+	s.observeBreaker(r, false)
 	s.stats.SubmitRetries++
 	backoff := submitRetryBase
 	for i := 1; i < j.Attempts; i++ {
@@ -471,7 +469,7 @@ func (s *Scheduler) submitFailed(j *GridJob, name string, err error) {
 	}
 	s.obs.Counter("lattice_sched_submit_retries_total",
 		"Gatekeeper submit failures sent to exponential backoff").Inc()
-	s.obs.Record(j.Batch, j.ID, obs.StageRequeue, name,
+	s.obs.Record(j.Batch, j.ID, obs.StageRequeue, r.name,
 		fmt.Sprintf("submit failed (%v); retry in %.0fs", err, float64(backoff)))
 	// The job sits in no queue until the timer fires, so nothing else
 	// can place it meanwhile.
@@ -489,39 +487,37 @@ func (s *Scheduler) submitFailed(j *GridJob, name string, err error) {
 // everything it held is requeued (the paper's TTL machinery, closed
 // into a recovery loop).
 func (s *Scheduler) checkOffline() {
-	for _, name := range s.order {
-		r := s.resources[name]
+	for _, r := range s.order {
 		if len(r.running) == 0 {
 			continue
 		}
-		if _, ok := s.idx.Lookup(name); ok {
+		if _, ok := s.idx.Lookup(r.name); ok {
 			continue
 		}
-		s.requeueFrom(name)
+		s.requeueFrom(r)
 	}
 }
 
 // requeueFrom pulls every running job off a presumed-dead resource and
 // returns it to the pending queue, cancelling the remote copy
 // best-effort so a late completion cannot race the reissue.
-func (s *Scheduler) requeueFrom(resource string) {
-	r := s.resources[resource]
+func (s *Scheduler) requeueFrom(r *resource) {
 	jobs := slices.Clone(r.running)
 	slices.SortFunc(jobs, func(a, b *GridJob) int { return strings.Compare(a.ID, b.ID) })
 	for _, j := range jobs {
 		r.lrm.Cancel(j.ID)
-		s.release(j)
+		s.release(r, j)
 		s.stats.Requeued++
 		s.obs.Counter("lattice_sched_requeues_total",
 			"In-flight jobs requeued after resource death (MDS expiry)").Inc()
-		s.obs.Record(j.Batch, j.ID, obs.StageRequeue, resource, "resource presumed dead (MDS entry expired)")
+		s.obs.Record(j.Batch, j.ID, obs.StageRequeue, r.name, "resource presumed dead (MDS entry expired)")
 		s.markDisrupted(j)
 		j.Status = StatusPending
 		j.Resource = ""
 		s.pending = append(s.pending, j)
 	}
-	s.observeStability(resource, false)
-	s.observeBreaker(resource, false)
+	s.observeStability(r, false)
+	s.observeBreaker(r, false)
 	s.ins.pending.Set(float64(len(s.pending)))
 }
 
@@ -534,13 +530,13 @@ func (s *Scheduler) markDisrupted(j *GridJob) {
 	j.disruptedAt = s.eng.Now()
 }
 
-func (s *Scheduler) onJobComplete(j *GridJob, attempt int) {
+func (s *Scheduler) onJobComplete(r *resource, j *GridJob, attempt int) {
 	if j.Status != StatusRunning || j.Attempts != attempt {
 		return
 	}
-	s.release(j)
-	s.observeStability(j.Resource, true)
-	s.observeBreaker(j.Resource, true)
+	s.release(r, j)
+	s.observeStability(r, true)
+	s.observeBreaker(r, true)
 	if j.disrupted {
 		s.obs.Histogram("lattice_sched_fault_recovery_seconds",
 			"Virtual seconds from a job's first fault-induced disruption to its completion", nil).
@@ -556,15 +552,15 @@ func (s *Scheduler) onJobComplete(j *GridJob, attempt int) {
 	}
 }
 
-func (s *Scheduler) onJobFail(j *GridJob, resourceName, reason string, attempt int) {
+func (s *Scheduler) onJobFail(r *resource, j *GridJob, reason string, attempt int) {
 	if j.Status != StatusRunning || j.Attempts != attempt {
 		return
 	}
-	s.release(j)
+	s.release(r, j)
 	s.stats.Retries++
 	s.ins.retries.Inc()
-	s.observeStability(resourceName, false)
-	s.observeBreaker(resourceName, false)
+	s.observeStability(r, false)
+	s.observeBreaker(r, false)
 	if strings.HasPrefix(reason, "faults:") {
 		s.markDisrupted(j)
 	}
@@ -574,14 +570,14 @@ func (s *Scheduler) onJobFail(j *GridJob, resourceName, reason string, attempt i
 		j.FailReason = reason
 		s.stats.Failed++
 		s.ins.failed.Inc()
-		s.obs.Record(j.Batch, j.ID, obs.StageFail, resourceName, reason)
+		s.obs.Record(j.Batch, j.ID, obs.StageFail, r.name, reason)
 		if j.Owner != nil {
 			j.Owner.JobDone(j)
 		}
 		return
 	}
 	// Back to pending; the periodic scan will find a new home.
-	s.obs.Record(j.Batch, j.ID, obs.StageReissue, resourceName, reason)
+	s.obs.Record(j.Batch, j.ID, obs.StageReissue, r.name, reason)
 	j.Status = StatusPending
 	j.Resource = ""
 	s.pending = append(s.pending, j)
