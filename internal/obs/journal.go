@@ -1,9 +1,11 @@
 package obs
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"hash"
+	"math"
 	"strings"
 	"sync"
 
@@ -99,32 +101,72 @@ type Event struct {
 // journal of a fixed-seed simulation is identical run to run — the
 // digest turns that into a one-line assertion.
 //
-// Events live in chunks whose capacity is fixed when they are opened:
-// firstChunk events, doubling per chunk up to maxChunk. Record appends
+// An event is stored as an entry: its time and one names-table ref per
+// string field, no pointer, so the collector never scans the events.
+// Entries live in chunks whose capacity is fixed when they are opened:
+// firstChunk entries, doubling per chunk up to maxChunk. Record appends
 // into the last chunk and opens a new one when it is full, so a stored
-// event is never copied or written again. Readers take mu only to
-// snapshot the chunk headers (see view) and fold outside the lock, so a
-// /trace request against a long journal does not stall Record.
+// entry is never copied or written again. The names table is the same
+// shape: fixed-length chunks of strings, written once, never moved.
+// Readers take mu only to snapshot the chunk headers (see view) and
+// fold outside the lock, so a /trace request against a long journal
+// does not stall Record.
 type Journal struct {
 	mu       sync.Mutex
 	clock    sim.Clock
 	hash     hash.Hash
 	scratch  []byte // framing buffer reused by every Record
-	chunks   [][]Event
-	n        int // events in all chunks
+	atBits   uint64 // the last framed At, whose framing starts scratch
+	atLen    int    // length of that framing; 0 before the first Record
+	chunks   [][]entry
+	n        int        // events in all chunks
+	names    [][]string // names-table chunks, each made at its full length
+	nameN    int        // rows used in the last names chunk
+	cache    [cacheSlots]cachedName
 	observer func(ev Event, n int, digest hash.Hash)
 }
 
-// Chunk capacities, in events: 64 events (5.5 kB) for a journal that
-// stays small, 4 096 (360 kB) once it is long.
+// entry is one stored event: its time and a names-table ref per field.
+type entry struct {
+	at                                  sim.Time
+	batch, job, stage, resource, detail uint32
+}
+
+// A names-table ref is chunk<<nameShift | row. Chunks hold at most
+// maxChunk rows, so the row fits below the shift, and 2^20 chunks of
+// 4 096 strings are 64 GB of string headers: the table cannot run out
+// of refs before the process runs out of memory. Ref 0 is the first
+// row of the first chunk, which holds "".
+const nameShift = 12
+
+// cacheSlots is the size of the direct-mapped cache from a string to
+// the ref of its last row. Callers hand Record the same slab-cut
+// strings again and again, so a hit is usually a pointer compare; a
+// miss appends the string again, so one name can have several refs,
+// and readers compare names, never refs.
+const (
+	cacheBits  = 10
+	cacheSlots = 1 << cacheBits
+)
+
+type cachedName struct {
+	s   string
+	ref uint32
+}
+
+// Chunk capacities, in events and in names: 64 (2 kB of entries) for a
+// journal that stays small, 4 096 (128 kB) once it is long.
 const (
 	firstChunk = 64
-	maxChunk   = 4096
+	maxChunk   = 1 << nameShift
 )
 
 // NewJournal creates an empty journal on the given virtual clock.
 func NewJournal(clock sim.Clock) *Journal {
-	return &Journal{clock: clock, hash: sha256.New(), scratch: make([]byte, 0, eventScratchCap)}
+	return &Journal{
+		clock: clock, hash: sha256.New(), scratch: make([]byte, 0, eventScratchCap),
+		names: [][]string{make([]string, firstChunk)}, nameN: 1,
+	}
 }
 
 // SetObserver installs a callback invoked synchronously for every
@@ -157,15 +199,67 @@ func (j *Journal) Record(batch, job string, stage Stage, resource, detail string
 		if last >= 0 {
 			size = min(2*cap(j.chunks[last]), maxChunk)
 		}
-		j.chunks = append(j.chunks, make([]Event, 0, size))
+		j.chunks = append(j.chunks, make([]entry, 0, size))
 		last++
 	}
-	j.chunks[last] = append(j.chunks[last], ev)
+	j.chunks[last] = append(j.chunks[last], entry{
+		at: ev.At, batch: j.ref(batch), job: j.ref(job), stage: j.ref(string(stage)),
+		resource: j.ref(resource), detail: j.ref(detail),
+	})
 	j.n++
-	j.scratch = hashEvent(j.hash, j.scratch, ev)
+	j.frame(ev)
+	j.hash.Write(j.scratch) //lint:allow errdrop -- hash.Hash documents that Write never errors
 	if j.observer != nil {
 		j.observer(ev, j.n, j.hash) //lint:allow lockorder -- the observer checkpoints the digest into the WAL: it must see the hash at exactly this event, which only mu guarantees
 	}
+}
+
+// ref returns a names-table ref that reads back as s: the cached ref
+// when s's cache slot holds s, otherwise a new row, which the slot then
+// holds. Called under mu.
+func (j *Journal) ref(s string) uint32 {
+	if s == "" {
+		return 0
+	}
+	c := &j.cache[cacheSlot(s)]
+	if c.s == s {
+		return c.ref
+	}
+	last := len(j.names) - 1
+	if j.nameN == len(j.names[last]) {
+		j.names = append(j.names, make([]string, min(2*len(j.names[last]), maxChunk)))
+		last++
+		j.nameN = 0
+	}
+	j.names[last][j.nameN] = s
+	c.s, c.ref = s, uint32(last)<<nameShift|uint32(j.nameN)
+	j.nameN++
+	return c.ref
+}
+
+// cacheSlot hashes s's length and its last eight bytes, where the IDs
+// and details the journal sees differ, to a cache slot.
+func cacheSlot(s string) int {
+	var tail uint64
+	for i := max(len(s)-8, 0); i < len(s); i++ {
+		tail = tail<<8 | uint64(s[i])
+	}
+	return int((tail + uint64(len(s))*0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9 >> (64 - cacheBits))
+}
+
+// frame frames ev into j.scratch with AppendEvent. Half of a busy
+// journal's events share the previous event's instant, so when At has
+// the previous event's bits (bits, not ==: -0 equals 0 and frames
+// differently) the framed timestamp at the front of scratch is kept and
+// only the fields are appended again.
+func (j *Journal) frame(ev Event) {
+	bits := math.Float64bits(float64(ev.At))
+	if j.atLen > 0 && bits == j.atBits {
+		j.scratch = appendFields(j.scratch[:j.atLen], ev)
+		return
+	}
+	j.scratch = AppendEvent(j.scratch[:0], ev)
+	j.atBits, j.atLen = bits, bytes.IndexByte(j.scratch, 0x1f) // a framed float holds no 0x1f
 }
 
 // eventScratchCap is the framing buffer's starting capacity: a typical
@@ -178,7 +272,11 @@ const eventScratchCap = 256
 // the timestamp in shortest round-trip float form — and returns the
 // extended slice. Every journal digest is SHA-256 over this framing.
 func AppendEvent(dst []byte, ev Event) []byte {
-	dst = appendFloat(dst, float64(ev.At))
+	return appendFields(appendFloat(dst, float64(ev.At)), ev)
+}
+
+// appendFields is AppendEvent after the timestamp.
+func appendFields(dst []byte, ev Event) []byte {
 	dst = append(append(dst, 0x1f), ev.Batch...)
 	dst = append(append(dst, 0x1f), ev.Job...)
 	dst = append(append(dst, 0x1f), ev.Stage...)
@@ -187,24 +285,18 @@ func AppendEvent(dst []byte, ev Event) []byte {
 	return append(dst, '\n')
 }
 
-// hashEvent streams one framed event into h with a single Write,
-// framing it in scratch (overwritten; pass the returned slice back in
-// to reuse its capacity).
-func hashEvent(h hash.Hash, scratch []byte, ev Event) []byte {
-	scratch = AppendEvent(scratch[:0], ev)
-	h.Write(scratch) //lint:allow errdrop -- hash.Hash documents that Write never errors
-	return scratch
-}
-
 // view is a reader's snapshot of the journal's first n events: the
-// headers of the full chunks and a copy of the last chunk's header.
-// Taking it holds mu for O(1); walking it needs no lock, because Record
-// never writes a stored event again — it writes only past the copied
-// tail's length, and only the last chunk's header, which the view does
-// not alias.
+// headers of the full chunks, a copy of the last chunk's header and the
+// names-table chunk headers. Taking it holds mu for O(1); walking it
+// needs no lock, because Record never writes a stored entry or name
+// again — it writes only past the copied tail's length, into names
+// rows no snapshotted entry refers to, and only the last entry chunk's
+// header, which the view does not alias. A names chunk's header is
+// never written after it is appended.
 type view struct {
-	sealed [][]Event
-	tail   []Event
+	sealed [][]entry
+	tail   []entry
+	names  [][]string
 	n      int
 }
 
@@ -215,12 +307,27 @@ func (j *Journal) view() view {
 	if last < 0 {
 		return view{}
 	}
-	return view{sealed: j.chunks[:last:last], tail: j.chunks[last], n: j.n}
+	k := len(j.names)
+	return view{sealed: j.chunks[:last:last], tail: j.chunks[last], names: j.names[:k:k], n: j.n}
 }
 
-// each calls fn with the view's first n events (n ≤ v.n), one chunk at
+// name resolves a names-table ref.
+func (v view) name(ref uint32) string {
+	return v.names[ref>>nameShift][ref&(maxChunk-1)]
+}
+
+// event rebuilds a stored entry; its strings alias the ones Record was
+// given, so rebuilding allocates nothing.
+func (v view) event(e *entry) Event {
+	return Event{
+		At: e.at, Batch: v.name(e.batch), Job: v.name(e.job), Stage: Stage(v.name(e.stage)),
+		Resource: v.name(e.resource), Detail: v.name(e.detail),
+	}
+}
+
+// each calls fn with the view's first n entries (n ≤ v.n), one chunk at
 // a time, in append order.
-func (v view) each(n int, fn func([]Event)) {
+func (v view) each(n int, fn func([]entry)) {
 	for i := 0; i <= len(v.sealed) && n > 0; i++ {
 		c := v.tail
 		if i < len(v.sealed) {
@@ -250,7 +357,11 @@ func (j *Journal) Events() []Event {
 		return nil
 	}
 	out := make([]Event, 0, v.n)
-	v.each(v.n, func(c []Event) { out = append(out, c...) })
+	v.each(v.n, func(c []entry) {
+		for i := range c {
+			out = append(out, v.event(&c[i]))
+		}
+	})
 	return out
 }
 
@@ -278,19 +389,20 @@ func (j *Journal) TerminalCounts() map[string]int {
 	}
 	v := j.view()
 	out := make(map[string]int)
-	v.each(v.n, func(c []Event) {
+	v.each(v.n, func(c []entry) {
 		for i := range c {
-			ev := &c[i]
-			if ev.Job == "" {
+			job := v.name(c[i].job)
+			if job == "" {
 				continue
 			}
-			if ev.Stage == StageSubmit {
-				if _, seen := out[ev.Job]; !seen {
-					out[ev.Job] = 0
+			stage := Stage(v.name(c[i].stage))
+			if stage == StageSubmit {
+				if _, seen := out[job]; !seen {
+					out[job] = 0
 				}
 			}
-			if _, seen := out[ev.Job]; seen && ev.Stage.Terminal() {
-				out[ev.Job]++
+			if _, seen := out[job]; seen && stage.Terminal() {
+				out[job]++
 			}
 		}
 	})
@@ -331,10 +443,13 @@ func (j *Journal) Trace(batch string) (spans []SpanView, ok bool) {
 	v := j.view()
 	byJob := make(map[string]int) // job ID → index in spans
 	open, lastEnd := 0, 0.0
-	v.each(v.n, func(c []Event) {
+	v.each(v.n, func(c []entry) {
 		for k := range c {
-			ev := &c[k]
-			if ev.Batch != batch || strings.HasPrefix(string(ev.Stage), "wf-") {
+			if v.name(c[k].batch) != batch {
+				continue
+			}
+			ev := v.event(&c[k])
+			if strings.HasPrefix(string(ev.Stage), "wf-") {
 				continue
 			}
 			if spans == nil {

@@ -4,8 +4,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -42,9 +44,9 @@ func (j *Journal) digestAt(n int) (string, error) {
 	}
 	h := sha256.New()
 	scratch := make([]byte, 0, eventScratchCap)
-	v.each(n, func(c []Event) {
+	v.each(n, func(c []entry) {
 		for i := range c {
-			scratch = hashEvent(h, scratch, c[i])
+			scratch = hashEvent(h, scratch, v.event(&c[i]))
 		}
 	})
 	return hex.EncodeToString(h.Sum(nil)), nil
@@ -276,8 +278,101 @@ func TestChunkedJournalMatchesReference(t *testing.T) {
 	})
 }
 
+// collidingStream returns n events whose names all collide in pairs:
+// every string field alternates, event by event, between a "left" and
+// a "rght" spelling of equal length and equal last eight bytes, which
+// hash to one cache slot, so nearly every Record misses the cache and
+// appends its names again, filling names chunk after names chunk. Jobs
+// submit, place, pass an out-of-vocabulary stage (which alternates
+// too) and end, in one of three batches per side; some resources and details are empty, and a
+// few events have no fields at all.
+func collidingStream(n int) []Event {
+	evs := make([]Event, 0, n)
+	at := sim.Time(0)
+	for k := 0; len(evs) < n; k++ {
+		for s, stage := range []Stage{StageSubmit, StagePlace, "x-not-a-stage", StageComplete} {
+			if s == 3 && k%5 == 0 {
+				stage = StageFail
+			}
+			for _, side := range []string{"left", "rght"} {
+				ev := Event{
+					At:    at,
+					Batch: fmt.Sprintf("%s/batch-%06d", side, k%3),
+					Job:   fmt.Sprintf("%s/batch-%06d-r%06d", side, k%3, k),
+					Stage: stage,
+				}
+				if s == 2 {
+					ev.Stage = Stage(side) + stage
+				}
+				if k%4 != 0 {
+					ev.Resource = side + "/pbs-cluster-07"
+				}
+				if s != 3 {
+					ev.Detail = side + " policy=full attempt=1"
+				}
+				if k%7 == 3 && s == 2 {
+					ev = Event{At: at}
+				}
+				evs = append(evs, ev)
+			}
+			if k%3 != 0 {
+				at += 0.5
+			}
+		}
+	}
+	return evs[:n]
+}
+
+// TestCollidingNamesMatchReference records a stream whose names fight
+// over cache slots and cross several names chunks, and holds every
+// reader to the flat-slice reference after every event: the digest,
+// Events, TerminalCounts and the trace of every batch. A name recorded
+// twice gets two refs; the readers must not tell.
+func TestCollidingNamesMatchReference(t *testing.T) {
+	evs := collidingStream(1200)
+	for _, ev := range evs[:8] {
+		if ev.Batch != "" && cacheSlot(ev.Batch) != cacheSlot(strings.Replace(ev.Batch, "left", "rght", 1)) {
+			t.Fatalf("%q and its rght twin hash to different slots", ev.Batch)
+		}
+	}
+	ids := batchIDs(evs)
+	clock := &settableClock{}
+	j := NewJournal(clock)
+	ref := &refJournal{}
+	h := sha256.New()
+	var scratch []byte
+	for k, ev := range evs {
+		clock.now = ev.At
+		j.Record(ev.Batch, ev.Job, ev.Stage, ev.Resource, ev.Detail)
+		ref.events = evs[:k+1]
+		scratch = hashEvent(h, scratch, ev)
+		if got, want := j.Digest(), hex.EncodeToString(h.Sum(nil)); got != want {
+			t.Fatalf("after %d events: Digest %s, reference %s", k+1, got, want)
+		}
+		if got := j.Events(); len(got) != k+1 || !isPrefix(got, evs) {
+			t.Fatalf("after %d events: Events differs from the reference", k+1)
+		}
+		if got, want := j.TerminalCounts(), ref.TerminalCounts(); !maps.Equal(got, want) {
+			t.Fatalf("after %d events: TerminalCounts %v, reference %v", k+1, got, want)
+		}
+		for _, id := range ids {
+			got, gotOK := j.Trace(id)
+			want, wantOK := ref.Trace(id)
+			if gotOK != wantOK || !sameSpans(got, want) {
+				t.Fatalf("after %d events: Trace(%q) = %+v, %v; reference %+v, %v", k+1, id, got, gotOK, want, wantOK)
+			}
+		}
+	}
+	compareWithReference(t, j, evs)
+	if rows := j.nameRows(); len(j.names) < 6 || rows < len(evs)*3 {
+		t.Fatalf("%d events left %d names rows in %d chunks; the stream should miss the cache and cross several names chunks", len(evs), rows, len(j.names))
+	}
+}
+
 // TestJournalReadersSeePrefixes records 200 000 events on one goroutine
-// while readers fold the journal on others (run it under -race). Every
+// while readers fold the journal on others (run it under -race); the
+// events' names fill the names table past its doubling chunks, so
+// readers resolve refs while Record opens names chunks. Every
 // read must see a prefix of the stream: digestAt(Len()) is the
 // reference digest after that many events, Events is the stream cut at
 // its length, and Trace and TerminalCounts never show a span, an
@@ -348,6 +443,9 @@ func TestJournalReadersSeePrefixes(t *testing.T) {
 	close(done)
 	wg.Wait()
 	t.Logf("%d reads landed while the writer was recording", midStream.Load())
+	if chunks := len(j.names); chunks < 8 {
+		t.Fatalf("the stream filled %d names chunks; the readers never saw one opened past the doubling ones", chunks)
+	}
 	if d, err := j.digestAt(n); err != nil || d != j.Digest() || d != hex.EncodeToString(digests[n][:]) {
 		t.Fatalf("digestAt(%d) = %s, %v; Digest %s", n, d, err, j.Digest())
 	}
@@ -366,6 +464,22 @@ func isPrefix(got, evs []Event) bool {
 	}
 	for i := range got {
 		if got[i] != evs[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// sameSpans is reflect.DeepEqual for traces, without reflection, so
+// tests that compare traces after every event stay quick under -race.
+func sameSpans(a, b []SpanView) bool {
+	if len(a) != len(b) || (a == nil) != (b == nil) {
+		return false
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if x.ID != y.ID || x.Parent != y.Parent || x.Job != y.Job || x.Name != y.Name ||
+			x.Start != y.Start || x.End != y.End || x.InFlight != y.InFlight || !slices.Equal(x.Attrs, y.Attrs) {
 			return false
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"hash"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -28,6 +29,16 @@ func refHashEvent(h hash.Hash, ev Event) {
 	h.Write([]byte{'\n'})
 }
 
+// hashEvent streams one framed event into h with a single Write,
+// framing it in scratch (overwritten; pass the returned slice back in
+// to reuse its capacity): Record's framing without its timestamp
+// cache, for the reference readers.
+func hashEvent(h hash.Hash, scratch []byte, ev Event) []byte {
+	scratch = AppendEvent(scratch[:0], ev)
+	h.Write(scratch)
+	return scratch
+}
+
 // framingEvents returns the hand-picked edge cases followed by n
 // seeded random events.
 func framingEvents(n int) []Event {
@@ -41,6 +52,9 @@ func framingEvents(n int) []Event {
 		{At: 1e20, Stage: StageRun},
 		{At: 5e-324, Stage: StageRun},
 		{At: sim.Time(math.Float64frombits(0x000fffffffffffff)), Stage: StageRun},
+		{At: sim.Time(math.Copysign(0, -1)), Stage: StageRun},
+		{At: 0, Stage: StageRun},
+		{At: sim.Time(math.Copysign(0, -1)), Stage: StageRun},
 		{At: sim.Time(math.Copysign(0, -1)), Stage: StageRun},
 		{At: 0.1 + 0.2, Stage: StagePlace, Detail: "policy=full attempt=1"},
 		{At: 21600.25, Batch: "a\x1fb", Job: "c\nd", Stage: "x\x1f", Resource: "\n", Detail: "\x1f\n\x1f"},
@@ -148,34 +162,104 @@ func TestJournalFramingAllocations(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { scratch = AppendEvent(scratch[:0], ev) }); n != 0 {
 		t.Errorf("AppendEvent allocates %v per event", n)
 	}
-	h := sha256.New()
-	if n := testing.AllocsPerRun(100, func() { scratch = hashEvent(h, scratch, ev) }); n != 0 {
-		t.Errorf("hashEvent allocates %v per event", n)
+	fresh := NewJournal(&settableClock{})
+	if n := testing.AllocsPerRun(100, func() { ev.At++; fresh.frame(ev) }); n != 0 {
+		t.Errorf("framing a new instant allocates %v per event", n)
 	}
-	// 100 000 events fill 30 chunks (64, 128, …, 4 096, then 4 096 each)
-	// and grow the chunk list six times; nothing else may allocate, and
-	// no stored event is copied, so the bytes stay within one chunk of
-	// the events' own size (one growing slice copied about five times
-	// that).
+	if n := testing.AllocsPerRun(100, func() { fresh.frame(ev) }); n != 0 {
+		t.Errorf("framing the same instant allocates %v per event", n)
+	}
+	// 100 000 events fill 30 entry chunks (64, 128, …, 4 096, then
+	// 4 096 each) and grow the chunk list six times; nothing else may
+	// allocate, and no stored entry is copied, so the bytes stay within
+	// one chunk of the entries' own size (one growing slice copied about
+	// five times that). The five names resolve to rows of the names
+	// chunk NewJournal opened, so the names table adds nothing.
 	const records, maxObjects = 100000, 40
-	maxBytes := uint64(records+maxChunk) * uint64(unsafe.Sizeof(Event{}))
 	j := NewJournal(&settableClock{now: 12345.678})
+	objects, bytes := recordAllocs(func() {
+		for i := 0; i < records; i++ {
+			j.Record(ev.Batch, ev.Job, ev.Stage, ev.Resource, ev.Detail)
+		}
+	})
+	if objects > maxObjects {
+		t.Errorf("%d Records into a fresh journal allocate %d objects, want ≤ %d", records, objects, maxObjects)
+	}
+	if maxBytes := uint64(records+maxChunk) * uint64(unsafe.Sizeof(entry{})); bytes > maxBytes {
+		t.Errorf("%d Records into a fresh journal allocate %d bytes, want ≤ %d", records, bytes, maxBytes)
+	}
+	if n := testing.AllocsPerRun(10, func() { _ = j.Events() }); n != 1 {
+		t.Errorf("Events allocates %v times, want 1", n)
+	}
+
+	// A scaleout-shaped stream names a new batch and job every six
+	// events: the names table grows by one string header per row, and
+	// the cache keeps rows close to the distinct names.
+	evs := scaleoutEvents(records)
+	clock := &settableClock{}
+	j = NewJournal(clock)
+	_, bytes = recordAllocs(func() { recordAll(j, clock, evs) })
+	rows := j.nameRows()
+	if maxBytes := uint64(records+maxChunk)*uint64(unsafe.Sizeof(entry{})) + uint64(rows+maxChunk)*uint64(unsafe.Sizeof("")); bytes > maxBytes {
+		t.Errorf("%d scaleout Records allocate %d bytes, want ≤ %d (%d names rows)", records, bytes, maxBytes, rows)
+	}
+	distinct := map[string]bool{"": true}
+	for _, ev := range evs {
+		for _, s := range []string{ev.Batch, ev.Job, string(ev.Stage), ev.Resource, ev.Detail} {
+			distinct[s] = true
+		}
+	}
+	if rows > len(distinct)*11/10 {
+		t.Errorf("names table holds %d rows for %d distinct names, want ≤ 10%% more", rows, len(distinct))
+	}
+}
+
+// recordAllocs returns the objects and bytes fn allocates on one P.
+func recordAllocs(fn func()) (objects, bytes uint64) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.GC() // the process's first GC starts its workers, which allocate
 	runtime.ReadMemStats(&before)
-	for i := 0; i < records; i++ {
-		j.Record(ev.Batch, ev.Job, ev.Stage, ev.Resource, ev.Detail)
-	}
+	fn()
 	runtime.ReadMemStats(&after)
-	if n := after.Mallocs - before.Mallocs; n > maxObjects {
-		t.Errorf("%d Records into a fresh journal allocate %d objects, want ≤ %d", records, n, maxObjects)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
+
+// nameRows is the number of rows in the journal's names table, the
+// empty name's included.
+func (j *Journal) nameRows() int {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	rows := j.nameN
+	for _, c := range j.names[:len(j.names)-1] {
+		rows += len(c)
 	}
-	if b := after.TotalAlloc - before.TotalAlloc; b > maxBytes {
-		t.Errorf("%d Records into a fresh journal allocate %d bytes, want ≤ %d", records, b, maxBytes)
+	return rows
+}
+
+// TestJournalEntryIsPointerFree pins the stored form: an entry holds
+// only numbers, so the collector never scans the journal's entry
+// chunks, and it takes at most 32 bytes.
+func TestJournalEntryIsPointerFree(t *testing.T) {
+	var walk func(reflect.Type)
+	walk = func(typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(typ.Field(i).Type)
+			}
+		case reflect.Array:
+			walk(typ.Elem())
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64:
+		default:
+			t.Errorf("journal entry holds a %s (%s)", typ.Kind(), typ)
+		}
 	}
-	if n := testing.AllocsPerRun(10, func() { _ = j.Events() }); n != 1 {
-		t.Errorf("Events allocates %v times, want 1", n)
+	walk(reflect.TypeOf(entry{}))
+	if size := unsafe.Sizeof(entry{}); size > 32 {
+		t.Errorf("journal entry takes %d bytes, want ≤ 32", size)
 	}
 }
 

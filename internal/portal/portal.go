@@ -251,7 +251,7 @@ func (p *Portal) handleRegister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	email := r.FormValue("email")
-	if email == "" || !strings.Contains(email, "@") {
+	if !strings.Contains(email, "@") || workload.CheckEmail(email) != nil {
 		http.Error(w, "valid email required", http.StatusBadRequest)
 		return
 	}
@@ -273,7 +273,7 @@ func (p *Portal) identify(r *http.Request) (string, bool) {
 		return email, email != ""
 	}
 	email := r.FormValue("email")
-	if strings.Contains(email, "@") {
+	if strings.Contains(email, "@") && workload.CheckEmail(email) == nil {
 		return email, true
 	}
 	return "", false

@@ -351,6 +351,34 @@ func TestRegisterValidation(t *testing.T) {
 	}
 }
 
+// TestEmailControlBytesRefused: an email holding a control byte never
+// becomes a user, a guest submission or a guest workflow — the journal
+// frames fields with 0x1f and events with newlines, and the address is
+// spliced into job IDs.
+func TestEmailControlBytesRefused(t *testing.T) {
+	_, ts, _ := fixture(t)
+	for _, email := range []string{"a%1Fb@example.org", "a%0Ab@x.org", "a%7F@x.org"} {
+		code, raw := do(t, http.MethodPost, ts.URL+"/register", "", "application/x-www-form-urlencoded",
+			strings.NewReader("email="+email))
+		if code != http.StatusBadRequest {
+			t.Errorf("POST /register email=%s = %d %s, want 400", email, code, raw)
+		}
+	}
+	for _, email := range []string{"a\x1fb@example.org", "a\nb@x.org"} {
+		ctype, body := multipartForm(t, map[string]string{"email": email, "replicates": "1"}, testFASTA(t))
+		if code, raw := do(t, http.MethodPost, ts.URL+"/garli/create", "", ctype, body); code != http.StatusBadRequest {
+			t.Errorf("guest submission from %q = %d %s, want 400", email, code, raw)
+		}
+		raw, err := json.Marshal(dag.StandardAnalysis("analysis", email, 3, smallSpec(), 2, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code, out := do(t, http.MethodPost, ts.URL+"/workflow/create", "", "application/json", bytes.NewReader(raw)); code != http.StatusBadRequest {
+			t.Errorf("guest workflow from %q = %d %s, want 400", email, code, out)
+		}
+	}
+}
+
 func TestUnknownBatch404(t *testing.T) {
 	_, ts, _ := fixture(t)
 	resp, _ := http.Get(ts.URL + "/batch/batch-999999")

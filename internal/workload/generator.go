@@ -43,7 +43,23 @@ func (s *Submission) Validate() error {
 	if s.UserEmail == "" {
 		return fmt.Errorf("workload: submission has no user email")
 	}
+	if err := CheckEmail(s.UserEmail); err != nil {
+		return err
+	}
 	return s.Spec.Validate()
+}
+
+// CheckEmail refuses an address holding a control byte (below 0x20, or
+// 0x7f). The address is spliced into job IDs and journal details, and
+// the journal separates fields with 0x1f and events with newlines, so
+// such a byte could frame one event as two.
+func CheckEmail(email string) error {
+	for i := 0; i < len(email); i++ {
+		if c := email[i]; c < 0x20 || c == 0x7f {
+			return fmt.Errorf("workload: user email %q holds control byte %#02x", email, c)
+		}
+	}
+	return nil
 }
 
 // Generator draws job specifications and submissions from

@@ -54,6 +54,9 @@ func (w *Workflow) Validate() error {
 	if w.UserEmail == "" {
 		return fmt.Errorf("workload: workflow %s has no user email", w.Name)
 	}
+	if err := CheckEmail(w.UserEmail); err != nil {
+		return err
+	}
 	if len(w.Stages) == 0 {
 		return fmt.Errorf("workload: workflow %s has no stages", w.Name)
 	}

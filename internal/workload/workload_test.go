@@ -313,6 +313,38 @@ func TestSubmissionValidate(t *testing.T) {
 	}
 }
 
+// TestEmailControlBytesRefused: the journal separates fields with 0x1f
+// and events with newlines, and a user's email is spliced into job IDs
+// and validate details, so an address holding a control byte could
+// frame one event as two. Submissions and workflows refuse it; plain
+// and non-ASCII addresses still pass.
+func TestEmailControlBytesRefused(t *testing.T) {
+	workflow := func(email string) *Workflow {
+		return &Workflow{Name: "wf", UserEmail: email, Stages: []WorkflowStage{{ID: "search", Spec: baseSpec(), Replicates: 1}}}
+	}
+	for _, email := range []string{"a\nb@x.org", "a\x1fb@example.org", "a@x.org\r", "\x00@x.org", "a\tb@x.org", "a\x7f@x.org"} {
+		sub := Submission{Spec: baseSpec(), Replicates: 1, UserEmail: email}
+		if err := sub.Validate(); err == nil {
+			t.Errorf("submission from %q validated", email)
+		}
+		if err := workflow(email).Validate(); err == nil {
+			t.Errorf("workflow from %q validated", email)
+		}
+		if err := CheckEmail(email); err == nil {
+			t.Errorf("CheckEmail(%q) passed", email)
+		}
+	}
+	for _, email := range []string{"guest@example.org", "u00042_example_edu@x", "josé@example.org", "a b@x.org", "~@x"} {
+		sub := Submission{Spec: baseSpec(), Replicates: 1, UserEmail: email}
+		if err := sub.Validate(); err != nil {
+			t.Errorf("submission from %q refused: %v", email, err)
+		}
+		if err := workflow(email).Validate(); err != nil {
+			t.Errorf("workflow from %q refused: %v", email, err)
+		}
+	}
+}
+
 func TestTrainingJobsDeterministic(t *testing.T) {
 	s1, r1 := NewGenerator(9).TrainingJobs(20)
 	s2, r2 := NewGenerator(9).TrainingJobs(20)
