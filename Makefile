@@ -26,11 +26,14 @@ vet:
 # since its decoder must refuse an int field a 32-bit int cannot hold.
 # The obs tests run there too: a journal entry lays out differently when
 # float64 aligns to 4, and its layout pin and the reference model must
-# hold on both.
+# hold on both. So do the metasched tests: a GridJob lays out
+# differently there too, its int32 counters and its embedded lrm.Job
+# included, and its layout pin and the dispatch path must hold on both.
 vet-narrow:
 	GOARCH=386 $(GO) vet ./...
 	GOARCH=386 $(GO) test ./internal/wal
 	GOARCH=386 $(GO) test ./internal/obs
+	GOARCH=386 $(GO) test ./internal/metasched
 
 # latticelint is the project's own analyzer suite (cmd/latticelint):
 # four per-package analyzers (determinism, errdrop, floatcmp,

@@ -60,7 +60,7 @@ func main() {
 		st.ID, st.Completed, st.Failed, st.Done)
 	for _, j := range batch.Jobs[:3] {
 		fmt.Printf("  job %s ran on %-16s estimate %.0fs, wall %.0fs\n",
-			j.ID, j.Resource, j.EstimateRefSeconds,
+			j.ID, j.Resource(), j.EstimatedRefSeconds,
 			float64(j.CompletedAt.Sub(j.StartedAt)))
 	}
 	for _, n := range grid.Mailer.Sent() {

@@ -28,6 +28,8 @@ type Injector struct {
 	targets map[string]*target
 	demands map[string]func(factor float64)
 	stats   map[Kind]int
+	// injected holds the counter series note has resolved.
+	injected map[injection]*obs.Counter
 	// crashStops controls whether an armed crash actually stops the
 	// engine. Recovery re-execution disables it: the crash must still
 	// journal and count (it did originally), but the rebuild needs to
@@ -50,6 +52,7 @@ func NewInjector(eng *sim.Engine, rng *sim.RNG, o *obs.Obs) *Injector {
 		targets:    make(map[string]*target),
 		demands:    make(map[string]func(factor float64)),
 		stats:      make(map[Kind]int),
+		injected:   make(map[injection]*obs.Counter),
 		crashStops: true,
 	}
 }
@@ -211,13 +214,27 @@ func (in *Injector) armFlap(f Flap, i int) {
 	in.eng.ScheduleAt(f.Start.Add(rng.ExpDuration(f.MeanUp)), cycle)
 }
 
-// note counts one injected fault and journals it.
+// note counts one injected fault and journals it. Each kind and
+// resource's counter series is resolved at its first injection and
+// kept.
 func (in *Injector) note(k Kind, resource, detail string) {
 	in.stats[k]++
-	in.obs.Counter("lattice_faults_injected_total",
-		"Faults injected by the deterministic fault injector",
-		obs.L("kind", string(k)), obs.L("resource", resource)).Inc()
+	key := injection{k, resource}
+	c, ok := in.injected[key]
+	if !ok {
+		c = in.obs.Counter("lattice_faults_injected_total",
+			"Faults injected by the deterministic fault injector",
+			obs.L("kind", string(k)), obs.L("resource", resource))
+		in.injected[key] = c
+	}
+	c.Inc()
 	in.obs.Record("", "", obs.StageFault, resource, string(k)+": "+detail)
+}
+
+// injection keys a lattice_faults_injected_total series.
+type injection struct {
+	kind     Kind
+	resource string
 }
 
 // mark journals a fault-layer transition without counting it as an

@@ -8,7 +8,8 @@ package mds
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"lattice/internal/lrm"
 	"lattice/internal/sim"
@@ -85,7 +86,7 @@ func (x *Index) collect() (out []Entry, oldest sim.Time) {
 			out = append(out, e)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Info.Name < out[j].Info.Name })
+	slices.SortFunc(out, func(a, b Entry) int { return strings.Compare(a.Info.Name, b.Info.Name) })
 	return out, oldest
 }
 

@@ -146,7 +146,7 @@ func TestMailRendersTheSentText(t *testing.T) {
 	// two complete, which ends the batch with a failed job in it.
 	hand := &Batch{ID: "batch-000099", Submission: userSubmission("jürgen@uni-köln.de", 3), svc: svc}
 	for i := 0; i < 3; i++ {
-		hand.Jobs = append(hand.Jobs, &metasched.GridJob{ID: fmt.Sprintf("hand-r%04d-%d", i, i)})
+		hand.Jobs = append(hand.Jobs, &metasched.GridJob{Job: lrm.Job{ID: fmt.Sprintf("hand-r%04d-%d", i, i)}})
 	}
 	failed := hand.Jobs[1]
 	failed.Status, failed.FailReason = metasched.StatusFailed, "faults: 100% of nœuds lost (%d %s)"

@@ -407,13 +407,13 @@ func (s *Service) ResultsZip(id string) ([]byte, error) {
 			continue
 		}
 		body = append(append(body[:0], "# best tree for "...), name...)
-		body = strconv.AppendInt(append(body, " (searchreps="...), int64(j.Spec.SearchReps), 10)
-		body = append(append(append(body, ") from resource "...), j.Resource...), '\n')
+		body = strconv.AppendInt(append(body, " (searchreps="...), int64(j.SearchReps), 10)
+		body = append(append(append(body, ") from resource "...), j.Resource()...), '\n')
 		if err := z.add(name, ".best.tre", body); err != nil {
 			return nil, err
 		}
 		body = append(append(body[:0], "job "...), name...)
-		body = append(append(body, "\nresource "...), j.Resource...)
+		body = append(append(body, "\nresource "...), j.Resource()...)
 		body = strconv.AppendInt(append(body, "\nattempts "...), int64(j.Attempts), 10)
 		body = appendSeconds(append(body, "\nwall_seconds "...), float64(j.CompletedAt.Sub(j.StartedAt)))
 		body = append(body, '\n')

@@ -2,6 +2,7 @@ package gsbl
 
 import (
 	"errors"
+	"math"
 	"slices"
 	"testing"
 
@@ -216,4 +217,40 @@ func firstDiff(a, b []Notification) int {
 		}
 	}
 	return min(len(a), len(b))
+}
+
+// TestDoorRefusesUnpriceableSpecs: a spec whose memory requirement
+// overflows an int (here 2^62 gamma categories, 2^30 on a 32-bit
+// target) is refused by Submit
+// itself — direct or queued — before anything is journaled, recorded
+// or queued; it used to pass validation and fail in expansion, leaving
+// a validate event with no terminal, or a "queued" answer followed by
+// a deferred expansion failure.
+func TestDoorRefusesUnpriceableSpecs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		req  Request
+	}{
+		{"direct", Request{Direct: true}},
+		{"queued", Request{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			o := obs.New(eng)
+			sched := gridOn(t, eng, metasched.Options{Obs: o}, nil)
+			d := &recordingDurable{}
+			svc := mustService(t, eng, sched, Options{Obs: o, Durable: d, Ingest: IngestConfig{PerSubmissionSeconds: 10}})
+			r := tc.req
+			r.Sub, r.Origin = smallSubmission(1), "service"
+			r.Sub.Spec.NumTaxa, r.Sub.Spec.SeqLength, r.Sub.Spec.NumRateCats = 50, 1000, math.MaxInt/2+1
+			if b, err := svc.Submit(r); err == nil {
+				t.Fatalf("Submit accepted the spec (batch %v)", b)
+			}
+			eng.RunUntil(sim.Time(sim.Day))
+			if n := o.Journal.Len(); n != 0 || len(d.records) != 0 || len(svc.Batches()) != 0 {
+				t.Errorf("refused spec left %d journal events (%v), %d records, %d batches",
+					n, o.Journal.Events(), len(d.records), len(svc.Batches()))
+			}
+		})
+	}
 }

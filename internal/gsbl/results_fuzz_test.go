@@ -15,7 +15,7 @@ import (
 // fails, and draws its resource, fail reason, attempts and times, so
 // bodies land on both sides of storeBelow. Input that runs out reads
 // as zeros.
-func fuzzBatch(data []byte) *Batch {
+func fuzzBatch(tb testing.TB, data []byte) *Batch {
 	next := func() int {
 		if len(data) == 0 {
 			return 0
@@ -37,22 +37,34 @@ func fuzzBatch(data []byte) *Batch {
 		CreatedAt:  sim.Time(next()),
 		DoneAt:     sim.Time(next() << 10),
 	}
-	for i := 0; i < n; i++ {
-		flags := next()
-		j := &metasched.GridJob{
-			ID:       take(next() + flags&1<<8),
-			Spec:     &workload.JobSpec{SearchReps: next()},
-			Status:   metasched.StatusCompleted,
-			Resource: take(next() % 200),
-			Attempts: next(),
+	type drawn struct {
+		flags, reps, attempts int
+		id, reason            string
+		started, took         sim.Time
+	}
+	jobs := make([]drawn, n)
+	resources := make([]string, n)
+	for i := range jobs {
+		d := &jobs[i]
+		d.flags = next()
+		d.id = take(next() + d.flags&1<<8)
+		d.reps = next()
+		resources[i] = take(next() % 200)
+		d.attempts = next()
+		d.started = sim.Time(next() << 8)
+		d.took = sim.Time(next() << 12)
+		if d.flags&2 != 0 {
+			d.reason = take(next() + d.flags&4<<6)
 		}
-		j.StartedAt = sim.Time(next() << 8)
-		j.CompletedAt = j.StartedAt + sim.Time(next()<<12)
-		if flags&2 != 0 {
-			j.Status = metasched.StatusFailed
-			j.FailReason = take(next() + flags&4<<6)
+	}
+	b.Jobs = onResources(tb, resources)
+	for i, j := range b.Jobs {
+		d := &jobs[i]
+		j.ID, j.SearchReps, j.Attempts = d.id, d.reps, int32(d.attempts)
+		j.Status, j.StartedAt, j.CompletedAt = metasched.StatusCompleted, d.started, d.started+d.took
+		if d.flags&2 != 0 {
+			j.Status, j.FailReason = metasched.StatusFailed, d.reason
 		}
-		b.Jobs = append(b.Jobs, j)
 	}
 	return b
 }
@@ -108,7 +120,7 @@ func FuzzResultsZip(f *testing.F) {
 	))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		svc := zipService(t)
-		b := fuzzBatch(data)
+		b := fuzzBatch(t, data)
 		svc.batches = []*Batch{b}
 		checkAgainstOracle(t, svc, b)
 	})

@@ -3,13 +3,17 @@ package gsbl
 import (
 	"archive/zip"
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
+	"lattice/internal/grid/mds"
+	"lattice/internal/lrm"
 	"lattice/internal/metasched"
 	"lattice/internal/sim"
 	"lattice/internal/workload"
@@ -34,7 +38,7 @@ func referenceZip(b *Batch, st BatchStatus) ([]byte, error) {
 				return nil, err
 			}
 			if _, err := fmt.Fprintf(w, "# best tree for %s (searchreps=%d) from resource %s\n",
-				name, j.Spec.SearchReps, j.Resource); err != nil {
+				name, j.SearchReps, j.Resource()); err != nil {
 				return nil, err
 			}
 			lw, err := zw.Create(name + ".screen.log")
@@ -42,7 +46,7 @@ func referenceZip(b *Batch, st BatchStatus) ([]byte, error) {
 				return nil, err
 			}
 			if _, err := fmt.Fprintf(lw, "job %s\nresource %s\nattempts %d\nwall_seconds %.0f\n",
-				name, j.Resource, j.Attempts, float64(j.CompletedAt.Sub(j.StartedAt))); err != nil {
+				name, j.Resource(), j.Attempts, float64(j.CompletedAt.Sub(j.StartedAt))); err != nil {
 				return nil, err
 			}
 		} else {
@@ -117,7 +121,7 @@ func TestResultsZipMatchesReference(t *testing.T) {
 	// whose resource name pushes both of its bodies past the break-even.
 	b.Jobs[3].Status = metasched.StatusFailed
 	b.Jobs[3].FailReason = "boinc: too many errors (may have bug) " + strings.Repeat("after reissue ", 20)
-	b.Jobs[4].Resource = strings.Repeat("campus-condor-pool-", 6) + "a"
+	b.Jobs[4] = movedTo(t, b.Jobs[4], strings.Repeat("campus-condor-pool-", 6)+"a")
 	st := svc.status(b)
 	if !st.Done || st.Completed != 5 || st.Failed != 4 {
 		t.Fatalf("fixture: %+v", st)
@@ -170,27 +174,136 @@ func TestResultsZipMatchesReference(t *testing.T) {
 
 // finishedBatch registers a terminal batch of n completed stub jobs as
 // the service's one batch, without running the grid.
-func finishedBatch(svc *Service, n int) *Batch {
+func finishedBatch(tb testing.TB, svc *Service, n int) *Batch {
 	b := &Batch{
 		ID:         "batch-000001",
 		Submission: smallSubmission(n),
 		CreatedAt:  0,
 		DoneAt:     sim.Time(9 * sim.Hour),
 	}
-	spec := &workload.JobSpec{SearchReps: 2}
-	for i := 0; i < n; i++ {
-		b.Jobs = append(b.Jobs, &metasched.GridJob{
-			ID:          fmt.Sprintf("researcher_example_edu-r%04d-%d", i, i+1),
-			Spec:        spec,
-			Status:      metasched.StatusCompleted,
-			Resource:    "condor-physics",
-			Attempts:    1 + i%3,
-			StartedAt:   sim.Time(i),
-			CompletedAt: sim.Time(i + 7200 + 13*i),
-		})
+	resources := make([]string, n)
+	for i := range resources {
+		resources[i] = "condor-physics"
+	}
+	b.Jobs = onResources(tb, resources)
+	for i, j := range b.Jobs {
+		j.ID = fmt.Sprintf("researcher_example_edu-r%04d-%d", i, i+1)
+		j.SearchReps = 2
+		j.Status = metasched.StatusCompleted
+		j.Attempts = int32(1 + i%3)
+		j.StartedAt = sim.Time(i)
+		j.CompletedAt = sim.Time(i + 7200 + 13*i)
 	}
 	svc.batches = []*Batch{b}
 	return b
+}
+
+// onResources returns one grid job per entry of resources, placed by a
+// real scheduler on a stub resource of that name — placement is the
+// one thing that sets the resource a job reports — or left unplaced for
+// "". The jobs are one-replicate jobs, running; callers set the
+// exported fields they pin.
+func onResources(tb testing.TB, resources []string) []*metasched.GridJob {
+	tb.Helper()
+	shared.mu.Lock()
+	defer shared.mu.Unlock()
+	p := &shared.placer
+	if p.sched == nil || len(p.stubs) > placerStubs || p.placed > placerJobs {
+		*p = newPlacer(tb)
+	}
+	jobs := make([]*metasched.GridJob, 0, len(resources))
+	for _, name := range resources {
+		st := p.stubs[name]
+		if st == nil && name != "" {
+			st = &stubLRM{name: name}
+			p.stubs[name] = st
+			if err := p.sched.Register(st, 1); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		if st != p.open {
+			for _, r := range []*stubLRM{p.open, st} {
+				if r != nil {
+					r.open = r == st
+					p.idx.Publish(r.Info())
+				}
+			}
+			p.open = st
+		}
+		placed, err := p.sched.SubmitBatch(&p.sub, p.rng, nil, nil)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		jobs = append(jobs, placed[0])
+	}
+	p.placed += len(resources)
+	return jobs
+}
+
+// shared is the one placer onResources reuses, so a fuzz worker builds
+// a scheduler once per placerJobs jobs rather than once per input.
+var shared struct {
+	mu     sync.Mutex
+	placer placer
+}
+
+// A placer is rebuilt once it has registered placerStubs resources, so
+// the resource list a placement scans stays short, or placed placerJobs
+// jobs, so the jobs it keeps running stay few.
+const (
+	placerStubs = 8
+	placerJobs  = 4096
+)
+
+// placer is a scheduler over stub resources, at most one of them open.
+type placer struct {
+	sched  *metasched.Scheduler
+	idx    *mds.Index
+	stubs  map[string]*stubLRM
+	open   *stubLRM
+	sub    workload.Submission
+	rng    *sim.RNG
+	placed int
+}
+
+func newPlacer(tb testing.TB) placer {
+	eng := sim.NewEngine()
+	idx, err := mds.NewIndex(eng, sim.Day)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cfg := metasched.DefaultConfig()
+	cfg.RescanInterval = 0
+	return placer{sched: metasched.New(eng, idx, cfg, metasched.Options{}), idx: idx,
+		stubs: map[string]*stubLRM{}, sub: smallSubmission(1), rng: sim.NewRNG(1)}
+}
+
+// movedTo is j as the results zip sees it, placed on resource instead.
+func movedTo(tb testing.TB, j *metasched.GridJob, resource string) *metasched.GridJob {
+	m := onResources(tb, []string{resource})[0]
+	m.ID, m.SearchReps, m.Attempts, m.Status = j.ID, j.SearchReps, j.Attempts, j.Status
+	m.FailReason, m.StartedAt, m.CompletedAt = j.FailReason, j.StartedAt, j.CompletedAt
+	return m
+}
+
+// stubLRM takes every job and runs none. It offers CPUs only while
+// open, so the scheduler places a job on the one open stub.
+type stubLRM struct {
+	name string
+	open bool
+}
+
+func (s *stubLRM) Name() string          { return s.name }
+func (s *stubLRM) Submit(*lrm.Job) error { return nil }
+func (s *stubLRM) Cancel(string) bool    { return false }
+func (s *stubLRM) Stats() lrm.Stats      { return lrm.Stats{} }
+func (s *stubLRM) Info() lrm.Info {
+	info := lrm.Info{Name: s.name, Kind: "pbs", NodeMemoryMB: 1 << 20,
+		Platforms: []lrm.Platform{lrm.LinuxX86}, Stable: true}
+	if s.open {
+		info.TotalCPUs, info.FreeCPUs = 1<<30, 1<<30
+	}
+	return info
 }
 
 // TestResultsZipAllocBudget pins the cost of the portal's largest
@@ -200,7 +313,7 @@ func finishedBatch(svc *Service, n int) *Batch {
 // one buffer takes a handful, whatever the entry count.
 func TestResultsZipAllocBudget(t *testing.T) {
 	_, svc, _ := testService(t)
-	b := finishedBatch(svc, 2000)
+	b := finishedBatch(t, svc, 2000)
 	allocs := testing.AllocsPerRun(5, func() {
 		if _, err := svc.ResultsZip(b.ID); err != nil {
 			t.Fatal(err)
@@ -325,7 +438,7 @@ func TestResultsZipMatchesOracle(t *testing.T) {
 	odd := []string{"caf\u00e9", "\xff\xfe", "tilde~", `back\slash`, "/abs/path", "ctl\x01", "\u4e16\u754c"}
 	for _, n := range []int{1, 7, 300, 2000} {
 		svc := zipService(t)
-		b := finishedBatch(svc, n)
+		b := finishedBatch(t, svc, n)
 		for i, j := range b.Jobs {
 			if i%3 == 1 {
 				j.ID = odd[i%len(odd)] + j.ID
@@ -335,7 +448,7 @@ func TestResultsZipMatchesOracle(t *testing.T) {
 				j.Status = metasched.StatusFailed
 				j.FailReason = strings.Repeat("lost result ", 1+i%20)
 			case 4:
-				j.Resource = strings.Repeat("campus-condor-pool-", 1+i%9)
+				b.Jobs[i] = movedTo(t, j, strings.Repeat("campus-condor-pool-", 1+i%9))
 			}
 		}
 		checkAgainstOracle(t, svc, b)
@@ -349,7 +462,7 @@ func TestResultsZipMatchesOracle(t *testing.T) {
 func TestResultsZipRefusesZip64(t *testing.T) {
 	const suffix = len(".screen.log") // the longer of a completed job's two
 	svc := zipService(t)
-	b := finishedBatch(svc, 1)
+	b := finishedBatch(t, svc, 1)
 	b.Jobs[0].ID = strings.Repeat("n", 1<<16-1-suffix)
 	checkAgainstOracle(t, svc, b)
 	b.Jobs[0].ID += "n"
@@ -365,7 +478,7 @@ func TestResultsZipRefusesZip64(t *testing.T) {
 	// oracle rewrites the archive's own entries here (rendering them
 	// all-deflated through referenceZip costs seconds); the smaller
 	// batches above check what the entries hold.
-	b = finishedBatch(svc, 32767)
+	b = finishedBatch(t, svc, 32767)
 	b.Jobs[0].Status, b.Jobs[0].FailReason = metasched.StatusFailed, "lost"
 	got, err := svc.ResultsZip(b.ID)
 	if err != nil {
@@ -429,7 +542,7 @@ func BenchmarkResultsZip2000(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	batch := finishedBatch(svc, 2000)
+	batch := finishedBatch(b, svc, 2000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -440,4 +553,46 @@ func BenchmarkResultsZip2000(b *testing.B) {
 		zipSink = z
 	}
 	b.SetBytes(int64(len(zipSink)))
+}
+
+// fixedEstimate predicts the same reference seconds for every spec.
+type fixedEstimate float64
+
+func (f fixedEstimate) Predict(*workload.JobSpec) (float64, error) { return float64(f), nil }
+
+// TestBundledBatchResultsZip runs a bundled batch to its end and pins
+// its archive byte for byte. An estimate of 50 s a replicate bundles
+// 2-replicate specs 18 to a job, so 40 replicates become two jobs of
+// 36 search replicates and a remainder job of 8: each tree file names
+// its job's own count, which the job keeps for the archive.
+func TestBundledBatchResultsZip(t *testing.T) {
+	eng := sim.NewEngine()
+	sched := gridOn(t, eng, metasched.Options{}, nil)
+	sched.SetPredictor(fixedEstimate(100))
+	svc := mustService(t, eng, sched, Options{})
+	sub := smallSubmission(40)
+	sub.Spec.SearchReps = 2
+	b, err := svc.Submit(direct(sub))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.RunUntil(sim.Time(30 * sim.Day))
+	data, err := svc.ResultsZip(b.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reps []string
+	for _, e := range readZip(t, data) {
+		if _, after, ok := strings.Cut(string(e.body), "(searchreps="); ok {
+			n, _, _ := strings.Cut(after, ")")
+			reps = append(reps, n)
+		}
+	}
+	if got := strings.Join(reps, ","); got != "36,36,8" {
+		t.Errorf("tree files name searchreps %s, want 36,36,8", got)
+	}
+	const want = "77c9ce26c19cc57707f22e02fefb7d0a38608ecfd8801ca94170ab772dce57ac"
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
+		t.Errorf("archive sha256 %s, want %s", got, want)
+	}
 }

@@ -18,6 +18,7 @@ package lrm
 
 import (
 	"fmt"
+	"math"
 
 	"lattice/internal/sim"
 )
@@ -121,8 +122,8 @@ func (j *Job) Validate() error {
 	if j.ID == "" {
 		return fmt.Errorf("lrm: job has no ID")
 	}
-	if j.Work <= 0 {
-		return fmt.Errorf("lrm: job %s has non-positive work %g", j.ID, j.Work)
+	if !(j.Work > 0) || math.IsInf(j.Work, 1) {
+		return fmt.Errorf("lrm: job %s has work %g, not finite and positive", j.ID, j.Work)
 	}
 	if j.MemoryMB < 0 {
 		return fmt.Errorf("lrm: job %s has negative memory requirement", j.ID)

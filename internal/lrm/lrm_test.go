@@ -1,6 +1,7 @@
 package lrm
 
 import (
+	"math"
 	"testing"
 
 	"lattice/internal/sim"
@@ -16,6 +17,9 @@ func TestJobValidate(t *testing.T) {
 		{ID: "x", Work: 0},
 		{ID: "x", Work: -5},
 		{ID: "x", Work: 1, MemoryMB: -1},
+		{ID: "x", Work: math.NaN()},
+		{ID: "x", Work: math.Inf(1)},
+		{ID: "x", Work: math.Inf(-1)},
 	}
 	for i, j := range cases {
 		if err := j.Validate(); err == nil {

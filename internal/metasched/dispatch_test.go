@@ -15,18 +15,20 @@ import (
 )
 
 // dispatchAllocBudget is what one submit→complete cycle costs on a
-// one-cluster scheduler: the GridJob (its first attempt inline: the
-// lrm.Job the cluster runs, its Owner and its staged-submit event in
-// one record), the cluster's record of the job (its own completion
-// event, the node held inline) and, with no hub to keep the per-resource
-// placement counter, the label list asked of the nil hub on every
-// placement. Engine events and the resource's running list, which only
-// grows to its high-water mark, cost nothing. With the attempt record apart
-// from the GridJob the cycle cost 4; with an *event per scheduled
-// event, OnComplete/OnFail closures on the lrm.Job, a submit closure, a
-// completion closure and a copied node list, 10 (11 under the race
-// detector, which now adds nothing); the adapter path before that cost
-// 16.
+// one-cluster scheduler: the GridJob (its embedded description is the
+// lrm.Job the cluster runs, and its first attempt — that job's Owner,
+// its staged-submit and its stage-out event — sits inline beside it, so
+// the first dispatch builds no record), the cluster's record of the job
+// (its own completion event, the node held inline) and, with no hub to
+// keep the per-resource placement counter, the label list asked of the
+// nil hub on every placement. Engine events and the resource's running
+// list, which only grows to its high-water mark, cost nothing. A retry
+// would add one record, its attempt and its copy of the lrm.Job
+// together. With the attempt record apart from the GridJob the cycle
+// cost 4; with an *event per scheduled event, OnComplete/OnFail
+// closures on the lrm.Job, a submit closure, a completion closure and a
+// copied node list, 10 (11 under the race detector, which now adds
+// nothing); the adapter path before that cost 16.
 const dispatchAllocBudget = 3
 
 func TestDispatchAllocations(t *testing.T) {
@@ -56,9 +58,9 @@ func TestDispatchAllocations(t *testing.T) {
 	}
 	next := 0
 	allocs := testing.AllocsPerRun(runs, func() {
-		j := &GridJob{ID: ids[next], Work: 60 * lrm.ReferenceCellsPerSecond, Platforms: garliPlatforms}
+		j := &GridJob{Job: lrm.Job{ID: ids[next], Work: 60 * lrm.ReferenceCellsPerSecond, Platforms: garliPlatforms}}
 		next++
-		if err := sched.submit(j); err != nil {
+		if err := sched.submit(j, nil); err != nil {
 			t.Fatal(err)
 		}
 		eng.Run()
@@ -109,7 +111,7 @@ func TestSharedPlatformsUntouched(t *testing.T) {
 		if &j.Platforms[0] != &garliPlatforms[0] {
 			t.Errorf("%s carries its own platform list", j.ID)
 		}
-		used[j.Resource] = true
+		used[j.Resource()] = true
 	}
 	if len(used) != 3 {
 		t.Errorf("batch ran on %v, want all three resources", used)

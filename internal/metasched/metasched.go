@@ -63,7 +63,9 @@ func (p Policy) String() string {
 }
 
 // Predictor supplies a priori runtime estimates on the reference
-// computer; estimate.Estimator satisfies it.
+// computer; estimate.Estimator satisfies it. The spec is lent for the
+// call only: the scheduler reuses it for the next job, so Predict must
+// not keep the pointer.
 type Predictor interface {
 	Predict(spec *workload.JobSpec) (float64, error)
 }
@@ -121,9 +123,11 @@ const (
 	retryLimit = 5
 	// stageBandwidthMBps models the data-placement link between the
 	// grid node and each resource: a job waits InputMB / bandwidth
-	// before its local submission, and its results take OutputMB /
+	// before its local submission, and its results take outputMB /
 	// bandwidth to come back.
 	stageBandwidthMBps = 50.0
+	// outputMB is every job's result files: trees and logs.
+	outputMB = 0.5
 	// maxBacklogFactor caps how many of this scheduler's jobs may be
 	// outstanding on one resource, as a multiple of its CPU count.
 	// Beyond the cap, jobs wait in the grid-level pending queue and
@@ -155,7 +159,7 @@ func DefaultConfig() Config {
 }
 
 // JobStatus tracks a grid job through its lifecycle.
-type JobStatus int
+type JobStatus uint8
 
 const (
 	StatusPending JobStatus = iota
@@ -181,68 +185,76 @@ func (s JobStatus) String() string {
 
 // GridJob is the scheduler's record of one job: the generic,
 // resource-independent description the paper's jobs travel as, plus
-// where the job is in its lifecycle. Each dispatch translates it into
-// one lrm.Job for the chosen resource.
+// where the job is in its lifecycle. Each fact is stored once. The
+// description — ID, Batch, Work, the matchmaking requirements and the
+// estimate — is the embedded lrm.Job, which the first dispatch hands to
+// its resource as it stands; every later dispatch hands over a copy of
+// its own (see dispatch). Only the description fields are the caller's:
+// dispatch owns Job.Owner and Job.DelayBound and hands Job.Nodes and
+// Job.WallLimit over unset, whatever they hold.
 type GridJob struct {
-	// ID is unique across the grid.
-	ID string
-	// Spec is the job's GARLI specification; for a job SubmitBatch
-	// expanded it points at spec, the copy the job carries inline.
-	Spec *workload.JobSpec
-	spec workload.JobSpec
+	// Job is the job's description and the first dispatch's lrm.Job:
+	// that dispatch sets its Owner (the first attempt) and DelayBound,
+	// and nothing writes the rest once the job is submitted. Work
+	// includes the per-job grid overhead once submitted. MemoryMB,
+	// Platforms, Software and NeedsMPI are the matchmaking
+	// requirements; Platforms is read-only (LRMs only read it, so jobs
+	// share slices). EstimatedRefSeconds is the prediction used for
+	// placement (0 when no model was available).
+	lrm.Job
 
-	// Batch is the portal batch the job belongs to ("" for direct
-	// submissions); it is the Batch field of the job's journal events.
-	Batch string
+	// Owner, when set, is told once, when the job reaches a terminal
+	// status (completed or failed). It shadows the embedded Job.Owner,
+	// which is the resource's view of the same job.
+	Owner Owner
 
-	// Work is the job's cost in likelihood cell updates, the per-job
-	// grid overhead included once submitted.
-	Work float64
-	// MemoryMB, Platforms, Software and NeedsMPI are the matchmaking
-	// requirements, passed on as the lrm.Job fields of the same names.
-	// Platforms is read-only: LRMs only read it, so jobs share slices.
-	MemoryMB  int
-	Platforms []lrm.Platform
-	Software  []string
-	NeedsMPI  bool
-	// InputMB and OutputMB size the job's data staging: sequence files
-	// in, result files out ("data placement" is a grid-level function
-	// in the paper's Section IV).
-	InputMB  float64
-	OutputMB float64
-	// ServiceOnly excludes desktop-grid (BOINC) resources from
-	// placement: set for short workflow stages, where volunteer-pool
-	// turnaround latency would dominate.
-	ServiceOnly bool
+	// InputMB sizes the job's input staging, the sequence matrix ("data
+	// placement" is a grid-level function in the paper's Section IV);
+	// every job's results stage back as outputMB.
+	InputMB float64
 
-	Status      JobStatus
-	Resource    string
-	Attempts    int
 	SubmittedAt sim.Time
 	StartedAt   sim.Time
 	CompletedAt sim.Time
 	FailReason  string
-	// EstimateRefSeconds is the prediction used for placement (0 when
-	// no model was available).
-	EstimateRefSeconds float64
 
-	// Owner, when set, is told once, when the job reaches a terminal
-	// status (completed or failed).
-	Owner Owner
-
-	// disrupted marks jobs that hit a fault-induced setback (death
-	// requeue, gatekeeper failure, a "faults:" resource failure);
-	// disruptedAt is the first such moment, feeding the recovery
-	// latency histogram when the job finally completes.
-	disrupted   bool
+	// disruptedAt is the first moment the job hit a fault-induced
+	// setback (death requeue, gatekeeper failure, a "faults:" resource
+	// failure), feeding the recovery latency histogram when the job
+	// finally completes; disrupted marks that it has.
 	disruptedAt sim.Time
 
+	// cur is the job's current dispatch while it runs, and first,
+	// holding the last dispatch's resource, once it has ended (see end);
+	// nil while it waits for a placement.
+	cur *attempt
 	// first is the record of the job's first dispatch (see dispatch),
 	// carried inline so that a job placed once costs no record apart.
 	first attempt
+
+	// SearchReps is the search replicates the job runs: its
+	// submission's per-job count times the replicates bundled into it.
+	SearchReps int
+	// Attempts counts the job's dispatches.
+	Attempts int32
 	// slot is the job's index in its resource's running list while it
 	// is there.
-	slot int
+	slot   int32
+	Status JobStatus
+	// ServiceOnly excludes desktop-grid (BOINC) resources from
+	// placement: set for short workflow stages, where volunteer-pool
+	// turnaround latency would dominate.
+	ServiceOnly bool
+	disrupted   bool
+}
+
+// Resource names the resource the job is placed on, or ended on; ""
+// while it waits for a placement.
+func (j *GridJob) Resource() string {
+	if j.cur == nil {
+		return ""
+	}
+	return j.cur.res.name
 }
 
 // Owner is whoever submitted a grid job and is told when it ends; a
@@ -266,6 +278,7 @@ type Stats struct {
 
 // resource is a registered target.
 type resource struct {
+	s     *Scheduler
 	name  string
 	lrm   lrm.LRM
 	speed float64
@@ -312,7 +325,9 @@ type Scheduler struct {
 	// names holds the job IDs and estimate details, which the jobs and
 	// the journal keep for the scheduler's life; nextSeq's discipline
 	// guards it.
-	names    slab.Slab
+	names slab.Slab
+	// spec is SubmitBatch's scratch: the spec of the job it is building.
+	spec     workload.JobSpec
 	scanning bool
 	obs      *obs.Obs
 	ins      schedInstruments
@@ -397,7 +412,7 @@ func (s *Scheduler) Register(target lrm.LRM, speed float64) error {
 	if _, dup := s.resources[target.Name()]; dup {
 		return fmt.Errorf("metasched: resource %s already registered", target.Name())
 	}
-	r := &resource{name: target.Name(), lrm: target, speed: speed, stability: 1}
+	r := &resource{s: s, name: target.Name(), lrm: target, speed: speed, stability: 1}
 	s.resources[r.name] = r
 	s.order = append(s.order, r)
 	s.candsVersion = 0

@@ -108,11 +108,11 @@ func (perfectPredictor) Predict(spec *workload.JobSpec) (float64, error) {
 
 // testJob builds a Linux job of the given reference-seconds.
 func testJob(id string, refSeconds float64) *GridJob {
-	return &GridJob{
+	return &GridJob{Job: lrm.Job{
 		ID: id, MemoryMB: 256,
 		Platforms: []lrm.Platform{lrm.LinuxX86},
 		Work:      refSeconds * lrm.ReferenceCellsPerSecond,
-	}
+	}}
 }
 
 // doneFunc is a test's Owner: a func called with each terminal job.
@@ -120,13 +120,12 @@ type doneFunc func(*GridJob)
 
 func (f doneFunc) JobDone(j *GridJob) { f(j) }
 
-// submit gives j its spec and terminal callback and submits it.
+// submit gives j its terminal callback and submits it with spec.
 func submit(s *Scheduler, j *GridJob, spec *workload.JobSpec, onDone func(*GridJob)) (*GridJob, error) {
-	j.Spec = spec
 	if onDone != nil {
 		j.Owner = doneFunc(onDone)
 	}
-	return j, s.submit(j)
+	return j, s.submit(j, spec)
 }
 
 func TestSubmitAndComplete(t *testing.T) {
@@ -198,7 +197,7 @@ func TestStabilityGateKeepsLongJobsOffCondor(t *testing.T) {
 	}
 	g.eng.RunUntil(sim.Time(1 * sim.Hour))
 	for i, j := range jobs {
-		if j.Resource == "condor-pool" {
+		if j.Resource() == "condor-pool" {
 			t.Errorf("long job %d placed on the unstable pool", i)
 		}
 	}
@@ -228,7 +227,7 @@ func TestNaivePolicyIgnoresStability(t *testing.T) {
 	g.eng.RunUntil(sim.Time(6 * sim.Hour))
 	onPool := 0
 	for _, j := range jobs {
-		if j.Resource == "condor-pool" {
+		if j.Resource() == "condor-pool" {
 			onPool++
 		}
 	}
@@ -254,8 +253,8 @@ func TestSpeedAwareprefersFastCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.eng.RunUntil(sim.Time(10 * sim.Minute))
-	if first.Resource != "hpc-cluster" {
-		t.Errorf("first job placed on %s, want the fast cluster", first.Resource)
+	if first.Resource() != "hpc-cluster" {
+		t.Errorf("first job placed on %s, want the fast cluster", first.Resource())
 	}
 }
 
@@ -287,8 +286,8 @@ func TestMemoryAndMPIFiltering(t *testing.T) {
 		if strings.HasPrefix(j.ID, "win") {
 			want = ""
 		}
-		if j.Resource != want && j.Resource != "" {
-			t.Errorf("%s placed on %q, want %q", j.ID, j.Resource, want)
+		if j.Resource() != want && j.Resource() != "" {
+			t.Errorf("%s placed on %q, want %q", j.ID, j.Resource(), want)
 		}
 	}
 	if g.hpc.Stats().TotalQueued == 0 {
@@ -347,7 +346,7 @@ func TestOfflineResourceNotUsed(t *testing.T) {
 			return
 		}
 		if j.Status != StatusPending {
-			t.Errorf("job scheduled to an offline resource (status %v on %s)", j.Status, j.Resource)
+			t.Errorf("job scheduled to an offline resource (status %v on %s)", j.Status, j.Resource())
 		}
 	})
 	eng.RunUntil(sim.Time(30 * sim.Minute))
@@ -434,7 +433,7 @@ func TestBundlingMergesShortReplicates(t *testing.T) {
 	}
 	totalReps := 0
 	for _, j := range jobs {
-		totalReps += j.Spec.SearchReps
+		totalReps += j.SearchReps
 	}
 	if totalReps != 100 {
 		t.Errorf("replicates lost in bundling: %d of 100", totalReps)
@@ -487,11 +486,11 @@ func TestBoincDeadlineFromEstimate(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.RunUntil(sim.Time(1 * sim.Hour))
-	if j.Resource != "volunteers" {
-		t.Fatalf("job placed on %q (status %v)", j.Resource, j.Status)
+	if j.Resource() != "volunteers" {
+		t.Fatalf("job placed on %q (status %v)", j.Resource(), j.Status)
 	}
-	if j.EstimateRefSeconds < 2*3600 {
-		t.Errorf("estimate not recorded: %v", j.EstimateRefSeconds)
+	if j.EstimatedRefSeconds < 2*3600 {
+		t.Errorf("estimate not recorded: %v", j.EstimatedRefSeconds)
 	}
 	// A 12-hour job, by contrast, must be gated off the unstable
 	// volunteer pool entirely.
@@ -503,7 +502,7 @@ func TestBoincDeadlineFromEstimate(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.RunUntil(sim.Time(2 * sim.Hour))
-	if lj.Resource == "volunteers" {
+	if lj.Resource() == "volunteers" {
 		t.Error("12-hour job placed on the unstable volunteer pool")
 	}
 }
@@ -522,7 +521,6 @@ func TestDataStagingDelaysExecution(t *testing.T) {
 	g := newGrid(t, DefaultConfig())
 	d := testJob("staged", 60)
 	d.InputMB = 120 * stageBandwidthMBps // 2 minutes in: staging dominates
-	d.OutputMB = 60 * stageBandwidthMBps // 1 minute out
 	var doneAt sim.Time
 	if _, err := submit(g.sched, d, nil, func(j *GridJob) { doneAt = j.CompletedAt }); err != nil {
 		t.Fatal(err)
@@ -531,8 +529,9 @@ func TestDataStagingDelaysExecution(t *testing.T) {
 	if doneAt == 0 {
 		t.Fatal("staged job never completed")
 	}
-	// 120 s stage-in + 30 s exec (speed 2) + 60 s stage-out ≥ 210 s.
-	if float64(doneAt) < 200 {
+	// 120 s stage-in + 45 s exec (60 s and the 30-s overhead at speed 2)
+	// + the results' stage-out > 165 s.
+	if float64(doneAt) <= 165 {
 		t.Errorf("job done at %.0f s; staging delays not applied", float64(doneAt))
 	}
 	// With nothing to stage the same job is much faster.
@@ -546,5 +545,51 @@ func TestDataStagingDelaysExecution(t *testing.T) {
 	if doneAt2 == 0 || doneAt2 >= doneAt {
 		t.Errorf("unstaged job at %.0f s not faster than the staged one at %.0f s",
 			float64(doneAt2), float64(doneAt))
+	}
+}
+
+// TestStagingLegsAreTimedExactly pins both staging legs on a resource
+// that reports only when told to: the submission reaches it once the
+// input has staged, and a completion it reports counts only after the
+// results' stage-out.
+func TestStagingLegsAreTimedExactly(t *testing.T) {
+	eng := sim.NewEngine()
+	idx, err := mds.NewIndex(eng, 5*sim.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &holdingLRM{name: "held", kind: "pbs"}
+	sched := New(eng, idx, DefaultConfig(), Options{})
+	if err := sched.Register(h, 1); err != nil {
+		t.Fatal(err)
+	}
+	idx.Publish(h.Info())
+	d := testJob("staged", 60)
+	d.InputMB = 120 * stageBandwidthMBps
+	var doneAt sim.Time
+	j, err := submit(sched, d, nil, func(j *GridJob) { doneAt = j.CompletedAt })
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.RunUntil(sim.Time(119))
+	if len(h.jobs) != 0 {
+		t.Fatal("job submitted before its input staged")
+	}
+	eng.RunUntil(sim.Time(121))
+	if len(h.jobs) != 1 {
+		t.Fatalf("resource holds %d jobs after the input staged, want 1", len(h.jobs))
+	}
+	if stageOutDelay <= 0 {
+		t.Fatalf("stage-out delay %v, want > 0", stageOutDelay)
+	}
+	t0 := eng.Now()
+	h.jobs[0].Owner.Complete(t0)
+	eng.RunUntil(t0.Add(stageOutDelay / 2))
+	if j.Status != StatusRunning {
+		t.Fatalf("job %v before its results staged back", j.Status)
+	}
+	eng.RunUntil(t0.Add(sim.Minute))
+	if j.Status != StatusCompleted || doneAt != t0.Add(stageOutDelay) {
+		t.Errorf("job %v at %v, want completed at %v", j.Status, doneAt, t0.Add(stageOutDelay))
 	}
 }

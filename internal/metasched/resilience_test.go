@@ -64,13 +64,13 @@ func TestLearnedStabilityGatesLongJobs(t *testing.T) {
 	}
 	g.eng.RunUntil(sim.Time(30 * sim.Minute))
 	if j.Status != StatusPending {
-		t.Errorf("long job placed on %s despite learned instability everywhere", j.Resource)
+		t.Errorf("long job placed on %s despite learned instability everywhere", j.Resource())
 	}
 	// Restore the score: the job must flow to the cluster.
 	g.sched.resources["hpc-cluster"].stability = 1
 	g.eng.RunUntil(sim.Time(2 * sim.Hour))
-	if j.Resource != "hpc-cluster" {
-		t.Errorf("recovered cluster not used; job on %q status %v", j.Resource, j.Status)
+	if j.Resource() != "hpc-cluster" {
+		t.Errorf("recovered cluster not used; job on %q status %v", j.Resource(), j.Status)
 	}
 }
 
@@ -96,8 +96,8 @@ func TestDeadResourceRequeue(t *testing.T) {
 	}
 	eng.RunUntil(sim.Time(10 * sim.Minute))
 	for i, j := range jobs {
-		if j.Resource != "fast" {
-			t.Fatalf("job j%d placed on %q, want the fast cluster", i, j.Resource)
+		if j.Resource() != "fast" {
+			t.Fatalf("job j%d placed on %q, want the fast cluster", i, j.Resource())
 		}
 	}
 	eng.Schedule(20*sim.Minute, func() { fastOut.closed = true }) // the resource silently dies
@@ -110,8 +110,8 @@ func TestDeadResourceRequeue(t *testing.T) {
 		t.Fatalf("%d of 3 jobs completed after the requeue", done)
 	}
 	for i, j := range jobs {
-		if j.Resource != "slow" {
-			t.Errorf("job j%d finished on %q, want the surviving cluster", i, j.Resource)
+		if j.Resource() != "slow" {
+			t.Errorf("job j%d finished on %q, want the surviving cluster", i, j.Resource())
 		}
 	}
 }

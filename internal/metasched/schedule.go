@@ -19,11 +19,12 @@ import (
 var garliPlatforms = []lrm.Platform{lrm.LinuxX86, lrm.WindowsX86, lrm.DarwinX86}
 
 // submit accepts a grid job described by the caller (ID, work,
-// requirements, Spec for the runtime model, Owner). The job is placed
-// immediately when an eligible resource is reporting, otherwise it
-// waits in the pending queue for the next scan.
-func (s *Scheduler) submit(j *GridJob) error {
-	if err := (&lrm.Job{ID: j.ID, Work: j.Work, MemoryMB: j.MemoryMB}).Validate(); err != nil {
+// requirements, Owner); spec, when not nil, is what the runtime model
+// estimates it from. The job is placed immediately when an eligible
+// resource is reporting, otherwise it waits in the pending queue for
+// the next scan.
+func (s *Scheduler) submit(j *GridJob, spec *workload.JobSpec) error {
+	if err := j.Job.Validate(); err != nil {
 		return err
 	}
 	j.Status = StatusPending
@@ -33,10 +34,10 @@ func (s *Scheduler) submit(j *GridJob) error {
 	// Grid overhead: staging and submission cost attached to every
 	// independent job.
 	j.Work += PerJobOverheadSeconds * lrm.ReferenceCellsPerSecond
-	if s.predictor != nil && j.Spec != nil {
-		if est, err := s.predictor.Predict(j.Spec); err == nil {
-			j.EstimateRefSeconds = est + PerJobOverheadSeconds
-			s.obs.Record(j.Batch, j.ID, obs.StageEstimate, "", s.estimateDetail(j.EstimateRefSeconds))
+	if s.predictor != nil && spec != nil {
+		if est, err := s.predictor.Predict(spec); err == nil {
+			j.EstimatedRefSeconds = est + PerJobOverheadSeconds
+			s.obs.Record(j.Batch, j.ID, obs.StageEstimate, "", s.estimateDetail(j.EstimatedRefSeconds))
 		}
 	}
 	s.stats.Submitted++
@@ -57,16 +58,20 @@ func (s *Scheduler) submit(j *GridJob) error {
 // job's true cost; owner (nil for none) becomes each job's Owner.
 // Returns the created jobs in jobs[:0] when they fit its capacity, and
 // otherwise in a slice of exactly their number.
+//
+// Each job's spec — the submission's, with its bundled search-replicate
+// count and its first replicate's seed — is built in the scheduler's
+// one scratch spec and priced there; the job keeps only its
+// SearchReps. A predictor gets the scratch spec, never &sub.Spec, which
+// would move every caller's submission to the heap, predictor or not.
 func (s *Scheduler) SubmitBatch(sub *workload.Submission, rng *sim.RNG, owner Owner, jobs []*GridJob) ([]*GridJob, error) {
 	if err := sub.Validate(); err != nil {
 		return nil, err
 	}
 	bundle := 1
 	if s.cfg.BundleTargetSeconds > 0 && s.predictor != nil {
-		// The predictor gets a copy: handing it &sub.Spec would move every
-		// caller's submission to the heap, predictor or not.
-		spec := sub.Spec
-		if est, err := s.predictor.Predict(&spec); err == nil && est < minJobSeconds {
+		s.spec = sub.Spec
+		if est, err := s.predictor.Predict(&s.spec); err == nil && est < minJobSeconds {
 			perRep := est / float64(sub.Spec.SearchReps)
 			if perRep <= 0 {
 				perRep = est
@@ -90,28 +95,32 @@ func (s *Scheduler) SubmitBatch(sub *workload.Submission, rng *sim.RNG, owner Ow
 			n = sub.Replicates - rep
 		}
 		s.nextSeq++
-		j := &GridJob{
-			ID:          s.jobID(sub.UserEmail, rep, s.nextSeq),
-			spec:        sub.Spec,
-			Batch:       sub.BatchTag,
-			Platforms:   garliPlatforms,
-			OutputMB:    0.5, // trees and logs
-			ServiceOnly: sub.ServiceOnly,
-			Owner:       owner,
-		}
-		spec := &j.spec
+		// submit is the last reader of the scratch spec, so a SubmitBatch
+		// re-entered from inside it (a job ending synchronously, its
+		// owner submitting more work) may take the scratch over.
+		spec := &s.spec
+		*spec = sub.Spec
 		spec.SearchReps = sub.Spec.SearchReps * n
 		spec.Seed = sub.Spec.Seed + int64(rep)
-		j.Spec = spec
-		j.Work = spec.SampleWork(rng)
-		j.MemoryMB = spec.MemoryMB()
-		// Input: the sequence matrix.
-		j.InputMB = float64(spec.NumTaxa) * float64(spec.SeqLength) / (1 << 20)
+		j := &GridJob{
+			Job: lrm.Job{
+				ID:        s.jobID(sub.UserEmail, rep, s.nextSeq),
+				Batch:     sub.BatchTag,
+				Work:      spec.SampleWork(rng),
+				MemoryMB:  spec.MemoryMB(),
+				Platforms: garliPlatforms,
+			},
+			Owner: owner,
+			// Input: the sequence matrix.
+			InputMB:     float64(spec.NumTaxa) * float64(spec.SeqLength) / (1 << 20),
+			SearchReps:  spec.SearchReps,
+			ServiceOnly: sub.ServiceOnly,
+		}
 		if n > 1 {
 			s.stats.Bundled += n - 1
 			s.ins.bundled.Add(float64(n - 1))
 		}
-		if err := s.submit(j); err != nil {
+		if err := s.submit(j, spec); err != nil {
 			return jobs, err
 		}
 		jobs = append(jobs, j)
@@ -252,8 +261,8 @@ func (s *Scheduler) eligible(j *GridJob, c *candidate) bool {
 	if s.cfg.StabilityAlpha > 0 && c.res.stability < stabilityFloor {
 		unstable = true
 	}
-	if s.cfg.Policy == PolicyFull && unstable && j.EstimateRefSeconds > 0 {
-		if sim.Duration(j.EstimateRefSeconds/c.res.speed) > unstableMaxEstimate {
+	if s.cfg.Policy == PolicyFull && unstable && j.EstimatedRefSeconds > 0 {
+		if sim.Duration(j.EstimatedRefSeconds/c.res.speed) > unstableMaxEstimate {
 			return false
 		}
 	}
@@ -282,7 +291,7 @@ func (s *Scheduler) score(c *candidate, j *GridJob) float64 {
 	if s.cfg.Policy == PolicyNaive {
 		return (total + 1) / (load + 1)
 	}
-	est := j.EstimateRefSeconds
+	est := j.EstimatedRefSeconds
 	if est <= 0 {
 		est = 3600 // no model: assume an hour-scale job
 	}
@@ -332,40 +341,38 @@ func (s *Scheduler) place(j *GridJob, cands []candidate) bool {
 	return true
 }
 
-// dispatch translates the job into one lrm.Job for the chosen resource
-// — the per-LRM translation the paper's scheduler adapters performed —
-// and submits it once the input has staged. The first attempt's record
-// is the one the job carries inline; every later attempt gets a fresh
-// one. No record is ever reused, so a stale attempt's lrm.Job, which
-// may still sit in a dead resource, is never overwritten: only an
-// earlier attempt can be stale.
+// dispatch hands the job to the chosen resource as one lrm.Job — the
+// per-LRM translation the paper's scheduler adapters performed — and
+// submits it once the input has staged. The first dispatch hands over
+// the job's own description, its embedded lrm.Job, with the attempt
+// record the job carries inline; every later one a fresh record holding
+// a copy of it. No record is ever reused, so a stale attempt's lrm.Job,
+// which may still sit in a dead resource, is never overwritten: only an
+// earlier attempt can be stale. A copy takes the description and
+// nothing a resource did to the first lrm.Job: its own Owner and
+// DelayBound are set here (a fault wrapper rewrites the Owner of the
+// job it is handed). Nodes and WallLimit are not part of a grid job's
+// description, so every dispatch hands them over unset.
 func (s *Scheduler) dispatch(j *GridJob, c *candidate) {
-	a := &j.first
+	a, job := &j.first, &j.Job
 	if j.Attempts > 0 {
-		a = new(attempt)
+		r := &retry{job: j.Job}
+		a, job = &r.attempt, &r.job
 	}
-	*a = attempt{
-		Job: lrm.Job{
-			ID: j.ID, Batch: j.Batch, Work: j.Work, MemoryMB: j.MemoryMB,
-			Platforms: j.Platforms, Software: j.Software, NeedsMPI: j.NeedsMPI,
-			EstimatedRefSeconds: j.EstimateRefSeconds,
-		},
-		s: s, j: j, res: c.res,
-	}
-	a.Owner = a
+	*a = attempt{job: job, j: j, res: c.res}
+	job.Owner, job.DelayBound, job.Nodes, job.WallLimit = a, 0, 0, 0
 	// BOINC deadline: estimate-driven; without an estimate the server's
 	// own default applies.
-	if c.info.Kind == "boinc" && j.EstimateRefSeconds > 0 {
-		local := j.EstimateRefSeconds / c.res.speed
-		a.DelayBound = max(sim.Duration(local*boincDeadlineSlack), 6*sim.Hour)
+	if c.info.Kind == "boinc" && j.EstimatedRefSeconds > 0 {
+		local := j.EstimatedRefSeconds / c.res.speed
+		job.DelayBound = max(sim.Duration(local*boincDeadlineSlack), 6*sim.Hour)
 	}
 	s.noteBreakerDispatch(c.res)
 	j.Status = StatusRunning
-	j.Resource = c.info.Name
+	j.cur = a
 	j.StartedAt = s.eng.Now()
 	j.Attempts++
-	a.n = j.Attempts
-	s.obs.Record(j.Batch, j.ID, obs.StagePlace, c.info.Name, s.placeDetail(j.Attempts))
+	s.obs.Record(j.Batch, j.ID, obs.StagePlace, c.info.Name, s.placeDetail(int(j.Attempts)))
 	if c.res.placements == nil {
 		c.res.placements = s.obs.Counter("lattice_sched_placements_total",
 			"Placement decisions by resource and ranking policy",
@@ -373,7 +380,7 @@ func (s *Scheduler) dispatch(j *GridJob, c *candidate) {
 	}
 	c.res.placements.Inc()
 	s.ins.placeWait.Observe(float64(s.eng.Now().Sub(j.SubmittedAt)))
-	j.slot = len(c.res.running)
+	j.slot = int32(len(c.res.running))
 	c.res.running = append(c.res.running, j)
 	if in := s.stageDelay(j.InputMB); in > 0 {
 		s.eng.After(in, a)
@@ -385,48 +392,64 @@ func (s *Scheduler) dispatch(j *GridJob, c *candidate) {
 // attempt is one dispatch of a grid job: the lrm.Job the resource runs
 // and what reporting its end needs. It is that job's Owner, its Fire is
 // the submission once the input has staged, and (*stageOut)(a) is the
-// event that lands its results. n pins the dispatch's identity: a
-// report arriving after the job was requeued and re-dispatched (a
-// cancelled copy limping home, a slow result from a dead resource)
-// carries a stale n and is ignored.
+// event that lands its results. Only the job's current attempt, the one
+// its cur names while it runs, acts: a report arriving after the job
+// was requeued or re-dispatched (a cancelled copy limping home, a slow
+// result from a dead resource) comes from another record and is
+// ignored.
 type attempt struct {
-	lrm.Job
-	s   *Scheduler
+	job *lrm.Job
 	j   *GridJob
 	res *resource
-	n   int
+}
+
+// current reports whether a is the dispatch its job is running.
+func (a *attempt) current() bool { return a.j.Status == StatusRunning && a.j.cur == a }
+
+// end keeps only the resource of the job's last dispatch as the job
+// ends: the inline first attempt takes it over, so a retry's record —
+// its attempt and its lrm.Job copy — is not kept alive for the job's
+// life. No attempt acts once the job has ended, the first included.
+func (j *GridJob) end() {
+	if j.cur != &j.first {
+		j.first.res, j.cur = j.cur.res, &j.first
+	}
+}
+
+// retry is a later dispatch's record: its attempt and the lrm.Job it
+// hands over, in one allocation.
+type retry struct {
+	attempt attempt
+	job     lrm.Job
 }
 
 // Fire submits the job to the resource, unless it was requeued or
 // re-routed while its input staged.
 func (a *attempt) Fire() {
-	s, j := a.s, a.j
-	if j.Status != StatusRunning || j.Resource != a.res.name || j.Attempts != a.n {
+	s, j := a.res.s, a.j
+	if !a.current() {
 		return
 	}
 	s.obs.Record(j.Batch, j.ID, obs.StageDispatch, a.res.name, "")
-	if err := a.res.lrm.Submit(&a.Job); err != nil {
+	if err := a.res.lrm.Submit(a.job); err != nil {
 		s.submitFailed(a.res, j, err)
 	}
 }
 
 // Complete implements lrm.Owner: results stage back before the job
 // counts as done.
-func (a *attempt) Complete(sim.Time) {
-	if out := a.s.stageDelay(a.j.OutputMB); out > 0 {
-		a.s.eng.After(out, (*stageOut)(a))
-	} else {
-		a.s.onJobComplete(a.res, a.j, a.n)
-	}
-}
+func (a *attempt) Complete(sim.Time) { a.res.s.eng.After(stageOutDelay, (*stageOut)(a)) }
 
 // Fail implements lrm.Owner.
-func (a *attempt) Fail(_ sim.Time, reason string) { a.s.onJobFail(a.res, a.j, reason, a.n) }
+func (a *attempt) Fail(_ sim.Time, reason string) { a.res.s.onJobFail(a, reason) }
 
 // stageOut is an attempt's results arriving back from the resource.
 type stageOut attempt
 
-func (o *stageOut) Fire() { o.s.onJobComplete(o.res, o.j, o.n) }
+func (o *stageOut) Fire() { o.res.s.onJobComplete((*attempt)(o)) }
+
+// stageOutDelay is how long every job's results take to stage back.
+const stageOutDelay = sim.Duration(outputMB / stageBandwidthMBps)
 
 // stageDelay converts a transfer size to a staging duration.
 func (s *Scheduler) stageDelay(mb float64) sim.Duration {
@@ -439,7 +462,7 @@ func (s *Scheduler) stageDelay(mb float64) sim.Duration {
 // release takes the job off r's running list, if it is there, by
 // moving the list's last job into its slot.
 func (s *Scheduler) release(r *resource, j *GridJob) {
-	if j.slot >= len(r.running) || r.running[j.slot] != j {
+	if int(j.slot) >= len(r.running) || r.running[j.slot] != j {
 		return
 	}
 	last := len(r.running) - 1
@@ -455,12 +478,12 @@ func (s *Scheduler) release(r *resource, j *GridJob) {
 func (s *Scheduler) submitFailed(r *resource, j *GridJob, err error) {
 	s.release(r, j)
 	j.Status = StatusPending
-	j.Resource = ""
+	j.cur = nil
 	s.markDisrupted(j)
 	s.observeBreaker(r, false)
 	s.stats.SubmitRetries++
 	backoff := submitRetryBase
-	for i := 1; i < j.Attempts; i++ {
+	for i := 1; i < int(j.Attempts); i++ {
 		backoff *= 2
 		if backoff >= submitRetryMax {
 			backoff = submitRetryMax
@@ -513,7 +536,7 @@ func (s *Scheduler) requeueFrom(r *resource) {
 		s.obs.Record(j.Batch, j.ID, obs.StageRequeue, r.name, "resource presumed dead (MDS entry expired)")
 		s.markDisrupted(j)
 		j.Status = StatusPending
-		j.Resource = ""
+		j.cur = nil
 		s.pending = append(s.pending, j)
 	}
 	s.observeStability(r, false)
@@ -530,10 +553,11 @@ func (s *Scheduler) markDisrupted(j *GridJob) {
 	j.disruptedAt = s.eng.Now()
 }
 
-func (s *Scheduler) onJobComplete(r *resource, j *GridJob, attempt int) {
-	if j.Status != StatusRunning || j.Attempts != attempt {
+func (s *Scheduler) onJobComplete(a *attempt) {
+	if !a.current() {
 		return
 	}
+	j, r := a.j, a.res
 	s.release(r, j)
 	s.observeStability(r, true)
 	s.observeBreaker(r, true)
@@ -542,20 +566,22 @@ func (s *Scheduler) onJobComplete(r *resource, j *GridJob, attempt int) {
 			"Virtual seconds from a job's first fault-induced disruption to its completion", nil).
 			Observe(float64(s.eng.Now().Sub(j.disruptedAt)))
 	}
+	j.end()
 	j.Status = StatusCompleted
 	j.CompletedAt = s.eng.Now()
 	s.stats.Completed++
 	s.ins.completed.Inc()
-	s.obs.Record(j.Batch, j.ID, obs.StageComplete, j.Resource, "")
+	s.obs.Record(j.Batch, j.ID, obs.StageComplete, r.name, "")
 	if j.Owner != nil {
 		j.Owner.JobDone(j)
 	}
 }
 
-func (s *Scheduler) onJobFail(r *resource, j *GridJob, reason string, attempt int) {
-	if j.Status != StatusRunning || j.Attempts != attempt {
+func (s *Scheduler) onJobFail(a *attempt, reason string) {
+	if !a.current() {
 		return
 	}
+	j, r := a.j, a.res
 	s.release(r, j)
 	s.stats.Retries++
 	s.ins.retries.Inc()
@@ -565,6 +591,7 @@ func (s *Scheduler) onJobFail(r *resource, j *GridJob, reason string, attempt in
 		s.markDisrupted(j)
 	}
 	if j.Attempts > retryLimit {
+		j.end()
 		j.Status = StatusFailed
 		j.CompletedAt = s.eng.Now()
 		j.FailReason = reason
@@ -579,7 +606,7 @@ func (s *Scheduler) onJobFail(r *resource, j *GridJob, reason string, attempt in
 	// Back to pending; the periodic scan will find a new home.
 	s.obs.Record(j.Batch, j.ID, obs.StageReissue, r.name, reason)
 	j.Status = StatusPending
-	j.Resource = ""
+	j.cur = nil
 	s.pending = append(s.pending, j)
 	s.ins.pending.Set(float64(len(s.pending)))
 }

@@ -98,8 +98,8 @@ func TestCandidateViewDropsExpiredEntryWithoutPublish(t *testing.T) {
 		}
 	})
 	g.eng.RunUntil(sim.Time(10 * sim.Minute))
-	if early.Resource != "a-fast" || late.Resource != "b-slow" {
-		t.Errorf("early on %q (want a-fast), late on %q (want b-slow)", early.Resource, late.Resource)
+	if early.Resource() != "a-fast" || late.Resource() != "b-slow" {
+		t.Errorf("early on %q (want a-fast), late on %q (want b-slow)", early.Resource(), late.Resource())
 	}
 }
 
@@ -108,14 +108,14 @@ func TestCandidateViewDropsExpiredEntryWithoutPublish(t *testing.T) {
 func TestCandidateViewSeesLateRegister(t *testing.T) {
 	g := newViewGrid(t, DefaultConfig(), map[string]float64{"b-slow": 1})
 	g.publish("b-slow", "c-late")
-	if first := g.submit(t, "first"); first.Resource != "b-slow" {
-		t.Fatalf("first job on %q", first.Resource)
+	if first := g.submit(t, "first"); first.Resource() != "b-slow" {
+		t.Fatalf("first job on %q", first.Resource())
 	}
 	if err := g.sched.Register(g.res["c-late"], 8); err != nil {
 		t.Fatal(err)
 	}
-	if second := g.submit(t, "second"); second.Resource != "c-late" {
-		t.Errorf("second job on %q, want the newly registered c-late", second.Resource)
+	if second := g.submit(t, "second"); second.Resource() != "c-late" {
+		t.Errorf("second job on %q, want the newly registered c-late", second.Resource())
 	}
 }
 
@@ -159,7 +159,7 @@ func TestCandidateViewSurvivesReentrantPlacement(t *testing.T) {
 	if now[0].info.Name != "a-fast" || now[0].info.NodeMemoryMB != 0 {
 		t.Errorf("new view misses the publication: %+v", now[0].info)
 	}
-	if inner == nil || inner.Resource != "b-slow" {
+	if inner == nil || inner.Resource() != "b-slow" {
 		t.Errorf("re-entrant job is placed on the new view and should land on b-slow: %+v", inner)
 	}
 	if p1.Status != StatusPending {
@@ -167,8 +167,8 @@ func TestCandidateViewSurvivesReentrantPlacement(t *testing.T) {
 	}
 	// p2 is matched on the held view, where a-fast is still eligible
 	// and, at 4×, wins.
-	if p2.Status != StatusRunning || p2.Resource != "a-fast" {
-		t.Errorf("p2 %v on %q; the scan should have finished on the view it started with", p2.Status, p2.Resource)
+	if p2.Status != StatusRunning || p2.Resource() != "a-fast" {
+		t.Errorf("p2 %v on %q; the scan should have finished on the view it started with", p2.Status, p2.Resource())
 	}
 }
 

@@ -76,6 +76,26 @@ func (s *JobSpec) ExpectedWork() float64 {
 	return float64(s.SearchReps) * (startWork + gaWork + polishWork)
 }
 
+// workBound bounds ExpectedWork from above in O(1), where ExpectedWork
+// loops once per taxon on a stepwise start. No evaluation it counts
+// costs more than one on the full tree, perEval; the stepwise start
+// makes at most AttachmentsPerTaxon of them per added taxon, and the GA
+// runs at most MaxGenerations. Every factor is positive on a spec whose
+// fields pass Validate, so the work is finite and positive whenever
+// this bound is. patterns is at least EstimatePatterns(s).
+func (s *JobSpec) workBound(patterns int) float64 {
+	cfg := s.SearchConfig()
+	n := float64(s.NumTaxa)
+	perEval := phylo.EvalCost(patterns, s.NumTaxa, s.DataType.NumStates(), s.NumMixtureCats())
+	start := float64(cfg.PopulationSize)
+	if s.StartingTree == phylo.StartStepwise {
+		start = (n - 3) * float64(cfg.AttachmentsPerTaxon)
+	}
+	ga := float64(cfg.MaxGenerations) * float64(8+cfg.BrlenOptIterations)
+	polish := defaultCost.polishSweeps * (2*n - 3) * float64(8+max(cfg.BrlenOptIterations, 6))
+	return float64(s.SearchReps) * (start + ga + polish) * perEval
+}
+
 // SampleWork returns a realized work amount: the expectation with
 // log-normal run-to-run noise (genetic-algorithm termination is
 // stochastic). Deterministic per RNG stream.

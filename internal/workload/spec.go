@@ -70,17 +70,41 @@ func (s *JobSpec) Validate() error {
 		if s.NumRateCats < 1 {
 			return fmt.Errorf("workload: NumRateCats = %d; need at least 1", s.NumRateCats)
 		}
-		if s.GammaShape <= 0 {
-			return fmt.Errorf("workload: GammaShape = %g; must be positive", s.GammaShape)
+		if !(s.GammaShape > 0) || math.IsInf(s.GammaShape, 1) {
+			return fmt.Errorf("workload: GammaShape = %g; must be positive and finite", s.GammaShape)
 		}
 	}
-	if s.RateHet == phylo.RateGammaInv && (s.PropInvariant < 0 || s.PropInvariant >= 1) {
+	if s.RateHet == phylo.RateGammaInv && !(s.PropInvariant >= 0 && s.PropInvariant < 1) {
 		return fmt.Errorf("workload: PropInvariant = %g; must be in [0,1)", s.PropInvariant)
 	}
 	if s.StartingTree == phylo.StartStepwise && s.AttachmentsPerTaxon < 1 {
 		return fmt.Errorf("workload: AttachmentsPerTaxon = %d with stepwise starting tree", s.AttachmentsPerTaxon)
 	}
-	return s.checkModel()
+	if err := s.checkModel(); err != nil {
+		return err
+	}
+	return s.checkCost()
+}
+
+// checkCost refuses a spec the scheduler could not size: its memory
+// requirement must be positive and inside int range, and its expected
+// work finite and positive. The integer fields are checked one by one
+// above, but their products are not: 2^62 gamma categories on 50 taxa
+// passes every field check and prices at a negative MemoryMB. Both are
+// worked in float64 on the site count, which bounds EstimatePatterns
+// from above (and is at least 1, as it is), so whatever the spec's
+// size the check costs O(1) and accepts a spec only if MemoryMB and
+// ExpectedWork are in range: the work is judged on workBound, not
+// summed per taxon.
+func (s *JobSpec) checkCost() error {
+	sites := s.NumSites()
+	if mb := s.memoryBytes(sites)/(1<<20) + memoryFloorMB; !(mb > 0 && mb < math.MaxInt) {
+		return fmt.Errorf("workload: memory requirement %g MB is outside (0, %d)", mb, math.MaxInt)
+	}
+	if w := s.workBound(sites); !(w > 0) || math.IsInf(w, 1) {
+		return fmt.Errorf("workload: expected work bound %g cell updates is not finite and positive", w)
+	}
+	return nil
 }
 
 // checkModel reports the error BuildModel would return, from the data
@@ -186,11 +210,17 @@ func (s *JobSpec) SearchConfig() phylo.SearchConfig {
 // multiple gigabytes of memory"; the meta-scheduler filters resources
 // on this value.
 func (s *JobSpec) MemoryMB() int {
-	patterns := EstimatePatterns(s)
+	return int(s.memoryBytes(EstimatePatterns(s))/(1<<20)) + memoryFloorMB
+}
+
+// memoryFloorMB is the program and data share of MemoryMB.
+const memoryFloorMB = 32
+
+// memoryBytes is the conditional-likelihood arrays' size in bytes over
+// the given number of site patterns.
+func (s *JobSpec) memoryBytes(patterns int) float64 {
 	cells := float64(patterns) * float64(s.NumMixtureCats()) * float64(s.DataType.NumStates())
-	bytes := cells * 8 * float64(2*s.NumTaxa)
-	mb := int(bytes/(1<<20)) + 32 // 32 MB floor for program + data
-	return mb
+	return cells * 8 * float64(2*s.NumTaxa)
 }
 
 // EstimatePatterns predicts the number of unique site patterns from

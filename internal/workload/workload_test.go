@@ -3,6 +3,7 @@ package workload
 import (
 	"math"
 	"testing"
+	"time"
 
 	"lattice/internal/phylo"
 	"lattice/internal/sim"
@@ -435,4 +436,95 @@ func logCorrelation(a, b []float64) float64 {
 		return 0
 	}
 	return cov / math.Sqrt(va*vb)
+}
+
+// TestValidateRefusesWhatExpansionCannotPrice: a spec Validate accepts
+// must have a memory requirement and a work that are finite, positive
+// and, for memory, inside int range — the scheduler expands every
+// accepted spec into jobs sized by MemoryMB and SampleWork. A NaN
+// float field is refused like an out-of-range one.
+func TestValidateRefusesWhatExpansionCannotPrice(t *testing.T) {
+	huge := func(s *JobSpec) {
+		s.NumTaxa, s.SeqLength = 50, 1000
+		s.NumRateCats = math.MaxInt/2 + 1 // 2^62 on a 64-bit target, 2^30 on a 32-bit one
+	}
+	for name, mutate := range map[string]func(*JobSpec){
+		"rate categories past int memory": huge,
+		"gamma+inv categories wrap":       func(s *JobSpec) { s.RateHet = phylo.RateGammaInv; s.PropInvariant = 0.2; s.NumRateCats = math.MaxInt },
+		"NaN gamma shape":                 func(s *JobSpec) { s.GammaShape = math.NaN() },
+		"infinite gamma shape":            func(s *JobSpec) { s.GammaShape = math.Inf(1) },
+		"NaN invariant share":             func(s *JobSpec) { s.RateHet = phylo.RateGammaInv; s.PropInvariant = math.NaN() },
+	} {
+		s := baseSpec()
+		mutate(&s)
+		if err := s.Validate(); err == nil {
+			t.Errorf("%s: accepted (MemoryMB %d, work %g)", name, s.MemoryMB(), s.ExpectedWork())
+		}
+	}
+}
+
+// TestValidateCostIsConstantTime: NumTaxa reaches Validate from outside,
+// unbounded, and a stepwise start's expected work sums once per taxon.
+// Validate judges the work on a bound it works in O(1), so a spec of
+// 2^41 taxa (on a 64-bit target) is answered at once, not after the
+// hours that sum would take; one whose taxon count wraps the edge
+// arithmetic is refused.
+func TestValidateCostIsConstantTime(t *testing.T) {
+	big := baseSpec()
+	big.StartingTree, big.AttachmentsPerTaxon = phylo.StartStepwise, 25
+	big.NumTaxa = math.MaxInt >> 22
+	wrapped := big
+	wrapped.NumTaxa = math.MaxInt
+	done := make(chan [2]error, 1)
+	go func() { done <- [2]error{big.Validate(), wrapped.Validate()} }()
+	select {
+	case errs := <-done:
+		if errs[0] != nil {
+			t.Errorf("%d taxa refused: %v", big.NumTaxa, errs[0])
+		}
+		if errs[1] == nil {
+			t.Errorf("%d taxa accepted", wrapped.NumTaxa)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatalf("Validate on %d taxa still running after 10 s", big.NumTaxa)
+	}
+}
+
+// TestWorkBoundCoversExpectedWork: the bound Validate judges a spec's
+// work on, over its site count, is never below the work itself, for
+// every starting tree, and the site count never below the patterns.
+func TestWorkBoundCoversExpectedWork(t *testing.T) {
+	g := NewGenerator(1)
+	for i := 0; i < 300; i++ {
+		s := g.Job()
+		s.StartingTree = phylo.StartingTreeKind(i % 3)
+		if p := EstimatePatterns(&s); p < 1 || p > s.NumSites() {
+			t.Fatalf("spec %+v: %d patterns on %d sites", s, p, s.NumSites())
+		}
+		if w, b := s.ExpectedWork(), s.workBound(s.NumSites()); !(w > 0 && w <= b) {
+			t.Fatalf("spec %+v: expected work %g, bound %g", s, w, b)
+		}
+	}
+}
+
+// TestGeneratedWorkloadsValidate: every spec and submission the
+// generator draws still passes Validate.
+func TestGeneratedWorkloadsValidate(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		g := NewGenerator(seed)
+		for i := 0; i < 200; i++ {
+			if s := g.Job(); s.Validate() != nil {
+				t.Fatalf("seed %d: generated spec %+v refused: %v", seed, s, s.Validate())
+			}
+			if sub := g.Submission(); sub.Validate() != nil {
+				t.Fatalf("seed %d: generated submission refused: %v", seed, sub.Validate())
+			}
+		}
+		specs, _ := g.TrainingJobs(50)
+		for _, s := range specs {
+			if err := s.Validate(); err != nil {
+				t.Fatalf("seed %d: training spec %+v refused: %v", seed, s, err)
+			}
+		}
+	}
 }
