@@ -158,9 +158,13 @@ scale:
 # clusters (conservation including sheds, bit-identical same-seed twin
 # digests, goodput ≥ 90% of the pre-spike rate, breakers tripping on
 # the mid-spike brownout) against an unprotected baseline whose p99
-# front-door wait blows up by ≥ 10×.
+# front-door wait blows up by ≥ 10×. It also runs the admission
+# controller's own unit tests under -race: the pointer-heap reference
+# model over 300 generated programs, the FuzzAdmit seeds and the
+# zero-allocation pin of a warm cycle.
 overload:
 	$(GO) test -race -timeout 10m -run TestOverloadScenarioShape ./internal/experiments/
+	$(GO) test -race ./internal/admit/
 
 # check is the full correctness gate: compile, go vet (also for the
 # 32-bit target, with the WAL's tests run there), the project

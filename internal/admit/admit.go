@@ -25,7 +25,6 @@
 package admit
 
 import (
-	"container/heap"
 	"fmt"
 
 	"lattice/internal/sim"
@@ -121,7 +120,15 @@ type Entry struct {
 	start  float64 // virtual start tag
 	finish float64 // virtual finish tag
 	seq    uint64  // arrival order, the deterministic tie-break
-	index  int     // heap position, -1 once popped or shed
+}
+
+// before orders entries by (finish, seq): a total order, since seq is
+// unique, so the queue's pops and victims do not depend on its layout.
+func (e *Entry) before(o *Entry) bool {
+	if e.finish != o.finish { //lint:allow floatcmp -- exact tie-break between tags built from identical arithmetic
+		return e.finish < o.finish
+	}
+	return e.seq < o.seq
 }
 
 // user tracks one principal's token bucket and fair-share tag.
@@ -138,7 +145,12 @@ type user struct {
 type Controller struct {
 	cfg   Config
 	users map[string]*user
-	queue entryHeap
+	// queue is a binary min-heap of entries by (finish, seq), held by
+	// value so that queueing one allocates nothing.
+	queue []Entry
+	// out is the entry Pop or Overflow last took off the queue; both
+	// return a pointer to it.
+	out   Entry
 	vtime float64 // fair-share virtual time (served start tags)
 	seq   uint64
 	// queuedSeconds is the summed Cost of everything in queue,
@@ -193,32 +205,32 @@ func (c *Controller) TakeQuota(userEmail string, cost float64, now sim.Time) *Re
 // later of the global virtual time and its user's previous finish, and
 // finishes its cost later. Serving in finish-tag order interleaves
 // users regardless of how many entries any one of them has queued.
-func (c *Controller) Push(userEmail string, cost float64, payload any) *Entry {
+func (c *Controller) Push(userEmail string, cost float64, payload any) {
 	u := c.userState(userEmail, sim.Time(0))
 	start := max(c.vtime, u.lastFinish)
-	e := &Entry{
+	u.lastFinish = start + cost
+	c.queue = append(c.queue, Entry{
 		User:    userEmail,
 		Cost:    cost,
 		Payload: payload,
 		start:   start,
-		finish:  start + cost,
+		finish:  u.lastFinish,
 		seq:     c.seq,
-	}
+	})
 	c.seq++
-	u.lastFinish = e.finish
-	heap.Push(&c.queue, e)
+	c.up(len(c.queue) - 1)
 	c.queuedSeconds += cost
-	return e
 }
 
-// Pop removes and returns the entry with the smallest virtual finish
-// tag (arrival order breaks ties), or nil when the queue is empty.
+// Pop removes the entry with the smallest virtual finish tag (arrival
+// order breaks ties) and returns it, or nil when the queue is empty.
+// The entry is the controller's: it stays valid until the next Pop or
+// Overflow.
 func (c *Controller) Pop() *Entry {
 	if len(c.queue) == 0 {
 		return nil
 	}
-	e := heap.Pop(&c.queue).(*Entry)
-	c.queuedSeconds -= e.Cost
+	e := c.remove(0)
 	c.vtime = max(c.vtime, e.start)
 	return e
 }
@@ -232,7 +244,8 @@ func (c *Controller) Len() int { return len(c.queue) }
 // one with the largest virtual finish tag, i.e. the submission whose
 // owner has consumed the most recent service — together with a
 // *Rejection carrying the shed reason and retry hint. It returns
-// (nil, nil) once the queue fits. Callers loop until nil.
+// (nil, nil) once the queue fits. Callers loop until nil. Like Pop's,
+// the entry stays valid until the next Pop or Overflow.
 func (c *Controller) Overflow(busySeconds float64) (*Entry, *Rejection) {
 	over := false
 	if c.cfg.MaxQueueDepth > 0 && len(c.queue) > c.cfg.MaxQueueDepth {
@@ -242,13 +255,18 @@ func (c *Controller) Overflow(busySeconds float64) (*Entry, *Rejection) {
 	if c.cfg.MaxQueuedSeconds > 0 && projected > c.cfg.MaxQueuedSeconds {
 		over = true
 	}
-	if !over {
+	if !over || len(c.queue) == 0 {
 		return nil, nil
 	}
-	victim := c.evictMaxFinish()
-	if victim == nil {
-		return nil, nil
+	// The victim is the largest (finish, seq). Linear scan: the queue
+	// is bounded by construction.
+	worst := 0
+	for i := 1; i < len(c.queue); i++ {
+		if c.queue[worst].before(&c.queue[i]) {
+			worst = i
+		}
 	}
+	victim := c.remove(worst)
 	excess := projected - c.cfg.MaxQueuedSeconds
 	if c.cfg.MaxQueuedSeconds <= 0 {
 		// Only the depth bound is configured: advise waiting for the
@@ -262,23 +280,55 @@ func (c *Controller) Overflow(busySeconds float64) (*Entry, *Rejection) {
 	}
 }
 
-// evictMaxFinish removes the entry with the largest (finish, seq) from
-// the queue. Linear scan: the queue is bounded by construction.
-func (c *Controller) evictMaxFinish() *Entry {
-	if len(c.queue) == 0 {
-		return nil
+// remove takes the entry at heap position i off the queue into c.out
+// and returns it.
+func (c *Controller) remove(i int) *Entry {
+	n := len(c.queue) - 1
+	c.out = c.queue[i]
+	c.queue[i] = c.queue[n]
+	c.queue[n] = Entry{} // drop the payload
+	c.queue = c.queue[:n]
+	if i < n && !c.down(i) {
+		c.up(i)
 	}
-	worst := 0
-	for i := 1; i < len(c.queue); i++ {
-		e, w := c.queue[i], c.queue[worst]
-		if e.finish > w.finish || (e.finish == w.finish && e.seq > w.seq) { //lint:allow floatcmp -- exact tie-break between tags built from identical arithmetic
-			worst = i
+	c.queuedSeconds -= c.out.Cost
+	return &c.out
+}
+
+// up moves the entry at i toward the root until its parent is before it.
+func (c *Controller) up(i int) {
+	q := c.queue
+	for i > 0 {
+		p := (i - 1) / 2
+		if !q[i].before(&q[p]) {
+			return
 		}
+		q[i], q[p] = q[p], q[i]
+		i = p
 	}
-	e := c.queue[worst]
-	heap.Remove(&c.queue, worst)
-	c.queuedSeconds -= e.Cost
-	return e
+}
+
+// down moves the entry at i toward the leaves until it is before both
+// children, and reports whether it moved.
+func (c *Controller) down(i int) bool {
+	q := c.queue
+	i0 := i
+	for {
+		l := 2*i + 1
+		if l >= len(q) {
+			break
+		}
+		m := l
+		if r := l + 1; r < len(q) && q[r].before(&q[l]) {
+			m = r
+		}
+		if !q[m].before(&q[i]) {
+			break
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
+	return i > i0
 }
 
 func (c *Controller) userState(email string, now sim.Time) *user {
@@ -288,35 +338,6 @@ func (c *Controller) userState(email string, now sim.Time) *user {
 		c.users[email] = u
 	}
 	return u
-}
-
-// entryHeap orders entries by (finish, seq) ascending.
-type entryHeap []*Entry
-
-func (h entryHeap) Len() int { return len(h) }
-func (h entryHeap) Less(i, j int) bool {
-	if h[i].finish != h[j].finish { //lint:allow floatcmp -- exact tie-break between tags built from identical arithmetic
-		return h[i].finish < h[j].finish
-	}
-	return h[i].seq < h[j].seq
-}
-func (h entryHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index, h[j].index = i, j
-}
-func (h *entryHeap) Push(x any) {
-	e := x.(*Entry)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *entryHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
 }
 
 func maxDuration(a, b sim.Duration) sim.Duration {

@@ -21,6 +21,8 @@
 package boinc
 
 import (
+	"slices"
+
 	"lattice/internal/lrm"
 	"lattice/internal/sim"
 )
@@ -53,7 +55,7 @@ type Host struct {
 	detached bool
 	// counted is the state this host is entered under in srv.pool.
 	counted hostState
-	tasks   []*task // head is the running task
+	tasks   []task // head is the running task
 	doneEv  sim.EventID
 	pollEv  sim.EventID
 	// resumeAt tracks when the running task last (re)started.
@@ -209,7 +211,7 @@ func (h *Host) taskDone() {
 	defer h.srv.mu.Unlock()
 	h.doneEv = 0
 	res := h.tasks[0].res
-	h.tasks = h.tasks[1:]
+	h.tasks = slices.Delete(h.tasks, 0, 1)
 	h.tally()
 	h.srv.stats.HostCPUSeconds += res.wu.job.Work / lrm.ReferenceCellsPerSecond
 	// Report after the host's usual reporting latency.

@@ -369,7 +369,7 @@ func (s *Server) issue(wu *workunit, h *Host) {
 	wu.pending = append(wu.pending, r)
 	s.stats.ResultsIssued++
 	s.ins.issued.Inc()
-	h.tasks = append(h.tasks, &task{res: r, remainingWork: wu.job.Work})
+	h.tasks = append(h.tasks, task{res: r, remainingWork: wu.job.Work})
 	h.tally()
 	if len(h.tasks) == 1 {
 		h.resume()
@@ -471,14 +471,14 @@ func (wu *workunit) removePending(r *result) {
 func (h *Host) dropTask(r *result) {
 	for i, t := range h.tasks {
 		if t.res == r {
-			if i == 0 && h.doneEv != 0 {
+			running := i == 0 && h.doneEv != 0
+			if running {
 				h.suspend()
-				h.tasks = h.tasks[1:]
-				h.tally()
+			}
+			h.tasks = slices.Delete(h.tasks, i, i+1)
+			h.tally()
+			if running {
 				h.resume()
-			} else {
-				h.tasks = append(h.tasks[:i], h.tasks[i+1:]...)
-				h.tally()
 			}
 			return
 		}

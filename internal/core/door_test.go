@@ -350,17 +350,19 @@ func allDone(l *Lattice, want int) bool {
 
 // durableSubmissionAllocs is what one recorded, queued one-replicate
 // submission costs from Submit to its completion mail on a one-cluster
-// durable deployment, measured: gsbl's three (see
-// acceptPathAllocBudget), two for the scheduler's candidate view, which
-// the MDS providers' per-minute publications make it rebuild at each
+// durable deployment, measured: the batch and the grid job (see
+// gsbl's acceptPathAllocBudget; the cluster's running record comes
+// from its free list), the scheduler's candidate view, which the MDS
+// providers' per-minute publications make it rebuild at each
 // placement, and the candidate list itself; the recorder's checkpoint
 // digests, one string per 64 journal events, amortize to under one. The
 // hook is handed the request's own record, so recording costs no copy:
 // a hook that took the request instead makes the record's copy escape,
-// one more. With a string allocated per ID and detail and an attempt
-// record apart from the grid job the same cycle cost 10; with a queued
-// request and a job list apart from the batch, 12.
-const durableSubmissionAllocs = 6
+// one more. With a running record made per job the cycle cost 5; with
+// a string allocated per ID and detail and an attempt record apart
+// from the grid job, 10; with a queued request and a job list apart
+// from the batch, 12.
+const durableSubmissionAllocs = 4
 
 func TestDurableSubmissionAllocations(t *testing.T) {
 	cfg := clusterBase(1)

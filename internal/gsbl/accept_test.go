@@ -292,21 +292,22 @@ func doorGrid(tb testing.TB, n int, rescan sim.Duration) (*sim.Engine, *Service)
 
 // acceptPathAllocBudget is what one queued one-replicate submission
 // costs from enqueue through drain to its completion mail, measured:
-// three records — the batch (the pending request until the drain, its
+// two records — the batch (the pending request until the drain, its
 // own drain event, the owner of its jobs, and the holder of its one-job
-// list), the grid job (its first attempt's lrm.Job, owner and staging
-// events inline) and the cluster's running record (its own completion
-// event). The batch ID, the validate detail and the job ID are cut from
-// the service's and the scheduler's slabs, which, like the journal's
-// and the outbox's chunks and the engine's tables, amortize to under
-// one. No engine event and no callback allocates. With a string
-// allocated per ID and detail and an attempt record apart from the grid
-// job the same cycle cost 7; with a separate queued request and job
-// list, 9; with an *event per engine event and a closure per callback,
-// 21; with the IDs and details built through fmt.Sprintf and the mail
-// rendered when sent, 36 (45 under the race detector, which now adds
-// nothing).
-const acceptPathAllocBudget = 3
+// list) and the grid job (its first attempt's lrm.Job, owner and
+// staging events inline). The cluster's running record (its own
+// completion event) comes from the cluster's free list. The batch ID,
+// the validate detail and the job ID are cut from the service's and the
+// scheduler's slabs, which, like the journal's and the outbox's chunks
+// and the engine's tables, amortize to under one. No engine event and
+// no callback allocates. With a cluster record made per job the same
+// cycle cost 3; with a string allocated per ID and detail and an
+// attempt record apart from the grid job, 7; with a separate queued
+// request and job list, 9; with an *event per engine event and a
+// closure per callback, 21; with the IDs and details built through
+// fmt.Sprintf and the mail rendered when sent, 36 (45 under the race
+// detector, which now adds nothing).
+const acceptPathAllocBudget = 2
 
 func TestAcceptPathAllocations(t *testing.T) {
 	eng, svc := doorGrid(t, 1, 0)

@@ -155,19 +155,21 @@ func TestAdmitRequiresIngest(t *testing.T) {
 // IngestErrors slice. Submit validates before it enqueues and the
 // scheduler's job IDs end in a per-job sequence number, so no request
 // through the door fails at the drain; the test puts a submission the
-// door never validated straight into the queue, and the drain-time
-// expansion refuses it.
+// door never validated straight into the queue. SubmitBatch trusts the
+// door and does not validate again, but a spec of zero search
+// replicates prices its job at zero work, which the scheduler's job
+// check refuses.
 func TestIngestErrorJournaled(t *testing.T) {
 	eng, sched := testGrid(t)
 	hub := obs.New(eng)
 	svc := mustService(t, eng, sched, Options{Obs: hub, Ingest: IngestConfig{PerSubmissionSeconds: 5}})
 
 	sub := userSubmission("bad@example.edu", 1)
-	sub.Spec.NumTaxa = 2
+	sub.Spec.SearchReps = 0
 	svc.enqueue(&Batch{Submission: sub, Origin: "service", svc: svc})
 	eng.RunUntil(sim.Time(sim.Minute))
-	if errs := svc.IngestErrors(); len(errs) != 1 || !strings.Contains(errs[0].Error(), "NumTaxa") {
-		t.Fatalf("IngestErrors = %v, want exactly the NumTaxa refusal", errs)
+	if errs := svc.IngestErrors(); len(errs) != 1 || !strings.Contains(errs[0].Error(), "work 0, not finite and positive") {
+		t.Fatalf("IngestErrors = %v, want exactly the zero-work refusal", errs)
 	}
 	var found bool
 	for _, ev := range hub.Journal.Events() {

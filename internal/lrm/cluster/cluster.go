@@ -86,10 +86,12 @@ type node struct {
 	ownerPresent bool
 }
 
-// running is the cluster's record of one submitted job, made at Submit
+// running is the cluster's record of one submitted job, taken at Submit
 // and kept until the job leaves the cluster: the queue's entry while it
 // waits, the event that completes it while it runs; (*wallLimit)(r) is
-// its wall-clock timer. A preempted job requeues the same record.
+// its wall-clock timer. A preempted job requeues the same record. A
+// record that dies goes back to its cluster's free list, zeroed, for
+// the next Submit.
 type running struct {
 	c     *Cluster
 	job   *lrm.Job
@@ -126,6 +128,11 @@ type Cluster struct {
 	info lrm.Info
 	// picked is dispatch's node-selection scratch.
 	picked []*node
+	// free holds the records of jobs that left, zeroed, for Submit to
+	// reuse. It needs no cap: it never outgrows the most records the
+	// cluster held at once, which the meta-scheduler's backlog cap
+	// (maxBacklogFactor × CPUs) bounds.
+	free []*running
 }
 
 // New builds a cluster. rng draws the owners' periods and may be nil
@@ -214,6 +221,7 @@ func (c *Cluster) preempt(r *running) {
 	c.ins.JobPreempted(j, "owner returned")
 	c.stats.WastedCPU += c.eng.Now().Sub(r.since).Seconds() * r.speed
 	if c.cfg.MaxRequeues > 0 && r.requeues > c.cfg.MaxRequeues {
+		c.recycle(r)
 		c.stats.Failed++
 		c.ins.JobFailed(j)
 		if j.Owner != nil {
@@ -249,7 +257,14 @@ func (c *Cluster) Submit(j *lrm.Job) error {
 		return fmt.Errorf("%s: no node on %s has %d MB", kind, c.cfg.Name, j.MemoryMB)
 	}
 	c.stats.TotalQueued++
-	c.queue = append(c.queue, &running{c: c, job: j, since: c.eng.Now()})
+	var r *running
+	if n := len(c.free); n > 0 {
+		r, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		r = new(running)
+	}
+	r.c, r.job, r.since = c, j, c.eng.Now()
+	c.queue = append(c.queue, r)
 	if len(c.queue) > c.stats.MaxQueueSeen {
 		c.stats.MaxQueueSeen = len(c.queue)
 	}
@@ -262,7 +277,9 @@ func (c *Cluster) Submit(j *lrm.Job) error {
 // down, so it scans rather than keep an index by ID.
 func (c *Cluster) Cancel(jobID string) bool {
 	if i := slices.IndexFunc(c.queue, func(r *running) bool { return r.job.ID == jobID }); i >= 0 {
+		r := c.queue[i]
 		c.queue = slices.Delete(c.queue, i, i+1)
+		c.recycle(r)
 		return true
 	}
 	for _, n := range c.nodes {
@@ -271,6 +288,7 @@ func (c *Cluster) Cancel(jobID string) bool {
 				c.eng.Cancel(r.doneEvent)
 				c.eng.Cancel(r.wallEvent)
 				c.release(r)
+				c.recycle(r)
 				c.dispatch()
 				return true
 			}
@@ -287,6 +305,16 @@ func (c *Cluster) release(r *running) {
 		n.usedMemMB -= r.job.MemoryMB
 	}
 	c.started--
+}
+
+// recycle zeroes the record of a job that left the cluster and puts it
+// on the free list. Callers recycle after their last read of r and
+// before telling the job's owner, whose callback may re-enter Submit
+// and take r for another job; a stale use of a free record panics on
+// its nil cluster instead of acting for that job.
+func (c *Cluster) recycle(r *running) {
+	*r = running{}
+	c.free = append(c.free, r)
 }
 
 // mpiEfficiency is the parallel efficiency of multi-node MPI jobs
@@ -351,6 +379,7 @@ func (r *running) Fire() {
 	c.release(r)
 	c.stats.Completed++
 	c.stats.CPUSeconds += r.dur.Seconds() * r.speed
+	c.recycle(r)
 	c.ins.JobCompleted(j)
 	if j.Owner != nil {
 		j.Owner.Complete(c.eng.Now())
@@ -368,6 +397,7 @@ func (w *wallLimit) Fire() {
 	c.release(r)
 	c.stats.Failed++
 	c.stats.WastedCPU += j.WallLimit.Seconds() * r.speed
+	c.recycle(r)
 	c.ins.JobFailed(j)
 	if j.Owner != nil {
 		j.Owner.Fail(c.eng.Now(), c.cfg.Kind+": wall clock limit exceeded")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -519,36 +520,110 @@ func TestInfo(t *testing.T) {
 	}
 }
 
-// TestPreemptedJobCostsOneRecord: a job's record is made at Submit and
-// requeued by each preemption, so a job submitted, preempted k times
-// and then completed costs one allocation whatever k is.
-func TestPreemptedJobCostsOneRecord(t *testing.T) {
-	eng := sim.NewEngine()
-	c, err := New(eng, nil, nil, hpc)
-	if err != nil {
-		t.Fatal(err)
+// TestPreemptedJobAllocatesNothing: a job's record is requeued by each
+// preemption and goes back to the cluster's free list wherever the job
+// leaves, so once the cluster is warm a job costs no allocation from
+// Submit to its end — completed after k preemptions for every k, killed
+// by its wall limit, cancelled queued or running, or failed past the
+// requeue limit.
+func TestPreemptedJobAllocatesNothing(t *testing.T) {
+	const hour = 3600 * lrm.ReferenceCellsPerSecond
+	submit := func(c *Cluster, j *lrm.Job) {
+		if err := c.Submit(j); err != nil {
+			t.Fatal(err)
+		}
 	}
-	j := &lrm.Job{ID: "j", Work: 3600 * lrm.ReferenceCellsPerSecond, MemoryMB: 256}
-	for _, k := range []int{0, 1, 5} {
-		before := c.Stats()
-		allocs := testing.AllocsPerRun(50, func() {
-			if err := c.Submit(j); err != nil {
-				t.Fatal(err)
-			}
+	completes := func(k int) func(*sim.Engine, *Cluster) {
+		j := &lrm.Job{ID: "j", Work: hour, MemoryMB: 256}
+		return func(eng *sim.Engine, c *Cluster) {
+			submit(c, j)
 			for i := 0; i < k; i++ {
 				c.preempt(c.nodes[0].jobs[0]) // the owner-return path; the job restarts at once
 			}
 			eng.Run()
-		})
-		st := c.Stats()
-		if st.Completed-before.Completed != 51 || st.Preemptions-before.Preemptions != 51*k {
-			t.Fatalf("k=%d: %d completions and %d preemptions in 51 runs", k,
-				st.Completed-before.Completed, st.Preemptions-before.Preemptions)
-		}
-		if allocs != 1 {
-			t.Errorf("k=%d: a job preempted k times costs %v allocations, want 1", k, allocs)
 		}
 	}
+	limited := hpc
+	limited.MaxRequeues = 1
+	// The jobs are made once: only the cluster's own costs are counted.
+	walled := &lrm.Job{ID: "w", Work: hour, MemoryMB: 256, WallLimit: 60}
+	run, wait := &lrm.Job{ID: "run", Work: hour, MemoryMB: 256}, &lrm.Job{ID: "wait", Work: hour, MemoryMB: 256}
+	requeued := &lrm.Job{ID: "r", Work: hour, MemoryMB: 256}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		life func(*sim.Engine, *Cluster)
+		want lrm.Stats // per life
+	}{
+		{"completes", hpc, completes(0), lrm.Stats{Completed: 1}},
+		{"completes-after-1", hpc, completes(1), lrm.Stats{Completed: 1, Preemptions: 1}},
+		{"completes-after-5", hpc, completes(5), lrm.Stats{Completed: 1, Preemptions: 5}},
+		{"wall-limit", hpc, func(eng *sim.Engine, c *Cluster) {
+			submit(c, walled)
+			eng.Run()
+		}, lrm.Stats{Failed: 1}},
+		{"cancel-queued-and-running", serial, func(eng *sim.Engine, c *Cluster) {
+			submit(c, run)
+			submit(c, wait)
+			if !c.Cancel("wait") || !c.Cancel("run") {
+				t.Fatal("cancel missed a job")
+			}
+			eng.Run()
+		}, lrm.Stats{}},
+		{"requeue-limit", limited, func(eng *sim.Engine, c *Cluster) {
+			submit(c, requeued)
+			c.preempt(c.nodes[0].jobs[0])
+			c.preempt(c.nodes[0].jobs[0])
+			eng.Run()
+		}, lrm.Stats{Failed: 1, Preemptions: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			c, err := New(eng, nil, nil, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := c.Stats()
+			allocs := testing.AllocsPerRun(50, func() { tc.life(eng, c) })
+			st := c.Stats()
+			if st.Completed-before.Completed != 51*tc.want.Completed || st.Failed-before.Failed != 51*tc.want.Failed ||
+				st.Preemptions-before.Preemptions != 51*tc.want.Preemptions || len(c.queue) != 0 || c.started != 0 {
+				t.Fatalf("51 lives left %+v from %+v with %d queued and %d running, want %+v each",
+					st, before, len(c.queue), c.started, tc.want)
+			}
+			if allocs != 0 {
+				t.Errorf("a job's life on a warm cluster costs %v allocations, want 0", allocs)
+			}
+		})
+	}
+}
+
+// checkFree holds the free list to its invariant: every record on it is
+// zeroed, appears on it once, and is reachable from neither the queue
+// nor any node.
+func (c *Cluster) checkFree() error {
+	held := map[*running]string{}
+	for _, r := range c.queue {
+		held[r] = "queued " + r.job.ID
+	}
+	for i, n := range c.nodes {
+		for _, r := range n.jobs {
+			held[r] = fmt.Sprintf("running %s on node %d", r.job.ID, i)
+		}
+	}
+	seen := map[*running]bool{}
+	for i, r := range c.free {
+		switch {
+		case seen[r]:
+			return fmt.Errorf("free record %d is on the list twice", i)
+		case held[r] != "":
+			return fmt.Errorf("free record %d is also %s", i, held[r])
+		case !reflect.DeepEqual(*r, running{}):
+			return fmt.Errorf("free record %d is not zeroed", i)
+		}
+		seen[r] = true
+	}
+	return nil
 }
 
 // Allocator oracles. refWholeNode and refSlots are the PBS and SGE
@@ -1095,6 +1170,11 @@ func replay(seed int64, eng *sim.Engine, c placed, multiNode, pool bool) (log []
 			fmt.Fprintf(&b, " %s@%v", id, run[id])
 		}
 		log = append(log, fmt.Sprintf("%v state %+v %+v running%s queue %v", eng.Now(), c.Info(), c.Stats(), b.String(), queue))
+		if c, ok := c.(*Cluster); ok {
+			if err := c.checkFree(); err != nil { // a line the oracle never writes
+				log = append(log, fmt.Sprintf("%v free list: %v", eng.Now(), err))
+			}
+		}
 	}
 	ended := func(id, outcome string) {
 		st := started[id]
@@ -1162,7 +1242,9 @@ func replay(seed int64, eng *sim.Engine, c placed, multiNode, pool bool) (log []
 // whole-node allocator (multi-node MPI jobs included), a Cores: 4
 // cluster against SGE's slot allocator, and a cluster of owner nodes
 // against the Condor pool — owners drawn from the same stream, and a
-// requeue limit of 0 (unlimited), 1 or 2 by seed.
+// requeue limit of 0 (unlimited), 1 or 2 by seed. Every snapshot also
+// holds the cluster's free list to checkFree, and the streams must
+// reuse records.
 func TestMatchesParentAllocators(t *testing.T) {
 	whole := Config{
 		Kind: "pbs", Name: "whole", Platform: lrm.LinuxX86, MPI: true,
@@ -1195,7 +1277,7 @@ func TestMatchesParentAllocators(t *testing.T) {
 		{packed, func(e *sim.Engine, _ *sim.RNG, c Config) placed { return newRefSlots(e, c) }, false, false},
 		{pool, func(e *sim.Engine, rng *sim.RNG, c Config) placed { return newRefPool(e, rng, c) }, false, true},
 	} {
-		terminal, wallFails, multi, requeueFails := 0, 0, 0, 0
+		terminal, wallFails, multi, requeueFails, reused := 0, 0, 0, 0, 0
 		for seed := int64(1); seed <= 200; seed++ {
 			cfg := side.cfg
 			if side.pool {
@@ -1208,12 +1290,11 @@ func TestMatchesParentAllocators(t *testing.T) {
 			}
 			got, m := replay(seed, eng, c, side.multiNode, side.pool)
 			multi += m
+			// Every record ever allocated is on the free list or held.
+			reused += c.stats.TotalQueued - (len(c.free) + len(c.queue) + c.started)
 			refEng := sim.NewEngine()
 			want, _ := replay(seed, refEng, side.ref(refEng, sim.NewRNG(-seed), cfg), side.multiNode, side.pool)
-			if len(got) != len(want) {
-				t.Fatalf("%s seed %d: %d log lines, the parent allocator wrote %d", cfg.Kind, seed, len(got), len(want))
-			}
-			for i := range want {
+			for i := range min(len(got), len(want)) {
 				if got[i] != want[i] {
 					t.Fatalf("%s seed %d, line %d:\n got  %s\n want %s", cfg.Kind, seed, i, got[i], want[i])
 				}
@@ -1227,10 +1308,13 @@ func TestMatchesParentAllocators(t *testing.T) {
 					}
 				}
 			}
+			if len(got) != len(want) {
+				t.Fatalf("%s seed %d: %d log lines, the parent allocator wrote %d", cfg.Kind, seed, len(got), len(want))
+			}
 		}
-		if terminal < 200*30 || wallFails == 0 || (multi == 0) == side.multiNode || (requeueFails == 0) == side.pool {
-			t.Errorf("%s streams too tame: %d terminal jobs, %d wall-limit failures, %d multi-node runs, %d requeue-limit failures",
-				side.cfg.Kind, terminal, wallFails, multi, requeueFails)
+		if terminal < 200*30 || wallFails == 0 || (multi == 0) == side.multiNode || (requeueFails == 0) == side.pool || reused == 0 {
+			t.Errorf("%s streams too tame: %d terminal jobs, %d wall-limit failures, %d multi-node runs, %d requeue-limit failures, %d reused records",
+				side.cfg.Kind, terminal, wallFails, multi, requeueFails, reused)
 		}
 	}
 }

@@ -59,15 +59,17 @@ func (s *Scheduler) submit(j *GridJob, spec *workload.JobSpec) error {
 // Returns the created jobs in jobs[:0] when they fit its capacity, and
 // otherwise in a slice of exactly their number.
 //
+// The caller passes a submission that Submission.Validate accepted:
+// SubmitBatch does not check it again. The portal's door
+// (gsbl.Service.Submit) validates every submission, recovered ones and
+// workflow stages included, and is the only caller outside tests.
+//
 // Each job's spec — the submission's, with its bundled search-replicate
 // count and its first replicate's seed — is built in the scheduler's
 // one scratch spec and priced there; the job keeps only its
 // SearchReps. A predictor gets the scratch spec, never &sub.Spec, which
 // would move every caller's submission to the heap, predictor or not.
 func (s *Scheduler) SubmitBatch(sub *workload.Submission, rng *sim.RNG, owner Owner, jobs []*GridJob) ([]*GridJob, error) {
-	if err := sub.Validate(); err != nil {
-		return nil, err
-	}
 	bundle := 1
 	if s.cfg.BundleTargetSeconds > 0 && s.predictor != nil {
 		s.spec = sub.Spec
