@@ -149,8 +149,10 @@ type Controller struct {
 	// value so that queueing one allocates nothing.
 	queue []Entry
 	// out is the entry Pop or Overflow last took off the queue; both
-	// return a pointer to it.
+	// return a pointer to it. shed is Overflow's last rejection, which
+	// it returns the same way.
 	out   Entry
+	shed  Rejection
 	vtime float64 // fair-share virtual time (served start tags)
 	seq   uint64
 	// queuedSeconds is the summed Cost of everything in queue,
@@ -244,8 +246,10 @@ func (c *Controller) Len() int { return len(c.queue) }
 // one with the largest virtual finish tag, i.e. the submission whose
 // owner has consumed the most recent service — together with a
 // *Rejection carrying the shed reason and retry hint. It returns
-// (nil, nil) once the queue fits. Callers loop until nil. Like Pop's,
-// the entry stays valid until the next Pop or Overflow.
+// (nil, nil) once the queue fits. Callers loop until nil. Both are the
+// controller's, so a shed allocates nothing: like Pop's, the entry
+// stays valid until the next Pop or Overflow, and the rejection until
+// the next Overflow; a caller that keeps the rejection copies it.
 func (c *Controller) Overflow(busySeconds float64) (*Entry, *Rejection) {
 	over := false
 	if c.cfg.MaxQueueDepth > 0 && len(c.queue) > c.cfg.MaxQueueDepth {
@@ -273,11 +277,12 @@ func (c *Controller) Overflow(busySeconds float64) (*Entry, *Rejection) {
 		// whole projected backlog to drain.
 		excess = projected
 	}
-	return victim, &Rejection{
+	c.shed = Rejection{
 		Reason:     ReasonOverload,
 		User:       victim.User,
 		RetryAfter: maxDuration(sim.Second, sim.Duration(excess)),
 	}
+	return victim, &c.shed
 }
 
 // remove takes the entry at heap position i off the queue into c.out

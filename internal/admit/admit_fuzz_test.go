@@ -178,3 +178,30 @@ func TestWarmCycleAllocatesNothing(t *testing.T) {
 		t.Fatalf("a warm cycle costs %v allocations and leaves %d queued, want 0 and 32", allocs, c.Len())
 	}
 }
+
+// TestWarmShedAllocatesNothing: the rejection Overflow returns is the
+// controller's too, so on a full queue a push that overflows it and the
+// shed that brings it back under the depth bound cost no allocation.
+func TestWarmShedAllocatesNothing(t *testing.T) {
+	c := newTestController(t, Config{MaxQueueDepth: 32})
+	payload := new(int)
+	users := []string{"a@x", "b@x", "c@x"}
+	for i := 0; i < 32; i++ {
+		c.Push(users[i%3], float64(i%5), payload)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		i++
+		c.Push(users[i%3], float64(i%5), payload)
+		v, rej := c.Overflow(0.5)
+		if v == nil || rej.Reason != ReasonOverload || rej.User != v.User {
+			t.Fatalf("shed %+v with %+v", v, rej)
+		}
+		if v, _ := c.Overflow(0.5); v != nil {
+			t.Fatalf("shed twice: %+v", v)
+		}
+	})
+	if allocs != 0 || c.Len() != 32 {
+		t.Fatalf("a warm shed costs %v allocations and leaves %d queued, want 0 and 32", allocs, c.Len())
+	}
+}

@@ -245,9 +245,6 @@ func (s *Server) Submit(j *lrm.Job) error {
 	if err := j.Validate(); err != nil {
 		return err
 	}
-	if j.NeedsMPI {
-		return fmt.Errorf("boinc: volunteer hosts cannot run MPI jobs")
-	}
 	delay := j.DelayBound
 	if delay <= 0 {
 		delay = defaultDelayBound

@@ -47,7 +47,6 @@ type ResourceSpec struct {
 	MeanOwnerBusy sim.Duration
 	// BOINC-only population.
 	Population *boinc.PopulationConfig
-	MPI        bool
 	Platform   lrm.Platform
 }
 
@@ -130,7 +129,7 @@ func DefaultConfig(seed int64) Config {
 				MeanOwnerAway: 5 * sim.Hour, MeanOwnerBusy: 5 * sim.Hour, Platform: lrm.WindowsX86},
 			{Kind: "condor", Name: "si-condor", Nodes: 40, Speed: 1.0, MemMB: 2048,
 				MeanOwnerAway: 10 * sim.Hour, MeanOwnerBusy: 6 * sim.Hour, Platform: lrm.DarwinX86},
-			{Kind: "pbs", Name: "umd-hpc", Nodes: 64, Speed: 2.0, MemMB: 8192, MPI: true, Platform: lrm.LinuxX86},
+			{Kind: "pbs", Name: "umd-hpc", Nodes: 64, Speed: 2.0, MemMB: 8192, Platform: lrm.LinuxX86},
 			{Kind: "pbs", Name: "bigmem-cluster", Nodes: 8, Speed: 1.6, MemMB: 65536, Platform: lrm.LinuxX86},
 			{Kind: "sge", Name: "bio-sge", Nodes: 16, Cores: 4, Speed: 1.4, MemMB: 16384, Platform: lrm.LinuxX86},
 			{Kind: "pbs", Name: "reference-cluster", Nodes: 8, Speed: 1.0, MemMB: 4096, Platform: lrm.LinuxX86},
@@ -397,7 +396,7 @@ func (l *Lattice) buildResource(rs ResourceSpec) (lrm.LRM, error) {
 			owners = l.rng.Stream("condor-" + rs.Name)
 		}
 		return cluster.New(l.Engine, owners, l.Obs, cluster.Config{
-			Kind: rs.Kind, Name: rs.Name, Nodes: nodes, Platform: plat, MPI: rs.MPI, MaxRequeues: 50,
+			Kind: rs.Kind, Name: rs.Name, Nodes: nodes, Platform: plat, MaxRequeues: 50,
 		})
 	case "boinc":
 		srv, err := boinc.NewServer(l.Engine, l.rng.Stream("boinc-"+rs.Name), l.Obs, rs.Name)

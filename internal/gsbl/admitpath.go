@@ -45,7 +45,8 @@ func (s *Service) admitEnqueue(b *Batch, now sim.Time) *admit.Rejection {
 		}
 		s.ingestDepth--
 		if victim.Payload == b {
-			own = rej
+			kept := *rej // rej is the controller's until its next Overflow
+			own = &kept
 		}
 		s.shed(victim.Payload.(*Batch), rej)
 	}

@@ -4,12 +4,10 @@ import (
 	"errors"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"lattice/internal/admit"
-	"lattice/internal/grid/mds"
-	"lattice/internal/lrm"
-	"lattice/internal/lrm/cluster"
 	"lattice/internal/metasched"
 	"lattice/internal/obs"
 	"lattice/internal/sim"
@@ -99,18 +97,6 @@ func TestRequestLifeCycle(t *testing.T) {
 	}
 }
 
-// wallLimited hands every job whose ID starts with "fail" to its
-// resource with a one-second wall-clock limit, so each attempt is
-// killed and the scheduler fails the job for good after its retries.
-type wallLimited struct{ lrm.LRM }
-
-func (w wallLimited) Submit(j *lrm.Job) error {
-	if len(j.ID) >= 4 && j.ID[:4] == "fail" {
-		j.WallLimit = sim.Second
-	}
-	return w.LRM.Submit(j)
-}
-
 // TestOutboxMatchesFlatOracle sends over 13 000 mails of all three
 // kinds through a service — enough for the whole 64 → 4 096 chunk ramp
 // and two full 4 096-mail chunks — and holds Sent and SentTo to a flat
@@ -123,24 +109,9 @@ func TestOutboxMatchesFlatOracle(t *testing.T) {
 	}
 	eng := sim.NewEngine()
 	hub := obs.New(eng)
-	idx, err := mds.NewIndex(eng, 5*sim.Minute)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hpc, err := cluster.New(eng, nil, nil, cluster.Config{
-		Kind: "pbs", Name: "hpc", Platform: lrm.LinuxX86,
-		Nodes: []cluster.NodeClass{{Count: 16, Cores: 1, Speed: 1.5, MemoryMB: 8192}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mds.StartProvider(eng, idx, hpc, sim.Minute); err != nil {
-		t.Fatal(err)
-	}
-	sched := metasched.New(eng, idx, metasched.DefaultConfig(), metasched.Options{Obs: hub})
-	if err := sched.Register(wallLimited{hpc}, 1.5); err != nil {
-		t.Fatal(err)
-	}
+	// Every attempt of a job of fail@example.edu's batches fails, so the
+	// scheduler fails the job for good after its retries.
+	sched := gridOn(t, eng, metasched.Options{Obs: hub}, func(id string) bool { return strings.HasPrefix(id, "fail_") })
 	svc := mustService(t, eng, sched, Options{Obs: hub})
 	users := []string{"ok@example.edu", "fail@example.edu", "other@example.org"}
 	for i := 0; i < 5000; i++ {
@@ -156,7 +127,9 @@ func TestOutboxMatchesFlatOracle(t *testing.T) {
 			eng.RunUntil(eng.Now().Add(sim.Hour))
 		}
 	}
-	eng.RunUntil(eng.Now().Add(100 * sim.Day))
+	// failing spaces its failures a second apart, so the last of the
+	// 30 000 failing attempts ends months in.
+	eng.RunUntil(eng.Now().Add(365 * sim.Day))
 
 	var flat []mail
 	left := make(map[string]int)

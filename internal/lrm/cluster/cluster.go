@@ -1,10 +1,10 @@
 // Package cluster simulates the grid's batch resources — PBS and SGE
 // clusters and Condor pools, which are one machine room at different
 // slot counts and owner processes. A node exposes Cores slots that
-// share its memory; a job takes one slot on each of max(Nodes, 1) nodes
-// that have a free slot and the memory, from a FIFO queue with
-// first-fit backfill. PBS's whole-node allocation is Cores: 1; SGE's
-// packing of many serial GARLI replicates onto one node is Cores: n.
+// share its memory; a job — one serial GARLI replicate — takes one slot
+// on the first node that has a free slot and the memory, from a FIFO
+// queue with first-fit backfill. PBS's whole-node allocation is
+// Cores: 1; SGE's packing of many replicates onto one node is Cores: n.
 //
 // A Condor pool is a cluster of institutional workstations scavenged
 // for cycles while their owners are away ("Condor — a hunter of idle
@@ -17,14 +17,12 @@
 // declined alternative by hand).
 //
 // A cluster with no owner is "stable" — jobs run to completion — and
-// the natural home for large-memory and MPI work ("jobs with large
-// memory requirements can be sent to clusters with large memory nodes,
-// and tightly coupled jobs to clusters with fast interconnects",
-// PAPER.md §1 item 2's matchmaking attributes); one with owners is the
-// canonical unstable resource ("unstable resources only take jobs
-// estimated under n = 10 hours"). The one constant of the model is
-// mpiEfficiency: a job spanning several nodes runs at 0.85 of their
-// summed speed.
+// the natural home for large-memory work ("jobs with large memory
+// requirements can be sent to clusters with large memory nodes",
+// PAPER.md §1 item 2); one with owners is the canonical unstable
+// resource ("unstable resources only take jobs estimated under n = 10
+// hours"). A job runs at its node's speed until it completes, is
+// preempted or is cancelled; no local policy limits its run time.
 package cluster
 
 import (
@@ -62,8 +60,6 @@ type Config struct {
 	Name     string
 	Nodes    []NodeClass
 	Platform lrm.Platform
-	// MPI marks the cluster as having a low-latency interconnect.
-	MPI bool
 	// MaxRequeues bounds how many times one job may be preempted by an
 	// owner before the cluster fails it (0 = unlimited; real Condor
 	// requeues indefinitely, which for long jobs on busy pools means
@@ -88,25 +84,19 @@ type node struct {
 
 // running is the cluster's record of one submitted job, taken at Submit
 // and kept until the job leaves the cluster: the queue's entry while it
-// waits, the event that completes it while it runs; (*wallLimit)(r) is
-// its wall-clock timer. A preempted job requeues the same record. A
-// record that dies goes back to its cluster's free list, zeroed, for
-// the next Submit.
+// waits, the event that completes it while it runs. A preempted job
+// requeues the same record. A record that dies goes back to its
+// cluster's free list, zeroed, for the next Submit.
 type running struct {
-	c     *Cluster
-	job   *lrm.Job
-	nodes []*node
-	// one backs nodes for a one-node job, so starting one copies no
-	// node list.
-	one [1]*node
-	// speed is the aggregate speed the job runs at, for dur.
-	speed float64
-	dur   sim.Duration
+	c   *Cluster
+	job *lrm.Job
+	// node holds the job's slot while it runs.
+	node *node
+	dur  sim.Duration
 	// since is when the job's current wait (submission or last
 	// preemption) or run began.
 	since     sim.Time
 	doneEvent sim.EventID
-	wallEvent sim.EventID
 	// requeues counts the job's owner preemptions so far.
 	requeues int
 }
@@ -126,8 +116,6 @@ type Cluster struct {
 	// info is what Info reports that never changes, built once so an
 	// MDS poll allocates nothing.
 	info lrm.Info
-	// picked is dispatch's node-selection scratch.
-	picked []*node
 	// free holds the records of jobs that left, zeroed, for Submit to
 	// reuse. It needs no cap: it never outgrows the most records the
 	// cluster held at once, which the meta-scheduler's backlog cap
@@ -151,7 +139,7 @@ func New(eng *sim.Engine, rng *sim.RNG, o *obs.Obs, cfg Config) (*Cluster, error
 	}
 	c := &Cluster{
 		eng: eng, rng: rng, cfg: cfg, ins: lrm.NewInstruments(o, cfg.Name),
-		info: lrm.Info{Name: cfg.Name, Kind: cfg.Kind, Platforms: []lrm.Platform{cfg.Platform}, MPI: cfg.MPI, Stable: true},
+		info: lrm.Info{Name: cfg.Name, Kind: cfg.Kind, Platforms: []lrm.Platform{cfg.Platform}, Stable: true},
 	}
 	for i, nc := range cfg.Nodes {
 		owned := nc.MeanOwnerBusy > 0
@@ -214,12 +202,11 @@ func (b *ownerBack) Fire() {
 func (c *Cluster) preempt(r *running) {
 	j := r.job
 	c.eng.Cancel(r.doneEvent)
-	c.eng.Cancel(r.wallEvent)
 	r.requeues++
 	c.release(r)
 	c.stats.Preemptions++
 	c.ins.JobPreempted(j, "owner returned")
-	c.stats.WastedCPU += c.eng.Now().Sub(r.since).Seconds() * r.speed
+	c.stats.WastedCPU += c.eng.Now().Sub(r.since).Seconds() * r.node.speed
 	if c.cfg.MaxRequeues > 0 && r.requeues > c.cfg.MaxRequeues {
 		c.recycle(r)
 		c.stats.Failed++
@@ -241,15 +228,6 @@ func (c *Cluster) Submit(j *lrm.Job) error {
 		return err
 	}
 	kind := c.cfg.Kind
-	if j.NeedsMPI && !c.cfg.MPI {
-		return fmt.Errorf("%s: cluster %s has no MPI interconnect", kind, c.cfg.Name)
-	}
-	if j.Nodes > 1 && !j.NeedsMPI {
-		return fmt.Errorf("%s: job %s requests %d nodes but is not an MPI job", kind, j.ID, j.Nodes)
-	}
-	if j.Nodes > len(c.nodes) {
-		return fmt.Errorf("%s: job %s requests %d nodes; cluster %s has %d", kind, j.ID, j.Nodes, c.cfg.Name, len(c.nodes))
-	}
 	if !lrm.HasPlatform(j.Platforms, c.cfg.Platform) {
 		return fmt.Errorf("%s: cluster %s platform %s not in job's set", kind, c.cfg.Name, c.cfg.Platform)
 	}
@@ -286,7 +264,6 @@ func (c *Cluster) Cancel(jobID string) bool {
 		for _, r := range n.jobs {
 			if r.job.ID == jobID {
 				c.eng.Cancel(r.doneEvent)
-				c.eng.Cancel(r.wallEvent)
 				c.release(r)
 				c.recycle(r)
 				c.dispatch()
@@ -297,13 +274,12 @@ func (c *Cluster) Cancel(jobID string) bool {
 	return false
 }
 
-// release frees the job's slots.
+// release frees the job's slot.
 func (c *Cluster) release(r *running) {
-	for _, n := range r.nodes {
-		i := slices.Index(n.jobs, r)
-		n.jobs = slices.Delete(n.jobs, i, i+1)
-		n.usedMemMB -= r.job.MemoryMB
-	}
+	n := r.node
+	i := slices.Index(n.jobs, r)
+	n.jobs = slices.Delete(n.jobs, i, i+1)
+	n.usedMemMB -= r.job.MemoryMB
 	c.started--
 }
 
@@ -317,90 +293,47 @@ func (c *Cluster) recycle(r *running) {
 	c.free = append(c.free, r)
 }
 
-// mpiEfficiency is the parallel efficiency of multi-node MPI jobs
-// (communication overhead eats part of the aggregate speed).
-const mpiEfficiency = 0.85
-
 // dispatch starts queued jobs on free slots: FIFO order with first-fit
-// backfill (a job later in the queue may start if the head does not
-// fit enough owner-free nodes with a free slot and the memory).
+// backfill (a job later in the queue may start if the head fits no
+// owner-free node with a free slot and the memory).
 func (c *Cluster) dispatch() {
 	for qi := 0; qi < len(c.queue); {
 		r := c.queue[qi]
-		j := r.job
-		want := max(j.Nodes, 1)
-		picked := c.picked[:0]
-		for _, n := range c.nodes {
-			if !n.ownerPresent && len(n.jobs) < n.cores && n.usedMemMB+j.MemoryMB <= n.memoryMB {
-				picked = append(picked, n)
-				if len(picked) == want {
-					break
-				}
-			}
-		}
-		c.picked = picked
-		if len(picked) < want {
+		i := slices.IndexFunc(c.nodes, func(n *node) bool {
+			return !n.ownerPresent && len(n.jobs) < n.cores && n.usedMemMB+r.job.MemoryMB <= n.memoryMB
+		})
+		if i < 0 {
 			qi++
 			continue
 		}
 		c.queue = append(c.queue[:qi], c.queue[qi+1:]...)
-		c.start(r, picked)
+		c.start(r, c.nodes[i])
 	}
 }
 
-// start runs r on picked, which is dispatch's scratch: the job keeps its
-// own copy, inline when it is one node.
-func (c *Cluster) start(r *running, picked []*node) {
+// start runs r in a slot of n.
+func (c *Cluster) start(r *running, n *node) {
 	j := r.job
-	r.nodes = append(r.one[:0], picked...)
-	r.speed = 0
-	for _, n := range r.nodes {
-		n.jobs = append(n.jobs, r)
-		n.usedMemMB += j.MemoryMB
-		r.speed += n.speed
-	}
-	if len(r.nodes) > 1 {
-		r.speed *= mpiEfficiency
-	}
-	r.dur = j.RuntimeOn(r.speed)
+	r.node = n
+	n.jobs = append(n.jobs, r)
+	n.usedMemMB += j.MemoryMB
+	r.dur = j.RuntimeOn(n.speed)
 	c.started++
 	c.ins.JobStarted(j, c.eng.Now().Sub(r.since))
 	r.since = c.eng.Now()
 	r.doneEvent = c.eng.After(r.dur, r)
-	if j.WallLimit > 0 && j.WallLimit < r.dur {
-		r.wallEvent = c.eng.After(j.WallLimit, (*wallLimit)(r))
-	}
 }
 
 // Fire completes the job.
 func (r *running) Fire() {
 	c, j := r.c, r.job
-	c.eng.Cancel(r.wallEvent)
 	c.release(r)
 	c.stats.Completed++
-	c.stats.CPUSeconds += r.dur.Seconds() * r.speed
+	c.stats.CPUSeconds += r.dur.Seconds() * r.node.speed
 	c.recycle(r)
 	c.ins.JobCompleted(j)
 	if j.Owner != nil {
 		j.Owner.Complete(c.eng.Now())
-	}
-	c.dispatch()
-}
-
-// wallLimit is a running job's wall-clock timer: it kills the job.
-type wallLimit running
-
-func (w *wallLimit) Fire() {
-	r := (*running)(w)
-	c, j := r.c, r.job
-	c.eng.Cancel(r.doneEvent)
-	c.release(r)
-	c.stats.Failed++
-	c.stats.WastedCPU += j.WallLimit.Seconds() * r.speed
-	c.recycle(r)
-	c.ins.JobFailed(j)
-	if j.Owner != nil {
-		j.Owner.Fail(c.eng.Now(), c.cfg.Kind+": wall clock limit exceeded")
 	}
 	c.dispatch()
 }

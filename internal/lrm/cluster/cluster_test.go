@@ -18,13 +18,13 @@ import (
 var (
 	// hpc is a PBS cluster: four fast whole nodes, two large-memory ones.
 	hpc = Config{
-		Kind: "pbs", Name: "hpc", Platform: lrm.LinuxX86, MPI: true,
+		Kind: "pbs", Name: "hpc", Platform: lrm.LinuxX86,
 		Nodes: []NodeClass{
 			{Count: 4, Cores: 1, Speed: 2.0, MemoryMB: 4096},
 			{Count: 2, Cores: 1, Speed: 1.5, MemoryMB: 32768},
 		},
 	}
-	// serial is a one-node PBS cluster without an interconnect.
+	// serial is a one-node PBS cluster.
 	serial = Config{
 		Kind: "pbs", Name: "serial", Platform: lrm.LinuxX86,
 		Nodes: []NodeClass{{Count: 1, Cores: 1, Speed: 1, MemoryMB: 1024}},
@@ -33,11 +33,6 @@ var (
 	slots = Config{
 		Kind: "sge", Name: "sge", Platform: lrm.LinuxX86,
 		Nodes: []NodeClass{{Count: 2, Cores: 8, Speed: 1.5, MemoryMB: 16384}},
-	}
-	// mpiSlots is an SGE cluster with an interconnect: 6 nodes × 4 slots.
-	mpiSlots = Config{
-		Kind: "sge", Name: "mpi-sge", Platform: lrm.LinuxX86, MPI: true,
-		Nodes: []NodeClass{{Count: 6, Cores: 4, Speed: 1.5, MemoryMB: 16384}},
 	}
 )
 
@@ -63,12 +58,8 @@ type cancel struct {
 	want bool
 }
 
-func mpi(nodes int) func(*lrm.Job) {
-	return func(j *lrm.Job) { j.NeedsMPI, j.Nodes = true, nodes }
-}
-
-// TestCluster runs every surviving case of the PBS and SGE suites, and
-// the multi-node rule SGE used to lack, against the one constructor:
+// TestCluster runs every surviving case of the PBS and SGE suites
+// against the one constructor:
 // submissions and cancels at time zero, then exact completion times,
 // failure reasons, an Info probe and the completed count.
 func TestCluster(t *testing.T) {
@@ -103,15 +94,9 @@ func TestCluster(t *testing.T) {
 				{id: "small", ref: 600},
 			},
 			done: map[string]float64{"small": 300, "head": 120400}, completed: 4},
-		{name: "pbs-mpi-policy", cfg: serial,
-			subs: []sub{{id: "mpi", ref: 60, job: mpi(0), fail: "pbs: cluster serial has no MPI interconnect"}}},
 		{name: "pbs-platform-policy", cfg: hpc,
 			subs: []sub{{id: "win", ref: 60, fail: "pbs: cluster hpc platform linux/x86_64 not in job's set",
 				job: func(j *lrm.Job) { j.Platforms = []lrm.Platform{lrm.WindowsX86} }}}},
-		{name: "pbs-wall-limit", cfg: serial,
-			subs: []sub{{id: "long", ref: 4 * 3600, job: func(j *lrm.Job) { j.WallLimit = sim.Hour }}},
-			// The reason reaches the journal: byte-for-byte.
-			failed: map[string]string{"long": "3600 pbs: wall clock limit exceeded"}},
 		{name: "pbs-cancel-queued-and-running", cfg: hpc,
 			subs:      []sub{{id: "r", n: 6, ref: 3600}, {id: "q", ref: 3600}},
 			cancels:   []cancel{{"q", true}, {"r0", true}, {"r0", false}},
@@ -119,28 +104,6 @@ func TestCluster(t *testing.T) {
 		{name: "pbs-info", cfg: hpc,
 			subs:  []sub{{id: "one", ref: 3600}},
 			probe: &probe{at: sim.Minute, total: 6, free: 5, running: 1}, completed: 1},
-		{name: "pbs-mpi-multi-node", cfg: hpc,
-			// 8 reference-hours across 4 speed-2.0 nodes at 85 % efficiency.
-			subs:  []sub{{id: "mpi4", ref: 8 * 3600, job: mpi(4)}},
-			probe: &probe{at: 10 * sim.Minute, total: 6, free: 2, running: 1},
-			done:  map[string]float64{"mpi4": 8 * 3600 / (4 * 2.0 * 0.85)}, completed: 1},
-		{name: "pbs-mpi-validation", cfg: hpc,
-			subs: []sub{
-				{id: "wide", ref: 60, job: mpi(100), fail: "pbs: job wide requests 100 nodes; cluster hpc has 6"},
-				{id: "serialmulti", ref: 60, job: func(j *lrm.Job) { j.Nodes = 3 },
-					fail: "pbs: job serialmulti requests 3 nodes but is not an MPI job"},
-			}},
-		{name: "pbs-mpi-waits-for-enough-nodes", cfg: hpc,
-			// Five serial jobs leave one node, which the late job backfills
-			// at once. The 4-node job starts the moment a fourth node frees:
-			// at 3600 s, inside the third fast node's completion, on three
-			// fast nodes and the large-memory one the late job gave back.
-			subs: []sub{
-				{id: "s", n: 5, ref: 2 * 3600},
-				{id: "mpi", ref: 3600, job: mpi(4)},
-				{id: "late", ref: 600},
-			},
-			done: map[string]float64{"late": 400, "mpi": 3600 + 3600/((2.0+2.0+2.0+1.5)*0.85)}, completed: 7},
 
 		{name: "sge-slot-packing", cfg: slots,
 			// 16 equal jobs on 16 slots run together: 3600 / 1.5.
@@ -157,7 +120,6 @@ func TestCluster(t *testing.T) {
 				{id: "big", ref: 60, mem: 32768, fail: "sge: no node on sge has 32768 MB"},
 				{id: "mac", ref: 60, fail: "sge: cluster sge platform linux/x86_64 not in job's set",
 					job: func(j *lrm.Job) { j.Platforms = []lrm.Platform{lrm.DarwinX86} }},
-				{id: "mpi", ref: 60, job: mpi(0), fail: "sge: cluster sge has no MPI interconnect"},
 			}},
 		{name: "sge-queue-drains-in-order", cfg: slots,
 			subs:      []sub{{id: "j", n: 40, ref: 1800}},
@@ -167,25 +129,9 @@ func TestCluster(t *testing.T) {
 			subs:      []sub{{id: "r", n: 16, ref: 3600}, {id: "queued", ref: 3600}},
 			cancels:   []cancel{{"queued", true}, {"r3", true}},
 			completed: 15},
-		{name: "sge-wall-limit", cfg: slots,
-			subs:   []sub{{id: "w", ref: 7200, job: func(j *lrm.Job) { j.WallLimit = sim.Hour }}},
-			failed: map[string]string{"w": "3600 sge: wall clock limit exceeded"}},
 		{name: "sge-info-counts-slots", cfg: slots,
 			subs:  []sub{{id: "x", ref: 3600}},
 			probe: &probe{at: sim.Minute, total: 16, free: 15, running: 1}, completed: 1},
-
-		{name: "sge-mpi-multi-node", cfg: mpiSlots,
-			// One slot on each of four nodes, 0.85 × their summed speed —
-			// SGE used to run this on one slot at one node's speed.
-			subs:  []sub{{id: "mpi4", ref: 8 * 3600, job: mpi(4)}, {id: "x", ref: 3600}},
-			probe: &probe{at: sim.Minute, total: 24, free: 19, running: 2},
-			done:  map[string]float64{"mpi4": 8 * 3600 / (4 * 1.5 * 0.85), "x": 2400}, completed: 2},
-		{name: "sge-mpi-validation", cfg: mpiSlots,
-			subs: []sub{
-				{id: "wide", ref: 60, job: mpi(7), fail: "sge: job wide requests 7 nodes; cluster mpi-sge has 6"},
-				{id: "serialmulti", ref: 60, job: func(j *lrm.Job) { j.Nodes = 2 },
-					fail: "sge: job serialmulti requests 2 nodes but is not an MPI job"},
-			}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			eng := sim.NewEngine()
@@ -232,7 +178,7 @@ func TestCluster(t *testing.T) {
 					t.Errorf("at %v: %d/%d free, %d running, %d queued; want %d/%d, %d, %d", p.at,
 						info.FreeCPUs, info.TotalCPUs, info.RunningJobs, info.QueuedJobs, p.free, p.total, p.running, p.queue)
 				}
-				if info.Kind != row.cfg.Kind || !info.Stable || info.MPI != row.cfg.MPI || info.NodeMemoryMB != row.cfg.Nodes[len(row.cfg.Nodes)-1].MemoryMB {
+				if info.Kind != row.cfg.Kind || !info.Stable || info.NodeMemoryMB != row.cfg.Nodes[len(row.cfg.Nodes)-1].MemoryMB {
 					t.Errorf("info wrong: %+v", info)
 				}
 			}
@@ -383,17 +329,10 @@ func TestOwnerNodes(t *testing.T) {
 					job: func(j *lrm.Job) { j.Platforms = []lrm.Platform{lrm.WindowsX86} }},
 			},
 			until: 2 * sim.Day, completed: 1},
-		{name: "mpi-rejected", cfg: workstations(1, sim.Hour, sim.Hour),
-			subs:  []sub{{id: "mpi", ref: 60, job: mpi(0), fail: "condor: cluster pool has no MPI interconnect"}},
-			until: sim.Day},
 		{name: "cancel-running", cfg: workstations(1, 100*sim.Hour, sim.Minute),
 			subs:     []sub{{id: "c1", ref: 3600}},
 			cancelAt: 10 * sim.Minute, cancels: []cancel{{"c1", true}, {"c1", false}, {"never-submitted", false}},
 			until: sim.Day},
-		{name: "wall-limit", cfg: workstations(1, 1000*sim.Hour, sim.Minute),
-			subs:   []sub{{id: "w", ref: 7200, job: func(j *lrm.Job) { j.WallLimit = sim.Hour }}},
-			until:  sim.Day,
-			failed: map[string]string{"w": "condor: wall clock limit exceeded"}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			eng := sim.NewEngine()
@@ -505,7 +444,7 @@ func TestInfo(t *testing.T) {
 				eng.RunUntil(sim.Time(sim.Duration(h) * sim.Hour))
 				info := c.Info()
 				if info.Kind != row.cfg.Kind || info.TotalCPUs != row.total || info.NodeMemoryMB != row.memory ||
-					info.Stable != row.stable || info.MPI != row.cfg.MPI || !slices.Equal(info.Platforms, []lrm.Platform{lrm.LinuxX86}) {
+					info.Stable != row.stable || !slices.Equal(info.Platforms, []lrm.Platform{lrm.LinuxX86}) {
 					t.Fatalf("hour %d: info misdescribes the cluster: %+v", h, info)
 				}
 				if info.FreeCPUs < 0 || info.FreeCPUs+info.RunningJobs > info.TotalCPUs || (info.QueuedJobs > 0 && info.FreeCPUs > 0) {
@@ -523,9 +462,8 @@ func TestInfo(t *testing.T) {
 // TestPreemptedJobAllocatesNothing: a job's record is requeued by each
 // preemption and goes back to the cluster's free list wherever the job
 // leaves, so once the cluster is warm a job costs no allocation from
-// Submit to its end — completed after k preemptions for every k, killed
-// by its wall limit, cancelled queued or running, or failed past the
-// requeue limit.
+// Submit to its end — completed after k preemptions for every k,
+// cancelled queued or running, or failed past the requeue limit.
 func TestPreemptedJobAllocatesNothing(t *testing.T) {
 	const hour = 3600 * lrm.ReferenceCellsPerSecond
 	submit := func(c *Cluster, j *lrm.Job) {
@@ -546,7 +484,6 @@ func TestPreemptedJobAllocatesNothing(t *testing.T) {
 	limited := hpc
 	limited.MaxRequeues = 1
 	// The jobs are made once: only the cluster's own costs are counted.
-	walled := &lrm.Job{ID: "w", Work: hour, MemoryMB: 256, WallLimit: 60}
 	run, wait := &lrm.Job{ID: "run", Work: hour, MemoryMB: 256}, &lrm.Job{ID: "wait", Work: hour, MemoryMB: 256}
 	requeued := &lrm.Job{ID: "r", Work: hour, MemoryMB: 256}
 	for _, tc := range []struct {
@@ -558,10 +495,6 @@ func TestPreemptedJobAllocatesNothing(t *testing.T) {
 		{"completes", hpc, completes(0), lrm.Stats{Completed: 1}},
 		{"completes-after-1", hpc, completes(1), lrm.Stats{Completed: 1, Preemptions: 1}},
 		{"completes-after-5", hpc, completes(5), lrm.Stats{Completed: 1, Preemptions: 5}},
-		{"wall-limit", hpc, func(eng *sim.Engine, c *Cluster) {
-			submit(c, walled)
-			eng.Run()
-		}, lrm.Stats{Failed: 1}},
 		{"cancel-queued-and-running", serial, func(eng *sim.Engine, c *Cluster) {
 			submit(c, run)
 			submit(c, wait)
@@ -630,8 +563,7 @@ func (c *Cluster) checkFree() error {
 // clusters as they stood as two packages — whole-node allocation over a
 // busy flag, slot allocation on a single node — kept so that the folded
 // allocator can be required to reproduce each of them event for event.
-// refSlots has no multi-node rule (the defect the fold fixed), so its
-// streams are serial.
+// Every job is serial: it holds one node (PBS) or one slot (SGE).
 
 type refNode struct {
 	cores, memoryMB      int
@@ -641,9 +573,9 @@ type refNode struct {
 }
 
 type refRunning struct {
-	job                  *lrm.Job
-	nodes                []*refNode
-	doneEvent, wallEvent sim.EventID
+	job       *lrm.Job
+	node      *refNode
+	doneEvent sim.EventID
 }
 
 // refCluster is what the two oracles share: construction, queueing,
@@ -674,8 +606,11 @@ func newRef(eng *sim.Engine, cfg Config) *refCluster {
 func (c *refCluster) Name() string     { return c.cfg.Name }
 func (c *refCluster) Stats() lrm.Stats { return c.stats }
 
-// enqueue is the tail both parents' Submit shared once validation passed.
-func (c *refCluster) enqueue(j *lrm.Job) error {
+// Submit is what both parents' Submit shared.
+func (c *refCluster) Submit(j *lrm.Job) error {
+	if err := j.Validate(); err != nil {
+		return err
+	}
 	kind := c.cfg.Kind
 	if !lrm.HasPlatform(j.Platforms, c.cfg.Platform) {
 		return fmt.Errorf("%s: cluster %s platform %s not in job's set", kind, c.cfg.Name, c.cfg.Platform)
@@ -708,7 +643,6 @@ func (c *refCluster) Cancel(jobID string) bool {
 	}
 	if r, ok := c.running[jobID]; ok {
 		c.eng.Cancel(r.doneEvent)
-		c.eng.Cancel(r.wallEvent)
 		c.release(r)
 		delete(c.running, jobID)
 		c.dispatch()
@@ -717,15 +651,15 @@ func (c *refCluster) Cancel(jobID string) bool {
 	return false
 }
 
-// run is the parents' start once the nodes are marked taken: the done
-// event, then the wall-limit event, each releasing, accounting,
-// notifying and re-dispatching in the parents' order.
-func (c *refCluster) run(j *lrm.Job, r *refRunning, speed float64) {
+// run is the parents' start once the node is marked taken: the done
+// event releasing, accounting, notifying and re-dispatching in the
+// parents' order.
+func (c *refCluster) run(j *lrm.Job, r *refRunning) {
+	speed := r.node.speed
 	dur := j.RuntimeOn(speed)
 	c.running[j.ID] = r
 	r.doneEvent = c.eng.Schedule(dur, func() {
 		c.release(r)
-		c.eng.Cancel(r.wallEvent)
 		delete(c.running, j.ID)
 		c.stats.Completed++
 		c.stats.CPUSeconds += dur.Seconds() * speed
@@ -734,25 +668,11 @@ func (c *refCluster) run(j *lrm.Job, r *refRunning, speed float64) {
 		}
 		c.dispatch()
 	})
-	if j.WallLimit > 0 && j.WallLimit < dur {
-		r.wallEvent = c.eng.Schedule(j.WallLimit, func() {
-			c.release(r)
-			c.eng.Cancel(r.doneEvent)
-			delete(c.running, j.ID)
-			c.stats.Failed++
-			c.stats.WastedCPU += j.WallLimit.Seconds() * speed
-			if j.Owner != nil {
-				j.Owner.Fail(c.eng.Now(), c.cfg.Kind+": wall clock limit exceeded")
-			}
-			c.dispatch()
-		})
-	}
 }
 
 func (c *refCluster) info() lrm.Info {
 	return lrm.Info{
-		Name: c.cfg.Name, Kind: c.cfg.Kind, Platforms: []lrm.Platform{c.cfg.Platform},
-		MPI: c.cfg.MPI, Stable: true,
+		Name: c.cfg.Name, Kind: c.cfg.Kind, Platforms: []lrm.Platform{c.cfg.Platform}, Stable: true,
 		QueuedJobs: len(c.queue), RunningJobs: len(c.running),
 	}
 }
@@ -762,60 +682,27 @@ type refWholeNode struct{ *refCluster }
 func newRefWholeNode(eng *sim.Engine, cfg Config) *refWholeNode {
 	c := &refWholeNode{newRef(eng, cfg)}
 	c.dispatch = c.dispatchWhole
-	c.release = func(r *refRunning) {
-		for _, n := range r.nodes {
-			n.busy = false
-		}
-	}
+	c.release = func(r *refRunning) { r.node.busy = false }
 	return c
-}
-
-func (c *refWholeNode) Submit(j *lrm.Job) error {
-	if err := j.Validate(); err != nil {
-		return err
-	}
-	if j.NeedsMPI && !c.cfg.MPI {
-		return fmt.Errorf("pbs: cluster %s has no MPI interconnect", c.cfg.Name)
-	}
-	if j.Nodes > 1 && !j.NeedsMPI {
-		return fmt.Errorf("pbs: job %s requests %d nodes but is not an MPI job", j.ID, j.Nodes)
-	}
-	if j.Nodes > len(c.nodes) {
-		return fmt.Errorf("pbs: job %s requests %d nodes; cluster %s has %d", j.ID, j.Nodes, c.cfg.Name, len(c.nodes))
-	}
-	return c.enqueue(j)
 }
 
 func (c *refWholeNode) dispatchWhole() {
 	for qi := 0; qi < len(c.queue); {
 		j := c.queue[qi]
-		want := j.Nodes
-		if want < 1 {
-			want = 1
-		}
-		var targets []*refNode
+		var target *refNode
 		for _, n := range c.nodes {
 			if !n.busy && j.MemoryMB <= n.memoryMB {
-				targets = append(targets, n)
-				if len(targets) == want {
-					break
-				}
+				target = n
+				break
 			}
 		}
-		if len(targets) < want {
+		if target == nil {
 			qi++
 			continue
 		}
 		c.queue = append(c.queue[:qi], c.queue[qi+1:]...)
-		var aggregate float64
-		for _, n := range targets {
-			n.busy = true
-			aggregate += n.speed
-		}
-		if len(targets) > 1 {
-			aggregate *= mpiEfficiency
-		}
-		c.run(j, &refRunning{job: j, nodes: targets}, aggregate)
+		target.busy = true
+		c.run(j, &refRunning{job: j, node: target})
 	}
 }
 
@@ -839,20 +726,10 @@ func newRefSlots(eng *sim.Engine, cfg Config) *refSlots {
 	c := &refSlots{newRef(eng, cfg)}
 	c.dispatch = c.dispatchSlots
 	c.release = func(r *refRunning) {
-		r.nodes[0].usedCores--
-		r.nodes[0].usedMemMB -= r.job.MemoryMB
+		r.node.usedCores--
+		r.node.usedMemMB -= r.job.MemoryMB
 	}
 	return c
-}
-
-func (c *refSlots) Submit(j *lrm.Job) error {
-	if err := j.Validate(); err != nil {
-		return err
-	}
-	if j.NeedsMPI && !c.cfg.MPI {
-		return fmt.Errorf("sge: cluster %s has no MPI interconnect", c.cfg.Name)
-	}
-	return c.enqueue(j)
 }
 
 func (c *refSlots) dispatchSlots() {
@@ -872,7 +749,7 @@ func (c *refSlots) dispatchSlots() {
 		c.queue = append(c.queue[:qi], c.queue[qi+1:]...)
 		target.usedCores++
 		target.usedMemMB += j.MemoryMB
-		c.run(j, &refRunning{job: j, nodes: []*refNode{target}}, target.speed)
+		c.run(j, &refRunning{job: j, node: target})
 	}
 }
 
@@ -890,7 +767,7 @@ func (c *refSlots) Info() lrm.Info {
 
 // refPool is the Condor pool as it stood as its own package: one
 // machine a node, an owner process per machine, vanilla-universe
-// preemption with a requeue limit, and no Submit checks beyond MPI.
+// preemption with a requeue limit, and no Submit checks.
 type refPool struct {
 	eng       *sim.Engine
 	rng       *sim.RNG
@@ -911,9 +788,9 @@ type refMachine struct {
 }
 
 type refRun struct {
-	job                  *lrm.Job
-	startedAt            sim.Time
-	doneEvent, wallEvent sim.EventID
+	job       *lrm.Job
+	startedAt sim.Time
+	doneEvent sim.EventID
 }
 
 type refQueued struct {
@@ -958,7 +835,6 @@ func (p *refPool) preempt(m *refMachine) {
 	r := m.running
 	m.running = nil
 	p.eng.Cancel(r.doneEvent)
-	p.eng.Cancel(r.wallEvent)
 	p.stats.Preemptions++
 	p.stats.WastedCPU += p.eng.Now().Sub(r.startedAt).Seconds() * m.speed
 	requeues := p.requeues[r.job.ID] + 1
@@ -978,9 +854,6 @@ func (p *refPool) preempt(m *refMachine) {
 func (p *refPool) Submit(j *lrm.Job) error {
 	if err := j.Validate(); err != nil {
 		return err
-	}
-	if j.NeedsMPI {
-		return fmt.Errorf("condor: pool %s cannot run MPI jobs", p.cfg.Name)
 	}
 	p.stats.TotalQueued++
 	p.queue = append(p.queue, refQueued{j, p.eng.Now()})
@@ -1002,7 +875,6 @@ func (p *refPool) Cancel(jobID string) bool {
 	for _, m := range p.machines {
 		if m.running != nil && m.running.job.ID == jobID {
 			p.eng.Cancel(m.running.doneEvent)
-			p.eng.Cancel(m.running.wallEvent)
 			m.running = nil
 			delete(p.requeues, jobID)
 			p.tryDispatch()
@@ -1037,7 +909,6 @@ func (p *refPool) start(j *lrm.Job, m *refMachine) {
 	dur := j.RuntimeOn(m.speed)
 	r.doneEvent = p.eng.Schedule(dur, func() {
 		m.running = nil
-		p.eng.Cancel(r.wallEvent)
 		p.stats.Completed++
 		p.stats.CPUSeconds += dur.Seconds() * m.speed
 		delete(p.requeues, j.ID)
@@ -1046,19 +917,6 @@ func (p *refPool) start(j *lrm.Job, m *refMachine) {
 		}
 		p.tryDispatch()
 	})
-	if j.WallLimit > 0 && j.WallLimit < dur {
-		r.wallEvent = p.eng.Schedule(j.WallLimit, func() {
-			m.running = nil
-			p.eng.Cancel(r.doneEvent)
-			p.stats.Failed++
-			p.stats.WastedCPU += j.WallLimit.Seconds() * m.speed
-			delete(p.requeues, j.ID)
-			if j.Owner != nil {
-				j.Owner.Fail(p.eng.Now(), "condor: wall clock limit exceeded")
-			}
-			p.tryDispatch()
-		})
-	}
 }
 
 func (p *refPool) Info() lrm.Info {
@@ -1074,11 +932,11 @@ func (p *refPool) Info() lrm.Info {
 	return info
 }
 
-func (p *refPool) placement() (map[string][]int, []string) {
-	run := map[string][]int{}
+func (p *refPool) placement() (map[string]int, []string) {
+	run := map[string]int{}
 	for i, m := range p.machines {
 		if m.running != nil {
-			run[m.running.job.ID] = []int{i}
+			run[m.running.job.ID] = i
 		}
 	}
 	ids := make([]string, len(p.queue))
@@ -1089,37 +947,17 @@ func (p *refPool) placement() (map[string][]int, []string) {
 }
 
 // placed is what the differential test reads from either side: which
-// nodes (by index) each running job holds, and the queue in order.
+// node (by index) each running job holds, and the queue in order.
 type placed interface {
 	lrm.LRM
-	placement() (running map[string][]int, queue []string)
+	placement() (running map[string]int, queue []string)
 }
 
-func nodeIndexes[N comparable](all, held []N) []int {
-	var out []int
-	for _, h := range held {
-		for i, n := range all {
-			if n == h {
-				out = append(out, i)
-			}
-		}
-	}
-	return out
-}
-
-func queueIDs(q []*lrm.Job) []string {
-	ids := make([]string, len(q))
-	for i, j := range q {
-		ids[i] = j.ID
-	}
-	return ids
-}
-
-func (c *Cluster) placement() (map[string][]int, []string) {
-	run := map[string][]int{}
-	for _, n := range c.nodes {
+func (c *Cluster) placement() (map[string]int, []string) {
+	run := map[string]int{}
+	for i, n := range c.nodes {
 		for _, r := range n.jobs {
-			run[r.job.ID] = nodeIndexes(c.nodes, r.nodes)
+			run[r.job.ID] = i
 		}
 	}
 	queue := make([]string, len(c.queue))
@@ -1129,45 +967,48 @@ func (c *Cluster) placement() (map[string][]int, []string) {
 	return run, queue
 }
 
-func (c *refCluster) placement() (map[string][]int, []string) {
-	run := map[string][]int{}
+func (c *refCluster) placement() (map[string]int, []string) {
+	run := map[string]int{}
 	for id, r := range c.running {
-		run[id] = nodeIndexes(c.nodes, r.nodes)
+		run[id] = slices.Index(c.nodes, r.node)
 	}
-	return run, queueIDs(c.queue)
+	ids := make([]string, len(c.queue))
+	for i, j := range c.queue {
+		ids[i] = j.ID
+	}
+	return run, ids
 }
 
 // replay drives one seeded job stream through a cluster and returns
 // everything observable about the run as lines: every Submit and
-// Cancel result, one (job, start, end, outcome, nodes) line per
-// terminal job, and Info, Stats, the running set and the queue after
-// every event (a zero-delay probe behind each one, so it sees the
-// re-dispatch that ends the handler). multi counts the terminal jobs
-// that ran on more than one node. A pool stream holds only jobs the
-// meta-scheduler's eligibility check lets reach a pool — no MPI, no
-// foreign platform, no more memory than its largest machine — and,
-// since owners come and go forever, is probed every ten minutes up to
-// a three-day horizon instead of run dry.
-func replay(seed int64, eng *sim.Engine, c placed, multiNode, pool bool) (log []string, multi int) {
+// Cancel result, one (job, start, end, outcome, node) line per terminal
+// job, and Info, Stats, the running set and the queue after every event
+// (a zero-delay probe behind each one, so it sees the re-dispatch that
+// ends the handler). A pool stream holds only jobs the meta-scheduler's
+// eligibility check lets reach a pool — no foreign platform, no more
+// memory than its largest machine — and, since owners come and go
+// forever, is probed every ten minutes up to a three-day horizon
+// instead of run dry.
+func replay(seed int64, eng *sim.Engine, c placed, pool bool) (log []string) {
 	rng := sim.NewRNG(seed)
 	type start struct {
-		at    sim.Time
-		nodes []int
+		at   sim.Time
+		node int
 	}
 	started := map[string]start{}
 	snapshot := func() {
 		run, queue := c.placement()
 		ids := make([]string, 0, len(run))
-		for id, nodes := range run {
+		for id, node := range run {
 			ids = append(ids, id)
 			if _, ok := started[id]; !ok {
-				started[id] = start{eng.Now(), nodes}
+				started[id] = start{eng.Now(), node}
 			}
 		}
 		sort.Strings(ids)
 		var b strings.Builder
 		for _, id := range ids {
-			fmt.Fprintf(&b, " %s@%v", id, run[id])
+			fmt.Fprintf(&b, " %s@%d", id, run[id])
 		}
 		log = append(log, fmt.Sprintf("%v state %+v %+v running%s queue %v", eng.Now(), c.Info(), c.Stats(), b.String(), queue))
 		if c, ok := c.(*Cluster); ok {
@@ -1178,10 +1019,7 @@ func replay(seed int64, eng *sim.Engine, c placed, multiNode, pool bool) (log []
 	}
 	ended := func(id, outcome string) {
 		st := started[id]
-		log = append(log, fmt.Sprintf("job %s start %v end %v %s nodes %v", id, st.at, eng.Now(), outcome, st.nodes))
-		if len(st.nodes) > 1 {
-			multi++
-		}
+		log = append(log, fmt.Sprintf("job %s start %v end %v %s node %d", id, st.at, eng.Now(), outcome, st.node))
 		delete(started, id)
 		eng.Schedule(0, snapshot)
 	}
@@ -1206,13 +1044,6 @@ func replay(seed int64, eng *sim.Engine, c placed, multiNode, pool bool) (log []
 		} else {
 			j.MemoryMB = []int{256, 2048, 6000, 12000, 40000}[rng.Choice([]float64{4, 3, 2, 2, 0.5})]
 		}
-		if multiNode {
-			j.Nodes = []int{0, 1, 2, 4, 9}[rng.Choice([]float64{3, 3, 2, 2, 0.3})]
-			j.NeedsMPI = j.Nodes > 1 && !rng.Bool(0.1) // a few multi-node jobs forget the flag
-		}
-		if rng.Bool(0.3) {
-			j.WallLimit = sim.Duration(rng.Uniform(600, 2*3600))
-		}
 		if !pool && rng.Bool(0.05) {
 			j.Platforms = []lrm.Platform{lrm.WindowsX86}
 		}
@@ -1227,94 +1058,107 @@ func replay(seed int64, eng *sim.Engine, c placed, multiNode, pool bool) (log []
 	}
 	if !pool {
 		eng.Run()
-		return log, multi
+		return log
 	}
 	const horizon = sim.Time(3 * sim.Day)
 	for at := sim.Time(0); at < horizon; at = at.Add(10 * sim.Minute) {
 		eng.ScheduleAt(at, snapshot)
 	}
 	eng.RunUntil(horizon)
-	return log, multi
+	return log
 }
 
-// TestMatchesParentAllocators requires the folded allocator to be the
-// parents' on every stream: a Cores: 1 cluster against PBS's
-// whole-node allocator (multi-node MPI jobs included), a Cores: 4
-// cluster against SGE's slot allocator, and a cluster of owner nodes
-// against the Condor pool — owners drawn from the same stream, and a
-// requeue limit of 0 (unlimited), 1 or 2 by seed. Every snapshot also
-// holds the cluster's free list to checkFree, and the streams must
-// reuse records.
-func TestMatchesParentAllocators(t *testing.T) {
-	whole := Config{
-		Kind: "pbs", Name: "whole", Platform: lrm.LinuxX86, MPI: true,
+// allocatorSide is one of the parent allocators with the cluster the
+// folded allocator must reproduce it on.
+type allocatorSide struct {
+	cfg  Config
+	ref  func(*sim.Engine, *sim.RNG, Config) placed
+	pool bool
+}
+
+// allocatorSides are a Cores: 1 cluster against PBS's whole-node
+// allocator, a Cores: 4 cluster against SGE's slot allocator, and a
+// cluster of owner nodes against the Condor pool.
+var allocatorSides = []allocatorSide{
+	{Config{
+		Kind: "pbs", Name: "whole", Platform: lrm.LinuxX86,
 		Nodes: []NodeClass{
 			{Count: 4, Cores: 1, Speed: 2.0, MemoryMB: 4096},
 			{Count: 3, Cores: 1, Speed: 1.5, MemoryMB: 32768},
 		},
-	}
-	packed := Config{
+	}, func(e *sim.Engine, _ *sim.RNG, c Config) placed { return newRefWholeNode(e, c) }, false},
+	{Config{
 		Kind: "sge", Name: "packed", Platform: lrm.LinuxX86,
 		Nodes: []NodeClass{
 			{Count: 2, Cores: 4, Speed: 1.5, MemoryMB: 16384},
 			{Count: 2, Cores: 4, Speed: 1.0, MemoryMB: 8192},
 		},
-	}
-	pool := Config{
+	}, func(e *sim.Engine, _ *sim.RNG, c Config) placed { return newRefSlots(e, c) }, false},
+	{Config{
 		Kind: "condor", Name: "pool", Platform: lrm.LinuxX86,
 		Nodes: []NodeClass{
 			{Count: 2, Cores: 1, Speed: 1.2, MemoryMB: 2048, MeanOwnerAway: 2 * sim.Hour, MeanOwnerBusy: sim.Hour},
 			{Count: 3, Cores: 1, Speed: 0.8, MemoryMB: 1024, MeanOwnerAway: 3 * sim.Hour, MeanOwnerBusy: 30 * sim.Minute},
 			{Count: 1, Cores: 1, Speed: 1.0, MemoryMB: 2048, MeanOwnerAway: 5 * sim.Hour, MeanOwnerBusy: 2 * sim.Hour},
 		},
+	}, func(e *sim.Engine, rng *sim.RNG, c Config) placed { return newRefPool(e, rng, c) }, true},
+}
+
+// matchParent replays stream seed on side's cluster and on its parent
+// allocator, owners drawn from the same stream and, on the pool, a
+// requeue limit of maxRequeues, and fails at the first line they
+// disagree on. It returns the cluster's log and how many records its
+// stream reused.
+func matchParent(t *testing.T, side allocatorSide, seed int64, maxRequeues int) (log []string, reused int) {
+	t.Helper()
+	cfg := side.cfg
+	if side.pool {
+		cfg.MaxRequeues = maxRequeues
 	}
-	for _, side := range []struct {
-		cfg             Config
-		ref             func(*sim.Engine, *sim.RNG, Config) placed
-		multiNode, pool bool
-	}{
-		{whole, func(e *sim.Engine, _ *sim.RNG, c Config) placed { return newRefWholeNode(e, c) }, true, false},
-		{packed, func(e *sim.Engine, _ *sim.RNG, c Config) placed { return newRefSlots(e, c) }, false, false},
-		{pool, func(e *sim.Engine, rng *sim.RNG, c Config) placed { return newRefPool(e, rng, c) }, false, true},
-	} {
-		terminal, wallFails, multi, requeueFails, reused := 0, 0, 0, 0, 0
+	eng := sim.NewEngine()
+	c, err := New(eng, sim.NewRNG(-seed), nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := replay(seed, eng, c, side.pool)
+	// Every record ever allocated is on the free list or held.
+	reused = c.stats.TotalQueued - (len(c.free) + len(c.queue) + c.started)
+	refEng := sim.NewEngine()
+	want := replay(seed, refEng, side.ref(refEng, sim.NewRNG(-seed), cfg), side.pool)
+	for i := range min(len(got), len(want)) {
+		if got[i] != want[i] {
+			t.Fatalf("%s seed %d, line %d:\n got  %s\n want %s", cfg.Kind, seed, i, got[i], want[i])
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s seed %d: %d log lines, the parent allocator wrote %d", cfg.Kind, seed, len(got), len(want))
+	}
+	return got, reused
+}
+
+// TestMatchesParentAllocators requires the folded allocator to be the
+// parents' on every stream of every side, with a requeue limit of 0
+// (unlimited), 1 or 2 by seed on the pool. Every snapshot also holds
+// the cluster's free list to checkFree, and the streams must reuse
+// records.
+func TestMatchesParentAllocators(t *testing.T) {
+	for _, side := range allocatorSides {
+		terminal, requeueFails, reused := 0, 0, 0
 		for seed := int64(1); seed <= 200; seed++ {
-			cfg := side.cfg
-			if side.pool {
-				cfg.MaxRequeues = int(seed % 3)
-			}
-			eng := sim.NewEngine()
-			c, err := New(eng, sim.NewRNG(-seed), nil, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, m := replay(seed, eng, c, side.multiNode, side.pool)
-			multi += m
-			// Every record ever allocated is on the free list or held.
-			reused += c.stats.TotalQueued - (len(c.free) + len(c.queue) + c.started)
-			refEng := sim.NewEngine()
-			want, _ := replay(seed, refEng, side.ref(refEng, sim.NewRNG(-seed), cfg), side.multiNode, side.pool)
-			for i := range min(len(got), len(want)) {
-				if got[i] != want[i] {
-					t.Fatalf("%s seed %d, line %d:\n got  %s\n want %s", cfg.Kind, seed, i, got[i], want[i])
-				}
-				if strings.HasPrefix(got[i], "job ") {
+			log, r := matchParent(t, side, seed, int(seed%3))
+			reused += r
+			for _, line := range log {
+				if strings.HasPrefix(line, "job ") {
 					terminal++
-					if strings.Contains(got[i], "wall clock") {
-						wallFails++
-					}
-					if strings.Contains(got[i], "requeue limit") {
+					if strings.Contains(line, "requeue limit") {
 						requeueFails++
 					}
 				}
 			}
-			if len(got) != len(want) {
-				t.Fatalf("%s seed %d: %d log lines, the parent allocator wrote %d", cfg.Kind, seed, len(got), len(want))
-			}
 		}
-		if terminal < 200*30 || wallFails == 0 || (multi == 0) == side.multiNode || (requeueFails == 0) == side.pool || reused == 0 {
-			t.Errorf("%s streams too tame: %d terminal jobs, %d wall-limit failures, %d multi-node runs, %d requeue-limit failures, %d reused records",
-				side.cfg.Kind, terminal, wallFails, multi, requeueFails, reused)
+		if terminal < 200*30 || (requeueFails == 0) == side.pool || reused == 0 {
+			t.Errorf("%s streams too tame: %d terminal jobs, %d requeue-limit failures, %d reused records",
+				side.cfg.Kind, terminal, requeueFails, reused)
 		}
 	}
 }

@@ -4,7 +4,7 @@
 // the job machinery its implementations (Condor pools, PBS and SGE
 // clusters, and the BOINC project server in internal/boinc) and the
 // meta-scheduler share: the Job itself, its runtime on a node of a
-// given speed, and platform and software matching. Job is the
+// given speed, and platform matching. Job is the
 // resource-specific job description: the meta-scheduler translates
 // each grid job into one per dispatch, which is what the paper's
 // per-LRM "scheduler adapters" did.
@@ -57,18 +57,6 @@ type Job struct {
 	// Platforms lists platforms the application binary supports; a
 	// node must match one. Empty = any.
 	Platforms []Platform
-	// Software lists software dependencies (e.g. "java") a node must
-	// provide. Empty = none.
-	Software []string
-	// NeedsMPI marks tightly coupled jobs that require an
-	// MPI-capable resource.
-	NeedsMPI bool
-	// Nodes is the number of nodes an MPI job spans (0 or 1 for
-	// serial jobs). Only MPI-capable clusters accept Nodes > 1.
-	Nodes int
-	// WallLimit kills the job if it runs longer (0 = none); local
-	// policy, enforced by the LRM.
-	WallLimit sim.Duration
 	// EstimatedRefSeconds is the grid level's a priori runtime
 	// estimate on the reference computer (BOINC's rsc_fpops_est
 	// analogue). Desktop grids use it to size work requests; 0 means
@@ -90,7 +78,7 @@ type Owner interface {
 	// Complete is called when the job finishes successfully.
 	Complete(at sim.Time)
 	// Fail is called when the resource permanently fails the job
-	// (exceeded wall limit, node crash with no requeue budget left;
+	// (preempted past its requeue limit, too many failed results;
 	// cancellation is not a failure).
 	Fail(at sim.Time, reason string)
 }
@@ -131,8 +119,8 @@ func (j *Job) Validate() error {
 	return nil
 }
 
-// RuntimeOn returns the job's execution time on a node (or an MPI
-// node set) of the given speed relative to the reference computer.
+// RuntimeOn returns the job's execution time on a node of the given
+// speed relative to the reference computer.
 func (j *Job) RuntimeOn(speed float64) sim.Duration {
 	return sim.Duration(j.Work / (speed * ReferenceCellsPerSecond))
 }
@@ -159,8 +147,6 @@ type Info struct {
 	// NodeMemoryMB is the memory of the largest node class.
 	NodeMemoryMB int
 	Platforms    []Platform
-	Software     []string
-	MPI          bool
 	// Stable reports whether jobs run to completion without owner
 	// interference (paper Section V-A: stable resources accommodate
 	// long-running jobs).
@@ -202,21 +188,4 @@ func HasPlatform(want []Platform, have ...Platform) bool {
 		}
 	}
 	return false
-}
-
-// HasSoftware reports whether every requested dependency is present.
-func HasSoftware(want, have []string) bool {
-	for _, w := range want {
-		found := false
-		for _, h := range have {
-			if w == h {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
 }

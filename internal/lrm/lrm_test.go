@@ -50,16 +50,3 @@ func TestHasPlatform(t *testing.T) {
 		t.Error("missing platform accepted")
 	}
 }
-
-func TestHasSoftware(t *testing.T) {
-	have := []string{"java", "python"}
-	if !HasSoftware(nil, have) {
-		t.Error("empty requirement should match")
-	}
-	if !HasSoftware([]string{"java"}, have) {
-		t.Error("available software rejected")
-	}
-	if HasSoftware([]string{"java", "matlab"}, have) {
-		t.Error("partially missing software accepted")
-	}
-}

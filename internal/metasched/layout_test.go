@@ -9,12 +9,14 @@ import (
 )
 
 // gridJobMaxBytes is the largest GridJob that fits the allocator's
-// 288-byte size class on a 64-bit target. The scheduler keeps one per
+// 256-byte size class on a 64-bit target. The scheduler keeps one per
 // job until its batch ends: 10^5 of them on the scaleout workload, 2000
 // per 2000-replicate batch. Storing the description once, in the
 // embedded lrm.Job, took the record from 544 bytes (the 576-byte class)
-// to this class.
-const gridJobMaxBytes = 288
+// to 280 (the 288-byte class); dropping the job requests no grid job
+// makes (nodes, wall limit, MPI, software) took it to 232 and this
+// class.
+const gridJobMaxBytes = 256
 
 // TestGridJobLayout pins the record's size, and that embedding lrm.Job
 // promoted none of the methods that would let a *GridJob pass for an

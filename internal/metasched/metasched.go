@@ -1,11 +1,11 @@
 // Package metasched implements the grid-level scheduler of Section V:
 // it watches resource state through MDS, filters resources by job
-// requirements (platform, memory, MPI capability, software
-// dependencies), ranks the eligible ones by current load, measured
-// speed, and stability, gates long jobs off unstable resources using a
-// priori runtime estimates, bundles very short jobs to amortize
-// per-job overhead, and computes BOINC workunit deadlines from the
-// estimates.
+// requirements (platform and memory: a grid job is one serial GARLI
+// replicate, which needs no MPI and no other software), ranks the
+// eligible ones by current load, measured speed, and stability, gates
+// long jobs off unstable resources using a priori runtime estimates,
+// bundles very short jobs to amortize per-job overhead, and computes
+// BOINC workunit deadlines from the estimates.
 //
 // The operating point is the paper's and is not configurable
 // (PAPER.md §1): unstable resources take only jobs whose speed-scaled
@@ -190,17 +190,16 @@ func (s JobStatus) String() string {
 // estimate — is the embedded lrm.Job, which the first dispatch hands to
 // its resource as it stands; every later dispatch hands over a copy of
 // its own (see dispatch). Only the description fields are the caller's:
-// dispatch owns Job.Owner and Job.DelayBound and hands Job.Nodes and
-// Job.WallLimit over unset, whatever they hold.
+// dispatch owns Job.Owner and Job.DelayBound.
 type GridJob struct {
 	// Job is the job's description and the first dispatch's lrm.Job:
 	// that dispatch sets its Owner (the first attempt) and DelayBound,
 	// and nothing writes the rest once the job is submitted. Work
-	// includes the per-job grid overhead once submitted. MemoryMB,
-	// Platforms, Software and NeedsMPI are the matchmaking
-	// requirements; Platforms is read-only (LRMs only read it, so jobs
-	// share slices). EstimatedRefSeconds is the prediction used for
-	// placement (0 when no model was available).
+	// includes the per-job grid overhead once submitted. MemoryMB and
+	// Platforms are the matchmaking requirements; Platforms is
+	// read-only (LRMs only read it, so jobs share slices).
+	// EstimatedRefSeconds is the prediction used for placement (0 when
+	// no model was available).
 	lrm.Job
 
 	// Owner, when set, is told once, when the job reaches a terminal
@@ -301,7 +300,8 @@ type resource struct {
 	breakerProbe bool     // half-open probe in flight
 	// placements is this resource's lattice_sched_placements_total
 	// series, resolved on first placement (nil until then) so the
-	// series exists only for resources that were actually chosen.
+	// series exists only for resources that were actually chosen; it
+	// stays nil on a scheduler without an obs hub.
 	placements *obs.Counter
 }
 

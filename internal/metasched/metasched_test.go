@@ -45,7 +45,7 @@ func newGrid(t *testing.T, cfg Config) *grid {
 		t.Fatal(err)
 	}
 	hpc, err := cluster.New(eng, nil, nil, cluster.Config{
-		Kind: "pbs", Name: "hpc-cluster", Platform: lrm.LinuxX86, MPI: true,
+		Kind: "pbs", Name: "hpc-cluster", Platform: lrm.LinuxX86,
 		Nodes: []cluster.NodeClass{{Count: 8, Cores: 1, Speed: 2.0, MemoryMB: 8192}},
 	})
 	if err != nil {
@@ -69,7 +69,7 @@ func newGrid(t *testing.T, cfg Config) *grid {
 
 // acceptsAll registers a pool so that every test on the grid pins what
 // the pool's own Submit checks assume: a pool refuses a job it could
-// never run (foreign platform, more memory than any machine, MPI), and
+// never run (foreign platform, more memory than any machine), and
 // the scheduler's eligibility check never offers it one.
 type acceptsAll struct {
 	lrm.LRM
@@ -258,15 +258,14 @@ func TestSpeedAwareprefersFastCluster(t *testing.T) {
 	}
 }
 
-// TestMemoryAndMPIFiltering sends the three kinds of job the pool would
-// refuse at Submit, more of each than the cluster's backlog cap admits,
-// so the idle pool is the only other candidate; newGrid's acceptsAll
-// fails the test if one reaches it.
-func TestMemoryAndMPIFiltering(t *testing.T) {
+// TestMemoryAndPlatformFiltering sends the two kinds of job the pool
+// would refuse at Submit, more of each than the cluster's backlog cap
+// admits, so the idle pool is the only other candidate; newGrid's
+// acceptsAll fails the test if one reaches it.
+func TestMemoryAndPlatformFiltering(t *testing.T) {
 	g := newGrid(t, DefaultConfig())
 	kinds := map[string]func(*GridJob){
-		"big": func(j *GridJob) { j.MemoryMB = 4096 }, // only the cluster has 8 GB nodes
-		"mpi": func(j *GridJob) { j.NeedsMPI = true },
+		"big": func(j *GridJob) { j.MemoryMB = 4096 },                            // only the cluster has 8 GB nodes
 		"win": func(j *GridJob) { j.Platforms = []lrm.Platform{lrm.WindowsX86} }, // nobody runs Windows
 	}
 	var jobs []*GridJob
@@ -291,7 +290,7 @@ func TestMemoryAndMPIFiltering(t *testing.T) {
 		}
 	}
 	if g.hpc.Stats().TotalQueued == 0 {
-		t.Error("the cluster ran none of the big and MPI jobs")
+		t.Error("the cluster ran none of the big jobs")
 	}
 }
 

@@ -53,8 +53,7 @@ func (h *holdingLRM) Cancel(id string) bool {
 // over an lrm.Job of its own: a different record with the same
 // description, its own Owner (not the first resource's relay) and the
 // DelayBound its own resource's kind calls for, while the first job
-// keeps what its dispatch gave it. Neither carries the Nodes or
-// WallLimit the caller set. The first attempt's late reports are
+// keeps what its dispatch gave it. The first attempt's late reports are
 // ignored; the second's completes the job, which then keeps only the
 // resource of the retry, not its record.
 func TestRedispatchOwnsItsJob(t *testing.T) {
@@ -88,9 +87,7 @@ func TestRedispatchOwnsItsJob(t *testing.T) {
 			idx.Publish(first.Info())
 			spec := workload.JobSpec{DataType: phylo.Nucleotide, SubstModel: "JC69",
 				NumTaxa: 10, SeqLength: 100, SearchReps: 1, StartingTree: phylo.StartRandom}
-			moved := testJob("moved", est)
-			moved.Nodes, moved.WallLimit = 4, sim.Hour // not the caller's: handed over unset
-			j, err := submit(sched, moved, &spec, nil)
+			j, err := submit(sched, testJob("moved", est), &spec, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -122,10 +119,6 @@ func TestRedispatchOwnsItsJob(t *testing.T) {
 			}
 			if a.DelayBound != tc.firstBound || b.DelayBound != tc.nextBnd {
 				t.Errorf("delay bounds %v then %v, want %v then %v", a.DelayBound, b.DelayBound, tc.firstBound, tc.nextBnd)
-			}
-			if a.Nodes != 0 || a.WallLimit != 0 || b.Nodes != 0 || b.WallLimit != 0 {
-				t.Errorf("nodes %d and %d, wall limits %v and %v handed over; want all unset",
-					a.Nodes, b.Nodes, a.WallLimit, b.WallLimit)
 			}
 
 			// The first copy limps home after the requeue: ignored.

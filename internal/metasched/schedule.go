@@ -247,12 +247,6 @@ func (s *Scheduler) eligible(j *GridJob, c *candidate) bool {
 	if j.MemoryMB > c.info.NodeMemoryMB {
 		return false
 	}
-	if j.NeedsMPI && !c.info.MPI {
-		return false
-	}
-	if !lrm.HasSoftware(j.Software, c.info.Software) {
-		return false
-	}
 	// Stability gating (PolicyFull): jobs with long speed-scaled
 	// estimates never go to unstable resources. Jobs without
 	// estimates are conservatively allowed (pre-estimate era). With
@@ -353,8 +347,7 @@ func (s *Scheduler) place(j *GridJob, cands []candidate) bool {
 // earlier attempt can be stale. A copy takes the description and
 // nothing a resource did to the first lrm.Job: its own Owner and
 // DelayBound are set here (a fault wrapper rewrites the Owner of the
-// job it is handed). Nodes and WallLimit are not part of a grid job's
-// description, so every dispatch hands them over unset.
+// job it is handed).
 func (s *Scheduler) dispatch(j *GridJob, c *candidate) {
 	a, job := &j.first, &j.Job
 	if j.Attempts > 0 {
@@ -362,7 +355,7 @@ func (s *Scheduler) dispatch(j *GridJob, c *candidate) {
 		a, job = &r.attempt, &r.job
 	}
 	*a = attempt{job: job, j: j, res: c.res}
-	job.Owner, job.DelayBound, job.Nodes, job.WallLimit = a, 0, 0, 0
+	job.Owner, job.DelayBound = a, 0
 	// BOINC deadline: estimate-driven; without an estimate the server's
 	// own default applies.
 	if c.info.Kind == "boinc" && j.EstimatedRefSeconds > 0 {
@@ -375,7 +368,7 @@ func (s *Scheduler) dispatch(j *GridJob, c *candidate) {
 	j.StartedAt = s.eng.Now()
 	j.Attempts++
 	s.obs.Record(j.Batch, j.ID, obs.StagePlace, c.info.Name, s.placeDetail(int(j.Attempts)))
-	if c.res.placements == nil {
+	if c.res.placements == nil && s.obs != nil {
 		c.res.placements = s.obs.Counter("lattice_sched_placements_total",
 			"Placement decisions by resource and ranking policy",
 			obs.L("resource", c.info.Name), obs.L("policy", s.cfg.Policy.String()))

@@ -348,8 +348,9 @@ func (p *Portal) createJob(w http.ResponseWriter, r *http.Request) {
 }
 
 // parseSpec converts form fields (and the uploaded data file) into a
-// job specification, applying the GARLI validation mode before
-// anything is scheduled.
+// job specification, checking the upload with GARLI's validation mode.
+// The specification itself is checked once, by the door
+// (gsbl.Service.Submit validates the whole submission).
 func (p *Portal) parseSpec(r *http.Request) (*workload.JobSpec, int, bool, error) {
 	spec := &workload.JobSpec{Seed: 1}
 	dt, err := phylo.ParseDataType(formDefault(r, "datatype", "nucleotide"))
@@ -417,9 +418,6 @@ func (p *Portal) parseSpec(r *http.Request) (*workload.JobSpec, int, bool, error
 	}
 	spec.NumTaxa = al.NumTaxa()
 	spec.SeqLength = al.Length()
-	if err := spec.Validate(); err != nil {
-		return nil, 0, false, err
-	}
 	return spec, replicates, bootstrap, nil
 }
 

@@ -278,6 +278,21 @@ func TestReplicateLimitEnforced(t *testing.T) {
 	}
 }
 
+// TestDoorValidatesFormParameters: the form path leaves the job
+// parameters to the door's one check, which refuses an impossible one
+// with a 400 before anything is scheduled.
+func TestDoorValidatesFormParameters(t *testing.T) {
+	p, ts, _ := fixture(t)
+	ctype, body := multipartForm(t, map[string]string{"email": "g@x.org", "searchreps": "0"}, testFASTA(t))
+	code, raw := do(t, http.MethodPost, ts.URL+"/garli/create", "", ctype, body)
+	if want := "validation failed: workload: SearchReps = 0"; code != http.StatusBadRequest || !strings.Contains(string(raw), want) {
+		t.Errorf("searchreps=0 = %d %q, want 400 holding %q", code, raw, want)
+	}
+	if got := p.svc.Batches(); len(got) != 0 {
+		t.Errorf("a refused submission made batches %v", got)
+	}
+}
+
 func TestRegisteredUserFlow(t *testing.T) {
 	_, ts, _ := fixture(t)
 	// Register.
