@@ -29,11 +29,16 @@ vet:
 # hold on both. So do the metasched tests: a GridJob lays out
 # differently there too, its int32 counters and its embedded lrm.Job
 # included, and its layout pin and the dispatch path must hold on both.
+# The metasched run includes FuzzDoorExpands' seeds, and the workload
+# door and cost tests run there too: the door's overflow refusals (the
+# edge count 2n−3, the memory requirement, SearchReps × Replicates)
+# are judged against the width of int, so they must hold at 32 bits.
 vet-narrow:
 	GOARCH=386 $(GO) vet ./...
 	GOARCH=386 $(GO) test ./internal/wal
 	GOARCH=386 $(GO) test ./internal/obs
 	GOARCH=386 $(GO) test ./internal/metasched
+	GOARCH=386 $(GO) test -run 'Validate|ExpectedWork|Memory' ./internal/workload
 
 # latticelint is the project's own analyzer suite (cmd/latticelint):
 # four per-package analyzers (determinism, errdrop, floatcmp,

@@ -18,6 +18,7 @@ import (
 	"lattice/internal/beagle"
 	"lattice/internal/phylo"
 	"lattice/internal/sim"
+	"lattice/internal/workload"
 )
 
 func main() {
@@ -43,7 +44,6 @@ func run() error {
 		attach     = flag.Int("attachmentspertaxon", 25, "stepwise attachment points per taxon")
 		bootstrap  = flag.Int("bootstrap", 0, "bootstrap replicates (0 = best-tree search only)")
 		gens       = flag.Int("generations", 500, "maximum GA generations per replicate")
-		engine     = flag.String("engine", "beagle", "likelihood engine: reference or beagle (incremental)")
 		workers    = flag.Int("workers", 1, "parallel evaluation workers (engines); results are seed-deterministic for any count")
 		seed       = flag.Int64("seed", 1, "random seed")
 		out        = flag.String("out", "garli", "output file prefix")
@@ -86,7 +86,8 @@ func run() error {
 	}
 	fmt.Printf("alignment: %d taxa × %d characters (%s)\n", al.NumTaxa(), al.Length(), dt)
 
-	subst, err := buildModel(dt, *model)
+	spec := workload.JobSpec{DataType: dt, SubstModel: *model}
+	subst, err := spec.BuildModel()
 	if err != nil {
 		return err
 	}
@@ -139,7 +140,7 @@ func run() error {
 	var res *phylo.SearchResult
 	if *workers > 1 {
 		pool, err := phylo.NewEvaluatorPool(*workers, func() (phylo.Evaluator, error) {
-			return engineFor(*engine, pd, subst, rates)
+			return beagle.New(pd, subst, rates)
 		})
 		if err != nil {
 			return err
@@ -149,7 +150,7 @@ func run() error {
 			return err
 		}
 	} else {
-		ev, err := engineFor(*engine, pd, subst, rates)
+		ev, err := beagle.New(pd, subst, rates)
 		if err != nil {
 			return err
 		}
@@ -158,8 +159,8 @@ func run() error {
 			return err
 		}
 	}
-	fmt.Printf("best tree: lnL = %.4f (%d generations, %d evaluations, %.3g cell updates, engine=%s, workers=%d)\n",
-		res.BestLogL, res.Generations, res.Evaluations, res.Work, strings.ToLower(*engine), *workers)
+	fmt.Printf("best tree: lnL = %.4f (%d generations, %d evaluations, %.3g cell updates, workers=%d)\n",
+		res.BestLogL, res.Generations, res.Evaluations, res.Work, *workers)
 	if err := writeFile(*out+".best.tre", res.BestTree.Newick()+"\n"); err != nil {
 		return err
 	}
@@ -171,7 +172,7 @@ func run() error {
 			bs := pd.Bootstrap(rng.Float64)
 			// Each bootstrap replicate resamples the data, so it gets
 			// its own engine over the resampled patterns.
-			bev, err := engineFor(*engine, bs, subst, rates)
+			bev, err := beagle.New(bs, subst, rates)
 			if err != nil {
 				return err
 			}
@@ -196,36 +197,6 @@ func run() error {
 	}
 	fmt.Printf("results written with prefix %s\n", *out)
 	return nil
-}
-
-// engineFor builds the selected likelihood engine over the data: the
-// reference full-recompute implementation, or the optimized beagle
-// backend with incremental re-evaluation.
-func engineFor(name string, pd *phylo.PatternData, m *phylo.Model, r *phylo.SiteRates) (phylo.Evaluator, error) {
-	switch strings.ToLower(name) {
-	case "reference":
-		return phylo.NewLikelihood(pd, m, r)
-	case "beagle":
-		return beagle.New(pd, m, r)
-	default:
-		return nil, fmt.Errorf("unknown engine %q (want reference or beagle)", name)
-	}
-}
-
-func buildModel(dt phylo.DataType, name string) (*phylo.Model, error) {
-	switch dt {
-	case phylo.Nucleotide:
-		return phylo.NucModelSpec{
-			Name:  name,
-			Kappa: 2.5,
-			Rates: [6]float64{1.2, 3.5, 0.9, 1.1, 4.2, 1},
-			Freqs: []float64{0.3, 0.2, 0.2, 0.3},
-		}.Build()
-	case phylo.AminoAcid:
-		return phylo.AAModelSpec{Name: name}.Build()
-	default:
-		return phylo.CodonModelSpec{Kappa: 2.0, Omega: 0.4}.Build()
-	}
 }
 
 func writeFile(path, content string) error {

@@ -238,6 +238,9 @@ func TestIDsAndDetailsAllocateOnce(t *testing.T) {
 func TestBatchesInCreationOrderPastSixDigits(t *testing.T) {
 	_, svc, _ := testService(t)
 	svc.batches = make([]*Batch, 999_997)
+	for i := range svc.batches {
+		svc.batches[i] = &Batch{} // batches 1 to 999 997 stand in, unnamed
+	}
 	var want []string
 	for i := 0; i < 3; i++ {
 		b, err := svc.Submit(direct(smallSubmission(1)))
@@ -249,8 +252,8 @@ func TestBatchesInCreationOrderPastSixDigits(t *testing.T) {
 	if want[2] != "batch-1000000" {
 		t.Fatalf("fixture: third batch is %s", want[2])
 	}
-	if got := svc.Batches(); !slices.Equal(got, want) {
-		t.Errorf("Batches() = %v, want creation order %v", got, want)
+	if got := svc.Batches(); !slices.Equal(got[len(got)-3:], want) {
+		t.Errorf("Batches() ends %v, want creation order %v", got[len(got)-3:], want)
 	}
 }
 

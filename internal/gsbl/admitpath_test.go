@@ -149,45 +149,3 @@ func TestAdmitRequiresIngest(t *testing.T) {
 		t.Fatal("AdmitActive true without a controller")
 	}
 }
-
-// TestIngestErrorJournaled forces a deferred expansion failure and
-// checks it surfaces as a journal event and counter, not only in the
-// IngestErrors slice. Submit validates before it enqueues and the
-// scheduler's job IDs end in a per-job sequence number, so no request
-// through the door fails at the drain; the test puts a submission the
-// door never validated straight into the queue. SubmitBatch trusts the
-// door and does not validate again, but a spec of zero search
-// replicates prices its job at zero work, which the scheduler's job
-// check refuses.
-func TestIngestErrorJournaled(t *testing.T) {
-	eng, sched := testGrid(t)
-	hub := obs.New(eng)
-	svc := mustService(t, eng, sched, Options{Obs: hub, Ingest: IngestConfig{PerSubmissionSeconds: 5}})
-
-	sub := userSubmission("bad@example.edu", 1)
-	sub.Spec.SearchReps = 0
-	svc.enqueue(&Batch{Submission: sub, Origin: "service", svc: svc})
-	eng.RunUntil(sim.Time(sim.Minute))
-	if errs := svc.IngestErrors(); len(errs) != 1 || !strings.Contains(errs[0].Error(), "work 0, not finite and positive") {
-		t.Fatalf("IngestErrors = %v, want exactly the zero-work refusal", errs)
-	}
-	var found bool
-	for _, ev := range hub.Journal.Events() {
-		if ev.Stage == obs.StageFail && ev.Batch == "" && strings.Contains(ev.Detail, "deferred expansion failed") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("deferred expansion failure not journaled")
-	}
-	snap := hub.Registry.Snapshot()
-	var counted bool
-	for _, s := range snap {
-		if s.Name == "lattice_ingest_errors_total" && s.Value == 1 {
-			counted = true
-		}
-	}
-	if !counted {
-		t.Fatalf("lattice_ingest_errors_total not incremented: %+v", snap)
-	}
-}

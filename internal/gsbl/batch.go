@@ -85,7 +85,7 @@ type Service struct {
 	mailer *Mailer
 	rng    *sim.RNG
 	// batches holds every accepted batch in creation order: batches[n-1]
-	// is batch n, nil when its expansion failed.
+	// is batch n.
 	batches []*Batch
 	// names holds the batch IDs and journal details, which the batch
 	// and the journal keep for the service's life; it is guarded as
@@ -213,8 +213,8 @@ type Request struct {
 // later is journaled, not returned. When the admission layer sheds the
 // arriving request itself — by quota, or as the overflow victim — the
 // error is that decision, an unwrapped *admit.Rejection; otherwise
-// Submit fails on a rejected input, or when expanding on the spot
-// fails.
+// Submit fails only on a rejected input. Validation is the one refusal
+// point: a request it accepts always expands, on the spot or later.
 func (s *Service) Submit(r Request) (*Batch, error) {
 	if err := r.Sub.Validate(); err != nil {
 		return nil, err
@@ -234,7 +234,7 @@ func (s *Service) Submit(r Request) (*Batch, error) {
 			return nil, rej
 		}
 	default:
-		return s.accept(b)
+		return s.accept(b), nil
 	}
 	return nil, nil
 }
@@ -243,27 +243,21 @@ func (s *Service) Submit(r Request) (*Batch, error) {
 // validation journal event, scheduler expansion, submission mail. The
 // validate detail names a derived batch's origin, and otherwise adds
 // suffix.
-func (s *Service) accept(b *Batch, suffix ...string) (*Batch, error) {
+func (s *Service) accept(b *Batch, suffix ...string) *Batch {
 	if b.onDone != nil {
 		suffix = []string{" via ", b.Origin}
 	}
 	detail := s.validateDetail(&b.Submission, suffix...)
-	s.batches = append(s.batches, nil)
-	n := len(s.batches)
-	b.ID = s.batchID(n)
+	s.batches = append(s.batches, b)
+	b.ID = s.batchID(len(s.batches))
 	b.CreatedAt = s.eng.Now()
 	// Journal the validation pre-pass (batch-level event, no job ID).
 	s.obs.Record(b.ID, "", obs.StageValidate, "", detail)
 	sub := b.Submission
 	sub.BatchTag = b.ID
-	jobs, err := s.sched.SubmitBatch(&sub, s.rng, b, b.one[:0])
-	if err == nil {
-		b.Jobs = jobs
-		s.batches[n-1] = b
-		s.mailer.queue(b.CreatedAt, mailSubmitted, b, nil)
-		return b, nil
-	}
-	return nil, err
+	b.Jobs = s.sched.SubmitBatch(&sub, s.rng, b, b.one[:0])
+	s.mailer.queue(b.CreatedAt, mailSubmitted, b, nil)
+	return b
 }
 
 // batchID names batch n: the service's prefix, "batch-" and n padded to
@@ -336,7 +330,7 @@ func (b *Batch) finish() {
 // Batch returns a batch by ID. Only the ID batchID built resolves: any
 // other spelling of its number is unknown.
 func (s *Service) Batch(id string) (*Batch, bool) {
-	if n, ok := shard.IDNumber(id, s.idPrefix, "batch"); ok && n <= len(s.batches) && s.batches[n-1] != nil {
+	if n, ok := shard.IDNumber(id, s.idPrefix, "batch"); ok && n <= len(s.batches) {
 		return s.batches[n-1], true
 	}
 	return nil, false
@@ -346,9 +340,7 @@ func (s *Service) Batch(id string) (*Batch, bool) {
 func (s *Service) Batches() []string {
 	ids := make([]string, 0, len(s.batches))
 	for _, b := range s.batches {
-		if b != nil {
-			ids = append(ids, b.ID)
-		}
+		ids = append(ids, b.ID)
 	}
 	return ids
 }

@@ -47,9 +47,8 @@ type ingestIns struct {
 // the coordinator's front door right now.
 func (s *Service) IngestDepth() int { return s.ingestDepth }
 
-// IngestErrors returns deferred scheduling failures of drained
-// submissions (most recent last); empty means every drained
-// submission expanded cleanly.
+// IngestErrors returns the refusals NoteIngestErr kept, most recent
+// last; empty means every submission a load scheduled was accepted.
 func (s *Service) IngestErrors() []error { return s.ingestErrs }
 
 // drained is a request's record as the FIFO door's drain event;
@@ -72,8 +71,8 @@ func (a *arrival) Fire() {
 	b.scheduled = false
 	if !b.direct && s.ingest.Enabled() {
 		s.enqueue(b)
-	} else if _, err := s.accept(b); err != nil {
-		s.expansionFailed(err)
+	} else {
+		s.accept(b)
 	}
 }
 
@@ -110,17 +109,14 @@ func (s *Service) enqueue(b *Batch) *admit.Rejection {
 }
 
 // drain is the front door reaching a queued request: expand it into
-// grid jobs and tell whoever is waiting. It runs inside an engine
-// event, so a scheduling failure has no caller to return to.
+// grid jobs and tell whoever is waiting.
 func (s *Service) drain(b *Batch) {
 	s.ingestDepth--
 	if ins := s.ingestInstruments(); ins != nil {
 		ins.depth.Set(float64(s.ingestDepth))
 		ins.wait.Observe(float64(s.eng.Now().Sub(b.arrived)))
 	}
-	if _, err := s.accept(b, " (ingest-drained)"); err != nil {
-		s.expansionFailed(err)
-	}
+	s.accept(b, " (ingest-drained)")
 }
 
 // ingestInstruments builds the instrument handles on first use, so a
@@ -154,16 +150,4 @@ func (s *Service) NoteIngestErr(err error) {
 		s.ingestErrs = s.ingestErrs[1:]
 	}
 	s.ingestErrs = append(s.ingestErrs, err)
-}
-
-// expansionFailed is NoteIngestErr for a recorded request that failed
-// to expand inside an engine event (an arrival or a drain), which
-// replay regenerates: it is also a batch-level journal event (empty
-// batch and job — the batch was never created) and a counter, so
-// operators see it without polling IngestErrors.
-func (s *Service) expansionFailed(err error) {
-	s.NoteIngestErr(err)
-	s.obs.Record("", "", obs.StageFail, "ingest", "deferred expansion failed: "+err.Error())
-	s.obs.Counter("lattice_ingest_errors_total",
-		"Deferred submission expansion failures at the ingest drain").Inc()
 }

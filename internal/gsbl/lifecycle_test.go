@@ -194,11 +194,11 @@ func firstDiff(a, b []Notification) int {
 
 // TestDoorRefusesUnpriceableSpecs: a spec whose memory requirement
 // overflows an int (here 2^62 gamma categories, 2^30 on a 32-bit
-// target) is refused by Submit
-// itself — direct or queued — before anything is journaled, recorded
-// or queued; it used to pass validation and fail in expansion, leaving
-// a validate event with no terminal, or a "queued" answer followed by
-// a deferred expansion failure.
+// target) is refused by Submit itself — direct or queued — before
+// anything is journaled, recorded or queued; it once passed validation
+// and failed in expansion, leaving a validate event with no terminal,
+// or a "queued" answer that never expanded. The door is the one
+// refusal point: a request it accepts always expands.
 func TestDoorRefusesUnpriceableSpecs(t *testing.T) {
 	for _, tc := range []struct {
 		name string

@@ -39,19 +39,15 @@ func TestBatchRefusesOtherSpellings(t *testing.T) {
 	}
 }
 
-// lookupService holds batches 1 to 12 of shard 1, but for 3, whose
-// expansion failed, without running the grid.
+// lookupService holds batches 1 to 12 of shard 1, without running the
+// grid.
 func lookupService(t testing.TB) *Service {
 	svc, err := NewService(sim.NewEngine(), nil, &Mailer{}, sim.NewRNG(1), Options{IDPrefix: "shard1-"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for n := 1; n <= 12; n++ {
-		var b *Batch
-		if n != 3 {
-			b = &Batch{ID: svc.batchID(n)}
-		}
-		svc.batches = append(svc.batches, b)
+		svc.batches = append(svc.batches, &Batch{ID: svc.batchID(n)})
 	}
 	return svc
 }

@@ -230,10 +230,7 @@ func onResources(tb testing.TB, resources []string) []*metasched.GridJob {
 			}
 			p.open = st
 		}
-		placed, err := p.sched.SubmitBatch(&p.sub, p.rng, nil, nil)
-		if err != nil {
-			tb.Fatal(err)
-		}
+		placed := p.sched.SubmitBatch(&p.sub, p.rng, nil, nil)
 		jobs = append(jobs, placed[0])
 	}
 	p.placed += len(resources)

@@ -28,10 +28,7 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	if err := sched.Register(res, 1.0); err != nil {
 		t.Fatal(err)
 	}
-	j, err := submit(sched, testJob("j1", 600), nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := submit(sched, testJob("j1", 600), nil, nil)
 	// Two refusals trip the breaker.
 	eng.RunUntil(sim.Time(2 * sim.Minute))
 	if !sched.resources["flaky-gate"].breakerOpen {
@@ -93,10 +90,7 @@ func TestBreakerDisabledIsZeroCost(t *testing.T) {
 	if err := sched.Register(res, 1.0); err != nil {
 		t.Fatal(err)
 	}
-	j, err := submit(sched, testJob("j1", 600), nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := submit(sched, testJob("j1", 600), nil, nil)
 	eng.RunUntil(sim.Time(6 * sim.Hour))
 	if j.Status != StatusCompleted {
 		t.Fatalf("job status %v, want completed", j.Status)

@@ -2,6 +2,7 @@ package metasched
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -61,9 +62,7 @@ func TestDispatchAllocations(t *testing.T) {
 	allocs := testing.AllocsPerRun(runs, func() {
 		j := &GridJob{Job: lrm.Job{ID: ids[next], Work: 60 * lrm.ReferenceCellsPerSecond, Platforms: garliPlatforms}}
 		next++
-		if err := sched.submit(j, nil); err != nil {
-			t.Fatal(err)
-		}
+		sched.submit(j, nil)
 		eng.Run()
 		if j.Status != StatusCompleted {
 			t.Fatalf("%s is %v after the run", j.ID, j.Status)
@@ -99,10 +98,7 @@ func TestSharedPlatformsUntouched(t *testing.T) {
 		Replicates: 200,
 		UserEmail:  "u@x",
 	}
-	jobs, err := g.sched.SubmitBatch(sub, sim.NewRNG(6), nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	jobs := g.sched.SubmitBatch(sub, sim.NewRNG(6), nil, nil)
 	g.eng.RunUntil(sim.Time(60 * sim.Day))
 	used := map[string]bool{}
 	for _, j := range jobs {
@@ -122,30 +118,48 @@ func TestSharedPlatformsUntouched(t *testing.T) {
 	}
 }
 
-// submit refuses a job lrm.Job.Validate refuses, before it is recorded.
+// A job lrm.Job.Validate refuses is refused where every dispatch is
+// checked, at the LRM's own Submit: it never runs, and waits out its
+// submit retries without ending. (The scheduler adds its per-job
+// overhead first, so only work still not positive past it is refused.)
 func TestSubmitRejectsInvalidJob(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		edit func(*GridJob)
 	}{
 		{"no ID", func(j *GridJob) { j.ID = "" }},
-		{"zero work", func(j *GridJob) { j.Work = 0 }},
-		{"negative work", func(j *GridJob) { j.Work = -1 }},
+		{"NaN work", func(j *GridJob) { j.Work = math.NaN() }},
+		{"infinite work", func(j *GridJob) { j.Work = math.Inf(1) }},
+		{"negative past the overhead", func(j *GridJob) { j.Work = -2 * PerJobOverheadSeconds * lrm.ReferenceCellsPerSecond }},
 		{"negative memory", func(j *GridJob) { j.MemoryMB = -1 }},
 	} {
-		g := newGrid(t, DefaultConfig())
+		eng := sim.NewEngine()
+		idx, err := mds.NewIndex(eng, 1000*sim.Day)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hpc, err := cluster.New(eng, nil, nil, cluster.Config{
+			Kind: "pbs", Name: "hpc", Platform: lrm.LinuxX86,
+			Nodes: []cluster.NodeClass{{Count: 4, Cores: 1, Speed: 1, MemoryMB: 2048}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx.Publish(hpc.Info())
+		sched := New(eng, idx, DefaultConfig(), Options{})
+		if err := sched.Register(hpc, 1); err != nil {
+			t.Fatal(err)
+		}
 		j := testJob("bad", 600)
 		tc.edit(j)
-		if _, err := submit(g.sched, j, nil, nil); err == nil {
-			t.Errorf("%s: accepted", tc.name)
+		ended := false
+		submit(sched, j, nil, func(*GridJob) { ended = true })
+		eng.RunUntil(sim.Time(sim.Day))
+		if st := sched.Stats(); ended || st.Completed+st.Failed != 0 || st.SubmitRetries == 0 {
+			t.Errorf("%s: ended %v, stats %+v; want refused at every dispatch", tc.name, ended, st)
 		}
-		if st := g.sched.Stats(); st.Submitted != 0 || len(g.sched.pending) != 0 {
-			t.Errorf("%s: refused job recorded: %+v", tc.name, st)
-		}
-		for name, r := range g.sched.resources {
-			if len(r.running) != 0 {
-				t.Errorf("%s: refused job running on %s", tc.name, name)
-			}
+		if n := hpc.Stats().TotalQueued; n != 0 {
+			t.Errorf("%s: the cluster queued %d jobs", tc.name, n)
 		}
 	}
 }

@@ -121,25 +121,23 @@ type doneFunc func(*GridJob)
 func (f doneFunc) JobDone(j *GridJob) { f(j) }
 
 // submit gives j its terminal callback and submits it with spec.
-func submit(s *Scheduler, j *GridJob, spec *workload.JobSpec, onDone func(*GridJob)) (*GridJob, error) {
+func submit(s *Scheduler, j *GridJob, spec *workload.JobSpec, onDone func(*GridJob)) *GridJob {
 	if onDone != nil {
 		j.Owner = doneFunc(onDone)
 	}
-	return j, s.submit(j, spec)
+	s.submit(j, spec)
+	return j
 }
 
 func TestSubmitAndComplete(t *testing.T) {
 	g := newGrid(t, DefaultConfig())
 	done := 0
 	for i := 0; i < 10; i++ {
-		_, err := submit(g.sched, testJob(fmt.Sprintf("j%d", i), 600), nil, func(j *GridJob) {
+		submit(g.sched, testJob(fmt.Sprintf("j%d", i), 600), nil, func(j *GridJob) {
 			if j.Status == StatusCompleted {
 				done++
 			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
 	g.eng.RunUntil(sim.Time(2 * sim.Day))
 	if done != 10 {
@@ -163,10 +161,7 @@ func TestIdenticalBatchesGetDistinctJobIDs(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for i := 0; i < 2; i++ {
-		jobs, err := g.sched.SubmitBatch(&sub, sim.NewRNG(1), nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		jobs := g.sched.SubmitBatch(&sub, sim.NewRNG(1), nil, nil)
 		for _, j := range jobs {
 			if seen[j.ID] {
 				t.Errorf("job ID %s given twice", j.ID)
@@ -189,10 +184,7 @@ func TestStabilityGateKeepsLongJobsOffCondor(t *testing.T) {
 		NumTaxa: 10, SeqLength: 100, SearchReps: 1, StartingTree: phylo.StartRandom}
 	var jobs []*GridJob
 	for i := 0; i < 6; i++ {
-		j, err := submit(g.sched, testJob(fmt.Sprintf("long%d", i), 40*3600), &spec, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		j := submit(g.sched, testJob(fmt.Sprintf("long%d", i), 40*3600), &spec, nil)
 		jobs = append(jobs, j)
 	}
 	g.eng.RunUntil(sim.Time(1 * sim.Hour))
@@ -217,10 +209,7 @@ func TestNaivePolicyIgnoresStability(t *testing.T) {
 	for i := 0; i < 32; i++ {
 		i := i
 		g.eng.Schedule(sim.Duration(i)*5*sim.Minute, func() {
-			j, err := submit(g.sched, testJob(fmt.Sprintf("l%d", i), 40*3600), &spec, nil)
-			if err != nil {
-				t.Error(err)
-			}
+			j := submit(g.sched, testJob(fmt.Sprintf("l%d", i), 40*3600), &spec, nil)
 			jobs = append(jobs, j)
 		})
 	}
@@ -247,11 +236,7 @@ func TestSpeedAwareprefersFastCluster(t *testing.T) {
 	g := newGrid(t, cfg)
 	// With both resources idle, every early job should go to the
 	// 2×-speed cluster until its backlog builds.
-	var first *GridJob
-	var err error
-	if first, err = submit(g.sched, testJob("probe", 600), nil, nil); err != nil {
-		t.Fatal(err)
-	}
+	first := submit(g.sched, testJob("probe", 600), nil, nil)
 	g.eng.RunUntil(sim.Time(10 * sim.Minute))
 	if first.Resource() != "hpc-cluster" {
 		t.Errorf("first job placed on %s, want the fast cluster", first.Resource())
@@ -273,9 +258,7 @@ func TestMemoryAndPlatformFiltering(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			j := testJob(fmt.Sprintf("%s%d", kind, i), 600)
 			mutate(j)
-			if _, err := submit(g.sched, j, nil, nil); err != nil {
-				t.Fatal(err)
-			}
+			submit(g.sched, j, nil, nil)
 			jobs = append(jobs, j)
 		}
 	}
@@ -300,9 +283,7 @@ func TestUnplaceableJobWaitsThenRuns(t *testing.T) {
 	weird := testJob("ppc", 60)
 	weird.Platforms = []lrm.Platform{darwinPPC}
 	done := false
-	if _, err := submit(g.sched, weird, nil, func(j *GridJob) { done = j.Status == StatusCompleted }); err != nil {
-		t.Fatal(err)
-	}
+	submit(g.sched, weird, nil, func(j *GridJob) { done = j.Status == StatusCompleted })
 	if len(g.sched.pending) != 1 {
 		t.Fatalf("job should be pending, have %d", len(g.sched.pending))
 	}
@@ -339,11 +320,7 @@ func TestOfflineResourceNotUsed(t *testing.T) {
 	// Resource crashes at t = 10 min; submit at t = 20 min.
 	eng.Schedule(10*sim.Minute, func() { g.closed = true })
 	eng.Schedule(20*sim.Minute, func() {
-		j, err := submit(sched, testJob("after-crash", 60), nil, nil)
-		if err != nil {
-			t.Error(err)
-			return
-		}
+		j := submit(sched, testJob("after-crash", 60), nil, nil)
 		if j.Status != StatusPending {
 			t.Errorf("job scheduled to an offline resource (status %v on %s)", j.Status, j.Resource())
 		}
@@ -366,9 +343,7 @@ func TestRetryAfterResourceFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	var final *GridJob
-	if _, err := submit(sched, testJob("flaky", 7200), nil, func(j *GridJob) { final = j }); err != nil {
-		t.Fatal(err)
-	}
+	submit(sched, testJob("flaky", 7200), nil, func(j *GridJob) { final = j })
 	eng.RunUntil(sim.Time(2 * sim.Day))
 	if final == nil {
 		t.Fatal("job never reached a terminal state")
@@ -422,10 +397,7 @@ func TestBundlingMergesShortReplicates(t *testing.T) {
 		Replicates: 100,
 		UserEmail:  "u@x",
 	}
-	jobs, err := g.sched.SubmitBatch(sub, sim.NewRNG(2), nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	jobs := g.sched.SubmitBatch(sub, sim.NewRNG(2), nil, nil)
 	// 60-second jobs bundled to 1800 s target → ~30 reps per job.
 	if len(jobs) > 10 {
 		t.Errorf("bundling produced %d jobs for 100 one-minute replicates; expected a handful", len(jobs))
@@ -454,10 +426,7 @@ func TestNoBundlingForLongJobs(t *testing.T) {
 		Replicates: 20,
 		UserEmail:  "u@x",
 	}
-	jobs, err := g.sched.SubmitBatch(sub, sim.NewRNG(3), nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	jobs := g.sched.SubmitBatch(sub, sim.NewRNG(3), nil, nil)
 	if len(jobs) != 20 {
 		t.Errorf("long jobs were bundled: %d jobs for 20 replicates", len(jobs))
 	}
@@ -480,10 +449,7 @@ func TestBoincDeadlineFromEstimate(t *testing.T) {
 		NumTaxa: 10, SeqLength: 100, SearchReps: 1, StartingTree: phylo.StartRandom}
 	d := testJob("wu1", 2*3600)
 	d.Platforms = []lrm.Platform{lrm.WindowsX86, lrm.LinuxX86, lrm.DarwinX86}
-	j, err := submit(sched, d, &spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := submit(sched, d, &spec, nil)
 	eng.RunUntil(sim.Time(1 * sim.Hour))
 	if j.Resource() != "volunteers" {
 		t.Fatalf("job placed on %q (status %v)", j.Resource(), j.Status)
@@ -496,10 +462,7 @@ func TestBoincDeadlineFromEstimate(t *testing.T) {
 	long := testJob("wu2", 12*3600)
 	long.Platforms = d.Platforms
 	sched.SetPredictor(fixedPredictor(12 * 3600))
-	lj, err := submit(sched, long, &spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lj := submit(sched, long, &spec, nil)
 	eng.RunUntil(sim.Time(2 * sim.Hour))
 	if lj.Resource() == "volunteers" {
 		t.Error("12-hour job placed on the unstable volunteer pool")
@@ -521,9 +484,7 @@ func TestDataStagingDelaysExecution(t *testing.T) {
 	d := testJob("staged", 60)
 	d.InputMB = 120 * stageBandwidthMBps // 2 minutes in: staging dominates
 	var doneAt sim.Time
-	if _, err := submit(g.sched, d, nil, func(j *GridJob) { doneAt = j.CompletedAt }); err != nil {
-		t.Fatal(err)
-	}
+	submit(g.sched, d, nil, func(j *GridJob) { doneAt = j.CompletedAt })
 	g.eng.RunUntil(sim.Time(1 * sim.Hour))
 	if doneAt == 0 {
 		t.Fatal("staged job never completed")
@@ -537,9 +498,7 @@ func TestDataStagingDelaysExecution(t *testing.T) {
 	g2 := newGrid(t, DefaultConfig())
 	d2 := testJob("fast", 60)
 	var doneAt2 sim.Time
-	if _, err := submit(g2.sched, d2, nil, func(j *GridJob) { doneAt2 = j.CompletedAt }); err != nil {
-		t.Fatal(err)
-	}
+	submit(g2.sched, d2, nil, func(j *GridJob) { doneAt2 = j.CompletedAt })
 	g2.eng.RunUntil(sim.Time(1 * sim.Hour))
 	if doneAt2 == 0 || doneAt2 >= doneAt {
 		t.Errorf("unstaged job at %.0f s not faster than the staged one at %.0f s",
@@ -566,10 +525,7 @@ func TestStagingLegsAreTimedExactly(t *testing.T) {
 	d := testJob("staged", 60)
 	d.InputMB = 120 * stageBandwidthMBps
 	var doneAt sim.Time
-	j, err := submit(sched, d, nil, func(j *GridJob) { doneAt = j.CompletedAt })
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := submit(sched, d, nil, func(j *GridJob) { doneAt = j.CompletedAt })
 	eng.RunUntil(sim.Time(119))
 	if len(h.jobs) != 0 {
 		t.Fatal("job submitted before its input staged")

@@ -87,10 +87,7 @@ func TestRedispatchOwnsItsJob(t *testing.T) {
 			idx.Publish(first.Info())
 			spec := workload.JobSpec{DataType: phylo.Nucleotide, SubstModel: "JC69",
 				NumTaxa: 10, SeqLength: 100, SearchReps: 1, StartingTree: phylo.StartRandom}
-			j, err := submit(sched, testJob("moved", est), &spec, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			j := submit(sched, testJob("moved", est), &spec, nil)
 			if len(first.jobs) != 1 || j.Resource() != "first" {
 				t.Fatalf("job on %q, first resource holds %d jobs; want it placed on first", j.Resource(), len(first.jobs))
 			}

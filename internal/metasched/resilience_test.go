@@ -58,10 +58,7 @@ func TestLearnedStabilityGatesLongJobs(t *testing.T) {
 	g.sched.resources["hpc-cluster"].stability = 0.3
 	spec := workload.JobSpec{DataType: phylo.Nucleotide, SubstModel: "JC69",
 		NumTaxa: 10, SeqLength: 100, SearchReps: 1, StartingTree: phylo.StartRandom}
-	j, err := submit(g.sched, testJob("long0", 40*3600), &spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := submit(g.sched, testJob("long0", 40*3600), &spec, nil)
 	g.eng.RunUntil(sim.Time(30 * sim.Minute))
 	if j.Status != StatusPending {
 		t.Errorf("long job placed on %s despite learned instability everywhere", j.Resource())
@@ -84,14 +81,11 @@ func TestDeadResourceRequeue(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		// 4 h of reference work: ~1 h on fast, so still running when
 		// the resource dies at t=30 min.
-		j, err := submit(sched, testJob(fmt.Sprintf("j%d", i), 4*3600), nil, func(j *GridJob) {
+		j := submit(sched, testJob(fmt.Sprintf("j%d", i), 4*3600), nil, func(j *GridJob) {
 			if j.Status == StatusCompleted {
 				done++
 			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		jobs = append(jobs, j)
 	}
 	eng.RunUntil(sim.Time(10 * sim.Minute))
@@ -127,9 +121,7 @@ func TestDeadResourceRequeuesInIDOrder(t *testing.T) {
 		if id == "j0" {
 			work = 60 // done before the death, out of the middle of the list
 		}
-		if _, err := submit(sched, testJob(id, work), nil, nil); err != nil {
-			t.Fatal(err)
-		}
+		submit(sched, testJob(id, work), nil, nil)
 	}
 	eng.RunUntil(sim.Time(10 * sim.Minute))
 	var running []string
@@ -264,10 +256,7 @@ func TestSubmitRetryBackoff(t *testing.T) {
 	if err := sched.Register(res, 1.0); err != nil {
 		t.Fatal(err)
 	}
-	j, err := submit(sched, testJob("j1", 600), nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := submit(sched, testJob("j1", 600), nil, nil)
 	eng.RunUntil(sim.Time(6 * sim.Hour))
 	if j.Status != StatusCompleted {
 		t.Fatalf("job status %v after retries, want completed (fail reason %q)", j.Status, j.FailReason)
@@ -314,10 +303,7 @@ func TestSynchronousFailureInsideScanStaysQueued(t *testing.T) {
 	}
 	// The first failure happens inside Submit, the second inside the
 	// first scan.
-	j, err := submit(sched, testJob("j1", 600), nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	j := submit(sched, testJob("j1", 600), nil, nil)
 	eng.RunUntil(sim.Time(6 * sim.Hour))
 	if j.Status != StatusCompleted {
 		t.Fatalf("job status %v, submits=%d, len(pending)=%d; want completed",

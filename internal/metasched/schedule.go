@@ -22,11 +22,9 @@ var garliPlatforms = []lrm.Platform{lrm.LinuxX86, lrm.WindowsX86, lrm.DarwinX86}
 // requirements, Owner); spec, when not nil, is what the runtime model
 // estimates it from. The job is placed immediately when an eligible
 // resource is reporting, otherwise it waits in the pending queue for
-// the next scan.
-func (s *Scheduler) submit(j *GridJob, spec *workload.JobSpec) error {
-	if err := j.Job.Validate(); err != nil {
-		return err
-	}
+// the next scan. The job is not checked here: the door priced its
+// submission, and each LRM checks the job at its own Submit.
+func (s *Scheduler) submit(j *GridJob, spec *workload.JobSpec) {
 	j.Status = StatusPending
 	j.SubmittedAt = s.eng.Now()
 	s.obs.Record(j.Batch, j.ID, obs.StageSubmit, "", "")
@@ -46,7 +44,6 @@ func (s *Scheduler) submit(j *GridJob, spec *workload.JobSpec) error {
 		s.stats.UnplaceableAt++
 	}
 	s.ins.pending.Set(float64(len(s.pending)))
-	return nil
 }
 
 // SubmitBatch expands a portal submission into grid jobs, applying
@@ -59,17 +56,20 @@ func (s *Scheduler) submit(j *GridJob, spec *workload.JobSpec) error {
 // Returns the created jobs in jobs[:0] when they fit its capacity, and
 // otherwise in a slice of exactly their number.
 //
-// The caller passes a submission that Submission.Validate accepted:
-// SubmitBatch does not check it again. The portal's door
-// (gsbl.Service.Submit) validates every submission, recovered ones and
-// workflow stages included, and is the only caller outside tests.
+// The caller passes a submission that Submission.Validate accepted,
+// which priced it as the largest job a bundle can form, so every job
+// expands with a finite, positive work and an int memory requirement:
+// SubmitBatch does not check it again, and cannot fail. The portal's
+// door (gsbl.Service.Submit) validates every submission, recovered
+// ones and workflow stages included, and is the only caller outside
+// tests.
 //
 // Each job's spec — the submission's, with its bundled search-replicate
 // count and its first replicate's seed — is built in the scheduler's
 // one scratch spec and priced there; the job keeps only its
 // SearchReps. A predictor gets the scratch spec, never &sub.Spec, which
 // would move every caller's submission to the heap, predictor or not.
-func (s *Scheduler) SubmitBatch(sub *workload.Submission, rng *sim.RNG, owner Owner, jobs []*GridJob) ([]*GridJob, error) {
+func (s *Scheduler) SubmitBatch(sub *workload.Submission, rng *sim.RNG, owner Owner, jobs []*GridJob) []*GridJob {
 	bundle := 1
 	if s.cfg.BundleTargetSeconds > 0 && s.predictor != nil {
 		s.spec = sub.Spec
@@ -78,13 +78,8 @@ func (s *Scheduler) SubmitBatch(sub *workload.Submission, rng *sim.RNG, owner Ow
 			if perRep <= 0 {
 				perRep = est
 			}
-			bundle = int(s.cfg.BundleTargetSeconds / (perRep * float64(sub.Spec.SearchReps)))
-			if bundle < 1 {
-				bundle = 1
-			}
-			if bundle > sub.Replicates {
-				bundle = sub.Replicates
-			}
+			// Clamped in float64: a tiny estimate's quotient may not fit an int.
+			bundle = int(max(min(s.cfg.BundleTargetSeconds/(perRep*float64(sub.Spec.SearchReps)), float64(sub.Replicates)), 1))
 		}
 	}
 	if n := (sub.Replicates + bundle - 1) / bundle; cap(jobs) < n {
@@ -122,12 +117,10 @@ func (s *Scheduler) SubmitBatch(sub *workload.Submission, rng *sim.RNG, owner Ow
 			s.stats.Bundled += n - 1
 			s.ins.bundled.Add(float64(n - 1))
 		}
-		if err := s.submit(j, spec); err != nil {
-			return jobs, err
-		}
+		s.submit(j, spec)
 		jobs = append(jobs, j)
 	}
-	return jobs, nil
+	return jobs
 }
 
 // jobID names the job that starts at replicate rep of a submission from

@@ -56,11 +56,7 @@ func (g *viewGrid) publish(names ...string) {
 
 func (g *viewGrid) submit(t *testing.T, id string) *GridJob {
 	t.Helper()
-	j, err := submit(g.sched, testJob(id, 600), nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return j
+	return submit(g.sched, testJob(id, 600), nil, nil)
 }
 
 func candidateNames(cands []candidate) []string {

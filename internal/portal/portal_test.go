@@ -639,14 +639,18 @@ func smallSpec() workload.JobSpec {
 func TestWorkflowEndpoints(t *testing.T) {
 	_, ts, _ := fixture(t)
 	alice, eve := registerUser(t, ts, "alice@lab.edu"), registerUser(t, ts, "eve@lab.edu")
-	spec := smallSpec()
-	wfJSON := func(email string) io.Reader {
+	specJSON := func(email string, spec workload.JobSpec) io.Reader {
 		raw, err := json.Marshal(dag.StandardAnalysis("analysis", email, 3, spec, 2, 3))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return bytes.NewReader(raw)
 	}
+	wfJSON := func(email string) io.Reader { return specJSON(email, smallSpec()) }
+	// The JSON carries the kinds as raw ints, so the door sees values
+	// no code path knows.
+	unknownRateHet, unknownStart := smallSpec(), smallSpec()
+	unknownRateHet.RateHet, unknownStart.StartingTree = 7, 9
 	create := func(token, email string) (int, string) {
 		code, raw := do(t, http.MethodPost, ts.URL+"/workflow/create", token, "application/json", wfJSON(email))
 		var out struct {
@@ -699,6 +703,8 @@ func TestWorkflowEndpoints(t *testing.T) {
 		{"unknown token creates", http.MethodPost, "/workflow/create", "tok-999999", wfJSON("x@example.org"), http.StatusUnauthorized},
 		{"malformed JSON", http.MethodPost, "/workflow/create", alice, strings.NewReader("{not json"), http.StatusBadRequest},
 		{"invalid workflow", http.MethodPost, "/workflow/create", alice, strings.NewReader(`{"name":"empty"}`), http.StatusBadRequest},
+		{"unknown rate heterogeneity", http.MethodPost, "/workflow/create", alice, specJSON("", unknownRateHet), http.StatusBadRequest},
+		{"unknown starting tree", http.MethodPost, "/workflow/create", alice, specJSON("", unknownStart), http.StatusBadRequest},
 		{"GET on create", http.MethodGet, "/workflow/create", alice, nil, http.StatusMethodNotAllowed},
 		{"other user's token reads", http.MethodGet, "/workflow/" + aliceRun, eve, nil, http.StatusForbidden},
 		{"unknown token reads", http.MethodGet, "/workflow/" + aliceRun, "tok-999999", nil, http.StatusForbidden},

@@ -30,8 +30,10 @@ var defaultCost = costParams{
 // ExpectedWork returns the mean computational work of the job in cell
 // updates, without run-to-run noise. It is the deterministic core of
 // the cost model.
-func (s *JobSpec) ExpectedWork() float64 {
-	patterns := EstimatePatterns(s)
+func (s *JobSpec) ExpectedWork() float64 { return s.work(EstimatePatterns(s)) }
+
+// work is ExpectedWork over the given number of site patterns.
+func (s *JobSpec) work(patterns int) float64 {
 	cats := s.NumMixtureCats()
 	states := s.DataType.NumStates()
 	n := s.NumTaxa
@@ -44,13 +46,10 @@ func (s *JobSpec) ExpectedWork() float64 {
 	var startWork float64
 	switch s.StartingTree {
 	case phylo.StartStepwise:
-		for i := 4; i <= n; i++ {
-			tries := cfg.AttachmentsPerTaxon
-			if edges := 2*i - 4; tries > edges {
-				tries = edges
-			}
-			startWork += float64(tries) * phylo.EvalCost(patterns, i, states, cats)
-		}
+		// Σ_{i=4..n} min(A, 2i−4)·EvalCost(patterns, i, …), where
+		// EvalCost(…, i, …) is (2i−3) edges of perEdge cells each.
+		perEdge := float64(cats) * float64(states) * float64(states) * (float64(patterns) + 1)
+		startWork = stepwiseEdgeEvals(n, cfg.AttachmentsPerTaxon) * perEdge
 	default:
 		startWork = float64(cfg.PopulationSize) * perEval
 	}
@@ -76,24 +75,29 @@ func (s *JobSpec) ExpectedWork() float64 {
 	return float64(s.SearchReps) * (startWork + gaWork + polishWork)
 }
 
-// workBound bounds ExpectedWork from above in O(1), where ExpectedWork
-// loops once per taxon on a stepwise start. No evaluation it counts
-// costs more than one on the full tree, perEval; the stepwise start
-// makes at most AttachmentsPerTaxon of them per added taxon, and the GA
-// runs at most MaxGenerations. Every factor is positive on a spec whose
-// fields pass Validate, so the work is finite and positive whenever
-// this bound is. patterns is at least EstimatePatterns(s).
-func (s *JobSpec) workBound(patterns int) float64 {
-	cfg := s.SearchConfig()
-	n := float64(s.NumTaxa)
-	perEval := phylo.EvalCost(patterns, s.NumTaxa, s.DataType.NumStates(), s.NumMixtureCats())
-	start := float64(cfg.PopulationSize)
-	if s.StartingTree == phylo.StartStepwise {
-		start = (n - 3) * float64(cfg.AttachmentsPerTaxon)
+// stepwiseEdgeEvals is Σ_{i=4..n} min(a, 2i−4)·(2i−3): stepwise
+// addition scores taxon i at min(a, 2i−4) of its tree's 2i−4 edges,
+// each score touching all 2i−3 edges of the grown tree. Taxon i tries
+// every edge while 2i−4 ≤ a, up to i = m = a/2+2, and a of them after,
+// so the sum is two polynomials in n and a, worked in O(1).
+//
+// Every term is an integer, so while the stepwise start's work — this
+// sum times the cells per edge, which is at least 32 — stays below
+// 2^53, each product and partial sum here is exact and equals the
+// per-taxon loop it replaces bit for bit (the 3× intermediate of the
+// first polynomial is at most 3/32 of that work). Above 2^53 both round,
+// not necessarily alike.
+func stepwiseEdgeEvals(n, a int) float64 {
+	m := min(n, a/2+2)
+	var sum float64
+	if m >= 4 {
+		j := float64(m - 2) // Σ_{i=4..m} (2i−4)(2i−3) = j(j+1)(4j+5)/3 − 6
+		sum = j*(j+1)*(4*j+5)/3 - 6
 	}
-	ga := float64(cfg.MaxGenerations) * float64(8+cfg.BrlenOptIterations)
-	polish := defaultCost.polishSweeps * (2*n - 3) * float64(8+max(cfg.BrlenOptIterations, 6))
-	return float64(s.SearchReps) * (start + ga + polish) * perEval
+	if lo := max(m+1, 4); n >= lo { // a·Σ_{i=lo..n} (2i−3)
+		sum += float64(a) * float64(n-lo+1) * (float64(n) + float64(lo-3))
+	}
+	return sum
 }
 
 // SampleWork returns a realized work amount: the expectation with

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"lattice/internal/phylo"
 	"lattice/internal/sim"
@@ -46,7 +47,13 @@ func (s *Submission) Validate() error {
 	if err := CheckEmail(s.UserEmail); err != nil {
 		return err
 	}
-	return s.Spec.Validate()
+	// The largest job expansion can form bundles every replicate's
+	// searches; the spec is priced as that job, whose search count must
+	// fit an int.
+	if s.Spec.SearchReps > math.MaxInt/s.Replicates {
+		return fmt.Errorf("workload: %d search replicates × %d replicates overflows int", s.Spec.SearchReps, s.Replicates)
+	}
+	return s.Spec.validate(s.Spec.SearchReps * s.Replicates)
 }
 
 // CheckEmail refuses an address holding a control byte (below 0x20, or

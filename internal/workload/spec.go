@@ -53,9 +53,17 @@ type JobSpec struct {
 
 // Validate applies the same checks as the portal's GARLI validation
 // pre-pass applies to parameters (data-file validation is separate).
-func (s *JobSpec) Validate() error {
+func (s *JobSpec) Validate() error { return s.validate(s.SearchReps) }
+
+// validate is Validate with the work priced at reps search replicates:
+// a submission's spec is priced as the largest job its expansion can
+// form (Submission.Validate).
+func (s *JobSpec) validate(reps int) error {
 	if s.NumTaxa < 3 {
 		return fmt.Errorf("workload: NumTaxa = %d; need at least 3", s.NumTaxa)
+	}
+	if s.NumTaxa > math.MaxInt/2 {
+		return fmt.Errorf("workload: NumTaxa = %d; its tree's 2n−3 edges overflow int", s.NumTaxa)
 	}
 	if s.SeqLength < 1 {
 		return fmt.Errorf("workload: SeqLength = %d; need at least 1", s.SeqLength)
@@ -66,43 +74,52 @@ func (s *JobSpec) Validate() error {
 	if s.SearchReps < 1 {
 		return fmt.Errorf("workload: SearchReps = %d; need at least 1", s.SearchReps)
 	}
-	if s.RateHet != phylo.RateHomogeneous {
+	switch s.RateHet {
+	case phylo.RateHomogeneous:
+	case phylo.RateGamma, phylo.RateGammaInv:
 		if s.NumRateCats < 1 {
 			return fmt.Errorf("workload: NumRateCats = %d; need at least 1", s.NumRateCats)
 		}
 		if !(s.GammaShape > 0) || math.IsInf(s.GammaShape, 1) {
 			return fmt.Errorf("workload: GammaShape = %g; must be positive and finite", s.GammaShape)
 		}
+	default:
+		return fmt.Errorf("workload: unknown rate heterogeneity kind %v", s.RateHet)
 	}
 	if s.RateHet == phylo.RateGammaInv && !(s.PropInvariant >= 0 && s.PropInvariant < 1) {
 		return fmt.Errorf("workload: PropInvariant = %g; must be in [0,1)", s.PropInvariant)
 	}
-	if s.StartingTree == phylo.StartStepwise && s.AttachmentsPerTaxon < 1 {
-		return fmt.Errorf("workload: AttachmentsPerTaxon = %d with stepwise starting tree", s.AttachmentsPerTaxon)
+	switch s.StartingTree {
+	case phylo.StartRandom, phylo.StartUser:
+	case phylo.StartStepwise:
+		if s.AttachmentsPerTaxon < 1 {
+			return fmt.Errorf("workload: AttachmentsPerTaxon = %d with stepwise starting tree", s.AttachmentsPerTaxon)
+		}
+	default:
+		return fmt.Errorf("workload: unknown starting tree kind %v", s.StartingTree)
 	}
 	if err := s.checkModel(); err != nil {
 		return err
 	}
-	return s.checkCost()
+	return s.checkCost(reps)
 }
 
-// checkCost refuses a spec the scheduler could not size: its memory
-// requirement must be positive and inside int range, and its expected
-// work finite and positive. The integer fields are checked one by one
-// above, but their products are not: 2^62 gamma categories on 50 taxa
-// passes every field check and prices at a negative MemoryMB. Both are
-// worked in float64 on the site count, which bounds EstimatePatterns
-// from above (and is at least 1, as it is), so whatever the spec's
-// size the check costs O(1) and accepts a spec only if MemoryMB and
-// ExpectedWork are in range: the work is judged on workBound, not
-// summed per taxon.
-func (s *JobSpec) checkCost() error {
-	sites := s.NumSites()
-	if mb := s.memoryBytes(sites)/(1<<20) + memoryFloorMB; !(mb > 0 && mb < math.MaxInt) {
+// checkCost refuses a spec the scheduler could not size: the MemoryMB
+// and the ExpectedWork that expansion computes, the work at reps search
+// replicates. The integer fields are checked one by one above, but
+// their products are not: 2^62 gamma categories on 50 taxa passes
+// every field check and prices at a negative MemoryMB. Both are worked
+// in float64 in O(1), whatever the spec's size, so memory must be
+// positive and inside int range and the work finite and positive.
+func (s *JobSpec) checkCost(reps int) error {
+	patterns := EstimatePatterns(s)
+	if mb := s.memoryBytes(patterns)/(1<<20) + memoryFloorMB; !(mb > 0 && mb < math.MaxInt) {
 		return fmt.Errorf("workload: memory requirement %g MB is outside (0, %d)", mb, math.MaxInt)
 	}
-	if w := s.workBound(sites); !(w > 0) || math.IsInf(w, 1) {
-		return fmt.Errorf("workload: expected work bound %g cell updates is not finite and positive", w)
+	job := *s
+	job.SearchReps = reps
+	if w := job.work(patterns); !(w > 0) || math.IsInf(w, 1) {
+		return fmt.Errorf("workload: expected work %g cell updates is not finite and positive", w)
 	}
 	return nil
 }
@@ -240,9 +257,12 @@ func EstimatePatterns(s *JobSpec) int {
 		c = 3
 	}
 	frac := 1 - math.Exp(-float64(s.NumTaxa)/c)
-	p := int(sites * frac)
-	if p < 1 {
-		p = 1
+	switch p := sites * frac; {
+	case p < 1:
+		return 1
+	case p >= sites: // frac rounded to 1; int(p) may not hold sites
+		return s.NumSites()
+	default:
+		return int(p)
 	}
-	return p
 }

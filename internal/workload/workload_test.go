@@ -312,6 +312,17 @@ func TestSubmissionValidate(t *testing.T) {
 	if err := sub.Validate(); err == nil {
 		t.Error("expected error for missing email")
 	}
+	// The largest bundle runs SearchReps × Replicates searches in one
+	// job, and that count must fit an int.
+	sub.UserEmail = "x@y"
+	sub.Spec.SearchReps = math.MaxInt/sub.Replicates + 1
+	if err := sub.Validate(); err == nil {
+		t.Error("expected error for a bundle search count past int")
+	}
+	sub.Spec.SearchReps--
+	if err := sub.Validate(); err != nil {
+		t.Errorf("largest bundle search count that fits an int refused: %v", err)
+	}
 }
 
 // TestEmailControlBytesRefused: the journal separates fields with 0x1f
@@ -442,7 +453,9 @@ func logCorrelation(a, b []float64) float64 {
 // must have a memory requirement and a work that are finite, positive
 // and, for memory, inside int range — the scheduler expands every
 // accepted spec into jobs sized by MemoryMB and SampleWork. A NaN
-// float field is refused like an out-of-range one.
+// float field is refused like an out-of-range one, and a rate
+// heterogeneity or starting tree kind no code path knows like an
+// unknown data type.
 func TestValidateRefusesWhatExpansionCannotPrice(t *testing.T) {
 	huge := func(s *JobSpec) {
 		s.NumTaxa, s.SeqLength = 50, 1000
@@ -454,6 +467,13 @@ func TestValidateRefusesWhatExpansionCannotPrice(t *testing.T) {
 		"NaN gamma shape":                 func(s *JobSpec) { s.GammaShape = math.NaN() },
 		"infinite gamma shape":            func(s *JobSpec) { s.GammaShape = math.Inf(1) },
 		"NaN invariant share":             func(s *JobSpec) { s.RateHet = phylo.RateGammaInv; s.PropInvariant = math.NaN() },
+		// Every site its own pattern: the pattern count is the site
+		// count, even where that count does not round-trip a float64.
+		"sites past int memory":       func(s *JobSpec) { s.NumTaxa, s.SeqLength = 100_000, math.MaxInt },
+		"unknown rate heterogeneity":  func(s *JobSpec) { s.RateHet = 7 },
+		"negative rate heterogeneity": func(s *JobSpec) { s.RateHet = -1 },
+		"unknown starting tree":       func(s *JobSpec) { s.StartingTree = 9 },
+		"negative starting tree":      func(s *JobSpec) { s.StartingTree = -1 },
 	} {
 		s := baseSpec()
 		mutate(&s)
@@ -464,11 +484,10 @@ func TestValidateRefusesWhatExpansionCannotPrice(t *testing.T) {
 }
 
 // TestValidateCostIsConstantTime: NumTaxa reaches Validate from outside,
-// unbounded, and a stepwise start's expected work sums once per taxon.
-// Validate judges the work on a bound it works in O(1), so a spec of
+// unbounded. Validate prices the work in O(1), so a stepwise spec of
 // 2^41 taxa (on a 64-bit target) is answered at once, not after the
-// hours that sum would take; one whose taxon count wraps the edge
-// arithmetic is refused.
+// hours a per-taxon sum would take; one whose taxon count wraps the
+// edge arithmetic is refused.
 func TestValidateCostIsConstantTime(t *testing.T) {
 	big := baseSpec()
 	big.StartingTree, big.AttachmentsPerTaxon = phylo.StartStepwise, 25
@@ -487,23 +506,6 @@ func TestValidateCostIsConstantTime(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatalf("Validate on %d taxa still running after 10 s", big.NumTaxa)
-	}
-}
-
-// TestWorkBoundCoversExpectedWork: the bound Validate judges a spec's
-// work on, over its site count, is never below the work itself, for
-// every starting tree, and the site count never below the patterns.
-func TestWorkBoundCoversExpectedWork(t *testing.T) {
-	g := NewGenerator(1)
-	for i := 0; i < 300; i++ {
-		s := g.Job()
-		s.StartingTree = phylo.StartingTreeKind(i % 3)
-		if p := EstimatePatterns(&s); p < 1 || p > s.NumSites() {
-			t.Fatalf("spec %+v: %d patterns on %d sites", s, p, s.NumSites())
-		}
-		if w, b := s.ExpectedWork(), s.workBound(s.NumSites()); !(w > 0 && w <= b) {
-			t.Fatalf("spec %+v: expected work %g, bound %g", s, w, b)
-		}
 	}
 }
 
