@@ -11,7 +11,7 @@ GO ?= go
 # included and marked, for dashboards and suppression audits.
 LINT_ARTIFACT = latticelint.json
 
-.PHONY: all build vet vet-narrow lint lint-fixtures tracked-binaries fuzz test race smoke faults crash dag scale overload check bench-rot ledger ledger-trace
+.PHONY: all build vet vet-narrow lint lint-fixtures tracked-binaries fuzz test race smoke faults crash dag scale overload check bench-rot ledger ledger-trace pins
 
 all: check
 
@@ -117,6 +117,14 @@ ledger:
 
 ledger-trace:
 	$(GO) run ./bench -seed 1 -trace
+
+# pins prints every experiment table (gridbench -run all) at seeds 1 and
+# 11. Each table is a function of its seed, so a refactor that claims to
+# change no behaviour proves it with `make -s pins > <commit>.txt` on
+# both commits and `cmp`. It takes minutes and compares two commits, so
+# it stays out of `check`, like ledger.
+pins:
+	@for seed in 1 11; do $(GO) run ./cmd/gridbench -run all -seed $$seed || exit 1; done
 
 # The five scenario targets below are focused entry points for one
 # scenario under the race detector. `make check` does not depend on

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -22,35 +23,38 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "garli:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string) error {
+	fs := flag.NewFlagSet("garli", flag.ContinueOnError)
 	var (
-		dataPath   = flag.String("data", "", "input alignment (FASTA or PHYLIP)")
-		format     = flag.String("format", "fasta", "input format: fasta, phylip, or nexus")
-		datatype   = flag.String("datatype", "nucleotide", "nucleotide, aminoacid, or codon")
-		model      = flag.String("model", "GTR", "substitution model (JC69, K80, HKY85, GTR, poisson, empirical, GY94)")
-		ratehet    = flag.String("ratehet", "gamma", "rate heterogeneity: none, gamma, gamma+inv")
-		numCats    = flag.Int("numratecats", 4, "discrete gamma categories")
-		alpha      = flag.Float64("alpha", 0.5, "gamma shape")
-		pinv       = flag.Float64("pinv", 0.2, "proportion invariant (gamma+inv)")
-		searchReps = flag.Int("searchreps", 1, "independent search replicates")
-		streef     = flag.String("streefname", "stepwise", "starting tree: random, stepwise, user")
-		userTree   = flag.String("usertree", "", "Newick file with the user starting tree (streefname=user)")
-		attach     = flag.Int("attachmentspertaxon", 25, "stepwise attachment points per taxon")
-		bootstrap  = flag.Int("bootstrap", 0, "bootstrap replicates (0 = best-tree search only)")
-		gens       = flag.Int("generations", 500, "maximum GA generations per replicate")
-		workers    = flag.Int("workers", 1, "parallel evaluation workers (engines); results are seed-deterministic for any count")
-		seed       = flag.Int64("seed", 1, "random seed")
-		out        = flag.String("out", "garli", "output file prefix")
+		dataPath   = fs.String("data", "", "input alignment (FASTA or PHYLIP)")
+		format     = fs.String("format", "fasta", "input format: fasta, phylip, or nexus")
+		datatype   = fs.String("datatype", "nucleotide", "nucleotide, aminoacid, or codon")
+		model      = fs.String("model", "GTR", "substitution model (JC69, K80, HKY85, GTR, poisson, empirical, GY94)")
+		ratehet    = fs.String("ratehet", "gamma", "rate heterogeneity: none, gamma, gamma+inv")
+		numCats    = fs.Int("numratecats", 4, "discrete gamma categories")
+		alpha      = fs.Float64("alpha", 0.5, "gamma shape")
+		pinv       = fs.Float64("pinv", 0.2, "proportion invariant (gamma+inv)")
+		searchReps = fs.Int("searchreps", 1, "independent search replicates")
+		streef     = fs.String("streefname", "stepwise", "starting tree: random, stepwise, user")
+		userTree   = fs.String("usertree", "", "Newick file with the user starting tree (streefname=user)")
+		attach     = fs.Int("attachmentspertaxon", 25, "stepwise attachment points per taxon")
+		bootstrap  = fs.Int("bootstrap", 0, "bootstrap replicates (0 = best-tree search only)")
+		gens       = fs.Int("generations", 500, "maximum GA generations per replicate")
+		workers    = fs.Int("workers", 1, "parallel evaluation workers (engines); the result does not depend on the count")
+		seed       = fs.Int64("seed", 1, "random seed")
+		out        = fs.String("out", "garli", "output file prefix")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 	if *dataPath == "" {
-		flag.Usage()
+		fs.Usage()
 		return fmt.Errorf("-data is required")
 	}
 
@@ -133,31 +137,16 @@ func run() error {
 		cfg.UserTree = tr
 	}
 
-	if *workers < 1 {
-		return fmt.Errorf("-workers must be >= 1, got %d", *workers)
+	pool, err := phylo.NewEvaluatorPool(*workers, func() (phylo.Evaluator, error) {
+		return beagle.New(pd, subst, rates)
+	})
+	if err != nil {
+		return err
 	}
 	rng := sim.NewRNG(*seed)
-	var res *phylo.SearchResult
-	if *workers > 1 {
-		pool, err := phylo.NewEvaluatorPool(*workers, func() (phylo.Evaluator, error) {
-			return beagle.New(pd, subst, rates)
-		})
-		if err != nil {
-			return err
-		}
-		res, err = phylo.SearchParallel(pool, al.Names, cfg, rng.Stream("search"))
-		if err != nil {
-			return err
-		}
-	} else {
-		ev, err := beagle.New(pd, subst, rates)
-		if err != nil {
-			return err
-		}
-		res, err = phylo.SearchWith(ev, al.Names, cfg, rng.Stream("search"))
-		if err != nil {
-			return err
-		}
+	res, err := phylo.SearchParallel(pool, al.Names, cfg, rng.Stream("search"))
+	if err != nil {
+		return err
 	}
 	fmt.Printf("best tree: lnL = %.4f (%d generations, %d evaluations, %.3g cell updates, workers=%d)\n",
 		res.BestLogL, res.Generations, res.Evaluations, res.Work, *workers)

@@ -1,0 +1,66 @@
+package main
+
+import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"lattice/internal/phylo"
+	"lattice/internal/sim"
+)
+
+// TestWorkersDoNotChangeTheTree runs the same search at one and three
+// workers, with one and three replicates, and requires the same best
+// tree byte for byte: the seed names the tree, the pool only spreads
+// the work.
+func TestWorkersDoNotChangeTheTree(t *testing.T) {
+	dir := t.TempDir()
+	data := filepath.Join(dir, "sim.fasta")
+	writeAlignment(t, data)
+	for _, reps := range []string{"1", "3"} {
+		var want []byte
+		for _, workers := range []string{"1", "3"} {
+			out := filepath.Join(dir, fmt.Sprintf("r%s-w%s", reps, workers))
+			args := []string{"-data", data, "-generations", "20", "-searchreps", reps, "-workers", workers, "-seed", "3", "-out", out}
+			if err := run(args); err != nil {
+				t.Fatalf("run(%q): %v", args, err)
+			}
+			got, err := os.ReadFile(out + ".best.tre")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = got
+			} else if !bytes.Equal(got, want) {
+				t.Errorf("-searchreps %s: -workers %s wrote\n%s-workers 1 wrote\n%s", reps, workers, got, want)
+			}
+		}
+	}
+}
+
+// writeAlignment simulates 8 taxa × 300 sites under GTR+Γ into path.
+func writeAlignment(t *testing.T, path string) {
+	t.Helper()
+	rng := sim.NewRNG(3)
+	m, err := phylo.NewGTR([6]float64{1.1, 3.2, 0.8, 1.3, 4.0, 1}, []float64{0.28, 0.22, 0.26, 0.24})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rates, err := phylo.NewSiteRates(phylo.RateGamma, 0.5, 0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	al, err := phylo.SimulateAlignment(phylo.RandomTree(phylo.TaxonNames(8), 0.1, rng), m, rates, 300, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := al.WriteFASTA(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -45,11 +45,11 @@ func main() {
 	// Infer with two search replicates from stepwise starting trees.
 	cfg := phylo.DefaultSearchConfig()
 	cfg.SearchReps = 2
-	res, err := phylo.Search(pd, model, rates, al.Names, cfg, rng.Stream("search"))
+	lk := must1(phylo.NewLikelihood(pd, model, rates))
+	res, err := phylo.SearchWith(lk, al.Names, cfg, rng.Stream("search"))
 	if err != nil {
 		log.Fatal(err)
 	}
-	lk := must1(phylo.NewLikelihood(pd, model, rates))
 	fmt.Printf("inferred tree: lnL %.2f (truth tree scores %.2f)\n",
 		res.BestLogL, lk.LogLikelihood(truth))
 	fmt.Printf("Robinson–Foulds distance to truth: %d (0 = identical topology)\n",
@@ -63,7 +63,8 @@ func main() {
 	fast.MaxGenerations = 200
 	for i := 0; i < reps; i++ {
 		bs := pd.Bootstrap(rng.Float64)
-		r, err := phylo.Search(bs, model, rates, al.Names, fast, rng.Stream(fmt.Sprintf("bs%d", i)))
+		blk := must1(phylo.NewLikelihood(bs, model, rates))
+		r, err := phylo.SearchWith(blk, al.Names, fast, rng.Stream(fmt.Sprintf("bs%d", i)))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -98,7 +99,8 @@ func main() {
 	}
 	pcfg := cfg
 	pcfg.SearchReps = 1
-	pres, err := phylo.SearchPartitioned(parts, al.Names, pcfg, rng.Stream("part"))
+	plk := must1(phylo.NewPartitionedLikelihood(parts))
+	pres, err := phylo.SearchWith(plk, al.Names, pcfg, rng.Stream("part"))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -136,8 +138,8 @@ func main() {
 		tipPct, st.BankHits, st.BufRecycled)
 
 	// The same search fanned out over a pool of engines: bit-identical
-	// to a 1-worker run of SearchParallel for the same seed, whatever
-	// the worker count.
+	// to SearchWith on one engine for the same seed, whatever the
+	// worker count.
 	pool, err := phylo.NewEvaluatorPool(3, func() (phylo.Evaluator, error) {
 		return beagle.New(pd, model, rates)
 	})
@@ -154,7 +156,7 @@ func main() {
 	// Checkpointing: run a resumable search in two halves, as the
 	// BOINC build of GARLI does on volunteer machines — the second half
 	// by a fresh runner that knows only what the checkpoint holds.
-	runner, err := phylo.NewRunner(pd, model, rates, al.Names, fast, 99)
+	runner, err := phylo.NewRunner(lk, al.Names, fast, 99)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -165,7 +167,7 @@ func main() {
 	if err := runner.Save(&checkpoint); err != nil {
 		log.Fatal(err)
 	}
-	runner, err = phylo.LoadRunner(&checkpoint, pd, model, rates, al.Names, fast)
+	runner, err = phylo.LoadRunner(&checkpoint, lk, al.Names, fast)
 	if err != nil {
 		log.Fatal(err)
 	}

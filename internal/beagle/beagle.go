@@ -372,6 +372,9 @@ func (e *Engine) OptimizeBranch(t *phylo.Tree, n *phylo.Node, iterations int) fl
 // TotalWork implements phylo.Evaluator.
 func (e *Engine) TotalWork() float64 { return e.work }
 
+// NumTaxa implements phylo.Evaluator.
+func (e *Engine) NumTaxa() int { return e.data.NumTaxa }
+
 // childTouched reports whether any child of n was recomputed this
 // pass (post-order guarantees children are decided before parents).
 func childTouched(n *phylo.Node, touched []bool) bool {

@@ -338,44 +338,51 @@ func TestWarmStartPoolSharing(t *testing.T) {
 	}
 }
 
-// TestSearchParallelDeterministicAcrossWorkers pins the full parallel
-// search: same seed, different worker counts, bit-identical best tree
-// and work accounting.
+// TestSearchParallelDeterministicAcrossWorkers pins the one search:
+// same seed, SearchWith on one engine as the baseline, SearchParallel
+// at one to three workers, bit-identical best tree, for one replicate
+// and for several. Several replicates each run on one engine, so their
+// work accounting matches too; a lone replicate's batches are scored
+// across the pool, whose colder engines do more cell updates.
 func TestSearchParallelDeterministicAcrossWorkers(t *testing.T) {
 	fx := newFixture(t, 55, phylo.Nucleotide, 4, 8, 200)
-	cfg := phylo.DefaultSearchConfig()
-	cfg.SearchReps = 3
-	cfg.MaxGenerations = 40
-	cfg.StagnationGenerations = 20
-	cfg.AttachmentsPerTaxon = 5
+	names := phylo.TaxonNames(8)
 	factory := func() (phylo.Evaluator, error) { return New(fx.data, fx.model, fx.rates) }
-	var wantLogL, wantWork float64
-	var wantNewick string
-	for workers := 1; workers <= 3; workers++ {
-		pool, err := phylo.NewEvaluatorPool(workers, factory)
+	for _, reps := range []int{1, 3} {
+		cfg := phylo.DefaultSearchConfig()
+		cfg.SearchReps = reps
+		cfg.MaxGenerations = 40
+		cfg.StagnationGenerations = 20
+		cfg.AttachmentsPerTaxon = 5
+		eng, err := New(fx.data, fx.model, fx.rates)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := phylo.SearchParallel(pool, phylo.TaxonNames(8), cfg, sim.NewRNG(77))
+		want, err := phylo.SearchWith(eng, names, cfg, sim.NewRNG(77))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := res.BestTree.Check(); err != nil {
+		if err := want.BestTree.Check(); err != nil {
 			t.Fatal(err)
 		}
-		nwk := res.BestTree.Newick()
-		if workers == 1 {
-			wantLogL, wantWork, wantNewick = res.BestLogL, res.Work, nwk
-			continue
-		}
-		if res.BestLogL != wantLogL {
-			t.Errorf("workers=%d: best logL %v != baseline %v", workers, res.BestLogL, wantLogL)
-		}
-		if res.Work != wantWork {
-			t.Errorf("workers=%d: work %v != baseline %v", workers, res.Work, wantWork)
-		}
-		if nwk != wantNewick {
-			t.Errorf("workers=%d: best tree differs from baseline", workers)
+		for workers := 1; workers <= 3; workers++ {
+			pool, err := phylo.NewEvaluatorPool(workers, factory)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := phylo.SearchParallel(pool, names, cfg, sim.NewRNG(77))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.BestLogL != want.BestLogL {
+				t.Errorf("reps=%d workers=%d: best logL %v != SearchWith %v", reps, workers, res.BestLogL, want.BestLogL)
+			}
+			if reps > 1 && res.Work != want.Work {
+				t.Errorf("reps=%d workers=%d: work %v != SearchWith %v", reps, workers, res.Work, want.Work)
+			}
+			if res.BestTree.Newick() != want.BestTree.Newick() {
+				t.Errorf("reps=%d workers=%d: best tree differs from SearchWith", reps, workers)
+			}
 		}
 	}
 }

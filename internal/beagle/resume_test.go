@@ -29,7 +29,7 @@ func TestRunnerResumeIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := phylo.NewRunnerWith(eng, names, cfg, 17)
+	r, err := phylo.NewRunner(eng, names, cfg, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestRunnerResumeIncremental(t *testing.T) {
 			t.Fatal(err)
 		}
 		e.SetIncremental(incremental)
-		rr, err := phylo.LoadRunnerWith(bytes.NewReader(cp.Bytes()), e, names, cfg)
+		rr, err := phylo.LoadRunner(bytes.NewReader(cp.Bytes()), e, names, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

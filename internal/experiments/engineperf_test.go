@@ -28,6 +28,7 @@ func TestEnginePerfShape(t *testing.T) {
 	if r.ReuseFraction <= 0.3 {
 		t.Errorf("partials reuse fraction = %.2f, want > 0.3", r.ReuseFraction)
 	}
+	golden(t, "perf", r.String())
 	if s := r.String(); !strings.Contains(s, "Engine performance") {
 		t.Errorf("unexpected rendering:\n%s", s)
 	}

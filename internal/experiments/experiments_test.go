@@ -39,6 +39,7 @@ func TestFig2Shape(t *testing.T) {
 	if !strings.Contains(r.String(), "Figure 2") {
 		t.Error("table header missing")
 	}
+	golden(t, "fig2", r.String())
 }
 
 func TestCrossValidationQuality(t *testing.T) {
@@ -257,6 +258,7 @@ func TestAblations(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("\n%s", size)
+	golden(t, "abl-size", size.String())
 	imp, err := AblationImportanceMethod(15, 150)
 	if err != nil {
 		t.Fatal(err)

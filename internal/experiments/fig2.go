@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"lattice/internal/estimate"
 	"lattice/internal/forest"
@@ -16,19 +15,16 @@ type Fig2Result struct {
 	Trees      int
 	Importance []forest.ImportanceResult // permutation %IncMSE, descending
 	Stats      estimate.ModelStats
-	BuildTime  time.Duration
 }
 
 // Fig2 trains the runtime model on a generated training matrix of the
 // paper's size (150 jobs, 10^4 trees in the full configuration) and
 // computes permutation variable importance — experiment E1/E2.
 func Fig2(seed int64, trainJobs, trees int) (*Fig2Result, error) {
-	start := clock.Now()
 	est, err := estimatorFor(seed, trainJobs, trees)
 	if err != nil {
 		return nil, err
 	}
-	build := clock.Now().Sub(start)
 	imp, err := est.Importance(seed + 1)
 	if err != nil {
 		return nil, err
@@ -42,7 +38,6 @@ func Fig2(seed int64, trainJobs, trees int) (*Fig2Result, error) {
 		Trees:      trees,
 		Importance: imp,
 		Stats:      stats,
-		BuildTime:  build,
 	}, nil
 }
 
@@ -53,12 +48,10 @@ func (r *Fig2Result) String() string {
 		rows = append(rows, []string{imp.Feature, fmt.Sprintf("%.1f", imp.PctIncMSE)})
 	}
 	return fmt.Sprintf("Figure 2 — GARLI runtime predictor importance (%d jobs, %d trees)\n%s"+
-		"variance explained: %.1f%% (paper: ~93%%); typical error ×%.2f; raw-scale %%Var: %.1f%%\n"+
-		"model build time: %v (paper: \"takes very little time to compute\")\n",
+		"variance explained: %.1f%% (paper: ~93%%); typical error ×%.2f; raw-scale %%Var: %.1f%%\n",
 		r.TrainJobs, r.Trees,
 		table([]string{"predictor", "%IncMSE"}, rows),
-		r.Stats.PctVarExplained, r.Stats.TypicalErrorFactor, r.Stats.RawPctVarExplained,
-		r.BuildTime.Round(time.Millisecond))
+		r.Stats.PctVarExplained, r.Stats.TypicalErrorFactor, r.Stats.RawPctVarExplained)
 }
 
 // rank returns a feature's position in the importance ordering.
@@ -142,9 +135,9 @@ func (r *AblationMtryResult) String() string {
 		table([]string{"mtry", "%Var explained", "typical error"}, r.Rows)
 }
 
-// AblationForestSizeResult sweeps ensemble size: prediction quality vs
-// build time (the paper's 10^4 trees "does not take much computational
-// time").
+// AblationForestSizeResult sweeps ensemble size: prediction quality
+// per tree count. What training costs (the paper's 10^4 trees "does not
+// take much computational time") is the ledger's forest.probe_train_s.
 type AblationForestSizeResult struct {
 	Rows [][]string
 }
@@ -153,12 +146,10 @@ type AblationForestSizeResult struct {
 func AblationForestSize(seed int64, trainJobs int) (*AblationForestSizeResult, error) {
 	res := &AblationForestSizeResult{}
 	for _, trees := range []int{100, 1000, 10000} {
-		start := clock.Now()
 		est, err := estimatorFor(seed, trainJobs, trees)
 		if err != nil {
 			return nil, err
 		}
-		build := clock.Now().Sub(start)
 		st, err := est.Stats()
 		if err != nil {
 			return nil, err
@@ -167,7 +158,6 @@ func AblationForestSize(seed int64, trainJobs int) (*AblationForestSizeResult, e
 			fmt.Sprintf("%d", trees),
 			fmt.Sprintf("%.1f", st.PctVarExplained),
 			fmt.Sprintf("×%.2f", st.TypicalErrorFactor),
-			build.Round(time.Millisecond).String(),
 		})
 	}
 	return res, nil
@@ -175,7 +165,7 @@ func AblationForestSize(seed int64, trainJobs int) (*AblationForestSizeResult, e
 
 func (r *AblationForestSizeResult) String() string {
 	return "Ablation — forest size (paper uses 10^4 trees)\n" +
-		table([]string{"trees", "%Var explained", "typical error", "build time"}, r.Rows)
+		table([]string{"trees", "%Var explained", "typical error"}, r.Rows)
 }
 
 // AblationImportanceResult contrasts permutation (%IncMSE, the paper's

@@ -14,8 +14,8 @@ var update = flag.Bool("update", false, "rewrite testdata/*.golden from the curr
 // hand-rolled drivers at the commit before the scenario runner
 // replaced them, at the seed each shape test already runs — so the
 // comparison costs no extra simulation and pins every figure the
-// refactor had to preserve. IDs are the gridbench registry's; fig2,
-// abl-size and perf print wall-clock figures and have no golden.
+// refactor had to preserve. IDs are the gridbench registry's; every
+// table is a function of its seed, so every experiment has one.
 func golden(t *testing.T, id, got string) {
 	t.Helper()
 	path := filepath.Join("testdata", id+".golden")

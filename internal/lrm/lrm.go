@@ -17,6 +17,7 @@
 package lrm
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -105,16 +106,20 @@ func (c *Callbacks) Fail(at sim.Time, reason string) {
 	}
 }
 
+// ErrInvalidJob is wrapped by every error Validate returns: the job
+// itself is malformed, so no resource will ever accept it.
+var ErrInvalidJob = errors.New("lrm: invalid job")
+
 // Validate checks the job is well-formed.
 func (j *Job) Validate() error {
 	if j.ID == "" {
-		return fmt.Errorf("lrm: job has no ID")
+		return fmt.Errorf("%w: no ID", ErrInvalidJob)
 	}
 	if !(j.Work > 0) || math.IsInf(j.Work, 1) {
-		return fmt.Errorf("lrm: job %s has work %g, not finite and positive", j.ID, j.Work)
+		return fmt.Errorf("%w %s: work %g is not finite and positive", ErrInvalidJob, j.ID, j.Work)
 	}
 	if j.MemoryMB < 0 {
-		return fmt.Errorf("lrm: job %s has negative memory requirement", j.ID)
+		return fmt.Errorf("%w %s: negative memory requirement", ErrInvalidJob, j.ID)
 	}
 	return nil
 }

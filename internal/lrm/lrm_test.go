@@ -1,6 +1,7 @@
 package lrm
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -22,8 +23,8 @@ func TestJobValidate(t *testing.T) {
 		{ID: "x", Work: math.Inf(-1)},
 	}
 	for i, j := range cases {
-		if err := j.Validate(); err == nil {
-			t.Errorf("case %d: expected validation error", i)
+		if err := j.Validate(); !errors.Is(err, ErrInvalidJob) {
+			t.Errorf("case %d: got %v, want an error wrapping ErrInvalidJob", i, err)
 		}
 	}
 }

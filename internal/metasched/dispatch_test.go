@@ -10,6 +10,7 @@ import (
 	"lattice/internal/grid/mds"
 	"lattice/internal/lrm"
 	"lattice/internal/lrm/cluster"
+	"lattice/internal/obs"
 	"lattice/internal/phylo"
 	"lattice/internal/sim"
 	"lattice/internal/workload"
@@ -119,9 +120,11 @@ func TestSharedPlatformsUntouched(t *testing.T) {
 }
 
 // A job lrm.Job.Validate refuses is refused where every dispatch is
-// checked, at the LRM's own Submit: it never runs, and waits out its
-// submit retries without ending. (The scheduler adds its per-job
-// overhead first, so only work still not positive past it is refused.)
+// checked, at the LRM's own Submit. No resource will ever take it, so
+// the refusal is its one terminal: it fails at once with the LRM's
+// error as its reason, its owner is told once, and it never backs off
+// to be refused again. (The scheduler adds its per-job overhead first,
+// so only work still not positive past it is refused.)
 func TestSubmitRejectsInvalidJob(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -146,17 +149,30 @@ func TestSubmitRejectsInvalidJob(t *testing.T) {
 			t.Fatal(err)
 		}
 		idx.Publish(hpc.Info())
-		sched := New(eng, idx, DefaultConfig(), Options{})
+		hub := obs.New(eng)
+		sched := New(eng, idx, DefaultConfig(), Options{Obs: hub})
 		if err := sched.Register(hpc, 1); err != nil {
 			t.Fatal(err)
 		}
 		j := testJob("bad", 600)
 		tc.edit(j)
-		ended := false
-		submit(sched, j, nil, func(*GridJob) { ended = true })
+		ended := 0
+		submit(sched, j, nil, func(*GridJob) { ended++ })
 		eng.RunUntil(sim.Time(sim.Day))
-		if st := sched.Stats(); ended || st.Completed+st.Failed != 0 || st.SubmitRetries == 0 {
-			t.Errorf("%s: ended %v, stats %+v; want refused at every dispatch", tc.name, ended, st)
+		if st := sched.Stats(); ended != 1 || st.Failed != 1 || st.Completed != 0 || st.SubmitRetries != 0 {
+			t.Errorf("%s: ended %d times, stats %+v; want exactly one terminal, a failure, and no retry", tc.name, ended, st)
+		}
+		if err := j.Job.Validate(); j.Status != StatusFailed || err == nil || j.FailReason != err.Error() {
+			t.Errorf("%s: status %v, reason %q; want failed with %v", tc.name, j.Status, j.FailReason, err)
+		}
+		var fails []string
+		for _, ev := range hub.Journal.Events() {
+			if ev.Stage == obs.StageFail {
+				fails = append(fails, ev.Detail)
+			}
+		}
+		if len(fails) != 1 || fails[0] != j.FailReason {
+			t.Errorf("%s: journaled failures %q, want one with the reason %q", tc.name, fails, j.FailReason)
 		}
 		if n := hpc.Stats().TotalQueued; n != 0 {
 			t.Errorf("%s: the cluster queued %d jobs", tc.name, n)

@@ -1,6 +1,7 @@
 package metasched
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -462,9 +463,15 @@ func (s *Scheduler) release(r *resource, j *GridJob) {
 
 // submitFailed handles a gatekeeper submit error: the job retries on
 // its own exponential timer (submitRetryBase·2^k, capped at
-// submitRetryMax).
+// submitRetryMax). A job the LRM refuses as malformed
+// (lrm.ErrInvalidJob) no resource will ever take, so that refusal is
+// its terminal instead.
 func (s *Scheduler) submitFailed(r *resource, j *GridJob, err error) {
 	s.release(r, j)
+	if errors.Is(err, lrm.ErrInvalidJob) {
+		s.fail(r, j, err.Error())
+		return
+	}
 	j.Status = StatusPending
 	j.cur = nil
 	s.markDisrupted(j)
@@ -565,6 +572,21 @@ func (s *Scheduler) onJobComplete(a *attempt) {
 	}
 }
 
+// fail ends j, last dispatched to r, as failed for reason: its one
+// terminal.
+func (s *Scheduler) fail(r *resource, j *GridJob, reason string) {
+	j.end()
+	j.Status = StatusFailed
+	j.CompletedAt = s.eng.Now()
+	j.FailReason = reason
+	s.stats.Failed++
+	s.ins.failed.Inc()
+	s.obs.Record(j.Batch, j.ID, obs.StageFail, r.name, reason)
+	if j.Owner != nil {
+		j.Owner.JobDone(j)
+	}
+}
+
 func (s *Scheduler) onJobFail(a *attempt, reason string) {
 	if !a.current() {
 		return
@@ -579,16 +601,7 @@ func (s *Scheduler) onJobFail(a *attempt, reason string) {
 		s.markDisrupted(j)
 	}
 	if j.Attempts > retryLimit {
-		j.end()
-		j.Status = StatusFailed
-		j.CompletedAt = s.eng.Now()
-		j.FailReason = reason
-		s.stats.Failed++
-		s.ins.failed.Inc()
-		s.obs.Record(j.Batch, j.ID, obs.StageFail, r.name, reason)
-		if j.Owner != nil {
-			j.Owner.JobDone(j)
-		}
+		s.fail(r, j, reason)
 		return
 	}
 	// Back to pending; the periodic scan will find a new home.

@@ -20,28 +20,18 @@ type Runner struct {
 	highWater float64 // progress never reported lower than this
 }
 
-// NewRunner starts a resumable search on the reference Likelihood
-// engine. The seed fully determines the run (and re-seeds the stream
-// on resume).
-func NewRunner(data *PatternData, model *Model, rates *SiteRates, names []string, cfg SearchConfig, seed int64) (*Runner, error) {
-	lk, err := NewLikelihood(data, model, rates)
-	if err != nil {
-		return nil, err
-	}
-	return NewRunnerWith(lk, names, cfg, seed)
-}
-
-// NewRunnerWith starts a resumable search on any Evaluator — the
+// NewRunner starts a resumable search on any Evaluator — the
 // reference Likelihood, a partitioned model, or an optimized backend
-// such as internal/beagle's incremental engine. Search decisions
-// depend only on the scores the evaluator returns, so any two
-// evaluators that agree numerically produce bit-identical searches.
-func NewRunnerWith(ev Evaluator, names []string, cfg SearchConfig, seed int64) (*Runner, error) {
-	if err := cfg.validate(); err != nil {
+// such as internal/beagle's incremental engine. The seed fully
+// determines the run (and re-seeds the stream on resume). Search
+// decisions depend only on the scores the evaluator returns, so any
+// two evaluators that agree numerically produce bit-identical searches.
+func NewRunner(ev Evaluator, names []string, cfg SearchConfig, seed int64) (*Runner, error) {
+	if err := cfg.validate(ev, names); err != nil {
 		return nil, err
 	}
 	rng := sim.NewRNG(seed)
-	st, err := newGAState(ev, nil, names, cfg, rng)
+	st, err := newGAState(onePool(ev), names, cfg, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -119,26 +109,16 @@ func (r *Runner) Save(w io.Writer) error {
 	return enc.Encode(&cp)
 }
 
-// LoadRunner restores a search from a checkpoint written by Save. The
-// caller supplies the same data, model, rates, names and config as the
+// LoadRunner restores a search from a checkpoint written by Save onto
+// any Evaluator. The caller supplies the same names and config as the
 // original run; the RNG stream is re-derived from the stored seed and
 // generation count, so a resumed run is deterministic even though it
 // is not draw-for-draw identical to an uninterrupted one (GARLI's own
-// checkpoints have the same property).
-func LoadRunner(src io.Reader, data *PatternData, model *Model, rates *SiteRates, names []string, cfg SearchConfig) (*Runner, error) {
-	lk, err := NewLikelihood(data, model, rates)
-	if err != nil {
-		return nil, err
-	}
-	return LoadRunnerWith(src, lk, names, cfg)
-}
-
-// LoadRunnerWith restores a search from a checkpoint written by Save
-// onto any Evaluator, exactly as LoadRunner does onto the reference
-// engine. A checkpoint written under one evaluator restores under
-// another: the population travels as Newick strings plus scores, and
-// evaluators carry no search state of their own.
-func LoadRunnerWith(src io.Reader, ev Evaluator, names []string, cfg SearchConfig) (*Runner, error) {
+// checkpoints have the same property). A checkpoint written under one
+// evaluator restores under another: the population travels as Newick
+// strings plus scores, and evaluators carry no search state of their
+// own.
+func LoadRunner(src io.Reader, ev Evaluator, names []string, cfg SearchConfig) (*Runner, error) {
 	var cp checkpointFile
 	if err := json.NewDecoder(src).Decode(&cp); err != nil {
 		return nil, fmt.Errorf("phylo: reading checkpoint: %w", err)
@@ -149,7 +129,7 @@ func LoadRunnerWith(src io.Reader, ev Evaluator, names []string, cfg SearchConfi
 	if len(cp.Trees) == 0 || len(cp.Trees) != len(cp.LogLs) {
 		return nil, fmt.Errorf("phylo: corrupt checkpoint: %d trees, %d scores", len(cp.Trees), len(cp.LogLs))
 	}
-	if err := cfg.validate(); err != nil {
+	if err := cfg.validate(ev, names); err != nil {
 		return nil, err
 	}
 	taxa := make(map[string]int, len(names))
@@ -157,7 +137,7 @@ func LoadRunnerWith(src io.Reader, ev Evaluator, names []string, cfg SearchConfi
 		taxa[n] = i
 	}
 	st := &gaState{
-		lk:       ev,
+		pool:     onePool(ev),
 		cfg:      cfg,
 		gen:      cp.Generation,
 		stagnant: cp.Stagnant,

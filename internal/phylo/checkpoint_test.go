@@ -15,7 +15,7 @@ func runnerFixture(t *testing.T) (*searchFixture, SearchConfig) {
 
 func TestRunnerCompletes(t *testing.T) {
 	fx, cfg := runnerFixture(t)
-	r, err := NewRunner(fx.pd, fx.model, fx.rates, fx.al.Names, cfg, 5)
+	r, err := NewRunner(fx.engine(t), fx.al.Names, cfg, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestRunnerCompletes(t *testing.T) {
 
 func TestRunnerProgressMonotonic(t *testing.T) {
 	fx, cfg := runnerFixture(t)
-	r, err := NewRunner(fx.pd, fx.model, fx.rates, fx.al.Names, cfg, 6)
+	r, err := NewRunner(fx.engine(t), fx.al.Names, cfg, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestRunnerProgressMonotonic(t *testing.T) {
 
 func TestCheckpointSaveLoadResume(t *testing.T) {
 	fx, cfg := runnerFixture(t)
-	r, err := NewRunner(fx.pd, fx.model, fx.rates, fx.al.Names, cfg, 7)
+	r, err := NewRunner(fx.engine(t), fx.al.Names, cfg, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestCheckpointSaveLoadResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r2, err := LoadRunner(&buf, fx.pd, fx.model, fx.rates, fx.al.Names, cfg)
+	r2, err := LoadRunner(&buf, fx.engine(t), fx.al.Names, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestCheckpointSaveLoadResume(t *testing.T) {
 
 func TestCheckpointDeterministicResume(t *testing.T) {
 	fx, cfg := runnerFixture(t)
-	r, err := NewRunner(fx.pd, fx.model, fx.rates, fx.al.Names, cfg, 8)
+	r, err := NewRunner(fx.engine(t), fx.al.Names, cfg, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestCheckpointDeterministicResume(t *testing.T) {
 	saved := buf.String()
 
 	finish := func() (float64, string) {
-		rr, err := LoadRunner(strings.NewReader(saved), fx.pd, fx.model, fx.rates, fx.al.Names, cfg)
+		rr, err := LoadRunner(strings.NewReader(saved), fx.engine(t), fx.al.Names, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func TestCheckpointCorruptInputs(t *testing.T) {
 		`{"version": 1, "trees": ["((("], "logls": [1]}`,
 	}
 	for _, in := range cases {
-		if _, err := LoadRunner(strings.NewReader(in), fx.pd, fx.model, fx.rates, fx.al.Names, cfg); err == nil {
+		if _, err := LoadRunner(strings.NewReader(in), fx.engine(t), fx.al.Names, cfg); err == nil {
 			t.Errorf("expected error for checkpoint %q", in)
 		}
 	}

@@ -18,6 +18,8 @@ type Evaluator interface {
 	// TotalWork reports the cumulative evaluation cost in cell
 	// updates.
 	TotalWork() float64
+	// NumTaxa is the number of taxa in the evaluated data.
+	NumTaxa() int
 }
 
 // EvaluatorFactory constructs one evaluator instance. A pool calls it
@@ -78,6 +80,11 @@ func NewEvaluatorPool(workers int, factory EvaluatorFactory) (*EvaluatorPool, er
 		}
 	}
 	return p, nil
+}
+
+// onePool wraps ev as a one-engine pool: no factory, no warm start.
+func onePool(ev Evaluator) *EvaluatorPool {
+	return &EvaluatorPool{evs: []Evaluator{ev}}
 }
 
 // WarmStart pre-warms every worker engine from an external, already

@@ -276,3 +276,6 @@ func optimizeBranch(ev Evaluator, t *Tree, n *Node, iterations int) float64 {
 
 // TotalWork implements Evaluator.
 func (lk *Likelihood) TotalWork() float64 { return lk.Work }
+
+// NumTaxa implements Evaluator.
+func (lk *Likelihood) NumTaxa() int { return lk.Data.NumTaxa }

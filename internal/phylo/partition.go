@@ -67,6 +67,9 @@ func (pl *PartitionedLikelihood) TotalWork() float64 {
 	return w
 }
 
+// NumTaxa implements Evaluator.
+func (pl *PartitionedLikelihood) NumTaxa() int { return pl.parts[0].Data.NumTaxa }
+
 // OptimizeBranchOf runs the shared golden-section branch optimizer on
 // any Evaluator — exported so optimized backends outside this package
 // (internal/beagle) can reuse it.

@@ -83,7 +83,11 @@ func TestSearchPartitionedRecoversTopology(t *testing.T) {
 	cfg.MaxGenerations = 200
 	cfg.StagnationGenerations = 60
 	cfg.AttachmentsPerTaxon = 8
-	res, err := SearchPartitioned(parts, TaxonNames(8), cfg, sim.NewRNG(5))
+	pl, err := NewPartitionedLikelihood(parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := SearchWith(pl, TaxonNames(8), cfg, sim.NewRNG(5))
 	if err != nil {
 		t.Fatal(err)
 	}

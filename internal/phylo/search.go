@@ -69,7 +69,12 @@ func DefaultSearchConfig() SearchConfig {
 	}
 }
 
-func (c *SearchConfig) validate() error {
+// validate checks the config, and that names label every taxon of
+// ev's data.
+func (c *SearchConfig) validate(ev Evaluator, names []string) error {
+	if n := ev.NumTaxa(); len(names) != n {
+		return fmt.Errorf("phylo: %d taxon names for %d-taxon data", len(names), n)
+	}
 	if c.SearchReps < 1 {
 		return fmt.Errorf("phylo: SearchReps must be >= 1, got %d", c.SearchReps)
 	}
@@ -88,7 +93,7 @@ func (c *SearchConfig) validate() error {
 	return nil
 }
 
-// SearchResult reports the outcome of a Search.
+// SearchResult reports the outcome of a search.
 type SearchResult struct {
 	BestTree    *Tree
 	BestLogL    float64
@@ -110,102 +115,32 @@ type individual struct {
 	logL float64
 }
 
-// Search runs a GARLI-style genetic-algorithm ML search and returns
-// the best tree found. It is deterministic for a given RNG seed.
-func Search(data *PatternData, model *Model, rates *SiteRates, names []string, cfg SearchConfig, rng *sim.RNG) (*SearchResult, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if len(names) != data.NumTaxa {
-		return nil, fmt.Errorf("phylo: %d taxon names for %d-taxon data", len(names), data.NumTaxa)
-	}
-	lk, err := NewLikelihood(data, model, rates)
-	if err != nil {
-		return nil, err
-	}
-	return SearchWith(lk, names, cfg, rng)
-}
-
-// SearchWith runs the GA search on any Evaluator — a plain Likelihood,
-// a PartitionedLikelihood, or an optimized backend.
+// SearchWith runs the GA search on one evaluator — a plain Likelihood,
+// a PartitionedLikelihood, or an optimized backend. It is SearchParallel
+// over a one-engine pool, so a seed gives the same tree through either
+// entry point.
 func SearchWith(ev Evaluator, names []string, cfg SearchConfig, rng *sim.RNG) (*SearchResult, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	res := &SearchResult{BestLogL: negInf}
-	for rep := 0; rep < cfg.SearchReps; rep++ {
-		rr, evals, err := searchReplicate(ev, nil, names, cfg, rng)
-		if err != nil {
-			return nil, err
-		}
-		res.Replicates = append(res.Replicates, *rr)
-		res.Generations += rr.Generations
-		res.Evaluations += evals
-		if rr.LogL > res.BestLogL {
-			res.BestLogL = rr.LogL
-			res.BestTree = rr.Tree
-		}
-	}
-	res.Work = ev.TotalWork()
-	return res, nil
+	return SearchParallel(onePool(ev), names, cfg, rng)
 }
 
-// SearchPartitioned runs the GA search over several partitions sharing
-// one topology (GARLI's partitioned models).
-func SearchPartitioned(parts []Partition, names []string, cfg SearchConfig, rng *sim.RNG) (*SearchResult, error) {
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("phylo: no partitions")
-	}
-	if len(names) != parts[0].Data.NumTaxa {
-		return nil, fmt.Errorf("phylo: %d taxon names for %d-taxon data", len(names), parts[0].Data.NumTaxa)
-	}
-	pl, err := NewPartitionedLikelihood(parts)
-	if err != nil {
-		return nil, err
-	}
-	return SearchWith(pl, names, cfg, rng)
-}
-
-// SearchParallel runs the GA search across a pool of evaluators. With
-// one replicate the pool fans out population and stepwise-addition
-// candidate scoring inside the replicate; with several replicates each
-// worker runs whole replicates on its own engine. Either way the
-// result is bit-identical for a fixed seed regardless of worker count:
-// every replicate draws from its own RNG stream derived up front, each
-// engine is confined to one goroutine, scores are independent of
-// engine cache state, and ties are broken by replicate index exactly
-// as the serial loop does.
-//
-// Note SearchParallel's replicate RNG streams differ from SearchWith's
-// sequential draws, so the two return different (equally valid) search
-// trajectories; determinism guarantees hold within each entry point.
+// SearchParallel runs the GA search across a pool of evaluators and
+// returns the best tree across replicates. One rule seeds it: a lone
+// replicate searches on the caller's stream, and several replicates
+// each get rng.Stream("rep<i>"), derived up front in replicate order.
+// With one replicate the pool fans out population and stepwise-addition
+// candidate scoring inside the replicate; with several, each worker
+// runs whole replicates on its own engine. Either way the trees and
+// their scores are bit-identical for a fixed seed at any worker count:
+// each engine is confined to one goroutine, scores are independent of
+// engine cache state, and the merge breaks ties by replicate index.
+// Work is what the pool's engines really spent, so a lone replicate
+// fanned out over colder engines can count more cell updates.
 func SearchParallel(pool *EvaluatorPool, names []string, cfg SearchConfig, rng *sim.RNG) (*SearchResult, error) {
 	if pool == nil || pool.Workers() < 1 {
 		return nil, fmt.Errorf("phylo: SearchParallel needs a non-empty evaluator pool")
 	}
-	if err := cfg.validate(); err != nil {
+	if err := cfg.validate(pool.Evaluator(0), names); err != nil {
 		return nil, err
-	}
-	// Derive one independent stream per replicate serially, before any
-	// goroutine starts: sim.RNG stream derivation consumes parent
-	// draws, so the order must not depend on scheduling.
-	streams := make([]*sim.RNG, cfg.SearchReps)
-	for i := range streams {
-		streams[i] = rng.Stream(fmt.Sprintf("rep%d", i))
-	}
-	res := &SearchResult{BestLogL: negInf}
-	if cfg.SearchReps == 1 {
-		rr, evals, err := searchReplicate(pool.Evaluator(0), pool, names, cfg, streams[0])
-		if err != nil {
-			return nil, err
-		}
-		res.Replicates = []ReplicateResult{*rr}
-		res.Generations = rr.Generations
-		res.Evaluations = evals
-		res.BestLogL = rr.LogL
-		res.BestTree = rr.Tree
-		res.Work = pool.TotalWork()
-		return res, nil
 	}
 	type repOut struct {
 		rr    *ReplicateResult
@@ -213,40 +148,48 @@ func SearchParallel(pool *EvaluatorPool, names []string, cfg SearchConfig, rng *
 		err   error
 	}
 	outs := make([]repOut, cfg.SearchReps)
-	workers := pool.Workers()
-	if workers > cfg.SearchReps {
-		workers = cfg.SearchReps
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(ev Evaluator) {
-			defer wg.Done()
-			for {
-				rep := int(next.Add(1)) - 1
-				if rep >= cfg.SearchReps {
-					return
+	if cfg.SearchReps == 1 {
+		outs[0].rr, outs[0].evals, outs[0].err = searchReplicate(pool, names, cfg, rng)
+	} else {
+		// Derive every stream serially, before any goroutine starts:
+		// sim.RNG stream derivation consumes parent draws, so the order
+		// must not depend on scheduling.
+		streams := make([]*sim.RNG, cfg.SearchReps)
+		for i := range streams {
+			streams[i] = rng.Stream(fmt.Sprintf("rep%d", i))
+		}
+		workers := min(pool.Workers(), cfg.SearchReps)
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(one *EvaluatorPool) {
+				defer wg.Done()
+				for {
+					rep := int(next.Add(1)) - 1
+					if rep >= cfg.SearchReps {
+						return
+					}
+					rr, evals, err := searchReplicate(one, names, cfg, streams[rep])
+					outs[rep] = repOut{rr: rr, evals: evals, err: err}
 				}
-				rr, evals, err := searchReplicate(ev, nil, names, cfg, streams[rep])
-				outs[rep] = repOut{rr: rr, evals: evals, err: err}
-			}
-		}(pool.Evaluator(w))
+			}(onePool(pool.Evaluator(w)))
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 	// Merge in replicate-index order: deterministic tie-breaks and a
 	// deterministic first error.
-	for rep := 0; rep < cfg.SearchReps; rep++ {
-		if outs[rep].err != nil {
-			return nil, outs[rep].err
+	res := &SearchResult{BestLogL: negInf, Replicates: make([]ReplicateResult, 0, cfg.SearchReps)}
+	for _, out := range outs {
+		if out.err != nil {
+			return nil, out.err
 		}
-		rr := outs[rep].rr
-		res.Replicates = append(res.Replicates, *rr)
-		res.Generations += rr.Generations
-		res.Evaluations += outs[rep].evals
-		if rr.LogL > res.BestLogL {
-			res.BestLogL = rr.LogL
-			res.BestTree = rr.Tree
+		res.Replicates = append(res.Replicates, *out.rr)
+		res.Generations += out.rr.Generations
+		res.Evaluations += out.evals
+		if out.rr.LogL > res.BestLogL {
+			res.BestLogL = out.rr.LogL
+			res.BestTree = out.rr.Tree
 		}
 	}
 	res.Work = pool.TotalWork()
@@ -258,8 +201,9 @@ var negInf = math.Inf(-1)
 // gaState is the mutable state of one GA search replicate; it is the
 // unit that checkpointing (see Runner in checkpoint.go) snapshots.
 type gaState struct {
-	lk       Evaluator
-	pool     *EvaluatorPool // optional: parallel batch scoring
+	// pool scores the replicate's batches; its worker 0 also runs the
+	// mutations and the final polish.
+	pool     *EvaluatorPool
 	cfg      SearchConfig
 	pop      []individual
 	gen      int
@@ -268,33 +212,16 @@ type gaState struct {
 	evals    int
 }
 
-// scoreTrees evaluates a batch of trees, through the pool when one is
-// available and the batch is worth fanning out. The serial and pooled
-// paths return bit-identical scores: an engine recomputes anything its
-// cache cannot prove current, and reuse is bit-identical to
-// recomputation, so a tree's score never depends on which engine (or
-// how warm an engine) evaluated it.
-func scoreTrees(ev Evaluator, pool *EvaluatorPool, trees []*Tree) []float64 {
-	if pool != nil && pool.Workers() > 1 && len(trees) > 1 {
-		return pool.ScoreAll(trees)
-	}
-	out := make([]float64, len(trees))
-	for i, t := range trees {
-		out[i] = ev.LogLikelihood(t)
-	}
-	return out
-}
-
 // newGAState builds the starting population for one replicate. Trees
 // are built first (consuming the RNG in the same order as the original
 // serial loop — evaluations draw no randomness) and then scored as a
-// batch, so the population can be fanned out across a pool.
-func newGAState(lk Evaluator, pool *EvaluatorPool, names []string, cfg SearchConfig, rng *sim.RNG) (*gaState, error) {
-	start, err := startingTree(lk, pool, names, cfg, rng)
+// batch, so the population can be fanned out across the pool.
+func newGAState(pool *EvaluatorPool, names []string, cfg SearchConfig, rng *sim.RNG) (*gaState, error) {
+	start, err := startingTree(pool, names, cfg, rng)
 	if err != nil {
 		return nil, err
 	}
-	st := &gaState{lk: lk, pool: pool, cfg: cfg}
+	st := &gaState{pool: pool, cfg: cfg}
 	st.pop = make([]individual, cfg.PopulationSize)
 	trees := make([]*Tree, cfg.PopulationSize)
 	for i := range trees {
@@ -305,7 +232,7 @@ func newGAState(lk Evaluator, pool *EvaluatorPool, names []string, cfg SearchCon
 		}
 		trees[i] = t
 	}
-	scores := scoreTrees(lk, pool, trees)
+	scores := pool.ScoreAll(trees)
 	st.evals += len(trees)
 	for i := range st.pop {
 		st.pop[i] = individual{tree: trees[i], logL: scores[i]}
@@ -349,10 +276,10 @@ func (st *gaState) step(rng *sim.RNG) {
 				target = child.Root.Children[0]
 			}
 		}
-		logL = st.lk.OptimizeBranch(child, target, cfg.BrlenOptIterations)
+		logL = st.pool.Evaluator(0).OptimizeBranch(child, target, cfg.BrlenOptIterations)
 		st.evals += cfg.BrlenOptIterations + 8
 	} else {
-		logL = st.lk.LogLikelihood(child)
+		logL = st.pool.Evaluator(0).LogLikelihood(child)
 		st.evals++
 	}
 	worst := len(st.pop) - 1
@@ -369,8 +296,8 @@ func (st *gaState) step(rng *sim.RNG) {
 	st.gen++
 }
 
-func searchReplicate(lk Evaluator, pool *EvaluatorPool, names []string, cfg SearchConfig, rng *sim.RNG) (*ReplicateResult, int, error) {
-	st, err := newGAState(lk, pool, names, cfg, rng)
+func searchReplicate(pool *EvaluatorPool, names []string, cfg SearchConfig, rng *sim.RNG) (*ReplicateResult, int, error) {
+	st, err := newGAState(pool, names, cfg, rng)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -385,6 +312,7 @@ func searchReplicate(lk Evaluator, pool *EvaluatorPool, names []string, cfg Sear
 // branch-length optimization sweeps over the best tree until the gain
 // of a sweep falls below ImprovementEps.
 func (st *gaState) finalPolish() float64 {
+	ev := st.pool.Evaluator(0)
 	best := st.pop[0].tree
 	logL := st.pop[0].logL
 	iters := st.cfg.BrlenOptIterations
@@ -395,7 +323,7 @@ func (st *gaState) finalPolish() float64 {
 		before := logL
 		best.PostOrder(func(n *Node) {
 			if n.Parent != nil {
-				logL = st.lk.OptimizeBranch(best, n, iters)
+				logL = ev.OptimizeBranch(best, n, iters)
 				st.evals += iters + 8
 			}
 		})
@@ -408,14 +336,14 @@ func (st *gaState) finalPolish() float64 {
 }
 
 // startingTree builds the replicate's initial tree per config.
-func startingTree(lk Evaluator, pool *EvaluatorPool, names []string, cfg SearchConfig, rng *sim.RNG) (*Tree, error) {
+func startingTree(pool *EvaluatorPool, names []string, cfg SearchConfig, rng *sim.RNG) (*Tree, error) {
 	switch cfg.StartingTree {
 	case StartRandom:
 		return RandomTree(names, meanBranchLength, rng), nil
 	case StartUser:
 		return cfg.UserTree.Clone(), nil
 	case StartStepwise:
-		return stepwiseAdditionTree(lk, pool, names, cfg, rng), nil
+		return stepwiseAdditionTree(pool, names, cfg, rng), nil
 	default:
 		return nil, fmt.Errorf("phylo: unknown starting tree kind %v", cfg.StartingTree)
 	}
@@ -426,7 +354,7 @@ func startingTree(lk Evaluator, pool *EvaluatorPool, names []string, cfg SearchC
 // fewer exist) and kept at the most likely position. The work this
 // burns is exactly why attachmentspertaxon appears among the paper's
 // runtime predictors.
-func stepwiseAdditionTree(lk Evaluator, pool *EvaluatorPool, names []string, cfg SearchConfig, rng *sim.RNG) *Tree {
+func stepwiseAdditionTree(pool *EvaluatorPool, names []string, cfg SearchConfig, rng *sim.RNG) *Tree {
 	order := rng.Perm(len(names))
 	t := &Tree{}
 	root := t.newNode()
@@ -472,7 +400,7 @@ func stepwiseAdditionTree(lk Evaluator, pool *EvaluatorPool, names []string, cfg
 			cand.reindex()
 			cands[k] = cand
 		}
-		scores := scoreTrees(lk, pool, cands)
+		scores := pool.ScoreAll(cands)
 		bestLogL := negInf
 		bestEdge := -1
 		for k := 0; k < tries; k++ {

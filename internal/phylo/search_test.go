@@ -40,6 +40,16 @@ func newSearchFixture(t *testing.T, ntaxa, nsites int, seed int64) *searchFixtur
 	return &searchFixture{truth: truth, al: al, pd: pd, model: m, rates: rs}
 }
 
+// engine builds a fresh reference engine over the fixture's data.
+func (fx *searchFixture) engine(t *testing.T) *Likelihood {
+	t.Helper()
+	lk, err := NewLikelihood(fx.pd, fx.model, fx.rates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lk
+}
+
 func quickConfig() SearchConfig {
 	cfg := DefaultSearchConfig()
 	cfg.MaxGenerations = 120
@@ -58,7 +68,7 @@ func TestSearchImprovesOnRandomStart(t *testing.T) {
 
 	cfg := quickConfig()
 	cfg.StartingTree = StartRandom
-	res, err := Search(fx.pd, fx.model, fx.rates, fx.al.Names, cfg, sim.NewRNG(8))
+	res, err := SearchWith(fx.engine(t), fx.al.Names, cfg, sim.NewRNG(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +86,7 @@ func TestSearchImprovesOnRandomStart(t *testing.T) {
 func TestSearchApproachesTruth(t *testing.T) {
 	fx := newSearchFixture(t, 8, 800, 200)
 	cfg := quickConfig()
-	res, err := Search(fx.pd, fx.model, fx.rates, fx.al.Names, cfg, sim.NewRNG(9))
+	res, err := SearchWith(fx.engine(t), fx.al.Names, cfg, sim.NewRNG(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,18 +106,18 @@ func TestSearchApproachesTruth(t *testing.T) {
 func TestSearchDeterministicPerSeed(t *testing.T) {
 	fx := newSearchFixture(t, 7, 300, 300)
 	cfg := quickConfig()
-	r1, err := Search(fx.pd, fx.model, fx.rates, fx.al.Names, cfg, sim.NewRNG(42))
+	r1, err := SearchWith(fx.engine(t), fx.al.Names, cfg, sim.NewRNG(42))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Search(fx.pd, fx.model, fx.rates, fx.al.Names, cfg, sim.NewRNG(42))
+	r2, err := SearchWith(fx.engine(t), fx.al.Names, cfg, sim.NewRNG(42))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.BestLogL != r2.BestLogL || r1.BestTree.Newick() != r2.BestTree.Newick() {
 		t.Error("same seed produced different searches")
 	}
-	r3, err := Search(fx.pd, fx.model, fx.rates, fx.al.Names, cfg, sim.NewRNG(43))
+	r3, err := SearchWith(fx.engine(t), fx.al.Names, cfg, sim.NewRNG(43))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,12 +130,12 @@ func TestSearchRepsIncreaseWork(t *testing.T) {
 	fx := newSearchFixture(t, 6, 200, 400)
 	cfg := quickConfig()
 	cfg.SearchReps = 1
-	one, err := Search(fx.pd, fx.model, fx.rates, fx.al.Names, cfg, sim.NewRNG(1))
+	one, err := SearchWith(fx.engine(t), fx.al.Names, cfg, sim.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.SearchReps = 3
-	three, err := Search(fx.pd, fx.model, fx.rates, fx.al.Names, cfg, sim.NewRNG(1))
+	three, err := SearchWith(fx.engine(t), fx.al.Names, cfg, sim.NewRNG(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,10 +145,12 @@ func TestSearchRepsIncreaseWork(t *testing.T) {
 	if three.Work < 2*one.Work {
 		t.Errorf("3 reps work %.0f not ≈3× 1 rep work %.0f", three.Work, one.Work)
 	}
-	if three.BestLogL < one.BestLogL-1e-9 {
-		// Same seed prefix: rep 1 of "three" matches "one", so best
-		// across three reps can only be equal or better.
-		t.Errorf("more replicates made the answer worse: %v vs %v", three.BestLogL, one.BestLogL)
+	// Several replicates search on their own streams, so none of them
+	// repeats "one"; the result is the best of the three.
+	for i, rr := range three.Replicates {
+		if rr.LogL > three.BestLogL {
+			t.Errorf("replicate %d scored %v above the reported best %v", i, rr.LogL, three.BestLogL)
+		}
 	}
 }
 
@@ -147,7 +159,7 @@ func TestSearchUserStartingTree(t *testing.T) {
 	cfg := quickConfig()
 	cfg.StartingTree = StartUser
 	cfg.UserTree = fx.truth
-	res, err := Search(fx.pd, fx.model, fx.rates, fx.al.Names, cfg, sim.NewRNG(2))
+	res, err := SearchWith(fx.engine(t), fx.al.Names, cfg, sim.NewRNG(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,11 +182,11 @@ func TestSearchConfigValidation(t *testing.T) {
 	for i, mutate := range bad {
 		cfg := quickConfig()
 		mutate(&cfg)
-		if _, err := Search(fx.pd, fx.model, fx.rates, fx.al.Names, cfg, sim.NewRNG(1)); err == nil {
+		if _, err := SearchWith(fx.engine(t), fx.al.Names, cfg, sim.NewRNG(1)); err == nil {
 			t.Errorf("case %d: expected config validation error", i)
 		}
 	}
-	if _, err := Search(fx.pd, fx.model, fx.rates, fx.al.Names[:3], quickConfig(), sim.NewRNG(1)); err == nil {
+	if _, err := SearchWith(fx.engine(t), fx.al.Names[:3], quickConfig(), sim.NewRNG(1)); err == nil {
 		t.Error("expected error for wrong name count")
 	}
 }
@@ -188,7 +200,11 @@ func TestBootstrapSearchProducesSupport(t *testing.T) {
 	var trees []*Tree
 	for i := 0; i < 5; i++ {
 		bs := fx.pd.Bootstrap(rng.Float64)
-		res, err := Search(bs, fx.model, fx.rates, fx.al.Names, cfg, rng.Stream("bs"))
+		lk, err := NewLikelihood(bs, fx.model, fx.rates)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := SearchWith(lk, fx.al.Names, cfg, rng.Stream("bs"))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -362,7 +362,7 @@ func TestStepwiseVsRandomStartQuality(t *testing.T) {
 	lk, _ := NewLikelihood(pd, m, rs)
 	cfg := DefaultSearchConfig()
 	cfg.AttachmentsPerTaxon = 8
-	step := stepwiseAdditionTree(lk, nil, al.Names, cfg, rng)
+	step := stepwiseAdditionTree(onePool(lk), al.Names, cfg, rng)
 	if err := step.Check(); err != nil {
 		t.Fatal(err)
 	}

@@ -353,13 +353,13 @@ func (p *Portal) createJob(w http.ResponseWriter, r *http.Request) {
 // (gsbl.Service.Submit validates the whole submission).
 func (p *Portal) parseSpec(r *http.Request) (*workload.JobSpec, int, bool, error) {
 	spec := &workload.JobSpec{Seed: 1}
-	dt, err := phylo.ParseDataType(formDefault(r, "datatype", "nucleotide"))
+	dt, err := phylo.ParseDataType(p.formValue(r, "datatype"))
 	if err != nil {
 		return nil, 0, false, err
 	}
 	spec.DataType = dt
-	spec.SubstModel = formDefault(r, "ratematrix", "GTR")
-	het, err := phylo.ParseRateHetKind(formDefault(r, "ratehetmodel", "gamma"))
+	spec.SubstModel = p.formValue(r, "ratematrix")
+	het, err := phylo.ParseRateHetKind(p.formValue(r, "ratehetmodel"))
 	if err != nil {
 		return nil, 0, false, err
 	}
@@ -370,33 +370,32 @@ func (p *Portal) parseSpec(r *http.Request) (*workload.JobSpec, int, bool, error
 			spec.PropInvariant = 0.2
 		}
 	}
-	intField := func(name string, def int) (int, error) {
-		v := formDefault(r, name, strconv.Itoa(def))
-		n, err := strconv.Atoi(v)
+	intField := func(name string) (int, error) {
+		n, err := strconv.Atoi(p.formValue(r, name))
 		if err != nil {
 			return 0, fmt.Errorf("parameter %s: %w", name, err)
 		}
 		return n, nil
 	}
-	if spec.NumRateCats, err = intField("numratecats", 4); err != nil {
+	if spec.NumRateCats, err = intField("numratecats"); err != nil {
 		return nil, 0, false, err
 	}
-	if spec.SearchReps, err = intField("searchreps", 1); err != nil {
+	if spec.SearchReps, err = intField("searchreps"); err != nil {
 		return nil, 0, false, err
 	}
-	if spec.AttachmentsPerTaxon, err = intField("attachmentspertaxon", 25); err != nil {
+	if spec.AttachmentsPerTaxon, err = intField("attachmentspertaxon"); err != nil {
 		return nil, 0, false, err
 	}
-	st, err := phylo.ParseStartingTreeKind(formDefault(r, "streefname", "stepwise"))
+	st, err := phylo.ParseStartingTreeKind(p.formValue(r, "streefname"))
 	if err != nil {
 		return nil, 0, false, err
 	}
 	spec.StartingTree = st
-	replicates, err := intField("replicates", 1)
+	replicates, err := intField("replicates")
 	if err != nil {
 		return nil, 0, false, err
 	}
-	bootstrap := formDefault(r, "bootstrap", "no") == "yes"
+	bootstrap := p.formValue(r, "bootstrap") == "yes"
 
 	// The uploaded alignment defines the data dimensions; GARLI's
 	// validation mode checks it before scheduling.
@@ -435,11 +434,19 @@ func parseUpload(r io.Reader, dt phylo.DataType) (*phylo.Alignment, error) {
 	return phylo.ParseFASTA(br, dt)
 }
 
-func formDefault(r *http.Request, name, def string) string {
+// formValue is the submitted value of the form field name, or the
+// default the application description declares for it: the form is
+// rendered from that description, so its defaults are stated once.
+func (p *Portal) formValue(r *http.Request, name string) string {
 	if v := r.FormValue(name); v != "" {
 		return v
 	}
-	return def
+	for _, prm := range p.app.Params {
+		if prm.Name == name {
+			return prm.Default
+		}
+	}
+	return ""
 }
 
 // handleBatch serves /batch/{id}[/download] with per-user access

@@ -823,3 +823,38 @@ func TestNewRequiresWiring(t *testing.T) {
 		}()
 	}
 }
+
+// TestFormDefaultsComeFromTheDescription checks that a submission
+// naming only its data file and email builds the same specification as
+// one that spells out every default the GARLI description declares:
+// parseSpec reads its defaults from the description its form is
+// rendered from.
+func TestFormDefaultsComeFromTheDescription(t *testing.T) {
+	p := &Portal{app: gsbl.GarliApp()}
+	parse := func(fields map[string]string) (*workload.JobSpec, int, bool) {
+		t.Helper()
+		ctype, body := multipartForm(t, fields, testFASTA(t))
+		r := httptest.NewRequest(http.MethodPost, "/garli/submit", body)
+		r.Header.Set("Content-Type", ctype)
+		spec, replicates, bootstrap, err := p.parseSpec(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return spec, replicates, bootstrap
+	}
+	spelled := map[string]string{"email": "g@x.org"}
+	for _, prm := range gsbl.GarliApp().Params {
+		if prm.Default != "" {
+			spelled[prm.Name] = prm.Default
+		}
+	}
+	if len(spelled) != 10 {
+		t.Fatalf("the description declares %d defaults, want 9", len(spelled)-1)
+	}
+	bareSpec, bareReps, bareBoot := parse(map[string]string{"email": "g@x.org"})
+	fullSpec, fullReps, fullBoot := parse(spelled)
+	if *bareSpec != *fullSpec || bareReps != fullReps || bareBoot != fullBoot {
+		t.Errorf("bare form gave %+v ×%d bootstrap %v; spelled-out defaults gave %+v ×%d bootstrap %v",
+			*bareSpec, bareReps, bareBoot, *fullSpec, fullReps, fullBoot)
+	}
+}

@@ -12,7 +12,7 @@ import (
 // They mirror the search engine's structure: evaluations per GA
 // generation, generations to termination, stepwise-addition cost and
 // the final branch-length polish. TestCostModelTracksRealEngine keeps
-// them honest against real phylo.Search runs.
+// them honest against real phylo.SearchWith runs.
 type costParams struct {
 	gensBase     float64 // stagnation floor
 	gensPerTaxon float64 // extra productive generations per taxon

@@ -6,7 +6,7 @@
 // computational work a real search performs.
 //
 // The cost model is validated against the real engine: a test in this
-// package runs genuine phylo.Search calls across a spread of small
+// package runs genuine phylo.SearchWith calls across a spread of small
 // specifications and checks that predicted work tracks measured work.
 // Large experiments then use the model, which lets the grid simulators
 // process the paper's "20,000 CPU years" scale of computation in

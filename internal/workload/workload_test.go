@@ -372,7 +372,7 @@ func TestTrainingJobsDeterministic(t *testing.T) {
 
 // TestCostModelTracksRealEngine is the calibration contract: across a
 // spread of small specifications the analytic cost model must track
-// the measured work of genuine phylo.Search runs — same ordering,
+// the measured work of genuine phylo.SearchWith runs — same ordering,
 // magnitudes within a small factor. Larger experiments rely on the
 // model, so this is the test that keeps them honest.
 func TestCostModelTracksRealEngine(t *testing.T) {
@@ -409,7 +409,11 @@ func TestCostModelTracksRealEngine(t *testing.T) {
 		}
 		model, _ := s.BuildModel()
 		rates, _ := s.BuildRates()
-		res, err := phylo.Search(pd, model, rates, al.Names, s.SearchConfig(), sim.NewRNG(s.Seed))
+		lk, err := phylo.NewLikelihood(pd, model, rates)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := phylo.SearchWith(lk, al.Names, s.SearchConfig(), sim.NewRNG(s.Seed))
 		if err != nil {
 			t.Fatal(err)
 		}
