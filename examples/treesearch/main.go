@@ -155,7 +155,9 @@ func main() {
 
 	// Checkpointing: run a resumable search in two halves, as the
 	// BOINC build of GARLI does on volunteer machines — the second half
-	// by a fresh runner that knows only what the checkpoint holds.
+	// by a fresh runner that knows only what the checkpoint holds. A
+	// Runner is the replicate SearchWith runs, so the resumed search
+	// ends with the same final branch-length polish.
 	runner, err := phylo.NewRunner(lk, al.Names, fast, 99)
 	if err != nil {
 		log.Fatal(err)

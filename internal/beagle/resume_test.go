@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"lattice/internal/phylo"
+	"lattice/internal/sim"
 )
 
 // TestRunnerResumeIncremental is the checkpoint/restart contract under
@@ -86,5 +87,59 @@ func TestRunnerResumeIncremental(t *testing.T) {
 	}
 	if la != lb {
 		t.Errorf("final logL differs across restores: %v != %v", la, lb)
+	}
+}
+
+// TestRunnerIsSearchWith is phylo's test of the same name on the
+// optimized backend: an uninterrupted Runner stepped to its end is
+// SearchWith's lone replicate on the same seed, the final polish
+// included, and a finished runner resumes finished, unpolished again.
+func TestRunnerIsSearchWith(t *testing.T) {
+	fx := newFixture(t, 900, phylo.Nucleotide, 4, 7, 300)
+	names := phylo.TaxonNames(7)
+	cfg := phylo.DefaultSearchConfig()
+	cfg.MaxGenerations = 120
+	cfg.StagnationGenerations = 40
+	cfg.AttachmentsPerTaxon = 6
+	cfg.BrlenOptIterations = 4
+	engine := func() *Engine {
+		e, err := New(fx.data, fx.model, fx.rates)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	for seed := int64(5); seed <= 8; seed++ {
+		r, err := phylo.NewRunner(engine(), names, cfg, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !r.Step(cfg.MaxGenerations) {
+			t.Fatalf("seed %d: runner unfinished after MaxGenerations steps", seed)
+		}
+		tree, logL := r.Best()
+		res, err := phylo.SearchWith(engine(), names, cfg, sim.NewRNG(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tree.Newick() != res.BestTree.Newick() || logL != res.BestLogL {
+			t.Errorf("seed %d: runner ends at %.4f %s, SearchWith at %.4f %s",
+				seed, logL, tree.Newick(), res.BestLogL, res.BestTree.Newick())
+		}
+
+		var cp bytes.Buffer
+		if err := r.Save(&cp); err != nil {
+			t.Fatal(err)
+		}
+		back, err := phylo.LoadRunner(&cp, engine(), names, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !back.Step(0) {
+			t.Errorf("seed %d: a finished checkpoint resumes unfinished", seed)
+		}
+		if bt, bl := back.Best(); bt.Newick() != tree.Newick() || bl != logL {
+			t.Errorf("seed %d: finished checkpoint resumed to %.6f, saved %.6f", seed, bl, logL)
+		}
 	}
 }

@@ -8,14 +8,23 @@ import (
 	"lattice/internal/sim"
 )
 
-// Runner is a resumable single-replicate GARLI search — the engine
-// behind the special BOINC build of GARLI the paper describes, which
-// adds checkpointing and client progress-bar updates so volunteer
-// hosts can suspend and resume work at will.
+// Runner is one GARLI search replicate. SearchParallel steps one to
+// its end per replicate; stepped by hand it is the resumable search of
+// the special BOINC build of GARLI the paper describes, which adds
+// checkpointing and client progress-bar updates so volunteer hosts can
+// suspend and resume work at will.
 type Runner struct {
-	state     *gaState
-	names     []string
+	// pool scores the replicate's batches; its worker 0 also runs the
+	// mutations and the final polish.
+	pool      *EvaluatorPool
+	cfg       SearchConfig
 	rng       *sim.RNG
+	pop       []individual
+	gen       int
+	stagnant  int
+	best      float64
+	evals     int
+	polished  bool // the final polish has run: the replicate is finished
 	seed      int64
 	highWater float64 // progress never reported lower than this
 }
@@ -23,33 +32,46 @@ type Runner struct {
 // NewRunner starts a resumable search on any Evaluator — the
 // reference Likelihood, a partitioned model, or an optimized backend
 // such as internal/beagle's incremental engine. The seed fully
-// determines the run (and re-seeds the stream on resume). Search
-// decisions depend only on the scores the evaluator returns, so any
-// two evaluators that agree numerically produce bit-identical searches.
+// determines the run (and re-seeds the stream on resume); stepped to
+// its end, it is SearchWith on sim.NewRNG(seed). Search decisions
+// depend only on the scores the evaluator returns, so any two
+// evaluators that agree numerically produce bit-identical searches.
 func NewRunner(ev Evaluator, names []string, cfg SearchConfig, seed int64) (*Runner, error) {
-	if err := cfg.validate(ev, names); err != nil {
+	if err := validateRunner(ev, names, cfg); err != nil {
 		return nil, err
 	}
-	rng := sim.NewRNG(seed)
-	st, err := newGAState(onePool(ev), names, cfg, rng)
-	if err != nil {
-		return nil, err
-	}
-	return &Runner{state: st, names: names, rng: rng, seed: seed}, nil
+	r := newRunner(onePool(ev), names, cfg, sim.NewRNG(seed))
+	r.seed = seed
+	return r, nil
 }
 
-// Step advances up to n generations, stopping early at termination.
-// It reports whether the search has finished.
-func (r *Runner) Step(n int) bool {
-	for i := 0; i < n && !r.state.done(); i++ {
-		r.state.step(r.rng)
+// validateRunner checks cfg for one replicate on ev.
+func validateRunner(ev Evaluator, names []string, cfg SearchConfig) error {
+	if cfg.SearchReps != 1 {
+		return fmt.Errorf("phylo: a Runner is one replicate; SearchReps must be 1, got %d", cfg.SearchReps)
 	}
-	return r.state.done()
+	return cfg.validate(ev, names)
+}
+
+// Step advances up to n generations, stopping early at termination,
+// and reports whether the search has finished. The call that reaches
+// termination runs the final polish, so a finished search is polished.
+func (r *Runner) Step(n int) bool {
+	if r.polished {
+		return true
+	}
+	for i := 0; i < n && !r.terminated(); i++ {
+		r.step()
+	}
+	if r.terminated() {
+		r.finalPolish()
+	}
+	return r.polished
 }
 
 // Best returns the current best tree and its log-likelihood.
 func (r *Runner) Best() (*Tree, float64) {
-	return r.state.pop[0].tree, r.state.pop[0].logL
+	return r.pop[0].tree, r.pop[0].logL
 }
 
 // Progress returns a [0, 1] completion fraction for the BOINC client
@@ -58,8 +80,8 @@ func (r *Runner) Best() (*Tree, float64) {
 // monotonically (an improvement resets the stagnation counter but must
 // not move the user's progress bar backward).
 func (r *Runner) Progress() float64 {
-	genFrac := float64(r.state.gen) / float64(r.state.cfg.MaxGenerations)
-	stagFrac := float64(r.state.stagnant) / float64(r.state.cfg.StagnationGenerations)
+	genFrac := float64(r.gen) / float64(r.cfg.MaxGenerations)
+	stagFrac := float64(r.stagnant) / float64(r.cfg.StagnationGenerations)
 	p := genFrac
 	if stagFrac > p {
 		p = stagFrac
@@ -74,7 +96,7 @@ func (r *Runner) Progress() float64 {
 }
 
 // Generation returns the number of GA generations completed.
-func (r *Runner) Generation() int { return r.state.gen }
+func (r *Runner) Generation() int { return r.gen }
 
 // checkpointFile is the JSON snapshot written by Save.
 type checkpointFile struct {
@@ -86,6 +108,7 @@ type checkpointFile struct {
 	Evals      int       `json:"evals"`
 	Trees      []string  `json:"trees"`
 	LogLs      []float64 `json:"logls"`
+	Polished   bool      `json:"polished,omitempty"`
 }
 
 // Save writes a checkpoint of the search state. Restoring with
@@ -95,12 +118,13 @@ func (r *Runner) Save(w io.Writer) error {
 	cp := checkpointFile{
 		Version:    1,
 		Seed:       r.seed,
-		Generation: r.state.gen,
-		Stagnant:   r.state.stagnant,
-		Best:       r.state.best,
-		Evals:      r.state.evals,
+		Generation: r.gen,
+		Stagnant:   r.stagnant,
+		Best:       r.best,
+		Evals:      r.evals,
+		Polished:   r.polished,
 	}
-	for _, ind := range r.state.pop {
+	for _, ind := range r.pop {
 		cp.Trees = append(cp.Trees, ind.tree.Newick())
 		cp.LogLs = append(cp.LogLs, ind.logL)
 	}
@@ -117,7 +141,7 @@ func (r *Runner) Save(w io.Writer) error {
 // checkpoints have the same property). A checkpoint written under one
 // evaluator restores under another: the population travels as Newick
 // strings plus scores, and evaluators carry no search state of their
-// own.
+// own. A checkpoint at termination without the polish gets it.
 func LoadRunner(src io.Reader, ev Evaluator, names []string, cfg SearchConfig) (*Runner, error) {
 	var cp checkpointFile
 	if err := json.NewDecoder(src).Decode(&cp); err != nil {
@@ -126,32 +150,41 @@ func LoadRunner(src io.Reader, ev Evaluator, names []string, cfg SearchConfig) (
 	if cp.Version != 1 {
 		return nil, fmt.Errorf("phylo: unsupported checkpoint version %d", cp.Version)
 	}
-	if len(cp.Trees) == 0 || len(cp.Trees) != len(cp.LogLs) {
-		return nil, fmt.Errorf("phylo: corrupt checkpoint: %d trees, %d scores", len(cp.Trees), len(cp.LogLs))
-	}
-	if err := cfg.validate(ev, names); err != nil {
+	if err := validateRunner(ev, names, cfg); err != nil {
 		return nil, err
+	}
+	if len(cp.Trees) != cfg.PopulationSize || len(cp.LogLs) != cfg.PopulationSize {
+		return nil, fmt.Errorf("phylo: corrupt checkpoint: %d trees, %d scores for a population of %d",
+			len(cp.Trees), len(cp.LogLs), cfg.PopulationSize)
+	}
+	if cp.Generation < 0 || cp.Stagnant < 0 || cp.Evals < 0 {
+		return nil, fmt.Errorf("phylo: corrupt checkpoint: negative counter")
 	}
 	taxa := make(map[string]int, len(names))
 	for i, n := range names {
 		taxa[n] = i
 	}
-	st := &gaState{
+	r := &Runner{
 		pool:     onePool(ev),
 		cfg:      cfg,
+		rng:      sim.NewRNG(cp.Seed + int64(cp.Generation)*1000003),
 		gen:      cp.Generation,
 		stagnant: cp.Stagnant,
 		best:     cp.Best,
 		evals:    cp.Evals,
+		polished: cp.Polished,
+		seed:     cp.Seed,
 	}
 	for i, nw := range cp.Trees {
 		t, err := ParseNewick(nw, taxa)
+		if err == nil {
+			err = placesEveryTaxon(t, len(names))
+		}
 		if err != nil {
 			return nil, fmt.Errorf("phylo: corrupt checkpoint tree %d: %w", i, err)
 		}
-		st.pop = append(st.pop, individual{tree: t, logL: cp.LogLs[i]})
+		r.pop = append(r.pop, individual{tree: t, logL: cp.LogLs[i]})
 	}
-	sortPop(st.pop)
-	rng := sim.NewRNG(cp.Seed + int64(cp.Generation)*1000003)
-	return &Runner{state: st, names: names, rng: rng, seed: cp.Seed}, nil
+	sortPop(r.pop)
+	return r, nil
 }

@@ -2,11 +2,14 @@ package phylo
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
+
+	"lattice/internal/sim"
 )
 
-func runnerFixture(t *testing.T) (*searchFixture, SearchConfig) {
+func runnerFixture(t testing.TB) (*searchFixture, SearchConfig) {
 	fx := newSearchFixture(t, 7, 300, 900)
 	cfg := quickConfig()
 	cfg.SearchReps = 1
@@ -120,18 +123,131 @@ func TestCheckpointDeterministicResume(t *testing.T) {
 	}
 }
 
+// checkpointErrorInputs are checkpoints LoadRunner must refuse for the
+// runner fixture's seven taxa and four individuals; FuzzLoadRunner
+// starts from them too.
+var checkpointErrorInputs = []string{
+	"",
+	"{}",
+	`{"version": 99, "trees": ["(a,b,c);"], "logls": [1]}`,
+	`{"version": 1, "trees": ["(a,b,c);"], "logls": []}`,
+	`{"version": 1, "trees": ["((("], "logls": [1]}`,
+	// Three of the seven taxa, with a score no full tree reaches.
+	`{"version": 1, "trees": ["(taxon00,taxon01,taxon02);"], "logls": [-10]}`,
+	// Complete trees, but one individual of a population of four.
+	`{"version": 1, "trees": ["((taxon00,taxon01),(taxon02,taxon03),(taxon04,(taxon05,taxon06)));"], "logls": [-1500]}`,
+	// A unary internal node.
+	`{"version": 1, "trees": ["((taxon00),taxon01,(taxon02,taxon03),(taxon04,(taxon05,taxon06)));", "((taxon00,taxon01),(taxon02,taxon03),(taxon04,(taxon05,taxon06)));", "((taxon00,taxon01),(taxon02,taxon03),(taxon04,(taxon05,taxon06)));", "((taxon00,taxon01),(taxon02,taxon03),(taxon04,(taxon05,taxon06)));"], "logls": [-1500, -1500, -1500, -1500]}`,
+	// A negative generation count.
+	`{"version": 1, "generation": -5, "trees": ["((taxon00,taxon01),(taxon02,taxon03),(taxon04,(taxon05,taxon06)));", "((taxon00,taxon01),(taxon02,taxon03),(taxon04,(taxon05,taxon06)));", "((taxon00,taxon01),(taxon02,taxon03),(taxon04,(taxon05,taxon06)));", "((taxon00,taxon01),(taxon02,taxon03),(taxon04,(taxon05,taxon06)));"], "logls": [-1500, -1500, -1500, -1500]}`,
+}
+
 func TestCheckpointCorruptInputs(t *testing.T) {
 	fx, cfg := runnerFixture(t)
-	cases := []string{
-		"",
-		"{}",
-		`{"version": 99, "trees": ["(a,b,c);"], "logls": [1]}`,
-		`{"version": 1, "trees": ["(a,b,c);"], "logls": []}`,
-		`{"version": 1, "trees": ["((("], "logls": [1]}`,
-	}
-	for _, in := range cases {
+	for _, in := range checkpointErrorInputs {
 		if _, err := LoadRunner(strings.NewReader(in), fx.engine(t), fx.al.Names, cfg); err == nil {
 			t.Errorf("expected error for checkpoint %q", in)
 		}
+	}
+}
+
+// TestRunnerIsSearchWith pins the one GA replicate: an uninterrupted
+// Runner stepped to its end is SearchWith's lone replicate on the same
+// stream, final polish included, and a finished runner resumes from
+// its checkpoint as finished, without a second polish.
+func TestRunnerIsSearchWith(t *testing.T) {
+	fx, cfg := runnerFixture(t)
+	for seed := int64(5); seed <= 8; seed++ {
+		r, err := NewRunner(fx.engine(t), fx.al.Names, cfg, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !r.Step(cfg.MaxGenerations) {
+			t.Fatalf("seed %d: runner unfinished after MaxGenerations steps", seed)
+		}
+		tree, logL := r.Best()
+		res, err := SearchWith(fx.engine(t), fx.al.Names, cfg, sim.NewRNG(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tree.Newick() != res.BestTree.Newick() || logL != res.BestLogL {
+			t.Errorf("seed %d: runner ends at %.4f %s, SearchWith at %.4f %s",
+				seed, logL, tree.Newick(), res.BestLogL, res.BestTree.Newick())
+		}
+
+		var buf bytes.Buffer
+		if err := r.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := LoadRunner(&buf, fx.engine(t), fx.al.Names, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !back.Step(0) {
+			t.Errorf("seed %d: a finished checkpoint resumes unfinished", seed)
+		}
+		bt, bl := back.Best()
+		if bt.Newick() != tree.Newick() || bl != logL {
+			t.Errorf("seed %d: finished checkpoint resumed to %.6f %s, saved %.6f %s",
+				seed, bl, bt.Newick(), logL, tree.Newick())
+		}
+	}
+}
+
+// TestUnpolishedCheckpointIsPolished: a checkpoint at termination that
+// records no polish gets the final branch-length polish on resume.
+func TestUnpolishedCheckpointIsPolished(t *testing.T) {
+	fx, cfg := runnerFixture(t)
+	r, err := NewRunner(fx.engine(t), fx.al.Names, cfg, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Step(15) {
+		t.Fatal("search finished before the checkpoint")
+	}
+	var buf bytes.Buffer
+	if err := r.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var cp checkpointFile
+	if err := json.Unmarshal(buf.Bytes(), &cp); err != nil {
+		t.Fatal(err)
+	}
+	cp.Generation = cfg.MaxGenerations
+	raw, err := json.Marshal(&cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := LoadRunner(bytes.NewReader(raw), fx.engine(t), fx.al.Names, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, before := back.Best()
+	if !back.Step(0) {
+		t.Fatal("a checkpoint at MaxGenerations resumes unfinished")
+	}
+	if _, after := back.Best(); !(after > before) {
+		t.Errorf("resumed at termination without a polish: lnL %.6f, checkpoint %.6f", after, before)
+	}
+}
+
+// TestRunnerIsOneReplicate: a Runner is one search replicate, so both
+// constructors refuse a config asking for several.
+func TestRunnerIsOneReplicate(t *testing.T) {
+	fx, cfg := runnerFixture(t)
+	r, err := NewRunner(fx.engine(t), fx.al.Names, cfg, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := r.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	cfg.SearchReps = 5
+	if _, err := NewRunner(fx.engine(t), fx.al.Names, cfg, 5); err == nil {
+		t.Error("NewRunner accepted SearchReps = 5")
+	}
+	if _, err := LoadRunner(&buf, fx.engine(t), fx.al.Names, cfg); err == nil {
+		t.Error("LoadRunner accepted SearchReps = 5")
 	}
 }

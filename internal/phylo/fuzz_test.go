@@ -127,3 +127,51 @@ func FuzzParseNewick(f *testing.F) {
 		}
 	})
 }
+
+// FuzzLoadRunner feeds arbitrary bytes to LoadRunner as a checkpoint of
+// the 7-taxon runner fixture: an error or a runner, never a panic. A
+// runner it accepts finishes within MaxGenerations steps, and its best
+// tree is well formed and places every taxon once.
+func FuzzLoadRunner(f *testing.F) {
+	fx, cfg := runnerFixture(f)
+	cfg.MaxGenerations, cfg.StagnationGenerations = 12, 6
+	ev := fx.engine(f)
+	r, err := NewRunner(ev, fx.al.Names, cfg, 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, n := range []int{0, cfg.MaxGenerations} {
+		r.Step(n)
+		var buf bytes.Buffer
+		if err := r.Save(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	for _, in := range checkpointErrorInputs {
+		f.Add([]byte(in))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := LoadRunner(bytes.NewReader(data), ev, fx.al.Names, cfg)
+		if err != nil {
+			return
+		}
+		if !r.Step(cfg.MaxGenerations) {
+			t.Fatalf("accepted checkpoint unfinished after %d steps, at generation %d", cfg.MaxGenerations, r.Generation())
+		}
+		tree, _ := r.Best()
+		if err := tree.Check(); err != nil {
+			t.Fatalf("best tree fails Check: %v", err)
+		}
+		placed := make([]bool, len(fx.al.Names))
+		for _, l := range tree.Leaves() {
+			if l.Taxon < 0 || l.Taxon >= len(placed) || placed[l.Taxon] {
+				t.Fatalf("best tree places taxon %d (%q) out of range or twice: %s", l.Taxon, l.Name, tree.Newick())
+			}
+			placed[l.Taxon] = true
+		}
+		if n := len(tree.Leaves()); n != len(placed) {
+			t.Fatalf("best tree holds %d of %d taxa: %s", n, len(placed), tree.Newick())
+		}
+	})
+}

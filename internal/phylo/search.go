@@ -84,13 +84,48 @@ func (c *SearchConfig) validate(ev Evaluator, names []string) error {
 	if c.MaxGenerations < 1 {
 		return fmt.Errorf("phylo: MaxGenerations must be >= 1, got %d", c.MaxGenerations)
 	}
-	if c.StartingTree == StartUser && c.UserTree == nil {
-		return fmt.Errorf("phylo: StartUser requires a UserTree")
-	}
-	if c.StartingTree == StartStepwise && c.AttachmentsPerTaxon < 1 {
-		return fmt.Errorf("phylo: AttachmentsPerTaxon must be >= 1 for stepwise addition")
+	switch c.StartingTree {
+	case StartRandom:
+	case StartStepwise:
+		if c.AttachmentsPerTaxon < 1 {
+			return fmt.Errorf("phylo: AttachmentsPerTaxon must be >= 1 for stepwise addition")
+		}
+	case StartUser:
+		if c.UserTree == nil {
+			return fmt.Errorf("phylo: StartUser requires a UserTree")
+		}
+		if err := placesEveryTaxon(c.UserTree, len(names)); err != nil {
+			return fmt.Errorf("phylo: starting tree: %w", err)
+		}
+	default:
+		return fmt.Errorf("phylo: unknown starting tree kind %v", c.StartingTree)
 	}
 	return nil
+}
+
+// placesEveryTaxon reports an error unless each of the data's n taxa is
+// a leaf of t exactly once and every internal node of t has two or
+// more children.
+func placesEveryTaxon(t *Tree, n int) error {
+	placed := make([]bool, n)
+	leaves := 0
+	var err error
+	t.PostOrder(func(nd *Node) {
+		switch {
+		case err != nil:
+		case len(nd.Children) == 1:
+			err = fmt.Errorf("phylo: tree node %d has one child", nd.ID)
+		case nd.IsLeaf() && (nd.Taxon < 0 || nd.Taxon >= n || placed[nd.Taxon]):
+			err = fmt.Errorf("phylo: tree places taxon %d (%q) outside the data or twice", nd.Taxon, nd.Name)
+		case nd.IsLeaf():
+			placed[nd.Taxon] = true
+			leaves++
+		}
+	})
+	if err == nil && leaves != n {
+		err = fmt.Errorf("phylo: tree places %d of the %d taxa", leaves, n)
+	}
+	return err
 }
 
 // SearchResult reports the outcome of a search.
@@ -142,14 +177,10 @@ func SearchParallel(pool *EvaluatorPool, names []string, cfg SearchConfig, rng *
 	if err := cfg.validate(pool.Evaluator(0), names); err != nil {
 		return nil, err
 	}
-	type repOut struct {
-		rr    *ReplicateResult
-		evals int
-		err   error
-	}
-	outs := make([]repOut, cfg.SearchReps)
+	reps := make([]*Runner, cfg.SearchReps)
 	if cfg.SearchReps == 1 {
-		outs[0].rr, outs[0].evals, outs[0].err = searchReplicate(pool, names, cfg, rng)
+		reps[0] = newRunner(pool, names, cfg, rng)
+		reps[0].Step(cfg.MaxGenerations)
 	} else {
 		// Derive every stream serially, before any goroutine starts:
 		// sim.RNG stream derivation consumes parent draws, so the order
@@ -170,26 +201,24 @@ func SearchParallel(pool *EvaluatorPool, names []string, cfg SearchConfig, rng *
 					if rep >= cfg.SearchReps {
 						return
 					}
-					rr, evals, err := searchReplicate(one, names, cfg, streams[rep])
-					outs[rep] = repOut{rr: rr, evals: evals, err: err}
+					r := newRunner(one, names, cfg, streams[rep])
+					r.Step(cfg.MaxGenerations)
+					reps[rep] = r
 				}
 			}(onePool(pool.Evaluator(w)))
 		}
 		wg.Wait()
 	}
-	// Merge in replicate-index order: deterministic tie-breaks and a
-	// deterministic first error.
+	// Merge in replicate-index order: deterministic tie-breaks.
 	res := &SearchResult{BestLogL: negInf, Replicates: make([]ReplicateResult, 0, cfg.SearchReps)}
-	for _, out := range outs {
-		if out.err != nil {
-			return nil, out.err
-		}
-		res.Replicates = append(res.Replicates, *out.rr)
-		res.Generations += out.rr.Generations
-		res.Evaluations += out.evals
-		if out.rr.LogL > res.BestLogL {
-			res.BestLogL = out.rr.LogL
-			res.BestTree = out.rr.Tree
+	for _, r := range reps {
+		tree, logL := r.Best()
+		res.Replicates = append(res.Replicates, ReplicateResult{Tree: tree, LogL: logL, Generations: r.gen})
+		res.Generations += r.gen
+		res.Evaluations += r.evals
+		if logL > res.BestLogL {
+			res.BestLogL = logL
+			res.BestTree = tree
 		}
 	}
 	res.Work = pool.TotalWork()
@@ -198,31 +227,14 @@ func SearchParallel(pool *EvaluatorPool, names []string, cfg SearchConfig, rng *
 
 var negInf = math.Inf(-1)
 
-// gaState is the mutable state of one GA search replicate; it is the
-// unit that checkpointing (see Runner in checkpoint.go) snapshots.
-type gaState struct {
-	// pool scores the replicate's batches; its worker 0 also runs the
-	// mutations and the final polish.
-	pool     *EvaluatorPool
-	cfg      SearchConfig
-	pop      []individual
-	gen      int
-	stagnant int
-	best     float64
-	evals    int
-}
-
-// newGAState builds the starting population for one replicate. Trees
+// newRunner builds one replicate's starting population on rng. Trees
 // are built first (consuming the RNG in the same order as the original
 // serial loop — evaluations draw no randomness) and then scored as a
 // batch, so the population can be fanned out across the pool.
-func newGAState(pool *EvaluatorPool, names []string, cfg SearchConfig, rng *sim.RNG) (*gaState, error) {
-	start, err := startingTree(pool, names, cfg, rng)
-	if err != nil {
-		return nil, err
-	}
-	st := &gaState{pool: pool, cfg: cfg}
-	st.pop = make([]individual, cfg.PopulationSize)
+func newRunner(pool *EvaluatorPool, names []string, cfg SearchConfig, rng *sim.RNG) *Runner {
+	start := startingTree(pool, names, cfg, rng)
+	r := &Runner{pool: pool, cfg: cfg, rng: rng}
+	r.pop = make([]individual, cfg.PopulationSize)
 	trees := make([]*Tree, cfg.PopulationSize)
 	for i := range trees {
 		t := start.Clone()
@@ -233,25 +245,25 @@ func newGAState(pool *EvaluatorPool, names []string, cfg SearchConfig, rng *sim.
 		trees[i] = t
 	}
 	scores := pool.ScoreAll(trees)
-	st.evals += len(trees)
-	for i := range st.pop {
-		st.pop[i] = individual{tree: trees[i], logL: scores[i]}
+	r.evals += len(trees)
+	for i := range r.pop {
+		r.pop[i] = individual{tree: trees[i], logL: scores[i]}
 	}
-	sortPop(st.pop)
-	st.best = st.pop[0].logL
-	return st, nil
+	sortPop(r.pop)
+	r.best = r.pop[0].logL
+	return r
 }
 
-// done reports whether the replicate has terminated.
-func (st *gaState) done() bool {
-	return st.gen >= st.cfg.MaxGenerations || st.stagnant >= st.cfg.StagnationGenerations
+// terminated reports whether the GA has met a termination rule.
+func (r *Runner) terminated() bool {
+	return r.gen >= r.cfg.MaxGenerations || r.stagnant >= r.cfg.StagnationGenerations
 }
 
 // step runs a single GA generation.
-func (st *gaState) step(rng *sim.RNG) {
-	cfg := st.cfg
+func (r *Runner) step() {
+	cfg, rng := r.cfg, r.rng
 	weights := []float64{nniWeight, sprWeight, brlenWeight}
-	parent := st.pop[selectParent(len(st.pop), rng)]
+	parent := r.pop[selectParent(len(r.pop), rng)]
 	child := parent.tree.Clone()
 	var touched *Node
 	switch rng.Choice(weights) {
@@ -276,46 +288,34 @@ func (st *gaState) step(rng *sim.RNG) {
 				target = child.Root.Children[0]
 			}
 		}
-		logL = st.pool.Evaluator(0).OptimizeBranch(child, target, cfg.BrlenOptIterations)
-		st.evals += cfg.BrlenOptIterations + 8
+		logL = r.pool.Evaluator(0).OptimizeBranch(child, target, cfg.BrlenOptIterations)
+		r.evals += cfg.BrlenOptIterations + 8
 	} else {
-		logL = st.pool.Evaluator(0).LogLikelihood(child)
-		st.evals++
+		logL = r.pool.Evaluator(0).LogLikelihood(child)
+		r.evals++
 	}
-	worst := len(st.pop) - 1
-	if logL > st.pop[worst].logL {
-		st.pop[worst] = individual{tree: child, logL: logL}
-		sortPop(st.pop)
+	worst := len(r.pop) - 1
+	if logL > r.pop[worst].logL {
+		r.pop[worst] = individual{tree: child, logL: logL}
+		sortPop(r.pop)
 	}
-	if st.pop[0].logL > st.best+cfg.ImprovementEps {
-		st.best = st.pop[0].logL
-		st.stagnant = 0
+	if r.pop[0].logL > r.best+cfg.ImprovementEps {
+		r.best = r.pop[0].logL
+		r.stagnant = 0
 	} else {
-		st.stagnant++
+		r.stagnant++
 	}
-	st.gen++
-}
-
-func searchReplicate(pool *EvaluatorPool, names []string, cfg SearchConfig, rng *sim.RNG) (*ReplicateResult, int, error) {
-	st, err := newGAState(pool, names, cfg, rng)
-	if err != nil {
-		return nil, 0, err
-	}
-	for !st.done() {
-		st.step(rng)
-	}
-	logL := st.finalPolish()
-	return &ReplicateResult{Tree: st.pop[0].tree, LogL: logL, Generations: st.gen}, st.evals, nil
+	r.gen++
 }
 
 // finalPolish runs GARLI's terminal optimization phase: full
 // branch-length optimization sweeps over the best tree until the gain
-// of a sweep falls below ImprovementEps.
-func (st *gaState) finalPolish() float64 {
-	ev := st.pool.Evaluator(0)
-	best := st.pop[0].tree
-	logL := st.pop[0].logL
-	iters := st.cfg.BrlenOptIterations
+// of a sweep falls below ImprovementEps. It ends the replicate.
+func (r *Runner) finalPolish() {
+	ev := r.pool.Evaluator(0)
+	best := r.pop[0].tree
+	logL := r.pop[0].logL
+	iters := r.cfg.BrlenOptIterations
 	if iters < 6 {
 		iters = 6
 	}
@@ -324,28 +324,26 @@ func (st *gaState) finalPolish() float64 {
 		best.PostOrder(func(n *Node) {
 			if n.Parent != nil {
 				logL = ev.OptimizeBranch(best, n, iters)
-				st.evals += iters + 8
+				r.evals += iters + 8
 			}
 		})
-		if logL-before < st.cfg.ImprovementEps {
+		if logL-before < r.cfg.ImprovementEps {
 			break
 		}
 	}
-	st.pop[0].logL = logL
-	return logL
+	r.pop[0].logL = logL
+	r.polished = true
 }
 
 // startingTree builds the replicate's initial tree per config.
-func startingTree(pool *EvaluatorPool, names []string, cfg SearchConfig, rng *sim.RNG) (*Tree, error) {
+func startingTree(pool *EvaluatorPool, names []string, cfg SearchConfig, rng *sim.RNG) *Tree {
 	switch cfg.StartingTree {
-	case StartRandom:
-		return RandomTree(names, meanBranchLength, rng), nil
 	case StartUser:
-		return cfg.UserTree.Clone(), nil
+		return cfg.UserTree.Clone()
 	case StartStepwise:
-		return stepwiseAdditionTree(pool, names, cfg, rng), nil
+		return stepwiseAdditionTree(pool, names, cfg, rng)
 	default:
-		return nil, fmt.Errorf("phylo: unknown starting tree kind %v", cfg.StartingTree)
+		return RandomTree(names, meanBranchLength, rng)
 	}
 }
 

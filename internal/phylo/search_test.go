@@ -17,7 +17,7 @@ type searchFixture struct {
 	rates *SiteRates
 }
 
-func newSearchFixture(t *testing.T, ntaxa, nsites int, seed int64) *searchFixture {
+func newSearchFixture(t testing.TB, ntaxa, nsites int, seed int64) *searchFixture {
 	t.Helper()
 	rng := sim.NewRNG(seed)
 	m, err := NewHKY85(2.0, []float64{0.3, 0.2, 0.2, 0.3})
@@ -41,7 +41,7 @@ func newSearchFixture(t *testing.T, ntaxa, nsites int, seed int64) *searchFixtur
 }
 
 // engine builds a fresh reference engine over the fixture's data.
-func (fx *searchFixture) engine(t *testing.T) *Likelihood {
+func (fx *searchFixture) engine(t testing.TB) *Likelihood {
 	t.Helper()
 	lk, err := NewLikelihood(fx.pd, fx.model, fx.rates)
 	if err != nil {
@@ -172,11 +172,17 @@ func TestSearchUserStartingTree(t *testing.T) {
 
 func TestSearchConfigValidation(t *testing.T) {
 	fx := newSearchFixture(t, 6, 100, 600)
+	threeOfSix, err := ParseNewick("(taxon00:0.1,taxon01:0.1,taxon02:0.1);", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	bad := []func(*SearchConfig){
 		func(c *SearchConfig) { c.SearchReps = 0 },
 		func(c *SearchConfig) { c.PopulationSize = 0 },
 		func(c *SearchConfig) { c.MaxGenerations = 0 },
 		func(c *SearchConfig) { c.StartingTree = StartUser; c.UserTree = nil },
+		func(c *SearchConfig) { c.StartingTree = StartUser; c.UserTree = threeOfSix },
+		func(c *SearchConfig) { c.StartingTree = StartingTreeKind(9) },
 		func(c *SearchConfig) { c.StartingTree = StartStepwise; c.AttachmentsPerTaxon = 0 },
 	}
 	for i, mutate := range bad {
