@@ -11,7 +11,7 @@ GO ?= go
 # included and marked, for dashboards and suppression audits.
 LINT_ARTIFACT = latticelint.json
 
-.PHONY: all build vet vet-narrow lint lint-fixtures tracked-binaries fuzz test race smoke faults crash dag scale overload check bench-rot ledger ledger-trace pins
+.PHONY: all build vet vet-narrow lint lint-fixtures tracked-binaries fuzz test race smoke faults crash dag scale overload engine check bench-rot ledger ledger-trace pins
 
 all: check
 
@@ -178,6 +178,20 @@ scale:
 overload:
 	$(GO) test -race -timeout 10m -run TestOverloadScenarioShape ./internal/experiments/
 	$(GO) test -race ./internal/admit/
+
+# engine runs the likelihood engine and everything that reads its rules
+# under the race detector: phylo (the one model table, the one branch
+# optimizer, exp(Qt)), beagle (bit-identity to the reference engine, the
+# kernel oracle, zero allocations per warm evaluation), estimate (the
+# SubstModel covariate), workload (the door's model check) and garli,
+# then the three experiments the engine shapes: the engine-performance
+# table, Figure 2's importance ranking and the ablations. Like the
+# scenario targets above it is a focused entry point; `check` does not
+# depend on it, because `race` already runs every one of these tests
+# under -race.
+engine:
+	$(GO) test -race ./internal/phylo ./internal/beagle ./internal/estimate ./internal/workload ./cmd/garli
+	$(GO) test -race -run 'TestEnginePerfShape|TestFig2Shape|TestAblations' ./internal/experiments/
 
 # check is the full correctness gate: compile, go vet (also for the
 # 32-bit target, with the WAL's tests run there), the project

@@ -64,3 +64,28 @@ func writeAlignment(t *testing.T, path string) {
 		t.Fatal(err)
 	}
 }
+
+// TestNonFiniteRateParametersRefused: flag.Float64 parses "NaN" and
+// "Inf", and garli builds its rate mixture without going through the
+// portal's validation, so the mixture itself must refuse them rather
+// than search on NaN likelihoods.
+func TestNonFiniteRateParametersRefused(t *testing.T) {
+	dir := t.TempDir()
+	data := filepath.Join(dir, "sim.fasta")
+	writeAlignment(t, data)
+	for _, bad := range [][]string{
+		{"-ratehet", "gamma", "-alpha", "NaN"},
+		{"-ratehet", "gamma", "-alpha", "+Inf"},
+		{"-ratehet", "gamma+inv", "-alpha", "NaN"},
+		{"-ratehet", "gamma+inv", "-pinv", "NaN"},
+	} {
+		out := filepath.Join(dir, "bad")
+		args := append([]string{"-data", data, "-generations", "2", "-out", out}, bad...)
+		if err := run(args); err == nil {
+			t.Errorf("run(%q) accepted a non-finite rate parameter", bad)
+		}
+		if _, err := os.Stat(out + ".best.tre"); err == nil {
+			t.Errorf("run(%q) wrote a tree", bad)
+		}
+	}
+}

@@ -75,12 +75,12 @@ func (e *Engine) bankFor(uid uint64, nn int) *bank {
 		uid = 0
 	}
 	if bk, ok := e.banks[uid]; ok {
-		e.BankHits++
+		e.stats.BankHits++
 		e.bankLRU.MoveToFront(bk.elem)
 		e.lastBank = bk
 		return bk
 	}
-	e.BankMisses++
+	e.stats.BankMisses++
 	bk := e.newBank(uid, nn)
 	if e.incremental && e.lastBank != nil && len(e.lastBank.recs) == nn {
 		e.seedBank(bk, e.lastBank)
@@ -168,7 +168,7 @@ func (e *Engine) obtainBuf() *claBuf {
 		b := e.freeBufs[k-1]
 		e.freeBufs = e.freeBufs[:k-1]
 		b.refs = 1
-		e.BufRecycled++
+		e.stats.BufRecycled++
 		return b
 	}
 	return &claBuf{
@@ -245,6 +245,6 @@ func (e *Engine) evictBanks(keep *bank) {
 			return
 		}
 		e.dropBank(back)
-		e.BankEvictions++
+		e.stats.BankEvictions++
 	}
 }

@@ -105,29 +105,9 @@ type Engine struct {
 	expScratch []float64
 	matScratch []float64
 
-	// Evaluations counts LogLikelihood calls; CacheHits / CacheMisses
-	// count transition-matrix lookups. PartialsComputed and
-	// PartialsReused count per-node pruning passes executed vs skipped
-	// by incremental re-evaluation. TipCells / InternalCells split the
-	// kernel cell updates by child kind; BufRecycled counts
-	// conditional-likelihood buffers served from the free list; the
-	// Bank* counters track per-tree bank reuse and budget evictions.
-	Evaluations      int
-	CacheHits        int
-	CacheMisses      int
-	PartialsComputed int
-	PartialsReused   int
-	TipCells         int64
-	InternalCells    int64
-	BufRecycled      int
-	BankHits         int
-	BankMisses       int
-	BankEvictions    int
-	// work accumulates evaluation cost in cell updates (the same unit
-	// as phylo.Likelihood.Work). Every increment is an integer-valued
-	// float64, so sums and differences are exact and parallel runs can
-	// report bit-identical totals regardless of scheduling.
-	work float64
+	// stats holds the engine's counters; Stats fills in the fields
+	// derived from the cache and the data.
+	stats Stats
 }
 
 // Engine implements phylo.Evaluator and the pool warm-start seam.
@@ -254,6 +234,16 @@ func (e *Engine) WarmStart(parent phylo.Evaluator) {
 }
 
 // Stats is a snapshot of the engine's evaluation counters.
+// Evaluations counts LogLikelihood calls; CacheHits / CacheMisses count
+// transition-matrix lookups. PartialsComputed and PartialsReused count
+// per-node pruning passes executed vs skipped by incremental
+// re-evaluation. TipCells / InternalCells split the kernel cell
+// updates by child kind; BufRecycled counts conditional-likelihood
+// buffers served from the free list; the Bank* counters track per-tree
+// bank reuse and budget evictions. Work is the evaluation cost in cell
+// updates (the same unit as phylo.Likelihood.Work): every increment is
+// an integer-valued float64, so sums and differences are exact and
+// parallel runs report bit-identical totals regardless of scheduling.
 type Stats struct {
 	Evaluations      int
 	PartialsComputed int
@@ -276,25 +266,13 @@ type Stats struct {
 
 // Stats returns the engine's current counters.
 func (e *Engine) Stats() Stats {
-	return Stats{
-		Evaluations:      e.Evaluations,
-		PartialsComputed: e.PartialsComputed,
-		PartialsReused:   e.PartialsReused,
-		CacheHits:        e.CacheHits,
-		CacheMisses:      e.CacheMisses,
-		CacheEvictions:   e.pmats.evictions,
-		CacheSize:        e.pmats.size(),
-		PmatRecycled:     e.pmats.recycled,
-		TipCells:         e.TipCells,
-		InternalCells:    e.InternalCells,
-		BufRecycled:      e.BufRecycled,
-		BankHits:         e.BankHits,
-		BankMisses:       e.BankMisses,
-		BankEvictions:    e.BankEvictions,
-		NumSites:         e.data.NumSites,
-		NumPatterns:      e.nPat,
-		Work:             e.work,
-	}
+	st := e.stats
+	st.CacheEvictions = e.pmats.evictions
+	st.CacheSize = e.pmats.size()
+	st.PmatRecycled = e.pmats.recycled
+	st.NumSites = e.data.NumSites
+	st.NumPatterns = e.nPat
+	return st
 }
 
 // ReuseFraction is the share of per-node pruning passes that
@@ -336,10 +314,10 @@ func (s Stats) PatternCompression() float64 {
 // engine-owned, so past the cold fill a miss allocates the entry alone.
 func (e *Engine) transition(length float64, leaf bool) *pmatEntry {
 	if pe, ok := e.pmats.get(length, leaf); ok {
-		e.CacheHits++
+		e.stats.CacheHits++
 		return pe
 	}
-	e.CacheMisses++
+	e.stats.CacheMisses++
 	S, C := e.nStates, e.nCats
 	pe := &pmatEntry{key: pmatKey{length, leaf}}
 	mats := e.matScratch
@@ -360,17 +338,8 @@ func (e *Engine) transition(length float64, leaf bool) *pmatEntry {
 	return pe
 }
 
-// OptimizeBranch implements phylo.Evaluator via the shared
-// golden-section optimizer. Because the optimizer changes exactly one
-// branch length between evaluations, incremental re-evaluation turns
-// each of its probes into a path-to-root recomputation instead of a
-// full pruning pass.
-func (e *Engine) OptimizeBranch(t *phylo.Tree, n *phylo.Node, iterations int) float64 {
-	return phylo.OptimizeBranchOf(e, t, n, iterations)
-}
-
 // TotalWork implements phylo.Evaluator.
-func (e *Engine) TotalWork() float64 { return e.work }
+func (e *Engine) TotalWork() float64 { return e.stats.Work }
 
 // NumTaxa implements phylo.Evaluator.
 func (e *Engine) NumTaxa() int { return e.data.NumTaxa }
@@ -397,7 +366,7 @@ func childTouched(n *phylo.Node, touched []bool) bool {
 // full recomputation: reuse is only ever of values the full pass would
 // recompute from identical inputs in identical order.
 func (e *Engine) LogLikelihood(t *phylo.Tree) float64 {
-	e.Evaluations++
+	e.stats.Evaluations++
 	nn := len(t.Nodes)
 	if nn != e.lastNodes {
 		e.dropAllBanks()
@@ -420,11 +389,11 @@ func (e *Engine) LogLikelihood(t *phylo.Tree) float64 {
 	t.PostOrder(func(n *phylo.Node) {
 		rec := &bk.recs[n.ID]
 		if e.incremental && rec.matches(n) && !childTouched(n, touched) {
-			e.PartialsReused++
+			e.stats.PartialsReused++
 			return
 		}
 		touched[n.ID] = true
-		e.PartialsComputed++
+		e.stats.PartialsComputed++
 		if !n.IsLeaf() {
 			// Leaves carry no state: their contribution is read from
 			// the tip tables by the parent's kernel. Their records
@@ -477,12 +446,12 @@ func (e *Engine) LogLikelihood(t *phylo.Tree) float64 {
 func (e *Engine) childRefFor(bk *bank, c *phylo.Node) childRef {
 	pe := e.transition(c.Length, c.IsLeaf())
 	S, C, nPat := e.nStates, e.nCats, e.nPat
-	e.work += float64(nPat+1) * float64(C) * float64(S) * float64(S)
+	e.stats.Work += float64(nPat+1) * float64(C) * float64(S) * float64(S)
 	if c.IsLeaf() {
-		e.TipCells += int64(nPat) * int64(C) * int64(S)
+		e.stats.TipCells += int64(nPat) * int64(C) * int64(S)
 		return childRef{tips: pe.tips, idx: e.tipIdx[c.Taxon]}
 	}
-	e.InternalCells += int64(nPat) * int64(C) * int64(S)
+	e.stats.InternalCells += int64(nPat) * int64(C) * int64(S)
 	cb := bk.bufs[c.ID]
 	return childRef{mats: pe.mats, part: cb.part, scale: cb.scale}
 }

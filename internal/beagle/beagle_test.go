@@ -119,16 +119,16 @@ func TestTransitionCacheEffectiveness(t *testing.T) {
 	// pass entirely and never consult the cache.
 	eng.SetIncremental(false)
 	eng.LogLikelihood(fx.tree)
-	missesAfterFirst := eng.CacheMisses
+	missesAfterFirst := eng.Stats().CacheMisses
 	// Re-evaluating the same tree must be a pure cache hit.
 	for i := 0; i < 5; i++ {
 		eng.LogLikelihood(fx.tree)
 	}
-	if eng.CacheMisses != missesAfterFirst {
+	if eng.Stats().CacheMisses != missesAfterFirst {
 		t.Errorf("repeated evaluation missed the transition cache: %d → %d",
-			missesAfterFirst, eng.CacheMisses)
+			missesAfterFirst, eng.Stats().CacheMisses)
 	}
-	if eng.CacheHits == 0 {
+	if eng.Stats().CacheHits == 0 {
 		t.Error("no cache hits recorded")
 	}
 }

@@ -125,8 +125,8 @@ func TestCacheEntriesHoldOneKind(t *testing.T) {
 	}
 	eng := newEngine(t, fx, true)
 	got := eng.LogLikelihood(tr)
-	if eng.pmats.size() != 2 || eng.CacheMisses != 2 {
-		t.Fatalf("one length on both kinds of edge: %d entries after %d misses, want 2 and 2", eng.pmats.size(), eng.CacheMisses)
+	if eng.pmats.size() != 2 || eng.Stats().CacheMisses != 2 {
+		t.Fatalf("one length on both kinds of edge: %d entries after %d misses, want 2 and 2", eng.pmats.size(), eng.Stats().CacheMisses)
 	}
 	S, C := eng.nStates, eng.nCats
 	leaf, ok1 := eng.pmats.get(length, true)
@@ -160,8 +160,8 @@ func TestCacheEntriesHoldOneKind(t *testing.T) {
 	if !leaf.shared || !inner.shared || !wl.shared || !wi.shared {
 		t.Error("a shared entry is not marked shared on both sides")
 	}
-	if w := worker.LogLikelihood(tr); w != got || worker.CacheMisses != 0 {
-		t.Errorf("warm-started engine scored %v with %d misses, parent %v", w, worker.CacheMisses, got)
+	if w := worker.LogLikelihood(tr); w != got || worker.Stats().CacheMisses != 0 {
+		t.Errorf("warm-started engine scored %v with %d misses, parent %v", w, worker.Stats().CacheMisses, got)
 	}
 
 	ref, err := phylo.NewLikelihood(fx.data, fx.model, fx.rates)

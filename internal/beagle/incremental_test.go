@@ -226,7 +226,7 @@ func TestIncrementalUnderBranchOptimization(t *testing.T) {
 		for target == nil || target.Parent == nil {
 			target = tr.Nodes[rng.Intn(len(tr.Nodes))]
 		}
-		a := inc.OptimizeBranch(tr, target, 8)
+		a := phylo.OptimizeBranch(inc, tr, target, 8)
 		// The optimizer leaves the tree at the best probed length; the
 		// reference engine must agree on the final state.
 		c := ref.LogLikelihood(tr)

@@ -22,8 +22,8 @@ package dag
 
 import (
 	"fmt"
-	"hash/fnv"
 
+	"lattice/internal/sim"
 	"lattice/internal/workload"
 )
 
@@ -99,7 +99,5 @@ func Validate(wf *workload.Workflow) ([]string, error) {
 // expansion) are bit-identical however the graph interleaves, and a
 // retry draws a fresh independent stream.
 func StageSeed(seed int64, stageID string, attempt int) int64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d\x1f%s\x1f%d", seed, stageID, attempt) //lint:allow errdrop -- hash.Hash documents that Write never errors
-	return int64(h.Sum64() >> 1)                             // keep seeds non-negative
+	return sim.DeriveSeed(seed, stageID, attempt)
 }

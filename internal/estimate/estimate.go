@@ -15,6 +15,7 @@ import (
 	"sync"
 
 	"lattice/internal/forest"
+	"lattice/internal/phylo"
 	"lattice/internal/workload"
 )
 
@@ -48,18 +49,6 @@ func Schema() *forest.Schema {
 	}
 }
 
-// substModelCodes gives each substitution model a stable categorical
-// code.
-var substModelCodes = map[string]float64{
-	"JC69": 0, "JC": 0,
-	"K80": 1, "K2P": 1,
-	"HKY85": 2, "HKY": 2,
-	"GTR":       3,
-	"poisson":   4,
-	"empirical": 5, "dayhoff": 5, "jtt": 5, "wag": 5,
-	"GY94": 6,
-}
-
 // numFeatures is the width of Schema.
 const numFeatures = 9
 
@@ -73,9 +62,11 @@ func Features(s *workload.JobSpec) []float64 {
 // encode is Features by value: Predict and AddObservation, which only
 // read the row, keep it on their stack.
 func encode(s *workload.JobSpec) [numFeatures]float64 {
-	code, ok := substModelCodes[s.SubstModel]
-	if !ok {
-		code = 7 // unknown bucket
+	// SubstModel is the model the job runs, whatever its spelling:
+	// its index in phylo's model table, 7 for a name the door refuses.
+	code := 7.0
+	if id, err := phylo.LookupModel(s.DataType, s.SubstModel); err == nil {
+		code = float64(id)
 	}
 	// NumRateCats is the configuration value as written in the job
 	// file. It stays at GARLI's default of 4 even when no rate

@@ -263,3 +263,67 @@ func TestFeaturesEncodeConfigRateCats(t *testing.T) {
 		t.Errorf("explicit NumRateCats should pass through, got %v", row[6])
 	}
 }
+
+// TestSubstModelCovariateIsTheCanonicalModel: the SubstModel covariate
+// names the model a job runs, not the string it was spelled with.
+// Every spelling the door accepts for a model encodes as that model's
+// canonical code, a codon job is GY94 whatever its name, and a name
+// the door refuses is the unknown bucket.
+func TestSubstModelCovariateIsTheCanonicalModel(t *testing.T) {
+	for _, tc := range []struct {
+		dt   phylo.DataType
+		name string
+		code float64
+	}{
+		{phylo.Nucleotide, "JC69", 0}, {phylo.Nucleotide, "jc", 0}, {phylo.Nucleotide, "Jc69", 0},
+		{phylo.Nucleotide, "K80", 1}, {phylo.Nucleotide, "k2p", 1}, {phylo.Nucleotide, "K2P", 1},
+		{phylo.Nucleotide, "HKY85", 2}, {phylo.Nucleotide, "hky", 2}, {phylo.Nucleotide, "Hky85", 2},
+		{phylo.Nucleotide, "GTR", 3}, {phylo.Nucleotide, "gtr", 3}, {phylo.Nucleotide, "Gtr", 3},
+		{phylo.AminoAcid, "poisson", 4}, {phylo.AminoAcid, "Poisson", 4}, {phylo.AminoAcid, "", 4},
+		{phylo.AminoAcid, "empirical", 5}, {phylo.AminoAcid, "Empirical", 5}, {phylo.AminoAcid, "wag", 5},
+		{phylo.AminoAcid, "jtt", 5}, {phylo.AminoAcid, "dayhoff", 5},
+		{phylo.Codon, "GY94", 6}, {phylo.Codon, "GTR", 6}, {phylo.Codon, "poisson", 6}, {phylo.Codon, "", 6},
+		{phylo.Nucleotide, "poisson", 7}, {phylo.Nucleotide, "GY94", 7}, {phylo.Nucleotide, "", 7},
+		{phylo.AminoAcid, "GTR", 7}, {phylo.AminoAcid, "POISSON", 7}, {phylo.DataType(9), "GTR", 7},
+	} {
+		spec := workload.JobSpec{DataType: tc.dt, SubstModel: tc.name}
+		if got := Features(&spec)[4]; got != tc.code {
+			t.Errorf("%v/%q: SubstModel covariate %v, want %v", tc.dt, tc.name, got, tc.code)
+		}
+	}
+}
+
+// FuzzSubstModelCovariate checks the door, the model builder and the
+// covariate against one another over arbitrary names: Validate accepts
+// exactly when BuildModel builds, and an accepted spec's covariate is
+// the code of the model BuildModel built.
+func FuzzSubstModelCovariate(f *testing.F) {
+	for _, name := range []string{"GTR", "gtr", "hky85", "K2P", "jc", "poisson", "Poisson", "", "wag", "WAG", "GY94", "K80", " GTR"} {
+		for dt := 0; dt < 4; dt++ {
+			f.Add(dt, name)
+		}
+	}
+	// The model each code names, by the name its constructor gives it.
+	built := map[string]float64{"JC69": 0, "K80": 1, "HKY85": 2, "GTR": 3, "Poisson": 4, "EmpiricalAA": 5, "GY94": 6}
+	f.Fuzz(func(t *testing.T, dt int, name string) {
+		spec := workload.JobSpec{
+			DataType: phylo.DataType(dt), SubstModel: name, RateHet: phylo.RateHomogeneous,
+			NumTaxa: 5, SeqLength: 300, SearchReps: 1, StartingTree: phylo.StartRandom,
+		}
+		vErr := spec.Validate()
+		m, bErr := spec.BuildModel()
+		if (vErr == nil) != (bErr == nil) {
+			t.Fatalf("%v/%q: Validate = %v, BuildModel = %v", spec.DataType, name, vErr, bErr)
+		}
+		code := Features(&spec)[4]
+		if bErr != nil {
+			if code != 7 {
+				t.Fatalf("%v/%q: refused name encodes as %v, want the unknown code 7", spec.DataType, name, code)
+			}
+			return
+		}
+		if want, ok := built[m.Name]; !ok || code != want {
+			t.Fatalf("%v/%q: covariate %v, but BuildModel built %s", spec.DataType, name, code, m.Name)
+		}
+	})
+}

@@ -14,6 +14,7 @@ import (
 	"strconv"
 
 	"lattice/internal/metasched"
+	"lattice/internal/phylo"
 	"lattice/internal/sim"
 )
 
@@ -74,7 +75,7 @@ func GarliApp() *AppDescription {
 			{Name: "datatype", Type: "choice", Label: "Data type", Default: "nucleotide",
 				Options: []string{"nucleotide", "aminoacid", "codon"}, Required: true},
 			{Name: "ratematrix", Type: "choice", Label: "Substitution model", Default: "GTR",
-				Options: []string{"JC69", "K80", "HKY85", "GTR", "poisson", "empirical", "GY94"}, Required: true},
+				Options: phylo.ModelNames(), Required: true},
 			{Name: "ratehetmodel", Type: "choice", Label: "Rate heterogeneity", Default: "gamma",
 				Options: []string{"none", "gamma", "gamma+inv"}, Required: true},
 			{Name: "numratecats", Type: "int", Label: "Number of rate categories", Default: "4"},

@@ -8,13 +8,11 @@ import (
 // Evaluator abstracts a tree log-likelihood engine: the single-model
 // Likelihood, PartitionedLikelihood, and optimized backends
 // (internal/beagle) all satisfy it, so the GA search runs unchanged on
-// any of them.
+// any of them. Branch-length optimization is built on LogLikelihood
+// alone (OptimizeBranch), so no engine implements it.
 type Evaluator interface {
 	// LogLikelihood evaluates the data on tree t.
 	LogLikelihood(t *Tree) float64
-	// OptimizeBranch refines the branch above n and returns the
-	// achieved log-likelihood.
-	OptimizeBranch(t *Tree, n *Node, iterations int) float64
 	// TotalWork reports the cumulative evaluation cost in cell
 	// updates.
 	TotalWork() float64

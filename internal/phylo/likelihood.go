@@ -199,20 +199,17 @@ func EvalCost(npatterns, ntaxa, nstates, ncats int) float64 {
 }
 
 // OptimizeBranch improves the length of the branch above node n by
-// golden-section search on the full tree likelihood, over a local
+// golden-section search on ev's full tree likelihood, over a local
 // bracket around the current length (widened geometrically so a few
 // iterations refine rather than scramble the branch). It returns the
 // achieved log-likelihood and never leaves the branch worse than it
 // started. This is the simple, robust branch optimizer the GA applies
-// to mutated branches; cost accrues to Work through the repeated
-// evaluations exactly as GARLI's Newton–Raphson passes do.
-func (lk *Likelihood) OptimizeBranch(t *Tree, n *Node, iterations int) float64 {
-	return optimizeBranch(lk, t, n, iterations)
-}
-
-// optimizeBranch is the shared golden-section branch optimizer used by
-// every Evaluator implementation.
-func optimizeBranch(ev Evaluator, t *Tree, n *Node, iterations int) float64 {
+// to mutated branches on every engine; cost accrues to the engine's
+// work through the repeated evaluations exactly as GARLI's
+// Newton–Raphson passes do. It changes one branch length between
+// evaluations, so an incremental engine recomputes only the path from
+// that branch to the root per probe.
+func OptimizeBranch(ev Evaluator, t *Tree, n *Node, iterations int) float64 {
 	const (
 		minLen = 1e-8
 		maxLen = 10.0

@@ -259,7 +259,7 @@ func TestOptimizeBranchImproves(t *testing.T) {
 	if worse >= before {
 		t.Skip("perturbation did not reduce likelihood; adjust test")
 	}
-	after := lk.OptimizeBranch(tr, target, 30)
+	after := OptimizeBranch(lk, tr, target, 30)
 	if after < worse {
 		t.Errorf("optimization made things worse: %v < %v", after, worse)
 	}
@@ -292,5 +292,55 @@ func TestEvalCostFormula(t *testing.T) {
 	ratio := lk.Work / predicted
 	if ratio < 0.8 || ratio > 1.25 {
 		t.Errorf("EvalCost off by factor %v (work=%v predicted=%v)", ratio, lk.Work, predicted)
+	}
+}
+
+// TestNewSiteRatesRefusesBadParameters: a gamma shape must be positive
+// and finite and an invariant share in [0,1). NaN fails every ordered
+// comparison, so a check written as "x <= 0" lets it through to
+// all-NaN rates or weights.
+func TestNewSiteRatesRefusesBadParameters(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		kind    RateHetKind
+		shape   float64
+		propInv float64
+		cats    int
+	}{
+		{RateGamma, 0, 0, 4},
+		{RateGamma, -1, 0, 4},
+		{RateGamma, nan, 0, 4},
+		{RateGamma, inf, 0, 4},
+		{RateGamma, -inf, 0, 4},
+		{RateGamma, 0.5, 0, 0},
+		{RateGammaInv, nan, 0.2, 4},
+		{RateGammaInv, inf, 0.2, 4},
+		{RateGammaInv, 0.5, -0.1, 4},
+		{RateGammaInv, 0.5, 1, 4},
+		{RateGammaInv, 0.5, nan, 4},
+		{RateGammaInv, 0.5, inf, 4},
+		{RateHetKind(7), 0.5, 0, 4},
+	} {
+		if sr, err := NewSiteRates(tc.kind, tc.shape, tc.propInv, tc.cats); err == nil {
+			t.Errorf("NewSiteRates(%v, %g, %g, %d) accepted: rates %v, weights %v",
+				tc.kind, tc.shape, tc.propInv, tc.cats, sr.Rates, sr.Weights)
+		}
+	}
+	for _, tc := range []struct {
+		kind           RateHetKind
+		shape, propInv float64
+	}{
+		{RateGamma, 1e-3, 0}, {RateGamma, 200, 0}, {RateGammaInv, 0.5, 0}, {RateGammaInv, 0.5, 0.99},
+	} {
+		sr, err := NewSiteRates(tc.kind, tc.shape, tc.propInv, 4)
+		if err != nil {
+			t.Fatalf("NewSiteRates(%v, %g, %g, 4): %v", tc.kind, tc.shape, tc.propInv, err)
+		}
+		for i := range sr.Rates {
+			if math.IsNaN(sr.Rates[i]) || math.IsInf(sr.Rates[i], 0) || math.IsNaN(sr.Weights[i]) {
+				t.Errorf("NewSiteRates(%v, %g, %g, 4): rates %v, weights %v", tc.kind, tc.shape, tc.propInv, sr.Rates, sr.Weights)
+				break
+			}
+		}
 	}
 }

@@ -154,51 +154,21 @@ func NewEigenSystem(q *Matrix, pi []float64) (*EigenSystem, error) {
 }
 
 // TransitionMatrix writes exp(Q·t) into dst, allocating it when nil,
-// and returns it. Small negative entries from rounding are clamped to
-// zero and rows renormalized.
+// and returns it. It is TransitionProbsInto with a fresh scratch.
 func (es *EigenSystem) TransitionMatrix(t float64, dst *Matrix) *Matrix {
-	n := es.N
-	if dst == nil || dst.N != n {
-		dst = NewMatrix(n)
+	if dst == nil || dst.N != es.N {
+		dst = NewMatrix(es.N)
 	}
-	expl := make([]float64, n)
-	for k, l := range es.Values {
-		expl[k] = math.Exp(l * t)
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			var s float64
-			for k := 0; k < n; k++ {
-				s += es.C1.At(i, k) * expl[k] * es.C2.At(k, j)
-			}
-			if s < 0 {
-				s = 0
-			}
-			dst.Set(i, j, s)
-		}
-	}
-	// Renormalize rows to sum to exactly 1.
-	for i := 0; i < n; i++ {
-		var row float64
-		for j := 0; j < n; j++ {
-			row += dst.At(i, j)
-		}
-		if row > 0 {
-			inv := 1 / row
-			for j := 0; j < n; j++ {
-				dst.Set(i, j, dst.At(i, j)*inv)
-			}
-		}
-	}
+	es.TransitionProbsInto(t, dst.Data, make([]float64, es.N))
 	return dst
 }
 
 // TransitionProbsInto writes exp(Q·t) into dst, a flat row-major N×N
 // slice, using expScratch (length ≥ N) for the eigenvalue
-// exponentials. It performs the exact floating-point operations of
-// TransitionMatrix in the same order — results are bit-identical —
-// but allocates nothing, so callers that cache many matrices (the
-// beagle engine's transition cache) can recycle both buffers freely.
+// exponentials. Small negative entries from rounding are clamped to
+// zero and rows renormalized. It allocates nothing, so callers that
+// cache many matrices (the beagle engine's transition cache) can
+// recycle both buffers freely.
 func (es *EigenSystem) TransitionProbsInto(t float64, dst, expScratch []float64) {
 	n := es.N
 	if len(dst) < n*n || len(expScratch) < n {

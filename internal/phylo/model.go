@@ -2,6 +2,7 @@ package phylo
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -18,6 +19,93 @@ type Model struct {
 // Eigen exposes the spectral decomposition used to build transition
 // matrices.
 func (m *Model) Eigen() *EigenSystem { return m.eigen }
+
+// ModelID names a substitution model. Its value is the model's index
+// in the model table, and the runtime estimator's SubstModel code.
+type ModelID int
+
+// The substitution models, in table order.
+const (
+	ModelJC69 ModelID = iota
+	ModelK80
+	ModelHKY85
+	ModelGTR
+	ModelPoisson
+	ModelEmpirical
+	ModelGY94
+)
+
+// models is the one table of substitution model names: for each model,
+// the data type it runs on and the spellings that select it, the
+// canonical name first. Nucleotide names match case-insensitively
+// (ASCII letters only), amino acid names exactly, and a codon job runs
+// GY94 whatever its name. Every empirical-matrix choice selects the
+// one synthetic empirical model (models_aa.go).
+var models = [...]struct {
+	dt    DataType
+	names []string
+}{
+	ModelJC69:      {Nucleotide, []string{"JC69", "JC"}},
+	ModelK80:       {Nucleotide, []string{"K80", "K2P"}},
+	ModelHKY85:     {Nucleotide, []string{"HKY85", "HKY"}},
+	ModelGTR:       {Nucleotide, []string{"GTR"}},
+	ModelPoisson:   {AminoAcid, []string{"poisson", "Poisson", ""}},
+	ModelEmpirical: {AminoAcid, []string{"empirical", "Empirical", "dayhoff", "jtt", "wag"}},
+	ModelGY94:      {Codon, []string{"GY94"}},
+}
+
+// ModelNames returns the canonical model names in table order.
+func ModelNames() []string {
+	names := make([]string, len(models))
+	for id, m := range models {
+		names[id] = m.names[0]
+	}
+	return names
+}
+
+// LookupModel returns the model a job of data type dt selects by name.
+// It builds no model and allocates only to refuse.
+func LookupModel(dt DataType, name string) (ModelID, error) {
+	for id, m := range models {
+		if m.dt != dt {
+			continue
+		}
+		for _, n := range m.names {
+			if dt == Codon || n == name || dt == Nucleotide && upperASCIIEqual(name, n) {
+				return ModelID(id), nil
+			}
+		}
+	}
+	switch dt {
+	case Nucleotide:
+		return 0, fmt.Errorf("phylo: unknown nucleotide model %q", name)
+	case AminoAcid:
+		return 0, fmt.Errorf("phylo: unknown amino acid model %q", name)
+	default:
+		return 0, fmt.Errorf("phylo: unknown data type %v", dt)
+	}
+}
+
+// upperASCIIEqual reports whether s upper-cases to upper, itself upper
+// case ASCII. For the table's names, which hold no I or S (the only
+// letters a non-ASCII rune upper-cases to), it is strings.ToUpper(s) ==
+// upper without the copy; strings.EqualFold would also accept the
+// Kelvin sign for "K".
+func upperASCIIEqual(s, upper string) bool {
+	if len(s) != len(upper) {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		if c != upper[i] {
+			return false
+		}
+	}
+	return true
+}
 
 // newModelFromRates builds a normalized reversible model from
 // symmetric exchangeabilities rates (only the upper triangle is read)
@@ -141,8 +229,8 @@ func NewSiteRates(kind RateHetKind, shape float64, propInv float64, numCats int)
 	case RateHomogeneous:
 		return &SiteRates{Kind: kind, Rates: []float64{1}, Weights: []float64{1}}, nil
 	case RateGamma, RateGammaInv:
-		if shape <= 0 {
-			return nil, fmt.Errorf("phylo: gamma shape must be positive, got %g", shape)
+		if !(shape > 0) || math.IsInf(shape, 1) {
+			return nil, fmt.Errorf("phylo: gamma shape must be positive and finite, got %g", shape)
 		}
 		if numCats < 1 {
 			return nil, fmt.Errorf("phylo: need at least 1 rate category, got %d", numCats)
@@ -157,7 +245,7 @@ func NewSiteRates(kind RateHetKind, shape float64, propInv float64, numCats int)
 			}
 			return sr, nil
 		}
-		if propInv < 0 || propInv >= 1 {
+		if !(propInv >= 0 && propInv < 1) {
 			return nil, fmt.Errorf("phylo: proportion invariant must be in [0,1), got %g", propInv)
 		}
 		sr.PropInv = propInv

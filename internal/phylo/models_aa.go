@@ -1,7 +1,5 @@
 package phylo
 
-import "fmt"
-
 // Amino acid models. GARLI ships empirical matrices (Dayhoff, JTT,
 // WAG, …) estimated from large protein databases. Redistributing those
 // tables is unnecessary for reproduction purposes — what matters for
@@ -86,44 +84,4 @@ func aaDistance(i, j int) float64 {
 	dv := (pi[1] - pj[1]) / 170.0 // volume range ~170
 	dc := pi[2] - pj[2]
 	return 3 * (dh*dh + dv*dv + dc*dc)
-}
-
-// AAModelSpec describes an amino acid model by name.
-type AAModelSpec struct {
-	Name string // "poisson" or "empirical"
-}
-
-// aaModelByName is the one table of accepted amino acid model names,
-// shared by CheckName and Build; it reports whether the name selects
-// the empirical model (otherwise Poisson).
-func aaModelByName(name string) (empirical bool, err error) {
-	switch name {
-	case "poisson", "Poisson", "":
-		return false, nil
-	case "empirical", "Empirical", "dayhoff", "jtt", "wag":
-		// All empirical-matrix choices map onto our synthetic
-		// empirical model; see package comment.
-		return true, nil
-	default:
-		return false, fmt.Errorf("phylo: unknown amino acid model %q", name)
-	}
-}
-
-// CheckName reports the error Build would return for an unrecognised
-// model name, without constructing a model.
-func (s AAModelSpec) CheckName() error {
-	_, err := aaModelByName(s.Name)
-	return err
-}
-
-// Build constructs the amino acid model described by the spec.
-func (s AAModelSpec) Build() (*Model, error) {
-	empirical, err := aaModelByName(s.Name)
-	if err != nil {
-		return nil, err
-	}
-	if empirical {
-		return NewEmpiricalAA()
-	}
-	return NewPoissonAA()
 }

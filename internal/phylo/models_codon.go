@@ -59,14 +59,3 @@ func isTransitionTCAG(i, j int) bool {
 	return (i == 0 && j == 1) || (i == 1 && j == 0) ||
 		(i == 2 && j == 3) || (i == 3 && j == 2)
 }
-
-// CodonModelSpec describes a codon model as collected from the portal.
-type CodonModelSpec struct {
-	Kappa float64
-	Omega float64
-}
-
-// Build constructs the codon model described by the spec.
-func (s CodonModelSpec) Build() (*Model, error) {
-	return NewGY94(s.Kappa, s.Omega, nil)
-}

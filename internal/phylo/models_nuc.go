@@ -1,9 +1,6 @@
 package phylo
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Nucleotide substitution models, ordered by generality:
 // JC69 ⊂ K80 ⊂ HKY85 ⊂ GTR. States are A, C, G, T (indices 0..3);
@@ -88,69 +85,4 @@ func NewGTR(rates [6]float64, freqs []float64) (*Model, error) {
 		}
 	}
 	return newModelFromRates("GTR", Nucleotide, r, freqs)
-}
-
-// NucModelSpec describes a nucleotide model by name plus free
-// parameters, as collected from the portal form.
-type NucModelSpec struct {
-	Name  string     // "JC69", "K80", "HKY85", "GTR"
-	Kappa float64    // K80/HKY85
-	Rates [6]float64 // GTR exchangeabilities
-	Freqs []float64  // empirical or estimated frequencies; nil = equal
-}
-
-// nucModel identifies one of the nucleotide model families.
-type nucModel int
-
-const (
-	nucJC69 nucModel = iota
-	nucK80
-	nucHKY85
-	nucGTR
-)
-
-// nucModelByName is the one table of accepted nucleotide model names
-// (case-insensitive), shared by CheckName and Build.
-func nucModelByName(name string) (nucModel, error) {
-	switch strings.ToUpper(name) {
-	case "JC", "JC69":
-		return nucJC69, nil
-	case "K80", "K2P":
-		return nucK80, nil
-	case "HKY", "HKY85":
-		return nucHKY85, nil
-	case "GTR":
-		return nucGTR, nil
-	default:
-		return 0, fmt.Errorf("phylo: unknown nucleotide model %q", name)
-	}
-}
-
-// CheckName reports the error Build would return for an unrecognised
-// model name, without constructing a model.
-func (s NucModelSpec) CheckName() error {
-	_, err := nucModelByName(s.Name)
-	return err
-}
-
-// Build constructs the model described by the spec.
-func (s NucModelSpec) Build() (*Model, error) {
-	kind, err := nucModelByName(s.Name)
-	if err != nil {
-		return nil, err
-	}
-	freqs := s.Freqs
-	if freqs == nil {
-		freqs = uniformFreqs(4)
-	}
-	switch kind {
-	case nucJC69:
-		return NewJC69()
-	case nucK80:
-		return NewK80(s.Kappa)
-	case nucHKY85:
-		return NewHKY85(s.Kappa, freqs)
-	default:
-		return NewGTR(s.Rates, freqs)
-	}
 }

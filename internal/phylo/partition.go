@@ -53,11 +53,6 @@ func (pl *PartitionedLikelihood) LogLikelihood(t *Tree) float64 {
 	return sum
 }
 
-// OptimizeBranch implements Evaluator.
-func (pl *PartitionedLikelihood) OptimizeBranch(t *Tree, n *Node, iterations int) float64 {
-	return optimizeBranch(pl, t, n, iterations)
-}
-
 // TotalWork implements Evaluator.
 func (pl *PartitionedLikelihood) TotalWork() float64 {
 	var w float64
@@ -69,10 +64,3 @@ func (pl *PartitionedLikelihood) TotalWork() float64 {
 
 // NumTaxa implements Evaluator.
 func (pl *PartitionedLikelihood) NumTaxa() int { return pl.parts[0].Data.NumTaxa }
-
-// OptimizeBranchOf runs the shared golden-section branch optimizer on
-// any Evaluator — exported so optimized backends outside this package
-// (internal/beagle) can reuse it.
-func OptimizeBranchOf(ev Evaluator, t *Tree, n *Node, iterations int) float64 {
-	return optimizeBranch(ev, t, n, iterations)
-}

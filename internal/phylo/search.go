@@ -288,7 +288,7 @@ func (r *Runner) step() {
 				target = child.Root.Children[0]
 			}
 		}
-		logL = r.pool.Evaluator(0).OptimizeBranch(child, target, cfg.BrlenOptIterations)
+		logL = OptimizeBranch(r.pool.Evaluator(0), child, target, cfg.BrlenOptIterations)
 		r.evals += cfg.BrlenOptIterations + 8
 	} else {
 		logL = r.pool.Evaluator(0).LogLikelihood(child)
@@ -323,7 +323,7 @@ func (r *Runner) finalPolish() {
 		before := logL
 		best.PostOrder(func(n *Node) {
 			if n.Parent != nil {
-				logL = ev.OptimizeBranch(best, n, iters)
+				logL = OptimizeBranch(ev, best, n, iters)
 				r.evals += iters + 8
 			}
 		})

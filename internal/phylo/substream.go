@@ -1,11 +1,6 @@
 package phylo
 
-import (
-	"fmt"
-	"hash/fnv"
-
-	"lattice/internal/sim"
-)
+import "lattice/internal/sim"
 
 // SubStream derives an independent RNG for one replicate of a labelled
 // fan-out, purely from (seed, label, rep). Unlike sim.RNG.Stream it
@@ -14,9 +9,7 @@ import (
 // or alone after a crash — the property workflow fan-out stages rely
 // on for bit-identical results at any parallelism.
 func SubStream(seed int64, label string, rep int) *sim.RNG {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%d\x1f%s\x1f%d", seed, label, rep) //lint:allow errdrop -- hash.Hash documents that Write never errors
-	return sim.NewRNG(int64(h.Sum64() >> 1))
+	return sim.NewRNG(sim.DeriveSeed(seed, label, rep))
 }
 
 // BootstrapStream is the sub-stream for bootstrap resampling replicate

@@ -19,6 +19,8 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+
+	"lattice/internal/sim"
 )
 
 // ShareMode names how a cluster's shards share the grid federation.
@@ -28,7 +30,7 @@ type ShareMode string
 // federation to shard i mod N alone.
 const SharePartition ShareMode = "partition"
 
-// routeSep separates the hash fields, mirroring dag.StageSeed's
+// routeSep separates the hash fields, mirroring sim.DeriveSeed's
 // framing so no (user, origin) pair can collide with another by
 // concatenation.
 const routeSep = '\x1f'
@@ -62,14 +64,10 @@ func Route(user, origin string, n int) int {
 
 // Seed derives shard k's engine seed from the deployment seed. Each
 // shard runs its own discrete-event engine and RNG tree; deriving the
-// per-shard seed through FNV-1a (the same construction as
-// dag.StageSeed) keeps sibling shards' RNG streams decorrelated while
-// staying a pure function of (base, k).
+// per-shard seed by sim.DeriveSeed keeps sibling shards' RNG streams
+// decorrelated while staying a pure function of (base, k).
 func Seed(base int64, k int) int64 {
-	h := fnv.New64a()
-	//lint:allow errdrop -- fnv.Write cannot fail
-	fmt.Fprintf(h, "%d\x1fshard\x1f%d", base, k)
-	return int64(h.Sum64() >> 1) // clear the sign bit: seeds stay non-negative
+	return sim.DeriveSeed(base, "shard", k)
 }
 
 // namePrefix and name give shard k's name, the one format every

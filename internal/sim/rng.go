@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
 )
@@ -17,6 +19,18 @@ type RNG struct {
 // NewRNG returns a generator seeded with seed.
 func NewRNG(seed int64) *RNG {
 	return &RNG{r: rand.New(rand.NewSource(seed))}
+}
+
+// DeriveSeed derives a non-negative seed purely from (seed, label, n):
+// FNV-1a over their text, \x1f-separated so no two triples collide by
+// concatenation. Unlike Stream it consumes no generator state, so the
+// seed a fan-out gives its member n — a workflow stage's attempt, a
+// shard, a replicate — is the same in any order, at any parallelism,
+// and after any crash.
+func DeriveSeed(seed int64, label string, n int) int64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%d\x1f%s\x1f%d", seed, label, n) //lint:allow errdrop -- hash.Hash documents that Write never errors
+	return int64(h.Sum64() >> 1)                     // keep seeds non-negative
 }
 
 // Reseed returns the generator to the state NewRNG(seed) starts in,

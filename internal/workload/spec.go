@@ -98,7 +98,7 @@ func (s *JobSpec) validate(reps int) error {
 	default:
 		return fmt.Errorf("workload: unknown starting tree kind %v", s.StartingTree)
 	}
-	if err := s.checkModel(); err != nil {
+	if _, err := s.model(); err != nil {
 		return err
 	}
 	return s.checkCost(reps)
@@ -124,40 +124,41 @@ func (s *JobSpec) checkCost(reps int) error {
 	return nil
 }
 
-// checkModel reports the error BuildModel would return, from the data
-// type and the model name alone: BuildModel's free parameters are
-// constants that every model constructor accepts, so the name is the
-// only thing that can be wrong — and checking it builds nothing.
-func (s *JobSpec) checkModel() error {
+// model returns the substitution model the spec selects, or the
+// error BuildModel returns; it builds nothing.
+func (s *JobSpec) model() (phylo.ModelID, error) {
 	switch s.DataType {
-	case phylo.Nucleotide:
-		return phylo.NucModelSpec{Name: s.SubstModel}.CheckName()
-	case phylo.AminoAcid:
-		return phylo.AAModelSpec{Name: s.SubstModel}.CheckName()
-	case phylo.Codon:
-		return nil // the codon model is not selected by name
+	case phylo.Nucleotide, phylo.AminoAcid, phylo.Codon:
+		return phylo.LookupModel(s.DataType, s.SubstModel)
 	default:
-		return fmt.Errorf("workload: unknown data type %v", s.DataType)
+		return 0, fmt.Errorf("workload: unknown data type %v", s.DataType)
 	}
 }
 
-// BuildModel constructs the substitution model the spec names.
+// BuildModel constructs the substitution model the spec selects, with
+// fixed free parameters every model constructor accepts — so the name
+// is the only thing that can be wrong.
 func (s *JobSpec) BuildModel() (*phylo.Model, error) {
-	if err := s.checkModel(); err != nil {
+	id, err := s.model()
+	if err != nil {
 		return nil, err
 	}
-	switch s.DataType {
-	case phylo.Nucleotide:
-		return phylo.NucModelSpec{
-			Name:  s.SubstModel,
-			Kappa: 2.5,
-			Rates: [6]float64{1.2, 3.5, 0.9, 1.1, 4.2, 1},
-			Freqs: []float64{0.3, 0.2, 0.2, 0.3},
-		}.Build()
-	case phylo.AminoAcid:
-		return phylo.AAModelSpec{Name: s.SubstModel}.Build()
-	default: // Codon: checkModel rejected every other data type
-		return phylo.CodonModelSpec{Kappa: 2.0, Omega: 0.4}.Build()
+	freqs := []float64{0.3, 0.2, 0.2, 0.3}
+	switch id {
+	case phylo.ModelJC69:
+		return phylo.NewJC69()
+	case phylo.ModelK80:
+		return phylo.NewK80(2.5)
+	case phylo.ModelHKY85:
+		return phylo.NewHKY85(2.5, freqs)
+	case phylo.ModelGTR:
+		return phylo.NewGTR([6]float64{1.2, 3.5, 0.9, 1.1, 4.2, 1}, freqs)
+	case phylo.ModelPoisson:
+		return phylo.NewPoissonAA()
+	case phylo.ModelEmpirical:
+		return phylo.NewEmpiricalAA()
+	default:
+		return phylo.NewGY94(2.0, 0.4, nil)
 	}
 }
 

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -81,17 +82,12 @@ func TestBuildModelAllTypes(t *testing.T) {
 }
 
 // TestValidateAgreesWithBuildModel pins the model-free validation to
-// the constructors it no longer runs: for every (data type, name),
-// Validate accepts exactly when BuildModel builds a model and when the
-// phylo spec's own Build does, with the same error text.
+// the constructors it does not run: for every (data type, name),
+// Validate accepts exactly when BuildModel builds a model, with the
+// same error text.
 func TestValidateAgreesWithBuildModel(t *testing.T) {
-	names := []string{
-		"JC", "JC69", "jc69", "K80", "K2P", "k2p", "HKY", "HKY85", "hky85", "GTR", "Gtr", "gtr",
-		"poisson", "Poisson", "POISSON", "", "empirical", "Empirical", "dayhoff", "jtt", "wag", "WAG",
-		"GY94", "NOTAMODEL", " GTR", "GTR ", "\u212a80",
-	}
 	for _, dt := range []phylo.DataType{phylo.Nucleotide, phylo.AminoAcid, phylo.Codon, phylo.DataType(99)} {
-		for _, name := range names {
+		for _, name := range doorModelNames {
 			s := baseSpec()
 			s.DataType, s.SubstModel = dt, name
 			vErr := s.Validate()
@@ -102,23 +98,52 @@ func TestValidateAgreesWithBuildModel(t *testing.T) {
 			if (m != nil) != (bErr == nil) {
 				t.Errorf("%v/%q: BuildModel returned model %v with error %v", dt, name, m != nil, bErr)
 			}
-			var direct error
-			switch dt {
-			case phylo.Nucleotide:
-				_, direct = phylo.NucModelSpec{Name: name, Kappa: 2.5,
-					Rates: [6]float64{1.2, 3.5, 0.9, 1.1, 4.2, 1}, Freqs: []float64{0.3, 0.2, 0.2, 0.3}}.Build()
-			case phylo.AminoAcid:
-				_, direct = phylo.AAModelSpec{Name: name}.Build()
-			case phylo.Codon:
-				_, direct = phylo.CodonModelSpec{Kappa: 2.0, Omega: 0.4}.Build()
+		}
+	}
+}
+
+// doorModelNames are the model spellings the door tests judge: every
+// accepted spelling, case variants, the empty name, names of another
+// data type's models, padded names and a Unicode case fold (the Kelvin
+// sign folds to "k").
+var doorModelNames = []string{
+	"JC", "JC69", "jc", "jc69", "Jc69", "K80", "k80", "K2P", "k2p", "HKY", "hky", "HKY85", "hky85",
+	"GTR", "Gtr", "gtr", "poisson", "Poisson", "POISSON", "", "empirical", "Empirical", "EMPIRICAL",
+	"dayhoff", "Dayhoff", "jtt", "JTT", "wag", "WAG", "GY94", "gy94", "NOTAMODEL", " GTR", "GTR ",
+	"\u212a80", "JC69\x00",
+}
+
+// TestDoorModelNames pins what the door says about a model name: the
+// nucleotide names match case-insensitively, the amino acid names
+// exactly, a codon spec takes any name, and a refusal names the data
+// type's model family and the name as given.
+func TestDoorModelNames(t *testing.T) {
+	accept := map[phylo.DataType]map[string]bool{
+		phylo.Nucleotide: {"JC": true, "JC69": true, "jc": true, "jc69": true, "Jc69": true,
+			"K80": true, "k80": true, "K2P": true, "k2p": true, "HKY": true, "hky": true,
+			"HKY85": true, "hky85": true, "GTR": true, "Gtr": true, "gtr": true},
+		phylo.AminoAcid: {"poisson": true, "Poisson": true, "": true, "empirical": true,
+			"Empirical": true, "dayhoff": true, "jtt": true, "wag": true},
+	}
+	family := map[phylo.DataType]string{phylo.Nucleotide: "nucleotide", phylo.AminoAcid: "amino acid"}
+	for _, dt := range []phylo.DataType{phylo.Nucleotide, phylo.AminoAcid, phylo.Codon, phylo.DataType(99)} {
+		for _, name := range doorModelNames {
+			s := baseSpec()
+			s.DataType, s.SubstModel = dt, name
+			var want string
+			switch {
+			case dt == phylo.Codon || accept[dt][name]:
+			case dt == phylo.DataType(99):
+				want = "workload: unknown data type DataType(99)"
 			default:
-				if vErr == nil {
-					t.Errorf("unknown data type %v accepted", dt)
-				}
-				continue
+				want = fmt.Sprintf("phylo: unknown %s model %q", family[dt], name)
 			}
-			if (vErr == nil) != (direct == nil) || (vErr != nil && vErr.Error() != direct.Error()) {
-				t.Errorf("%v/%q: Validate = %v, phylo Build = %v", dt, name, vErr, direct)
+			got := ""
+			if err := s.Validate(); err != nil {
+				got = err.Error()
+			}
+			if got != want {
+				t.Errorf("%v/%q: Validate = %q, want %q", dt, name, got, want)
 			}
 		}
 	}
@@ -131,6 +156,7 @@ func TestValidateDoesNotAllocate(t *testing.T) {
 	}{
 		{phylo.Nucleotide, "HKY85"},
 		{phylo.Nucleotide, "GTR"},
+		{phylo.Nucleotide, "gtr"}, // case-insensitive without upper-casing a copy
 		{phylo.AminoAcid, "empirical"},
 		{phylo.Codon, "GY94"},
 	} {
