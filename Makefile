@@ -182,15 +182,16 @@ overload:
 # engine runs the likelihood engine and everything that reads its rules
 # under the race detector: phylo (the one model table, the one branch
 # optimizer, exp(Qt)), beagle (bit-identity to the reference engine, the
-# kernel oracle, zero allocations per warm evaluation), estimate (the
-# SubstModel covariate), workload (the door's model check) and garli,
-# then the three experiments the engine shapes: the engine-performance
-# table, Figure 2's importance ranking and the ablations. Like the
-# scenario targets above it is a focused entry point; `check` does not
-# depend on it, because `race` already runs every one of these tests
-# under -race.
+# kernel oracle, zero allocations per warm evaluation), forest (every
+# tree equal to the reference builder's at 1, 2 and 8 workers),
+# estimate (the SubstModel covariate), workload (the door's model check)
+# and garli, then the three experiments the engine and the forest shape:
+# the engine-performance table, Figure 2's importance ranking and the
+# ablations. Like the scenario targets above it is a focused entry
+# point; `check` does not depend on it, because `race` already runs
+# every one of these tests under -race.
 engine:
-	$(GO) test -race ./internal/phylo ./internal/beagle ./internal/estimate ./internal/workload ./cmd/garli
+	$(GO) test -race ./internal/phylo ./internal/beagle ./internal/forest ./internal/estimate ./internal/workload ./cmd/garli
 	$(GO) test -race -run 'TestEnginePerfShape|TestFig2Shape|TestAblations' ./internal/experiments/
 
 # check is the full correctness gate: compile, go vet (also for the

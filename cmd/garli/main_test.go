@@ -68,7 +68,8 @@ func writeAlignment(t *testing.T, path string) {
 // TestNonFiniteRateParametersRefused: flag.Float64 parses "NaN" and
 // "Inf", and garli builds its rate mixture without going through the
 // portal's validation, so the mixture itself must refuse them rather
-// than search on NaN likelihoods.
+// than search on NaN likelihoods — and a gamma shape past
+// phylo.MaxGammaShape, whose rates are wrong.
 func TestNonFiniteRateParametersRefused(t *testing.T) {
 	dir := t.TempDir()
 	data := filepath.Join(dir, "sim.fasta")
@@ -78,11 +79,12 @@ func TestNonFiniteRateParametersRefused(t *testing.T) {
 		{"-ratehet", "gamma", "-alpha", "+Inf"},
 		{"-ratehet", "gamma+inv", "-alpha", "NaN"},
 		{"-ratehet", "gamma+inv", "-pinv", "NaN"},
+		{"-ratehet", "gamma", "-alpha", "1e6"},
 	} {
 		out := filepath.Join(dir, "bad")
 		args := append([]string{"-data", data, "-generations", "2", "-out", out}, bad...)
 		if err := run(args); err == nil {
-			t.Errorf("run(%q) accepted a non-finite rate parameter", bad)
+			t.Errorf("run(%q) accepted a bad rate parameter", bad)
 		}
 		if _, err := os.Stat(out + ".best.tre"); err == nil {
 			t.Errorf("run(%q) wrote a tree", bad)

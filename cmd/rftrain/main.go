@@ -18,6 +18,7 @@ import (
 
 	"lattice/internal/estimate"
 	"lattice/internal/experiments"
+	"lattice/internal/forest"
 	"lattice/internal/phylo"
 	"lattice/internal/workload"
 )
@@ -59,7 +60,7 @@ func run() error {
 	}
 	if *stats {
 		est, err := estimate.Bootstrap(
-			estimate.Config{NumTrees: *trees, MTry: 3, Seed: *seed},
+			forest.Config{NumTrees: *trees, MTry: 3, Seed: *seed},
 			workload.NewGenerator(*seed), *jobs)
 		if err != nil {
 			return err
@@ -102,7 +103,7 @@ func run() error {
 			return err
 		}
 		est, err := estimate.Bootstrap(
-			estimate.Config{NumTrees: *trees, MTry: 3, Seed: *seed},
+			forest.Config{NumTrees: *trees, MTry: 3, Seed: *seed},
 			workload.NewGenerator(*seed), *jobs)
 		if err != nil {
 			return err

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -11,6 +12,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"lattice/internal/lint"
 )
 
 // TestDocsNameOnlyWhatExists keeps the prose honest about the tree:
@@ -217,4 +220,93 @@ func hatchSite(fset *token.FileSet, f *ast.File, pos token.Pos) string {
 		}
 	}
 	return fset.Position(pos).String()
+}
+
+// TestOptionsHaveCallers holds internal/ to the options rule: every
+// exported field of an exported *Config or *Options struct is set by a
+// non-test file outside its package — as a keyed element of a
+// composite literal (elided element types included) or through a
+// selector assignment — or is listed below with the reason it stays a
+// field. A value nobody varies is a constant. An entry whose field
+// gained a caller or went away fails too, so the list stays exact.
+func TestOptionsHaveCallers(t *testing.T) {
+	want := map[string]string{
+		"boinc.PopulationConfig.Hosts":          "set through DefaultPopulation(n)",
+		"metasched.Config.RescanInterval":       "tests set 0 so that Run returns",
+		"phylo.SearchConfig.BrlenOptIterations": "a GARLI setting the cost model reads; tests shorten it",
+		"phylo.SearchConfig.PopulationSize":     "a GARLI setting the cost model reads",
+		"wal.Options.Sync":                      "the fsync durability flush",
+	}
+	ld, err := lint.NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := ld.LoadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fields := map[*types.Var]string{}
+	for _, p := range pkgs {
+		if !strings.HasPrefix(p.Path, ld.ModPath+"/internal/") {
+			continue
+		}
+		scope := p.Types.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || !tn.Exported() || !strings.HasSuffix(name, "Config") && !strings.HasSuffix(name, "Options") {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() {
+					fields[f] = p.Types.Name() + "." + name + "." + f.Name()
+				}
+			}
+		}
+	}
+	set := map[*types.Var]bool{}
+	for _, p := range pkgs {
+		mark := func(id *ast.Ident) {
+			if v, ok := p.Info.Uses[id].(*types.Var); ok && v.IsField() && v.Pkg() != p.Types {
+				set[v] = true
+			}
+		}
+		for _, f := range p.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						mark(id)
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok {
+							mark(sel.Sel)
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	var unset []string
+	for f, name := range fields {
+		if !set[f] {
+			unset = append(unset, name)
+		}
+	}
+	slices.Sort(unset)
+	for _, name := range unset {
+		if want[name] == "" {
+			t.Errorf("%s: no non-test file outside its package sets it; make it a constant or argue it here", name)
+		}
+	}
+	for name := range want {
+		if !slices.Contains(unset, name) {
+			t.Errorf("%s is listed but has a caller or is gone; drop the entry", name)
+		}
+	}
 }

@@ -24,9 +24,9 @@ type ClusterConfig struct {
 	// resource i of Base.Resources belongs to shard i mod N. It is
 	// kept only for the ledger's call site.
 	Share shard.ShareMode
-	// Base is the per-shard deployment template. Seed, IDPrefix,
-	// Durable and Faults are derived per shard and must be left at
-	// their zero values here; ResourceWrap must be left unset.
+	// Base is the per-shard deployment template. Seed, Durable and
+	// Faults are derived per shard and must be left at their zero
+	// values here; ResourceWrap must be left unset.
 	Base Config
 	// DurableRoot, when non-empty, gives each shard its own
 	// write-ahead-log directory shard.Dir(root, k), so recovery stays
@@ -70,8 +70,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Share != "" && cfg.Share != shard.SharePartition {
 		return nil, fmt.Errorf("core: unknown share mode %q; shards share the federation only as %q", cfg.Share, shard.SharePartition)
 	}
-	if cfg.Base.IDPrefix != "" || cfg.Base.Durable != "" || cfg.Base.Faults != nil || cfg.Base.ResourceWrap != nil {
-		return nil, fmt.Errorf("core: cluster base config must leave IDPrefix, Durable, Faults and ResourceWrap unset")
+	if cfg.Base.Durable != "" || cfg.Base.Faults != nil || cfg.Base.ResourceWrap != nil {
+		return nil, fmt.Errorf("core: cluster base config must leave Durable, Faults and ResourceWrap unset")
 	}
 	c := &Cluster{
 		cfg:     cfg,
@@ -80,7 +80,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	for k := 0; k < cfg.Shards; k++ {
 		c.origins[k] = shard.Origin(k, "core")
-		l, err := New(c.shardConfig(k))
+		l, err := newLattice(c.shardConfig(k), shard.IDPrefix(k))
 		if err != nil {
 			return nil, fmt.Errorf("core: building shard %d: %w", k, err)
 		}
@@ -93,29 +93,21 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 func (c *Cluster) shardConfig(k int) Config {
 	cfg := c.cfg.Base
 	cfg.Seed = shard.Seed(c.cfg.Base.Seed, k)
-	cfg.IDPrefix = shard.IDPrefix(k)
 	if c.cfg.DurableRoot != "" {
 		cfg.Durable = shard.Dir(c.cfg.DurableRoot, k)
 	}
 	if c.cfg.ShardFaults != nil {
 		cfg.Faults = c.cfg.ShardFaults(k)
 	}
-	// Static partition: resource i belongs to shard i mod N. The
-	// reference cluster only retrains on shards that own it.
+	// Static partition: resource i belongs to shard i mod N, so only
+	// the shard that owns the reference cluster forks to it.
 	var mine []ResourceSpec
-	hasRef := false
 	for i, rs := range c.cfg.Base.Resources {
 		if i%c.cfg.Shards == k {
 			mine = append(mine, rs)
-			if rs.Name == c.cfg.Base.ReferenceCluster {
-				hasRef = true
-			}
 		}
 	}
 	cfg.Resources = mine
-	if !hasRef {
-		cfg.ReferenceCluster = ""
-	}
 	return cfg
 }
 
@@ -212,7 +204,7 @@ func (c *Cluster) RecoverShard(k int) (*RecoveryReport, error) {
 		return nil, fmt.Errorf("core: cluster has no durable root; shard %d cannot be recovered", k)
 	}
 	c.Shards[k].CloseDurable() //lint:allow errdrop -- the dead process's error; the rebuild verifies the log itself
-	l, err := New(c.shardConfig(k))
+	l, err := newLattice(c.shardConfig(k), shard.IDPrefix(k))
 	if err != nil {
 		return nil, fmt.Errorf("core: recovering shard %d: %w", k, err)
 	}

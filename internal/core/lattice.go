@@ -8,7 +8,6 @@ package core
 
 import (
 	"fmt"
-	"path/filepath"
 	"sort"
 	"strconv"
 
@@ -58,19 +57,22 @@ const (
 	providerPeriod = sim.Minute
 )
 
+// referenceCluster names the homogeneous speed-1.0 cluster that runs
+// the continuous-retraining forks (Section VI-E). A coordinator whose
+// federation has no resource of this name forks nothing.
+const referenceCluster = "reference-cluster"
+
 // Config describes a whole Lattice deployment.
 type Config struct {
 	Seed      int64
 	Scheduler metasched.Config
-	Estimator estimate.Config
-	// TrainingJobs bootstraps the runtime model with this many
-	// generated jobs (the paper's ~150-job matrix). 0 disables the
-	// estimator entirely.
+	// TrainingJobs bootstraps the runtime model, an
+	// estimate.DefaultConfig forest, with this many generated jobs
+	// (the paper's ~150-job matrix). 0 disables the estimator entirely.
 	TrainingJobs int
-	Resources    []ResourceSpec
-	// ReferenceCluster names the homogeneous speed-1.0 cluster used
-	// for continuous retraining forks; empty disables retraining.
-	ReferenceCluster string
+	// Resources is the federation. The one named "reference-cluster",
+	// when present, takes the continuous-retraining forks.
+	Resources []ResourceSpec
 	// Faults, when non-nil, wires the deterministic fault injector
 	// between the scheduler and every resource: submits and results
 	// pass through per-resource wrappers, MDS publications through a
@@ -90,10 +92,6 @@ type Config struct {
 	// enabled. The zero value keeps the plain FIFO ingest path —
 	// bit-identical to pre-admission builds.
 	Admit admit.Config
-	// IDPrefix qualifies batch and workflow IDs ("shard0-batch-000001")
-	// so a cluster front router can attribute an ID to its coordinator
-	// shard. Empty for single-coordinator deployments.
-	IDPrefix string
 	// ResourceWrap, when non-nil, wraps every resource after fault
 	// wrapping and before MDS/scheduler registration — the seam the
 	// ledger's per-layer timing installs through. The engine is the
@@ -118,7 +116,6 @@ func DefaultConfig(seed int64) Config {
 	return Config{
 		Seed:         seed,
 		Scheduler:    metasched.DefaultConfig(),
-		Estimator:    estimate.DefaultConfig(),
 		TrainingJobs: 150,
 		Resources: []ResourceSpec{
 			{Kind: "condor", Name: "umd-condor", Nodes: 64, Speed: 1.1, MemMB: 2048,
@@ -132,14 +129,13 @@ func DefaultConfig(seed int64) Config {
 			{Kind: "pbs", Name: "umd-hpc", Nodes: 64, Speed: 2.0, MemMB: 8192, Platform: lrm.LinuxX86},
 			{Kind: "pbs", Name: "bigmem-cluster", Nodes: 8, Speed: 1.6, MemMB: 65536, Platform: lrm.LinuxX86},
 			{Kind: "sge", Name: "bio-sge", Nodes: 16, Cores: 4, Speed: 1.4, MemMB: 16384, Platform: lrm.LinuxX86},
-			{Kind: "pbs", Name: "reference-cluster", Nodes: 8, Speed: 1.0, MemMB: 4096, Platform: lrm.LinuxX86},
+			{Kind: "pbs", Name: referenceCluster, Nodes: 8, Speed: 1.0, MemMB: 4096, Platform: lrm.LinuxX86},
 			// The volunteer pool's scheduling speed is its measured
 			// *turnaround* speed: median host speed (~0.8×) diluted
 			// by the typical duty cycle (~42%) — exactly what the
 			// paper's benchmark-job procedure observes on BOINC.
 			{Kind: "boinc", Name: "lattice-boinc", Population: &pop, Speed: 0.35},
 		},
-		ReferenceCluster: "reference-cluster",
 	}
 }
 
@@ -192,7 +188,6 @@ type Lattice struct {
 	rng       *sim.RNG
 	rec       *recorder
 	resources map[string]lrm.LRM
-	refName   string
 	retrains  int
 	// retrainErrs records failures of the continuous-retraining loop
 	// (reference-cluster submits, observation feeds, rebuilds), which
@@ -206,7 +201,14 @@ type Lattice struct {
 // durable state, otherwise the existing one, which it resumes from
 // (see open; Recovery then says how).
 func New(cfg Config) (*Lattice, error) {
-	l, err := build(cfg)
+	return newLattice(cfg, "")
+}
+
+// newLattice is New with idPrefix qualifying batch and workflow IDs
+// ("shard0-batch-000001"), so a cluster front router can attribute an
+// ID to its coordinator shard; a single coordinator's IDs carry none.
+func newLattice(cfg Config, idPrefix string) (*Lattice, error) {
+	l, err := build(cfg, idPrefix)
 	if err != nil {
 		return nil, err
 	}
@@ -220,7 +222,7 @@ func New(cfg Config) (*Lattice, error) {
 
 // build assembles the deployment, with a durability recorder wired to
 // the input hooks and the journal when cfg.Durable is set.
-func build(cfg Config) (*Lattice, error) {
+func build(cfg Config, idPrefix string) (*Lattice, error) {
 	eng := sim.NewEngine()
 	rng := sim.NewRNG(cfg.Seed)
 	idx, err := mds.NewIndex(eng, mdsTTL)
@@ -232,7 +234,6 @@ func build(cfg Config) (*Lattice, error) {
 		Index:     idx,
 		rng:       rng,
 		resources: make(map[string]lrm.LRM),
-		refName:   cfg.ReferenceCluster,
 	}
 	l.Obs = obs.New(eng)
 	// The hooks stay nil interfaces unless a recorder exists: a typed-nil
@@ -242,11 +243,9 @@ func build(cfg Config) (*Lattice, error) {
 		dag.Durability
 		portal.Durability
 	}
-	var artifacts string
 	if cfg.Durable != "" {
 		l.rec = &recorder{eng: eng, seed: cfg.Seed}
 		hooks = l.rec
-		artifacts = filepath.Join(cfg.Durable, "artifacts")
 	}
 	l.Scheduler = metasched.New(eng, idx, cfg.Scheduler, metasched.Options{Obs: l.Obs})
 	// The injector and its sink exist only when a fault schedule is
@@ -287,7 +286,7 @@ func build(cfg Config) (*Lattice, error) {
 		}
 	}
 	if cfg.TrainingJobs > 0 {
-		est, err := estimate.Bootstrap(cfg.Estimator, workload.NewGenerator(cfg.Seed+1), cfg.TrainingJobs)
+		est, err := estimate.Bootstrap(estimate.DefaultConfig(), workload.NewGenerator(cfg.Seed+1), cfg.TrainingJobs)
 		if err != nil {
 			return nil, err
 		}
@@ -296,14 +295,14 @@ func build(cfg Config) (*Lattice, error) {
 	}
 	l.Mailer = &gsbl.Mailer{}
 	l.Service, err = gsbl.NewService(eng, l.Scheduler, l.Mailer, rng.Stream("gsbl"), gsbl.Options{
-		Obs: l.Obs, IDPrefix: cfg.IDPrefix, Ingest: cfg.Ingest, Admit: cfg.Admit, Durable: hooks,
+		Obs: l.Obs, IDPrefix: idPrefix, Ingest: cfg.Ingest, Admit: cfg.Admit, Durable: hooks,
 	})
 	if err != nil {
 		return nil, err
 	}
-	l.Workflows = dag.NewEngine(eng, l.Service, l.Obs, dag.Config{IDPrefix: cfg.IDPrefix, Durable: hooks})
+	l.Workflows = dag.NewEngine(eng, l.Service, l.Obs, dag.Config{IDPrefix: idPrefix, Durable: hooks})
 	l.Portal = portal.New(eng, l.Service, portal.Options{
-		Obs: l.Obs, Workflows: l.Workflows, StatusSource: l.statusJSON, ArtifactDir: artifacts, Durable: hooks,
+		Obs: l.Obs, Workflows: l.Workflows, StatusSource: l.statusJSON, Durable: hooks,
 	})
 	if l.rec != nil {
 		// Wired before any journal event is recorded, so checkpoints
@@ -464,7 +463,7 @@ func (l *Lattice) SubmitSubmission(sub workload.Submission) (*gsbl.Batch, error)
 // between them.
 func (l *Lattice) submit(r gsbl.Request) (*gsbl.Batch, error) {
 	b, err := l.Service.Submit(r)
-	if b != nil && r.Origin == "core" && l.refName != "" && l.Estimator != nil {
+	if b != nil && r.Origin == "core" && l.Estimator != nil {
 		l.forkReferenceReplicate(r.Sub)
 	}
 	return b, err
@@ -481,7 +480,7 @@ func (l *Lattice) SubmitWorkflow(wf workload.Workflow) (*dag.Run, error) {
 // forkReferenceReplicate runs one replicate on the homogeneous
 // reference cluster and feeds the observation back into the model.
 func (l *Lattice) forkReferenceReplicate(sub workload.Submission) {
-	ref, ok := l.resources[l.refName]
+	ref, ok := l.resources[referenceCluster]
 	if !ok {
 		return
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -155,6 +156,63 @@ func TestContinuousRetrainingFork(t *testing.T) {
 	l.Run(30 * sim.Day)
 	if got := l.Estimator.NumObservations(); got != before+1 {
 		t.Errorf("training matrix grew %d → %d; want +1", before, got)
+	}
+}
+
+// TestReferenceForkFollowsTheFederation: a direct submission forks its
+// retraining replicate exactly when the coordinator's own federation
+// holds the resource named reference-cluster — once per submission in
+// the default federation, never in one without it, and in a cluster
+// only on the shard that owns it.
+func TestReferenceForkFollowsTheFederation(t *testing.T) {
+	sub := workload.Submission{
+		Spec: workload.JobSpec{
+			DataType: phylo.Nucleotide, SubstModel: "JC69",
+			NumTaxa: 10, SeqLength: 300, SearchReps: 1,
+			StartingTree: phylo.StartRandom, Seed: 4,
+		},
+		Replicates: 3,
+		UserEmail:  "u@lab.edu",
+	}
+	forks := func(l *Lattice, subs int) int {
+		t.Helper()
+		for i := 0; i < subs; i++ {
+			if _, err := l.SubmitSubmission(sub); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return l.Retrains()
+	}
+
+	l, err := New(smallConfig(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := forks(l, 3); got != 3 {
+		t.Errorf("default federation: %d forks for 3 direct submissions, want 3", got)
+	}
+
+	cfg := smallConfig(6)
+	cfg.Resources = slices.DeleteFunc(cfg.Resources, func(rs ResourceSpec) bool { return rs.Name == "reference-cluster" })
+	if l, err = New(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if got := forks(l, 3); got != 0 {
+		t.Errorf("federation without reference-cluster: %d forks, want 0", got)
+	}
+
+	base := smallConfig(6)
+	if base.Resources[7].Name != "reference-cluster" {
+		t.Fatalf("resource 7 is %q, want reference-cluster", base.Resources[7].Name)
+	}
+	c, err := NewCluster(ClusterConfig{Shards: 2, Base: base})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, want := range []int{0, 1} {
+		if got := forks(c.Shards[k], 1); got != want {
+			t.Errorf("shard %d: %d forks for one direct submission, want %d", k, got, want)
+		}
 	}
 }
 

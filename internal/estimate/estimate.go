@@ -89,19 +89,12 @@ func encode(s *workload.JobSpec) [numFeatures]float64 {
 	}
 }
 
-// Config controls the estimator's forest. The paper's production
-// setting is 10^4 trees sub-sampling the nine predictors at each node.
-type Config struct {
-	NumTrees int
-	MTry     int
-	Seed     int64
-}
-
-// DefaultConfig uses a smaller ensemble than the paper's 10^4 so
-// interactive retraining stays instant; the Figure 2 bench passes the
-// full 10^4.
-func DefaultConfig() Config {
-	return Config{NumTrees: 500, MTry: 3, Seed: 1}
+// DefaultConfig is the estimator's forest: three of the nine
+// predictors sampled at each node, and a smaller ensemble than the
+// paper's 10^4 so interactive retraining stays instant; the Figure 2
+// bench passes the full 10^4.
+func DefaultConfig() forest.Config {
+	return forest.Config{NumTrees: 500, MTry: 3, Seed: 1}
 }
 
 // Estimator predicts job runtimes on the reference computer and keeps
@@ -117,7 +110,7 @@ type Estimator struct {
 	mu  sync.Mutex
 	ds  *forest.Dataset
 	f   *forest.Forest
-	cfg Config
+	cfg forest.Config
 
 	// rawForest regresses raw seconds for paper-style reporting
 	// (Stats); rebuilt lazily when the matrix grows.
@@ -126,7 +119,7 @@ type Estimator struct {
 }
 
 // New returns an estimator with an empty training matrix.
-func New(cfg Config) *Estimator {
+func New(cfg forest.Config) *Estimator {
 	return &Estimator{
 		ds:  &forest.Dataset{Schema: Schema()},
 		cfg: cfg,
@@ -167,12 +160,7 @@ func (e *Estimator) Retrain() error {
 	ds := e.ds.Clone()
 	cfg := e.cfg
 	e.mu.Unlock()
-	f, err := forest.Train(ds, forest.Config{
-		NumTrees:    cfg.NumTrees,
-		MTry:        cfg.MTry,
-		MinLeafSize: 5,
-		Seed:        cfg.Seed,
-	})
+	f, err := forest.Train(ds, cfg)
 	if err != nil {
 		return err
 	}
@@ -246,12 +234,8 @@ func (e *Estimator) Stats() (ModelStats, error) {
 		for i, y := range raw.Y {
 			raw.Y[i] = math.Exp(y)
 		}
-		f, err := forest.Train(raw, forest.Config{
-			NumTrees:    cfg.NumTrees,
-			MTry:        cfg.MTry,
-			MinLeafSize: 5,
-			Seed:        cfg.Seed + 1,
-		})
+		cfg.Seed++ // a stream apart from the log-scale forest's
+		f, err := forest.Train(raw, cfg)
 		if err != nil {
 			return ModelStats{}, err
 		}
@@ -301,12 +285,7 @@ func (e *Estimator) CrossValidate(k int) (CVMetrics, error) {
 	ds := e.ds.Clone()
 	cfg := e.cfg
 	e.mu.Unlock()
-	pred, err := forest.CrossValidate(ds, forest.Config{
-		NumTrees:    cfg.NumTrees,
-		MTry:        cfg.MTry,
-		MinLeafSize: 5,
-		Seed:        cfg.Seed,
-	}, k)
+	pred, err := forest.CrossValidate(ds, cfg, k)
 	if err != nil {
 		return CVMetrics{}, err
 	}
@@ -349,7 +328,7 @@ func pearson(a, b []float64) float64 {
 
 // Bootstrap seeds an estimator with n generated training jobs and
 // trains it — the equivalent of the paper's initial ~150-job matrix.
-func Bootstrap(cfg Config, gen *workload.Generator, n int) (*Estimator, error) {
+func Bootstrap(cfg forest.Config, gen *workload.Generator, n int) (*Estimator, error) {
 	e := New(cfg)
 	specs, secs := gen.TrainingJobs(n)
 	for i := range specs {

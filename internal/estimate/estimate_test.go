@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"lattice/internal/forest"
 	"lattice/internal/phylo"
 	"lattice/internal/workload"
 )
@@ -232,7 +233,7 @@ func TestAddObservationValidation(t *testing.T) {
 // the metascheduler predicts once per job per candidate resource.
 func TestPredictDoesNotAllocate(t *testing.T) {
 	gen := workload.NewGenerator(9)
-	e, err := Bootstrap(Config{NumTrees: 20, MTry: 3, Seed: 1}, gen, 60)
+	e, err := Bootstrap(forest.Config{NumTrees: 20, MTry: 3, Seed: 1}, gen, 60)
 	if err != nil {
 		t.Fatal(err)
 	}

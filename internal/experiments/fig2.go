@@ -186,7 +186,7 @@ func AblationImportanceMethod(seed int64, trainJobs int) (*AblationImportanceRes
 			return nil, err
 		}
 	}
-	f, err := forest.Train(ds, forest.Config{NumTrees: 1000, MTry: 3, MinLeafSize: 5, Seed: seed})
+	f, err := forest.Train(ds, forest.Config{NumTrees: 1000, MTry: 3, Seed: seed})
 	if err != nil {
 		return nil, err
 	}

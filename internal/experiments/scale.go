@@ -113,7 +113,7 @@ func PortalScale(seed int64) (*PortalScaleResult, error) {
 	// Single 64-core cluster.
 	single := func(seed int64) core.Config {
 		return core.Config{
-			Seed: seed, Scheduler: metasched.DefaultConfig(), Estimator: estimate.DefaultConfig(), TrainingJobs: 100,
+			Seed: seed, Scheduler: metasched.DefaultConfig(), TrainingJobs: 100,
 			Resources: []core.ResourceSpec{{Kind: "pbs", Name: "one-cluster", Nodes: 64, Speed: 2.0, MemMB: 8192, Platform: lrm.LinuxX86}},
 		}
 	}

@@ -21,7 +21,7 @@ func paperShape(tb testing.TB, trees int) (*forest.Dataset, forest.Config) {
 			tb.Fatal(err)
 		}
 	}
-	return ds, forest.Config{NumTrees: trees, MTry: 3, MinLeafSize: 5, Seed: 1, Workers: 1}
+	return ds, forest.Config{NumTrees: trees, MTry: 3, Seed: 1}
 }
 
 // TestTrainAllocationBudget keeps per-node and per-call garbage out of
@@ -31,6 +31,7 @@ func paperShape(tb testing.TB, trees int) (*forest.Dataset, forest.Config) {
 // row slices, sort closures and per-tree RNG sources once ran to
 // 184 099 objects and 25.4 MB on this shape.
 func TestTrainAllocationBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one worker, one builder
 	ds, cfg := paperShape(t, 500)
 	train := func() {
 		if _, err := forest.Train(ds, cfg); err != nil {

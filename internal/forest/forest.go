@@ -9,7 +9,9 @@ import (
 )
 
 // Config controls forest training. The zero value is not usable; start
-// from DefaultConfig.
+// from DefaultConfig. The rest of R randomForest's regression recipe is
+// fixed: leaves of at least minLeafSize rows, no depth limit, and as
+// many build workers as GOMAXPROCS allows, up to one per tree.
 type Config struct {
 	// NumTrees is the ensemble size. The paper uses 1 × 10^4 trees
 	// for the GARLI runtime model.
@@ -18,24 +20,21 @@ type Config struct {
 	// "further injection of randomness" distinguishing random forests
 	// from bagging). 0 selects the regression default max(1, p/3).
 	MTry int
-	// MinLeafSize is the minimum observations per leaf (R default 5
-	// for regression).
-	MinLeafSize int
-	// MaxDepth bounds tree depth; 0 = unlimited.
-	MaxDepth int
 	// Seed makes training deterministic; trees are built in parallel
 	// but each derives its own RNG stream from Seed, so results do
 	// not depend on goroutine scheduling.
 	Seed int64
-	// Workers limits build parallelism; 0 = GOMAXPROCS.
-	Workers int
 }
+
+// minLeafSize is the minimum observations per leaf, R randomForest's
+// regression default.
+const minLeafSize = 5
 
 // DefaultConfig mirrors the R randomForest regression defaults used by
 // the paper, at a smaller default ensemble size (callers reproducing
 // Figure 2 pass NumTrees: 10000 explicitly).
 func DefaultConfig() Config {
-	return Config{NumTrees: 500, MinLeafSize: 5}
+	return Config{NumTrees: 500}
 }
 
 // Forest is a trained random forest regression model.
@@ -60,9 +59,6 @@ func Train(ds *Dataset, cfg Config) (*Forest, error) {
 	if cfg.NumTrees <= 0 {
 		return nil, fmt.Errorf("forest: NumTrees must be positive, got %d", cfg.NumTrees)
 	}
-	if cfg.MinLeafSize <= 0 {
-		cfg.MinLeafSize = 5
-	}
 	p := ds.Schema.NumFeatures()
 	if cfg.MTry <= 0 {
 		cfg.MTry = p / 3
@@ -73,13 +69,7 @@ func Train(ds *Dataset, cfg Config) (*Forest, error) {
 	if cfg.MTry > p {
 		cfg.MTry = p
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > cfg.NumTrees {
-		workers = cfg.NumTrees
-	}
+	workers := min(runtime.GOMAXPROCS(0), cfg.NumTrees)
 
 	f := &Forest{schema: ds.Schema, cfg: cfg, trees: make([]*regTree, cfg.NumTrees), ds: ds.Clone()}
 	cols := columnMajor(f.ds)

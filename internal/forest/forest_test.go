@@ -2,6 +2,7 @@ package forest
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -166,13 +167,20 @@ func TestImportanceRanking(t *testing.T) {
 	}
 }
 
+// setProcs sets GOMAXPROCS, which is Train's worker count (capped at
+// the ensemble size), for the rest of t, and restores it when t ends.
+func setProcs(t *testing.T, procs int) {
+	old := runtime.GOMAXPROCS(procs)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
 func TestDeterministicAcrossParallelism(t *testing.T) {
 	ds := syntheticDataset(200, 40)
-	train := func(workers int) *Forest {
+	train := func(procs int) *Forest {
+		setProcs(t, procs)
 		cfg := DefaultConfig()
 		cfg.NumTrees = 60
 		cfg.Seed = 123
-		cfg.Workers = workers
 		f, err := Train(ds, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -180,13 +188,15 @@ func TestDeterministicAcrossParallelism(t *testing.T) {
 		return f
 	}
 	f1 := train(1)
-	f8 := train(8)
 	probe := []float64{0.3, 1, 0.7}
-	if f1.Predict(probe) != f8.Predict(probe) {
-		t.Error("prediction differs between 1 and 8 workers")
-	}
-	if f1.OOBMSE() != f8.OOBMSE() {
-		t.Error("OOB MSE differs between 1 and 8 workers")
+	for _, procs := range []int{2, 8} {
+		f := train(procs)
+		if f1.Predict(probe) != f.Predict(probe) {
+			t.Errorf("prediction differs between 1 and %d workers", procs)
+		}
+		if f1.OOBMSE() != f.OOBMSE() {
+			t.Errorf("OOB MSE differs between 1 and %d workers", procs)
+		}
 	}
 }
 

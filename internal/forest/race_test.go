@@ -35,7 +35,8 @@ func stressDataset(n int, seed int64) *Dataset {
 // trainings must neither race nor disturb each other's determinism.
 func TestTrainConcurrentStress(t *testing.T) {
 	ds := stressDataset(300, 7)
-	cfg := Config{NumTrees: 60, MinLeafSize: 3, Seed: 11, Workers: 4}
+	setProcs(t, 4)
+	cfg := Config{NumTrees: 60, Seed: 11}
 
 	const trainers = 4
 	forests := make([]*Forest, trainers)
@@ -76,7 +77,7 @@ func TestTrainConcurrentStress(t *testing.T) {
 // read-only and must be safe to share.
 func TestForestConcurrentReaders(t *testing.T) {
 	ds := stressDataset(300, 19)
-	f, err := Train(ds, Config{NumTrees: 60, MinLeafSize: 3, Seed: 23, Workers: 4})
+	f, err := Train(ds, Config{NumTrees: 60, Seed: 23})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,29 +105,29 @@ func TestForestConcurrentReaders(t *testing.T) {
 }
 
 // TestConcurrentBuildersMatchReference trains one shared adversarial
-// dataset at 1, 2 and 8 workers, all at once, and holds every forest
-// to the reference oracle node for node: worker-resident scratch must
-// neither race with another builder's nor leak from one tree into the
-// next, however trees are dealt to workers.
+// dataset three times at once, at 1, 2 and 8 workers, and holds every
+// forest to the reference oracle node for node: worker-resident
+// scratch must neither race with another builder's nor leak from one
+// tree into the next, however trees are dealt to workers.
 func TestConcurrentBuildersMatchReference(t *testing.T) {
 	ds := adversarialDataset(sim.NewRNG(31))
-	var wg sync.WaitGroup
-	for round := 0; round < 2; round++ {
-		for _, workers := range []int{1, 2, 8} {
+	for _, procs := range []int{1, 2, 8} {
+		setProcs(t, procs)
+		var wg sync.WaitGroup
+		for trainer := 0; trainer < 3; trainer++ {
 			wg.Add(1)
-			go func(workers int) {
+			go func() {
 				defer wg.Done()
-				cfg := Config{NumTrees: 40, MinLeafSize: 2, Seed: 5, Workers: workers}
-				f, err := Train(ds, cfg)
+				f, err := Train(ds, Config{NumTrees: 40, Seed: 5})
 				if err != nil {
-					t.Errorf("workers %d: %v", workers, err)
+					t.Errorf("%d workers: %v", procs, err)
 					return
 				}
 				if diff := diffForest(f); diff != "" {
-					t.Errorf("workers %d: %s", workers, diff)
+					t.Errorf("%d workers: %s", procs, diff)
 				}
-			}(workers)
+			}()
 		}
+		wg.Wait()
 	}
-	wg.Wait()
 }

@@ -35,18 +35,18 @@ type refBuilder struct {
 func (b *refBuilder) grow(rows []int) *regTree {
 	b.nodes = b.nodes[:0]
 	b.gain = make([]float64, b.ds.Schema.NumFeatures())
-	b.buildNode(rows, 0)
+	b.buildNode(rows)
 	tr := &regTree{nodes: append([]treeNode(nil), b.nodes...), gain: b.gain}
 	return tr
 }
 
 // buildNode recursively grows the subtree for rows; returns its index.
-func (b *refBuilder) buildNode(rows []int, depth int) int {
+func (b *refBuilder) buildNode(rows []int) int {
 	idx := len(b.nodes)
 	b.nodes = append(b.nodes, treeNode{feature: -1})
 	mean := b.meanY(rows)
 	b.nodes[idx].value = mean
-	if len(rows) < 2*b.cfg.MinLeafSize || (b.cfg.MaxDepth > 0 && depth >= b.cfg.MaxDepth) || b.pure(rows) {
+	if len(rows) < 2*minLeafSize || b.pure(rows) {
 		return idx
 	}
 	feat, thr, mask, splitSSE, ok := b.bestSplit(rows)
@@ -69,7 +69,7 @@ func (b *refBuilder) buildNode(rows []int, depth int) int {
 			right = append(right, r)
 		}
 	}
-	if len(left) < b.cfg.MinLeafSize || len(right) < b.cfg.MinLeafSize {
+	if len(left) < minLeafSize || len(right) < minLeafSize {
 		return idx
 	}
 	b.nodes[idx].feature = feat
@@ -78,8 +78,8 @@ func (b *refBuilder) buildNode(rows []int, depth int) int {
 	if g := b.sse(rows) - splitSSE; g > 0 {
 		b.gain[feat] += g
 	}
-	l := b.buildNode(left, depth+1)
-	r := b.buildNode(right, depth+1)
+	l := b.buildNode(left)
+	r := b.buildNode(right)
 	b.nodes[idx].left = l
 	b.nodes[idx].right = r
 	return idx
@@ -390,28 +390,25 @@ func adversarialDataset(rng *sim.RNG) *Dataset {
 }
 
 // TestBuilderMatchesReference grows forests over adversarial datasets
-// across the configuration axes that reach the builder and requires
-// every tree to equal the reference's node for node: feature,
-// threshold bits, category mask, value bits, children, gain bits and
-// OOB set — at one worker, at two, and at more workers than CPUs.
+// at every mtry that reaches the builder and requires every tree to
+// equal the reference's node for node: feature, threshold bits,
+// category mask, value bits, children, gain bits and OOB set — at one
+// worker, at two, and at more workers than CPUs.
 func TestBuilderMatchesReference(t *testing.T) {
 	rng := sim.NewRNG(20260928)
 	for d := 0; d < 8; d++ {
 		ds := adversarialDataset(rng)
 		p := ds.Schema.NumFeatures()
 		for _, mtry := range []int{0, 1, p} {
-			for _, minLeaf := range []int{1, 5} {
-				for _, maxDepth := range []int{0, 3} {
-					for _, workers := range []int{1, 2, 8} {
-						cfg := Config{NumTrees: 9, MTry: mtry, MinLeafSize: minLeaf, MaxDepth: maxDepth, Seed: int64(d), Workers: workers}
-						f, err := Train(ds, cfg)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if diff := diffForest(f); diff != "" {
-							t.Fatalf("dataset %d (%d rows × %d), %+v: %s", d, ds.NumRows(), p, cfg, diff)
-						}
-					}
+			for _, procs := range []int{1, 2, 8} {
+				setProcs(t, procs)
+				cfg := Config{NumTrees: 9, MTry: mtry, Seed: int64(d)}
+				f, err := Train(ds, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if diff := diffForest(f); diff != "" {
+					t.Fatalf("dataset %d (%d rows × %d), %+v, %d workers: %s", d, ds.NumRows(), p, cfg, procs, diff)
 				}
 			}
 		}
@@ -423,7 +420,7 @@ func TestBuilderMatchesReference(t *testing.T) {
 func TestImportanceMatchesReference(t *testing.T) {
 	rng := sim.NewRNG(7)
 	for d := 0; d < 4; d++ {
-		f, err := Train(adversarialDataset(rng), Config{NumTrees: 25, MinLeafSize: 2, Seed: int64(d)})
+		f, err := Train(adversarialDataset(rng), Config{NumTrees: 25, Seed: int64(d)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -136,7 +136,7 @@ func (b *treeBuilder) grow(seed int64) *regTree {
 	}
 	b.nodes = b.nodes[:0]
 	b.gain = make([]float64, len(b.kinds))
-	b.buildNode(b.rows, 0)
+	b.buildNode(b.rows)
 	tr := &regTree{
 		nodes: append([]treeNode(nil), b.nodes...),
 		oob:   make([]int, 0, n-distinct),
@@ -152,11 +152,11 @@ func (b *treeBuilder) grow(seed int64) *regTree {
 
 // buildNode recursively grows the subtree for rows, a window of
 // b.rows it is free to reorder; returns the subtree's node index.
-func (b *treeBuilder) buildNode(rows []int, depth int) int {
+func (b *treeBuilder) buildNode(rows []int) int {
 	idx := len(b.nodes)
 	mean := b.meanY(rows)
 	b.nodes = append(b.nodes, treeNode{feature: -1, value: mean})
-	if len(rows) < 2*b.cfg.MinLeafSize || (b.cfg.MaxDepth > 0 && depth >= b.cfg.MaxDepth) || b.pure(rows) {
+	if len(rows) < 2*minLeafSize || b.pure(rows) {
 		return idx
 	}
 	feat, thr, mask, splitSSE, ok := b.bestSplit(rows)
@@ -168,14 +168,14 @@ func (b *treeBuilder) buildNode(rows []int, depth int) int {
 	g := b.sse(rows) - splitSSE
 	split := treeNode{feature: feat, threshold: thr, catLeft: mask, value: mean}
 	nl := b.partition(rows, &split)
-	if nl < b.cfg.MinLeafSize || len(rows)-nl < b.cfg.MinLeafSize {
+	if nl < minLeafSize || len(rows)-nl < minLeafSize {
 		return idx
 	}
 	if g > 0 {
 		b.gain[feat] += g
 	}
-	split.left = b.buildNode(rows[:nl], depth+1)
-	split.right = b.buildNode(rows[nl:], depth+1)
+	split.left = b.buildNode(rows[:nl])
+	split.right = b.buildNode(rows[nl:])
 	b.nodes[idx] = split
 	return idx
 }

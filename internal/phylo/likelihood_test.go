@@ -295,9 +295,9 @@ func TestEvalCostFormula(t *testing.T) {
 	}
 }
 
-// TestNewSiteRatesRefusesBadParameters: a gamma shape must be positive
-// and finite and an invariant share in [0,1). NaN fails every ordered
-// comparison, so a check written as "x <= 0" lets it through to
+// TestNewSiteRatesRefusesBadParameters: a gamma shape must be in
+// (0, MaxGammaShape] and an invariant share in [0,1). NaN fails every
+// ordered comparison, so a check written as "x <= 0" lets it through to
 // all-NaN rates or weights.
 func TestNewSiteRatesRefusesBadParameters(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
@@ -312,9 +312,11 @@ func TestNewSiteRatesRefusesBadParameters(t *testing.T) {
 		{RateGamma, nan, 0, 4},
 		{RateGamma, inf, 0, 4},
 		{RateGamma, -inf, 0, 4},
+		{RateGamma, 1e5, 0, 4},
 		{RateGamma, 0.5, 0, 0},
 		{RateGammaInv, nan, 0.2, 4},
 		{RateGammaInv, inf, 0.2, 4},
+		{RateGammaInv, 1e5, 0.2, 4},
 		{RateGammaInv, 0.5, -0.1, 4},
 		{RateGammaInv, 0.5, 1, 4},
 		{RateGammaInv, 0.5, nan, 4},
@@ -330,7 +332,8 @@ func TestNewSiteRatesRefusesBadParameters(t *testing.T) {
 		kind           RateHetKind
 		shape, propInv float64
 	}{
-		{RateGamma, 1e-3, 0}, {RateGamma, 200, 0}, {RateGammaInv, 0.5, 0}, {RateGammaInv, 0.5, 0.99},
+		{RateGamma, 1e-3, 0}, {RateGamma, 200, 0}, {RateGamma, MaxGammaShape, 0}, {RateGammaInv, MaxGammaShape, 0.2},
+		{RateGammaInv, 0.5, 0}, {RateGammaInv, 0.5, 0.99},
 	} {
 		sr, err := NewSiteRates(tc.kind, tc.shape, tc.propInv, 4)
 		if err != nil {

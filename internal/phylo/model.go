@@ -2,7 +2,6 @@ package phylo
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
@@ -221,6 +220,13 @@ type SiteRates struct {
 	Weights []float64
 }
 
+// MaxGammaShape is the largest gamma shape DiscreteGammaRates is
+// right for. Up to it the rates follow the α→∞ normal limit to four
+// digits; past it the quadrature drifts off that limit, the rates stop
+// ascending from 5e4 on, and they go NaN at very large shapes. A shape
+// this large is rate homogeneity in all but name.
+const MaxGammaShape = 1e4
+
 // NewSiteRates constructs the rate mixture for the given treatment.
 // numCats is the number of discrete gamma categories (GARLI default 4)
 // and is ignored for the homogeneous model.
@@ -229,8 +235,8 @@ func NewSiteRates(kind RateHetKind, shape float64, propInv float64, numCats int)
 	case RateHomogeneous:
 		return &SiteRates{Kind: kind, Rates: []float64{1}, Weights: []float64{1}}, nil
 	case RateGamma, RateGammaInv:
-		if !(shape > 0) || math.IsInf(shape, 1) {
-			return nil, fmt.Errorf("phylo: gamma shape must be positive and finite, got %g", shape)
+		if !(shape > 0 && shape <= MaxGammaShape) {
+			return nil, fmt.Errorf("phylo: gamma shape must be in (0, %g], got %g", MaxGammaShape, shape)
 		}
 		if numCats < 1 {
 			return nil, fmt.Errorf("phylo: need at least 1 rate category, got %d", numCats)

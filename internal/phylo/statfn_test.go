@@ -154,3 +154,24 @@ func TestSiteRatesErrors(t *testing.T) {
 		t.Error("expected error for pinv >= 1")
 	}
 }
+
+// TestDiscreteGammaRatesHoldToTheBound: up to MaxGammaShape the
+// discrete-gamma quadrature follows the α→∞ normal limit, where
+// (top − bottom)·√α tends to the spread of k equal-mass normal
+// category means, and its rates ascend. Past the bound they drift off
+// the limit and then stop ascending, which is why NewSiteRates and the
+// door refuse such a shape.
+func TestDiscreteGammaRatesHoldToTheBound(t *testing.T) {
+	for k, want := range map[int]float64{2: 1.5958, 4: 2.5422, 8: 3.2936, 16: 3.9355} {
+		r := DiscreteGammaRates(MaxGammaShape, k)
+		if got := (r[k-1] - r[0]) * math.Sqrt(MaxGammaShape); !almostEqual(got, want, 5e-4) {
+			t.Errorf("k=%d at α=%g: (top−bottom)·√α = %.4f, normal limit %.4f", k, MaxGammaShape, got, want)
+		}
+		for i := 1; i < k; i++ {
+			if !(r[i] > r[i-1]) {
+				t.Errorf("k=%d at α=%g: rates %v do not ascend", k, MaxGammaShape, r)
+				break
+			}
+		}
+	}
+}

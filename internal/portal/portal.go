@@ -2,14 +2,11 @@ package portal
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -48,8 +45,8 @@ type Durability interface {
 }
 
 // Options is everything about a Portal that is fixed at construction.
-// Obs, Workflows and StatusSource are required; ArtifactDir and Durable
-// are optional, because a non-durable deployment has neither.
+// Obs, Workflows and StatusSource are required; Durable is optional,
+// because a non-durable deployment has none.
 type Options struct {
 	// Obs backs GET /metrics (text exposition) and GET /trace/{batch}
 	// (span tree as JSON, folded from the journal per request), and
@@ -68,12 +65,6 @@ type Options struct {
 	// simulation state, because the body is encoded after the mutex is
 	// released.
 	StatusSource func() any
-	// ArtifactDir caches downloadable result archives on disk (written
-	// atomically, so a crash mid-write can never leave a truncated
-	// archive behind). The directory is created by the first archive
-	// published there, so a deployment nobody downloads from never
-	// touches the filesystem for it.
-	ArtifactDir string
 	// Durable is the write-ahead-log hook; nil disables it.
 	Durable Durability
 }
@@ -474,18 +465,6 @@ func (p *Portal) handleBatch(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusConflict)
 			return
 		}
-		if dir := p.opts.ArtifactDir; dir != "" {
-			// Publish the archive atomically: readers (and recovery)
-			// only ever see a complete zip at this path.
-			err := os.MkdirAll(dir, 0o755)
-			if err == nil {
-				err = writeFileAtomic(filepath.Join(dir, id+".zip"), bytes.NewReader(data))
-			}
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-		}
 		w.Header().Set("Content-Type", "application/zip")
 		w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%s.zip", id))
 		p.writeBody(w, data)
@@ -509,35 +488,6 @@ func (p *Portal) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/html")
 	p.writeBody(w, []byte(page))
-}
-
-// writeFileAtomic streams src to path through a temp file and rename,
-// so readers never observe a partially written file: if src or the
-// write fails partway, the temp file is removed and any previous file
-// at path is untouched.
-func writeFileAtomic(path string, src io.Reader) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("portal: creating temp file: %w", err)
-	}
-	_, err = io.Copy(tmp, src)
-	if err == nil {
-		err = tmp.Sync()
-	}
-	if err == nil {
-		err = tmp.Chmod(0o644)
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp.Name(), path)
-	}
-	if err != nil {
-		os.Remove(tmp.Name()) //lint:allow errdrop -- already failing; best-effort cleanup
-		return fmt.Errorf("portal: publishing %s: %w", path, err)
-	}
-	return nil
 }
 
 // handleWorkflowCreate accepts a JSON workload.Workflow and submits

@@ -9,11 +9,8 @@ import (
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-	"testing/iotest"
 
 	"lattice/internal/admit"
 	"lattice/internal/dag"
@@ -227,6 +224,17 @@ func TestGuestSubmissionEndToEnd(t *testing.T) {
 	if resp.Header.Get("Content-Type") != "application/zip" {
 		t.Errorf("content type %q", resp.Header.Get("Content-Type"))
 	}
+	// The body is the service's archive, byte for byte, and a zip of
+	// the results.
+	p.mu.Lock()
+	want, err := p.svc.ResultsZip(batch)
+	p.mu.Unlock()
+	if err != nil || !bytes.Equal(zipData, want) {
+		t.Errorf("download (%d bytes) != ResultsZip (%d bytes, err %v)", len(zipData), len(want), err)
+	}
+	if zr, err := zip.NewReader(bytes.NewReader(zipData), int64(len(zipData))); err != nil || len(zr.File) == 0 {
+		t.Errorf("download is not a zip of the results (err %v)", err)
+	}
 	if len(mailer.SentTo("guest@example.org")) < 2 {
 		t.Error("guest did not receive notifications")
 	}
@@ -439,73 +447,6 @@ func TestGridStatusEndpoint(t *testing.T) {
 	}
 	if out["resources"] != 1 {
 		t.Errorf("status payload %v", out)
-	}
-}
-
-// TestArtifactCacheAtomic covers the durable artifact path: when an
-// artifact directory is configured, downloading a finished batch
-// publishes the result zip on disk via atomic temp+rename, and an
-// interrupted rewrite never clobbers the published archive.
-func TestArtifactCacheAtomic(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "artifacts") // created by the first download
-	p, ts, _ := fixtureOpts(t, gsbl.Options{}, Options{ArtifactDir: dir})
-	batch := submitBatch(t, ts, map[string]string{
-		"email":        "durable@example.org",
-		"datatype":     "nucleotide",
-		"ratematrix":   "HKY85",
-		"ratehetmodel": "gamma",
-		"replicates":   "4",
-	}, testFASTA(t))
-	p.Pump(60 * sim.Day)
-
-	resp, err := http.Get(ts.URL + "/batch/" + batch + "/download")
-	if err != nil {
-		t.Fatal(err)
-	}
-	served, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("download returned %d", resp.StatusCode)
-	}
-
-	path := filepath.Join(dir, batch+".zip")
-	cached, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("no cached artifact: %v", err)
-	}
-	if !bytes.Equal(cached, served) {
-		t.Fatalf("cached artifact (%d bytes) != served download (%d bytes)", len(cached), len(served))
-	}
-	zr, err := zip.NewReader(bytes.NewReader(cached), int64(len(cached)))
-	if err != nil {
-		t.Fatalf("cached artifact is not a valid zip: %v", err)
-	}
-	if len(zr.File) == 0 {
-		t.Fatal("cached zip is empty")
-	}
-
-	// A writer dying mid-copy must leave the published archive intact
-	// and litter nothing.
-	half := len(cached) / 2
-	err = writeFileAtomic(path, io.MultiReader(
-		bytes.NewReader(cached[:half]),
-		iotest.ErrReader(errors.New("disk yanked")),
-	))
-	if err == nil {
-		t.Fatal("interrupted copy reported success")
-	}
-	after, err := os.ReadFile(path)
-	if err != nil || !bytes.Equal(after, cached) {
-		t.Fatalf("interrupted rewrite damaged the published artifact (err=%v)", err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if strings.Contains(e.Name(), ".tmp-") {
-			t.Errorf("temp file %s littered after interrupted copy", e.Name())
-		}
 	}
 }
 

@@ -80,8 +80,8 @@ func (s *JobSpec) validate(reps int) error {
 		if s.NumRateCats < 1 {
 			return fmt.Errorf("workload: NumRateCats = %d; need at least 1", s.NumRateCats)
 		}
-		if !(s.GammaShape > 0) || math.IsInf(s.GammaShape, 1) {
-			return fmt.Errorf("workload: GammaShape = %g; must be positive and finite", s.GammaShape)
+		if !(s.GammaShape > 0 && s.GammaShape <= phylo.MaxGammaShape) {
+			return fmt.Errorf("workload: GammaShape = %g; must be in (0, %g]", s.GammaShape, phylo.MaxGammaShape)
 		}
 	default:
 		return fmt.Errorf("workload: unknown rate heterogeneity kind %v", s.RateHet)

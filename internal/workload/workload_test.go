@@ -496,6 +496,7 @@ func TestValidateRefusesWhatExpansionCannotPrice(t *testing.T) {
 		"gamma+inv categories wrap":       func(s *JobSpec) { s.RateHet = phylo.RateGammaInv; s.PropInvariant = 0.2; s.NumRateCats = math.MaxInt },
 		"NaN gamma shape":                 func(s *JobSpec) { s.GammaShape = math.NaN() },
 		"infinite gamma shape":            func(s *JobSpec) { s.GammaShape = math.Inf(1) },
+		"gamma shape past the bound":      func(s *JobSpec) { s.GammaShape = 1e5 },
 		"NaN invariant share":             func(s *JobSpec) { s.RateHet = phylo.RateGammaInv; s.PropInvariant = math.NaN() },
 		// Every site its own pattern: the pattern count is the site
 		// count, even where that count does not round-trip a float64.

@@ -31,6 +31,7 @@ package lattice
 import (
 	"lattice/internal/core"
 	"lattice/internal/estimate"
+	"lattice/internal/forest"
 	"lattice/internal/phylo"
 	"lattice/internal/sim"
 	"lattice/internal/workload"
@@ -72,7 +73,7 @@ type (
 	// retrains continuously.
 	Estimator = estimate.Estimator
 	// EstimatorConfig sizes the forest.
-	EstimatorConfig = estimate.Config
+	EstimatorConfig = forest.Config
 )
 
 // BootstrapEstimator seeds and trains an estimator with n generated
