@@ -187,12 +187,15 @@ overload:
 # estimate (the SubstModel covariate), workload (the door's model check)
 # and garli, then the three experiments the engine and the forest shape:
 # the engine-performance table, Figure 2's importance ranking and the
-# ablations. Like the scenario targets above it is a focused entry
-# point; `check` does not depend on it, because `race` already runs
-# every one of these tests under -race.
+# ablations, and the two tests that drive Retrain on the grid (E13's
+# drifting stream and the reference-cluster fork), where retrains
+# snapshot the matrix while it grows. Like the scenario targets above
+# it is a focused entry point; `check` does not depend on it, because
+# `race` already runs every one of these tests under -race.
 engine:
 	$(GO) test -race ./internal/phylo ./internal/beagle ./internal/forest ./internal/estimate ./internal/workload ./cmd/garli
-	$(GO) test -race -run 'TestEnginePerfShape|TestFig2Shape|TestAblations' ./internal/experiments/
+	$(GO) test -race -run 'TestEnginePerfShape|TestFig2Shape|TestAblations|TestContinuousRetrainingShape' ./internal/experiments/
+	$(GO) test -race -run 'TestContinuousRetrainingFork' ./internal/core/
 
 # check is the full correctness gate: compile, go vet (also for the
 # 32-bit target, with the WAL's tests run there), the project

@@ -58,20 +58,23 @@ func run() error {
 		}
 		fmt.Print(r)
 	}
-	if *stats {
-		est, err := estimate.Bootstrap(
+	var est *estimate.Estimator
+	if *stats || *doPred {
+		var err error
+		est, err = estimate.Bootstrap(
 			forest.Config{NumTrees: *trees, MTry: 3, Seed: *seed},
 			workload.NewGenerator(*seed), *jobs)
 		if err != nil {
 			return err
 		}
+	}
+	if *stats {
 		st, err := est.Stats()
 		if err != nil {
 			return err
 		}
 		fmt.Printf("training matrix: %d jobs, %d trees\n", *jobs, *trees)
 		fmt.Printf("variance explained (model scale): %.1f%% (paper: ~93%%)\n", st.PctVarExplained)
-		fmt.Printf("variance explained (raw seconds): %.1f%%\n", st.RawPctVarExplained)
 		fmt.Printf("typical prediction error: ×%.2f\n", st.TypicalErrorFactor)
 	}
 	if *cv > 0 {
@@ -102,12 +105,6 @@ func run() error {
 		if err := spec.Validate(); err != nil {
 			return err
 		}
-		est, err := estimate.Bootstrap(
-			forest.Config{NumTrees: *trees, MTry: 3, Seed: *seed},
-			workload.NewGenerator(*seed), *jobs)
-		if err != nil {
-			return err
-		}
 		pred, err := est.Predict(&spec)
 		if err != nil {
 			return err
@@ -115,11 +112,7 @@ func run() error {
 		fmt.Printf("predicted runtime on the reference computer: %.2f hours (%.0f s)\n", pred/3600, pred)
 		fmt.Printf("memory requirement: %d MB\n", spec.MemoryMB())
 		for _, speed := range []float64{0.5, 1.0, 2.0} {
-			p, err := est.PredictOn(&spec, speed)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("  on a speed-%.1f resource: %.2f hours\n", speed, p/3600)
+			fmt.Printf("  on a speed-%.1f resource: %.2f hours\n", speed, pred/speed/3600)
 		}
 	}
 	return nil

@@ -130,7 +130,9 @@ func BenchmarkParallelScore(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			pool.WarmStart(parent)
+			for w := 0; w < pool.Workers(); w++ {
+				pool.Evaluator(w).(*Engine).WarmStart(parent)
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s := (i % schedule) * len(trees)

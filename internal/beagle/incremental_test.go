@@ -301,9 +301,10 @@ func TestWarmStartPoolSharing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool.WarmStart(parent)
 	for w := 0; w < pool.Workers(); w++ {
-		if st := pool.Evaluator(w).(*Engine).Stats(); st.CacheSize == 0 {
+		eng := pool.Evaluator(w).(*Engine)
+		eng.WarmStart(parent)
+		if st := eng.Stats(); st.CacheSize == 0 {
 			t.Fatalf("worker %d adopted no cache entries from the warm parent", w)
 		}
 	}

@@ -103,19 +103,17 @@ func DefaultConfig() forest.Config {
 // Internally the forest regresses log(runtime): GARLI runtimes span
 // minutes to months, and log-scale training preserves relative
 // accuracy for short jobs (which drive BOINC deadline and bundling
-// decisions) as well as long ones. Reported statistics (percent
-// variance explained, importance) are computed on the raw-seconds
-// scale to match the paper's reporting.
+// decisions) as well as long ones.
+//
+// The training matrix only grows and no row is written once added, so
+// Dataset snapshots it without a copy and every forest trains on its
+// snapshot in place.
 type Estimator struct {
-	mu  sync.Mutex
-	ds  *forest.Dataset
-	f   *forest.Forest
-	cfg forest.Config
+	cfg forest.Config // fixed at New
 
-	// rawForest regresses raw seconds for paper-style reporting
-	// (Stats); rebuilt lazily when the matrix grows.
-	rawForest     *forest.Forest
-	rawForestRows int
+	mu sync.Mutex
+	ds *forest.Dataset
+	f  *forest.Forest
 }
 
 // New returns an estimator with an empty training matrix.
@@ -146,21 +144,28 @@ func (e *Estimator) AddObservation(spec *workload.JobSpec, refSeconds float64) e
 	return e.ds.Append(x[:], math.Log(refSeconds))
 }
 
-// Retrain rebuilds the forest from the current training matrix. The
-// matrix is snapshotted under the lock and training runs outside it —
-// tree growing joins worker channels, and holding mu across that
-// would stall every reader for the full training latency.
-func (e *Estimator) Retrain() error {
+// Dataset returns a snapshot of the training matrix: every row added
+// so far, in order. The matrix's slices are cut at their current
+// length and capacity, so a later observation never writes where the
+// snapshot can read and does not show in it. The rows are the
+// estimator's own; the caller must not write to them.
+func (e *Estimator) Dataset() *forest.Dataset {
 	e.mu.Lock()
-	if e.ds.NumRows() < 5 {
-		n := e.ds.NumRows()
-		e.mu.Unlock()
+	defer e.mu.Unlock()
+	n := e.ds.NumRows()
+	return &forest.Dataset{Schema: e.ds.Schema, X: e.ds.X[:n:n], Y: e.ds.Y[:n:n]}
+}
+
+// Retrain rebuilds the forest from a snapshot of the training matrix.
+// Training runs outside the lock — tree growing joins worker
+// channels, and holding mu across that would stall every reader for
+// the full training latency.
+func (e *Estimator) Retrain() error {
+	ds := e.Dataset()
+	if n := ds.NumRows(); n < 5 {
 		return fmt.Errorf("estimate: only %d observations; need at least 5 to train", n)
 	}
-	ds := e.ds.Clone()
-	cfg := e.cfg
-	e.mu.Unlock()
-	f, err := forest.Train(ds, cfg)
+	f, err := forest.Train(ds, e.cfg)
 	if err != nil {
 		return err
 	}
@@ -182,20 +187,6 @@ func (e *Estimator) Predict(spec *workload.JobSpec) (float64, error) {
 	return math.Exp(e.f.Predict(x[:])), nil
 }
 
-// PredictOn scales the reference estimate by a resource's measured
-// speed: a speed-2.0 resource finishes the job in half the reference
-// time (paper Section VI-E(a)).
-func (e *Estimator) PredictOn(spec *workload.JobSpec, speed float64) (float64, error) {
-	if speed <= 0 {
-		return 0, fmt.Errorf("estimate: resource speed must be positive, got %g", speed)
-	}
-	ref, err := e.Predict(spec)
-	if err != nil {
-		return 0, err
-	}
-	return ref / speed, nil
-}
-
 // ModelStats summarizes the estimator's out-of-bag fit.
 type ModelStats struct {
 	// PctVarExplained is 1 - OOB MSE / Var(y) in percent on the
@@ -205,44 +196,11 @@ type ModelStats struct {
 	// TypicalErrorFactor is exp(OOB log-RMSE): the multiplicative
 	// factor a typical prediction is off by (1.5 = within ±50%).
 	TypicalErrorFactor float64
-	// RawPctVarExplained is the same statistic from a forest
-	// regressing raw seconds (R randomForest-style); with runtimes
-	// spanning four orders of magnitude it is dominated by the few
-	// largest jobs and is reported for completeness.
-	RawPctVarExplained float64
-	// RawRMSESeconds is the raw-scale OOB RMSE in seconds.
-	RawRMSESeconds float64
 }
 
-// Stats reports the model's out-of-bag fit on both scales; see
-// ModelStats. The raw-scale forest is trained on demand and cached
-// until the training matrix changes.
+// Stats reports the model's out-of-bag fit; see ModelStats.
 func (e *Estimator) Stats() (ModelStats, error) {
 	e.mu.Lock()
-	if e.f == nil {
-		e.mu.Unlock()
-		return ModelStats{}, fmt.Errorf("estimate: model not trained")
-	}
-	if e.rawForest == nil || e.rawForestRows != e.ds.NumRows() {
-		// Snapshot the matrix and train outside the lock, like
-		// Retrain: the raw-scale fit is a cache fill, not a critical
-		// section.
-		raw := e.ds.Clone()
-		rows := e.ds.NumRows()
-		cfg := e.cfg
-		e.mu.Unlock()
-		for i, y := range raw.Y {
-			raw.Y[i] = math.Exp(y)
-		}
-		cfg.Seed++ // a stream apart from the log-scale forest's
-		f, err := forest.Train(raw, cfg)
-		if err != nil {
-			return ModelStats{}, err
-		}
-		e.mu.Lock()
-		e.rawForest = f
-		e.rawForestRows = rows
-	}
 	defer e.mu.Unlock()
 	if e.f == nil {
 		return ModelStats{}, fmt.Errorf("estimate: model not trained")
@@ -250,8 +208,6 @@ func (e *Estimator) Stats() (ModelStats, error) {
 	return ModelStats{
 		PctVarExplained:    e.f.PercentVarExplained(),
 		TypicalErrorFactor: math.Exp(math.Sqrt(e.f.OOBMSE())),
-		RawPctVarExplained: e.rawForest.PercentVarExplained(),
-		RawRMSESeconds:     math.Sqrt(e.rawForest.OOBMSE()),
 	}, nil
 }
 
@@ -281,11 +237,8 @@ type CVMetrics struct {
 // CrossValidate runs k-fold cross-validation on the current training
 // matrix.
 func (e *Estimator) CrossValidate(k int) (CVMetrics, error) {
-	e.mu.Lock()
-	ds := e.ds.Clone()
-	cfg := e.cfg
-	e.mu.Unlock()
-	pred, err := forest.CrossValidate(ds, cfg, k)
+	ds := e.Dataset()
+	pred, err := forest.CrossValidate(ds, e.cfg, k)
 	if err != nil {
 		return CVMetrics{}, err
 	}

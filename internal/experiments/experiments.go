@@ -19,6 +19,7 @@ import (
 	"lattice/internal/boinc"
 	"lattice/internal/core"
 	"lattice/internal/estimate"
+	"lattice/internal/forest"
 	"lattice/internal/metasched"
 	"lattice/internal/sim"
 	"lattice/internal/workload"
@@ -153,10 +154,16 @@ func (oraclePredictor) Predict(spec *workload.JobSpec) (float64, error) {
 
 // estimatorFor builds a trained estimator outside a Lattice.
 func estimatorFor(seed int64, trainJobs, trees int) (*estimate.Estimator, error) {
+	return estimate.Bootstrap(configFor(seed, trees), workload.NewGenerator(seed), trainJobs)
+}
+
+// configFor is the estimator's forest at seed, with trees trees (0
+// keeps the default ensemble).
+func configFor(seed int64, trees int) forest.Config {
 	cfg := estimate.DefaultConfig()
 	cfg.Seed = seed
 	if trees > 0 {
 		cfg.NumTrees = trees
 	}
-	return estimate.Bootstrap(cfg, workload.NewGenerator(seed), trainJobs)
+	return cfg
 }

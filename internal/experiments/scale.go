@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"lattice/internal/core"
-	"lattice/internal/estimate"
 	"lattice/internal/lrm"
 	"lattice/internal/lrm/cluster"
 	"lattice/internal/metasched"
@@ -253,9 +252,7 @@ func ContinuousRetraining(seed int64) (*RetrainingResult, error) {
 	}
 	res := &RetrainingResult{}
 	for _, retrain := range []bool{false, true} {
-		cfg := estimate.DefaultConfig()
-		cfg.Seed = seed
-		est, err := estimate.Bootstrap(cfg, workload.NewGenerator(seed), 30)
+		est, err := estimatorFor(seed, 30, 0)
 		if err != nil {
 			return nil, err
 		}

@@ -10,11 +10,11 @@ import (
 	"lattice/internal/workload"
 )
 
-// paperShape is the estimator's bootstrap training problem: the
-// paper's initial ~150-job matrix over the nine predictors, MTry 3 —
-// what every retrain on the grid pays for at least once.
-func paperShape(tb testing.TB, trees int) (*forest.Dataset, forest.Config) {
-	specs, secs := workload.NewGenerator(3).TrainingJobs(150)
+// paperShape is the estimator's bootstrap training problem at rows
+// jobs: at 150, the paper's initial matrix over the nine predictors,
+// MTry 3 — what every retrain on the grid pays for at least once.
+func paperShape(tb testing.TB, rows, trees int) (*forest.Dataset, forest.Config) {
+	specs, secs := workload.NewGenerator(3).TrainingJobs(rows)
 	ds := &forest.Dataset{Schema: estimate.Schema()}
 	for i := range specs {
 		if err := ds.Append(estimate.Features(&specs[i]), math.Log(secs[i])); err != nil {
@@ -24,27 +24,38 @@ func paperShape(tb testing.TB, trees int) (*forest.Dataset, forest.Config) {
 	return ds, forest.Config{NumTrees: trees, MTry: 3, Seed: 1}
 }
 
-// TestTrainAllocationBudget keeps per-node and per-call garbage out of
-// tree growth. A tree may cost the objects that outlive it (its
-// header, nodes, oob, gain) and the call a few per row (the dataset
-// snapshot) plus a constant (builder scratch, OOB arrays). Per-node
-// row slices, sort closures and per-tree RNG sources once ran to
-// 184 099 objects and 25.4 MB on this shape.
+// TestTrainAllocationBudget keeps per-node, per-row and per-call
+// garbage out of tree growth. A tree may cost the objects that outlive
+// it (its header, nodes, oob, gain) and the call a constant (builder
+// scratch, the column-major matrix, OOB sums); a row costs nothing, so
+// a matrix four times the size trains in the same count. Per-node row
+// slices, sort closures and per-tree RNG sources once ran to 184 099
+// objects and 25.4 MB on the 150-row shape, and a copy of the matrix
+// once cost an object per row.
 func TestTrainAllocationBudget(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one worker, one builder
-	ds, cfg := paperShape(t, 500)
-	train := func() {
-		if _, err := forest.Train(ds, cfg); err != nil {
-			t.Fatal(err)
-		}
+	const trees = 500
+	allocs := func(rows int) float64 {
+		ds, cfg := paperShape(t, rows, trees)
+		return testing.AllocsPerRun(3, func() {
+			if _, err := forest.Train(ds, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	budget := float64(6*cfg.NumTrees + 4*ds.NumRows() + 64)
-	if n := testing.AllocsPerRun(3, train); n > budget {
-		t.Errorf("Train allocates %.0f objects, budget %.0f", n, budget)
+	small, large := allocs(150), allocs(600)
+	if budget := float64(6*trees + 64); small > budget {
+		t.Errorf("Train allocates %.0f objects, budget %.0f", small, budget)
 	}
+	if math.Abs(large-small) > 8 {
+		t.Errorf("Train allocates %.0f objects on 150 rows but %.0f on 600: rows cost allocations", small, large)
+	}
+	ds, cfg := paperShape(t, 150, trees)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	train()
+	if _, err := forest.Train(ds, cfg); err != nil {
+		t.Fatal(err)
+	}
 	runtime.ReadMemStats(&after)
 	if b := after.TotalAlloc - before.TotalAlloc; b > 1<<20 {
 		t.Errorf("Train allocates %d bytes, budget %d", b, 1<<20)
@@ -54,7 +65,7 @@ func TestTrainAllocationBudget(t *testing.T) {
 var benchForest *forest.Forest
 
 func benchmarkTrain(b *testing.B, trees int) {
-	ds, cfg := paperShape(b, trees)
+	ds, cfg := paperShape(b, 150, trees)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

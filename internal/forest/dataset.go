@@ -136,17 +136,6 @@ func (d *Dataset) Append(x []float64, y float64) error {
 	return nil
 }
 
-// Clone returns a deep copy (training snapshots while the live matrix
-// keeps growing).
-func (d *Dataset) Clone() *Dataset {
-	c := &Dataset{Schema: d.Schema, Y: append([]float64(nil), d.Y...)}
-	c.X = make([][]float64, len(d.X))
-	for i, row := range d.X {
-		c.X[i] = append([]float64(nil), row...)
-	}
-	return c
-}
-
 // variance returns the population variance of y.
 func variance(y []float64) float64 {
 	if len(y) == 0 {

@@ -43,15 +43,15 @@ type Forest struct {
 	cfg    Config
 	trees  []*regTree
 
-	oobPrediction []float64 // mean OOB vote per training row (NaN if never OOB)
-	oobCounts     []int
 	oobMSE        float64
 	trainVariance float64
-	ds            *Dataset // retained for permutation importance
+	ds            *Dataset // the training matrix, kept for permutation importance
 }
 
 // Train grows a forest on ds. It is deterministic for a given
-// Config.Seed regardless of parallelism.
+// Config.Seed regardless of parallelism. The forest keeps ds rather
+// than a copy, so the caller must not change its rows or responses
+// afterwards; appending to it is fine.
 func Train(ds *Dataset, cfg Config) (*Forest, error) {
 	if err := ds.Validate(); err != nil {
 		return nil, err
@@ -71,7 +71,7 @@ func Train(ds *Dataset, cfg Config) (*Forest, error) {
 	}
 	workers := min(runtime.GOMAXPROCS(0), cfg.NumTrees)
 
-	f := &Forest{schema: ds.Schema, cfg: cfg, trees: make([]*regTree, cfg.NumTrees), ds: ds.Clone()}
+	f := &Forest{schema: ds.Schema, cfg: cfg, trees: make([]*regTree, cfg.NumTrees), ds: ds}
 	cols := columnMajor(f.ds)
 
 	var wg sync.WaitGroup
@@ -111,7 +111,7 @@ func columnMajor(ds *Dataset) []float64 {
 	return cols
 }
 
-// computeOOB fills the out-of-bag predictions and error.
+// computeOOB fills the out-of-bag error.
 func (f *Forest) computeOOB() {
 	n := f.ds.NumRows()
 	sums := make([]float64, n)
@@ -122,17 +122,13 @@ func (f *Forest) computeOOB() {
 			counts[r]++
 		}
 	}
-	f.oobPrediction = make([]float64, n)
-	f.oobCounts = counts
 	var sse float64
 	var m int
 	for i := 0; i < n; i++ {
 		if counts[i] == 0 {
-			f.oobPrediction[i] = f.ds.Y[i] // never OOB (tiny forests only)
-			continue
+			continue // never OOB (tiny forests only)
 		}
-		f.oobPrediction[i] = sums[i] / float64(counts[i])
-		d := f.oobPrediction[i] - f.ds.Y[i]
+		d := sums[i]/float64(counts[i]) - f.ds.Y[i]
 		sse += d * d
 		m++
 	}

@@ -85,19 +85,6 @@ func onePool(ev Evaluator) *EvaluatorPool {
 	return &EvaluatorPool{evs: []Evaluator{ev}}
 }
 
-// WarmStart pre-warms every worker engine from an external, already
-// warm parent evaluator (typically the engine that built or previously
-// scored the trees about to be fanned out). Engines that do not
-// implement WarmStarter are skipped. The parent must not be evaluated
-// concurrently with the call.
-func (p *EvaluatorPool) WarmStart(parent Evaluator) {
-	for _, ev := range p.evs {
-		if ws, ok := ev.(WarmStarter); ok && ev != parent {
-			ws.WarmStart(parent)
-		}
-	}
-}
-
 // Workers returns the pool size.
 func (p *EvaluatorPool) Workers() int { return len(p.evs) }
 

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"mime/multipart"
 	"net/http"
@@ -238,6 +239,61 @@ func TestGuestSubmissionEndToEnd(t *testing.T) {
 	if len(mailer.SentTo("guest@example.org")) < 2 {
 		t.Error("guest did not receive notifications")
 	}
+}
+
+// TestBatchStatusPage renders the HTML page a browser gets at
+// /batch/<id>: the counts the JSON status reports, "still running"
+// and no download link while jobs run, and the link to the results
+// zip once the batch is done.
+func TestBatchStatusPage(t *testing.T) {
+	p, ts, _ := fixture(t)
+	batch := submitBatch(t, ts, map[string]string{
+		"email":        "guest@example.org",
+		"datatype":     "nucleotide",
+		"ratematrix":   "HKY85",
+		"ratehetmodel": "gamma",
+		"replicates":   "10",
+	}, testFASTA(t))
+	get := func(query string) string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/batch/" + batch + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /batch/%s%s: %d %s", batch, query, resp.StatusCode, body)
+		}
+		return string(body)
+	}
+	check := func(done bool) {
+		t.Helper()
+		var st gsbl.BatchStatus
+		if err := json.Unmarshal([]byte(get("?format=json")), &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.Done != done || (!done && st.Running == 0) {
+			t.Fatalf("status %+v: want done = %v, and jobs running if not", st, done)
+		}
+		page := get("")
+		for _, row := range []struct {
+			name string
+			n    int
+		}{{"Total jobs", st.Total}, {"Completed", st.Completed}, {"Failed", st.Failed}, {"Running", st.Running}, {"Pending", st.Pending}} {
+			if want := fmt.Sprintf("<tr><td>%s</td><td>%d</td></tr>", row.name, row.n); !strings.Contains(page, want) {
+				t.Errorf("page lacks %q:\n%s", want, page)
+			}
+		}
+		link := `<a href="/batch/` + batch + `/download">`
+		if strings.Contains(page, link) != done || strings.Contains(page, "still running") == done {
+			t.Errorf("done = %v, but the page reads:\n%s", done, page)
+		}
+	}
+	p.Pump(5 * sim.Second)
+	check(false)
+	p.Pump(60 * sim.Day)
+	check(true)
 }
 
 func TestValidationPrePassRejectsBadUpload(t *testing.T) {
