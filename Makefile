@@ -11,7 +11,7 @@ GO ?= go
 # included and marked, for dashboards and suppression audits.
 LINT_ARTIFACT = latticelint.json
 
-.PHONY: all build vet vet-narrow lint lint-fixtures tracked-binaries fuzz test race smoke faults crash dag scale overload engine check bench-rot ledger ledger-trace pins
+.PHONY: all build vet vet-narrow lint lint-fixtures tracked-binaries fuzz test race smoke examples faults crash dag scale overload engine check bench-rot ledger ledger-trace pins
 
 all: check
 
@@ -100,6 +100,17 @@ race:
 # root span plus one span per job.
 smoke:
 	$(GO) run ./cmd/lattice -smoke
+
+# examples runs the example programs that finish in seconds, so they
+# cannot rot between builds: portalrun drives the portal's form path end
+# to end (the description, a FASTA upload, the batch, the zip),
+# quickstart and runtimemodel the facade and the runtime model. Their
+# output goes to /dev/null; a failure exits non-zero with its error.
+# treesearch (minutes of tree search) is only compiled, by build.
+examples:
+	$(GO) run ./examples/portalrun > /dev/null
+	$(GO) run ./examples/quickstart > /dev/null
+	$(GO) run ./examples/runtimemodel > /dev/null
 
 # bench-rot executes every benchmark body in the tree exactly once — a
 # CI gate so benchmark code cannot rot. (The ledger's own workloads run
@@ -206,6 +217,6 @@ engine:
 # concurrency stress tests and — once each — the fault-injection,
 # crash-recovery, workflow, coordinator sharding and
 # overload-protection scenarios), the grid boot smoke that scrapes
-# /metrics over real HTTP, and one execution of every benchmark body so
-# benchmark code cannot rot.
-check: build vet vet-narrow lint lint-fixtures tracked-binaries fuzz race smoke bench-rot
+# /metrics over real HTTP, the quick example programs, and one
+# execution of every benchmark body so benchmark code cannot rot.
+check: build vet vet-narrow lint lint-fixtures tracked-binaries fuzz race smoke examples bench-rot

@@ -1,12 +1,15 @@
 // Command garli is the standalone phylogenetic analysis program: a
 // GARLI-style maximum-likelihood tree search over an input alignment,
-// with optional bootstrapping, majority-rule consensus, and
-// checkpointing — the application binary the grid distributes.
+// with optional bootstrapping and majority-rule consensus — the
+// application binary the grid distributes. The analysis flags are
+// GARLI's configuration keys, the portal form's fields
+// (workload.Params); the alignment may be NEXUS, FASTA or PHYLIP, told
+// apart by the file's first bytes.
 //
 // Usage:
 //
-//	garli -data seqs.fasta -datatype nucleotide -model GTR \
-//	      -ratehet gamma -searchreps 2 -bootstrap 100 -out run1
+//	garli -data seqs.fasta -datatype nucleotide -ratematrix GTR \
+//	      -ratehetmodel gamma -searchreps 2 -bootstrap 100 -out run1
 package main
 
 import (
@@ -31,24 +34,19 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("garli", flag.ContinueOnError)
+	for _, p := range workload.Params {
+		fs.String(p.Name, p.Default, p.Label)
+	}
 	var (
-		dataPath   = fs.String("data", "", "input alignment (FASTA or PHYLIP)")
-		format     = fs.String("format", "fasta", "input format: fasta, phylip, or nexus")
-		datatype   = fs.String("datatype", "nucleotide", "nucleotide, aminoacid, or codon")
-		model      = fs.String("model", "GTR", "substitution model (JC69, K80, HKY85, GTR, poisson, empirical, GY94)")
-		ratehet    = fs.String("ratehet", "gamma", "rate heterogeneity: none, gamma, gamma+inv")
-		numCats    = fs.Int("numratecats", 4, "discrete gamma categories")
-		alpha      = fs.Float64("alpha", 0.5, "gamma shape")
-		pinv       = fs.Float64("pinv", 0.2, "proportion invariant (gamma+inv)")
-		searchReps = fs.Int("searchreps", 1, "independent search replicates")
-		streef     = fs.String("streefname", "stepwise", "starting tree: random, stepwise, user")
-		userTree   = fs.String("usertree", "", "Newick file with the user starting tree (streefname=user)")
-		attach     = fs.Int("attachmentspertaxon", 25, "stepwise attachment points per taxon")
-		bootstrap  = fs.Int("bootstrap", 0, "bootstrap replicates (0 = best-tree search only)")
-		gens       = fs.Int("generations", 500, "maximum GA generations per replicate")
-		workers    = fs.Int("workers", 1, "parallel evaluation workers (engines); the result does not depend on the count")
-		seed       = fs.Int64("seed", 1, "random seed")
-		out        = fs.String("out", "garli", "output file prefix")
+		dataPath  = fs.String("data", "", "input alignment (NEXUS, FASTA or PHYLIP)")
+		alpha     = fs.Float64("alpha", workload.GammaShape, "gamma shape")
+		pinv      = fs.Float64("pinv", workload.PropInvariant, "proportion invariant (gamma+inv)")
+		userTree  = fs.String("usertree", "", "Newick file with the user starting tree (streefname=user)")
+		bootstrap = fs.Int("bootstrap", 0, "bootstrap replicates (0 = best-tree search only)")
+		gens      = fs.Int("generations", 500, "maximum GA generations per replicate")
+		workers   = fs.Int("workers", 1, "parallel evaluation workers (engines); the result does not depend on the count")
+		seed      = fs.Int64("seed", 1, "random seed")
+		out       = fs.String("out", "garli", "output file prefix")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -58,7 +56,7 @@ func run(args []string) error {
 		return fmt.Errorf("-data is required")
 	}
 
-	dt, err := phylo.ParseDataType(*datatype)
+	spec, err := workload.ParseSpec(func(name string) string { return fs.Lookup(name).Value.String() })
 	if err != nil {
 		return err
 	}
@@ -67,43 +65,28 @@ func run(args []string) error {
 		return err
 	}
 	defer f.Close()
-	var al *phylo.Alignment
-	switch strings.ToLower(*format) {
-	case "fasta":
-		al, err = phylo.ParseFASTA(f, dt)
-	case "phylip":
-		al, err = phylo.ParsePHYLIP(f, dt)
-	case "nexus":
-		al, err = phylo.ParseNEXUS(f)
-		if err == nil {
-			// The NEXUS FORMAT block overrides -datatype.
-			dt = al.Type
-		}
-	default:
-		return fmt.Errorf("unknown format %q", *format)
-	}
+	al, err := phylo.ReadAlignment(f, spec.DataType)
 	if err != nil {
 		return err
 	}
 	if err := al.Validate(); err != nil {
 		return fmt.Errorf("validation mode: %w", err)
 	}
-	fmt.Printf("alignment: %d taxa × %d characters (%s)\n", al.NumTaxa(), al.Length(), dt)
+	// A NEXUS FORMAT block overrides -datatype.
+	spec.DataType = al.Type
+	fmt.Printf("alignment: %d taxa × %d characters (%s)\n", al.NumTaxa(), al.Length(), spec.DataType)
 
-	spec := workload.JobSpec{DataType: dt, SubstModel: *model}
+	// Each rate parameter is read only where the rate model has it.
+	spec.GammaShape, spec.PropInvariant = *alpha, *pinv
+	spec.NumTaxa, spec.SeqLength = al.NumTaxa(), al.Length()
+	if err := spec.Validate(); err != nil {
+		return err
+	}
 	subst, err := spec.BuildModel()
 	if err != nil {
 		return err
 	}
-	het, err := phylo.ParseRateHetKind(*ratehet)
-	if err != nil {
-		return err
-	}
-	rates, err := phylo.NewSiteRates(het, *alpha, *pinv, *numCats)
-	if err != nil {
-		return err
-	}
-	start, err := phylo.ParseStartingTreeKind(*streef)
+	rates, err := spec.BuildRates()
 	if err != nil {
 		return err
 	}
@@ -113,12 +96,9 @@ func run(args []string) error {
 	}
 	fmt.Printf("compiled: %d unique site patterns\n", pd.NumPatterns())
 
-	cfg := phylo.DefaultSearchConfig()
-	cfg.SearchReps = *searchReps
-	cfg.StartingTree = start
-	cfg.AttachmentsPerTaxon = *attach
+	cfg := spec.SearchConfig()
 	cfg.MaxGenerations = *gens
-	if start == phylo.StartUser {
+	if spec.StartingTree == phylo.StartUser {
 		if *userTree == "" {
 			return fmt.Errorf("-streefname user requires -usertree")
 		}

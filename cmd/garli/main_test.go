@@ -75,11 +75,11 @@ func TestNonFiniteRateParametersRefused(t *testing.T) {
 	data := filepath.Join(dir, "sim.fasta")
 	writeAlignment(t, data)
 	for _, bad := range [][]string{
-		{"-ratehet", "gamma", "-alpha", "NaN"},
-		{"-ratehet", "gamma", "-alpha", "+Inf"},
-		{"-ratehet", "gamma+inv", "-alpha", "NaN"},
-		{"-ratehet", "gamma+inv", "-pinv", "NaN"},
-		{"-ratehet", "gamma", "-alpha", "1e6"},
+		{"-ratehetmodel", "gamma", "-alpha", "NaN"},
+		{"-ratehetmodel", "gamma", "-alpha", "+Inf"},
+		{"-ratehetmodel", "gamma+inv", "-alpha", "NaN"},
+		{"-ratehetmodel", "gamma+inv", "-pinv", "NaN"},
+		{"-ratehetmodel", "gamma", "-alpha", "1e6"},
 	} {
 		out := filepath.Join(dir, "bad")
 		args := append([]string{"-data", data, "-generations", "2", "-out", out}, bad...)
@@ -88,6 +88,63 @@ func TestNonFiniteRateParametersRefused(t *testing.T) {
 		}
 		if _, err := os.Stat(out + ".best.tre"); err == nil {
 			t.Errorf("run(%q) wrote a tree", bad)
+		}
+	}
+}
+
+// TestFormatIsReadFromTheFile runs one search on a FASTA, a PHYLIP and
+// a NEXUS copy of the same alignment and compares the printed lines and
+// every file written with testdata cut from the program as it was
+// before the format came from the file: then the format was a flag
+// (-format phylip, -format nexus), and -ratematrix and -ratehetmodel
+// were -model and -ratehet.
+func TestFormatIsReadFromTheFile(t *testing.T) {
+	data, err := filepath.Abs("testdata")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Chdir(t.TempDir())
+	for _, c := range []struct {
+		out   string
+		args  []string
+		files []string
+	}{
+		{"fasta", []string{"-data", filepath.Join(data, "seqs.fasta"), "-ratematrix", "HKY85", "-ratehetmodel", "gamma+inv",
+			"-generations", "30", "-seed", "3"}, []string{".best.tre"}},
+		{"phylip", []string{"-data", filepath.Join(data, "seqs.phy"), "-ratematrix", "K80", "-ratehetmodel", "none",
+			"-searchreps", "2", "-streefname", "random", "-generations", "30", "-seed", "4"}, []string{".best.tre"}},
+		{"nexus", []string{"-data", filepath.Join(data, "seqs.nex"), "-ratematrix", "GTR", "-numratecats", "2",
+			"-attachmentspertaxon", "5", "-alpha", "0.8", "-generations", "20", "-bootstrap", "3", "-seed", "5"},
+			[]string{".best.tre", ".boot.con"}},
+	} {
+		// run prints to os.Stdout; a file stands in for it.
+		stdout, err := os.Create(c.out + ".stdout")
+		if err != nil {
+			t.Fatal(err)
+		}
+		os.Stdout, stdout = stdout, os.Stdout
+		err = run(append(c.args, "-out", c.out))
+		os.Stdout, stdout = stdout, os.Stdout
+		if cerr := stdout.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", c.out, err)
+		}
+		got := map[string][]byte{}
+		for _, ext := range append(c.files, ".stdout") {
+			if got[ext], err = os.ReadFile(c.out + ext); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for ext, g := range got {
+			want, err := os.ReadFile(filepath.Join(data, c.out+ext))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(g, want) {
+				t.Errorf("%s%s:\n%s\nwant\n%s", c.out, ext, g, want)
+			}
 		}
 	}
 }

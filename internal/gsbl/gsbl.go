@@ -11,36 +11,24 @@ package gsbl
 import (
 	"encoding/xml"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"lattice/internal/metasched"
-	"lattice/internal/phylo"
 	"lattice/internal/sim"
+	"lattice/internal/workload"
 )
-
-// Param describes one form parameter of a grid application.
-type Param struct {
-	Name    string `xml:"name,attr"`
-	Type    string `xml:"type,attr"` // "int", "float", "choice", "file", "text"
-	Label   string `xml:"label"`
-	Default string `xml:"default,omitempty"`
-	// Options is not omitempty: encoding/xml applies that to each
-	// element, so an empty option would not survive a round trip.
-	Options  []string `xml:"option"`
-	Required bool     `xml:"required,attr"`
-	Help     string   `xml:"help,omitempty"`
-}
 
 // AppDescription is the XML description of a grid application from
 // which a web interface is generated ("software that takes an XML
 // description of grid application arguments and options and
 // automatically generates a … web interface for that application").
 type AppDescription struct {
-	XMLName xml.Name `xml:"gridApplication"`
-	Name    string   `xml:"name,attr"`
-	Version string   `xml:"version,attr"`
-	Title   string   `xml:"title"`
-	Params  []Param  `xml:"parameter"`
+	XMLName xml.Name         `xml:"gridApplication"`
+	Name    string           `xml:"name,attr"`
+	Version string           `xml:"version,attr"`
+	Title   string           `xml:"title"`
+	Params  []workload.Param `xml:"parameter"`
 }
 
 // MarshalXML renders the description document.
@@ -63,32 +51,23 @@ func ParseAppDescription(data []byte) (*AppDescription, error) {
 }
 
 // GarliApp returns the GARLI grid service description mirroring the
-// portal form in the paper's Figure 1.
+// portal form in the paper's Figure 1: the data file, GARLI's analysis
+// parameters (workload.Params), then the batch's own fields.
 func GarliApp() *AppDescription {
 	return &AppDescription{
 		Name:    "garli",
 		Version: "2.0",
 		Title:   "GARLI — Genetic Algorithm for Rapid Likelihood Inference",
-		Params: []Param{
+		Params: slices.Concat([]workload.Param{
 			{Name: "datafile", Type: "file", Label: "Sequence data file (FASTA or PHYLIP)", Required: true,
 				Help: "Aligned sequence data; all rows must be the same length."},
-			{Name: "datatype", Type: "choice", Label: "Data type", Default: "nucleotide",
-				Options: []string{"nucleotide", "aminoacid", "codon"}, Required: true},
-			{Name: "ratematrix", Type: "choice", Label: "Substitution model", Default: "GTR",
-				Options: phylo.ModelNames(), Required: true},
-			{Name: "ratehetmodel", Type: "choice", Label: "Rate heterogeneity", Default: "gamma",
-				Options: []string{"none", "gamma", "gamma+inv"}, Required: true},
-			{Name: "numratecats", Type: "int", Label: "Number of rate categories", Default: "4"},
-			{Name: "searchreps", Type: "int", Label: "Search replicates per job", Default: "1"},
-			{Name: "streefname", Type: "choice", Label: "Starting tree", Default: "stepwise",
-				Options: []string{"random", "stepwise", "user"}},
-			{Name: "attachmentspertaxon", Type: "int", Label: "Attachments per taxon", Default: "25"},
+		}, workload.Params, []workload.Param{
 			{Name: "replicates", Type: "int", Label: "Job replicates (1-2000)", Default: "1", Required: true,
 				Help: "Each replicate runs in parallel on a separate grid processor."},
 			{Name: "bootstrap", Type: "choice", Label: "Bootstrap resampling", Default: "no",
 				Options: []string{"no", "yes"}},
 			{Name: "email", Type: "text", Label: "Email address for notifications", Required: true},
-		},
+		}),
 	}
 }
 

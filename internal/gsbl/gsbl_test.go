@@ -147,7 +147,7 @@ func TestGarliAppXMLRoundTrip(t *testing.T) {
 	if back.Name != "garli" || len(back.Params) != len(app.Params) {
 		t.Errorf("round trip lost content: %s, %d params", back.Name, len(back.Params))
 	}
-	var het *Param
+	var het *workload.Param
 	for i := range back.Params {
 		if back.Params[i].Name == "ratehetmodel" {
 			het = &back.Params[i]

@@ -2,6 +2,7 @@ package phylo
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"sort"
@@ -296,4 +297,25 @@ func ParsePHYLIP(r io.Reader, dt DataType) (*Alignment, error) {
 		a.Seqs = append(a.Seqs, seq)
 	}
 	return a, nil
+}
+
+// ReadAlignment reads an alignment in the format its first bytes name,
+// after any blank lines and indentation: "#NEXUS" (in any case) is
+// NEXUS, whose FORMAT block sets the data type; ">" is FASTA; anything
+// else is PHYLIP. dt is the data type of FASTA and PHYLIP data, which
+// do not record one.
+func ReadAlignment(r io.Reader, dt DataType) (*Alignment, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	data = bytes.TrimLeft(data, " \t\r\n")
+	switch {
+	case len(data) >= 6 && bytes.EqualFold(data[:6], []byte("#NEXUS")):
+		return ParseNEXUS(bytes.NewReader(data))
+	case bytes.HasPrefix(data, []byte(">")):
+		return ParseFASTA(bytes.NewReader(data), dt)
+	default:
+		return ParsePHYLIP(bytes.NewReader(data), dt)
+	}
 }

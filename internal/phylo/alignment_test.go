@@ -1,6 +1,8 @@
 package phylo
 
 import (
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -273,5 +275,42 @@ func TestDataTypeParsing(t *testing.T) {
 	}
 	if Nucleotide.NumStates() != 4 || AminoAcid.NumStates() != 20 || Codon.NumStates() != 61 {
 		t.Error("wrong state counts")
+	}
+}
+
+// TestReadAlignmentTellsTheFormat: ReadAlignment reads FASTA, PHYLIP
+// and NEXUS as the parser of each does, whatever blank lines come
+// first and in whichever case the file says #NEXUS, and passes the
+// caller's data type to the formats that do not record one.
+func TestReadAlignmentTellsTheFormat(t *testing.T) {
+	var fasta, nexus strings.Builder
+	if err := smallNucAlignment().WriteFASTA(&fasta); err != nil {
+		t.Fatal(err)
+	}
+	if err := smallNucAlignment().writeNEXUS(&nexus); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		text  string
+		parse func(io.Reader) (*Alignment, error)
+	}{
+		{fasta.String(), func(r io.Reader) (*Alignment, error) { return ParseFASTA(r, AminoAcid) }},
+		{phylipSample, func(r io.Reader) (*Alignment, error) { return ParsePHYLIP(r, AminoAcid) }},
+		{nexus.String(), ParseNEXUS},
+		{strings.Replace(nexus.String(), "#NEXUS", "#nexus", 1), ParseNEXUS},
+	} {
+		want, err := c.parse(strings.NewReader(c.text))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, lead := range []string{"", "\n", " \r\n\t\n"} {
+			got, err := ReadAlignment(strings.NewReader(lead+c.text), AminoAcid)
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("ReadAlignment(%q) = %+v, %v; want %+v", lead+c.text, got, err, want)
+			}
+		}
+	}
+	if _, err := ReadAlignment(strings.NewReader(""), Nucleotide); err == nil {
+		t.Error("ReadAlignment accepted an empty file")
 	}
 }

@@ -140,8 +140,8 @@ func (r *Runner) Save(w io.Writer) error {
 // is not draw-for-draw identical to an uninterrupted one (GARLI's own
 // checkpoints have the same property). A checkpoint written under one
 // evaluator restores under another: the population travels as Newick
-// strings plus scores, and evaluators carry no search state of their
-// own. A checkpoint at termination without the polish gets it.
+// strings, each rescored on ev, and evaluators carry no search state of
+// their own. A checkpoint at termination without the polish gets it.
 func LoadRunner(src io.Reader, ev Evaluator, names []string, cfg SearchConfig) (*Runner, error) {
 	var cp checkpointFile
 	if err := json.NewDecoder(src).Decode(&cp); err != nil {
@@ -183,8 +183,13 @@ func LoadRunner(src io.Reader, ev Evaluator, names []string, cfg SearchConfig) (
 		if err != nil {
 			return nil, fmt.Errorf("phylo: corrupt checkpoint tree %d: %w", i, err)
 		}
-		r.pop = append(r.pop, individual{tree: t, logL: cp.LogLs[i]})
+		// A stored score is not trusted: each tree is scored on ev.
+		r.pop = append(r.pop, individual{tree: t, logL: ev.LogLikelihood(t)})
+		r.evals++
 	}
 	sortPop(r.pop)
+	// Stagnation counts from the lower of the stored and the rescored
+	// best, so a forged high score cannot end the search early.
+	r.best = min(r.best, r.pop[0].logL)
 	return r, nil
 }

@@ -68,7 +68,7 @@ func TestCheckpointSaveLoadResume(t *testing.T) {
 	}
 	r.Step(15)
 	genAtSave := r.Generation()
-	_, logLAtSave := r.Best()
+	treeAtSave, logLAtSave := r.Best()
 	var buf bytes.Buffer
 	if err := r.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -81,9 +81,11 @@ func TestCheckpointSaveLoadResume(t *testing.T) {
 	if r2.Generation() != genAtSave {
 		t.Errorf("restored generation %d, want %d", r2.Generation(), genAtSave)
 	}
-	_, logL2 := r2.Best()
-	if !almostEqual(logL2, logLAtSave, 1e-9) {
-		t.Errorf("restored best logL %v, want %v", logL2, logLAtSave)
+	// The saved trees are %.8g Newick, so the restored best is the saved
+	// tree as read back, scored by the engine, not the stored score.
+	tree2, logL2 := r2.Best()
+	if want := fx.engine(t).LogLikelihood(tree2); tree2.Newick() != treeAtSave.Newick() || logL2 != want {
+		t.Errorf("restored best %.10f %s, want %.10f %s", logL2, tree2.Newick(), want, treeAtSave.Newick())
 	}
 	for !r2.Step(20) {
 	}
@@ -186,10 +188,16 @@ func TestRunnerIsSearchWith(t *testing.T) {
 		if !back.Step(0) {
 			t.Errorf("seed %d: a finished checkpoint resumes unfinished", seed)
 		}
-		bt, bl := back.Best()
-		if bt.Newick() != tree.Newick() || bl != logL {
+		// Unpolished again, it holds the saved tree as read back, at
+		// the engine's score.
+		saved, err := ParseNewick(tree.Newick(), consensusTaxa(fx.al.Names))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fx.engine(t).LogLikelihood(saved)
+		if bt, bl := back.Best(); bt.Newick() != tree.Newick() || bl != want {
 			t.Errorf("seed %d: finished checkpoint resumed to %.6f %s, saved %.6f %s",
-				seed, bl, bt.Newick(), logL, tree.Newick())
+				seed, bl, bt.Newick(), want, tree.Newick())
 		}
 	}
 }
@@ -249,5 +257,50 @@ func TestRunnerIsOneReplicate(t *testing.T) {
 	}
 	if _, err := LoadRunner(&buf, fx.engine(t), fx.al.Names, cfg); err == nil {
 		t.Error("LoadRunner accepted SearchReps = 5")
+	}
+}
+
+// TestLoadRunnerRescores: four complete trees that claim lnL −10 load
+// at the engine's scores, and the stagnation counter runs from the
+// rescored best, so the search improves on it instead of stopping after
+// StagnationGenerations generations without an improvement on −10.
+func TestLoadRunnerRescores(t *testing.T) {
+	fx, cfg := runnerFixture(t)
+	r, err := NewRunner(fx.engine(t), fx.al.Names, cfg, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := r.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var cp checkpointFile
+	if err := json.Unmarshal(buf.Bytes(), &cp); err != nil {
+		t.Fatal(err)
+	}
+	cp.Best = -10
+	for i := range cp.LogLs {
+		cp.LogLs[i] = -10
+	}
+	raw, err := json.Marshal(&cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := LoadRunner(bytes.NewReader(raw), fx.engine(t), fx.al.Names, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := fx.engine(t)
+	for i, ind := range back.pop {
+		if want := ev.LogLikelihood(ind.tree); ind.logL != want {
+			t.Errorf("individual %d loaded at lnL %v, the engine scores it %v", i, ind.logL, want)
+		}
+	}
+	_, loaded := back.Best()
+	for !back.Step(cfg.MaxGenerations) {
+	}
+	if _, final := back.Best(); !(final > loaded+cfg.ImprovementEps) || back.Generation() <= cfg.StagnationGenerations {
+		t.Errorf("resumed search ended at generation %d, lnL %.4f, from a loaded best of %.4f",
+			back.Generation(), final, loaded)
 	}
 }

@@ -1,7 +1,6 @@
 package portal
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -343,48 +342,13 @@ func (p *Portal) createJob(w http.ResponseWriter, r *http.Request) {
 // The specification itself is checked once, by the door
 // (gsbl.Service.Submit validates the whole submission).
 func (p *Portal) parseSpec(r *http.Request) (*workload.JobSpec, int, bool, error) {
-	spec := &workload.JobSpec{Seed: 1}
-	dt, err := phylo.ParseDataType(p.formValue(r, "datatype"))
+	spec, err := workload.ParseSpec(r.FormValue)
 	if err != nil {
 		return nil, 0, false, err
 	}
-	spec.DataType = dt
-	spec.SubstModel = p.formValue(r, "ratematrix")
-	het, err := phylo.ParseRateHetKind(p.formValue(r, "ratehetmodel"))
+	replicates, err := strconv.Atoi(p.formValue(r, "replicates"))
 	if err != nil {
-		return nil, 0, false, err
-	}
-	spec.RateHet = het
-	if spec.RateHet != phylo.RateHomogeneous {
-		spec.GammaShape = 0.5
-		if spec.RateHet == phylo.RateGammaInv {
-			spec.PropInvariant = 0.2
-		}
-	}
-	intField := func(name string) (int, error) {
-		n, err := strconv.Atoi(p.formValue(r, name))
-		if err != nil {
-			return 0, fmt.Errorf("parameter %s: %w", name, err)
-		}
-		return n, nil
-	}
-	if spec.NumRateCats, err = intField("numratecats"); err != nil {
-		return nil, 0, false, err
-	}
-	if spec.SearchReps, err = intField("searchreps"); err != nil {
-		return nil, 0, false, err
-	}
-	if spec.AttachmentsPerTaxon, err = intField("attachmentspertaxon"); err != nil {
-		return nil, 0, false, err
-	}
-	st, err := phylo.ParseStartingTreeKind(p.formValue(r, "streefname"))
-	if err != nil {
-		return nil, 0, false, err
-	}
-	spec.StartingTree = st
-	replicates, err := intField("replicates")
-	if err != nil {
-		return nil, 0, false, err
+		return nil, 0, false, fmt.Errorf("parameter replicates: %w", err)
 	}
 	bootstrap := p.formValue(r, "bootstrap") == "yes"
 
@@ -395,34 +359,18 @@ func (p *Portal) parseSpec(r *http.Request) (*workload.JobSpec, int, bool, error
 		return nil, 0, false, fmt.Errorf("sequence data file required")
 	}
 	defer file.Close()
-	al, err := parseUpload(file, spec.DataType)
+	al, err := phylo.ReadAlignment(file, spec.DataType)
 	if err != nil {
 		return nil, 0, false, err
 	}
-	if al.Type != spec.DataType {
-		// A NEXUS FORMAT block overrides the form's datatype choice.
-		spec.DataType = al.Type
-	}
+	// A NEXUS FORMAT block overrides the form's datatype choice.
+	spec.DataType = al.Type
 	if err := al.Validate(); err != nil {
 		return nil, 0, false, err
 	}
 	spec.NumTaxa = al.NumTaxa()
 	spec.SeqLength = al.Length()
-	return spec, replicates, bootstrap, nil
-}
-
-// parseUpload sniffs the uploaded alignment format: NEXUS documents
-// declare themselves with #NEXUS, everything else is treated as FASTA.
-func parseUpload(r io.Reader, dt phylo.DataType) (*phylo.Alignment, error) {
-	br := bufio.NewReader(r)
-	head, err := br.Peek(6)
-	if err != nil && err != io.EOF {
-		return nil, err
-	}
-	if strings.EqualFold(string(head), "#NEXUS") {
-		return phylo.ParseNEXUS(br)
-	}
-	return phylo.ParseFASTA(br, dt)
+	return &spec, replicates, bootstrap, nil
 }
 
 // formValue is the submitted value of the form field name, or the

@@ -10,6 +10,7 @@ import (
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 
@@ -152,6 +153,16 @@ func TestAppXMLServed(t *testing.T) {
 	}
 	if app.Name != "garli" {
 		t.Errorf("app name %q", app.Name)
+	}
+	// testdata/app.xml was cut while GarliApp spelled out every
+	// parameter itself, before the analysis rows came from
+	// workload.Params.
+	want, err := os.ReadFile("testdata/app.xml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, want) {
+		t.Errorf("served description:\n%s\nwant testdata/app.xml:\n%s", data, want)
 	}
 }
 
@@ -487,6 +498,26 @@ END;
 	}, nexus)
 	if batch == "" {
 		t.Fatal("no batch created from NEXUS upload")
+	}
+}
+
+// TestPHYLIPUploadAccepted: the form asks for FASTA or PHYLIP, and a
+// PHYLIP file (here after a blank line) is read as PHYLIP.
+func TestPHYLIPUploadAccepted(t *testing.T) {
+	_, ts, _ := fixture(t)
+	phylip := `
+4 12
+a ACGTACGTACGT
+b ACGTACGAACGA
+c ACGAACGTACGT
+d ACGTACTTACGT
+`
+	batch := submitBatch(t, ts, map[string]string{
+		"email":      "phylip@lab.edu",
+		"replicates": "3",
+	}, phylip)
+	if batch == "" {
+		t.Fatal("no batch created from PHYLIP upload")
 	}
 }
 

@@ -14,8 +14,10 @@
 package workload
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"strconv"
 
 	"lattice/internal/phylo"
 	"lattice/internal/sim"
@@ -49,6 +51,87 @@ type JobSpec struct {
 	AttachmentsPerTaxon int
 	// Seed makes data generation and search deterministic.
 	Seed int64
+}
+
+// Param describes one form parameter of a grid application.
+type Param struct {
+	Name    string `xml:"name,attr"`
+	Type    string `xml:"type,attr"` // "int", "float", "choice", "file", "text"
+	Label   string `xml:"label"`
+	Default string `xml:"default,omitempty"`
+	// Options is not omitempty: encoding/xml applies that to each
+	// element, so an empty option would not survive a round trip.
+	Options  []string `xml:"option"`
+	Required bool     `xml:"required,attr"`
+	Help     string   `xml:"help,omitempty"`
+}
+
+// Params are a GARLI job's seven analysis parameters under GARLI's own
+// configuration keys: the portal's form offers them, the command-line
+// programs take them as flags, and ParseSpec reads them. Read-only.
+var Params = []Param{
+	{Name: "datatype", Type: "choice", Label: "Data type", Default: "nucleotide",
+		Options: []string{"nucleotide", "aminoacid", "codon"}, Required: true},
+	{Name: "ratematrix", Type: "choice", Label: "Substitution model", Default: "GTR",
+		Options: phylo.ModelNames(), Required: true},
+	{Name: "ratehetmodel", Type: "choice", Label: "Rate heterogeneity", Default: "gamma",
+		Options: []string{"none", "gamma", "gamma+inv"}, Required: true},
+	{Name: "numratecats", Type: "int", Label: "Number of rate categories", Default: "4"},
+	{Name: "searchreps", Type: "int", Label: "Search replicates per job", Default: "1"},
+	{Name: "streefname", Type: "choice", Label: "Starting tree", Default: "stepwise",
+		Options: []string{"random", "stepwise", "user"}},
+	{Name: "attachmentspertaxon", Type: "int", Label: "Attachments per taxon", Default: "25"},
+}
+
+// GammaShape and PropInvariant are the gamma shape and the share of
+// invariant sites of a job ParseSpec builds: the form chooses a rate
+// model, not its parameters.
+const (
+	GammaShape    = 0.5
+	PropInvariant = 0.2
+)
+
+// ParseSpec builds a job from its analysis parameters. value returns
+// the setting of the parameter it is given by name, "" for one left
+// unset, which takes its default from Params. The gamma shape is
+// GammaShape unless the rates are homogeneous, the invariant share
+// PropInvariant for gamma+inv, and the seed 1. The data dimensions are
+// the caller's to set, from the alignment, before Validate.
+func ParseSpec(value func(name string) string) (JobSpec, error) {
+	v := make(map[string]string, len(Params))
+	for _, p := range Params {
+		v[p.Name] = cmp.Or(value(p.Name), p.Default)
+	}
+	s := JobSpec{SubstModel: v["ratematrix"], Seed: 1}
+	var err error
+	if s.DataType, err = phylo.ParseDataType(v["datatype"]); err != nil {
+		return JobSpec{}, err
+	}
+	if s.RateHet, err = phylo.ParseRateHetKind(v["ratehetmodel"]); err != nil {
+		return JobSpec{}, err
+	}
+	if s.RateHet != phylo.RateHomogeneous {
+		s.GammaShape = GammaShape
+	}
+	if s.RateHet == phylo.RateGammaInv {
+		s.PropInvariant = PropInvariant
+	}
+	for _, f := range []struct {
+		name string
+		to   *int
+	}{
+		{"numratecats", &s.NumRateCats},
+		{"searchreps", &s.SearchReps},
+		{"attachmentspertaxon", &s.AttachmentsPerTaxon},
+	} {
+		if *f.to, err = strconv.Atoi(v[f.name]); err != nil {
+			return JobSpec{}, fmt.Errorf("parameter %s: %w", f.name, err)
+		}
+	}
+	if s.StartingTree, err = phylo.ParseStartingTreeKind(v["streefname"]); err != nil {
+		return JobSpec{}, err
+	}
+	return s, nil
 }
 
 // Validate applies the same checks as the portal's GARLI validation
