@@ -33,11 +33,15 @@ vet:
 # door and cost tests run there too: the door's overflow refusals (the
 # edge count 2n−3, the memory requirement, SearchReps × Replicates)
 # are judged against the width of int, so they must hold at 32 bits.
+# The gsbl tests run there too: a Batch lays out differently there, and
+# its size-class pin, the zip writer's 32-bit limits and the outbox fold
+# must hold on both.
 vet-narrow:
 	GOARCH=386 $(GO) vet ./...
 	GOARCH=386 $(GO) test ./internal/wal
 	GOARCH=386 $(GO) test ./internal/obs
 	GOARCH=386 $(GO) test ./internal/metasched
+	GOARCH=386 $(GO) test ./internal/gsbl
 	GOARCH=386 $(GO) test -run 'Validate|ExpectedWork|Memory' ./internal/workload
 
 # latticelint is the project's own analyzer suite (cmd/latticelint):

@@ -118,7 +118,7 @@ func main() {
 	}
 
 	// Email notifications the researcher received.
-	for _, n := range grid.Mailer.SentTo("darwin@beagle.org") {
+	for _, n := range grid.Service.SentTo("darwin@beagle.org") {
 		fmt.Printf("mail: %s\n", n.Subject)
 	}
 }

@@ -63,7 +63,7 @@ func main() {
 			j.ID, j.Resource(), j.EstimatedRefSeconds,
 			float64(j.CompletedAt.Sub(j.StartedAt)))
 	}
-	for _, n := range grid.Mailer.Sent() {
+	for _, n := range grid.Service.Sent() {
 		fmt.Printf("  mail → %s: %s\n", n.To, n.Subject)
 	}
 	zip, err := grid.Service.ResultsZip(batch.ID)

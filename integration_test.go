@@ -142,7 +142,7 @@ func TestPortalEndToEnd(t *testing.T) {
 	if _, err := zip.NewReader(bytes.NewReader(data), int64(len(data))); err != nil {
 		t.Fatalf("downloaded results not a zip: %v", err)
 	}
-	if len(grid.Mailer.SentTo("guest@beagle.org")) < 2 {
+	if len(grid.Service.SentTo("guest@beagle.org")) < 2 {
 		t.Error("guest not notified")
 	}
 }

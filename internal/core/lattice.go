@@ -168,7 +168,6 @@ type Lattice struct {
 	Index     *mds.Index
 	Scheduler *metasched.Scheduler
 	Service   *gsbl.Service
-	Mailer    *gsbl.Mailer
 	Estimator *estimate.Estimator
 	Portal    *portal.Portal
 	Boinc     *boinc.Server // nil if no BOINC resource configured
@@ -293,8 +292,7 @@ func build(cfg Config, idPrefix string) (*Lattice, error) {
 		l.Estimator = est
 		l.Scheduler.SetPredictor(est)
 	}
-	l.Mailer = &gsbl.Mailer{}
-	l.Service, err = gsbl.NewService(eng, l.Scheduler, l.Mailer, rng.Stream("gsbl"), gsbl.Options{
+	l.Service, err = gsbl.NewService(eng, l.Scheduler, rng.Stream("gsbl"), gsbl.Options{
 		Obs: l.Obs, IDPrefix: idPrefix, Ingest: cfg.Ingest, Admit: cfg.Admit, Durable: hooks,
 	})
 	if err != nil {

@@ -87,7 +87,7 @@ func TestSubmissionFlowsThroughTheGrid(t *testing.T) {
 	if st.Completed == 0 {
 		t.Error("nothing completed")
 	}
-	if len(l.Mailer.SentTo("u@lab.edu")) < 2 {
+	if len(l.Service.SentTo("u@lab.edu")) < 2 {
 		t.Error("user not notified")
 	}
 }

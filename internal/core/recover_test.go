@@ -627,3 +627,89 @@ func closeLog(t *testing.T, l *Lattice) {
 		t.Fatal(err)
 	}
 }
+
+// TestOutboxSurvivesRecovery: a deployment's mail is what its journal
+// holds, so the mail a user was sent before the coordinator died is
+// still there, in the same words and order, once core.New has rebuilt
+// the deployment from its log, and the recovered deployment goes on to
+// send exactly the mail of its uninterrupted same-seed twin. Short
+// batches end before the kill, so the outbox read then holds submitted
+// and completion mails; the long batch ends after it.
+func TestOutboxSurvivesRecovery(t *testing.T) {
+	const seed = 13
+	crashAt := sim.Time(4 * sim.Hour)
+	short := workload.Submission{
+		Spec: workload.JobSpec{
+			DataType: phylo.Nucleotide, SubstModel: "HKY85",
+			RateHet: phylo.RateGamma, NumRateCats: 4, GammaShape: 0.5,
+			NumTaxa: 12, SeqLength: 500, SearchReps: 1,
+			StartingTree: phylo.StartStepwise, AttachmentsPerTaxon: 10, Seed: 7,
+		},
+		Replicates: 3,
+		UserEmail:  "short@example.edu",
+	}
+	start := func(lat *Lattice) string {
+		t.Helper()
+		long, err := lat.SubmitSubmission(recoverSubmission())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if _, err := lat.SubmitSubmission(short); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return long.ID
+	}
+
+	twinCfg := recoverConfig(seed)
+	twinCfg.Faults = crashingSchedule(crashAt)
+	twin, err := New(twinCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin.Faults.SetCrashStops(false)
+	runToDone(t, twin, start(twin))
+
+	cfg := recoverConfig(seed)
+	cfg.Faults = crashingSchedule(crashAt)
+	cfg.Durable = t.TempDir() + "/wal"
+	lat, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := start(lat)
+	for !lat.Faults.Crashed() {
+		pumpBoundary(lat)
+	}
+	seen := lat.Service.Sent()
+	completions := 0
+	for _, m := range seen {
+		if strings.HasSuffix(m.Subject, " complete") {
+			completions++
+		}
+	}
+	if completions != 3 || len(seen) != 7 {
+		t.Fatalf("fixture: %d mails (%d completions) before the kill, want the 4 submitted and 3 completion mails", len(seen), completions)
+	}
+	lat = nil
+
+	recovered, err := New(cfg)
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if got := recovered.Service.Sent(); !slices.Equal(got, seen) {
+		t.Fatalf("outbox after recovery:\n%+v\nbefore the kill:\n%+v", got, seen)
+	}
+	runToDone(t, recovered, long)
+	got, want := recovered.Service.Sent(), twin.Service.Sent()
+	if !slices.Equal(got, want) {
+		t.Fatalf("recovered outbox (%d mails) differs from the uninterrupted twin's (%d)", len(got), len(want))
+	}
+	if len(got) <= len(seen) || !slices.Equal(got[:len(seen)], seen) {
+		t.Fatalf("the %d mails seen before the kill are not a prefix of the %d after it", len(seen), len(got))
+	}
+	if err := recovered.DurableErr(); err != nil {
+		t.Fatal(err)
+	}
+}

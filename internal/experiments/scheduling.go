@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"lattice/internal/lrm"
 	"lattice/internal/lrm/cluster"
@@ -250,7 +251,7 @@ func SpeedCalibration(seed int64) (*CalibrationResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		rel := abs(measured-tg.true_) / tg.true_
+		rel := math.Abs(measured-tg.true_) / tg.true_
 		if rel > res.MaxRelError {
 			res.MaxRelError = rel
 		}
@@ -267,11 +268,4 @@ func SpeedCalibration(seed int64) (*CalibrationResult, error) {
 func (r *CalibrationResult) String() string {
 	return "E6 — resource speed measurement against the reference computer (speed 1.0)\n" +
 		table([]string{"resource", "true speed", "measured", "error"}, r.Rows)
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

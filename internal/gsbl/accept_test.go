@@ -114,16 +114,16 @@ func TestDetailsMatchSprintf(t *testing.T) {
 
 // TestMailRendersTheSentText reads the outbox after each notification
 // and again at the end, and holds both readings to the text the
-// Sprintf formats gave at the moment the mail was queued: a submitted
-// batch, a job failure whose reason holds '%' and non-ASCII, a
-// completion with failed jobs, and a batch whose every job the cluster
-// fails.
+// Sprintf formats give for the mail's batch and job: a submitted batch,
+// a job failure whose reason holds '%' and non-ASCII, sent to a
+// non-ASCII address, a completion with failed jobs, and a batch whose
+// every job the cluster fails.
 func TestMailRendersTheSentText(t *testing.T) {
-	eng, svc, mailer := failingService(t, func(id string) bool { return strings.HasPrefix(id, "failer_example_edu-") })
+	eng, svc := failingService(t, func(id string) bool { return strings.HasPrefix(id, "failer_example_edu-") })
 	var want []Notification
 	check := func(step string) {
 		t.Helper()
-		if got := mailer.Sent(); !slices.Equal(got, want) {
+		if got := svc.Sent(); !slices.Equal(got, want) {
 			t.Fatalf("%s: outbox\n%+v\nwant\n%+v", step, got, want)
 		}
 	}
@@ -142,20 +142,26 @@ func TestMailRendersTheSentText(t *testing.T) {
 	want = append(want, sprintfComplete(b.DoneAt, b, 3, 3, 0))
 	check("completed")
 
-	// A hand-run batch of three jobs: one fails with an awkward reason,
-	// two complete, which ends the batch with a failed job in it.
-	hand := &Batch{ID: "batch-000099", Submission: userSubmission("jürgen@uni-köln.de", 3), svc: svc}
+	// A hand-run batch of three jobs, registered as the service's next
+	// batch: one fails with an awkward reason, two complete, which ends
+	// the batch with a failed job in it. Each end is journaled before
+	// JobDone hears of it, as the scheduler does.
+	hand := &Batch{Submission: userSubmission("jürgen@uni-köln.de", 3), svc: svc}
+	svc.batches = append(svc.batches, hand)
+	hand.ID = svc.batchID(len(svc.batches))
 	for i := 0; i < 3; i++ {
 		hand.Jobs = append(hand.Jobs, &metasched.GridJob{Job: lrm.Job{ID: fmt.Sprintf("hand-r%04d-%d", i, i)}})
 	}
 	failed := hand.Jobs[1]
 	failed.Status, failed.FailReason = metasched.StatusFailed, "faults: 100% of nœuds lost (%d %s)"
+	svc.obs.Record(hand.ID, failed.ID, obs.StageFail, "hpc", failed.FailReason)
 	hand.JobDone(failed)
 	want = append(want, sprintfJobFailed(eng.Now(), hand, failed))
 	check("job failure")
 	eng.RunUntil(sim.Time(2 * sim.Hour))
 	for _, i := range []int{0, 2} {
 		hand.Jobs[i].Status = metasched.StatusCompleted
+		svc.obs.Record(hand.ID, hand.Jobs[i].ID, obs.StageComplete, "hpc", "")
 		hand.JobDone(hand.Jobs[i])
 	}
 	want = append(want, sprintfComplete(eng.Now(), hand, 3, 2, 1))
@@ -193,7 +199,7 @@ func TestMailRendersTheSentText(t *testing.T) {
 				mine = append(mine, n)
 			}
 		}
-		if got := mailer.SentTo(to); !slices.Equal(got, mine) {
+		if got := svc.SentTo(to); !slices.Equal(got, mine) {
 			t.Errorf("SentTo(%q) = %+v, want %+v", to, got, mine)
 		}
 	}
@@ -236,7 +242,7 @@ func TestIDsAndDetailsAllocateOnce(t *testing.T) {
 // TestBatchesInCreationOrderPastSixDigits: batch 1 000 000 is listed
 // after batch 999 999, though it sorts before it as a string.
 func TestBatchesInCreationOrderPastSixDigits(t *testing.T) {
-	_, svc, _ := testService(t)
+	_, svc := testService(t)
 	svc.batches = make([]*Batch, 999_997)
 	for i := range svc.batches {
 		svc.batches[i] = &Batch{} // batches 1 to 999 997 stand in, unnamed
@@ -285,7 +291,7 @@ func doorGrid(tb testing.TB, n int, rescan sim.Duration) (*sim.Engine, *Service)
 			tb.Fatal(err)
 		}
 	}
-	svc, err := NewService(eng, sched, &Mailer{}, sim.NewRNG(1), Options{Obs: hub,
+	svc, err := NewService(eng, sched, sim.NewRNG(1), Options{Obs: hub,
 		Ingest: IngestConfig{PerSubmissionSeconds: 0.5}})
 	if err != nil {
 		tb.Fatal(err)
@@ -301,8 +307,8 @@ func doorGrid(tb testing.TB, n int, rescan sim.Duration) (*sim.Engine, *Service)
 // staging events inline). The cluster's running record (its own
 // completion event) comes from the cluster's free list. The batch ID,
 // the validate detail and the job ID are cut from the service's and the
-// scheduler's slabs, which, like the journal's and the outbox's chunks
-// and the engine's tables, amortize to under one. No engine event and
+// scheduler's slabs, which, like the journal's chunks and the engine's
+// tables, amortize to under one. No engine event and
 // no callback allocates. With a cluster record made per job the same
 // cycle cost 3; with a string allocated per ID and detail and an
 // attempt record apart from the grid job, 7; with a separate queued

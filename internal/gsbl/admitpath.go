@@ -50,9 +50,7 @@ func (s *Service) admitEnqueue(b *Batch, now sim.Time) *admit.Rejection {
 		}
 		s.shed(victim.Payload.(*Batch), rej)
 	}
-	if ins := s.ingestInstruments(); ins != nil {
-		ins.depth.Set(float64(s.ingestDepth))
-	}
+	s.ingestInstruments().depth.Set(float64(s.ingestDepth))
 	s.admitServe(now)
 	return own
 }
@@ -90,9 +88,7 @@ type served Batch
 func (b *served) Fire() {
 	s := b.svc
 	s.admitServing = false
-	if ins := s.ingestInstruments(); ins != nil {
-		ins.accepted.Inc()
-	}
+	s.ingestInstruments().accepted.Inc()
 	s.drain((*Batch)(b))
 	s.admitServe(s.eng.Now())
 }

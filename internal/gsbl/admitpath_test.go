@@ -22,8 +22,8 @@ func userSubmission(email string, replicates int) workload.Submission {
 // backlog no longer head-of-line-blocks small users who arrive behind
 // it — the small submissions drain first.
 func TestAdmitFairShareOrdersDrains(t *testing.T) {
-	eng, sched := testGrid(t)
-	svc := mustService(t, eng, sched, Options{
+	eng, sched, hub := testGrid(t)
+	svc := mustService(t, eng, sched, Options{Obs: hub,
 		Ingest: IngestConfig{PerSubmissionSeconds: 1, PerReplicateSeconds: 1},
 		Admit:  admit.Config{MaxQueueDepth: 100}})
 	// Heavy user floods first (cost 41s each); three small users (cost
@@ -59,8 +59,7 @@ func TestAdmitFairShareOrdersDrains(t *testing.T) {
 // gets the typed rejection back from Submit, and submissions == batches
 // + sheds.
 func TestAdmitShedJournalsAndAccounts(t *testing.T) {
-	eng, sched := testGrid(t)
-	hub := obs.New(eng)
+	eng, sched, hub := testGrid(t)
 	// Budget of 25s: the door plus at most two queued 10s entries.
 	svc := mustService(t, eng, sched, Options{Obs: hub,
 		Ingest: IngestConfig{PerSubmissionSeconds: 10},
@@ -112,8 +111,8 @@ func TestAdmitShedJournalsAndAccounts(t *testing.T) {
 // a user who spends their replicate budget is refused with a
 // refill-derived retry hint while other users pass untouched.
 func TestAdmitQuotaShedsRepeatOffender(t *testing.T) {
-	eng, sched := testGrid(t)
-	svc := mustService(t, eng, sched, Options{
+	eng, sched, hub := testGrid(t)
+	svc := mustService(t, eng, sched, Options{Obs: hub,
 		Ingest: IngestConfig{PerSubmissionSeconds: 1},
 		Admit:  admit.Config{UserRatePerHour: 3600, UserBurst: 10}})
 	if _, err := svc.Submit(Request{Sub: userSubmission("greedy@x", 8), Origin: "service"}); err != nil {
@@ -140,11 +139,11 @@ func TestAdmitQuotaShedsRepeatOffender(t *testing.T) {
 // layer prices submissions with the ingest cost model, so enabling it
 // without the ingest model is a construction error.
 func TestAdmitRequiresIngest(t *testing.T) {
-	eng, sched := testGrid(t)
-	if _, err := NewService(eng, sched, &Mailer{}, sim.NewRNG(1), Options{Admit: admit.Config{MaxQueueDepth: 1}}); err == nil {
+	eng, sched, hub := testGrid(t)
+	if _, err := NewService(eng, sched, sim.NewRNG(1), Options{Obs: hub, Admit: admit.Config{MaxQueueDepth: 1}}); err == nil {
 		t.Fatal("NewService accepted admission control without the ingest model")
 	}
-	svc := mustService(t, eng, sched, Options{Ingest: IngestConfig{PerSubmissionSeconds: 1}})
+	svc := mustService(t, eng, sched, Options{Obs: hub, Ingest: IngestConfig{PerSubmissionSeconds: 1}})
 	if svc.AdmitActive() {
 		t.Fatal("AdmitActive true without a controller")
 	}

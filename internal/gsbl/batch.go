@@ -50,8 +50,8 @@ type Batch struct {
 	// completed and failed count the jobs JobDone has been told of, so
 	// telling whether the batch is over costs O(1) per job rather than
 	// a walk of the batch. (int32 keeps the record within the
-	// allocator's 288-byte size class; a batch has at most
-	// workload.MaxReplicates jobs.)
+	// allocator's 288-byte size class, which TestBatchLayout pins; a
+	// batch has at most workload.MaxReplicates jobs.)
 	completed, failed int32
 	// direct and scheduled are the request's Direct and Scheduled;
 	// scheduled is cleared when the arrival fires.
@@ -62,8 +62,7 @@ type Batch struct {
 	// onDone fires once when the batch reaches its terminal state;
 	// the workflow engine uses it to advance the stage graph.
 	onDone func(BatchStatus)
-	// svc is the service that made the batch, whose clock and mailer its
-	// end reaches.
+	// svc is the service that made the batch, whose clock its end reads.
 	svc *Service
 }
 
@@ -80,10 +79,9 @@ func (b *Batch) Due() (at sim.Time, ok bool) {
 // expands them into grid jobs via the meta-scheduler, tracks batches,
 // notifies users, and packages results.
 type Service struct {
-	eng    *sim.Engine
-	sched  *metasched.Scheduler
-	mailer *Mailer
-	rng    *sim.RNG
+	eng   *sim.Engine
+	sched *metasched.Scheduler
+	rng   *sim.RNG
 	// batches holds every accepted batch in creation order: batches[n-1]
 	// is batch n.
 	batches []*Batch
@@ -127,10 +125,11 @@ type Durability interface {
 }
 
 // Options is everything about a Service that is fixed at construction;
-// the zero value is a synchronous, unobserved, non-durable facade.
+// with only Obs set it is a synchronous, non-durable facade.
 type Options struct {
-	// Obs makes validation a journal event, the first one of the
-	// batch's trace.
+	// Obs is the hub whose journal holds the service's validate events
+	// and, with the scheduler journaling into the same hub, its jobs'
+	// terminals: the events the outbox is folded from (Sent). Required.
 	Obs *obs.Obs
 	// IDPrefix qualifies batch IDs ("shard0-batch-000001") so a cluster
 	// front router can attribute an ID to its coordinator shard.
@@ -145,11 +144,13 @@ type Options struct {
 }
 
 // NewService wires the facade.
-func NewService(eng *sim.Engine, sched *metasched.Scheduler, mailer *Mailer, rng *sim.RNG, opts Options) (*Service, error) {
+func NewService(eng *sim.Engine, sched *metasched.Scheduler, rng *sim.RNG, opts Options) (*Service, error) {
+	if opts.Obs == nil {
+		return nil, fmt.Errorf("gsbl: Options.Obs is required")
+	}
 	s := &Service{
 		eng:      eng,
 		sched:    sched,
-		mailer:   mailer,
 		rng:      rng,
 		idPrefix: opts.IDPrefix,
 		obs:      opts.Obs,
@@ -240,9 +241,9 @@ func (s *Service) Submit(r Request) (*Batch, error) {
 }
 
 // accept expands a pending request into its batch — batch bookkeeping,
-// validation journal event, scheduler expansion, submission mail. The
-// validate detail names a derived batch's origin, and otherwise adds
-// suffix.
+// the validation journal event (which the submission mail is folded
+// from), scheduler expansion. The validate detail names a derived
+// batch's origin, and otherwise adds suffix.
 func (s *Service) accept(b *Batch, suffix ...string) *Batch {
 	if b.onDone != nil {
 		suffix = []string{" via ", b.Origin}
@@ -256,7 +257,6 @@ func (s *Service) accept(b *Batch, suffix ...string) *Batch {
 	sub := b.Submission
 	sub.BatchTag = b.ID
 	b.Jobs = s.sched.SubmitBatch(&sub, s.rng, b, b.one[:0])
-	s.mailer.queue(b.CreatedAt, mailSubmitted, b, nil)
 	return b
 }
 
@@ -305,7 +305,6 @@ func (s *Service) RunStage(runID, stageID string, sub workload.Submission, done 
 func (b *Batch) JobDone(j *metasched.GridJob) {
 	if j.Status == metasched.StatusFailed {
 		b.failed++
-		b.svc.mailer.queue(b.svc.eng.Now(), mailJobFailed, b, j)
 	} else {
 		b.completed++
 	}
@@ -313,7 +312,7 @@ func (b *Batch) JobDone(j *metasched.GridJob) {
 }
 
 // finish ends the batch at the report that makes every job terminal:
-// it stamps DoneAt, sends the completion mail and fires onDone.
+// it stamps DoneAt and fires onDone.
 func (b *Batch) finish() {
 	if int(b.completed+b.failed) != len(b.Jobs) {
 		return
@@ -321,7 +320,6 @@ func (b *Batch) finish() {
 	st := BatchStatus{ID: b.ID, Total: len(b.Jobs), Completed: int(b.completed), Failed: int(b.failed),
 		Done: true, CreatedAt: b.CreatedAt}
 	b.DoneAt = b.svc.eng.Now()
-	b.svc.mailer.queue(b.DoneAt, mailComplete, b, nil)
 	if b.onDone != nil {
 		b.onDone(st)
 	}

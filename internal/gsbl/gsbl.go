@@ -14,7 +14,8 @@ import (
 	"slices"
 	"strconv"
 
-	"lattice/internal/metasched"
+	"lattice/internal/obs"
+	"lattice/internal/shard"
 	"lattice/internal/sim"
 	"lattice/internal/workload"
 )
@@ -59,7 +60,7 @@ func GarliApp() *AppDescription {
 		Version: "2.0",
 		Title:   "GARLI — Genetic Algorithm for Rapid Likelihood Inference",
 		Params: slices.Concat([]workload.Param{
-			{Name: "datafile", Type: "file", Label: "Sequence data file (FASTA or PHYLIP)", Required: true,
+			{Name: "datafile", Type: "file", Label: "Sequence data file (NEXUS, FASTA or PHYLIP)", Required: true,
 				Help: "Aligned sequence data; all rows must be the same length."},
 		}, workload.Params, []workload.Param{
 			{Name: "replicates", Type: "int", Label: "Job replicates (1-2000)", Default: "1", Required: true,
@@ -79,98 +80,58 @@ type Notification struct {
 	Body    string
 }
 
-// Mailer collects outbound notifications (the simulation's SMTP). The
-// outbox holds what each mail is about, not its text: every field the
-// text reads is final by the time the mail is queued, so rendering it
-// when someone reads the outbox gives the text sending would have.
-//
-// Mails live in chunks whose capacity is fixed when they are opened,
-// firstMailChunk mails doubling per chunk up to maxMailChunk, so a
-// queued mail is never copied (as obs.Journal stores its events).
-type Mailer struct {
-	chunks [][]mail
-	n      int // mails in all chunks
-}
+// Sent returns every notification the service has sent, in order, in a
+// slice of the caller's own.
+func (s *Service) Sent() []Notification { return s.outbox("") }
 
-// Chunk capacities, in mails: 64 (2 kB) for an outbox that stays small,
-// 4 096 (128 kB) once it is long.
-const (
-	firstMailChunk = 64
-	maxMailChunk   = 4096
-)
+// SentTo returns the notifications sent to one recipient.
+func (s *Service) SentTo(to string) []Notification { return s.outbox(to) }
 
-// mailKind selects one of the three notifications the service sends.
-type mailKind uint8
-
-const (
-	mailSubmitted mailKind = iota // b accepted: b.ID, replicates and len(b.Jobs) are final
-	mailJobFailed                 // j failed for good: j.ID and j.FailReason are final
-	mailComplete                  // b done: b.completed and b.failed are final
-)
-
-// mail is one queued notification.
-type mail struct {
-	at   sim.Time
-	kind mailKind
-	b    *Batch
-	j    *metasched.GridJob
-}
-
-// queue records a notification about b (and, for a job failure, j).
-func (m *Mailer) queue(at sim.Time, kind mailKind, b *Batch, j *metasched.GridJob) {
-	last := len(m.chunks) - 1
-	if last < 0 || len(m.chunks[last]) == cap(m.chunks[last]) {
-		size := firstMailChunk
-		if last >= 0 {
-			size = min(2*cap(m.chunks[last]), maxMailChunk)
+// outbox folds the service's journal into its mail, to's alone unless
+// to is "" (an accepted submission always names a recipient): a
+// submitted mail at each batch's validate event, a job-failure mail at
+// each fail event, and a completion mail at the terminal event that
+// ends the last of the batch's jobs. The scheduler journals each
+// terminal just before it reports it to JobDone, so the order is the
+// order in which the service learned each thing. Mail is not stored;
+// it is exactly as durable as the journal. What a mail reads besides
+// its event — the batch's ID, replicates and job count, its tallies at
+// its last terminal — is final before anyone can read the outbox.
+func (s *Service) outbox(to string) []Notification {
+	out := []Notification{}
+	ended := make([]int32, len(s.batches)) // batch n's terminal jobs, at n-1
+	for _, ev := range s.obs.Journal.Events() {
+		if ev.Stage != obs.StageValidate && !ev.Stage.Terminal() {
+			continue
 		}
-		m.chunks = append(m.chunks, make([]mail, 0, size))
-		last++
-	}
-	m.chunks[last] = append(m.chunks[last], mail{at: at, kind: kind, b: b, j: j})
-	m.n++
-}
-
-// render is the notification's text, addressed to the batch's owner.
-func (n *mail) render() Notification {
-	b := n.b
-	out := Notification{At: n.at, To: b.Submission.UserEmail}
-	switch n.kind {
-	case mailSubmitted:
-		out.Subject = "[Lattice] " + b.ID + " submitted"
-		out.Body = "Your submission of " + strconv.Itoa(b.Submission.Replicates) +
-			" replicates was accepted as " + b.ID + " (" + strconv.Itoa(len(b.Jobs)) + " grid jobs)."
-	case mailJobFailed:
-		out.Subject = "[Lattice] job failure in " + b.ID
-		out.Body = "Job " + n.j.ID + " failed: " + n.j.FailReason
-	case mailComplete:
-		out.Subject = "[Lattice] " + b.ID + " complete"
-		out.Body = "All " + strconv.Itoa(len(b.Jobs)) + " jobs finished (" + strconv.Itoa(int(b.completed)) +
-			" completed, " + strconv.Itoa(int(b.failed)) + " failed). Results are ready for download."
-	}
-	return out
-}
-
-// Sent returns all notifications in order, rendered into a slice of the
-// caller's own.
-func (m *Mailer) Sent() []Notification {
-	out := make([]Notification, 0, m.n)
-	for _, c := range m.chunks {
-		for i := range c {
-			out = append(out, c[i].render())
+		n, ok := shard.IDNumber(ev.Batch, s.idPrefix, "batch")
+		if !ok || n > len(ended) {
+			continue
 		}
-	}
-	return out
-}
-
-// SentTo returns notifications for one recipient.
-func (m *Mailer) SentTo(to string) []Notification {
-	var out []Notification
-	for _, c := range m.chunks {
-		for i := range c {
-			if c[i].b.Submission.UserEmail == to {
-				out = append(out, c[i].render())
+		b := s.batches[n-1]
+		mine := to == "" || b.Submission.UserEmail == to
+		m := Notification{At: ev.At, To: b.Submission.UserEmail}
+		switch ev.Stage {
+		case obs.StageValidate:
+			if mine {
+				m.Subject = "[Lattice] " + b.ID + " submitted"
+				m.Body = "Your submission of " + strconv.Itoa(b.Submission.Replicates) +
+					" replicates was accepted as " + b.ID + " (" + strconv.Itoa(len(b.Jobs)) + " grid jobs)."
+				out = append(out, m)
 			}
+			continue
+		case obs.StageFail:
+			if mine {
+				m.Subject = "[Lattice] job failure in " + b.ID
+				m.Body = "Job " + ev.Job + " failed: " + ev.Detail
+				out = append(out, m)
+			}
+		}
+		if ended[n-1]++; int(ended[n-1]) == len(b.Jobs) && mine {
+			m.Subject = "[Lattice] " + b.ID + " complete"
+			m.Body = "All " + strconv.Itoa(len(b.Jobs)) + " jobs finished (" + strconv.Itoa(int(b.completed)) +
+				" completed, " + strconv.Itoa(int(b.failed)) + " failed). Results are ready for download."
+			out = append(out, m)
 		}
 	}
 	return out

@@ -11,16 +11,20 @@ import (
 	"lattice/internal/lrm"
 	"lattice/internal/lrm/cluster"
 	"lattice/internal/metasched"
+	"lattice/internal/obs"
 	"lattice/internal/phylo"
 	"lattice/internal/sim"
 	"lattice/internal/workload"
 )
 
-// testGrid builds the one-cluster grid every service fixture runs on.
-func testGrid(t *testing.T) (*sim.Engine, *metasched.Scheduler) {
+// testGrid builds the one-cluster grid every service fixture runs on,
+// its scheduler journaling into hub, the hub the service must share:
+// the service's outbox is folded from both components' events.
+func testGrid(t *testing.T) (*sim.Engine, *metasched.Scheduler, *obs.Obs) {
 	t.Helper()
 	eng := sim.NewEngine()
-	return eng, gridOn(t, eng, metasched.Options{}, nil)
+	hub := obs.New(eng)
+	return eng, gridOn(t, eng, metasched.Options{Obs: hub}, nil), hub
 }
 
 // gridOn is testGrid's one-cluster grid on a caller-made engine, for
@@ -91,28 +95,27 @@ func replicates(reps ...int) func(jobID string) bool {
 
 // failingService is testService over a cluster that fails every job
 // fail picks.
-func failingService(t *testing.T, fail func(jobID string) bool) (*sim.Engine, *Service, *Mailer) {
+func failingService(t *testing.T, fail func(jobID string) bool) (*sim.Engine, *Service) {
 	t.Helper()
 	eng := sim.NewEngine()
-	svc := mustService(t, eng, gridOn(t, eng, metasched.Options{}, fail), Options{})
-	return eng, svc, svc.mailer
+	hub := obs.New(eng)
+	return eng, mustService(t, eng, gridOn(t, eng, metasched.Options{Obs: hub}, fail), Options{Obs: hub})
 }
 
 // mustService builds a service over a testGrid with the given options.
 func mustService(t *testing.T, eng *sim.Engine, sched *metasched.Scheduler, opts Options) *Service {
 	t.Helper()
-	svc, err := NewService(eng, sched, &Mailer{}, sim.NewRNG(1), opts)
+	svc, err := NewService(eng, sched, sim.NewRNG(1), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return svc
 }
 
-func testService(t *testing.T) (*sim.Engine, *Service, *Mailer) {
+func testService(t *testing.T) (*sim.Engine, *Service) {
 	t.Helper()
-	eng, sched := testGrid(t)
-	svc := mustService(t, eng, sched, Options{})
-	return eng, svc, svc.mailer
+	eng, sched, hub := testGrid(t)
+	return eng, mustService(t, eng, sched, Options{Obs: hub})
 }
 
 // direct is a request expanded on the spot under the "service" origin.
@@ -165,7 +168,7 @@ func TestGarliAppXMLRoundTrip(t *testing.T) {
 }
 
 func TestBatchLifecycle(t *testing.T) {
-	eng, svc, mailer := testService(t)
+	eng, svc := testService(t)
 	b, err := svc.Submit(direct(smallSubmission(8)))
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +186,7 @@ func TestBatchLifecycle(t *testing.T) {
 		t.Fatalf("batch not finished: %+v", st)
 	}
 	// Submission + completion notifications.
-	msgs := mailer.SentTo("researcher@example.edu")
+	msgs := svc.SentTo("researcher@example.edu")
 	if len(msgs) < 2 {
 		t.Fatalf("got %d notifications, want >= 2", len(msgs))
 	}
@@ -193,7 +196,7 @@ func TestBatchLifecycle(t *testing.T) {
 }
 
 func TestValidationRejectsBadSubmission(t *testing.T) {
-	_, svc, _ := testService(t)
+	_, svc := testService(t)
 	bad := smallSubmission(0)
 	if _, err := svc.Submit(direct(bad)); err == nil {
 		t.Error("zero-replicate submission accepted")
@@ -210,7 +213,7 @@ func TestValidationRejectsBadSubmission(t *testing.T) {
 }
 
 func TestResultsZip(t *testing.T) {
-	eng, svc, _ := testService(t)
+	eng, svc := testService(t)
 	b, err := svc.Submit(direct(smallSubmission(5)))
 	if err != nil {
 		t.Fatal(err)
@@ -252,13 +255,13 @@ func TestResultsZip(t *testing.T) {
 // appending to it or editing it must not reach the outbox, and the next
 // notification must not overwrite what the caller appended.
 func TestSentIsTheCallersToExtend(t *testing.T) {
-	_, svc, m := testService(t)
+	_, svc := testService(t)
 	for i := 0; i < 3; i++ {
 		if _, err := svc.Submit(direct(smallSubmission(1))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	mine := append(m.Sent(), Notification{To: "caller"})
+	mine := append(svc.Sent(), Notification{To: "caller"})
 	mine[0].Subject = "edited"
 	if _, err := svc.Submit(direct(smallSubmission(1))); err != nil {
 		t.Fatal(err)
@@ -266,7 +269,7 @@ func TestSentIsTheCallersToExtend(t *testing.T) {
 	if mine[3].To != "caller" {
 		t.Errorf("the next notification overwrote the caller's appended one with %+v", mine[3])
 	}
-	sent := m.Sent()
+	sent := svc.Sent()
 	if len(sent) != 4 || sent[0].Subject != "[Lattice] batch-000001 submitted" ||
 		sent[3].Subject != "[Lattice] batch-000004 submitted" {
 		t.Errorf("outbox = %+v", sent)
@@ -274,7 +277,7 @@ func TestSentIsTheCallersToExtend(t *testing.T) {
 }
 
 func TestUnknownBatchQueries(t *testing.T) {
-	_, svc, _ := testService(t)
+	_, svc := testService(t)
 	if _, err := svc.Status("nope"); err == nil {
 		t.Error("status of unknown batch succeeded")
 	}
@@ -287,7 +290,7 @@ func TestUnknownBatchQueries(t *testing.T) {
 }
 
 func TestBatchesSorted(t *testing.T) {
-	_, svc, _ := testService(t)
+	_, svc := testService(t)
 	for i := 0; i < 3; i++ {
 		if _, err := svc.Submit(direct(smallSubmission(1))); err != nil {
 			t.Fatal(err)

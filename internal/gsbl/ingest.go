@@ -100,10 +100,9 @@ func (s *Service) enqueue(b *Batch) *admit.Rejection {
 	done := start.Add(s.ingest.cost(&b.Submission))
 	s.ingestFree = done
 	s.ingestDepth++
-	if ins := s.ingestInstruments(); ins != nil {
-		ins.depth.Set(float64(s.ingestDepth))
-		ins.accepted.Inc()
-	}
+	ins := s.ingestInstruments()
+	ins.depth.Set(float64(s.ingestDepth))
+	ins.accepted.Inc()
 	s.eng.At(done, (*drained)(b))
 	return nil
 }
@@ -112,21 +111,17 @@ func (s *Service) enqueue(b *Batch) *admit.Rejection {
 // grid jobs and tell whoever is waiting.
 func (s *Service) drain(b *Batch) {
 	s.ingestDepth--
-	if ins := s.ingestInstruments(); ins != nil {
-		ins.depth.Set(float64(s.ingestDepth))
-		ins.wait.Observe(float64(s.eng.Now().Sub(b.arrived)))
-	}
+	ins := s.ingestInstruments()
+	ins.depth.Set(float64(s.ingestDepth))
+	ins.wait.Observe(float64(s.eng.Now().Sub(b.arrived)))
 	s.accept(b, " (ingest-drained)")
 }
 
 // ingestInstruments builds the instrument handles on first use, so a
-// deployment without a front door exposes none; nil without an obs hub.
+// deployment without a front door exposes none.
 func (s *Service) ingestInstruments() *ingestIns {
 	if s.ingestInsCache != nil {
 		return s.ingestInsCache
-	}
-	if s.obs == nil {
-		return nil
 	}
 	s.ingestInsCache = &ingestIns{
 		depth: s.obs.Gauge("lattice_gsbl_ingest_depth",

@@ -31,9 +31,9 @@ func (f *fakeDurable) Submission(at sim.Time, b *Batch, queued bool) {
 // the pre-scale-out path: the submission schedules on arrival and the
 // durable record is a plain (non-queued) input.
 func TestIngestDisabledIsSynchronous(t *testing.T) {
-	eng, sched := testGrid(t)
+	eng, sched, hub := testGrid(t)
 	d := &fakeDurable{}
-	svc := mustService(t, eng, sched, Options{Durable: d})
+	svc := mustService(t, eng, sched, Options{Obs: hub, Durable: d})
 
 	got, err := svc.Submit(Request{Sub: smallSubmission(3), Origin: "shard0/core"})
 	if err != nil {
@@ -55,9 +55,9 @@ func TestIngestDisabledIsSynchronous(t *testing.T) {
 // while busy queue FIFO, the depth tracks the backlog, and every
 // enqueue is durably recorded at arrival with the Queued mark.
 func TestIngestSerializesSubmissions(t *testing.T) {
-	eng, sched := testGrid(t)
+	eng, sched, hub := testGrid(t)
 	d := &fakeDurable{}
-	svc := mustService(t, eng, sched, Options{Durable: d,
+	svc := mustService(t, eng, sched, Options{Obs: hub, Durable: d,
 		Ingest: IngestConfig{PerSubmissionSeconds: 10, PerReplicateSeconds: 1}})
 
 	// Three 2-replicate submissions at t=0: each costs 12 virtual
@@ -113,9 +113,9 @@ func TestIngestSerializesSubmissions(t *testing.T) {
 // second record. Arrivals counts it until then.
 func TestScheduledArrivalIsOneRecord(t *testing.T) {
 	for _, door := range []IngestConfig{{}, {PerSubmissionSeconds: 10}} {
-		eng, sched := testGrid(t)
+		eng, sched, hub := testGrid(t)
 		d := &fakeDurable{}
-		svc := mustService(t, eng, sched, Options{Durable: d, Ingest: door})
+		svc := mustService(t, eng, sched, Options{Obs: hub, Durable: d, Ingest: door})
 		b, err := svc.Submit(Request{Sub: smallSubmission(2), Origin: "shard0/core", Scheduled: true, Due: 30})
 		if b != nil || err != nil {
 			t.Fatalf("scheduled Submit = (%v, %v), want (nil, nil)", b, err)
@@ -147,9 +147,9 @@ func TestScheduledArrivalIsOneRecord(t *testing.T) {
 // TestIngestValidationSynchronous checks a bad submission is rejected
 // at enqueue time, before any durable record or queue state.
 func TestIngestValidationSynchronous(t *testing.T) {
-	eng, sched := testGrid(t)
+	eng, sched, hub := testGrid(t)
 	d := &fakeDurable{}
-	svc := mustService(t, eng, sched, Options{Durable: d, Ingest: IngestConfig{PerSubmissionSeconds: 10}})
+	svc := mustService(t, eng, sched, Options{Obs: hub, Durable: d, Ingest: IngestConfig{PerSubmissionSeconds: 10}})
 
 	bad := smallSubmission(1)
 	bad.UserEmail = ""
@@ -167,8 +167,8 @@ func TestIngestValidationSynchronous(t *testing.T) {
 // TestIngestIDPrefix checks prefixed batch identity survives the
 // ingest path.
 func TestIngestIDPrefix(t *testing.T) {
-	eng, sched := testGrid(t)
-	svc := mustService(t, eng, sched, Options{IDPrefix: "shard2-", Ingest: IngestConfig{PerSubmissionSeconds: 5}})
+	eng, sched, hub := testGrid(t)
+	svc := mustService(t, eng, sched, Options{Obs: hub, IDPrefix: "shard2-", Ingest: IngestConfig{PerSubmissionSeconds: 5}})
 	if _, err := svc.Submit(Request{Sub: smallSubmission(1), Origin: "shard2/core"}); err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestIngestIDPrefix(t *testing.T) {
 // entry is a value in the controller's queue); from enqueue through
 // drain, that plus the grid job; the cluster's running record is
 // reused, and the batch ID, validate detail and job ID strings and the
-// growth of the outbox, the engine and the tables are amortized. With a
+// growth of the journal, the engine and the tables are amortized. With a
 // queued request apart from its batch and a job list apart from both,
 // the whole cycle cost 10 (fifo) and 11 (admit); when each engine event
 // was an *event and each callback a closure, 22 and 23, and enqueue 3
@@ -192,7 +192,7 @@ func TestIngestIDPrefix(t *testing.T) {
 // not at enqueue). Before the cluster reused its running records and
 // the admit queue held its entries by value, the cycle cost 4 (fifo)
 // and 5 (admit), and the admit enqueue 2; before the scheduler stopped
-// looking up the placement counter of this obs-less fixture at every
+// looking up the placement counter of the then obs-less fixture at every
 // dispatch (its label list escaped each time), 3 for both. The race
 // detector adds nothing.
 func TestDoorAllocs(t *testing.T) {
@@ -205,8 +205,8 @@ func TestDoorAllocs(t *testing.T) {
 		{"admit", admit.Config{MaxQueueDepth: 100}, 1, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			eng, sched := testGrid(t)
-			svc := mustService(t, eng, sched, Options{
+			eng, sched, hub := testGrid(t)
+			svc := mustService(t, eng, sched, Options{Obs: hub,
 				Ingest: IngestConfig{PerSubmissionSeconds: 1, PerReplicateSeconds: 0.25}, Admit: tc.admit})
 			req := Request{Sub: smallSubmission(1), Origin: "shard0/core"}
 			submit := func() { // the admit door sheds once 100 are queued

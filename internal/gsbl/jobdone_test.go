@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"lattice/internal/metasched"
+	"lattice/internal/obs"
 	"lattice/internal/sim"
 )
 
@@ -17,7 +18,7 @@ import (
 // instant — to the full walk status() does for the portal.
 func TestJobDoneTalliesLikeTheWalk(t *testing.T) {
 	// Failures from both ends of the batch.
-	eng, svc, mailer := failingService(t, replicates(0, 1, 700, 1998, 1999))
+	eng, svc := failingService(t, replicates(0, 1, 700, 1998, 1999))
 	var (
 		b     *Batch
 		got   BatchStatus
@@ -58,7 +59,7 @@ func TestJobDoneTalliesLikeTheWalk(t *testing.T) {
 	if st, _ := svc.Status(b.ID); st != svc.status(b) || !st.Done || st.DoneAt != last {
 		t.Errorf("Status = %+v", st)
 	}
-	sent := mailer.Sent()
+	sent := svc.Sent()
 	mail := sent[len(sent)-1]
 	if mail.At != last || mail.Subject != "[Lattice] "+b.ID+" complete" ||
 		mail.Body != fmt.Sprintf("All %d jobs finished (%d completed, %d failed). Results are ready for download.",
@@ -101,7 +102,8 @@ func TestJobDoneDoesNotRecount(t *testing.T) {
 
 // TestSettleModel drives 300 generated batches of 1–40 jobs through
 // random interleavings of the two ways a job ends — the scheduler
-// reporting a completion or a failure to JobDone, once per job — and
+// journaling a completion or a failure and reporting it to JobDone,
+// once per job — and
 // after every step holds the counters to a recount of the jobs
 // reported so far. The batch must finish exactly once, at the report
 // of its last open job, with one completion mail, one onDone and one
@@ -109,7 +111,7 @@ func TestJobDoneDoesNotRecount(t *testing.T) {
 func TestSettleModel(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
 		g := sim.NewRNG(seed)
-		_, svc, mailer := testService(t)
+		_, svc := testService(t)
 		n := 1 + g.Intn(40)
 		var dones []BatchStatus
 		b, err := svc.Submit(Request{Sub: smallSubmission(n), Origin: "wf-000001/model", Direct: true,
@@ -128,9 +130,11 @@ func TestSettleModel(t *testing.T) {
 			open = append(open[:k], open[k+1:]...)
 			if g.Intn(3) == 0 {
 				j.Status, j.FailReason = metasched.StatusFailed, "model failure"
+				svc.obs.Record(b.ID, j.ID, obs.StageFail, "hpc", j.FailReason)
 				failed++
 			} else {
 				j.Status = metasched.StatusCompleted
+				svc.obs.Record(b.ID, j.ID, obs.StageComplete, "hpc", "")
 				completed++
 			}
 			b.JobDone(j)
@@ -145,7 +149,7 @@ func TestSettleModel(t *testing.T) {
 			t.Fatalf("seed %d: onDone calls %+v, want one with %d completed, %d failed", seed, dones, completed, failed)
 		}
 		completions, failMails := 0, 0
-		for _, m := range mailer.Sent() {
+		for _, m := range svc.Sent() {
 			switch {
 			case m.Subject == "[Lattice] "+b.ID+" complete":
 				completions++

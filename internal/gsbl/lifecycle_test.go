@@ -1,7 +1,10 @@
 package gsbl
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -47,9 +50,10 @@ func TestRequestLifeCycle(t *testing.T) {
 		{"scheduled direct", Options{}, Request{Direct: true, Scheduled: true, Due: 30}, 3, true, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			eng, sched := testGrid(t)
+			eng, sched, hub := testGrid(t)
 			d := &recordingDurable{}
 			tc.opts.Durable = d
+			tc.opts.Obs = hub
 			svc := mustService(t, eng, sched, tc.opts)
 			shed := make([]bool, tc.n) // returned as shed on arrival
 			returned := 0
@@ -97,14 +101,15 @@ func TestRequestLifeCycle(t *testing.T) {
 	}
 }
 
-// TestOutboxMatchesFlatOracle sends over 13 000 mails of all three
-// kinds through a service — enough for the whole 64 → 4 096 chunk ramp
-// and two full 4 096-mail chunks — and holds Sent and SentTo to a flat
-// []mail the test derives from the journal: a submitted mail at each
-// batch's validate event, a job-failure mail at each job's fail event,
-// and a completion mail at the terminal event that ends each batch.
-func TestOutboxMatchesFlatOracle(t *testing.T) {
-	if got := (&Mailer{}).Sent(); got == nil || len(got) != 0 {
+// TestOutboxDigests sends 15 001 mails of all three kinds through a
+// service — 5 000 batches, every job of fail@example.edu's batches
+// failed for good — and holds Sent and SentTo to the SHA-256 digests the
+// outbox gave when it was a store of its own, filled as each mail was
+// sent: the fold over the journal must give the same mails, byte for
+// byte, in the same order.
+func TestOutboxDigests(t *testing.T) {
+	_, empty := testService(t)
+	if got := empty.Sent(); got == nil || len(got) != 0 {
 		t.Fatalf("empty outbox: Sent() = %#v, want a non-nil empty slice", got)
 	}
 	eng := sim.NewEngine()
@@ -131,65 +136,32 @@ func TestOutboxMatchesFlatOracle(t *testing.T) {
 	// 30 000 failing attempts ends months in.
 	eng.RunUntil(eng.Now().Add(365 * sim.Day))
 
-	var flat []mail
-	left := make(map[string]int)
-	failures := 0
-	for _, ev := range hub.Journal.Events() {
-		b, ok := svc.Batch(ev.Batch)
-		if !ok {
-			continue
+	digest := func(mails []Notification) string {
+		h := sha256.New()
+		for _, n := range mails {
+			fmt.Fprintf(h, "%v|%s|%s|%s\n", float64(n.At), n.To, n.Subject, n.Body)
 		}
-		switch {
-		case ev.Stage == obs.StageValidate:
-			flat = append(flat, mail{at: ev.At, kind: mailSubmitted, b: b})
-			left[b.ID] = len(b.Jobs)
-		case ev.Stage == obs.StageFail, ev.Stage == obs.StageComplete:
-			if ev.Stage == obs.StageFail {
-				i := slices.IndexFunc(b.Jobs, func(j *metasched.GridJob) bool { return j.ID == ev.Job })
-				flat = append(flat, mail{at: ev.At, kind: mailJobFailed, b: b, j: b.Jobs[i]})
-				failures++
-			}
-			if left[b.ID]--; left[b.ID] == 0 {
-				flat = append(flat, mail{at: ev.At, kind: mailComplete, b: b})
-			}
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	for _, tc := range []struct {
+		to     string // "" reads Sent
+		mails  int
+		digest string
+	}{
+		{"", 15_001, "8db2966783ac47584da08aa51fe500945e7c97b551dc1e7766428d5d919df485"},
+		{"ok@example.edu", 3_334, "bfd1ca6d9f34377f7b3fbd4f90fb6d3af5b971d319cfe227d67ccd22600ff304"},
+		{"fail@example.edu", 8_335, "38afe5b9d870abd7e56d3c31d36a35a7cc413f583da0f6067e693953fa66578d"},
+		{"other@example.org", 3_332, "3a12c53b00a0b36578aea798ec8ee6d706268c4d75ff430cd3319ce4a398c757"},
+		{"nobody@example.edu", 0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+	} {
+		got := svc.Sent()
+		if tc.to != "" {
+			got = svc.SentTo(tc.to)
 		}
-	}
-	// 64 + 128 + … + 4 096 + 4 096 = 12 224 mails fill eight chunks.
-	if len(flat) <= 12_224 || failures == 0 || len(svc.Batches()) != 5000 {
-		t.Fatalf("fixture: %d mails (%d job failures) for %d batches", len(flat), failures, len(svc.Batches()))
-	}
-	t.Logf("%d mails, %d of them job failures, in %d chunks", len(flat), failures, len(svc.mailer.chunks))
-	render := func(to string) []Notification {
-		out := []Notification{}
-		for i := range flat {
-			if to == "" || flat[i].b.Submission.UserEmail == to {
-				out = append(out, flat[i].render())
-			}
-		}
-		return out
-	}
-	if got, want := svc.mailer.Sent(), render(""); !slices.Equal(got, want) {
-		t.Fatalf("Sent(): %d mails, the oracle %d; first difference at %d", len(got), len(want), firstDiff(got, want))
-	}
-	for _, to := range append(users, "nobody@example.edu") {
-		got, want := svc.mailer.SentTo(to), render(to)
-		if len(got) != len(want) || (len(want) > 0 && !slices.Equal(got, want)) {
-			t.Errorf("SentTo(%q): %d mails, the oracle %d; first difference at %d", to, len(got), len(want), firstDiff(got, want))
+		if d := digest(got); len(got) != tc.mails || d != tc.digest {
+			t.Errorf("outbox of %q: %d mails, digest %s; want %d, %s", tc.to, len(got), d, tc.mails, tc.digest)
 		}
 	}
-	if n := len(svc.mailer.chunks); n < 9 || cap(svc.mailer.chunks[n-2]) != maxMailChunk || cap(svc.mailer.chunks[n-3]) != maxMailChunk {
-		t.Errorf("%d chunks: the outbox never reached two full %d-mail chunks", n, maxMailChunk)
-	}
-}
-
-// firstDiff is the first index at which a and b differ.
-func firstDiff(a, b []Notification) int {
-	for i := range min(len(a), len(b)) {
-		if a[i] != b[i] {
-			return i
-		}
-	}
-	return min(len(a), len(b))
 }
 
 // TestDoorRefusesUnpriceableSpecs: a spec whose memory requirement

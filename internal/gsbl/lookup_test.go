@@ -3,6 +3,7 @@ package gsbl
 import (
 	"testing"
 
+	"lattice/internal/obs"
 	"lattice/internal/sim"
 )
 
@@ -11,8 +12,8 @@ import (
 // joins the ID into an artifact path, so a second spelling that
 // resolved would name a second file for one batch.
 func TestBatchRefusesOtherSpellings(t *testing.T) {
-	eng, sched := testGrid(t)
-	svc := mustService(t, eng, sched, Options{IDPrefix: "shard1-"})
+	eng, sched, hub := testGrid(t)
+	svc := mustService(t, eng, sched, Options{Obs: hub, IDPrefix: "shard1-"})
 	b, err := svc.Submit(direct(smallSubmission(1)))
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +43,8 @@ func TestBatchRefusesOtherSpellings(t *testing.T) {
 // lookupService holds batches 1 to 12 of shard 1, without running the
 // grid.
 func lookupService(t testing.TB) *Service {
-	svc, err := NewService(sim.NewEngine(), nil, &Mailer{}, sim.NewRNG(1), Options{IDPrefix: "shard1-"})
+	eng := sim.NewEngine()
+	svc, err := NewService(eng, nil, sim.NewRNG(1), Options{Obs: obs.New(eng), IDPrefix: "shard1-"})
 	if err != nil {
 		t.Fatal(err)
 	}

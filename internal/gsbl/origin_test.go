@@ -104,8 +104,7 @@ func TestValidateDetailSpellings(t *testing.T) {
 // detail.
 func checkValidateDetail(t *testing.T, ingest IngestConfig, req Request, want string) {
 	t.Helper()
-	eng, sched := testGrid(t)
-	o := obs.New(eng)
+	eng, sched, o := testGrid(t)
 	svc := mustService(t, eng, sched, Options{Obs: o, Ingest: ingest})
 	req.Sub = smallSubmission(2)
 	if _, err := svc.Submit(req); err != nil {

@@ -49,8 +49,7 @@ func TestEveryOfferHasOneOutcome(t *testing.T) {
 func offerSequence(t *testing.T, seed int64) []string {
 	t.Helper()
 	const offers = 40
-	eng, sched := testGrid(t)
-	hub := obs.New(eng)
+	eng, sched, hub := testGrid(t)
 	d := &recordingDurable{}
 	svc := mustService(t, eng, sched, Options{Obs: hub, Durable: d,
 		Ingest: IngestConfig{PerSubmissionSeconds: 5, PerReplicateSeconds: 0.05},

@@ -15,6 +15,7 @@ import (
 	"lattice/internal/grid/mds"
 	"lattice/internal/lrm"
 	"lattice/internal/metasched"
+	"lattice/internal/obs"
 	"lattice/internal/sim"
 	"lattice/internal/workload"
 )
@@ -108,7 +109,7 @@ func readZip(t *testing.T, data []byte) []zipEntry {
 // deflate side of the break-even, and holds ResultsZip to the old
 // renderer entry for entry.
 func TestResultsZipMatchesReference(t *testing.T) {
-	eng, svc, _ := failingService(t, replicates(0, 1, 2))
+	eng, svc := failingService(t, replicates(0, 1, 2))
 	sub := smallSubmission(9)
 	sub.Spec.NumTaxa = 80
 	sub.Spec.SeqLength = 3000
@@ -309,7 +310,7 @@ func (s *stubLRM) Info() lrm.Info {
 // the name string and six inside archive/zip); writing the format into
 // one buffer takes a handful, whatever the entry count.
 func TestResultsZipAllocBudget(t *testing.T) {
-	_, svc, _ := testService(t)
+	_, svc := testService(t)
 	b := finishedBatch(t, svc, 2000)
 	allocs := testing.AllocsPerRun(5, func() {
 		if _, err := svc.ResultsZip(b.ID); err != nil {
@@ -420,7 +421,8 @@ func checkAgainstOracle(t *testing.T, svc *Service, b *Batch) {
 // zipService is a Service with no grid, for registering finished
 // batches directly.
 func zipService(t testing.TB) *Service {
-	svc, err := NewService(sim.NewEngine(), nil, &Mailer{}, sim.NewRNG(1), Options{})
+	eng := sim.NewEngine()
+	svc, err := NewService(eng, nil, sim.NewRNG(1), Options{Obs: obs.New(eng)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,7 +513,7 @@ func TestResultsZipRefusesZip64(t *testing.T) {
 // name holds a '/' either: "a/b@c" must not make a directory "a".
 func TestResultsZipEntriesStayInsideTheArchive(t *testing.T) {
 	for _, email := range []string{`/etc/cron.d/x@y`, `..\..\evil@x`, `a/b@c`} {
-		eng, svc, _ := testService(t)
+		eng, svc := testService(t)
 		sub := smallSubmission(2)
 		sub.UserEmail = email
 		b, err := svc.Submit(direct(sub))
@@ -535,7 +537,7 @@ var zipSink []byte
 
 func BenchmarkResultsZip2000(b *testing.B) {
 	eng := sim.NewEngine()
-	svc, err := NewService(eng, nil, &Mailer{}, sim.NewRNG(1), Options{})
+	svc, err := NewService(eng, nil, sim.NewRNG(1), Options{Obs: obs.New(eng)})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -564,9 +566,10 @@ func (f fixedEstimate) Predict(*workload.JobSpec) (float64, error) { return floa
 // its job's own count, which the job keeps for the archive.
 func TestBundledBatchResultsZip(t *testing.T) {
 	eng := sim.NewEngine()
-	sched := gridOn(t, eng, metasched.Options{}, nil)
+	hub := obs.New(eng)
+	sched := gridOn(t, eng, metasched.Options{Obs: hub}, nil)
 	sched.SetPredictor(fixedEstimate(100))
-	svc := mustService(t, eng, sched, Options{})
+	svc := mustService(t, eng, sched, Options{Obs: hub})
 	sub := smallSubmission(40)
 	sub.Spec.SearchReps = 2
 	b, err := svc.Submit(direct(sub))

@@ -92,6 +92,8 @@ func (fi *FuncInfo) Name() string {
 	return name
 }
 
+// calleeOf is Pass.Callee over info, for the passes that walk the whole
+// program rather than one package.
 func calleeOf(info *types.Info, call *ast.CallExpr) *types.Func {
 	var id *ast.Ident
 	switch fun := ast.Unparen(call.Fun).(type) {

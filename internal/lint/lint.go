@@ -79,19 +79,7 @@ func (p *Pass) ObjectOf(id *ast.Ident) types.Object { return p.Info.ObjectOf(id)
 // Callee resolves the called function or method of a call expression,
 // seeing through parentheses. It returns nil for calls of builtins,
 // function-typed variables and type conversions.
-func (p *Pass) Callee(call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil
-	}
-	fn, _ := p.ObjectOf(id).(*types.Func)
-	return fn
-}
+func (p *Pass) Callee(call *ast.CallExpr) *types.Func { return calleeOf(p.Info, call) }
 
 // ProgramPass carries the whole program through one dataflow
 // analyzer.

@@ -28,18 +28,23 @@ import (
 )
 
 // fixture builds a bare portal over a one-cluster grid.
-func fixture(t *testing.T) (*Portal, *httptest.Server, *gsbl.Mailer) {
+func fixture(t *testing.T) (*Portal, *httptest.Server) {
 	t.Helper()
 	return fixtureOpts(t, gsbl.Options{}, Options{})
 }
 
 // fixtureOpts builds a portal over a one-cluster grid from the given
 // service and portal options, always with a workflow engine behind it
-// and, unless the options name their own, an obs hub and a status
-// source reporting one resource.
-func fixtureOpts(t *testing.T, sopts gsbl.Options, popts Options) (*Portal, *httptest.Server, *gsbl.Mailer) {
+// and, unless the options name their own, a status source reporting one
+// resource and an obs hub, the one the scheduler, the service and the
+// portal all report to (popts.Obs names it).
+func fixtureOpts(t *testing.T, sopts gsbl.Options, popts Options) (*Portal, *httptest.Server) {
 	t.Helper()
 	eng := sim.NewEngine()
+	if popts.Obs == nil {
+		popts.Obs = obs.New(eng)
+	}
+	sopts.Obs = popts.Obs
 	idx, err := mds.NewIndex(eng, 5*sim.Minute)
 	if err != nil {
 		t.Fatal(err)
@@ -54,17 +59,13 @@ func fixtureOpts(t *testing.T, sopts gsbl.Options, popts Options) (*Portal, *htt
 	if err := mds.StartProvider(eng, idx, hpc, sim.Minute); err != nil {
 		t.Fatal(err)
 	}
-	sched := metasched.New(eng, idx, metasched.DefaultConfig(), metasched.Options{})
+	sched := metasched.New(eng, idx, metasched.DefaultConfig(), metasched.Options{Obs: popts.Obs})
 	if err := sched.Register(hpc, 2); err != nil {
 		t.Fatal(err)
 	}
-	mailer := &gsbl.Mailer{}
-	svc, err := gsbl.NewService(eng, sched, mailer, sim.NewRNG(1), sopts)
+	svc, err := gsbl.NewService(eng, sched, sim.NewRNG(1), sopts)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if popts.Obs == nil {
-		popts.Obs = obs.New(eng)
 	}
 	if popts.StatusSource == nil {
 		popts.StatusSource = func() any { return map[string]int{"resources": 1} }
@@ -73,7 +74,7 @@ func fixtureOpts(t *testing.T, sopts gsbl.Options, popts Options) (*Portal, *htt
 	p := New(eng, svc, popts)
 	ts := httptest.NewServer(p.Handler())
 	t.Cleanup(ts.Close)
-	return p, ts, mailer
+	return p, ts
 }
 
 // testFASTA generates a small alignment upload body.
@@ -116,7 +117,7 @@ func multipartForm(t *testing.T, fields map[string]string, fasta string) (string
 }
 
 func TestIndexAndFormPages(t *testing.T) {
-	_, ts, _ := fixture(t)
+	_, ts := fixture(t)
 	resp, err := http.Get(ts.URL + "/")
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +141,7 @@ func TestIndexAndFormPages(t *testing.T) {
 }
 
 func TestAppXMLServed(t *testing.T) {
-	_, ts, _ := fixture(t)
+	_, ts := fixture(t)
 	resp, err := http.Get(ts.URL + "/garli/app.xml")
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +157,8 @@ func TestAppXMLServed(t *testing.T) {
 	}
 	// testdata/app.xml was cut while GarliApp spelled out every
 	// parameter itself, before the analysis rows came from
-	// workload.Params.
+	// workload.Params; since then only the file field's label has
+	// changed, to name NEXUS, which the portal reads too.
 	want, err := os.ReadFile("testdata/app.xml")
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +193,7 @@ func submitBatch(t *testing.T, ts *httptest.Server, fields map[string]string, fa
 }
 
 func TestGuestSubmissionEndToEnd(t *testing.T) {
-	p, ts, mailer := fixture(t)
+	p, ts := fixture(t)
 	batch := submitBatch(t, ts, map[string]string{
 		"email":        "guest@example.org",
 		"datatype":     "nucleotide",
@@ -247,7 +249,7 @@ func TestGuestSubmissionEndToEnd(t *testing.T) {
 	if zr, err := zip.NewReader(bytes.NewReader(zipData), int64(len(zipData))); err != nil || len(zr.File) == 0 {
 		t.Errorf("download is not a zip of the results (err %v)", err)
 	}
-	if len(mailer.SentTo("guest@example.org")) < 2 {
+	if len(p.svc.SentTo("guest@example.org")) < 2 {
 		t.Error("guest did not receive notifications")
 	}
 }
@@ -257,7 +259,7 @@ func TestGuestSubmissionEndToEnd(t *testing.T) {
 // and no download link while jobs run, and the link to the results
 // zip once the batch is done.
 func TestBatchStatusPage(t *testing.T) {
-	p, ts, _ := fixture(t)
+	p, ts := fixture(t)
 	batch := submitBatch(t, ts, map[string]string{
 		"email":        "guest@example.org",
 		"datatype":     "nucleotide",
@@ -308,7 +310,7 @@ func TestBatchStatusPage(t *testing.T) {
 }
 
 func TestValidationPrePassRejectsBadUpload(t *testing.T) {
-	_, ts, _ := fixture(t)
+	_, ts := fixture(t)
 	// Ragged alignment must be rejected before scheduling.
 	bad := ">a\nACGT\n>b\nAC\n>c\nACGT\n"
 	ctype, body := multipartForm(t, map[string]string{"email": "g@x.org", "replicates": "5"}, bad)
@@ -323,7 +325,7 @@ func TestValidationPrePassRejectsBadUpload(t *testing.T) {
 }
 
 func TestValidationRejectsMissingFileAndEmail(t *testing.T) {
-	_, ts, _ := fixture(t)
+	_, ts := fixture(t)
 	ctype, body := multipartForm(t, map[string]string{"email": "g@x.org"}, "")
 	resp, _ := http.Post(ts.URL+"/garli/create", ctype, body)
 	if resp.StatusCode != http.StatusBadRequest {
@@ -339,7 +341,7 @@ func TestValidationRejectsMissingFileAndEmail(t *testing.T) {
 }
 
 func TestReplicateLimitEnforced(t *testing.T) {
-	_, ts, _ := fixture(t)
+	_, ts := fixture(t)
 	ctype, body := multipartForm(t, map[string]string{
 		"email": "g@x.org", "replicates": "2001",
 	}, testFASTA(t))
@@ -357,7 +359,7 @@ func TestReplicateLimitEnforced(t *testing.T) {
 // parameters to the door's one check, which refuses an impossible one
 // with a 400 before anything is scheduled.
 func TestDoorValidatesFormParameters(t *testing.T) {
-	p, ts, _ := fixture(t)
+	p, ts := fixture(t)
 	ctype, body := multipartForm(t, map[string]string{"email": "g@x.org", "searchreps": "0"}, testFASTA(t))
 	code, raw := do(t, http.MethodPost, ts.URL+"/garli/create", "", ctype, body)
 	if want := "validation failed: workload: SearchReps = 0"; code != http.StatusBadRequest || !strings.Contains(string(raw), want) {
@@ -369,7 +371,7 @@ func TestDoorValidatesFormParameters(t *testing.T) {
 }
 
 func TestRegisteredUserFlow(t *testing.T) {
-	_, ts, _ := fixture(t)
+	_, ts := fixture(t)
 	// Register.
 	resp, err := http.Post(ts.URL+"/register", "application/x-www-form-urlencoded",
 		strings.NewReader("email=alice@lab.edu"))
@@ -427,7 +429,7 @@ func TestRegisteredUserFlow(t *testing.T) {
 }
 
 func TestRegisterValidation(t *testing.T) {
-	_, ts, _ := fixture(t)
+	_, ts := fixture(t)
 	resp, _ := http.Post(ts.URL+"/register", "application/x-www-form-urlencoded",
 		strings.NewReader("email=notanemail"))
 	resp.Body.Close()
@@ -446,7 +448,7 @@ func TestRegisterValidation(t *testing.T) {
 // frames fields with 0x1f and events with newlines, and the address is
 // spliced into job IDs.
 func TestEmailControlBytesRefused(t *testing.T) {
-	_, ts, _ := fixture(t)
+	_, ts := fixture(t)
 	for _, email := range []string{"a%1Fb@example.org", "a%0Ab@x.org", "a%7F@x.org"} {
 		code, raw := do(t, http.MethodPost, ts.URL+"/register", "", "application/x-www-form-urlencoded",
 			strings.NewReader("email="+email))
@@ -470,7 +472,7 @@ func TestEmailControlBytesRefused(t *testing.T) {
 }
 
 func TestUnknownBatch404(t *testing.T) {
-	_, ts, _ := fixture(t)
+	_, ts := fixture(t)
 	resp, _ := http.Get(ts.URL + "/batch/batch-999999")
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
@@ -479,7 +481,7 @@ func TestUnknownBatch404(t *testing.T) {
 }
 
 func TestNEXUSUploadAccepted(t *testing.T) {
-	_, ts, _ := fixture(t)
+	_, ts := fixture(t)
 	nexus := `#NEXUS
 BEGIN DATA;
   DIMENSIONS NTAX=4 NCHAR=12;
@@ -501,10 +503,10 @@ END;
 	}
 }
 
-// TestPHYLIPUploadAccepted: the form asks for FASTA or PHYLIP, and a
-// PHYLIP file (here after a blank line) is read as PHYLIP.
+// TestPHYLIPUploadAccepted: the form asks for NEXUS, FASTA or PHYLIP,
+// and a PHYLIP file (here after a blank line) is read as PHYLIP.
 func TestPHYLIPUploadAccepted(t *testing.T) {
-	_, ts, _ := fixture(t)
+	_, ts := fixture(t)
 	phylip := `
 4 12
 a ACGTACGTACGT
@@ -522,7 +524,7 @@ d ACGTACTTACGT
 }
 
 func TestGridStatusEndpoint(t *testing.T) {
-	_, ts, _ := fixture(t)
+	_, ts := fixture(t)
 	resp, err := http.Get(ts.URL + "/grid/status")
 	if err != nil {
 		t.Fatal(err)
@@ -541,7 +543,7 @@ func TestGridStatusEndpoint(t *testing.T) {
 // admission controller in front of it.
 func admitFixture(t *testing.T, acfg admit.Config) (*Portal, *httptest.Server) {
 	t.Helper()
-	p, ts, _ := fixtureOpts(t, gsbl.Options{
+	p, ts := fixtureOpts(t, gsbl.Options{
 		Ingest: gsbl.IngestConfig{PerSubmissionSeconds: 1, PerReplicateSeconds: 0.25},
 		Admit:  acfg,
 	}, Options{})
@@ -665,7 +667,7 @@ func smallSpec() workload.JobSpec {
 // /workflow/<id>: guest and token creation (the token's e-mail overrides
 // the body's), and every refusal the two handlers can give.
 func TestWorkflowEndpoints(t *testing.T) {
-	_, ts, _ := fixture(t)
+	_, ts := fixture(t)
 	alice, eve := registerUser(t, ts, "alice@lab.edu"), registerUser(t, ts, "eve@lab.edu")
 	specJSON := func(email string, spec workload.JobSpec) io.Reader {
 		raw, err := json.Marshal(dag.StandardAnalysis("analysis", email, 3, spec, 2, 3))
@@ -752,7 +754,7 @@ func TestWorkflowEndpoints(t *testing.T) {
 // under the account's e-mail, however it reached the service, and
 // nobody else's.
 func TestMyJobsListsInCreationOrder(t *testing.T) {
-	p, ts, _ := fixture(t)
+	p, ts := fixture(t)
 	alice := registerUser(t, ts, "alice@lab.edu")
 	fasta := testFASTA(t)
 	var want []string
@@ -811,7 +813,7 @@ func (*failingWriter) Write([]byte) (int, error) { return 0, errors.New("broken 
 // failure.
 func TestClientWriteErrorsCounted(t *testing.T) {
 	hub := obs.New(sim.NewEngine())
-	p, _, _ := fixtureOpts(t, gsbl.Options{}, Options{Obs: hub})
+	p, _ := fixtureOpts(t, gsbl.Options{}, Options{Obs: hub})
 	const series = "lattice_portal_client_write_errors_total"
 	if strings.Contains(hub.Exposition(), series) {
 		t.Fatal("the counter exists before any write failed")
