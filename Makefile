@@ -23,7 +23,8 @@ vet:
 
 # vet-narrow holds the tree to a 32-bit target, where int is 32 bits: every
 # package and test file must vet there, and the WAL's tests run there,
-# since its decoder must refuse an int field a 32-bit int cannot hold.
+# since its decoder must refuse an int field a 32-bit int cannot hold
+# and read a frame length past 2^31 as a torn tail, not a negative hop.
 # The obs tests run there too: a journal entry lays out differently when
 # float64 aligns to 4, and its layout pin and the reference model must
 # hold on both. So do the metasched tests: a GridJob lays out
@@ -35,13 +36,16 @@ vet:
 # are judged against the width of int, so they must hold at 32 bits.
 # The gsbl tests run there too: a Batch lays out differently there, and
 # its size-class pin, the zip writer's 32-bit limits and the outbox fold
-# must hold on both.
+# must hold on both. So do the faults tests: the wrapper's in-flight
+# entries (a job pointer and an owner interface) lay out differently
+# there, and its allocation pin must hold on both.
 vet-narrow:
 	GOARCH=386 $(GO) vet ./...
 	GOARCH=386 $(GO) test ./internal/wal
 	GOARCH=386 $(GO) test ./internal/obs
 	GOARCH=386 $(GO) test ./internal/metasched
 	GOARCH=386 $(GO) test ./internal/gsbl
+	GOARCH=386 $(GO) test ./internal/faults
 	GOARCH=386 $(GO) test -run 'Validate|ExpectedWork|Memory' ./internal/workload
 
 # latticelint is the project's own analyzer suite (cmd/latticelint):
@@ -149,10 +153,15 @@ pins:
 # conservation (every job exactly one terminal state) and same-seed
 # determinism under the default hostile schedule. It also runs the
 # injector's own unit tests under -race: every kind's journal pin, the
-# schedule rules and the FuzzInjector seeds.
+# schedule rules and the FuzzInjector seeds. The wrapper stands as the
+# owner of every job it forwards and trusts each report to name its
+# job, once, and never after a Cancel, so the report-contract test that
+# holds the PBS, SGE and Condor clusters and the BOINC server to that
+# (one table over all four, in package lrm) runs here too.
 faults:
 	$(GO) test -race -run TestFaultScenarioShape ./internal/experiments/
 	$(GO) test -race ./internal/faults/
+	$(GO) test -race -run TestReportContract ./internal/lrm/
 
 # crash runs the crash-recovery tests under the race detector: the
 # scenario (the coordinator killed three times mid-batch, once over a

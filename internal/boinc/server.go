@@ -383,7 +383,7 @@ func (d *deadline) Fire() {
 	failed := s.deadlinePassed((*result)(d))
 	s.mu.Unlock()
 	if failed != nil && failed.Owner != nil {
-		failed.Owner.Fail(s.eng.Now(), "boinc: too many errors (may have bug)")
+		failed.Owner.Fail(failed, s.eng.Now(), "boinc: too many errors (may have bug)")
 	}
 }
 
@@ -394,7 +394,7 @@ func (r *result) Fire() {
 	done := s.receiveResult(r)
 	s.mu.Unlock()
 	if done != nil && done.Owner != nil {
-		done.Owner.Complete(s.eng.Now())
+		done.Owner.Complete(done, s.eng.Now())
 	}
 }
 

@@ -192,7 +192,7 @@ func drainDeployment(t *testing.T, l *Lattice) {
 // the portal's batches plus the sheds.
 func checkPortalLedger(t *testing.T, l *Lattice, posts []fuzzPost) {
 	t.Helper()
-	events := l.Obs.Journal.Events()
+	events := journalEvents(l.Obs.Journal)
 	taken := make(map[int]bool)
 	offered := 0
 	for _, p := range posts {

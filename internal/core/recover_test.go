@@ -19,6 +19,14 @@ import (
 	"lattice/internal/workload"
 )
 
+// journalEvents collects the journal through Each, for the tests that
+// index, slice or print it.
+func journalEvents(j *obs.Journal) []obs.Event {
+	var out []obs.Event
+	j.Each(func(ev obs.Event) { out = append(out, ev) })
+	return out
+}
+
 // recoverConfig is a trimmed federation that still exercises the state
 // recovery must re-derive without a record of it: stability learning
 // on, submit retries on, a BOINC pool with workunits, hour-scale jobs.
@@ -231,8 +239,8 @@ func TestRecoverMidBatch(t *testing.T) {
 	if got, want := recovered.Obs.Journal.Digest(), twin.Obs.Journal.Digest(); got != want {
 		t.Fatalf("final digest after crash+recovery %s != uninterrupted %s", got, want)
 	}
-	gotEvents := recovered.Obs.Journal.Events()
-	wantEvents := twin.Obs.Journal.Events()
+	gotEvents := journalEvents(recovered.Obs.Journal)
+	wantEvents := journalEvents(twin.Obs.Journal)
 	if len(gotEvents) != len(wantEvents) {
 		t.Fatalf("journal has %d events, twin %d", len(gotEvents), len(wantEvents))
 	}

@@ -54,11 +54,11 @@ func checkTrace(t *testing.T, lat *Lattice, b *gsbl.Batch) int {
 		t.Fatalf("%s: %d spans for %d jobs", b.ID, len(spans), len(b.Jobs))
 	}
 	placed := map[string][]obs.Attr{}
-	for _, ev := range lat.Obs.Journal.Events() {
+	lat.Obs.Journal.Each(func(ev obs.Event) {
 		if ev.Batch == b.ID && ev.Stage == obs.StagePlace {
 			placed[ev.Job] = append(placed[ev.Job], obs.Attr{Key: "resource", Value: ev.Resource})
 		}
-	}
+	})
 
 	root := spans[0]
 	wantRoot := obs.SpanView{

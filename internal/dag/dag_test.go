@@ -184,11 +184,11 @@ func TestWorkflowReadinessOrder(t *testing.T) {
 		}
 	}
 	var wfEvents []obs.Stage
-	for _, ev := range o.Journal.Events() {
+	o.Journal.Each(func(ev obs.Event) {
 		if ev.Batch == r.ID && ev.Job == "" {
 			wfEvents = append(wfEvents, ev.Stage)
 		}
-	}
+	})
 	if !reflect.DeepEqual(wfEvents, []obs.Stage{obs.StageWfSubmit, obs.StageWfComplete}) {
 		t.Fatalf("run-level journal events = %v", wfEvents)
 	}

@@ -126,12 +126,14 @@ func stageQueueWait(st dag.RunStatus, wf workload.Workflow) sim.Duration {
 // dagOrderOK checks readiness against the journal: a stage's
 // wf-dispatch event must come after the wf-stage-done events of every
 // dependency.
-func dagOrderOK(events []obs.Event, st dag.RunStatus, wf workload.Workflow) bool {
+func dagOrderOK(journal *obs.Journal, st dag.RunStatus, wf workload.Workflow) bool {
 	dispatch := make(map[string]int)
 	done := make(map[string]int)
-	for i, ev := range events {
+	i := -1
+	journal.Each(func(ev obs.Event) {
+		i++
 		if ev.Batch != st.ID {
-			continue
+			return
 		}
 		switch ev.Stage {
 		case obs.StageWfDispatch:
@@ -141,7 +143,7 @@ func dagOrderOK(events []obs.Event, st dag.RunStatus, wf workload.Workflow) bool
 		case obs.StageWfStageDone:
 			done[ev.Job] = i
 		}
-	}
+	})
 	for _, st := range wf.Stages {
 		d, ok := dispatch[st.ID]
 		if !ok {
@@ -159,7 +161,7 @@ func dagOrderOK(events []obs.Event, st dag.RunStatus, wf workload.Workflow) bool
 
 // dagShortOnService checks placement policy against the journal: no
 // place event of a Short stage's batch may name a BOINC resource.
-func dagShortOnService(events []obs.Event, status dag.RunStatus, wf workload.Workflow, boincNames map[string]bool) bool {
+func dagShortOnService(journal *obs.Journal, status dag.RunStatus, wf workload.Workflow, boincNames map[string]bool) bool {
 	shortBatch := make(map[string]bool)
 	for _, st := range wf.Stages {
 		if !st.Short {
@@ -174,12 +176,13 @@ func dagShortOnService(events []obs.Event, status dag.RunStatus, wf workload.Wor
 	if len(shortBatch) == 0 {
 		return false
 	}
-	for _, ev := range events {
+	ok := true
+	journal.Each(func(ev obs.Event) {
 		if ev.Stage == obs.StagePlace && shortBatch[ev.Batch] && boincNames[ev.Resource] {
-			return false
+			ok = false
 		}
-	}
-	return true
+	})
+	return ok
 }
 
 // DagScenario runs the workflow experiment: the four-stage analysis
@@ -198,7 +201,7 @@ func DagScenario(seed int64) (*DagResult, error) {
 		return nil, err
 	}
 	wf := dagWorkflow(seed)
-	events := first.lats[0].Obs.Journal.Events()
+	journal := first.lats[0].Obs.Journal
 	boincNames := make(map[string]bool)
 	for _, rs := range crashConfig(seed).Resources {
 		if rs.Kind == "boinc" {
@@ -209,8 +212,8 @@ func DagScenario(seed int64) (*DagResult, error) {
 		Stages:         len(st.Stages),
 		Jobs:           first.m.Jobs,
 		RunState:       st.State,
-		OrderOK:        dagOrderOK(events, st, wf),
-		ShortOnService: dagShortOnService(events, st, wf, boincNames),
+		OrderOK:        dagOrderOK(journal, st, wf),
+		ShortOnService: dagShortOnService(journal, st, wf, boincNames),
 		Conserved:      first.conserved,
 		Digest:         first.digest,
 		DigestsEqual:   first.same(again),

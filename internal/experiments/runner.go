@@ -455,11 +455,11 @@ func (r *run) collect() error {
 		quota, overload := l.Service.Sheds()
 		shedEvents := 0
 		if l.Service.AdmitActive() {
-			for _, ev := range l.Obs.Journal.Events() {
+			l.Obs.Journal.Each(func(ev obs.Event) {
 				if ev.Stage == obs.StageShed {
 					shedEvents++
 				}
-			}
+			})
 		}
 		offered := len(ids)
 		if r.cfg.Ingest.Enabled() {

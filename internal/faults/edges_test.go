@@ -90,9 +90,9 @@ func TestEveryKindJournalsItsEdges(t *testing.T) {
 	}
 
 	var b strings.Builder
-	for _, ev := range hub.Journal.Events() {
+	hub.Journal.Each(func(ev obs.Event) {
 		fmt.Fprintf(&b, "%-8v %-8s %-14s %-4s %q\n", float64(ev.At), ev.Stage, ev.Resource, ev.Job, ev.Detail)
-	}
+	})
 	path := filepath.Join("testdata", "edges.golden")
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {

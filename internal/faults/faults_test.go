@@ -6,6 +6,7 @@ import (
 
 	"lattice/internal/grid/mds"
 	"lattice/internal/lrm"
+	"lattice/internal/obs"
 	"lattice/internal/sim"
 )
 
@@ -40,7 +41,7 @@ func (f *fakeLRM) Submit(j *lrm.Job) error {
 		}
 		delete(f.jobs, j.ID)
 		if j.Owner != nil {
-			j.Owner.Complete(f.eng.Now())
+			j.Owner.Complete(j, f.eng.Now())
 		}
 	})
 	return nil
@@ -529,5 +530,63 @@ func TestCrashValidate(t *testing.T) {
 	sch := Schedule{CrashAt: []sim.Time{-1}}
 	if err := sch.Validate(); err == nil {
 		t.Error("Validate accepted a crash before t=0")
+	}
+}
+
+// holdingLRM keeps the last job handed to it and reports nothing on its
+// own: the test plays the resource's report.
+type holdingLRM struct{ held *lrm.Job }
+
+func (h *holdingLRM) Name() string            { return "held" }
+func (h *holdingLRM) Stats() lrm.Stats        { return lrm.Stats{} }
+func (h *holdingLRM) Info() lrm.Info          { return lrm.Info{Name: "held", TotalCPUs: 1} }
+func (h *holdingLRM) Cancel(string) bool      { return false }
+func (h *holdingLRM) Submit(j *lrm.Job) error { h.held = j; return nil }
+
+// countingOwner counts the reports it is given.
+type countingOwner struct{ completed, failed int }
+
+func (c *countingOwner) Complete(*lrm.Job, sim.Time)     { c.completed++ }
+func (c *countingOwner) Fail(*lrm.Job, sim.Time, string) { c.failed++ }
+
+// TestWrappedDispatchAllocatesNothing: a warm submit→complete cycle
+// through an idle wrapper, and a submission a down one refuses,
+// allocate nothing. The wrapper stands as the Owner of every job it
+// forwards, its in-flight entry is a value in a list that has grown,
+// and its refusal and the refusal's journal detail were built before.
+// A dispatch once cost a record of its own, and a refusal its error
+// and its joined detail.
+func TestWrappedDispatchAllocatesNothing(t *testing.T) {
+	eng := sim.NewEngine()
+	in := NewInjector(eng, sim.NewRNG(1), obs.New(eng))
+	inner := &holdingLRM{}
+	res := in.Wrap(inner)
+	if err := in.Apply(Schedule{}); err != nil {
+		t.Fatal(err)
+	}
+	owner := &countingOwner{}
+	j := &lrm.Job{ID: "j", Work: 1}
+	cycle := func() {
+		j.Owner = owner
+		if err := res.Submit(j); err != nil {
+			t.Fatal(err)
+		}
+		inner.held.Owner.Complete(inner.held, eng.Now())
+	}
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("a submit→complete cycle through the wrapper allocates %v, want 0", n)
+	}
+	if owner.completed != 101 || owner.failed != 0 {
+		t.Errorf("owner told %d completions and %d failures, want 101 and 0", owner.completed, owner.failed)
+	}
+	in.targets["held"].beginOutage()
+	refuse := func() {
+		if err := res.Submit(j); err == nil || err.Error() != "faults: held is down" {
+			t.Fatalf("Submit to a down resource returned %v", err)
+		}
+	}
+	refuse() // resolves the kind's counter series
+	if n := testing.AllocsPerRun(100, refuse); n != 0 {
+		t.Errorf("a refused submission allocates %v, want 0", n)
 	}
 }

@@ -75,13 +75,16 @@ func (in *Injector) Wrap(inner lrm.LRM) lrm.LRM {
 	name := inner.Name()
 	churn, _ := inner.(Churner)
 	t := &target{
-		in:        in,
-		inner:     inner,
-		name:      name,
-		churn:     churn,
-		open:      make(map[Kind]*Event),
-		submitRNG: in.rng.Stream("submit-" + name),
-		resultRNG: in.rng.Stream("result-" + name),
+		in:           in,
+		inner:        inner,
+		name:         name,
+		churn:        churn,
+		open:         make(map[Kind]*Event),
+		errDown:      fmt.Errorf("faults: %s is down", name),
+		errRefused:   fmt.Errorf("faults: %s gatekeeper refused the submission", name),
+		errCollapsed: fmt.Errorf("faults: %s capacity collapsed", name),
+		submitRNG:    in.rng.Stream("submit-" + name),
+		resultRNG:    in.rng.Stream("result-" + name),
 	}
 	in.targets[name] = t
 	return t
@@ -214,10 +217,24 @@ func (in *Injector) armFlap(f Flap, i int) {
 	in.eng.ScheduleAt(f.Start.Add(rng.ExpDuration(f.MeanUp)), cycle)
 }
 
-// note counts one injected fault and journals it. Each kind and
-// resource's counter series is resolved at its first injection and
-// kept.
+// note counts one injected fault and journals it, its detail led by
+// the kind.
 func (in *Injector) note(k Kind, resource, detail string) {
+	in.count(k, resource, string(k)+": "+detail)
+}
+
+// The journal details of the wrapper's three submit refusals, spelled
+// out as note would join them, so that a refusal joins nothing.
+const (
+	refusedDown       = string(KindSubmitFail) + ": submit refused: resource down"
+	refusedGatekeeper = string(KindSubmitFail) + ": submit refused by gatekeeper"
+	refusedCollapsed  = string(KindCapacityCollapse) + ": submit refused: capacity collapsed"
+)
+
+// count counts one injected fault of kind k and journals detail, the
+// whole of its text. Each kind and resource's counter series is
+// resolved at its first injection and kept.
+func (in *Injector) count(k Kind, resource, detail string) {
 	in.stats[k]++
 	key := injection{k, resource}
 	c, ok := in.injected[key]
@@ -228,7 +245,7 @@ func (in *Injector) note(k Kind, resource, detail string) {
 		in.injected[key] = c
 	}
 	c.Inc()
-	in.obs.Record("", "", obs.StageFault, resource, string(k)+": "+detail)
+	in.obs.Record("", "", obs.StageFault, resource, detail)
 }
 
 // injection keys a lattice_faults_injected_total series.
@@ -259,13 +276,24 @@ type target struct {
 	lastInfo lrm.Info
 	haveLast bool
 
+	// errDown, errRefused and errCollapsed are the target's three
+	// refusals, built once.
+	errDown, errRefused, errCollapsed error
+
 	submitRNG *sim.RNG
 	resultRNG *sim.RNG
 
-	// inflight tracks jobs submitted through the wrapper and not yet
+	// inflight holds the jobs submitted through the wrapper and not yet
 	// terminal, in submission order, so an outage kills them
 	// deterministically.
-	inflight []*tracked
+	inflight []flight
+}
+
+// flight is one job in flight through a target and the owner it was
+// submitted with; the target stands as the job's Owner meanwhile.
+type flight struct {
+	job   *lrm.Job
+	owner lrm.Owner
 }
 
 func (t *target) Name() string     { return t.inner.Name() }
@@ -273,7 +301,7 @@ func (t *target) Info() lrm.Info   { return t.inner.Info() }
 func (t *target) Stats() lrm.Stats { return t.inner.Stats() }
 
 func (t *target) Cancel(jobID string) bool {
-	if i := slices.IndexFunc(t.inflight, func(k *tracked) bool { return k.j.ID == jobID }); i >= 0 {
+	if i := slices.IndexFunc(t.inflight, func(f flight) bool { return f.job.ID == jobID }); i >= 0 {
 		t.inflight = slices.Delete(t.inflight, i, i+1)
 	}
 	return t.inner.Cancel(jobID)
@@ -285,23 +313,23 @@ func (t *target) Cancel(jobID string) bool {
 // retry.
 func (t *target) Submit(j *lrm.Job) error {
 	if t.down {
-		t.in.note(KindSubmitFail, t.name, "submit refused: resource down")
-		return fmt.Errorf("faults: %s is down", t.name)
+		t.in.count(KindSubmitFail, t.name, refusedDown)
+		return t.errDown
 	}
 	if ev := t.open[KindSubmitFail]; ev != nil && t.submitRNG.Bool(ev.P) {
-		t.in.note(KindSubmitFail, t.name, "submit refused by gatekeeper")
-		return fmt.Errorf("faults: %s gatekeeper refused the submission", t.name)
+		t.in.count(KindSubmitFail, t.name, refusedGatekeeper)
+		return t.errRefused
 	}
 	if ev := t.open[KindCapacityCollapse]; ev != nil && len(t.inflight) >= collapse(ev, t.inner.Info().TotalCPUs) {
-		t.in.note(KindCapacityCollapse, t.name, "submit refused: capacity collapsed")
-		return fmt.Errorf("faults: %s capacity collapsed", t.name)
+		t.in.count(KindCapacityCollapse, t.name, refusedCollapsed)
+		return t.errCollapsed
 	}
-	k := &tracked{t: t, j: j, owner: j.Owner}
-	j.Owner = k
+	owner := j.Owner
+	j.Owner = (*relay)(t)
 	if err := t.inner.Submit(j); err != nil {
 		return err
 	}
-	t.inflight = append(t.inflight, k)
+	t.inflight = append(t.inflight, flight{j, owner})
 	return nil
 }
 
@@ -310,52 +338,61 @@ func collapse(ev *Event, cpus int) int {
 	return max(1, int(ev.Factor*float64(cpus)))
 }
 
-// tracked stands between a job submitted through the wrapper and its
-// owner: it forgets the job when it ends and applies the lost- and
-// slow-result windows to its completion. It is also the event of a
-// delayed result arriving.
-type tracked struct {
-	t     *target
-	j     *lrm.Job
-	owner lrm.Owner
-}
+// relay is a target as the Owner of every job it forwards. A report
+// names its job (the lrm.Owner contract), so it finds the job's flight
+// by pointer, ends it and goes on to the owner, applying the lost- and
+// slow-result windows to a completion. A report of a job the target no
+// longer holds — cancelled, or failed by an outage — is one no resource
+// sends, and is dropped.
+type relay target
 
 // Complete draws for a lost result before a slow one.
-func (k *tracked) Complete(at sim.Time) {
-	t := k.t
-	t.forget(k)
+func (r *relay) Complete(j *lrm.Job, at sim.Time) {
+	t := (*target)(r)
+	owner, ok := t.land(j)
+	if !ok {
+		return
+	}
 	if ev := t.open[KindLostResult]; ev != nil && t.resultRNG.Bool(ev.P) {
-		t.in.note(KindLostResult, t.name, k.j.ID)
-		if k.owner != nil {
-			k.owner.Fail(at, "faults: result lost in transit")
+		t.in.note(KindLostResult, t.name, j.ID)
+		if owner != nil {
+			owner.Fail(j, at, "faults: result lost in transit")
 		}
 		return
 	}
 	if ev := t.open[KindSlowResult]; ev != nil && t.resultRNG.Bool(ev.P) {
-		t.in.note(KindSlowResult, t.name, k.j.ID)
-		t.in.eng.After(ev.Delay, k)
+		t.in.note(KindSlowResult, t.name, j.ID)
+		t.in.eng.After(ev.Delay, &slowResult{eng: t.in.eng, flight: flight{j, owner}})
 		return
 	}
-	if k.owner != nil {
-		k.owner.Complete(at)
+	if owner != nil {
+		owner.Complete(j, at)
 	}
 }
 
-func (k *tracked) Fail(at sim.Time, reason string) {
-	k.t.forget(k)
-	if k.owner != nil {
-		k.owner.Fail(at, reason)
+func (r *relay) Fail(j *lrm.Job, at sim.Time, reason string) {
+	if owner, ok := (*target)(r).land(j); ok && owner != nil {
+		owner.Fail(j, at, reason)
 	}
 }
 
-// Fire delivers a slow result.
-func (k *tracked) Fire() {
-	if k.owner != nil {
-		k.owner.Complete(k.t.in.eng.Now())
+// slowResult is a completion the slow-result window holds back: the
+// event of it reaching the job's owner. The job has left the target's
+// flights, so a Cancel meanwhile does not stop it: the one report the
+// wrapper sends after a Cancel, which the meta-scheduler's stale
+// attempt ignores.
+type slowResult struct {
+	eng *sim.Engine
+	flight
+}
+
+func (d *slowResult) Fire() {
+	if d.owner != nil {
+		d.owner.Complete(d.job, d.eng.Now())
 	}
 }
 
-// beginOutage takes the resource down: every tracked in-flight job is
+// beginOutage takes the resource down: every in-flight job is
 // cancelled locally and failed back to its submitter.
 func (t *target) beginOutage() {
 	if t.down {
@@ -366,9 +403,11 @@ func (t *target) beginOutage() {
 	jobs := t.inflight
 	t.inflight = nil
 	now := t.in.eng.Now()
-	for _, k := range jobs {
-		t.inner.Cancel(k.j.ID)
-		k.Fail(now, "faults: resource outage")
+	for _, f := range jobs {
+		t.inner.Cancel(f.job.ID)
+		if f.owner != nil {
+			f.owner.Fail(f.job, now, "faults: resource outage")
+		}
 	}
 }
 
@@ -380,9 +419,17 @@ func (t *target) endOutage() {
 	t.in.mark(KindOutage, t.name, kinds[KindOutage].closes)
 }
 
-// forget drops a job that ended from the in-flight list.
-func (t *target) forget(k *tracked) {
-	t.inflight = slices.DeleteFunc(t.inflight, func(x *tracked) bool { return x == k })
+// land ends the flight of a job whose report arrived and returns the
+// owner it was submitted with; ok is false when the target holds no
+// flight of j.
+func (t *target) land(j *lrm.Job) (owner lrm.Owner, ok bool) {
+	for i, f := range t.inflight {
+		if f.job == j {
+			t.inflight = slices.Delete(t.inflight, i, i+1)
+			return f.owner, true
+		}
+	}
+	return nil, false
 }
 
 // sink filters MDS publications through the injector's window state.

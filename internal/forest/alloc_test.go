@@ -25,10 +25,13 @@ func paperShape(tb testing.TB, rows, trees int) (*forest.Dataset, forest.Config)
 }
 
 // TestTrainAllocationBudget keeps per-node, per-row and per-call
-// garbage out of tree growth. A tree may cost the objects that outlive
-// it (its header, nodes, oob, gain) and the call a constant (builder
-// scratch, the column-major matrix, OOB sums); a row costs nothing, so
-// a matrix four times the size trains in the same count. Per-node row
+// garbage out of tree growth. A tree costs the two objects that outlive
+// it and are its own (nodes, oob) — its header and its gain row are cut
+// from the forest's tree and gain slices — and the call a constant
+// (those two slices, builder scratch, the column-major matrix, OOB
+// sums): 1 029 objects for 500 trees on the 150-row shape, 2 028 when
+// every tree had its own header and gain row. A row costs nothing, so a
+// matrix four times the size trains in the same count. Per-node row
 // slices, sort closures and per-tree RNG sources once ran to 184 099
 // objects and 25.4 MB on the 150-row shape, and a copy of the matrix
 // once cost an object per row.
@@ -44,7 +47,8 @@ func TestTrainAllocationBudget(t *testing.T) {
 		})
 	}
 	small, large := allocs(150), allocs(600)
-	if budget := float64(6*trees + 64); small > budget {
+	t.Logf("Train allocates %.0f objects on 150 rows, %.0f on 600", small, large)
+	if budget := float64(2*trees + 30); small > budget {
 		t.Errorf("Train allocates %.0f objects, budget %.0f", small, budget)
 	}
 	if math.Abs(large-small) > 8 {

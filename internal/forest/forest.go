@@ -41,7 +41,7 @@ func DefaultConfig() Config {
 type Forest struct {
 	schema *Schema
 	cfg    Config
-	trees  []*regTree
+	trees  []regTree
 
 	oobMSE        float64
 	trainVariance float64
@@ -71,8 +71,10 @@ func Train(ds *Dataset, cfg Config) (*Forest, error) {
 	}
 	workers := min(runtime.GOMAXPROCS(0), cfg.NumTrees)
 
-	f := &Forest{schema: ds.Schema, cfg: cfg, trees: make([]*regTree, cfg.NumTrees), ds: ds}
+	f := &Forest{schema: ds.Schema, cfg: cfg, trees: make([]regTree, cfg.NumTrees), ds: ds}
 	cols := columnMajor(f.ds)
+	// Every tree's gain row is cut from one slice.
+	gains := make([]float64, cfg.NumTrees*p)
 
 	var wg sync.WaitGroup
 	next := make(chan int)
@@ -84,7 +86,7 @@ func Train(ds *Dataset, cfg Config) (*Forest, error) {
 			for t := range next {
 				// Per-tree deterministic stream: independent of which
 				// worker builds which tree.
-				f.trees[t] = b.grow(cfg.Seed + int64(t)*0x9E3779B9)
+				b.grow(&f.trees[t], gains[t*p:(t+1)*p:(t+1)*p], cfg.Seed+int64(t)*0x9E3779B9)
 			}
 		}()
 	}
@@ -116,7 +118,8 @@ func (f *Forest) computeOOB() {
 	n := f.ds.NumRows()
 	sums := make([]float64, n)
 	counts := make([]int, n)
-	for _, tr := range f.trees {
+	for i := range f.trees {
+		tr := &f.trees[i]
 		for _, r := range tr.oob {
 			sums[r] += tr.predict(f.ds.X[r], f.schema.Kinds)
 			counts[r]++
@@ -144,8 +147,8 @@ func (f *Forest) NumTrees() int { return len(f.trees) }
 // Predict returns the forest's prediction for covariates x.
 func (f *Forest) Predict(x []float64) float64 {
 	var s float64
-	for _, tr := range f.trees {
-		s += tr.predict(x, f.schema.Kinds)
+	for i := range f.trees {
+		s += f.trees[i].predict(x, f.schema.Kinds)
 	}
 	return s / float64(len(f.trees))
 }
@@ -183,7 +186,8 @@ func (f *Forest) Importance(seed int64) []ImportanceResult {
 	rng := sim.NewRNG(seed)
 	row := make([]float64, p)
 	permBuf := make([]int, f.ds.NumRows())
-	for _, tr := range f.trees {
+	for i := range f.trees {
+		tr := &f.trees[i]
 		if len(tr.oob) < 2 {
 			continue
 		}
@@ -228,8 +232,8 @@ func (f *Forest) GainImportance() []ImportanceResult {
 	p := f.schema.NumFeatures()
 	totals := make([]float64, p)
 	var grand float64
-	for _, tr := range f.trees {
-		for j, g := range tr.gain {
+	for i := range f.trees {
+		for j, g := range f.trees[i].gain {
 			totals[j] += g
 			grand += g
 		}

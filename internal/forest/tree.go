@@ -78,8 +78,9 @@ func cmpFloat(a, b float64) int {
 // treeBuilder grows every tree one Train worker is handed. It owns all
 // the scratch growth needs — the bootstrap rows, the partition buffer,
 // the sort pairs, the feature permutation, the node list, the RNG — so
-// a tree costs only the allocations that outlive it (nodes, oob, gain)
-// and concurrent builders share nothing they write.
+// a tree costs only the allocations that outlive it (nodes and oob; its
+// header and gain row are cut from the forest's) and concurrent
+// builders share nothing they write.
 type treeBuilder struct {
 	cfg   Config
 	kinds []FeatureKind
@@ -96,7 +97,10 @@ type treeBuilder struct {
 	perm    []int  // feature order of the node being split
 	pairs   []xy   // numeric split scan
 	nodes   []treeNode
-	gain    []float64 // per-feature SSE reduction of the growing tree
+	// gain is the per-feature SSE reduction of the growing tree, kept
+	// here and copied into the tree's row when it is grown: the rows
+	// of trees that other builders grow at once are its neighbours.
+	gain []float64
 }
 
 // newTreeBuilder sizes a builder for the n = len(y) rows of cols.
@@ -110,6 +114,7 @@ func newTreeBuilder(cfg Config, kinds []FeatureKind, cols, y []float64) *treeBui
 		inBag:   make([]bool, n),
 		perm:    make([]int, len(kinds)),
 		pairs:   make([]xy, n),
+		gain:    make([]float64, len(kinds)),
 	}
 }
 
@@ -120,8 +125,9 @@ func (b *treeBuilder) col(f int) []float64 {
 }
 
 // grow draws a bootstrap sample from the stream seeded with seed and
-// builds its tree.
-func (b *treeBuilder) grow(seed int64) *regTree {
+// builds its tree into tr, with gain, a row of one per feature, for its
+// split gains.
+func (b *treeBuilder) grow(tr *regTree, gain []float64, seed int64) {
 	b.rng.Reseed(seed)
 	n := len(b.y)
 	clear(b.inBag)
@@ -135,19 +141,19 @@ func (b *treeBuilder) grow(seed int64) *regTree {
 		}
 	}
 	b.nodes = b.nodes[:0]
-	b.gain = make([]float64, len(b.kinds))
+	clear(b.gain)
 	b.buildNode(b.rows)
-	tr := &regTree{
+	copy(gain, b.gain)
+	*tr = regTree{
 		nodes: append([]treeNode(nil), b.nodes...),
 		oob:   make([]int, 0, n-distinct),
-		gain:  b.gain,
+		gain:  gain,
 	}
 	for i, in := range b.inBag {
 		if !in {
 			tr.oob = append(tr.oob, i)
 		}
 	}
-	return tr
 }
 
 // buildNode recursively grows the subtree for rows, a window of

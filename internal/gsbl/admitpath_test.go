@@ -85,7 +85,7 @@ func TestAdmitShedJournalsAndAccounts(t *testing.T) {
 		}
 	}
 	var shedEvents int
-	for _, ev := range hub.Journal.Events() {
+	hub.Journal.Each(func(ev obs.Event) {
 		if ev.Stage == obs.StageShed {
 			shedEvents++
 			if ev.Batch != "" || ev.Job != "" {
@@ -95,7 +95,7 @@ func TestAdmitShedJournalsAndAccounts(t *testing.T) {
 				t.Fatalf("shed event missing retry hint: %q", ev.Detail)
 			}
 		}
-	}
+	})
 	if shedEvents != overload {
 		t.Fatalf("journal has %d shed events, want %d", shedEvents, overload)
 	}

@@ -100,13 +100,13 @@ func (s *Service) SentTo(to string) []Notification { return s.outbox(to) }
 func (s *Service) outbox(to string) []Notification {
 	out := []Notification{}
 	ended := make([]int32, len(s.batches)) // batch n's terminal jobs, at n-1
-	for _, ev := range s.obs.Journal.Events() {
+	s.obs.Journal.Each(func(ev obs.Event) {
 		if ev.Stage != obs.StageValidate && !ev.Stage.Terminal() {
-			continue
+			return
 		}
 		n, ok := shard.IDNumber(ev.Batch, s.idPrefix, "batch")
 		if !ok || n > len(ended) {
-			continue
+			return
 		}
 		b := s.batches[n-1]
 		mine := to == "" || b.Submission.UserEmail == to
@@ -119,7 +119,7 @@ func (s *Service) outbox(to string) []Notification {
 					" replicates was accepted as " + b.ID + " (" + strconv.Itoa(len(b.Jobs)) + " grid jobs)."
 				out = append(out, m)
 			}
-			continue
+			return
 		case obs.StageFail:
 			if mine {
 				m.Subject = "[Lattice] job failure in " + b.ID
@@ -133,6 +133,6 @@ func (s *Service) outbox(to string) []Notification {
 				" completed, " + strconv.Itoa(int(b.failed)) + " failed). Results are ready for download."
 			out = append(out, m)
 		}
-	}
+	})
 	return out
 }

@@ -17,6 +17,14 @@ import (
 	"lattice/internal/workload"
 )
 
+// journalEvents collects the journal through Each, for the tests that
+// index, slice or print it.
+func journalEvents(j *obs.Journal) []obs.Event {
+	var out []obs.Event
+	j.Each(func(ev obs.Event) { out = append(out, ev) })
+	return out
+}
+
 // testGrid builds the one-cluster grid every service fixture runs on,
 // its scheduler journaling into hub, the hub the service must share:
 // the service's outbox is folded from both components' events.
@@ -76,7 +84,7 @@ func (f *failing) Submit(j *lrm.Job) error {
 	}
 	f.fails++
 	f.eng.Schedule(10*sim.Minute+sim.Duration(f.fails)*sim.Second, func() {
-		j.Owner.Fail(f.eng.Now(), "pbs: node died")
+		j.Owner.Fail(j, f.eng.Now(), "pbs: node died")
 	})
 	return nil
 }

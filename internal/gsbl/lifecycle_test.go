@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -164,6 +165,40 @@ func TestOutboxDigests(t *testing.T) {
 	}
 }
 
+// TestSentToBytesDoNotGrowWithTheJournal: reading one recipient's mail
+// folds the journal in place, so it costs the same bytes however many
+// other events the journal holds. SentTo once copied the whole journal
+// on every call: the 100 000 unrelated events recorded here cost it
+// 8.8 MB more.
+func TestSentToBytesDoNotGrowWithTheJournal(t *testing.T) {
+	eng, sched, hub := testGrid(t)
+	svc := mustService(t, eng, sched, Options{Obs: hub})
+	for _, user := range []string{"mine@example.edu", "other@example.edu"} {
+		if _, err := svc.Submit(direct(userSubmission(user, 2))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.RunUntil(eng.Now().Add(sim.Day))
+	sentTo := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		mails := svc.SentTo("mine@example.edu")
+		runtime.ReadMemStats(&after)
+		if len(mails) != 2 {
+			t.Fatalf("SentTo returned %d mails, want submitted and complete", len(mails))
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	short := sentTo()
+	for i := 0; i < 100_000; i++ {
+		hub.Record("", "", obs.StageFault, "hpc", "outage: resource down")
+	}
+	if long := sentTo(); long > short {
+		t.Errorf("SentTo allocates %d bytes over a journal of %d events, %d over the same mail among %d events",
+			short, hub.Journal.Len()-100_000, long, hub.Journal.Len())
+	}
+}
+
 // TestDoorRefusesUnpriceableSpecs: a spec whose memory requirement
 // overflows an int (here 2^62 gamma categories, 2^30 on a 32-bit
 // target) is refused by Submit itself — direct or queued — before
@@ -194,7 +229,7 @@ func TestDoorRefusesUnpriceableSpecs(t *testing.T) {
 			eng.RunUntil(sim.Time(sim.Day))
 			if n := o.Journal.Len(); n != 0 || len(d.records) != 0 || len(svc.Batches()) != 0 {
 				t.Errorf("refused spec left %d journal events (%v), %d records, %d batches",
-					n, o.Journal.Events(), len(d.records), len(svc.Batches()))
+					n, journalEvents(o.Journal), len(d.records), len(svc.Batches()))
 			}
 		})
 	}

@@ -43,15 +43,15 @@ func TestBatchOriginPropagation(t *testing.T) {
 	}
 
 	perStage := make(map[obs.Stage]int)
-	for _, ev := range o.Journal.Events() {
+	o.Journal.Each(func(ev obs.Event) {
 		if ev.Batch != id {
-			continue
+			return
 		}
 		perStage[ev.Stage]++
 		if ev.Stage == obs.StageValidate && !strings.Contains(ev.Detail, "via wf-000001/search") {
 			t.Errorf("validate detail %q does not name the stage origin", ev.Detail)
 		}
-	}
+	})
 	if perStage[obs.StageValidate] != 1 {
 		t.Errorf("validate events = %d, want 1", perStage[obs.StageValidate])
 	}
@@ -118,13 +118,16 @@ func checkValidateDetail(t *testing.T, ingest IngestConfig, req Request, want st
 	if b, _ := svc.Batch(ids[0]); b.Origin != req.Origin {
 		t.Fatalf("Batch.Origin = %q, want %q", b.Origin, req.Origin)
 	}
-	for _, ev := range o.Journal.Events() {
-		if ev.Batch == ids[0] && ev.Stage == obs.StageValidate {
+	validated := false
+	o.Journal.Each(func(ev obs.Event) {
+		if ev.Batch == ids[0] && ev.Stage == obs.StageValidate && !validated {
 			if ev.Detail != want {
 				t.Fatalf("validate detail = %q; must stay byte-identical to %q", ev.Detail, want)
 			}
-			return
+			validated = true
 		}
+	})
+	if !validated {
+		t.Fatal("no validate event recorded")
 	}
-	t.Fatal("no validate event recorded")
 }

@@ -84,7 +84,7 @@ func offerSequence(t *testing.T, seed int64) []string {
 			t.Fatalf("seed %d offer %d: a direct request was not expanded", seed, i)
 		default:
 			outcomes[i] = "queued"
-			if shedOwnArrival(hub.Journal.Events()[before:], d.records[:i], outcomes, rec) {
+			if shedOwnArrival(journalEvents(hub.Journal)[before:], d.records[:i], outcomes, rec) {
 				t.Fatalf("seed %d offer %d: the door shed the arriving request, and Submit returned no rejection", seed, i)
 			}
 		}
@@ -126,12 +126,12 @@ func offerSequence(t *testing.T, seed int64) []string {
 			seed, len(accepted), len(svc.Batches()), quota, overload, len(want), offers)
 	}
 	var got []string
-	for _, ev := range hub.Journal.Events() {
+	hub.Journal.Each(func(ev obs.Event) {
 		if ev.Stage == obs.StageShed {
 			prefix, _, _ := strings.Cut(ev.Detail, "; retry after")
 			got = append(got, prefix)
 		}
-	}
+	})
 	slices.Sort(got)
 	slices.Sort(want)
 	if !slices.Equal(got, want) {

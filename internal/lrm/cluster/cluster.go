@@ -212,7 +212,7 @@ func (c *Cluster) preempt(r *running) {
 		c.stats.Failed++
 		c.ins.JobFailed(j)
 		if j.Owner != nil {
-			j.Owner.Fail(c.eng.Now(), c.cfg.Kind+": requeue limit exceeded")
+			j.Owner.Fail(j, c.eng.Now(), c.cfg.Kind+": requeue limit exceeded")
 		}
 		return
 	}
@@ -333,7 +333,7 @@ func (r *running) Fire() {
 	c.recycle(r)
 	c.ins.JobCompleted(j)
 	if j.Owner != nil {
-		j.Owner.Complete(c.eng.Now())
+		j.Owner.Complete(j, c.eng.Now())
 	}
 	c.dispatch()
 }

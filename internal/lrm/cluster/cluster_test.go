@@ -664,7 +664,7 @@ func (c *refCluster) run(j *lrm.Job, r *refRunning) {
 		c.stats.Completed++
 		c.stats.CPUSeconds += dur.Seconds() * speed
 		if j.Owner != nil {
-			j.Owner.Complete(c.eng.Now())
+			j.Owner.Complete(j, c.eng.Now())
 		}
 		c.dispatch()
 	})
@@ -843,7 +843,7 @@ func (p *refPool) preempt(m *refMachine) {
 		p.stats.Failed++
 		delete(p.requeues, r.job.ID)
 		if r.job.Owner != nil {
-			r.job.Owner.Fail(p.eng.Now(), "condor: requeue limit exceeded")
+			r.job.Owner.Fail(r.job, p.eng.Now(), "condor: requeue limit exceeded")
 		}
 		return
 	}
@@ -913,7 +913,7 @@ func (p *refPool) start(j *lrm.Job, m *refMachine) {
 		p.stats.CPUSeconds += dur.Seconds() * m.speed
 		delete(p.requeues, j.ID)
 		if j.Owner != nil {
-			j.Owner.Complete(p.eng.Now())
+			j.Owner.Complete(j, p.eng.Now())
 		}
 		p.tryDispatch()
 	})

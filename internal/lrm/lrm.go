@@ -75,13 +75,22 @@ type Job struct {
 
 // Owner is whoever submitted a job and is told how it ended — the
 // meta-scheduler's per-attempt record, so the report costs no closure.
+//
+// Every LRM keeps one contract with it, which lets a layer between the
+// two (the fault injector's wrapper) stand as the Owner of every job it
+// forwards with no record of its own per job: each report names the
+// job it is about, the *Job that Submit accepted; an accepted job gets
+// at most one report, a refused one none; a report never comes from
+// inside Submit; and once Cancel of a job returns, that job gets no
+// report. TestReportContract holds the clusters and the BOINC server to
+// it under generated submits, cancels, outages, preemptions and churn.
 type Owner interface {
 	// Complete is called when the job finishes successfully.
-	Complete(at sim.Time)
+	Complete(j *Job, at sim.Time)
 	// Fail is called when the resource permanently fails the job
 	// (preempted past its requeue limit, too many failed results;
 	// cancellation is not a failure).
-	Fail(at sim.Time, reason string)
+	Fail(j *Job, at sim.Time, reason string)
 }
 
 // Callbacks is an Owner made of two funcs, for a submitter with no
@@ -93,14 +102,14 @@ type Callbacks struct {
 }
 
 // Complete calls OnComplete.
-func (c *Callbacks) Complete(at sim.Time) {
+func (c *Callbacks) Complete(_ *Job, at sim.Time) {
 	if c.OnComplete != nil {
 		c.OnComplete(at)
 	}
 }
 
 // Fail calls OnFail.
-func (c *Callbacks) Fail(at sim.Time, reason string) {
+func (c *Callbacks) Fail(_ *Job, at sim.Time, reason string) {
 	if c.OnFail != nil {
 		c.OnFail(at, reason)
 	}

@@ -94,11 +94,11 @@ func TestBreakerMatchesReferenceModel(t *testing.T) {
 					eng.RunUntil(eng.Now() + sim.Time(d))
 				}
 				var got []string
-				for _, ev := range hub.Journal.Events() {
+				hub.Journal.Each(func(ev obs.Event) {
 					if ev.Stage == obs.StageBreaker {
 						got = append(got, ev.Detail)
 					}
-				}
+				})
 				now := eng.Now()
 				if s.breakerAllows(r) != m.allows(now) || r.breakerOpen != m.open || r.breakerProbe != m.probing ||
 					s.Stats().BreakerTrips != m.trips || !slices.Equal(got, m.events) {

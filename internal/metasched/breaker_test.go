@@ -61,14 +61,14 @@ func TestBreakerTripsAndRecovers(t *testing.T) {
 	}
 	// The journal narrates every transition.
 	var details []string
-	for _, ev := range hub.Journal.Events() {
+	hub.Journal.Each(func(ev obs.Event) {
 		if ev.Stage == obs.StageBreaker {
 			if ev.Resource != "flaky-gate" {
 				t.Fatalf("breaker event on %q", ev.Resource)
 			}
 			details = append(details, ev.Detail)
 		}
-	}
+	})
 	if len(details) != 5 {
 		t.Fatalf("breaker journal events %v, want open/probe/reopened/probe/closed", details)
 	}
@@ -101,9 +101,9 @@ func TestBreakerDisabledIsZeroCost(t *testing.T) {
 	if sched.resources["flaky-gate"].breakerOpen {
 		t.Fatal("circuit open with breakers disabled")
 	}
-	for _, ev := range hub.Journal.Events() {
+	hub.Journal.Each(func(ev obs.Event) {
 		if ev.Stage == obs.StageBreaker {
 			t.Fatalf("breaker event journaled with breakers disabled: %+v", ev)
 		}
-	}
+	})
 }

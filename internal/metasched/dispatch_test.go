@@ -75,6 +75,78 @@ func TestDispatchAllocations(t *testing.T) {
 	t.Logf("%.0f allocations per submit→complete cycle", allocs)
 }
 
+// refusingOnce refuses every other submission with one error, the way a
+// fault wrapper's gatekeeper window does, and passes the rest on.
+type refusingOnce struct {
+	lrm.LRM
+	submits int
+	err     error
+}
+
+func (r *refusingOnce) Submit(j *lrm.Job) error {
+	if r.submits++; r.submits%2 == 1 {
+		return r.err
+	}
+	return r.LRM.Submit(j)
+}
+
+// refusedAllocBudget is what a job its resource refuses once and then
+// runs costs, with or without a hub: the GridJob and the retry's record
+// (its attempt and its copy of the lrm.Job). The backoff timer is the
+// job itself, (*retryPlace)(j), and the requeue event's detail is built
+// once per refusal text and backoff; a refusal once cost a timer
+// closure and a formatted detail too, 5 in all.
+const refusedAllocBudget = 2
+
+// TestRefusedDispatchAllocations pins refusedAllocBudget.
+func TestRefusedDispatchAllocations(t *testing.T) {
+	for _, withHub := range []bool{false, true} {
+		eng := sim.NewEngine()
+		idx, err := mds.NewIndex(eng, 1000*sim.Day)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hpc, err := cluster.New(eng, nil, nil, cluster.Config{
+			Kind: "pbs", Name: "hpc", Platform: lrm.LinuxX86,
+			Nodes: []cluster.NodeClass{{Count: 4, Cores: 1, Speed: 1, MemoryMB: 2048}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx.Publish(hpc.Info())
+		cfg := DefaultConfig()
+		cfg.RescanInterval = 0 // no periodic scan: Run returns when the job is done
+		opts := Options{}
+		if withHub {
+			opts.Obs = obs.New(eng)
+		}
+		sched := New(eng, idx, cfg, opts)
+		res := &refusingOnce{LRM: hpc, err: fmt.Errorf("faults: hpc gatekeeper refused the submission")}
+		if err := sched.Register(res, 1); err != nil {
+			t.Fatal(err)
+		}
+		const runs = 200
+		ids := make([]string, runs+1)
+		for i := range ids {
+			ids[i] = fmt.Sprintf("j%d", i)
+		}
+		next := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			j := &GridJob{Job: lrm.Job{ID: ids[next], Work: 60 * lrm.ReferenceCellsPerSecond, Platforms: garliPlatforms}}
+			next++
+			sched.submit(j, nil)
+			eng.Run()
+			if j.Status != StatusCompleted || j.Attempts != 2 {
+				t.Fatalf("%s is %v after %d attempts", j.ID, j.Status, j.Attempts)
+			}
+		})
+		if allocs > refusedAllocBudget {
+			t.Errorf("hub %v: %.0f allocations per refused-once submit→complete cycle, budget %d", withHub, allocs, refusedAllocBudget)
+		}
+		t.Logf("hub %v: %.0f allocations per refused-once submit→complete cycle", withHub, allocs)
+	}
+}
+
 // TestSharedPlatformsUntouched runs a batch to completion across every
 // kind of LRM — Condor, PBS and BOINC each read Job.Platforms — and
 // checks the one platform slice all its jobs share is unchanged.
@@ -166,11 +238,11 @@ func TestSubmitRejectsInvalidJob(t *testing.T) {
 			t.Errorf("%s: status %v, reason %q; want failed with %v", tc.name, j.Status, j.FailReason, err)
 		}
 		var fails []string
-		for _, ev := range hub.Journal.Events() {
+		hub.Journal.Each(func(ev obs.Event) {
 			if ev.Stage == obs.StageFail {
 				fails = append(fails, ev.Detail)
 			}
-		}
+		})
 		if len(fails) != 1 || fails[0] != j.FailReason {
 			t.Errorf("%s: journaled failures %q, want one with the reason %q", tc.name, fails, j.FailReason)
 		}

@@ -303,6 +303,16 @@ type resource struct {
 	// series exists only for resources that were actually chosen; it
 	// stays nil on a scheduler without an obs hub.
 	placements *obs.Counter
+	// refusals holds the requeue details of the resource's submit
+	// refusals, built once each (see refusalDetail).
+	refusals map[refusal]string
+}
+
+// refusal keys a refusal's requeue detail: the refusal's text and the
+// backoff it sent the job to.
+type refusal struct {
+	err     string
+	backoff sim.Duration
 }
 
 // Scheduler is the grid-level scheduler.

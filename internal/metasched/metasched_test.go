@@ -538,7 +538,7 @@ func TestStagingLegsAreTimedExactly(t *testing.T) {
 		t.Fatalf("stage-out delay %v, want > 0", stageOutDelay)
 	}
 	t0 := eng.Now()
-	h.jobs[0].Owner.Complete(t0)
+	h.jobs[0].Owner.Complete(h.jobs[0], t0)
 	eng.RunUntil(t0.Add(stageOutDelay / 2))
 	if j.Status != StatusRunning {
 		t.Fatalf("job %v before its results staged back", j.Status)

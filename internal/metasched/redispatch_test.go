@@ -24,8 +24,8 @@ type holdingLRM struct {
 // relay stands between a held job and the owner it was submitted with.
 type relay struct{ inner lrm.Owner }
 
-func (r *relay) Complete(at sim.Time)            { r.inner.Complete(at) }
-func (r *relay) Fail(at sim.Time, reason string) { r.inner.Fail(at, reason) }
+func (r *relay) Complete(j *lrm.Job, at sim.Time)            { r.inner.Complete(j, at) }
+func (r *relay) Fail(j *lrm.Job, at sim.Time, reason string) { r.inner.Fail(j, at, reason) }
 
 func (h *holdingLRM) Name() string     { return h.name }
 func (h *holdingLRM) Stats() lrm.Stats { return lrm.Stats{} }
@@ -119,13 +119,13 @@ func TestRedispatchOwnsItsJob(t *testing.T) {
 			}
 
 			// The first copy limps home after the requeue: ignored.
-			a.Owner.Complete(eng.Now())
-			a.Owner.Fail(eng.Now(), "late failure")
+			a.Owner.Complete(a, eng.Now())
+			a.Owner.Fail(a, eng.Now(), "late failure")
 			eng.RunUntil(sim.Time(11 * sim.Minute))
 			if j.Status != StatusRunning || j.Resource() != "next" {
 				t.Fatalf("a stale report moved the job to %v on %q", j.Status, j.Resource())
 			}
-			b.Owner.Complete(eng.Now())
+			b.Owner.Complete(b, eng.Now())
 			eng.RunUntil(sim.Time(12 * sim.Minute))
 			if j.Status != StatusCompleted || j.Resource() != "next" || j.Attempts != 2 {
 				t.Errorf("job %v on %q after %d attempts, want completed on next after 2", j.Status, j.Resource(), j.Attempts)

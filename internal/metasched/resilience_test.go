@@ -134,11 +134,11 @@ func TestDeadResourceRequeuesInIDOrder(t *testing.T) {
 	eng.Schedule(20*sim.Minute, func() { fastOut.closed = true })
 	eng.RunUntil(sim.Time(2 * sim.Hour))
 	var requeued []string
-	for _, ev := range o.Journal.Events() {
+	o.Journal.Each(func(ev obs.Event) {
 		if ev.Stage == obs.StageRequeue && ev.Resource == "fast" {
 			requeued = append(requeued, ev.Job)
 		}
-	}
+	})
 	if want := []string{"j1", "j2", "j3", "j4", "j5"}; !slices.Equal(requeued, want) {
 		t.Errorf("requeued %v, want ID order %v", requeued, want)
 	}
@@ -215,7 +215,7 @@ func (f *refusingLRM) Submit(j *lrm.Job) error {
 			f.onRefuse()
 		}
 		if f.failSync {
-			j.Owner.Fail(f.eng.Now(), "node died at start")
+			j.Owner.Fail(j, f.eng.Now(), "node died at start")
 			return nil
 		}
 		return fmt.Errorf("gatekeeper: submission refused")
@@ -227,7 +227,7 @@ func (f *refusingLRM) Submit(j *lrm.Job) error {
 		}
 		delete(f.jobs, j.ID)
 		if j.Owner != nil {
-			j.Owner.Complete(f.eng.Now())
+			j.Owner.Complete(j, f.eng.Now())
 		}
 	})
 	return nil
@@ -263,11 +263,11 @@ func TestSubmitRetryBackoff(t *testing.T) {
 	}
 	// Each backoff is journaled with its requeue: "… retry in Ns".
 	var backoffs []string
-	for _, ev := range o.Journal.Events() {
+	o.Journal.Each(func(ev obs.Event) {
 		if _, d, ok := strings.Cut(ev.Detail, "retry in "); ok && ev.Stage == obs.StageRequeue {
 			backoffs = append(backoffs, d)
 		}
-	}
+	})
 	want := []string{"30s", "60s", "120s", "240s", "480s", "960s", "1800s", "1800s"}
 	if !slices.Equal(backoffs, want) {
 		t.Errorf("backoffs %v, want 30 s·2^k capped at 30 min: %v", backoffs, want)

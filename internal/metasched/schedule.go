@@ -427,10 +427,10 @@ func (a *attempt) Fire() {
 
 // Complete implements lrm.Owner: results stage back before the job
 // counts as done.
-func (a *attempt) Complete(sim.Time) { a.res.s.eng.After(stageOutDelay, (*stageOut)(a)) }
+func (a *attempt) Complete(*lrm.Job, sim.Time) { a.res.s.eng.After(stageOutDelay, (*stageOut)(a)) }
 
 // Fail implements lrm.Owner.
-func (a *attempt) Fail(_ sim.Time, reason string) { a.res.s.onJobFail(a, reason) }
+func (a *attempt) Fail(_ *lrm.Job, _ sim.Time, reason string) { a.res.s.onJobFail(a, reason) }
 
 // stageOut is an attempt's results arriving back from the resource.
 type stageOut attempt
@@ -487,16 +487,41 @@ func (s *Scheduler) submitFailed(r *resource, j *GridJob, err error) {
 	}
 	s.obs.Counter("lattice_sched_submit_retries_total",
 		"Gatekeeper submit failures sent to exponential backoff").Inc()
-	s.obs.Record(j.Batch, j.ID, obs.StageRequeue, r.name,
-		fmt.Sprintf("submit failed (%v); retry in %.0fs", err, float64(backoff)))
+	s.obs.Record(j.Batch, j.ID, obs.StageRequeue, r.name, r.refusalDetail(err, backoff))
 	// The job sits in no queue until the timer fires, so nothing else
 	// can place it meanwhile.
-	s.eng.Schedule(backoff, func() {
-		if !s.tryPlace(j) {
-			s.pending = append(s.pending, j)
-			s.ins.pending.Set(float64(len(s.pending)))
+	s.eng.After(backoff, (*retryPlace)(j))
+}
+
+// refusalDetail is the requeue event's detail for a submit refusal with
+// err that backs the job off for backoff. A resource refuses with few
+// distinct errors and the backoff takes few values, so each text is
+// built once per resource and kept.
+func (r *resource) refusalDetail(err error, backoff sim.Duration) string {
+	k := refusal{err.Error(), backoff}
+	d, ok := r.refusals[k]
+	if !ok {
+		d = fmt.Sprintf("submit failed (%v); retry in %.0fs", err, float64(backoff))
+		if r.refusals == nil {
+			r.refusals = make(map[refusal]string)
 		}
-	})
+		r.refusals[k] = d
+	}
+	return d
+}
+
+// retryPlace is a job's backoff timer after a refused submission: it
+// places the job again, or queues it when nothing takes it. The job has
+// been dispatched, so its first attempt knows the scheduler.
+type retryPlace GridJob
+
+func (p *retryPlace) Fire() {
+	j := (*GridJob)(p)
+	s := j.first.res.s
+	if !s.tryPlace(j) {
+		s.pending = append(s.pending, j)
+		s.ins.pending.Set(float64(len(s.pending)))
+	}
 }
 
 // checkOffline runs before each periodic scan: any resource holding

@@ -347,22 +347,21 @@ func (j *Journal) Len() int {
 	return j.view().n
 }
 
-// Events returns a copy of the journal in append order.
-func (j *Journal) Events() []Event {
+// Each calls fn with every event recorded so far, in append order. It
+// folds a snapshot in place, outside the journal lock, rebuilding each
+// event from its chunk: it copies nothing, so a fold costs only what fn
+// allocates, whatever the journal's length, and fn may record into the
+// journal (what it records is past the snapshot).
+func (j *Journal) Each(fn func(Event)) {
 	if j == nil {
-		return nil
+		return
 	}
 	v := j.view()
-	if v.n == 0 {
-		return nil
-	}
-	out := make([]Event, 0, v.n)
 	v.each(v.n, func(c []entry) {
 		for i := range c {
-			out = append(out, v.event(&c[i]))
+			fn(v.event(&c[i]))
 		}
 	})
-	return out
 }
 
 // Digest returns the hex SHA-256 over every event recorded so far.

@@ -43,7 +43,7 @@ func fuzzEvents(data []byte) []Event {
 
 // FuzzJournal records events cut from arbitrary bytes and holds the
 // journal to the flat-slice reference after every one: the digest,
-// Events, TerminalCounts and the trace of every batch named so far.
+// Each, TerminalCounts and the trace of every batch named so far.
 func FuzzJournal(f *testing.F) {
 	f.Add([]byte("\x00\x00\x00\x00\x00\x00\xf0\x3f\x1db1\x1dj1\x1dsubmit\x1e\x1db1\x1dj1\x1dplace\x1dpbs-07\x1dpolicy=full attempt=1\x1e\x1db1\x1dj1\x1dcomplete"))
 	f.Add([]byte("\x1db\x1dj\x1dsubmit\x1e\x00\x00\x00\x00\x00\x00\x00\x80\x1db\x1dj\x1dfail\x1e\x1db\x1dj\x1dcomplete\x1e\x1d\x1d\x1dwf-submit"))
@@ -66,8 +66,8 @@ func FuzzJournal(f *testing.F) {
 			if got, want := j.Digest(), hex.EncodeToString(h.Sum(nil)); got != want {
 				t.Fatalf("after %d events: Digest %s, reference %s", k+1, got, want)
 			}
-			if got := j.Events(); len(got) != k+1 || !isPrefix(got, evs) {
-				t.Fatalf("after %d events: Events %+v, reference %+v", k+1, got, ref.Events())
+			if got := j.events(); len(got) != k+1 || !isPrefix(got, evs) {
+				t.Fatalf("after %d events: Each %+v, reference %+v", k+1, got, ref.Events())
 			}
 			if got, want := j.TerminalCounts(), ref.TerminalCounts(); !maps.Equal(got, want) {
 				t.Fatalf("after %d events: TerminalCounts %v, reference %v", k+1, got, want)

@@ -200,8 +200,8 @@ func compareWithReference(t *testing.T, j *Journal, evs []Event) {
 	if j.Len() != n {
 		t.Fatalf("Len %d, want %d", j.Len(), n)
 	}
-	if got, want := j.Events(), ref.Events(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Events differs from the reference (%d vs %d events)", len(got), len(want))
+	if got, want := j.events(), ref.Events(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Each differs from the reference (%d vs %d events)", len(got), len(want))
 	}
 	if got, want := j.Digest(), ref.DigestAt(n); got != want {
 		t.Fatalf("Digest %s, reference %s", got, want)
@@ -326,7 +326,7 @@ func collidingStream(n int) []Event {
 // TestCollidingNamesMatchReference records a stream whose names fight
 // over cache slots and cross several names chunks, and holds every
 // reader to the flat-slice reference after every event: the digest,
-// Events, TerminalCounts and the trace of every batch. A name recorded
+// Each, TerminalCounts and the trace of every batch. A name recorded
 // twice gets two refs; the readers must not tell.
 func TestCollidingNamesMatchReference(t *testing.T) {
 	evs := collidingStream(1200)
@@ -349,8 +349,8 @@ func TestCollidingNamesMatchReference(t *testing.T) {
 		if got, want := j.Digest(), hex.EncodeToString(h.Sum(nil)); got != want {
 			t.Fatalf("after %d events: Digest %s, reference %s", k+1, got, want)
 		}
-		if got := j.Events(); len(got) != k+1 || !isPrefix(got, evs) {
-			t.Fatalf("after %d events: Events differs from the reference", k+1)
+		if got := j.events(); len(got) != k+1 || !isPrefix(got, evs) {
+			t.Fatalf("after %d events: Each differs from the reference", k+1)
 		}
 		if got, want := j.TerminalCounts(), ref.TerminalCounts(); !maps.Equal(got, want) {
 			t.Fatalf("after %d events: TerminalCounts %v, reference %v", k+1, got, want)
@@ -374,7 +374,7 @@ func TestCollidingNamesMatchReference(t *testing.T) {
 // events' names fill the names table past its doubling chunks, so
 // readers resolve refs while Record opens names chunks. Every
 // read must see a prefix of the stream: digestAt(Len()) is the
-// reference digest after that many events, Events is the stream cut at
+// reference digest after that many events, Each yields the stream cut at
 // its length, and Trace and TerminalCounts never show a span, an
 // attribute or a terminal that the full journal does not.
 func TestJournalReadersSeePrefixes(t *testing.T) {
@@ -422,8 +422,8 @@ func TestJournalReadersSeePrefixes(t *testing.T) {
 					t.Errorf("digestAt(%d) = %s, %v; not the digest of the first %d events", k, d, err, k)
 					return
 				}
-				if got := j.Events(); len(got) < k || !isPrefix(got, evs) {
-					t.Errorf("Events (%d after Len %d) is not a prefix of the stream", len(got), k)
+				if got := j.events(); len(got) < k || !isPrefix(got, evs) {
+					t.Errorf("Each (%d after Len %d) is not a prefix of the stream", len(got), k)
 					return
 				}
 				if err := tracePrefixOf(j, batch, finalTrace); err != nil {
@@ -452,7 +452,7 @@ func TestJournalReadersSeePrefixes(t *testing.T) {
 	if got, _ := j.Trace(batch); !reflect.DeepEqual(got, finalTrace) {
 		t.Fatalf("final trace of %s differs from the reference", batch)
 	}
-	if !reflect.DeepEqual(j.TerminalCounts(), finalCounts) || !isPrefix(evs, j.Events()) {
+	if !reflect.DeepEqual(j.TerminalCounts(), finalCounts) || !isPrefix(evs, j.events()) {
 		t.Fatal("final journal differs from the reference")
 	}
 }

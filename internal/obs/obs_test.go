@@ -260,7 +260,7 @@ func TestNilSafety(t *testing.T) {
 	}
 	var j *Journal
 	j.Record("", "", StageRun, "", "")
-	if j.Digest() != "" || j.Len() != 0 || j.Events() != nil || j.TerminalCounts() != nil {
+	if j.Digest() != "" || j.Len() != 0 || j.events() != nil || j.TerminalCounts() != nil {
 		t.Fatal("nil journal not inert")
 	}
 	if v, ok := j.Trace("b"); v != nil || ok {

@@ -147,15 +147,35 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
+// arena is what decoded records are cut from: every string from one
+// slab, every submission from an array handed out front to back and
+// never grown in place, so no record's pointer goes stale as later
+// records decode. Load sizes the first array to the log's submission
+// count; an arena with none left starts an array of one.
+type arena struct {
+	names slab.Slab
+	subs  []workload.Submission
+}
+
+// submission returns the next zeroed Submission of the current array.
+func (a *arena) submission() *workload.Submission {
+	if len(a.subs) == 0 {
+		a.subs = make([]workload.Submission, 1)
+	}
+	s := &a.subs[0]
+	a.subs = a.subs[1:]
+	return s
+}
+
 // decoder consumes an encoding front to back. The first malformed
 // field sets err and every later read returns zero, so decodeRecord
-// checks once at the end. Every string it decodes is cut from names,
+// checks once at the end. Everything it decodes is cut from its arena,
 // never a view of p: the caller may reuse or drop p once the record is
 // decoded.
 type decoder struct {
-	p     []byte
-	names *slab.Slab
-	err   error
+	p   []byte
+	a   *arena
+	err error
 }
 
 func (d *decoder) fail(format string, args ...any) {
@@ -227,27 +247,24 @@ func (d *decoder) length() int {
 
 func (d *decoder) str() string {
 	n := d.length()
-	s := d.names.String(d.p[:n])
+	s := d.a.names.String(d.p[:n])
 	d.p = d.p[n:]
 	return s
 }
 
-// decodeRecord parses one canonical encoding, cutting its strings from
-// names. Anything appendRecord cannot have produced from a valid record
-// — unknown kind or flag bits, a length past the end, an int field out
-// of int's range, bytes left over — is an error.
-func decodeRecord(p []byte, names *slab.Slab) (Record, error) {
-	d := &decoder{p: p, names: names}
+// decodeRecord parses one canonical encoding, cutting its strings and
+// its submission from a. Anything appendRecord cannot have produced
+// from a valid record — unknown kind or flag bits, a length past the
+// end, an int field out of int's range, bytes left over — is an error.
+func decodeRecord(p []byte, a *arena) (Record, error) {
+	d := &decoder{p: p, a: a}
 	var r Record
 	if c := d.u8(); c == 0 || int(c) >= len(kinds) {
 		d.fail("unknown kind byte %d", c)
 	} else {
 		r.Kind = kinds[c]
 	}
-	r.Seq = d.uvarint()
-	r.Step = d.uvarint()
-	r.At = sim.Time(d.float())
-	r.Due = sim.Time(d.float())
+	r.Seq, r.Step, r.At, r.Due = d.position()
 	flags := d.flags(recordFlags)
 	r.Queued = flags&flagQueued != 0
 	r.Scheduled = flags&flagScheduled != 0
@@ -277,8 +294,23 @@ func decodeRecord(p []byte, names *slab.Slab) (Record, error) {
 	return r, nil
 }
 
+// position reads the fields between a record's kind byte and its flags.
+func (d *decoder) position() (seq, step uint64, at, due sim.Time) {
+	return d.uvarint(), d.uvarint(), sim.Time(d.float()), sim.Time(d.float())
+}
+
+// carriesSub reports whether the record encoded in p says it carries a
+// submission; Load counts them to size its submission array.
+func carriesSub(p []byte) bool {
+	d := &decoder{p: p}
+	d.u8()
+	d.position()
+	return d.u8()&flagSub != 0 && d.err == nil
+}
+
 func (d *decoder) submission() *workload.Submission {
-	s := &workload.Submission{Spec: d.spec()}
+	s := d.a.submission()
+	s.Spec = d.spec()
 	readInt(d, &s.Replicates)
 	flags := d.flags(payloadFlags)
 	s.Bootstrap = flags&flagBootstrap != 0
@@ -351,16 +383,26 @@ func appendFrame(dst []byte, r *Record) []byte {
 	return dst
 }
 
+// frameLen reads the payload length of the frame at off, whose header
+// must be whole. ok is false for a length past maxFrame, which no valid
+// frame has: the wire length is a uint32, and past 2^31 it turns
+// negative as an int where int is 32 bits, so only an ok length may be
+// used as one.
+func frameLen(data []byte, off int) (int, bool) {
+	n := binary.LittleEndian.Uint32(data[off:])
+	return int(n), n <= maxFrame
+}
+
 // decodeFrame parses one frame at off, returning the record, whose
-// strings are cut from names, and the next offset.
-func decodeFrame(data []byte, off int, names *slab.Slab) (Record, int, error) {
+// strings and submission are cut from a, and the next offset.
+func decodeFrame(data []byte, off int, a *arena) (Record, int, error) {
 	if len(data)-off < frameHeaderSize {
 		return Record{}, 0, errors.New("truncated frame header")
 	}
-	n := int(binary.LittleEndian.Uint32(data[off : off+4]))
+	n, ok := frameLen(data, off)
 	sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
-	if n > maxFrame {
-		return Record{}, 0, fmt.Errorf("frame length %d exceeds limit", n)
+	if !ok {
+		return Record{}, 0, fmt.Errorf("frame length %d exceeds limit", uint32(n))
 	}
 	body := off + frameHeaderSize
 	if len(data)-body < n {
@@ -370,7 +412,7 @@ func decodeFrame(data []byte, off int, names *slab.Slab) (Record, int, error) {
 	if crc32.ChecksumIEEE(payload) != sum {
 		return Record{}, 0, errors.New("checksum mismatch")
 	}
-	r, err := decodeRecord(payload, names)
+	r, err := decodeRecord(payload, a)
 	if err != nil {
 		return Record{}, 0, fmt.Errorf("decoding payload: %w", err)
 	}

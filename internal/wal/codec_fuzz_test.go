@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"lattice/internal/slab"
 	"lattice/internal/workload"
 )
 
@@ -34,12 +33,12 @@ func FuzzDecodeRecord(f *testing.F) {
 		f.Add(p[:len(p)/2])
 	}
 	f.Fuzz(func(t *testing.T, p []byte) {
-		r, err := decodeRecord(p, new(slab.Slab))
+		r, err := decodeRecord(p, new(arena))
 		if err != nil {
 			return
 		}
 		enc := appendRecord(nil, &r)
-		back, err := decodeRecord(enc, new(slab.Slab))
+		back, err := decodeRecord(enc, new(arena))
 		if err != nil {
 			t.Fatalf("re-encoding %x of an accepted record does not decode: %v", enc, err)
 		}

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"lattice/internal/sim"
-	"lattice/internal/slab"
 	"lattice/internal/workload"
 )
 
@@ -61,7 +60,7 @@ func TestCodecCoversEveryField(t *testing.T) {
 		if r.Sub == nil || r.WF == nil || len(r.WF.Stages) != 2 || len(r.WF.Stages[1].After) != 2 {
 			t.Fatalf("walker left payloads unfilled: %+v", r)
 		}
-		got, err := decodeRecord(appendRecord(nil, &r), new(slab.Slab))
+		got, err := decodeRecord(appendRecord(nil, &r), new(arena))
 		if err != nil {
 			t.Fatalf("%s: decode: %v", kind, err)
 		}
@@ -102,7 +101,7 @@ func TestCodecRoundTripCases(t *testing.T) {
 	var buf []byte // reused across cases: growth must not leak one record into the next
 	for name, want := range cases {
 		buf = appendRecord(buf[:0], &want)
-		got, err := decodeRecord(buf, new(slab.Slab))
+		got, err := decodeRecord(buf, new(arena))
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -118,7 +117,7 @@ func TestCodecRoundTripCases(t *testing.T) {
 // record.
 func TestDecodeRejects(t *testing.T) {
 	good := appendRecord(nil, &Record{Seq: 9, At: 1.5, Kind: KindStage, Batch: "b", Job: "j", Stage: "place"})
-	if _, err := decodeRecord(good, new(slab.Slab)); err != nil {
+	if _, err := decodeRecord(good, new(arena)); err != nil {
 		t.Fatalf("reference record: %v", err)
 	}
 	mutate := func(f func(p []byte) []byte) []byte { return f(append([]byte(nil), good...)) }
@@ -139,13 +138,13 @@ func TestDecodeRejects(t *testing.T) {
 		"missing payload": {mutate(func(p []byte) []byte { p[batchLen-1] = flagSub; return p }), "varint"},
 	}
 	for name, c := range cases {
-		_, err := decodeRecord(c.p, new(slab.Slab))
+		_, err := decodeRecord(c.p, new(arena))
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: got %v, want an error mentioning %q", name, err, c.want)
 		}
 	}
 	for cut := 0; cut < len(good); cut++ {
-		if _, err := decodeRecord(good[:cut], new(slab.Slab)); err == nil {
+		if _, err := decodeRecord(good[:cut], new(arena)); err == nil {
 			t.Errorf("record truncated to %d of %d bytes decoded", cut, len(good))
 		}
 	}
@@ -164,7 +163,7 @@ func TestIntFieldOutOfRange(t *testing.T) {
 		at++
 	}
 	p := append(binary.AppendVarint(append([]byte(nil), zero[:at]...), big), zero[at+1:]...)
-	r, err := decodeRecord(p, new(slab.Slab))
+	r, err := decodeRecord(p, new(arena))
 	if strconv.IntSize == 64 {
 		if err != nil || int64(r.JournalLen) != big {
 			t.Fatalf("64-bit int: JournalLen %d, err %v; want %d", r.JournalLen, err, big)
@@ -184,7 +183,7 @@ func TestDecodedStringsOwnTheirBytes(t *testing.T) {
 		Sub: &workload.Submission{Replicates: 4, UserEmail: "u@example.edu", BatchTag: "shard2-batch-000003",
 			Spec: workload.JobSpec{SubstModel: "GTR", NumTaxa: 50}}}
 	data := appendFrame(nil, &want)
-	got, next, err := decodeFrame(data, 0, new(slab.Slab))
+	got, next, err := decodeFrame(data, 0, new(arena))
 	if err != nil || next != len(data) {
 		t.Fatalf("decodeFrame: next %d of %d, %v", next, len(data), err)
 	}

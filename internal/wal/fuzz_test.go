@@ -5,8 +5,6 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
-
-	"lattice/internal/slab"
 )
 
 // FuzzLoad feeds Load arbitrary bytes as a durable directory's log (an
@@ -28,7 +26,7 @@ func FuzzLoad(f *testing.F) {
 		f.Add(whole[:cut])
 	}
 	for off := len(magic); off < len(whole); { // every frame boundary
-		_, next, err := decodeFrame(whole, off, new(slab.Slab))
+		_, next, err := decodeFrame(whole, off, new(arena))
 		if err != nil {
 			f.Fatal(err)
 		}

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"os"
 
-	"lattice/internal/slab"
+	"lattice/internal/workload"
 )
 
 // State is everything Load could recover from a durable directory:
@@ -49,19 +49,31 @@ func Load(dir string) (*State, error) {
 	if len(data) < len(magic) || !bytes.Equal(data[:len(magic)], magic) {
 		return nil, fmt.Errorf("wal: log header is %q, this build reads only %q; a durable directory cannot move between format versions — remove it", data[:min(len(data), len(magic))], magic)
 	}
-	// Size Tail by hopping the length fields first: appending record by
-	// record would allocate several times the history it holds.
-	n := 0
-	for off := len(magic); off+frameHeaderSize <= len(data); n++ {
-		off += frameHeaderSize + int(binary.LittleEndian.Uint32(data[off:]))
+	// Size Tail and the submission array by hopping the length fields
+	// first: appending record by record would allocate several times the
+	// history they hold. A frame that claims more than the bytes left is
+	// the last; the decode pass judges it.
+	n, subs := 0, 0
+	for off := len(magic); len(data)-off >= frameHeaderSize; n++ {
+		size, ok := frameLen(data, off)
+		body := off + frameHeaderSize
+		if !ok || size > len(data)-body {
+			n++
+			break
+		}
+		if carriesSub(data[body : body+size]) {
+			subs++
+		}
+		off = body + size
 	}
 	st := &State{Tail: make([]Record, 0, n), size: int64(len(magic))}
-	// The records' strings are cut from one slab rather than allocated
-	// one by one, and rather than sliced from data, which would keep the
-	// whole log image alive as long as any record.
-	var names slab.Slab
+	// The records' strings are cut from one slab and their submissions
+	// from one array rather than allocated one by one, and the strings
+	// rather than sliced from data, which would keep the whole log image
+	// alive as long as any record.
+	a := arena{subs: make([]workload.Submission, subs)}
 	for off := len(magic); off < len(data); {
-		r, next, err := decodeFrame(data, off, &names)
+		r, next, err := decodeFrame(data, off, &a)
 		if err != nil {
 			if frameReachesEOF(data, off) {
 				// The writer died mid-append; the partial frame holds
@@ -98,6 +110,6 @@ func frameReachesEOF(data []byte, off int) bool {
 	if len(data)-off < frameHeaderSize {
 		return true
 	}
-	n := int(binary.LittleEndian.Uint32(data[off : off+4]))
-	return off+frameHeaderSize+n >= len(data)
+	n := binary.LittleEndian.Uint32(data[off:])
+	return uint64(off)+frameHeaderSize+uint64(n) >= uint64(len(data))
 }
