@@ -38,7 +38,11 @@ vet:
 # its size-class pin, the zip writer's 32-bit limits and the outbox fold
 # must hold on both. So do the faults tests: the wrapper's in-flight
 # entries (a job pointer and an owner interface) lay out differently
-# there, and its allocation pin must hold on both.
+# there, and its allocation pin must hold on both. The random stream
+# and the split sort are checked there against their math/rand and
+# slices oracles: the point of owning the stream (sim/source.go) is that
+# it is portable, the same values on every target, before the
+# distributions are ported over it too.
 vet-narrow:
 	GOARCH=386 $(GO) vet ./...
 	GOARCH=386 $(GO) test ./internal/wal
@@ -47,6 +51,7 @@ vet-narrow:
 	GOARCH=386 $(GO) test ./internal/gsbl
 	GOARCH=386 $(GO) test ./internal/faults
 	GOARCH=386 $(GO) test -run 'Validate|ExpectedWork|Memory' ./internal/workload
+	GOARCH=386 $(GO) test -run 'Source|SortXY' ./internal/sim ./internal/forest
 
 # latticelint is the project's own analyzer suite (cmd/latticelint):
 # four per-package analyzers (determinism, errdrop, floatcmp,

@@ -167,6 +167,49 @@ func TestChurnBurstReissueCompletesQuorum(t *testing.T) {
 	}
 }
 
+// TestReissueAllocatesNothing pins the deadline-miss reissue at 0
+// allocations: its journal detail is one of the strings built once in
+// reissueDetails, each the bytes the per-reissue Sprintf gave.
+func TestReissueAllocatesNothing(t *testing.T) {
+	for i, d := range reissueDetails {
+		if want := fmt.Sprintf("deadline passed, issue %d/%d", i, maxIssues); d != want {
+			t.Fatalf("reissueDetails[%d] = %q, want %q", i, d, want)
+		}
+	}
+	eng := sim.NewEngine()
+	hub := obs.New(eng)
+	s, err := NewServer(eng, sim.NewRNG(1), hub, "reissue")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &Host{ID: 0, Speed: 1.0, MemoryMB: 4096, Platform: lrm.WindowsX86, MeanOn: sim.Hour, MeanOff: sim.Hour}
+	s.AttachHost(h)
+	w := &workunit{job: wu("r", 3600), delay: sim.Hour}
+	r := &result{wu: w, host: h, lost: true}
+	// One reissue at each issue count below maxIssues, in turn.
+	reissue := func() {
+		w.issues = w.issues%(maxIssues-1) + 1
+		r.timedOut = false
+		w.pending = append(w.pending[:0], r)
+		s.unsent = s.unsent[:0]
+		s.mu.Lock()
+		failed := s.deadlinePassed(r)
+		s.mu.Unlock()
+		if failed != nil || len(s.unsent) != 1 {
+			t.Fatalf("after %d issues: failed %v, %d unsent, want a reissue", w.issues, failed, len(s.unsent))
+		}
+	}
+	for range maxIssues {
+		reissue() // warm the journal's names table with every detail
+	}
+	if n := testing.AllocsPerRun(1000, reissue); n != 0 {
+		t.Errorf("a reissue allocates %v times, want 0", n)
+	}
+	if got := s.ProjectStats().ResultsTimedOut; got != 1001+maxIssues {
+		t.Errorf("ResultsTimedOut = %d, want %d", got, 1001+maxIssues)
+	}
+}
+
 // TestChurnSkipsDetachedHosts pins Churn's bookkeeping: it only
 // detaches live hosts and reports how many actually left.
 func TestChurnSkipsDetachedHosts(t *testing.T) {

@@ -439,11 +439,19 @@ func (s *Server) deadlinePassed(r *result) (failed *lrm.Job) {
 	}
 	// Back to the unsent queue for reissue.
 	s.ins.reissued.Inc()
-	s.obs.Record(wu.job.Batch, wu.job.ID, obs.StageReissue, s.name,
-		fmt.Sprintf("deadline passed, issue %d/%d", wu.issues, maxIssues))
+	s.obs.Record(wu.job.Batch, wu.job.ID, obs.StageReissue, s.name, reissueDetails[wu.issues])
 	s.requeue(wu)
 	return nil
 }
+
+// reissueDetails[i] is the journal detail of a reissue after i issues
+// (1 to maxIssues−1), built once so that a reissue formats nothing.
+var reissueDetails = func() (d [maxIssues]string) {
+	for i := range d {
+		d[i] = fmt.Sprintf("deadline passed, issue %d/%d", i, maxIssues)
+	}
+	return d
+}()
 
 func (s *Server) requeue(wu *workunit) {
 	for _, u := range s.unsent {

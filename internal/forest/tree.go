@@ -62,9 +62,10 @@ type lvl struct {
 }
 
 // cmpFloat is the three-way form of a < b that the split scans sort
-// by. Ties compare equal, so the order inside a tie group is the
-// sort's own — the scans' running sums round in that order, and every
-// forest depends on it bit for bit.
+// by: the categorical scan through slices.SortFunc, the numeric one
+// through sortXY, which inlines it. Ties compare equal, so the order
+// inside a tie group is the sort's own — the scans' running sums round
+// in that order, and every forest depends on it bit for bit.
 func cmpFloat(a, b float64) int {
 	switch {
 	case a < b:
@@ -263,7 +264,7 @@ func (b *treeBuilder) bestNumericSplit(rows []int, f int) (thr, sse float64, ok 
 	for i, r := range rows {
 		ps[i] = xy{col[r], b.y[r]}
 	}
-	slices.SortFunc(ps, func(a, b xy) int { return cmpFloat(a.x, b.x) })
+	sortXY(ps)
 	// Prefix sums for O(1) SSE of each split.
 	n := len(ps)
 	var sumL, sqL float64

@@ -17,22 +17,23 @@ import (
 )
 
 // dispatchAllocBudget is what one submit→complete cycle costs on a
-// one-cluster scheduler: the GridJob (its embedded description is the
-// lrm.Job the cluster runs, and its first attempt — that job's Owner,
-// its staged-submit and its stage-out event — sits inline beside it, so
-// the first dispatch builds no record) and, with no hub to keep the
-// per-resource placement counter, the label list asked of the nil hub
-// on every placement. The cluster's record of the job comes from its
-// free list, and engine events and the resource's running list, which
-// only grows to its high-water mark, cost nothing. A retry would add
-// one record, its attempt and its copy of the lrm.Job together. With a
-// cluster record made per job the cycle cost 3; with the attempt record
-// apart from the GridJob, 4; with an *event per scheduled event,
+// one-cluster scheduler: the GridJob alone. Its embedded description is
+// the lrm.Job the cluster runs, and its first attempt — that job's
+// Owner, its staged-submit and its stage-out event — sits inline beside
+// it, so the first dispatch builds no record. With no hub there is no
+// per-resource placement counter, and no label list is built for one
+// (it was, once, asked of the nil hub on every placement: a second
+// allocation). The cluster's record of the job comes from its free list,
+// and engine events and the resource's running list, which only grows
+// to its high-water mark, cost nothing. A retry would add one record,
+// its attempt and its copy of the lrm.Job together. With a cluster
+// record made per job the cycle cost 3; with the attempt record apart
+// from the GridJob, 4; with an *event per scheduled event,
 // OnComplete/OnFail closures on the lrm.Job, a submit closure, a
 // completion closure and a copied node list, 10 (11 under the race
 // detector, which now adds nothing); the adapter path before that cost
 // 16.
-const dispatchAllocBudget = 2
+const dispatchAllocBudget = 1
 
 func TestDispatchAllocations(t *testing.T) {
 	eng := sim.NewEngine()
