@@ -42,7 +42,13 @@ vet:
 # and the split sort are checked there against their math/rand and
 # slices oracles: the point of owning the stream (sim/source.go) is that
 # it is portable, the same values on every target, before the
-# distributions are ported over it too.
+# distributions are ported over it too. The engine's three bit-for-bit
+# oracles run there as well: the tiled exp(Qt) kernel against its triple
+# loop, the early-stopping rescale against its full scan and the
+# simulator's once-per-row sums against Choice. 386 has half the
+# float registers for the kernel's four accumulators, so its code
+# spills and schedules differently; the outputs must still be the
+# oracles' bit for bit, or the pins would hold on one target only.
 vet-narrow:
 	GOARCH=386 $(GO) vet ./...
 	GOARCH=386 $(GO) test ./internal/wal
@@ -52,6 +58,7 @@ vet-narrow:
 	GOARCH=386 $(GO) test ./internal/faults
 	GOARCH=386 $(GO) test -run 'Validate|ExpectedWork|Memory' ./internal/workload
 	GOARCH=386 $(GO) test -run 'Source|SortXY' ./internal/sim ./internal/forest
+	GOARCH=386 $(GO) test -run 'TransitionProbs|Rescale|Simulate|Choice' ./internal/phylo ./internal/beagle ./internal/sim
 
 # latticelint is the project's own analyzer suite (cmd/latticelint):
 # four per-package analyzers (determinism, errdrop, floatcmp,

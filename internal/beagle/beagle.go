@@ -26,7 +26,10 @@
 //     traversal instead holds only its post-order frontier, each
 //     child's buffer going back to the free list once its parent is
 //     computed,
-//   - rescaling applied per node only when magnitudes demand it.
+//   - rescaling per node of only the patterns whose largest partial
+//     is below 1e-100; the check of a pattern stops at its first value
+//     at or above that bound, which nearly every pattern has early
+//     (kernels.go).
 //
 // Correctness is pinned to the reference implementation by property
 // tests: both engines must agree to ~1e-9 on random trees, models and

@@ -289,15 +289,26 @@ func writeT(part, scale []float64, a *childRef, nPat, C, S int) {
 	}
 }
 
-// rescale guards against underflow on deep trees. Unchanged from PR2.
+// rescale guards against underflow on deep trees: a pattern whose
+// largest partial lies in (0, 1e-100) is divided by that maximum and
+// its log added to the pattern's scale. A pattern holding any value
+// ≥ 1e-100 is never rescaled, so the scan stops at the first such
+// value; almost every pattern has one early, and a pattern that is
+// rescaled is scanned in full, so it divides by its true maximum. A
+// NaN never raises the maximum and +Inf stops the scan, so both leave a
+// pattern as a full scan would (kernels_test.go holds that scan as the
+// oracle).
 func rescale(part, scale []float64, nPat, C, S int) {
 	stride := C * S
 	for p := 0; p < nPat; p++ {
 		base := p * stride
 		maxv := 0.0
-		for i := base; i < base+stride; i++ {
-			if part[i] > maxv {
-				maxv = part[i]
+		for _, v := range part[base : base+stride] {
+			if v > maxv {
+				maxv = v
+				if maxv >= 1e-100 {
+					break
+				}
 			}
 		}
 		if maxv > 0 && maxv < 1e-100 {

@@ -270,3 +270,70 @@ func TestKernelOracleDiscriminates(t *testing.T) {
 		}
 	}
 }
+
+// refRescale is rescale as it stood before the scan stopped early: the
+// maximum of every pattern is taken over all C·S values.
+func refRescale(part, scale []float64, nPat, C, S int) {
+	stride := C * S
+	for p := 0; p < nPat; p++ {
+		base := p * stride
+		maxv := 0.0
+		for i := base; i < base+stride; i++ {
+			if part[i] > maxv {
+				maxv = part[i]
+			}
+		}
+		if maxv > 0 && maxv < 1e-100 {
+			inv := 1 / maxv
+			for i := base; i < base+stride; i++ {
+				part[i] *= inv
+			}
+			scale[p] += math.Log(maxv)
+		}
+	}
+}
+
+// TestRescaleMatchesFullScan holds rescale to the full-scan oracle on
+// hand-built patterns at the edges of its rule, then on the seeded
+// kernel inputs, whose blocks mix ordinary, zero, subnormal and
+// 1e-120 magnitudes.
+func TestRescaleMatchesFullScan(t *testing.T) {
+	const C, S = 2, 4
+	nan, inf := math.NaN(), math.Inf(1)
+	patterns := []struct {
+		name     string
+		part     [C * S]float64
+		rescaled bool
+	}{
+		{"all below 1e-100", [C * S]float64{3e-120, 7e-150, 9.9e-101, 0, 1e-300, 2e-110, 5e-324, 4e-101}, true},
+		{"largest exactly 1e-100", [C * S]float64{2e-120, 1e-100, 3e-101, 0, 1e-200, 5e-110, 1e-101, 7e-105}, false},
+		{"1e-100 first", [C * S]float64{1e-100, 2e-120, 3e-101, 4e-150, 0, 0, 1e-300, 9e-101}, false},
+		{"large value last", [C * S]float64{2e-120, 3e-130, 1e-140, 4e-101, 0, 5e-200, 6e-110, 0.75}, false},
+		{"large value first", [C * S]float64{0.5, 2e-120, 3e-130, 1e-140, 0, 5e-200, 6e-110, 1e-101}, false},
+		{"all zeros", [C * S]float64{}, false},
+		{"NaN among small", [C * S]float64{nan, 2e-120, 3e-130, 1e-140, 0, 5e-200, 6e-110, 1e-101}, true},
+		{"NaN then large", [C * S]float64{2e-120, nan, 3e-130, 1e-140, 0.25, 5e-200, 6e-110, 1e-101}, false},
+		{"+Inf", [C * S]float64{2e-120, 3e-130, inf, 1e-140, 0, 5e-200, 6e-110, 1e-101}, false},
+		{"+Inf last", [C * S]float64{2e-120, 3e-130, 4e-101, 1e-140, 0, 5e-200, 6e-110, inf}, false},
+	}
+	for _, pt := range patterns {
+		got, want := pt.part[:], append([]float64(nil), pt.part[:]...)
+		gs, ws := []float64{-12.5}, []float64{-12.5}
+		rescale(got, gs, 1, C, S)
+		refRescale(want, ws, 1, C, S)
+		requireBitEqual(t, pt.name+" part", got, want)
+		requireBitEqual(t, pt.name+" scale", gs, ws)
+		if rescaled := ws[0] != -12.5; rescaled != pt.rescaled {
+			t.Errorf("%s: the oracle rescaled %v, want %v", pt.name, rescaled, pt.rescaled)
+		}
+	}
+	for _, S := range []int{4, 20, 61} {
+		in := newOracleInputs(int64(7000+S), S, 4)
+		gp, gs := append([]float64(nil), in.prior...), append([]float64(nil), in.priorScale...)
+		wp, ws := append([]float64(nil), in.prior...), append([]float64(nil), in.priorScale...)
+		rescale(gp, gs, in.nPat, 4, S)
+		refRescale(wp, ws, in.nPat, 4, S)
+		requireBitEqual(t, fmt.Sprintf("S=%d part", S), gp, wp)
+		requireBitEqual(t, fmt.Sprintf("S=%d scale", S), gs, ws)
+	}
+}

@@ -68,7 +68,7 @@ func TestCheckpointSaveLoadResume(t *testing.T) {
 	}
 	r.Step(15)
 	genAtSave := r.Generation()
-	treeAtSave, logLAtSave := r.Best()
+	treeAtSave, _ := r.Best()
 	var buf bytes.Buffer
 	if err := r.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -87,11 +87,13 @@ func TestCheckpointSaveLoadResume(t *testing.T) {
 	if want := fx.engine(t).LogLikelihood(tree2); tree2.Newick() != treeAtSave.Newick() || logL2 != want {
 		t.Errorf("restored best %.10f %s, want %.10f %s", logL2, tree2.Newick(), want, treeAtSave.Newick())
 	}
+	// The search resumes from that rescored best, and a GA's best never
+	// falls: the final score is held to it exactly.
 	for !r2.Step(20) {
 	}
 	_, final := r2.Best()
-	if final < logLAtSave-1e-9 {
-		t.Errorf("resumed search got worse: %v < %v", final, logLAtSave)
+	if final < logL2 {
+		t.Errorf("resumed search got worse: %v < %v", final, logL2)
 	}
 }
 

@@ -30,6 +30,7 @@ type Likelihood struct {
 	partials [][]float64 // [node][pat*cats*states]
 	scales   [][]float64 // [node][pat] log scaling factor
 	pmats    []*Matrix   // per-category transition matrix scratch
+	expl     []float64   // TransitionProbsInto's eigenvalue scratch
 }
 
 // NewLikelihood pairs compiled data with a model and rate mixture.
@@ -50,6 +51,7 @@ func NewLikelihood(data *PatternData, model *Model, rates *SiteRates) (*Likeliho
 		Rates:   rates,
 		nStates: model.Type.NumStates(),
 		nCats:   rates.NumCats(),
+		expl:    make([]float64, model.Type.NumStates()),
 	}
 	lk.pmats = make([]*Matrix, lk.nCats)
 	for i := range lk.pmats {
@@ -98,7 +100,7 @@ func (lk *Likelihood) LogLikelihood(t *Tree) float64 {
 		for _, child := range n.Children {
 			// Build per-category transition matrices for this edge.
 			for c := 0; c < C; c++ {
-				lk.Model.Eigen().TransitionMatrix(child.Length*lk.Rates.Rates[c], lk.pmats[c])
+				lk.Model.Eigen().TransitionProbsInto(child.Length*lk.Rates.Rates[c], lk.pmats[c].Data, lk.expl)
 			}
 			lk.Work += float64(C) * float64(S) * float64(S) // matrix build (amortized S³/S² per pattern-free edge work)
 			cpart := lk.partials[child.ID]

@@ -24,7 +24,7 @@ func bruteForceLogL(t *Tree, data *PatternData, m *Model, rates *SiteRates) floa
 			return
 		}
 		for c := 0; c < rates.NumCats(); c++ {
-			pm[n] = append(pm[n], m.Eigen().TransitionMatrix(n.Length*rates.Rates[c], nil))
+			pm[n] = append(pm[n], transitionMatrix(m.Eigen(), n.Length*rates.Rates[c]))
 		}
 	})
 	var logL float64

@@ -153,22 +153,20 @@ func NewEigenSystem(q *Matrix, pi []float64) (*EigenSystem, error) {
 	return &EigenSystem{N: n, Values: vals, C1: c1, C2: c2}, nil
 }
 
-// TransitionMatrix writes exp(Q·t) into dst, allocating it when nil,
-// and returns it. It is TransitionProbsInto with a fresh scratch.
-func (es *EigenSystem) TransitionMatrix(t float64, dst *Matrix) *Matrix {
-	if dst == nil || dst.N != es.N {
-		dst = NewMatrix(es.N)
-	}
-	es.TransitionProbsInto(t, dst.Data, make([]float64, es.N))
-	return dst
-}
-
 // TransitionProbsInto writes exp(Q·t) into dst, a flat row-major N×N
 // slice, using expScratch (length ≥ N) for the eigenvalue
 // exponentials. Small negative entries from rounding are clamped to
 // zero and rows renormalized. It allocates nothing, so callers that
 // cache many matrices (the beagle engine's transition cache) can
 // recycle both buffers freely.
+//
+// Entry (i, j) is Σₖ (C1[i][k]·e^{λₖt})·C2[k][j], summed for k = 0…N−1
+// left to right. Four columns are summed per sweep over k, in four
+// accumulators, so four independent chains of adds run at once rather
+// than one chain at add latency. Each accumulator adds its own terms in
+// k order with that grouping, so every entry is the plain triple loop's
+// value bit for bit (matrix_test.go holds that loop as the oracle).
+// Columns past the last multiple of four take the plain loop.
 func (es *EigenSystem) TransitionProbsInto(t float64, dst, expScratch []float64) {
 	n := es.N
 	if len(dst) < n*n || len(expScratch) < n {
@@ -180,15 +178,43 @@ func (es *EigenSystem) TransitionProbsInto(t float64, dst, expScratch []float64)
 	}
 	c1, c2 := es.C1.Data, es.C2.Data
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
+		c1i := c1[i*n : i*n+n]
+		out := dst[i*n : i*n+n]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			var s0, s1, s2, s3 float64
+			for k, e := range expl {
+				a := c1i[k] * e
+				c := c2[k*n+j : k*n+j+4]
+				s0 += a * c[0]
+				s1 += a * c[1]
+				s2 += a * c[2]
+				s3 += a * c[3]
+			}
+			// Not max(s, 0): the builtin turns −0 into +0.
+			if s0 < 0 {
+				s0 = 0
+			}
+			if s1 < 0 {
+				s1 = 0
+			}
+			if s2 < 0 {
+				s2 = 0
+			}
+			if s3 < 0 {
+				s3 = 0
+			}
+			out[j], out[j+1], out[j+2], out[j+3] = s0, s1, s2, s3
+		}
+		for ; j < n; j++ {
 			var s float64
-			for k := 0; k < n; k++ {
-				s += c1[i*n+k] * expl[k] * c2[k*n+j]
+			for k, e := range expl {
+				s += c1i[k] * e * c2[k*n+j]
 			}
 			if s < 0 {
 				s = 0
 			}
-			dst[i*n+j] = s
+			out[j] = s
 		}
 	}
 	for i := 0; i < n; i++ {

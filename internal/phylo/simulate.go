@@ -35,22 +35,34 @@ func SimulateAlignment(t *Tree, model *Model, rates *SiteRates, nsites int, rng 
 		rootStates[i] = rng.Choice(model.Freqs)
 	}
 	states[t.Root] = rootStates
-	// Walk down, sampling each child from P(rate · length) rows.
-	pm := NewMatrix(S)
+	// Walk down, sampling each child from P(rate · length) rows. Each
+	// row is summed once per edge, left to right as Choice sums it, so
+	// every draw is the one Choice would make. An edge's draws finish
+	// before the walk descends, so one buffer serves every edge.
+	ncat := rates.NumCats()
+	mats := make([]float64, ncat*S*S)
+	sums := make([]float64, ncat*S)
+	expl := make([]float64, S)
 	var walk func(n *Node) error
 	walk = func(n *Node) error {
 		for _, c := range n.Children {
 			parent := states[n]
 			out := make([]int, nsites)
-			// Transition matrices per category for this edge.
-			mats := make([][]float64, rates.NumCats())
-			for k := 0; k < rates.NumCats(); k++ {
-				model.Eigen().TransitionMatrix(c.Length*rates.Rates[k], pm)
-				mats[k] = append([]float64(nil), pm.Data...)
+			// Transition matrices and their row sums per category for
+			// this edge.
+			for k := 0; k < ncat; k++ {
+				model.Eigen().TransitionProbsInto(c.Length*rates.Rates[k], mats[k*S*S:(k+1)*S*S], expl)
+				for r := 0; r < S; r++ {
+					var total float64
+					for _, w := range mats[(k*S+r)*S : (k*S+r+1)*S] {
+						total += w
+					}
+					sums[k*S+r] = total
+				}
 			}
 			for i := 0; i < nsites; i++ {
-				row := mats[cats[i]][parent[i]*S : (parent[i]+1)*S]
-				out[i] = rng.Choice(row)
+				r := cats[i]*S + parent[i]
+				out[i] = rng.ChoiceTotal(mats[r*S:(r+1)*S], sums[r])
 			}
 			states[c] = out
 			if err := walk(c); err != nil {

@@ -1,6 +1,9 @@
 package phylo
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"testing"
 
@@ -157,5 +160,60 @@ func TestConsensusMajorityOnly(t *testing.T) {
 	got := cons.Bipartitions()
 	if len(got) != 1 {
 		t.Errorf("consensus has %d splits, want 1: %s", len(got), cons.Newick())
+	}
+}
+
+// simulatePins are SHA-256 prefixes of SimulateAlignment's output for
+// one model of each data type at two seeds. They were cut from the
+// exp(Qt) kernel's plain triple loop and Choice's per-draw row sum; the
+// tiled kernel and the once-per-row totals must reproduce them byte
+// for byte.
+var simulatePins = []struct {
+	name   string
+	seed   int64
+	taxa   int
+	sites  int
+	digest string
+}{
+	{"GTR+G4", 1, 8, 300, "8b8554087e8a1484"},
+	{"GTR+G4", 2, 8, 300, "85a30bb2c4e4f61f"},
+	{"empirical+G4", 1, 8, 120, "09b4d70abadca4a8"},
+	{"empirical+G4", 2, 8, 120, "63bd48a78800b461"},
+	{"GY94+G4", 1, 6, 40, "36c8dcc1c8174e5d"},
+	{"GY94+G4", 2, 6, 40, "944f8d9319fb0a77"},
+}
+
+func TestSimulateAlignmentPins(t *testing.T) {
+	gtr, err := NewGTR([6]float64{1, 2.5, 0.8, 1.2, 3, 1}, []float64{0.3, 0.2, 0.25, 0.25})
+	if err != nil {
+		t.Fatal(err)
+	}
+	aa, err := NewEmpiricalAA()
+	if err != nil {
+		t.Fatal(err)
+	}
+	codon, err := NewGY94(2, 0.3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := map[string]*Model{"GTR+G4": gtr, "empirical+G4": aa, "GY94+G4": codon}
+	rs, err := NewSiteRates(RateGamma, 0.5, 0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range simulatePins {
+		rng := sim.NewRNG(p.seed)
+		tr := RandomTree(TaxonNames(p.taxa), 0.1, rng)
+		al, err := SimulateAlignment(tr, models[p.name], rs, p.sites, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		for i, s := range al.Seqs {
+			fmt.Fprintf(h, "%s\x1f%s\n", al.Names[i], s)
+		}
+		if got := hex.EncodeToString(h.Sum(nil))[:16]; got != p.digest {
+			t.Errorf("%s seed %d: digest %s, want %s", p.name, p.seed, got, p.digest)
+		}
 	}
 }

@@ -112,6 +112,13 @@ func (g *RNG) Choice(weights []float64) int {
 	for _, w := range weights {
 		total += w
 	}
+	return g.ChoiceTotal(weights, total)
+}
+
+// ChoiceTotal is Choice for a caller that already holds total, the sum
+// of weights taken left to right: a sampler that draws many times from
+// one row sums it once. Given that total it makes Choice's draw.
+func (g *RNG) ChoiceTotal(weights []float64, total float64) int {
 	if total <= 0 {
 		panic("sim: Choice with non-positive total weight")
 	}

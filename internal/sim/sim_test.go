@@ -483,6 +483,55 @@ func TestChoiceRespectsWeights(t *testing.T) {
 	}
 }
 
+// refChoice is Choice as it stood before ChoiceTotal was split out:
+// the weights summed left to right, then the subtraction scan.
+func refChoice(g *RNG, weights []float64) int {
+	var total float64
+	for _, w := range weights {
+		total += w
+	}
+	x := g.Float64() * total
+	for i, w := range weights {
+		x -= w
+		if x < 0 {
+			return i
+		}
+	}
+	return len(weights) - 1
+}
+
+// TestChoiceTotalIsChoice draws from three generators on one seed:
+// Choice, the pre-split Choice and ChoiceTotal given Σw must pick the
+// same index draw for draw, on weight rows of 1 to 61 entries with
+// zeros, subnormals and sums that round.
+func TestChoiceTotalIsChoice(t *testing.T) {
+	rows := NewRNG(9)
+	a, b, c := NewRNG(21), NewRNG(21), NewRNG(21)
+	for n := 0; n < 20000; n++ {
+		w := make([]float64, 1+rows.Intn(61))
+		for i := range w {
+			switch rows.Intn(6) {
+			case 0:
+			case 1:
+				w[i] = 5e-324 * float64(1+rows.Intn(4))
+			case 2:
+				w[i] = 0.1 * float64(1+rows.Intn(9))
+			default:
+				w[i] = rows.Float64()
+			}
+		}
+		w[rows.Intn(len(w))] += 1e-3
+		var total float64
+		for _, x := range w {
+			total += x
+		}
+		got, ref, shared := a.Choice(w), refChoice(b, w), c.ChoiceTotal(w, total)
+		if got != ref || shared != ref {
+			t.Fatalf("row %d: Choice %d, pre-split Choice %d, ChoiceTotal %d", n, got, ref, shared)
+		}
+	}
+}
+
 func TestDurationHelpers(t *testing.T) {
 	if Hour.Hours() != 1 {
 		t.Error("Hour.Hours() != 1")
