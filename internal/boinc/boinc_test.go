@@ -36,7 +36,6 @@ func wu(id string, refSeconds float64) *lrm.Job {
 		Work:                refSeconds * lrm.ReferenceCellsPerSecond,
 		MemoryMB:            256,
 		EstimatedRefSeconds: refSeconds,
-		Platforms:           []lrm.Platform{lrm.WindowsX86, lrm.LinuxX86, lrm.DarwinX86},
 	}
 }
 
@@ -189,8 +188,7 @@ func TestReissueAllocatesNothing(t *testing.T) {
 	// One reissue at each issue count below maxIssues, in turn.
 	reissue := func() {
 		w.issues = w.issues%(maxIssues-1) + 1
-		r.timedOut = false
-		w.pending = append(w.pending[:0], r)
+		w.live = r
 		s.unsent = s.unsent[:0]
 		s.mu.Lock()
 		failed := s.deadlinePassed(r)

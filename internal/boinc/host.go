@@ -1,8 +1,8 @@
 // Package boinc simulates a BOINC volunteer-computing project: a
-// server that manages workunits with deadlines, reissue and optional
-// redundancy, and a population of volunteer hosts that fetch work,
-// compute while their owners let them, checkpoint across availability
-// gaps, and sometimes disappear entirely. It is the desktop-grid half
+// server that manages workunits with deadlines and reissue, and a
+// population of volunteer hosts that fetch work, compute while their
+// owners let them, checkpoint across availability gaps, and sometimes
+// disappear entirely. It is the desktop-grid half
 // of the paper's two-model system and the substrate for its
 // BOINC-specific scheduling experiments (deadline selection from
 // runtime estimates, work-request sizing, reissue behaviour).

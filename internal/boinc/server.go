@@ -43,7 +43,7 @@ type Stats struct {
 	WorkunitsFailed  int
 	ResultsIssued    int
 	ResultsReturned  int
-	ResultsLate      int // returned after the workunit completed
+	ResultsLate      int // returned after its deadline or its workunit's cancellation
 	ResultsTimedOut  int // deadline passed, reissued
 	SchedulerRPCs    int
 	EmptyRPCs        int // RPCs that got no work
@@ -53,25 +53,27 @@ type Stats struct {
 	InfeasibleSkips  int
 }
 
-// workunit tracks one grid job inside the project.
+// workunit tracks one grid job inside the project. Until it validates,
+// fails or is cancelled it is either on offer (in unsent, live nil) or
+// out on one host (live set), never both: schedulerRPC takes it off
+// offer as it issues, and only a deadline miss offers it again.
 type workunit struct {
-	job     *lrm.Job
-	delay   sim.Duration
-	issues  int
-	done    bool
-	failed  bool
-	pending []*result // issued, not yet returned
+	job    *lrm.Job
+	delay  sim.Duration
+	issues int
+	// live is the one issued result whose return counts.
+	live *result
 }
 
 // result is one issued instance of a workunit. It is the event of the
-// host reporting it, and (*deadline)(r) is its deadline timer.
+// host reporting it, and (*deadline)(r) is its deadline timer. Once it
+// is not its workunit's live result — its deadline passed, or the
+// workunit was cancelled — it returns late and its deadline does
+// nothing.
 type result struct {
-	wu       *workunit
-	host     *Host
-	issuedAt sim.Time
-	deadline sim.Time
-	timedOut bool
-	lost     bool // host detached; will never return
+	wu   *workunit
+	host *Host
+	lost bool // host detached; will never return
 }
 
 // Server is the BOINC project server. It implements lrm.LRM so the
@@ -96,12 +98,14 @@ type Server struct {
 	// and the memory ceiling and platform list — properties of the set
 	// of attached hosts — change only in AttachHost and Host.detach.
 	pool poolSummary
-	// unsent holds workunits with capacity for further issues, FIFO.
+	// unsent holds the workunits on offer, FIFO.
 	unsent []*workunit
-	byJob  map[string]*workunit
-	stats  Stats
-	obs    *obs.Obs
-	ins    boincInstruments
+	// byJob holds every workunit on offer or out on a host by its job
+	// ID.
+	byJob map[string]*workunit
+	stats Stats
+	obs   *obs.Obs
+	ins   boincInstruments
 }
 
 // poolSummary is the host population as MDS sees it.
@@ -258,34 +262,29 @@ func (s *Server) Submit(j *lrm.Job) error {
 	return nil
 }
 
-// Cancel implements lrm.LRM.
+// Cancel implements lrm.LRM: a workunit on offer leaves the offer, and
+// one out on a host loses its live result, which will return late.
 func (s *Server) Cancel(jobID string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	wu, ok := s.byJob[jobID]
-	if !ok || wu.done || wu.failed {
+	if !ok {
 		return false
 	}
-	wu.failed = true // no further issues; in-flight results discarded
-	s.forget(wu)
-	s.removeUnsent(wu)
+	delete(s.byJob, jobID)
+	if wu.live == nil {
+		i := slices.Index(s.unsent, wu)
+		s.unsent = slices.Delete(s.unsent, i, i+1)
+	}
+	wu.live = nil
 	return true
 }
 
-// forget drops a workunit that is done or failed from byJob, unless a
+// forget drops a workunit that validated or failed from byJob, unless a
 // newer workunit for the same job has taken its entry.
 func (s *Server) forget(wu *workunit) {
 	if s.byJob[wu.job.ID] == wu {
 		delete(s.byJob, wu.job.ID)
-	}
-}
-
-func (s *Server) removeUnsent(wu *workunit) {
-	for i, u := range s.unsent {
-		if u == wu {
-			s.unsent = append(s.unsent[:i], s.unsent[i+1:]...)
-			return
-		}
 	}
 }
 
@@ -297,11 +296,7 @@ func (s *Server) schedulerRPC(h *Host, wantSeconds float64) {
 	issued := 0
 	for i := 0; i < len(s.unsent) && granted < wantSeconds && issued < maxTasksPerRPC; {
 		wu := s.unsent[i]
-		if wu.done || wu.failed {
-			s.unsent = append(s.unsent[:i], s.unsent[i+1:]...)
-			continue
-		}
-		if !s.eligible(h, wu) {
+		if wu.job.MemoryMB > h.MemoryMB {
 			i++
 			continue
 		}
@@ -322,8 +317,8 @@ func (s *Server) schedulerRPC(h *Host, wantSeconds float64) {
 		s.issue(wu, h)
 		granted += localEst
 		issued++
-		// One live instance is in flight; stop offering this workunit
-		// until a deadline miss frees it up.
+		// Its result is live: the workunit leaves the offer until a
+		// deadline miss.
 		s.unsent = append(s.unsent[:i], s.unsent[i+1:]...)
 	}
 	if issued == 0 {
@@ -331,39 +326,12 @@ func (s *Server) schedulerRPC(h *Host, wantSeconds float64) {
 	}
 }
 
-// eligible checks platform/memory compatibility. (A workunit on offer
-// has no instance in flight, so the host cannot already hold one.)
-func (s *Server) eligible(h *Host, wu *workunit) bool {
-	j := wu.job
-	if j.MemoryMB > h.MemoryMB {
-		return false
-	}
-	if len(j.Platforms) > 0 {
-		ok := false
-		for _, p := range j.Platforms {
-			if p == h.Platform {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// issue sends one result instance of wu to host h and arms the
-// deadline timer.
+// issue sends one result instance of wu to host h, as its live result,
+// and arms the deadline timer.
 func (s *Server) issue(wu *workunit, h *Host) {
-	r := &result{
-		wu:       wu,
-		host:     h,
-		issuedAt: s.eng.Now(),
-		deadline: s.eng.Now().Add(wu.delay),
-	}
+	r := &result{wu: wu, host: h}
 	wu.issues++
-	wu.pending = append(wu.pending, r)
+	wu.live = r
 	s.stats.ResultsIssued++
 	s.ins.issued.Inc()
 	h.tasks = append(h.tasks, task{res: r, remainingWork: wu.job.Work})
@@ -371,7 +339,7 @@ func (s *Server) issue(wu *workunit, h *Host) {
 	if len(h.tasks) == 1 {
 		h.resume()
 	}
-	s.eng.At(r.deadline, (*deadline)(r))
+	s.eng.After(wu.delay, (*deadline)(r))
 }
 
 // deadline is a result's deadline timer.
@@ -398,49 +366,32 @@ func (r *result) Fire() {
 	}
 }
 
-// deadlinePassed reissues a workunit whose result never came back.
-// Called with s.mu held; it returns the job when the workunit is out of
-// issues and failed, for its owner to be told after the lock is
+// deadlinePassed reissues a workunit whose live result r never came
+// back. Called with s.mu held; it returns the job when the workunit is
+// out of issues and failed, for its owner to be told after the lock is
 // released.
 func (s *Server) deadlinePassed(r *result) (failed *lrm.Job) {
-	if r.timedOut {
-		return nil
-	}
 	wu := r.wu
-	if wu.done || wu.failed {
-		return nil
+	if wu.live != r {
+		return nil // returned, or cancelled
 	}
-	// Still pending?
-	stillPending := false
-	for _, p := range wu.pending {
-		if p == r {
-			stillPending = true
-			break
-		}
-	}
-	if !stillPending {
-		return nil
-	}
-	r.timedOut = true
+	wu.live = nil
 	s.stats.ResultsTimedOut++
 	s.ins.missed.Inc()
-	wu.removePending(r)
 	// Drop the task from the host queue if the host still holds it.
 	if !r.lost {
 		r.host.dropTask(r)
 	}
 	if wu.issues >= maxIssues {
-		wu.failed = true
 		s.stats.WorkunitsFailed++
 		s.ins.wuFailed.Inc()
 		s.forget(wu)
-		s.removeUnsent(wu)
 		return wu.job
 	}
-	// Back to the unsent queue for reissue.
+	// Back on offer for reissue.
 	s.ins.reissued.Inc()
 	s.obs.Record(wu.job.Batch, wu.job.ID, obs.StageReissue, s.name, reissueDetails[wu.issues])
-	s.requeue(wu)
+	s.unsent = append(s.unsent, wu)
 	return nil
 }
 
@@ -452,24 +403,6 @@ var reissueDetails = func() (d [maxIssues]string) {
 	}
 	return d
 }()
-
-func (s *Server) requeue(wu *workunit) {
-	for _, u := range s.unsent {
-		if u == wu {
-			return
-		}
-	}
-	s.unsent = append(s.unsent, wu)
-}
-
-func (wu *workunit) removePending(r *result) {
-	for i, p := range wu.pending {
-		if p == r {
-			wu.pending = append(wu.pending[:i], wu.pending[i+1:]...)
-			return
-		}
-	}
-}
 
 // dropTask removes a timed-out task from the host's queue (the client
 // would abort it at its next scheduler contact).
@@ -497,22 +430,20 @@ func (s *Server) receiveResult(r *result) (done *lrm.Job) {
 	s.stats.ResultsReturned++
 	s.ins.returned.Inc()
 	wu := r.wu
-	if r.timedOut || wu.done || wu.failed {
-		// Arrived after reissue or completion: wasted computation.
+	if wu.live != r {
+		// Arrived after its deadline or a cancel: wasted computation.
 		s.stats.ResultsLate++
 		s.ins.late.Inc()
 		s.stats.WastedCPUSeconds += wu.job.Work / lrm.ReferenceCellsPerSecond
 		return nil
 	}
-	wu.removePending(r)
-	wu.done = true
+	wu.live = nil
 	s.forget(wu)
 	s.stats.WorkunitsDone++
 	s.ins.validated.Inc()
 	// The first returned result validates the workunit; the detail is
 	// the journal's "returned/needed" wording.
 	s.obs.Record(wu.job.Batch, wu.job.ID, obs.StageQuorum, s.name, "1/1 results")
-	s.removeUnsent(wu)
 	return wu.job
 }
 

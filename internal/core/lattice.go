@@ -506,6 +506,8 @@ func (l *Lattice) forkReferenceReplicate(sub workload.Submission) {
 		if err := l.Estimator.Retrain(); err != nil {
 			l.noteRetrainErr(err)
 		}
+	}, OnFail: func(_ sim.Time, reason string) {
+		l.noteRetrainErr(fmt.Errorf("core: reference fork %s failed: %s", j.ID, reason))
 	}}
 	if err := ref.Submit(j); err != nil {
 		l.noteRetrainErr(err)
@@ -523,7 +525,7 @@ func (l *Lattice) noteRetrainErr(err error) {
 	}
 	l.retrainErrs = append(l.retrainErrs, err)
 	l.Obs.Counter("lattice_estimate_retrain_errors_total",
-		"Continuous-retraining failures: reference-cluster submits, observation feeds, rebuilds").Inc()
+		"Continuous-retraining failures: reference-cluster submits and forks, observation feeds, rebuilds").Inc()
 }
 
 // RetrainErrors returns the recorded continuous-retraining failures

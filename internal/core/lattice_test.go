@@ -362,6 +362,36 @@ func refGateDown() *faults.Schedule {
 	}}
 }
 
+// TestFailedReferenceForkIsCounted loses every result the reference
+// cluster returns: the retraining fork fails on the cluster after it
+// was accepted, and that failure reaches RetrainErrors and the
+// retraining error counter, naming the fork and its reason.
+func TestFailedReferenceForkIsCounted(t *testing.T) {
+	cfg := smallConfig(21)
+	cfg.Faults = &faults.Schedule{Events: []faults.Event{
+		{At: 0, Kind: faults.KindLostResult, Resource: "reference-cluster", Duration: 365 * sim.Day, P: 1},
+	}}
+	l, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Run(sim.Second) // the fault window opens on the clock
+	if _, err := l.SubmitSubmission(clusterSubmission("u@lab.edu", 3)); err != nil {
+		t.Fatal(err)
+	}
+	l.Run(30 * sim.Day)
+	if n := l.Retrains(); n != 1 {
+		t.Fatalf("%d reference forks, want 1", n)
+	}
+	errs := l.RetrainErrors()
+	if len(errs) != 1 || !strings.Contains(errs[0].Error(), "ref-fork-1") || !strings.Contains(errs[0].Error(), "result lost in transit") {
+		t.Errorf("RetrainErrors() = %v, want the one lost fork, named with its reason", errs)
+	}
+	if v := l.Obs.Counter("lattice_estimate_retrain_errors_total", "").Value(); v != 1 {
+		t.Errorf("lattice_estimate_retrain_errors_total = %g, want 1", v)
+	}
+}
+
 // TestRetrainErrorsReachOperators drives the retraining loop's error
 // path — which runs inside engine callbacks and has no caller to
 // return to — and requires the failure to be counted on /metrics and

@@ -287,6 +287,9 @@ type target struct {
 	// terminal, in submission order, so an outage kills them
 	// deterministically.
 	inflight []flight
+	// held holds the completions the slow-result window is holding
+	// back, so that a Cancel of their job can drop them.
+	held []*slowResult
 }
 
 // flight is one job in flight through a target and the owner it was
@@ -300,11 +303,18 @@ func (t *target) Name() string     { return t.inner.Name() }
 func (t *target) Info() lrm.Info   { return t.inner.Info() }
 func (t *target) Stats() lrm.Stats { return t.inner.Stats() }
 
+// Cancel implements lrm.LRM. A completion the slow-result window holds
+// back is dropped: its job is still live to its owner, which hears
+// nothing of it once Cancel returns.
 func (t *target) Cancel(jobID string) bool {
 	if i := slices.IndexFunc(t.inflight, func(f flight) bool { return f.job.ID == jobID }); i >= 0 {
 		t.inflight = slices.Delete(t.inflight, i, i+1)
 	}
-	return t.inner.Cancel(jobID)
+	i := slices.IndexFunc(t.held, func(d *slowResult) bool { return d.job.ID == jobID })
+	if i >= 0 {
+		t.held = slices.Delete(t.held, i, i+1)
+	}
+	return t.inner.Cancel(jobID) || i >= 0
 }
 
 // Submit implements lrm.LRM. Each dispatch hands over an lrm.Job no
@@ -362,7 +372,9 @@ func (r *relay) Complete(j *lrm.Job, at sim.Time) {
 	}
 	if ev := t.open[KindSlowResult]; ev != nil && t.resultRNG.Bool(ev.P) {
 		t.in.note(KindSlowResult, t.name, j.ID)
-		t.in.eng.After(ev.Delay, &slowResult{eng: t.in.eng, flight: flight{j, owner}})
+		d := &slowResult{t: t, flight: flight{j, owner}}
+		t.held = append(t.held, d)
+		t.in.eng.After(ev.Delay, d)
 		return
 	}
 	if owner != nil {
@@ -377,18 +389,23 @@ func (r *relay) Fail(j *lrm.Job, at sim.Time, reason string) {
 }
 
 // slowResult is a completion the slow-result window holds back: the
-// event of it reaching the job's owner. The job has left the target's
-// flights, so a Cancel meanwhile does not stop it: the one report the
-// wrapper sends after a Cancel, which the meta-scheduler's stale
-// attempt ignores.
+// event of it reaching the job's owner, unless a Cancel of its job took
+// it out of the target's held list meanwhile. The job has left the
+// target's flights, so an outage does not fail it.
 type slowResult struct {
-	eng *sim.Engine
+	t *target
 	flight
 }
 
 func (d *slowResult) Fire() {
+	t := d.t
+	i := slices.Index(t.held, d)
+	if i < 0 {
+		return // cancelled
+	}
+	t.held = slices.Delete(t.held, i, i+1)
 	if d.owner != nil {
-		d.owner.Complete(d.job, d.eng.Now())
+		d.owner.Complete(d.job, t.in.eng.Now())
 	}
 }
 

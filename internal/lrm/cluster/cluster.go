@@ -221,18 +221,14 @@ func (c *Cluster) preempt(r *running) {
 	c.dispatch()
 }
 
-// Submit implements lrm.LRM. Jobs whose requirements no node can ever
-// satisfy are rejected immediately (qsub-style validation).
+// Submit implements lrm.LRM. A job no node has the memory for is
+// rejected immediately (qsub-style validation).
 func (c *Cluster) Submit(j *lrm.Job) error {
 	if err := j.Validate(); err != nil {
 		return err
 	}
-	kind := c.cfg.Kind
-	if !lrm.HasPlatform(j.Platforms, c.cfg.Platform) {
-		return fmt.Errorf("%s: cluster %s platform %s not in job's set", kind, c.cfg.Name, c.cfg.Platform)
-	}
 	if j.MemoryMB > c.info.NodeMemoryMB {
-		return fmt.Errorf("%s: no node on %s has %d MB", kind, c.cfg.Name, j.MemoryMB)
+		return fmt.Errorf("%s: no node on %s has %d MB", c.cfg.Kind, c.cfg.Name, j.MemoryMB)
 	}
 	c.stats.TotalQueued++
 	var r *running

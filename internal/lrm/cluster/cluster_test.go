@@ -42,8 +42,7 @@ type sub struct {
 	id   string
 	n    int
 	ref  float64
-	mem  int // default 512
-	job  func(*lrm.Job)
+	mem  int    // default 512
 	fail string // non-empty: Submit must fail with an error containing it
 }
 
@@ -94,9 +93,6 @@ func TestCluster(t *testing.T) {
 				{id: "small", ref: 600},
 			},
 			done: map[string]float64{"small": 300, "head": 120400}, completed: 4},
-		{name: "pbs-platform-policy", cfg: hpc,
-			subs: []sub{{id: "win", ref: 60, fail: "pbs: cluster hpc platform linux/x86_64 not in job's set",
-				job: func(j *lrm.Job) { j.Platforms = []lrm.Platform{lrm.WindowsX86} }}}},
 		{name: "pbs-cancel-queued-and-running", cfg: hpc,
 			subs:      []sub{{id: "r", n: 6, ref: 3600}, {id: "q", ref: 3600}},
 			cancels:   []cancel{{"q", true}, {"r0", true}, {"r0", false}},
@@ -115,12 +111,8 @@ func TestCluster(t *testing.T) {
 			subs:  []sub{{id: "m", n: 5, ref: 3600, mem: 6144}},
 			probe: &probe{at: sim.Minute, total: 16, free: 12, running: 4, queue: 1},
 			done:  map[string]float64{"m4": 4800}, completed: 5},
-		{name: "sge-rejects-oversized-and-wrong-platform", cfg: slots,
-			subs: []sub{
-				{id: "big", ref: 60, mem: 32768, fail: "sge: no node on sge has 32768 MB"},
-				{id: "mac", ref: 60, fail: "sge: cluster sge platform linux/x86_64 not in job's set",
-					job: func(j *lrm.Job) { j.Platforms = []lrm.Platform{lrm.DarwinX86} }},
-			}},
+		{name: "sge-rejects-oversized", cfg: slots,
+			subs: []sub{{id: "big", ref: 60, mem: 32768, fail: "sge: no node on sge has 32768 MB"}}},
 		{name: "sge-queue-drains-in-order", cfg: slots,
 			subs:      []sub{{id: "j", n: 40, ref: 1800}},
 			done:      map[string]float64{"j0": 1200, "j15": 1200, "j16": 2400, "j31": 2400, "j32": 3600, "j39": 3600},
@@ -149,9 +141,6 @@ func TestCluster(t *testing.T) {
 					j := &lrm.Job{ID: id, Work: s.ref * lrm.ReferenceCellsPerSecond, MemoryMB: 512}
 					if s.mem > 0 {
 						j.MemoryMB = s.mem
-					}
-					if s.job != nil {
-						s.job(j)
 					}
 					j.Owner = &lrm.Callbacks{
 						OnComplete: func(at sim.Time) { done[id] = float64(at) },
@@ -325,8 +314,6 @@ func TestOwnerNodes(t *testing.T) {
 			subs: []sub{
 				{id: "big", ref: 60, mem: 1024},
 				{id: "huge", ref: 60, mem: 4096, fail: "condor: no node on pool has 4096 MB"},
-				{id: "win", ref: 60, fail: "condor: cluster pool platform linux/x86_64 not in job's set",
-					job: func(j *lrm.Job) { j.Platforms = []lrm.Platform{lrm.WindowsX86} }},
 			},
 			until: 2 * sim.Day, completed: 1},
 		{name: "cancel-running", cfg: workstations(1, 100*sim.Hour, sim.Minute),
@@ -351,9 +338,6 @@ func TestOwnerNodes(t *testing.T) {
 					j := &lrm.Job{ID: id, Work: s.ref * lrm.ReferenceCellsPerSecond, MemoryMB: 256}
 					if s.mem > 0 {
 						j.MemoryMB = s.mem
-					}
-					if s.job != nil {
-						s.job(j)
 					}
 					j.Owner = &lrm.Callbacks{
 						OnComplete: func(at sim.Time) { done[id] = float64(at); delivered += s.ref },
@@ -611,10 +595,6 @@ func (c *refCluster) Submit(j *lrm.Job) error {
 	if err := j.Validate(); err != nil {
 		return err
 	}
-	kind := c.cfg.Kind
-	if !lrm.HasPlatform(j.Platforms, c.cfg.Platform) {
-		return fmt.Errorf("%s: cluster %s platform %s not in job's set", kind, c.cfg.Name, c.cfg.Platform)
-	}
 	satisfiable := false
 	for _, n := range c.nodes {
 		if j.MemoryMB <= n.memoryMB {
@@ -623,7 +603,7 @@ func (c *refCluster) Submit(j *lrm.Job) error {
 		}
 	}
 	if !satisfiable {
-		return fmt.Errorf("%s: no node on %s has %d MB", kind, c.cfg.Name, j.MemoryMB)
+		return fmt.Errorf("%s: no node on %s has %d MB", c.cfg.Kind, c.cfg.Name, j.MemoryMB)
 	}
 	c.stats.TotalQueued++
 	c.queue = append(c.queue, j)
@@ -889,7 +869,7 @@ func (p *refPool) tryDispatch() {
 		q := p.queue[qi]
 		var target *refMachine
 		for _, m := range p.machines {
-			if !m.ownerPresent && m.running == nil && q.job.MemoryMB <= m.memoryMB && lrm.HasPlatform(q.job.Platforms, p.cfg.Platform) {
+			if !m.ownerPresent && m.running == nil && q.job.MemoryMB <= m.memoryMB {
 				target = m
 				break
 			}
@@ -1043,9 +1023,6 @@ func replay(seed int64, eng *sim.Engine, c placed, pool bool) (log []string) {
 			j.MemoryMB = []int{256, 1024, 2048}[rng.Intn(3)]
 		} else {
 			j.MemoryMB = []int{256, 2048, 6000, 12000, 40000}[rng.Choice([]float64{4, 3, 2, 2, 0.5})]
-		}
-		if !pool && rng.Bool(0.05) {
-			j.Platforms = []lrm.Platform{lrm.WindowsX86}
 		}
 		j.Owner = &lrm.Callbacks{
 			OnComplete: func(sim.Time) { ended(id, "completed") },

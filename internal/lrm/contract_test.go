@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lattice/internal/boinc"
+	"lattice/internal/faults"
 	"lattice/internal/lrm"
 	"lattice/internal/lrm/cluster"
 	"lattice/internal/sim"
@@ -25,12 +26,23 @@ const contractSeeds = 60
 // re-enter the resource from inside a report, as the meta-scheduler
 // does. On the clusters without owners every job that was neither
 // refused nor cancelled ends with exactly one report.
-func TestReportContract(t *testing.T) {
+func TestReportContract(t *testing.T) { testReportContract(t, false) }
+
+// TestReportContractThroughFaults plays the same sequences through the
+// fault injector's wrapper, with a lost-result and a slow-result window
+// open for the whole run: the wrapper stands as the Owner of every job
+// it forwards and must keep the contract it relies on, a completion it
+// holds back included. Lost results and a resource failing a job
+// (Condor's requeue limit, BOINC's issue limit) reach the owner through
+// the wrapper as failures.
+func TestReportContractThroughFaults(t *testing.T) { testReportContract(t, true) }
+
+func testReportContract(t *testing.T, wrapped bool) {
 	for _, kind := range []string{"pbs", "sge", "condor", "boinc"} {
 		t.Run(kind, func(t *testing.T) {
 			var tot contractTally
 			for seed := int64(1); seed <= contractSeeds; seed++ {
-				h := runContract(t, kind, seed)
+				h := runContract(t, kind, seed, wrapped)
 				tot.add(h.tally)
 			}
 			t.Logf("%s: %+v", kind, tot)
@@ -38,8 +50,11 @@ func TestReportContract(t *testing.T) {
 			if tot.completed == 0 || tot.cancelledLive == 0 || tot.refused == 0 || tot.reentered == 0 {
 				t.Errorf("%s: sequences reached too little: %+v", kind, tot)
 			}
-			if (kind == "condor" || kind == "boinc") && tot.failed == 0 {
+			if (wrapped || kind == "condor" || kind == "boinc") && tot.failed == 0 {
 				t.Errorf("%s: no sequence failed a job: %+v", kind, tot)
+			}
+			if wrapped && (tot.lost == 0 || tot.slow == 0) {
+				t.Errorf("%s: the fault windows touched too little: %+v", kind, tot)
 			}
 		})
 	}
@@ -48,6 +63,8 @@ func TestReportContract(t *testing.T) {
 // contractTally counts what one or more sequences did.
 type contractTally struct {
 	submitted, refused, cancelledLive, completed, failed, reentered int
+	// lost and slow count the completions the fault windows took.
+	lost, slow int
 }
 
 func (a *contractTally) add(b contractTally) {
@@ -57,6 +74,8 @@ func (a *contractTally) add(b contractTally) {
 	a.completed += b.completed
 	a.failed += b.failed
 	a.reentered += b.reentered
+	a.lost += b.lost
+	a.slow += b.slow
 }
 
 // contractHarness is one generated sequence against one resource.
@@ -116,9 +135,10 @@ func (r *recorder) report(j *lrm.Job, what string) {
 	}
 }
 
-// runContract builds kind's resource, plays one sequence of seed on it
-// to the end and checks the jobs' reports.
-func runContract(t *testing.T, kind string, seed int64) *contractHarness {
+// runContract builds kind's resource, wrapped in a fault injector when
+// wrapped is set, plays one sequence of seed on it to the end and
+// checks the jobs' reports.
+func runContract(t *testing.T, kind string, seed int64, wrapped bool) *contractHarness {
 	t.Helper()
 	eng := sim.NewEngine()
 	h := &contractHarness{t: t, rng: sim.NewRNG(seed)}
@@ -160,12 +180,29 @@ func runContract(t *testing.T, kind string, seed int64) *contractHarness {
 		}
 		h.res = c
 	}
+	var in *faults.Injector
+	if wrapped {
+		in = faults.NewInjector(eng, sim.NewRNG(seed+2000), nil)
+		h.res = in.Wrap(h.res)
+		name := h.res.Name()
+		err := in.Apply(faults.Schedule{Events: []faults.Event{
+			{Kind: faults.KindLostResult, Resource: name, Duration: 90 * sim.Day, P: 0.2},
+			{Kind: faults.KindSlowResult, Resource: name, Duration: 90 * sim.Day, P: 0.5, Delay: 12 * sim.Hour},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 	// The sequence: 40 operations at uniform times over two days.
 	for i := 0; i < 40; i++ {
 		at := sim.Time(h.rng.Float64() * float64(2*sim.Day))
 		eng.ScheduleAt(at, h.step)
 	}
 	eng.RunUntil(sim.Time(90 * sim.Day))
+	if in != nil {
+		n := in.Injected()
+		h.tally.lost, h.tally.slow = n[faults.KindLostResult], n[faults.KindSlowResult]
+	}
 	for _, r := range h.jobs {
 		if kind != "condor" && kind != "boinc" && r.accepted && !r.cancelled && len(r.reports) != 1 {
 			t.Errorf("%s seed %d: %s was accepted and never cancelled but got %v", kind, seed, r.job.ID, r.reports)
@@ -193,7 +230,7 @@ func (h *contractHarness) step() {
 }
 
 // submit hands the resource a generated job: mostly a valid one, now
-// and then one no node can take or one that is malformed.
+// and then one no node has the memory for or one that is malformed.
 func (h *contractHarness) submit() {
 	r := &recorder{h: h}
 	r.job = &lrm.Job{
@@ -209,8 +246,6 @@ func (h *contractHarness) submit() {
 		r.job.Work = 0 // malformed
 	case 1:
 		r.job.MemoryMB = 1 << 20 // no node has it
-	case 2:
-		r.job.Platforms = []lrm.Platform{lrm.DarwinX86} // no node runs it
 	}
 	h.jobs = append(h.jobs, r)
 	h.tally.submitted++

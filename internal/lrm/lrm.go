@@ -3,11 +3,10 @@
 // and capable of functioning independently from the grid system" — and
 // the job machinery its implementations (Condor pools, PBS and SGE
 // clusters, and the BOINC project server in internal/boinc) and the
-// meta-scheduler share: the Job itself, its runtime on a node of a
-// given speed, and platform matching. Job is the
-// resource-specific job description: the meta-scheduler translates
-// each grid job into one per dispatch, which is what the paper's
-// per-LRM "scheduler adapters" did.
+// meta-scheduler share: the Job itself and its runtime on a node of a
+// given speed. Job is the resource-specific job description: the
+// meta-scheduler translates each grid job into one per dispatch, which
+// is what the paper's per-LRM "scheduler adapters" did.
 //
 // Every LRM is a discrete-event simulator on the shared sim.Engine:
 // nodes execute abstract work (likelihood cell updates) at a speed
@@ -30,8 +29,10 @@ import (
 // grid executes work at speed × this rate.
 const ReferenceCellsPerSecond = 2.5e8
 
-// Platform identifies an operating system / CPU architecture pair an
-// application binary can run on.
+// Platform identifies the operating system / CPU architecture pair a
+// resource's nodes run; a resource publishes its platforms in Info. No
+// job asks for one: the one application, GARLI, is built for all three
+// below.
 type Platform string
 
 // The platforms the paper's system supports ("we support three major
@@ -55,9 +56,6 @@ type Job struct {
 	Work float64
 	// MemoryMB is the minimum node memory required.
 	MemoryMB int
-	// Platforms lists platforms the application binary supports; a
-	// node must match one. Empty = any.
-	Platforms []Platform
 	// EstimatedRefSeconds is the grid level's a priori runtime
 	// estimate on the reference computer (BOINC's rsc_fpops_est
 	// analogue). Desktop grids use it to size work requests; 0 means
@@ -83,7 +81,8 @@ type Job struct {
 // at most one report, a refused one none; a report never comes from
 // inside Submit; and once Cancel of a job returns, that job gets no
 // report. TestReportContract holds the clusters and the BOINC server to
-// it under generated submits, cancels, outages, preemptions and churn.
+// it under generated submits, cancels, outages, preemptions and churn,
+// and TestReportContractThroughFaults holds the fault wrapper to it.
 type Owner interface {
 	// Complete is called when the job finishes successfully.
 	Complete(j *Job, at sim.Time)
@@ -186,20 +185,4 @@ type LRM interface {
 	Info() Info
 	// Stats returns lifetime accounting.
 	Stats() Stats
-}
-
-// HasPlatform reports whether any of the job's acceptable platforms is
-// offered by the node/resource platform set; an empty want accepts any.
-func HasPlatform(want []Platform, have ...Platform) bool {
-	if len(want) == 0 {
-		return true
-	}
-	for _, w := range want {
-		for _, h := range have {
-			if w == h {
-				return true
-			}
-		}
-	}
-	return false
 }

@@ -38,16 +38,3 @@ func TestRuntimeOn(t *testing.T) {
 		t.Errorf("RuntimeOn(2.0) = %v, want 1 s", got)
 	}
 }
-
-func TestHasPlatform(t *testing.T) {
-	have := []Platform{LinuxX86, DarwinX86}
-	if !HasPlatform(nil, have...) {
-		t.Error("empty requirement should match anything")
-	}
-	if !HasPlatform([]Platform{DarwinX86}, have...) {
-		t.Error("matching platform rejected")
-	}
-	if HasPlatform([]Platform{WindowsX86}, have...) {
-		t.Error("missing platform accepted")
-	}
-}

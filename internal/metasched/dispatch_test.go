@@ -3,17 +3,13 @@ package metasched
 import (
 	"fmt"
 	"math"
-	"slices"
 	"testing"
 
-	"lattice/internal/boinc"
 	"lattice/internal/grid/mds"
 	"lattice/internal/lrm"
 	"lattice/internal/lrm/cluster"
 	"lattice/internal/obs"
-	"lattice/internal/phylo"
 	"lattice/internal/sim"
-	"lattice/internal/workload"
 )
 
 // dispatchAllocBudget is what one submit→complete cycle costs on a
@@ -62,7 +58,7 @@ func TestDispatchAllocations(t *testing.T) {
 	}
 	next := 0
 	allocs := testing.AllocsPerRun(runs, func() {
-		j := &GridJob{Job: lrm.Job{ID: ids[next], Work: 60 * lrm.ReferenceCellsPerSecond, Platforms: garliPlatforms}}
+		j := &GridJob{Job: lrm.Job{ID: ids[next], Work: 60 * lrm.ReferenceCellsPerSecond}}
 		next++
 		sched.submit(j, nil)
 		eng.Run()
@@ -133,7 +129,7 @@ func TestRefusedDispatchAllocations(t *testing.T) {
 		}
 		next := 0
 		allocs := testing.AllocsPerRun(runs, func() {
-			j := &GridJob{Job: lrm.Job{ID: ids[next], Work: 60 * lrm.ReferenceCellsPerSecond, Platforms: garliPlatforms}}
+			j := &GridJob{Job: lrm.Job{ID: ids[next], Work: 60 * lrm.ReferenceCellsPerSecond}}
 			next++
 			sched.submit(j, nil)
 			eng.Run()
@@ -145,50 +141,6 @@ func TestRefusedDispatchAllocations(t *testing.T) {
 			t.Errorf("hub %v: %.0f allocations per refused-once submit→complete cycle, budget %d", withHub, allocs, refusedAllocBudget)
 		}
 		t.Logf("hub %v: %.0f allocations per refused-once submit→complete cycle", withHub, allocs)
-	}
-}
-
-// TestSharedPlatformsUntouched runs a batch to completion across every
-// kind of LRM — Condor, PBS and BOINC each read Job.Platforms — and
-// checks the one platform slice all its jobs share is unchanged.
-func TestSharedPlatformsUntouched(t *testing.T) {
-	want := []lrm.Platform{lrm.LinuxX86, lrm.WindowsX86, lrm.DarwinX86}
-	g := newGrid(t, DefaultConfig())
-	rng := sim.NewRNG(5)
-	srv, err := boinc.NewServer(g.eng, rng, nil, "volunteers")
-	if err != nil {
-		t.Fatal(err)
-	}
-	boinc.GeneratePopulation(srv, rng, boinc.DefaultPopulation(30))
-	if err := mds.StartProvider(g.eng, g.idx, srv, sim.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.sched.Register(srv, 0.8); err != nil {
-		t.Fatal(err)
-	}
-	sub := &workload.Submission{
-		Spec: workload.JobSpec{DataType: phylo.Nucleotide, SubstModel: "JC69",
-			NumTaxa: 40, SeqLength: 2000, SearchReps: 1, StartingTree: phylo.StartRandom, Seed: 1},
-		Replicates: 200,
-		UserEmail:  "u@x",
-	}
-	jobs := g.sched.SubmitBatch(sub, sim.NewRNG(6), nil, nil)
-	g.eng.RunUntil(sim.Time(60 * sim.Day))
-	used := map[string]bool{}
-	for _, j := range jobs {
-		if j.Status != StatusCompleted {
-			t.Fatalf("%s is %v", j.ID, j.Status)
-		}
-		if &j.Platforms[0] != &garliPlatforms[0] {
-			t.Errorf("%s carries its own platform list", j.ID)
-		}
-		used[j.Resource()] = true
-	}
-	if len(used) != 3 {
-		t.Errorf("batch ran on %v, want all three resources", used)
-	}
-	if !slices.Equal(garliPlatforms, want) {
-		t.Errorf("shared platform list is %v after the run, want %v", garliPlatforms, want)
 	}
 }
 

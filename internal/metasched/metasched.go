@@ -1,7 +1,8 @@
 // Package metasched implements the grid-level scheduler of Section V:
 // it watches resource state through MDS, filters resources by job
-// requirements (platform and memory: a grid job is one serial GARLI
-// replicate, which needs no MPI and no other software), ranks the
+// requirements (memory only: a grid job is one serial GARLI replicate,
+// which runs on every platform the grid offers and needs no MPI and no
+// other software), ranks the
 // eligible ones by current load, measured speed, and stability, gates
 // long jobs off unstable resources using a priori runtime estimates,
 // bundles very short jobs to amortize per-job overhead, and computes
@@ -186,7 +187,7 @@ func (s JobStatus) String() string {
 // GridJob is the scheduler's record of one job: the generic,
 // resource-independent description the paper's jobs travel as, plus
 // where the job is in its lifecycle. Each fact is stored once. The
-// description — ID, Batch, Work, the matchmaking requirements and the
+// description — ID, Batch, Work, the memory requirement and the
 // estimate — is the embedded lrm.Job, which the first dispatch hands to
 // its resource as it stands; every later dispatch hands over a copy of
 // its own (see dispatch). Only the description fields are the caller's:
@@ -195,11 +196,9 @@ type GridJob struct {
 	// Job is the job's description and the first dispatch's lrm.Job:
 	// that dispatch sets its Owner (the first attempt) and DelayBound,
 	// and nothing writes the rest once the job is submitted. Work
-	// includes the per-job grid overhead once submitted. MemoryMB and
-	// Platforms are the matchmaking requirements; Platforms is
-	// read-only (LRMs only read it, so jobs share slices).
-	// EstimatedRefSeconds is the prediction used for placement (0 when
-	// no model was available).
+	// includes the per-job grid overhead once submitted. MemoryMB is
+	// the matchmaking requirement. EstimatedRefSeconds is the
+	// prediction used for placement (0 when no model was available).
 	lrm.Job
 
 	// Owner, when set, is told once, when the job reaches a terminal
@@ -337,10 +336,9 @@ type Scheduler struct {
 	// guards it.
 	names slab.Slab
 	// spec is SubmitBatch's scratch: the spec of the job it is building.
-	spec     workload.JobSpec
-	scanning bool
-	obs      *obs.Obs
-	ins      schedInstruments
+	spec workload.JobSpec
+	obs  *obs.Obs
+	ins  schedInstruments
 	// placeDetails[n] is the place event's detail for attempt n (see
 	// placeDetail).
 	placeDetails []string

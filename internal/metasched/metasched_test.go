@@ -2,7 +2,6 @@ package metasched
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"lattice/internal/boinc"
@@ -13,10 +12,6 @@ import (
 	"lattice/internal/sim"
 	"lattice/internal/workload"
 )
-
-// darwinPPC is a platform no test federation offers until a test adds
-// a resource for it.
-const darwinPPC = lrm.Platform("darwin/ppc")
 
 // grid is a small test federation.
 type grid struct {
@@ -69,8 +64,8 @@ func newGrid(t *testing.T, cfg Config) *grid {
 
 // acceptsAll registers a pool so that every test on the grid pins what
 // the pool's own Submit checks assume: a pool refuses a job it could
-// never run (foreign platform, more memory than any machine), and
-// the scheduler's eligibility check never offers it one.
+// never run (more memory than any machine), and the scheduler's
+// eligibility check never offers it one.
 type acceptsAll struct {
 	lrm.LRM
 	t *testing.T
@@ -106,13 +101,9 @@ func (perfectPredictor) Predict(spec *workload.JobSpec) (float64, error) {
 	return workload.ReferenceSeconds(spec.ExpectedWork()), nil
 }
 
-// testJob builds a Linux job of the given reference-seconds.
+// testJob builds a 256-MB job of the given reference-seconds.
 func testJob(id string, refSeconds float64) *GridJob {
-	return &GridJob{Job: lrm.Job{
-		ID: id, MemoryMB: 256,
-		Platforms: []lrm.Platform{lrm.LinuxX86},
-		Work:      refSeconds * lrm.ReferenceCellsPerSecond,
-	}}
+	return &GridJob{Job: lrm.Job{ID: id, MemoryMB: 256, Work: refSeconds * lrm.ReferenceCellsPerSecond}}
 }
 
 // doneFunc is a test's Owner: a func called with each terminal job.
@@ -243,33 +234,23 @@ func TestSpeedAwareprefersFastCluster(t *testing.T) {
 	}
 }
 
-// TestMemoryAndPlatformFiltering sends the two kinds of job the pool
-// would refuse at Submit, more of each than the cluster's backlog cap
-// admits, so the idle pool is the only other candidate; newGrid's
-// acceptsAll fails the test if one reaches it.
+// TestMemoryAndPlatformFiltering sends jobs the pool would refuse at
+// Submit, needing more memory than any of its machines has, more of
+// them than the cluster's backlog cap admits, so the idle pool is the
+// only other candidate; newGrid's acceptsAll fails the test if one
+// reaches it. No job names a platform: GARLI runs on all three.
 func TestMemoryAndPlatformFiltering(t *testing.T) {
 	g := newGrid(t, DefaultConfig())
-	kinds := map[string]func(*GridJob){
-		"big": func(j *GridJob) { j.MemoryMB = 4096 },                            // only the cluster has 8 GB nodes
-		"win": func(j *GridJob) { j.Platforms = []lrm.Platform{lrm.WindowsX86} }, // nobody runs Windows
-	}
 	var jobs []*GridJob
-	for kind, mutate := range kinds {
-		for i := 0; i < 20; i++ {
-			j := testJob(fmt.Sprintf("%s%d", kind, i), 600)
-			mutate(j)
-			submit(g.sched, j, nil, nil)
-			jobs = append(jobs, j)
-		}
+	for i := 0; i < 20; i++ {
+		j := testJob(fmt.Sprintf("big%d", i), 600)
+		j.MemoryMB = 4096 // only the cluster has 8 GB nodes
+		jobs = append(jobs, submit(g.sched, j, nil, nil))
 	}
 	g.eng.RunUntil(sim.Time(1 * sim.Hour))
 	for _, j := range jobs {
-		want := "hpc-cluster"
-		if strings.HasPrefix(j.ID, "win") {
-			want = ""
-		}
-		if j.Resource() != want && j.Resource() != "" {
-			t.Errorf("%s placed on %q, want %q", j.ID, j.Resource(), want)
+		if r := j.Resource(); r != "hpc-cluster" && r != "" {
+			t.Errorf("%s placed on %q, want hpc-cluster", j.ID, r)
 		}
 	}
 	if g.hpc.Stats().TotalQueued == 0 {
@@ -279,30 +260,30 @@ func TestMemoryAndPlatformFiltering(t *testing.T) {
 
 func TestUnplaceableJobWaitsThenRuns(t *testing.T) {
 	g := newGrid(t, DefaultConfig())
-	// Nothing matches darwin/ppc yet.
-	weird := testJob("ppc", 60)
-	weird.Platforms = []lrm.Platform{darwinPPC}
+	// No node has 16 GB yet.
+	big := testJob("big", 60)
+	big.MemoryMB = 16384
 	done := false
-	submit(g.sched, weird, nil, func(j *GridJob) { done = j.Status == StatusCompleted })
+	submit(g.sched, big, nil, func(j *GridJob) { done = j.Status == StatusCompleted })
 	if len(g.sched.pending) != 1 {
 		t.Fatalf("job should be pending, have %d", len(g.sched.pending))
 	}
-	// A PPC cluster joins the grid later.
+	// A large-memory cluster joins the grid later.
 	g.eng.Schedule(2*sim.Hour, func() {
-		ppc, err := cluster.New(g.eng, nil, nil, cluster.Config{
-			Kind: "pbs", Name: "mac-cluster", Platform: darwinPPC,
-			Nodes: []cluster.NodeClass{{Count: 2, Cores: 1, Speed: 1, MemoryMB: 2048}},
+		bigmem, err := cluster.New(g.eng, nil, nil, cluster.Config{
+			Kind: "pbs", Name: "bigmem-cluster", Platform: lrm.LinuxX86,
+			Nodes: []cluster.NodeClass{{Count: 2, Cores: 1, Speed: 1, MemoryMB: 32768}},
 		})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		mds.StartProvider(g.eng, g.idx, ppc, sim.Minute)
-		g.sched.Register(ppc, 1.0)
+		mds.StartProvider(g.eng, g.idx, bigmem, sim.Minute)
+		g.sched.Register(bigmem, 1.0)
 	})
 	g.eng.RunUntil(sim.Time(6 * sim.Hour))
-	if !done {
-		t.Error("job never ran after an eligible resource joined")
+	if !done || big.Resource() != "bigmem-cluster" {
+		t.Errorf("job done %v on %q, want it run on the cluster that joined", done, big.Resource())
 	}
 }
 
@@ -447,9 +428,7 @@ func TestBoincDeadlineFromEstimate(t *testing.T) {
 	sched.SetPredictor(fixedPredictor(2 * 3600))
 	spec := workload.JobSpec{DataType: phylo.Nucleotide, SubstModel: "JC69",
 		NumTaxa: 10, SeqLength: 100, SearchReps: 1, StartingTree: phylo.StartRandom}
-	d := testJob("wu1", 2*3600)
-	d.Platforms = []lrm.Platform{lrm.WindowsX86, lrm.LinuxX86, lrm.DarwinX86}
-	j := submit(sched, d, &spec, nil)
+	j := submit(sched, testJob("wu1", 2*3600), &spec, nil)
 	eng.RunUntil(sim.Time(1 * sim.Hour))
 	if j.Resource() != "volunteers" {
 		t.Fatalf("job placed on %q (status %v)", j.Resource(), j.Status)
@@ -460,7 +439,6 @@ func TestBoincDeadlineFromEstimate(t *testing.T) {
 	// A 12-hour job, by contrast, must be gated off the unstable
 	// volunteer pool entirely.
 	long := testJob("wu2", 12*3600)
-	long.Platforms = d.Platforms
 	sched.SetPredictor(fixedPredictor(12 * 3600))
 	lj := submit(sched, long, &spec, nil)
 	eng.RunUntil(sim.Time(2 * sim.Hour))

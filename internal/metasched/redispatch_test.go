@@ -88,6 +88,7 @@ func TestRedispatchOwnsItsJob(t *testing.T) {
 			spec := workload.JobSpec{DataType: phylo.Nucleotide, SubstModel: "JC69",
 				NumTaxa: 10, SeqLength: 100, SearchReps: 1, StartingTree: phylo.StartRandom}
 			j := submit(sched, testJob("moved", est), &spec, nil)
+			eng.RunUntil(eng.Now()) // its input stages in no time
 			if len(first.jobs) != 1 || j.Resource() != "first" {
 				t.Fatalf("job on %q, first resource holds %d jobs; want it placed on first", j.Resource(), len(first.jobs))
 			}
@@ -107,7 +108,7 @@ func TestRedispatchOwnsItsJob(t *testing.T) {
 				t.Fatal("the retry handed over the first dispatch's lrm.Job")
 			}
 			if a.ID != b.ID || a.Batch != b.Batch || a.Work != b.Work || a.MemoryMB != b.MemoryMB ||
-				&a.Platforms[0] != &b.Platforms[0] || a.EstimatedRefSeconds != b.EstimatedRefSeconds {
+				a.EstimatedRefSeconds != b.EstimatedRefSeconds {
 				t.Errorf("retry describes another job: first %+v, retry %+v", *a, *b)
 			}
 			ra, rb := a.Owner.(*relay), b.Owner.(*relay)

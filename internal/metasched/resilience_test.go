@@ -196,8 +196,7 @@ type refusingLRM struct {
 	runFor   sim.Duration
 	jobs     map[string]*lrm.Job
 	submits  int
-	// onRefuse, when set, runs inside each refused Submit — i.e.
-	// synchronously inside the scheduler's dispatch.
+	// onRefuse, when set, runs inside each refused Submit.
 	onRefuse func()
 }
 
@@ -284,11 +283,11 @@ func TestSubmitRetryBackoff(t *testing.T) {
 	}
 }
 
-// A job the resource fails synchronously inside Submit re-queues
-// itself at once. When that happens *inside* a periodic scan, the
-// re-queue lands behind the entries the scan is ranging over and must
-// survive the scan's queue rebuild (it used to be overwritten, leaving
-// the job pending forever with an empty queue).
+// A job the resource fails inside Submit, which the report contract
+// forbids but a resource may still do, re-queues itself at once. Every
+// submission runs at its staging event, never inside a periodic scan,
+// so no re-queue can land in the queue a scan is rebuilding (one once
+// did and was overwritten, leaving the job pending forever).
 func TestSynchronousFailureInsideScanStaysQueued(t *testing.T) {
 	eng := sim.NewEngine()
 	idx, _ := mds.NewIndex(eng, 5*sim.Minute)
@@ -301,8 +300,8 @@ func TestSynchronousFailureInsideScanStaysQueued(t *testing.T) {
 	if err := sched.Register(res, 1.0); err != nil {
 		t.Fatal(err)
 	}
-	// The first failure happens inside Submit, the second inside the
-	// first scan.
+	// The first failure comes at the first staged submission, the
+	// second at the one the first scan placed.
 	j := submit(sched, testJob("j1", 600), nil, nil)
 	eng.RunUntil(sim.Time(6 * sim.Hour))
 	if j.Status != StatusCompleted {

@@ -14,11 +14,6 @@ import (
 	"lattice/internal/workload"
 )
 
-// garliPlatforms are the platforms GARLI is built for ("we support
-// three major computing platforms: Linux, Windows, and Mac OS"). Every
-// batch job shares this one slice; no LRM writes to Job.Platforms.
-var garliPlatforms = []lrm.Platform{lrm.LinuxX86, lrm.WindowsX86, lrm.DarwinX86}
-
 // submit accepts a grid job described by the caller (ID, work,
 // requirements, Owner); spec, when not nil, is what the runtime model
 // estimates it from. The job is placed immediately when an eligible
@@ -93,20 +88,17 @@ func (s *Scheduler) SubmitBatch(sub *workload.Submission, rng *sim.RNG, owner Ow
 			n = sub.Replicates - rep
 		}
 		s.nextSeq++
-		// submit is the last reader of the scratch spec, so a SubmitBatch
-		// re-entered from inside it (a job ending synchronously, its
-		// owner submitting more work) may take the scratch over.
+		// submit is the last reader of the scratch spec.
 		spec := &s.spec
 		*spec = sub.Spec
 		spec.SearchReps = sub.Spec.SearchReps * n
 		spec.Seed = sub.Spec.Seed + int64(rep)
 		j := &GridJob{
 			Job: lrm.Job{
-				ID:        s.jobID(sub.UserEmail, rep, s.nextSeq),
-				Batch:     sub.BatchTag,
-				Work:      spec.SampleWork(rng),
-				MemoryMB:  spec.MemoryMB(),
-				Platforms: garliPlatforms,
+				ID:       s.jobID(sub.UserEmail, rep, s.nextSeq),
+				Batch:    sub.BatchTag,
+				Work:     spec.SampleWork(rng),
+				MemoryMB: spec.MemoryMB(),
 			},
 			Owner: owner,
 			// Input: the sequence matrix.
@@ -170,23 +162,16 @@ func (s *Scheduler) placeDetail(attempt int) string {
 // scheduler's spare buffer, which then trades places with the queue,
 // so a steady-state scan allocates nothing.
 func (s *Scheduler) scanPending() {
-	if s.scanning || len(s.pending) == 0 {
+	if len(s.pending) == 0 {
 		return
 	}
-	s.scanning = true
-	defer func() { s.scanning = false }()
 	snap := s.candidates()
-	n := len(s.pending)
 	still := s.pendingSpare[:0]
-	for _, j := range s.pending[:n] {
+	for _, j := range s.pending {
 		if j.Status == StatusPending && !s.place(j, snap) {
 			still = append(still, j)
 		}
 	}
-	// A placement that fails synchronously (a refused zero-delay submit,
-	// a job failing inside Submit) re-queues its job behind the n being
-	// ranged over; those entries outlive the scan.
-	still = append(still, s.pending[n:]...)
 	clear(s.pending) // the spare must not pin placed jobs
 	s.pending, s.pendingSpare = still, s.pending[:0]
 	s.ins.pending.Set(float64(len(s.pending)))
@@ -233,9 +218,6 @@ func (s *Scheduler) eligible(j *GridJob, c *candidate) bool {
 	// volunteer pool, whose turnaround latency (deadline slack, host
 	// churn) would dwarf their compute.
 	if j.ServiceOnly && c.info.Kind == "boinc" {
-		return false
-	}
-	if !lrm.HasPlatform(j.Platforms, c.info.Platforms...) {
 		return false
 	}
 	if j.MemoryMB > c.info.NodeMemoryMB {
@@ -371,11 +353,7 @@ func (s *Scheduler) dispatch(j *GridJob, c *candidate) {
 	s.ins.placeWait.Observe(float64(s.eng.Now().Sub(j.SubmittedAt)))
 	j.slot = int32(len(c.res.running))
 	c.res.running = append(c.res.running, j)
-	if in := s.stageDelay(j.InputMB); in > 0 {
-		s.eng.After(in, a)
-	} else {
-		a.Fire()
-	}
+	s.eng.After(sim.Duration(j.InputMB/stageBandwidthMBps), a)
 }
 
 // attempt is one dispatch of a grid job: the lrm.Job the resource runs
@@ -439,14 +417,6 @@ func (o *stageOut) Fire() { o.res.s.onJobComplete((*attempt)(o)) }
 
 // stageOutDelay is how long every job's results take to stage back.
 const stageOutDelay = sim.Duration(outputMB / stageBandwidthMBps)
-
-// stageDelay converts a transfer size to a staging duration.
-func (s *Scheduler) stageDelay(mb float64) sim.Duration {
-	if mb <= 0 {
-		return 0
-	}
-	return sim.Duration(mb / stageBandwidthMBps)
-}
 
 // release takes the job off r's running list, if it is there, by
 // moving the list's last job into its slot.

@@ -115,9 +115,10 @@ func TestCandidateViewSeesLateRegister(t *testing.T) {
 	}
 }
 
-// A gatekeeper refusal inside scanPending that publishes and re-enters
-// placement replaces the scheduler's view; the slice the scan is
-// iterating stays exactly as it was, and the scan finishes on it.
+// A gatekeeper refusal that publishes and re-enters placement replaces
+// the scheduler's view; a view already handed out stays exactly as it
+// was. The scan matches both pending jobs on the view it started with,
+// before either job's input has staged and the refusal comes.
 func TestCandidateViewSurvivesReentrantPlacement(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RescanInterval = 0
@@ -141,6 +142,7 @@ func TestCandidateViewSurvivesReentrantPlacement(t *testing.T) {
 		inner = g.submit(t, "inner")
 	}
 	g.sched.scanPending()
+	g.eng.RunUntil(g.eng.Now()) // the inputs stage in no time: p1 is refused
 
 	for i := range want {
 		if held[i].res != want[i].res || held[i].info.Name != want[i].info.Name ||
